@@ -81,7 +81,7 @@ fuzz-smoke:
 	$(GO) test ./internal/driftlog/ -run '^$$' -fuzz FuzzSketchDifferential -fuzztime 30s
 
 bench:
-	$(GO) test -run '^$$' -bench 'BenchmarkIngest$$|BenchmarkIngestBatch$$|BenchmarkRunWindow$$' -benchtime 2s .
+	$(GO) test -run '^$$' -bench 'BenchmarkIngest$$|BenchmarkRunWindow$$' -benchtime 2s .
 
 # Kernel/model micro-benchmarks (-benchmem): blocked vs reference matmul
 # orientations, fused ops, workspace round trips, steady-state model

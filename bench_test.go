@@ -9,6 +9,7 @@
 package nazar_test
 
 import (
+	"context"
 	"fmt"
 	"sync/atomic"
 	"testing"
@@ -285,53 +286,38 @@ func benchEntry(day time.Time, dev string, i int) (driftlog.Entry, []float64) {
 	}, sample
 }
 
-// BenchmarkIngest measures the per-entry ingest hot path under parallel
-// device load. The sharded store makes concurrent devices mostly
-// lock-disjoint; the seed's single-mutex store serialized this loop.
+// BenchmarkIngest measures the ingest path under parallel device load at
+// the two batch shapes traffic takes: a single-entry report and a
+// 256-row batch (one lock round per shard per batch). The sharded store
+// makes concurrent devices mostly lock-disjoint.
 func BenchmarkIngest(b *testing.B) {
-	base := nn.NewClassifier(nn.ArchResNet18, 8, 2, tensor.NewRand(1, 1))
-	svc := cloud.NewService(base, cloud.DefaultConfig())
-	day := time.Date(2020, 1, 15, 0, 0, 0, 0, time.UTC)
-	var devSeq atomic.Int64
-	b.ReportAllocs()
-	b.ResetTimer()
-	b.RunParallel(func(pb *testing.PB) {
-		dev := fmt.Sprintf("dev_%02d", devSeq.Add(1))
-		i := 0
-		for pb.Next() {
-			e, sample := benchEntry(day, dev, i)
-			svc.Ingest(e, sample)
-			i++
-		}
-	})
-}
-
-// BenchmarkIngestBatch measures the batched path (one lock round per
-// shard per batch instead of per entry).
-func BenchmarkIngestBatch(b *testing.B) {
-	const batchSize = 256
-	base := nn.NewClassifier(nn.ArchResNet18, 8, 2, tensor.NewRand(1, 1))
-	svc := cloud.NewService(base, cloud.DefaultConfig())
-	day := time.Date(2020, 1, 15, 0, 0, 0, 0, time.UTC)
-	var devSeq atomic.Int64
-	b.ReportAllocs()
-	b.ResetTimer()
-	b.RunParallel(func(pb *testing.PB) {
-		dev := fmt.Sprintf("dev_%02d", devSeq.Add(1))
-		i := 0
-		for pb.Next() {
-			entries := make([]driftlog.Entry, batchSize)
-			samples := make([][]float64, batchSize)
-			for k := range entries {
-				entries[k], samples[k] = benchEntry(day, dev, i)
-				i++
-			}
-			if err := svc.IngestBatch(entries, samples); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.ReportMetric(float64(batchSize), "entries/op")
+	for _, rows := range []int{1, 256} {
+		b.Run(fmt.Sprintf("rows=%d", rows), func(b *testing.B) {
+			base := nn.NewClassifier(nn.ArchResNet18, 8, 2, tensor.NewRand(1, 1))
+			svc := cloud.NewService(base, cloud.DefaultConfig())
+			day := time.Date(2020, 1, 15, 0, 0, 0, 0, time.UTC)
+			ctx := context.Background()
+			var devSeq atomic.Int64
+			b.ReportAllocs()
+			b.ResetTimer()
+			b.RunParallel(func(pb *testing.PB) {
+				dev := fmt.Sprintf("dev_%02d", devSeq.Add(1))
+				i := 0
+				for pb.Next() {
+					entries := make([]driftlog.Entry, rows)
+					samples := make([][]float64, rows)
+					for k := range entries {
+						entries[k], samples[k] = benchEntry(day, dev, i)
+						i++
+					}
+					if err := svc.IngestBatchContext(ctx, entries, samples); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
+			b.ReportMetric(float64(rows), "entries/op")
+		})
+	}
 }
 
 // BenchmarkRunWindow measures one analysis/adaptation cycle over a
@@ -344,13 +330,18 @@ func BenchmarkRunWindow(b *testing.B) {
 	cfg.AdaptCfg.MinSteps = 5
 	svc := cloud.NewService(base, cfg)
 	day := time.Date(2020, 1, 15, 0, 0, 0, 0, time.UTC)
-	for i := 0; i < 4096; i++ {
-		e, sample := benchEntry(day, fmt.Sprintf("dev_%02d", i%32), i)
-		svc.Ingest(e, sample)
+	ctx := context.Background()
+	entries := make([]driftlog.Entry, 4096)
+	samples := make([][]float64, len(entries))
+	for i := range entries {
+		entries[i], samples[i] = benchEntry(day, fmt.Sprintf("dev_%02d", i%32), i)
+	}
+	if err := svc.IngestBatchContext(ctx, entries, samples); err != nil {
+		b.Fatal(err)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := svc.RunWindow(time.Time{}, time.Time{}, day.AddDate(0, 0, 1))
+		res, err := svc.RunWindowContext(ctx, time.Time{}, time.Time{}, day.AddDate(0, 0, 1))
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -20,6 +20,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"log"
@@ -54,9 +55,10 @@ func main() {
 	)
 	flag.Parse()
 
+	ctx := context.Background()
 	client := httpapi.NewClient(*server)
 	log.Printf("nazar-device: pulling base model from %s", *server)
-	snap, err := client.Base()
+	snap, err := client.BaseContext(ctx)
 	if err != nil {
 		log.Fatalf("nazar-device: pull base: %v", err)
 	}
@@ -94,7 +96,7 @@ func main() {
 	var refBN *nn.BNSnapshot
 	if *useDelta {
 		var err error
-		if refBN, err = client.RefBN(); err != nil {
+		if refBN, err = client.RefBNContext(ctx); err != nil {
 			log.Fatalf("nazar-device: pull reference BN: %v", err)
 		}
 	}
@@ -136,13 +138,13 @@ func main() {
 						shadowDisagree++
 					}
 				}
-				if err := client.Ingest(entry, sample); err != nil {
+				if err := client.IngestContext(ctx, entry, sample); err != nil {
 					log.Fatalf("nazar-device: ingest: %v", err)
 				}
 			}
 		}
 		if *analyze > 0 && (d+1)%*analyze == 0 {
-			resp, err := client.Analyze(httpapi.AnalyzeRequest{Now: day.AddDate(0, 0, 1)})
+			resp, err := client.AnalyzeContext(ctx, httpapi.AnalyzeRequest{Now: day.AddDate(0, 0, 1)})
 			if err != nil {
 				log.Fatalf("nazar-device: analyze: %v", err)
 			}
@@ -150,9 +152,9 @@ func main() {
 				day.Format("2006-01-02"), resp.LogRows, resp.Causes)
 			var versions []adapt.BNVersion
 			if *useDelta {
-				versions, err = client.Deltas(lastPull, refBN)
+				versions, err = client.DeltasContext(ctx, lastPull, refBN)
 			} else {
-				versions, err = client.Versions(lastPull)
+				versions, err = client.VersionsContext(ctx, lastPull)
 			}
 			if err != nil {
 				log.Fatalf("nazar-device: pull versions: %v", err)

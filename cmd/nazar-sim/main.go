@@ -307,6 +307,6 @@ func runChaos(rates, schedule string, devices, perDevice int, seed uint64, codec
 type storeSink struct{ store *driftlog.Store }
 
 func (s storeSink) Report(e driftlog.Entry, _ []float64) error {
-	s.store.Append(e)
+	s.store.AppendBatch([]driftlog.Entry{e})
 	return nil
 }

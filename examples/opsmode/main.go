@@ -14,6 +14,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"net"
@@ -58,6 +59,7 @@ func main() {
 	go srv.Serve(ln)
 	defer srv.Close()
 	client := httpapi.NewClient("http://" + ln.Addr().String())
+	ctx := context.Background()
 
 	// Devices report a mixed fog + snow period.
 	day := weather.Day(15)
@@ -74,7 +76,7 @@ func main() {
 			cond = "snow"
 		}
 		msp := tensor.Max(tensor.Softmax(base.LogitsOne(x)))
-		err := client.Ingest(driftlog.Entry{
+		err := client.IngestContext(ctx, driftlog.Entry{
 			Time:  day.Add(time.Duration(i) * time.Minute),
 			Drift: msp < 0.95,
 			Attrs: map[string]string{
@@ -89,7 +91,7 @@ func main() {
 	}
 
 	// Operator triggers diagnosis only — no adaptation yet.
-	causes, err := client.Diagnose(httpapi.AnalyzeRequest{Now: day.AddDate(0, 0, 1)})
+	causes, err := client.DiagnoseContext(ctx, httpapi.AnalyzeRequest{Now: day.AddDate(0, 0, 1)})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -106,7 +108,7 @@ func main() {
 		}
 	}
 	fmt.Printf("\noperator approves %d of %d causes (fog only)\n", len(approved), len(causes))
-	versions, err := client.Adapt(httpapi.AdaptRequest{Causes: approved, Now: day.AddDate(0, 0, 1)})
+	versions, err := client.AdaptContext(ctx, httpapi.AdaptRequest{Causes: approved, Now: day.AddDate(0, 0, 1)})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -9,6 +9,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"time"
@@ -83,6 +84,9 @@ func main() {
 	before := evalAccuracy("foggy images", true)
 
 	fmt.Println("\nstreaming a foggy week through the device...")
+	ctx := context.Background()
+	var entries []driftlog.Entry
+	var samples [][]float64
 	for i := 0; i < 400; i++ {
 		class := i % classes
 		cond, x := "clear-day", world.Sample(class, rng)
@@ -92,11 +96,15 @@ func main() {
 		}
 		ts := day.Add(time.Duration(i) * time.Minute)
 		_, entry, sample := dev.Infer(ts, x, map[string]string{driftlog.AttrWeather: cond})
-		svc.Ingest(entry, sample)
+		entries = append(entries, entry)
+		samples = append(samples, sample)
+	}
+	if err := svc.IngestBatchContext(ctx, entries, samples); err != nil {
+		log.Fatal(err)
 	}
 
 	// 5. The cloud analyzes the drift log and adapts by cause.
-	res, err := svc.RunWindow(day, day.AddDate(0, 0, 1), day.AddDate(0, 0, 1))
+	res, err := svc.RunWindowContext(ctx, day, day.AddDate(0, 0, 1), day.AddDate(0, 0, 1))
 	if err != nil {
 		log.Fatal(err)
 	}

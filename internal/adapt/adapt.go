@@ -96,16 +96,12 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// Adapt clones base, freezes everything except batch-norm γ/β, runs the
-// configured self-supervised objective over the unlabeled samples, and
-// returns the adapted clone. The base network is never mutated.
-func Adapt(base *nn.Network, samples *tensor.Matrix, cfg Config) (*nn.Network, error) {
-	return AdaptContext(context.Background(), base, samples, cfg)
-}
-
-// AdaptContext is Adapt with cooperative cancellation: the context is
-// checked before every optimizer step, so a cancelled window abandons the
-// (minutes-long, §5.8) adaptation stage after at most one batch.
+// AdaptContext clones base, freezes everything except batch-norm γ/β,
+// runs the configured self-supervised objective over the unlabeled
+// samples, and returns the adapted clone. The base network is never
+// mutated. The context is checked before every optimizer step, so a
+// cancelled window abandons the (minutes-long, §5.8) adaptation stage
+// after at most one batch.
 func AdaptContext(ctx context.Context, base *nn.Network, samples *tensor.Matrix, cfg Config) (*nn.Network, error) {
 	cfg = cfg.withDefaults()
 	if samples == nil || samples.Rows == 0 {
@@ -289,10 +285,10 @@ func (v BNVersion) IsClean() bool { return len(v.Cause.Items) == 0 }
 // root cause (nil/empty matrix when none were collected).
 type SampleSource func(c rca.Cause) *tensor.Matrix
 
-// ByCause produces one BN version per cause by adapting a clone of base
-// on that cause's samples (Nazar's core adaptation strategy). Causes with
-// fewer than minSamples uploads are skipped: adaptation on a handful of
-// images underfits.
+// ByCauseContext produces one BN version per cause by adapting a clone of
+// base on that cause's samples (Nazar's core adaptation strategy). Causes
+// with fewer than minSamples uploads are skipped: adaptation on a handful
+// of images underfits.
 //
 // Causes adapt concurrently over a bounded worker pool (at most
 // tensor.Workers() runs in flight) — each run clones the base and they
@@ -300,14 +296,10 @@ type SampleSource func(c rca.Cause) *tensor.Matrix
 // Each cause gets its own deterministic RNG derived from cfg.Rng's first
 // draw and the cause key, and results land in index-addressed slots, so
 // the output is identical at any pool width.
-func ByCause(base *nn.Network, causes []rca.Cause, samples SampleSource, minSamples int, cfg Config, now time.Time) ([]BNVersion, error) {
-	return ByCauseContext(context.Background(), base, causes, samples, minSamples, cfg, now)
-}
-
-// ByCauseContext is ByCause with cooperative cancellation: no new cause
-// run is launched after the context is cancelled, and in-flight runs
-// abort at their next optimizer step. A cancelled call returns ctx.Err()
-// and no versions.
+//
+// No new cause run is launched after the context is cancelled, and
+// in-flight runs abort at their next optimizer step. A cancelled call
+// returns ctx.Err() and no versions.
 func ByCauseContext(ctx context.Context, base *nn.Network, causes []rca.Cause, samples SampleSource, minSamples int, cfg Config, now time.Time) ([]BNVersion, error) {
 	if minSamples < 2 {
 		minSamples = 2
@@ -377,13 +369,6 @@ func hashKey(s string) uint64 {
 		h = (h ^ uint64(b)) * 1099511628211
 	}
 	return h
-}
-
-// All adapts a single model on the pooled samples of every cause — the
-// adapt-all baseline (what Ekya-style systems and plain TENT deployments
-// do). Returns the adapted network.
-func All(base *nn.Network, samples *tensor.Matrix, cfg Config) (*nn.Network, error) {
-	return Adapt(base, samples, cfg)
 }
 
 // Materialize instantiates a runnable model from a base network and a BN

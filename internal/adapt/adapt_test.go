@@ -1,6 +1,7 @@
 package adapt
 
 import (
+	"context"
 	"strings"
 	"sync"
 	"testing"
@@ -67,7 +68,7 @@ func TestTENTRecoversAffineDrift(t *testing.T) {
 	foggyTest := r.world.CorruptBatch(r.valX, imagesim.Fog, imagesim.DefaultSeverity, rng)
 
 	before := r.base.Accuracy(foggyTest, r.valY)
-	adapted, err := Adapt(r.base, foggyAdapt, Config{Rng: rng})
+	adapted, err := AdaptContext(context.Background(), r.base, foggyAdapt, Config{Rng: rng})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,7 +88,7 @@ func TestAdaptedModelPoorOnOtherCauses(t *testing.T) {
 	r := getRig(t)
 	rng := tensor.NewRand(10, 10)
 	foggyAdapt := r.world.CorruptBatch(r.trainX, imagesim.Fog, imagesim.DefaultSeverity, rng)
-	adapted, err := Adapt(r.base, foggyAdapt, Config{Rng: rng})
+	adapted, err := AdaptContext(context.Background(), r.base, foggyAdapt, Config{Rng: rng})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,7 +110,7 @@ func TestMEMOAdapts(t *testing.T) {
 	contrAdapt := r.world.CorruptBatch(r.trainX, imagesim.Contrast, imagesim.DefaultSeverity, rng)
 	contrTest := r.world.CorruptBatch(r.valX, imagesim.Contrast, imagesim.DefaultSeverity, rng)
 	before := r.base.Accuracy(contrTest, r.valY)
-	adapted, err := Adapt(r.base, contrAdapt, Config{
+	adapted, err := AdaptContext(context.Background(), r.base, contrAdapt, Config{
 		Method:             MEMO,
 		Augment:            r.world.Augment,
 		Epochs:             1,
@@ -127,24 +128,24 @@ func TestMEMOAdapts(t *testing.T) {
 
 func TestMEMORequiresAugment(t *testing.T) {
 	r := getRig(t)
-	if _, err := Adapt(r.base, r.valX, Config{Method: MEMO}); err == nil {
+	if _, err := AdaptContext(context.Background(), r.base, r.valX, Config{Method: MEMO}); err == nil {
 		t.Fatal("MEMO without augment must error")
 	}
 }
 
 func TestAdaptRejectsEmpty(t *testing.T) {
 	r := getRig(t)
-	if _, err := Adapt(r.base, nil, Config{}); err == nil {
+	if _, err := AdaptContext(context.Background(), r.base, nil, Config{}); err == nil {
 		t.Fatal("nil samples must error")
 	}
-	if _, err := Adapt(r.base, tensor.New(0, r.world.Dim()), Config{}); err == nil {
+	if _, err := AdaptContext(context.Background(), r.base, tensor.New(0, r.world.Dim()), Config{}); err == nil {
 		t.Fatal("empty samples must error")
 	}
 }
 
 func TestAdaptUnknownMethod(t *testing.T) {
 	r := getRig(t)
-	if _, err := Adapt(r.base, r.valX, Config{Method: "bogus"}); err == nil {
+	if _, err := AdaptContext(context.Background(), r.base, r.valX, Config{Method: "bogus"}); err == nil {
 		t.Fatal("unknown method must error")
 	}
 }
@@ -165,7 +166,7 @@ func TestByCauseProducesVersions(t *testing.T) {
 		return r.world.CorruptBatch(r.trainX, corr, imagesim.DefaultSeverity, rng)
 	}
 	now := time.Date(2020, 2, 1, 0, 0, 0, 0, time.UTC)
-	versions, err := ByCause(r.base, causes, samples, 2, Config{Rng: rng, Epochs: 1}, now)
+	versions, err := ByCauseContext(context.Background(), r.base, causes, samples, 2, Config{Rng: rng, Epochs: 1}, now)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -208,7 +209,7 @@ func TestByCauseSkipsSparseCauses(t *testing.T) {
 	r := getRig(t)
 	causes := []rca.Cause{causeFor(imagesim.Fog)}
 	samples := func(rca.Cause) *tensor.Matrix { return tensor.New(1, r.world.Dim()) }
-	versions, err := ByCause(r.base, causes, samples, 10, DefaultConfig(), time.Now())
+	versions, err := ByCauseContext(context.Background(), r.base, causes, samples, 10, DefaultConfig(), time.Now())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -221,7 +222,7 @@ func TestMaterializeRoundTrip(t *testing.T) {
 	r := getRig(t)
 	rng := tensor.NewRand(13, 13)
 	foggy := r.world.CorruptBatch(r.trainX, imagesim.Fog, imagesim.DefaultSeverity, rng)
-	adapted, err := Adapt(r.base, foggy, Config{Rng: rng, Epochs: 1})
+	adapted, err := AdaptContext(context.Background(), r.base, foggy, Config{Rng: rng, Epochs: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -262,7 +263,7 @@ func TestAdaptAllOnMixedWorseThanByCause(t *testing.T) {
 		corr := mix[i%len(mix)]
 		copy(pool.Row(i), r.world.Corrupt(r.trainX.Row(i), corr, imagesim.DefaultSeverity, rng))
 	}
-	allModel, err := All(r.base, pool, Config{Rng: rng})
+	allModel, err := AdaptContext(context.Background(), r.base, pool, Config{Rng: rng})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -271,7 +272,7 @@ func TestAdaptAllOnMixedWorseThanByCause(t *testing.T) {
 	for _, corr := range mix {
 		adaptX := r.world.CorruptBatch(r.trainX, corr, imagesim.DefaultSeverity, rng)
 		testX := r.world.CorruptBatch(r.valX, corr, imagesim.DefaultSeverity, rng)
-		m, err := Adapt(r.base, adaptX, Config{Rng: rng})
+		m, err := AdaptContext(context.Background(), r.base, adaptX, Config{Rng: rng})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -292,7 +293,7 @@ func TestEntropyFilterStillAdapts(t *testing.T) {
 	testX := r.world.CorruptBatch(r.valX, imagesim.Fog, imagesim.DefaultSeverity, rng)
 	before := r.base.Accuracy(testX, r.valY)
 
-	filtered, err := Adapt(r.base, adaptX, Config{Rng: tensor.NewRand(1, 1), EntropyFilter: 0.6})
+	filtered, err := AdaptContext(context.Background(), r.base, adaptX, Config{Rng: tensor.NewRand(1, 1), EntropyFilter: 0.6})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -301,7 +302,7 @@ func TestEntropyFilterStillAdapts(t *testing.T) {
 		t.Fatalf("filtered TENT should still recover: %v -> %v", before, after)
 	}
 
-	plain, err := Adapt(r.base, adaptX, Config{Rng: tensor.NewRand(1, 1)})
+	plain, err := AdaptContext(context.Background(), r.base, adaptX, Config{Rng: tensor.NewRand(1, 1)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -337,7 +338,7 @@ func TestByCauseDeterministicUnderParallelism(t *testing.T) {
 	now := time.Date(2020, 2, 1, 0, 0, 0, 0, time.UTC)
 
 	run := func() []BNVersion {
-		vs, err := ByCause(r.base, causes, source, 2,
+		vs, err := ByCauseContext(context.Background(), r.base, causes, source, 2,
 			Config{Rng: tensor.NewRand(5, 5), Epochs: 1, MinSteps: 8}, now)
 		if err != nil {
 			t.Fatal(err)

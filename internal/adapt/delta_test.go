@@ -1,6 +1,7 @@
 package adapt
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -13,7 +14,7 @@ func TestDeltaRoundTripAccuracy(t *testing.T) {
 	r := getRig(t)
 	rng := tensor.NewRand(40, 40)
 	foggy := r.world.CorruptBatch(r.trainX, imagesim.Fog, imagesim.DefaultSeverity, rng)
-	adapted, err := Adapt(r.base, foggy, Config{Rng: rng, Epochs: 1, MinSteps: 15})
+	adapted, err := AdaptContext(context.Background(), r.base, foggy, Config{Rng: rng, Epochs: 1, MinSteps: 15})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,7 +56,7 @@ func TestDeltaSmallerThanSnapshot(t *testing.T) {
 	r := getRig(t)
 	rng := tensor.NewRand(41, 41)
 	foggy := r.world.CorruptBatch(r.trainX, imagesim.Fog, imagesim.DefaultSeverity, rng)
-	adapted, err := Adapt(r.base, foggy, Config{Rng: rng, Epochs: 1})
+	adapted, err := AdaptContext(context.Background(), r.base, foggy, Config{Rng: rng, Epochs: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,7 +147,7 @@ func BenchmarkDeltaSizeChain(b *testing.B) {
 	for i := 0; i < x.Rows; i++ {
 		copy(x.Row(i), world.Corrupt(world.Sample(i%12, rng), imagesim.Fog, 3, rng))
 	}
-	adapted, err := Adapt(base, x, Config{Rng: rng, Epochs: 1})
+	adapted, err := AdaptContext(context.Background(), base, x, Config{Rng: rng, Epochs: 1})
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package adapt_test
 
 import (
+	"context"
 	"fmt"
 
 	"nazar/internal/adapt"
@@ -9,10 +10,10 @@ import (
 	"nazar/internal/tensor"
 )
 
-// ExampleAdapt shows the core self-supervised loop: TENT adapts only the
+// ExampleAdaptContext shows the core self-supervised loop: TENT adapts only the
 // batch-norm parameters of a trained model to a drifted, unlabeled
 // sample pool, leaving the base model untouched.
-func ExampleAdapt() {
+func ExampleAdaptContext() {
 	const classes = 8
 	world := imagesim.NewWorld(imagesim.DefaultConfig(classes, 7))
 	rng := tensor.NewRand(7, 1)
@@ -29,7 +30,7 @@ func ExampleAdapt() {
 
 	// Unlabeled foggy inputs arrive; adapt by cause.
 	foggy := world.CorruptBatch(x, imagesim.Fog, imagesim.DefaultSeverity, rng)
-	adapted, err := adapt.Adapt(base, foggy, adapt.Config{Rng: rng})
+	adapted, err := adapt.AdaptContext(context.Background(), base, foggy, adapt.Config{Rng: rng})
 	if err != nil {
 		panic(err)
 	}

@@ -1,6 +1,7 @@
 package cloud
 
 import (
+	"context"
 	"fmt"
 	"reflect"
 	"strings"
@@ -24,7 +25,7 @@ func cacheWorkload(svc *Service, day time.Time, offset, n int) {
 			cond = "fog"
 			drift = i%3 != 0
 		}
-		svc.Ingest(driftlog.Entry{
+		ingestOne(svc, driftlog.Entry{
 			Time:  day.Add(time.Duration(i) * time.Minute),
 			Drift: drift,
 			Attrs: map[string]string{
@@ -71,7 +72,7 @@ func TestAnalysisCache(t *testing.T) {
 	misses := func() float64 { return expositionValue(t, reg, `nazar_analysis_cache_total{result="miss"}`) }
 
 	// First run: a miss that populates the cache.
-	res1, err := svc.RunWindow(day, day.Add(400*time.Minute), day.Add(400*time.Minute))
+	res1, err := svc.RunWindowContext(context.Background(), day, day.Add(400*time.Minute), day.Add(400*time.Minute))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,7 +84,7 @@ func TestAnalysisCache(t *testing.T) {
 	}
 
 	// Unchanged window: a hit that replays the causes without mining.
-	res2, err := svc.RunWindow(day, day.Add(400*time.Minute), day.Add(400*time.Minute))
+	res2, err := svc.RunWindowContext(context.Background(), day, day.Add(400*time.Minute), day.Add(400*time.Minute))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,7 +99,7 @@ func TestAnalysisCache(t *testing.T) {
 	// path; the causes must equal a fresh uncached analysis.
 	cacheWorkload(svc, day, 400, 200)
 	to2 := day.Add(700 * time.Minute)
-	res3, err := svc.RunWindow(day, to2, to2)
+	res3, err := svc.RunWindowContext(context.Background(), day, to2, to2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,7 +109,7 @@ func TestAnalysisCache(t *testing.T) {
 	fresh := NewService(nn.NewClassifier(nn.ArchResNet18, 8, 4, tensor.NewRand(1, 1)), DefaultConfig())
 	cacheWorkload(fresh, day, 0, 300)
 	cacheWorkload(fresh, day, 400, 200)
-	resFresh, err := fresh.RunWindow(day, to2, to2)
+	resFresh, err := fresh.RunWindowContext(context.Background(), day, to2, to2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,7 +118,7 @@ func TestAnalysisCache(t *testing.T) {
 	}
 
 	// A different lower bound cannot reuse the cache.
-	if _, err := svc.RunWindow(day.Add(10*time.Minute), to2, to2); err != nil {
+	if _, err := svc.RunWindowContext(context.Background(), day.Add(10*time.Minute), to2, to2); err != nil {
 		t.Fatal(err)
 	}
 	if misses() != 2 {
@@ -137,13 +138,13 @@ func TestAnalysisCacheCompactionInvalidates(t *testing.T) {
 	cacheWorkload(svc, day, 0, 300)
 
 	to := day.Add(400 * time.Minute)
-	if _, err := svc.RunWindow(day, to, to); err != nil {
+	if _, err := svc.RunWindowContext(context.Background(), day, to, to); err != nil {
 		t.Fatal(err)
 	}
 	// Compact away the first half of the rows; the same window must now
 	// miss (the cached watermarks are void) yet still analyze correctly.
 	svc.Log().Compact(day.Add(150 * time.Minute))
-	res2, err := svc.RunWindow(day, to, to)
+	res2, err := svc.RunWindowContext(context.Background(), day, to, to)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -17,7 +17,7 @@ import (
 // Families (all prefixed nazar_):
 //
 //	nazar_ingest_entries_total        drift-log entries ingested
-//	nazar_ingest_batches_total        batched ingest calls
+//	nazar_ingest_batches_total        ingest batches (a single-entry report is a one-row batch)
 //	nazar_ingest_samples_total        uploaded input samples stored
 //	nazar_ingest_sample_bytes_total   uploaded sample payload bytes
 //	nazar_window_runs_total           RunWindow cycles started
@@ -87,7 +87,7 @@ func NewMetrics(reg *obs.Registry) *Metrics {
 		registry: reg,
 
 		ingestEntries: reg.Counter("nazar_ingest_entries_total", "Drift-log entries ingested."),
-		ingestBatches: reg.Counter("nazar_ingest_batches_total", "Batched ingest calls."),
+		ingestBatches: reg.Counter("nazar_ingest_batches_total", "Ingest batches (a single-entry report is a one-row batch)."),
 		ingestSamples: reg.Counter("nazar_ingest_samples_total", "Uploaded input samples stored."),
 		ingestBytes:   reg.Counter("nazar_ingest_sample_bytes_total", "Uploaded sample payload bytes."),
 

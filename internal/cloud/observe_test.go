@@ -34,7 +34,7 @@ func ingestDriftWorkload(svc *Service, n int) {
 				driftlog.AttrDevice:   "dev",
 			},
 		}
-		svc.Ingest(entry, []float64{float64(i), float64(i % 7), 1, 0, 0, 0, 0, 0.5})
+		ingestOne(svc, entry, []float64{float64(i), float64(i % 7), 1, 0, 0, 0, 0, 0.5})
 	}
 }
 
@@ -104,7 +104,7 @@ func TestRunWindowPreCancelled(t *testing.T) {
 	svc := NewService(base, DefaultConfig())
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if err := svc.IngestContext(ctx, driftlog.Entry{Time: time.Now(), Attrs: map[string]string{}}, nil); !errors.Is(err, context.Canceled) {
+	if err := svc.IngestBatchContext(ctx, []driftlog.Entry{{Time: time.Now(), Attrs: map[string]string{}}}, nil); !errors.Is(err, context.Canceled) {
 		t.Fatalf("ingest err %v, want context.Canceled", err)
 	}
 	if svc.Log().Len() != 0 {
@@ -125,7 +125,7 @@ func TestWithClock(t *testing.T) {
 		return time.Unix(int64(ticks), 0)
 	}
 	svc := NewService(base, DefaultConfig(), WithClock(clock))
-	res, err := svc.RunWindow(time.Time{}, time.Time{}, time.Unix(100, 0))
+	res, err := svc.RunWindowContext(context.Background(), time.Time{}, time.Time{}, time.Unix(100, 0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,7 +145,7 @@ func TestWithSampleCap(t *testing.T) {
 	base := nn.NewClassifier(nn.ArchResNet18, 8, 2, tensor.NewRand(14, 1))
 	svc := NewService(base, DefaultConfig(), WithSampleCap(4))
 	for i := 0; i < 100; i++ {
-		svc.Ingest(driftlog.Entry{Time: time.Now(), Attrs: map[string]string{}}, []float64{float64(i)})
+		ingestOne(svc, driftlog.Entry{Time: time.Now(), Attrs: map[string]string{}}, []float64{float64(i)})
 	}
 	if got := svc.Samples().Len(); got != 4 {
 		t.Fatalf("retained %d samples, want the cap of 4", got)
@@ -168,8 +168,8 @@ func TestObserverCounters(t *testing.T) {
 	if svc.Observer() == nil {
 		t.Fatal("Observer() nil after WithObserver")
 	}
-	svc.Ingest(driftlog.Entry{Time: time.Now(), Attrs: map[string]string{}}, []float64{1, 2, 3})
-	if err := svc.IngestBatch([]driftlog.Entry{
+	ingestOne(svc, driftlog.Entry{Time: time.Now(), Attrs: map[string]string{}}, []float64{1, 2, 3})
+	if err := svc.IngestBatchContext(context.Background(), []driftlog.Entry{
 		{Time: time.Now(), Attrs: map[string]string{}},
 		{Time: time.Now(), Attrs: map[string]string{}},
 	}, [][]float64{{4, 5}, nil}); err != nil {
@@ -183,7 +183,7 @@ func TestObserverCounters(t *testing.T) {
 	got := buf.String()
 	for _, want := range []string{
 		"nazar_ingest_entries_total 3",
-		"nazar_ingest_batches_total 1",
+		"nazar_ingest_batches_total 2", // the one-row ingest is a batch too
 		"nazar_ingest_samples_total 2",
 		"nazar_ingest_sample_bytes_total 40",
 		"nazar_driftlog_rows 3",

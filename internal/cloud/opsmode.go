@@ -86,15 +86,10 @@ func (s *Service) alertCauses(causes []rca.Cause, from, to, now time.Time) {
 	}
 }
 
-// Diagnose runs root-cause analysis only — the manual-mode entry point:
-// the ML-ops team inspects the causes (and receives alerts) without any
-// adaptation being triggered.
-func (s *Service) Diagnose(from, to, now time.Time) ([]rca.Cause, error) {
-	return s.DiagnoseContext(context.Background(), from, to, now)
-}
-
-// DiagnoseContext is Diagnose with cooperative cancellation (the context
-// threads through mining and counterfactual pruning).
+// DiagnoseContext runs root-cause analysis only — the manual-mode entry
+// point: the ML-ops team inspects the causes (and receives alerts) without
+// any adaptation being triggered. The context threads through mining and
+// counterfactual pruning.
 func (s *Service) DiagnoseContext(ctx context.Context, from, to, now time.Time) ([]rca.Cause, error) {
 	v := s.log.Window(from, to)
 	causes, err := rca.AnalyzeContext(ctx, v, rca.Config{Thresholds: s.cfg.Thresholds}, s.cfg.RCAMode)
@@ -108,16 +103,10 @@ func (s *Service) DiagnoseContext(ctx context.Context, from, to, now time.Time) 
 	return causes, nil
 }
 
-// AdaptCauses adapts only the operator-selected causes (manual mode's
-// second half). Returns the produced versions; the clean model is not
-// touched.
-func (s *Service) AdaptCauses(causes []rca.Cause, from, to, now time.Time) ([]adapt.BNVersion, error) {
-	return s.AdaptCausesContext(context.Background(), causes, from, to, now)
-}
-
-// AdaptCausesContext is AdaptCauses with cooperative cancellation: a
-// cancelled call aborts in-flight adaptation runs at their next
-// optimizer step and deploys nothing.
+// AdaptCausesContext adapts only the operator-selected causes (manual
+// mode's second half). Returns the produced versions; the clean model is
+// not touched. A cancelled call aborts in-flight adaptation runs at their
+// next optimizer step and deploys nothing.
 func (s *Service) AdaptCausesContext(ctx context.Context, causes []rca.Cause, from, to, now time.Time) ([]adapt.BNVersion, error) {
 	v := s.log.Window(from, to)
 	source := func(c rca.Cause) *tensor.Matrix {

@@ -1,6 +1,7 @@
 package cloud
 
 import (
+	"context"
 	"strings"
 	"testing"
 	"time"
@@ -21,7 +22,7 @@ func TestDiagnoseEmitsAlerts(t *testing.T) {
 	svc.SetAlerter(log)
 	buildWorkload(t, svc, world, base, 300)
 
-	causes, err := svc.Diagnose(weather.Day(10), weather.Day(11), weather.Day(11))
+	causes, err := svc.DiagnoseContext(context.Background(), weather.Day(10), weather.Day(11), weather.Day(11))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,7 +63,7 @@ func TestManualAdaptSelectedCauses(t *testing.T) {
 	svc := NewService(base, cfg)
 	buildWorkload(t, svc, world, base, 300)
 
-	causes, err := svc.Diagnose(weather.Day(10), weather.Day(11), weather.Day(11))
+	causes, err := svc.DiagnoseContext(context.Background(), weather.Day(10), weather.Day(11), weather.Day(11))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,7 +77,7 @@ func TestManualAdaptSelectedCauses(t *testing.T) {
 	if len(selected) == 0 {
 		t.Fatalf("no fog cause among %v", causes)
 	}
-	versions, err := svc.AdaptCauses(selected, weather.Day(10), weather.Day(11), weather.Day(11))
+	versions, err := svc.AdaptCausesContext(context.Background(), selected, weather.Day(10), weather.Day(11), weather.Day(11))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,7 +110,7 @@ func TestAutopilotAlertsToo(t *testing.T) {
 	log := &AlertLog{}
 	svc.SetAlerter(log)
 	buildWorkload(t, svc, world, base, 300)
-	if _, err := svc.RunWindow(weather.Day(10), weather.Day(11), weather.Day(11)); err != nil {
+	if _, err := svc.RunWindowContext(context.Background(), weather.Day(10), weather.Day(11), weather.Day(11)); err != nil {
 		t.Fatal(err)
 	}
 	if len(log.Alerts()) == 0 {

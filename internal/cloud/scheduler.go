@@ -45,15 +45,16 @@ func NewScheduler(svc *Service, interval time.Duration) *Scheduler {
 }
 
 // RunOnce executes one cycle covering (lastRun, now]; exported so tests
-// and manual triggers share the scheduler's bookkeeping.
-func (s *Scheduler) RunOnce() (WindowResult, error) {
+// and manual triggers share the scheduler's bookkeeping. Cancelling ctx
+// aborts the in-flight window (Stop does, for scheduled ticks).
+func (s *Scheduler) RunOnce(ctx context.Context) (WindowResult, error) {
 	s.runMu.Lock()
 	defer s.runMu.Unlock()
 	s.mu.Lock()
 	from := s.lastRun
 	s.mu.Unlock()
 	now := s.Clock().UTC()
-	res, err := s.svc.RunWindow(from, now, now)
+	res, err := s.svc.RunWindowContext(ctx, from, now, now)
 	if err != nil {
 		return res, err
 	}
@@ -91,8 +92,10 @@ func (s *Scheduler) Start() {
 			case <-ctx.Done():
 				return
 			case <-ticker.C:
-				res, err := s.RunOnce()
+				res, err := s.RunOnce(ctx)
 				switch {
+				case ctx.Err() != nil:
+					return // stopped mid-window: nothing to report
 				case err != nil && s.OnError != nil:
 					s.OnError(err)
 				case err != nil:

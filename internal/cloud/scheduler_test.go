@@ -1,6 +1,7 @@
 package cloud
 
 import (
+	"context"
 	"sync"
 	"testing"
 	"time"
@@ -30,7 +31,7 @@ func TestSchedulerRunOnceAdvancesWindow(t *testing.T) {
 	// Clock after the workload's timestamps so the window covers it.
 	s.Clock = func() time.Time { return weather.Day(11) }
 
-	res, err := s.RunOnce()
+	res, err := s.RunOnce(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,7 +44,7 @@ func TestSchedulerRunOnceAdvancesWindow(t *testing.T) {
 
 	// Second cycle covers only the (empty) interval since the first.
 	s.Clock = func() time.Time { return weather.Day(12) }
-	res, err = s.RunOnce()
+	res, err = s.RunOnce(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,7 +95,7 @@ func TestSchedulerReportsErrors(t *testing.T) {
 	// A sample ID pointing at a vector of the wrong width triggers an
 	// adaptation error downstream; simpler: break via an entry with a
 	// sample of mismatched dimension so Gather builds a ragged matrix.
-	svc.Ingest(driftlog.Entry{
+	ingestOne(svc, driftlog.Entry{
 		Time: weather.Day(1), Drift: true,
 		Attrs: map[string]string{driftlog.AttrWeather: "fog"},
 	}, make([]float64, world.Dim()))
@@ -105,7 +106,7 @@ func TestSchedulerReportsErrors(t *testing.T) {
 	// cycle completes and callbacks wire up.
 	errs := 0
 	s.OnError = func(error) { errs++ }
-	if _, err := s.RunOnce(); err != nil {
+	if _, err := s.RunOnce(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	if errs != 0 {

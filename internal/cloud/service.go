@@ -48,6 +48,9 @@ type sampleShard struct {
 // watermark (next-capacity) gather nothing — bounding cloud memory the
 // way the paper's S3 lifecycle rules would.
 type SampleStore struct {
+	// first is the first ID this store assigns (see startAt); IDs below it
+	// belong to a previous process and gather nothing.
+	first    int64
 	next     atomic.Int64
 	capacity int64 // 0 = unbounded
 	evicted  atomic.Int64
@@ -63,15 +66,28 @@ func NewBoundedSampleStore(capacity int) *SampleStore {
 	return &SampleStore{capacity: int64(capacity)}
 }
 
-// watermark returns the smallest retained ID (0 when unbounded).
+// startAt makes id the first ID the store assigns. Samples live only in
+// memory, so drift-log rows restored from disk carry IDs of samples that
+// no longer exist; starting above the largest of them keeps a restored
+// row's link from ever resolving to a sample uploaded after the restart.
+// Must be called before the first Add.
+func (s *SampleStore) startAt(id int64) {
+	s.first = id
+	s.next.Store(id)
+	for i := range s.shards {
+		// Position of the first ID >= id that lands in shard i.
+		s.shards[i].basePos = (id + (int64(i)-id)&sampleShardMask) / sampleShards
+	}
+}
+
+// watermark returns the smallest retained ID (first when unbounded).
 func (s *SampleStore) watermark() int64 {
-	if s.capacity <= 0 {
-		return 0
+	if s.capacity > 0 {
+		if w := s.next.Load() - s.capacity; w > s.first {
+			return w
+		}
 	}
-	if w := s.next.Load() - s.capacity; w > 0 {
-		return w
-	}
-	return 0
+	return s.first
 }
 
 // Add stores a sample and returns its ID.
@@ -109,7 +125,7 @@ func (s *SampleStore) Add(x []float64) int64 {
 
 // Len returns the number of retained samples.
 func (s *SampleStore) Len() int {
-	n := s.next.Load()
+	n := s.next.Load() - s.first
 	if s.capacity > 0 && n > s.capacity {
 		return int(s.capacity)
 	}
@@ -132,7 +148,7 @@ type SampleStoreStats struct {
 // Stats returns the current operational snapshot.
 func (s *SampleStore) Stats() SampleStoreStats {
 	st := SampleStoreStats{
-		Added:     s.next.Load(),
+		Added:     s.next.Load() - s.first,
 		Retained:  s.Len(),
 		Evicted:   s.evicted.Load(),
 		ShardRows: make([]int, sampleShards),
@@ -381,6 +397,7 @@ func NewService(base *nn.Network, cfg Config, opts ...Option) *Service {
 			s.walErr = fmt.Errorf("cloud: wal open: %w", err)
 		} else {
 			s.wal = wal
+			s.samples.startAt(s.log.MaxSampleID() + 1)
 		}
 	}
 	if s.metrics != nil {
@@ -404,22 +421,6 @@ func (s *Service) WALErr() error { return s.walErr }
 func (s *Service) Close() error {
 	if s.wal != nil {
 		return s.wal.Close()
-	}
-	return nil
-}
-
-// walAppend persists a batch to the WAL before it becomes visible in
-// memory. With no WAL configured it is free; with one, a nil return
-// means the batch is fsynced to disk.
-func (s *Service) walAppend(entries []driftlog.Entry) error {
-	if s.walErr != nil {
-		return fmt.Errorf("%w: %w", ErrDurability, s.walErr)
-	}
-	if s.wal == nil {
-		return nil
-	}
-	if err := s.wal.Append(entries); err != nil {
-		return fmt.Errorf("%w: %w", ErrDurability, err)
 	}
 	return nil
 }
@@ -469,109 +470,37 @@ func (s *Service) allMeta() []sampleMeta {
 	return out
 }
 
-// Ingest records a drift-log entry, storing the sample (if any) and
-// linking it to the entry.
-func (s *Service) Ingest(e driftlog.Entry, sample []float64) {
-	_ = s.IngestContext(context.Background(), e, sample)
-}
-
-// IngestContext is the context-aware ingest. The write itself is
-// non-blocking (sharded, lock-striped), so the context only gates entry:
-// an already-cancelled request is rejected before touching the stores.
-func (s *Service) IngestContext(ctx context.Context, e driftlog.Entry, sample []float64) error {
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	if sample != nil {
-		id := s.samples.Add(sample)
-		e.SampleID = id
-		s.recordMeta(sampleMeta{id: id, attrs: e.Attrs, t: e.Time})
-	} else if e.SampleID != -1 {
-		e.SampleID = -1
-	}
-	// WAL first: the entry must be durable before it is queryable, or a
-	// crash between the two would acknowledge a row that replay cannot
-	// restore.
-	if err := s.walAppend([]driftlog.Entry{e}); err != nil {
-		return err
-	}
-	s.log.Append(e)
-	if m := s.metrics; m != nil {
-		m.ingestEntries.Inc()
-		if sample != nil {
-			m.ingestSamples.Inc()
-			m.ingestBytes.Add(uint64(8 * len(sample)))
-		}
-	}
-	return nil
-}
-
-// IngestBatch records many drift-log entries in one call, taking each
-// store lock once per batch rather than once per entry. samples, when
-// non-nil, must be the same length as entries; samples[i] == nil means
-// entry i carried no uploaded input. The entries slice is not retained
-// but its rows are modified in place (SampleID is rewritten).
-func (s *Service) IngestBatch(entries []driftlog.Entry, samples [][]float64) error {
-	return s.IngestBatchContext(context.Background(), entries, samples)
-}
-
-// IngestBatchContext is the context-aware batched ingest. Like
-// IngestContext, the context gates entry only: a batch is either rejected
-// up front or recorded atomically in full, never half-applied.
+// IngestBatchContext adapts row-form entries onto IngestColumnsContext —
+// the edge adapter for callers that hold []driftlog.Entry (the in-process
+// pipeline, examples, tests). entries is neither retained nor modified.
 func (s *Service) IngestBatchContext(ctx context.Context, entries []driftlog.Entry, samples [][]float64) error {
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	if samples != nil && len(samples) != len(entries) {
-		return fmt.Errorf("cloud: ingest batch: %d entries but %d samples", len(entries), len(samples))
-	}
-	var sampleCount, sampleBytes int
-	for i := range entries {
-		if samples != nil && samples[i] != nil {
-			id := s.samples.Add(samples[i])
-			entries[i].SampleID = id
-			s.recordMeta(sampleMeta{id: id, attrs: entries[i].Attrs, t: entries[i].Time})
-			sampleCount++
-			sampleBytes += 8 * len(samples[i])
-		} else if entries[i].SampleID != -1 {
-			entries[i].SampleID = -1
-		}
-	}
-	// WAL first (see IngestContext): durable before visible.
-	if err := s.walAppend(entries); err != nil {
-		return err
-	}
-	s.log.AppendBatch(entries)
-	if m := s.metrics; m != nil {
-		m.ingestEntries.Add(uint64(len(entries)))
-		m.ingestBatches.Inc()
-		m.ingestSamples.Add(uint64(sampleCount))
-		m.ingestBytes.Add(uint64(sampleBytes))
-	}
-	return nil
+	return s.IngestColumnsContext(ctx, driftlog.ColumnsFromEntries(entries), samples)
 }
 
-// IngestColumns records a columnar batch (the binary wire protocol's
-// decoded form) without a per-row struct round-trip.
-func (s *Service) IngestColumns(b *driftlog.ColumnarBatch, samples [][]float64) error {
-	return s.IngestColumnsContext(context.Background(), b, samples)
-}
-
-// IngestColumnsContext is the context-aware columnar ingest: the fast
-// path behind application/x-nazar-batch. Semantics match
-// IngestBatchContext exactly — the context gates entry only, sample IDs
-// are rewritten in place (rows without a sample normalize to -1), and
-// the batch is WAL-appended before it becomes visible in the store.
+// IngestColumnsContext is the one ingest path: it links uploaded samples
+// to their rows, appends the batch to the WAL, then appends it to the
+// drift log. samples, when non-nil, must have one element per row;
+// samples[i] == nil means row i carried no uploaded input. Sample IDs are
+// rewritten in b (rows without a sample normalize to -1). The write
+// itself is non-blocking (sharded, lock-striped), so the context only
+// gates entry: a batch is either rejected up front or recorded in full,
+// never half-applied.
 func (s *Service) IngestColumnsContext(ctx context.Context, b *driftlog.ColumnarBatch, samples [][]float64) error {
 	if err := ctx.Err(); err != nil {
 		return err
 	}
 	if err := b.Validate(); err != nil {
-		return fmt.Errorf("cloud: ingest columns: %w", err)
+		return fmt.Errorf("cloud: ingest: %w", err)
 	}
 	rows := b.Rows()
 	if samples != nil && len(samples) != rows {
-		return fmt.Errorf("cloud: ingest columns: %d rows but %d samples", rows, len(samples))
+		return fmt.Errorf("cloud: ingest: %d rows but %d samples", rows, len(samples))
+	}
+	// A WAL already known bad refuses every batch, and the transport
+	// retries a refused batch indefinitely: check before the sample store
+	// is touched, or each retry would leave its samples behind.
+	if err := s.walUsable(); err != nil {
+		return err
 	}
 	var sampleCount, sampleBytes int
 	for i := 0; i < rows; i++ {
@@ -581,16 +510,20 @@ func (s *Service) IngestColumnsContext(ctx context.Context, b *driftlog.Columnar
 			s.recordMeta(sampleMeta{id: id, attrs: b.RowAttrs(i), t: time.Unix(0, b.Times[i]).UTC()})
 			sampleCount++
 			sampleBytes += 8 * len(samples[i])
-		} else if b.SampleIDs[i] != -1 {
+		} else {
 			b.SampleIDs[i] = -1
 		}
 	}
-	// WAL first (see IngestContext): durable before visible.
-	if err := s.walAppendColumns(b); err != nil {
-		return err
+	// WAL first: the batch must be durable before it is queryable, or a
+	// crash between the two would acknowledge rows that replay cannot
+	// restore.
+	if s.wal != nil {
+		if err := s.wal.AppendColumns(b); err != nil {
+			return fmt.Errorf("%w: %w", ErrDurability, err)
+		}
 	}
 	if err := s.log.AppendColumns(b); err != nil {
-		return fmt.Errorf("cloud: ingest columns: %w", err)
+		return fmt.Errorf("cloud: ingest: %w", err)
 	}
 	if m := s.metrics; m != nil {
 		m.ingestEntries.Add(uint64(rows))
@@ -601,16 +534,14 @@ func (s *Service) IngestColumnsContext(ctx context.Context, b *driftlog.Columnar
 	return nil
 }
 
-// walAppendColumns is walAppend for a columnar batch (same record
-// format on disk; replay cannot tell the ingest paths apart).
-func (s *Service) walAppendColumns(b *driftlog.ColumnarBatch) error {
-	if s.walErr != nil {
-		return fmt.Errorf("%w: %w", ErrDurability, s.walErr)
+// walUsable reports (as ErrDurability) a WAL that never opened or has
+// since been poisoned, severed or closed. Nil without WithWAL.
+func (s *Service) walUsable() error {
+	err := s.walErr
+	if err == nil && s.wal != nil {
+		err = s.wal.Err()
 	}
-	if s.wal == nil {
-		return nil
-	}
-	if err := s.wal.AppendColumns(b); err != nil {
+	if err != nil {
 		return fmt.Errorf("%w: %w", ErrDurability, err)
 	}
 	return nil
@@ -628,19 +559,13 @@ type WindowResult struct {
 	AdaptDuration time.Duration
 }
 
-// RunWindow executes one cycle of Nazar's cloud loop over drift-log rows
-// in [from, to): root-cause analysis, per-cause adaptation (plus clean
-// re-adaptation), returning the versions to deploy. now stamps the
-// produced versions.
-func (s *Service) RunWindow(from, to, now time.Time) (WindowResult, error) {
-	return s.RunWindowContext(context.Background(), from, to, now)
-}
-
-// RunWindowContext is RunWindow with cooperative cancellation: the
-// context threads through mining, counterfactual pruning and every
-// adaptation run, so cancelling the request aborts the worker-pool
-// fan-out mid-window and returns ctx.Err() promptly. A cancelled cycle
-// deploys nothing and leaves the base model untouched.
+// RunWindowContext executes one cycle of Nazar's cloud loop over drift-log
+// rows in [from, to): root-cause analysis, per-cause adaptation (plus
+// clean re-adaptation), returning the versions to deploy. now stamps the
+// produced versions. The context threads through mining, counterfactual
+// pruning and every adaptation run, so cancelling the request aborts the
+// worker-pool fan-out mid-window and returns ctx.Err() promptly. A
+// cancelled cycle deploys nothing and leaves the base model untouched.
 func (s *Service) RunWindowContext(ctx context.Context, from, to, now time.Time) (WindowResult, error) {
 	var res WindowResult
 	m := s.metrics
@@ -845,10 +770,19 @@ func (s *Service) VersionsSince(since time.Time) []adapt.BNVersion {
 // SaveLog persists the drift log to path (atomic write).
 func (s *Service) SaveLog(path string) error { return s.log.SaveFile(path) }
 
-// LoadLog appends previously persisted drift-log rows from path. Sample
-// links are preserved only if the sample store is restored separately;
-// otherwise stale IDs simply gather nothing.
-func (s *Service) LoadLog(path string) error { return s.log.LoadFile(path) }
+// LoadLog appends previously persisted drift-log rows from path. It is a
+// startup call, made before the first ingest: the loaded rows' sample
+// links are stale (samples are not persisted), and the sample ID counter
+// is moved past them so they gather nothing.
+func (s *Service) LoadLog(path string) error {
+	if err := s.log.LoadFile(path); err != nil {
+		return err
+	}
+	if s.samples.Len() == 0 {
+		s.samples.startAt(s.log.MaxSampleID() + 1)
+	}
+	return nil
+}
 
 // cleanSamples gathers in-window samples whose attributes match no
 // discovered cause.

@@ -1,6 +1,7 @@
 package cloud
 
 import (
+	"context"
 	"testing"
 	"time"
 
@@ -12,6 +13,15 @@ import (
 	"nazar/internal/tensor"
 	"nazar/internal/weather"
 )
+
+// ingestOne ingests a single row (+ optional sample) as a one-row batch.
+func ingestOne(svc *Service, e driftlog.Entry, sample []float64) error {
+	var samples [][]float64
+	if sample != nil {
+		samples = [][]float64{sample}
+	}
+	return svc.IngestBatchContext(context.Background(), []driftlog.Entry{e}, samples)
+}
 
 func TestSampleStore(t *testing.T) {
 	s := NewSampleStore()
@@ -29,13 +39,42 @@ func TestSampleStore(t *testing.T) {
 	}
 }
 
+// TestSampleStoreStartAt: a store started above a previous process's IDs
+// assigns from there, resolves nothing below, and evicts exactly as a
+// store started at zero does.
+func TestSampleStoreStartAt(t *testing.T) {
+	const first, capacity, n = 1000003, 8, 40
+	s, zero := NewBoundedSampleStore(capacity), NewBoundedSampleStore(capacity)
+	s.startAt(first)
+	for i := 0; i < n; i++ {
+		if id := s.Add([]float64{float64(i)}); id != int64(first+i) {
+			t.Fatalf("sample %d got id %d, want %d", i, id, first+i)
+		}
+		zero.Add([]float64{float64(i)})
+	}
+	if s.Gather([]int64{0, 5, first - 1}) != nil {
+		t.Fatal("ids below the start resolved to samples")
+	}
+	if s.Gather([]int64{first, first + n - capacity - 1}) != nil {
+		t.Fatal("evicted ids resolved to samples")
+	}
+	m := s.Gather([]int64{first + n - capacity, first + n - 1})
+	if m == nil || m.Rows != 2 || m.At(0, 0) != n-capacity || m.At(1, 0) != n-1 {
+		t.Fatalf("retained gather %v", m)
+	}
+	st, want := s.Stats(), zero.Stats()
+	if st.Added != want.Added || st.Retained != want.Retained || st.Evicted != want.Evicted {
+		t.Fatalf("stats %+v, want those of a store started at zero: %+v", st, want)
+	}
+}
+
 func TestIngestLinksSamples(t *testing.T) {
 	base := nn.NewClassifier(nn.ArchResNet18, 8, 4, tensor.NewRand(1, 1))
 	svc := NewService(base, DefaultConfig())
 	e := driftlog.Entry{Time: time.Now(), Drift: true,
 		Attrs: map[string]string{driftlog.AttrWeather: "fog"}}
-	svc.Ingest(e, []float64{1, 2, 3})
-	svc.Ingest(driftlog.Entry{Time: time.Now(), Drift: false, SampleID: 77,
+	ingestOne(svc, e, []float64{1, 2, 3})
+	ingestOne(svc, driftlog.Entry{Time: time.Now(), Drift: false, SampleID: 77,
 		Attrs: map[string]string{driftlog.AttrWeather: "clear-day"}}, nil)
 
 	if svc.Samples().Len() != 1 {
@@ -75,7 +114,7 @@ func buildWorkload(t *testing.T, svc *Service, world *imagesim.World, net *nn.Ne
 				driftlog.AttrDevice:   "dev",
 			},
 		}
-		svc.Ingest(entry, x)
+		ingestOne(svc, entry, x)
 	}
 }
 
@@ -102,7 +141,7 @@ func TestRunWindowEndToEnd(t *testing.T) {
 	svc := NewService(base, cfg)
 	buildWorkload(t, svc, world, base, 400)
 
-	res, err := svc.RunWindow(weather.Day(10), weather.Day(11), weather.Day(11))
+	res, err := svc.RunWindowContext(context.Background(), weather.Day(10), weather.Day(11), weather.Day(11))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,7 +202,7 @@ func TestRunWindowEmptyLog(t *testing.T) {
 	world := imagesim.NewWorld(imagesim.DefaultConfig(4, 7))
 	base := nn.NewClassifier(nn.ArchResNet18, world.Dim(), 4, tensor.NewRand(7, 1))
 	svc := NewService(base, DefaultConfig())
-	res, err := svc.RunWindow(time.Time{}, time.Time{}, time.Now())
+	res, err := svc.RunWindowContext(context.Background(), time.Time{}, time.Time{}, time.Now())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -185,12 +224,12 @@ func TestCleanAdaptationMovesBase(t *testing.T) {
 	day := weather.Day(3)
 	for i := 0; i < 64; i++ {
 		x := world.Sample(i%6, rng)
-		svc.Ingest(driftlog.Entry{
+		ingestOne(svc, driftlog.Entry{
 			Time: day.Add(time.Duration(i) * time.Minute), Drift: false,
 			Attrs: map[string]string{driftlog.AttrWeather: "clear-day", driftlog.AttrLocation: "Hamburg"},
 		}, x)
 	}
-	res, err := svc.RunWindow(day, day.AddDate(0, 0, 1), day.AddDate(0, 0, 1))
+	res, err := svc.RunWindowContext(context.Background(), day, day.AddDate(0, 0, 1), day.AddDate(0, 0, 1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -217,7 +256,7 @@ func TestRCAModeRespected(t *testing.T) {
 		cfg.AdaptCfg.Epochs = 1
 		svc := NewService(base, cfg)
 		buildWorkload(t, svc, world, base, 300)
-		res, err := svc.RunWindow(weather.Day(10), weather.Day(11), weather.Day(11))
+		res, err := svc.RunWindowContext(context.Background(), weather.Day(10), weather.Day(11), weather.Day(11))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -234,7 +273,7 @@ func TestServiceLogPersistence(t *testing.T) {
 	svc := NewService(base, DefaultConfig())
 	rng := tensor.NewRand(32, 1)
 	for i := 0; i < 20; i++ {
-		svc.Ingest(driftlog.Entry{
+		ingestOne(svc, driftlog.Entry{
 			Time: weather.Day(1).Add(time.Duration(i) * time.Minute), Drift: i%2 == 0,
 			Attrs: map[string]string{driftlog.AttrWeather: "rain"},
 		}, world.Sample(i%6, rng))
@@ -284,12 +323,12 @@ func TestLogRetentionCompacts(t *testing.T) {
 	cfg.LogRetention = 48 * time.Hour
 	svc := NewService(base, cfg)
 	for d := 0; d < 10; d++ {
-		svc.Ingest(driftlog.Entry{
+		ingestOne(svc, driftlog.Entry{
 			Time: weather.Day(d), Drift: false,
 			Attrs: map[string]string{driftlog.AttrWeather: "clear-day"},
 		}, nil)
 	}
-	if _, err := svc.RunWindow(time.Time{}, time.Time{}, weather.Day(10)); err != nil {
+	if _, err := svc.RunWindowContext(context.Background(), time.Time{}, time.Time{}, weather.Day(10)); err != nil {
 		t.Fatal(err)
 	}
 	// Only days 8 and 9 survive a 48h retention at now = day 10.

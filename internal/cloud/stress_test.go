@@ -1,6 +1,7 @@
 package cloud
 
 import (
+	"context"
 	"fmt"
 	"sync"
 	"testing"
@@ -64,7 +65,7 @@ func TestConcurrentIngestRacingRunWindow(t *testing.T) {
 			defer wg.Done()
 			if dev%2 == 0 {
 				for i := 0; i < perDevice; i++ {
-					svc.Ingest(entry(dev, i), sample(dev, i))
+					ingestOne(svc, entry(dev, i), sample(dev, i))
 				}
 				return
 			}
@@ -76,7 +77,7 @@ func TestConcurrentIngestRacingRunWindow(t *testing.T) {
 					entries[i] = entry(dev, s+i)
 					samples[i] = sample(dev, s+i)
 				}
-				if err := svc.IngestBatch(entries, samples); err != nil {
+				if err := svc.IngestBatchContext(context.Background(), entries, samples); err != nil {
 					errCh <- err
 					return
 				}
@@ -89,7 +90,7 @@ func TestConcurrentIngestRacingRunWindow(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			if _, err := svc.RunWindow(time.Time{}, time.Time{}, day.AddDate(0, 0, 1)); err != nil {
+			if _, err := svc.RunWindowContext(context.Background(), time.Time{}, time.Time{}, day.AddDate(0, 0, 1)); err != nil {
 				errCh <- err
 			}
 		}()
@@ -110,7 +111,7 @@ func TestConcurrentIngestRacingRunWindow(t *testing.T) {
 	}
 
 	// A quiet final window sees every row and still finds the snow cause.
-	res, err := svc.RunWindow(time.Time{}, time.Time{}, day.AddDate(0, 0, 1))
+	res, err := svc.RunWindowContext(context.Background(), time.Time{}, time.Time{}, day.AddDate(0, 0, 1))
 	if err != nil {
 		t.Fatal(err)
 	}

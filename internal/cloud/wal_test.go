@@ -1,6 +1,7 @@
 package cloud
 
 import (
+	"context"
 	"errors"
 	"os"
 	"path/filepath"
@@ -38,7 +39,7 @@ func TestServiceWALRestart(t *testing.T) {
 	reg1 := obs.NewRegistry()
 	svc := walTestService(t, dir, WithObserver(reg1))
 	cacheWorkload(svc, day, 0, 300)
-	res1, err := svc.RunWindow(day, to, to)
+	res1, err := svc.RunWindowContext(context.Background(), day, to, to)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,7 +64,7 @@ func TestServiceWALRestart(t *testing.T) {
 
 	// Caches are cold: the first window on the reopened service is an
 	// analysis-cache miss, not a hit — there is no carried-over state.
-	res2, err := svc2.RunWindow(day, to, to)
+	res2, err := svc2.RunWindowContext(context.Background(), day, to, to)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,7 +83,7 @@ func TestServiceWALRestart(t *testing.T) {
 	}
 
 	// The cache works after replay: an unchanged window now hits.
-	if _, err := svc2.RunWindow(day, to, to); err != nil {
+	if _, err := svc2.RunWindowContext(context.Background(), day, to, to); err != nil {
 		t.Fatal(err)
 	}
 	if hits := expositionValue(t, reg2, `nazar_analysis_cache_total{result="hit"}`); hits != 1 {
@@ -91,7 +92,7 @@ func TestServiceWALRestart(t *testing.T) {
 	// ... and the delta path too: grow the window with post-restart rows.
 	cacheWorkload(svc2, day, 400, 200)
 	to2 := day.Add(700 * time.Minute)
-	if _, err := svc2.RunWindow(day, to2, to2); err != nil {
+	if _, err := svc2.RunWindowContext(context.Background(), day, to2, to2); err != nil {
 		t.Fatal(err)
 	}
 	if deltas := expositionValue(t, reg2, `nazar_analysis_cache_total{result="delta"}`); deltas != 1 {
@@ -109,7 +110,7 @@ func TestServiceWALIngestRefusedAfterSever(t *testing.T) {
 	cacheWorkload(svc, day, 0, 10)
 	before := svc.Log().Len()
 	svc.WAL().Sever()
-	err := svc.IngestBatch([]driftlog.Entry{{
+	err := svc.IngestBatchContext(context.Background(), []driftlog.Entry{{
 		Time:  day,
 		Attrs: map[string]string{driftlog.AttrWeather: "fog"},
 	}}, nil)
@@ -140,7 +141,7 @@ func TestServiceWALOpenFailure(t *testing.T) {
 	if !errors.As(svc.WALErr(), &ce) {
 		t.Fatalf("WALErr not a *CorruptError: %v", svc.WALErr())
 	}
-	if err := svc.IngestBatch([]driftlog.Entry{{Time: weather.Day(0), Attrs: map[string]string{"a": "b"}}}, nil); !errors.Is(err, ErrDurability) {
+	if err := svc.IngestBatchContext(context.Background(), []driftlog.Entry{{Time: weather.Day(0), Attrs: map[string]string{"a": "b"}}}, nil); !errors.Is(err, ErrDurability) {
 		t.Fatalf("ingest with failed WAL: want ErrDurability, got %v", err)
 	}
 	if svc.Log().Len() != 0 {
@@ -152,5 +153,121 @@ func writeFileOrFatal(t *testing.T, path string, data []byte) {
 	t.Helper()
 	if err := os.WriteFile(path, data, 0o644); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestServiceWALRestartSampleLinks: samples live only in memory, so after
+// a restart the replayed rows' sample links are stale. They must gather
+// nothing — in particular not the samples that rows of another cause
+// upload after the restart, which by-cause adaptation would then train on.
+func TestServiceWALRestartSampleLinks(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "wal")
+	day := weather.Day(10)
+	batch := func(cause string, mark float64) ([]driftlog.Entry, [][]float64) {
+		entries := make([]driftlog.Entry, 20)
+		samples := make([][]float64, len(entries))
+		for i := range entries {
+			entries[i] = driftlog.Entry{
+				Time:  day.Add(time.Duration(i) * time.Minute),
+				Drift: true,
+				Attrs: map[string]string{driftlog.AttrWeather: cause},
+			}
+			samples[i] = []float64{mark, float64(i)}
+		}
+		return entries, samples
+	}
+
+	svc := walTestService(t, dir)
+	entriesA, samplesA := batch("snow", 1)
+	if err := svc.IngestBatchContext(context.Background(), entriesA, samplesA); err != nil {
+		t.Fatal(err)
+	}
+	if err := svc.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	svc2 := walTestService(t, dir)
+	defer svc2.Close()
+	entriesB, samplesB := batch("fog", 2)
+	if err := svc2.IngestBatchContext(context.Background(), entriesB, samplesB); err != nil {
+		t.Fatal(err)
+	}
+	v := svc2.Log().All()
+	idsA, err := v.SampleIDs([]driftlog.Cond{{Attr: driftlog.AttrWeather, Value: "snow"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(idsA) != len(entriesA) {
+		t.Fatalf("replayed snow rows carry %d sample links, want %d", len(idsA), len(entriesA))
+	}
+	if m := svc2.Samples().Gather(idsA); m != nil {
+		t.Fatalf("replayed snow rows gathered %d samples uploaded after the restart (first row %v)", m.Rows, m.Row(0))
+	}
+	idsB, err := v.SampleIDs([]driftlog.Cond{{Attr: driftlog.AttrWeather, Value: "fog"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := svc2.Samples().Gather(idsB)
+	if m == nil || m.Rows != len(entriesB) {
+		t.Fatalf("fog rows gathered %v, want their own %d samples", m, len(entriesB))
+	}
+	for i := 0; i < m.Rows; i++ {
+		if m.At(i, 0) != 2 {
+			t.Fatalf("fog row %d gathered a foreign sample %v", i, m.Row(i))
+		}
+	}
+	if st := svc2.Samples().Stats(); st.Added != int64(len(entriesB)) || st.Retained != len(entriesB) {
+		t.Fatalf("sample stats after restart: %+v, want %d added and retained", st, len(entriesB))
+	}
+}
+
+// TestServiceWALRefusedIngestLeavesNoSamples: a service whose WAL is
+// already known bad answers every batch with ErrDurability, which the
+// transport retries indefinitely — so a refused batch must not leave its
+// samples behind.
+func TestServiceWALRefusedIngestLeavesNoSamples(t *testing.T) {
+	base := nn.NewClassifier(nn.ArchResNet18, 8, 4, tensor.NewRand(1, 1))
+	cases := map[string]func(t *testing.T) *Service{
+		"open failure": func(t *testing.T) *Service {
+			dir := t.TempDir()
+			writeFileOrFatal(t, filepath.Join(dir, "wal-0000000000000001.seg"), []byte("NZWAL001garbage-that-is-not-a-frame"))
+			writeFileOrFatal(t, filepath.Join(dir, "wal-0000000000000002.seg"), []byte("NZWAL001"))
+			svc := NewService(base, DefaultConfig(), WithWAL(dir, driftlog.WALOptions{}))
+			if svc.WALErr() == nil {
+				t.Fatal("corrupt WAL directory opened without error")
+			}
+			return svc
+		},
+		"severed": func(t *testing.T) *Service {
+			svc := walTestService(t, filepath.Join(t.TempDir(), "wal"))
+			svc.WAL().Sever()
+			return svc
+		},
+		"closed": func(t *testing.T) *Service {
+			svc := walTestService(t, filepath.Join(t.TempDir(), "wal"))
+			if err := svc.Close(); err != nil {
+				t.Fatal(err)
+			}
+			return svc
+		},
+	}
+	for name, open := range cases {
+		t.Run(name, func(t *testing.T) {
+			svc := open(t)
+			for i := 0; i < 5; i++ {
+				err := svc.IngestBatchContext(context.Background(),
+					[]driftlog.Entry{{Time: weather.Day(0), Attrs: map[string]string{driftlog.AttrWeather: "fog"}}},
+					[][]float64{{1, 2, 3}})
+				if !errors.Is(err, ErrDurability) {
+					t.Fatalf("batch %d: want ErrDurability, got %v", i, err)
+				}
+			}
+			if st := svc.Samples().Stats(); st.Added != 0 || st.Retained != 0 {
+				t.Fatalf("refused batches left samples behind: %+v", st)
+			}
+			if n := len(svc.allMeta()); n != 0 {
+				t.Fatalf("refused batches left %d sample metadata records behind", n)
+			}
+		})
 	}
 }

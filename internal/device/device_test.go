@@ -1,6 +1,7 @@
 package device
 
 import (
+	"context"
 	"testing"
 	"time"
 
@@ -112,7 +113,7 @@ func TestVersionSelectionUsedForInference(t *testing.T) {
 	for i := 0; i < pool.Rows; i++ {
 		copy(pool.Row(i), world.Corrupt(world.Sample(i%8, rng), imagesim.Fog, 3, rng))
 	}
-	adapted, err := adapt.Adapt(base, pool, adapt.Config{Rng: rng, Epochs: 1})
+	adapted, err := adapt.AdaptContext(context.Background(), base, pool, adapt.Config{Rng: rng, Epochs: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

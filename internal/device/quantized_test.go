@@ -1,6 +1,7 @@
 package device
 
 import (
+	"context"
 	"strings"
 	"testing"
 	"time"
@@ -110,7 +111,7 @@ func TestQuantizedVersionSelection(t *testing.T) {
 	for i := 0; i < pool.Rows; i++ {
 		copy(pool.Row(i), world.Corrupt(world.Sample(i%8, rng), imagesim.Fog, 3, rng))
 	}
-	adapted, err := adapt.Adapt(base, pool, adapt.Config{Rng: rng, Epochs: 1})
+	adapted, err := adapt.AdaptContext(context.Background(), base, pool, adapt.Config{Rng: rng, Epochs: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

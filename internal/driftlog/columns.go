@@ -1,9 +1,10 @@
 // Columnar batch form of drift-log entries: the shape the binary wire
-// protocol (internal/wire) carries and the fast path the store can
-// append without a per-row struct round-trip. A ColumnarBatch is the
-// batch-local mirror of the store's own layout — dictionary-encoded
-// attribute columns over parallel row arrays — so appending one is a
-// dictionary remap plus slice appends, not len(entries) map walks.
+// protocol (internal/wire) carries and the only form the store appends.
+// A ColumnarBatch is the batch-local mirror of the store's own layout —
+// dictionary-encoded attribute columns over parallel row arrays — so
+// appending one is a dictionary remap plus slice appends, not
+// len(entries) map walks. Row form ([]Entry) is adapted at the edge by
+// ColumnsFromEntries.
 package driftlog
 
 import (
@@ -157,25 +158,37 @@ func ColumnsFromEntries(entries []Entry) *ColumnarBatch {
 	return b
 }
 
-// AppendColumns ingests a columnar batch, preserving batch row order in
-// the store's canonical (sequence) order — the near-zero-copy twin of
-// AppendBatch: per shard, appends are slice extensions plus a lazy
-// dictionary remap (batch dict ID → shard dict ID, interned only for
-// values that actually land in the shard), and the per-(attribute,
-// value) bitmaps are maintained exactly as the row path does.
+// AppendBatch ingests row-form entries through the columnar path,
+// preserving slice order in the store's canonical (sequence) order.
+func (s *Store) AppendBatch(entries []Entry) {
+	s.appendColumns(ColumnsFromEntries(entries))
+}
+
+// AppendColumns validates and ingests a columnar batch, preserving batch
+// row order in the store's canonical (sequence) order.
 func (s *Store) AppendColumns(b *ColumnarBatch) error {
 	if err := b.Validate(); err != nil {
 		return err
 	}
+	s.appendColumns(b)
+	return nil
+}
+
+// appendColumns is the one function that writes shard rows. Per shard,
+// appends are slice extensions plus a lazy dictionary remap (batch dict
+// ID → shard dict ID, interned only for values that actually land in the
+// shard); the per-(attribute, value) bitmaps, the distinct-value tracking
+// and the sketch feed are all maintained here. b must satisfy Validate's
+// structural invariants (ColumnsFromEntries output does by construction).
+func (s *Store) appendColumns(b *ColumnarBatch) {
 	rows := b.Rows()
 	if rows == 0 {
-		return nil
+		return
 	}
-	// Register attribute names in the order the row path would discover
-	// them — first row carrying the attribute, ties within a row sorted —
-	// so Attributes() is identical regardless of which ingest path ran.
-	// Columns whose IDs are all zero never register, like an attribute
-	// no entry carries.
+	// Register attribute names in row-discovery order — first row carrying
+	// the attribute, ties within a row sorted — so Attributes() does not
+	// depend on how rows were grouped into batches. Columns whose IDs are
+	// all zero never register, like an attribute no entry carries.
 	found := 0
 	seenCol := make([]bool, len(b.Cols))
 	var names, rowNames []string
@@ -228,8 +241,8 @@ func (s *Store) AppendColumns(b *ColumnarBatch) error {
 	}
 
 	// Shard placement: by device-attribute hash when the row has one
-	// (precomputed per dictionary value, not per row), round-robin by
-	// sequence otherwise — identical to shardFor.
+	// (precomputed per dictionary value, not per row, so one device's
+	// rows stay together), round-robin by sequence otherwise.
 	base := s.seq.Add(int64(rows)) - int64(rows)
 	devCol := -1
 	for ci := range b.Cols {
@@ -256,8 +269,7 @@ func (s *Store) AppendColumns(b *ColumnarBatch) error {
 		rowsByShard[si] = append(rowsByShard[si], int32(i))
 	}
 
-	// Sketch feeding iterates batch columns in sorted-name order (map
-	// iteration in the row path is replaced by this fixed order) so
+	// Sketch feeding iterates batch columns in sorted-name order so
 	// Space-Saving offer order is deterministic per row.
 	colOrder := make([]int, len(b.Cols))
 	for i := range colOrder {
@@ -338,13 +350,11 @@ func (s *Store) AppendColumns(b *ColumnarBatch) error {
 		}
 		sh.mu.Unlock()
 	}
-	return nil
 }
 
-// registerAttrNames is registerAttrs for a pre-ordered name slice (the
-// columnar path registers each attribute once per batch, not once per
-// row). Fresh names are appended in the order given — the caller has
-// already arranged discovery order.
+// registerAttrNames records attribute names in the store-wide registry.
+// Fresh names are appended in the order given — the caller has already
+// arranged discovery order.
 func (s *Store) registerAttrNames(names []string) {
 	missing := false
 	s.attrMu.RLock()

@@ -2,6 +2,7 @@ package driftlog
 
 import (
 	"bytes"
+	"encoding/hex"
 	"fmt"
 	"math/rand"
 	"reflect"
@@ -59,16 +60,17 @@ func TestColumnsFromEntriesRoundTrip(t *testing.T) {
 	}
 }
 
-// TestAppendColumnsDifferential pins the tentpole invariant: a store
-// fed through the columnar fast path is row-for-row and query-for-query
-// identical to one fed the same entries through AppendBatch.
+// TestAppendColumnsDifferential pins the ingest invariant: a store fed
+// through the columnar path is row-for-row and query-for-query identical
+// to one fed the same entries through the row-at-a-time reference
+// appender.
 func TestAppendColumnsDifferential(t *testing.T) {
 	for seed := int64(0); seed < 12; seed++ {
 		r := rand.New(rand.NewSource(100 + seed))
 		entries := randomColumnarEntries(r, r.Intn(200))
 
 		rowStore := NewStore()
-		rowStore.AppendBatch(entries)
+		refAppendBatch(rowStore, entries)
 		colStore := NewStore()
 		if err := colStore.AppendColumns(ColumnsFromEntries(entries)); err != nil {
 			t.Fatalf("seed %d: AppendColumns: %v", seed, err)
@@ -147,20 +149,50 @@ func TestAppendColumnsRejectsInvalid(t *testing.T) {
 	}
 }
 
-// TestWALFrameColumnsByteEqual pins the replay-obliviousness contract:
-// the columnar WAL encoder must emit byte-identical records to the row
-// encoder, so a WAL written through either ingest path replays the
-// same.
+// TestWALFrameColumnsByteEqual pins the frame encoder against the
+// row-form reference encoder on random batches (missing attributes,
+// scattered timestamps): byte-identical records.
 func TestWALFrameColumnsByteEqual(t *testing.T) {
 	for seed := int64(0); seed < 10; seed++ {
 		r := rand.New(rand.NewSource(500 + seed))
 		entries := randomColumnarEntries(r, r.Intn(80))
-		rowFrame := appendWALFrame(nil, entries)
+		rowFrame := refAppendWALFrame(nil, entries)
 		colFrame := appendWALFrameColumns(nil, ColumnsFromEntries(entries))
 		if !bytes.Equal(rowFrame, colFrame) {
 			t.Fatalf("seed %d: WAL frames diverge (%d rows): row %d bytes, columnar %d bytes",
 				seed, len(entries), len(rowFrame), len(colFrame))
 		}
+	}
+}
+
+// TestWALFrameGolden pins the on-disk record bytes against the frame
+// encoder for a fixed batch: a row with every attribute, a row missing
+// one, a row with none, out-of-order timestamps, and absent, small and
+// two-byte sample ids. A diff here is a WAL format change and needs a
+// record-version bump, not a new hex string.
+func TestWALFrameGolden(t *testing.T) {
+	const want = "7c000000b3a1ead6" +
+		"010380e8c9c5df85fde92b000103066465766963650a616e64726f69645f3432086c6f636174696f6e0848656c73696e6b69077765617468657209636c6561722d646179" +
+		"e8dfb4ba8387fde92b010e02066465766963650a616e64726f69645f3231077765617468657204736e6f77" +
+		"80a0b58ac384fde92b01d80400"
+	entries := []Entry{
+		{Time: time.Unix(1579068121, 0).UTC(), Drift: false, SampleID: -1,
+			Attrs: map[string]string{AttrWeather: "clear-day", AttrDevice: "android_42", AttrLocation: "Helsinki"}},
+		{Time: time.Unix(1579068143, 500).UTC(), Drift: true, SampleID: 7,
+			Attrs: map[string]string{AttrWeather: "snow", AttrDevice: "android_21"}},
+		{Time: time.Unix(1579068100, 0).UTC(), Drift: true, SampleID: 300,
+			Attrs: map[string]string{}},
+	}
+	frame := appendWALFrameColumns(nil, ColumnsFromEntries(entries))
+	if got := hex.EncodeToString(frame); got != want {
+		t.Fatalf("WAL frame bytes changed:\n got %s\nwant %s", got, want)
+	}
+	decoded, err := decodeWALPayload(frame[8:])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(decoded, entries) {
+		t.Fatalf("golden frame decodes to\n%+v\nwant\n%+v", decoded, entries)
 	}
 }
 

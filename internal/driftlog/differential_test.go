@@ -38,7 +38,7 @@ func randomStore(r *rand.Rand, n int) *Store {
 			Attrs:    attrs,
 		}
 		if r.Float64() < 0.5 {
-			s.Append(e)
+			s.AppendBatch([]Entry{e})
 		} else {
 			batch = append(batch, e)
 		}

@@ -137,7 +137,7 @@ type Store struct {
 	// Tiered sketch layer (see sketchindex.go). sketchedPtr holds the
 	// immutable snapshot of sketched attribute names; feed paths load it
 	// once under the shard lock.
-	sk         *sketchIndex
+	sk          *sketchIndex
 	sketchedPtr atomic.Pointer[map[string]bool]
 }
 
@@ -163,16 +163,6 @@ func NewStoreWithSketch(cfg SketchConfig) *Store {
 	return s
 }
 
-// shardFor picks the shard for an entry: by device-attribute hash when
-// present (so one device's rows stay together), round-robin by sequence
-// otherwise.
-func shardFor(e Entry, seq int64) int {
-	if dev, ok := e.Attrs[AttrDevice]; ok {
-		return int(hashString(dev) & shardMask)
-	}
-	return int(seq & shardMask)
-}
-
 // hashString is FNV-1a.
 func hashString(s string) uint64 {
 	h := uint64(1469598103934665603)
@@ -180,123 +170,6 @@ func hashString(s string) uint64 {
 		h = (h ^ uint64(b)) * 1099511628211
 	}
 	return h
-}
-
-// registerAttrs records attribute names in the store-wide registry.
-func (s *Store) registerAttrs(attrs map[string]string) {
-	missing := false
-	s.attrMu.RLock()
-	for name := range attrs {
-		if !s.attrSeen[name] {
-			missing = true
-			break
-		}
-	}
-	s.attrMu.RUnlock()
-	if !missing {
-		return
-	}
-	// Collect and sort the new names so concurrent first appearances
-	// register in a deterministic relative order.
-	var fresh []string
-	s.attrMu.Lock()
-	for name := range attrs {
-		if !s.attrSeen[name] {
-			fresh = append(fresh, name)
-		}
-	}
-	sort.Strings(fresh)
-	for _, name := range fresh {
-		s.attrSeen[name] = true
-		s.attrOrder = append(s.attrOrder, name)
-	}
-	s.attrMu.Unlock()
-}
-
-// Append ingests one entry.
-func (s *Store) Append(e Entry) {
-	s.registerAttrs(e.Attrs)
-	s.observeCardinality(e.Attrs)
-	seq := s.seq.Add(1) - 1
-	sh := &s.shards[shardFor(e, seq)]
-	sh.mu.Lock()
-	sketched := s.sketchedSet()
-	sh.appendLocked(seq, e, sketched)
-	s.feedRowLocked(sketched, e.Time.UnixNano(), e.Drift, e.Attrs)
-	sh.mu.Unlock()
-}
-
-// AppendBatch ingests entries with one lock acquisition per touched
-// shard, preserving the slice order in the store's canonical (sequence)
-// order.
-func (s *Store) AppendBatch(entries []Entry) {
-	if len(entries) == 0 {
-		return
-	}
-	for _, e := range entries {
-		s.registerAttrs(e.Attrs)
-		s.observeCardinality(e.Attrs)
-	}
-	base := s.seq.Add(int64(len(entries))) - int64(len(entries))
-	type job struct {
-		seq int64
-		e   Entry
-	}
-	var jobs [numShards][]job
-	for i, e := range entries {
-		seq := base + int64(i)
-		si := shardFor(e, seq)
-		jobs[si] = append(jobs[si], job{seq, e})
-	}
-	for si := range jobs {
-		if len(jobs[si]) == 0 {
-			continue
-		}
-		sh := &s.shards[si]
-		sh.mu.Lock()
-		sketched := s.sketchedSet()
-		for _, j := range jobs[si] {
-			sh.appendLocked(j.seq, j.e, sketched)
-			s.feedRowLocked(sketched, j.e.Time.UnixNano(), j.e.Drift, j.e.Attrs)
-		}
-		sh.mu.Unlock()
-	}
-}
-
-func (sh *shard) appendLocked(seq int64, e Entry, sketched map[string]bool) {
-	row := len(sh.times)
-	t := e.Time.UnixNano()
-	if row > 0 && t < sh.times[row-1] {
-		sh.timeSorted = false
-	}
-	sh.seqs = append(sh.seqs, seq)
-	sh.times = append(sh.times, t)
-	sh.drift = append(sh.drift, e.Drift)
-	if e.Drift {
-		sh.driftBits = setBit(sh.driftBits, row)
-	}
-	sh.samples = append(sh.samples, e.SampleID)
-	for name, val := range e.Attrs {
-		col, ok := sh.cols[name]
-		if !ok {
-			col = newColumn(row)
-			col.sketched = sketched[name]
-			sh.cols[name] = col
-			sh.order = append(sh.order, name)
-		}
-		id := col.intern(val)
-		col.ids = append(col.ids, id)
-		if !col.sketched {
-			col.bits[id] = setBit(col.bits[id], row)
-		}
-	}
-	// Backfill missing attributes for this row.
-	for _, name := range sh.order {
-		col := sh.cols[name]
-		if len(col.ids) == row {
-			col.ids = append(col.ids, 0)
-		}
-	}
 }
 
 // Len returns the number of rows.
@@ -309,6 +182,21 @@ func (s *Store) Len() int {
 		sh.mu.RUnlock()
 	}
 	return n
+}
+
+// MaxSampleID returns the largest sample ID any row links to (-1 when no
+// row carries a sample).
+func (s *Store) MaxSampleID() int64 {
+	maxID := int64(-1)
+	for i := range s.shards {
+		sh := &s.shards[i]
+		sh.mu.RLock()
+		for _, id := range sh.samples {
+			maxID = max(maxID, id)
+		}
+		sh.mu.RUnlock()
+	}
+	return maxID
 }
 
 // Stats is an operational snapshot of the store, consumed by the

@@ -14,7 +14,7 @@ func paperExample() *Store {
 	day := time.Date(2020, 1, 15, 0, 0, 0, 0, time.UTC)
 	add := func(hhmmss string, device, weather, location string, drift bool) {
 		t, _ := time.Parse("15:04:05", hhmmss)
-		s.Append(Entry{
+		s.AppendBatch([]Entry{{
 			Time: day.Add(time.Duration(t.Hour())*time.Hour +
 				time.Duration(t.Minute())*time.Minute + time.Duration(t.Second())*time.Second),
 			Attrs: map[string]string{
@@ -24,7 +24,7 @@ func paperExample() *Store {
 			},
 			Drift:    drift,
 			SampleID: -1,
-		})
+		}})
 	}
 	add("06:02:01", "android_42", "clear-day", "Helsinki", false)
 	add("06:02:23", "android_21", "clear-day", "New York", false)
@@ -122,8 +122,8 @@ func TestWindowFiltering(t *testing.T) {
 func TestViewPinsRowCount(t *testing.T) {
 	s := paperExample()
 	v := s.All()
-	s.Append(Entry{Time: time.Now(), Drift: true,
-		Attrs: map[string]string{AttrWeather: "snow"}, SampleID: -1})
+	s.AppendBatch([]Entry{{Time: time.Now(), Drift: true,
+		Attrs: map[string]string{AttrWeather: "snow"}, SampleID: -1}})
 	cr, err := v.Count([]Cond{{AttrWeather, "snow"}}, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -180,8 +180,8 @@ func TestAttrValueCounts(t *testing.T) {
 
 func TestMissingAttributeBackfill(t *testing.T) {
 	s := NewStore()
-	s.Append(Entry{Time: time.Now(), Attrs: map[string]string{"a": "1"}, SampleID: -1})
-	s.Append(Entry{Time: time.Now(), Attrs: map[string]string{"b": "2"}, SampleID: -1})
+	s.AppendBatch([]Entry{{Time: time.Now(), Attrs: map[string]string{"a": "1"}, SampleID: -1}})
+	s.AppendBatch([]Entry{{Time: time.Now(), Attrs: map[string]string{"b": "2"}, SampleID: -1}})
 	e0, e1 := s.Entry(0), s.Entry(1)
 	if _, ok := e0.Attrs["b"]; ok {
 		t.Fatal("row 0 should not have attr b")
@@ -207,8 +207,8 @@ func TestSampleIDs(t *testing.T) {
 		if i%2 == 0 {
 			sid = int64(100 + i)
 		}
-		s.Append(Entry{Time: now, Drift: true, SampleID: sid,
-			Attrs: map[string]string{AttrWeather: "fog"}})
+		s.AppendBatch([]Entry{{Time: now, Drift: true, SampleID: sid,
+			Attrs: map[string]string{AttrWeather: "fog"}}})
 	}
 	ids, err := s.All().SampleIDs([]Cond{{AttrWeather, "fog"}})
 	if err != nil {
@@ -228,7 +228,7 @@ func TestConcurrentIngest(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < per; i++ {
-				s.Append(Entry{
+				s.AppendBatch([]Entry{{
 					Time:     time.Now(),
 					Drift:    i%2 == 0,
 					SampleID: -1,
@@ -236,7 +236,7 @@ func TestConcurrentIngest(t *testing.T) {
 						AttrDevice:  fmt.Sprintf("dev_%d", w),
 						AttrWeather: "rain",
 					},
-				})
+				}})
 			}
 		}(w)
 	}
@@ -318,7 +318,7 @@ func TestQuickCountInvariants(t *testing.T) {
 		s := NewStore()
 		base := time.Date(2020, 2, 1, 0, 0, 0, 0, time.UTC)
 		for i, b := range raw {
-			s.Append(Entry{
+			s.AppendBatch([]Entry{{
 				Time:     base.Add(time.Duration(i) * time.Minute),
 				Drift:    b%2 == 0,
 				SampleID: -1,
@@ -326,7 +326,7 @@ func TestQuickCountInvariants(t *testing.T) {
 					AttrWeather: weathers[int(b)%4],
 					AttrDevice:  fmt.Sprintf("d%d", int(b/4)%3),
 				},
-			})
+			}})
 		}
 		v := s.All()
 		all, err := v.Count(nil, nil)

@@ -13,12 +13,12 @@ func TestStoreEach(t *testing.T) {
 	const n = 500
 	base := time.Unix(0, 0).UTC()
 	for i := 0; i < n; i++ {
-		s.Append(Entry{
+		s.AppendBatch([]Entry{{
 			Time:     base.Add(time.Duration(i) * time.Second),
 			Attrs:    map[string]string{"seq": strconv.Itoa(i), AttrDevice: "d"},
 			Drift:    i%3 == 0,
 			SampleID: -1,
-		})
+		}})
 	}
 	visited := 0
 	s.Each(func(i int, e Entry) {

@@ -14,10 +14,10 @@ func ExampleView_Count() {
 	log := driftlog.NewStore()
 	day := time.Date(2020, 1, 15, 0, 0, 0, 0, time.UTC)
 	add := func(hour int, weather string, drift bool) {
-		log.Append(driftlog.Entry{
+		log.AppendBatch([]driftlog.Entry{{
 			Time: day.Add(time.Duration(hour) * time.Hour), Drift: drift, SampleID: -1,
 			Attrs: map[string]string{driftlog.AttrWeather: weather, driftlog.AttrDevice: "android_1"},
-		})
+		}})
 	}
 	add(6, "clear-day", false)
 	add(8, "snow", true)

@@ -64,7 +64,7 @@ func TestGoldenLogRoundTrip(t *testing.T) {
 	if os.Getenv("UPDATE_GOLDEN") != "" {
 		s := NewStore()
 		for _, e := range want {
-			s.Append(e)
+			s.AppendBatch([]Entry{e})
 		}
 		if err := os.MkdirAll(filepath.Dir(goldenLogPath), 0o755); err != nil {
 			t.Fatal(err)

@@ -91,10 +91,10 @@ func TestPersistLargeLog(t *testing.T) {
 	s := NewStore()
 	now := time.Now().UTC().Truncate(time.Microsecond)
 	for i := 0; i < 2000; i++ {
-		s.Append(Entry{
+		s.AppendBatch([]Entry{{
 			Time: now.Add(time.Duration(i) * time.Second), Drift: i%3 == 0, SampleID: int64(i % 7),
 			Attrs: map[string]string{AttrWeather: []string{"rain", "snow"}[i%2]},
-		})
+		}})
 	}
 	var buf bytes.Buffer
 	if _, err := s.WriteTo(&buf); err != nil {
@@ -138,8 +138,8 @@ func TestCompact(t *testing.T) {
 		t.Fatalf("clear-day survived compaction: %+v", cr)
 	}
 	// Appending after compaction keeps columns aligned.
-	s.Append(Entry{Time: day.Add(20 * time.Hour), Drift: false, SampleID: -1,
-		Attrs: map[string]string{AttrWeather: "clear-day"}})
+	s.AppendBatch([]Entry{{Time: day.Add(20 * time.Hour), Drift: false, SampleID: -1,
+		Attrs: map[string]string{AttrWeather: "clear-day"}}})
 	if s.Len() != 3 {
 		t.Fatalf("len after append %d", s.Len())
 	}

@@ -59,7 +59,7 @@ func sketchStore(r *rand.Rand, n, vers int, cfg SketchConfig) *Store {
 			Attrs:    attrs,
 		}
 		if r.Float64() < 0.5 {
-			s.Append(e)
+			s.AppendBatch([]Entry{e})
 		} else {
 			batch = append(batch, e)
 		}
@@ -389,8 +389,8 @@ func TestSketchClearDriftExact(t *testing.T) {
 }
 
 // TestSketchColumnarIngestEquivalence pins that the columnar append path
-// feeds sketches identically to the row path: same data, byte-identical
-// estimates.
+// feeds sketches identically to the row-at-a-time reference appender:
+// same data, byte-identical estimates.
 func TestSketchColumnarIngestEquivalence(t *testing.T) {
 	r := rand.New(rand.NewSource(10))
 	base := time.Unix(0, 0).UTC()
@@ -408,7 +408,7 @@ func TestSketchColumnarIngestEquivalence(t *testing.T) {
 	}
 	cfg := sketchTestConfig()
 	rowStore := NewStoreWithSketch(cfg)
-	rowStore.AppendBatch(entries)
+	refAppendBatch(rowStore, entries)
 	colStore := NewStoreWithSketch(cfg)
 	if err := colStore.AppendColumns(ColumnsFromEntries(entries)); err != nil {
 		t.Fatal(err)

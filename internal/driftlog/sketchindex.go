@@ -527,72 +527,10 @@ func (s *Store) replaySketchesLocked(sketched map[string]bool) {
 	}
 }
 
-// feedRowLocked feeds one just-appended row. Caller holds the shard lock
-// and has loaded sketched under it.
-func (s *Store) feedRowLocked(sketched map[string]bool, t int64, drifted bool, attrs map[string]string) {
-	if len(sketched) == 0 || len(attrs) == 0 {
-		return
-	}
-	kvs := make([]attrKV, 0, len(attrs))
-	for name, val := range attrs {
-		kvs = append(kvs, attrKV{name, val})
-	}
-	sort.Slice(kvs, func(i, j int) bool { return kvs[i].name < kvs[j].name })
-	s.sk.feed(sketched, t, drifted, kvs)
-}
-
-// observeCardinality records value sightings for attributes still on the
-// exact tier and tiers any attribute whose distinct-value count crossed
-// the threshold. The read-locked fast path exits without mutation when
-// every (attribute, value) is already known, which is the steady state.
-func (s *Store) observeCardinality(attrs map[string]string) {
-	sketched := s.sketchedSet()
-	known := true
-	s.attrMu.RLock()
-	for name, val := range attrs {
-		if sketched[name] {
-			continue
-		}
-		if vals := s.card[name]; vals == nil || !vals[val] {
-			known = false
-			break
-		}
-	}
-	s.attrMu.RUnlock()
-	if known {
-		return
-	}
-	var tier []string
-	s.attrMu.Lock()
-	// Reload under the lock: a concurrent tier-up may have sketched an
-	// attribute (and dropped its tracking set) since the first load.
-	sketched = s.sketchedSet()
-	for name, val := range attrs {
-		if sketched[name] {
-			continue
-		}
-		vals := s.card[name]
-		if vals == nil {
-			vals = map[string]bool{}
-			s.card[name] = vals
-		}
-		if !vals[val] {
-			vals[val] = true
-			if len(vals) > s.sk.cfg.Threshold {
-				tier = append(tier, name)
-			}
-		}
-	}
-	s.attrMu.Unlock()
-	sort.Strings(tier)
-	for _, name := range tier {
-		s.tierUp(name)
-	}
-}
-
-// trackValues is observeCardinality's columnar twin: it records a batch
-// column's used values in one pass and reports whether the attribute just
-// crossed the sketch threshold.
+// trackValues records a batch column's used values for an attribute still
+// on the exact tier and reports whether the attribute just crossed the
+// sketch threshold. The read-locked fast path exits without mutation when
+// every value is already known, which is the steady state.
 func (s *Store) trackValues(name string, vals []string) (crossed bool) {
 	s.attrMu.RLock()
 	seen := s.card[name]

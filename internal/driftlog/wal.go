@@ -12,7 +12,7 @@
 //
 // Crash-recovery contract:
 //
-//   - an Append that returned nil is durable: its record is fully
+//   - an AppendColumns that returned nil is durable: its record is fully
 //     fsynced before the call returns, and replay restores it;
 //   - a torn final record (the write the crash interrupted) is detected
 //     by length/CRC, truncated, and reported via RecoveryInfo — it
@@ -100,7 +100,7 @@ type WALOptions struct {
 	// explicitly).
 	CompactSegments int
 	// ReadOnly replays without mutating the directory: no tail
-	// truncation, no cleanup, no active segment; Append fails with
+	// truncation, no cleanup, no active segment; AppendColumns fails with
 	// ErrWALReadOnly. For inspectors and replay benchmarks.
 	ReadOnly bool
 
@@ -459,42 +459,22 @@ func (w *WAL) startSegmentLocked() error {
 	return nil
 }
 
-// Append writes one record holding the batch and fsyncs it. When
-// Append returns nil the batch is durable: a crash at any later point
-// leaves it recoverable by replay. A write or sync failure poisons the
-// WAL (the segment tail may be torn, so appending after it could hide
-// durable records behind garbage); every subsequent Append returns the
-// original error.
-func (w *WAL) Append(entries []Entry) error {
-	if len(entries) == 0 {
-		return nil
-	}
-	return w.appendFrame(func(dst []byte) []byte { return appendWALFrame(dst, entries) })
-}
-
-// AppendColumns is Append for a columnar batch: it encodes the exact
-// same record format (attributes in sorted name order) directly from
-// the columns, so replay and compaction are oblivious to which ingest
-// path produced a record. The batch must already be validated.
+// AppendColumns writes one record holding the batch and fsyncs it. When
+// it returns nil the batch is durable: a crash at any later point leaves
+// it recoverable by replay. A write or sync failure poisons the WAL (the
+// segment tail may be torn, so appending after it could hide durable
+// records behind garbage); every subsequent append returns the original
+// error. The batch must already be validated.
 func (w *WAL) AppendColumns(b *ColumnarBatch) error {
 	if b.Rows() == 0 {
 		return nil
 	}
-	return w.appendFrame(func(dst []byte) []byte { return appendWALFrameColumns(dst, b) })
-}
-
-// appendFrame writes one encoded record frame and fsyncs it (the shared
-// tail of Append and AppendColumns).
-func (w *WAL) appendFrame(frame func(dst []byte) []byte) error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	if w.closed || w.err != nil {
-		if w.err != nil {
-			return w.err
-		}
-		return ErrWALClosed
+	if err := w.errLocked(); err != nil {
+		return err
 	}
-	w.buf = frame(w.buf[:0])
+	w.buf = appendWALFrameColumns(w.buf[:0], b)
 	if _, err := w.cur.Write(w.buf); err != nil {
 		return w.failLocked(fmt.Errorf("driftlog: wal append: %w", err))
 	}
@@ -513,6 +493,22 @@ func (w *WAL) appendFrame(frame func(dst []byte) []byte) error {
 		w.maybeCompactLocked()
 	}
 	return nil
+}
+
+// Err reports why the next append would be refused — the sticky failure
+// (poisoned, severed, read-only) or ErrWALClosed — and nil while the WAL
+// is healthy.
+func (w *WAL) Err() error {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	return w.errLocked()
+}
+
+func (w *WAL) errLocked() error {
+	if w.err == nil && w.closed {
+		return ErrWALClosed
+	}
+	return w.err
 }
 
 // failLocked records a sticky failure and returns it.
@@ -708,7 +704,7 @@ func (w *WAL) Close() error {
 
 // Sever abruptly disables the WAL, simulating process death for the
 // chaos harness: nothing is flushed or synced, the active segment
-// handle is dropped, and every subsequent Append fails with
+// handle is dropped, and every subsequent append fails with
 // ErrWALSevered. Unlike Close it does not wait for a graceful end of
 // in-flight work — it only waits for the background compactor to
 // observe the kill, so a successor WAL can safely open the directory.
@@ -728,50 +724,11 @@ func (w *WAL) Sever() {
 
 // ---- record encoding -------------------------------------------------
 
-// appendWALFrame appends one framed record ([len][crc][payload]) to
+// appendWALFrameColumns appends one framed record ([len][crc][payload]) to
 // dst. The payload is a versioned, self-contained encoding of the
-// batch: records decode independently, so compaction and replay never
-// need decoder state.
-func appendWALFrame(dst []byte, entries []Entry) []byte {
-	base := len(dst)
-	dst = append(dst, 0, 0, 0, 0, 0, 0, 0, 0) // frame header placeholder
-	p := len(dst)
-	dst = append(dst, walRecordVersion)
-	dst = binary.AppendUvarint(dst, uint64(len(entries)))
-	var keys []string
-	for i := range entries {
-		e := &entries[i]
-		dst = binary.AppendVarint(dst, e.Time.UnixNano())
-		var flags byte
-		if e.Drift {
-			flags = 1
-		}
-		dst = append(dst, flags)
-		dst = binary.AppendVarint(dst, e.SampleID)
-		keys = keys[:0]
-		for k := range e.Attrs {
-			keys = append(keys, k)
-		}
-		sort.Strings(keys)
-		dst = binary.AppendUvarint(dst, uint64(len(keys)))
-		for _, k := range keys {
-			dst = binary.AppendUvarint(dst, uint64(len(k)))
-			dst = append(dst, k...)
-			v := e.Attrs[k]
-			dst = binary.AppendUvarint(dst, uint64(len(v)))
-			dst = append(dst, v...)
-		}
-	}
-	payload := dst[p:]
-	binary.LittleEndian.PutUint32(dst[base:], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(dst[base+4:], crc32.Checksum(payload, walCRC))
-	return dst
-}
-
-// appendWALFrameColumns is appendWALFrame fed from a columnar batch:
-// byte-identical output for an equivalent entry slice (appendWALFrame
-// emits attributes in sorted key order; here the column order is sorted
-// once per batch instead of once per row).
+// batch, row by row with each row's attributes in sorted name order:
+// records decode independently, so compaction and replay never need
+// decoder state.
 func appendWALFrameColumns(dst []byte, b *ColumnarBatch) []byte {
 	base := len(dst)
 	dst = append(dst, 0, 0, 0, 0, 0, 0, 0, 0) // frame header placeholder

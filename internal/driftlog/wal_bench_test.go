@@ -30,7 +30,7 @@ func BenchmarkDriftlogAppend(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if err := w.Append(batch); err != nil {
+				if err := w.AppendColumns(ColumnsFromEntries(batch)); err != nil {
 					b.Fatal(err)
 				}
 				s.AppendBatch(batch)
@@ -66,7 +66,7 @@ func BenchmarkWALReplay(b *testing.B) {
 			}
 			rows := 0
 			for i := 0; i < tc.batches; i++ {
-				if err := w.Append(walBatch(rows, per)); err != nil {
+				if err := w.AppendColumns(ColumnsFromEntries(walBatch(rows, per))); err != nil {
 					b.Fatal(err)
 				}
 				rows += per

@@ -305,7 +305,7 @@ func crashWorkload(fs *crashFS) (submitted, acked [][]Entry) {
 	for i := 0; i < batches; i++ {
 		b := walBatch(i*3, 3)
 		submitted = append(submitted, b)
-		if err := w.Append(b); err != nil {
+		if err := w.AppendColumns(ColumnsFromEntries(b)); err != nil {
 			return submitted, acked
 		}
 		acked = append(acked, b)
@@ -464,7 +464,7 @@ func TestWALCrashDoubleFault(t *testing.T) {
 		for i := 0; i < 6; i++ {
 			b := walBatch(1000+i*3, 3)
 			sub2 = append(sub2, b)
-			if err := w.Append(b); err != nil {
+			if err := w.AppendColumns(ColumnsFromEntries(b)); err != nil {
 				break
 			}
 			ack2 = append(ack2, b)

@@ -9,6 +9,7 @@ package driftlog_test
 // last bitset word of every shard is partial.
 
 import (
+	"context"
 	"fmt"
 	mrand "math/rand/v2"
 	"reflect"
@@ -87,8 +88,8 @@ func requireSameAnalysis(t *testing.T, label string, live, replayed *driftlog.St
 	}
 
 	th := fim.DefaultThresholds()
-	lm, lerr := fim.Mine(lv, lov, th)
-	rm, rerr := fim.Mine(rv, rov, th)
+	lm, lerr := fim.MineContext(context.Background(), lv, lov, th)
+	rm, rerr := fim.MineContext(context.Background(), rv, rov, th)
 	if (lerr == nil) != (rerr == nil) {
 		t.Fatalf("%s: Mine errors diverge: %v vs %v", label, lerr, rerr)
 	}
@@ -113,7 +114,7 @@ func TestWALReplayDifferential(t *testing.T) {
 					t.Fatalf("open: %v", err)
 				}
 				for _, batch := range diffBatches(seed, rows) {
-					if err := w.Append(batch); err != nil {
+					if err := w.AppendColumns(driftlog.ColumnsFromEntries(batch)); err != nil {
 						t.Fatalf("append: %v", err)
 					}
 					live.AppendBatch(batch)

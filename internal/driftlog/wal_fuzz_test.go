@@ -12,7 +12,7 @@ import (
 func fuzzSegment(batches ...[]Entry) []byte {
 	b := []byte(walMagic)
 	for _, batch := range batches {
-		b = appendWALFrame(b, batch)
+		b = appendWALFrameColumns(b, ColumnsFromEntries(batch))
 	}
 	return b
 }
@@ -65,7 +65,7 @@ func FuzzWALReplay(f *testing.F) {
 		if _, err := s.All().Count(nil, nil); err != nil {
 			t.Fatalf("recovered store not queryable: %v", err)
 		}
-		if err := w.Append(walBatch(100, 2)); err != nil {
+		if err := w.AppendColumns(ColumnsFromEntries(walBatch(100, 2))); err != nil {
 			t.Fatalf("recovered WAL not appendable: %v", err)
 		}
 		// Replay must be a prefix: whatever it recovered, a second

@@ -125,7 +125,7 @@ func TestWALRoundTrip(t *testing.T) {
 	}
 	for i := 0; i < 7; i++ {
 		batch := walBatch(i*9, 9)
-		if err := w.Append(batch); err != nil {
+		if err := w.AppendColumns(ColumnsFromEntries(batch)); err != nil {
 			t.Fatalf("append %d: %v", i, err)
 		}
 		live.AppendBatch(batch)
@@ -156,7 +156,7 @@ func TestWALAppendEmptyAndClosed(t *testing.T) {
 	if err != nil {
 		t.Fatalf("open: %v", err)
 	}
-	if err := w.Append(nil); err != nil {
+	if err := w.AppendColumns(ColumnsFromEntries(nil)); err != nil {
 		t.Fatalf("empty append: %v", err)
 	}
 	if st := w.Stats(); st.Appends != 0 {
@@ -168,7 +168,7 @@ func TestWALAppendEmptyAndClosed(t *testing.T) {
 	if err := w.Close(); err != nil {
 		t.Fatalf("double close: %v", err)
 	}
-	if err := w.Append(walBatch(0, 1)); !errors.Is(err, ErrWALClosed) {
+	if err := w.AppendColumns(ColumnsFromEntries(walBatch(0, 1))); !errors.Is(err, ErrWALClosed) {
 		t.Fatalf("append after close: want ErrWALClosed, got %v", err)
 	}
 }
@@ -179,12 +179,12 @@ func TestWALSever(t *testing.T) {
 	if err != nil {
 		t.Fatalf("open: %v", err)
 	}
-	if err := w.Append(walBatch(0, 4)); err != nil {
+	if err := w.AppendColumns(ColumnsFromEntries(walBatch(0, 4))); err != nil {
 		t.Fatalf("append: %v", err)
 	}
 	w.Sever()
 	w.Sever() // idempotent
-	if err := w.Append(walBatch(4, 1)); !errors.Is(err, ErrWALSevered) {
+	if err := w.AppendColumns(ColumnsFromEntries(walBatch(4, 1))); !errors.Is(err, ErrWALSevered) {
 		t.Fatalf("append after sever: want ErrWALSevered, got %v", err)
 	}
 	// The pre-sever append was acked, so it must replay.
@@ -209,7 +209,7 @@ func TestWALRotation(t *testing.T) {
 	}
 	for i := 0; i < 5; i++ {
 		batch := walBatch(i*3, 3)
-		if err := w.Append(batch); err != nil {
+		if err := w.AppendColumns(ColumnsFromEntries(batch)); err != nil {
 			t.Fatalf("append %d: %v", i, err)
 		}
 		live.AppendBatch(batch)
@@ -250,7 +250,7 @@ func TestWALExplicitRotateAndCompact(t *testing.T) {
 	}
 	for i := 0; i < 3; i++ {
 		batch := walBatch(i*4, 4)
-		if err := w.Append(batch); err != nil {
+		if err := w.AppendColumns(ColumnsFromEntries(batch)); err != nil {
 			t.Fatalf("append: %v", err)
 		}
 		live.AppendBatch(batch)
@@ -277,7 +277,7 @@ func TestWALExplicitRotateAndCompact(t *testing.T) {
 	}
 	// Appends continue after compaction and land after the snapshot rows.
 	tail := walBatch(12, 4)
-	if err := w.Append(tail); err != nil {
+	if err := w.AppendColumns(ColumnsFromEntries(tail)); err != nil {
 		t.Fatalf("post-compact append: %v", err)
 	}
 	live.AppendBatch(tail)
@@ -310,7 +310,7 @@ func TestWALAutoCompaction(t *testing.T) {
 	}
 	for i := 0; i < 9; i++ {
 		batch := walBatch(i*3, 3)
-		if err := w.Append(batch); err != nil {
+		if err := w.AppendColumns(ColumnsFromEntries(batch)); err != nil {
 			t.Fatalf("append %d: %v", i, err)
 		}
 		live.AppendBatch(batch)
@@ -378,10 +378,10 @@ func TestWALTornTailRecovery(t *testing.T) {
 				t.Fatalf("open: %v", err)
 			}
 			good := walBatch(0, 6)
-			if err := w.Append(good[:3]); err != nil {
+			if err := w.AppendColumns(ColumnsFromEntries(good[:3])); err != nil {
 				t.Fatalf("append: %v", err)
 			}
-			if err := w.Append(good[3:]); err != nil {
+			if err := w.AppendColumns(ColumnsFromEntries(good[3:])); err != nil {
 				t.Fatalf("append: %v", err)
 			}
 			if err := w.Close(); err != nil {
@@ -444,13 +444,13 @@ func TestWALCorruptSealedSegmentRefusesOpen(t *testing.T) {
 	if err != nil {
 		t.Fatalf("open: %v", err)
 	}
-	if err := w.Append(walBatch(0, 4)); err != nil {
+	if err := w.AppendColumns(ColumnsFromEntries(walBatch(0, 4))); err != nil {
 		t.Fatalf("append: %v", err)
 	}
 	if err := w.Rotate(); err != nil {
 		t.Fatalf("rotate: %v", err)
 	}
-	if err := w.Append(walBatch(4, 4)); err != nil {
+	if err := w.AppendColumns(ColumnsFromEntries(walBatch(4, 4))); err != nil {
 		t.Fatalf("append: %v", err)
 	}
 	if err := w.Close(); err != nil {
@@ -490,7 +490,7 @@ func TestWALBadMagicRefusesOpen(t *testing.T) {
 	if err != nil {
 		t.Fatalf("open: %v", err)
 	}
-	if err := w.Append(walBatch(0, 2)); err != nil {
+	if err := w.AppendColumns(ColumnsFromEntries(walBatch(0, 2))); err != nil {
 		t.Fatalf("append: %v", err)
 	}
 	if err := w.Rotate(); err != nil {
@@ -519,7 +519,7 @@ func TestWALCorruptSnapshotRefusesOpen(t *testing.T) {
 	if err != nil {
 		t.Fatalf("open: %v", err)
 	}
-	if err := w.Append(walBatch(0, 6)); err != nil {
+	if err := w.AppendColumns(ColumnsFromEntries(walBatch(0, 6))); err != nil {
 		t.Fatalf("append: %v", err)
 	}
 	if err := w.Rotate(); err != nil {
@@ -556,7 +556,7 @@ func TestWALReadOnly(t *testing.T) {
 	if err != nil {
 		t.Fatalf("open: %v", err)
 	}
-	if err := w.Append(walBatch(0, 5)); err != nil {
+	if err := w.AppendColumns(ColumnsFromEntries(walBatch(0, 5))); err != nil {
 		t.Fatalf("append: %v", err)
 	}
 	if err := w.Close(); err != nil {
@@ -572,7 +572,7 @@ func TestWALReadOnly(t *testing.T) {
 	if s.Len() != 5 {
 		t.Fatalf("ro replay rows: want 5 got %d", s.Len())
 	}
-	if err := ro.Append(walBatch(5, 1)); !errors.Is(err, ErrWALReadOnly) {
+	if err := ro.AppendColumns(ColumnsFromEntries(walBatch(5, 1))); !errors.Is(err, ErrWALReadOnly) {
 		t.Fatalf("ro append: want ErrWALReadOnly, got %v", err)
 	}
 	segsAfter, _ := listWALFiles(t, dir)
@@ -597,7 +597,7 @@ func TestWALConcurrentAppend(t *testing.T) {
 			defer wg.Done()
 			for b := 0; b < batches; b++ {
 				batch := walBatch(g*1000+b*perBatch, perBatch)
-				if err := w.Append(batch); err != nil {
+				if err := w.AppendColumns(ColumnsFromEntries(batch)); err != nil {
 					errs <- err
 					return
 				}
@@ -638,7 +638,7 @@ func TestWALConcurrentAppend(t *testing.T) {
 
 func TestWALFrameRoundTrip(t *testing.T) {
 	entries := walBatch(0, 17)
-	frame := appendWALFrame(nil, entries)
+	frame := appendWALFrameColumns(nil, ColumnsFromEntries(entries))
 	if len(frame) < 8 {
 		t.Fatalf("frame too short: %d", len(frame))
 	}
@@ -663,7 +663,7 @@ func TestWALFrameRoundTrip(t *testing.T) {
 }
 
 func TestWALDecodeRejectsMalformed(t *testing.T) {
-	good := appendWALFrame(nil, walBatch(0, 2))[8:]
+	good := appendWALFrameColumns(nil, ColumnsFromEntries(walBatch(0, 2)))[8:]
 	cases := []struct {
 		name    string
 		payload []byte
@@ -677,7 +677,7 @@ func TestWALDecodeRejectsMalformed(t *testing.T) {
 			// Rebuild a 1-entry frame and poke the flags byte, which sits
 			// right after the time varint (payload layout: version, count,
 			// varint time, flags, ...).
-			one := appendWALFrame(nil, walBatch(0, 1))[8:]
+			one := appendWALFrameColumns(nil, ColumnsFromEntries(walBatch(0, 1)))[8:]
 			i := 2
 			for one[i]&0x80 != 0 {
 				i++
@@ -706,7 +706,7 @@ func TestWALStats(t *testing.T) {
 	if st := w.Stats(); st.ActiveSegment != 1 || st.SnapshotSegment != -1 {
 		t.Fatalf("fresh stats: %+v", st)
 	}
-	if err := w.Append(walBatch(0, 3)); err != nil {
+	if err := w.AppendColumns(ColumnsFromEntries(walBatch(0, 3))); err != nil {
 		t.Fatalf("append: %v", err)
 	}
 	st := w.Stats()

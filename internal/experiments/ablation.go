@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"sort"
 	"time"
@@ -98,7 +99,7 @@ func AblationRanking(o Options) (*AblationRankingResult, error) {
 	table := &Table{ID: "ablation-ranking", Title: "FMS by FIM ranking criterion (3-cause scenario)",
 		Header: []string{"Ranking", "FMS"}}
 	for _, c := range criteria {
-		mined, err := fim.Mine(v, nil, fim.DefaultThresholds())
+		mined, err := fim.MineContext(context.TODO(), v, nil, fim.DefaultThresholds())
 		if err != nil {
 			return nil, err
 		}
@@ -106,7 +107,7 @@ func AblationRanking(o Options) (*AblationRankingResult, error) {
 			sort.SliceStable(mined, func(i, j int) bool { return c.less(mined[i], mined[j]) })
 		}
 		assocs := rca.SetReduction(mined)
-		causes, err := rca.Counterfactual(v, assocs, fim.DefaultThresholds())
+		causes, err := rca.CounterfactualContext(context.TODO(), v, assocs, fim.DefaultThresholds())
 		if err != nil {
 			return nil, err
 		}
@@ -142,7 +143,7 @@ func AblationBNOnly(o Options) (*AblationBNOnlyResult, error) {
 	testX, labels := testPartition(r, imagesim.Fog, false, o.Seed+21)
 
 	// BN-only (Nazar).
-	bnModel, err := adapt.Adapt(base, pool, adapt.Config{Rng: rng, MinSteps: 20})
+	bnModel, err := adapt.AdaptContext(context.TODO(), base, pool, adapt.Config{Rng: rng, MinSteps: 20})
 	if err != nil {
 		return nil, err
 	}

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"sync"
 
@@ -80,7 +81,7 @@ func getAdaptedSet(o Options, r *animalsRig, method adapt.Method) (*adaptedSet, 
 			}
 		}
 		cfg := adaptCfg(method, r, o.Seed+uint64(len(p)))
-		m, err := adapt.Adapt(base, pool, cfg)
+		m, err := adapt.AdaptContext(context.TODO(), base, pool, cfg)
 		if err != nil {
 			return nil, fmt.Errorf("experiments: adapt %s: %w", p, err)
 		}
@@ -99,7 +100,7 @@ func getAdaptedSet(o Options, r *animalsRig, method adapt.Method) (*adaptedSet, 
 			copy(mixed.Row(i), r.world.Corrupt(src, p, imagesim.DefaultSeverity, rng))
 		}
 	}
-	m, err := adapt.Adapt(base, mixed, adaptCfg(method, r, o.Seed+999))
+	m, err := adapt.AdaptContext(context.TODO(), base, mixed, adaptCfg(method, r, o.Seed+999))
 	if err != nil {
 		return nil, fmt.Errorf("experiments: adapt-all: %w", err)
 	}

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 
 	"nazar/internal/adapt"
@@ -51,7 +52,7 @@ func Extensions(o Options) (*ExtensionsResult, error) {
 	cfg := adapt.Config{Epochs: 2, MinSteps: 20, Rng: tensor.NewRand(o.Seed+52, 1)}
 	res := &ExtensionsResult{DP: map[float64]float64{}, NoAdapt: base.Accuracy(fogX, labels)}
 
-	central, err := adapt.Adapt(base, pool, cfg)
+	central, err := adapt.AdaptContext(context.TODO(), base, pool, cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -90,7 +91,7 @@ func Extensions(o Options) (*ExtensionsResult, error) {
 		for i := 0; i < pool.Rows; i++ {
 			copy(noisy.Row(i), san.Sanitize(pool.Row(i), srng))
 		}
-		m, err := adapt.Adapt(base, noisy, cfg)
+		m, err := adapt.AdaptContext(context.TODO(), base, noisy, cfg)
 		if err != nil {
 			return nil, err
 		}

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"time"
@@ -45,12 +46,13 @@ func Table3Example() (*Table3Result, error) {
 		Title:  "Example drift log",
 		Header: []string{"Time", "Device ID", "Weather", "Location", "Drift"},
 	}
+	entries := make([]driftlog.Entry, 0, len(rows))
 	for _, r := range rows {
 		clock, err := time.Parse("15:04:05", r.clock)
 		if err != nil {
 			return nil, err
 		}
-		s.Append(driftlog.Entry{
+		entries = append(entries, driftlog.Entry{
 			Time: base.Add(time.Duration(clock.Hour())*time.Hour +
 				time.Duration(clock.Minute())*time.Minute +
 				time.Duration(clock.Second())*time.Second),
@@ -64,9 +66,10 @@ func Table3Example() (*Table3Result, error) {
 		})
 		logTable.AddRow(r.clock, r.device, r.weather, r.location, fmt.Sprint(r.drift))
 	}
+	s.AppendBatch(entries)
 
 	v := s.All()
-	mined, err := fim.Mine(v, nil, fim.DefaultThresholds())
+	mined, err := fim.MineContext(context.TODO(), v, nil, fim.DefaultThresholds())
 	if err != nil {
 		return nil, err
 	}
@@ -81,7 +84,7 @@ func Table3Example() (*Table3Result, error) {
 			rr, f3(r.Metrics.Confidence), r.Items.String())
 	}
 
-	causes, err := rca.Analyze(v, rca.DefaultConfig(), rca.Full)
+	causes, err := rca.AnalyzeContext(context.TODO(), v, rca.DefaultConfig(), rca.Full)
 	if err != nil {
 		return nil, err
 	}
@@ -141,6 +144,7 @@ func buildTable5Log(scn Table5Scenario, seed uint64, days, devices, perDay int) 
 	rng := tensor.NewRand(seed, 0x7AB5)
 	gen := weather.NewGenerator(seed)
 	s := driftlog.NewStore()
+	var entries []driftlog.Entry
 	var truth []string
 	var attrs []map[string]string
 	isCause := map[weather.Condition]bool{}
@@ -170,7 +174,7 @@ func buildTable5Log(scn Table5Scenario, seed uint64, days, devices, perDay int) 
 						driftlog.AttrLocation: loc,
 						driftlog.AttrDevice:   devID,
 					}
-					s.Append(driftlog.Entry{
+					entries = append(entries, driftlog.Entry{
 						Time:     day.Add(time.Duration(dev*perDay+k) * time.Minute),
 						Drift:    detected,
 						SampleID: -1,
@@ -182,6 +186,7 @@ func buildTable5Log(scn Table5Scenario, seed uint64, days, devices, perDay int) 
 			}
 		}
 	}
+	s.AppendBatch(entries)
 	return s, truth, attrs
 }
 
@@ -209,7 +214,7 @@ func Table5(o Options) (*Table5Result, error) {
 		v := s.All()
 		row := []string{scn.Name}
 		for _, mode := range modes {
-			causes, err := rca.Analyze(v, rca.DefaultConfig(), mode)
+			causes, err := rca.AnalyzeContext(context.TODO(), v, rca.DefaultConfig(), mode)
 			if err != nil {
 				return nil, err
 			}
@@ -265,7 +270,7 @@ func Fig9d(o Options) (*Fig9dResult, error) {
 		best := math.Inf(1)
 		for rep := 0; rep < 3; rep++ {
 			start := time.Now()
-			if _, err := rca.Analyze(v, rca.DefaultConfig(), rca.Full); err != nil {
+			if _, err := rca.AnalyzeContext(context.TODO(), v, rca.DefaultConfig(), rca.Full); err != nil {
 				return nil, err
 			}
 			if secs := time.Since(start).Seconds(); secs < best {

@@ -13,6 +13,7 @@
 package federated
 
 import (
+	"context"
 	"fmt"
 	"sort"
 	"sync"
@@ -41,7 +42,7 @@ func LocalAdapt(base *nn.Network, x *tensor.Matrix, causeKey, deviceID string, c
 	if x == nil || x.Rows < 2 {
 		return ClientUpdate{}, fmt.Errorf("federated: device %s has too few samples for %s", deviceID, causeKey)
 	}
-	adapted, err := adapt.Adapt(base, x, cfg)
+	adapted, err := adapt.AdaptContext(context.TODO(), base, x, cfg)
 	if err != nil {
 		return ClientUpdate{}, fmt.Errorf("federated: device %s: %w", deviceID, err)
 	}

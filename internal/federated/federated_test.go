@@ -1,6 +1,7 @@
 package federated
 
 import (
+	"context"
 	"strings"
 	"sync"
 	"testing"
@@ -122,7 +123,7 @@ func TestFederatedAggregationRecoversDrift(t *testing.T) {
 		c := i % r.world.Classes()
 		copy(pool.Row(i), r.world.Corrupt(r.world.Sample(c, prng), imagesim.Fog, imagesim.DefaultSeverity, prng))
 	}
-	central, err := adapt.Adapt(r.base, pool, adapt.Config{Rng: prng, Epochs: 2, MinSteps: 20})
+	central, err := adapt.AdaptContext(context.Background(), r.base, pool, adapt.Config{Rng: prng, Epochs: 2, MinSteps: 20})
 	if err != nil {
 		t.Fatal(err)
 	}

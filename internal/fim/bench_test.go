@@ -35,7 +35,7 @@ func BenchmarkMine(b *testing.B) {
 			v := s.WindowScan(time.Time{}, time.Time{})
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := Mine(v, nil, th); err != nil {
+				if _, err := MineContext(context.Background(), v, nil, th); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -44,7 +44,7 @@ func BenchmarkMine(b *testing.B) {
 			v := s.All()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := Mine(v, nil, th); err != nil {
+				if _, err := MineContext(context.Background(), v, nil, th); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -1,6 +1,7 @@
 package fim_test
 
 import (
+	"context"
 	"fmt"
 	"time"
 
@@ -8,9 +9,9 @@ import (
 	"nazar/internal/fim"
 )
 
-// ExampleMine reproduces the paper's Table 2 → Table 3 walkthrough: five
+// ExampleMineContext reproduces the paper's Table 2 → Table 3 walkthrough: five
 // drift-log entries in which snowy weather is the real cause of drift.
-func ExampleMine() {
+func ExampleMineContext() {
 	log := driftlog.NewStore()
 	base := time.Date(2020, 1, 15, 6, 0, 0, 0, time.UTC)
 	rows := []struct {
@@ -24,17 +25,17 @@ func ExampleMine() {
 		{"android_42", "snow", "Helsinki", true},
 	}
 	for i, r := range rows {
-		log.Append(driftlog.Entry{
+		log.AppendBatch([]driftlog.Entry{{
 			Time: base.Add(time.Duration(i) * time.Hour), Drift: r.drift, SampleID: -1,
 			Attrs: map[string]string{
 				driftlog.AttrDevice:   r.device,
 				driftlog.AttrWeather:  r.weather,
 				driftlog.AttrLocation: r.location,
 			},
-		})
+		}})
 	}
 
-	results, err := fim.Mine(log.All(), nil, fim.DefaultThresholds())
+	results, err := fim.MineContext(context.Background(), log.All(), nil, fim.DefaultThresholds())
 	if err != nil {
 		panic(err)
 	}

@@ -172,19 +172,13 @@ func ComputeMetrics(c driftlog.CountResult, totalRows, totalDrift int) Metrics {
 	return m
 }
 
-// Mine runs apriori over the view (with an optional drift overlay) and
-// returns every itemset of size ≤ MaxItems passing all thresholds,
+// MineContext runs apriori over the view (with an optional drift overlay)
+// and returns every itemset of size ≤ MaxItems passing all thresholds,
 // ranked by risk ratio (descending), with occurrence, then smaller size,
-// then key as deterministic tie-breakers.
-func Mine(v *driftlog.View, ov *driftlog.Overlay, th Thresholds) ([]Result, error) {
-	return MineContext(context.Background(), v, ov, th)
-}
-
-// MineContext is Mine with cooperative cancellation: the context is
-// checked at every apriori level boundary and between candidate-counting
-// chunks, so a cancelled analysis returns ctx.Err() without finishing the
-// sweep. For a context that is never cancelled the result is identical to
-// Mine at any worker-pool width.
+// then key as deterministic tie-breakers. The context is checked at every
+// apriori level boundary and between candidate-counting chunks, so a
+// cancelled analysis returns ctx.Err() without finishing the sweep; the
+// result is identical at any worker-pool width.
 func MineContext(ctx context.Context, v *driftlog.View, ov *driftlog.Overlay, th Thresholds) ([]Result, error) {
 	results, _, err := MineCachedContext(ctx, NewSupportCache(v), nil, nil, ov, th)
 	return results, err

@@ -1,6 +1,7 @@
 package fim
 
 import (
+	"context"
 	"encoding/json"
 	"math"
 	"strings"
@@ -25,7 +26,7 @@ func paperLog() *driftlog.Store {
 		{"android_42", "snow", "Helsinki", true},
 	}
 	for i, r := range rows {
-		s.Append(driftlog.Entry{
+		s.AppendBatch([]driftlog.Entry{{
 			Time:     base.Add(time.Duration(i) * time.Hour),
 			Drift:    r.drift,
 			SampleID: -1,
@@ -34,7 +35,7 @@ func paperLog() *driftlog.Store {
 				driftlog.AttrWeather:  r.weather,
 				driftlog.AttrLocation: r.location,
 			},
-		})
+		}})
 	}
 	return s
 }
@@ -121,7 +122,7 @@ func TestComputeMetricsEdgeCases(t *testing.T) {
 
 func TestMinePaperExample(t *testing.T) {
 	v := paperLog().All()
-	results, err := Mine(v, nil, DefaultThresholds())
+	results, err := MineContext(context.Background(), v, nil, DefaultThresholds())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,7 +166,7 @@ func TestMineRespectsMaxItems(t *testing.T) {
 	v := paperLog().All()
 	th := DefaultThresholds()
 	th.MaxItems = 1
-	results, err := Mine(v, nil, th)
+	results, err := MineContext(context.Background(), v, nil, th)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -180,7 +181,7 @@ func TestMineExcludeAttrs(t *testing.T) {
 	v := paperLog().All()
 	th := DefaultThresholds()
 	th.ExcludeAttrs = []string{driftlog.AttrDevice}
-	results, err := Mine(v, nil, th)
+	results, err := MineContext(context.Background(), v, nil, th)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -195,9 +196,9 @@ func TestMineExcludeAttrs(t *testing.T) {
 
 func TestMineNoDrift(t *testing.T) {
 	s := driftlog.NewStore()
-	s.Append(driftlog.Entry{Time: time.Now(), Drift: false, SampleID: -1,
-		Attrs: map[string]string{"weather": "snow"}})
-	results, err := Mine(s.All(), nil, DefaultThresholds())
+	s.AppendBatch([]driftlog.Entry{{Time: time.Now(), Drift: false, SampleID: -1,
+		Attrs: map[string]string{"weather": "snow"}}})
+	results, err := MineContext(context.Background(), s.All(), nil, DefaultThresholds())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -213,7 +214,7 @@ func TestMineWithOverlay(t *testing.T) {
 	if _, err := v.ClearDrift([]driftlog.Cond{{Attr: driftlog.AttrWeather, Value: "snow"}}, overlay); err != nil {
 		t.Fatal(err)
 	}
-	results, err := Mine(v, overlay, DefaultThresholds())
+	results, err := MineContext(context.Background(), v, overlay, DefaultThresholds())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -299,7 +300,7 @@ func TestMinePairPathMatchesDirectCounts(t *testing.T) {
 	// Every level-2 itemset produced via the single-pass pair counting
 	// must carry exactly the counts a direct scan gives.
 	v := paperLog().All()
-	results, err := Mine(v, nil, DefaultThresholds())
+	results, err := MineContext(context.Background(), v, nil, DefaultThresholds())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -60,7 +60,7 @@ func TestIncrementalMineMatchesFresh(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if plain, err := Mine(v1, nil, th); err != nil || !reflect.DeepEqual(res1, plain) {
+		if plain, err := MineContext(context.Background(), v1, nil, th); err != nil || !reflect.DeepEqual(res1, plain) {
 			t.Fatalf("seed %d: cached fresh mine diverges from Mine (err %v)", seed, err)
 		}
 
@@ -135,7 +135,7 @@ func TestIncrementalMineWithOverlayFallsBack(t *testing.T) {
 	if cache != nil {
 		t.Fatal("mining under an overlay must not produce a reusable cache")
 	}
-	plain, err := Mine(v, nil, DefaultThresholds())
+	plain, err := MineContext(context.Background(), v, nil, DefaultThresholds())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"net/http/httptest"
 	"strings"
-	"sync"
 	"testing"
 	"time"
 
@@ -25,6 +24,15 @@ func lightEnv(t *testing.T) *Client {
 	srv := httptest.NewServer(NewServer(svc))
 	t.Cleanup(srv.Close)
 	return NewClient(srv.URL)
+}
+
+// ingestOne ingests a single row (+ optional sample) as a one-row batch.
+func ingestOne(svc *cloud.Service, e driftlog.Entry, sample []float64) error {
+	var samples [][]float64
+	if sample != nil {
+		samples = [][]float64{sample}
+	}
+	return svc.IngestBatchContext(context.Background(), []driftlog.Entry{e}, samples)
 }
 
 func batchEntries(n int, day time.Time) []driftlog.Entry {
@@ -52,14 +60,14 @@ func TestIngestBatchRoundTrip(t *testing.T) {
 			samples[i] = []float64{float64(i), 1, 2, 3, 4, 5, 6, 7}
 		}
 	}
-	n, err := c.IngestBatch(entries, samples)
+	n, err := c.IngestBatchContext(context.Background(), entries, samples)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if n != 10 {
 		t.Fatalf("accepted %d of 10", n)
 	}
-	st, err := c.Status()
+	st, err := c.StatusContext(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,10 +75,10 @@ func TestIngestBatchRoundTrip(t *testing.T) {
 		t.Fatalf("status after batch %+v", st)
 	}
 	// Sample-less batches are accepted too.
-	if _, err := c.IngestBatch(batchEntries(3, day), nil); err != nil {
+	if _, err := c.IngestBatchContext(context.Background(), batchEntries(3, day), nil); err != nil {
 		t.Fatal(err)
 	}
-	st, _ = c.Status()
+	st, _ = c.StatusContext(context.Background())
 	if st.LogRows != 13 || st.Samples != 5 {
 		t.Fatalf("status after sample-less batch %+v", st)
 	}
@@ -92,10 +100,10 @@ func TestIngestBatchMatchesSequential(t *testing.T) {
 	one := cloud.NewService(base, cloud.DefaultConfig())
 	for i := range entries {
 		e := entries[i]
-		one.Ingest(e, samples[i])
+		ingestOne(one, e, samples[i])
 	}
 	many := cloud.NewService(base, cloud.DefaultConfig())
-	if err := many.IngestBatch(append([]driftlog.Entry(nil), entries...), samples); err != nil {
+	if err := many.IngestBatchContext(context.Background(), append([]driftlog.Entry(nil), entries...), samples); err != nil {
 		t.Fatal(err)
 	}
 
@@ -137,128 +145,5 @@ func TestIngestBatchValidation(t *testing.T) {
 				t.Fatalf("expected HTTP 400, got %v", err)
 			}
 		})
-	}
-}
-
-func TestBatcherSizeFlush(t *testing.T) {
-	c := lightEnv(t)
-	b := NewBatcher(c, BatcherConfig{MaxBatch: 4, FlushInterval: -1})
-	day := weather.Day(3)
-	for i, e := range batchEntries(10, day) {
-		if err := b.Add(e, []float64{float64(i)}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// 10 adds at MaxBatch 4: two size-triggered flushes, 2 left buffered.
-	if p := b.Pending(); p != 2 {
-		t.Fatalf("pending %d, want 2", p)
-	}
-	st, err := c.Status()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.LogRows != 8 {
-		t.Fatalf("server saw %d rows before explicit flush", st.LogRows)
-	}
-	if err := b.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	st, _ = c.Status()
-	if st.LogRows != 10 || st.Samples != 10 {
-		t.Fatalf("status after flush %+v", st)
-	}
-	// Flushing an empty buffer is a no-op.
-	if err := b.Flush(); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestBatcherTimedFlush(t *testing.T) {
-	c := lightEnv(t)
-	b := NewBatcher(c, BatcherConfig{MaxBatch: 100, FlushInterval: 30 * time.Millisecond})
-	defer b.Close()
-	day := weather.Day(3)
-	for _, e := range batchEntries(3, day) {
-		if err := b.Add(e, nil); err != nil {
-			t.Fatal(err)
-		}
-	}
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		st, err := c.Status()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if st.LogRows == 3 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("timed flush never shipped (rows=%d)", st.LogRows)
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-}
-
-func TestBatcherClose(t *testing.T) {
-	c := lightEnv(t)
-	b := NewBatcher(c, BatcherConfig{MaxBatch: 100, FlushInterval: -1})
-	day := weather.Day(3)
-	for _, e := range batchEntries(5, day) {
-		if err := b.Add(e, nil); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := b.Close(); err != nil {
-		t.Fatal(err)
-	}
-	st, err := c.Status()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.LogRows != 5 {
-		t.Fatalf("close did not flush: %d rows", st.LogRows)
-	}
-	// Adds after Close ship immediately rather than buffering forever.
-	if err := b.Add(batchEntries(1, day)[0], nil); err != nil {
-		t.Fatal(err)
-	}
-	st, _ = c.Status()
-	if st.LogRows != 6 {
-		t.Fatalf("post-close add lost: %d rows", st.LogRows)
-	}
-}
-
-func TestBatcherConcurrentAdds(t *testing.T) {
-	c := lightEnv(t)
-	b := NewBatcher(c, BatcherConfig{MaxBatch: 8, FlushInterval: -1})
-	day := weather.Day(3)
-	var wg sync.WaitGroup
-	errCh := make(chan error, 8)
-	for w := 0; w < 8; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for _, e := range batchEntries(25, day) {
-				if err := b.Add(e, nil); err != nil {
-					errCh <- err
-					return
-				}
-			}
-		}(w)
-	}
-	wg.Wait()
-	close(errCh)
-	for err := range errCh {
-		t.Fatal(err)
-	}
-	if err := b.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	st, err := c.Status()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.LogRows != 200 {
-		t.Fatalf("lost entries: %d of 200", st.LogRows)
 	}
 }

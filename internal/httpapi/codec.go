@@ -30,7 +30,8 @@ const (
 // BatchFrame is the codec-independent decoded form of one ingest batch:
 // row form (Entries) or columnar form (Columns), plus the optional
 // samples. Exactly one of Entries/Columns is set after a decode; an
-// encode accepts either (a codec converts as needed).
+// encode accepts either (a codec converts as needed). Row form exists
+// only at this edge: the server ingests columns().
 type BatchFrame struct {
 	Entries []driftlog.Entry
 	Columns *driftlog.ColumnarBatch
@@ -52,6 +53,14 @@ func (f *BatchFrame) entries() []driftlog.Entry {
 		return f.Entries
 	}
 	return f.Columns.Entries()
+}
+
+// columns returns the columnar form, adapting row form if needed.
+func (f *BatchFrame) columns() *driftlog.ColumnarBatch {
+	if f.Columns != nil {
+		return f.Columns
+	}
+	return driftlog.ColumnsFromEntries(f.Entries)
 }
 
 // Codec encodes and decodes ingest batches for one media type. Both
@@ -94,8 +103,8 @@ func (JSONCodec) DecodeBatch(r io.Reader, maxEntries int) (*BatchFrame, error) {
 }
 
 // BinaryCodec is the columnar binary codec (internal/wire): CRC32C
-// framed, dictionary-encoded, appended into the drift log through the
-// columnar fast path without a per-row struct round-trip.
+// framed, dictionary-encoded, appended into the drift log without a
+// per-row struct round-trip.
 type BinaryCodec struct{}
 
 // ContentType implements Codec.
@@ -103,11 +112,7 @@ func (BinaryCodec) ContentType() string { return ContentTypeBinary }
 
 // EncodeBatch implements Codec.
 func (BinaryCodec) EncodeBatch(f *BatchFrame) ([]byte, error) {
-	cols := f.Columns
-	if cols == nil {
-		cols = driftlog.ColumnsFromEntries(f.Entries)
-	}
-	return wire.EncodeBatch(&wire.Batch{Columns: *cols, Samples: f.Samples})
+	return wire.EncodeBatch(&wire.Batch{Columns: *f.columns(), Samples: f.Samples})
 }
 
 // DecodeBatch implements Codec.

@@ -2,6 +2,7 @@ package httpapi
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"math/rand"
@@ -59,7 +60,7 @@ func TestBinaryBatchMatchesJSON(t *testing.T) {
 
 	jsonSvc, jsonSrv := newCodecEnv(t)
 	jsonClient := NewClient(jsonSrv.URL)
-	jn, err := jsonClient.IngestBatch(entries, samples)
+	jn, err := jsonClient.IngestBatchContext(context.Background(), entries, samples)
 	if err != nil {
 		t.Fatalf("json ingest: %v", err)
 	}
@@ -67,7 +68,7 @@ func TestBinaryBatchMatchesJSON(t *testing.T) {
 	binSvc, binSrv := newCodecEnv(t)
 	binClient := NewClient(binSrv.URL)
 	binClient.Codec = BinaryCodec{}
-	bn, err := binClient.IngestBatch(entries, samples)
+	bn, err := binClient.IngestBatchContext(context.Background(), entries, samples)
 	if err != nil {
 		t.Fatalf("binary ingest: %v", err)
 	}
@@ -106,7 +107,7 @@ func TestBinarySingleIngest(t *testing.T) {
 		SampleID: -1,
 		Attrs:    map[string]string{driftlog.AttrDevice: "dev_0", driftlog.AttrWeather: "snow"},
 	}
-	if err := c.Ingest(e, []float64{1, 2, 3}); err != nil {
+	if err := c.IngestContext(context.Background(), e, []float64{1, 2, 3}); err != nil {
 		t.Fatal(err)
 	}
 	if svc.Log().Len() != 1 {
@@ -133,7 +134,7 @@ func TestGzipIngest(t *testing.T) {
 		c := NewClient(srv.URL)
 		c.Codec = codec
 		c.Compress = true
-		n, err := c.IngestBatch(entries, samples)
+		n, err := c.IngestBatchContext(context.Background(), entries, samples)
 		if err != nil {
 			t.Fatalf("%s: %v", codec.ContentType(), err)
 		}

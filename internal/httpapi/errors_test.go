@@ -1,6 +1,7 @@
 package httpapi
 
 import (
+	"context"
 	"encoding/json"
 	"errors"
 	"log/slog"
@@ -117,7 +118,7 @@ func TestClientDecodesAPIError(t *testing.T) {
 	defer srv.Close()
 
 	c := NewClient(srv.URL)
-	_, err := c.Adapt(AdaptRequest{})
+	_, err := c.AdaptContext(context.Background(), AdaptRequest{})
 	if err == nil {
 		t.Fatal("expected rejection")
 	}

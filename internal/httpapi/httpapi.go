@@ -233,72 +233,49 @@ func writeServiceError(w http.ResponseWriter, r *http.Request, err error) {
 }
 
 func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
-	codec, ok := negotiateCodec(w, r)
-	if !ok {
-		return
-	}
-	r.Body = http.MaxBytesReader(w, r.Body, maxBodyBytes)
-	body, ok := requestBody(w, r, maxBodyBytes)
-	if !ok {
-		return
-	}
-	if codec.ContentType() == ContentTypeJSON {
-		var req IngestRequest
-		if err := decodeJSON(body, &req); err != nil {
-			writeError(w, http.StatusBadRequest, CodeInvalidJSON, err.Error())
-			return
-		}
-		if req.Entry.Attrs == nil {
-			writeError(w, http.StatusBadRequest, CodeInvalidRequest, "httpapi: entry requires attrs")
-			return
-		}
-		if err := s.svc.IngestContext(r.Context(), req.Entry, req.Sample); err != nil {
-			writeServiceError(w, r, err)
-			return
-		}
-		w.WriteHeader(http.StatusNoContent)
-		return
-	}
-	// Binary single ingest: a one-row batch frame.
-	frame, err := codec.DecodeBatch(body, 1)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, decodeBodyCode(codec), err.Error())
-		return
-	}
-	if frame.Rows() != 1 {
-		writeError(w, http.StatusBadRequest, CodeInvalidRequest, "httpapi: ingest requires exactly one entry")
-		return
-	}
-	if err := s.svc.IngestColumnsContext(r.Context(), frame.Columns, frame.Samples); err != nil {
-		writeServiceError(w, r, err)
-		return
-	}
-	w.WriteHeader(http.StatusNoContent)
+	s.ingest(w, r, 1, maxBodyBytes)
 }
 
 func (s *Server) handleIngestBatch(w http.ResponseWriter, r *http.Request) {
+	s.ingest(w, r, maxBatchEntries, maxBatchBodyBytes)
+}
+
+// ingest serves both ingest routes: negotiate the codec, decode the body
+// to a batch, validate it, hand its columnar form to the service and map
+// the outcome. /v1/ingest is the batch route capped at one row (and
+// acknowledged with 204 instead of a count).
+func (s *Server) ingest(w http.ResponseWriter, r *http.Request, maxRows int, maxBytes int64) {
 	codec, ok := negotiateCodec(w, r)
 	if !ok {
 		return
 	}
-	r.Body = http.MaxBytesReader(w, r.Body, maxBatchBodyBytes)
-	body, ok := requestBody(w, r, maxBatchBodyBytes)
+	r.Body = http.MaxBytesReader(w, r.Body, maxBytes)
+	body, ok := requestBody(w, r, maxBytes)
 	if !ok {
 		return
 	}
-	frame, err := codec.DecodeBatch(body, maxBatchEntries)
+	single := maxRows == 1
+	var frame *BatchFrame
+	var err error
+	if single && codec.ContentType() == ContentTypeJSON {
+		// The one place the routes' wire forms differ: JSON /v1/ingest
+		// carries {"entry":…,"sample":…}, not a one-element batch body.
+		frame, err = decodeIngestRequest(body)
+	} else {
+		frame, err = codec.DecodeBatch(body, maxRows)
+	}
 	if err != nil {
 		writeError(w, http.StatusBadRequest, decodeBodyCode(codec), err.Error())
 		return
 	}
 	rows := frame.Rows()
 	if rows == 0 {
-		writeError(w, http.StatusBadRequest, CodeInvalidRequest, "httpapi: batch requires at least one entry")
+		writeError(w, http.StatusBadRequest, CodeInvalidRequest, "httpapi: ingest requires at least one entry")
 		return
 	}
-	if rows > maxBatchEntries {
+	if rows > maxRows {
 		writeError(w, http.StatusBadRequest, CodeInvalidRequest,
-			fmt.Sprintf("httpapi: batch exceeds %d entries", maxBatchEntries))
+			fmt.Sprintf("httpapi: ingest exceeds %d entries", maxRows))
 		return
 	}
 	if frame.Samples != nil && len(frame.Samples) != rows {
@@ -312,28 +289,37 @@ func (s *Server) handleIngestBatch(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	if frame.Columns != nil {
-		err = s.svc.IngestColumnsContext(r.Context(), frame.Columns, frame.Samples)
-	} else {
-		err = s.svc.IngestBatchContext(r.Context(), frame.Entries, frame.Samples)
-	}
-	if err != nil {
-		if r.Context().Err() != nil {
-			writeError(w, statusClientClosedRequest, CodeCanceled, err.Error())
-			return
-		}
+	if err := s.svc.IngestColumnsContext(r.Context(), frame.columns(), frame.Samples); err != nil {
 		// A durability failure is the server's problem, not the batch's:
 		// it must surface as a 5xx so the transport retries the batch
 		// (against a restarted, replayed service) instead of dropping it
 		// as poison the way it treats 4xx.
-		if errors.Is(err, cloud.ErrDurability) {
-			writeError(w, http.StatusInternalServerError, CodeInternal, err.Error())
-			return
+		if r.Context().Err() != nil || errors.Is(err, cloud.ErrDurability) {
+			writeServiceError(w, r, err)
+		} else {
+			writeError(w, http.StatusBadRequest, CodeInvalidRequest, err.Error())
 		}
-		writeError(w, http.StatusBadRequest, CodeInvalidRequest, err.Error())
+		return
+	}
+	if single {
+		w.WriteHeader(http.StatusNoContent)
 		return
 	}
 	writeJSON(w, IngestBatchResponse{Accepted: rows})
+}
+
+// decodeIngestRequest decodes the JSON body of POST /v1/ingest as a
+// one-row batch.
+func decodeIngestRequest(r io.Reader) (*BatchFrame, error) {
+	var req IngestRequest
+	if err := decodeJSON(r, &req); err != nil {
+		return nil, err
+	}
+	f := &BatchFrame{Entries: []driftlog.Entry{req.Entry}}
+	if req.Sample != nil {
+		f.Samples = [][]float64{req.Sample}
+	}
+	return f, nil
 }
 
 func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
@@ -505,9 +491,9 @@ func writeJSON(w http.ResponseWriter, v any) {
 	}
 }
 
-// Client is the device-side API client. Every method has a Context
-// variant; the plain forms use context.Background(). Non-2xx responses
-// surface as *APIError (match with errors.As).
+// Client is the device-side API client. Every call takes a context for
+// request cancellation. Non-2xx responses surface as *APIError (match
+// with errors.As).
 type Client struct {
 	BaseURL string
 	HTTP    *http.Client
@@ -533,12 +519,7 @@ func (c *Client) ingestCodec() Codec {
 	return JSONCodec{}
 }
 
-// Ingest reports one entry (+ optional sample).
-func (c *Client) Ingest(entry driftlog.Entry, sample []float64) error {
-	return c.IngestContext(context.Background(), entry, sample)
-}
-
-// IngestContext is Ingest with request cancellation.
+// IngestContext reports one entry (+ optional sample).
 func (c *Client) IngestContext(ctx context.Context, entry driftlog.Entry, sample []float64) error {
 	codec := c.ingestCodec()
 	if codec.ContentType() == ContentTypeJSON {
@@ -560,15 +541,10 @@ func (c *Client) IngestContext(ctx context.Context, entry driftlog.Entry, sample
 	return c.postRaw(ctx, "/v1/ingest", codec.ContentType(), data, nil)
 }
 
-// IngestBatch reports many entries in one round-trip. samples may be nil,
-// or the same length as entries with nil rows for sample-less entries.
-func (c *Client) IngestBatch(entries []driftlog.Entry, samples [][]float64) (int, error) {
-	return c.IngestBatchContext(context.Background(), entries, samples)
-}
-
-// IngestBatchContext is IngestBatch with request cancellation. The body
-// is rendered by the configured Codec (JSON by default) and gzipped
-// when Compress is set; the acknowledgement is always JSON.
+// IngestBatchContext reports many entries in one round-trip. samples may
+// be nil, or the same length as entries with nil rows for sample-less
+// entries. The body is rendered by the configured Codec (JSON by default)
+// and gzipped when Compress is set; the acknowledgement is always JSON.
 func (c *Client) IngestBatchContext(ctx context.Context, entries []driftlog.Entry, samples [][]float64) (int, error) {
 	codec := c.ingestCodec()
 	data, err := codec.EncodeBatch(&BatchFrame{Entries: entries, Samples: samples})
@@ -580,37 +556,24 @@ func (c *Client) IngestBatchContext(ctx context.Context, entries []driftlog.Entr
 	return resp.Accepted, err
 }
 
-// Diagnose runs analysis only (manual mode) and returns the full causes.
-func (c *Client) Diagnose(req AnalyzeRequest) ([]rca.Cause, error) {
-	return c.DiagnoseContext(context.Background(), req)
-}
-
-// DiagnoseContext is Diagnose with request cancellation.
+// DiagnoseContext runs analysis only (manual mode) and returns the full
+// causes.
 func (c *Client) DiagnoseContext(ctx context.Context, req AnalyzeRequest) ([]rca.Cause, error) {
 	var resp DiagnoseResponse
 	err := c.post(ctx, "/v1/diagnose", req, &resp)
 	return resp.Causes, err
 }
 
-// Adapt requests adaptation of the selected causes (manual mode).
-func (c *Client) Adapt(req AdaptRequest) ([]adapt.BNVersion, error) {
-	return c.AdaptContext(context.Background(), req)
-}
-
-// AdaptContext is Adapt with request cancellation: cancelling aborts the
-// server-side adaptation fan-out, not just the HTTP wait.
+// AdaptContext requests adaptation of the selected causes (manual mode).
+// Cancelling aborts the server-side adaptation fan-out, not just the HTTP
+// wait.
 func (c *Client) AdaptContext(ctx context.Context, req AdaptRequest) ([]adapt.BNVersion, error) {
 	var resp VersionsResponse
 	err := c.post(ctx, "/v1/adapt", req, &resp)
 	return resp.Versions, err
 }
 
-// Analyze triggers an analysis/adaptation cycle.
-func (c *Client) Analyze(req AnalyzeRequest) (AnalyzeResponse, error) {
-	return c.AnalyzeContext(context.Background(), req)
-}
-
-// AnalyzeContext is Analyze with request cancellation: cancelling aborts
+// AnalyzeContext triggers an analysis/adaptation cycle. Cancelling aborts
 // the in-flight window server-side.
 func (c *Client) AnalyzeContext(ctx context.Context, req AnalyzeRequest) (AnalyzeResponse, error) {
 	var resp AnalyzeResponse
@@ -618,12 +581,7 @@ func (c *Client) AnalyzeContext(ctx context.Context, req AnalyzeRequest) (Analyz
 	return resp, err
 }
 
-// Versions pulls versions created at or after since.
-func (c *Client) Versions(since time.Time) ([]adapt.BNVersion, error) {
-	return c.VersionsContext(context.Background(), since)
-}
-
-// VersionsContext is Versions with request cancellation.
+// VersionsContext pulls versions created at or after since.
 func (c *Client) VersionsContext(ctx context.Context, since time.Time) ([]adapt.BNVersion, error) {
 	var vr VersionsResponse
 	if err := c.getJSON(ctx, "/v1/versions"+sinceQuery(since), &vr); err != nil {
@@ -632,12 +590,7 @@ func (c *Client) VersionsContext(ctx context.Context, since time.Time) ([]adapt.
 	return vr.Versions, nil
 }
 
-// RefBN downloads the pinned delta-reference BN snapshot.
-func (c *Client) RefBN() (*nn.BNSnapshot, error) {
-	return c.RefBNContext(context.Background())
-}
-
-// RefBNContext is RefBN with request cancellation.
+// RefBNContext downloads the pinned delta-reference BN snapshot.
 func (c *Client) RefBNContext(ctx context.Context) (*nn.BNSnapshot, error) {
 	data, err := c.getRaw(ctx, "/v1/refbn")
 	if err != nil {
@@ -646,13 +599,9 @@ func (c *Client) RefBNContext(ctx context.Context) (*nn.BNSnapshot, error) {
 	return nn.DecodeBNSnapshot(data)
 }
 
-// Deltas pulls delta-compressed versions created at or after since and
-// reconstructs them against the reference snapshot (checksum-verified).
-func (c *Client) Deltas(since time.Time, ref *nn.BNSnapshot) ([]adapt.BNVersion, error) {
-	return c.DeltasContext(context.Background(), since, ref)
-}
-
-// DeltasContext is Deltas with request cancellation.
+// DeltasContext pulls delta-compressed versions created at or after since
+// and reconstructs them against the reference snapshot
+// (checksum-verified).
 func (c *Client) DeltasContext(ctx context.Context, since time.Time, ref *nn.BNSnapshot) ([]adapt.BNVersion, error) {
 	var dr DeltasResponse
 	if err := c.getJSON(ctx, "/v1/deltas"+sinceQuery(since), &dr); err != nil {
@@ -675,12 +624,7 @@ func (c *Client) DeltasContext(ctx context.Context, since time.Time, ref *nn.BNS
 	return out, nil
 }
 
-// Base downloads the current base model snapshot.
-func (c *Client) Base() (*nn.NetSnapshot, error) {
-	return c.BaseContext(context.Background())
-}
-
-// BaseContext is Base with request cancellation.
+// BaseContext downloads the current base model snapshot.
 func (c *Client) BaseContext(ctx context.Context) (*nn.NetSnapshot, error) {
 	data, err := c.getRaw(ctx, "/v1/base")
 	if err != nil {
@@ -689,12 +633,7 @@ func (c *Client) BaseContext(ctx context.Context) (*nn.NetSnapshot, error) {
 	return nn.DecodeNetSnapshot(data)
 }
 
-// Status fetches service counters.
-func (c *Client) Status() (StatusResponse, error) {
-	return c.StatusContext(context.Background())
-}
-
-// StatusContext is Status with request cancellation.
+// StatusContext fetches service counters.
 func (c *Client) StatusContext(ctx context.Context) (StatusResponse, error) {
 	var sr StatusResponse
 	err := c.getJSON(ctx, "/v1/status", &sr)

@@ -2,6 +2,7 @@ package httpapi
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"net/http/httptest"
 	"strings"
@@ -46,7 +47,7 @@ func newEnv(t *testing.T) (*Client, *imagesim.World, *nn.Network) {
 
 func TestStatusEmpty(t *testing.T) {
 	c, _, _ := newEnv(t)
-	st, err := c.Status()
+	st, err := c.StatusContext(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,11 +79,11 @@ func TestIngestAnalyzePullRoundTrip(t *testing.T) {
 				driftlog.AttrDevice:   "dev0",
 			},
 		}
-		if err := c.Ingest(entry, x); err != nil {
+		if err := c.IngestContext(context.Background(), entry, x); err != nil {
 			t.Fatal(err)
 		}
 	}
-	st, err := c.Status()
+	st, err := c.StatusContext(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,7 +91,7 @@ func TestIngestAnalyzePullRoundTrip(t *testing.T) {
 		t.Fatalf("status after ingest %+v", st)
 	}
 
-	resp, err := c.Analyze(AnalyzeRequest{Now: day.AddDate(0, 0, 1)})
+	resp, err := c.AnalyzeContext(context.Background(), AnalyzeRequest{Now: day.AddDate(0, 0, 1)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,7 +112,7 @@ func TestIngestAnalyzePullRoundTrip(t *testing.T) {
 	}
 
 	// Pull versions and install on a fresh device pool.
-	versions, err := c.Versions(time.Time{})
+	versions, err := c.VersionsContext(context.Background(), time.Time{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,7 +146,7 @@ func TestIngestAnalyzePullRoundTrip(t *testing.T) {
 
 	// Versions filtered by since: everything is newer than a past time,
 	// nothing newer than a future one.
-	future, err := c.Versions(day.AddDate(1, 0, 0))
+	future, err := c.VersionsContext(context.Background(), day.AddDate(1, 0, 0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,7 +157,7 @@ func TestIngestAnalyzePullRoundTrip(t *testing.T) {
 
 func TestBaseDownload(t *testing.T) {
 	c, world, base := newEnv(t)
-	snap, err := c.Base()
+	snap, err := c.BaseContext(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -176,7 +177,7 @@ func TestBaseDownload(t *testing.T) {
 
 func TestIngestValidation(t *testing.T) {
 	c, _, _ := newEnv(t)
-	err := c.Ingest(driftlog.Entry{Time: time.Now()}, nil)
+	err := c.IngestContext(context.Background(), driftlog.Entry{Time: time.Now()}, nil)
 	if err == nil {
 		t.Fatal("entry without attrs must be rejected")
 	}
@@ -222,7 +223,7 @@ func TestManualModeOverHTTP(t *testing.T) {
 			cond = "snow"
 		}
 		msp := tensor.Max(tensor.Softmax(base.LogitsOne(x)))
-		err := c.Ingest(driftlog.Entry{
+		err := c.IngestContext(context.Background(), driftlog.Entry{
 			Time:  day.Add(time.Duration(i) * time.Minute),
 			Drift: msp < 0.95,
 			Attrs: map[string]string{
@@ -236,14 +237,14 @@ func TestManualModeOverHTTP(t *testing.T) {
 		}
 	}
 	// 1. Diagnose only: causes returned, nothing deployed.
-	causes, err := c.Diagnose(AnalyzeRequest{Now: day.AddDate(0, 0, 1)})
+	causes, err := c.DiagnoseContext(context.Background(), AnalyzeRequest{Now: day.AddDate(0, 0, 1)})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(causes) == 0 {
 		t.Fatal("no causes diagnosed")
 	}
-	vs, err := c.Versions(time.Time{})
+	vs, err := c.VersionsContext(context.Background(), time.Time{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -260,7 +261,7 @@ func TestManualModeOverHTTP(t *testing.T) {
 	if len(selected) == 0 {
 		t.Fatalf("no snow cause among %v", causes)
 	}
-	versions, err := c.Adapt(AdaptRequest{Causes: selected, Now: day.AddDate(0, 0, 1)})
+	versions, err := c.AdaptContext(context.Background(), AdaptRequest{Causes: selected, Now: day.AddDate(0, 0, 1)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -276,7 +277,7 @@ func TestManualModeOverHTTP(t *testing.T) {
 
 func TestAdaptRequiresCauses(t *testing.T) {
 	c, _, _ := newEnv(t)
-	if _, err := c.Adapt(AdaptRequest{}); err == nil {
+	if _, err := c.AdaptContext(context.Background(), AdaptRequest{}); err == nil {
 		t.Fatal("empty cause list must be rejected")
 	}
 }
@@ -306,7 +307,7 @@ func TestConcurrentIngestOverHTTP(t *testing.T) {
 			rng := tensor.NewRand(uint64(w), 99)
 			for i := 0; i < 25; i++ {
 				x := world.Sample(i%8, rng)
-				err := c.Ingest(driftlog.Entry{
+				err := c.IngestContext(context.Background(), driftlog.Entry{
 					Time:  day.Add(time.Duration(i) * time.Minute),
 					Drift: i%2 == 0,
 					Attrs: map[string]string{
@@ -326,7 +327,7 @@ func TestConcurrentIngestOverHTTP(t *testing.T) {
 	for err := range errCh {
 		t.Fatal(err)
 	}
-	st, err := c.Status()
+	st, err := c.StatusContext(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -348,7 +349,7 @@ func TestDeltaPullRoundTrip(t *testing.T) {
 			cond = "fog"
 		}
 		msp := tensor.Max(tensor.Softmax(base.LogitsOne(x)))
-		if err := c.Ingest(driftlog.Entry{
+		if err := c.IngestContext(context.Background(), driftlog.Entry{
 			Time:  day.Add(time.Duration(i) * time.Minute),
 			Drift: msp < 0.95,
 			Attrs: map[string]string{
@@ -360,19 +361,19 @@ func TestDeltaPullRoundTrip(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if _, err := c.Analyze(AnalyzeRequest{Now: day.AddDate(0, 0, 1)}); err != nil {
+	if _, err := c.AnalyzeContext(context.Background(), AnalyzeRequest{Now: day.AddDate(0, 0, 1)}); err != nil {
 		t.Fatal(err)
 	}
 
-	ref, err := c.RefBN()
+	ref, err := c.RefBNContext(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
-	full, err := c.Versions(time.Time{})
+	full, err := c.VersionsContext(context.Background(), time.Time{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	compact, err := c.Deltas(time.Time{}, ref)
+	compact, err := c.DeltasContext(context.Background(), time.Time{}, ref)
 	if err != nil {
 		t.Fatal(err)
 	}

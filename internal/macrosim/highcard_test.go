@@ -1,6 +1,7 @@
 package macrosim
 
 import (
+	"context"
 	"slices"
 	"strings"
 	"testing"
@@ -100,8 +101,11 @@ func TestHighCardValue(t *testing.T) {
 type serviceSink struct{ svc *cloud.Service }
 
 func (s serviceSink) Report(e driftlog.Entry, sample []float64) error {
-	s.svc.Ingest(e, sample)
-	return nil
+	var samples [][]float64
+	if sample != nil {
+		samples = [][]float64{sample}
+	}
+	return s.svc.IngestBatchContext(context.Background(), []driftlog.Entry{e}, samples)
 }
 
 // TestHighCardSketchEndToEnd runs the checked-in high-cardinality

@@ -1,6 +1,7 @@
 package pipeline
 
 import (
+	"context"
 	"math"
 	"reflect"
 	"testing"
@@ -155,7 +156,7 @@ func TestAnalysisDeterministicAcrossIndexAndPoolWidths(t *testing.T) {
 		} else {
 			v = s.All()
 		}
-		causes, err := rca.Analyze(v, rca.DefaultConfig(), rca.Full)
+		causes, err := rca.AnalyzeContext(context.Background(), v, rca.DefaultConfig(), rca.Full)
 		tensor.SetMaxWorkers(0)
 		if err != nil {
 			t.Fatalf("%s: %v", va.name, err)

@@ -7,6 +7,7 @@
 package pipeline
 
 import (
+	"context"
 	"fmt"
 	"time"
 
@@ -223,6 +224,7 @@ func Run(ds *dataset.Dataset, base *nn.Network, cfg Config) (*Result, error) {
 	if cfg.DetectorThreshold <= 0 {
 		cfg.DetectorThreshold = detect.DefaultMSPThreshold
 	}
+	ctx := context.TODO() // Run's signature carries no context yet
 	rng := tensor.NewRand(cfg.Seed, 0xE2E)
 	var gen weather.Source = cfg.Weather
 	if gen == nil {
@@ -328,6 +330,10 @@ func Run(ds *dataset.Dataset, base *nn.Network, cfg Config) (*Result, error) {
 		var winAll, winDrift metrics.RunningAccuracy
 		detected := 0
 		var allSamples [][]float64
+		// The window's reports, handed to the cloud in one batch when the
+		// window closes (nothing reads the log before then).
+		var reports []driftlog.Entry
+		var uploads [][]float64
 
 		for _, item := range items {
 			cond, err := gen.ConditionAt(item.Location, item.Time.Truncate(24*time.Hour))
@@ -376,11 +382,12 @@ func Run(ds *dataset.Dataset, base *nn.Network, cfg Config) (*Result, error) {
 			}
 			switch cfg.Strategy {
 			case Nazar:
-				svc.Ingest(entry, sample)
+				reports = append(reports, entry)
+				uploads = append(uploads, sample)
 			case FederatedNazar:
 				// Metadata goes to the cloud; the sampled input stays
 				// in the device's local buffer.
-				svc.Ingest(entry, nil)
+				reports = append(reports, entry)
 				if sample != nil {
 					buf := append(fedBuffers[item.DeviceID],
 						buffered{attrs: entry.Attrs, x: sample, drift: entry.Drift})
@@ -397,6 +404,12 @@ func Run(ds *dataset.Dataset, base *nn.Network, cfg Config) (*Result, error) {
 				if sample != nil && entry.Drift {
 					allSamples = append(allSamples, sample)
 				}
+			}
+		}
+
+		if len(reports) > 0 {
+			if err := svc.IngestBatchContext(ctx, reports, uploads); err != nil {
+				return nil, fmt.Errorf("pipeline: window %d ingest: %w", w, err)
 			}
 		}
 
@@ -418,7 +431,7 @@ func Run(ds *dataset.Dataset, base *nn.Network, cfg Config) (*Result, error) {
 			if cfg.CumulativeAnalysis {
 				from = weather.Start
 			}
-			wres, err := svc.RunWindow(from, to, to)
+			wres, err := svc.RunWindowContext(ctx, from, to, to)
 			if err != nil {
 				return nil, fmt.Errorf("pipeline: window %d: %w", w, err)
 			}
@@ -442,7 +455,7 @@ func Run(ds *dataset.Dataset, base *nn.Network, cfg Config) (*Result, error) {
 				from = weather.Start
 			}
 			rcaStart := time.Now()
-			causes, err := svc.Diagnose(from, to, to)
+			causes, err := svc.DiagnoseContext(ctx, from, to, to)
 			if err != nil {
 				return nil, fmt.Errorf("pipeline: federated diagnose window %d: %w", w, err)
 			}
@@ -510,7 +523,9 @@ func Run(ds *dataset.Dataset, base *nn.Network, cfg Config) (*Result, error) {
 					copy(pool.Row(i), s)
 				}
 				start := time.Now()
-				adapted, err := adapt.All(currentAll, pool, cfg.Cloud.AdaptCfg)
+				// The adapt-all baseline (Ekya-style systems, plain TENT):
+				// one model adapted on the pooled samples of every cause.
+				adapted, err := adapt.AdaptContext(ctx, currentAll, pool, cfg.Cloud.AdaptCfg)
 				if err != nil {
 					return nil, fmt.Errorf("pipeline: adapt-all: %w", err)
 				}

@@ -1,6 +1,7 @@
 package rca_test
 
 import (
+	"context"
 	"fmt"
 	"time"
 
@@ -8,11 +9,11 @@ import (
 	"nazar/internal/rca"
 )
 
-// ExampleAnalyze runs the full Algorithm 1 — FIM, set reduction and
+// ExampleAnalyzeContext runs the full Algorithm 1 — FIM, set reduction and
 // counterfactual analysis — on the paper's example drift log. The
 // overlapping causes ({New York}, {snow, New York}, ...) that frequent
 // itemset mining produces are pruned down to the single real cause.
-func ExampleAnalyze() {
+func ExampleAnalyzeContext() {
 	log := driftlog.NewStore()
 	base := time.Date(2020, 1, 15, 6, 0, 0, 0, time.UTC)
 	rows := []struct {
@@ -26,17 +27,17 @@ func ExampleAnalyze() {
 		{"android_42", "snow", "Helsinki", true},
 	}
 	for i, r := range rows {
-		log.Append(driftlog.Entry{
+		log.AppendBatch([]driftlog.Entry{{
 			Time: base.Add(time.Duration(i) * time.Hour), Drift: r.drift, SampleID: -1,
 			Attrs: map[string]string{
 				driftlog.AttrDevice:   r.device,
 				driftlog.AttrWeather:  r.weather,
 				driftlog.AttrLocation: r.location,
 			},
-		})
+		}})
 	}
 
-	causes, err := rca.Analyze(log.All(), rca.DefaultConfig(), rca.Full)
+	causes, err := rca.AnalyzeContext(context.Background(), log.All(), rca.DefaultConfig(), rca.Full)
 	if err != nil {
 		panic(err)
 	}

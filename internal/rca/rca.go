@@ -120,13 +120,8 @@ func (m Mode) String() string {
 	}
 }
 
-// Analyze runs root-cause analysis over the drift-log view in the given
-// mode and returns the final causes in rank order.
-func Analyze(v *driftlog.View, cfg Config, mode Mode) ([]Cause, error) {
-	return AnalyzeContext(context.Background(), v, cfg, mode)
-}
-
-// AnalyzeContext is Analyze with cooperative cancellation: mining and
+// AnalyzeContext runs root-cause analysis over the drift-log view in the
+// given mode and returns the final causes in rank order. Mining and
 // counterfactual rescoring both check the context between stages and
 // between worker-pool chunks, returning ctx.Err() when the analysis is
 // abandoned mid-window.
@@ -192,17 +187,12 @@ func AnalyzeIncrementalContext(ctx context.Context, v *driftlog.View, delta *dri
 	}
 }
 
-// Counterfactual implements the loop of Algorithm 1 (Figure 3c): walk the
-// coarse associations in rank order; if the coarse cause is still
-// statistically significant after earlier causes' drift has been
+// CounterfactualContext implements the loop of Algorithm 1 (Figure 3c):
+// walk the coarse associations in rank order; if the coarse cause is
+// still statistically significant after earlier causes' drift has been
 // counterfactually cleared, accept it and clear its drift; otherwise
-// fall back to any of its subsets that remain significant.
-func Counterfactual(v *driftlog.View, assocs []Association, th fim.Thresholds) ([]Cause, error) {
-	return CounterfactualContext(context.Background(), v, assocs, th)
-}
-
-// CounterfactualContext is Counterfactual with cooperative cancellation
-// (checked once per association and between rescoring chunks).
+// fall back to any of its subsets that remain significant. The context
+// is checked once per association and between rescoring chunks.
 func CounterfactualContext(ctx context.Context, v *driftlog.View, assocs []Association, th fim.Thresholds) ([]Cause, error) {
 	return counterfactualCached(ctx, fim.NewSupportCache(v), assocs, th)
 }

@@ -1,6 +1,7 @@
 package rca
 
 import (
+	"context"
 	"testing"
 	"time"
 
@@ -26,21 +27,21 @@ func paperLog() *driftlog.Store {
 		{"android_42", "snow", "Helsinki", true},
 	}
 	for i, r := range rows {
-		s.Append(driftlog.Entry{
+		s.AppendBatch([]driftlog.Entry{{
 			Time: base.Add(time.Duration(i) * time.Hour), Drift: r.drift, SampleID: -1,
 			Attrs: map[string]string{
 				driftlog.AttrDevice:   r.device,
 				driftlog.AttrWeather:  r.weather,
 				driftlog.AttrLocation: r.location,
 			},
-		})
+		}})
 	}
 	return s
 }
 
 func TestSetReductionMergesIntoHighestRank(t *testing.T) {
 	v := paperLog().All()
-	results, err := fim.Mine(v, nil, fim.DefaultThresholds())
+	results, err := fim.MineContext(context.Background(), v, nil, fim.DefaultThresholds())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,7 +80,7 @@ func TestSetReductionMergesIntoHighestRank(t *testing.T) {
 
 func TestFullAnalysisPaperExample(t *testing.T) {
 	v := paperLog().All()
-	causes, err := Analyze(v, DefaultConfig(), Full)
+	causes, err := AnalyzeContext(context.Background(), v, DefaultConfig(), Full)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,7 +106,7 @@ func TestModeOrdering(t *testing.T) {
 	v := paperLog().All()
 	counts := map[Mode]int{}
 	for _, m := range []Mode{FIMOnly, FIMSetReduction, Full} {
-		causes, err := Analyze(v, DefaultConfig(), m)
+		causes, err := AnalyzeContext(context.Background(), v, DefaultConfig(), m)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -191,10 +192,10 @@ func buildScenario(trueCauses []weather.Condition, seed uint64) (*driftlog.Store
 						driftlog.AttrLocation: loc,
 						driftlog.AttrDevice:   loc + "-dev",
 					}
-					s.Append(driftlog.Entry{
+					s.AppendBatch([]driftlog.Entry{{
 						Time: day.Add(time.Duration(dev) * time.Hour), Drift: detected,
 						SampleID: -1, Attrs: a,
-					})
+					}})
 					truth = append(truth, label)
 					attrs = append(attrs, a)
 				}
@@ -215,7 +216,7 @@ func TestScenarioFullBeatsOrMatchesFIM(t *testing.T) {
 		s, truth, attrs := buildScenario(scenario, 2)
 		v := s.All()
 		score := func(mode Mode) float64 {
-			causes, err := Analyze(v, DefaultConfig(), mode)
+			causes, err := AnalyzeContext(context.Background(), v, DefaultConfig(), mode)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -238,7 +239,7 @@ func TestScenarioFullBeatsOrMatchesFIM(t *testing.T) {
 
 func TestCounterfactualSuppressesCoveredCauses(t *testing.T) {
 	s, _, _ := buildScenario([]weather.Condition{weather.Snow}, 2)
-	causes, err := Analyze(s.All(), DefaultConfig(), Full)
+	causes, err := AnalyzeContext(context.Background(), s.All(), DefaultConfig(), Full)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -255,7 +256,7 @@ func TestCounterfactualSuppressesCoveredCauses(t *testing.T) {
 	if !foundSnow {
 		t.Fatalf("snow not identified; causes: %v", causes)
 	}
-	fimCauses, err := Analyze(s.All(), DefaultConfig(), FIMOnly)
+	fimCauses, err := AnalyzeContext(context.Background(), s.All(), DefaultConfig(), FIMOnly)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -274,13 +275,13 @@ func TestModeString(t *testing.T) {
 }
 
 func TestAnalyzeUnknownMode(t *testing.T) {
-	if _, err := Analyze(paperLog().All(), DefaultConfig(), Mode(42)); err == nil {
+	if _, err := AnalyzeContext(context.Background(), paperLog().All(), DefaultConfig(), Mode(42)); err == nil {
 		t.Fatal("expected error")
 	}
 }
 
 func TestAnalyzeEmptyLog(t *testing.T) {
-	causes, err := Analyze(driftlog.NewStore().All(), DefaultConfig(), Full)
+	causes, err := AnalyzeContext(context.Background(), driftlog.NewStore().All(), DefaultConfig(), Full)
 	if err != nil {
 		t.Fatal(err)
 	}

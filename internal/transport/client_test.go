@@ -118,7 +118,7 @@ func newTestClient(t *testing.T, srv *httptest.Server, mutate func(*Config)) (*C
 	if mutate != nil {
 		mutate(&cfg)
 	}
-	c := New(srv.URL, cfg)
+	c := NewClient(srv.URL, WithConfig(cfg))
 	t.Cleanup(func() {
 		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 		defer cancel()
@@ -313,7 +313,7 @@ func TestClientCloseLeaksNoGoroutines(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		clock := newFakeClock()
 		sleeper := &fakeSleeper{clock: clock}
-		c := New(ts.URL, Config{
+		c := NewClient(ts.URL, WithConfig(Config{
 			FlushInterval: time.Millisecond,
 			// Keep-alives would park connection goroutines in the shared
 			// pool and fail the leak accounting below.
@@ -321,7 +321,7 @@ func TestClientCloseLeaksNoGoroutines(t *testing.T) {
 			Logger:        slog.New(slog.NewTextHandler(io.Discard, nil)),
 			Now:           clock.Now,
 			Sleep:         sleeper.Sleep,
-		})
+		}))
 		if err := c.Report(entryN(i), nil); err != nil {
 			t.Fatal(err)
 		}

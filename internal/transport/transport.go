@@ -251,15 +251,6 @@ func NewClient(baseURL string, opts ...Option) *Client {
 	return c
 }
 
-// New returns a started client for the given server URL.
-//
-// Deprecated: use NewClient with WithConfig (plus WithCodec /
-// WithCompression / WithBatcher as needed). Kept as a thin wrapper so
-// existing call sites migrate mechanically.
-func New(baseURL string, cfg Config) *Client {
-	return NewClient(baseURL, WithConfig(cfg))
-}
-
 // Report queues one drift-log entry (+ optional sample) for delivery.
 // It never blocks on the network; when the spool is full the oldest
 // unacknowledged entry is dropped to make room. The entry is only

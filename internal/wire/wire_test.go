@@ -1,15 +1,25 @@
 package wire_test
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
+	"log/slog"
 	"math/rand"
+	"net/http"
+	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
 	"time"
 
+	"nazar/internal/cloud"
 	"nazar/internal/driftlog"
+	"nazar/internal/httpapi"
+	"nazar/internal/nn"
 	"nazar/internal/tensor"
 	"nazar/internal/wire"
 )
@@ -94,66 +104,197 @@ func allNil(samples [][]float64) bool {
 	return true
 }
 
-// TestBinaryJSONDifferential pins the API redesign's core promise: a
-// batch shipped through the binary frame and appended columnar leaves
-// the store in exactly the state the JSON row path produces — across
-// odd shard fills, empty batches, and at compute pool widths 1 and 8.
+// ingestRoutes are the four ways a batch reaches the one ingest path.
+var ingestRoutes = []struct {
+	name   string
+	path   string
+	binary bool
+}{
+	{"batch/json", "/v1/ingest/batch", false},
+	{"batch/binary", "/v1/ingest/batch", true},
+	{"single/json", "/v1/ingest", false},
+	{"single/binary", "/v1/ingest", true},
+}
+
+// postIngest serves one POST straight through the handler and returns the
+// status and the error envelope's code ("" on success).
+// quiet drops the server's per-request log lines.
+var quiet = httpapi.WithLogger(slog.New(slog.NewTextHandler(io.Discard, nil)))
+
+func postIngest(t *testing.T, h http.Handler, path string, binary bool, body []byte) (int, string) {
+	t.Helper()
+	req := httptest.NewRequest(http.MethodPost, path, bytes.NewReader(body))
+	req.Header.Set("Content-Type", httpapi.ContentTypeJSON)
+	if binary {
+		req.Header.Set("Content-Type", httpapi.ContentTypeBinary)
+	}
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, req)
+	var env struct {
+		Error struct {
+			Code string `json:"code"`
+		} `json:"error"`
+	}
+	if rec.Code >= 300 {
+		if err := json.Unmarshal(rec.Body.Bytes(), &env); err != nil {
+			t.Fatalf("%s: status %d with a non-envelope body %q", path, rec.Code, rec.Body.String())
+		}
+	}
+	return rec.Code, env.Error.Code
+}
+
+// routeBodies renders the batch as the request bodies one route takes:
+// one body on the batch routes, one per row on the single routes.
+func routeBodies(t *testing.T, path string, binary bool, entries []driftlog.Entry, samples [][]float64) [][]byte {
+	t.Helper()
+	sampleOf := func(i int) []float64 {
+		if samples == nil {
+			return nil
+		}
+		return samples[i]
+	}
+	encode := func(v any, entries []driftlog.Entry, samples [][]float64) []byte {
+		if binary {
+			frame, err := wire.EncodeBatch(wire.FromEntries(entries, samples))
+			if err != nil {
+				t.Fatalf("encode: %v", err)
+			}
+			return frame
+		}
+		data, err := json.Marshal(v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return data
+	}
+	if path == "/v1/ingest/batch" {
+		return [][]byte{encode(httpapi.IngestBatchRequest{Entries: entries, Samples: samples}, entries, samples)}
+	}
+	bodies := make([][]byte, len(entries))
+	for i, e := range entries {
+		var one [][]float64
+		if s := sampleOf(i); s != nil {
+			one = [][]float64{s}
+		}
+		bodies[i] = encode(httpapi.IngestRequest{Entry: e, Sample: sampleOf(i)}, []driftlog.Entry{e}, one)
+	}
+	return bodies
+}
+
+// TestBinaryJSONDifferential pins the ingest API's core promise: the same
+// rows sent through either route (/v1/ingest/batch, or /v1/ingest one row
+// at a time) in either codec leave the service in exactly the same state
+// — rows, sample links, index counts — across odd shard fills and at
+// compute pool widths 1 and 8; and the same bad body draws the same
+// status and error code on both routes.
 func TestBinaryJSONDifferential(t *testing.T) {
 	defer tensor.SetMaxWorkers(0)
+	base := nn.NewClassifier(nn.ArchResNet18, 8, 2, tensor.NewRand(7, 1))
 	for _, workers := range []int{1, 8} {
 		tensor.SetMaxWorkers(workers)
 		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
 			for seed := int64(0); seed < 10; seed++ {
 				r := rand.New(rand.NewSource(1000 + seed))
-				n := r.Intn(150)
-				if seed == 0 {
-					n = 0 // always cover the empty batch
-				}
-				entries := randEntries(r, n)
+				entries := randEntries(r, 1+r.Intn(150))
+				samples := randSamples(r, len(entries))
 
-				// JSON path: marshal/unmarshal the rows (what the JSON
-				// codec ships), append row-form.
-				data, err := json.Marshal(entries)
-				if err != nil {
-					t.Fatal(err)
-				}
-				var viaJSON []driftlog.Entry
-				if err := json.Unmarshal(data, &viaJSON); err != nil {
-					t.Fatal(err)
-				}
-				jsonStore := driftlog.NewStore()
-				jsonStore.AppendBatch(viaJSON)
-
-				// Binary path: encode, decode, append columnar.
-				frame, err := wire.EncodeBatch(wire.FromEntries(entries, nil))
-				if err != nil {
-					t.Fatalf("seed %d: encode: %v", seed, err)
-				}
-				decoded, err := wire.DecodeBatch(frame, 0)
-				if err != nil {
-					t.Fatalf("seed %d: decode: %v", seed, err)
-				}
-				binStore := driftlog.NewStore()
-				if err := binStore.AppendColumns(&decoded.Columns); err != nil {
-					t.Fatalf("seed %d: append columns: %v", seed, err)
-				}
-
-				if jsonStore.Len() != binStore.Len() {
-					t.Fatalf("seed %d: json store %d rows, binary store %d", seed, jsonStore.Len(), binStore.Len())
-				}
-				for i := 0; i < jsonStore.Len(); i++ {
-					je, be := jsonStore.Entry(i), binStore.Entry(i)
-					if !reflect.DeepEqual(je, be) {
-						t.Fatalf("seed %d row %d:\n json %+v\n binary %+v", seed, i, je, be)
+				svcs := make([]*cloud.Service, len(ingestRoutes))
+				for ri, route := range ingestRoutes {
+					svcs[ri] = cloud.NewService(base, cloud.DefaultConfig())
+					h := httpapi.NewServer(svcs[ri], quiet)
+					for bi, body := range routeBodies(t, route.path, route.binary, entries, samples) {
+						if st, code := postIngest(t, h, route.path, route.binary, body); st >= 300 {
+							t.Fatalf("seed %d %s body %d: status %d code %q", seed, route.name, bi, st, code)
+						}
 					}
 				}
-				jc := jsonStore.All().AttrValueCounts(nil)
-				bc := binStore.All().AttrValueCounts(nil)
-				if !reflect.DeepEqual(jc, bc) {
-					t.Fatalf("seed %d: counts diverge\n json %v\n binary %v", seed, jc, bc)
+
+				want := svcs[0]
+				if want.Log().Len() != len(entries) {
+					t.Fatalf("seed %d %s: %d rows, want %d", seed, ingestRoutes[0].name, want.Log().Len(), len(entries))
+				}
+				wantCounts := want.Log().All().AttrValueCounts(nil)
+				for ri := 1; ri < len(svcs); ri++ {
+					got, name := svcs[ri], ingestRoutes[ri].name
+					if got.Log().Len() != want.Log().Len() {
+						t.Fatalf("seed %d: %s store %d rows, %s store %d", seed, ingestRoutes[0].name, want.Log().Len(), name, got.Log().Len())
+					}
+					for i := 0; i < want.Log().Len(); i++ {
+						we, ge := want.Log().Entry(i), got.Log().Entry(i)
+						if !reflect.DeepEqual(we, ge) {
+							t.Fatalf("seed %d row %d:\n %s %+v\n %s %+v", seed, i, ingestRoutes[0].name, we, name, ge)
+						}
+					}
+					if !reflect.DeepEqual(got.Log().Attributes(), want.Log().Attributes()) {
+						t.Fatalf("seed %d: attributes %v vs %s %v", seed, want.Log().Attributes(), name, got.Log().Attributes())
+					}
+					if gc := got.Log().All().AttrValueCounts(nil); !reflect.DeepEqual(wantCounts, gc) {
+						t.Fatalf("seed %d: counts diverge\n %s %v\n %s %v", seed, ingestRoutes[0].name, wantCounts, name, gc)
+					}
+					if ws, gs := want.Samples().Stats(), got.Samples().Stats(); !reflect.DeepEqual(ws, gs) {
+						t.Fatalf("seed %d: sample stores diverge\n %s %+v\n %s %+v", seed, ingestRoutes[0].name, ws, name, gs)
+					}
 				}
 			}
 		})
+	}
+
+	valid, err := wire.EncodeBatch(wire.FromEntries(randEntries(rand.New(rand.NewSource(5)), 1), nil))
+	if err != nil {
+		t.Fatal(err)
+	}
+	flipped := append([]byte(nil), valid...)
+	flipped[len(flipped)-1] ^= 0xFF
+	empty, err := wire.EncodeBatch(wire.FromEntries(nil, nil))
+	if err != nil {
+		t.Fatal(err)
+	}
+	bad := []struct {
+		name     string
+		binary   bool
+		body     []byte
+		status   int
+		wantCode string
+	}{
+		{"json malformed", false, []byte(`{"entr`), 400, httpapi.CodeInvalidJSON},
+		{"json unknown field", false, []byte(`{"bogus":1}`), 400, httpapi.CodeInvalidJSON},
+		{"json trailing data", false, []byte(`{} {}`), 400, httpapi.CodeInvalidJSON},
+		{"json nothing to ingest", false, []byte(`{}`), 400, httpapi.CodeInvalidRequest},
+		{"binary torn frame", true, valid[:len(valid)-3], 400, httpapi.CodeInvalidFrame},
+		{"binary crc mismatch", true, flipped, 400, httpapi.CodeInvalidFrame},
+		{"binary zero rows", true, empty, 400, httpapi.CodeInvalidRequest},
+	}
+	svc := cloud.NewService(base, cloud.DefaultConfig())
+	h := httpapi.NewServer(svc, quiet)
+	for _, tc := range bad {
+		for _, path := range []string{"/v1/ingest", "/v1/ingest/batch"} {
+			if st, code := postIngest(t, h, path, tc.binary, tc.body); st != tc.status || code != tc.wantCode {
+				t.Errorf("%s on %s: %d %q, want %d %q", tc.name, path, st, code, tc.status, tc.wantCode)
+			}
+		}
+	}
+	if svc.Log().Len() != 0 {
+		t.Fatalf("bad bodies landed %d rows", svc.Log().Len())
+	}
+
+	// A refusing service (its WAL directory is a file) answers a good body
+	// 500/internal on every route, so the transport retries rather than
+	// dropping the batch.
+	notDir := filepath.Join(t.TempDir(), "wal")
+	if err := os.WriteFile(notDir, nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	refusing := cloud.NewService(base, cloud.DefaultConfig(), cloud.WithWAL(notDir, driftlog.WALOptions{}))
+	if refusing.WALErr() == nil {
+		t.Fatal("WAL opened on a regular file")
+	}
+	hr := httpapi.NewServer(refusing, quiet)
+	good := randEntries(rand.New(rand.NewSource(6)), 1)
+	for _, route := range ingestRoutes {
+		body := routeBodies(t, route.path, route.binary, good, nil)[0]
+		if st, code := postIngest(t, hr, route.path, route.binary, body); st != 500 || code != httpapi.CodeInternal {
+			t.Errorf("refusing service on %s: %d %q, want 500 %q", route.name, st, code, httpapi.CodeInternal)
+		}
 	}
 }
 
