@@ -2,8 +2,10 @@ package cloud
 
 import (
 	"strconv"
+	"sync/atomic"
 	"time"
 
+	"nazar/internal/driftlog"
 	"nazar/internal/fim"
 	"nazar/internal/obs"
 	"nazar/internal/tensor"
@@ -42,6 +44,7 @@ import (
 //	nazar_driftlog_shard_rows{shard=} per-shard occupancy
 //	nazar_driftlog_attributes         distinct attribute names
 //	nazar_driftlog_compacted_rows     rows removed by retention
+//	nazar_driftlog_unsorted_shards    shards with out-of-order timestamps
 //	nazar_driftlog_age_seconds{bound="oldest"|"newest"}
 //	nazar_samples_retained            samples currently held
 //	nazar_samples_added               samples ever stored
@@ -137,20 +140,29 @@ func (m *Metrics) observeWindow(res WindowResult, total time.Duration) {
 func (m *Metrics) observeStores(s *Service) {
 	reg := m.registry
 	log, samples := s.log, s.samples
+	// One Stats snapshot per scrape, taken before any gauge is pulled and
+	// shared by every drift-log gauge below.
+	var logStats atomic.Pointer[driftlog.Stats]
+	reg.OnScrape(func() {
+		st := log.Stats()
+		logStats.Store(&st)
+	})
 	reg.GaugeFunc("nazar_driftlog_rows", "Current drift-log rows.",
 		func() float64 { return float64(log.Len()) })
+	reg.GaugeFunc("nazar_driftlog_unsorted_shards", "Shards whose row timestamps are out of order (interleaved writers): their windows are built by row scan, not binary search.",
+		func() float64 { return float64(logStats.Load().UnsortedShards) })
 	reg.GaugeFunc("nazar_driftlog_attributes", "Distinct attribute names seen.",
-		func() float64 { return float64(log.Stats().Attributes) })
+		func() float64 { return float64(logStats.Load().Attributes) })
 	reg.GaugeFunc("nazar_driftlog_compacted_rows", "Rows removed by retention compaction.",
-		func() float64 { return float64(log.Stats().CompactedRows) })
+		func() float64 { return float64(logStats.Load().CompactedRows) })
 	reg.GaugeFunc("nazar_driftlog_age_seconds", "Age of the oldest retained row.",
-		func() float64 { return rowAge(log.Stats().OldestTime, s.clock) }, obs.L("bound", "oldest"))
+		func() float64 { return rowAge(logStats.Load().OldestTime, s.clock) }, obs.L("bound", "oldest"))
 	reg.GaugeFunc("nazar_driftlog_age_seconds", "Age of the newest retained row.",
-		func() float64 { return rowAge(log.Stats().NewestTime, s.clock) }, obs.L("bound", "newest"))
+		func() float64 { return rowAge(logStats.Load().NewestTime, s.clock) }, obs.L("bound", "newest"))
 	reg.GaugeFunc("nazar_driftlog_index_bitmaps", "Live (attribute,value) and drift bitmaps in the bitset index.",
-		func() float64 { return float64(log.Stats().IndexBitmaps) })
+		func() float64 { return float64(logStats.Load().IndexBitmaps) })
 	reg.GaugeFunc("nazar_driftlog_index_words", "64-bit words held by the bitset index.",
-		func() float64 { return float64(log.Stats().IndexWords) })
+		func() float64 { return float64(logStats.Load().IndexWords) })
 
 	reg.GaugeFunc("nazar_fim_cache_hits", "Memoized support-count hits (process-wide).",
 		func() float64 { return float64(fim.ReadSupportCacheStats().Hits) })
@@ -166,13 +178,13 @@ func (m *Metrics) observeStores(s *Service) {
 		})
 
 	reg.GaugeFunc("nazar_sketch_attrs", "Attributes answered by the approximate sketch tier.",
-		func() float64 { return float64(log.Stats().SketchAttrs) })
+		func() float64 { return float64(logStats.Load().SketchAttrs) })
 	reg.GaugeFunc("nazar_sketch_buckets", "Live sub-sketch buckets across all sketch rings.",
-		func() float64 { return float64(log.Stats().SketchBuckets) })
+		func() float64 { return float64(logStats.Load().SketchBuckets) })
 	reg.GaugeFunc("nazar_sketch_bytes", "Resident bytes held by the sketch tier.",
-		func() float64 { return float64(log.Stats().SketchBytes) })
+		func() float64 { return float64(logStats.Load().SketchBytes) })
 	reg.GaugeFunc("nazar_sketch_evicted", "Sub-sketch buckets folded into the rest bucket.",
-		func() float64 { return float64(log.Stats().SketchEvicted) })
+		func() float64 { return float64(logStats.Load().SketchEvicted) })
 
 	reg.GaugeFunc("nazar_samples_retained", "Samples currently held.",
 		func() float64 { return float64(samples.Stats().Retained) })
@@ -190,7 +202,7 @@ func (m *Metrics) observeStores(s *Service) {
 	for shard := range log.Stats().ShardRows {
 		shard := shard
 		reg.GaugeFunc("nazar_driftlog_shard_rows", "Per-shard drift-log occupancy.",
-			func() float64 { return float64(log.Stats().ShardRows[shard]) },
+			func() float64 { return float64(logStats.Load().ShardRows[shard]) },
 			obs.L("shard", strconv.Itoa(shard)))
 	}
 	for shard := range samples.Stats().ShardRows {

@@ -187,11 +187,34 @@ func TestObserverCounters(t *testing.T) {
 		"nazar_ingest_samples_total 2",
 		"nazar_ingest_sample_bytes_total 40",
 		"nazar_driftlog_rows 3",
+		"nazar_driftlog_unsorted_shards 0",
 		"nazar_samples_retained 2",
 		"nazar_versions_deployed 0",
 	} {
 		if !strings.Contains(got, want) {
 			t.Fatalf("exposition missing %q\n%s", want, got)
 		}
+	}
+}
+
+// TestObserverUnsortedShards checks that interleaved writers show up in
+// one scrape: a device whose rows arrive out of time order turns its
+// shard unsorted.
+func TestObserverUnsortedShards(t *testing.T) {
+	base := nn.NewClassifier(nn.ArchResNet18, 8, 2, tensor.NewRand(15, 1))
+	reg := obs.NewRegistry()
+	svc := NewService(base, DefaultConfig(), WithObserver(reg))
+	at := func(sec int64) driftlog.Entry {
+		return driftlog.Entry{Time: time.Unix(sec, 0), Attrs: map[string]string{driftlog.AttrDevice: "d"}}
+	}
+	if err := svc.IngestBatchContext(context.Background(), []driftlog.Entry{at(20), at(10)}, nil); err != nil {
+		t.Fatal(err)
+	}
+	var buf strings.Builder
+	if err := reg.WritePrometheus(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if want := "nazar_driftlog_unsorted_shards 1\n"; !strings.Contains(buf.String(), want) {
+		t.Fatalf("exposition missing %q\n%s", want, buf.String())
 	}
 }

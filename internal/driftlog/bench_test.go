@@ -2,6 +2,7 @@ package driftlog
 
 import (
 	"fmt"
+	"math/rand"
 	"sync"
 	"testing"
 	"time"
@@ -28,6 +29,57 @@ var benchStore100k = sync.OnceValue(func() *Store {
 	s.AppendBatch(entries)
 	return s
 })
+
+// benchStore1M memoizes a 1M-row log shaped like the composed
+// benchmark's bulk workload: six attributes up to 2000 devices wide, one
+// row per millisecond, ingested as 256-row columnar batches from two
+// writers whose batches land alternately — so every shard is
+// time-unsorted, as it is under two real clients.
+var benchStore1M = sync.OnceValue(func() *Store {
+	const rows, batch = 1_000_000, 256
+	dict := func(prefix string, n int) []string {
+		d := make([]string, n+1)
+		for i := 1; i <= n; i++ {
+			d[i] = fmt.Sprint(prefix, i)
+		}
+		return d
+	}
+	s := NewStore()
+	r := rand.New(rand.NewSource(9))
+	cb := &ColumnarBatch{Times: make([]int64, batch), Drift: make([]bool, batch), SampleIDs: make([]int64, batch),
+		Cols: []ColumnData{
+			{Name: AttrWeather, Dict: dict("w", 6)}, {Name: AttrLocation, Dict: dict("city_", 24)},
+			{Name: "hw", Dict: dict("hw_", 6)}, {Name: "os", Dict: dict("os_", 4)},
+			{Name: AttrDevice, Dict: dict("dev_", 2000)},
+		}}
+	for ci := range cb.Cols {
+		cb.Cols[ci].IDs = make([]uint32, batch)
+	}
+	for b := 0; b < rows/batch; b++ {
+		for i := 0; i < batch; i++ {
+			cb.Times[i] = int64((b^1)*batch+i) * int64(time.Millisecond)
+			cb.Drift[i] = r.Intn(10) == 0
+			cb.SampleIDs[i] = -1
+			for ci := range cb.Cols {
+				cb.Cols[ci].IDs[i] = uint32(1 + r.Intn(len(cb.Cols[ci].Dict)-1))
+			}
+		}
+		if err := s.AppendColumns(cb); err != nil {
+			panic(err)
+		}
+	}
+	return s
+})
+
+// rowsSpanned is the row range an indexed view's bitset loops run over:
+// 64 × the window's non-zero word range, summed over shards.
+func rowsSpanned(v *View) float64 {
+	n := 0
+	for si := range v.shards {
+		n += 64 * (v.shards[si].whi - v.shards[si].wlo)
+	}
+	return float64(n)
+}
 
 var benchConds = []Cond{{AttrWeather, "rain"}, {AttrLocation, "city_3"}}
 
@@ -100,6 +152,17 @@ func BenchmarkPairCounts(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			v.PairCounts(nil, nil)
 		}
+	})
+	// The last fifth of a 1M-row log with unsorted shards — the composed
+	// benchmark's fresh-window shape. rows-visited is the row range the
+	// bitset loops span, to be read against the 1M rows the log holds.
+	b.Run("suffix-window/1M", func(b *testing.B) {
+		v := benchStore1M().Window(time.Unix(800, 0), time.Time{})
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			v.PairCounts(nil, nil)
+		}
+		b.ReportMetric(rowsSpanned(v), "rows-visited")
 	})
 }
 

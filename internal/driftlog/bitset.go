@@ -227,19 +227,38 @@ func (vs *viewShard) condBitmaps(conds []Cond, dst []bmSnap) (bms []bmSnap, matc
 	return bms, true
 }
 
-// andPopcount intersects the condition bitmaps with the shard's window
-// bitmap and returns the matching row count plus, of those, the rows
-// whose drift flag is set — read from ovWords when non-nil, the stored
-// drift bitmap otherwise. Pure word-wise AND + popcount: O(rows/64).
-func (vs *viewShard) andPopcount(bms []bmSnap, ovWords []uint64) (total, drift int) {
-	fw := vs.fullWords
-	n := vs.window.effLen(fw)
+// windowEnd is the exclusive upper word bound of an AND of the window
+// with bms: the window's last non-zero word, or sooner when a bitmap ends
+// first (its value stopped appearing). Loops start at vs.wlo.
+func (vs *viewShard) windowEnd(bms []bmSnap) int {
+	n := vs.whi
 	for _, bm := range bms {
-		if e := bm.effLen(fw); e < n {
+		if e := bm.effLen(vs.fullWords); e < n {
 			n = e
 		}
 	}
-	for w := 0; w < n; w++ {
+	return n
+}
+
+// eachWindowRow invokes f(row), in row order, for every row of the shard's
+// window bitmap.
+func (vs *viewShard) eachWindowRow(f func(i int)) {
+	for w := vs.wlo; w < vs.whi; w++ {
+		for word := vs.window.word(w, vs.fullWords); word != 0; word &= word - 1 {
+			f(w<<6 | bits.TrailingZeros64(word))
+		}
+	}
+}
+
+// andPopcount intersects the condition bitmaps with the shard's window
+// bitmap and returns the matching row count plus, of those, the rows
+// whose drift flag is set — read from ovWords when non-nil, the stored
+// drift bitmap otherwise. Pure word-wise AND + popcount over the window's
+// word range: O(window rows/64).
+func (vs *viewShard) andPopcount(bms []bmSnap, ovWords []uint64) (total, drift int) {
+	fw := vs.fullWords
+	n := vs.windowEnd(bms)
+	for w := vs.wlo; w < n; w++ {
 		acc := vs.window.word(w, fw)
 		for _, bm := range bms {
 			acc &= bm.word(w, fw)
@@ -314,14 +333,9 @@ func (v *View) clearDriftBitset(conds []Cond, ov *Overlay) (int, error) {
 			continue
 		}
 		fw := vs.fullWords
-		n := vs.window.effLen(fw)
-		for _, bm := range bms {
-			if e := bm.effLen(fw); e < n {
-				n = e
-			}
-		}
+		n := vs.windowEnd(bms)
 		var ovWords []uint64
-		for w := 0; w < n; w++ {
+		for w := vs.wlo; w < n; w++ {
 			acc := vs.window.word(w, fw)
 			for _, bm := range bms {
 				acc &= bm.word(w, fw)
@@ -402,30 +416,33 @@ func resetAttrValueCounts(dst map[string]map[string]CountResult, v *View) map[st
 
 // maxPairCross bounds the value cross product per attribute pair that
 // the bitset PairCounts path enumerates. A pair of value bitmaps costs
-// ~rows/64 word operations, a row visit costs one map update (~20x a
-// word op), so popcounting wins while |Va|·|Vb| stays under a few
-// hundred; beyond that the shard falls back to a row scan for that
-// attribute pair only.
-const maxPairCross = 1024
+// one word operation per window word (window rows / 64); a row visit of
+// pairScanInto's dense table costs about four word operations, so
+// popcounting wins while |Va|·|Vb| stays under 64·4; beyond that the
+// shard scans its window rows for that attribute pair only.
+const maxPairCross = 256
 
 // pairCountsBitset is the indexed PairCounts path: for each attribute
 // pair, AND the window with each value bitmap of the first attribute
-// once, then popcount against each value bitmap of the second.
+// once, then popcount against each value bitmap of the second — all over
+// the window's word range [wlo, whi) only.
 func (v *View) pairCountsBitset(ov *Overlay, exclude map[string]bool) map[PairKey]CountResult {
 	out := map[PairKey]CountResult{}
 	var tmp []uint64
+	var rows []int32
 	for si := range v.shards {
 		vs := &v.shards[si]
-		if vs.rows == 0 {
-			continue
+		if vs.wlo == vs.whi {
+			continue // no window row in this shard
 		}
 		cols := vs.sortedCols(exclude)
 		fw := vs.fullWords
 		ovWords := ov.words(si)
-		n := vs.window.effLen(fw)
-		if cap(tmp) < n {
-			tmp = make([]uint64, n)
+		lo, n := vs.wlo, vs.whi
+		if cap(tmp) < n-lo {
+			tmp = make([]uint64, n-lo)
 		}
+		rows = rows[:0]
 		for a := 0; a < len(cols); a++ {
 			for b := a + 1; b < len(cols); b++ {
 				ca, cb := cols[a].c, cols[b].c
@@ -435,32 +452,29 @@ func (v *View) pairCountsBitset(ov *Overlay, exclude map[string]bool) map[PairKe
 					continue
 				}
 				if (len(ca.dict)-1)*(len(cb.dict)-1) > maxPairCross {
-					vs.pairScanInto(v, ov, si, cols[a].name, ca, cols[b].name, cb, out)
+					if len(rows) == 0 {
+						rows = vs.windowRows(rows)
+					}
+					vs.pairScanInto(ov, si, rows, cols[a], cols[b], out)
 					continue
 				}
 				for ida := 1; ida < len(ca.bits); ida++ {
 					bmA := ca.bits[ida]
-					na := bmA.effLen(fw)
-					if na > n {
-						na = n
-					}
+					na := min(bmA.effLen(fw), n)
 					any := uint64(0)
-					for w := 0; w < na; w++ {
-						tmp[w] = vs.window.word(w, fw) & bmA.word(w, fw)
-						any |= tmp[w]
+					for w := lo; w < na; w++ {
+						tmp[w-lo] = vs.window.word(w, fw) & bmA.word(w, fw)
+						any |= tmp[w-lo]
 					}
 					if any == 0 {
 						continue
 					}
 					for idb := 1; idb < len(cb.bits); idb++ {
 						bmB := cb.bits[idb]
-						nb := bmB.effLen(fw)
-						if nb > na {
-							nb = na
-						}
+						nb := min(bmB.effLen(fw), na)
 						total, drift := 0, 0
-						for w := 0; w < nb; w++ {
-							acc := tmp[w] & bmB.word(w, fw)
+						for w := lo; w < nb; w++ {
+							acc := tmp[w-lo] & bmB.word(w, fw)
 							if acc == 0 {
 								continue
 							}
@@ -492,27 +506,62 @@ func (v *View) pairCountsBitset(ov *Overlay, exclude map[string]bool) map[PairKe
 	return out
 }
 
-// pairScanInto is pairCountsBitset's per-attribute-pair row-scan
-// fallback for value cross products too large to enumerate.
-func (vs *viewShard) pairScanInto(v *View, ov *Overlay, si int, aName string, ca viewCol, bName string, cb viewCol, out map[PairKey]CountResult) {
-	for i := 0; i < vs.rows; i++ {
-		if !vs.inWindow(v, i) {
+// windowRows appends the shard's window rows to dst in row order.
+func (vs *viewShard) windowRows(dst []int32) []int32 {
+	vs.eachWindowRow(func(i int) { dst = append(dst, int32(i)) })
+	return dst
+}
+
+// pairScanInto counts one attribute pair over the given shard rows — the
+// fallback for value cross products too large to enumerate, for pairs on
+// the sketch tier, and the exact count of a view's sketch edges. Counting
+// runs in id space — a dense |Va|·|Vb| table when that is no larger than
+// a few slots per row, an integer-keyed map otherwise (high-cardinality
+// columns over few rows) — and each PairKey is materialized once per
+// distinct pair.
+func (vs *viewShard) pairScanInto(ov *Overlay, si int, rows []int32, a, b namedCol, out map[PairKey]CountResult) {
+	nb := len(b.c.dict)
+	var counts []CountResult // dense: indexed ida·nb+idb; map mode: by slot
+	var slot map[uint64]int  // map mode: id pair → slot
+	var keys []uint64        // map mode: slot → id pair
+	if cross := len(a.c.dict) * nb; cross <= 4*len(rows) {
+		counts = make([]CountResult, cross)
+	} else {
+		slot = map[uint64]int{}
+	}
+	for _, r := range rows {
+		ida, idb := a.c.ids[r], b.c.ids[r]
+		if ida == 0 || idb == 0 {
 			continue
 		}
-		ida := ca.ids[i]
-		if ida == 0 {
+		j := int(ida)*nb + int(idb)
+		if slot != nil {
+			k := uint64(ida)<<32 | uint64(idb)
+			var ok bool
+			if j, ok = slot[k]; !ok {
+				j = len(keys)
+				slot[k] = j
+				keys = append(keys, k)
+				counts = append(counts, CountResult{})
+			}
+		}
+		counts[j].Total++
+		if ov.driftAt(vs, si, int(r)) {
+			counts[j].Drift++
+		}
+	}
+	for j, n := range counts {
+		if n.Total == 0 {
 			continue
 		}
-		idb := cb.ids[i]
-		if idb == 0 {
-			continue
+		ida, idb := j/nb, j%nb
+		if slot != nil {
+			ida, idb = int(keys[j]>>32), int(uint32(keys[j]))
 		}
-		k := PairKey{AttrA: aName, ValA: ca.dict[ida], AttrB: bName, ValB: cb.dict[idb]}
-		cr := out[k]
-		cr.Total++
-		if ov.driftAt(vs, si, i) {
-			cr.Drift++
-		}
-		out[k] = cr
+		pk := PairKey{AttrA: a.name, ValA: a.c.dict[ida], AttrB: b.name, ValB: b.c.dict[idb]}
+		cr := out[pk]
+		cr.Total += n.Total
+		cr.Drift += n.Drift
+		out[pk] = cr
 	}
 }

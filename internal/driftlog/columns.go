@@ -291,9 +291,7 @@ func (s *Store) appendColumns(b *ColumnarBatch) {
 		var kvs []attrKV
 		for _, bi := range rowsByShard[si] {
 			row := len(sh.times)
-			if row > 0 && b.Times[bi] < sh.times[row-1] {
-				sh.timeSorted = false
-			}
+			sh.noteTime(b.Times[bi])
 			sh.seqs = append(sh.seqs, base+int64(bi))
 			sh.times = append(sh.times, b.Times[bi])
 			sh.drift = append(sh.drift, b.Drift[bi])

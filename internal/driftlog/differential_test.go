@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"sync"
 	"testing"
 	"time"
 
@@ -315,6 +316,230 @@ func TestSinceValidation(t *testing.T) {
 	if _, err := v.Since(bad, 0); err == nil {
 		t.Fatal("out-of-range watermark accepted")
 	}
+}
+
+const longStoreRows = 48 * 512
+
+// longStore builds a longStoreRows-row log whose device shards each hold well over
+// 64 bitmap words, so a window can be a small part of a long shard. Row g
+// carries second g — in append order when sorted, with adjacent 32-row
+// runs swapped (two writers whose batches land alternately) otherwise,
+// which leaves every shard time-unsorted. hw × os is a 40 × 40 value
+// cross product, past maxPairCross, so PairCounts takes both its popcount
+// and its row-scan path.
+func longStore(sorted bool) *Store {
+	const n = longStoreRows
+	r := rand.New(rand.NewSource(5))
+	base := time.Unix(0, 0).UTC()
+	entries := make([]Entry, n)
+	for g := range entries {
+		sec := g
+		if !sorted {
+			sec = g ^ 32
+		}
+		attrs := map[string]string{
+			AttrWeather:  fmt.Sprintf("w%d", r.Intn(6)),
+			AttrLocation: fmt.Sprintf("city_%d", r.Intn(9)),
+			"hw":         fmt.Sprintf("hw_%d", r.Intn(40)),
+			"os":         fmt.Sprintf("os_%d", r.Intn(40)),
+		}
+		if r.Float64() < 0.9 {
+			attrs[AttrDevice] = fmt.Sprintf("dev_%d", r.Intn(3))
+		}
+		entries[g] = Entry{Time: base.Add(time.Duration(sec) * time.Second), Drift: r.Float64() < 0.3, SampleID: -1, Attrs: attrs}
+	}
+	s := NewStore()
+	for lo := 0; lo < n; lo += 512 {
+		s.AppendBatch(entries[lo : lo+512])
+	}
+	return s
+}
+
+// TestSmallWindowsOfLongShards checks every indexed aggregate against its
+// scan oracle on windows that are a suffix, a middle slice, a single
+// bitmap word and nothing at all of shards ≥ 64 words long — the shapes
+// whose bitset loops run over [wlo, whi) instead of the whole shard — on
+// time-sorted shards and on shards unsorted by interleaved writers.
+func TestSmallWindowsOfLongShards(t *testing.T) {
+	base := time.Unix(0, 0).UTC()
+	windows := []struct {
+		name     string
+		from, to time.Time
+	}{
+		{"suffix", base.Add(20000 * time.Second), time.Time{}},
+		{"middle", base.Add(9000 * time.Second), base.Add(13000 * time.Second)},
+		{"single-word", base.Add(12000 * time.Second), base.Add(12020 * time.Second)},
+		{"empty", base.Add(50000 * time.Second), base.Add(60000 * time.Second)},
+	}
+	conds := append(diffConds(), []Cond{{"hw", "hw_7"}, {"os", "os_3"}})
+	for _, sorted := range []bool{true, false} {
+		s := longStore(sorted)
+		for _, w := range windows {
+			t.Run(fmt.Sprintf("sorted=%v/%s", sorted, w.name), func(t *testing.T) {
+				vb, vs := s.Window(w.from, w.to), s.WindowScan(w.from, w.to)
+				long := 0
+				for si := range vb.shards {
+					sh := &vb.shards[si]
+					if sh.fullWords < 64 {
+						continue
+					}
+					long++
+					if sh.sorted != sorted {
+						t.Fatalf("shard %d: sorted=%v, want %v", si, sh.sorted, sorted)
+					}
+					if first := sh.window.word(0, sh.fullWords); w.name != "empty" && first == 0 && sh.wlo == 0 {
+						t.Fatalf("shard %d: window starts past word 0 but loops start at it", si)
+					}
+					if w.name == "single-word" && sh.whi-sh.wlo > 2 {
+						t.Fatalf("shard %d: 20-second window spans words [%d,%d)", si, sh.wlo, sh.whi)
+					}
+				}
+				if long < 3 {
+					t.Fatalf("only %d shards ≥ 64 words", long)
+				}
+				if got, want := vb.Len(), vs.Len(); got != want {
+					t.Fatalf("Len bitset %d scan %d", got, want)
+				}
+				requireViewsAgree(t, vb, vs, conds)
+
+				// Since delta of the window: rows past three quarters of every
+				// shard, or admitted by the upper bound moving up from the
+				// window's midpoint.
+				prev := vb.ShardRows()
+				for i := range prev {
+					prev[i] = prev[i] * 3 / 4
+				}
+				from, to := vb.Bounds()
+				prevTo := from/2 + min(to, base.Add(longStoreRows*time.Second).UnixNano())/2
+				db, err := vb.Since(prev, prevTo)
+				if err != nil {
+					t.Fatal(err)
+				}
+				ds, err := vs.Since(prev, prevTo)
+				if err != nil {
+					t.Fatal(err)
+				}
+				requireViewsAgree(t, db, ds, conds)
+			})
+		}
+	}
+}
+
+// requireViewsAgree requires an indexed view and its WindowScan twin to
+// agree on Count, AttrValueCounts, PairCounts and a ClearDrift sequence
+// with overlaid re-counts.
+func requireViewsAgree(t *testing.T, vb, vs *View, conds [][]Cond) {
+	t.Helper()
+	for ci, c := range conds {
+		cb, err1 := vb.Count(c, nil)
+		cs, err2 := vs.Count(c, nil)
+		if err1 != nil || err2 != nil || cb != cs {
+			t.Fatalf("conds %d: bitset %+v (%v) scan %+v (%v)", ci, cb, err1, cs, err2)
+		}
+	}
+	if ab, as := vb.AttrValueCounts(nil), vs.AttrValueCounts(nil); !reflect.DeepEqual(ab, as) {
+		t.Fatalf("AttrValueCounts diverge\nbitset %v\nscan   %v", ab, as)
+	}
+	if pb, ps := vb.PairCounts(nil, nil), vs.PairCounts(nil, nil); !reflect.DeepEqual(pb, ps) {
+		t.Fatal("PairCounts diverge")
+	}
+	ovB, ovS := vb.DriftOverlay(), vs.DriftOverlay()
+	defer ovB.Release()
+	defer ovS.Release()
+	for ci, c := range conds {
+		nb, err1 := vb.ClearDrift(c, ovB)
+		ns, err2 := vs.ClearDrift(c, ovS)
+		if err1 != nil || err2 != nil || nb != ns {
+			t.Fatalf("conds %d: cleared bitset %d (%v) scan %d (%v)", ci, nb, err1, ns, err2)
+		}
+		cb, _ := vb.Count(nil, ovB)
+		cs, _ := vs.Count(nil, ovS)
+		if cb != cs {
+			t.Fatalf("conds %d: overlaid totals bitset %+v scan %+v", ci, cb, cs)
+		}
+	}
+	if pb, ps := vb.PairCounts(ovB, nil), vs.PairCounts(ovS, nil); !reflect.DeepEqual(pb, ps) {
+		t.Fatal("overlaid PairCounts diverge")
+	}
+}
+
+// TestViewConcurrentQueries hammers one view from several goroutines
+// while appends continue (run under -race by `make race`): the state a view
+// builds lazily and shares — per-column dictionary indexes, the resolved
+// sketch window — must be built once and read race-free, and results must
+// stay what the pinned rows say: exact-tier answers equal the oracle's,
+// sketch-tier answers never fall below it.
+func TestViewConcurrentQueries(t *testing.T) {
+	s := interleavedSketchStore()
+	base := time.Unix(0, 0).UTC()
+	from, to := base.Add(250*time.Second), base.Add(957*time.Second)
+	v, oracle := s.Window(from, to), s.WindowScan(from, to)
+	conds := [][]Cond{
+		{{AttrWeather, "w1"}, {AttrLocation, "city_2"}},
+		{{AttrDevice, "dev_3"}},
+		{{"app_version", "1.3"}},
+		{{"app_version", "1.3"}, {AttrWeather, "w2"}},
+	}
+	wantCount := make([]CountResult, len(conds))
+	for i, c := range conds {
+		wantCount[i], _ = oracle.Count(c, nil)
+	}
+	wantAV, wantPC := oracle.AttrValueCounts(nil), oracle.PairCounts(nil, nil)
+	check := func(what string, sketched bool, got, want CountResult) {
+		if sketched && got.Total >= want.Total && got.Drift >= want.Drift {
+			return
+		}
+		if got != want {
+			t.Errorf("%s: got %+v, oracle %+v (sketched=%v)", what, got, want, sketched)
+		}
+	}
+
+	stop := make(chan struct{})
+	var appender, readers sync.WaitGroup
+	appender.Add(1)
+	go func() {
+		defer appender.Done()
+		for n := 0; ; n++ {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			s.AppendBatch([]Entry{{Time: base.Add(time.Duration(300+n%600) * time.Second), Drift: n%2 == 0, SampleID: -1, Attrs: map[string]string{
+				AttrWeather: "w1", AttrLocation: "city_2", AttrDevice: "dev_3", "app_version": fmt.Sprintf("9.%d", n)}}})
+		}
+	}()
+	for g := 0; g < 6; g++ {
+		readers.Add(1)
+		go func(g int) {
+			defer readers.Done()
+			for i := 0; i < 8; i++ {
+				switch (g + i) % 3 {
+				case 0:
+					for ci, c := range conds {
+						got, err := v.Count(c, nil)
+						if err != nil {
+							t.Error(err)
+						}
+						check(fmt.Sprint(c), c[0].Attr == "app_version", got, wantCount[ci])
+					}
+				case 1:
+					for k, got := range v.PairCounts(nil, nil) {
+						check(fmt.Sprint(k), k.AttrA == "app_version" || k.AttrB == "app_version", got, wantPC[k])
+					}
+				default:
+					for attr, byVal := range v.AttrValueCounts(nil) {
+						for val, got := range byVal {
+							check(attr+"="+val, attr == "app_version", got, wantAV[attr][val])
+						}
+					}
+				}
+			}
+		}(g)
+	}
+	readers.Wait()
+	close(stop)
+	appender.Wait()
 }
 
 // FuzzCountDifferential drives tiny random logs through the

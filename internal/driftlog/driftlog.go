@@ -109,6 +109,21 @@ type shard struct {
 	// non-decreasing (true until an out-of-order append), enabling
 	// binary-search window fast paths on views.
 	timeSorted bool
+	// minTime / maxTime bound the shard's timestamps (meaningful only while
+	// the shard holds rows), maintained at append and compaction so Stats
+	// never walks the rows.
+	minTime, maxTime int64
+}
+
+// noteTime folds one appended row's timestamp into the shard's bounds and
+// sortedness. Must be called before the row is appended to sh.times.
+func (sh *shard) noteTime(t int64) {
+	if n := len(sh.times); n == 0 {
+		sh.minTime, sh.maxTime = t, t
+	} else if t < sh.times[n-1] {
+		sh.timeSorted = false
+	}
+	sh.minTime, sh.maxTime = min(sh.minTime, t), max(sh.maxTime, t)
 }
 
 // Store is the drift log. It is safe for concurrent use: appends from
@@ -227,11 +242,14 @@ type Stats struct {
 	SketchBuckets int
 	SketchBytes   int64
 	SketchEvicted int64
+	// UnsortedShards counts shards whose timestamps stopped being
+	// non-decreasing (interleaved writers): views over them materialize
+	// windows and sketch edges by row scan instead of binary search.
+	UnsortedShards int
 }
 
-// Stats returns the current operational snapshot. It scans row
-// timestamps, which is linear in the store size but cheap relative to a
-// scrape interval (a few µs per 100k rows).
+// Stats returns the current operational snapshot in O(shards × bitmaps):
+// row bounds are maintained at append, so no row is visited.
 func (s *Store) Stats() Stats {
 	st := Stats{ShardRows: make([]int, numShards), CompactedRows: s.compacted.Load()}
 	var oldest, newest int64
@@ -253,14 +271,17 @@ func (s *Store) Stats() Stats {
 				}
 			}
 		}
-		for _, t := range sh.times {
-			if !seen || t < oldest {
-				oldest = t
+		if len(sh.times) > 0 {
+			if !seen || sh.minTime < oldest {
+				oldest = sh.minTime
 			}
-			if !seen || t > newest {
-				newest = t
+			if !seen || sh.maxTime > newest {
+				newest = sh.maxTime
 			}
 			seen = true
+			if !sh.timeSorted {
+				st.UnsortedShards++
+			}
 		}
 		sh.mu.RUnlock()
 	}
@@ -363,16 +384,28 @@ type viewCol struct {
 	dict     []string
 	bits     []bmSnap
 	sketched bool
+	index    *dictIndex
+}
+
+// dictIndex is the value → ID hash index over one pinned dictionary. The
+// live column's own index map keeps mutating under appends, so the view
+// builds its own from the pinned dict on the first lookup (views that
+// never resolve a value on this column pay nothing) and every later query
+// on the view shares it.
+type dictIndex struct {
+	once sync.Once
+	ids  map[string]uint32
 }
 
 // lookup resolves a value to its dictionary ID (0 = not present).
 func (c viewCol) lookup(v string) uint32 {
-	for i := 1; i < len(c.dict); i++ {
-		if c.dict[i] == v {
-			return uint32(i)
+	c.index.once.Do(func() {
+		c.index.ids = make(map[string]uint32, len(c.dict))
+		for id := 1; id < len(c.dict); id++ {
+			c.index.ids[c.dict[id]] = uint32(id)
 		}
-	}
-	return 0
+	})
+	return c.index.ids[v]
 }
 
 // viewShard is the immutable snapshot of one shard: slice headers pinned
@@ -396,6 +429,10 @@ type viewShard struct {
 	fullWords int    // rows / 64
 	window    bmSnap // rows passing the view's window predicate
 	driftBM   bmSnap // stored drift flags
+	// wlo / whi bound the window bitmap's non-zero words (the tail counts
+	// as word fullWords): every bitset loop runs over [wlo, whi), so a
+	// query costs the words the window spans, not the words the log holds.
+	wlo, whi int
 
 	// Delta-view predicate (Since): a row qualifies when it is new
 	// (row index >= minRow) or was previously outside the window's upper
@@ -429,6 +466,11 @@ type View struct {
 	sk       *sketchIndex
 	sketched map[string]bool
 	delta    bool
+
+	// skWin is the window resolved against the sketch rings, built by the
+	// first sketch-answered query (see sketchWindow).
+	skOnce sync.Once
+	skWin  sketchWindow
 }
 
 // Window returns a view over [from, to). Zero times are unbounded. The
@@ -478,7 +520,7 @@ func (s *Store) window(from, to time.Time, indexed bool) *View {
 			vs.driftBM = snapBitmap(sh.driftBits, fw, rem)
 			for name, col := range sh.cols {
 				if col.sketched {
-					vs.cols[name] = viewCol{ids: col.ids[:rows], dict: col.dict, sketched: true}
+					vs.cols[name] = viewCol{ids: col.ids[:rows], dict: col.dict, sketched: true, index: new(dictIndex)}
 					continue
 				}
 				nvals := len(col.dict)
@@ -486,11 +528,11 @@ func (s *Store) window(from, to time.Time, indexed bool) *View {
 				for id := 1; id < nvals; id++ {
 					bits[id] = snapBitmap(col.bits[id], fw, rem)
 				}
-				vs.cols[name] = viewCol{ids: col.ids[:rows], dict: col.dict[:nvals], bits: bits}
+				vs.cols[name] = viewCol{ids: col.ids[:rows], dict: col.dict[:nvals], bits: bits, index: new(dictIndex)}
 			}
 		} else {
 			for name, col := range sh.cols {
-				vs.cols[name] = viewCol{ids: col.ids[:rows], dict: col.dict}
+				vs.cols[name] = viewCol{ids: col.ids[:rows], dict: col.dict, index: new(dictIndex)}
 			}
 		}
 		sh.mu.RUnlock()
@@ -558,6 +600,14 @@ func (vs *viewShard) buildWindowBM(v *View) {
 	}
 	vs.window = bmSnap{words: words, tail: tail}
 	vs.indexed = true
+	vs.whi = vs.window.effLen(fw)
+	for vs.whi > 0 && vs.window.word(vs.whi-1, fw) == 0 {
+		vs.whi--
+	}
+	vs.wlo = 0
+	for vs.wlo < vs.whi && vs.window.word(vs.wlo, fw) == 0 {
+		vs.wlo++
+	}
 }
 
 // setBitRange sets bits [lo, hi) across the word array plus the logical

@@ -2,6 +2,8 @@ package driftlog
 
 import (
 	"fmt"
+	"math/rand"
+	"sort"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -349,4 +351,52 @@ func TestQuickCountInvariants(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// TestStatsBoundsTrackAppendAndCompaction checks the row bounds Stats
+// reports from per-shard state maintained at append and compaction against
+// a walk of every row, through out-of-order appends, a partial compaction
+// and a compaction that empties the store.
+func TestStatsBoundsTrackAppendAndCompaction(t *testing.T) {
+	s := randomStore(rand.New(rand.NewSource(11)), 2000) // timestamps scattered over [0s, 1000s)
+	check := func(stage string) {
+		t.Helper()
+		var oldest, newest time.Time
+		s.Each(func(_ int, e Entry) {
+			if oldest.IsZero() || e.Time.Before(oldest) {
+				oldest = e.Time
+			}
+			if e.Time.After(newest) {
+				newest = e.Time
+			}
+		})
+		unsorted := 0
+		for si := range s.shards {
+			sh := &s.shards[si]
+			if !sort.SliceIsSorted(sh.times, func(i, j int) bool { return sh.times[i] < sh.times[j] }) {
+				unsorted++
+			}
+		}
+		st := s.Stats()
+		if !st.OldestTime.Equal(oldest) || !st.NewestTime.Equal(newest) {
+			t.Fatalf("%s: Stats bounds [%v, %v], rows say [%v, %v]", stage, st.OldestTime, st.NewestTime, oldest, newest)
+		}
+		// Sortedness is sticky (a compaction may remove the offending rows
+		// without restoring the fast path), so it may only over-report.
+		if st.UnsortedShards < unsorted || (stage == "appended" && st.UnsortedShards != unsorted) {
+			t.Fatalf("%s: UnsortedShards %d, rows say %d", stage, st.UnsortedShards, unsorted)
+		}
+	}
+	check("appended")
+	if s.Stats().UnsortedShards == 0 {
+		t.Fatal("scattered timestamps left every shard sorted")
+	}
+	s.Compact(time.Unix(400, 0))
+	check("compacted")
+	s.Compact(time.Unix(5000, 0))
+	if st := s.Stats(); st.Rows != 0 || !st.OldestTime.IsZero() || !st.NewestTime.IsZero() {
+		t.Fatalf("emptied store reports %+v", st)
+	}
+	s.AppendBatch([]Entry{{Time: time.Unix(7, 0), SampleID: -1, Attrs: map[string]string{AttrWeather: "w0"}}})
+	check("refilled")
 }

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"slices"
 	"sort"
 	"time"
 )
@@ -171,6 +172,9 @@ func (s *Store) Compact(cutoff time.Time) int {
 			}
 		}
 		sh.seqs, sh.times, sh.drift, sh.samples = newSeqs, newTimes, newDrift, newSamples
+		if len(newTimes) > 0 {
+			sh.minTime = slices.Min(newTimes) // maxTime is a kept row's: only older rows drop
+		}
 		sh.driftBits = newDriftBits
 		sh.cols = newCols
 		sh.mu.Unlock()

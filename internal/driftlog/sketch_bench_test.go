@@ -18,7 +18,14 @@ import (
 var sketchBenchStores sync.Map // "rows/card/variant" → *Store
 
 func sketchBenchStore(tb testing.TB, rows, card int, sketch bool) *Store {
-	key := fmt.Sprintf("%d/%d/%v", rows, card, sketch)
+	return sketchBenchStoreFrom(rows, card, sketch, false)
+}
+
+// sketchBenchStoreFrom builds (once) a benchmark log. interleaved swaps
+// adjacent 128-row runs of the time sequence — two writers whose batches
+// land alternately — which leaves every shard time-unsorted.
+func sketchBenchStoreFrom(rows, card int, sketch, interleaved bool) *Store {
+	key := fmt.Sprintf("%d/%d/%v/%v", rows, card, sketch, interleaved)
 	if s, ok := sketchBenchStores.Load(key); ok {
 		return s.(*Store)
 	}
@@ -49,8 +56,12 @@ func sketchBenchStore(tb testing.TB, rows, card int, sketch bool) *Store {
 		if v == 0 {
 			p = 0.7
 		}
+		ti := i
+		if interleaved {
+			ti = i ^ 128
+		}
 		batch = append(batch, Entry{
-			Time:     base.Add(span * time.Duration(i) / time.Duration(rows)),
+			Time:     base.Add(span * time.Duration(ti) / time.Duration(rows)),
 			Drift:    r.Float64() < p,
 			SampleID: -1,
 			Attrs: map[string]string{
@@ -135,4 +146,61 @@ func BenchmarkSketchValueCounts(b *testing.B) {
 			})
 		}
 	}
+	b.Run("sketch-interleaved/100kx100k", func(b *testing.B) {
+		benchInterleavedSketch(b, func(v *View) int { return len(v.AttrValueCounts(nil)) })
+	})
+}
+
+// BenchmarkSketchPairCounts measures the level-2 pair aggregation on the
+// sketch tier: pair-ring heavy hitters, each estimated over the window.
+func BenchmarkSketchPairCounts(b *testing.B) {
+	b.Run("sketch/100kx100k", func(b *testing.B) {
+		s := sketchBenchStore(b, 100_000, 100_000, true)
+		v := s.All()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if got := v.PairCounts(nil, nil); len(got) == 0 {
+				b.Fatal("empty pair aggregation")
+			}
+		}
+		b.ReportMetric(indexBytes(s), "index-bytes")
+	})
+	b.Run("sketch-interleaved/100kx100k", func(b *testing.B) {
+		benchInterleavedSketch(b, func(v *View) int { return len(v.PairCounts(nil, nil)) })
+	})
+}
+
+// benchInterleavedSketch times one window close on the traffic shape the
+// composed benchmark found: two interleaved writers (every shard
+// time-unsorted) and a cumulative window whose `to` is off the 10-minute
+// bucket grid, so the last bucket is an exact edge. Each iteration pins a
+// fresh view, as every analysis does, so the once-per-view edge resolution
+// is inside the timing. rows-visited is the edge rows that resolution
+// counts exactly (per ring, summed over shards) — to be read against the
+// 100k rows × heavy-hitter candidates a per-candidate rescan would visit.
+func benchInterleavedSketch(b *testing.B, query func(v *View) int) {
+	s := sketchBenchStoreFrom(100_000, 100_000, true, true)
+	to := time.Unix(0, 0).UTC().Add(47*time.Minute + 13*time.Second)
+	var v *View
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		v = s.Window(time.Time{}, to)
+		if query(v) == 0 {
+			b.Fatal("empty aggregation")
+		}
+	}
+	b.StopTimer()
+	visited := 0
+	rings := []*attrSketch{v.sketchWin().pairs.ring}
+	for _, rw := range v.sketchWin().vals {
+		rings = append(rings, rw.ring)
+	}
+	for _, ring := range rings {
+		_, edges := ring.cover(v.from, v.to)
+		for si := range v.shards {
+			visited += len(v.shards[si].edgeRows(edges, nil))
+		}
+	}
+	b.ReportMetric(float64(visited), "rows-visited")
+	b.ReportMetric(indexBytes(s), "index-bytes")
 }

@@ -2,8 +2,10 @@ package driftlog
 
 import (
 	"fmt"
+	"hash/fnv"
 	"math/rand"
 	"reflect"
+	"sort"
 	"testing"
 	"time"
 
@@ -288,14 +290,156 @@ func TestSketchDifferentialBound(t *testing.T) {
 							}
 							continue
 						}
-						_, _, bound, _ := vb.sk.pairs.estimate(
-							pairSketchKey(k.AttrA, k.ValA, k.AttrB, k.ValB), vb.from, vb.to)
+						bound := vb.sk.pairs.bound(vb.from, vb.to)
 						assertOneSided(t, fmt.Sprintf("seed %d window %d pair %+v", seed, wi, k),
 							cr, exactPC[k], int(bound))
 					}
 				}
 			}
 		})
+	}
+}
+
+// interleavedSketchStore builds a 6000-row log over 1000 s in which
+// adjacent 32-row runs arrive swapped (two writers whose batches land
+// alternately), so every populated shard is time-unsorted, with
+// app_version on the sketch tier and six of its ten 100 s buckets folded
+// into rest.
+func interleavedSketchStore() *Store {
+	r := rand.New(rand.NewSource(21))
+	s := NewStoreWithSketch(sketchTestConfig())
+	base := time.Unix(0, 0).UTC()
+	var batch []Entry
+	for g := 0; g < 6000; g++ {
+		v := r.Intn(300)
+		if r.Float64() < 0.6 {
+			v = r.Intn(10)
+		}
+		batch = append(batch, Entry{
+			Time:     base.Add(time.Duration(g^32) * time.Second / 6),
+			Drift:    r.Float64() < 0.3,
+			SampleID: -1,
+			Attrs: map[string]string{
+				AttrWeather:   fmt.Sprintf("w%d", r.Intn(6)),
+				AttrLocation:  fmt.Sprintf("city_%d", r.Intn(9)),
+				AttrDevice:    fmt.Sprintf("dev_%d", r.Intn(12)),
+				"app_version": fmt.Sprintf("1.%d", v),
+			},
+		})
+		if len(batch) == 128 {
+			s.AppendBatch(batch)
+			batch = batch[:0]
+		}
+	}
+	s.AppendBatch(batch)
+	return s
+}
+
+// TestSketchUnalignedWindowOverInterleavedWriters is the traffic shape
+// the composed benchmark runs: unsorted shards and a window whose `to` is
+// off the bucket grid, here with `from` inside the rest bucket too, so
+// both ends are exact edge slices around Count-Min-answered buckets. Every
+// sketch-answered result must be one-sided within its bound, and the whole
+// result set must hash to what the per-candidate edge scans produced
+// before edges were resolved once per view.
+func TestSketchUnalignedWindowOverInterleavedWriters(t *testing.T) {
+	s := interleavedSketchStore()
+	base := time.Unix(0, 0).UTC()
+	from, to := base.Add(250*time.Second), base.Add(957*time.Second)
+	v, oracle := s.Window(from, to), s.WindowScan(from, to)
+	if st := s.Stats(); st.SketchEvicted == 0 || st.UnsortedShards == 0 {
+		t.Fatalf("store shape: %+v, want folded buckets and unsorted shards", st)
+	}
+	for si := range v.shards {
+		if v.shards[si].rows > 32 && v.shards[si].sorted {
+			t.Fatalf("shard %d is time-sorted", si)
+		}
+	}
+
+	conds := [][]Cond{
+		{{"app_version", "1.3"}},
+		{{"app_version", "1.250"}},
+		{{"app_version", "1.3"}, {AttrWeather, "w2"}},
+		{{"app_version", "1.7"}, {AttrWeather, "w0"}, {AttrLocation, "city_4"}},
+		{{AttrWeather, "w1"}, {AttrLocation, "city_2"}},
+	}
+	var lines []string
+	for _, c := range conds {
+		got, err := v.Count(c, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		exact, _ := oracle.Count(c, nil)
+		approx, bound := v.Approx(c, nil)
+		if !approx {
+			bound = 0
+		}
+		if len(c) < 3 { // a 3-way conjunction is bounded against its tightest pair, not the exact count
+			assertOneSided(t, fmt.Sprint(c), got, exact, bound)
+		} else if got.Total < exact.Total || got.Drift < exact.Drift {
+			t.Fatalf("%v: sketch %+v below exact %+v", c, got, exact)
+		}
+		lines = append(lines, fmt.Sprintf("count %v %+v %v %d", c, got, approx, bound))
+	}
+	exactAV := oracle.AttrValueCounts(nil)
+	_, valBound := v.Approx([]Cond{{"app_version", "1.0"}}, nil)
+	for attr, byVal := range v.AttrValueCounts(nil) {
+		for val, cr := range byVal {
+			if attr == "app_version" {
+				assertOneSided(t, attr+"="+val, cr, exactAV[attr][val], valBound)
+			} else if cr != exactAV[attr][val] {
+				t.Fatalf("exact-tier %s=%s: %+v vs %+v", attr, val, cr, exactAV[attr][val])
+			}
+			lines = append(lines, fmt.Sprintf("value %s=%s %+v", attr, val, cr))
+		}
+	}
+	exactPC := oracle.PairCounts(nil, nil)
+	_, pairBound := v.Approx([]Cond{{"app_version", "1.0"}, {AttrWeather, "w0"}}, nil)
+	for k, cr := range v.PairCounts(nil, nil) {
+		if k.AttrA == "app_version" || k.AttrB == "app_version" {
+			assertOneSided(t, fmt.Sprint(k), cr, exactPC[k], pairBound)
+		} else if cr != exactPC[k] {
+			t.Fatalf("exact-tier pair %+v: %+v vs %+v", k, cr, exactPC[k])
+		}
+		lines = append(lines, fmt.Sprintf("pair %+v %+v", k, cr))
+	}
+	sort.Strings(lines)
+	h := fnv.New64a()
+	for _, l := range lines {
+		fmt.Fprintln(h, l)
+	}
+	const want = "95f79bac967847ff" // computed at the parent commit
+	if got := fmt.Sprintf("%016x", h.Sum64()); got != want {
+		t.Fatalf("result digest %s over %d lines, want %s", got, len(lines), want)
+	}
+}
+
+// TestSketchWindowSurvivesFolds pins what a view's once-resolved sketch
+// window relies on: buckets folding into rest after the view resolved its
+// window (six newer buckets push every bucket it covers out of the ring)
+// neither move nor duplicate the mass it reads.
+func TestSketchWindowSurvivesFolds(t *testing.T) {
+	s := interleavedSketchStore()
+	base := time.Unix(0, 0).UTC()
+	v := s.Window(time.Time{}, base.Add(957*time.Second)) // rest and three live buckets fully covered
+	conds := [][]Cond{{{"app_version", "1.0"}}, {{"app_version", "1.0"}, {AttrWeather, "w0"}}}
+	var before [2]CountResult
+	for i, c := range conds {
+		before[i], _ = v.Count(c, nil)
+	}
+	var late []Entry
+	for sec := 1000; sec < 1600; sec++ {
+		late = append(late, Entry{Time: base.Add(time.Duration(sec) * time.Second), SampleID: -1, Attrs: map[string]string{
+			AttrWeather: "w0", AttrLocation: "city_0", AttrDevice: "dev_0", "app_version": "1.0"}})
+	}
+	s.AppendBatch(late)
+	for i, c := range conds {
+		if after, _ := v.Count(c, nil); after != before[i] {
+			t.Fatalf("%v: %+v before the folds, %+v after", c, before[i], after)
+		}
+		exact, _ := v.CountScan(c, nil)
+		_, bound := v.Approx(c, nil)
+		assertOneSided(t, fmt.Sprint(c), before[i], exact, bound)
 	}
 }
 

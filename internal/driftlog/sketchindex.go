@@ -196,20 +196,23 @@ func (as *attrSketch) insertLocked(aligned int64) *sketchBucket {
 	for len(as.buckets) > as.maxBuckets {
 		old := as.buckets[0]
 		as.buckets = append(as.buckets[:0], as.buckets[1:]...)
-		if as.rest == nil {
-			as.rest = old
+		// Fold into a fresh rest bucket, never into a bucket in place: a
+		// view pins the buckets its window covers (View.sketchWin), and a
+		// pinned rest that absorbed a bucket pinned beside it would count
+		// that bucket twice.
+		rest := &sketchBucket{start: old.start, end: old.end,
+			cm: sketch.NewCountMin(as.width, as.depth, as.seed)}
+		rest.cm.Merge(old.cm)
+		rest.adds.Store(old.adds.Load())
+		if prev := as.rest; prev == nil {
 			as.restLow.Store(old.start)
 		} else {
 			as.lowerRestLow(old.start)
-			as.rest.cm.Merge(old.cm)
-			as.rest.adds.Add(old.adds.Load())
-			if old.start < as.rest.start {
-				as.rest.start = old.start
-			}
-			if old.end > as.rest.end {
-				as.rest.end = old.end
-			}
+			rest.cm.Merge(prev.cm)
+			rest.adds.Add(prev.adds.Load())
+			rest.start, rest.end = min(rest.start, prev.start), max(rest.end, prev.end)
 		}
+		as.rest = rest
 		as.evicted++
 	}
 	if as.rest != nil && aligned < as.rest.end {
@@ -248,12 +251,12 @@ func (as *attrSketch) add(key string, t int64, drifted bool) {
 	as.hh.Offer(key, 1)
 }
 
-// estimate sums the one-sided Count-Min estimates of every bucket fully
-// inside [from, to), returning the summed analytic bound alongside and the
-// partially covered time slices (edges) the caller must resolve by exact
-// scan. Buckets with no overlap contribute nothing; time ranges with no
-// bucket hold no rows by construction.
-func (as *attrSketch) estimate(key string, from, to int64) (total, drift, bound uint64, edges []span) {
+// eachOverlap classifies every non-empty bucket against [from, to) under
+// one read lock: f receives the bucket, its increments fed, and the
+// overlapped slice, with full set when the bucket lies entirely inside the
+// window. Buckets with no overlap are skipped; time ranges with no bucket
+// hold no rows by construction.
+func (as *attrSketch) eachOverlap(from, to int64, f func(b *sketchBucket, n uint64, part span, full bool)) {
 	as.mu.RLock()
 	defer as.mu.RUnlock()
 	consider := func(b *sketchBucket) {
@@ -267,34 +270,51 @@ func (as *attrSketch) estimate(key string, from, to int64) (total, drift, bound 
 		if b.end <= from || start >= to {
 			return
 		}
-		n := b.adds.Load()
-		if n == 0 {
-			return
+		if n := b.adds.Load(); n > 0 {
+			f(b, n, span{max(start, from), min(b.end, to)}, start >= from && b.end <= to)
 		}
-		if start >= from && b.end <= to {
-			e := b.cm.Estimate(key)
-			total += uint64(e.Total)
-			drift += uint64(e.Drift)
-			bound += sketch.ErrBound(as.width, n)
-			return
-		}
-		lo, hi := start, b.end
-		if from > lo {
-			lo = from
-		}
-		if to < hi {
-			hi = to
-		}
-		edges = append(edges, span{lo, hi})
 	}
 	consider(as.rest)
 	for _, b := range as.buckets {
 		consider(b)
 	}
-	if drift > total {
-		drift = total
-	}
+}
+
+// cover resolves the window [from, to) against the ring: the buckets fully
+// inside it, which Count-Min answers, and the partially covered time slices
+// (edges), which the caller must count exactly. Neither depends on the key,
+// so a view resolves each ring once (see sketchWindow).
+func (as *attrSketch) cover(from, to int64) (full []*sketchBucket, edges []span) {
+	as.eachOverlap(from, to, func(b *sketchBucket, _ uint64, part span, whole bool) {
+		if whole {
+			full = append(full, b)
+		} else {
+			edges = append(edges, part)
+		}
+	})
 	return
+}
+
+// bound is the summed analytic Count-Min error bound of the buckets fully
+// inside [from, to) — the one-sided error of any estimate over the window
+// (edges are exact and add none).
+func (as *attrSketch) bound(from, to int64) (bound uint64) {
+	as.eachOverlap(from, to, func(_ *sketchBucket, n uint64, _ span, whole bool) {
+		if whole {
+			bound += sketch.ErrBound(as.width, n)
+		}
+	})
+	return
+}
+
+// cmSum sums the one-sided Count-Min estimates of key over full.
+func cmSum(full []*sketchBucket, key string) (total, drift uint64) {
+	for _, b := range full {
+		e := b.cm.Estimate(key)
+		total += uint64(e.Total)
+		drift += uint64(e.Drift)
+	}
+	return total, min(drift, total)
 }
 
 // memory returns (buckets, bytes) of this ring, counting the rest bucket.
@@ -357,6 +377,13 @@ func (sk *sketchIndex) lookupAttr(name string) *attrSketch {
 	sk.mu.RLock()
 	defer sk.mu.RUnlock()
 	return sk.attrs[name]
+}
+
+// pairRing returns the current pair ring (reset replaces it).
+func (sk *sketchIndex) pairRing() *attrSketch {
+	sk.mu.RLock()
+	defer sk.mu.RUnlock()
+	return sk.pairs
 }
 
 // reset discards all sketch state (tier-up and Compact rebuild from a

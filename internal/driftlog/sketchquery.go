@@ -82,31 +82,17 @@ func (v *View) Approx(conds []Cond, ov *Overlay) (bool, int) {
 	if !ok {
 		return false, 0 // contradictory conditions: answered exactly (zero)
 	}
+	// The bound is a property of the ring and the window, not of the key:
+	// one sketched condition is bounded by its attribute's ring; two or
+	// more always include a pair with a sketched side, bounded by the pair
+	// ring (the same for every pair).
+	ring := v.sk.pairRing()
 	if len(uniq) == 1 {
-		as := v.sk.lookupAttr(uniq[0].Attr)
-		if as == nil {
+		if ring = v.sk.lookupAttr(uniq[0].Attr); ring == nil {
 			return true, 0
 		}
-		_, _, b, _ := as.estimate(uniq[0].Value, v.from, v.to)
-		return true, int(b)
 	}
-	best := uint64(math.MaxUint64)
-	for i := 0; i < len(uniq); i++ {
-		for j := i + 1; j < len(uniq); j++ {
-			if !v.sketched[uniq[i].Attr] && !v.sketched[uniq[j].Attr] {
-				continue
-			}
-			a, b := orderPair(uniq[i], uniq[j])
-			_, _, bd, _ := v.sk.pairs.estimate(pairSketchKey(a.Attr, a.Value, b.Attr, b.Value), v.from, v.to)
-			if bd < best {
-				best = bd
-			}
-		}
-	}
-	if best == math.MaxUint64 {
-		best = 0
-	}
-	return true, int(best)
+	return true, int(ring.bound(v.from, v.to))
 }
 
 // orderPair canonicalizes a condition pair (AttrA < AttrB).
@@ -117,98 +103,134 @@ func orderPair(a, b Cond) (Cond, Cond) {
 	return a, b
 }
 
-// edgeRows invokes f(row) for every pinned row of the shard whose time
-// falls inside one of the (pairwise disjoint) spans. Sorted shards use
-// binary search; unsorted shards scan with a time check.
-func (vs *viewShard) edgeRows(edges []span, f func(i int)) {
+// ringWindow is the view's window resolved against one sketch ring: the
+// fully covered buckets Count-Min answers, and the exact counts of the
+// rows in the partially covered edges, grouped by the ring's key.
+type ringWindow[K comparable] struct {
+	ring *attrSketch
+	full []*sketchBucket
+	edge map[K]CountResult
+}
+
+// sketchWindow resolves the view's window against every ring it can be
+// asked about — once per view, on the first sketch-answered query, and
+// shared by every candidate and every concurrent query after it: which
+// buckets a window covers and which rows fall in its edges depend on the
+// ring and the window, never on the key. Pinning both under one ring lock
+// also keeps the full/edge split consistent against concurrent folds.
+type sketchWindow struct {
+	vals  map[string]ringWindow[string] // per sketched attribute, keyed by value
+	pairs ringWindow[PairKey]
+}
+
+func (v *View) sketchWin() *sketchWindow {
+	v.skOnce.Do(func() {
+		sw := &v.skWin
+		sw.vals = make(map[string]ringWindow[string], len(v.sketched))
+		var rows []int32
+		for name := range v.sketched {
+			as := v.sk.lookupAttr(name)
+			if as == nil {
+				continue
+			}
+			full, edges := as.cover(v.from, v.to)
+			rw := ringWindow[string]{ring: as, full: full, edge: map[string]CountResult{}}
+			for si := range v.shards {
+				vs := &v.shards[si]
+				col, ok := vs.cols[name]
+				if !ok {
+					continue
+				}
+				rows = vs.edgeRows(edges, rows[:0])
+				for _, r := range rows {
+					if id := col.ids[r]; id != 0 {
+						cr := rw.edge[col.dict[id]]
+						cr.Total++
+						if vs.drift[r] {
+							cr.Drift++
+						}
+						rw.edge[col.dict[id]] = cr
+					}
+				}
+			}
+			sw.vals[name] = rw
+		}
+		sw.pairs.ring = v.sk.pairRing()
+		var edges []span
+		sw.pairs.full, edges = sw.pairs.ring.cover(v.from, v.to)
+		sw.pairs.edge = map[PairKey]CountResult{}
+		for si := range v.shards {
+			vs := &v.shards[si]
+			if rows = vs.edgeRows(edges, rows[:0]); len(rows) == 0 {
+				continue
+			}
+			cols := vs.sortedCols(nil)
+			for a := 0; a < len(cols); a++ {
+				for b := a + 1; b < len(cols); b++ {
+					if v.sketched[cols[a].name] || v.sketched[cols[b].name] {
+						vs.pairScanInto(nil, si, rows, cols[a], cols[b], sw.pairs.edge)
+					}
+				}
+			}
+		}
+	})
+	return &v.skWin
+}
+
+// estimate is the windowed one-sided estimate of key: Count-Min sums over
+// the fully covered buckets (cmKey is key in the ring's encoding) plus the
+// exact count of the edge rows.
+func (rw ringWindow[K]) estimate(key K, cmKey string) (total, drift uint64) {
+	total, drift = cmSum(rw.full, cmKey)
+	e := rw.edge[key]
+	return total + uint64(e.Total), drift + uint64(e.Drift)
+}
+
+// edgeRows appends to dst the shard's rows whose time falls inside one of
+// the (pairwise disjoint) spans. Edges lie inside the view's window, so
+// sorted shards binary-search each span and unsorted shards time-check the
+// window's rows only.
+func (vs *viewShard) edgeRows(edges []span, dst []int32) []int32 {
 	if len(edges) == 0 {
-		return
+		return dst
 	}
 	if vs.sorted {
 		for _, e := range edges {
 			lo := sort.Search(vs.rows, func(i int) bool { return vs.times[i] >= e.from })
 			hi := sort.Search(vs.rows, func(i int) bool { return vs.times[i] >= e.to })
 			for i := lo; i < hi; i++ {
-				f(i)
+				dst = append(dst, int32(i))
 			}
 		}
-		return
+		return dst
 	}
-	for i := 0; i < vs.rows; i++ {
+	vs.eachWindowRow(func(i int) {
 		t := vs.times[i]
 		for _, e := range edges {
 			if t >= e.from && t < e.to {
-				f(i)
+				dst = append(dst, int32(i))
 				break
 			}
 		}
-	}
+	})
+	return dst
 }
 
 // sketchCondEstimate is the windowed one-sided estimate of a single
-// sketched condition: Count-Min sums over fully covered buckets plus an
-// exact scan of the partially covered bucket edges.
+// sketched condition.
 func (v *View) sketchCondEstimate(c Cond) (total, drift uint64) {
-	as := v.sk.lookupAttr(c.Attr)
-	if as == nil {
+	rw, ok := v.sketchWin().vals[c.Attr]
+	if !ok {
 		return 0, 0
 	}
-	t, d, _, edges := as.estimate(c.Value, v.from, v.to)
-	total, drift = t, d
-	if len(edges) == 0 {
-		return
-	}
-	for si := range v.shards {
-		vs := &v.shards[si]
-		col, ok := vs.cols[c.Attr]
-		if !ok {
-			continue
-		}
-		id := col.lookup(c.Value)
-		if id == 0 {
-			continue
-		}
-		vs.edgeRows(edges, func(i int) {
-			if col.ids[i] == id {
-				total++
-				if vs.drift[i] {
-					drift++
-				}
-			}
-		})
-	}
-	return
+	return rw.estimate(c.Value, c.Value)
 }
 
 // sketchPairEstimate is sketchCondEstimate for a canonical condition pair
 // answered from the pair ring.
 func (v *View) sketchPairEstimate(a, b Cond) (total, drift uint64) {
-	t, d, _, edges := v.sk.pairs.estimate(pairSketchKey(a.Attr, a.Value, b.Attr, b.Value), v.from, v.to)
-	total, drift = t, d
-	if len(edges) == 0 {
-		return
-	}
-	for si := range v.shards {
-		vs := &v.shards[si]
-		ca, okA := vs.cols[a.Attr]
-		cb, okB := vs.cols[b.Attr]
-		if !okA || !okB {
-			continue
-		}
-		ida, idb := ca.lookup(a.Value), cb.lookup(b.Value)
-		if ida == 0 || idb == 0 {
-			continue
-		}
-		vs.edgeRows(edges, func(i int) {
-			if ca.ids[i] == ida && cb.ids[i] == idb {
-				total++
-				if vs.drift[i] {
-					drift++
-				}
-			}
-		})
-	}
-	return
+	return v.sketchWin().pairs.estimate(PairKey{a.Attr, a.Value, b.Attr, b.Value},
+		pairSketchKey(a.Attr, a.Value, b.Attr, b.Value))
 }
 
 // countSketch answers Count when at least one condition is sketched: the
@@ -280,17 +302,13 @@ func (v *View) countSketch(conds []Cond, ov *Overlay) (CountResult, error) {
 // threshold can keep), each estimated over the window. Candidates are
 // global across time; windowed estimates discard out-of-window mass.
 func (v *View) attrValueCountsSketch(out map[string]map[string]CountResult) {
-	for name := range v.sketched {
+	for name, rw := range v.sketchWin().vals {
 		if !v.attrs[name] {
 			continue
 		}
-		as := v.sk.lookupAttr(name)
-		if as == nil {
-			continue
-		}
 		byVal := out[name]
-		for _, hhi := range as.hh.Items() {
-			t, d := v.sketchCondEstimate(Cond{Attr: name, Value: hhi.Key})
+		for _, hhi := range rw.ring.hh.Items() {
+			t, d := rw.estimate(hhi.Key, hhi.Key)
 			if t == 0 {
 				continue
 			}
@@ -366,7 +384,8 @@ func (v *View) attrValueCountsScanSketched(out map[string]map[string]CountResult
 // exact row scan over just those attribute pairs otherwise.
 func (v *View) pairCountsSketchSection(out map[PairKey]CountResult, ov *Overlay, exclude map[string]bool) {
 	if v.sketchEligible(ov) {
-		for _, hhi := range v.sk.pairs.hh.Items() {
+		pairs := v.sketchWin().pairs
+		for _, hhi := range pairs.ring.hh.Items() {
 			k, ok := parsePairKey(hhi.Key)
 			if !ok || exclude[k.AttrA] || exclude[k.AttrB] {
 				continue
@@ -374,7 +393,7 @@ func (v *View) pairCountsSketchSection(out map[PairKey]CountResult, ov *Overlay,
 			if !v.attrs[k.AttrA] || !v.attrs[k.AttrB] {
 				continue
 			}
-			t, d := v.sketchPairEstimate(Cond{k.AttrA, k.ValA}, Cond{k.AttrB, k.ValB})
+			t, d := pairs.estimate(k, hhi.Key)
 			if t == 0 {
 				continue
 			}
@@ -385,15 +404,17 @@ func (v *View) pairCountsSketchSection(out map[PairKey]CountResult, ov *Overlay,
 		}
 		return
 	}
+	var rows []int32
 	for si := range v.shards {
 		vs := &v.shards[si]
+		rows = vs.windowRows(rows[:0])
 		cols := vs.sortedCols(exclude)
 		for a := 0; a < len(cols); a++ {
 			for b := a + 1; b < len(cols); b++ {
 				if !cols[a].c.sketched && !cols[b].c.sketched {
 					continue
 				}
-				vs.pairScanInto(v, ov, si, cols[a].name, cols[a].c, cols[b].name, cols[b].c, out)
+				vs.pairScanInto(ov, si, rows, cols[a], cols[b], out)
 			}
 		}
 	}

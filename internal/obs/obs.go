@@ -178,6 +178,7 @@ type Registry struct {
 	instruments []*instrument
 	keys        map[string]bool
 	kinds       map[string]metricKind // family -> kind (must be consistent)
+	onScrape    []func()
 }
 
 // NewRegistry returns an empty registry.
@@ -203,6 +204,15 @@ func (r *Registry) Gauge(name, help string, labels ...Label) *Gauge {
 // time — how stores export occupancy without pushing on every mutation.
 func (r *Registry) GaugeFunc(name, help string, fn func() float64, labels ...Label) {
 	r.register(&instrument{family: name, kind: kindGauge, help: help, labels: renderLabels(labels), gfunc: fn})
+}
+
+// OnScrape registers fn to run at the start of every exposition, before
+// any gauge function is pulled — where a source whose snapshot is costly
+// takes it once for all the gauges that read it.
+func (r *Registry) OnScrape(fn func()) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	r.onScrape = append(r.onScrape, fn)
 }
 
 // Histogram registers and returns a histogram with the given ascending
@@ -306,7 +316,11 @@ func withExtraLabel(rendered, key, value string) string {
 func (r *Registry) WritePrometheus(w io.Writer) error {
 	r.mu.Lock()
 	instruments := append([]*instrument(nil), r.instruments...)
+	hooks := append(([]func())(nil), r.onScrape...)
 	r.mu.Unlock()
+	for _, fn := range hooks {
+		fn()
+	}
 
 	var b strings.Builder
 	seen := map[string]bool{}

@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"fmt"
 	"math"
 	"net/http/httptest"
 	"strings"
@@ -217,5 +218,27 @@ func TestHandlerServesExposition(t *testing.T) {
 	}
 	if !strings.Contains(rec.Body.String(), "served_total 5") {
 		t.Fatalf("body %q", rec.Body.String())
+	}
+}
+
+// TestOnScrapeRunsOncePerExposition pins the hook contract gauge sources
+// rely on to share one snapshot: every hook runs once per exposition,
+// before any gauge function is pulled.
+func TestOnScrapeRunsOncePerExposition(t *testing.T) {
+	r := NewRegistry()
+	scrapes := 0
+	r.OnScrape(func() { scrapes++ })
+	r.GaugeFunc("snapshot_a", "", func() float64 { return float64(scrapes) })
+	r.GaugeFunc("snapshot_b", "", func() float64 { return float64(scrapes) })
+	for want := 1; want <= 2; want++ {
+		var b strings.Builder
+		if err := r.WritePrometheus(&b); err != nil {
+			t.Fatal(err)
+		}
+		for _, line := range []string{fmt.Sprintf("snapshot_a %d\n", want), fmt.Sprintf("snapshot_b %d\n", want)} {
+			if !strings.Contains(b.String(), line) {
+				t.Fatalf("exposition %d missing %q:\n%s", want, line, b.String())
+			}
+		}
 	}
 }
