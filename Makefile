@@ -85,11 +85,12 @@ bench:
 
 # Kernel/model micro-benchmarks (-benchmem): blocked vs reference matmul
 # orientations, fused ops, workspace round trips, steady-state model
-# passes. Each benchmark runs 5 times and benchjson keeps the fastest
-# sample, which filters shared-machine noise. The parsed results
-# (including blocked-vs-ref speedups) land in BENCH_kernels.json.
+# passes, and the adaptation step and whole runs built on them. Each
+# benchmark runs 5 times and benchjson keeps the fastest sample, which
+# filters shared-machine noise. The parsed results (including
+# blocked-vs-ref speedups) land in BENCH_kernels.json.
 bench-kernels:
-	$(GO) test -run '^$$' -bench . -benchmem -benchtime 0.5s -count 5 ./internal/tensor/ ./internal/nn/ \
+	$(GO) test -run '^$$' -bench . -benchmem -benchtime 0.5s -count 5 ./internal/tensor/ ./internal/nn/ ./internal/adapt/ \
 		| tee bench-kernels.out
 	$(GO) run ./cmd/benchjson < bench-kernels.out > BENCH_kernels.json
 	@rm -f bench-kernels.out

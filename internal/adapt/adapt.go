@@ -107,16 +107,24 @@ func AdaptContext(ctx context.Context, base *nn.Network, samples *tensor.Matrix,
 	if samples == nil || samples.Rows == 0 {
 		return nil, fmt.Errorf("adapt: no samples to adapt on")
 	}
-	if cfg.Method == MEMO && cfg.Augment == nil {
-		return nil, fmt.Errorf("adapt: MEMO requires an augmentation function")
+	// Uploaded samples arrive from outside the process; a width the model
+	// cannot take must fail this run, not panic in a fan-out goroutine.
+	if len(base.LayersList) > 0 {
+		if d, ok := base.LayersList[0].(*nn.Dense); ok && samples.Cols != d.In {
+			return nil, fmt.Errorf("adapt: samples have %d features, the model takes %d", samples.Cols, d.In)
+		}
 	}
-	net := base.Clone()
-	net.FreezeExceptBN()
-	opt := nn.NewAdam(cfg.LR)
-	// Step buffers (batch, MEMO copies, loss gradient, filter probs) are
-	// reused for the whole run; shapes only change on the final partial
-	// batch.
-	var run runner
+	switch cfg.Method {
+	case TENT:
+	case MEMO:
+		if cfg.Augment == nil {
+			return nil, fmt.Errorf("adapt: MEMO requires an augmentation function")
+		}
+	default:
+		return nil, fmt.Errorf("adapt: unknown method %q", cfg.Method)
+	}
+	run := newRunner(base, samples, cfg)
+	defer run.release()
 
 	n := samples.Rows
 	idx := make([]int, n)
@@ -147,44 +155,15 @@ func AdaptContext(ctx context.Context, base *nn.Network, samples *tensor.Matrix,
 			if e-s < 2 && cfg.Method == TENT {
 				break // a singleton TENT batch has a degenerate objective
 			}
-			batch := run.gatherRows(samples, idx[s:e])
-			switch cfg.Method {
-			case TENT:
-				net.ZeroGrads()
-				logits := net.Forward(batch, nn.Adapt)
-				_, dlogits := nn.EntropyInto(&run.dlogits, logits)
-				if cfg.EntropyFilter > 0 {
-					run.zeroUnreliableRows(logits, dlogits, cfg.EntropyFilter)
-				}
-				net.Backward(dlogits)
-				opt.Step(net.Params())
-			case MEMO:
-				// TENT-style batching (§3.4): augment every input in
-				// the batch so BN statistics come from the whole
-				// augmented batch, then minimize the per-input
-				// marginal entropy.
-				copies := run.copies.Reshape(batch.Rows*cfg.Augmentations, batch.Cols)
-				for r := 0; r < batch.Rows; r++ {
-					for a := 0; a < cfg.Augmentations; a++ {
-						copy(copies.Row(r*cfg.Augmentations+a), cfg.Augment(batch.Row(r), cfg.Rng))
-					}
-				}
-				net.ZeroGrads()
-				logits := net.Forward(copies, nn.Adapt)
-				_, dlogits := nn.GroupedMarginalEntropyInto(&run.dlogits, logits, cfg.Augmentations)
-				net.Backward(dlogits)
-				opt.Step(net.Params())
-			default:
-				return nil, fmt.Errorf("adapt: unknown method %q", cfg.Method)
-			}
+			run.step(idx[s:e])
 			batches++
 		}
 		if cfg.AfterEpoch != nil {
-			cfg.AfterEpoch(net, epoch)
+			cfg.AfterEpoch(run.net, epoch)
 		}
 	}
-	net.UnfreezeAll()
-	return net, nil
+	run.net.UnfreezeAll()
+	return run.net, nil
 }
 
 // AdaptQuantized runs AdaptContext on the float side while keeping an
@@ -224,15 +203,74 @@ func AdaptQuantized(ctx context.Context, base *nn.Network, samples *tensor.Matri
 	return net, qn, nil
 }
 
-// runner owns the per-step scratch of one adaptation run: the gathered
-// batch, the MEMO augmented-copies matrix, the loss gradient, and the
-// softmax scratch of the reliability filter. A zero runner is ready to
-// use; buffers grow to the largest shape seen and are reused across
+// runner is one adaptation run: the in-training clone, its optimizer and
+// the per-step scratch (the gathered batch, the MEMO augmented-copies
+// matrix, the loss gradient, the softmax scratch of the reliability
+// filter). Buffers grow to the largest shape seen and are reused across
 // every optimizer step, so steady-state adaptation does not allocate
 // (pinned by TestAdaptSteadyStateAllocs).
 type runner struct {
+	cfg Config
+	net *nn.Network
+	opt *nn.Adam
+	// Batches are gathered from src and enter the network at layer from.
+	// TENT never changes what the frozen leading Dense layers compute for
+	// a sample, so it forwards the whole pool through them once (prefix,
+	// an arena buffer) and every step starts above them; MEMO augments
+	// its inputs per step and starts from the samples at layer 0.
+	src, prefix *tensor.Matrix
+	from        int
+
 	batch, copies, dlogits tensor.Matrix
 	probs                  []float64
+}
+
+// newRunner clones base in the TENT configuration (only BN γ/β
+// trainable). cfg must be defaulted and validated. Pair with release.
+func newRunner(base *nn.Network, samples *tensor.Matrix, cfg Config) *runner {
+	run := &runner{cfg: cfg, net: base.Clone(), opt: nn.NewAdam(cfg.LR), src: samples}
+	run.net.FreezeExceptBN()
+	if cfg.Method == TENT {
+		if run.prefix, run.from = run.net.ForwardFrozenPrefix(samples); run.prefix != nil {
+			run.src = run.prefix
+		}
+	}
+	return run
+}
+
+// release returns the frozen-prefix buffer to the workspace arena.
+func (run *runner) release() { tensor.PutMatrix(run.prefix) }
+
+// step runs one optimizer step on the pool rows sel: forward, the
+// objective's gradient, the backward pass that reaches a trainable
+// parameter, Adam.
+func (run *runner) step(sel []int) {
+	cfg, net := run.cfg, run.net
+	batch := run.gatherRows(run.src, sel)
+	var dlogits *tensor.Matrix
+	net.ZeroGrads()
+	switch cfg.Method {
+	case TENT:
+		logits := net.ForwardFrom(run.from, batch, nn.Adapt)
+		_, dlogits = nn.EntropyInto(&run.dlogits, logits)
+		if cfg.EntropyFilter > 0 {
+			run.zeroUnreliableRows(logits, dlogits, cfg.EntropyFilter)
+		}
+	case MEMO:
+		// TENT-style batching (§3.4): augment every input in the batch
+		// so BN statistics come from the whole augmented batch, then
+		// minimize the per-input marginal entropy.
+		copies := run.copies.Reshape(batch.Rows*cfg.Augmentations, batch.Cols)
+		for r := 0; r < batch.Rows; r++ {
+			for a := 0; a < cfg.Augmentations; a++ {
+				copy(copies.Row(r*cfg.Augmentations+a), cfg.Augment(batch.Row(r), cfg.Rng))
+			}
+		}
+		logits := net.Forward(copies, nn.Adapt)
+		_, dlogits = nn.GroupedMarginalEntropyInto(&run.dlogits, logits, cfg.Augmentations)
+	}
+	net.BackwardParams(dlogits)
+	run.opt.Step(net.Params())
 }
 
 // zeroUnreliableRows zeroes the gradient rows of samples whose prediction
@@ -286,35 +324,80 @@ func (v BNVersion) IsClean() bool { return len(v.Cause.Items) == 0 }
 type SampleSource func(c rca.Cause) *tensor.Matrix
 
 // ByCauseContext produces one BN version per cause by adapting a clone of
-// base on that cause's samples (Nazar's core adaptation strategy). Causes
-// with fewer than minSamples uploads are skipped: adaptation on a handful
-// of images underfits.
-//
-// Causes adapt concurrently over a bounded worker pool (at most
-// tensor.Workers() runs in flight) — each run clones the base and they
-// share no state (§5.8: "model adaptation can be easily parallelized").
-// Each cause gets its own deterministic RNG derived from cfg.Rng's first
-// draw and the cause key, and results land in index-addressed slots, so
-// the output is identical at any pool width.
-//
-// No new cause run is launched after the context is cancelled, and
-// in-flight runs abort at their next optimizer step. A cancelled call
-// returns ctx.Err() and no versions.
+// base on that cause's samples (Nazar's core adaptation strategy): it is
+// WindowContext without a clean pool.
 func ByCauseContext(ctx context.Context, base *nn.Network, causes []rca.Cause, samples SampleSource, minSamples int, cfg Config, now time.Time) ([]BNVersion, error) {
+	runs, err := WindowContext(ctx, base, causes, samples, minSamples, nil, cfg, now)
+	return runs.Versions, err
+}
+
+// Runs is the outcome of one window's adaptation fan-out.
+type Runs struct {
+	// Versions holds one BN version per adapted cause, in cause order.
+	Versions []BNVersion
+	// Clean is base re-adapted on the clean pool (nil without one).
+	Clean *nn.Network
+	// ByCauseTimes[i] is the wall time of the run behind Versions[i] and
+	// CleanTime that of the clean run. The runs overlap, so the times sum
+	// to more than the fan-out took.
+	ByCauseTimes []time.Duration
+	CleanTime    time.Duration
+}
+
+// WindowContext runs a window's adaptation: one run per cause on that
+// cause's samples, each yielding a BN version, plus — when clean is
+// non-nil — one re-adaptation of base on the clean pool (the
+// "continuously adapted clean model" of §3.4). Causes with fewer than
+// minSamples uploads are skipped: adaptation on a handful of images
+// underfits.
+//
+// The runs share one bounded worker pool (at most tensor.Workers() in
+// flight) — each clones the base and they share no state (§5.8: "model
+// adaptation can be easily parallelized"), so the window costs its
+// longest chain of runs, not their sum. The clean run, usually the
+// largest, is launched first. Every cause gets its own deterministic RNG
+// derived from cfg.Rng's first draw and the cause key, the clean run
+// consumes cfg.Rng after that draw — the order of by-cause followed by
+// clean adaptation — and results land in index-addressed slots, so the
+// output is identical at any pool width.
+//
+// No new run is launched after the context is cancelled, and in-flight
+// runs abort at their next optimizer step; every launched run is awaited
+// before returning. A cancelled call returns ctx.Err() and no results.
+func WindowContext(ctx context.Context, base *nn.Network, causes []rca.Cause, samples SampleSource, minSamples int, clean *tensor.Matrix, cfg Config, now time.Time) (Runs, error) {
 	if minSamples < 2 {
 		minSamples = 2
 	}
+	// The clean run takes the caller's cfg as AdaptContext would after
+	// ByCauseContext returned: a supplied Rng past the seed draw below, or
+	// none and so its own fresh default.
+	cleanCfg := cfg
 	cfg = cfg.withDefaults()
 	baseSeed := cfg.Rng.Uint64()
 
+	// One slot per cause, the clean run's last.
 	type slot struct {
-		version BNVersion
-		err     error
-		ok      bool
+		net  *nn.Network
+		took time.Duration
+		err  error
 	}
-	slots := make([]slot, len(causes))
+	slots := make([]slot, len(causes)+1)
 	sem := make(chan struct{}, tensor.Workers())
 	var wg sync.WaitGroup
+	launch := func(i int, sx *tensor.Matrix, runCfg Config) {
+		wg.Add(1)
+		sem <- struct{}{}
+		go func() {
+			defer wg.Done()
+			defer func() { <-sem }()
+			start := time.Now()
+			net, err := AdaptContext(ctx, base, sx, runCfg)
+			slots[i] = slot{net: net, took: time.Since(start), err: err}
+		}()
+	}
+	if clean != nil && ctx.Err() == nil {
+		launch(len(causes), clean, cleanCfg)
+	}
 	for i, c := range causes {
 		if ctx.Err() != nil {
 			break
@@ -323,43 +406,37 @@ func ByCauseContext(ctx context.Context, base *nn.Network, causes []rca.Cause, s
 		if sx == nil || sx.Rows < minSamples {
 			continue
 		}
-		wg.Add(1)
-		sem <- struct{}{}
-		go func(i int, c rca.Cause, sx *tensor.Matrix) {
-			defer wg.Done()
-			defer func() { <-sem }()
-			causeCfg := cfg
-			causeCfg.Rng = tensor.NewRand(baseSeed^hashKey(c.Key()), uint64(i)+1)
-			adapted, err := AdaptContext(ctx, base, sx, causeCfg)
-			if err != nil {
-				slots[i] = slot{err: fmt.Errorf("adapt: cause %s: %w", c, err)}
-				return
-			}
-			slots[i] = slot{
-				version: BNVersion{
-					ID:        fmt.Sprintf("%s@%d#%d", c.Key(), now.Unix(), i),
-					Cause:     c,
-					Snapshot:  nn.CaptureBN(adapted),
-					CreatedAt: now,
-				},
-				ok: true,
-			}
-		}(i, c, sx)
+		causeCfg := cfg
+		causeCfg.Rng = tensor.NewRand(baseSeed^hashKey(c.Key()), uint64(i)+1)
+		launch(i, sx, causeCfg)
 	}
 	wg.Wait()
 	if err := ctx.Err(); err != nil {
-		return nil, err
+		return Runs{}, err
 	}
-	var versions []BNVersion
-	for _, s := range slots {
+	var runs Runs
+	for i, c := range causes {
+		s := slots[i]
 		if s.err != nil {
-			return nil, s.err
+			return Runs{}, fmt.Errorf("adapt: cause %s: %w", c, s.err)
 		}
-		if s.ok {
-			versions = append(versions, s.version)
+		if s.net == nil {
+			continue
 		}
+		runs.Versions = append(runs.Versions, BNVersion{
+			ID:        fmt.Sprintf("%s@%d#%d", c.Key(), now.Unix(), i),
+			Cause:     c,
+			Snapshot:  nn.CaptureBN(s.net),
+			CreatedAt: now,
+		})
+		runs.ByCauseTimes = append(runs.ByCauseTimes, s.took)
 	}
-	return versions, nil
+	s := slots[len(causes)]
+	if s.err != nil {
+		return Runs{}, fmt.Errorf("adapt: clean model: %w", s.err)
+	}
+	runs.Clean, runs.CleanTime = s.net, s.took
+	return runs, nil
 }
 
 // hashKey derives a stable seed from a cause key.

@@ -141,6 +141,11 @@ func TestAdaptRejectsEmpty(t *testing.T) {
 	if _, err := AdaptContext(context.Background(), r.base, tensor.New(0, r.world.Dim()), Config{}); err == nil {
 		t.Fatal("empty samples must error")
 	}
+	// A pool of the wrong width (samples are uploaded input) is an error,
+	// not a kernel panic.
+	if _, err := AdaptContext(context.Background(), r.base, tensor.New(32, r.world.Dim()+1), Config{}); err == nil {
+		t.Fatal("samples of the wrong width must error")
+	}
 }
 
 func TestAdaptUnknownMethod(t *testing.T) {

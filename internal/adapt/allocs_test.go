@@ -8,37 +8,29 @@ import (
 )
 
 // TestAdaptSteadyStateAllocs pins the TENT hot loop: once the runner's
-// buffers and the optimizer state are warm, an adaptation step (gather,
-// forward, entropy + reliability filter, backward, Adam) performs no
-// matrix allocations at pool width 1.
+// buffers and the optimizer state are warm, the step AdaptContext runs
+// (gather from the frozen-prefix buffer, forward above it, entropy +
+// reliability filter, parameter-only backward, Adam) performs no matrix
+// allocations at pool width 1.
 func TestAdaptSteadyStateAllocs(t *testing.T) {
 	tensor.SetMaxWorkers(1)
 	defer tensor.SetMaxWorkers(0)
 
 	rng := tensor.NewRand(21, 4)
-	net := nn.NewClassifier(nn.ArchResNet34, 24, 6, rng)
-	net.FreezeExceptBN()
-	opt := nn.NewAdam(1e-3)
-
+	base := nn.NewClassifier(nn.ArchResNet34, 24, 6, rng)
 	samples := tensor.New(64, 24)
-	for i := range samples.Data {
-		samples.Data[i] = rng.NormFloat64()
-	}
+	samples.RandNormal(rng, 0, 1)
 	idx := make([]int, samples.Rows)
 	for i := range idx {
 		idx[i] = i
 	}
 
-	var run runner
-	step := func() {
-		batch := run.gatherRows(samples, idx)
-		net.ZeroGrads()
-		logits := net.Forward(batch, nn.Adapt)
-		_, dlogits := nn.EntropyInto(&run.dlogits, logits)
-		run.zeroUnreliableRows(logits, dlogits, 0.9)
-		net.Backward(dlogits)
-		opt.Step(net.Params())
+	run := newRunner(base, samples, Config{Method: TENT, EntropyFilter: 0.9}.withDefaults())
+	defer run.release()
+	if run.prefix == nil {
+		t.Fatal("TENT runner did not take the frozen-prefix path")
 	}
+	step := func() { run.step(idx) }
 	for i := 0; i < 3; i++ {
 		step()
 	}

@@ -5,6 +5,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"nazar/internal/adapt"
 	"nazar/internal/driftlog"
 	"nazar/internal/fim"
 	"nazar/internal/obs"
@@ -27,6 +28,10 @@ import (
 //	nazar_window_causes_total         root causes diagnosed
 //	nazar_window_versions_total{verdict="accepted"|"rejected"}
 //	nazar_window_stage_seconds{stage="rca"|"adapt"|"total"}  histograms
+//	nazar_adapt_run_seconds{kind="by_cause"|"clean"}
+//	                                  one adaptation run (histogram); runs
+//	                                  overlap, so stage="adapt" above is
+//	                                  their longest chain, not their sum
 //	nazar_window_log_rows             rows scanned per window (histogram)
 //	nazar_analysis_cache_total{result="hit"|"delta"|"miss"}
 //	                                  window-analysis cache outcomes
@@ -76,6 +81,8 @@ type Metrics struct {
 	stageRCA   *obs.Histogram
 	stageAdapt *obs.Histogram
 	stageTotal *obs.Histogram
+	runByCause *obs.Histogram
+	runClean   *obs.Histogram
 	logRows    *obs.Histogram
 }
 
@@ -112,6 +119,8 @@ func NewMetrics(reg *obs.Registry) *Metrics {
 		stageRCA:   reg.Histogram("nazar_window_stage_seconds", "Per-stage window latency.", obs.DefBuckets, obs.L("stage", "rca")),
 		stageAdapt: reg.Histogram("nazar_window_stage_seconds", "Per-stage window latency.", obs.DefBuckets, obs.L("stage", "adapt")),
 		stageTotal: reg.Histogram("nazar_window_stage_seconds", "Per-stage window latency.", obs.DefBuckets, obs.L("stage", "total")),
+		runByCause: reg.Histogram("nazar_adapt_run_seconds", "Wall time of one adaptation run (runs of a window overlap).", obs.DefBuckets, obs.L("kind", "by_cause")),
+		runClean:   reg.Histogram("nazar_adapt_run_seconds", "Wall time of one adaptation run (runs of a window overlap).", obs.DefBuckets, obs.L("kind", "clean")),
 		logRows:    reg.Histogram("nazar_window_log_rows", "Drift-log rows scanned per window.", logRowBuckets),
 	}
 }
@@ -133,6 +142,17 @@ func (m *Metrics) observeWindow(res WindowResult, total time.Duration) {
 	m.stageAdapt.ObserveDuration(res.AdaptDuration)
 	m.stageTotal.ObserveDuration(total)
 	m.logRows.Observe(float64(res.LogRows))
+}
+
+// observeRuns records the wall time of every adaptation run of one
+// fan-out.
+func (m *Metrics) observeRuns(runs adapt.Runs) {
+	for _, d := range runs.ByCauseTimes {
+		m.runByCause.ObserveDuration(d)
+	}
+	if runs.Clean != nil {
+		m.runClean.ObserveDuration(runs.CleanTime)
+	}
 }
 
 // observeStores registers scrape-time gauges over the service's stores

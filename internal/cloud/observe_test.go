@@ -3,8 +3,10 @@ package cloud
 import (
 	"context"
 	"errors"
+	"fmt"
 	"runtime"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -38,62 +40,85 @@ func ingestDriftWorkload(svc *Service, n int) {
 	}
 }
 
-// TestRunWindowCancellationMidWindow cancels the context between RCA and
-// adaptation (via the alerter hook, which fires exactly there) and
-// checks the window aborts with context.Canceled, deploys nothing, and
+// TestRunWindowCancellationMidWindow cancels the context mid-window —
+// between RCA and adaptation (via the alerter hook, which fires exactly
+// there), and with the by-cause and clean runs in flight (via the
+// adaptation's AfterEpoch hook) — and checks the window aborts with
+// context.Canceled, deploys nothing, leaves the base model alone and
 // leaks no goroutines.
 func TestRunWindowCancellationMidWindow(t *testing.T) {
-	base := nn.NewClassifier(nn.ArchResNet18, 8, 2, tensor.NewRand(11, 1))
-	cfg := DefaultConfig()
-	cfg.MinSamplesPerCause = 4
-	reg := obs.NewRegistry()
-	svc := NewService(base, cfg, WithObserver(reg))
-	ingestDriftWorkload(svc, 200)
+	for _, inFlight := range []bool{false, true} {
+		t.Run(fmt.Sprintf("inFlight=%v", inFlight), func(t *testing.T) {
+			base := nn.NewClassifier(nn.ArchResNet18, 8, 2, tensor.NewRand(11, 1))
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			cfg := DefaultConfig()
+			cfg.MinSamplesPerCause = 4
+			var epochs atomic.Int32
+			if inFlight {
+				// Every run (the fog cause and the clean pool) needs 30
+				// epochs; the first to finish one stops them all.
+				cfg.AdaptCfg.AfterEpoch = func(*nn.Network, int) {
+					epochs.Add(1)
+					cancel()
+				}
+			}
+			reg := obs.NewRegistry()
+			svc := NewService(base, cfg, WithObserver(reg))
+			ingestDriftWorkload(svc, 200)
 
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	// Alerts are emitted after RCA discovers causes and before the
-	// adaptation fan-out launches — a deterministic mid-window hook.
-	alerted := false
-	svc.SetAlerter(AlertFunc(func(Alert) {
-		alerted = true
-		cancel()
-	}))
+			// Alerts are emitted after RCA discovers causes and before the
+			// adaptation fan-out launches — a deterministic mid-window hook.
+			alerted := false
+			svc.SetAlerter(AlertFunc(func(Alert) {
+				alerted = true
+				if !inFlight {
+					cancel()
+				}
+			}))
 
-	before := runtime.NumGoroutine()
-	res, err := svc.RunWindowContext(ctx, weather.Day(10), weather.Day(11), weather.Day(11))
-	if !alerted {
-		t.Fatal("no cause was diagnosed; the workload should produce a fog cause")
-	}
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("err %v, want context.Canceled", err)
-	}
-	if len(res.Versions) != 0 {
-		t.Fatalf("cancelled window produced %d versions", len(res.Versions))
-	}
-	if got := svc.VersionsSince(time.Time{}); len(got) != 0 {
-		t.Fatalf("cancelled window deployed %d versions", len(got))
-	}
+			before := runtime.NumGoroutine()
+			res, err := svc.RunWindowContext(ctx, weather.Day(10), weather.Day(11), weather.Day(11))
+			if !alerted {
+				t.Fatal("no cause was diagnosed; the workload should produce a fog cause")
+			}
+			if inFlight && epochs.Load() == 0 {
+				t.Fatal("no adaptation run was in flight when the window was cancelled")
+			}
+			if !errors.Is(err, context.Canceled) {
+				t.Fatalf("err %v, want context.Canceled", err)
+			}
+			if len(res.Versions) != 0 {
+				t.Fatalf("cancelled window produced %d versions", len(res.Versions))
+			}
+			if got := svc.VersionsSince(time.Time{}); len(got) != 0 {
+				t.Fatalf("cancelled window deployed %d versions", len(got))
+			}
+			if svc.Base() != base {
+				t.Fatal("cancelled window replaced the base model")
+			}
 
-	// Any worker-pool goroutines the aborted fan-out spawned must wind
-	// down; settle-loop instead of a fixed sleep.
-	deadline := time.Now().Add(5 * time.Second)
-	for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
-		time.Sleep(10 * time.Millisecond)
-	}
-	if after := runtime.NumGoroutine(); after > before {
-		t.Fatalf("goroutines %d after cancelled window, started with %d", after, before)
-	}
+			// Any worker-pool goroutines the aborted fan-out spawned must wind
+			// down; settle-loop instead of a fixed sleep.
+			deadline := time.Now().Add(5 * time.Second)
+			for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
+				time.Sleep(10 * time.Millisecond)
+			}
+			if after := runtime.NumGoroutine(); after > before {
+				t.Fatalf("goroutines %d after cancelled window, started with %d", after, before)
+			}
 
-	// The failed cycle must be visible operationally.
-	var buf strings.Builder
-	if err := reg.WritePrometheus(&buf); err != nil {
-		t.Fatal(err)
-	}
-	for _, want := range []string{"nazar_window_runs_total 1", "nazar_window_errors_total 1"} {
-		if !strings.Contains(buf.String(), want) {
-			t.Fatalf("exposition missing %q", want)
-		}
+			// The failed cycle must be visible operationally.
+			var buf strings.Builder
+			if err := reg.WritePrometheus(&buf); err != nil {
+				t.Fatal(err)
+			}
+			for _, want := range []string{"nazar_window_runs_total 1", "nazar_window_errors_total 1"} {
+				if !strings.Contains(buf.String(), want) {
+					t.Fatalf("exposition missing %q", want)
+				}
+			}
+		})
 	}
 }
 
@@ -216,5 +241,35 @@ func TestObserverUnsortedShards(t *testing.T) {
 	}
 	if want := "nazar_driftlog_unsorted_shards 1\n"; !strings.Contains(buf.String(), want) {
 		t.Fatalf("exposition missing %q\n%s", want, buf.String())
+	}
+}
+
+// TestObserverAdaptRuns: every adaptation run of a window is observed
+// under its kind, so overlapped runs stay tellable apart.
+func TestObserverAdaptRuns(t *testing.T) {
+	base := nn.NewClassifier(nn.ArchResNet18, 8, 2, tensor.NewRand(16, 1))
+	cfg := DefaultConfig()
+	cfg.MinSamplesPerCause = 4
+	reg := obs.NewRegistry()
+	svc := NewService(base, cfg, WithObserver(reg))
+	ingestDriftWorkload(svc, 200)
+	res, err := svc.RunWindowContext(context.Background(), weather.Day(10), weather.Day(11), weather.Day(11))
+	if err != nil {
+		t.Fatal(err)
+	}
+	byCause := 0
+	for _, v := range res.Versions {
+		if !v.IsClean() {
+			byCause++
+		}
+	}
+	if byCause == 0 || byCause == len(res.Versions) {
+		t.Fatalf("want by-cause and clean versions, got %d of %d by-cause", byCause, len(res.Versions))
+	}
+	if got := expositionValue(t, reg, `nazar_adapt_run_seconds_count{kind="by_cause"}`); got != float64(byCause) {
+		t.Fatalf("by_cause runs observed %v, want %d", got, byCause)
+	}
+	if got := expositionValue(t, reg, `nazar_adapt_run_seconds_count{kind="clean"}`); got != 1 {
+		t.Fatalf("clean runs observed %v, want 1", got)
 	}
 }

@@ -116,15 +116,18 @@ func (s *Service) AdaptCausesContext(ctx context.Context, causes []rca.Cause, fr
 		}
 		return s.samples.Gather(ids)
 	}
-	versions, err := adapt.ByCauseContext(ctx, s.Base(), causes, source, s.cfg.MinSamplesPerCause, s.cfg.AdaptCfg, now)
+	runs, err := adapt.WindowContext(ctx, s.Base(), causes, source, s.cfg.MinSamplesPerCause, nil, s.cfg.AdaptCfg, now)
 	if err != nil {
 		if ctx.Err() != nil {
 			return nil, err
 		}
 		return nil, fmt.Errorf("cloud: manual adaptation: %w", err)
 	}
+	if s.metrics != nil {
+		s.metrics.observeRuns(runs)
+	}
 	s.mu.Lock()
-	s.deployed = append(s.deployed, versions...)
+	s.deployed = append(s.deployed, runs.Versions...)
 	s.mu.Unlock()
-	return versions, nil
+	return runs.Versions, nil
 }

@@ -449,11 +449,21 @@ func (s *Service) Base() *nn.Network {
 	return s.base
 }
 
-// recordMeta files a sample's metadata in its ID shard.
+// recordMeta files a sample's metadata in its ID shard and drops the
+// shard's leading entries below the eviction watermark — the lazy rule
+// SampleStore.Add trims vectors by — so under a sample cap metadata is
+// bounded by the same cap. (An entry filed out of ID order behind a newer
+// one waits until that one is evicted; Gather skips it meanwhile.)
 func (s *Service) recordMeta(m sampleMeta) {
+	w := s.samples.watermark()
 	sh := &s.meta[m.id&sampleShardMask]
 	sh.mu.Lock()
-	sh.metas = append(sh.metas, m)
+	k := 0
+	for k < len(sh.metas) && sh.metas[k].id < w {
+		k++
+	}
+	clear(sh.metas[:k]) // release the attribute maps now, the slots at the next growth
+	sh.metas = append(sh.metas[k:], m)
 	sh.mu.Unlock()
 }
 
@@ -607,39 +617,35 @@ func (s *Service) RunWindowContext(ctx context.Context, from, to, now time.Time)
 		}
 		return s.samples.Gather(ids)
 	}
-	var versions []adapt.BNVersion
+	// The clean re-adaptation and the by-cause runs both only read base,
+	// so they share one fan-out; nothing is deployed until all of it has
+	// succeeded.
+	var runs adapt.Runs
 	var adaptErr error
 	pprof.Do(ctx, pprof.Labels("nazar_stage", "adapt"), func(ctx context.Context) {
-		versions, adaptErr = adapt.ByCauseContext(ctx, base, causes, source, s.cfg.MinSamplesPerCause, s.cfg.AdaptCfg, now)
-		if adaptErr != nil {
-			adaptErr = wrapUnlessCancelled(ctx, adaptErr, "cloud: by-cause adaptation")
-			return
+		var cleanX *tensor.Matrix
+		if s.cfg.AdaptClean {
+			if x := s.cleanSamples(causes, from, to); x != nil && x.Rows >= s.cfg.MinSamplesPerCause {
+				cleanX = x
+			}
 		}
-		if !s.cfg.AdaptClean {
-			return
-		}
-		cleanX := s.cleanSamples(causes, from, to)
-		if cleanX == nil || cleanX.Rows < s.cfg.MinSamplesPerCause {
-			return
-		}
-		adapted, err := adapt.AdaptContext(ctx, base, cleanX, s.cfg.AdaptCfg)
-		if err != nil {
-			adaptErr = wrapUnlessCancelled(ctx, err, "cloud: clean adaptation")
-			return
-		}
+		runs, adaptErr = adapt.WindowContext(ctx, base, causes, source, s.cfg.MinSamplesPerCause, cleanX, s.cfg.AdaptCfg, now)
+	})
+	if adaptErr != nil {
+		return fail(wrapUnlessCancelled(ctx, adaptErr, "cloud: adaptation"))
+	}
+	versions := runs.Versions
+	if runs.Clean != nil {
 		s.mu.Lock()
-		s.base = adapted
+		s.base = runs.Clean
 		s.versionSeq++
 		seq := s.versionSeq
 		s.mu.Unlock()
 		versions = append(versions, adapt.BNVersion{
 			ID:        fmt.Sprintf("clean@%d#%d", now.Unix(), seq),
-			Snapshot:  nn.CaptureBN(adapted),
+			Snapshot:  nn.CaptureBN(runs.Clean),
 			CreatedAt: now,
 		})
-	})
-	if adaptErr != nil {
-		return fail(adaptErr)
 	}
 	res.AdaptDuration = s.clock().Sub(adaptStart)
 	res.Versions = versions
@@ -647,6 +653,7 @@ func (s *Service) RunWindowContext(ctx context.Context, from, to, now time.Time)
 	s.deployed = append(s.deployed, versions...)
 	s.mu.Unlock()
 	if m != nil {
+		m.observeRuns(runs)
 		m.observeWindow(res, s.clock().Sub(windowStart))
 	}
 	return res, nil

@@ -1,7 +1,9 @@
 package cloud
 
 import (
+	"bytes"
 	"context"
+	"fmt"
 	"testing"
 	"time"
 
@@ -334,5 +336,154 @@ func TestLogRetentionCompacts(t *testing.T) {
 	// Only days 8 and 9 survive a 48h retention at now = day 10.
 	if got := svc.Log().Len(); got != 2 {
 		t.Fatalf("retained %d rows, want 2", got)
+	}
+}
+
+// snapshotsBitEqual reports whether two BN snapshots hold the same bits
+// (the wire encoding carries every float64 exactly).
+func snapshotsBitEqual(t *testing.T, a, b *nn.BNSnapshot) bool {
+	t.Helper()
+	ea, err := a.Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	eb, err := b.Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return bytes.Equal(ea, eb)
+}
+
+// ingestThreeWay streams n sampled rows starting at start: a third fog
+// and a third snow (both drifting), a third clear — two causes and a
+// clean pool.
+func ingestThreeWay(t *testing.T, svc *Service, start time.Time, n int) {
+	t.Helper()
+	rng := tensor.NewRand(41, 1)
+	for i := 0; i < n; i++ {
+		cond := []string{"fog", "snow", "clear-day"}[i%3]
+		x := make([]float64, 8)
+		for j := range x {
+			x[j] = rng.NormFloat64() + float64(i%3)
+		}
+		err := ingestOne(svc, driftlog.Entry{
+			Time:  start.Add(time.Duration(i) * time.Second),
+			Drift: cond != "clear-day",
+			Attrs: map[string]string{driftlog.AttrWeather: cond, driftlog.AttrLocation: []string{"Hamburg", "Zurich"}[i%2], driftlog.AttrDevice: "dev"},
+		}, x)
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestWindowOverlapMatchesSerialComposition: the window's one fan-out
+// (by-cause runs and the clean re-adaptation in flight together) yields
+// the version IDs, order and BN bits of running ByCauseContext and then
+// AdaptContext on a shared Rng, at pool widths 1 and 8.
+func TestWindowOverlapMatchesSerialComposition(t *testing.T) {
+	defer tensor.SetMaxWorkers(0)
+	for _, width := range []int{1, 8} {
+		tensor.SetMaxWorkers(width)
+		base := nn.NewClassifier(nn.ArchResNet18, 8, 3, tensor.NewRand(40, 1))
+		cfg := DefaultConfig()
+		cfg.AdaptCfg.Rng = tensor.NewRand(7, 7)
+		svc := NewService(base, cfg)
+		day := weather.Day(5)
+		ingestThreeWay(t, svc, day, 300)
+		now := day.AddDate(0, 0, 1)
+
+		res, err := svc.RunWindowContext(context.Background(), day, now, now)
+		if err != nil {
+			t.Fatal(err)
+		}
+
+		v := svc.Log().Window(day, now)
+		source := func(c rca.Cause) *tensor.Matrix {
+			ids, err := v.SampleIDs(c.Items)
+			if err != nil {
+				t.Error(err)
+			}
+			return svc.Samples().Gather(ids)
+		}
+		serialCfg := cfg.AdaptCfg
+		serialCfg.Rng = tensor.NewRand(7, 7)
+		want, err := adapt.ByCauseContext(context.Background(), base, res.Causes, source, cfg.MinSamplesPerCause, serialCfg, now)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(want) < 2 {
+			t.Fatalf("width %d: %d by-cause versions from causes %v, want at least 2", width, len(want), res.Causes)
+		}
+		clean, err := adapt.AdaptContext(context.Background(), base, svc.cleanSamples(res.Causes, day, now), serialCfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want = append(want, adapt.BNVersion{ID: fmt.Sprintf("clean@%d#1", now.Unix()), Snapshot: nn.CaptureBN(clean)})
+
+		if len(res.Versions) != len(want) {
+			t.Fatalf("width %d: %d versions, serial composition has %d", width, len(res.Versions), len(want))
+		}
+		for i, w := range want {
+			got := res.Versions[i]
+			if got.ID != w.ID {
+				t.Fatalf("width %d: version %d is %s, serial composition has %s", width, i, got.ID, w.ID)
+			}
+			if !snapshotsBitEqual(t, got.Snapshot, w.Snapshot) {
+				t.Fatalf("width %d: version %s differs from the serial composition", width, got.ID)
+			}
+		}
+		if !snapshotsBitEqual(t, nn.CaptureBN(svc.Base()), want[len(want)-1].Snapshot) {
+			t.Fatalf("width %d: the service base is not the clean run's model", width)
+		}
+	}
+}
+
+// metaCount is the number of sample-metadata entries the service holds.
+func metaCount(svc *Service) int {
+	n := 0
+	for i := range svc.meta {
+		svc.meta[i].mu.Lock()
+		n += len(svc.meta[i].metas)
+		svc.meta[i].mu.Unlock()
+	}
+	return n
+}
+
+// TestSampleMetaBoundedByCap: under WithSampleCap sample metadata is
+// trimmed with the samples it describes, and trimming does not change a
+// window whose samples are all still retained.
+func TestSampleMetaBoundedByCap(t *testing.T) {
+	const capN = 240
+	base := nn.NewClassifier(nn.ArchResNet18, 8, 3, tensor.NewRand(42, 1))
+	cfg := DefaultConfig()
+	capped, unbounded := NewService(base, cfg, WithSampleCap(capN)), NewService(base, cfg)
+	old, day := weather.Day(1), weather.Day(5)
+	now := day.AddDate(0, 0, 1)
+	for _, svc := range []*Service{capped, unbounded} {
+		ingestThreeWay(t, svc, old, 9*capN)
+		ingestThreeWay(t, svc, day, capN)
+	}
+	if got := metaCount(capped); got > capN+sampleShards {
+		t.Fatalf("capped service holds %d metadata entries after %d sampled ingests, want at most %d", got, 10*capN, capN+sampleShards)
+	}
+	if got := metaCount(unbounded); got != 10*capN {
+		t.Fatalf("unbounded service holds %d metadata entries, want %d", got, 10*capN)
+	}
+
+	var cleans []*nn.BNSnapshot
+	for _, svc := range []*Service{capped, unbounded} {
+		res, err := svc.RunWindowContext(context.Background(), day, now, now)
+		if err != nil {
+			t.Fatal(err)
+		}
+		last := res.Versions[len(res.Versions)-1]
+		if !last.IsClean() {
+			t.Fatalf("window produced no clean version (%d versions)", len(res.Versions))
+		}
+		cleans = append(cleans, last.Snapshot)
+	}
+	if !snapshotsBitEqual(t, cleans[0], cleans[1]) {
+		t.Fatal("clean version under a sample cap differs from the uncapped one with every window sample retained")
 	}
 }

@@ -40,7 +40,7 @@ func BenchmarkTrainStep(b *testing.B) {
 		net.ZeroGrads()
 		logits := net.Forward(x, Train)
 		_, grad := CrossEntropyInto(&dlogits, logits, labels)
-		net.Backward(grad)
+		net.BackwardParams(grad)
 		opt.Step(net.Params())
 	}
 	step()

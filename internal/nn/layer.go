@@ -57,10 +57,20 @@ func (m Mode) String() string {
 
 // Param is a single learnable tensor with its gradient accumulator.
 type Param struct {
-	Name   string
-	W      *tensor.Matrix
-	Grad   *tensor.Matrix
-	Frozen bool // frozen params are skipped by optimizers
+	Name string
+	W    *tensor.Matrix
+	Grad *tensor.Matrix
+	// Frozen params are skipped by optimizers and by backward passes: a
+	// frozen parameter's Grad is never written, so it stays all-zero from
+	// the moment the parameter is frozen (see freeze).
+	Frozen bool
+}
+
+// freeze marks p frozen and clears its gradient once; nothing writes it
+// again until p is unfrozen.
+func (p *Param) freeze() {
+	p.Frozen = true
+	p.Grad.Zero()
 }
 
 func newParam(name string, rows, cols int) *Param {
@@ -78,9 +88,9 @@ type Layer interface {
 	// layer-owned scratch, valid until the layer's next Forward.
 	Forward(x *tensor.Matrix, mode Mode) *tensor.Matrix
 	// Backward consumes dL/d(output) and returns dL/d(input),
-	// accumulating parameter gradients along the way. The returned
-	// matrix is layer-owned scratch, valid until the layer's next
-	// Backward.
+	// accumulating the gradients of the layer's non-frozen parameters
+	// along the way. The returned matrix is layer-owned scratch, valid
+	// until the layer's next Backward.
 	Backward(dout *tensor.Matrix) *tensor.Matrix
 	// Params returns the layer's learnable parameters (may be empty).
 	Params() []*Param
@@ -94,6 +104,14 @@ type Layer interface {
 // result must be bit-identical to Forward followed by r.Forward.
 type fusedReLULayer interface {
 	forwardFusedReLU(x *tensor.Matrix, mode Mode, r *ReLU) *tensor.Matrix
+}
+
+// paramGradLayer is implemented by layers that own parameters.
+// backwardParams is the parameter half of Backward: it accumulates the
+// gradients of the non-frozen parameters and computes no dL/d(input).
+// Network.BackwardParams ends its walk with it.
+type paramGradLayer interface {
+	backwardParams(dout *tensor.Matrix)
 }
 
 // Dense is a fully connected layer: y = x·W + b.
@@ -132,23 +150,31 @@ func (d *Dense) forwardFusedReLU(x *tensor.Matrix, _ Mode, r *ReLU) *tensor.Matr
 }
 
 func (d *Dense) Backward(dout *tensor.Matrix) *tensor.Matrix {
-	// dW goes through scratch and a separate Add (rather than
-	// accumulating into Grad directly) because Grad may already be
-	// non-zero: detectors run two backward passes per step, and the
-	// accumulation order is part of the pinned numerics.
-	dW := d.dW.Reshape(d.In, d.Out)
-	tensor.MatMulATB(dW, d.x, dout)
-	d.w.Grad.Add(dW)
-	if cap(d.db) < d.Out {
-		d.db = make([]float64, d.Out)
-	}
-	db := dout.ColSumsInto(d.db[:d.Out])
-	for j, v := range db {
-		d.b.Grad.Data[j] += v
-	}
+	d.backwardParams(dout)
 	dx := d.dx.Reshape(dout.Rows, d.In)
 	tensor.MatMulABT(dx, dout, d.w.W)
 	return dx
+}
+
+func (d *Dense) backwardParams(dout *tensor.Matrix) {
+	if !d.w.Frozen {
+		// dW goes through scratch and a separate Add (rather than
+		// accumulating into Grad directly) because Grad may already be
+		// non-zero: detectors run two backward passes per step, and the
+		// accumulation order is part of the pinned numerics.
+		dW := d.dW.Reshape(d.In, d.Out)
+		tensor.MatMulATB(dW, d.x, dout)
+		d.w.Grad.Add(dW)
+	}
+	if !d.b.Frozen {
+		if cap(d.db) < d.Out {
+			d.db = make([]float64, d.Out)
+		}
+		db := dout.ColSumsInto(d.db[:d.Out])
+		for j, v := range db {
+			d.b.Grad.Data[j] += v
+		}
+	}
 }
 
 func (d *Dense) Params() []*Param { return []*Param{d.w, d.b} }
@@ -327,11 +353,11 @@ func (bn *BatchNorm) forward(x *tensor.Matrix, mode Mode, r *ReLU) *tensor.Matri
 	return y
 }
 
-func (bn *BatchNorm) Backward(dout *tensor.Matrix) *tensor.Matrix {
-	n := float64(dout.Rows)
-	g := bn.gamma.W.Data
-
-	// Parameter gradients are identical in both normalization modes.
+// backwardParams leaves Σdout·x̂ and Σdout in the dgamma/dbeta scratch
+// (the batch-statistics dx needs both, frozen or not) and adds them to
+// the non-frozen parameter's Grad. They are identical in both
+// normalization modes.
+func (bn *BatchNorm) backwardParams(dout *tensor.Matrix) {
 	dgamma, dbeta := bn.dgamma, bn.dbeta
 	for j := range dgamma {
 		dgamma[j] = 0
@@ -344,11 +370,21 @@ func (bn *BatchNorm) Backward(dout *tensor.Matrix) *tensor.Matrix {
 			dbeta[j] += dv
 		}
 	}
-	for j := range dgamma {
-		bn.gamma.Grad.Data[j] += dgamma[j]
-		bn.beta.Grad.Data[j] += dbeta[j]
+	if !bn.gamma.Frozen {
+		for j, v := range dgamma {
+			bn.gamma.Grad.Data[j] += v
+		}
 	}
+	if !bn.beta.Frozen {
+		for j, v := range dbeta {
+			bn.beta.Grad.Data[j] += v
+		}
+	}
+}
 
+func (bn *BatchNorm) Backward(dout *tensor.Matrix) *tensor.Matrix {
+	bn.backwardParams(dout)
+	g := bn.gamma.W.Data
 	dx := bn.dx.Reshape(dout.Rows, dout.Cols)
 	if !bn.batched {
 		// Running-stat normalization is a fixed affine map.
@@ -362,6 +398,8 @@ func (bn *BatchNorm) Backward(dout *tensor.Matrix) *tensor.Matrix {
 	}
 	// Full batch-statistics backward:
 	// dx = γ·invStd/n · (n·dout − Σdout − x̂·Σ(dout·x̂))
+	n := float64(dout.Rows)
+	dgamma, dbeta := bn.dgamma, bn.dbeta
 	for i := 0; i < dout.Rows; i++ {
 		dr, hr, xr := dout.Row(i), bn.xhat.Row(i), dx.Row(i)
 		for j, dv := range dr {

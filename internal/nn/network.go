@@ -18,9 +18,11 @@ type Network struct {
 	// Forward call; detectors such as Mahalanobis distance read it as
 	// the penultimate feature representation.
 	hidden *tensor.Matrix
-	// params caches the flattened parameter list; LayersList is fixed
-	// after construction, so it is built once.
-	params []*Param
+	// params caches the flattened parameter list and layerParams the
+	// per-layer lists it was flattened from; LayersList is fixed after
+	// construction, so both are built once.
+	params      []*Param
+	layerParams [][]*Param
 	// oneIn is the reused single-example wrapper behind LogitsOne.
 	oneIn tensor.Matrix
 }
@@ -33,10 +35,17 @@ func NewNetwork(layers ...Layer) *Network { return &Network{LayersList: layers} 
 // kernel pass — bit-identical to the unfused sequence (pinned by
 // TestForwardFusionBitIdentical) but touching each activation once.
 func (n *Network) Forward(x *tensor.Matrix, mode Mode) *tensor.Matrix {
-	h := x
+	return n.ForwardFrom(0, x, mode)
+}
+
+// ForwardFrom runs h — the output of layer from-1, e.g. rows of
+// ForwardFrozenPrefix's result — through layers [from, len) and returns
+// the logits. The skipped layers cache nothing, so after from > 0 only
+// BackwardParams, which never reaches a frozen prefix, may follow.
+func (n *Network) ForwardFrom(from int, h *tensor.Matrix, mode Mode) *tensor.Matrix {
 	layers := n.LayersList
 	last := len(layers) - 1
-	for i := 0; i < len(layers); {
+	for i := from; i < len(layers); {
 		if i == last {
 			n.hidden = h
 		}
@@ -57,9 +66,39 @@ func (n *Network) Forward(x *tensor.Matrix, mode Mode) *tensor.Matrix {
 	return h
 }
 
-// Backward propagates dL/dlogits back through the network, accumulating
-// parameter gradients, and returns dL/dinput (used by Odin-style
-// detectors that perturb the input).
+// ForwardFrozenPrefix runs x through the leading run of Dense layers
+// whose parameters are all frozen — a fixed per-row function of the
+// input for as long as they stay frozen — and returns the result in a
+// workspace-arena matrix (release it with tensor.PutMatrix) together
+// with the index of the first layer after the run, the from of
+// ForwardFrom. The rows are bit-equal to what Forward computes for them
+// inside any batch: the dense kernel is row-independent. It returns
+// (nil, 0) when layer 0 is not such a layer.
+func (n *Network) ForwardFrozenPrefix(x *tensor.Matrix) (*tensor.Matrix, int) {
+	h, k := x, 0
+	for ; k < len(n.LayersList); k++ {
+		d, ok := n.LayersList[k].(*Dense)
+		if !ok || !d.w.Frozen || !d.b.Frozen {
+			break
+		}
+		out := tensor.GetMatrix(h.Rows, d.Out)
+		tensor.MatMulBias(out, h, d.w.W, d.b.W.Data)
+		if h != x {
+			tensor.PutMatrix(h)
+		}
+		h = out
+	}
+	if k == 0 {
+		return nil, 0
+	}
+	return h, k
+}
+
+// Backward propagates dL/dlogits back through every layer, accumulating
+// the gradients of non-frozen parameters, and returns dL/dinput. It is
+// for callers that read dL/dinput (Odin-style detectors perturb the
+// input along it); a training or adaptation step, which reads parameter
+// gradients only, runs BackwardParams.
 func (n *Network) Backward(dout *tensor.Matrix) *tensor.Matrix {
 	g := dout
 	for i := len(n.LayersList) - 1; i >= 0; i-- {
@@ -68,31 +107,76 @@ func (n *Network) Backward(dout *tensor.Matrix) *tensor.Matrix {
 	return g
 }
 
+// BackwardParams accumulates the gradients of the non-frozen parameters
+// and computes nothing else: it walks from the last layer down to the
+// earliest layer owning a non-frozen parameter, asks that layer for its
+// parameter gradients alone, and stops. Layers below it do not run and
+// dL/dinput is never formed. With everything frozen it is a no-op.
+func (n *Network) BackwardParams(dout *tensor.Matrix) {
+	first := n.firstTrainable()
+	if first < 0 {
+		return
+	}
+	g := dout
+	for i := len(n.LayersList) - 1; i > first; i-- {
+		g = n.LayersList[i].Backward(g)
+	}
+	if l, ok := n.LayersList[first].(paramGradLayer); ok {
+		l.backwardParams(g)
+	} else {
+		n.LayersList[first].Backward(g)
+	}
+}
+
+// firstTrainable returns the index of the earliest layer owning a
+// non-frozen parameter, -1 when there is none.
+func (n *Network) firstTrainable() int {
+	for i, ps := range n.paramsByLayer() {
+		for _, p := range ps {
+			if !p.Frozen {
+				return i
+			}
+		}
+	}
+	return -1
+}
+
 // Hidden returns the cached penultimate features of the last Forward.
 func (n *Network) Hidden() *tensor.Matrix { return n.hidden }
 
 // Params returns all learnable parameters in layer order. The slice is
 // cached: it is built on first use and must not be mutated by callers.
 func (n *Network) Params() []*Param {
-	if n.params == nil {
-		for _, l := range n.LayersList {
-			n.params = append(n.params, l.Params()...)
+	if n.layerParams == nil {
+		n.layerParams = make([][]*Param, len(n.LayersList))
+		for i, l := range n.LayersList {
+			n.layerParams[i] = l.Params()
+			n.params = append(n.params, n.layerParams[i]...)
 		}
 	}
 	return n.params
 }
 
-// ZeroGrads clears every parameter gradient.
+// paramsByLayer returns Params grouped by owning layer (same cache).
+func (n *Network) paramsByLayer() [][]*Param {
+	n.Params()
+	return n.layerParams
+}
+
+// ZeroGrads clears the gradient of every non-frozen parameter (a frozen
+// one's is already zero and stays so).
 func (n *Network) ZeroGrads() {
 	for _, p := range n.Params() {
-		p.Grad.Zero()
+		if !p.Frozen {
+			p.Grad.Zero()
+		}
 	}
 }
 
 // FreezeAll marks every parameter frozen.
 func (n *Network) FreezeAll() {
 	for _, p := range n.Params() {
-		p.Frozen = true
+		p.freeze()
 	}
 }
 
@@ -106,11 +190,13 @@ func (n *Network) UnfreezeAll() {
 // FreezeExceptBN freezes every parameter except batch-norm γ/β — the TENT
 // configuration.
 func (n *Network) FreezeExceptBN() {
-	n.FreezeAll()
-	for _, l := range n.LayersList {
-		if bn, ok := l.(*BatchNorm); ok {
-			for _, p := range bn.Params() {
+	for i, ps := range n.paramsByLayer() {
+		_, isBN := n.LayersList[i].(*BatchNorm)
+		for _, p := range ps {
+			if isBN {
 				p.Frozen = false
+			} else {
+				p.freeze()
 			}
 		}
 	}

@@ -249,6 +249,112 @@ func TestFreezeExceptBN(t *testing.T) {
 	}
 }
 
+// TestBackwardParamsMatchesBackward pins the two backward passes to each
+// other: on the TENT configuration and on a fully trainable network,
+// BackwardParams leaves bit-equal gradients on every trainable parameter,
+// and neither pass ever writes a frozen parameter's gradient.
+func TestBackwardParamsMatchesBackward(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		freeze bool
+		mode   Mode
+	}{{"tent", true, Adapt}, {"trainable", false, Train}} {
+		full := NewClassifier(ArchResNet50, 24, 6, tensor.NewRand(31, 1))
+		if tc.freeze {
+			// Freezing must clear what an earlier pass accumulated.
+			full.Backward(backwardInput(full, tc.mode))
+			full.FreezeExceptBN()
+		}
+		params := full.Clone()
+		full.ZeroGrads()
+		full.Backward(backwardInput(full, tc.mode))
+		params.BackwardParams(backwardInput(params, tc.mode))
+
+		trainable := 0
+		for i, p := range full.Params() {
+			q := params.Params()[i]
+			if p.Frozen != q.Frozen {
+				t.Fatalf("%s: param %d frozen %v vs %v", tc.name, i, p.Frozen, q.Frozen)
+			}
+			if !p.Frozen {
+				trainable++
+			}
+			nonZero := false
+			for j, g := range p.Grad.Data {
+				if math.Float64bits(g) != math.Float64bits(q.Grad.Data[j]) {
+					t.Fatalf("%s: param %d (%s) elem %d: Backward %v, BackwardParams %v", tc.name, i, p.Name, j, g, q.Grad.Data[j])
+				}
+				nonZero = nonZero || g != 0
+			}
+			if p.Frozen && nonZero {
+				t.Fatalf("%s: frozen param %d (%s) has a gradient", tc.name, i, p.Name)
+			}
+			if !p.Frozen && !nonZero {
+				t.Fatalf("%s: trainable param %d (%s) got no gradient", tc.name, i, p.Name)
+			}
+		}
+		if trainable == 0 {
+			t.Fatalf("%s: no trainable parameter", tc.name)
+		}
+	}
+}
+
+// backwardInput forwards a fixed batch and returns the entropy gradient
+// at the logits.
+func backwardInput(net *Network, mode Mode) *tensor.Matrix {
+	_, dl := Entropy(net.Forward(randBatch(32, 16, 24), mode))
+	return dl
+}
+
+// TestForwardFromFrozenPrefix: rows gathered from ForwardFrozenPrefix and
+// entered above the prefix produce the logits, BN statistics and
+// gradients of a full forward over the same rows, bit for bit.
+func TestForwardFromFrozenPrefix(t *testing.T) {
+	full := NewClassifier(ArchResNet34, 24, 6, tensor.NewRand(33, 1))
+	if h, from := full.ForwardFrozenPrefix(randBatch(34, 4, 24)); h != nil || from != 0 {
+		t.Fatalf("trainable first layer reported as a frozen prefix (from=%d)", from)
+	}
+	full.FreezeExceptBN()
+	split := full.Clone()
+
+	pool := randBatch(34, 200, 24)
+	prefix, from := split.ForwardFrozenPrefix(pool)
+	defer tensor.PutMatrix(prefix)
+	if from != 1 || prefix.Rows != pool.Rows {
+		t.Fatalf("prefix from=%d rows=%d", from, prefix.Rows)
+	}
+	sel := []int{199, 3, 77, 42, 120, 5, 64, 11}
+	batch, hidden := tensor.New(len(sel), pool.Cols), tensor.New(len(sel), prefix.Cols)
+	for i, r := range sel {
+		copy(batch.Row(i), pool.Row(r))
+		copy(hidden.Row(i), prefix.Row(r))
+	}
+	want := full.Forward(batch, Adapt)
+	got := split.ForwardFrom(from, hidden, Adapt)
+	for i, v := range want.Data {
+		if math.Float64bits(v) != math.Float64bits(got.Data[i]) {
+			t.Fatalf("logit %d: %v vs %v", i, v, got.Data[i])
+		}
+	}
+	_, dl := Entropy(want)
+	full.BackwardParams(dl)
+	split.BackwardParams(dl)
+	for i, p := range full.Params() {
+		for j, g := range p.Grad.Data {
+			if math.Float64bits(g) != math.Float64bits(split.Params()[i].Grad.Data[j]) {
+				t.Fatalf("param %d (%s) grad %d differs", i, p.Name, j)
+			}
+		}
+	}
+	for i, bn := range full.BatchNorms() {
+		for j, v := range bn.RunMean {
+			if math.Float64bits(v) != math.Float64bits(split.BatchNorms()[i].RunMean[j]) {
+				t.Fatalf("BN %d running mean %d differs", i, j)
+			}
+		}
+	}
+}
+
 func TestCloneIndependence(t *testing.T) {
 	net := smallNet(100)
 	c := net.Clone()
@@ -445,7 +551,7 @@ func BenchmarkTrainStepResNet50(b *testing.B) {
 		net.ZeroGrads()
 		logits := net.Forward(x, Train)
 		_, dl := CrossEntropy(logits, labels)
-		net.Backward(dl)
+		net.BackwardParams(dl)
 		opt.Step(net.Params())
 	}
 }

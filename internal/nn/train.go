@@ -56,7 +56,7 @@ func Fit(net *Network, x *tensor.Matrix, labels []int, cfg TrainConfig) {
 			by = gatherInto(&bx, by[:0], x, labels, idx[start:end])
 			logits := net.Forward(&bx, Train)
 			loss, grad := CrossEntropyInto(&dlogits, logits, by)
-			net.Backward(grad)
+			net.BackwardParams(grad)
 			if cfg.ClipNorm > 0 {
 				ClipGradients(net.Params(), cfg.ClipNorm)
 			}
