@@ -84,18 +84,3 @@ func TestOverlayCycleSteadyStateAllocs(t *testing.T) {
 		t.Fatalf("steady-state overlay cycle allocates %v per run, want ~0", n)
 	}
 }
-
-// TestAttrValueCountsIntoSteadyStateAllocs: the reusing group-by must
-// not allocate once the destination maps exist.
-func TestAttrValueCountsIntoSteadyStateAllocs(t *testing.T) {
-	tensor.SetMaxWorkers(1)
-	defer tensor.SetMaxWorkers(0)
-
-	v := allocStore(5000).All()
-	dst := v.AttrValueCountsInto(nil, nil)
-	if n := testing.AllocsPerRun(50, func() {
-		dst = v.AttrValueCountsInto(dst, nil)
-	}); n > 0.5 {
-		t.Fatalf("steady-state AttrValueCountsInto allocates %v per run, want ~0", n)
-	}
-}

@@ -34,7 +34,8 @@ var benchStore100k = sync.OnceValue(func() *Store {
 // benchmark's bulk workload: six attributes up to 2000 devices wide, one
 // row per millisecond, ingested as 256-row columnar batches from two
 // writers whose batches land alternately — so every shard is
-// time-unsorted, as it is under two real clients.
+// time-unsorted, as it is under two real clients. One row in twenty links
+// a sample, the bulk workload's upload rate.
 var benchStore1M = sync.OnceValue(func() *Store {
 	const rows, batch = 1_000_000, 256
 	dict := func(prefix string, n int) []string {
@@ -60,6 +61,9 @@ var benchStore1M = sync.OnceValue(func() *Store {
 			cb.Times[i] = int64((b^1)*batch+i) * int64(time.Millisecond)
 			cb.Drift[i] = r.Intn(10) == 0
 			cb.SampleIDs[i] = -1
+			if i%20 == 0 {
+				cb.SampleIDs[i] = int64(b*batch + i)
+			}
 			for ci := range cb.Cols {
 				cb.Cols[ci].IDs[i] = uint32(1 + r.Intn(len(cb.Cols[ci].Dict)-1))
 			}
@@ -71,8 +75,8 @@ var benchStore1M = sync.OnceValue(func() *Store {
 	return s
 })
 
-// rowsSpanned is the row range an indexed view's bitset loops run over:
-// 64 × the window's non-zero word range, summed over shards.
+// rowsSpanned is the row range a view's bitset loops and row walks run
+// over: 64 × the window's non-zero word range, summed over shards.
 func rowsSpanned(v *View) float64 {
 	n := 0
 	for si := range v.shards {
@@ -83,16 +87,16 @@ func rowsSpanned(v *View) float64 {
 
 var benchConds = []Cond{{AttrWeather, "rain"}, {AttrLocation, "city_3"}}
 
-// BenchmarkCount pits the popcount path against the retained row-scan
-// oracle on the same 100k-row log (the scan/bitset variant pair is what
-// cmd/benchjson folds into a speedup).
+// BenchmarkCount pits the popcount path against the tests' row-scan
+// reference (scanref_test.go) on the same 100k-row log (the scan/bitset
+// variant pair is what cmd/benchjson folds into a speedup).
 func BenchmarkCount(b *testing.B) {
 	s := benchStore100k()
 	b.Run("scan/100k", func(b *testing.B) {
-		v := s.WindowScan(time.Time{}, time.Time{})
+		v := s.All()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if _, err := v.Count(benchConds, nil); err != nil {
+			if _, err := refCount(v, benchConds, nil); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -117,7 +121,7 @@ func BenchmarkClearDrift(b *testing.B) {
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			ov := v.DriftOverlay()
-			if _, err := v.ClearDriftScan(benchConds, ov); err != nil {
+			if _, err := refClearDrift(v, benchConds, ov); err != nil {
 				b.Fatal(err)
 			}
 			ov.Release()
@@ -143,7 +147,7 @@ func BenchmarkPairCounts(b *testing.B) {
 		v := s.All()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			v.PairCountsScan(nil, nil)
+			refPairCounts(v, nil, nil)
 		}
 	})
 	b.Run("bitset/100k", func(b *testing.B) {
@@ -171,18 +175,35 @@ func BenchmarkAttrValueCounts(b *testing.B) {
 	s := benchStore100k()
 	b.Run("scan/100k", func(b *testing.B) {
 		v := s.All()
-		var dst map[string]map[string]CountResult
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			dst = v.attrValueCountsScanInto(dst, nil)
+			refAttrValueCounts(v, nil)
 		}
 	})
 	b.Run("bitset/100k", func(b *testing.B) {
 		v := s.All()
-		var dst map[string]map[string]CountResult
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			dst = v.AttrValueCountsInto(dst, nil)
+			v.AttrValueCounts(nil)
 		}
+	})
+}
+
+// BenchmarkSampleIDs measures gathering a cause's uploaded samples from the
+// last fifth of the 1M-row log — always a row walk, whatever the tier.
+// rows-visited is the row range the walk spans, to be read against the 1M
+// rows the log holds.
+func BenchmarkSampleIDs(b *testing.B) {
+	b.Run("suffix-window/1M", func(b *testing.B) {
+		v := benchStore1M().Window(time.Unix(800, 0), time.Time{})
+		conds := []Cond{{AttrWeather, "w3"}}
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			ids, err := v.SampleIDs(conds)
+			if err != nil || len(ids) == 0 {
+				b.Fatalf("%d ids, err %v", len(ids), err)
+			}
+		}
+		b.ReportMetric(rowsSpanned(v), "rows-visited")
 	})
 }

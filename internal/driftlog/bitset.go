@@ -1,10 +1,10 @@
 // Bitset index layer: per-(attribute, value) bitmaps maintained at
 // append time in every shard, plus a bitset drift/clear overlay, so
-// support counting (Count, ClearDrift, AttrValueCounts) is a word-wise
-// AND + popcount instead of a row scan. The row-scan loops are retained
-// as differential-test oracles (CountScan, ClearDriftScan,
-// AttrValueCountsScan) — the same contract as the blocked-vs-naive
-// tensor kernels.
+// support counting (Count, ClearDrift, AttrValueCounts, PairCounts) is a
+// word-wise AND + popcount instead of a row scan. The row-scan loops the
+// index replaced live on as the tests' independent reference
+// (scanref_test.go) — the same contract as the blocked-vs-naive tensor
+// kernels.
 //
 // Concurrency model: a bitmap word is immutable once every row it covers
 // has been appended, and appends only ever touch the word holding the
@@ -155,23 +155,12 @@ func (ov *Overlay) materialize(si int) []uint64 {
 	} else {
 		w = w[:nw]
 	}
-	if vs.indexed {
-		copy(w, vs.driftBM.words)
-		for i := len(vs.driftBM.words); i < nw; i++ {
-			w[i] = 0
-		}
-		if rem := uint(vs.rows & 63); rem > 0 {
-			w[vs.fullWords] = vs.driftBM.tail
-		}
-	} else {
-		for i := range w {
-			w[i] = 0
-		}
-		for i, d := range vs.drift {
-			if d {
-				w[i>>6] |= 1 << (uint(i) & 63)
-			}
-		}
+	copy(w, vs.driftBM.words)
+	for i := len(vs.driftBM.words); i < nw; i++ {
+		w[i] = 0
+	}
+	if rem := uint(vs.rows & 63); rem > 0 {
+		w[vs.fullWords] = vs.driftBM.tail
 	}
 	ov.shards[si] = w
 	ov.live[si] = true
@@ -179,8 +168,8 @@ func (ov *Overlay) materialize(si int) []uint64 {
 }
 
 // driftAt reads one row's (possibly overlaid) drift flag; a nil overlay
-// reads the stored flag. This is the row-wise access path of the scan
-// oracles and PairCounts.
+// reads the stored flag. This is the row-wise access path of the row
+// walks (eachMatch, valueScanInto, pairScanInto).
 func (ov *Overlay) driftAt(vs *viewShard, si, row int) bool {
 	w := ov.words(si)
 	if w == nil {
@@ -211,15 +200,8 @@ func (ov *Overlay) bump() { ov.epoch = overlayEpochSeq.Add(1) }
 func (vs *viewShard) condBitmaps(conds []Cond, dst []bmSnap) (bms []bmSnap, match bool) {
 	bms = dst[:0]
 	for _, c := range conds {
-		col, ok := vs.cols[c.Attr]
-		if !ok {
-			return nil, false // column never appeared in this shard
-		}
-		id := col.lookup(c.Value)
-		if id == 0 {
-			return nil, false // value never seen in this shard
-		}
-		if int(id) >= len(col.bits) {
+		col, id, ok := vs.lookupCond(c)
+		if !ok || int(id) >= len(col.bits) {
 			return nil, false
 		}
 		bms = append(bms, col.bits[id])
@@ -358,23 +340,41 @@ func (v *View) clearDriftBitset(conds []Cond, ov *Overlay) (int, error) {
 	return cleared, nil
 }
 
-// attrValueCountsBitset is the indexed grouped aggregation: one
-// AND+popcount per (attribute, value) bitmap instead of a row scan.
-func (v *View) attrValueCountsBitset(dst map[string]map[string]CountResult, ov *Overlay) map[string]map[string]CountResult {
-	out := resetAttrValueCounts(dst, v)
+// attrValueCountsBitset is the grouped aggregation: one AND+popcount per
+// (attribute, value) bitmap instead of a row scan. Sketched columns have
+// no bitmaps: their values are counted over the window's rows, unless the
+// sketches answer them (tierSketch: left to attrValueCountsSketch).
+func (v *View) attrValueCountsBitset(ov *Overlay, t tier) map[string]map[string]CountResult {
+	out := make(map[string]map[string]CountResult, len(v.attrs))
+	for name := range v.attrs {
+		out[name] = map[string]CountResult{}
+	}
+	var rows []int32
 	for si := range v.shards {
 		vs := &v.shards[si]
-		if vs.rows == 0 {
-			continue
+		if vs.wlo == vs.whi {
+			continue // no window row in this shard
 		}
 		ovWords := ov.words(si)
 		var one [1]bmSnap
+		rows = rows[:0]
 		for name, col := range vs.cols {
 			byVal := out[name]
+			if col.sketched && t != tierSketch {
+				if len(rows) == 0 {
+					rows = vs.windowRows(rows)
+				}
+				if byVal == nil {
+					byVal = map[string]CountResult{}
+					out[name] = byVal
+				}
+				vs.valueScanInto(ov, si, rows, col, byVal)
+				continue
+			}
 			for id := 1; id < len(col.bits); id++ {
 				one[0] = col.bits[id]
-				t, d := vs.andPopcount(one[:], ovWords)
-				if t == 0 {
+				n, d := vs.andPopcount(one[:], ovWords)
+				if n == 0 {
 					continue
 				}
 				if byVal == nil {
@@ -382,36 +382,13 @@ func (v *View) attrValueCountsBitset(dst map[string]map[string]CountResult, ov *
 					out[name] = byVal
 				}
 				cr := byVal[col.dict[id]]
-				cr.Total += t
+				cr.Total += n
 				cr.Drift += d
 				byVal[col.dict[id]] = cr
 			}
 		}
 	}
 	return out
-}
-
-// resetAttrValueCounts prepares the result map, reusing dst's maps when
-// provided (AttrValueCountsInto's steady-state zero-allocation path).
-func resetAttrValueCounts(dst map[string]map[string]CountResult, v *View) map[string]map[string]CountResult {
-	if dst == nil {
-		dst = make(map[string]map[string]CountResult, len(v.attrs))
-	}
-	for name, byVal := range dst {
-		if !v.attrs[name] {
-			delete(dst, name)
-			continue
-		}
-		for val := range byVal {
-			delete(byVal, val)
-		}
-	}
-	for name := range v.attrs {
-		if dst[name] == nil {
-			dst[name] = map[string]CountResult{}
-		}
-	}
-	return dst
 }
 
 // maxPairCross bounds the value cross product per attribute pair that
@@ -422,11 +399,13 @@ func resetAttrValueCounts(dst map[string]map[string]CountResult, v *View) map[st
 // shard scans its window rows for that attribute pair only.
 const maxPairCross = 256
 
-// pairCountsBitset is the indexed PairCounts path: for each attribute
-// pair, AND the window with each value bitmap of the first attribute
-// once, then popcount against each value bitmap of the second — all over
-// the window's word range [wlo, whi) only.
-func (v *View) pairCountsBitset(ov *Overlay, exclude map[string]bool) map[PairKey]CountResult {
+// pairCountsBitset is the PairCounts path: for each attribute pair, AND
+// the window with each value bitmap of the first attribute once, then
+// popcount against each value bitmap of the second — all over the window's
+// word range [wlo, whi) only. A pair past maxPairCross, or with a sketched
+// side (no bitmaps), is counted over the window's rows instead — unless the
+// sketches answer the sketched pairs (tierSketch: left to pairCountsSketch).
+func (v *View) pairCountsBitset(ov *Overlay, exclude map[string]bool, t tier) map[PairKey]CountResult {
 	out := map[PairKey]CountResult{}
 	var tmp []uint64
 	var rows []int32
@@ -446,12 +425,11 @@ func (v *View) pairCountsBitset(ov *Overlay, exclude map[string]bool) map[PairKe
 		for a := 0; a < len(cols); a++ {
 			for b := a + 1; b < len(cols); b++ {
 				ca, cb := cols[a].c, cols[b].c
-				if ca.sketched || cb.sketched {
-					// Handled by pairCountsSketchSection (the pair ring
-					// or its exact scan fallback).
+				sketched := ca.sketched || cb.sketched
+				if sketched && t == tierSketch {
 					continue
 				}
-				if (len(ca.dict)-1)*(len(cb.dict)-1) > maxPairCross {
+				if sketched || (len(ca.dict)-1)*(len(cb.dict)-1) > maxPairCross {
 					if len(rows) == 0 {
 						rows = vs.windowRows(rows)
 					}
@@ -512,56 +490,91 @@ func (vs *viewShard) windowRows(dst []int32) []int32 {
 	return dst
 }
 
+// idCounts counts rows by an integer key below space: in a dense table
+// when that is no larger than a few slots per row, through a key → slot map
+// otherwise (high-cardinality columns over few rows).
+type idCounts struct {
+	counts []CountResult  // dense: indexed by key; map mode: by slot
+	slot   map[uint64]int // map mode only
+	keys   []uint64       // map mode: slot → key
+}
+
+func newIDCounts(space, rows int) idCounts {
+	if space <= 4*rows {
+		return idCounts{counts: make([]CountResult, space)}
+	}
+	return idCounts{slot: map[uint64]int{}}
+}
+
+// add counts one row under key.
+func (c *idCounts) add(key uint64, drift bool) {
+	j := int(key)
+	if c.slot != nil {
+		var ok bool
+		if j, ok = c.slot[key]; !ok {
+			j = len(c.keys)
+			c.slot[key] = j
+			c.keys = append(c.keys, key)
+			c.counts = append(c.counts, CountResult{})
+		}
+	}
+	c.counts[j].Total++
+	if drift {
+		c.counts[j].Drift++
+	}
+}
+
+// each invokes f for every key counted at least once.
+func (c *idCounts) each(f func(key uint64, n CountResult)) {
+	for j, n := range c.counts {
+		if n.Total == 0 {
+			continue
+		}
+		if c.slot != nil {
+			f(c.keys[j], n)
+		} else {
+			f(uint64(j), n)
+		}
+	}
+}
+
 // pairScanInto counts one attribute pair over the given shard rows — the
 // fallback for value cross products too large to enumerate, for pairs on
 // the sketch tier, and the exact count of a view's sketch edges. Counting
-// runs in id space — a dense |Va|·|Vb| table when that is no larger than
-// a few slots per row, an integer-keyed map otherwise (high-cardinality
-// columns over few rows) — and each PairKey is materialized once per
-// distinct pair.
+// runs in id space and each PairKey is materialized once per distinct pair.
 func (vs *viewShard) pairScanInto(ov *Overlay, si int, rows []int32, a, b namedCol, out map[PairKey]CountResult) {
-	nb := len(b.c.dict)
-	var counts []CountResult // dense: indexed ida·nb+idb; map mode: by slot
-	var slot map[uint64]int  // map mode: id pair → slot
-	var keys []uint64        // map mode: slot → id pair
-	if cross := len(a.c.dict) * nb; cross <= 4*len(rows) {
-		counts = make([]CountResult, cross)
-	} else {
-		slot = map[uint64]int{}
-	}
+	nb := uint64(len(b.c.dict))
+	counts := newIDCounts(len(a.c.dict)*len(b.c.dict), len(rows))
 	for _, r := range rows {
 		ida, idb := a.c.ids[r], b.c.ids[r]
 		if ida == 0 || idb == 0 {
 			continue
 		}
-		j := int(ida)*nb + int(idb)
-		if slot != nil {
-			k := uint64(ida)<<32 | uint64(idb)
-			var ok bool
-			if j, ok = slot[k]; !ok {
-				j = len(keys)
-				slot[k] = j
-				keys = append(keys, k)
-				counts = append(counts, CountResult{})
-			}
-		}
-		counts[j].Total++
-		if ov.driftAt(vs, si, int(r)) {
-			counts[j].Drift++
-		}
+		counts.add(uint64(ida)*nb+uint64(idb), ov.driftAt(vs, si, int(r)))
 	}
-	for j, n := range counts {
-		if n.Total == 0 {
-			continue
-		}
-		ida, idb := j/nb, j%nb
-		if slot != nil {
-			ida, idb = int(keys[j]>>32), int(uint32(keys[j]))
-		}
-		pk := PairKey{AttrA: a.name, ValA: a.c.dict[ida], AttrB: b.name, ValB: b.c.dict[idb]}
+	counts.each(func(key uint64, n CountResult) {
+		pk := PairKey{AttrA: a.name, ValA: a.c.dict[key/nb], AttrB: b.name, ValB: b.c.dict[key%nb]}
 		cr := out[pk]
 		cr.Total += n.Total
 		cr.Drift += n.Drift
 		out[pk] = cr
+	})
+}
+
+// valueScanInto is pairScanInto for one column: its values counted over
+// the given shard rows — the exact group-by of an attribute on the sketch
+// tier (no bitmaps) and the exact count of a view's sketch edges.
+func (vs *viewShard) valueScanInto(ov *Overlay, si int, rows []int32, c viewCol, out map[string]CountResult) {
+	counts := newIDCounts(len(c.dict), len(rows))
+	for _, r := range rows {
+		if id := c.ids[r]; id != 0 {
+			counts.add(uint64(id), ov.driftAt(vs, si, int(r)))
+		}
 	}
+	counts.each(func(id uint64, n CountResult) {
+		cr := out[c.dict[id]]
+		cr.Total += n.Total
+		cr.Drift += n.Drift
+		out[c.dict[id]] = cr
+	})
 }

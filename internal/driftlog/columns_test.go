@@ -278,11 +278,11 @@ func TestAppendColumnsConcurrent(t *testing.T) {
 		t.Fatalf("store has %d rows, want %d", s.Len(), total)
 	}
 	// Full-view counts must still be internally consistent: the indexed
-	// path and the scan oracle agree after mixed concurrent ingestion.
+	// path and the scan reference agree after mixed concurrent ingestion.
 	v := s.All()
 	indexed := v.AttrValueCounts(nil)
-	scanned := v.AttrValueCountsScan(nil)
+	scanned := refAttrValueCounts(v, nil)
 	if !reflect.DeepEqual(indexed, scanned) {
-		t.Fatal("bitset index diverged from scan oracle after concurrent mixed appends")
+		t.Fatal("bitset index diverged from scan reference after concurrent mixed appends")
 	}
 }

@@ -73,10 +73,9 @@ func diffConds() [][]Cond {
 	}
 }
 
-// TestBitsetMatchesScanOracle is the differential contract of the PR:
-// every bitset-backed aggregate must be result-identical to the
-// retained row-scan oracle, on indexed and index-free views, at pool
-// widths 1 and 8.
+// TestBitsetMatchesScanOracle is the differential contract of the index:
+// every bitset-backed aggregate must be result-identical to the row-scan
+// reference (scanref_test.go), at pool widths 1 and 8.
 func TestBitsetMatchesScanOracle(t *testing.T) {
 	for _, workers := range []int{1, 8} {
 		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
@@ -88,39 +87,39 @@ func TestBitsetMatchesScanOracle(t *testing.T) {
 				s := randomStore(r, sizes[int(seed)%len(sizes)])
 				for wi, w := range diffWindows() {
 					vb := s.Window(w[0], w[1])
-					vs := s.WindowScan(w[0], w[1])
-					if got, want := vb.Len(), vs.Len(); got != want {
+					if got, want := vb.Len(), refLen(vb); got != want {
 						t.Fatalf("seed %d window %d: Len bitset %d scan %d", seed, wi, got, want)
 					}
 					for ci, conds := range diffConds() {
 						cb, err1 := vb.Count(conds, nil)
-						co, err2 := vb.CountScan(conds, nil)
-						cs, err3 := vs.Count(conds, nil)
+						co, err2 := refCount(vb, conds, nil)
 						// Attributes absent from a (possibly empty) log are
-						// unknown; all three paths must agree on that too.
-						if (err1 == nil) != (err2 == nil) || (err1 == nil) != (err3 == nil) {
-							t.Fatalf("seed %d window %d conds %d: error divergence %v %v %v", seed, wi, ci, err1, err2, err3)
+						// unknown; both paths must agree on that too.
+						if (err1 == nil) != (err2 == nil) {
+							t.Fatalf("seed %d window %d conds %d: error divergence %v %v", seed, wi, ci, err1, err2)
 						}
 						if err1 != nil {
 							continue
 						}
-						if cb != co || cb != cs {
-							t.Fatalf("seed %d window %d conds %d: bitset %+v oracle %+v scanview %+v",
-								seed, wi, ci, cb, co, cs)
+						if cb != co {
+							t.Fatalf("seed %d window %d conds %d: bitset %+v scan %+v", seed, wi, ci, cb, co)
 						}
 					}
-					// Unknown attribute: identical error on every path.
+					// Unknown attribute: an error on every path.
 					bad := []Cond{{"no-such-attr", "x"}}
 					if _, err := vb.Count(bad, nil); err == nil {
 						t.Fatal("bitset Count accepted unknown attribute")
 					}
-					if _, err := vb.CountScan(bad, nil); err == nil {
-						t.Fatal("CountScan accepted unknown attribute")
+					if _, err := vb.SampleIDs(bad); err == nil {
+						t.Fatal("SampleIDs accepted unknown attribute")
 					}
-					if avb, avs := vb.AttrValueCounts(nil), vb.AttrValueCountsScan(nil); !reflect.DeepEqual(avb, avs) {
+					if _, err := refCount(vb, bad, nil); err == nil {
+						t.Fatal("refCount accepted unknown attribute")
+					}
+					if avb, avs := vb.AttrValueCounts(nil), refAttrValueCounts(vb, nil); !reflect.DeepEqual(avb, avs) {
 						t.Fatalf("seed %d window %d: AttrValueCounts diverge\nbitset %v\nscan   %v", seed, wi, avb, avs)
 					}
-					if pb, ps := vb.PairCounts(nil, nil), vs.PairCounts(nil, nil); !reflect.DeepEqual(pb, ps) {
+					if pb, ps := vb.PairCounts(nil, nil), refPairCounts(vb, nil, nil); !reflect.DeepEqual(pb, ps) {
 						t.Fatalf("seed %d window %d: PairCounts diverge", seed, wi)
 					}
 				}
@@ -153,19 +152,19 @@ func TestPairCountsHighCardinality(t *testing.T) {
 	if cross := 40 * 40; cross <= maxPairCross {
 		t.Fatalf("test needs cross %d > maxPairCross %d", cross, maxPairCross)
 	}
-	vb, vs := s.All(), s.WindowScan(time.Time{}, time.Time{})
-	if pb, ps := vb.PairCounts(nil, nil), vs.PairCounts(nil, nil); !reflect.DeepEqual(pb, ps) {
+	vb := s.All()
+	if pb, ps := vb.PairCounts(nil, nil), refPairCounts(vb, nil, nil); !reflect.DeepEqual(pb, ps) {
 		t.Fatal("high-cardinality PairCounts diverges from scan")
 	}
 	ex := map[string]bool{AttrWeather: true}
-	if pb, ps := vb.PairCounts(nil, ex), vs.PairCounts(nil, ex); !reflect.DeepEqual(pb, ps) {
+	if pb, ps := vb.PairCounts(nil, ex), refPairCounts(vb, nil, ex); !reflect.DeepEqual(pb, ps) {
 		t.Fatal("high-cardinality PairCounts with exclusion diverges from scan")
 	}
 }
 
 // TestClearDriftMatchesScanOracle runs a clear/count sequence through
 // two overlays on the same view — one driven by the bitset paths, one
-// by the scan oracles — and requires identical clears, counts, and
+// by the scan reference — and requires identical clears, counts, and
 // group-bys after every step.
 func TestClearDriftMatchesScanOracle(t *testing.T) {
 	for _, workers := range []int{1, 8} {
@@ -184,7 +183,7 @@ func TestClearDriftMatchesScanOracle(t *testing.T) {
 				}
 				for step, conds := range diffConds() {
 					nb, err1 := v.ClearDrift(conds, ovB)
-					ns, err2 := v.ClearDriftScan(conds, ovS)
+					ns, err2 := refClearDrift(v, conds, ovS)
 					if err1 != nil || err2 != nil {
 						t.Fatalf("seed %d step %d: errs %v %v", seed, step, err1, err2)
 					}
@@ -193,7 +192,7 @@ func TestClearDriftMatchesScanOracle(t *testing.T) {
 					}
 					for _, probe := range diffConds() {
 						cb, err1 := v.Count(probe, ovB)
-						co, err2 := v.CountScan(probe, ovS)
+						co, err2 := refCount(v, probe, ovS)
 						if err1 != nil || err2 != nil {
 							t.Fatalf("seed %d step %d: probe errs %v %v", seed, step, err1, err2)
 						}
@@ -202,11 +201,11 @@ func TestClearDriftMatchesScanOracle(t *testing.T) {
 						}
 					}
 					ab := v.AttrValueCounts(ovB)
-					as := v.AttrValueCountsScan(ovS)
+					as := refAttrValueCounts(v, ovS)
 					if !reflect.DeepEqual(ab, as) {
 						t.Fatalf("seed %d step %d: overlaid AttrValueCounts diverge", seed, step)
 					}
-					if !reflect.DeepEqual(v.PairCounts(ovB, nil), v.PairCounts(ovS, nil)) {
+					if !reflect.DeepEqual(v.PairCounts(ovB, nil), refPairCounts(v, ovS, nil)) {
 						t.Fatalf("seed %d step %d: overlaid PairCounts diverge", seed, step)
 					}
 					if nb > 0 && ovB.Epoch() == 0 {
@@ -279,8 +278,8 @@ func TestSinceDeltaDecomposition(t *testing.T) {
 			if c2.Total != c1[i].Total+cd.Total || c2.Drift != c1[i].Drift+cd.Drift {
 				t.Fatalf("seed %d conds %d: full %+v != prev %+v + delta %+v", seed, i, c2, c1[i], cd)
 			}
-			// The delta's scan oracle must agree with its bitset path too.
-			cdScan, err := delta.CountScan(conds, nil)
+			// The scan reference must agree with the delta's bitset path too.
+			cdScan, err := refCount(delta, conds, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -288,8 +287,8 @@ func TestSinceDeltaDecomposition(t *testing.T) {
 				t.Fatalf("seed %d conds %d: delta bitset %+v scan %+v", seed, i, cd, cdScan)
 			}
 		}
-		if v2.Len() != len1+delta.Len() {
-			t.Fatalf("seed %d: Len %d != %d + %d", seed, v2.Len(), len1, delta.Len())
+		if v2.Len() != len1+delta.Len() || delta.Len() != refLen(delta) {
+			t.Fatalf("seed %d: Len %d != %d + %d (scan %d)", seed, v2.Len(), len1, delta.Len(), refLen(delta))
 		}
 
 		// An unchanged window decomposes into itself plus an empty delta.
@@ -326,10 +325,14 @@ const longStoreRows = 48 * 512
 // runs swapped (two writers whose batches land alternately) otherwise,
 // which leaves every shard time-unsorted. hw × os is a 40 × 40 value
 // cross product, past maxPairCross, so PairCounts takes both its popcount
-// and its row-scan path.
+// and its row-scan path. app_version (300 values, ten of them hot) crosses
+// the store's sketch threshold of 64 early on, so conditions on it are
+// answered by the sketch tier, or — on a Since delta or under a mutated
+// overlay — by the walk of the window's rows. Every fifth row links a sample.
 func longStore(sorted bool) *Store {
 	const n = longStoreRows
 	r := rand.New(rand.NewSource(5))
+	rv := rand.New(rand.NewSource(6)) // app_version draws: r's sequence stays what it was without them
 	base := time.Unix(0, 0).UTC()
 	entries := make([]Entry, n)
 	for g := range entries {
@@ -346,20 +349,36 @@ func longStore(sorted bool) *Store {
 		if r.Float64() < 0.9 {
 			attrs[AttrDevice] = fmt.Sprintf("dev_%d", r.Intn(3))
 		}
-		entries[g] = Entry{Time: base.Add(time.Duration(sec) * time.Second), Drift: r.Float64() < 0.3, SampleID: -1, Attrs: attrs}
+		ver := rv.Intn(300)
+		if rv.Float64() < 0.6 {
+			ver = rv.Intn(10)
+		}
+		if rv.Float64() < 0.95 {
+			attrs["app_version"] = fmt.Sprintf("1.%d", ver)
+		}
+		sample := int64(-1)
+		if g%5 == 0 {
+			sample = int64(g)
+		}
+		entries[g] = Entry{Time: base.Add(time.Duration(sec) * time.Second), Drift: r.Float64() < 0.3, SampleID: sample, Attrs: attrs}
 	}
-	s := NewStore()
+	cfg := sketchTestConfig()
+	cfg.Threshold = 64              // above hw and os, below app_version
+	cfg.Bucket = 1000 * time.Second // the 20-second window is an edge of one bucket
+	s := NewStoreWithSketch(cfg)
 	for lo := 0; lo < n; lo += 512 {
 		s.AppendBatch(entries[lo : lo+512])
 	}
 	return s
 }
 
-// TestSmallWindowsOfLongShards checks every indexed aggregate against its
-// scan oracle on windows that are a suffix, a middle slice, a single
+// TestSmallWindowsOfLongShards checks every aggregate and SampleIDs against
+// the scan reference on windows that are a suffix, a middle slice, a single
 // bitmap word and nothing at all of shards ≥ 64 words long — the shapes
-// whose bitset loops run over [wlo, whi) instead of the whole shard — on
-// time-sorted shards and on shards unsorted by interleaved writers.
+// whose bitset loops and row walks run over [wlo, whi) instead of the whole
+// shard — on time-sorted shards and on shards unsorted by interleaved
+// writers, for exact-tier conditions and for sketched ones where they are
+// answered exactly (Since deltas, mutated overlays, ClearDrift, SampleIDs).
 func TestSmallWindowsOfLongShards(t *testing.T) {
 	base := time.Unix(0, 0).UTC()
 	windows := []struct {
@@ -371,12 +390,22 @@ func TestSmallWindowsOfLongShards(t *testing.T) {
 		{"single-word", base.Add(12000 * time.Second), base.Add(12020 * time.Second)},
 		{"empty", base.Add(50000 * time.Second), base.Add(60000 * time.Second)},
 	}
-	conds := append(diffConds(), []Cond{{"hw", "hw_7"}, {"os", "os_3"}})
+	// The ClearDrift sequence runs in this order: the empty condition clears
+	// every flag that is left, so it goes last.
+	conds := [][]Cond{
+		{{"app_version", "1.3"}}, {{"app_version", "1.7"}, {AttrWeather, "w1"}},
+		{{"app_version", "1.250"}}, {{"app_version", "no-such-version"}},
+		{{"hw", "hw_7"}, {"os", "os_3"}},
+	}
+	conds = append(append(conds, diffConds()[1:]...), nil)
 	for _, sorted := range []bool{true, false} {
 		s := longStore(sorted)
+		if got := s.SketchedAttrs(); len(got) != 1 || got[0] != "app_version" {
+			t.Fatalf("SketchedAttrs = %v, want [app_version]", got)
+		}
 		for _, w := range windows {
 			t.Run(fmt.Sprintf("sorted=%v/%s", sorted, w.name), func(t *testing.T) {
-				vb, vs := s.Window(w.from, w.to), s.WindowScan(w.from, w.to)
+				vb := s.Window(w.from, w.to)
 				long := 0
 				for si := range vb.shards {
 					sh := &vb.shards[si]
@@ -397,10 +426,7 @@ func TestSmallWindowsOfLongShards(t *testing.T) {
 				if long < 3 {
 					t.Fatalf("only %d shards ≥ 64 words", long)
 				}
-				if got, want := vb.Len(), vs.Len(); got != want {
-					t.Fatalf("Len bitset %d scan %d", got, want)
-				}
-				requireViewsAgree(t, vb, vs, conds)
+				requireViewMatchesScan(t, vb, conds)
 
 				// Since delta of the window: rows past three quarters of every
 				// shard, or admitted by the upper bound moving up from the
@@ -415,65 +441,108 @@ func TestSmallWindowsOfLongShards(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				ds, err := vs.Since(prev, prevTo)
-				if err != nil {
-					t.Fatal(err)
-				}
-				requireViewsAgree(t, db, ds, conds)
+				requireViewMatchesScan(t, db, conds)
 			})
 		}
 	}
 }
 
-// requireViewsAgree requires an indexed view and its WindowScan twin to
-// agree on Count, AttrValueCounts, PairCounts and a ClearDrift sequence
-// with overlaid re-counts.
-func requireViewsAgree(t *testing.T, vb, vs *View, conds [][]Cond) {
+// requireViewMatchesScan requires a view to agree with the scan reference
+// on Len, Count, SampleIDs, AttrValueCounts, PairCounts and a ClearDrift
+// sequence with overlaid re-counts and group-bys. Whatever the sketch tier
+// answers — app_version on a whole window under an unmutated overlay — is
+// one-sided by contract (pinned by the sketch differential suite) and is
+// required here only not to fall below the reference; everything else must
+// be equal.
+func requireViewMatchesScan(t *testing.T, v *View, conds [][]Cond) {
 	t.Helper()
-	for ci, c := range conds {
-		cb, err1 := vb.Count(c, nil)
-		cs, err2 := vs.Count(c, nil)
-		if err1 != nil || err2 != nil || cb != cs {
-			t.Fatalf("conds %d: bitset %+v (%v) scan %+v (%v)", ci, cb, err1, cs, err2)
+	if got, want := v.Len(), refLen(v); got != want {
+		t.Fatalf("Len %d scan %d", got, want)
+	}
+	sketchedKey := func(k PairKey) bool { return v.sketched[k.AttrA] || v.sketched[k.AttrB] }
+	// agree compares one result under the overlay the product side used.
+	agree := func(what string, sketched bool, ov *Overlay, got, want CountResult) {
+		t.Helper()
+		if v.tier(sketched, ov) == tierSketch {
+			if got.Total < want.Total || got.Drift < want.Drift {
+				t.Fatalf("%s: sketch %+v below scan %+v", what, got, want)
+			}
+		} else if got != want {
+			t.Fatalf("%s: got %+v scan %+v", what, got, want)
 		}
 	}
-	if ab, as := vb.AttrValueCounts(nil), vs.AttrValueCounts(nil); !reflect.DeepEqual(ab, as) {
-		t.Fatalf("AttrValueCounts diverge\nbitset %v\nscan   %v", ab, as)
+	groupBys := func(stage string, ovB, ovS *Overlay) {
+		t.Helper()
+		wantAV := refAttrValueCounts(v, ovS)
+		for attr, byVal := range v.AttrValueCounts(ovB) {
+			for val, got := range byVal {
+				agree(stage+" "+attr+"="+val, v.sketched[attr], ovB, got, wantAV[attr][val])
+			}
+			if v.tier(v.sketched[attr], ovB) != tierSketch && len(byVal) != len(wantAV[attr]) {
+				t.Fatalf("%s AttrValueCounts[%s]: %d values, scan %d", stage, attr, len(byVal), len(wantAV[attr]))
+			}
+		}
+		wantPC := refPairCounts(v, ovS, nil)
+		gotPC := v.PairCounts(ovB, nil)
+		for k, got := range gotPC {
+			agree(fmt.Sprint(stage, " ", k), sketchedKey(k), ovB, got, wantPC[k])
+		}
+		for k := range wantPC {
+			if _, ok := gotPC[k]; !ok && v.tier(sketchedKey(k), ovB) != tierSketch {
+				t.Fatalf("%s PairCounts: %+v missing", stage, k)
+			}
+		}
 	}
-	if pb, ps := vb.PairCounts(nil, nil), vs.PairCounts(nil, nil); !reflect.DeepEqual(pb, ps) {
-		t.Fatal("PairCounts diverge")
+
+	for ci, c := range conds {
+		got, err1 := v.Count(c, nil)
+		want, err2 := refCount(v, c, nil)
+		if err1 != nil || err2 != nil {
+			t.Fatalf("conds %d: errs %v %v", ci, err1, err2)
+		}
+		agree(fmt.Sprint("Count ", c), v.condSketched(c), nil, got, want)
+		ids, err1 := v.SampleIDs(c)
+		wantIDs, err2 := refSampleIDs(v, c)
+		if err1 != nil || err2 != nil || !reflect.DeepEqual(ids, wantIDs) {
+			t.Fatalf("SampleIDs %v: %d ids (%v), scan %d (%v)", c, len(ids), err1, len(wantIDs), err2)
+		}
 	}
-	ovB, ovS := vb.DriftOverlay(), vs.DriftOverlay()
+	groupBys("stored", nil, nil)
+
+	ovB, ovS := v.DriftOverlay(), v.DriftOverlay()
 	defer ovB.Release()
 	defer ovS.Release()
 	for ci, c := range conds {
-		nb, err1 := vb.ClearDrift(c, ovB)
-		ns, err2 := vs.ClearDrift(c, ovS)
+		nb, err1 := v.ClearDrift(c, ovB)
+		ns, err2 := refClearDrift(v, c, ovS)
 		if err1 != nil || err2 != nil || nb != ns {
-			t.Fatalf("conds %d: cleared bitset %d (%v) scan %d (%v)", ci, nb, err1, ns, err2)
+			t.Fatalf("conds %d: cleared %d (%v) scan %d (%v)", ci, nb, err1, ns, err2)
 		}
-		cb, _ := vb.Count(nil, ovB)
-		cs, _ := vs.Count(nil, ovS)
-		if cb != cs {
-			t.Fatalf("conds %d: overlaid totals bitset %+v scan %+v", ci, cb, cs)
+		if (ovB.Epoch() != 0) != (ovS.Epoch() != 0) {
+			t.Fatalf("conds %d: epochs %d / %d", ci, ovB.Epoch(), ovS.Epoch())
+		}
+		for _, probe := range conds {
+			got, _ := v.Count(probe, ovB)
+			want, _ := refCount(v, probe, ovS)
+			agree(fmt.Sprint("after clear ", ci, ": Count ", probe), v.condSketched(probe), ovB, got, want)
 		}
 	}
-	if pb, ps := vb.PairCounts(ovB, nil), vs.PairCounts(ovS, nil); !reflect.DeepEqual(pb, ps) {
-		t.Fatal("overlaid PairCounts diverge")
-	}
+	groupBys("overlaid", ovB, ovS)
 }
 
 // TestViewConcurrentQueries hammers one view from several goroutines
 // while appends continue (run under -race by `make race`): the state a view
 // builds lazily and shares — per-column dictionary indexes, the resolved
 // sketch window — must be built once and read race-free, and results must
-// stay what the pinned rows say: exact-tier answers equal the oracle's,
-// sketch-tier answers never fall below it.
+// stay what the pinned rows say: exact-tier answers equal the scan
+// reference's, sketch-tier answers never fall below it.
 func TestViewConcurrentQueries(t *testing.T) {
 	s := interleavedSketchStore()
 	base := time.Unix(0, 0).UTC()
 	from, to := base.Add(250*time.Second), base.Add(957*time.Second)
-	v, oracle := s.Window(from, to), s.WindowScan(from, to)
+	// The reference runs over a second view of the same rows, so v's lazily
+	// built state is first touched by the concurrent readers.
+	v, oracle := s.Window(from, to), s.Window(from, to)
 	conds := [][]Cond{
 		{{AttrWeather, "w1"}, {AttrLocation, "city_2"}},
 		{{AttrDevice, "dev_3"}},
@@ -482,9 +551,9 @@ func TestViewConcurrentQueries(t *testing.T) {
 	}
 	wantCount := make([]CountResult, len(conds))
 	for i, c := range conds {
-		wantCount[i], _ = oracle.Count(c, nil)
+		wantCount[i], _ = refCount(oracle, c, nil)
 	}
-	wantAV, wantPC := oracle.AttrValueCounts(nil), oracle.PairCounts(nil, nil)
+	wantAV, wantPC := refAttrValueCounts(oracle, nil), refPairCounts(oracle, nil, nil)
 	check := func(what string, sketched bool, got, want CountResult) {
 		if sketched && got.Total >= want.Total && got.Drift >= want.Drift {
 			return
@@ -553,10 +622,9 @@ func FuzzCountDifferential(f *testing.F) {
 		s := randomStore(r, int(n))
 		w := diffWindows()[int(windowSel)%len(diffWindows())]
 		vb := s.Window(w[0], w[1])
-		vs := s.WindowScan(w[0], w[1])
 		for _, conds := range diffConds() {
 			cb, err1 := vb.Count(conds, nil)
-			cs, err2 := vs.Count(conds, nil)
+			cs, err2 := refCount(vb, conds, nil)
 			if (err1 == nil) != (err2 == nil) {
 				t.Fatalf("error divergence: %v vs %v", err1, err2)
 			}
@@ -570,7 +638,7 @@ func FuzzCountDifferential(f *testing.F) {
 		defer ovS.Release()
 		conds := diffConds()[int(uint64(seed)%4+1)%len(diffConds())]
 		nb, err1 := vb.ClearDrift(conds, ovB)
-		ns, err2 := vb.ClearDriftScan(conds, ovS)
+		ns, err2 := refClearDrift(vb, conds, ovS)
 		if (err1 == nil) != (err2 == nil) {
 			t.Fatalf("clear error divergence: %v vs %v", err1, err2)
 		}
@@ -578,7 +646,7 @@ func FuzzCountDifferential(f *testing.F) {
 			t.Fatalf("cleared %d vs %d", nb, ns)
 		}
 		cb, _ := vb.Count(nil, ovB)
-		cs, _ := vb.CountScan(nil, ovS)
+		cs, _ := refCount(vb, nil, ovS)
 		if cb != cs {
 			t.Fatalf("post-clear totals %+v vs %+v", cb, cs)
 		}

@@ -67,7 +67,7 @@ type column struct {
 	bits  [][]uint64        // parallel to dict
 	// sketched marks a column whose attribute tiered onto the sketch
 	// layer: per-value bitmaps are freed and no longer maintained (ids
-	// and dict stay, so exact row scans still work).
+	// and dict stay, so the exact row walk still works).
 	sketched bool
 }
 
@@ -375,10 +375,10 @@ type Cond struct {
 	Value string
 }
 
-// viewCol pins one shard column at snapshot time. bits (indexed views
-// only) pins the value bitmaps, parallel to dict. sketched columns carry
-// no bitmaps — queries on them are answered by the sketch layer or by
-// exact row scans over the retained ids.
+// viewCol pins one shard column at snapshot time. bits pins the value
+// bitmaps, parallel to dict. sketched columns carry no bitmaps — queries
+// on them are answered by the sketch layer or by the exact row walk over
+// the retained ids (see View.tier).
 type viewCol struct {
 	ids      []uint32
 	dict     []string
@@ -424,8 +424,7 @@ type viewShard struct {
 	samples []int64
 	cols    map[string]viewCol
 
-	// Bitset index (indexed views only).
-	indexed   bool
+	// Bitset index.
 	fullWords int    // rows / 64
 	window    bmSnap // rows passing the view's window predicate
 	driftBM   bmSnap // stored drift flags
@@ -456,13 +455,12 @@ type View struct {
 	from, to int64
 	attrs    map[string]bool // attribute registry pinned at creation
 	total    int
-	noIndex  bool // WindowScan views: force the row-scan oracle paths
 	shards   [numShards]viewShard
 
 	// Sketch layer pinned at creation: the sketched-attribute snapshot
 	// and the live sketch index. delta marks Since-derived views, which
 	// the sketches cannot answer (they cover whole windows, not row
-	// deltas) — those fall back to exact scans for sketched attributes.
+	// deltas) — those walk the window's rows for sketched attributes.
 	sk       *sketchIndex
 	sketched map[string]bool
 	delta    bool
@@ -476,16 +474,8 @@ type View struct {
 // Window returns a view over [from, to). Zero times are unbounded. The
 // view carries a pinned snapshot of the bitset index, so Count,
 // ClearDrift and AttrValueCounts run as word-wise AND + popcount.
-func (s *Store) Window(from, to time.Time) *View { return s.window(from, to, true) }
-
-// WindowScan returns a view with no index snapshot: every query runs the
-// retained row-scan loops. It exists for differential tests and
-// benchmarks (the scan oracle baseline); results are identical to an
-// indexed view's by contract.
-func (s *Store) WindowScan(from, to time.Time) *View { return s.window(from, to, false) }
-
-func (s *Store) window(from, to time.Time, indexed bool) *View {
-	v := &View{attrs: map[string]bool{}, noIndex: !indexed, sk: s.sk, sketched: s.sketchedSet()}
+func (s *Store) Window(from, to time.Time) *View {
+	v := &View{attrs: map[string]bool{}, sk: s.sk, sketched: s.sketchedSet()}
 	s.attrMu.RLock()
 	for _, name := range s.attrOrder {
 		v.attrs[name] = true
@@ -514,33 +504,25 @@ func (s *Store) window(from, to time.Time, indexed bool) *View {
 			cols:    make(map[string]viewCol, len(sh.cols)),
 			sorted:  sh.timeSorted,
 		}
-		if indexed {
-			fw := rows >> 6
-			rem := uint(rows & 63)
-			vs.driftBM = snapBitmap(sh.driftBits, fw, rem)
-			for name, col := range sh.cols {
-				if col.sketched {
-					vs.cols[name] = viewCol{ids: col.ids[:rows], dict: col.dict, sketched: true, index: new(dictIndex)}
-					continue
-				}
-				nvals := len(col.dict)
-				bits := make([]bmSnap, nvals)
-				for id := 1; id < nvals; id++ {
-					bits[id] = snapBitmap(col.bits[id], fw, rem)
-				}
-				vs.cols[name] = viewCol{ids: col.ids[:rows], dict: col.dict[:nvals], bits: bits, index: new(dictIndex)}
+		fw := rows >> 6
+		rem := uint(rows & 63)
+		vs.driftBM = snapBitmap(sh.driftBits, fw, rem)
+		for name, col := range sh.cols {
+			if col.sketched {
+				vs.cols[name] = viewCol{ids: col.ids[:rows], dict: col.dict, sketched: true, index: new(dictIndex)}
+				continue
 			}
-		} else {
-			for name, col := range sh.cols {
-				vs.cols[name] = viewCol{ids: col.ids[:rows], dict: col.dict, index: new(dictIndex)}
+			nvals := len(col.dict)
+			bits := make([]bmSnap, nvals)
+			for id := 1; id < nvals; id++ {
+				bits[id] = snapBitmap(col.bits[id], fw, rem)
 			}
+			vs.cols[name] = viewCol{ids: col.ids[:rows], dict: col.dict[:nvals], bits: bits, index: new(dictIndex)}
 		}
 		sh.mu.RUnlock()
 		v.shards[i] = vs
-		if indexed {
-			// Outside the lock: reads only the pinned times.
-			v.shards[i].buildWindowBM(v)
-		}
+		// Outside the lock: reads only the pinned times.
+		v.shards[i].buildWindowBM(v)
 		offset += rows
 	}
 	v.total = offset
@@ -599,7 +581,6 @@ func (vs *viewShard) buildWindowBM(v *View) {
 		}
 	}
 	vs.window = bmSnap{words: words, tail: tail}
-	vs.indexed = true
 	vs.whi = vs.window.effLen(fw)
 	for vs.whi > 0 && vs.window.word(vs.whi-1, fw) == 0 {
 		vs.whi--
@@ -671,7 +652,7 @@ func (v *View) Since(prevRows []int, prevTo int64) (*View, error) {
 	if len(prevRows) != numShards {
 		return nil, fmt.Errorf("driftlog: Since: got %d shard watermarks, want %d", len(prevRows), numShards)
 	}
-	d := &View{from: v.from, to: v.to, attrs: v.attrs, total: v.total, noIndex: v.noIndex,
+	d := &View{from: v.from, to: v.to, attrs: v.attrs, total: v.total,
 		sk: v.sk, sketched: v.sketched, delta: true}
 	d.shards = v.shards
 	for si := range d.shards {
@@ -681,9 +662,7 @@ func (v *View) Since(prevRows []int, prevTo int64) (*View, error) {
 		}
 		vs.minRow = prevRows[si]
 		vs.prevTo = prevTo
-		if !d.noIndex {
-			vs.buildWindowBM(d)
-		}
+		vs.buildWindowBM(d)
 	}
 	return d, nil
 }
@@ -710,7 +689,9 @@ func (v *View) eachShard(f func(i int)) {
 }
 
 // inWindow reports whether row i of the shard falls inside the view
-// (including the delta predicate of Since-derived views).
+// (including the delta predicate of Since-derived views). buildWindowBM
+// evaluates it once per row of an unsorted shard; every query after that
+// reads the window bitmap.
 func (vs *viewShard) inWindow(v *View, i int) bool {
 	t := vs.times[i]
 	if t < v.from || t >= v.to {
@@ -721,29 +702,12 @@ func (vs *viewShard) inWindow(v *View, i int) bool {
 
 // Len returns the number of rows inside the view.
 func (v *View) Len() int {
-	if !v.noIndex {
-		n := 0
-		for si := range v.shards {
-			vs := &v.shards[si]
-			for _, w := range vs.window.words {
-				n += onesCount(w)
-			}
-			n += onesCount(vs.window.tail)
-		}
-		return n
-	}
-	var counts [numShards]int
-	v.eachShard(func(si int) {
-		vs := &v.shards[si]
-		for i := 0; i < vs.rows; i++ {
-			if vs.inWindow(v, i) {
-				counts[si]++
-			}
-		}
-	})
 	n := 0
-	for _, c := range counts {
-		n += c
+	for si := range v.shards {
+		vs := &v.shards[si]
+		for w := vs.wlo; w < vs.whi; w++ {
+			n += onesCount(vs.window.word(w, vs.fullWords))
+		}
 	}
 	return n
 }
@@ -754,255 +718,161 @@ type CountResult struct {
 	Drift int // of those, rows flagged as drift
 }
 
+// tier is the way a query is answered. View.tier is the one place that
+// picks it, and this table is the whole routing (DESIGN.md §5g has each
+// cell's cost, in words or rows of the window — never of the log):
+//
+//	query            tierBitset (exact)     tierSketch (one-sided)   tierRows (exact)
+//	Count            countBitset            countSketch              countRows
+//	ClearDrift       clearDriftBitset       clearDriftRows: a clear  clearDriftRows
+//	                                        is never approximate
+//	AttrValueCounts  attrValueCountsBitset  attrValueCountsSketch    valueScanInto
+//	PairCounts       pairCountsBitset       pairCountsSketch         pairScanInto
+//	Approx           false                  true, the ring's bound   false
+//	SampleIDs        —                      —                        eachMatch
+//
+// The two group-bys answer their exact-tier attributes from the bitmaps
+// whatever the tier; the tier decides their sketched attributes (pairs with
+// a sketched side) only.
+type tier uint8
+
+const (
+	tierBitset tier = iota // word-wise AND + popcount over the value bitmaps
+	tierSketch             // Count-Min over covered buckets + exact edge rows
+	tierRows               // walk of the window's rows over the retained ids
+)
+
+// tier picks the tier of a query that touches (sketched) or does not touch
+// an attribute on the sketch tier. The sketches aggregate whole windows of
+// stored drift flags, so they answer neither a Since delta nor an overlay
+// that a ClearDrift has mutated (epoch > 0); those walk the rows.
+func (v *View) tier(sketched bool, ov *Overlay) tier {
+	switch {
+	case !sketched:
+		return tierBitset
+	case !v.delta && (ov == nil || ov.Epoch() == 0):
+		return tierSketch
+	}
+	return tierRows
+}
+
 // colCond is one resolved equality predicate on a shard snapshot.
 type colCond struct {
 	ids []uint32
 	id  uint32
 }
 
-// resolveConds maps conditions onto one shard's columns. match=false
-// means the predicate can never match in this shard (value or column
-// absent there). An attribute unknown to the whole store is an error,
-// preserving the unsharded store's contract.
-func (v *View) resolveConds(vs *viewShard, conds []Cond) (ccs []colCond, match bool, err error) {
-	// Validate every attribute name before any per-shard short-circuit,
-	// so the error is independent of which shard a value landed in.
+// lookupCond resolves one condition to the shard's column and the value's
+// dictionary ID. ok=false means the condition can never match in this
+// shard (column or value absent there).
+func (vs *viewShard) lookupCond(c Cond) (col viewCol, id uint32, ok bool) {
+	if col, ok = vs.cols[c.Attr]; !ok {
+		return col, 0, false
+	}
+	id = col.lookup(c.Value)
+	return col, id, id != 0
+}
+
+// eachMatch is the exact tier's row primitive: f(si, vs, i) for every
+// window row i of every shard that satisfies all the conditions, rows in
+// order within a shard, shards in parallel on large views — so f may write
+// per-shard slots only. The walk is over the window bitmap's words
+// [wlo, whi): it costs the rows the window holds, wherever in the log the
+// window lies. An attribute unknown to the whole store is an error,
+// whichever shard a value landed in.
+func (v *View) eachMatch(conds []Cond, f func(si int, vs *viewShard, i int)) error {
 	if err := v.checkConds(conds); err != nil {
-		return nil, false, err
+		return err
 	}
-	ccs = make([]colCond, 0, len(conds))
-	for _, c := range conds {
-		col, ok := vs.cols[c.Attr]
-		if !ok {
-			return nil, false, nil // column never appeared in this shard
+	v.eachShard(func(si int) {
+		vs := &v.shards[si]
+		ccs := make([]colCond, 0, len(conds))
+		for _, c := range conds {
+			col, id, ok := vs.lookupCond(c)
+			if !ok {
+				return
+			}
+			ccs = append(ccs, colCond{ids: col.ids, id: id})
 		}
-		id := col.lookup(c.Value)
-		if id == 0 {
-			return nil, false, nil // value never seen in this shard
-		}
-		ccs = append(ccs, colCond{ids: col.ids, id: id})
-	}
-	return ccs, true, nil
+		vs.eachWindowRow(func(i int) {
+			for _, cc := range ccs {
+				if cc.ids[i] != cc.id {
+					return
+				}
+			}
+			f(si, vs, i)
+		})
+	})
+	return nil
 }
 
 // Count aggregates rows matching every condition. The overlay, if
 // non-nil, replaces the stored drift flags — the hook counterfactual
 // analysis uses to "mark" entries as non-drift without mutating the log.
-// On indexed views this is a word-wise AND + popcount over the pinned
-// bitmaps; WindowScan views fall back to the row-scan oracle.
 func (v *View) Count(conds []Cond, ov *Overlay) (CountResult, error) {
-	if v.noIndex {
-		return v.CountScan(conds, ov)
-	}
-	if v.condSketched(conds) {
-		// Sketched attributes carry no bitmaps: answer from the sketch
-		// layer when the view is sketch-eligible, else exact row scan.
-		if v.sketchEligible(ov) {
-			return v.countSketch(conds, ov)
-		}
-		return v.CountScan(conds, ov)
+	switch v.tier(v.condSketched(conds), ov) {
+	case tierSketch:
+		return v.countSketch(conds, ov)
+	case tierRows:
+		return v.countRows(conds, ov)
 	}
 	return v.countBitset(conds, ov)
 }
 
-// CountScan is the retained row-scan oracle for Count: result-identical
-// by contract, kept for differential tests and as the fallback for
-// index-free views.
-func (v *View) CountScan(conds []Cond, ov *Overlay) (CountResult, error) {
+func (v *View) countRows(conds []Cond, ov *Overlay) (CountResult, error) {
 	var partial [numShards]CountResult
-	var errs [numShards]error
-	v.eachShard(func(si int) {
-		vs := &v.shards[si]
-		ccs, match, err := v.resolveConds(vs, conds)
-		if err != nil {
-			errs[si] = err
-			return
+	err := v.eachMatch(conds, func(si int, vs *viewShard, i int) {
+		partial[si].Total++
+		if ov.driftAt(vs, si, i) {
+			partial[si].Drift++
 		}
-		if !match {
-			return
-		}
-		var res CountResult
-	rows:
-		for i := 0; i < vs.rows; i++ {
-			if !vs.inWindow(v, i) {
-				continue
-			}
-			for _, cc := range ccs {
-				if cc.ids[i] != cc.id {
-					continue rows
-				}
-			}
-			res.Total++
-			if ov.driftAt(vs, si, i) {
-				res.Drift++
-			}
-		}
-		partial[si] = res
 	})
 	var out CountResult
-	for si := range partial {
-		if errs[si] != nil {
-			return CountResult{}, errs[si]
-		}
-		out.Total += partial[si].Total
-		out.Drift += partial[si].Drift
+	for _, p := range partial {
+		out.Total += p.Total
+		out.Drift += p.Drift
 	}
-	return out, nil
+	return out, err
 }
 
 // ClearDrift clears the overlaid drift flag of every in-window row
 // matching the conditions, returning how many flags were cleared. A
 // mutating call stamps the overlay with a fresh epoch (see
-// Overlay.Epoch). Indexed views clear word-wise; WindowScan views fall
-// back to the row-scan oracle.
+// Overlay.Epoch).
 func (v *View) ClearDrift(conds []Cond, ov *Overlay) (int, error) {
-	if v.noIndex || v.condSketched(conds) {
-		// Sketched attributes clear via the exact row scan (their ids
-		// are retained), so counterfactual clearing is never approximate.
-		return v.ClearDriftScan(conds, ov)
+	if v.tier(v.condSketched(conds), ov) == tierBitset {
+		return v.clearDriftBitset(conds, ov)
 	}
-	return v.clearDriftBitset(conds, ov)
+	return v.clearDriftRows(conds, ov)
 }
 
-// ClearDriftScan is the retained row-scan oracle for ClearDrift.
-func (v *View) ClearDriftScan(conds []Cond, ov *Overlay) (int, error) {
+func (v *View) clearDriftRows(conds []Cond, ov *Overlay) (int, error) {
 	var cleared [numShards]int
-	var errs [numShards]error
-	v.eachShard(func(si int) {
-		vs := &v.shards[si]
-		ccs, match, err := v.resolveConds(vs, conds)
-		if err != nil {
-			errs[si] = err
-			return
-		}
-		if !match {
-			return
-		}
-		var words []uint64
-	rows:
-		for i := 0; i < vs.rows; i++ {
-			if !vs.inWindow(v, i) {
-				continue
-			}
-			for _, cc := range ccs {
-				if cc.ids[i] != cc.id {
-					continue rows
-				}
-			}
-			if words == nil {
-				// Per-shard slots: safe under the parallel fan-out.
-				words = ov.materialize(si)
-			}
-			w, bit := i>>6, uint64(1)<<(uint(i)&63)
-			if words[w]&bit != 0 {
-				words[w] &^= bit
-				cleared[si]++
-			}
+	err := v.eachMatch(conds, func(si int, _ *viewShard, i int) {
+		words := ov.materialize(si) // per-shard slots: safe under the fan-out
+		if bit := uint64(1) << (uint(i) & 63); words[i>>6]&bit != 0 {
+			words[i>>6] &^= bit
+			cleared[si]++
 		}
 	})
 	n := 0
-	for si := range cleared {
-		if errs[si] != nil {
-			return 0, errs[si]
-		}
-		n += cleared[si]
+	for _, c := range cleared {
+		n += c
 	}
 	if n > 0 {
 		ov.bump()
 	}
-	return n, nil
+	return n, err
 }
 
 // AttrValueCounts returns, for each attribute, the per-value totals and
 // drift counts inside the view — the single-pass aggregation the first
-// apriori level needs (one "SQL GROUP BY" per attribute). Indexed views
-// answer with one AND + popcount per (attribute, value) bitmap;
-// WindowScan views fall back to the row-scan oracle.
+// apriori level needs (one "SQL GROUP BY" per attribute).
 func (v *View) AttrValueCounts(ov *Overlay) map[string]map[string]CountResult {
-	return v.AttrValueCountsInto(nil, ov)
-}
-
-// AttrValueCountsInto is AttrValueCounts writing into dst (reusing its
-// maps when the attribute sets agree), so a caller aggregating every
-// window can run allocation-free in steady state. dst may be nil.
-func (v *View) AttrValueCountsInto(dst map[string]map[string]CountResult, ov *Overlay) map[string]map[string]CountResult {
-	if v.noIndex {
-		return v.attrValueCountsScanInto(dst, ov)
-	}
-	out := v.attrValueCountsBitset(dst, ov)
-	if len(v.sketched) > 0 {
-		// Sketched attributes contributed nothing to the bitset pass;
-		// fill them from heavy-hitter candidates (eligible views) or an
-		// exact row scan over just those columns.
-		if v.sketchEligible(ov) {
-			v.attrValueCountsSketch(out)
-		} else {
-			v.attrValueCountsScanSketched(out, ov)
-		}
-	}
-	return out
-}
-
-// AttrValueCountsScan is the retained row-scan oracle for
-// AttrValueCounts.
-func (v *View) AttrValueCountsScan(ov *Overlay) map[string]map[string]CountResult {
-	return v.attrValueCountsScanInto(nil, ov)
-}
-
-func (v *View) attrValueCountsScanInto(dst map[string]map[string]CountResult, ov *Overlay) map[string]map[string]CountResult {
-	var partial [numShards]map[string]map[string]CountResult
-	v.eachShard(func(si int) {
-		vs := &v.shards[si]
-		out := map[string]map[string]CountResult{}
-		type namedCol struct {
-			name string
-			c    viewCol
-		}
-		cols := make([]namedCol, 0, len(vs.cols))
-		for name, c := range vs.cols {
-			cols = append(cols, namedCol{name, c})
-		}
-		for i := 0; i < vs.rows; i++ {
-			if !vs.inWindow(v, i) {
-				continue
-			}
-			d := ov.driftAt(vs, si, i)
-			for _, nc := range cols {
-				id := nc.c.ids[i]
-				if id == 0 {
-					continue
-				}
-				byVal := out[nc.name]
-				if byVal == nil {
-					byVal = map[string]CountResult{}
-					out[nc.name] = byVal
-				}
-				val := nc.c.dict[id]
-				cr := byVal[val]
-				cr.Total++
-				if d {
-					cr.Drift++
-				}
-				byVal[val] = cr
-			}
-		}
-		partial[si] = out
-	})
-	out := resetAttrValueCounts(dst, v)
-	for _, p := range partial {
-		for name, byVal := range p {
-			dstVals := out[name]
-			if dstVals == nil {
-				dstVals = map[string]CountResult{}
-				out[name] = dstVals
-			}
-			for val, cr := range byVal {
-				acc := dstVals[val]
-				acc.Total += cr.Total
-				acc.Drift += cr.Drift
-				dstVals[val] = acc
-			}
-		}
+	t := v.tier(len(v.sketched) > 0, ov)
+	out := v.attrValueCountsBitset(ov, t)
+	if t == tierSketch {
+		v.attrValueCountsSketch(out)
 	}
 	return out
 }
@@ -1042,71 +912,12 @@ func (k PairKey) Conds() []Cond {
 // PairCounts aggregates the totals and drift counts of every
 // two-attribute value combination present in the view (excluding the
 // listed attributes). This replaces the per-candidate scans of the
-// apriori level-2 join. On indexed views each attribute pair is counted
-// by popcounting the cross product of its value bitmaps (falling back
-// to a row scan for pathologically high-cardinality pairs, see
-// maxPairCross); WindowScan views run the retained grouped row scan.
+// apriori level-2 join.
 func (v *View) PairCounts(ov *Overlay, exclude map[string]bool) map[PairKey]CountResult {
-	if v.noIndex {
-		return v.PairCountsScan(ov, exclude)
-	}
-	out := v.pairCountsBitset(ov, exclude)
-	if len(v.sketched) > 0 {
-		// Pairs touching sketched attributes were skipped by the bitset
-		// pass; fill them from the pair ring (eligible views) or an
-		// exact row scan over just those attribute pairs.
-		v.pairCountsSketchSection(out, ov, exclude)
-	}
-	return out
-}
-
-// PairCountsScan is the retained grouped row-scan oracle for
-// PairCounts: one pass over the rows, O(rows·k²) for k attributes per
-// row, fanned out per shard on large views.
-func (v *View) PairCountsScan(ov *Overlay, exclude map[string]bool) map[PairKey]CountResult {
-	var partial [numShards]map[PairKey]CountResult
-	v.eachShard(func(si int) {
-		vs := &v.shards[si]
-		cols := vs.sortedCols(exclude)
-		out := map[PairKey]CountResult{}
-		for i := 0; i < vs.rows; i++ {
-			if !vs.inWindow(v, i) {
-				continue
-			}
-			d := ov.driftAt(vs, si, i)
-			for a := 0; a < len(cols); a++ {
-				ida := cols[a].c.ids[i]
-				if ida == 0 {
-					continue
-				}
-				for b := a + 1; b < len(cols); b++ {
-					idb := cols[b].c.ids[i]
-					if idb == 0 {
-						continue
-					}
-					k := PairKey{
-						AttrA: cols[a].name, ValA: cols[a].c.dict[ida],
-						AttrB: cols[b].name, ValB: cols[b].c.dict[idb],
-					}
-					cr := out[k]
-					cr.Total++
-					if d {
-						cr.Drift++
-					}
-					out[k] = cr
-				}
-			}
-		}
-		partial[si] = out
-	})
-	out := map[PairKey]CountResult{}
-	for _, p := range partial {
-		for k, cr := range p {
-			acc := out[k]
-			acc.Total += cr.Total
-			acc.Drift += cr.Drift
-			out[k] = acc
-		}
+	t := v.tier(len(v.sketched) > 0, ov)
+	out := v.pairCountsBitset(ov, exclude, t)
+	if t == tierSketch {
+		v.pairCountsSketch(out, exclude)
 	}
 	return out
 }
@@ -1120,37 +931,16 @@ func (v *View) SampleIDs(conds []Cond) ([]int64, error) {
 		id  int64
 	}
 	var partial [numShards][]hit
-	var errs [numShards]error
-	v.eachShard(func(si int) {
-		vs := &v.shards[si]
-		ccs, match, err := v.resolveConds(vs, conds)
-		if err != nil {
-			errs[si] = err
-			return
-		}
-		if !match {
-			return
-		}
-	rows:
-		for i := 0; i < vs.rows; i++ {
-			if !vs.inWindow(v, i) {
-				continue
-			}
-			for _, cc := range ccs {
-				if cc.ids[i] != cc.id {
-					continue rows
-				}
-			}
-			if vs.samples[i] >= 0 {
-				partial[si] = append(partial[si], hit{seq: vs.seqs[i], id: vs.samples[i]})
-			}
+	err := v.eachMatch(conds, func(si int, vs *viewShard, i int) {
+		if vs.samples[i] >= 0 {
+			partial[si] = append(partial[si], hit{seq: vs.seqs[i], id: vs.samples[i]})
 		}
 	})
+	if err != nil {
+		return nil, err
+	}
 	var hits []hit
 	for si := range partial {
-		if errs[si] != nil {
-			return nil, errs[si]
-		}
 		hits = append(hits, partial[si]...)
 	}
 	sort.Slice(hits, func(a, b int) bool { return hits[a].seq < hits[b].seq })

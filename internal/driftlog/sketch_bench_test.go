@@ -170,6 +170,35 @@ func BenchmarkSketchPairCounts(b *testing.B) {
 	})
 }
 
+// BenchmarkSketchCounterfactual measures one counterfactual step on a
+// sketched condition — acquire an overlay, clear the condition's drift
+// flags, re-count it under the mutated overlay, release — over the last ten
+// minutes of the hour-long 1M-row log. Neither call can read the sketches
+// (a clear is never approximate; they aggregate stored drift), so both walk
+// the window's rows. rows-visited is the row range one walk spans, to be
+// read against the 1M rows the shards hold.
+func BenchmarkSketchCounterfactual(b *testing.B) {
+	b.Run("suffix-window/1Mx100k", func(b *testing.B) {
+		s := sketchBenchStore(b, 1_000_000, 100_000, true)
+		v := s.Window(time.Unix(0, 0).UTC().Add(50*time.Minute), time.Time{})
+		conds := []Cond{{Attr: "app_version", Value: "v0"}}
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			ov := v.DriftOverlay()
+			n, err := v.ClearDrift(conds, ov)
+			if err != nil || n == 0 {
+				b.Fatalf("cleared %d, err %v", n, err)
+			}
+			if cr, err := v.Count(conds, ov); err != nil || cr.Total == 0 || cr.Drift != 0 {
+				b.Fatalf("re-count %+v, err %v", cr, err)
+			}
+			ov.Release()
+		}
+		b.ReportMetric(rowsSpanned(v), "rows-visited")
+		b.ReportMetric(indexBytes(s), "index-bytes")
+	})
+}
+
 // benchInterleavedSketch times one window close on the traffic shape the
 // composed benchmark found: two interleaved writers (every shard
 // time-unsorted) and a cumulative window whose `to` is off the 10-minute

@@ -151,7 +151,7 @@ func TestSketchTierUp(t *testing.T) {
 
 // TestSketchDifferentialBound is the sketch half of the PR's differential
 // contract: every sketch-answered aggregate is one-sided against the
-// exact row-scan oracle and within the analytic error bound, across
+// exact row-scan reference and within the analytic error bound, across
 // bucket-aligned and unaligned windows, odd shard fills, and pool widths
 // 1 and 8 (results identical across widths).
 func TestSketchDifferentialBound(t *testing.T) {
@@ -170,7 +170,6 @@ func TestSketchDifferentialBound(t *testing.T) {
 				sketchedStore := len(s.SketchedAttrs()) > 0
 				for wi, w := range sketchWindows() {
 					vb := s.Window(w[0], w[1])
-					vo := s.WindowScan(w[0], w[1])
 					conds := [][]Cond{
 						{{"app_version", "1.3"}},
 						{{"app_version", "1.7"}, {AttrWeather, "w1"}},
@@ -180,7 +179,7 @@ func TestSketchDifferentialBound(t *testing.T) {
 					}
 					for ci, cs := range conds {
 						got, err1 := vb.Count(cs, nil)
-						exact, err2 := vo.Count(cs, nil)
+						exact, err2 := refCount(vb, cs, nil)
 						if err1 != nil || err2 != nil {
 							t.Fatalf("seed %d window %d conds %d: errs %v %v", seed, wi, ci, err1, err2)
 						}
@@ -209,7 +208,7 @@ func TestSketchDifferentialBound(t *testing.T) {
 							for i := 0; i < len(cs); i++ {
 								for j := i + 1; j < len(cs); j++ {
 									pair := []Cond{cs[i], cs[j]}
-									pc, err := vo.Count(pair, nil)
+									pc, err := refCount(vb, pair, nil)
 									if err != nil {
 										t.Fatal(err)
 									}
@@ -237,7 +236,7 @@ func TestSketchDifferentialBound(t *testing.T) {
 					// is one-sided and bounded; every exact value frequent
 					// enough for the Space-Saving guarantee is reported.
 					gotAV := vb.AttrValueCounts(nil)
-					exactAV := vo.AttrValueCountsScan(nil)
+					exactAV := refAttrValueCounts(vb, nil)
 					var totalApp int
 					for _, cr := range exactAV["app_version"] {
 						totalApp += cr.Total
@@ -276,7 +275,7 @@ func TestSketchDifferentialBound(t *testing.T) {
 					// Pair aggregation: reported pairs touching the sketched
 					// attribute are one-sided within the pair-ring bound.
 					gotPC := vb.PairCounts(nil, nil)
-					exactPC := vo.PairCountsScan(nil, nil)
+					exactPC := refPairCounts(vb, nil, nil)
 					for k, cr := range gotPC {
 						if k.AttrA != "app_version" && k.AttrB != "app_version" {
 							if cr != exactPC[k] {
@@ -346,7 +345,7 @@ func TestSketchUnalignedWindowOverInterleavedWriters(t *testing.T) {
 	s := interleavedSketchStore()
 	base := time.Unix(0, 0).UTC()
 	from, to := base.Add(250*time.Second), base.Add(957*time.Second)
-	v, oracle := s.Window(from, to), s.WindowScan(from, to)
+	v := s.Window(from, to)
 	if st := s.Stats(); st.SketchEvicted == 0 || st.UnsortedShards == 0 {
 		t.Fatalf("store shape: %+v, want folded buckets and unsorted shards", st)
 	}
@@ -369,7 +368,7 @@ func TestSketchUnalignedWindowOverInterleavedWriters(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		exact, _ := oracle.Count(c, nil)
+		exact, _ := refCount(v, c, nil)
 		approx, bound := v.Approx(c, nil)
 		if !approx {
 			bound = 0
@@ -381,7 +380,7 @@ func TestSketchUnalignedWindowOverInterleavedWriters(t *testing.T) {
 		}
 		lines = append(lines, fmt.Sprintf("count %v %+v %v %d", c, got, approx, bound))
 	}
-	exactAV := oracle.AttrValueCounts(nil)
+	exactAV := refAttrValueCounts(v, nil)
 	_, valBound := v.Approx([]Cond{{"app_version", "1.0"}}, nil)
 	for attr, byVal := range v.AttrValueCounts(nil) {
 		for val, cr := range byVal {
@@ -393,7 +392,7 @@ func TestSketchUnalignedWindowOverInterleavedWriters(t *testing.T) {
 			lines = append(lines, fmt.Sprintf("value %s=%s %+v", attr, val, cr))
 		}
 	}
-	exactPC := oracle.PairCounts(nil, nil)
+	exactPC := refPairCounts(v, nil, nil)
 	_, pairBound := v.Approx([]Cond{{"app_version", "1.0"}, {AttrWeather, "w0"}}, nil)
 	for k, cr := range v.PairCounts(nil, nil) {
 		if k.AttrA == "app_version" || k.AttrB == "app_version" {
@@ -437,14 +436,14 @@ func TestSketchWindowSurvivesFolds(t *testing.T) {
 		if after, _ := v.Count(c, nil); after != before[i] {
 			t.Fatalf("%v: %+v before the folds, %+v after", c, before[i], after)
 		}
-		exact, _ := v.CountScan(c, nil)
+		exact, _ := refCount(v, c, nil)
 		_, bound := v.Approx(c, nil)
 		assertOneSided(t, fmt.Sprint(c), before[i], exact, bound)
 	}
 }
 
 // TestSketchDeltaFallbackExact pins that Since-derived delta views answer
-// sketched attributes exactly (scan fallback), so incremental mining's
+// sketched attributes exactly (the row walk), so incremental mining's
 // additivity holds for the delta term.
 func TestSketchDeltaFallbackExact(t *testing.T) {
 	r := rand.New(rand.NewSource(8))
@@ -456,7 +455,7 @@ func TestSketchDeltaFallbackExact(t *testing.T) {
 	// Pin the exact prev-window count before growing the log: the new
 	// batch contains rows with timestamps inside the prev window, which
 	// belong to the delta (appended after the watermark), not to prev.
-	c1, _ := s.WindowScan(time.Time{}, base.Add(600*time.Second)).Count([]Cond{{"app_version", "1.3"}}, nil)
+	c1, _ := refCount(v1, []Cond{{"app_version", "1.3"}}, nil)
 
 	var batch []Entry
 	for i := 0; i < 500; i++ {
@@ -482,17 +481,16 @@ func TestSketchDeltaFallbackExact(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cdScan, err := delta.CountScan(conds, nil)
+	cdScan, err := refCount(delta, conds, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if cd != cdScan {
 		t.Fatalf("delta sketched-attr count %+v != scan %+v", cd, cdScan)
 	}
-	// Exact decomposition over the scan oracles sanity-checks the window
+	// Exact decomposition over the scan reference sanity-checks the window
 	// plumbing under tiering.
-	vo2 := s.WindowScan(time.Time{}, base.Add(900*time.Second))
-	c2, _ := vo2.Count(conds, nil)
+	c2, _ := refCount(v2, conds, nil)
 	if c2.Total != c1.Total+cd.Total {
 		t.Fatalf("decomposition: full %d != prev %d + delta %d", c2.Total, c1.Total, cd.Total)
 	}
@@ -500,7 +498,7 @@ func TestSketchDeltaFallbackExact(t *testing.T) {
 
 // TestSketchClearDriftExact pins that counterfactual clearing involving
 // sketched attributes is exact, and that a mutated overlay re-routes
-// sketched queries to the exact scan.
+// sketched queries to the exact row walk.
 func TestSketchClearDriftExact(t *testing.T) {
 	r := rand.New(rand.NewSource(9))
 	s := sketchStore(r, 2500, 200, sketchTestConfig())
@@ -511,7 +509,7 @@ func TestSketchClearDriftExact(t *testing.T) {
 	defer ovB.Release()
 	conds := []Cond{{"app_version", "1.2"}}
 	na, err1 := v.ClearDrift(conds, ovA)
-	nb, err2 := v.ClearDriftScan(conds, ovB)
+	nb, err2 := refClearDrift(v, conds, ovB)
 	if err1 != nil || err2 != nil {
 		t.Fatalf("errs %v %v", err1, err2)
 	}
@@ -521,14 +519,23 @@ func TestSketchClearDriftExact(t *testing.T) {
 	if na > 0 && ovA.Epoch() == 0 {
 		t.Fatal("mutating clear left epoch 0")
 	}
-	// Mutated overlay: sketched queries must be exact (scan fallback).
-	if v.sketchEligible(ovA) && na > 0 {
-		t.Fatal("mutated overlay still sketch-eligible")
+	// Mutated overlay: sketched queries must be exact (the row walk).
+	if na == 0 || v.tier(true, ovA) != tierRows {
+		t.Fatalf("cleared %d flags, tier %d: want a mutated overlay on the row tier", na, v.tier(true, ovA))
+	}
+	if ap, _ := v.Approx(conds, ovA); ap {
+		t.Fatal("mutated overlay reported approximate")
 	}
 	got, _ := v.Count(conds, ovA)
-	want, _ := v.CountScan(conds, ovB)
+	want, _ := refCount(v, conds, ovB)
 	if got != want {
 		t.Fatalf("post-clear sketched count %+v != scan %+v", got, want)
+	}
+	if ga, wa := v.AttrValueCounts(ovA), refAttrValueCounts(v, ovB); !reflect.DeepEqual(ga, wa) {
+		t.Fatal("post-clear AttrValueCounts diverge from scan")
+	}
+	if gp, wp := v.PairCounts(ovA, nil), refPairCounts(v, ovB, nil); !reflect.DeepEqual(gp, wp) {
+		t.Fatal("post-clear PairCounts diverge from scan")
 	}
 }
 
@@ -591,11 +598,10 @@ func TestSketchCompactRebuild(t *testing.T) {
 		t.Fatalf("tiering must be sticky across compaction, got %v", got)
 	}
 	vb := s.All()
-	vo := s.WindowScan(time.Time{}, time.Time{})
 	for _, val := range []string{"1.0", "1.5", "1.123"} {
 		conds := []Cond{{"app_version", val}}
 		got, err1 := vb.Count(conds, nil)
-		exact, err2 := vo.Count(conds, nil)
+		exact, err2 := refCount(vb, conds, nil)
 		if err1 != nil || err2 != nil {
 			t.Fatalf("errs %v %v", err1, err2)
 		}
@@ -621,11 +627,10 @@ func TestSketchPersistRoundTrip(t *testing.T) {
 		t.Fatalf("sketched attrs diverge after round trip: %v vs %v", s.SketchedAttrs(), loaded.SketchedAttrs())
 	}
 	vb := loaded.All()
-	vo := loaded.WindowScan(time.Time{}, time.Time{})
 	for _, val := range []string{"1.1", "1.42"} {
 		conds := []Cond{{"app_version", val}}
 		got, _ := vb.Count(conds, nil)
-		exact, _ := vo.Count(conds, nil)
+		exact, _ := refCount(vb, conds, nil)
 		_, bound := vb.Approx(conds, nil)
 		assertOneSided(t, "round-trip "+val, got, exact, bound)
 	}
@@ -642,14 +647,13 @@ func FuzzSketchDifferential(f *testing.F) {
 		s := sketchStore(r, int(n), 64, sketchTestConfig())
 		w := sketchWindows()[int(windowSel)%len(sketchWindows())]
 		vb := s.Window(w[0], w[1])
-		vo := s.WindowScan(w[0], w[1])
 		for _, conds := range [][]Cond{
 			{{"app_version", "1.1"}},
 			{{"app_version", "1.9"}, {AttrWeather, "w2"}},
 			{{AttrWeather, "w0"}},
 		} {
 			got, err1 := vb.Count(conds, nil)
-			exact, err2 := vo.Count(conds, nil)
+			exact, err2 := refCount(vb, conds, nil)
 			if (err1 == nil) != (err2 == nil) {
 				t.Fatalf("error divergence: %v vs %v", err1, err2)
 			}

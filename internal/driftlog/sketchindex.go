@@ -6,10 +6,9 @@
 // (candidate enumeration for grouped aggregations). Low-cardinality
 // attributes keep the exact PR-5 bitset path untouched; tiering is sticky
 // (an attribute never tiers back down) and the dictionary-encoded row ids
-// are retained even for sketched columns, so the row-scan oracles remain
-// exact and serve as both the differential baseline and the fallback for
-// views the sketches cannot answer (delta views, mutated overlays,
-// WindowScan views).
+// are retained even for sketched columns, so what the sketches cannot
+// answer (delta views, mutated overlays, ClearDrift, SampleIDs) is
+// answered exactly by a walk of the window's rows — see View.tier.
 //
 // Bucket ring: each sketched attribute owns sub-sketches keyed by the
 // bucket-aligned start of their time span, created lazily (only time

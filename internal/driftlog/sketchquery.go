@@ -1,9 +1,9 @@
 // View-side sketch query paths: the approximate twins of the bitset
 // Count/AttrValueCounts/PairCounts paths for attributes on the sketch
 // tier. Estimates are one-sided (never below the true count) with the
-// analytic Count-Min bound surfaced via Approx; views the sketches cannot
-// answer (delta views, mutated overlays, WindowScan views) fall back to
-// the exact row scans over the retained column ids.
+// analytic Count-Min bound surfaced via Approx; View.tier routes what the
+// sketches cannot answer (delta views, mutated overlays) to the exact walk
+// of the window's rows over the retained column ids.
 package driftlog
 
 import (
@@ -30,15 +30,6 @@ func (v *View) condSketched(conds []Cond) bool {
 // scans (e.g. incremental mining's per-candidate delta counts) use it
 // to detect that the scans lost their cheap bitset backing.
 func (v *View) Sketched() bool { return len(v.sketched) > 0 }
-
-// sketchEligible reports whether the sketch layer can answer for this
-// view: indexed, not a Since delta, and the overlay (if any) still equals
-// the stored drift flags. Counterfactual overlays (epoch > 0) re-route to
-// the exact scans — sketches aggregate stored drift, not overlaid drift.
-func (v *View) sketchEligible(ov *Overlay) bool {
-	return v.sk != nil && len(v.sketched) > 0 && !v.noIndex && !v.delta &&
-		(ov == nil || ov.Epoch() == 0)
-}
 
 // dedupeConds removes exact duplicate conditions. ok is false when two
 // conditions demand different values for the same attribute — a row holds
@@ -75,7 +66,7 @@ func dedupeConds(conds []Cond) (uniq []Cond, ok bool) {
 // the smallest pair count, which upper-bounds (but may exceed) the true
 // conjunction.
 func (v *View) Approx(conds []Cond, ov *Overlay) (bool, int) {
-	if !v.sketchEligible(ov) || !v.condSketched(conds) {
+	if v.tier(v.condSketched(conds), ov) != tierSketch {
 		return false, 0
 	}
 	uniq, ok := dedupeConds(conds)
@@ -142,16 +133,7 @@ func (v *View) sketchWin() *sketchWindow {
 					continue
 				}
 				rows = vs.edgeRows(edges, rows[:0])
-				for _, r := range rows {
-					if id := col.ids[r]; id != 0 {
-						cr := rw.edge[col.dict[id]]
-						cr.Total++
-						if vs.drift[r] {
-							cr.Drift++
-						}
-						rw.edge[col.dict[id]] = cr
-					}
-				}
+				vs.valueScanInto(nil, si, rows, col, rw.edge)
 			}
 			sw.vals[name] = rw
 		}
@@ -296,7 +278,7 @@ func (v *View) countSketch(conds []Cond, ov *Overlay) (CountResult, error) {
 }
 
 // attrValueCountsSketch fills the grouped aggregation for sketched
-// attributes on an eligible view: Space-Saving heavy hitters enumerate
+// attributes on a sketch-answered view: Space-Saving heavy hitters enumerate
 // the candidate values (every value above N/capacity frequency is
 // guaranteed present — exactly the values mining's minimum-occurrence
 // threshold can keep), each estimated over the window. Candidates are
@@ -321,101 +303,26 @@ func (v *View) attrValueCountsSketch(out map[string]map[string]CountResult) {
 	}
 }
 
-// attrValueCountsScanSketched is the exact fallback for ineligible views:
-// one row scan accumulating only the sketched columns.
-func (v *View) attrValueCountsScanSketched(out map[string]map[string]CountResult, ov *Overlay) {
-	var partial [numShards]map[string]map[string]CountResult
-	v.eachShard(func(si int) {
-		vs := &v.shards[si]
-		var cols []namedCol
-		for name, c := range vs.cols {
-			if c.sketched {
-				cols = append(cols, namedCol{name, c})
-			}
+// pairCountsSketch fills the pairs touching sketched attributes on a
+// sketch-answered view: pair-ring heavy hitters, each estimated over the
+// window.
+func (v *View) pairCountsSketch(out map[PairKey]CountResult, exclude map[string]bool) {
+	pairs := v.sketchWin().pairs
+	for _, hhi := range pairs.ring.hh.Items() {
+		k, ok := parsePairKey(hhi.Key)
+		if !ok || exclude[k.AttrA] || exclude[k.AttrB] {
+			continue
 		}
-		if len(cols) == 0 {
-			return
+		if !v.attrs[k.AttrA] || !v.attrs[k.AttrB] {
+			continue
 		}
-		p := map[string]map[string]CountResult{}
-		for i := 0; i < vs.rows; i++ {
-			if !vs.inWindow(v, i) {
-				continue
-			}
-			d := ov.driftAt(vs, si, i)
-			for _, nc := range cols {
-				id := nc.c.ids[i]
-				if id == 0 {
-					continue
-				}
-				byVal := p[nc.name]
-				if byVal == nil {
-					byVal = map[string]CountResult{}
-					p[nc.name] = byVal
-				}
-				cr := byVal[nc.c.dict[id]]
-				cr.Total++
-				if d {
-					cr.Drift++
-				}
-				byVal[nc.c.dict[id]] = cr
-			}
+		t, d := pairs.estimate(k, hhi.Key)
+		if t == 0 {
+			continue
 		}
-		partial[si] = p
-	})
-	for _, p := range partial {
-		for name, byVal := range p {
-			dstVals := out[name]
-			if dstVals == nil {
-				dstVals = map[string]CountResult{}
-				out[name] = dstVals
-			}
-			for val, cr := range byVal {
-				acc := dstVals[val]
-				acc.Total += cr.Total
-				acc.Drift += cr.Drift
-				dstVals[val] = acc
-			}
-		}
-	}
-}
-
-// pairCountsSketchSection fills pairs touching sketched attributes:
-// pair-ring heavy hitters with windowed estimates on eligible views, an
-// exact row scan over just those attribute pairs otherwise.
-func (v *View) pairCountsSketchSection(out map[PairKey]CountResult, ov *Overlay, exclude map[string]bool) {
-	if v.sketchEligible(ov) {
-		pairs := v.sketchWin().pairs
-		for _, hhi := range pairs.ring.hh.Items() {
-			k, ok := parsePairKey(hhi.Key)
-			if !ok || exclude[k.AttrA] || exclude[k.AttrB] {
-				continue
-			}
-			if !v.attrs[k.AttrA] || !v.attrs[k.AttrB] {
-				continue
-			}
-			t, d := pairs.estimate(k, hhi.Key)
-			if t == 0 {
-				continue
-			}
-			cr := out[k]
-			cr.Total += int(t)
-			cr.Drift += int(d)
-			out[k] = cr
-		}
-		return
-	}
-	var rows []int32
-	for si := range v.shards {
-		vs := &v.shards[si]
-		rows = vs.windowRows(rows[:0])
-		cols := vs.sortedCols(exclude)
-		for a := 0; a < len(cols); a++ {
-			for b := a + 1; b < len(cols); b++ {
-				if !cols[a].c.sketched && !cols[b].c.sketched {
-					continue
-				}
-				vs.pairScanInto(ov, si, rows, cols[a], cols[b], out)
-			}
-		}
+		cr := out[k]
+		cr.Total += int(t)
+		cr.Drift += int(d)
+		out[k] = cr
 	}
 }

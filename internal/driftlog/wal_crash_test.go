@@ -375,7 +375,7 @@ func verifyCrashRecovery(t *testing.T, fs *crashFS, submitted, acked [][]Entry, 
 	if n > 0 {
 		v := s.All()
 		idx, err1 := v.Count([]Cond{{AttrWeather, "snow"}}, nil)
-		scan, err2 := v.CountScan([]Cond{{AttrWeather, "snow"}}, nil)
+		scan, err2 := refCount(v, []Cond{{AttrWeather, "snow"}}, nil)
 		if err1 != nil || err2 != nil || idx != scan {
 			t.Fatalf("%s: recovered index disagrees with scan: %+v/%v vs %+v/%v", label, idx, err1, scan, err2)
 		}

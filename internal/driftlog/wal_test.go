@@ -74,15 +74,15 @@ func requireStoresEqual(t *testing.T, want, got *Store) {
 		}
 	}
 	// Index equality: the bitset path on the replayed store must agree
-	// with the scan path (which ignores the index entirely).
+	// with the scan reference (which ignores the index entirely).
 	for _, cond := range []Cond{{AttrWeather, "snow"}, {AttrDevice, "dev_2"}} {
 		idx, err := gv.Count([]Cond{cond}, nil)
 		if err != nil {
 			t.Fatalf("Count(%v): %v", cond, err)
 		}
-		scan, err := gv.CountScan([]Cond{cond}, nil)
+		scan, err := refCount(gv, []Cond{cond}, nil)
 		if err != nil {
-			t.Fatalf("CountScan(%v): %v", cond, err)
+			t.Fatalf("refCount(%v): %v", cond, err)
 		}
 		if idx != scan {
 			t.Fatalf("replayed index disagrees with scan for %v: index %+v scan %+v", cond, idx, scan)

@@ -7,7 +7,6 @@ import (
 	"sort"
 	"sync"
 	"testing"
-	"time"
 
 	"nazar/internal/driftlog"
 )
@@ -25,21 +24,11 @@ func benchLog(n int) *driftlog.Store {
 }
 
 // BenchmarkMine is the headline number of this layer: full apriori
-// mining over a window, scan oracle vs bitset index (the acceptance
-// criterion asks for ≥3x at 100k rows).
+// mining over a window on the bitset index.
 func BenchmarkMine(b *testing.B) {
 	th := DefaultThresholds()
 	for _, n := range []int{10000, 100000} {
 		s := benchLog(n)
-		b.Run(fmt.Sprintf("scan/%dk", n/1000), func(b *testing.B) {
-			v := s.WindowScan(time.Time{}, time.Time{})
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := MineContext(context.Background(), v, nil, th); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
 		b.Run(fmt.Sprintf("bitset/%dk", n/1000), func(b *testing.B) {
 			v := s.All()
 			b.ResetTimer()

@@ -113,8 +113,8 @@ func TestModelPassDeterministicAcrossPoolWidths(t *testing.T) {
 // TestAnalysisDeterministicAcrossIndexAndPoolWidths extends the
 // pool-width contract to the bitset-indexed analytics: root-cause
 // analysis over the same synthetic drift log must produce identical
-// causes at pool widths 1 and 8, on the popcount path and on the
-// retained row-scan path.
+// causes at pool widths 1 and 8. (That the index answers what a row scan
+// would is pinned in driftlog's differential tests.)
 func TestAnalysisDeterministicAcrossIndexAndPoolWidths(t *testing.T) {
 	s := driftlog.NewStore()
 	base := time.Unix(0, 0).UTC()
@@ -138,36 +138,18 @@ func TestAnalysisDeterministicAcrossIndexAndPoolWidths(t *testing.T) {
 	}
 	s.AppendBatch(batch)
 
-	type variant struct {
-		name    string
-		workers int
-		scan    bool
-	}
-	var got [][]rca.Cause
-	var names []string
-	for _, va := range []variant{
-		{"bitset/1", 1, false}, {"bitset/8", 8, false},
-		{"scan/1", 1, true}, {"scan/8", 8, true},
-	} {
-		tensor.SetMaxWorkers(va.workers)
-		var v *driftlog.View
-		if va.scan {
-			v = s.WindowScan(time.Time{}, time.Time{})
-		} else {
-			v = s.All()
-		}
-		causes, err := rca.AnalyzeContext(context.Background(), v, rca.DefaultConfig(), rca.Full)
+	var got [2][]rca.Cause
+	for i, workers := range []int{1, 8} {
+		tensor.SetMaxWorkers(workers)
+		causes, err := rca.AnalyzeContext(context.Background(), s.All(), rca.DefaultConfig(), rca.Full)
 		tensor.SetMaxWorkers(0)
 		if err != nil {
-			t.Fatalf("%s: %v", va.name, err)
+			t.Fatalf("%d workers: %v", workers, err)
 		}
-		got = append(got, causes)
-		names = append(names, va.name)
+		got[i] = causes
 	}
-	for i := 1; i < len(got); i++ {
-		if !reflect.DeepEqual(got[0], got[i]) {
-			t.Fatalf("analysis diverges: %s vs %s\n%v\n%v", names[0], names[i], got[0], got[i])
-		}
+	if !reflect.DeepEqual(got[0], got[1]) {
+		t.Fatalf("analysis diverges across pool widths:\n%v\n%v", got[0], got[1])
 	}
 	if len(got[0]) == 0 {
 		t.Fatal("synthetic log produced no causes")
