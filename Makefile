@@ -16,8 +16,13 @@ RACE_PKGS = ./internal/cloud/... ./internal/driftlog/... ./internal/fim/... ./in
 
 ci: vet staticcheck build test race race-chaos macrosim-smoke
 
+# vet is go vet plus the formatting gate: any file gofmt would rewrite
+# fails the target (and so `make ci` and the workflow's Vet step).
 vet:
 	$(GO) vet ./...
+	@out=$$(gofmt -l .); if [ -n "$$out" ]; then \
+		echo "gofmt -l lists (run gofmt -w on them):"; echo "$$out"; exit 1; \
+	fi
 
 # staticcheck is optional locally (skipped when the binary is absent)
 # but mandatory in CI, where the workflow installs it. Metric-name
@@ -152,11 +157,13 @@ bench-macrosim:
 
 # High-cardinality index-tier benchmarks: sketch-backed counting,
 # per-value group-bys and (re-)mining vs the exact bitset path at
-# 100k/1M rows × 100/100k distinct values, each reporting index-bytes.
+# 100k/1M rows × 100/100k distinct values, each reporting index-bytes;
+# the sketch-tier write path (BenchmarkSketchAppend: µs/row, allocs/row,
+# distinct-keys/row) and the Space-Saving offer under it.
 # Results (including sketch-vs-exact speedups) land in BENCH_sketch.json.
 bench-sketch:
-	$(GO) test -run '^$$' -bench 'BenchmarkSketch' -benchmem -benchtime 0.5s -count 5 \
-		./internal/driftlog/ ./internal/fim/ | tee bench-sketch.out
+	$(GO) test -run '^$$' -bench 'BenchmarkSketch|BenchmarkSpaceSaving' -benchmem -benchtime 0.5s -count 5 \
+		./internal/driftlog/ ./internal/fim/ ./internal/sketch/ | tee bench-sketch.out
 	$(GO) run ./cmd/benchjson < bench-sketch.out > BENCH_sketch.json
 	@rm -f bench-sketch.out
 	@echo "wrote BENCH_sketch.json"

@@ -45,6 +45,10 @@ import (
 //	nazar_sketch_buckets              live sub-sketch buckets (incl. rest)
 //	nazar_sketch_bytes                sketch-tier resident bytes
 //	nazar_sketch_evicted              sub-sketch buckets folded into rest
+//	nazar_sketch_feed_rows_total      rows handed to the batch sketch feed
+//	nazar_sketch_feed_keys_total      distinct keys it added for them (keys
+//	                                  per row below the attribute's sketch
+//	                                  items per row = work the grouping saved)
 //	nazar_driftlog_rows               current drift-log rows
 //	nazar_driftlog_shard_rows{shard=} per-shard occupancy
 //	nazar_driftlog_attributes         distinct attribute names
@@ -205,6 +209,10 @@ func (m *Metrics) observeStores(s *Service) {
 		func() float64 { return float64(logStats.Load().SketchBytes) })
 	reg.GaugeFunc("nazar_sketch_evicted", "Sub-sketch buckets folded into the rest bucket.",
 		func() float64 { return float64(logStats.Load().SketchEvicted) })
+	reg.GaugeFunc("nazar_sketch_feed_rows_total", "Rows handed to the batch sketch feed (appends and replays).",
+		func() float64 { return float64(logStats.Load().SketchFeedRows) })
+	reg.GaugeFunc("nazar_sketch_feed_keys_total", "Distinct keys the batch sketch feed added to a Count-Min bucket.",
+		func() float64 { return float64(logStats.Load().SketchFeedKeys) })
 
 	reg.GaugeFunc("nazar_samples_retained", "Samples currently held.",
 		func() float64 { return float64(samples.Stats().Retained) })

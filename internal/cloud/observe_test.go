@@ -213,6 +213,8 @@ func TestObserverCounters(t *testing.T) {
 		"nazar_ingest_sample_bytes_total 40",
 		"nazar_driftlog_rows 3",
 		"nazar_driftlog_unsorted_shards 0",
+		"nazar_sketch_feed_rows_total 0", // nothing on the sketch tier
+		"nazar_sketch_feed_keys_total 0",
 		"nazar_samples_retained 2",
 		"nazar_versions_deployed 0",
 	} {
@@ -241,6 +243,35 @@ func TestObserverUnsortedShards(t *testing.T) {
 	}
 	if want := "nazar_driftlog_unsorted_shards 1\n"; !strings.Contains(buf.String(), want) {
 		t.Fatalf("exposition missing %q\n%s", want, buf.String())
+	}
+}
+
+// TestObserverSketchFeed: once an attribute is on the sketch tier, a scrape
+// shows the batch feed's rows and the distinct keys it added for them —
+// here six rows of three distinct versions under one weather: 3 value keys
+// + 3 pair keys, where a key per row and item would have been 12.
+func TestObserverSketchFeed(t *testing.T) {
+	base := nn.NewClassifier(nn.ArchResNet18, 8, 2, tensor.NewRand(17, 1))
+	reg := obs.NewRegistry()
+	cfg := DefaultConfig()
+	cfg.Sketch.Threshold = 2
+	svc := NewService(base, cfg, WithObserver(reg))
+	var batch []driftlog.Entry
+	for i := 0; i < 6; i++ {
+		batch = append(batch, driftlog.Entry{Time: time.Unix(int64(i), 0), Attrs: map[string]string{
+			"app_version": fmt.Sprintf("1.%d", i%3), driftlog.AttrWeather: "snow"}})
+	}
+	if err := svc.IngestBatchContext(context.Background(), batch, nil); err != nil {
+		t.Fatal(err)
+	}
+	var buf strings.Builder
+	if err := reg.WritePrometheus(&buf); err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{"nazar_sketch_attrs 1\n", "nazar_sketch_feed_rows_total 6\n", "nazar_sketch_feed_keys_total 6\n"} {
+		if !strings.Contains(buf.String(), want) {
+			t.Fatalf("exposition missing %q\n%s", want, buf.String())
+		}
 	}
 }
 

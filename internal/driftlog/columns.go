@@ -177,8 +177,9 @@ func (s *Store) AppendColumns(b *ColumnarBatch) error {
 // appendColumns is the one function that writes shard rows. Per shard,
 // appends are slice extensions plus a lazy dictionary remap (batch dict
 // ID → shard dict ID, interned only for values that actually land in the
-// shard); the per-(attribute, value) bitmaps, the distinct-value tracking
-// and the sketch feed are all maintained here. b must satisfy Validate's
+// shard); the per-(attribute, value) bitmaps and the distinct-value
+// tracking are maintained here, and the batch is handed to the sketch feed
+// once, before its rows land. b must satisfy Validate's
 // structural invariants (ColumnsFromEntries output does by construction).
 func (s *Store) appendColumns(b *ColumnarBatch) {
 	rows := b.Rows()
@@ -210,8 +211,8 @@ func (s *Store) appendColumns(b *ColumnarBatch) {
 
 	// Distinct-value tracking for the sketch tier: only values actually
 	// used by rows count (a dictionary entry no row references is not a
-	// sighting). Tier-ups run before the rows land; the appended rows
-	// then feed the sketches directly.
+	// sighting). Tier-ups run before the batch takes the sketch gate; the
+	// batch then feeds the sketches itself.
 	{
 		sketched := s.sketchedSet()
 		var tier []string
@@ -240,9 +241,19 @@ func (s *Store) appendColumns(b *ColumnarBatch) {
 		}
 	}
 
+	// From here to the last shard append the batch holds the sketch gate in
+	// read mode: no tier-up or rebuild replays the shards in between, so the
+	// feed below and a replay never both count a row, and the batch is fed
+	// and landed under one sketched-set snapshot.
+	s.sk.tierMu.RLock()
+	defer s.sk.tierMu.RUnlock()
+	sketched := s.sketchedSet()
+
 	// Shard placement: by device-attribute hash when the row has one
 	// (precomputed per dictionary value, not per row, so one device's
-	// rows stay together), round-robin by sequence otherwise.
+	// rows stay together), round-robin by sequence otherwise. order lists
+	// the batch rows shard-major, batch order within a shard; shard si's
+	// rows are order[shardEnd[si-1]:shardEnd[si]].
 	base := s.seq.Add(int64(rows)) - int64(rows)
 	devCol := -1
 	for ci := range b.Cols {
@@ -251,34 +262,47 @@ func (s *Store) appendColumns(b *ColumnarBatch) {
 			break
 		}
 	}
-	var devShard []int
+	var devShard []uint8
 	if devCol >= 0 {
-		devShard = make([]int, len(b.Cols[devCol].Dict))
+		devShard = make([]uint8, len(b.Cols[devCol].Dict))
 		for id := 1; id < len(devShard); id++ {
-			devShard[id] = int(hashString(b.Cols[devCol].Dict[id]) & shardMask)
+			devShard[id] = uint8(hashString(b.Cols[devCol].Dict[id]) & shardMask)
 		}
 	}
-	var rowsByShard [numShards][]int32
+	shardOf := make([]uint8, rows)
+	var shardEnd [numShards]int
 	for i := 0; i < rows; i++ {
-		si := int((base + int64(i)) & shardMask)
+		si := uint8((base + int64(i)) & shardMask)
 		if devCol >= 0 {
 			if id := b.Cols[devCol].IDs[i]; id != 0 {
 				si = devShard[id]
 			}
 		}
-		rowsByShard[si] = append(rowsByShard[si], int32(i))
+		shardOf[i] = si
+		shardEnd[si]++
+	}
+	sum := 0
+	for si, n := range shardEnd {
+		shardEnd[si] = sum // start for now; advanced to end by the placement below
+		sum += n
+	}
+	order := make([]int32, rows)
+	for i, si := range shardOf {
+		order[shardEnd[si]] = int32(i)
+		shardEnd[si]++
 	}
 
-	// Sketch feeding iterates batch columns in sorted-name order so
-	// Space-Saving offer order is deterministic per row.
-	colOrder := make([]int, len(b.Cols))
-	for i := range colOrder {
-		colOrder[i] = i
-	}
-	sort.Slice(colOrder, func(i, j int) bool { return b.Cols[colOrder[i]].Name < b.Cols[colOrder[j]].Name })
+	// The sketches are fed before the rows land and outside the shard
+	// locks: a view that can see a row then finds its sketch mass already
+	// there (estimates stay one-sided), and appenders contend on a ring
+	// only for the adds of one batch.
+	s.sk.feedBatch(sketched, b, order)
 
-	for si := range rowsByShard {
-		if len(rowsByShard[si]) == 0 {
+	lo := 0
+	for si := range s.shards {
+		shardRows := order[lo:shardEnd[si]]
+		lo = shardEnd[si]
+		if len(shardRows) == 0 {
 			continue
 		}
 		sh := &s.shards[si]
@@ -287,9 +311,7 @@ func (s *Store) appendColumns(b *ColumnarBatch) {
 		shCols := make([]*column, len(b.Cols))
 		remaps := make([][]uint32, len(b.Cols))
 		sh.mu.Lock()
-		sketched := s.sketchedSet()
-		var kvs []attrKV
-		for _, bi := range rowsByShard[si] {
+		for _, bi := range shardRows {
 			row := len(sh.times)
 			sh.noteTime(b.Times[bi])
 			sh.seqs = append(sh.seqs, base+int64(bi))
@@ -327,15 +349,6 @@ func (s *Store) appendColumns(b *ColumnarBatch) {
 				if !col.sketched {
 					col.bits[lid] = setBit(col.bits[lid], row)
 				}
-			}
-			if len(sketched) > 0 {
-				kvs = kvs[:0]
-				for _, ci := range colOrder {
-					if id := b.Cols[ci].IDs[bi]; id != 0 {
-						kvs = append(kvs, attrKV{b.Cols[ci].Name, b.Cols[ci].Dict[id]})
-					}
-				}
-				s.sk.feed(sketched, b.Times[bi], b.Drift[bi], kvs)
 			}
 			// Backfill columns the row did not carry (including shard
 			// columns absent from this batch entirely).

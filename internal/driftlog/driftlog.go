@@ -150,8 +150,8 @@ type Store struct {
 	card      map[string]map[string]bool
 
 	// Tiered sketch layer (see sketchindex.go). sketchedPtr holds the
-	// immutable snapshot of sketched attribute names; feed paths load it
-	// once under the shard lock.
+	// immutable snapshot of sketched attribute names; appendColumns loads
+	// it once under its read hold of sk.tierMu.
 	sk          *sketchIndex
 	sketchedPtr atomic.Pointer[map[string]bool]
 }
@@ -242,6 +242,11 @@ type Stats struct {
 	SketchBuckets int
 	SketchBytes   int64
 	SketchEvicted int64
+	// SketchFeedRows / SketchFeedKeys count the rows handed to the batch
+	// sketch feed (appends and replays) and the distinct keys it added to a
+	// Count-Min bucket for them; keys per row falling below the attribute's
+	// items per row is the work the feed's grouping saved.
+	SketchFeedRows, SketchFeedKeys int64
 	// UnsortedShards counts shards whose timestamps stopped being
 	// non-decreasing (interleaved writers): views over them materialize
 	// windows and sketch edges by row scan instead of binary search.
@@ -475,7 +480,7 @@ type View struct {
 // view carries a pinned snapshot of the bitset index, so Count,
 // ClearDrift and AttrValueCounts run as word-wise AND + popcount.
 func (s *Store) Window(from, to time.Time) *View {
-	v := &View{attrs: map[string]bool{}, sk: s.sk, sketched: s.sketchedSet()}
+	v := &View{attrs: map[string]bool{}, sk: s.sk}
 	s.attrMu.RLock()
 	for _, name := range s.attrOrder {
 		v.attrs[name] = true
@@ -526,6 +531,10 @@ func (s *Store) Window(from, to time.Time) *View {
 		offset += rows
 	}
 	v.total = offset
+	// Loaded after the shards are pinned: a tier-up that freed a column's
+	// bitmaps in a shard pinned above has installed the attribute's ring and
+	// published it in this set by now, so no pinned column is without both.
+	v.sketched = s.sketchedSet()
 	return v
 }
 

@@ -180,18 +180,13 @@ func (s *Store) Compact(cutoff time.Time) int {
 		sh.mu.Unlock()
 	}
 	// Rebuild the sketch tier wholesale: compaction dropped rows the
-	// sketches still count (and rebuilt bitmaps for sketched columns),
-	// so replay the survivors under every shard lock — the same
-	// consistency protocol as tier-up. Sketched attributes stay sticky.
-	if sketched := s.sketchedSet(); removed > 0 && len(sketched) > 0 {
+	// sketches still count (and rebuilt bitmaps for sketched columns), so
+	// replay the survivors with appends gated out — the same protocol as
+	// tier-up. Sketched attributes stay sticky.
+	if removed > 0 {
 		s.sk.tierMu.Lock()
-		for si := range s.shards {
-			s.shards[si].mu.Lock()
-		}
-		s.sk.reset()
-		s.replaySketchesLocked(sketched)
-		for si := numShards - 1; si >= 0; si-- {
-			s.shards[si].mu.Unlock()
+		if sketched := s.sketchedSet(); len(sketched) > 0 {
+			s.rebuildSketches(sketched)
 		}
 		s.sk.tierMu.Unlock()
 	}

@@ -8,11 +8,13 @@ import (
 
 // Row-at-a-time reference implementations the differential tests compare
 // the columnar ingest path against: an appender that walks each entry's
-// attribute map under the shard lock, and a WAL frame encoder that reads
-// row-form entries. Neither shares code with appendColumns or
+// attribute map under the shard lock and feeds the sketches one row, one
+// key, one lock round trip at a time (refFeed / refAdd — the sketch feed as
+// it shipped before the batch feed), and a WAL frame encoder that reads
+// row-form entries. Neither shares code with appendColumns, feedBatch or
 // appendWALFrameColumns beyond the store's own primitives (intern, setBit,
-// tierUp, the sketch feed), so agreement between the two is evidence, not
-// tautology.
+// the rings' bucket lookup and fold), so agreement between the two
+// is evidence, not tautology.
 
 // refAppendBatch ingests entries row by row with one lock acquisition per
 // touched shard, preserving slice order in the store's sequence order.
@@ -133,7 +135,7 @@ func refObserveCardinality(s *Store, attrs map[string]string) {
 	s.attrMu.Unlock()
 	sort.Strings(tier)
 	for _, name := range tier {
-		s.tierUp(name)
+		refTierUp(s, name)
 	}
 }
 
@@ -148,7 +150,102 @@ func refFeedRowLocked(s *Store, sketched map[string]bool, e Entry) {
 		kvs = append(kvs, attrKV{name, val})
 	}
 	sort.Slice(kvs, func(i, j int) bool { return kvs[i].name < kvs[j].name })
-	s.sk.feed(sketched, e.Time.UnixNano(), e.Drift, kvs)
+	refFeed(s.sk, sketched, e.Time.UnixNano(), e.Drift, kvs)
+}
+
+// attrKV is one (attribute, value) of a row being fed; refFeed requires the
+// slice sorted by name so Space-Saving offer order — the only
+// order-sensitive operation — is deterministic per row.
+type attrKV struct{ name, val string }
+
+// refFeed records one row into the sketch layer: each sketched attribute's
+// value ring, plus the pair ring for every pair with at least one sketched
+// side.
+func refFeed(sk *sketchIndex, sketched map[string]bool, t int64, drifted bool, kvs []attrKV) {
+	any := false
+	for _, kv := range kvs {
+		if sketched[kv.name] {
+			any = true
+			break
+		}
+	}
+	if !any {
+		return
+	}
+	for _, kv := range kvs {
+		if sketched[kv.name] {
+			refAdd(sk.attr(kv.name), kv.val, t, drifted)
+		}
+	}
+	for i := 0; i < len(kvs); i++ {
+		for j := i + 1; j < len(kvs); j++ {
+			if sketched[kvs[i].name] || sketched[kvs[j].name] {
+				refAdd(sk.pairRing(), pairSketchKey(kvs[i].name, kvs[i].val, kvs[j].name, kvs[j].val), t, drifted)
+			}
+		}
+	}
+}
+
+// refAdd feeds one occurrence to a ring.
+func refAdd(as *attrSketch, key string, t int64, drifted bool) {
+	aligned := alignDown(t, as.bucketNanos)
+	as.mu.Lock()
+	b := as.findLocked(aligned)
+	if b == nil {
+		b = as.insertLocked(aligned)
+	}
+	if b == as.rest {
+		as.lowerRestLow(aligned)
+	}
+	b.cm.Add(key, drifted)
+	b.adds.Add(1)
+	as.mu.Unlock()
+	as.hh.Offer(key, 1)
+}
+
+// refTierUp is tierUp with the replay done row by row, so no row of a
+// reference store ever passes through the batch feed. Single-writer only
+// (it takes no lock).
+func refTierUp(s *Store, attr string) {
+	next := map[string]bool{attr: true}
+	for k := range s.sketchedSet() {
+		next[k] = true
+	}
+	for si := range s.shards {
+		for n, c := range s.shards[si].cols {
+			if next[n] && !c.sketched {
+				c.sketched = true
+				for id := range c.bits {
+					c.bits[id] = nil
+				}
+			}
+		}
+	}
+	s.sk.install(refReplay(s, next))
+	s.sketchedPtr.Store(&next)
+	delete(s.card, attr)
+}
+
+// refReplay is the replay of rebuildSketches row by row: every current row,
+// in canonical order (shard-major, row order), fed through refFeed into
+// fresh rings.
+func refReplay(s *Store, sketched map[string]bool) *sketchIndex {
+	fresh := newSketchIndex(s.sk.cfg)
+	for si := range s.shards {
+		sh := &s.shards[si]
+		names := append([]string(nil), sh.order...)
+		sort.Strings(names)
+		for r := range sh.times {
+			var kvs []attrKV
+			for _, n := range names {
+				if c := sh.cols[n]; c.ids[r] != 0 {
+					kvs = append(kvs, attrKV{n, c.dict[c.ids[r]]})
+				}
+			}
+			refFeed(fresh, sketched, sh.times[r], sh.drift[r], kvs)
+		}
+	}
+	return fresh
 }
 
 // refAppendWALFrame encodes one framed WAL record from row-form entries.

@@ -3,6 +3,7 @@ package driftlog
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -232,4 +233,80 @@ func benchInterleavedSketch(b *testing.B, query func(v *View) int) {
 	}
 	b.ReportMetric(float64(visited), "rows-visited")
 	b.ReportMetric(indexBytes(s), "index-bytes")
+}
+
+// BenchmarkSketchAppend measures Store.appendColumns on the sketch tier
+// over batches shaped like the composed benchmark's highcard_analyze
+// (eight attributes, app_version and firmware sketched and drawn half from
+// 16 hot values, 250 ms of event time per row): two value-ring adds and
+// thirteen pair-ring adds per row. Beside µs/row it reports allocs/row and
+// distinct-keys/row — the Count-Min adds the batch feed's grouping left of
+// those fifteen.
+func BenchmarkSketchAppend(b *testing.B) {
+	for _, rows := range []int{128, 16} {
+		b.Run(fmt.Sprintf("rows=%d", rows), func(b *testing.B) {
+			r := rand.New(rand.NewSource(7))
+			// Above the 2,000 devices, so device stays on the exact tier.
+			s := NewStoreWithSketch(SketchConfig{Threshold: 2048})
+			step := int64(250 * time.Millisecond)
+			now := int64(0)
+			batches := make([]*ColumnarBatch, 512)
+			for i := range batches {
+				entries := make([]Entry, rows)
+				for j := range entries {
+					d := r.Intn(2000)
+					hc := func(prefix string, card int) string {
+						v := r.Intn(card)
+						if r.Float64() < 0.5 {
+							v = r.Intn(16)
+						}
+						return fmt.Sprintf("%s_%d", prefix, v)
+					}
+					entries[j] = Entry{
+						Drift:    r.Float64() < 0.1,
+						SampleID: -1,
+						Attrs: map[string]string{
+							AttrDevice:    fmt.Sprintf("dev_%04d", d),
+							AttrLocation:  fmt.Sprintf("city_%02d", d%24),
+							AttrWeather:   fmt.Sprintf("w%d", r.Intn(6)),
+							"hw":          fmt.Sprintf("hw_%d", d/24%6),
+							"os":          fmt.Sprintf("os_%d", d/144%4),
+							AttrModel:     fmt.Sprintf("v%d", r.Intn(3)),
+							"app_version": hc("a", 20_000),
+							"firmware":    hc("f", 8_000),
+						},
+					}
+				}
+				batches[i] = ColumnsFromEntries(entries)
+			}
+			next := func(i int) *ColumnarBatch {
+				cb := batches[i%len(batches)]
+				for j := range cb.Times {
+					cb.Times[j] = now
+					now += step
+				}
+				return cb
+			}
+			// Warm: both attributes tier up and the Space-Saving summaries
+			// fill, so the timed appends evict like a long-running log.
+			warm := 0
+			for ; len(s.SketchedAttrs()) < 2 || warm < 8192/rows; warm++ {
+				s.appendColumns(next(warm))
+			}
+			st0 := s.Stats()
+			var m0, m1 runtime.MemStats
+			runtime.ReadMemStats(&m0)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				s.appendColumns(next(warm + i))
+			}
+			b.StopTimer()
+			runtime.ReadMemStats(&m1)
+			st1 := s.Stats()
+			fed := float64(b.N * rows)
+			b.ReportMetric(float64(b.Elapsed().Microseconds())/fed, "µs/row")
+			b.ReportMetric(float64(m1.Mallocs-m0.Mallocs)/fed, "allocs/row")
+			b.ReportMetric(float64(st1.SketchFeedKeys-st0.SketchFeedKeys)/float64(st1.SketchFeedRows-st0.SketchFeedRows), "distinct-keys/row")
+		})
+	}
 }

@@ -539,37 +539,133 @@ func TestSketchClearDriftExact(t *testing.T) {
 	}
 }
 
-// TestSketchColumnarIngestEquivalence pins that the columnar append path
-// feeds sketches identically to the row-at-a-time reference appender:
-// same data, byte-identical estimates.
+// diffSketchState compares the whole state of two sketch indexes — per ring
+// (value rings by attribute, then the pair ring) every bucket's span,
+// adds and Count-Min cells, the rest bucket, restLow, evicted, and the
+// Space-Saving summary with its error terms — and returns the first
+// difference ("" when there is none). Space-Saving depends on offer order;
+// hh=false leaves it out, for states reached by concurrent writers.
+func diffSketchState(got, want *sketchIndex, hh bool) string {
+	names := func(sk *sketchIndex) []string {
+		var out []string
+		for name := range sk.attrs {
+			out = append(out, name)
+		}
+		sort.Strings(out)
+		return out
+	}
+	if g, w := names(got), names(want); !reflect.DeepEqual(g, w) {
+		return fmt.Sprintf("value rings %v, want %v", g, w)
+	}
+	bucket := func(ctx string, g, w *sketchBucket) string {
+		switch {
+		case (g == nil) != (w == nil):
+			return fmt.Sprintf("%s: present %v, want %v", ctx, g != nil, w != nil)
+		case g == nil:
+			return ""
+		case g.start != w.start || g.end != w.end:
+			return fmt.Sprintf("%s: span [%d,%d), want [%d,%d)", ctx, g.start, g.end, w.start, w.end)
+		case g.adds.Load() != w.adds.Load():
+			return fmt.Sprintf("%s: adds %d, want %d", ctx, g.adds.Load(), w.adds.Load())
+		case !g.cm.Equal(w.cm):
+			return ctx + ": Count-Min cells differ"
+		}
+		return ""
+	}
+	ring := func(ctx string, g, w *attrSketch) string {
+		if len(g.buckets) != len(w.buckets) {
+			return fmt.Sprintf("%s: %d live buckets, want %d", ctx, len(g.buckets), len(w.buckets))
+		}
+		for i := range g.buckets {
+			if d := bucket(fmt.Sprintf("%s bucket %d", ctx, i), g.buckets[i], w.buckets[i]); d != "" {
+				return d
+			}
+		}
+		if d := bucket(ctx+" rest", g.rest, w.rest); d != "" {
+			return d
+		}
+		if g.rest != nil && g.restLow.Load() != w.restLow.Load() {
+			return fmt.Sprintf("%s: restLow %d, want %d", ctx, g.restLow.Load(), w.restLow.Load())
+		}
+		if g.evicted != w.evicted {
+			return fmt.Sprintf("%s: evicted %d, want %d", ctx, g.evicted, w.evicted)
+		}
+		if gi, wi := g.hh.Items(), w.hh.Items(); hh && !reflect.DeepEqual(gi, wi) {
+			return fmt.Sprintf("%s: Space-Saving items differ\n got %v\nwant %v", ctx, gi, wi)
+		}
+		return ""
+	}
+	for _, name := range names(got) {
+		if d := ring("ring "+name, got.attrs[name], want.attrs[name]); d != "" {
+			return d
+		}
+	}
+	return ring("pair ring", got.pairs, want.pairs)
+}
+
+// TestSketchColumnarIngestEquivalence pins that the batch feed leaves the
+// sketch tier in the state the row-at-a-time reference appender (one key,
+// one lock round trip at a time, rowref_test.go) leaves it in — every
+// Count-Min cell, adds, restLow, evicted and Space-Saving entry, after
+// every batch — over batches that span several buckets, carry out-of-order
+// times that fold into rest, rows missing attributes (device included, so
+// both shard placements run), repeated keys inside a batch, and two
+// tier-ups mid-stream, the second replaying an already sketched attribute;
+// then that a compaction's rebuild equals a row-by-row replay of the
+// survivors.
 func TestSketchColumnarIngestEquivalence(t *testing.T) {
 	r := rand.New(rand.NewSource(10))
 	base := time.Unix(0, 0).UTC()
-	var entries []Entry
-	for i := 0; i < 2000; i++ {
-		entries = append(entries, Entry{
-			Time:     base.Add(time.Duration(r.Intn(1000)) * time.Second),
-			Drift:    r.Float64() < 0.3,
-			SampleID: -1,
-			Attrs: map[string]string{
-				"app_version": fmt.Sprintf("1.%d", r.Intn(150)),
-				AttrWeather:   fmt.Sprintf("w%d", r.Intn(6)),
-			},
-		})
-	}
 	cfg := sketchTestConfig()
-	rowStore := NewStoreWithSketch(cfg)
-	refAppendBatch(rowStore, entries)
-	colStore := NewStoreWithSketch(cfg)
-	if err := colStore.AppendColumns(ColumnsFromEntries(entries)); err != nil {
-		t.Fatal(err)
+	rowStore, colStore := NewStoreWithSketch(cfg), NewStoreWithSketch(cfg)
+	for batch := 0; batch < 24; batch++ {
+		n := []int{1, 16, 128, 300}[batch%4]
+		entries := make([]Entry, n)
+		for i := range entries {
+			attrs := map[string]string{}
+			if r.Float64() < 0.9 {
+				attrs["app_version"] = fmt.Sprintf("1.%d", r.Intn(8+batch*12))
+			}
+			if r.Float64() < 0.8 {
+				attrs["firmware"] = fmt.Sprintf("fw%d", r.Intn(2+batch*2)) // crosses the threshold later
+			}
+			if r.Float64() < 0.9 {
+				attrs[AttrWeather] = fmt.Sprintf("w%d", r.Intn(6))
+			}
+			if r.Float64() < 0.7 {
+				attrs[AttrDevice] = fmt.Sprintf("dev%d", r.Intn(12))
+			}
+			// Mostly advancing event time with a tail of stragglers: late
+			// enough that their bucket has already folded into rest.
+			at := time.Duration(batch*60+r.Intn(120)) * time.Second
+			if r.Float64() < 0.15 {
+				at = time.Duration(r.Intn(batch*60+1)) * time.Second
+			}
+			entries[i] = Entry{Time: base.Add(at), Drift: r.Float64() < 0.3, SampleID: -1, Attrs: attrs}
+		}
+		refAppendBatch(rowStore, entries)
+		if err := colStore.AppendColumns(ColumnsFromEntries(entries)); err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(rowStore.SketchedAttrs(), colStore.SketchedAttrs()) {
+			t.Fatalf("batch %d: sketched attrs diverge: %v vs %v", batch, rowStore.SketchedAttrs(), colStore.SketchedAttrs())
+		}
+		if d := diffSketchState(colStore.sk, rowStore.sk, true); d != "" {
+			t.Fatalf("batch %d (%d rows): %s", batch, n, d)
+		}
 	}
-	if !reflect.DeepEqual(rowStore.SketchedAttrs(), colStore.SketchedAttrs()) {
-		t.Fatalf("sketched attrs diverge: %v vs %v", rowStore.SketchedAttrs(), colStore.SketchedAttrs())
+	if got := colStore.SketchedAttrs(); !reflect.DeepEqual(got, []string{"app_version", "firmware"}) {
+		t.Fatalf("sketched attrs %v, want both high-cardinality attributes (two tier-ups)", got)
 	}
-	vr, vc := rowStore.All(), colStore.All()
+	st := colStore.Stats()
+	if st.SketchEvicted == 0 || colStore.sk.pairs.rest == nil {
+		t.Fatalf("stream never folded a bucket into rest: %+v", st)
+	}
+	if st.SketchFeedRows == 0 || st.SketchFeedKeys == 0 {
+		t.Fatalf("feed counters not maintained: %+v", st)
+	}
 	for _, w := range sketchWindows() {
-		vr, vc = rowStore.Window(w[0], w[1]), colStore.Window(w[0], w[1])
+		vr, vc := rowStore.Window(w[0], w[1]), colStore.Window(w[0], w[1])
 		for _, val := range []string{"1.0", "1.3", "1.77", "1.149"} {
 			conds := []Cond{{"app_version", val}}
 			cr, err1 := vr.Count(conds, nil)
@@ -581,6 +677,12 @@ func TestSketchColumnarIngestEquivalence(t *testing.T) {
 				t.Fatalf("val %s: row-path %+v != columnar-path %+v", val, cr, cc)
 			}
 		}
+	}
+	if removed := colStore.Compact(base.Add(500 * time.Second)); removed == 0 {
+		t.Fatal("compaction removed nothing")
+	}
+	if d := diffSketchState(colStore.sk, refReplay(colStore, colStore.sketchedSet()), true); d != "" {
+		t.Fatalf("after Compact: %s", d)
 	}
 }
 

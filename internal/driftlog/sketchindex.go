@@ -19,10 +19,16 @@
 // the Count-Min estimates of fully covered buckets and resolve partially
 // covered bucket edges by an exact scan of just that time slice.
 //
-// Concurrency: sketch feeding happens inside the shard lock of the row
-// being appended, and tier-up (which replays history into fresh sketches)
-// holds all shard locks, so a row is fed exactly once — either by its
-// append or by the replay, never both.
+// Concurrency: rows reach the rings through one batch feed (sketchfeed.go)
+// that runs outside every shard lock, before the batch's rows land. What
+// makes a row fed exactly once — by its append or by a replay, never both —
+// is the gate sketchIndex.tierMu: appendColumns read-holds it from the feed
+// through its last shard append, tier-up and Compact's rebuild write-hold it
+// while they replay the rows the shards hold into fresh rings and install
+// them. So a replay never runs between a batch's feed and its landing, and
+// appenders share the gate among themselves. Feeding before landing keeps
+// every concurrent view one-sided: a row a view can see has all its sketch
+// mass in the rings already.
 package driftlog
 
 import (
@@ -220,34 +226,39 @@ func (as *attrSketch) insertLocked(aligned int64) *sketchBucket {
 	return nb
 }
 
-// add feeds one occurrence. The Count-Min increment happens under mu (read
-// mode on the fast path), so a concurrent fold — which merges a bucket's
-// counters under the write lock — can never lose it.
-func (as *attrSketch) add(key string, t int64, drifted bool) {
-	aligned := alignDown(t, as.bucketNanos)
+// addBucket adds the groups listed by idx — a batch's distinct keys in the
+// bucket owning aligned — to that bucket's Count-Min. The increments happen
+// under mu (read mode unless the bucket has to be created), so a concurrent
+// fold — which merges a bucket's counters under the write lock — can never
+// lose them.
+func (as *attrSketch) addBucket(aligned int64, groups []feedGroup, idx []int32) {
 	as.mu.RLock()
-	if b := as.findLocked(aligned); b != nil {
-		if b == as.rest {
-			as.lowerRestLow(aligned)
-		}
-		b.cm.Add(key, drifted)
-		b.adds.Add(1)
-		as.mu.RUnlock()
-	} else {
+	b := as.findLocked(aligned)
+	if b == nil {
 		as.mu.RUnlock()
 		as.mu.Lock()
-		b := as.findLocked(aligned)
-		if b == nil {
+		if b = as.findLocked(aligned); b == nil {
 			b = as.insertLocked(aligned)
 		}
-		if b == as.rest {
-			as.lowerRestLow(aligned)
-		}
-		b.cm.Add(key, drifted)
-		b.adds.Add(1)
+		as.addLocked(b, aligned, groups, idx)
 		as.mu.Unlock()
+		return
 	}
-	as.hh.Offer(key, 1)
+	as.addLocked(b, aligned, groups, idx)
+	as.mu.RUnlock()
+}
+
+func (as *attrSketch) addLocked(b *sketchBucket, aligned int64, groups []feedGroup, idx []int32) {
+	if b == as.rest {
+		as.lowerRestLow(aligned)
+	}
+	var n uint64
+	for _, gi := range idx {
+		g := &groups[gi]
+		b.cm.AddCounts(g.key, g.total, g.drift)
+		n += uint64(g.total)
+	}
+	b.adds.Add(n)
 }
 
 // eachOverlap classifies every non-empty bucket against [from, to) under
@@ -336,12 +347,19 @@ func (as *attrSketch) memory() (buckets int, bytes int64) {
 // sketched attribute plus a single pair ring fed with every two-attribute
 // combination where at least one side is sketched.
 type sketchIndex struct {
-	cfg    SketchConfig
-	tierMu sync.Mutex // serializes tier-up and wholesale rebuilds
+	cfg SketchConfig
+	// tierMu is the gate between appends and rebuilds: an append read-holds
+	// it from its sketch feed through its last shard append, tier-up and
+	// Compact's rebuild write-hold it (see the package header).
+	tierMu sync.RWMutex
 
 	mu    sync.RWMutex
 	attrs map[string]*attrSketch
 	pairs *attrSketch
+
+	// feedRows / feedKeys count the rows the batch feed has been handed and
+	// the distinct keys it added to a Count-Min bucket for them.
+	feedRows, feedKeys atomic.Int64
 }
 
 func newSketchIndex(cfg SketchConfig) *sketchIndex {
@@ -378,20 +396,23 @@ func (sk *sketchIndex) lookupAttr(name string) *attrSketch {
 	return sk.attrs[name]
 }
 
-// pairRing returns the current pair ring (reset replaces it).
+// pairRing returns the current pair ring (install replaces it).
 func (sk *sketchIndex) pairRing() *attrSketch {
 	sk.mu.RLock()
 	defer sk.mu.RUnlock()
 	return sk.pairs
 }
 
-// reset discards all sketch state (tier-up and Compact rebuild from a
-// full replay). Callers hold tierMu plus every shard lock.
-func (sk *sketchIndex) reset() {
+// install replaces all sketch state with fresh's rings, built aside by a
+// replay: a view resolving its window meanwhile reads the old rings, which
+// hold every row it can see, never a half-replayed ring. Callers write-hold
+// tierMu.
+func (sk *sketchIndex) install(fresh *sketchIndex) {
 	sk.mu.Lock()
-	sk.attrs = map[string]*attrSketch{}
-	sk.pairs = newAttrSketch(sk.cfg, sk.cfg.PairWidth, sk.cfg.PairHeavyHitters)
+	sk.attrs, sk.pairs = fresh.attrs, fresh.pairs
 	sk.mu.Unlock()
+	sk.feedRows.Add(fresh.feedRows.Load())
+	sk.feedKeys.Add(fresh.feedKeys.Load())
 }
 
 // collectStats fills the sketch-tier fields of a Stats snapshot.
@@ -411,12 +432,8 @@ func (sk *sketchIndex) collectStats(st *Stats) {
 		st.SketchEvicted += as.evicted
 		as.mu.RUnlock()
 	}
+	st.SketchFeedRows, st.SketchFeedKeys = sk.feedRows.Load(), sk.feedKeys.Load()
 }
-
-// attrKV is one (attribute, value) of a row being fed; feed requires the
-// slice sorted by name so Space-Saving offer order — the only
-// order-sensitive operation — is deterministic per row.
-type attrKV struct{ name, val string }
 
 // pairSketchKey encodes a canonical (aName < bName) pair occurrence.
 // Attribute names and values must not contain NUL (nothing in the system
@@ -435,38 +452,10 @@ func parsePairKey(key string) (PairKey, bool) {
 	return PairKey{AttrA: parts[0], ValA: parts[1], AttrB: parts[2], ValB: parts[3]}, true
 }
 
-// feed records one row into the sketch layer: each sketched attribute's
-// value ring, plus the pair ring for every pair with at least one sketched
-// side. kvs must be sorted by attribute name.
-func (sk *sketchIndex) feed(sketched map[string]bool, t int64, drifted bool, kvs []attrKV) {
-	any := false
-	for _, kv := range kvs {
-		if sketched[kv.name] {
-			any = true
-			break
-		}
-	}
-	if !any {
-		return
-	}
-	for _, kv := range kvs {
-		if sketched[kv.name] {
-			sk.attr(kv.name).add(kv.val, t, drifted)
-		}
-	}
-	for i := 0; i < len(kvs); i++ {
-		for j := i + 1; j < len(kvs); j++ {
-			if sketched[kvs[i].name] || sketched[kvs[j].name] {
-				sk.pairs.add(pairSketchKey(kvs[i].name, kvs[i].val, kvs[j].name, kvs[j].val), t, drifted)
-			}
-		}
-	}
-}
-
 // sketchedSet returns the current immutable sketched-attribute snapshot
-// (nil when nothing has tiered). Feed paths load it once under the shard
-// lock; tier-up installs the successor while holding every shard lock, so
-// a row appended under the old snapshot is always covered by the replay.
+// (nil when nothing has tiered). appendColumns loads it once under its read
+// hold of tierMu; tier-up installs the successor under the write hold, so a
+// batch is fed and landed under one snapshot.
 func (s *Store) sketchedSet() map[string]bool {
 	p := s.sketchedPtr.Load()
 	if p == nil {
@@ -487,12 +476,12 @@ func (s *Store) SketchedAttrs() []string {
 	return out
 }
 
-// tierUp moves attr onto the sketch tier: under every shard lock it
-// rebuilds all sketch state from a full replay (so rows appended before
-// the threshold crossing are counted exactly once), frees the attribute's
-// per-value bitmaps (ids and dictionaries are retained for the exact scan
-// paths), and installs the successor sketched-set snapshot. Tiering is
-// sticky: sketched attributes never return to the bitmap tier.
+// tierUp moves attr onto the sketch tier: with appends gated out and every
+// shard locked it rebuilds all sketch state from a full replay (so rows
+// appended before the threshold crossing are counted exactly once), frees
+// the attribute's per-value bitmaps (ids and dictionaries are retained for
+// the exact row walk), and publishes the successor sketched-set snapshot.
+// Tiering is sticky: sketched attributes never return to the bitmap tier.
 func (s *Store) tierUp(attr string) {
 	s.sk.tierMu.Lock()
 	defer s.sk.tierMu.Unlock()
@@ -505,15 +494,7 @@ func (s *Store) tierUp(attr string) {
 		next[k] = true
 	}
 	next[attr] = true
-	for i := range s.shards {
-		s.shards[i].mu.Lock()
-	}
-	s.sk.reset()
-	s.replaySketchesLocked(next)
-	s.sketchedPtr.Store(&next)
-	for i := numShards - 1; i >= 0; i-- {
-		s.shards[i].mu.Unlock()
-	}
+	s.rebuildSketches(next)
 	// The attribute's exact distinct-value tracking set is no longer
 	// needed (tiering is sticky).
 	s.attrMu.Lock()
@@ -521,35 +502,57 @@ func (s *Store) tierUp(attr string) {
 	s.attrMu.Unlock()
 }
 
-// replaySketchesLocked feeds every current row into (freshly reset)
-// sketches and frees the bitmaps of sketched columns. Caller holds tierMu
-// and every shard lock. Replay order is canonical (shard-major, row
-// order), which fixes Space-Saving offer order deterministically.
-func (s *Store) replaySketchesLocked(sketched map[string]bool) {
+// replayChunk is the rows of a shard one replay feed takes: enough for the
+// feed's grouping to pay, small enough to bound its scratch.
+const replayChunk = 1024
+
+// rebuildSketches replaces all sketch state with a replay of the rows the
+// shards hold, frees the bitmaps of sketched columns and publishes sketched
+// as the sketched-attribute snapshot. A shard's ids and dict columns already
+// are a columnar batch, so the replay is the batch feed over chunks of each
+// shard, in canonical order (shard-major, row order) — which fixes
+// Space-Saving offer order deterministically. The fresh rings are built
+// aside and installed whole. Caller write-holds tierMu; the shard locks are
+// taken here, against views pinning columns while their bitmaps are freed.
+func (s *Store) rebuildSketches(sketched map[string]bool) {
+	for i := range s.shards {
+		s.shards[i].mu.Lock()
+	}
+	fresh := newSketchIndex(s.sk.cfg)
+	order := make([]int32, replayChunk)
+	for i := range order {
+		order[i] = int32(i)
+	}
 	for si := range s.shards {
 		sh := &s.shards[si]
-		names := append([]string(nil), sh.order...)
-		sort.Strings(names)
-		cols := make([]*column, len(names))
-		for i, n := range names {
-			cols[i] = sh.cols[n]
-			if sketched[n] && !cols[i].sketched {
-				cols[i].sketched = true
-				for id := range cols[i].bits {
-					cols[i].bits[id] = nil
+		cols := make([]*column, len(sh.order))
+		chunk := ColumnarBatch{Cols: make([]ColumnData, len(sh.order))}
+		for i, name := range sh.order {
+			col := sh.cols[name]
+			if sketched[name] && !col.sketched {
+				col.sketched = true
+				for id := range col.bits {
+					col.bits[id] = nil
 				}
 			}
+			cols[i] = col
+			chunk.Cols[i] = ColumnData{Name: name, Dict: col.dict}
 		}
-		kvs := make([]attrKV, 0, len(names))
-		for r := range sh.times {
-			kvs = kvs[:0]
-			for i, c := range cols {
-				if id := c.ids[r]; id != 0 {
-					kvs = append(kvs, attrKV{names[i], c.dict[id]})
-				}
+		for lo := 0; lo < len(sh.times); lo += replayChunk {
+			hi := min(lo+replayChunk, len(sh.times))
+			chunk.Times, chunk.Drift = sh.times[lo:hi], sh.drift[lo:hi]
+			for i, col := range cols {
+				chunk.Cols[i].IDs = col.ids[lo:hi]
 			}
-			s.sk.feed(sketched, sh.times[r], sh.drift[r], kvs)
+			fresh.feedBatch(sketched, &chunk, order[:hi-lo])
 		}
+	}
+	s.sk.install(fresh)
+	// Published before any shard unlocks: a view that pins a column freed
+	// above then loads a set naming its attribute (see Window).
+	s.sketchedPtr.Store(&sketched)
+	for i := numShards - 1; i >= 0; i-- {
+		s.shards[i].mu.Unlock()
 	}
 }
 

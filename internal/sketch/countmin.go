@@ -95,13 +95,19 @@ func (c *CountMin) hashPair(key string) (uint64, uint64) {
 // Add records one occurrence of key; drifted additionally bumps the drift
 // counter. Safe for concurrent use.
 func (c *CountMin) Add(key string, drifted bool) {
-	c.AddN(key, 1, drifted)
+	if drifted {
+		c.AddCounts(key, 1, 1)
+	} else {
+		c.AddCounts(key, 1, 0)
+	}
 }
 
-// AddN records n occurrences of key in one shot (used by tier-up replay
-// and merge). Safe for concurrent use.
-func (c *CountMin) AddN(key string, n uint32, drifted bool) {
-	if n == 0 {
+// AddCounts records total occurrences of key, drift of them drifted, with
+// one hash of the key — a batch's multiplicity of one distinct key. Plain
+// adds are linear, so the cells equal those of total single Adds in any
+// order. Safe for concurrent use.
+func (c *CountMin) AddCounts(key string, total, drift uint32) {
+	if total == 0 {
 		return
 	}
 	h1, h2 := c.hashPair(key)
@@ -109,9 +115,9 @@ func (c *CountMin) AddN(key string, n uint32, drifted bool) {
 	for i := uint32(0); i < c.depth; i++ {
 		idx := (h1 + uint64(i)*h2) % w
 		cell := (uint64(i)*w + idx) * 2
-		atomic.AddUint32(&c.rows[cell], n)
-		if drifted {
-			atomic.AddUint32(&c.rows[cell+1], n)
+		atomic.AddUint32(&c.rows[cell], total)
+		if drift != 0 {
+			atomic.AddUint32(&c.rows[cell+1], drift)
 		}
 	}
 }
@@ -159,6 +165,20 @@ func (c *CountMin) Merge(other *CountMin) {
 			atomic.AddUint32(&c.rows[i], v)
 		}
 	}
+}
+
+// Equal reports whether c and other share geometry and seed and hold the
+// same value in every cell.
+func (c *CountMin) Equal(other *CountMin) bool {
+	if c.width != other.width || c.depth != other.depth || c.seed != other.seed {
+		return false
+	}
+	for i := range c.rows {
+		if atomic.LoadUint32(&c.rows[i]) != atomic.LoadUint32(&other.rows[i]) {
+			return false
+		}
+	}
+	return true
 }
 
 // ErrBound returns the analytic additive error bound for a sketch of this

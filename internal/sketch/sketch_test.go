@@ -80,6 +80,32 @@ func TestCountMinMerge(t *testing.T) {
 	}
 }
 
+// TestCountMinAddCountsLinear pins that one AddCounts of a key's batch
+// multiplicity leaves the same cells as that many single Adds.
+func TestCountMinAddCountsLinear(t *testing.T) {
+	one, grouped := NewCountMin(64, 4, 9), NewCountMin(64, 4, 9)
+	rng := rand.New(rand.NewSource(5))
+	for i := 0; i < 200; i++ {
+		key := fmt.Sprintf("k%d", rng.Intn(300))
+		total, drift := uint32(rng.Intn(6)), uint32(0)
+		for j := uint32(0); j < total; j++ {
+			drifted := rng.Intn(3) == 0
+			one.Add(key, drifted)
+			if drifted {
+				drift++
+			}
+		}
+		grouped.AddCounts(key, total, drift)
+	}
+	if !one.Equal(grouped) {
+		t.Fatal("AddCounts cells differ from single Adds")
+	}
+	grouped.AddCounts("k0", 1, 1)
+	if one.Equal(grouped) || one.Equal(NewCountMin(64, 4, 10)) {
+		t.Fatal("Equal misses a differing cell or seed")
+	}
+}
+
 func TestCountMinMergeMismatchPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {
@@ -150,6 +176,73 @@ func TestSpaceSavingGuarantee(t *testing.T) {
 	}
 }
 
+// TestSpaceSavingMatchesReference drives the slot heap and the map-swapping
+// reference (ssref_test.go) with the same random offer streams — few keys
+// (heavy count ties), many keys (constant eviction), long shared key
+// prefixes (ties broken deep inside the key), weighted offers and OfferEach
+// runs — and requires equal Items(), Err included, all along the stream;
+// at the end the Space-Saving guarantees are checked against exact counts.
+func TestSpaceSavingMatchesReference(t *testing.T) {
+	for _, capacity := range []int{1, 2, 7, 256} {
+		for _, universe := range []int{3, 40, 5000} {
+			t.Run(fmt.Sprintf("cap=%d/keys=%d", capacity, universe), func(t *testing.T) {
+				rng := rand.New(rand.NewSource(int64(capacity*7919 + universe)))
+				ss, ref := NewSpaceSaving[string](capacity), newRefSpaceSaving[string](capacity)
+				exact := map[string]uint64{}
+				var n uint64
+				key := func() string {
+					return fmt.Sprintf("app_version\x00a_%d\x00device\x00dev_%04d", rng.Intn(3), rng.Intn(universe))
+				}
+				for step := 0; step < 400; step++ {
+					switch rng.Intn(3) {
+					case 0: // one plain offer
+						k := key()
+						ss.Offer(k, 1)
+						ref.Offer(k, 1)
+						exact[k]++
+						n++
+					case 1: // weighted, zero weight included (a no-op)
+						k, w := key(), uint64(rng.Intn(5))
+						ss.Offer(k, w)
+						ref.Offer(k, w)
+						exact[k] += w
+						n += w
+					default: // a batch under one lock
+						keys := make([]string, rng.Intn(40))
+						for i := range keys {
+							keys[i] = key()
+							ref.Offer(keys[i], 1)
+							exact[keys[i]]++
+							n++
+						}
+						ss.OfferEach(keys)
+					}
+					if step%16 == 0 || step == 399 {
+						if got, want := ss.Items(), ref.Items(); !reflect.DeepEqual(got, want) {
+							t.Fatalf("step %d: Items diverge from the reference\n got %v\nwant %v", step, got, want)
+						}
+					}
+				}
+				if got := ss.Len(); got != min(capacity, len(exact)) {
+					t.Fatalf("Len %d, want %d", got, min(capacity, len(exact)))
+				}
+				tracked := map[string]HeavyHitter[string]{}
+				for _, hh := range ss.Items() {
+					tracked[hh.Key] = hh
+					if c := exact[hh.Key]; hh.Count < c || hh.Count-hh.Err > c {
+						t.Fatalf("key %q: count %d err %d does not bracket true %d", hh.Key, hh.Count, hh.Err, c)
+					}
+				}
+				for k, c := range exact {
+					if _, ok := tracked[k]; !ok && c > n/uint64(capacity) {
+						t.Fatalf("key %q with count %d > N/k=%d missing from summary", k, c, n/uint64(capacity))
+					}
+				}
+			})
+		}
+	}
+}
+
 func TestSpaceSavingDeterministic(t *testing.T) {
 	offers := make([]string, 0, 5000)
 	rng := rand.New(rand.NewSource(11))
@@ -192,4 +285,56 @@ func TestErrBound(t *testing.T) {
 	if got := ErrBound(1024, 1024); got < 2 || got > 3 {
 		t.Fatalf("ErrBound(1024, 1024) = %d, want ~e", got)
 	}
+}
+
+// BenchmarkSpaceSavingOffer is the pair ring's Space-Saving at its shipped
+// capacity over keys shaped like pair keys (long shared prefixes, so count
+// ties are broken deep inside the key): hit re-offers tracked keys, churn
+// offers only new ones, each evicting the minimum.
+func BenchmarkSpaceSavingOffer(b *testing.B) {
+	const k = 2048
+	key := func(i int) string {
+		return fmt.Sprintf("app_version\x00a_%d\x00device\x00dev_%06d", i%16, i)
+	}
+	warm := func() *SpaceSaving[string] {
+		ss := NewSpaceSaving[string](k)
+		for i := 0; i < 4*k; i++ {
+			ss.Offer(key(i), 1)
+		}
+		return ss
+	}
+	b.Run("hit", func(b *testing.B) {
+		ss := warm()
+		keys := make([]string, k)
+		for i, hh := range ss.Items() {
+			keys[i] = hh.Key
+		}
+		rng := rand.New(rand.NewSource(1))
+		rng.Shuffle(len(keys), func(i, j int) { keys[i], keys[j] = keys[j], keys[i] })
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			ss.Offer(keys[i%k], 1)
+		}
+	})
+	b.Run("churn", func(b *testing.B) {
+		ss := warm()
+		keys := make([]string, 1<<16)
+		for i := range keys {
+			keys[i] = key(4*k + i)
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if i%len(keys) == 0 && i > 0 {
+				b.StopTimer()
+				base := 4*k + i
+				for j := range keys {
+					keys[j] = key(base + j)
+				}
+				b.StartTimer()
+			}
+			ss.Offer(keys[i%len(keys)], 1)
+		}
+	})
 }

@@ -12,19 +12,25 @@ import (
 // offers, and that each reported count overestimates the true count by at
 // most the count of the minimum entry at eviction time.
 //
-// The implementation keeps the entries in a binary min-heap ordered by
-// (count asc, key asc) with a key->slot map, so Offer is O(log k) even when
-// the summary is full — a linear min-scan would cost O(k) per eviction,
-// which at k=2048 and millions of rows dominates ingest. The (count, key)
-// total order makes eviction deterministic: the same offer sequence always
-// evicts the same keys, independent of map iteration order.
+// The implementation keeps each entry in a stable slot and orders the slot
+// indices in a binary min-heap by (count asc, key asc), with a slot -> heap
+// back-index, so Offer is O(log k) even when the summary is full — a linear
+// min-scan would cost O(k) per eviction, which at k=2048 and millions of
+// rows dominates ingest — and a sift moves integers only: the key -> slot
+// map is written when a key enters or leaves the summary, never when its
+// entry changes rank. The (count, key) total order makes eviction
+// deterministic: the same offer sequence always evicts the same keys,
+// independent of map iteration order and of how the heap happens to be
+// arranged.
 //
 // SpaceSaving is guarded by an internal mutex and safe for concurrent use.
 type SpaceSaving[K ordered] struct {
-	cap  int
-	mu   sync.Mutex
-	heap []ssEntry[K]
-	pos  map[K]int // key -> index in heap
+	cap   int
+	mu    sync.Mutex
+	slots []ssEntry[K] // an entry never moves once placed
+	heap  []int32      // min-heap of slot indices
+	at    []int32      // slot -> index in heap
+	slot  map[K]int32  // key -> slot
 }
 
 type ssEntry[K ordered] struct {
@@ -54,8 +60,8 @@ func NewSpaceSaving[K ordered](capacity int) *SpaceSaving[K] {
 		capacity = 1
 	}
 	return &SpaceSaving[K]{
-		cap: capacity,
-		pos: make(map[K]int, capacity),
+		cap:  capacity,
+		slot: make(map[K]int32, capacity),
 	}
 }
 
@@ -66,32 +72,50 @@ func (s *SpaceSaving[K]) Cap() int { return s.cap }
 func (s *SpaceSaving[K]) Len() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return len(s.heap)
+	return len(s.slots)
 }
 
 // Offer records n occurrences of key.
 func (s *SpaceSaving[K]) Offer(key K, n uint64) {
+	s.mu.Lock()
+	s.offer(key, n)
+	s.mu.Unlock()
+}
+
+// OfferEach records one occurrence of each key, in slice order, under one
+// acquisition of the lock — what a batch of rows costs a shared summary.
+func (s *SpaceSaving[K]) OfferEach(keys []K) {
+	s.mu.Lock()
+	for _, key := range keys {
+		s.offer(key, 1)
+	}
+	s.mu.Unlock()
+}
+
+func (s *SpaceSaving[K]) offer(key K, n uint64) {
 	if n == 0 {
 		return
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if i, ok := s.pos[key]; ok {
-		s.heap[i].count += n
-		s.siftDown(i)
+	if sl, ok := s.slot[key]; ok {
+		s.slots[sl].count += n
+		s.siftDown(int(s.at[sl]))
 		return
 	}
-	if len(s.heap) < s.cap {
-		s.heap = append(s.heap, ssEntry[K]{key: key, count: n})
-		s.pos[key] = len(s.heap) - 1
+	if len(s.slots) < s.cap {
+		sl := int32(len(s.slots))
+		s.slots = append(s.slots, ssEntry[K]{key: key, count: n})
+		s.heap = append(s.heap, sl)
+		s.at = append(s.at, sl)
+		s.slot[key] = sl
 		s.siftUp(len(s.heap) - 1)
 		return
 	}
-	// Full: replace the minimum entry, inheriting its count as the
-	// overestimate bound for the newcomer.
-	min := &s.heap[0]
-	delete(s.pos, min.key)
-	s.pos[key] = 0
+	// Full: the newcomer takes over the minimum entry's slot, inheriting
+	// its count as the overestimate bound.
+	sl := s.heap[0]
+	min := &s.slots[sl]
+	delete(s.slot, min.key)
+	s.slot[key] = sl
 	min.err = min.count
 	min.key = key
 	min.count += n
@@ -102,8 +126,8 @@ func (s *SpaceSaving[K]) Offer(key K, n uint64) {
 // deterministic candidate order the mining layer enumerates.
 func (s *SpaceSaving[K]) Items() []HeavyHitter[K] {
 	s.mu.Lock()
-	out := make([]HeavyHitter[K], len(s.heap))
-	for i, e := range s.heap {
+	out := make([]HeavyHitter[K], len(s.slots))
+	for i, e := range s.slots {
 		out[i] = HeavyHitter[K]{Key: e.key, Count: e.count, Err: e.err}
 	}
 	s.mu.Unlock()
@@ -116,61 +140,67 @@ func (s *SpaceSaving[K]) Items() []HeavyHitter[K] {
 	return out
 }
 
-// Bytes returns an estimate of the heap footprint (entries + map slots);
-// string keys additionally count their byte length.
+// Bytes returns an estimate of the heap footprint (entries, their two heap
+// indices and map slots); string keys additionally count their byte length.
 func (s *SpaceSaving[K]) Bytes() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	n := s.cap * (32 + 16) // entry struct + map bucket share
-	for i := range s.heap {
-		if k, ok := any(s.heap[i].key).(string); ok {
+	n := s.cap * (32 + 8 + 16) // entry struct + heap/at indices + map bucket share
+	for i := range s.slots {
+		if k, ok := any(s.slots[i].key).(string); ok {
 			n += len(k)
 		}
 	}
 	return n
 }
 
-// less orders the heap by (count asc, key asc): a strict total order so
-// the eviction victim is unique.
-func (s *SpaceSaving[K]) less(i, j int) bool {
-	if s.heap[i].count != s.heap[j].count {
-		return s.heap[i].count < s.heap[j].count
+// less orders slots by (count asc, key asc): a strict total order, so the
+// eviction victim is unique.
+func (s *SpaceSaving[K]) less(a, b int32) bool {
+	ea, eb := &s.slots[a], &s.slots[b]
+	if ea.count != eb.count {
+		return ea.count < eb.count
 	}
-	return s.heap[i].key < s.heap[j].key
+	return ea.key < eb.key
 }
 
-func (s *SpaceSaving[K]) swap(i, j int) {
-	s.heap[i], s.heap[j] = s.heap[j], s.heap[i]
-	s.pos[s.heap[i].key] = i
-	s.pos[s.heap[j].key] = j
+// place puts slot sl at heap index i.
+func (s *SpaceSaving[K]) place(i int, sl int32) {
+	s.heap[i] = sl
+	s.at[sl] = int32(i)
 }
 
+// siftUp and siftDown carry the entry at heap index i to its rank, shifting
+// the entries it passes by one level instead of swapping pairwise.
 func (s *SpaceSaving[K]) siftUp(i int) {
+	sl := s.heap[i]
 	for i > 0 {
 		p := (i - 1) / 2
-		if !s.less(i, p) {
-			return
+		if !s.less(sl, s.heap[p]) {
+			break
 		}
-		s.swap(i, p)
+		s.place(i, s.heap[p])
 		i = p
 	}
+	s.place(i, sl)
 }
 
 func (s *SpaceSaving[K]) siftDown(i int) {
 	n := len(s.heap)
+	sl := s.heap[i]
 	for {
-		l, r := 2*i+1, 2*i+2
-		m := i
-		if l < n && s.less(l, m) {
-			m = l
+		c := 2*i + 1
+		if c >= n {
+			break
 		}
-		if r < n && s.less(r, m) {
-			m = r
+		if r := c + 1; r < n && s.less(s.heap[r], s.heap[c]) {
+			c = r
 		}
-		if m == i {
-			return
+		if !s.less(s.heap[c], sl) {
+			break
 		}
-		s.swap(i, m)
-		i = m
+		s.place(i, s.heap[c])
+		i = c
 	}
+	s.place(i, sl)
 }

@@ -28,10 +28,10 @@ func FuzzWireDecode(f *testing.F) {
 			f.Add(mut)
 		}
 	}
-	f.Add([]byte("NZB1"))                   // header-only
-	f.Add([]byte("XXXXxxxxxxxxxxxx"))       // bad magic
-	f.Add([]byte("NZB1\x02\x00aaaaaaaabb")) // future version
-	f.Add([]byte("NZB1\x01\xffaaaaaaaabb")) // unknown flag bits
+	f.Add([]byte("NZB1"))                               // header-only
+	f.Add([]byte("XXXXxxxxxxxxxxxx"))                   // bad magic
+	f.Add([]byte("NZB1\x02\x00aaaaaaaabb"))             // future version
+	f.Add([]byte("NZB1\x01\xffaaaaaaaabb"))             // unknown flag bits
 	f.Add([]byte("NZB1\x01\x00\xff\xff\xff\xffaaaabb")) // huge claimed length
 
 	f.Fuzz(func(t *testing.T, p []byte) {
