@@ -41,6 +41,13 @@ import (
 //	nazar_fim_cache_misses            memoized support-count misses
 //	nazar_fim_cache_evictions         support-memo LRU evictions
 //	nazar_fim_minecache_entries       retained cross-window count entries
+//	nazar_fim_pairs_counted_total     pairs the drift log materialized for
+//	                                  apriori's level 2 (work, not time: at
+//	                                  a fixed log it repeats to the unit)
+//	nazar_fim_candidates_total{level="1"|"2"|"3+"}
+//	                                  itemsets scored per apriori level;
+//	                                  level 3+ is what survived the prune
+//	                                  step and was counted
 //	nazar_sketch_attrs                attributes on the sketch tier
 //	nazar_sketch_buckets              live sub-sketch buckets (incl. rest)
 //	nazar_sketch_bytes                sketch-tier resident bytes
@@ -194,6 +201,12 @@ func (m *Metrics) observeStores(s *Service) {
 		func() float64 { return float64(fim.ReadSupportCacheStats().Misses) })
 	reg.GaugeFunc("nazar_fim_cache_evictions", "Support-memo LRU evictions (process-wide).",
 		func() float64 { return float64(fim.ReadSupportCacheStats().Evictions) })
+	reg.GaugeFunc("nazar_fim_pairs_counted_total", "Pairs the drift log materialized for apriori's level 2 (process-wide).",
+		func() float64 { return float64(fim.ReadMineStats().PairsCounted) })
+	for i, level := range [...]string{"1", "2", "3+"} {
+		reg.GaugeFunc("nazar_fim_candidates_total", "Itemsets scored per apriori level; 3+ counts the joined candidates the prune step let through (process-wide).",
+			func() float64 { return float64(fim.ReadMineStats().Candidates[i]) }, obs.L("level", level))
+	}
 	reg.GaugeFunc("nazar_fim_minecache_entries", "Count entries retained by the cross-window mining cache.",
 		func() float64 {
 			s.acMu.Lock()

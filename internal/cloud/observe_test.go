@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"nazar/internal/driftlog"
+	"nazar/internal/fim"
 	"nazar/internal/nn"
 	"nazar/internal/obs"
 	"nazar/internal/tensor"
@@ -271,6 +272,37 @@ func TestObserverSketchFeed(t *testing.T) {
 	for _, want := range []string{"nazar_sketch_attrs 1\n", "nazar_sketch_feed_rows_total 6\n", "nazar_sketch_feed_keys_total 6\n"} {
 		if !strings.Contains(buf.String(), want) {
 			t.Fatalf("exposition missing %q\n%s", want, buf.String())
+		}
+	}
+}
+
+// TestObserverMineWork: the mining work counters move by exactly what one
+// diagnosis counted — fim's own snapshot before and after — and are labelled
+// per apriori level.
+func TestObserverMineWork(t *testing.T) {
+	base := nn.NewClassifier(nn.ArchResNet18, 8, 2, tensor.NewRand(18, 1))
+	reg := obs.NewRegistry()
+	svc := NewService(base, DefaultConfig(), WithObserver(reg))
+	ingestDriftWorkload(svc, 200)
+	series := []string{"nazar_fim_pairs_counted_total", `nazar_fim_candidates_total{level="1"}`,
+		`nazar_fim_candidates_total{level="2"}`, `nazar_fim_candidates_total{level="3+"}`}
+	before := make([]float64, len(series))
+	for i, name := range series {
+		before[i] = expositionValue(t, reg, name)
+	}
+	st0 := fim.ReadMineStats()
+	if _, err := svc.DiagnoseContext(context.Background(), weather.Day(10), weather.Day(11), weather.Day(11)); err != nil {
+		t.Fatal(err)
+	}
+	st1 := fim.ReadMineStats()
+	want := []uint64{st1.PairsCounted - st0.PairsCounted, st1.Candidates[0] - st0.Candidates[0],
+		st1.Candidates[1] - st0.Candidates[1], st1.Candidates[2] - st0.Candidates[2]}
+	if want[0] == 0 || want[1] == 0 {
+		t.Fatalf("the diagnosis counted nothing: %v", want)
+	}
+	for i, name := range series {
+		if got := expositionValue(t, reg, name) - before[i]; got != float64(want[i]) {
+			t.Fatalf("%s moved by %v, fim counted %d", name, got, want[i])
 		}
 	}
 }

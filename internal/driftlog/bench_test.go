@@ -160,13 +160,39 @@ func BenchmarkPairCounts(b *testing.B) {
 	// The last fifth of a 1M-row log with unsorted shards — the composed
 	// benchmark's fresh-window shape. rows-visited is the row range the
 	// bitset loops span, to be read against the 1M rows the log holds.
+	// pairs is the PairKeys the call materializes.
 	b.Run("suffix-window/1M", func(b *testing.B) {
 		v := benchStore1M().Window(time.Unix(800, 0), time.Time{})
+		pairs := 0
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			v.PairCounts(nil, nil)
+			pairs = len(v.PairCounts(nil, nil))
 		}
 		b.ReportMetric(rowsSpanned(v), "rows-visited")
+		b.ReportMetric(float64(pairs), "pairs")
+	})
+	// The same window under the mask apriori hands down: the values at or
+	// above 1% of the window's rows, which no device is.
+	b.Run("masked/suffix-window/1M", func(b *testing.B) {
+		v := benchStore1M().Window(time.Unix(800, 0), time.Time{})
+		mask, floor := ValueMask{}, v.Len()/100
+		for attr, byVal := range v.AttrValueCounts(nil) {
+			for val, cr := range byVal {
+				if cr.Total >= floor {
+					if mask[attr] == nil {
+						mask[attr] = map[string]bool{}
+					}
+					mask[attr][val] = true
+				}
+			}
+		}
+		pairs := 0
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			pairs = len(v.PairCountsMasked(nil, mask))
+		}
+		b.ReportMetric(rowsSpanned(v), "rows-visited")
+		b.ReportMetric(float64(pairs), "pairs")
 	})
 }
 

@@ -17,6 +17,7 @@ package driftlog
 import (
 	"fmt"
 	"math/bits"
+	"slices"
 	"sync"
 	"sync/atomic"
 )
@@ -232,32 +233,85 @@ func (vs *viewShard) eachWindowRow(f func(i int)) {
 	}
 }
 
+// driftWord returns word w of the shard's drift flags — the overlay's when
+// ovWords is non-nil, the stored drift bitmap's otherwise.
+func (vs *viewShard) driftWord(ovWords []uint64, w int) uint64 {
+	if ovWords != nil {
+		return ovWords[w]
+	}
+	return vs.driftBM.word(w, vs.fullWords)
+}
+
 // andPopcount intersects the condition bitmaps with the shard's window
 // bitmap and returns the matching row count plus, of those, the rows
 // whose drift flag is set — read from ovWords when non-nil, the stored
 // drift bitmap otherwise. Pure word-wise AND + popcount over the window's
-// word range: O(window rows/64).
+// word range: O(window rows/64). Words every operand holds in full are
+// intersected a chunk at a time, one operand per pass, straight off the
+// slices and counted without a branch; only what is left — the partial
+// tail word — goes through bmSnap.word.
 func (vs *viewShard) andPopcount(bms []bmSnap, ovWords []uint64) (total, drift int) {
 	fw := vs.fullWords
 	n := vs.windowEnd(bms)
-	for w := vs.wlo; w < n; w++ {
+	full := min(n, len(vs.window.words))
+	for _, bm := range bms {
+		full = min(full, len(bm.words))
+	}
+	flags := ovWords
+	if flags == nil {
+		flags = vs.driftBM.words // may end before full: no drift past its end
+	}
+	var buf [64]uint64
+	w := vs.wlo
+	for ; w < full; w += len(buf) {
+		acc := buf[:min(len(buf), full-w)]
+		copy(acc, vs.window.words[w:])
+		for _, bm := range bms {
+			for i, x := range bm.words[w : w+len(acc)] {
+				acc[i] &= x
+			}
+		}
+		fl := flags[min(w, len(flags)):min(w+len(acc), len(flags))]
+		for i, f := range fl {
+			total += bits.OnesCount64(acc[i])
+			drift += bits.OnesCount64(acc[i] & f)
+		}
+		for _, a := range acc[len(fl):] {
+			total += bits.OnesCount64(a)
+		}
+	}
+	for w = max(vs.wlo, full); w < n; w++ {
 		acc := vs.window.word(w, fw)
 		for _, bm := range bms {
 			acc &= bm.word(w, fw)
 		}
-		if acc == 0 {
-			continue
+		if acc != 0 {
+			total += bits.OnesCount64(acc)
+			drift += bits.OnesCount64(acc & vs.driftWord(ovWords, w))
 		}
-		total += bits.OnesCount64(acc)
-		var dw uint64
-		if ovWords != nil {
-			dw = ovWords[w]
-		} else {
-			dw = vs.driftBM.word(w, fw)
-		}
-		drift += bits.OnesCount64(acc & dw)
 	}
 	return total, drift
+}
+
+// andCount is andPopcount against operands already laid out densely: acc
+// and drift hold words [lo, n) of a shard (index 0 = word lo), and the
+// result counts acc AND the bitmap, and of those the drift-flagged.
+func (b bmSnap) andCount(acc, drift []uint64, lo, n, fw int) (total, flagged int) {
+	full := min(n, len(b.words))
+	if lo < full {
+		drift := drift[:full-lo]
+		for i, x := range b.words[lo:full] {
+			a := acc[i] & x
+			total += bits.OnesCount64(a)
+			flagged += bits.OnesCount64(a & drift[i])
+		}
+	}
+	for w := max(lo, full); w < n; w++ {
+		a := acc[w-lo] & b.word(w, fw)
+		total += bits.OnesCount64(a)
+		flagged += bits.OnesCount64(a & drift[w-lo])
+	}
+	return total, flagged
 }
 
 // checkConds validates attribute names against the view's pinned
@@ -340,10 +394,17 @@ func (v *View) clearDriftBitset(conds []Cond, ov *Overlay) (int, error) {
 	return cleared, nil
 }
 
+// maxValueSweep bounds the values of one exact column that the level-1
+// group-by popcounts. A value bitmap costs one word operation per window
+// word (64 rows); a row visit of valueScanInto's dense table costs about one,
+// so past 64 values the shard walks its window rows for that column instead.
+const maxValueSweep = 64
+
 // attrValueCountsBitset is the grouped aggregation: one AND+popcount per
-// (attribute, value) bitmap instead of a row scan. Sketched columns have
-// no bitmaps: their values are counted over the window's rows, unless the
-// sketches answer them (tierSketch: left to attrValueCountsSketch).
+// (attribute, value) bitmap, or one walk of the window's rows for a column
+// with more than maxValueSweep values or none of the bitmaps (sketched) —
+// unless the sketches answer the sketched columns (tierSketch: left to
+// attrValueCountsSketch).
 func (v *View) attrValueCountsBitset(ov *Overlay, t tier) map[string]map[string]CountResult {
 	out := make(map[string]map[string]CountResult, len(v.attrs))
 	for name := range v.attrs {
@@ -359,124 +420,224 @@ func (v *View) attrValueCountsBitset(ov *Overlay, t tier) map[string]map[string]
 		var one [1]bmSnap
 		rows = rows[:0]
 		for name, col := range vs.cols {
+			if col.sketched && t == tierSketch {
+				continue
+			}
 			byVal := out[name]
-			if col.sketched && t != tierSketch {
+			if byVal == nil {
+				byVal = map[string]CountResult{}
+			}
+			if col.sketched || len(col.dict)-1 > maxValueSweep {
 				if len(rows) == 0 {
 					rows = vs.windowRows(rows)
 				}
-				if byVal == nil {
-					byVal = map[string]CountResult{}
-					out[name] = byVal
-				}
 				vs.valueScanInto(ov, si, rows, col, byVal)
-				continue
+			} else {
+				for id := 1; id < len(col.bits); id++ {
+					one[0] = col.bits[id]
+					n, d := vs.andPopcount(one[:], ovWords)
+					if n == 0 {
+						continue
+					}
+					cr := byVal[col.dict[id]]
+					cr.Total += n
+					cr.Drift += d
+					byVal[col.dict[id]] = cr
+				}
 			}
-			for id := 1; id < len(col.bits); id++ {
-				one[0] = col.bits[id]
-				n, d := vs.andPopcount(one[:], ovWords)
-				if n == 0 {
-					continue
-				}
-				if byVal == nil {
-					byVal = map[string]CountResult{}
-					out[name] = byVal
-				}
-				cr := byVal[col.dict[id]]
-				cr.Total += n
-				cr.Drift += d
-				byVal[col.dict[id]] = cr
+			if len(byVal) > 0 {
+				out[name] = byVal // an attribute registered after the view pinned its names
 			}
 		}
 	}
 	return out
 }
 
-// maxPairCross bounds the value cross product per attribute pair that
-// the bitset PairCounts path enumerates. A pair of value bitmaps costs
-// one word operation per window word (window rows / 64); a row visit of
+// ValueMask restricts a pair group-by: per attribute, the values that may
+// appear in a counted pair. An attribute the mask does not name, or names
+// with no value, contributes no pair and its rows are never walked.
+type ValueMask map[string]map[string]bool
+
+// pairSel is what one pair group-by counts: exactly the mask's values, or —
+// with a nil mask — every value of every attribute outside exclude.
+type pairSel struct {
+	mask    ValueMask
+	exclude map[string]bool
+}
+
+// keeps reports whether the selection counts pairs holding attr=val.
+func (s pairSel) keeps(attr, val string) bool {
+	if s.mask != nil {
+		return s.mask[attr][val]
+	}
+	return !s.exclude[attr]
+}
+
+// keptCol is one shard column of a pair group-by with the selection resolved
+// to the shard's dictionary ids, once per shard, so counting runs in id space
+// over kept ids only. Kept ids occupy slots 1..n in ascending order; with
+// every value kept (no mask) a slot is the id itself and neither table is
+// built — a sketched column's dictionary can run to 100k values per shard.
+type keptCol struct {
+	namedCol
+	n    int
+	ids  []uint32 // slot-1 → id; nil when every value is kept
+	slot []uint32 // id → slot, 0 = not kept; built by the first row walk
+}
+
+// id returns the dictionary id in a slot.
+func (k *keptCol) id(slot int) uint32 {
+	if k.ids == nil {
+		return uint32(slot)
+	}
+	return k.ids[slot-1]
+}
+
+// slots returns the id → slot table, nil when every value is kept.
+func (k *keptCol) slots() []uint32 {
+	if k.ids != nil && k.slot == nil {
+		k.slot = make([]uint32, len(k.c.dict))
+		for i, id := range k.ids {
+			k.slot[id] = uint32(i) + 1
+		}
+	}
+	return k.slot
+}
+
+// keptCols resolves the selection against the shard: its columns with at
+// least one kept value present, in name order, so pair keys come out
+// canonical (AttrA < AttrB).
+func (vs *viewShard) keptCols(sel pairSel) []keptCol {
+	cols := vs.sortedCols(sel.exclude)
+	kept := make([]keptCol, 0, len(cols))
+	for _, nc := range cols {
+		k := keptCol{namedCol: nc, n: len(nc.c.dict) - 1}
+		if sel.mask != nil {
+			k.ids = make([]uint32, 0, len(sel.mask[nc.name]))
+			for val := range sel.mask[nc.name] {
+				if id := nc.c.lookup(val); id != 0 {
+					k.ids = append(k.ids, id)
+				}
+			}
+			slices.Sort(k.ids)
+			k.n = len(k.ids)
+		}
+		if k.n > 0 {
+			kept = append(kept, k)
+		}
+	}
+	return kept
+}
+
+// pairCount is one pair of a shard's partial group-by.
+type pairCount struct {
+	key PairKey
+	n   CountResult
+}
+
+// addPairs merges one shard's partial into out.
+func addPairs(out map[PairKey]CountResult, partial []pairCount) {
+	for _, p := range partial {
+		cr := out[p.key]
+		cr.Total += p.n.Total
+		cr.Drift += p.n.Drift
+		out[p.key] = cr
+	}
+}
+
+// maxPairCross bounds the kept-value cross product per attribute pair that
+// the pair group-by popcounts. A pair of value bitmaps costs one word
+// operation per window word (window rows / 64); a row visit of
 // pairScanInto's dense table costs about four word operations, so
-// popcounting wins while |Va|·|Vb| stays under 64·4; beyond that the
-// shard scans its window rows for that attribute pair only.
+// popcounting wins while |Ka|·|Kb| stays under 64·4; beyond that the
+// shard walks its window rows for that attribute pair only.
 const maxPairCross = 256
 
-// pairCountsBitset is the PairCounts path: for each attribute pair, AND
-// the window with each value bitmap of the first attribute once, then
-// popcount against each value bitmap of the second — all over the window's
-// word range [wlo, whi) only. A pair past maxPairCross, or with a sketched
-// side (no bitmaps), is counted over the window's rows instead — unless the
-// sketches answer the sketched pairs (tierSketch: left to pairCountsSketch).
-func (v *View) pairCountsBitset(ov *Overlay, exclude map[string]bool, t tier) map[PairKey]CountResult {
-	out := map[PairKey]CountResult{}
-	var tmp []uint64
+// pairCounts is the one pair group-by: shards in parallel, each resolving
+// the selection to its own dictionary ids and counting in id space, the
+// per-shard partials merged once; on a sketch-answered view the sketches
+// then add the pairs with a sketched side under the same selection.
+func (v *View) pairCounts(ov *Overlay, sel pairSel) map[PairKey]CountResult {
+	t := v.tier(len(v.sketched) > 0, ov)
+	var partial [numShards][]pairCount
+	v.eachShard(func(si int) { partial[si] = v.shards[si].pairCounts(ov, si, sel, t) })
+	n := 0
+	for _, p := range partial {
+		n = max(n, len(p))
+	}
+	out := make(map[PairKey]CountResult, n)
+	for _, p := range partial {
+		addPairs(out, p)
+	}
+	if t == tierSketch {
+		v.pairCountsSketch(out, sel)
+	}
+	return out
+}
+
+// pairCounts is one shard's share of the group-by. For each pair of kept
+// columns: while the kept cross product stays within maxPairCross, AND the
+// window with each kept value bitmap of the first once and popcount it
+// against each kept value bitmap of the second, all over the window's word
+// range [wlo, whi); past it, or with a sketched side (no bitmaps), one walk
+// of the window's rows — unless the sketches answer the sketched pairs
+// (tierSketch: left to pairCountsSketch). PairKey strings are built for
+// counted pairs only.
+func (vs *viewShard) pairCounts(ov *Overlay, si int, sel pairSel, t tier) []pairCount {
+	if vs.wlo == vs.whi {
+		return nil // no window row in this shard
+	}
+	cols := vs.keptCols(sel)
+	fw := vs.fullWords
+	lo, n := vs.wlo, vs.whi
+	var out []pairCount
 	var rows []int32
-	for si := range v.shards {
-		vs := &v.shards[si]
-		if vs.wlo == vs.whi {
-			continue // no window row in this shard
-		}
-		cols := vs.sortedCols(exclude)
-		fw := vs.fullWords
-		ovWords := ov.words(si)
-		lo, n := vs.wlo, vs.whi
-		if cap(tmp) < n-lo {
-			tmp = make([]uint64, n-lo)
-		}
-		rows = rows[:0]
-		for a := 0; a < len(cols); a++ {
-			for b := a + 1; b < len(cols); b++ {
-				ca, cb := cols[a].c, cols[b].c
-				sketched := ca.sketched || cb.sketched
-				if sketched && t == tierSketch {
+	var winA, drift []uint64 // words [lo, n): window AND one value of a, drift flags
+	for a := 0; a < len(cols); a++ {
+		for b := a + 1; b < len(cols); b++ {
+			ka, kb := &cols[a], &cols[b]
+			sketched := ka.c.sketched || kb.c.sketched
+			if sketched && t == tierSketch {
+				continue
+			}
+			if sketched || ka.n*kb.n > maxPairCross {
+				if rows == nil {
+					rows = vs.windowRows(make([]int32, 0, 64*(n-lo)))
+				}
+				out = vs.pairScanInto(ov, si, rows, ka, kb, out)
+				continue
+			}
+			if winA == nil {
+				winA, drift = make([]uint64, n-lo), make([]uint64, n-lo)
+				ovWords := ov.words(si)
+				for w := lo; w < n; w++ {
+					drift[w-lo] = vs.driftWord(ovWords, w)
+				}
+			}
+			out = slices.Grow(out, ka.n*kb.n)
+			for sa := 1; sa <= ka.n; sa++ {
+				ida := ka.id(sa)
+				bmA := ka.c.bits[ida]
+				na := min(bmA.effLen(fw), n)
+				any := uint64(0)
+				for w := lo; w < na; w++ {
+					winA[w-lo] = vs.window.word(w, fw) & bmA.word(w, fw)
+					any |= winA[w-lo]
+				}
+				if any == 0 {
 					continue
 				}
-				if sketched || (len(ca.dict)-1)*(len(cb.dict)-1) > maxPairCross {
-					if len(rows) == 0 {
-						rows = vs.windowRows(rows)
-					}
-					vs.pairScanInto(ov, si, rows, cols[a], cols[b], out)
-					continue
-				}
-				for ida := 1; ida < len(ca.bits); ida++ {
-					bmA := ca.bits[ida]
-					na := min(bmA.effLen(fw), n)
-					any := uint64(0)
-					for w := lo; w < na; w++ {
-						tmp[w-lo] = vs.window.word(w, fw) & bmA.word(w, fw)
-						any |= tmp[w-lo]
-					}
-					if any == 0 {
+				for sb := 1; sb <= kb.n; sb++ {
+					idb := kb.id(sb)
+					bmB := kb.c.bits[idb]
+					total, flagged := bmB.andCount(winA, drift, lo, min(bmB.effLen(fw), na), fw)
+					if total == 0 {
 						continue
 					}
-					for idb := 1; idb < len(cb.bits); idb++ {
-						bmB := cb.bits[idb]
-						nb := min(bmB.effLen(fw), na)
-						total, drift := 0, 0
-						for w := lo; w < nb; w++ {
-							acc := tmp[w-lo] & bmB.word(w, fw)
-							if acc == 0 {
-								continue
-							}
-							total += bits.OnesCount64(acc)
-							var dw uint64
-							if ovWords != nil {
-								dw = ovWords[w]
-							} else {
-								dw = vs.driftBM.word(w, fw)
-							}
-							drift += bits.OnesCount64(acc & dw)
-						}
-						if total == 0 {
-							continue
-						}
-						k := PairKey{
-							AttrA: cols[a].name, ValA: ca.dict[ida],
-							AttrB: cols[b].name, ValB: cb.dict[idb],
-						}
-						cr := out[k]
-						cr.Total += total
-						cr.Drift += drift
-						out[k] = cr
-					}
+					out = append(out, pairCount{
+						PairKey{AttrA: ka.name, ValA: ka.c.dict[ida], AttrB: kb.name, ValB: kb.c.dict[idb]},
+						CountResult{Total: total, Drift: flagged},
+					})
 				}
 			}
 		}
@@ -538,32 +699,39 @@ func (c *idCounts) each(f func(key uint64, n CountResult)) {
 	}
 }
 
-// pairScanInto counts one attribute pair over the given shard rows — the
-// fallback for value cross products too large to enumerate, for pairs on
-// the sketch tier, and the exact count of a view's sketch edges. Counting
-// runs in id space and each PairKey is materialized once per distinct pair.
-func (vs *viewShard) pairScanInto(ov *Overlay, si int, rows []int32, a, b namedCol, out map[PairKey]CountResult) {
-	nb := uint64(len(b.c.dict))
-	counts := newIDCounts(len(a.c.dict)*len(b.c.dict), len(rows))
+// pairScanInto counts one pair of kept columns over the given shard rows —
+// the fallback for kept cross products too large to popcount, for pairs on
+// the sketch tier, and the exact count of a view's sketch edges. A row with
+// a value outside the selection on either side is skipped; counting runs in
+// slot space and each PairKey is materialized once per distinct kept pair.
+func (vs *viewShard) pairScanInto(ov *Overlay, si int, rows []int32, a, b *keptCol, out []pairCount) []pairCount {
+	nb := uint64(b.n) + 1
+	counts := newIDCounts((a.n+1)*int(nb), len(rows))
+	slotA, slotB := a.slots(), b.slots()
 	for _, r := range rows {
-		ida, idb := a.c.ids[r], b.c.ids[r]
-		if ida == 0 || idb == 0 {
+		sa, sb := a.c.ids[r], b.c.ids[r]
+		if slotA != nil {
+			sa = slotA[sa]
+		}
+		if slotB != nil {
+			sb = slotB[sb]
+		}
+		if sa == 0 || sb == 0 {
 			continue
 		}
-		counts.add(uint64(ida)*nb+uint64(idb), ov.driftAt(vs, si, int(r)))
+		counts.add(uint64(sa)*nb+uint64(sb), ov.driftAt(vs, si, int(r)))
 	}
 	counts.each(func(key uint64, n CountResult) {
-		pk := PairKey{AttrA: a.name, ValA: a.c.dict[key/nb], AttrB: b.name, ValB: b.c.dict[key%nb]}
-		cr := out[pk]
-		cr.Total += n.Total
-		cr.Drift += n.Drift
-		out[pk] = cr
+		out = append(out, pairCount{
+			PairKey{AttrA: a.name, ValA: a.c.dict[a.id(int(key/nb))], AttrB: b.name, ValB: b.c.dict[b.id(int(key%nb))]}, n})
 	})
+	return out
 }
 
 // valueScanInto is pairScanInto for one column: its values counted over
-// the given shard rows — the exact group-by of an attribute on the sketch
-// tier (no bitmaps) and the exact count of a view's sketch edges.
+// the given shard rows — the exact group-by of an attribute with too many
+// values to popcount or on the sketch tier (no bitmaps), and the exact
+// count of a view's sketch edges.
 func (vs *viewShard) valueScanInto(ov *Overlay, si int, rows []int32, c viewCol, out map[string]CountResult) {
 	counts := newIDCounts(len(c.dict), len(rows))
 	for _, r := range rows {

@@ -119,8 +119,18 @@ func TestBitsetMatchesScanOracle(t *testing.T) {
 					if avb, avs := vb.AttrValueCounts(nil), refAttrValueCounts(vb, nil); !reflect.DeepEqual(avb, avs) {
 						t.Fatalf("seed %d window %d: AttrValueCounts diverge\nbitset %v\nscan   %v", seed, wi, avb, avs)
 					}
-					if pb, ps := vb.PairCounts(nil, nil), refPairCounts(vb, nil, nil); !reflect.DeepEqual(pb, ps) {
+					ps := refPairCounts(vb, nil, nil)
+					if pb := vb.PairCounts(nil, nil); !reflect.DeepEqual(pb, ps) {
 						t.Fatalf("seed %d window %d: PairCounts diverge", seed, wi)
+					}
+					for _, sel := range diffMaskBits {
+						mask := maskFromBits(vb, sel)
+						if pm := vb.PairCountsMasked(nil, mask); !reflect.DeepEqual(pm, refMasked(ps, mask)) {
+							t.Fatalf("seed %d window %d mask %#x: masked PairCounts diverge", seed, wi, sel)
+						}
+					}
+					if pm := vb.PairCountsMasked(nil, nil); len(pm) != 0 {
+						t.Fatalf("seed %d window %d: nil mask counted %d pairs", seed, wi, len(pm))
 					}
 				}
 			}
@@ -159,6 +169,22 @@ func TestPairCountsHighCardinality(t *testing.T) {
 	ex := map[string]bool{AttrWeather: true}
 	if pb, ps := vb.PairCounts(nil, ex), refPairCounts(vb, nil, ex); !reflect.DeepEqual(pb, ps) {
 		t.Fatal("high-cardinality PairCounts with exclusion diverges from scan")
+	}
+	// Masked: 20 × 20 kept values still walk the rows, 10 × 10 popcount — the
+	// choice follows the kept cross product, not the 40-value dictionaries.
+	ps := refPairCounts(vb, nil, nil)
+	for _, keep := range []int{20, 10} {
+		mask := ValueMask{AttrLocation: {}, AttrDevice: {}, AttrWeather: {"w1": true}}
+		for i := 0; i < keep; i++ {
+			mask[AttrLocation][fmt.Sprintf("city_%d", 2*i)] = true
+			mask[AttrDevice][fmt.Sprintf("dev_%d", 2*i+1)] = true
+		}
+		if (keep*keep > maxPairCross) != (keep == 20) {
+			t.Fatalf("test needs %d² on the %d side of maxPairCross %d", keep, keep, maxPairCross)
+		}
+		if pm := vb.PairCountsMasked(nil, mask); !reflect.DeepEqual(pm, refMasked(ps, mask)) {
+			t.Fatalf("high-cardinality masked PairCounts (%d kept) diverges from scan", keep)
+		}
 	}
 }
 
@@ -205,8 +231,13 @@ func TestClearDriftMatchesScanOracle(t *testing.T) {
 					if !reflect.DeepEqual(ab, as) {
 						t.Fatalf("seed %d step %d: overlaid AttrValueCounts diverge", seed, step)
 					}
-					if !reflect.DeepEqual(v.PairCounts(ovB, nil), refPairCounts(v, ovS, nil)) {
+					ps := refPairCounts(v, ovS, nil)
+					if !reflect.DeepEqual(v.PairCounts(ovB, nil), ps) {
 						t.Fatalf("seed %d step %d: overlaid PairCounts diverge", seed, step)
+					}
+					mask := maskFromBits(v, diffMaskBits[(int(seed)+step)%len(diffMaskBits)])
+					if !reflect.DeepEqual(v.PairCountsMasked(ovB, mask), refMasked(ps, mask)) {
+						t.Fatalf("seed %d step %d: overlaid masked PairCounts diverge", seed, step)
 					}
 					if nb > 0 && ovB.Epoch() == 0 {
 						t.Fatalf("seed %d step %d: mutating ClearDrift left epoch 0", seed, step)
@@ -492,6 +523,14 @@ func requireViewMatchesScan(t *testing.T, v *View, conds [][]Cond) {
 				t.Fatalf("%s PairCounts: %+v missing", stage, k)
 			}
 		}
+		// The mask is a filter on every tier: what the sketches estimate for
+		// a kept pair does not depend on what else was asked for.
+		for _, sel := range diffMaskBits {
+			mask := maskFromBits(v, sel)
+			if got := v.PairCountsMasked(ovB, mask); !reflect.DeepEqual(got, refMasked(gotPC, mask)) {
+				t.Fatalf("%s PairCountsMasked %#x: %d pairs, filtered PairCounts %d", stage, sel, len(got), len(refMasked(gotPC, mask)))
+			}
+		}
 	}
 
 	for ci, c := range conds {
@@ -614,10 +653,10 @@ func TestViewConcurrentQueries(t *testing.T) {
 // FuzzCountDifferential drives tiny random logs through the
 // bitset-vs-scan contract with fuzzer-chosen shapes.
 func FuzzCountDifferential(f *testing.F) {
-	f.Add(int64(1), uint8(7), uint8(0))
-	f.Add(int64(42), uint8(64), uint8(1))
-	f.Add(int64(99), uint8(130), uint8(2))
-	f.Fuzz(func(t *testing.T, seed int64, n uint8, windowSel uint8) {
+	f.Add(int64(1), uint8(7), uint8(0), uint8(0x55))
+	f.Add(int64(42), uint8(64), uint8(1), uint8(0xFF))
+	f.Add(int64(99), uint8(130), uint8(2), uint8(0x06))
+	f.Fuzz(func(t *testing.T, seed int64, n uint8, windowSel uint8, maskSel uint8) {
 		r := rand.New(rand.NewSource(seed))
 		s := randomStore(r, int(n))
 		w := diffWindows()[int(windowSel)%len(diffWindows())]
@@ -631,6 +670,10 @@ func FuzzCountDifferential(f *testing.F) {
 			if cb != cs {
 				t.Fatalf("conds %v: bitset %+v scan %+v", conds, cb, cs)
 			}
+		}
+		mask := maskFromBits(vb, maskSel)
+		if pm, ps := vb.PairCountsMasked(nil, mask), refMasked(refPairCounts(vb, nil, nil), mask); !reflect.DeepEqual(pm, ps) {
+			t.Fatalf("mask %#x: masked pairs %v, filtered scan %v", maskSel, pm, ps)
 		}
 		ovB := vb.DriftOverlay()
 		ovS := vb.DriftOverlay()
@@ -649,6 +692,9 @@ func FuzzCountDifferential(f *testing.F) {
 		cs, _ := refCount(vb, nil, ovS)
 		if cb != cs {
 			t.Fatalf("post-clear totals %+v vs %+v", cb, cs)
+		}
+		if pm, ps := vb.PairCountsMasked(ovB, mask), refMasked(refPairCounts(vb, ovS, nil), mask); !reflect.DeepEqual(pm, ps) {
+			t.Fatalf("mask %#x: post-clear masked pairs %v, filtered scan %v", maskSel, pm, ps)
 		}
 	})
 }

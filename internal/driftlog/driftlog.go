@@ -736,13 +736,14 @@ type CountResult struct {
 //	ClearDrift       clearDriftBitset       clearDriftRows: a clear  clearDriftRows
 //	                                        is never approximate
 //	AttrValueCounts  attrValueCountsBitset  attrValueCountsSketch    valueScanInto
-//	PairCounts       pairCountsBitset       pairCountsSketch         pairScanInto
+//	PairCounts       viewShard.pairCounts   pairCountsSketch         pairScanInto
 //	Approx           false                  true, the ring's bound   false
 //	SampleIDs        —                      —                        eachMatch
 //
-// The two group-bys answer their exact-tier attributes from the bitmaps
-// whatever the tier; the tier decides their sketched attributes (pairs with
-// a sketched side) only.
+// The two group-bys answer their exact-tier attributes from the bitmaps, or
+// from one walk of the window's rows where the values (pairs: the kept cross
+// product) outnumber what popcounting pays for, whatever the tier; the tier
+// decides their sketched attributes (pairs with a sketched side) only.
 type tier uint8
 
 const (
@@ -920,15 +921,22 @@ func (k PairKey) Conds() []Cond {
 
 // PairCounts aggregates the totals and drift counts of every
 // two-attribute value combination present in the view (excluding the
-// listed attributes). This replaces the per-candidate scans of the
-// apriori level-2 join.
+// listed attributes): PairCountsMasked with every value of every other
+// attribute kept.
 func (v *View) PairCounts(ov *Overlay, exclude map[string]bool) map[PairKey]CountResult {
-	t := v.tier(len(v.sketched) > 0, ov)
-	out := v.pairCountsBitset(ov, exclude, t)
-	if t == tierSketch {
-		v.pairCountsSketch(out, exclude)
+	return v.pairCounts(ov, pairSel{exclude: exclude})
+}
+
+// PairCountsMasked aggregates the two-attribute value combinations whose
+// both values the mask keeps — the level-2 pass of apriori, which hands in
+// the level-1 survivors so that nothing downward closure already ruled out
+// is counted or materialized. The result equals PairCounts filtered by the
+// mask, on every tier.
+func (v *View) PairCountsMasked(ov *Overlay, mask ValueMask) map[PairKey]CountResult {
+	if mask == nil {
+		mask = ValueMask{} // keeps nothing; a nil pairSel.mask would keep everything
 	}
-	return out
+	return v.pairCounts(ov, pairSel{mask: mask})
 }
 
 // SampleIDs returns the sample IDs (≥ 0 only) of in-window rows matching

@@ -250,6 +250,55 @@ func refPairCounts(v *View, ov *Overlay, exclude map[string]bool) map[PairKey]Co
 	return out
 }
 
+// refMasked is the reference for View.PairCountsMasked: an unmasked pair
+// group-by with every pair the mask does not keep on both sides dropped.
+func refMasked(pairs map[PairKey]CountResult, mask ValueMask) map[PairKey]CountResult {
+	out := map[PairKey]CountResult{}
+	for k, cr := range pairs {
+		if mask[k.AttrA][k.ValA] && mask[k.AttrB][k.ValB] {
+			out[k] = cr
+		}
+	}
+	return out
+}
+
+// maskFromBits builds a mask over the view's own values: walking the
+// attributes and their values in sorted order, the j-th value is kept when
+// bit j%8 of sel is set, so 0 keeps nothing and 0xFF everything. Every mask
+// also names a value no row carries and an attribute the store never saw.
+func maskFromBits(v *View, sel uint8) ValueMask {
+	mask := ValueMask{"no-such-attr": {"x": true}}
+	values := refAttrValueCounts(v, nil)
+	attrs := make([]string, 0, len(values))
+	for attr := range values {
+		attrs = append(attrs, attr)
+	}
+	sort.Strings(attrs)
+	j := 0
+	for _, attr := range attrs {
+		vals := make([]string, 0, len(values[attr]))
+		for val := range values[attr] {
+			vals = append(vals, val)
+		}
+		sort.Strings(vals)
+		for _, val := range vals {
+			if sel>>(j%8)&1 == 1 {
+				if mask[attr] == nil {
+					mask[attr] = map[string]bool{"no-such-value": true}
+				}
+				mask[attr][val] = true
+			}
+			j++
+		}
+	}
+	return mask
+}
+
+// diffMaskBits are the masks each view is probed with: nothing kept, single
+// values, alternating values, whole runs of values (which drops whole
+// attributes on narrow logs), everything.
+var diffMaskBits = []uint8{0, 0x01, 0x55, 0xAA, 0x0F, 0xF0, 0xFF}
+
 // refSampleIDs is the reference for View.SampleIDs: the loop the product
 // ran before SampleIDs moved onto the window-row walk.
 func refSampleIDs(v *View, conds []Cond) ([]int64, error) {

@@ -141,16 +141,18 @@ func (v *View) sketchWin() *sketchWindow {
 		var edges []span
 		sw.pairs.full, edges = sw.pairs.ring.cover(v.from, v.to)
 		sw.pairs.edge = map[PairKey]CountResult{}
+		var edge []pairCount // one shard column pair's share, reused
 		for si := range v.shards {
 			vs := &v.shards[si]
 			if rows = vs.edgeRows(edges, rows[:0]); len(rows) == 0 {
 				continue
 			}
-			cols := vs.sortedCols(nil)
+			cols := vs.keptCols(pairSel{})
 			for a := 0; a < len(cols); a++ {
 				for b := a + 1; b < len(cols); b++ {
 					if v.sketched[cols[a].name] || v.sketched[cols[b].name] {
-						vs.pairScanInto(nil, si, rows, cols[a], cols[b], sw.pairs.edge)
+						edge = vs.pairScanInto(nil, si, rows, &cols[a], &cols[b], edge[:0])
+						addPairs(sw.pairs.edge, edge)
 					}
 				}
 			}
@@ -304,13 +306,13 @@ func (v *View) attrValueCountsSketch(out map[string]map[string]CountResult) {
 }
 
 // pairCountsSketch fills the pairs touching sketched attributes on a
-// sketch-answered view: pair-ring heavy hitters, each estimated over the
-// window.
-func (v *View) pairCountsSketch(out map[PairKey]CountResult, exclude map[string]bool) {
+// sketch-answered view: pair-ring heavy hitters the selection keeps, each
+// estimated over the window.
+func (v *View) pairCountsSketch(out map[PairKey]CountResult, sel pairSel) {
 	pairs := v.sketchWin().pairs
 	for _, hhi := range pairs.ring.hh.Items() {
 		k, ok := parsePairKey(hhi.Key)
-		if !ok || exclude[k.AttrA] || exclude[k.AttrB] {
+		if !ok || !sel.keeps(k.AttrA, k.ValA) || !sel.keeps(k.AttrB, k.ValB) {
 			continue
 		}
 		if !v.attrs[k.AttrA] || !v.attrs[k.AttrB] {

@@ -9,9 +9,9 @@
 // counterfactual state can never be served for a newer one.
 //
 // Across windows, MineCache carries the epoch-0 counts a finished mine
-// produced (totals, level-1 group-bys, pair counts, per-candidate set
-// counts), so re-mining a grown window only counts the delta rows (see
-// MineCachedContext).
+// produced (totals, level-1 group-bys, the level-1 survivors' pair counts,
+// per-candidate set counts), so re-mining a grown window only counts the
+// delta rows (see MineCachedContext).
 package fim
 
 import (
@@ -171,19 +171,24 @@ func (sc *SupportCache) seed(key string, epoch uint64, cr driftlog.CountResult) 
 }
 
 // MineCache is the reusable output of one full mine at overlay epoch 0:
-// every count the apriori passes computed, keyed so a later window that
+// the counts the apriori passes computed, keyed so a later window that
 // strictly grew the row set (same lower bound, same or later upper
 // bound, no intervening compaction) can count only its delta rows and
 // add. The caller (internal/cloud) is responsible for pairing it with
-// the matching delta view — MineCachedContext trusts that contract.
-// Thresholds must be identical across the runs sharing a cache (the
-// excluded-attribute set shapes the stored pair counts).
+// the matching delta view — MineCachedContext trusts that contract. The
+// thresholds may differ between the runs sharing a cache: level 1 holds
+// every value, and pairs are merged only under a mask the cached one
+// contains (see maskWithin).
 type MineCache struct {
 	complete bool // full pipeline ran (drift was present)
 	totals   driftlog.CountResult
 	level1   map[string]map[string]driftlog.CountResult
-	pairs    map[driftlog.PairKey]driftlog.CountResult
-	sets     map[string]driftlog.CountResult // itemset key → count (levels ≥ 3)
+	// pairs holds every co-occurring pair of the values in mask — the
+	// level-1 survivors of the mine that counted them — and no other: a
+	// pair absent from it either never occurred or lies outside the mask.
+	mask  driftlog.ValueMask
+	pairs map[driftlog.PairKey]driftlog.CountResult
+	sets  map[string]driftlog.CountResult // itemset key → count (levels ≥ 3)
 	// results and th replay the window's final output outright when a
 	// later run proves its delta is empty (identical row set ⇒ identical
 	// deterministic output, provided the thresholds match too).
@@ -192,9 +197,11 @@ type MineCache struct {
 }
 
 // mineCacheMaxEntries bounds the retained cross-window cache (a var so
-// tests can shrink it). A high-cardinality window can produce millions of
-// level-1/pair entries; an unbounded cache would pin them all until the
-// next mine.
+// tests can shrink it). Level 1 holds one entry per distinct value of the
+// exact-tier attributes — up to the sketch threshold each — while pairs
+// and sets hold level-1 survivors' combinations only, at most
+// 1/MinOccurrence values per attribute; an unbounded cache would pin
+// whatever a many-attribute window produced until the next mine.
 var mineCacheMaxEntries = 1 << 16
 
 // mineCacheRefusals counts windows whose cache was too large to retain.
@@ -225,7 +232,7 @@ func (mc *MineCache) bound() {
 		return
 	}
 	mc.complete = false
-	mc.level1, mc.pairs, mc.sets = nil, nil, nil
+	mc.level1, mc.mask, mc.pairs, mc.sets = nil, nil, nil, nil
 	mc.results = nil
 	mineCacheRefusals.Add(1)
 }
@@ -277,14 +284,76 @@ func mergeLevel1(prev, delta map[string]map[string]driftlog.CountResult) map[str
 	return out
 }
 
-// mergePairs copy-merges pair counts.
-func mergePairs(prev, delta map[driftlog.PairKey]driftlog.CountResult) map[driftlog.PairKey]driftlog.CountResult {
-	out := make(map[driftlog.PairKey]driftlog.CountResult, len(prev)+len(delta))
+// maskWithin reports whether every value of mask is also in cached: the
+// cached pairs then cover every pair a count under mask can produce, so the
+// cache plus the delta's pairs is the window's count.
+func maskWithin(mask, cached driftlog.ValueMask) bool {
+	for attr, vals := range mask {
+		have := cached[attr]
+		for val := range vals {
+			if !have[val] {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// mergePairs adds the delta's pair counts to the cached pairs the mask
+// still keeps (never mutating prev, which the caller may retain).
+func mergePairs(prev, delta map[driftlog.PairKey]driftlog.CountResult, mask driftlog.ValueMask) map[driftlog.PairKey]driftlog.CountResult {
+	out := make(map[driftlog.PairKey]driftlog.CountResult, len(prev))
 	for k, cr := range prev {
-		out[k] = cr
+		if mask[k.AttrA][k.ValA] && mask[k.AttrB][k.ValB] {
+			out[k] = cr
+		}
 	}
 	for k, cr := range delta {
 		out[k] = addCR(out[k], cr)
 	}
 	return out
+}
+
+// mineLevels is how many apriori levels MineStats tells apart: 1, 2, and
+// 3 and above together.
+const mineLevels = 3
+
+// mineStats are cumulative package counters of the work mining did,
+// exposed by the observability layer.
+var mineStats mineCounters
+
+type mineCounters struct {
+	pairs      atomic.Uint64
+	candidates [mineLevels]atomic.Uint64
+}
+
+// MineStats is a snapshot of the package-wide mining work counters. They
+// count work, not time: at a fixed log and thresholds they repeat to the
+// unit on any host.
+type MineStats struct {
+	// PairsCounted is the pairs the drift log materialized for level 2
+	// (over the window on a fresh mine, over the delta on a merge).
+	PairsCounted uint64
+	// Candidates is the itemsets scored at level 1 (attribute values),
+	// level 2 (pairs of level-1 survivors) and levels ≥ 3 (joined
+	// candidates that survived apriori's prune step and were counted).
+	Candidates [mineLevels]uint64
+}
+
+// add folds one finished mine's work into the package counters.
+func (ms *mineCounters) add(work MineStats) {
+	ms.pairs.Add(work.PairsCounted)
+	for i, n := range work.Candidates {
+		ms.candidates[i].Add(n)
+	}
+}
+
+// ReadMineStats returns the cumulative mining work counters across all
+// mines in the process. Replayed (empty-delta) mines add nothing.
+func ReadMineStats() MineStats {
+	st := MineStats{PairsCounted: mineStats.pairs.Load()}
+	for i := range st.Candidates {
+		st.Candidates[i] = mineStats.candidates[i].Load()
+	}
+	return st
 }

@@ -27,13 +27,27 @@ func NewItemset(conds ...driftlog.Cond) Itemset {
 	return s
 }
 
-// Key returns a canonical string identity for the itemset.
+// Key returns a canonical string identity for the itemset: attr=value
+// conditions joined by '|', with any '|', '=' or '\' inside an attribute
+// or value backslash-escaped — attribute values arrive unvalidated off the
+// wire, and unescaped the single condition {a="x|b=y"} would share the key
+// of the pair {a=x, b=y} (and its memoized counts). Names and values
+// without those bytes appear verbatim.
 func (s Itemset) Key() string {
 	parts := make([]string, len(s))
 	for i, c := range s {
-		parts[i] = c.Attr + "=" + c.Value
+		parts[i] = condKey(c.Attr, c.Value)
 	}
 	return strings.Join(parts, "|")
+}
+
+// keyEscaper backslash-escapes the three bytes Key gives meaning to; a
+// string without them is returned as is.
+var keyEscaper = strings.NewReplacer(`\`, `\\`, `|`, `\|`, `=`, `\=`)
+
+// condKey is the Key of the one-condition itemset {attr=val}.
+func condKey(attr, val string) string {
+	return keyEscaper.Replace(attr) + "=" + keyEscaper.Replace(val)
 }
 
 // String renders the itemset like the paper: {snow, New York}.
@@ -192,9 +206,12 @@ func MineContext(ctx context.Context, v *driftlog.View, ov *driftlog.Overlay, th
 // When delta and prev are both non-nil (and ov is nil), mining is
 // incremental: delta must be the Since-derived delta view of sc.View()
 // relative to the window prev was mined over, and every aggregate is
-// computed as prev's count plus a count over only the delta rows. The
-// results are identical to a fresh mine by construction (counts are
-// exact integers and additive over the delta decomposition).
+// computed as prev's count plus a count over only the delta rows — except
+// the pair counts when a value is frequent now that was not when prev was
+// mined, which are recounted over the view. th need not equal the
+// thresholds prev was mined under. The results are identical to a fresh
+// mine by construction (counts are exact integers and additive over the
+// delta decomposition).
 func MineCachedContext(ctx context.Context, sc *SupportCache, delta *driftlog.View, prev *MineCache, ov *driftlog.Overlay, th Thresholds) ([]Result, *MineCache, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, nil, err
@@ -257,7 +274,7 @@ func MineCachedContext(ctx context.Context, sc *SupportCache, delta *driftlog.Vi
 	}
 
 	// Level 1 via one grouped pass (or prev + a grouped pass over only
-	// the delta rows).
+	// the delta rows). Its survivors are the mask level 2 is counted under.
 	var valueCounts map[string]map[string]driftlog.CountResult
 	if inc {
 		valueCounts = mergeLevel1(prev.level1, delta.AttrValueCounts(nil))
@@ -267,17 +284,24 @@ func MineCachedContext(ctx context.Context, sc *SupportCache, delta *driftlog.Vi
 	if next != nil {
 		next.level1 = valueCounts
 	}
+	var work MineStats // this mine's share of the package counters, added once it finishes
+	mask := driftlog.ValueMask{}
 	var level []counted
 	for attr, values := range valueCounts {
 		if excluded[attr] {
 			continue
 		}
+		work.Candidates[0] += uint64(len(values))
 		for val, cr := range values {
 			m := ComputeMetrics(cr, totals.Total, totals.Drift)
 			if m.Occurrence >= th.MinOccurrence {
-				key := attr + "=" + val
+				key := condKey(attr, val)
 				sc.seed(key, epoch, cr)
-				level = append(level, counted{NewItemset(driftlog.Cond{Attr: attr, Value: val}), key, cr})
+				level = append(level, counted{Itemset{{Attr: attr, Value: val}}, key, cr})
+				if mask[attr] == nil {
+					mask[attr] = map[string]bool{}
+				}
+				mask[attr][val] = true
 			}
 		}
 	}
@@ -286,37 +310,34 @@ func MineCachedContext(ctx context.Context, sc *SupportCache, delta *driftlog.Vi
 	var all []counted
 	all = append(all, level...)
 
-	// Level 2 via one grouped pass: all co-occurring attribute-value
-	// pairs are counted in a single scan (O(rows·k²) for k attributes)
-	// instead of one scan per candidate pair.
+	// Level 2 via one grouped pass under the mask: downward closure says a
+	// pair can be frequent only if both its singles are, so the store counts
+	// and materializes pairs of level-1 survivors only. A delta mine adds the
+	// delta's pairs to the cached ones while every survivor was already one
+	// when the cache was counted; a newly frequent value (or a shorter
+	// exclusion list) has pairs the cache never held, and recounts the view.
 	if th.MaxItems >= 2 && len(level) > 1 {
-		frequent := make(map[string]bool, len(level))
-		for _, c := range level {
-			frequent[c.key] = true
-		}
 		var pairCounts map[driftlog.PairKey]driftlog.CountResult
-		if inc {
-			pairCounts = mergePairs(prev.pairs, delta.PairCounts(nil, excluded))
+		if inc && maskWithin(mask, prev.mask) {
+			dp := delta.PairCountsMasked(nil, mask)
+			work.PairsCounted = uint64(len(dp))
+			pairCounts = mergePairs(prev.pairs, dp, mask)
 		} else {
-			pairCounts = v.PairCounts(ov, excluded)
+			pairCounts = v.PairCountsMasked(ov, mask)
+			work.PairsCounted = uint64(len(pairCounts))
 		}
 		if next != nil {
-			next.pairs = pairCounts
+			next.mask, next.pairs = mask, pairCounts
 		}
+		work.Candidates[1] = uint64(len(pairCounts))
 		var nextLevel []counted
 		for pk, cr := range pairCounts {
-			// Apriori pruning: both member singletons must be frequent.
-			// Keys are assembled from the pair parts (PairKey attributes
-			// are already in canonical order), not via Itemset.Key, so
-			// rejected candidates cost no itemset construction.
-			if !frequent[pk.AttrA+"="+pk.ValA] || !frequent[pk.AttrB+"="+pk.ValB] {
-				continue
-			}
 			m := ComputeMetrics(cr, totals.Total, totals.Drift)
 			if m.Occurrence >= th.MinOccurrence {
-				key := pk.AttrA + "=" + pk.ValA + "|" + pk.AttrB + "=" + pk.ValB
+				// PairKey attributes are already in canonical order.
+				key := condKey(pk.AttrA, pk.ValA) + "|" + condKey(pk.AttrB, pk.ValB)
 				sc.seed(key, epoch, cr)
-				nextLevel = append(nextLevel, counted{NewItemset(pk.Conds()...), key, cr})
+				nextLevel = append(nextLevel, counted{Itemset(pk.Conds()), key, cr})
 			}
 		}
 		sortCounted(nextLevel)
@@ -324,16 +345,20 @@ func MineCachedContext(ctx context.Context, sc *SupportCache, delta *driftlog.Vi
 		level = nextLevel
 	}
 
-	// Levels 3..MaxItems: apriori join of frequent (k-1)-sets with
-	// per-candidate counting (candidate counts are small by level 3).
-	// Candidates are generated sequentially (cheap, deterministic) and
-	// counted in parallel into index-addressed slots, so the result is
-	// identical at any worker-pool width. Candidate keys are built once
-	// here and reused for dedup, memo seeding, the cross-window cache
-	// and the final sort.
+	// Levels 3..MaxItems: apriori join of frequent (k-1)-sets, apriori's
+	// prune step, then per-candidate counting (candidate counts are small
+	// by level 3). Candidates are generated sequentially (cheap,
+	// deterministic) and counted in parallel into index-addressed slots, so
+	// the result is identical at any worker-pool width. Candidate keys are
+	// built once here and reused for dedup, memo seeding, the cross-window
+	// cache and the final sort.
 	for k := 3; k <= th.MaxItems && len(level) > 1; k++ {
 		if err := ctx.Err(); err != nil {
 			return nil, nil, err
+		}
+		frequent := make(map[string]bool, len(level))
+		for _, c := range level {
+			frequent[c.key] = true
 		}
 		seen := map[string]bool{}
 		var cands []Itemset
@@ -341,7 +366,7 @@ func MineCachedContext(ctx context.Context, sc *SupportCache, delta *driftlog.Vi
 		for i := 0; i < len(level); i++ {
 			for j := i + 1; j < len(level); j++ {
 				cand, ok := join(level[i].set, level[j].set)
-				if !ok || len(cand) != k {
+				if !ok {
 					continue
 				}
 				key := cand.Key()
@@ -349,10 +374,14 @@ func MineCachedContext(ctx context.Context, sc *SupportCache, delta *driftlog.Vi
 					continue
 				}
 				seen[key] = true
+				if pruned(cand, frequent, v, ov) {
+					continue
+				}
 				cands = append(cands, cand)
 				candKeys = append(candKeys, key)
 			}
 		}
+		work.Candidates[2] += uint64(len(cands))
 		counts := make([]driftlog.CountResult, len(cands))
 		errs := make([]error, len(cands))
 		if err := tensor.ParallelForCtx(ctx, len(cands), func(lo, hi int) {
@@ -390,6 +419,7 @@ func MineCachedContext(ctx context.Context, sc *SupportCache, delta *driftlog.Vi
 		all = append(all, nextLevel...)
 		level = nextLevel
 	}
+	mineStats.add(work)
 
 	// Final filtering and ranking.
 	var results []Result
@@ -453,26 +483,56 @@ func RescoreCached(sc *SupportCache, set Itemset, ov *driftlog.Overlay) (Result,
 }
 
 // join merges two same-size itemsets into a candidate one item larger,
-// requiring distinct attributes and agreement on shared attributes.
+// requiring distinct attributes and agreement on shared attributes: one
+// merge walk over the attr-sorted sets finds b's single condition on an
+// attribute a lacks and where it sorts into a, allocating only on success.
 func join(a, b Itemset) (Itemset, bool) {
-	merged := map[string]string{}
-	for _, c := range a {
-		merged[c.Attr] = c.Value
-	}
-	for _, c := range b {
-		if v, ok := merged[c.Attr]; ok && v != c.Value {
-			return nil, false // conflicting values for one attribute
-		}
-		merged[c.Attr] = c.Value
-	}
-	if len(merged) != len(a)+1 {
+	if len(a) != len(b) {
 		return nil, false
 	}
-	conds := make([]driftlog.Cond, 0, len(merged))
-	for attr, val := range merged {
-		conds = append(conds, driftlog.Cond{Attr: attr, Value: val})
+	extra, at := -1, 0
+	for i, j := 0, 0; j < len(b); {
+		switch {
+		case i < len(a) && a[i].Attr < b[j].Attr:
+			i++
+		case i < len(a) && a[i].Attr == b[j].Attr:
+			if a[i].Value != b[j].Value {
+				return nil, false // conflicting values for one attribute
+			}
+			i, j = i+1, j+1
+		case extra >= 0:
+			return nil, false // more than one attribute apart
+		default:
+			extra, at, j = j, i, j+1
+		}
 	}
-	return NewItemset(conds...), true
+	if extra < 0 {
+		return nil, false // the same attributes: nothing to add
+	}
+	out := append(make(Itemset, 0, len(a)+1), a[:at]...)
+	return append(append(out, b[extra]), a[at:]...), true
+}
+
+// pruned is apriori's prune step: a candidate with a (k-1)-subset missing
+// from the previous level cannot be frequent and need not be counted. It
+// applies only where the missing subset was counted exactly — counts are
+// then monotone under adding a condition, and the candidate's own count
+// (exact, or a sketch estimate capped by its exact-attribute subset) falls
+// under the same threshold; a subset the sketch tier answered may be absent
+// because no heavy hitter enumerated it, which proves nothing.
+func pruned(cand Itemset, frequent map[string]bool, v *driftlog.View, ov *driftlog.Overlay) bool {
+	sub := make(Itemset, len(cand)-1)
+	for drop := range cand {
+		copy(sub, cand[:drop])
+		copy(sub[drop:], cand[drop+1:])
+		if frequent[sub.Key()] {
+			continue
+		}
+		if approx, _ := v.Approx(sub, ov); !approx {
+			return true
+		}
+	}
+	return false
 }
 
 // counted pairs a candidate itemset with its canonical key (computed

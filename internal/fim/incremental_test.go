@@ -120,6 +120,103 @@ func TestIncrementalMineMatchesFresh(t *testing.T) {
 	}
 }
 
+// growAndMine mines s whole under th1, appends more, and mines the grown
+// log through the first mine's cache under th2. It returns the two caches
+// and requires the incremental results to equal a fresh mine's.
+func growAndMine(t *testing.T, s *driftlog.Store, more []driftlog.Entry, th1, th2 Thresholds) (first, second *MineCache) {
+	t.Helper()
+	v1 := s.All()
+	prevRows := v1.ShardRows()
+	_, prevTo := v1.Bounds()
+	_, first, err := MineCachedContext(context.Background(), NewSupportCache(v1), nil, nil, nil, th1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.AppendBatch(more)
+	v2 := s.All()
+	delta, err := v2.Since(prevRows, prevTo)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resInc, second, err := MineCachedContext(context.Background(), NewSupportCache(v2), delta, first, nil, th2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resFresh, err := MineContext(context.Background(), v2, nil, th2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(resInc, resFresh) {
+		t.Fatalf("incremental mine diverges from fresh\ninc   %v\nfresh %v", resInc, resFresh)
+	}
+	return first, second
+}
+
+// TestIncrementalMineNewlyFrequentValue: a value too rare for the first
+// window's mask becomes frequent in the delta. The cached pairs never held
+// it, so merging would count its pairs from the delta rows alone; the mine
+// must notice (the new mask is not within the cached one) and recount.
+func TestIncrementalMineNewlyFrequentValue(t *testing.T) {
+	s := synthLog(rand.New(rand.NewSource(21)), 3000)
+	base := time.Unix(0, 0).UTC()
+	fog := func(n int, drift bool) []driftlog.Entry {
+		out := make([]driftlog.Entry, n)
+		for i := range out {
+			out[i] = driftlog.Entry{Time: base.Add(time.Duration(i) * time.Second), Drift: drift, SampleID: -1,
+				Attrs: map[string]string{driftlog.AttrWeather: "fog", driftlog.AttrLocation: "city_2", driftlog.AttrDevice: "dev_1"}}
+		}
+		return out
+	}
+	s.AppendBatch(fog(20, false)) // 0.66% of the first window: under MinOccurrence
+	th := DefaultThresholds()
+	first, second := growAndMine(t, s, fog(400, true), th, th)
+	if first.mask[driftlog.AttrWeather]["fog"] || !second.mask[driftlog.AttrWeather]["fog"] {
+		t.Fatalf("fog in the first mask: %v, in the second: %v; want false, true",
+			first.mask[driftlog.AttrWeather]["fog"], second.mask[driftlog.AttrWeather]["fog"])
+	}
+	if maskWithin(second.mask, first.mask) {
+		t.Fatal("the grown window's mask is within the cached one: the fallback was not exercised")
+	}
+	// The recount saw the 20 early fog rows the delta does not hold.
+	k := driftlog.PairKey{AttrA: driftlog.AttrLocation, ValA: "city_2", AttrB: driftlog.AttrWeather, ValB: "fog"}
+	if got, want := second.pairs[k], (driftlog.CountResult{Total: 420, Drift: 400}); got != want {
+		t.Fatalf("cached {city_2, fog} = %+v, want %+v", got, want)
+	}
+}
+
+// TestIncrementalMineExcludeAttrsChange: the exclusion list differs between
+// the two windows sharing a cache. Excluding more shrinks the mask (the
+// merge drops the cached pairs it no longer keeps); excluding less grows it
+// (the cached pairs never covered the attribute: recount).
+func TestIncrementalMineExcludeAttrsChange(t *testing.T) {
+	noDevice := DefaultThresholds()
+	noDevice.ExcludeAttrs = []string{driftlog.AttrDevice}
+	for _, tc := range []struct {
+		name     string
+		th1, th2 Thresholds
+		within   bool
+	}{
+		{"exclude-more", DefaultThresholds(), noDevice, true},
+		{"exclude-less", noDevice, DefaultThresholds(), false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s := synthLog(rand.New(rand.NewSource(31)), 3000)
+			more := synthLog(rand.New(rand.NewSource(32)), 800)
+			var batch []driftlog.Entry
+			more.Each(func(_ int, e driftlog.Entry) { batch = append(batch, e) })
+			first, second := growAndMine(t, s, batch, tc.th1, tc.th2)
+			if got := maskWithin(second.mask, first.mask); got != tc.within {
+				t.Fatalf("second mask within first = %v, want %v", got, tc.within)
+			}
+			for k := range second.pairs {
+				if tc.th2.ExcludeAttrs != nil && (k.AttrA == driftlog.AttrDevice || k.AttrB == driftlog.AttrDevice) {
+					t.Fatalf("excluded attribute survives in the cache: %+v", k)
+				}
+			}
+		})
+	}
+}
+
 // TestIncrementalMineWithOverlayFallsBack: an overlay forces a full
 // mine (counterfactual counts cannot be cached across windows), and no
 // cache may be produced under one.

@@ -289,3 +289,38 @@ func TestAnalyzeEmptyLog(t *testing.T) {
 		t.Fatal("empty log should yield no causes")
 	}
 }
+
+// TestCounterfactualDoesNotAliasSupportKeys is the regression for the memo
+// aliasing bug at the place it did harm: the value "x|b=y" of attribute a
+// arrives off the wire unvalidated, its single-condition itemset fails its
+// rescore (no drift) without clearing anything, and the pair {a=x, b=y} —
+// the true cause — is rescored next under the same overlay epoch. With the
+// old key "a=x|b=y" for both, the pair read the single condition's
+// 300-rows-no-drift from the memo and was dropped.
+func TestCounterfactualDoesNotAliasSupportKeys(t *testing.T) {
+	s := driftlog.NewStore()
+	var batch []driftlog.Entry
+	row := func(i int, drift bool, attrs map[string]string) {
+		batch = append(batch, driftlog.Entry{Time: time.Unix(int64(i), 0), Drift: drift, SampleID: -1, Attrs: attrs})
+	}
+	for i := 0; i < 300; i++ {
+		row(i, false, map[string]string{"a": "x|b=y"})
+		row(i, true, map[string]string{"a": "x", "b": "y"})
+		row(i, false, map[string]string{"a": "z", "b": "w"})
+	}
+	s.AppendBatch(batch)
+	assocs := []Association{
+		{Coarse: fim.Result{Items: fim.Itemset{{Attr: "a", Value: "x|b=y"}}}},
+		{Coarse: fim.Result{Items: fim.Itemset{{Attr: "a", Value: "x"}, {Attr: "b", Value: "y"}}}},
+	}
+	causes, err := CounterfactualContext(context.Background(), s.All(), assocs, fim.DefaultThresholds())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(causes) != 1 || causes[0].Key() != "a=x|b=y" || len(causes[0].Items) != 2 {
+		t.Fatalf("causes %v, want the pair {x, y} alone", causes)
+	}
+	if one := (Cause{Items: assocs[0].Coarse.Items}).Key(); one == causes[0].Key() {
+		t.Fatalf("the single condition and the pair share the key %q", one)
+	}
+}
