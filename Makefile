@@ -9,8 +9,11 @@ GO ?= go
 # transport and its fault injector, the bitset-indexed analytics with
 # their shared support caches, and the WAL — concurrent appends,
 # background compaction, and the crash matrix all live under
-# internal/driftlog, with the service-level wiring under internal/cloud).
-RACE_PKGS = ./internal/cloud/... ./internal/driftlog/... ./internal/fim/... ./internal/rca/... ./internal/httpapi/... ./internal/tensor/... ./internal/transport/... ./internal/faultinject/... ./internal/wire/... ./internal/macrosim/... ./internal/sketch/...
+# internal/driftlog, with the service-level wiring under internal/cloud;
+# and the device half — nn, registry, device — where installed versions
+# are views reading one backbone's weights from whichever goroutines
+# drive the devices).
+RACE_PKGS = ./internal/cloud/... ./internal/driftlog/... ./internal/fim/... ./internal/rca/... ./internal/httpapi/... ./internal/tensor/... ./internal/transport/... ./internal/faultinject/... ./internal/wire/... ./internal/macrosim/... ./internal/sketch/... ./internal/nn/... ./internal/registry/... ./internal/device/...
 
 .PHONY: ci vet staticcheck build loc test race race-chaos chaos macrosim-smoke fuzz fuzz-smoke bench bench-kernels bench-analysis bench-wal bench-wire bench-macrosim bench-sketch bench-smoke clean
 
@@ -107,12 +110,15 @@ bench:
 
 # Kernel/model micro-benchmarks (-benchmem): blocked vs reference matmul
 # orientations, fused ops, workspace round trips, steady-state model
-# passes, and the adaptation step and whole runs built on them. Each
-# benchmark runs 5 times and benchjson keeps the fastest sample, which
-# filters shared-machine noise. The parsed results (including
-# blocked-vs-ref speedups) land in BENCH_kernels.json.
+# passes, the adaptation step and whole runs built on them, and the
+# device side's working-set axis (BenchmarkInferFleet: pools × versions
+# over one backbone, ns/inference and resident-B/pool) with what an
+# install costs (BenchmarkPoolInstall). Each benchmark runs 5 times and
+# benchjson keeps the fastest sample, which filters shared-machine noise.
+# The parsed results (including blocked-vs-ref speedups) land in
+# BENCH_kernels.json.
 bench-kernels:
-	$(GO) test -run '^$$' -bench . -benchmem -benchtime 0.5s -count 5 ./internal/tensor/ ./internal/nn/ ./internal/adapt/ \
+	$(GO) test -run '^$$' -bench . -benchmem -benchtime 0.5s -count 5 ./internal/tensor/ ./internal/nn/ ./internal/adapt/ ./internal/registry/ ./internal/device/ \
 		| tee bench-kernels.out
 	$(GO) run ./cmd/benchjson < bench-kernels.out > BENCH_kernels.json
 	@rm -f bench-kernels.out

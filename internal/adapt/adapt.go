@@ -449,9 +449,11 @@ func hashKey(s string) uint64 {
 }
 
 // Materialize instantiates a runnable model from a base network and a BN
-// version.
+// version: a view of base (nn.Network.View) carrying the version's
+// batch-norm state. It copies no weights, so base's Dense parameters
+// must stay unwritten for as long as the result serves.
 func Materialize(base *nn.Network, v BNVersion) (*nn.Network, error) {
-	net := base.Clone()
+	net := base.View()
 	if err := v.Snapshot.ApplyTo(net); err != nil {
 		return nil, fmt.Errorf("adapt: materialize %s: %w", v.ID, err)
 	}

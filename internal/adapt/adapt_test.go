@@ -2,6 +2,7 @@ package adapt
 
 import (
 	"context"
+	"math"
 	"strings"
 	"sync"
 	"testing"
@@ -243,6 +244,47 @@ func TestMaterializeRoundTrip(t *testing.T) {
 			t.Fatal("materialized model diverges from adapted model")
 		}
 	}
+	// What a version must compute is a deep copy of the base carrying its
+	// snapshot; what Materialize builds holds the base's weights in place.
+	ref := materializeRef(t, r.base, v)
+	c := ref.Logits(x)
+	for i := range c.Data {
+		if math.Float64bits(c.Data[i]) != math.Float64bits(b.Data[i]) {
+			t.Fatalf("logit %d: materialized %v, Clone+ApplyTo %v", i, b.Data[i], c.Data[i])
+		}
+	}
+	for i := 0; i < min(x.Rows, 16); i++ {
+		one, want := mat.LogitsOne(x.Row(i)), ref.LogitsOne(x.Row(i))
+		for j := range want {
+			if math.Float64bits(one[j]) != math.Float64bits(want[j]) {
+				t.Fatalf("row %d logit %d: materialized %v, Clone+ApplyTo %v", i, j, one[j], want[j])
+			}
+		}
+	}
+	if hashBN(mat) != hashBN(ref) {
+		t.Fatal("materialized BN state differs from Clone+ApplyTo")
+	}
+	for i, l := range mat.LayersList {
+		if _, ok := l.(*nn.Dense); !ok {
+			continue
+		}
+		for j, p := range l.Params() {
+			if p.W != r.base.LayersList[i].Params()[j].W {
+				t.Fatalf("layer %d param %d: Materialize copied a Dense parameter", i, j)
+			}
+		}
+	}
+}
+
+// materializeRef is the deep-copy install Materialize replaced: the
+// reference for what a version computes.
+func materializeRef(t *testing.T, base *nn.Network, v BNVersion) *nn.Network {
+	t.Helper()
+	net := base.Clone()
+	if err := v.Snapshot.ApplyTo(net); err != nil {
+		t.Fatal(err)
+	}
+	return net
 }
 
 func TestMaterializeWrongTopology(t *testing.T) {

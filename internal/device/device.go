@@ -85,7 +85,10 @@ type Device struct {
 const quantCacheLimit = 64
 
 // New creates a device around a base model. The base network may be
-// shared read-only across devices; installs clone it before mutating.
+// shared across devices: installed versions are views of it
+// (adapt.Materialize), so a fleet holds its weights once. Until a clean
+// version is installed the devices also share the base's inference
+// scratch — drive them from one goroutine, or give each base.View().
 // In quantized mode the base is quantized eagerly, so a missing or
 // mis-shaped calibration batch fails here (with a panic: it is a
 // configuration error) rather than mid-inference.

@@ -59,6 +59,9 @@ func (m Mode) String() string {
 type Param struct {
 	Name string
 	W    *tensor.Matrix
+	// Grad is nil exactly when W belongs to another network (see
+	// Network.View): such a parameter is frozen and read-only until own
+	// gives it a private copy.
 	Grad *tensor.Matrix
 	// Frozen params are skipped by optimizers and by backward passes: a
 	// frozen parameter's Grad is never written, so it stays all-zero from
@@ -70,7 +73,29 @@ type Param struct {
 // again until p is unfrozen.
 func (p *Param) freeze() {
 	p.Frozen = true
-	p.Grad.Zero()
+	if p.Grad != nil {
+		p.Grad.Zero()
+	}
+}
+
+// unfreeze makes p trainable, on its own weights.
+func (p *Param) unfreeze() {
+	p.own()
+	p.Frozen = false
+}
+
+// own ends a view's sharing before anything writes p.W: the parameter
+// gets a private copy of the weights it was reading and a gradient.
+func (p *Param) own() {
+	if p.Grad == nil {
+		p.W = p.W.Clone()
+		p.Grad = tensor.New(p.W.Rows, p.W.Cols)
+	}
+}
+
+// view returns a frozen parameter reading p's weights in place.
+func (p *Param) view() *Param {
+	return &Param{Name: p.Name, W: p.W, Frozen: true}
 }
 
 func newParam(name string, rows, cols int) *Param {
@@ -181,6 +206,12 @@ func (d *Dense) Params() []*Param { return []*Param{d.w, d.b} }
 
 func (d *Dense) Clone() Layer {
 	return &Dense{In: d.In, Out: d.Out, w: d.w.clone(), b: d.b.clone()}
+}
+
+// view returns a Dense computing with d's weight and bias matrices in
+// place, on scratch of its own.
+func (d *Dense) view() *Dense {
+	return &Dense{In: d.In, Out: d.Out, w: d.w.view(), b: d.b.view()}
 }
 
 // ReLU is the rectified linear activation.

@@ -11,7 +11,8 @@ import (
 //
 // A Network is NOT safe for concurrent use: forward and backward passes
 // cache activations inside the layers. Share a network across goroutines
-// by cloning it (Clone) or by serializing access externally.
+// by cloning it (Clone), by giving each a view of it (View, which shares
+// the weights and nothing else), or by serializing access externally.
 type Network struct {
 	LayersList []Layer
 	// hidden caches the input to the final layer from the most recent
@@ -183,7 +184,7 @@ func (n *Network) FreezeAll() {
 // UnfreezeAll marks every parameter trainable.
 func (n *Network) UnfreezeAll() {
 	for _, p := range n.Params() {
-		p.Frozen = false
+		p.unfreeze()
 	}
 }
 
@@ -194,7 +195,7 @@ func (n *Network) FreezeExceptBN() {
 		_, isBN := n.LayersList[i].(*BatchNorm)
 		for _, p := range ps {
 			if isBN {
-				p.Frozen = false
+				p.unfreeze()
 			} else {
 				p.freeze()
 			}
@@ -218,6 +219,32 @@ func (n *Network) Clone() *Network {
 	c := &Network{LayersList: make([]Layer, len(n.LayersList))}
 	for i, l := range n.LayersList {
 		c.LayersList[i] = l.Clone()
+	}
+	return c
+}
+
+// View returns a network that computes with n's Dense weights in place:
+// every Dense layer of the view reads the same weight and bias matrices
+// as n's and never writes them, and everything else — batch-norm state,
+// activation masks, forward/backward scratch — is the view's own, as in
+// Clone. A view is how a BN version is held beside its backbone: it
+// costs its batch-norm state, and views of one network may run on
+// different goroutines at once.
+//
+// The shared parameters are frozen and carry no Grad. Unfreezing one
+// (UnfreezeAll, or FreezeExceptBN for a batch-norm pair) or loading
+// weights into it (NetSnapshot.ApplyTo) first gives the view a private
+// copy, and Clone of a view is a deep copy, so nothing reaches n through
+// a view. The other direction is the caller's: n's Dense weights must
+// not be written while a view of it is in use.
+func (n *Network) View() *Network {
+	c := &Network{LayersList: make([]Layer, len(n.LayersList))}
+	for i, l := range n.LayersList {
+		if d, ok := l.(*Dense); ok {
+			c.LayersList[i] = d.view()
+		} else {
+			c.LayersList[i] = l.Clone()
+		}
 	}
 	return c
 }

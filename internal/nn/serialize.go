@@ -108,6 +108,7 @@ func (s *NetSnapshot) ApplyTo(net *Network) error {
 		if len(p.W.Data) != len(s.Params[i]) {
 			return fmt.Errorf("nn: param %d size %d, snapshot %d", i, len(p.W.Data), len(s.Params[i]))
 		}
+		p.own()
 		copy(p.W.Data, s.Params[i])
 	}
 	return s.BN.ApplyTo(net)

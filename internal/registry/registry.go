@@ -16,11 +16,14 @@ import (
 	"nazar/internal/nn"
 )
 
-// Entry is one installed version together with its materialized model.
+// Entry is one installed version together with its materialized model
+// — a view of the pool's base (adapt.Materialize), so it holds the
+// version's batch-norm state and no weights of its own.
 type Entry struct {
 	Version   adapt.BNVersion
 	UpdatedAt time.Time
 	net       *nn.Network
+	causeKey  string // Version.Cause.Items.Key(), built once at install
 }
 
 // Pool is a device's model pool. It is safe for concurrent use.
@@ -41,7 +44,11 @@ func NewPool(base *nn.Network, capacity int) *Pool {
 }
 
 // Base returns the clean model.
-func (p *Pool) Base() *nn.Network { return p.base }
+func (p *Pool) Base() *nn.Network {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return p.base
+}
 
 // SetBase replaces the clean model (e.g. when the cloud re-deploys a
 // continuously-adapted clean version).
@@ -82,10 +89,13 @@ func (p *Pool) VersionIDs() []string {
 //
 // A clean version (no cause) replaces the base model instead.
 func (p *Pool) Install(v adapt.BNVersion, now time.Time) error {
-	net, err := adapt.Materialize(p.base, v)
+	// The base pointer is read under the lock; materializing over it
+	// happens outside, so installs do not serialize on the BN copy.
+	net, err := adapt.Materialize(p.Base(), v)
 	if err != nil {
 		return fmt.Errorf("registry: install %s: %w", v.ID, err)
 	}
+	key := v.Cause.Items.Key()
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if v.IsClean() {
@@ -96,7 +106,7 @@ func (p *Pool) Install(v adapt.BNVersion, now time.Time) error {
 	kept := p.entries[:0]
 	for _, e := range p.entries {
 		switch {
-		case e.Version.Cause.Items.Key() == v.Cause.Items.Key():
+		case e.causeKey == key:
 			// Rule 1: same attribute set — drop the old version.
 		case v.Cause.Items.SubsetOf(e.Version.Cause.Items):
 			// Rule 2: incoming cause covers a superset of the old
@@ -106,7 +116,7 @@ func (p *Pool) Install(v adapt.BNVersion, now time.Time) error {
 		}
 	}
 	p.entries = kept
-	p.entries = append([]*Entry{{Version: v, UpdatedAt: now, net: net}}, p.entries...)
+	p.entries = append([]*Entry{{Version: v, UpdatedAt: now, net: net, causeKey: key}}, p.entries...)
 
 	if p.capacity > 0 && len(p.entries) > p.capacity {
 		// Evict least-recently-updated (entries are kept MRU-first, but
@@ -166,7 +176,7 @@ func (p *Pool) RemoveByCause(causeKey string) bool {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	for i, e := range p.entries {
-		if e.Version.Cause.Items.Key() == causeKey {
+		if e.causeKey == causeKey {
 			p.entries = append(p.entries[:i], p.entries[i+1:]...)
 			return true
 		}
@@ -180,7 +190,7 @@ func (p *Pool) CauseKeys() []string {
 	defer p.mu.Unlock()
 	out := make([]string, len(p.entries))
 	for i, e := range p.entries {
-		out[i] = e.Version.Cause.Items.Key()
+		out[i] = e.causeKey
 	}
 	return out
 }
