@@ -251,20 +251,6 @@ func BenchmarkHardwareFaultDrift(b *testing.B) {
 	b.ReportMetric(float64(res.DeviceCauses), "device-causes")
 }
 
-func BenchmarkExtensions(b *testing.B) {
-	res := run(b, experiments.Extensions)
-	b.ReportMetric(100*res.Central, "central-%")
-	b.ReportMetric(100*res.Federated, "federated-%")
-	b.ReportMetric(100*res.DP[4], "dp-eps4-%")
-}
-
-func BenchmarkFederatedE2E(b *testing.B) {
-	res := run(b, experiments.FederatedE2E)
-	b.ReportMetric(100*res.NoAdapt, "noadapt-drift-%")
-	b.ReportMetric(100*res.Nazar, "nazar-drift-%")
-	b.ReportMetric(100*res.Federated, "federated-drift-%")
-}
-
 // benchEntry builds one drift-log report for the ingest benchmarks.
 func benchEntry(day time.Time, dev string, i int) (driftlog.Entry, []float64) {
 	weather := "clear-day"

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math/rand/v2"
+	"reflect"
 	"slices"
 	"sync"
 	"testing"
@@ -18,10 +19,10 @@ import (
 )
 
 // TestRetentionBoundsCleanPool: rows that LogRetention compacts away take
-// their samples out of the clean pool. 40 fog samples on day 0, 20 clear
-// ones on day 5, a cumulative window at day 6 under 48 h retention: the
-// clean version is the base adapted on the 20 retained samples, not on
-// all 60 ever uploaded.
+// their samples out of the clean pool and out of memory. 40 fog samples on
+// day 0, 20 clear ones on day 5, a cumulative window at day 6 under 48 h
+// retention: the clean version is the base adapted on the 20 retained
+// samples, not on all 60 ever uploaded, and the log holds only those 20.
 func TestRetentionBoundsCleanPool(t *testing.T) {
 	base := nn.NewClassifier(nn.ArchResNet18, 8, 3, tensor.NewRand(42, 1))
 	cfg := DefaultConfig()
@@ -65,6 +66,16 @@ func TestRetentionBoundsCleanPool(t *testing.T) {
 	}
 	if !snapshotsBitEqual(t, res.Versions[0].Snapshot, nn.CaptureBN(want.Clean)) {
 		t.Fatalf("clean version is not the base adapted on the %d samples the retained log holds (compacted rows' samples joined the pool)", retained.Rows)
+	}
+	if st := svc.Log().Stats(); st.Samples != retained.Rows || st.SamplesAdded != 60 {
+		t.Fatalf("log holds %d of %d vectors after compaction, want the %d retained", st.Samples, st.SamplesAdded, retained.Rows)
+	}
+	fogIDs := make([]int64, 40)
+	for i := range fogIDs {
+		fogIDs[i] = int64(i)
+	}
+	if m := svc.Samples().Gather(fogIDs); m != nil {
+		t.Fatalf("%d compacted fog samples still gather", m.Rows)
 	}
 }
 
@@ -130,9 +141,9 @@ func ingestTwoWriters(t *testing.T, svc *Service, day time.Time, seed uint64) {
 }
 
 // TestCleanSamplesMatchReference: the clean pool read from the window's
-// view is the reference rule's ID list exactly — with concurrent writers,
-// no, one or three causes (one on a sketched attribute), bounded and
-// unbounded windows, and the sample cap on and off.
+// view is the reference rule's ID list exactly, gathered by ID — with
+// concurrent writers, no, one or three causes (one on a sketched
+// attribute), and bounded and unbounded windows.
 func TestCleanSamplesMatchReference(t *testing.T) {
 	base := nn.NewClassifier(nn.ArchResNet18, 2, 3, tensor.NewRand(42, 1))
 	day := weather.Day(3)
@@ -149,29 +160,29 @@ func TestCleanSamplesMatchReference(t *testing.T) {
 	windows := [][2]time.Time{{}, {day.Add(2 * time.Hour), day.Add(5 * time.Hour)}}
 	interleaved := 0
 	for seed := uint64(1); seed <= 3; seed++ {
-		for _, capN := range []int{0, 100} {
-			cfg := DefaultConfig()
-			cfg.Sketch.Threshold = 16
-			svc := NewService(base, cfg, WithSampleCap(capN))
-			ingestTwoWriters(t, svc, day, seed)
-			if !slices.Contains(svc.Log().SketchedAttrs(), "firmware") {
-				t.Fatalf("firmware is not on the sketch tier: %v", svc.Log().SketchedAttrs())
-			}
-			if rowOrder, _ := svc.Log().All().SampleIDs(nil); !slices.IsSorted(rowOrder) {
-				interleaved++
-			}
-			for _, w := range windows {
-				v := svc.Log().Window(w[0], w[1])
-				for _, causes := range causeSets {
-					got, want := cleanSamples(v, causes), cleanSamplesRef(svc.Log(), causes, w[0], w[1])
-					if len(want) == 0 || !slices.Equal(got, want) {
-						t.Fatalf("seed %d cap %d window %v, %d causes: clean pool %v, reference %v", seed, capN, w, len(causes), got, want)
-					}
+		cfg := DefaultConfig()
+		cfg.Sketch.Threshold = 16
+		svc := NewService(base, cfg)
+		ingestTwoWriters(t, svc, day, seed)
+		if !slices.Contains(svc.Log().SketchedAttrs(), "firmware") {
+			t.Fatalf("firmware is not on the sketch tier: %v", svc.Log().SketchedAttrs())
+		}
+		if rowOrder, _ := svc.Log().All().SampleIDs(nil); !slices.IsSorted(rowOrder) {
+			interleaved++
+		}
+		for _, w := range windows {
+			v := svc.Log().Window(w[0], w[1])
+			for _, causes := range causeSets {
+				got := stack(cleanSamples(v, causes))
+				ids := cleanSamplesRef(svc.Log(), causes, w[0], w[1])
+				want := svc.Samples().Gather(ids)
+				if len(ids) == 0 || want.Rows != len(ids) || !reflect.DeepEqual(got, want) {
+					t.Fatalf("seed %d window %v, %d causes: clean pool %v, reference %d ids gathering %v", seed, w, len(causes), got, len(ids), want)
 				}
 			}
 		}
 	}
 	// The writers interleave on any multi-core run; a scheduler that ran
 	// them back to back leaves the test weaker, not wrong.
-	t.Logf("%d of 6 logs hold sample IDs out of row order", interleaved)
+	t.Logf("%d of 3 logs hold sample IDs out of row order", interleaved)
 }

@@ -21,7 +21,7 @@ import (
 //
 //	nazar_ingest_entries_total        drift-log entries ingested
 //	nazar_ingest_batches_total        ingest batches (a single-entry report is a one-row batch)
-//	nazar_ingest_samples_total        uploaded input samples stored
+//	nazar_ingest_samples_total        uploaded input samples ingested
 //	nazar_ingest_sample_bytes_total   uploaded sample payload bytes
 //	nazar_window_runs_total           RunWindow cycles started
 //	nazar_window_errors_total         cycles that failed (incl. cancelled)
@@ -64,10 +64,10 @@ import (
 //	nazar_driftlog_compacted_rows     rows removed by retention
 //	nazar_driftlog_unsorted_shards    shards with out-of-order timestamps
 //	nazar_driftlog_age_seconds{bound="oldest"|"newest"}
-//	nazar_samples_retained            samples currently held
-//	nazar_samples_added               samples ever stored
-//	nazar_samples_evicted             samples trimmed by the capacity cap
-//	nazar_samples_shard_rows{shard=}  per-shard occupancy
+//	nazar_samples_retained            drift-log rows holding a vector
+//	nazar_samples_added               vectors appended to the drift log
+//	                                  (replays included; the difference
+//	                                  went with compacted rows)
 //	nazar_versions_deployed           versions produced over the lifetime
 //	nazar_pool_parallel_calls         ParallelFor fan-outs
 //	nazar_pool_sequential_calls       inline (non-fanned) ParallelFor runs
@@ -172,7 +172,7 @@ func (m *Metrics) observeRuns(runs adapt.Runs) {
 // and the shared worker pool. Called once from NewService.
 func (m *Metrics) observeStores(s *Service) {
 	reg := m.registry
-	log, samples := s.log, s.samples
+	log := s.log
 	// One Stats snapshot per scrape, taken before any gauge is pulled and
 	// shared by every drift-log gauge below.
 	var logStats atomic.Pointer[driftlog.Stats]
@@ -229,12 +229,10 @@ func (m *Metrics) observeStores(s *Service) {
 	reg.GaugeFunc("nazar_sketch_feed_keys_total", "Distinct keys the batch sketch feed added to a Count-Min bucket.",
 		func() float64 { return float64(logStats.Load().SketchFeedKeys) })
 
-	reg.GaugeFunc("nazar_samples_retained", "Samples currently held.",
-		func() float64 { return float64(samples.Stats().Retained) })
-	reg.GaugeFunc("nazar_samples_added", "Samples ever stored.",
-		func() float64 { return float64(samples.Stats().Added) })
-	reg.GaugeFunc("nazar_samples_evicted", "Samples trimmed by the capacity cap.",
-		func() float64 { return float64(samples.Stats().Evicted) })
+	reg.GaugeFunc("nazar_samples_retained", "Drift-log rows holding an uploaded vector.",
+		func() float64 { return float64(logStats.Load().Samples) })
+	reg.GaugeFunc("nazar_samples_added", "Uploaded vectors appended to the drift log (replays included).",
+		func() float64 { return float64(logStats.Load().SamplesAdded) })
 	reg.GaugeFunc("nazar_versions_deployed", "BN versions produced over the service lifetime.",
 		func() float64 {
 			s.mu.Lock()
@@ -246,12 +244,6 @@ func (m *Metrics) observeStores(s *Service) {
 		shard := shard
 		reg.GaugeFunc("nazar_driftlog_shard_rows", "Per-shard drift-log occupancy.",
 			func() float64 { return float64(logStats.Load().ShardRows[shard]) },
-			obs.L("shard", strconv.Itoa(shard)))
-	}
-	for shard := range samples.Stats().ShardRows {
-		shard := shard
-		reg.GaugeFunc("nazar_samples_shard_rows", "Per-shard sample-store occupancy.",
-			func() float64 { return float64(samples.Stats().ShardRows[shard]) },
 			obs.L("shard", strconv.Itoa(shard)))
 	}
 

@@ -166,25 +166,6 @@ func TestWithClock(t *testing.T) {
 	}
 }
 
-// TestWithSampleCap swaps in a bounded store.
-func TestWithSampleCap(t *testing.T) {
-	base := nn.NewClassifier(nn.ArchResNet18, 8, 2, tensor.NewRand(14, 1))
-	svc := NewService(base, DefaultConfig(), WithSampleCap(4))
-	for i := 0; i < 100; i++ {
-		ingestOne(svc, driftlog.Entry{Time: time.Now(), Attrs: map[string]string{}}, []float64{float64(i)})
-	}
-	if got := svc.Samples().Len(); got != 4 {
-		t.Fatalf("retained %d samples, want the cap of 4", got)
-	}
-	st := svc.Samples().Stats()
-	if st.Added != 100 {
-		t.Fatalf("added %d, want 100", st.Added)
-	}
-	if st.Evicted == 0 {
-		t.Fatal("eviction counter never moved")
-	}
-}
-
 // TestObserverCounters checks ingest counters and store gauges flow into
 // the exposition.
 func TestObserverCounters(t *testing.T) {

@@ -1,6 +1,6 @@
-// Package cloud implements the cloud half of Nazar: drift-log ingestion,
-// the sample store for uploaded inputs, the periodic root-cause-analysis
-// job, by-cause adaptation and version deployment.
+// Package cloud implements the cloud half of Nazar: drift-log ingestion
+// (each uploaded input is a column of its row), the periodic
+// root-cause-analysis job, by-cause adaptation and version deployment.
 //
 // The paper runs these on Aurora + Lambda + GPU EC2 + S3; here they are
 // one in-process service (package httpapi adds the wire protocol for a
@@ -26,177 +26,6 @@ import (
 	"nazar/internal/tensor"
 )
 
-// sampleShards is the SampleStore shard count (power of two).
-const (
-	sampleShards    = 16
-	sampleShardMask = sampleShards - 1
-)
-
-// sampleShard holds every sample whose ID ≡ shard index (mod
-// sampleShards), densely packed: the vector for ID id lives at position
-// id/sampleShards - basePos.
-type sampleShard struct {
-	mu      sync.RWMutex
-	basePos int64 // position of vectors[0]
-	vectors [][]float64
-}
-
-// SampleStore holds uploaded input samples keyed by ID. IDs are assigned
-// from a global counter and strided across shards, so concurrent devices
-// upload without contending on a single mutex. With a positive capacity
-// it retains only the most recent samples — IDs below the eviction
-// watermark (next-capacity) gather nothing — bounding cloud memory the
-// way the paper's S3 lifecycle rules would.
-type SampleStore struct {
-	// first is the first ID this store assigns (see startAt); IDs below it
-	// belong to a previous process and gather nothing.
-	first    int64
-	next     atomic.Int64
-	capacity int64 // 0 = unbounded
-	evicted  atomic.Int64
-	shards   [sampleShards]sampleShard
-}
-
-// NewSampleStore returns an unbounded store.
-func NewSampleStore() *SampleStore { return &SampleStore{} }
-
-// NewBoundedSampleStore returns a store retaining at most capacity
-// samples.
-func NewBoundedSampleStore(capacity int) *SampleStore {
-	return &SampleStore{capacity: int64(capacity)}
-}
-
-// startAt makes id the first ID the store assigns. Samples live only in
-// memory, so drift-log rows restored from disk carry IDs of samples that
-// no longer exist; starting above the largest of them keeps a restored
-// row's link from ever resolving to a sample uploaded after the restart.
-// Must be called before the first Add.
-func (s *SampleStore) startAt(id int64) {
-	s.first = id
-	s.next.Store(id)
-	for i := range s.shards {
-		// Position of the first ID >= id that lands in shard i.
-		s.shards[i].basePos = (id + (int64(i)-id)&sampleShardMask) / sampleShards
-	}
-}
-
-// watermark returns the smallest retained ID (first when unbounded).
-func (s *SampleStore) watermark() int64 {
-	if s.capacity > 0 {
-		if w := s.next.Load() - s.capacity; w > s.first {
-			return w
-		}
-	}
-	return s.first
-}
-
-// Add stores a sample and returns its ID.
-func (s *SampleStore) Add(x []float64) int64 {
-	id := s.next.Add(1) - 1
-	sh := &s.shards[id&sampleShardMask]
-	pos := id / sampleShards
-	v := append([]float64(nil), x...)
-	sh.mu.Lock()
-	// Concurrent adders may reach the shard out of ID order; grow with
-	// gaps that the lagging adder fills.
-	for int64(len(sh.vectors)) <= pos-sh.basePos {
-		sh.vectors = append(sh.vectors, nil)
-	}
-	sh.vectors[pos-sh.basePos] = v
-	// Lazily trim everything below the eviction watermark.
-	if w := s.watermark(); w > 0 {
-		shardIdx := id & sampleShardMask
-		minPos := int64(0)
-		if w > shardIdx {
-			minPos = (w - shardIdx + sampleShards - 1) / sampleShards
-		}
-		if drop := minPos - sh.basePos; drop > 0 {
-			if drop > int64(len(sh.vectors)) {
-				drop = int64(len(sh.vectors))
-			}
-			sh.vectors = append([][]float64(nil), sh.vectors[drop:]...)
-			sh.basePos += drop
-			s.evicted.Add(drop)
-		}
-	}
-	sh.mu.Unlock()
-	return id
-}
-
-// Len returns the number of retained samples.
-func (s *SampleStore) Len() int {
-	n := s.next.Load() - s.first
-	if s.capacity > 0 && n > s.capacity {
-		return int(s.capacity)
-	}
-	return int(n)
-}
-
-// SampleStoreStats is an operational snapshot of the sample store,
-// consumed by the observability layer at scrape time.
-type SampleStoreStats struct {
-	// Added counts every sample ever stored; Retained is the current
-	// (post-eviction) count; Evicted counts samples trimmed by the
-	// capacity bound.
-	Added    int64
-	Retained int
-	Evicted  int64
-	// ShardRows is the per-shard retained row count (occupancy balance).
-	ShardRows []int
-}
-
-// Stats returns the current operational snapshot.
-func (s *SampleStore) Stats() SampleStoreStats {
-	st := SampleStoreStats{
-		Added:     s.next.Load() - s.first,
-		Retained:  s.Len(),
-		Evicted:   s.evicted.Load(),
-		ShardRows: make([]int, sampleShards),
-	}
-	for i := range s.shards {
-		sh := &s.shards[i]
-		sh.mu.RLock()
-		st.ShardRows[i] = len(sh.vectors)
-		sh.mu.RUnlock()
-	}
-	return st
-}
-
-// Gather materializes the samples with the given IDs as a batch matrix
-// (nil when ids is empty), rows in the order of ids. Unknown or evicted
-// IDs are skipped.
-func (s *SampleStore) Gather(ids []int64) *tensor.Matrix {
-	for i := range s.shards {
-		s.shards[i].mu.RLock()
-	}
-	defer func() {
-		for i := range s.shards {
-			s.shards[i].mu.RUnlock()
-		}
-	}()
-	next, w := s.next.Load(), s.watermark()
-	var rows [][]float64
-	for _, id := range ids {
-		if id < w || id >= next {
-			continue
-		}
-		sh := &s.shards[id&sampleShardMask]
-		pos := id/sampleShards - sh.basePos
-		if pos < 0 || pos >= int64(len(sh.vectors)) || sh.vectors[pos] == nil {
-			continue
-		}
-		rows = append(rows, sh.vectors[pos])
-	}
-	if len(rows) == 0 {
-		return nil
-	}
-	m := tensor.New(len(rows), len(rows[0]))
-	for i, r := range rows {
-		copy(m.Row(i), r)
-	}
-	return m
-}
-
 // Config parameterizes the cloud service.
 type Config struct {
 	// RCAMode selects the analysis variant (rca.Full is Nazar).
@@ -213,8 +42,9 @@ type Config struct {
 	AdaptClean bool
 	// LogRetention, when positive, compacts drift-log rows older than
 	// this duration (relative to each analysis run's `now`) before the
-	// analysis, bounding log growth. Note that retention interacts with
-	// cumulative analysis: compacted history no longer supports causes.
+	// analysis, bounding log growth — the uploaded vectors included, which
+	// go with their rows. Note that retention interacts with cumulative
+	// analysis: compacted history no longer supports causes.
 	LogRetention time.Duration
 	// Sketch tunes the drift log's tiered approximate-counting layer for
 	// high-cardinality attributes (see driftlog.SketchConfig). The zero
@@ -253,10 +83,12 @@ type Service struct {
 	// the atomic adds.
 	metrics *Metrics
 
-	mu      sync.Mutex
-	log     *driftlog.Store
-	samples *SampleStore
-	base    *nn.Network
+	mu   sync.Mutex
+	log  *driftlog.Store
+	base *nn.Network
+	// nextSample is the next sample ID to assign, seeded past every ID
+	// the log already holds (WAL replay, LoadLog).
+	nextSample atomic.Int64
 	// versionSeq disambiguates version IDs across windows.
 	versionSeq int
 	// deployed is the history of every version produced, in order.
@@ -320,17 +152,6 @@ func WithClock(clock func() time.Time) Option {
 	}
 }
 
-// WithSampleCap bounds the sample store to the given capacity (the S3
-// lifecycle rule of the paper's deployment). capacity <= 0 keeps the
-// store unbounded.
-func WithSampleCap(capacity int) Option {
-	return func(s *Service) {
-		if capacity > 0 {
-			s.samples = NewBoundedSampleStore(capacity)
-		}
-	}
-}
-
 // WithObserver instruments the service on the given registry: ingest
 // counters, shard-occupancy gauges, per-stage window histograms and
 // adaptation accept/reject counters (see NewMetrics for the full list).
@@ -365,12 +186,11 @@ func NewService(base *nn.Network, cfg Config, opts ...Option) *Service {
 		cfg.MinSamplesPerCause = 16
 	}
 	s := &Service{
-		cfg:     cfg,
-		clock:   time.Now,
-		log:     driftlog.NewStoreWithSketch(cfg.Sketch),
-		samples: NewSampleStore(),
-		base:    base,
-		refBN:   nn.CaptureBN(base),
+		cfg:   cfg,
+		clock: time.Now,
+		log:   driftlog.NewStoreWithSketch(cfg.Sketch),
+		base:  base,
+		refBN: nn.CaptureBN(base),
 	}
 	for _, opt := range opts {
 		opt(s)
@@ -381,7 +201,7 @@ func NewService(base *nn.Network, cfg Config, opts ...Option) *Service {
 			s.walErr = fmt.Errorf("cloud: wal open: %w", err)
 		} else {
 			s.wal = wal
-			s.samples.startAt(s.log.MaxSampleID() + 1)
+			s.nextSample.Store(s.log.MaxSampleID() + 1)
 		}
 	}
 	if s.metrics != nil {
@@ -423,8 +243,35 @@ func (s *Service) ReferenceBN() *nn.BNSnapshot { return s.refBN }
 // HTTP API).
 func (s *Service) Log() *driftlog.Store { return s.log }
 
-// Samples exposes the sample store.
-func (s *Service) Samples() *SampleStore { return s.samples }
+// Samples reads the uploaded vectors out of the drift log by sample ID.
+// It is a read adapter kept for the benchmark harness and /v1/status;
+// the window path gathers from its pinned view instead. A [benchmark]
+// change that retargets bench/ onto View.Samples can delete it.
+func (s *Service) Samples() SampleReader { return SampleReader{s.log} }
+
+// SampleReader is the by-ID view of the drift log's sample column.
+type SampleReader struct{ log *driftlog.Store }
+
+// Gather materializes the vectors of the given sample IDs as a batch
+// matrix (nil when none is held), rows in the order of ids; IDs whose
+// rows were compacted, or never carried a vector, are skipped.
+func (r SampleReader) Gather(ids []int64) *tensor.Matrix { return stack(gather(r.log.All(), ids)) }
+
+// Len returns the number of rows holding a vector.
+func (r SampleReader) Len() int { return r.log.Stats().Samples }
+
+// stack copies equal-length vectors into one matrix (nil when there are
+// none).
+func stack(xs [][]float64) *tensor.Matrix {
+	if len(xs) == 0 {
+		return nil
+	}
+	m := tensor.New(len(xs), len(xs[0]))
+	for i, x := range xs {
+		copy(m.Row(i), x)
+	}
+	return m
+}
 
 // Base returns the current clean model.
 func (s *Service) Base() *nn.Network {
@@ -440,37 +287,43 @@ func (s *Service) IngestBatchContext(ctx context.Context, entries []driftlog.Ent
 	return s.IngestColumnsContext(ctx, driftlog.ColumnsFromEntries(entries), samples)
 }
 
-// IngestColumnsContext is the one ingest path: it links uploaded samples
-// to their rows, appends the batch to the WAL, then appends it to the
-// drift log. samples, when non-nil, must have one element per row;
-// samples[i] == nil means row i carried no uploaded input. Sample IDs are
-// rewritten in b (rows without a sample normalize to -1). The write
-// itself is non-blocking (sharded, lock-striped), so the context only
-// gates entry: a batch is either rejected up front or recorded in full,
-// never half-applied.
+// IngestColumnsContext is the one ingest path: it links each uploaded
+// vector to its row with a fresh sample ID, appends the batch to the WAL,
+// then appends it to the drift log, which keeps the vectors as the
+// batch's sample column. samples, when non-nil, replaces b.Samples and
+// must have one element per row; a nil element means the row carried no
+// uploaded input. Sample IDs are rewritten in b (rows without a sample
+// normalize to -1). The write itself is non-blocking (sharded,
+// lock-striped), so the context only gates entry: a batch is either
+// rejected up front or recorded in full, never half-applied.
 func (s *Service) IngestColumnsContext(ctx context.Context, b *driftlog.ColumnarBatch, samples [][]float64) error {
 	if err := ctx.Err(); err != nil {
 		return err
 	}
+	if samples != nil {
+		b.Samples = samples
+	}
 	if err := b.Validate(); err != nil {
 		return fmt.Errorf("cloud: ingest: %w", err)
 	}
-	rows := b.Rows()
-	if samples != nil && len(samples) != rows {
-		return fmt.Errorf("cloud: ingest: %d rows but %d samples", rows, len(samples))
-	}
 	// A WAL already known bad refuses every batch, and the transport
-	// retries a refused batch indefinitely: check before the sample store
-	// is touched, or each retry would leave its samples behind.
+	// retries a refused batch indefinitely: check before any sample ID is
+	// spent on it.
 	if err := s.walUsable(); err != nil {
 		return err
 	}
 	var sampleCount, sampleBytes int
-	for i := 0; i < rows; i++ {
-		if samples != nil && samples[i] != nil {
-			b.SampleIDs[i] = s.samples.Add(samples[i])
+	for _, x := range b.Samples {
+		if len(x) > 0 {
 			sampleCount++
-			sampleBytes += 8 * len(samples[i])
+			sampleBytes += 8 * len(x)
+		}
+	}
+	next := s.nextSample.Add(int64(sampleCount)) - int64(sampleCount)
+	for i := range b.SampleIDs {
+		if b.Samples != nil && len(b.Samples[i]) > 0 {
+			b.SampleIDs[i] = next
+			next++
 		} else {
 			b.SampleIDs[i] = -1
 		}
@@ -487,7 +340,7 @@ func (s *Service) IngestColumnsContext(ctx context.Context, b *driftlog.Columnar
 		return fmt.Errorf("cloud: ingest: %w", err)
 	}
 	if m := s.metrics; m != nil {
-		m.ingestEntries.Add(uint64(rows))
+		m.ingestEntries.Add(uint64(b.Rows()))
 		m.ingestBatches.Inc()
 		m.ingestSamples.Add(uint64(sampleCount))
 		m.ingestBytes.Add(uint64(sampleBytes))
@@ -566,11 +419,11 @@ func (s *Service) RunWindowContext(ctx context.Context, from, to, now time.Time)
 	pprof.Do(ctx, pprof.Labels("nazar_stage", "adapt"), func(ctx context.Context) {
 		var cleanX *tensor.Matrix
 		if s.cfg.AdaptClean {
-			if x := s.samples.Gather(cleanSamples(v, causes)); x != nil && x.Rows >= s.cfg.MinSamplesPerCause {
+			if x := stack(cleanSamples(v, causes)); x != nil && x.Rows >= s.cfg.MinSamplesPerCause {
 				cleanX = x
 			}
 		}
-		runs, adaptErr = adapt.WindowContext(ctx, base, causes, s.causeSamples(v), s.cfg.MinSamplesPerCause, cleanX, s.cfg.AdaptCfg, now)
+		runs, adaptErr = adapt.WindowContext(ctx, base, causes, causeSamples(v), s.cfg.MinSamplesPerCause, cleanX, s.cfg.AdaptCfg, now)
 	})
 	if adaptErr != nil {
 		return fail(wrapUnlessCancelled(ctx, adaptErr, "cloud: adaptation"))
@@ -705,37 +558,37 @@ func (s *Service) VersionsSince(since time.Time) []adapt.BNVersion {
 // SaveLog persists the drift log to path (atomic write).
 func (s *Service) SaveLog(path string) error { return s.log.SaveFile(path) }
 
-// LoadLog appends previously persisted drift-log rows from path. It is a
-// startup call, made before the first ingest: the loaded rows' sample
-// links are stale (samples are not persisted), and the sample ID counter
-// is moved past them so they gather nothing.
+// LoadLog appends previously persisted drift-log rows, vectors included,
+// from path. It is a startup call, made before the first ingest: the
+// sample ID counter moves past every loaded link, so a loaded row's link
+// keeps resolving to its own vector.
 func (s *Service) LoadLog(path string) error {
 	if err := s.log.LoadFile(path); err != nil {
 		return err
 	}
-	if s.samples.Len() == 0 {
-		s.samples.startAt(s.log.MaxSampleID() + 1)
-	}
+	s.nextSample.Store(max(s.nextSample.Load(), s.log.MaxSampleID()+1))
 	return nil
 }
 
 // causeSamples is the by-cause adaptation source over one pinned view: a
-// cause's samples are those of the view's rows it matches.
-func (s *Service) causeSamples(v *driftlog.View) func(rca.Cause) *tensor.Matrix {
+// cause's pool is the vectors of the view's rows it matches, in canonical
+// row order.
+func causeSamples(v *driftlog.View) func(rca.Cause) *tensor.Matrix {
 	return func(c rca.Cause) *tensor.Matrix {
-		ids, err := v.SampleIDs(c.Items)
+		_, xs, err := v.Samples(c.Items)
 		if err != nil {
 			return nil
 		}
-		return s.samples.Gather(ids)
+		return stack(xs)
 	}
 }
 
-// cleanSamples returns the sample IDs of the view's rows that match no
-// cause, ascending — the clean re-adaptation pool. It costs the window's
-// rows plus each cause's matches, and sorting their IDs; a cause naming
-// an attribute the view does not hold matches no row and removes nothing.
-func cleanSamples(v *driftlog.View, causes []rca.Cause) []int64 {
+// cleanSamples returns the vectors of the view's rows that match no
+// cause, ascending by sample ID — the clean re-adaptation pool. It costs
+// the window's rows plus each cause's matches, and sorting their IDs; a
+// cause naming an attribute the view does not hold matches no row and
+// removes nothing.
+func cleanSamples(v *driftlog.View, causes []rca.Cause) [][]float64 {
 	all, _ := v.SampleIDs(nil) // no conditions, no unknown attribute: cannot fail
 	var caused []int64
 	for _, c := range causes {
@@ -744,8 +597,26 @@ func cleanSamples(v *driftlog.View, causes []rca.Cause) []int64 {
 	}
 	slices.Sort(all)
 	slices.Sort(caused)
-	return slices.DeleteFunc(all, func(id int64) bool {
+	return gather(v, slices.DeleteFunc(all, func(id int64) bool {
 		_, hit := slices.BinarySearch(caused, id)
 		return hit
-	})
+	}))
+}
+
+// gather returns the vectors the view's rows hold for ids, in the order
+// of ids, skipping IDs that resolve to none. It reads every sampled row
+// of the view.
+func gather(v *driftlog.View, ids []int64) [][]float64 {
+	all, xs, _ := v.Samples(nil) // no conditions: cannot fail
+	byID := make(map[int64][]float64, len(all))
+	for i, id := range all {
+		byID[id] = xs[i]
+	}
+	var out [][]float64
+	for _, id := range ids {
+		if x := byID[id]; x != nil {
+			out = append(out, x)
+		}
+	}
+	return out
 }

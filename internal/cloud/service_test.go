@@ -25,48 +25,61 @@ func ingestOne(svc *Service, e driftlog.Entry, sample []float64) error {
 	return svc.IngestBatchContext(context.Background(), []driftlog.Entry{e}, samples)
 }
 
+// TestSampleStore: the read adapter gathers vectors from the drift log in
+// the order of the IDs asked for, skipping IDs no row holds a vector for.
 func TestSampleStore(t *testing.T) {
-	s := NewSampleStore()
-	id1 := s.Add([]float64{1, 2})
-	id2 := s.Add([]float64{3, 4})
-	if id1 != 0 || id2 != 1 || s.Len() != 2 {
-		t.Fatalf("ids %d %d len %d", id1, id2, s.Len())
+	base := nn.NewClassifier(nn.ArchResNet18, 2, 2, tensor.NewRand(1, 1))
+	svc := NewService(base, DefaultConfig())
+	if err := svc.IngestBatchContext(context.Background(), []driftlog.Entry{
+		{Time: weather.Day(1), Attrs: map[string]string{}},
+		{Time: weather.Day(1), Attrs: map[string]string{}},
+		{Time: weather.Day(1), Attrs: map[string]string{}},
+	}, [][]float64{{1, 2}, nil, {3, 4}}); err != nil {
+		t.Fatal(err)
 	}
-	m := s.Gather([]int64{id2, id1, 99, -1})
+	if n := svc.Samples().Len(); n != 2 {
+		t.Fatalf("len %d", n)
+	}
+	m := svc.Samples().Gather([]int64{1, 0, 99, -1})
 	if m.Rows != 2 || m.At(0, 0) != 3 || m.At(1, 0) != 1 {
 		t.Fatalf("gather %v", m)
 	}
-	if s.Gather(nil) != nil {
+	if svc.Samples().Gather(nil) != nil {
 		t.Fatal("empty gather should be nil")
 	}
 }
 
-// TestSampleStoreStartAt: a store started above a previous process's IDs
-// assigns from there, resolves nothing below, and evicts exactly as a
-// store started at zero does.
+// TestSampleStoreStartAt: a service that loads a saved log assigns new
+// sample IDs above every loaded link, and the loaded links keep resolving
+// to their own vectors beside the new ones.
 func TestSampleStoreStartAt(t *testing.T) {
-	const first, capacity, n = 1000003, 8, 40
-	s, zero := NewBoundedSampleStore(capacity), NewBoundedSampleStore(capacity)
-	s.startAt(first)
-	for i := 0; i < n; i++ {
-		if id := s.Add([]float64{float64(i)}); id != int64(first+i) {
-			t.Fatalf("sample %d got id %d, want %d", i, id, first+i)
+	base := nn.NewClassifier(nn.ArchResNet18, 1, 2, tensor.NewRand(1, 1))
+	row := func(i int) driftlog.Entry {
+		return driftlog.Entry{Time: weather.Day(1).Add(time.Duration(i) * time.Minute), Attrs: map[string]string{}}
+	}
+	first := NewService(base, DefaultConfig())
+	for i := 0; i < 5; i++ {
+		if err := ingestOne(first, row(i), []float64{float64(i)}); err != nil {
+			t.Fatal(err)
 		}
-		zero.Add([]float64{float64(i)})
 	}
-	if s.Gather([]int64{0, 5, first - 1}) != nil {
-		t.Fatal("ids below the start resolved to samples")
+	path := t.TempDir() + "/drift.log"
+	if err := first.SaveLog(path); err != nil {
+		t.Fatal(err)
 	}
-	if s.Gather([]int64{first, first + n - capacity - 1}) != nil {
-		t.Fatal("evicted ids resolved to samples")
+	svc := NewService(base, DefaultConfig())
+	if err := svc.LoadLog(path); err != nil {
+		t.Fatal(err)
 	}
-	m := s.Gather([]int64{first + n - capacity, first + n - 1})
-	if m == nil || m.Rows != 2 || m.At(0, 0) != n-capacity || m.At(1, 0) != n-1 {
-		t.Fatalf("retained gather %v", m)
+	if err := ingestOne(svc, row(5), []float64{5}); err != nil {
+		t.Fatal(err)
 	}
-	st, want := s.Stats(), zero.Stats()
-	if st.Added != want.Added || st.Retained != want.Retained || st.Evicted != want.Evicted {
-		t.Fatalf("stats %+v, want those of a store started at zero: %+v", st, want)
+	if id := svc.Log().Entry(5).SampleID; id != 5 {
+		t.Fatalf("first sample after the load got id %d, want 5", id)
+	}
+	m := svc.Samples().Gather([]int64{0, 4, 5})
+	if m == nil || m.Rows != 3 || m.At(0, 0) != 0 || m.At(1, 0) != 4 || m.At(2, 0) != 5 {
+		t.Fatalf("gather across the load: %v", m)
 	}
 }
 
@@ -293,27 +306,31 @@ func TestServiceLogPersistence(t *testing.T) {
 	}
 }
 
+// TestBoundedSampleStore: LogRetention is the one bound on the vectors
+// held — compaction takes each vector out with its row, and the IDs of
+// the rows that stay keep resolving.
 func TestBoundedSampleStore(t *testing.T) {
-	s := NewBoundedSampleStore(3)
-	var ids []int64
-	for i := 0; i < 5; i++ {
-		ids = append(ids, s.Add([]float64{float64(i)}))
-	}
-	// IDs are stable and monotonically increasing despite eviction.
-	for i, id := range ids {
-		if id != int64(i) {
-			t.Fatalf("id %d = %d", i, id)
+	base := nn.NewClassifier(nn.ArchResNet18, 1, 2, tensor.NewRand(1, 1))
+	cfg := DefaultConfig()
+	cfg.LogRetention = 48 * time.Hour
+	svc := NewService(base, cfg)
+	for d := 0; d < 5; d++ {
+		if err := ingestOne(svc, driftlog.Entry{Time: weather.Day(d), Attrs: map[string]string{}}, []float64{float64(d)}); err != nil {
+			t.Fatal(err)
 		}
 	}
-	if s.Len() != 3 {
-		t.Fatalf("len %d", s.Len())
+	if _, err := svc.RunWindowContext(context.Background(), time.Time{}, time.Time{}, weather.Day(5)); err != nil {
+		t.Fatal(err)
 	}
-	// Evicted IDs gather nothing; recent ones survive.
-	if m := s.Gather(ids[:2]); m != nil {
-		t.Fatal("evicted samples should be gone")
+	// Days 3 and 4 survive a 48h retention at now = day 5.
+	if n := svc.Samples().Len(); n != 2 {
+		t.Fatalf("len %d", n)
 	}
-	m := s.Gather(ids[2:])
-	if m == nil || m.Rows != 3 || m.At(0, 0) != 2 || m.At(2, 0) != 4 {
+	if m := svc.Samples().Gather([]int64{0, 1, 2}); m != nil {
+		t.Fatal("compacted rows' samples should be gone")
+	}
+	m := svc.Samples().Gather([]int64{3, 4})
+	if m == nil || m.Rows != 2 || m.At(0, 0) != 3 || m.At(1, 0) != 4 {
 		t.Fatalf("gather %+v", m)
 	}
 }
@@ -401,14 +418,14 @@ func TestWindowOverlapMatchesSerialComposition(t *testing.T) {
 		v := svc.Log().Window(day, now)
 		serialCfg := cfg.AdaptCfg
 		serialCfg.Rng = tensor.NewRand(7, 7)
-		want, err := adapt.ByCauseContext(context.Background(), base, res.Causes, svc.causeSamples(v), cfg.MinSamplesPerCause, serialCfg, now)
+		want, err := adapt.ByCauseContext(context.Background(), base, res.Causes, causeSamples(v), cfg.MinSamplesPerCause, serialCfg, now)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if len(want) < 2 {
 			t.Fatalf("width %d: %d by-cause versions from causes %v, want at least 2", width, len(want), res.Causes)
 		}
-		clean, err := adapt.AdaptContext(context.Background(), base, svc.Samples().Gather(cleanSamples(v, res.Causes)), serialCfg)
+		clean, err := adapt.AdaptContext(context.Background(), base, stack(cleanSamples(v, res.Causes)), serialCfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -432,23 +449,26 @@ func TestWindowOverlapMatchesSerialComposition(t *testing.T) {
 	}
 }
 
-// TestSampleCapKeepsRetainedCleanVersion: evicting samples outside the
-// window does not change a window whose samples are all still retained —
-// a capped and an unbounded service produce the same clean version.
-func TestSampleCapKeepsRetainedCleanVersion(t *testing.T) {
-	const capN = 240
+// TestRetentionKeepsWindowCleanVersion: compacting rows outside the
+// window does not change a window whose rows are all still retained — a
+// service under LogRetention and an unbounded one produce the same clean
+// version.
+func TestRetentionKeepsWindowCleanVersion(t *testing.T) {
+	const n = 240
 	base := nn.NewClassifier(nn.ArchResNet18, 8, 3, tensor.NewRand(42, 1))
 	cfg := DefaultConfig()
-	capped, unbounded := NewService(base, cfg, WithSampleCap(capN)), NewService(base, cfg)
+	retained := cfg
+	retained.LogRetention = 48 * time.Hour
+	bounded, unbounded := NewService(base, retained), NewService(base, cfg)
 	old, day := weather.Day(1), weather.Day(5)
 	now := day.AddDate(0, 0, 1)
-	for _, svc := range []*Service{capped, unbounded} {
-		ingestThreeWay(t, svc, old, 9*capN)
-		ingestThreeWay(t, svc, day, capN)
+	for _, svc := range []*Service{bounded, unbounded} {
+		ingestThreeWay(t, svc, old, 9*n)
+		ingestThreeWay(t, svc, day, n)
 	}
 
 	var cleans []*nn.BNSnapshot
-	for _, svc := range []*Service{capped, unbounded} {
+	for _, svc := range []*Service{bounded, unbounded} {
 		res, err := svc.RunWindowContext(context.Background(), day, now, now)
 		if err != nil {
 			t.Fatal(err)
@@ -459,7 +479,10 @@ func TestSampleCapKeepsRetainedCleanVersion(t *testing.T) {
 		}
 		cleans = append(cleans, last.Snapshot)
 	}
+	if got := bounded.Samples().Len(); got != n {
+		t.Fatalf("retention kept %d samples, want the window's %d", got, n)
+	}
 	if !snapshotsBitEqual(t, cleans[0], cleans[1]) {
-		t.Fatal("clean version under a sample cap differs from the uncapped one with every window sample retained")
+		t.Fatal("clean version under retention differs from the unbounded one with every window sample retained")
 	}
 }

@@ -156,10 +156,10 @@ func writeFileOrFatal(t *testing.T, path string, data []byte) {
 	}
 }
 
-// TestServiceWALRestartSampleLinks: samples live only in memory, so after
-// a restart the replayed rows' sample links are stale. They must gather
-// nothing — in particular not the samples that rows of another cause
-// upload after the restart, which by-cause adaptation would then train on.
+// TestServiceWALRestartSampleLinks: a vector is part of its row, so a
+// service reopened on its WAL resolves every replayed link to the row's
+// own vector, and samples uploaded after the restart get IDs of their own
+// rather than reusing a replayed row's.
 func TestServiceWALRestartSampleLinks(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "wal")
 	day := weather.Day(10)
@@ -193,31 +193,85 @@ func TestServiceWALRestartSampleLinks(t *testing.T) {
 		t.Fatal(err)
 	}
 	v := svc2.Log().All()
-	idsA, err := v.SampleIDs([]driftlog.Cond{{Attr: driftlog.AttrWeather, Value: "snow"}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(idsA) != len(entriesA) {
-		t.Fatalf("replayed snow rows carry %d sample links, want %d", len(idsA), len(entriesA))
-	}
-	if m := svc2.Samples().Gather(idsA); m != nil {
-		t.Fatalf("replayed snow rows gathered %d samples uploaded after the restart (first row %v)", m.Rows, m.Row(0))
-	}
-	idsB, err := v.SampleIDs([]driftlog.Cond{{Attr: driftlog.AttrWeather, Value: "fog"}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	m := svc2.Samples().Gather(idsB)
-	if m == nil || m.Rows != len(entriesB) {
-		t.Fatalf("fog rows gathered %v, want their own %d samples", m, len(entriesB))
-	}
-	for i := 0; i < m.Rows; i++ {
-		if m.At(i, 0) != 2 {
-			t.Fatalf("fog row %d gathered a foreign sample %v", i, m.Row(i))
+	for _, c := range []struct {
+		weather string
+		mark    float64
+	}{{"snow", 1}, {"fog", 2}} {
+		ids, err := v.SampleIDs([]driftlog.Cond{{Attr: driftlog.AttrWeather, Value: c.weather}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		m := svc2.Samples().Gather(ids)
+		if m == nil || m.Rows != 20 {
+			t.Fatalf("%s rows gathered %v, want their own 20 samples", c.weather, m)
+		}
+		for i := 0; i < m.Rows; i++ {
+			if m.At(i, 0) != c.mark || m.At(i, 1) != float64(i) {
+				t.Fatalf("%s row %d gathered %v, want its own sample [%v %d]", c.weather, i, m.Row(i), c.mark, i)
+			}
 		}
 	}
-	if st := svc2.Samples().Stats(); st.Added != int64(len(entriesB)) || st.Retained != len(entriesB) {
-		t.Fatalf("sample stats after restart: %+v, want %d added and retained", st, len(entriesB))
+	if id := svc2.Log().Entry(20).SampleID; id != 20 {
+		t.Fatalf("first sample after the restart got id %d, want 20", id)
+	}
+	if st := svc2.Log().Stats(); st.Samples != 40 {
+		t.Fatalf("log holds %d vectors after restart, want 40", st.Samples)
+	}
+}
+
+// TestServiceWALRestartAdaptsIdentically: the by-cause models must not
+// shift across a crash. Two WAL services ingest the same batches; one is
+// closed and reopened on its directory; the first window then yields the
+// same versions, bit for bit, on both.
+func TestServiceWALRestartAdaptsIdentically(t *testing.T) {
+	base := nn.NewClassifier(nn.ArchResNet18, 8, 3, tensor.NewRand(40, 1))
+	open := func(dir string) *Service {
+		cfg := DefaultConfig()
+		cfg.AdaptCfg.Rng = tensor.NewRand(7, 7)
+		svc := NewService(base, cfg, WithWAL(dir, driftlog.WALOptions{}))
+		if err := svc.WALErr(); err != nil {
+			t.Fatal(err)
+		}
+		return svc
+	}
+	day := weather.Day(5)
+	now := day.AddDate(0, 0, 1)
+	liveDir, restartDir := filepath.Join(t.TempDir(), "live"), filepath.Join(t.TempDir(), "restart")
+	live, restarted := open(liveDir), open(restartDir)
+	defer live.Close()
+	ingestThreeWay(t, live, day, 300)
+	ingestThreeWay(t, restarted, day, 300)
+	if err := restarted.Close(); err != nil {
+		t.Fatal(err)
+	}
+	restarted = open(restartDir)
+	defer restarted.Close()
+
+	var results [2]WindowResult
+	for i, svc := range []*Service{live, restarted} {
+		res, err := svc.RunWindowContext(context.Background(), day, now, now)
+		if err != nil {
+			t.Fatal(err)
+		}
+		results[i] = res
+	}
+	want, got := results[0].Versions, results[1].Versions
+	byCause := 0
+	for _, v := range want {
+		if !v.IsClean() {
+			byCause++
+		}
+	}
+	if byCause < 2 {
+		t.Fatalf("the uninterrupted service installed %d by-cause versions, want at least 2", byCause)
+	}
+	if len(got) != len(want) {
+		t.Fatalf("restarted service produced %d versions, the uninterrupted one %d", len(got), len(want))
+	}
+	for i := range want {
+		if got[i].ID != want[i].ID || !snapshotsBitEqual(t, got[i].Snapshot, want[i].Snapshot) {
+			t.Fatalf("version %d: restarted %s differs from uninterrupted %s", i, got[i].ID, want[i].ID)
+		}
 	}
 }
 
@@ -262,8 +316,11 @@ func TestServiceWALRefusedIngestLeavesNoSamples(t *testing.T) {
 					t.Fatalf("batch %d: want ErrDurability, got %v", i, err)
 				}
 			}
-			if st := svc.Samples().Stats(); st.Added != 0 || st.Retained != 0 {
-				t.Fatalf("refused batches left samples behind: %+v", st)
+			if st := svc.Log().Stats(); st.Rows != 0 || st.Samples != 0 || st.SamplesAdded != 0 {
+				t.Fatalf("refused batches left rows or samples behind: %+v", st)
+			}
+			if next := svc.nextSample.Load(); next != 0 {
+				t.Fatalf("refused batches spent sample ids up to %d", next)
 			}
 		})
 	}

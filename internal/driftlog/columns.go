@@ -9,6 +9,7 @@ package driftlog
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"time"
 )
@@ -25,12 +26,16 @@ type ColumnData struct {
 
 // ColumnarBatch is a batch of drift-log rows in columnar form. All row
 // slices are parallel: Times[i], Drift[i] and SampleIDs[i] (plus
-// Cols[*].IDs[i]) describe row i. Times are unix nanoseconds.
+// Cols[*].IDs[i]) describe row i. Times are unix nanoseconds. Samples is
+// the uploaded-input column: nil, or one entry per row where a nil (or
+// empty) entry means the row carries no sample. The store keeps a copy
+// of each vector.
 type ColumnarBatch struct {
 	Times     []int64
 	Drift     []bool
 	SampleIDs []int64
 	Cols      []ColumnData
+	Samples   [][]float64
 }
 
 // Rows returns the number of rows in the batch.
@@ -47,6 +52,9 @@ func (b *ColumnarBatch) Validate() error {
 	}
 	if len(b.SampleIDs) != rows {
 		return fmt.Errorf("driftlog: columnar batch: %d times but %d sample ids", rows, len(b.SampleIDs))
+	}
+	if b.Samples != nil && len(b.Samples) != rows {
+		return fmt.Errorf("driftlog: columnar batch: %d samples do not match %d rows", len(b.Samples), rows)
 	}
 	seen := make(map[string]bool, len(b.Cols))
 	for ci := range b.Cols {
@@ -160,8 +168,14 @@ func ColumnsFromEntries(entries []Entry) *ColumnarBatch {
 
 // AppendBatch ingests row-form entries through the columnar path,
 // preserving slice order in the store's canonical (sequence) order.
-func (s *Store) AppendBatch(entries []Entry) {
-	s.appendColumns(ColumnsFromEntries(entries))
+func (s *Store) AppendBatch(entries []Entry) { s.appendRows(entries, nil) }
+
+// appendRows is AppendBatch with a sample column (nil, or one vector or
+// nil per entry) — how WAL replay and snapshot loads append.
+func (s *Store) appendRows(entries []Entry, samples [][]float64) {
+	b := ColumnsFromEntries(entries)
+	b.Samples = samples
+	s.appendColumns(b)
 }
 
 // AppendColumns validates and ingests a columnar batch, preserving batch
@@ -297,6 +311,7 @@ func (s *Store) appendColumns(b *ColumnarBatch) {
 	// there (estimates stay one-sided), and appenders contend on a ring
 	// only for the adds of one batch.
 	s.sk.feedBatch(sketched, b, order)
+	var added int64
 
 	lo := 0
 	for si := range s.shards {
@@ -321,6 +336,11 @@ func (s *Store) appendColumns(b *ColumnarBatch) {
 				sh.driftBits = setBit(sh.driftBits, row)
 			}
 			sh.samples = append(sh.samples, b.SampleIDs[bi])
+			if b.Samples != nil && len(b.Samples[bi]) > 0 {
+				sh.sampleRows = append(sh.sampleRows, row)
+				sh.sampleVecs = append(sh.sampleVecs, slices.Clone(b.Samples[bi]))
+				added++
+			}
 			for ci := range b.Cols {
 				id := b.Cols[ci].IDs[bi]
 				if id == 0 {
@@ -361,6 +381,7 @@ func (s *Store) appendColumns(b *ColumnarBatch) {
 		}
 		sh.mu.Unlock()
 	}
+	s.samplesAdded.Add(added)
 }
 
 // registerAttrNames records attribute names in the store-wide registry.

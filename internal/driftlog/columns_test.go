@@ -167,14 +167,15 @@ func TestWALFrameColumnsByteEqual(t *testing.T) {
 
 // TestWALFrameGolden pins the on-disk record bytes against the frame
 // encoder for a fixed batch: a row with every attribute, a row missing
-// one, a row with none, out-of-order timestamps, and absent, small and
-// two-byte sample ids. A diff here is a WAL format change and needs a
+// one, a row with none, out-of-order timestamps, absent, small and
+// two-byte sample ids, and one row's vector. A diff here is a WAL format change and needs a
 // record-version bump, not a new hex string.
 func TestWALFrameGolden(t *testing.T) {
-	const want = "7c000000b3a1ead6" +
-		"010380e8c9c5df85fde92b000103066465766963650a616e64726f69645f3432086c6f636174696f6e0848656c73696e6b69077765617468657209636c6561722d646179" +
+	const want = "8f000000e7e937de" +
+		"020380e8c9c5df85fde92b000103066465766963650a616e64726f69645f3432086c6f636174696f6e0848656c73696e6b69077765617468657209636c6561722d646179" +
 		"e8dfb4ba8387fde92b010e02066465766963650a616e64726f69645f3231077765617468657204736e6f77" +
-		"80a0b58ac384fde92b01d80400"
+		"80a0b58ac384fde92b01d80400" +
+		"010102000000000000e03f00000000000000c0" // sample section: row 1 = {0.5, -2}
 	entries := []Entry{
 		{Time: time.Unix(1579068121, 0).UTC(), Drift: false, SampleID: -1,
 			Attrs: map[string]string{AttrWeather: "clear-day", AttrDevice: "android_42", AttrLocation: "Helsinki"}},
@@ -183,16 +184,19 @@ func TestWALFrameGolden(t *testing.T) {
 		{Time: time.Unix(1579068100, 0).UTC(), Drift: true, SampleID: 300,
 			Attrs: map[string]string{}},
 	}
-	frame := appendWALFrameColumns(nil, ColumnsFromEntries(entries))
+	samples := [][]float64{nil, {0.5, -2}, nil}
+	b := ColumnsFromEntries(entries)
+	b.Samples = samples
+	frame := appendWALFrameColumns(nil, b)
 	if got := hex.EncodeToString(frame); got != want {
 		t.Fatalf("WAL frame bytes changed:\n got %s\nwant %s", got, want)
 	}
-	decoded, err := decodeWALPayload(frame[8:])
+	rows, xs, err := decodeWALPayload(frame[8:])
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(decoded, entries) {
-		t.Fatalf("golden frame decodes to\n%+v\nwant\n%+v", decoded, entries)
+	if got := ColumnsFromEntries(rows).Entries(); !reflect.DeepEqual(got, entries) || !reflect.DeepEqual(xs, samples) {
+		t.Fatalf("golden frame decodes to\n%+v %v\nwant\n%+v %v", got, xs, entries, samples)
 	}
 }
 

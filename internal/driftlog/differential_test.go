@@ -14,8 +14,9 @@ import (
 // randomStore builds a log with deliberately awkward shapes: attributes
 // missing at random (so columns backfill and shard fills are odd),
 // device cardinality varying per seed (so some shards stay empty),
-// mixed Append/AppendBatch ingestion, and timestamps scattered so
-// sub-windows cut through every shard's middle.
+// mixed Append/AppendBatch ingestion, timestamps scattered so
+// sub-windows cut through every shard's middle, and every seventh row
+// carrying a vector (so a shard's sampled rows are sparse).
 func randomStore(r *rand.Rand, n int) *Store {
 	s := NewStore()
 	devs := r.Intn(80) + 1
@@ -38,15 +39,34 @@ func randomStore(r *rand.Rand, n int) *Store {
 			SampleID: -1,
 			Attrs:    attrs,
 		}
+		if i%7 == 0 {
+			e.SampleID = int64(i)
+		}
 		if r.Float64() < 0.5 {
-			s.AppendBatch([]Entry{e})
+			s.appendColumns(withSamples([]Entry{e}))
 		} else {
 			batch = append(batch, e)
 		}
 	}
-	s.AppendBatch(batch)
+	s.appendColumns(withSamples(batch))
 	return s
 }
+
+// withSamples converts entries to a batch whose rows with a sample ID
+// carry the vector sampleVec(id).
+func withSamples(entries []Entry) *ColumnarBatch {
+	b := ColumnsFromEntries(entries)
+	b.Samples = make([][]float64, len(entries))
+	for i, e := range entries {
+		if e.SampleID >= 0 {
+			b.Samples[i] = sampleVec(e.SampleID)
+		}
+	}
+	return b
+}
+
+// sampleVec is the test vector of sample id.
+func sampleVec(id int64) []float64 { return []float64{float64(id), -float64(id) / 2} }
 
 // diffWindows are the window shapes each random log is probed with:
 // unbounded, a middle slice, an empty slice past the data, and a thin
@@ -544,6 +564,11 @@ func requireViewMatchesScan(t *testing.T, v *View, conds [][]Cond) {
 		wantIDs, err2 := refSampleIDs(v, c)
 		if err1 != nil || err2 != nil || !reflect.DeepEqual(ids, wantIDs) {
 			t.Fatalf("SampleIDs %v: %d ids (%v), scan %d (%v)", c, len(ids), err1, len(wantIDs), err2)
+		}
+		ids, xs, err1 := v.Samples(c)
+		wantIDs, wantXs, err2 := refSamples(v, c)
+		if err1 != nil || err2 != nil || !reflect.DeepEqual(ids, wantIDs) || !reflect.DeepEqual(xs, wantXs) {
+			t.Fatalf("Samples %v: %d vectors (%v), scan %d (%v)", c, len(xs), err1, len(wantXs), err2)
 		}
 	}
 	groupBys("stored", nil, nil)

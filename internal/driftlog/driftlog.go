@@ -20,6 +20,7 @@ package driftlog
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -79,11 +80,6 @@ func newColumn(backfill int) *column {
 	return c
 }
 
-func (c *column) idOf(v string) (uint32, bool) {
-	id, ok := c.index[v]
-	return id, ok
-}
-
 func (c *column) intern(v string) uint32 {
 	if id, ok := c.index[v]; ok {
 		return id
@@ -103,8 +99,13 @@ type shard struct {
 	drift     []bool
 	driftBits []uint64 // bitmap mirror of drift (trailing zero words omitted)
 	samples   []int64
-	cols      map[string]*column
-	order     []string // column names in shard-first-seen order
+	// sampleRows lists, ascending, the rows that carry an uploaded vector;
+	// sampleVecs[k] is row sampleRows[k]'s vector. Sparse, so a row
+	// without a sample costs nothing here.
+	sampleRows []int
+	sampleVecs [][]float64
+	cols       map[string]*column
+	order      []string // column names in shard-first-seen order
 	// timeSorted tracks whether the shard's timestamps are monotonically
 	// non-decreasing (true until an out-of-order append), enabling
 	// binary-search window fast paths on views.
@@ -135,6 +136,10 @@ type Store struct {
 	// compacted counts rows removed by retention compaction (exposed via
 	// Stats for the observability layer).
 	compacted atomic.Int64
+
+	// samplesAdded counts the vectors appended since the store was created
+	// (replays included).
+	samplesAdded atomic.Int64
 
 	// compactions counts Compact calls that removed rows. Compaction
 	// renumbers rows and rebuilds dictionaries/bitmaps, so any cache keyed
@@ -222,6 +227,11 @@ type Stats struct {
 	// device-hash placement).
 	Rows      int
 	ShardRows []int
+	// Samples is the number of rows holding an uploaded vector;
+	// SamplesAdded counts the vectors appended since the store was created
+	// (replays included), so SamplesAdded - Samples left with compacted rows.
+	Samples      int
+	SamplesAdded int64
 	// Attributes is the number of distinct attribute names ever seen.
 	Attributes int
 	// CompactedRows counts rows removed by retention compaction since
@@ -256,7 +266,7 @@ type Stats struct {
 // Stats returns the current operational snapshot in O(shards × bitmaps):
 // row bounds are maintained at append, so no row is visited.
 func (s *Store) Stats() Stats {
-	st := Stats{ShardRows: make([]int, numShards), CompactedRows: s.compacted.Load()}
+	st := Stats{ShardRows: make([]int, numShards), CompactedRows: s.compacted.Load(), SamplesAdded: s.samplesAdded.Load()}
 	var oldest, newest int64
 	seen := false
 	for i := range s.shards {
@@ -264,6 +274,7 @@ func (s *Store) Stats() Stats {
 		sh.mu.RLock()
 		st.ShardRows[i] = len(sh.times)
 		st.Rows += len(sh.times)
+		st.Samples += len(sh.sampleRows)
 		if len(sh.driftBits) > 0 {
 			st.IndexBitmaps++
 			st.IndexWords += len(sh.driftBits)
@@ -421,13 +432,15 @@ func (c viewCol) lookup(v string) uint32 {
 // shared by reference and the single partial word at the pinned row
 // boundary is copied by value (bmSnap.tail) under the shard lock.
 type viewShard struct {
-	offset  int // base index of this shard's rows in the view's row numbering
-	rows    int
-	seqs    []int64
-	times   []int64
-	drift   []bool
-	samples []int64
-	cols    map[string]viewCol
+	offset     int // base index of this shard's rows in the view's row numbering
+	rows       int
+	seqs       []int64
+	times      []int64
+	drift      []bool
+	samples    []int64
+	sampleRows []int
+	sampleVecs [][]float64
+	cols       map[string]viewCol
 
 	// Bitset index.
 	fullWords int    // rows / 64
@@ -500,14 +513,16 @@ func (s *Store) Window(from, to time.Time) *View {
 		sh.mu.RLock()
 		rows := len(sh.times)
 		vs := viewShard{
-			offset:  offset,
-			rows:    rows,
-			seqs:    sh.seqs[:rows],
-			times:   sh.times[:rows],
-			drift:   sh.drift[:rows],
-			samples: sh.samples[:rows],
-			cols:    make(map[string]viewCol, len(sh.cols)),
-			sorted:  sh.timeSorted,
+			offset:     offset,
+			rows:       rows,
+			seqs:       sh.seqs[:rows],
+			times:      sh.times[:rows],
+			drift:      sh.drift[:rows],
+			samples:    sh.samples[:rows],
+			sampleRows: sh.sampleRows,
+			sampleVecs: sh.sampleVecs,
+			cols:       make(map[string]viewCol, len(sh.cols)),
+			sorted:     sh.timeSorted,
 		}
 		fw := rows >> 6
 		rem := uint(rows & 63)
@@ -940,30 +955,65 @@ func (v *View) PairCountsMasked(ov *Overlay, mask ValueMask) map[PairKey]CountRe
 }
 
 // SampleIDs returns the sample IDs (≥ 0 only) of in-window rows matching
-// the conditions, in canonical (ingest-sequence) row order — how
-// adaptation gathers the uploaded images of a root cause.
+// the conditions, in canonical (ingest-sequence) row order — the links of
+// the rows a cause matches, whether or not they hold a vector.
 func (v *View) SampleIDs(conds []Cond) ([]int64, error) {
+	ids, _, err := v.sampleRows(conds, false)
+	return ids, err
+}
+
+// Samples returns the sample IDs and uploaded vectors of the in-window
+// rows matching the conditions that carry a vector, in canonical row
+// order — how adaptation gathers the inputs of a root cause. The vectors
+// are the store's own: callers must not modify them.
+func (v *View) Samples(conds []Cond) ([]int64, [][]float64, error) {
+	return v.sampleRows(conds, true)
+}
+
+// sampleRows collects, in sequence order, the IDs of the matching rows
+// that link a sample and, withVec, their vectors (skipping rows that hold
+// none).
+func (v *View) sampleRows(conds []Cond, withVec bool) ([]int64, [][]float64, error) {
 	type hit struct {
-		seq int64
-		id  int64
+		seq, id int64
+		x       []float64
 	}
 	var partial [numShards][]hit
 	err := v.eachMatch(conds, func(si int, vs *viewShard, i int) {
-		if vs.samples[i] >= 0 {
-			partial[si] = append(partial[si], hit{seq: vs.seqs[i], id: vs.samples[i]})
+		if vs.samples[i] < 0 {
+			return
 		}
+		var x []float64
+		if withVec {
+			if x = vs.sample(i); x == nil {
+				return
+			}
+		}
+		partial[si] = append(partial[si], hit{vs.seqs[i], vs.samples[i], x})
 	})
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	var hits []hit
 	for si := range partial {
 		hits = append(hits, partial[si]...)
 	}
 	sort.Slice(hits, func(a, b int) bool { return hits[a].seq < hits[b].seq })
-	var out []int64
+	var ids []int64
+	var xs [][]float64
 	for _, h := range hits {
-		out = append(out, h.id)
+		ids = append(ids, h.id)
+		if withVec {
+			xs = append(xs, h.x)
+		}
 	}
-	return out, nil
+	return ids, xs, nil
+}
+
+// sample returns row i's vector (nil when the row holds none).
+func (vs *viewShard) sample(i int) []float64 {
+	if k, ok := slices.BinarySearch(vs.sampleRows, i); ok {
+		return vs.sampleVecs[k]
+	}
+	return nil
 }

@@ -17,11 +17,14 @@ const persistHeader = "nazar-driftlog-v1"
 // wireEntry is the on-disk representation of one row. The format predates
 // sharding and must not change with it: rows are written in canonical
 // (ingest-sequence) order, exactly as the unsharded store laid them out.
+// Sample, the row's uploaded vector, was added later: gob leaves it nil
+// when decoding files written before it, and omits it for unsampled rows.
 type wireEntry struct {
 	TimeNanos int64
 	Drift     bool
 	SampleID  int64
 	Attrs     map[string]string
+	Sample    []float64
 }
 
 // WriteTo streams the full log to w (header + gob-encoded rows) in
@@ -36,12 +39,17 @@ func (s *Store) WriteTo(w io.Writer) (int64, error) {
 	for i := range s.shards {
 		sh := &s.shards[i]
 		sh.mu.RLock()
+		k := 0 // next entry of sh.sampleRows
 		for r := range sh.times {
 			we := wireEntry{
 				TimeNanos: sh.times[r],
 				Drift:     sh.drift[r],
 				SampleID:  sh.samples[r],
 				Attrs:     map[string]string{},
+			}
+			if k < len(sh.sampleRows) && sh.sampleRows[k] == r {
+				we.Sample = sh.sampleVecs[k]
+				k++
 			}
 			for _, name := range sh.order {
 				col := sh.cols[name]
@@ -54,24 +62,46 @@ func (s *Store) WriteTo(w io.Writer) (int64, error) {
 		sh.mu.RUnlock()
 	}
 	sort.Slice(rows, func(a, b int) bool { return rows[a].seq < rows[b].seq })
-
-	bw := bufio.NewWriter(w)
-	if _, err := fmt.Fprintln(bw, persistHeader); err != nil {
-		return 0, err
-	}
-	enc := gob.NewEncoder(bw)
-	if err := enc.Encode(len(rows)); err != nil {
-		return 0, fmt.Errorf("driftlog: encode count: %w", err)
-	}
+	out := make([]wireEntry, len(rows))
 	for i := range rows {
-		if err := enc.Encode(rows[i].we); err != nil {
-			return 0, fmt.Errorf("driftlog: encode row %d: %w", i, err)
-		}
+		out[i] = rows[i].we
 	}
-	if err := bw.Flush(); err != nil {
+	if err := writeChunk(w, out); err != nil {
 		return 0, err
 	}
 	return int64(len(rows)), nil
+}
+
+// writeChunk writes rows, in order, in the WriteTo format: the header
+// line, then the gob-encoded row count and rows.
+func writeChunk(w io.Writer, rows []wireEntry) error {
+	bw := bufio.NewWriter(w)
+	if _, err := fmt.Fprintln(bw, persistHeader); err != nil {
+		return err
+	}
+	enc := gob.NewEncoder(bw)
+	if err := enc.Encode(len(rows)); err != nil {
+		return fmt.Errorf("driftlog: encode count: %w", err)
+	}
+	for i := range rows {
+		if err := enc.Encode(rows[i]); err != nil {
+			return fmt.Errorf("driftlog: encode row %d: %w", i, err)
+		}
+	}
+	return bw.Flush()
+}
+
+// appendWireEntries appends row-form rows and their sample column (nil,
+// or one vector or nil per row) as snapshot rows.
+func appendWireEntries(dst []wireEntry, entries []Entry, samples [][]float64) []wireEntry {
+	for i, e := range entries {
+		we := wireEntry{TimeNanos: e.Time.UnixNano(), Drift: e.Drift, SampleID: e.SampleID, Attrs: e.Attrs}
+		if samples != nil {
+			we.Sample = samples[i]
+		}
+		dst = append(dst, we)
+	}
+	return dst
 }
 
 // ReadFrom appends all rows from r (written by WriteTo) to the store.
@@ -96,13 +126,18 @@ func (s *Store) ReadFrom(r io.Reader) (int64, error) {
 	}
 	const batchSize = 4096
 	batch := make([]Entry, 0, min(n, batchSize))
-	loaded := 0
+	samples := make([][]float64, 0, cap(batch)) // parallel to batch
+	flush := func() {
+		s.appendRows(batch, samples)
+		batch, samples = batch[:0], samples[:0]
+	}
 	for i := 0; i < n; i++ {
 		var we wireEntry
 		if err := dec.Decode(&we); err != nil {
-			s.AppendBatch(batch)
-			return int64(loaded + len(batch)), fmt.Errorf("driftlog: decode row %d of %d (truncated or corrupt snapshot): %w", i, n, err)
+			flush() // rows 0..i-1
+			return int64(i), fmt.Errorf("driftlog: decode row %d of %d (truncated or corrupt snapshot): %w", i, n, err)
 		}
+		samples = append(samples, we.Sample)
 		batch = append(batch, Entry{
 			Time:     time.Unix(0, we.TimeNanos).UTC(),
 			Drift:    we.Drift,
@@ -110,12 +145,10 @@ func (s *Store) ReadFrom(r io.Reader) (int64, error) {
 			Attrs:    we.Attrs,
 		})
 		if len(batch) == batchSize {
-			s.AppendBatch(batch)
-			loaded += len(batch)
-			batch = batch[:0]
+			flush()
 		}
 	}
-	s.AppendBatch(batch)
+	flush()
 	return int64(n), nil
 }
 
@@ -151,7 +184,17 @@ func (s *Store) Compact(cutoff time.Time) int {
 			newCols[name] = newColumn(0)
 		}
 		var newDriftBits []uint64
+		var newSampleRows []int
+		var newSampleVecs [][]float64
+		k := 0 // next entry of sh.sampleRows
 		for ni, oi := range keep {
+			for k < len(sh.sampleRows) && sh.sampleRows[k] < oi {
+				k++ // a dropped row's vector goes with it
+			}
+			if k < len(sh.sampleRows) && sh.sampleRows[k] == oi {
+				newSampleRows = append(newSampleRows, ni)
+				newSampleVecs = append(newSampleVecs, sh.sampleVecs[k])
+			}
 			newSeqs[ni] = sh.seqs[oi]
 			newTimes[ni] = sh.times[oi]
 			newDrift[ni] = sh.drift[oi]
@@ -172,6 +215,7 @@ func (s *Store) Compact(cutoff time.Time) int {
 			}
 		}
 		sh.seqs, sh.times, sh.drift, sh.samples = newSeqs, newTimes, newDrift, newSamples
+		sh.sampleRows, sh.sampleVecs = newSampleRows, newSampleVecs
 		if len(newTimes) > 0 {
 			sh.minTime = slices.Min(newTimes) // maxTime is a kept row's: only older rows drop
 		}

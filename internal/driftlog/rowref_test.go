@@ -279,6 +279,7 @@ func refAppendWALFrame(dst []byte, entries []Entry) []byte {
 			dst = append(dst, v...)
 		}
 	}
+	dst = append(dst, 0) // empty sample section: entries carry no vectors
 	payload := dst[p:]
 	binary.LittleEndian.PutUint32(dst[base:], uint32(len(payload)))
 	binary.LittleEndian.PutUint32(dst[base+4:], crc32.Checksum(payload, walCRC))

@@ -1,0 +1,163 @@
+package driftlog
+
+import (
+	"bytes"
+	"encoding/binary"
+	"math"
+	"os"
+	"path/filepath"
+	"reflect"
+	"testing"
+	"time"
+)
+
+// TestSampleColumnFollowsItsRow: a vector lives and dies with its row.
+// Compaction drops the vectors of the rows it removes and renumbers the
+// rest, a snapshot round trip keeps every vector on its row, and the
+// Stats counters see both.
+func TestSampleColumnFollowsItsRow(t *testing.T) {
+	s := NewStore()
+	for i := 0; i < 6; i++ {
+		s.appendColumns(walSampled(i*10, 10))
+	}
+	_, before, _ := s.All().Samples(nil)
+	if st := s.Stats(); st.Samples != 40 || st.SamplesAdded != 40 || len(before) != 40 {
+		t.Fatalf("before compaction: stats %+v, view %d vectors", st, len(before))
+	}
+
+	// walBatch stamps row k at base+k seconds: the first 25 rows go.
+	cutoff := time.Date(2026, 1, 2, 3, 0, 25, 0, time.UTC)
+	if removed := s.Compact(cutoff); removed != 25 {
+		t.Fatalf("removed %d rows, want 25", removed)
+	}
+	ids, xs, _ := s.All().Samples(nil)
+	for i, id := range ids {
+		if id < 25 {
+			t.Fatalf("compacted row's sample %d still in the view", id)
+		}
+		if !reflect.DeepEqual(xs[i], sampleVec(id)) {
+			t.Fatalf("sample %d: vector %v, want %v", id, xs[i], sampleVec(id))
+		}
+	}
+	if st := s.Stats(); st.Samples != len(ids) || st.Samples != 23 || st.SamplesAdded != 40 {
+		t.Fatalf("after compaction: stats %+v, view %d vectors", st, len(ids))
+	}
+
+	// Rows appended after a compaction land beside the renumbered ones.
+	s.appendColumns(walSampled(60, 5))
+	var buf bytes.Buffer
+	if _, err := s.WriteTo(&buf); err != nil {
+		t.Fatal(err)
+	}
+	snap := NewStore()
+	if _, err := snap.ReadFrom(&buf); err != nil {
+		t.Fatal(err)
+	}
+	requireStoresEqual(t, s, snap)
+}
+
+// TestWALGoldenV1Replay pins the WAL's compatibility contract the way
+// golden_v1.driftlog pins the snapshot's: a sealed segment written with
+// record version 1 (two records, sampled and unsampled rows, no vectors)
+// replays to the same rows, its links resolving to nothing.
+func TestWALGoldenV1Replay(t *testing.T) {
+	raw, err := os.ReadFile("testdata/golden_v1.wal")
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, segName(1)), raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	s := NewStore()
+	w, err := OpenWAL(dir, s, WALOptions{ReadOnly: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Close()
+	if rec := w.Recovery(); rec.Records != 2 || rec.Rows != 5 || rec.TornTail {
+		t.Fatalf("recovery %+v, want 2 records / 5 rows", rec)
+	}
+	at := func(hhmm string) time.Time {
+		tm, err := time.Parse("2006-01-02T15:04", "2020-01-15T"+hhmm)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return tm
+	}
+	attrs := func(device, weather, location string) map[string]string {
+		m := map[string]string{AttrDevice: device, AttrWeather: weather}
+		if location != "" {
+			m[AttrLocation] = location
+		}
+		return m
+	}
+	want := []Entry{
+		{Time: at("06:02"), SampleID: -1, Attrs: attrs("android_42", "clear-day", "Helsinki")},
+		{Time: at("06:03"), Drift: true, SampleID: 0, Attrs: attrs("android_21", "snow", "New York")},
+		{Time: at("06:05"), Drift: true, SampleID: 1, Attrs: attrs("android_21", "snow", "New York")},
+		{Time: at("08:03"), Drift: true, SampleID: 2, Attrs: attrs("android_42", "fog", "Helsinki")},
+		{Time: at("11:05"), SampleID: -1, Attrs: attrs("android_42", "clear-day", "")},
+	}
+	if s.Len() != len(want) {
+		t.Fatalf("%d rows, want %d", s.Len(), len(want))
+	}
+	for i, e := range want {
+		if got := s.Entry(i); !sameEntry(got, e) {
+			t.Fatalf("row %d = %+v, want %+v", i, got, e)
+		}
+	}
+	if st := s.Stats(); st.Samples != 0 || s.MaxSampleID() != 2 {
+		t.Fatalf("v1 replay: %d vectors, max sample id %d", st.Samples, s.MaxSampleID())
+	}
+}
+
+// TestDecodeSampleSectionRejects: every malformed sample section is an
+// error, reported before the claimed dimension is allocated.
+func TestDecodeSampleSectionRejects(t *testing.T) {
+	vec := func(vals ...float64) []byte {
+		var b []byte
+		for _, v := range vals {
+			b = binary.LittleEndian.AppendUint64(b, math.Float64bits(v))
+		}
+		return b
+	}
+	cat := func(parts ...[]byte) []byte {
+		var b []byte
+		for _, p := range parts {
+			b = append(b, p...)
+		}
+		return b
+	}
+	good := AppendSampleSection(nil, [][]float64{nil, {1, 2}, {3}})
+	if got, n, err := DecodeSampleSection(good, 3); err != nil || n != len(good) ||
+		!reflect.DeepEqual(got, [][]float64{nil, {1, 2}, {3}}) {
+		t.Fatalf("good section: %v, %d of %d bytes, %v", got, n, len(good), err)
+	}
+	if got, n, err := DecodeSampleSection([]byte{0}, 3); err != nil || n != 1 || got != nil {
+		t.Fatalf("empty section: %v %d %v", got, n, err)
+	}
+	cases := map[string][]byte{
+		"empty":                nil,
+		"count above rows":     {4},
+		"row out of range":     cat([]byte{1, 3, 1}, vec(1)),
+		"rows not increasing":  cat([]byte{2, 1, 1}, vec(1), []byte{1, 1}, vec(2)),
+		"dim beyond payload":   cat([]byte{1, 0, 3}, vec(1, 2)),
+		"huge dim claim":       cat([]byte{1, 0}, binary.AppendUvarint(nil, math.MaxUint64>>1), vec(1)),
+		"truncated row varint": {1, 0x80},
+		"truncated dim":        {1, 0},
+	}
+	for name, p := range cases {
+		if _, _, err := DecodeSampleSection(p, 3); err == nil {
+			t.Errorf("%s: decoded %x", name, p)
+		}
+	}
+	// Inside a record, a bad section fails the whole record.
+	b := walSampled(0, 3)
+	frame := appendWALFrameColumns(nil, b)
+	payload := append([]byte(nil), frame[8:]...)
+	payload[len(payload)-8*2-2] = 7 // the last vector's row index
+	if _, _, err := decodeWALPayload(payload); err == nil {
+		t.Fatal("record with an out-of-range sample row decoded")
+	}
+}

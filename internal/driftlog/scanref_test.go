@@ -302,16 +302,42 @@ var diffMaskBits = []uint8{0, 0x01, 0x55, 0xAA, 0x0F, 0xF0, 0xFF}
 // refSampleIDs is the reference for View.SampleIDs: the loop the product
 // ran before SampleIDs moved onto the window-row walk.
 func refSampleIDs(v *View, conds []Cond) ([]int64, error) {
+	ids, _, err := refSampleHits(v, conds)
+	return ids, err
+}
+
+// refSamples is the reference for View.Samples: refSampleHits keeping the
+// rows that hold a vector.
+func refSamples(v *View, conds []Cond) ([]int64, [][]float64, error) {
+	ids, xs, err := refSampleHits(v, conds)
+	if err != nil {
+		return nil, nil, err
+	}
+	var outIDs []int64
+	var outXs [][]float64
+	for i, x := range xs {
+		if x != nil {
+			outIDs, outXs = append(outIDs, ids[i]), append(outXs, x)
+		}
+	}
+	return outIDs, outXs, nil
+}
+
+// refSampleHits returns the sample IDs of matching rows in canonical
+// order, each with its row's vector (nil when none) found by a linear
+// search of the shard's sampled rows.
+func refSampleHits(v *View, conds []Cond) ([]int64, [][]float64, error) {
 	type hit struct {
 		seq int64
 		id  int64
+		x   []float64
 	}
 	var hits []hit
 	for si := range v.shards {
 		vs := &v.shards[si]
 		ccs, match, err := refResolveConds(v, vs, conds)
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		if !match {
 			continue
@@ -327,14 +353,21 @@ func refSampleIDs(v *View, conds []Cond) ([]int64, error) {
 				}
 			}
 			if vs.samples[i] >= 0 {
-				hits = append(hits, hit{seq: vs.seqs[i], id: vs.samples[i]})
+				h := hit{seq: vs.seqs[i], id: vs.samples[i]}
+				for k, row := range vs.sampleRows {
+					if row == i {
+						h.x = vs.sampleVecs[k]
+					}
+				}
+				hits = append(hits, h)
 			}
 		}
 	}
 	sort.Slice(hits, func(a, b int) bool { return hits[a].seq < hits[b].seq })
-	var out []int64
+	var ids []int64
+	var xs [][]float64
 	for _, h := range hits {
-		out = append(out, h.id)
+		ids, xs = append(ids, h.id), append(xs, h.x)
 	}
-	return out, nil
+	return ids, xs, nil
 }

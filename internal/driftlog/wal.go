@@ -35,6 +35,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"math"
 	"path/filepath"
 	"sort"
 	"strings"
@@ -49,8 +50,9 @@ const walMagic = "NZWAL001"
 
 // walRecordVersion is the payload format version inside a record frame
 // (bumped independently of the segment header so old segments stay
-// readable when the record encoding evolves).
-const walRecordVersion = 1
+// readable when the record encoding evolves). Version 2 appended the
+// sample section; version 1 records still replay, without vectors.
+const walRecordVersion = 2
 
 // maxWALRecord bounds a single record frame's payload; larger lengths
 // mark corruption (a batch is at most a few thousand entries).
@@ -275,7 +277,7 @@ func OpenWAL(dir string, s *Store, opts WALOptions) (*WAL, error) {
 			continue
 		}
 		tail := i == len(segs)-1
-		keep, err := w.replaySegment(filepath.Join(dir, segName(idx)), s, tail)
+		keep, err := w.replaySegment(filepath.Join(dir, segName(idx)), s.appendRows, tail)
 		if err != nil {
 			return nil, err
 		}
@@ -324,8 +326,10 @@ func (w *WAL) Stats() WALStats {
 }
 
 // loadSnapshot reads one snapshot file into s, returning the row count.
-// Every failure is a *CorruptError: the snapshot was written atomically,
-// so a damaged one is damage, not a torn write.
+// A snapshot is one or more WriteTo chunks back to back (Compact appends
+// a chunk per fold), read in order until EOF. Every failure is a
+// *CorruptError: the snapshot was written atomically, so a damaged one is
+// damage, not a torn write.
 func (w *WAL) loadSnapshot(s *Store, idx uint64) (int64, error) {
 	path := filepath.Join(w.dir, snapName(idx))
 	f, err := w.fs.Open(path)
@@ -333,21 +337,40 @@ func (w *WAL) loadSnapshot(s *Store, idx uint64) (int64, error) {
 		return 0, &CorruptError{Path: path, Reason: fmt.Sprintf("open snapshot: %v", err)}
 	}
 	defer f.Close()
-	n, err := s.ReadFrom(f)
-	if err != nil {
-		return n, &CorruptError{Path: path, Reason: fmt.Sprintf("snapshot: %v", err)}
+	// ReadFrom reuses this reader and stops at its chunk's last row.
+	br := bufio.NewReaderSize(f, 64<<10)
+	var total int64
+	for chunk := 0; ; chunk++ {
+		if _, err := br.Peek(1); err == io.EOF && chunk > 0 {
+			return total, nil
+		}
+		n, err := s.ReadFrom(br)
+		total += n
+		if err != nil {
+			return total, &CorruptError{Path: path, Reason: fmt.Sprintf("snapshot: %v", err)}
+		}
 	}
-	return n, nil
 }
 
-// replaySegment applies one segment's records to dst. tail marks the
+// copySnapshot appends the bytes of snapshot idx to dst unparsed.
+func (w *WAL) copySnapshot(dst io.Writer, idx uint64) error {
+	f, err := w.fs.Open(filepath.Join(w.dir, snapName(idx)))
+	if err != nil {
+		return err
+	}
+	defer f.Close()
+	_, err = io.Copy(dst, f)
+	return err
+}
+
+// replaySegment hands one segment's records, in order, to apply. tail marks the
 // final (most recently written) segment, whose last record is allowed
 // to be torn: replay stops there, truncates the file (unless
 // read-only), and records the fact. Damage in a non-tail segment — or
 // a tail segment whose header is present but wrong — is a
 // *CorruptError. keep=false means the file was removed entirely (a
 // tail file that never got a complete header).
-func (w *WAL) replaySegment(path string, dst *Store, tail bool) (keep bool, err error) {
+func (w *WAL) replaySegment(path string, apply func([]Entry, [][]float64), tail bool) (keep bool, err error) {
 	f, err := w.fs.Open(path)
 	if err != nil {
 		return false, &CorruptError{Path: path, Reason: fmt.Sprintf("open segment: %v", err)}
@@ -422,11 +445,11 @@ func (w *WAL) replaySegment(path string, dst *Store, tail bool) (keep bool, err 
 		if got := crc32.Checksum(payload, walCRC); got != want {
 			return torn(off, fmt.Sprintf("crc mismatch: got %08x want %08x", got, want))
 		}
-		entries, derr := decodeWALPayload(payload)
+		entries, samples, derr := decodeWALPayload(payload)
 		if derr != nil {
 			return torn(off, fmt.Sprintf("record decode: %v", derr))
 		}
-		dst.AppendBatch(entries)
+		apply(entries, samples)
 		w.rec.Records++
 		w.rec.Rows += int64(len(entries))
 		off += 8 + int64(length)
@@ -603,16 +626,16 @@ func (w *WAL) Compact() error {
 		return nil
 	}
 
-	// Fold: snapshot + sealed segments replayed into a private store.
-	// Sealed files are immutable, so this needs no lock.
-	fold := NewStore()
-	if snap >= 0 {
-		if _, err := w.loadSnapshot(fold, uint64(snap)); err != nil {
-			return err
-		}
-	}
+	// Fold: the sealed segments' rows, in record order (the canonical
+	// order), are written as one chunk after a byte copy of the existing
+	// snapshot, so no fold decodes or indexes rows an earlier one already
+	// wrote. Sealed files and snapshots are immutable, so this needs no
+	// lock.
+	var rows []wireEntry
 	for _, idx := range sealed {
-		if _, err := w.replaySegment(filepath.Join(w.dir, segName(idx)), fold, false); err != nil {
+		if _, err := w.replaySegment(filepath.Join(w.dir, segName(idx)), func(entries []Entry, samples [][]float64) {
+			rows = appendWireEntries(rows, entries, samples)
+		}, false); err != nil {
 			return err
 		}
 	}
@@ -627,7 +650,14 @@ func (w *WAL) Compact() error {
 	if err != nil {
 		return fmt.Errorf("driftlog: wal compact: create snapshot: %w", err)
 	}
-	if _, err := fold.WriteTo(f); err != nil {
+	if snap >= 0 {
+		if err := w.copySnapshot(f, uint64(snap)); err != nil {
+			f.Close()
+			_ = w.fs.Remove(tmp)
+			return fmt.Errorf("driftlog: wal compact: copy snapshot: %w", err)
+		}
+	}
+	if err := writeChunk(f, rows); err != nil {
 		f.Close()
 		_ = w.fs.Remove(tmp)
 		return fmt.Errorf("driftlog: wal compact: write snapshot: %w", err)
@@ -726,9 +756,9 @@ func (w *WAL) Sever() {
 
 // appendWALFrameColumns appends one framed record ([len][crc][payload]) to
 // dst. The payload is a versioned, self-contained encoding of the
-// batch, row by row with each row's attributes in sorted name order:
-// records decode independently, so compaction and replay never need
-// decoder state.
+// batch, row by row with each row's attributes in sorted name order,
+// then the sample section (AppendSampleSection): records decode
+// independently, so compaction and replay never need decoder state.
 func appendWALFrameColumns(dst []byte, b *ColumnarBatch) []byte {
 	base := len(dst)
 	dst = append(dst, 0, 0, 0, 0, 0, 0, 0, 0) // frame header placeholder
@@ -769,10 +799,83 @@ func appendWALFrameColumns(dst []byte, b *ColumnarBatch) []byte {
 			dst = append(dst, v...)
 		}
 	}
+	dst = AppendSampleSection(dst, b.Samples)
 	payload := dst[p:]
 	binary.LittleEndian.PutUint32(dst[base:], uint32(len(payload)))
 	binary.LittleEndian.PutUint32(dst[base+4:], crc32.Checksum(payload, walCRC))
 	return dst
+}
+
+// AppendSampleSection appends the encoding of a batch's sample column,
+// shared by WAL records and NZB1 frames: the number of rows that carry a
+// vector, then per such row, ascending, its row index, its dimension and
+// its values as little-endian float64 bits (uvarints elsewhere). A nil
+// entry carries no vector.
+func AppendSampleSection(dst []byte, samples [][]float64) []byte {
+	n := 0
+	for _, x := range samples {
+		if x != nil {
+			n++
+		}
+	}
+	dst = binary.AppendUvarint(dst, uint64(n))
+	for r, x := range samples {
+		if x == nil {
+			continue
+		}
+		dst = binary.AppendUvarint(dst, uint64(r))
+		dst = binary.AppendUvarint(dst, uint64(len(x)))
+		for _, v := range x {
+			dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(v))
+		}
+	}
+	return dst
+}
+
+// DecodeSampleSection decodes an AppendSampleSection encoding for a
+// batch of rows rows from the front of p, returning the sample column
+// (nil when no row carries a vector) and the bytes consumed. A count
+// above rows, a row out of range or not above the previous one, and a
+// dimension beyond the remaining bytes are errors, checked before
+// anything is allocated.
+func DecodeSampleSection(p []byte, rows int) ([][]float64, int, error) {
+	d := &walDecoder{p: p}
+	count, err := d.uvarint()
+	if err != nil {
+		return nil, 0, fmt.Errorf("sample count: %w", err)
+	}
+	if count > uint64(rows) {
+		return nil, 0, fmt.Errorf("sample count %d exceeds %d rows", count, rows)
+	}
+	var samples [][]float64
+	if count > 0 {
+		samples = make([][]float64, rows)
+	}
+	last := -1
+	for i := uint64(0); i < count; i++ {
+		r, err := d.uvarint()
+		if err != nil {
+			return nil, 0, fmt.Errorf("sample row: %w", err)
+		}
+		if r >= uint64(rows) || int(r) <= last {
+			return nil, 0, fmt.Errorf("sample row %d out of range (%d rows) or not above %d", r, rows, last)
+		}
+		last = int(r)
+		dim, err := d.uvarint()
+		if err != nil {
+			return nil, 0, fmt.Errorf("sample dimension: %w", err)
+		}
+		if dim > uint64(len(d.p)/8) {
+			return nil, 0, fmt.Errorf("sample dimension %d exceeds payload capacity", dim)
+		}
+		x := make([]float64, dim)
+		for j := range x {
+			x[j] = math.Float64frombits(binary.LittleEndian.Uint64(d.p[8*j:]))
+		}
+		d.p = d.p[8*dim:]
+		samples[r] = x
+	}
+	return samples, len(p) - len(d.p), nil
 }
 
 // walDecoder walks a record payload with bounds checking.
@@ -820,61 +923,62 @@ func (d *walDecoder) str() (string, error) {
 	return s, nil
 }
 
-// decodeWALPayload decodes one CRC-verified record payload. Every
+// decodeWALPayload decodes one CRC-verified record payload of either
+// version into its rows and sample column (nil for version 1). Every
 // malformation returns an error (never a panic or an over-allocation):
 // claimed counts are checked against the bytes actually present.
-func decodeWALPayload(p []byte) ([]Entry, error) {
+func decodeWALPayload(p []byte) ([]Entry, [][]float64, error) {
 	d := &walDecoder{p: p}
 	ver, err := d.byte()
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	if ver != walRecordVersion {
-		return nil, fmt.Errorf("unsupported record version %d", ver)
+	if ver != 1 && ver != walRecordVersion {
+		return nil, nil, fmt.Errorf("unsupported record version %d", ver)
 	}
 	count, err := d.uvarint()
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	// An entry needs at least 4 bytes (time, flags, sample, attr
 	// count), so a count beyond len/4+1 is corrupt — and, crucially,
 	// never drives the allocation below.
 	if count > uint64(len(d.p)/4+1) {
-		return nil, fmt.Errorf("entry count %d exceeds payload capacity", count)
+		return nil, nil, fmt.Errorf("entry count %d exceeds payload capacity", count)
 	}
 	entries := make([]Entry, 0, count)
 	for i := uint64(0); i < count; i++ {
 		nanos, err := d.varint()
 		if err != nil {
-			return nil, fmt.Errorf("entry %d: %w", i, err)
+			return nil, nil, fmt.Errorf("entry %d: %w", i, err)
 		}
 		flags, err := d.byte()
 		if err != nil {
-			return nil, fmt.Errorf("entry %d: %w", i, err)
+			return nil, nil, fmt.Errorf("entry %d: %w", i, err)
 		}
 		if flags > 1 {
-			return nil, fmt.Errorf("entry %d: unknown flags %#x", i, flags)
+			return nil, nil, fmt.Errorf("entry %d: unknown flags %#x", i, flags)
 		}
 		sample, err := d.varint()
 		if err != nil {
-			return nil, fmt.Errorf("entry %d: %w", i, err)
+			return nil, nil, fmt.Errorf("entry %d: %w", i, err)
 		}
 		nattrs, err := d.uvarint()
 		if err != nil {
-			return nil, fmt.Errorf("entry %d: %w", i, err)
+			return nil, nil, fmt.Errorf("entry %d: %w", i, err)
 		}
 		if nattrs > uint64(len(d.p)/2+1) {
-			return nil, fmt.Errorf("entry %d: attr count %d exceeds payload capacity", i, nattrs)
+			return nil, nil, fmt.Errorf("entry %d: attr count %d exceeds payload capacity", i, nattrs)
 		}
 		attrs := make(map[string]string, nattrs)
 		for a := uint64(0); a < nattrs; a++ {
 			k, err := d.str()
 			if err != nil {
-				return nil, fmt.Errorf("entry %d attr %d: %w", i, a, err)
+				return nil, nil, fmt.Errorf("entry %d attr %d: %w", i, a, err)
 			}
 			v, err := d.str()
 			if err != nil {
-				return nil, fmt.Errorf("entry %d attr %d: %w", i, a, err)
+				return nil, nil, fmt.Errorf("entry %d attr %d: %w", i, a, err)
 			}
 			attrs[k] = v
 		}
@@ -885,8 +989,16 @@ func decodeWALPayload(p []byte) ([]Entry, error) {
 			Attrs:    attrs,
 		})
 	}
-	if len(d.p) != 0 {
-		return nil, fmt.Errorf("%d trailing bytes after last entry", len(d.p))
+	var samples [][]float64
+	if ver == walRecordVersion {
+		var n int
+		if samples, n, err = DecodeSampleSection(d.p, len(entries)); err != nil {
+			return nil, nil, err
+		}
+		d.p = d.p[n:]
 	}
-	return entries, nil
+	if len(d.p) != 0 {
+		return nil, nil, fmt.Errorf("%d trailing bytes after last entry", len(d.p))
+	}
+	return entries, samples, nil
 }

@@ -44,6 +44,22 @@ func FuzzWALReplay(f *testing.F) {
 	badver[len(walMagic)+8] = 99 // unsupported record version
 	badver = fixCRC(badver)
 	f.Add(badver)
+	// Version 2 records with a sample section, whole and damaged inside it.
+	sampled := append([]byte(walMagic), appendWALFrameColumns(nil, walSampled(0, 4))...)
+	f.Add(sampled)
+	f.Add(append(sampled[:len(sampled):len(sampled)], appendWALFrameColumns(nil, walSampled(4, 3))...))
+	for _, poke := range []struct {
+		back int  // bytes before the end of the record
+		val  byte // replacement
+	}{
+		{8*2 + 2, 9},    // last vector's row out of range
+		{8*2 + 2, 0},    // last vector's row not above the first's
+		{8*2 + 1, 0x7F}, // last vector's dimension beyond the payload
+	} {
+		bad := append([]byte(nil), sampled...)
+		bad[len(bad)-poke.back] = poke.val
+		f.Add(fixCRC(bad))
+	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		dir := t.TempDir()

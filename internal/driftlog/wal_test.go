@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"sort"
 	"strings"
 	"sync"
@@ -38,6 +39,18 @@ func walBatch(seq, n int) []Entry {
 	return entries
 }
 
+// walSampled is walBatch as the cloud ingests it: two rows in three carry
+// a vector (sampleVec of their sample ID), the rest link none.
+func walSampled(seq, n int) *ColumnarBatch {
+	entries := walBatch(seq, n)
+	for i := range entries {
+		if (seq+i)%3 == 1 {
+			entries[i].SampleID = -1
+		}
+	}
+	return withSamples(entries)
+}
+
 // requireStoresEqual asserts two stores are query-identical: same rows
 // in the same canonical order, and the same answers from both the
 // bitset-indexed and scan aggregation paths.
@@ -61,6 +74,11 @@ func requireStoresEqual(t *testing.T, want, got *Store) {
 		}
 	}
 	wv, gv := want.All(), got.All()
+	wids, wxs, _ := wv.Samples(nil)
+	gids, gxs, _ := gv.Samples(nil)
+	if !reflect.DeepEqual(wids, gids) || !reflect.DeepEqual(wxs, gxs) {
+		t.Fatalf("sample column: want %d vectors %v got %d %v", len(wxs), wids, len(gxs), gids)
+	}
 	wav := wv.AttrValueCounts(wv.DriftOverlay())
 	gav := gv.AttrValueCounts(gv.DriftOverlay())
 	if len(wav) != len(gav) {
@@ -124,11 +142,11 @@ func TestWALRoundTrip(t *testing.T) {
 		t.Fatalf("open: %v", err)
 	}
 	for i := 0; i < 7; i++ {
-		batch := walBatch(i*9, 9)
-		if err := w.AppendColumns(ColumnsFromEntries(batch)); err != nil {
+		batch := walSampled(i*9, 9)
+		if err := w.AppendColumns(batch); err != nil {
 			t.Fatalf("append %d: %v", i, err)
 		}
-		live.AppendBatch(batch)
+		live.appendColumns(batch)
 	}
 	if err := w.Close(); err != nil {
 		t.Fatalf("close: %v", err)
@@ -249,11 +267,11 @@ func TestWALExplicitRotateAndCompact(t *testing.T) {
 		t.Fatalf("open: %v", err)
 	}
 	for i := 0; i < 3; i++ {
-		batch := walBatch(i*4, 4)
-		if err := w.AppendColumns(ColumnsFromEntries(batch)); err != nil {
+		batch := walSampled(i*4, 4)
+		if err := w.AppendColumns(batch); err != nil {
 			t.Fatalf("append: %v", err)
 		}
-		live.AppendBatch(batch)
+		live.appendColumns(batch)
 		if err := w.Rotate(); err != nil {
 			t.Fatalf("rotate: %v", err)
 		}
@@ -276,11 +294,29 @@ func TestWALExplicitRotateAndCompact(t *testing.T) {
 		t.Fatalf("segments after compact: want 1 got %v", segs)
 	}
 	// Appends continue after compaction and land after the snapshot rows.
-	tail := walBatch(12, 4)
-	if err := w.AppendColumns(ColumnsFromEntries(tail)); err != nil {
+	// The next fold appends them to the snapshot as a chunk of their own,
+	// and a fold of an empty segment appends an empty chunk.
+	tail := walSampled(12, 4)
+	if err := w.AppendColumns(tail); err != nil {
 		t.Fatalf("post-compact append: %v", err)
 	}
-	live.AppendBatch(tail)
+	live.appendColumns(tail)
+	for i := 0; i < 2; i++ {
+		if err := w.Rotate(); err != nil {
+			t.Fatalf("rotate: %v", err)
+		}
+		if err := w.Compact(); err != nil {
+			t.Fatalf("compact: %v", err)
+		}
+	}
+	if st := w.Stats(); st.Compactions != 3 {
+		t.Fatalf("compactions: want 3 got %d", st.Compactions)
+	}
+	last := walSampled(16, 4)
+	if err := w.AppendColumns(last); err != nil {
+		t.Fatalf("append: %v", err)
+	}
+	live.appendColumns(last)
 	if err := w.Close(); err != nil {
 		t.Fatalf("close: %v", err)
 	}
@@ -291,7 +327,7 @@ func TestWALExplicitRotateAndCompact(t *testing.T) {
 		t.Fatalf("reopen: %v", err)
 	}
 	defer w2.Close()
-	if rec := w2.Recovery(); rec.SnapshotRows != 12 || rec.Rows != 4 {
+	if rec := w2.Recovery(); rec.SnapshotRows != 16 || rec.Rows != 4 {
 		t.Fatalf("recovery: %+v", rec)
 	}
 	requireStoresEqual(t, live, replayed)
@@ -642,7 +678,7 @@ func TestWALFrameRoundTrip(t *testing.T) {
 	if len(frame) < 8 {
 		t.Fatalf("frame too short: %d", len(frame))
 	}
-	got, err := decodeWALPayload(frame[8:])
+	got, _, err := decodeWALPayload(frame[8:])
 	if err != nil {
 		t.Fatalf("decode: %v", err)
 	}
@@ -689,7 +725,7 @@ func TestWALDecodeRejectsMalformed(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			if _, err := decodeWALPayload(tc.payload); err == nil {
+			if _, _, err := decodeWALPayload(tc.payload); err == nil {
 				t.Fatalf("decode accepted malformed payload")
 			}
 		})

@@ -332,12 +332,12 @@ func TestFig9dLinear(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.R2 < 0.85 {
-		t.Fatalf("RCA runtime not linear in rows: R² = %v", res.R2)
+	if res.WorkR2 < 0.99 {
+		t.Fatalf("RCA work not linear in rows: R² = %v over %+v", res.WorkR2, res.Points)
 	}
-	// Runtime must grow with log size.
-	if res.Points[len(res.Points)-1].Seconds <= res.Points[0].Seconds {
-		t.Fatal("runtime did not grow with rows")
+	// Work must grow with log size.
+	if res.Points[len(res.Points)-1].Work <= res.Points[0].Work {
+		t.Fatal("work did not grow with rows")
 	}
 }
 
@@ -501,47 +501,6 @@ func TestHardwareFaultShape(t *testing.T) {
 	}
 	if res.DeviceCauses == 0 {
 		t.Fatal("RCA never grouped by device ID")
-	}
-}
-
-func TestExtensionsShape(t *testing.T) {
-	res, err := Extensions(quick)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Central <= res.NoAdapt+0.05 {
-		t.Fatalf("centralized adaptation should recover fog: %v vs %v", res.Central, res.NoAdapt)
-	}
-	if res.Federated <= res.NoAdapt {
-		t.Fatalf("federated adaptation should beat no-adapt: %v vs %v", res.Federated, res.NoAdapt)
-	}
-	if res.Federated < res.Central-0.15 {
-		t.Fatalf("federated %v too far below centralized %v", res.Federated, res.Central)
-	}
-	// More privacy (smaller epsilon) must not help accuracy.
-	if res.DP[1] > res.DP[8]+0.05 {
-		t.Fatalf("DP accuracy should degrade as epsilon shrinks: eps1=%v eps8=%v", res.DP[1], res.DP[8])
-	}
-	// The headline of the extension study: per-sample DP on raw inputs
-	// destroys adaptation utility even at generous budgets, while
-	// federated BN aggregation achieves privacy (no uploads at all)
-	// at nearly centralized accuracy.
-	if res.Federated <= res.DP[8] {
-		t.Fatalf("federated %v should dominate DP uploads %v", res.Federated, res.DP[8])
-	}
-}
-
-func TestFederatedE2EShape(t *testing.T) {
-	res, err := FederatedE2E(quick)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Federated <= res.NoAdapt {
-		t.Fatalf("federated %v should beat no-adapt %v", res.Federated, res.NoAdapt)
-	}
-	if res.Federated > res.Nazar+0.05 {
-		t.Fatalf("federated %v should not beat centralized %v (it sees strictly less data)",
-			res.Federated, res.Nazar)
 	}
 }
 

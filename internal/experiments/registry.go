@@ -66,8 +66,6 @@ var Registry = map[string]Runner{
 	}),
 	"quantization": one(Quantization, func(r *QuantizationResult) []*Table { return []*Table{r.Table} }),
 	"hardware":     one(HardwareFault, func(r *HardwareFaultResult) []*Table { return []*Table{r.Table} }),
-	"extensions":   one(Extensions, func(r *ExtensionsResult) []*Table { return []*Table{r.Table} }),
-	"federated":    one(FederatedE2E, func(r *FederatedE2EResult) []*Table { return []*Table{r.Table} }),
 }
 
 // IDs returns the registered experiment IDs in sorted order.

@@ -234,17 +234,22 @@ func Table5(o Options) (*Table5Result, error) {
 	return res, nil
 }
 
-// Fig9dPoint is one scalability measurement.
+// Fig9dPoint is one scalability measurement. Work is the RCA pass's
+// deterministic work count: rows times the itemsets mining scored
+// (fim.ReadMineStats), each scoring reading the whole window.
 type Fig9dPoint struct {
 	Rows    int
 	Seconds float64
+	Work    uint64
 }
 
-// Fig9dResult holds the RCA-runtime scaling measurements plus a linearity
-// diagnostic (R² of a least-squares line through the points).
+// Fig9dResult holds the RCA-runtime scaling measurements plus linearity
+// diagnostics: R² of a least-squares line through the timed points, and
+// WorkR2 through the work counts, which no scheduler noise moves.
 type Fig9dResult struct {
 	Points []Fig9dPoint
 	R2     float64
+	WorkR2 float64
 	Table  *Table
 }
 
@@ -270,7 +275,15 @@ func Fig9d(o Options) (*Fig9dResult, error) {
 	views := make([]*driftlog.View, len(sizes))
 	for i, n := range sizes {
 		views[i] = buildScalabilityLog(n, o.Seed).All()
-		res.Points = append(res.Points, Fig9dPoint{Rows: n, Seconds: math.Inf(1)})
+		before := fim.ReadMineStats()
+		if _, err := rca.AnalyzeContext(context.TODO(), views[i], rca.DefaultConfig(), rca.Full); err != nil {
+			return nil, err
+		}
+		var scored uint64
+		for l, c := range fim.ReadMineStats().Candidates {
+			scored += c - before.Candidates[l]
+		}
+		res.Points = append(res.Points, Fig9dPoint{Rows: n, Seconds: math.Inf(1), Work: uint64(n) * scored})
 	}
 	// A pass is a millisecond or so — one scheduler hiccup long — so each
 	// point keeps the fastest of many passes: scheduling noise only ever
@@ -292,7 +305,8 @@ func Fig9d(o Options) (*Fig9dResult, error) {
 	for _, p := range res.Points {
 		table.AddRow(fmt.Sprint(p.Rows), fmt.Sprintf("%.4f", p.Seconds))
 	}
-	res.R2 = linearR2(res.Points)
+	res.R2 = linearR2(res.Points, func(p Fig9dPoint) float64 { return p.Seconds })
+	res.WorkR2 = linearR2(res.Points, func(p Fig9dPoint) float64 { return float64(p.Work) })
 	table.Notes = append(table.Notes,
 		fmt.Sprintf("linear fit R² = %.4f (paper: completely linear)", res.R2))
 	res.Table = table
@@ -327,15 +341,15 @@ func buildScalabilityLog(n int, seed uint64) *driftlog.Store {
 	return s
 }
 
-// linearR2 fits seconds = a·rows + b and returns R².
-func linearR2(points []Fig9dPoint) float64 {
+// linearR2 fits y(p) = a·rows + b over the points and returns R².
+func linearR2(points []Fig9dPoint, y func(Fig9dPoint) float64) float64 {
 	n := float64(len(points))
 	if n < 2 {
 		return 1
 	}
 	var sx, sy, sxx, sxy, syy float64
 	for _, p := range points {
-		x, y := float64(p.Rows), p.Seconds
+		x, y := float64(p.Rows), y(p)
 		sx += x
 		sy += y
 		sxx += x * x

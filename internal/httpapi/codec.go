@@ -26,10 +26,11 @@ const (
 )
 
 // BatchFrame is the codec-independent decoded form of one ingest batch:
-// row form (Entries) or columnar form (Columns), plus the optional
-// samples. Exactly one of Entries/Columns is set after a decode; an
-// encode accepts either (a codec converts as needed). Row form exists
-// only at this edge: the server ingests columns().
+// row form (Entries, with the optional Samples alongside) or columnar form
+// (Columns, which carries its own sample column). Exactly one of
+// Entries/Columns is set after a decode; an encode accepts either (a
+// codec converts as needed). Row form exists only at this edge: the
+// server ingests columns().
 type BatchFrame struct {
 	Entries []driftlog.Entry
 	Columns *driftlog.ColumnarBatch
@@ -44,13 +45,13 @@ func (f *BatchFrame) Rows() int {
 	return len(f.Entries)
 }
 
-// entries returns the row form, materializing it from columns if
-// needed.
-func (f *BatchFrame) entries() []driftlog.Entry {
-	if f.Entries != nil || f.Columns == nil {
-		return f.Entries
+// rowForm returns the entries and samples, materializing them from
+// columns if needed.
+func (f *BatchFrame) rowForm() ([]driftlog.Entry, [][]float64) {
+	if f.Columns == nil {
+		return f.Entries, f.Samples
 	}
-	return f.Columns.Entries()
+	return f.Columns.Entries(), f.Columns.Samples
 }
 
 // columns returns the columnar form, adapting row form if needed.
@@ -58,7 +59,9 @@ func (f *BatchFrame) columns() *driftlog.ColumnarBatch {
 	if f.Columns != nil {
 		return f.Columns
 	}
-	return driftlog.ColumnsFromEntries(f.Entries)
+	b := driftlog.ColumnsFromEntries(f.Entries)
+	b.Samples = f.Samples
+	return b
 }
 
 // Codec encodes and decodes ingest batches for one media type. Both
@@ -84,7 +87,8 @@ func (JSONCodec) ContentType() string { return ContentTypeJSON }
 
 // EncodeBatch implements Codec.
 func (JSONCodec) EncodeBatch(f *BatchFrame) ([]byte, error) {
-	data, err := json.Marshal(IngestBatchRequest{Entries: f.entries(), Samples: f.Samples})
+	entries, samples := f.rowForm()
+	data, err := json.Marshal(IngestBatchRequest{Entries: entries, Samples: samples})
 	if err != nil {
 		return nil, fmt.Errorf("httpapi: marshal: %w", err)
 	}
@@ -110,7 +114,7 @@ func (BinaryCodec) ContentType() string { return ContentTypeBinary }
 
 // EncodeBatch implements Codec.
 func (BinaryCodec) EncodeBatch(f *BatchFrame) ([]byte, error) {
-	return wire.EncodeBatch(&wire.Batch{Columns: *f.columns(), Samples: f.Samples})
+	return wire.EncodeBatch(f.columns())
 }
 
 // DecodeBatch implements Codec.
@@ -123,7 +127,7 @@ func (BinaryCodec) DecodeBatch(r io.Reader, maxEntries int) (*BatchFrame, error)
 	if err != nil {
 		return nil, err
 	}
-	return &BatchFrame{Columns: &b.Columns, Samples: b.Samples}, nil
+	return &BatchFrame{Columns: b}, nil
 }
 
 // codecs is the fixed codec table, sorted by media type.

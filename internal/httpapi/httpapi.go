@@ -278,10 +278,6 @@ func (s *Server) ingest(w http.ResponseWriter, r *http.Request, maxRows int, max
 			fmt.Sprintf("httpapi: ingest exceeds %d entries", maxRows))
 		return
 	}
-	if frame.Samples != nil && len(frame.Samples) != rows {
-		writeError(w, http.StatusBadRequest, CodeInvalidRequest, "httpapi: samples length must match entries")
-		return
-	}
 	for i := range frame.Entries {
 		if frame.Entries[i].Attrs == nil {
 			writeError(w, http.StatusBadRequest, CodeInvalidRequest,
@@ -289,7 +285,7 @@ func (s *Server) ingest(w http.ResponseWriter, r *http.Request, maxRows int, max
 			return
 		}
 	}
-	if err := s.svc.IngestColumnsContext(r.Context(), frame.columns(), frame.Samples); err != nil {
+	if err := s.svc.IngestColumnsContext(r.Context(), frame.columns(), nil); err != nil {
 		// A durability failure is the server's problem, not the batch's:
 		// it must surface as a 5xx so the transport retries the batch
 		// (against a restarted, replayed service) instead of dropping it

@@ -140,7 +140,7 @@ func TestServerMetricsEndpoint(t *testing.T) {
 		"nazar_http_in_flight 1", // the /metrics request itself
 		"# TYPE nazar_ingest_entries_total counter",
 		"nazar_driftlog_rows 0",
-		`nazar_samples_shard_rows{shard="0"} 0`,
+		"nazar_samples_retained 0",
 	} {
 		if !strings.Contains(body, want) {
 			t.Fatalf("exposition missing %q\n%s", want, body)

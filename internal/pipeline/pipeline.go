@@ -17,7 +17,6 @@ import (
 	"nazar/internal/detect"
 	"nazar/internal/device"
 	"nazar/internal/driftlog"
-	"nazar/internal/federated"
 	"nazar/internal/imagesim"
 	"nazar/internal/metrics"
 	"nazar/internal/nn"
@@ -43,12 +42,6 @@ const (
 	// variant and found it always worse than adapt-all (§5.2,
 	// "Baselines"), so it is not in the headline charts.
 	AdaptDrifted Strategy = "adapt-drifted"
-	// FederatedNazar is the §6 future-work variant: detection and
-	// root-cause analysis run exactly as in Nazar, but no input ever
-	// leaves a device — each device adapts its BN parameters locally on
-	// its cause-matching buffer and the cloud aggregates the per-device
-	// states into one version per cause.
-	FederatedNazar Strategy = "nazar-federated"
 )
 
 // Strategies lists the three compared strategies.
@@ -307,21 +300,6 @@ func Run(ds *dataset.Dataset, base *nn.Network, cfg Config) (*Result, error) {
 		}
 	}
 
-	// Federated state: per-device retained sample buffers (devices keep
-	// their recent inputs — nothing is uploaded) and the aggregation
-	// coordinator. Buffers accumulate across windows up to a cap, like
-	// the cloud's cumulative sample pools in centralized Nazar.
-	type buffered struct {
-		attrs map[string]string
-		x     []float64
-		drift bool
-	}
-	const fedBufferCap = 512
-	var fedBuffers map[string][]buffered
-	coord := federated.NewCoordinator()
-	if cfg.Strategy == FederatedNazar {
-		fedBuffers = map[string][]buffered{}
-	}
 	var cumAll, cumDrift metrics.RunningAccuracy
 	windowSpan := weather.End.AddDate(0, 0, 1).Sub(weather.Start) / time.Duration(cfg.Windows)
 
@@ -384,18 +362,6 @@ func Run(ds *dataset.Dataset, base *nn.Network, cfg Config) (*Result, error) {
 			case Nazar:
 				reports = append(reports, entry)
 				uploads = append(uploads, sample)
-			case FederatedNazar:
-				// Metadata goes to the cloud; the sampled input stays
-				// in the device's local buffer.
-				reports = append(reports, entry)
-				if sample != nil {
-					buf := append(fedBuffers[item.DeviceID],
-						buffered{attrs: entry.Attrs, x: sample, drift: entry.Drift})
-					if len(buf) > fedBufferCap {
-						buf = buf[len(buf)-fedBufferCap:]
-					}
-					fedBuffers[item.DeviceID] = buf
-				}
 			case AdaptAll:
 				if sample != nil {
 					allSamples = append(allSamples, sample)
@@ -448,74 +414,6 @@ func Run(ds *dataset.Dataset, base *nn.Network, cfg Config) (*Result, error) {
 				}
 			}
 			retireStale(w, wres.Causes)
-		case FederatedNazar:
-			from := weather.Start.Add(time.Duration(w) * windowSpan)
-			to := from.Add(windowSpan)
-			if cfg.CumulativeAnalysis {
-				from = weather.Start
-			}
-			rcaStart := time.Now()
-			causes, err := svc.DiagnoseContext(ctx, from, to, to)
-			if err != nil {
-				return nil, fmt.Errorf("pipeline: federated diagnose window %d: %w", w, err)
-			}
-			stats.RCADuration = time.Since(rcaStart)
-			for _, c := range causes {
-				stats.Causes = append(stats.Causes, c.String())
-			}
-			adaptStart := time.Now()
-			// Each discovered cause is adapted locally on each device's
-			// matching buffer. The clean model is intentionally NOT
-			// federated: local clean buffers are small and polluted by
-			// undetected drift, and aggregating them degrades the base
-			// (centralized Nazar can afford clean refresh because it
-			// pools a much larger clean sample).
-			cleanCause := rca.Cause{}
-			localCfg := cfg.Cloud.AdaptCfg
-			// Local buffers are small; cap steps to limit per-device
-			// overfitting before aggregation smooths it out.
-			localCfg.MinSteps = 10
-			for devID, buf := range fedBuffers {
-				byCause := map[string][]buffered{}
-				for _, b := range buf {
-					idx := rca.AssignCause(causes, b.attrs)
-					if idx >= 0 {
-						byCause[causes[idx].Key()] = append(byCause[causes[idx].Key()], b)
-						continue
-					}
-					// Clean inputs are not federated (see Round below).
-				}
-				for key, items := range byCause {
-					if len(items) < 4 {
-						continue
-					}
-					local := tensor.New(len(items), ds.World.Dim())
-					for i, b := range items {
-						copy(local.Row(i), b.x)
-					}
-					dev := devices[devID]
-					update, err := federated.LocalAdapt(dev.Pool.Base(), local, key, devID, localCfg)
-					if err != nil {
-						return nil, fmt.Errorf("pipeline: local adapt %s: %w", devID, err)
-					}
-					coord.Submit(update)
-				}
-			}
-			versions, err := coord.Round(append(causes, cleanCause), 2, to)
-			// (cleanCause is advertised for forward compatibility; no
-			// clean updates are submitted in this mode, see above.)
-			if err != nil {
-				return nil, fmt.Errorf("pipeline: federated round: %w", err)
-			}
-			stats.AdaptDuration = time.Since(adaptStart)
-			for _, d := range devices {
-				for _, version := range versions {
-					if err := d.Pool.Install(version, to); err != nil {
-						return nil, fmt.Errorf("pipeline: federated deploy: %w", err)
-					}
-				}
-			}
-			retireStale(w, causes)
 		case AdaptAll, AdaptDrifted:
 			if len(allSamples) >= 8 {
 				pool := tensor.New(len(allSamples), ds.World.Dim())

@@ -238,38 +238,6 @@ func TestAdaptDriftedWorseThanAdaptAll(t *testing.T) {
 	}
 }
 
-func TestFederatedNazarEndToEnd(t *testing.T) {
-	// §6 future work end to end: federated Nazar must recover drifted
-	// accuracy over no-adapt while uploading zero samples.
-	r := getRig(t)
-	cfg := DefaultConfig(FederatedNazar, 11)
-	cfg.Windows = 4
-	res, err := Run(r.ds, r.base, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fed, _ := res.AvgDriftAccLast(3)
-	non, _ := r.results[NoAdapt].AvgDriftAccLast(3)
-	nzr, _ := r.results[Nazar].AvgDriftAccLast(3)
-	t.Logf("drifted acc: federated=%.3f nazar=%.3f no-adapt=%.3f", fed, nzr, non)
-	if fed <= non {
-		t.Fatalf("federated Nazar %v should beat no-adapt %v on drifted data", fed, non)
-	}
-	if fed < nzr-0.20 {
-		t.Fatalf("federated %v too far below centralized Nazar %v", fed, nzr)
-	}
-	// Versions must carry the federated prefix and causes must exist.
-	foundVersions := false
-	for _, w := range res.Windows {
-		if w.VersionCount > 0 {
-			foundVersions = true
-		}
-	}
-	if !foundVersions {
-		t.Fatal("no federated versions deployed")
-	}
-}
-
 func TestCustomWeatherSource(t *testing.T) {
 	// A pipeline driven by explicit historical records: every day is
 	// foggy everywhere, so every inference is drifted.

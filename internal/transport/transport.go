@@ -189,9 +189,8 @@ type Client struct {
 type Option func(*clientOptions)
 
 type clientOptions struct {
-	cfg      Config
-	codec    httpapi.Codec
-	compress bool
+	cfg   Config
+	codec httpapi.Codec
 }
 
 // WithConfig replaces the whole Config (zero fields still default).
@@ -206,11 +205,6 @@ func WithConfig(cfg Config) Option {
 // new codec before its cloud does.
 func WithCodec(c httpapi.Codec) Option {
 	return func(o *clientOptions) { o.codec = c }
-}
-
-// WithCompression gzips spooled ingest frames on the wire.
-func WithCompression(on bool) Option {
-	return func(o *clientOptions) { o.compress = on }
 }
 
 // WithBatcher tunes the spool's shipping cadence: entries per
@@ -234,7 +228,6 @@ func NewClient(baseURL string, opts ...Option) *Client {
 	// client timeout (which would also cap slow-but-progressing pulls).
 	api.HTTP = &http.Client{Transport: cfg.HTTPTransport}
 	api.Codec = o.codec
-	api.Compress = o.compress
 	c := &Client{
 		api:        api,
 		cfg:        cfg,

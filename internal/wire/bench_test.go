@@ -83,7 +83,7 @@ func BenchmarkWireDecode(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		binBody, err := wire.EncodeBatch(wire.FromEntries(entries, nil))
+		binBody, err := wire.EncodeBatch(batchOf(entries, nil))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -123,7 +123,7 @@ func BenchmarkWireIngest(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		binBody, err := wire.EncodeBatch(wire.FromEntries(entries, nil))
+		binBody, err := wire.EncodeBatch(batchOf(entries, nil))
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -16,7 +16,7 @@ func FuzzWireDecode(f *testing.F) {
 	r := rand.New(rand.NewSource(11))
 	for _, n := range []int{0, 1, 9, 40} {
 		entries := randEntries(r, n)
-		frame, err := wire.EncodeBatch(wire.FromEntries(entries, randSamples(r, n)))
+		frame, err := wire.EncodeBatch(batchOf(entries, randSamples(r, n)))
 		if err != nil {
 			f.Fatal(err)
 		}

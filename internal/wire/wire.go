@@ -11,7 +11,8 @@
 // The payload lays the batch out columnar — delta-encoded varint
 // timestamps, an LSB-first drift bitmap, varint sample IDs, then one
 // dictionary page plus one uvarint ID page per attribute column, and
-// (flag bit 0) a sparse float64 sample section. Attribute values are
+// (flag bit 0) the sparse float64 sample section the WAL record also
+// carries (driftlog.AppendSampleSection). Attribute values are
 // dictionary-encoded exactly like the drift log's own columns (ID 0 =
 // missing), so a decoded frame appends into the store's interned-value
 // and bitset structures through driftlog.(*Store).AppendColumns without
@@ -28,7 +29,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
-	"math"
 
 	"nazar/internal/driftlog"
 )
@@ -56,25 +56,6 @@ const (
 // castagnoli is the CRC32C table shared with the WAL framing.
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
-// Batch is one decoded (or to-be-encoded) ingest batch: the drift-log
-// rows in columnar form plus the optional uploaded samples (nil, or one
-// row per batch row with nil meaning "no sample").
-type Batch struct {
-	Columns driftlog.ColumnarBatch
-	Samples [][]float64
-}
-
-// Rows returns the batch's row count.
-func (b *Batch) Rows() int { return b.Columns.Rows() }
-
-// FromEntries converts a row-form batch into a wire Batch.
-func FromEntries(entries []driftlog.Entry, samples [][]float64) *Batch {
-	return &Batch{Columns: *driftlog.ColumnsFromEntries(entries), Samples: samples}
-}
-
-// Entries reconstructs the batch in row form.
-func (b *Batch) Entries() []driftlog.Entry { return b.Columns.Entries() }
-
 // DecodeError is the typed decode failure: where in the frame the first
 // bad byte sits and what check it failed. Every decode failure is one
 // of these (or a frame/batch size violation wrapped in one).
@@ -94,28 +75,21 @@ func derr(off int, format string, args ...any) error {
 }
 
 // EncodeBatch encodes one frame.
-func EncodeBatch(b *Batch) ([]byte, error) { return AppendFrame(nil, b) }
+func EncodeBatch(b *driftlog.ColumnarBatch) ([]byte, error) { return AppendFrame(nil, b) }
 
 // AppendFrame appends one encoded frame to dst (scratch reuse for the
-// spooling transport). The batch must validate; Samples, when non-nil,
-// must have one row per batch row.
-func AppendFrame(dst []byte, b *Batch) ([]byte, error) {
-	if err := b.Columns.Validate(); err != nil {
+// spooling transport). The batch, sample column included, must validate.
+func AppendFrame(dst []byte, b *driftlog.ColumnarBatch) ([]byte, error) {
+	if err := b.Validate(); err != nil {
 		return nil, fmt.Errorf("wire: encode: %w", err)
 	}
-	rows := b.Columns.Rows()
-	if b.Samples != nil && len(b.Samples) != rows {
-		return nil, fmt.Errorf("wire: encode: %d rows but %d sample rows", rows, len(b.Samples))
-	}
+	rows := b.Rows()
 	var flags byte
-	nsamples := 0
 	for _, s := range b.Samples {
 		if s != nil {
-			nsamples++
+			flags |= flagSamples
+			break
 		}
-	}
-	if nsamples > 0 {
-		flags |= flagSamples
 	}
 
 	base := len(dst)
@@ -126,23 +100,23 @@ func AppendFrame(dst []byte, b *Batch) ([]byte, error) {
 
 	dst = binary.AppendUvarint(dst, uint64(rows))
 	var prev int64
-	for _, t := range b.Columns.Times {
+	for _, t := range b.Times {
 		dst = binary.AppendVarint(dst, t-prev)
 		prev = t
 	}
 	off := len(dst)
 	dst = append(dst, make([]byte, (rows+7)/8)...)
-	for r, d := range b.Columns.Drift {
+	for r, d := range b.Drift {
 		if d {
 			dst[off+r/8] |= 1 << (r % 8)
 		}
 	}
-	for _, id := range b.Columns.SampleIDs {
+	for _, id := range b.SampleIDs {
 		dst = binary.AppendVarint(dst, id)
 	}
-	dst = binary.AppendUvarint(dst, uint64(len(b.Columns.Cols)))
-	for ci := range b.Columns.Cols {
-		col := &b.Columns.Cols[ci]
+	dst = binary.AppendUvarint(dst, uint64(len(b.Cols)))
+	for ci := range b.Cols {
+		col := &b.Cols[ci]
 		dst = appendString(dst, col.Name)
 		dst = binary.AppendUvarint(dst, uint64(len(col.Dict)-1))
 		for _, v := range col.Dict[1:] {
@@ -152,18 +126,8 @@ func AppendFrame(dst []byte, b *Batch) ([]byte, error) {
 			dst = binary.AppendUvarint(dst, uint64(id))
 		}
 	}
-	if nsamples > 0 {
-		dst = binary.AppendUvarint(dst, uint64(nsamples))
-		for r, s := range b.Samples {
-			if s == nil {
-				continue
-			}
-			dst = binary.AppendUvarint(dst, uint64(r))
-			dst = binary.AppendUvarint(dst, uint64(len(s)))
-			for _, v := range s {
-				dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(v))
-			}
-		}
+	if flags&flagSamples != 0 {
+		dst = driftlog.AppendSampleSection(dst, b.Samples)
 	}
 
 	payload := dst[p:]
@@ -234,7 +198,7 @@ func (d *reader) str(what string) (string, error) {
 // DecodeBatch decodes one frame. maxRows, when positive, bounds the
 // accepted row count (the server passes its batch cap, so a hostile
 // frame cannot pin unbounded memory). Every failure is a *DecodeError.
-func DecodeBatch(p []byte, maxRows int) (*Batch, error) {
+func DecodeBatch(p []byte, maxRows int) (*driftlog.ColumnarBatch, error) {
 	if len(p) < headerSize {
 		return nil, derr(0, "short frame: %d bytes, header needs %d", len(p), headerSize)
 	}
@@ -277,11 +241,11 @@ func DecodeBatch(p []byte, maxRows int) (*Batch, error) {
 		return nil, derr(headerSize, "row count %d exceeds limit %d", rows, maxRows)
 	}
 
-	b := &Batch{Columns: driftlog.ColumnarBatch{
+	b := &driftlog.ColumnarBatch{
 		Times:     make([]int64, rows),
 		Drift:     make([]bool, rows),
 		SampleIDs: make([]int64, rows),
-	}}
+	}
 	var prev int64
 	for r := 0; r < rows; r++ {
 		dt, err := d.varint("time delta")
@@ -289,21 +253,21 @@ func DecodeBatch(p []byte, maxRows int) (*Batch, error) {
 			return nil, err
 		}
 		prev += dt
-		b.Columns.Times[r] = prev
+		b.Times[r] = prev
 	}
 	bm, err := d.bytes((rows+7)/8, "drift bitmap")
 	if err != nil {
 		return nil, err
 	}
 	for r := 0; r < rows; r++ {
-		b.Columns.Drift[r] = bm[r/8]&(1<<(r%8)) != 0
+		b.Drift[r] = bm[r/8]&(1<<(r%8)) != 0
 	}
 	for r := 0; r < rows; r++ {
 		id, err := d.varint("sample id")
 		if err != nil {
 			return nil, err
 		}
-		b.Columns.SampleIDs[r] = id
+		b.SampleIDs[r] = id
 	}
 
 	ncols, err := d.uvarint("column count")
@@ -315,7 +279,7 @@ func DecodeBatch(p []byte, maxRows int) (*Batch, error) {
 	if ncols > uint64(len(d.p)/2+1) {
 		return nil, derr(d.off, "column count %d exceeds payload capacity", ncols)
 	}
-	b.Columns.Cols = make([]driftlog.ColumnData, 0, ncols)
+	b.Cols = make([]driftlog.ColumnData, 0, ncols)
 	for c := uint64(0); c < ncols; c++ {
 		name, err := d.str("column name")
 		if err != nil {
@@ -349,54 +313,22 @@ func DecodeBatch(p []byte, maxRows int) (*Batch, error) {
 			}
 			ids[r] = uint32(id)
 		}
-		b.Columns.Cols = append(b.Columns.Cols, driftlog.ColumnData{Name: name, Dict: dict, IDs: ids})
+		b.Cols = append(b.Cols, driftlog.ColumnData{Name: name, Dict: dict, IDs: ids})
 	}
 
 	if flags&flagSamples != 0 {
-		count, err := d.uvarint("sample count")
+		samples, n, err := driftlog.DecodeSampleSection(d.p, rows)
 		if err != nil {
-			return nil, err
+			return nil, derr(d.off, "%v", err)
 		}
-		if count > uint64(rows) {
-			return nil, derr(d.off, "sample count %d exceeds %d rows", count, rows)
-		}
-		b.Samples = make([][]float64, rows)
-		last := -1
-		for i := uint64(0); i < count; i++ {
-			rU, err := d.uvarint("sample row")
-			if err != nil {
-				return nil, err
-			}
-			if rU >= uint64(rows) {
-				return nil, derr(d.off, "sample row %d out of range (%d rows)", rU, rows)
-			}
-			r := int(rU)
-			if r <= last {
-				return nil, derr(d.off, "sample rows not strictly increasing (%d after %d)", r, last)
-			}
-			last = r
-			dim, err := d.uvarint("sample dimension")
-			if err != nil {
-				return nil, err
-			}
-			if dim > uint64(len(d.p)/8) {
-				return nil, derr(d.off, "sample dimension %d exceeds payload capacity", dim)
-			}
-			raw, err := d.bytes(int(dim)*8, "sample values")
-			if err != nil {
-				return nil, err
-			}
-			vals := make([]float64, dim)
-			for j := range vals {
-				vals[j] = math.Float64frombits(binary.LittleEndian.Uint64(raw[j*8:]))
-			}
-			b.Samples[r] = vals
-		}
+		b.Samples = samples
+		d.p = d.p[n:]
+		d.off += n
 	}
 	if len(d.p) != 0 {
 		return nil, derr(d.off, "%d trailing bytes after frame payload", len(d.p))
 	}
-	if err := b.Columns.Validate(); err != nil {
+	if err := b.Validate(); err != nil {
 		return nil, derr(headerSize, "decoded batch invalid: %v", err)
 	}
 	return b, nil

@@ -68,12 +68,19 @@ func randSamples(r *rand.Rand, n int) [][]float64 {
 	return samples
 }
 
+// batchOf converts entries and their optional sample column to a batch.
+func batchOf(entries []driftlog.Entry, samples [][]float64) *driftlog.ColumnarBatch {
+	b := driftlog.ColumnsFromEntries(entries)
+	b.Samples = samples
+	return b
+}
+
 func TestEncodeDecodeRoundTrip(t *testing.T) {
 	for seed := int64(0); seed < 20; seed++ {
 		r := rand.New(rand.NewSource(seed))
 		entries := randEntries(r, r.Intn(100))
 		samples := randSamples(r, len(entries))
-		b := wire.FromEntries(entries, samples)
+		b := batchOf(entries, samples)
 		frame, err := wire.EncodeBatch(b)
 		if err != nil {
 			t.Fatalf("seed %d: encode: %v", seed, err)
@@ -155,7 +162,7 @@ func routeBodies(t *testing.T, path string, binary bool, entries []driftlog.Entr
 	}
 	encode := func(v any, entries []driftlog.Entry, samples [][]float64) []byte {
 		if binary {
-			frame, err := wire.EncodeBatch(wire.FromEntries(entries, samples))
+			frame, err := wire.EncodeBatch(batchOf(entries, samples))
 			if err != nil {
 				t.Fatalf("encode: %v", err)
 			}
@@ -231,21 +238,23 @@ func TestBinaryJSONDifferential(t *testing.T) {
 					if gc := got.Log().All().AttrValueCounts(nil); !reflect.DeepEqual(wantCounts, gc) {
 						t.Fatalf("seed %d: counts diverge\n %s %v\n %s %v", seed, ingestRoutes[0].name, wantCounts, name, gc)
 					}
-					if ws, gs := want.Samples().Stats(), got.Samples().Stats(); !reflect.DeepEqual(ws, gs) {
-						t.Fatalf("seed %d: sample stores diverge\n %s %+v\n %s %+v", seed, ingestRoutes[0].name, ws, name, gs)
+					wids, wxs, _ := want.Log().All().Samples(nil)
+					gids, gxs, _ := got.Log().All().Samples(nil)
+					if !reflect.DeepEqual(wids, gids) || !reflect.DeepEqual(wxs, gxs) {
+						t.Fatalf("seed %d: sample columns diverge\n %s %v\n %s %v", seed, ingestRoutes[0].name, wids, name, gids)
 					}
 				}
 			}
 		})
 	}
 
-	valid, err := wire.EncodeBatch(wire.FromEntries(randEntries(rand.New(rand.NewSource(5)), 1), nil))
+	valid, err := wire.EncodeBatch(batchOf(randEntries(rand.New(rand.NewSource(5)), 1), nil))
 	if err != nil {
 		t.Fatal(err)
 	}
 	flipped := append([]byte(nil), valid...)
 	flipped[len(flipped)-1] ^= 0xFF
-	empty, err := wire.EncodeBatch(wire.FromEntries(nil, nil))
+	empty, err := wire.EncodeBatch(batchOf(nil, nil))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -299,7 +308,7 @@ func TestBinaryJSONDifferential(t *testing.T) {
 }
 
 func TestDecodeTypedErrors(t *testing.T) {
-	valid, err := wire.EncodeBatch(wire.FromEntries(randEntries(rand.New(rand.NewSource(3)), 8), nil))
+	valid, err := wire.EncodeBatch(batchOf(randEntries(rand.New(rand.NewSource(3)), 8), nil))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -343,7 +352,7 @@ func TestDecodeTypedErrors(t *testing.T) {
 	check("crc corruption", bad, "crc mismatch")
 
 	// Row count beyond the server's batch cap.
-	big, err := wire.EncodeBatch(wire.FromEntries(randEntries(rand.New(rand.NewSource(4)), 20), nil))
+	big, err := wire.EncodeBatch(batchOf(randEntries(rand.New(rand.NewSource(4)), 20), nil))
 	if err != nil {
 		t.Fatal(err)
 	}
