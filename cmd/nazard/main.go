@@ -46,7 +46,6 @@ func main() {
 		epochs     = flag.Int("epochs", 25, "base-model training epochs")
 		seed       = flag.Uint64("seed", 42, "world/model seed (devices must match)")
 		every      = flag.Duration("analyze-every", 0, "periodic analysis interval (0 = on demand)")
-		logFile    = flag.String("log-file", "", "drift-log persistence path (loaded on start, saved after each analysis; superseded by -wal-dir)")
 		retain     = flag.Duration("retention", 0, "compact drift-log rows older than this before each analysis (0 = keep all)")
 		walDir     = flag.String("wal-dir", "", "write-ahead-log directory for a durable drift log (replayed on start)")
 		walSegMB   = flag.Int("wal-segment-mb", 4, "WAL segment rotation threshold in MiB")
@@ -105,17 +104,6 @@ func main() {
 		rec := svc.WAL().Recovery()
 		log.Printf("nazard: wal replay: %d snapshot rows + %d rows from %d segments (torn tail: %v)",
 			rec.SnapshotRows, rec.Rows, rec.Segments, rec.TornTail)
-		if *logFile != "" {
-			log.Printf("nazard: -log-file ignored: -wal-dir provides durability (snapshot would double-apply on replay)")
-			*logFile = ""
-		}
-	}
-	if *logFile != "" {
-		if err := svc.LoadLog(*logFile); err != nil {
-			log.Printf("nazard: no drift log restored from %s: %v", *logFile, err)
-		} else {
-			log.Printf("nazard: restored %d drift-log rows from %s", svc.Log().Len(), *logFile)
-		}
 	}
 	var sched *cloud.Scheduler
 	if *every > 0 {
@@ -123,11 +111,6 @@ func main() {
 		sched.OnResult = func(res cloud.WindowResult) {
 			log.Printf("nazard: analysis over %d rows: %d causes, %d versions (rca %v, adapt %v)",
 				res.LogRows, len(res.Causes), len(res.Versions), res.RCADuration, res.AdaptDuration)
-			if *logFile != "" {
-				if err := svc.SaveLog(*logFile); err != nil {
-					log.Printf("nazard: persist drift log: %v", err)
-				}
-			}
 		}
 		sched.Start()
 	}

@@ -87,7 +87,7 @@ type Service struct {
 	log  *driftlog.Store
 	base *nn.Network
 	// nextSample is the next sample ID to assign, seeded past every ID
-	// the log already holds (WAL replay, LoadLog).
+	// the log already holds after WAL replay.
 	nextSample atomic.Int64
 	// versionSeq disambiguates version IDs across windows.
 	versionSeq int
@@ -330,9 +330,13 @@ func (s *Service) IngestColumnsContext(ctx context.Context, b *driftlog.Columnar
 	}
 	// WAL first: the batch must be durable before it is queryable, or a
 	// crash between the two would acknowledge rows that replay cannot
-	// restore.
+	// restore. A batch too large for one record is the batch's fault, not
+	// the log's: the WAL refused it whole and stays healthy, so it is not
+	// a durability failure, and retrying it could never succeed.
 	if s.wal != nil {
-		if err := s.wal.AppendColumns(b); err != nil {
+		if err := s.wal.AppendColumns(b); errors.Is(err, driftlog.ErrFrameTooLarge) {
+			return fmt.Errorf("cloud: ingest: %w", err)
+		} else if err != nil {
 			return fmt.Errorf("%w: %w", ErrDurability, err)
 		}
 	}
@@ -553,21 +557,6 @@ func (s *Service) VersionsSince(since time.Time) []adapt.BNVersion {
 		}
 	}
 	return out
-}
-
-// SaveLog persists the drift log to path (atomic write).
-func (s *Service) SaveLog(path string) error { return s.log.SaveFile(path) }
-
-// LoadLog appends previously persisted drift-log rows, vectors included,
-// from path. It is a startup call, made before the first ingest: the
-// sample ID counter moves past every loaded link, so a loaded row's link
-// keeps resolving to its own vector.
-func (s *Service) LoadLog(path string) error {
-	if err := s.log.LoadFile(path); err != nil {
-		return err
-	}
-	s.nextSample.Store(max(s.nextSample.Load(), s.log.MaxSampleID()+1))
-	return nil
 }
 
 // causeSamples is the by-cause adaptation source over one pinned view: a

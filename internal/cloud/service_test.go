@@ -49,40 +49,6 @@ func TestSampleStore(t *testing.T) {
 	}
 }
 
-// TestSampleStoreStartAt: a service that loads a saved log assigns new
-// sample IDs above every loaded link, and the loaded links keep resolving
-// to their own vectors beside the new ones.
-func TestSampleStoreStartAt(t *testing.T) {
-	base := nn.NewClassifier(nn.ArchResNet18, 1, 2, tensor.NewRand(1, 1))
-	row := func(i int) driftlog.Entry {
-		return driftlog.Entry{Time: weather.Day(1).Add(time.Duration(i) * time.Minute), Attrs: map[string]string{}}
-	}
-	first := NewService(base, DefaultConfig())
-	for i := 0; i < 5; i++ {
-		if err := ingestOne(first, row(i), []float64{float64(i)}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	path := t.TempDir() + "/drift.log"
-	if err := first.SaveLog(path); err != nil {
-		t.Fatal(err)
-	}
-	svc := NewService(base, DefaultConfig())
-	if err := svc.LoadLog(path); err != nil {
-		t.Fatal(err)
-	}
-	if err := ingestOne(svc, row(5), []float64{5}); err != nil {
-		t.Fatal(err)
-	}
-	if id := svc.Log().Entry(5).SampleID; id != 5 {
-		t.Fatalf("first sample after the load got id %d, want 5", id)
-	}
-	m := svc.Samples().Gather([]int64{0, 4, 5})
-	if m == nil || m.Rows != 3 || m.At(0, 0) != 0 || m.At(1, 0) != 4 || m.At(2, 0) != 5 {
-		t.Fatalf("gather across the load: %v", m)
-	}
-}
-
 func TestIngestLinksSamples(t *testing.T) {
 	base := nn.NewClassifier(nn.ArchResNet18, 8, 4, tensor.NewRand(1, 1))
 	svc := NewService(base, DefaultConfig())
@@ -279,30 +245,6 @@ func TestRCAModeRespected(t *testing.T) {
 	}
 	if counts[rca.FIMOnly] < counts[rca.Full] {
 		t.Fatalf("FIM-only causes %d < full %d", counts[rca.FIMOnly], counts[rca.Full])
-	}
-}
-
-func TestServiceLogPersistence(t *testing.T) {
-	world := imagesim.NewWorld(imagesim.DefaultConfig(6, 31))
-	base := nn.NewClassifier(nn.ArchResNet18, world.Dim(), 6, tensor.NewRand(31, 1))
-	svc := NewService(base, DefaultConfig())
-	rng := tensor.NewRand(32, 1)
-	for i := 0; i < 20; i++ {
-		ingestOne(svc, driftlog.Entry{
-			Time: weather.Day(1).Add(time.Duration(i) * time.Minute), Drift: i%2 == 0,
-			Attrs: map[string]string{driftlog.AttrWeather: "rain"},
-		}, world.Sample(i%6, rng))
-	}
-	path := t.TempDir() + "/drift.log"
-	if err := svc.SaveLog(path); err != nil {
-		t.Fatal(err)
-	}
-	fresh := NewService(base, DefaultConfig())
-	if err := fresh.LoadLog(path); err != nil {
-		t.Fatal(err)
-	}
-	if fresh.Log().Len() != 20 {
-		t.Fatalf("restored %d rows", fresh.Log().Len())
 	}
 }
 

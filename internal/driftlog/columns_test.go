@@ -1,7 +1,6 @@
 package driftlog
 
 import (
-	"bytes"
 	"encoding/hex"
 	"fmt"
 	"math/rand"
@@ -149,33 +148,10 @@ func TestAppendColumnsRejectsInvalid(t *testing.T) {
 	}
 }
 
-// TestWALFrameColumnsByteEqual pins the frame encoder against the
-// row-form reference encoder on random batches (missing attributes,
-// scattered timestamps): byte-identical records.
-func TestWALFrameColumnsByteEqual(t *testing.T) {
-	for seed := int64(0); seed < 10; seed++ {
-		r := rand.New(rand.NewSource(500 + seed))
-		entries := randomColumnarEntries(r, r.Intn(80))
-		rowFrame := refAppendWALFrame(nil, entries)
-		colFrame := appendWALFrameColumns(nil, ColumnsFromEntries(entries))
-		if !bytes.Equal(rowFrame, colFrame) {
-			t.Fatalf("seed %d: WAL frames diverge (%d rows): row %d bytes, columnar %d bytes",
-				seed, len(entries), len(rowFrame), len(colFrame))
-		}
-	}
-}
-
-// TestWALFrameGolden pins the on-disk record bytes against the frame
-// encoder for a fixed batch: a row with every attribute, a row missing
-// one, a row with none, out-of-order timestamps, absent, small and
-// two-byte sample ids, and one row's vector. A diff here is a WAL format change and needs a
-// record-version bump, not a new hex string.
-func TestWALFrameGolden(t *testing.T) {
-	const want = "8f000000e7e937de" +
-		"020380e8c9c5df85fde92b000103066465766963650a616e64726f69645f3432086c6f636174696f6e0848656c73696e6b69077765617468657209636c6561722d646179" +
-		"e8dfb4ba8387fde92b010e02066465766963650a616e64726f69645f3231077765617468657204736e6f77" +
-		"80a0b58ac384fde92b01d80400" +
-		"010102000000000000e03f00000000000000c0" // sample section: row 1 = {0.5, -2}
+// goldenRecordBatch is the fixed batch the record goldens pin: a row
+// with every attribute, a row missing one, a row with none, out-of-order
+// timestamps, absent, small and two-byte sample ids, and one row's vector.
+func goldenRecordBatch() ([]Entry, [][]float64) {
 	entries := []Entry{
 		{Time: time.Unix(1579068121, 0).UTC(), Drift: false, SampleID: -1,
 			Attrs: map[string]string{AttrWeather: "clear-day", AttrDevice: "android_42", AttrLocation: "Helsinki"}},
@@ -184,19 +160,65 @@ func TestWALFrameGolden(t *testing.T) {
 		{Time: time.Unix(1579068100, 0).UTC(), Drift: true, SampleID: 300,
 			Attrs: map[string]string{}},
 	}
-	samples := [][]float64{nil, {0.5, -2}, nil}
-	b := ColumnsFromEntries(entries)
-	b.Samples = samples
-	frame := appendWALFrameColumns(nil, b)
-	if got := hex.EncodeToString(frame); got != want {
-		t.Fatalf("WAL frame bytes changed:\n got %s\nwant %s", got, want)
+	return entries, [][]float64{nil, {0.5, -2}, nil}
+}
+
+// TestWALFrameGolden pins the legacy version-2 row record, decode-only:
+// no writer produces it any more, but replay must read it unchanged.
+func TestWALFrameGolden(t *testing.T) {
+	const legacy = "8f000000e7e937de" +
+		"020380e8c9c5df85fde92b000103066465766963650a616e64726f69645f3432086c6f636174696f6e0848656c73696e6b69077765617468657209636c6561722d646179" +
+		"e8dfb4ba8387fde92b010e02066465766963650a616e64726f69645f3231077765617468657204736e6f77" +
+		"80a0b58ac384fde92b01d80400" +
+		"010102000000000000e03f00000000000000c0" // sample section: row 1 = {0.5, -2}
+	entries, samples := goldenRecordBatch()
+	frame, err := hex.DecodeString(legacy)
+	if err != nil {
+		t.Fatal(err)
 	}
 	rows, xs, err := decodeWALPayload(frame[8:])
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got := ColumnsFromEntries(rows).Entries(); !reflect.DeepEqual(got, entries) || !reflect.DeepEqual(xs, samples) {
-		t.Fatalf("golden frame decodes to\n%+v %v\nwant\n%+v %v", got, xs, entries, samples)
+		t.Fatalf("golden record decodes to\n%+v %v\nwant\n%+v %v", got, xs, entries, samples)
+	}
+}
+
+// TestWALFrameRecordGolden pins the on-disk record bytes the WAL writes
+// for the same batch: [len][crc] around its NZB1 frame. A diff here is a
+// frame format change and needs a frame version bump, not a new hex
+// string.
+func TestWALFrameRecordGolden(t *testing.T) {
+	const want = "8f00000017a663a1" +
+		"4e5a42310101810000008f899ac4" + // frame header: magic, version 1, flags (samples), payload length, crc
+		"0380e8c9c5df85fde92be8f7eaf4a301e7bfffafc002" + // 3 rows, delta-encoded times
+		"06" + "010ed804" + // drift bitmap, sample ids
+		"03" + "06646576696365020a616e64726f69645f34320a616e64726f69645f3231010200" +
+		"086c6f636174696f6e010848656c73696e6b69010000" +
+		"07776561746865720209636c6561722d64617904736e6f77010200" +
+		"010102000000000000e03f00000000000000c0" // sample section: row 1 = {0.5, -2}
+	entries, samples := goldenRecordBatch()
+	b := ColumnsFromEntries(entries)
+	b.Samples = samples
+	rec, err := appendRecord(nil, b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := hex.EncodeToString(rec); got != want {
+		t.Fatalf("WAL record bytes changed:\n got %s\nwant %s", got, want)
+	}
+	s := NewStore()
+	if n, err := applyRecord(s, rec[8:]); err != nil || n != len(entries) {
+		t.Fatalf("golden record applies %d rows: %v", n, err)
+	}
+	for i, e := range entries {
+		if got := s.Entry(i); !reflect.DeepEqual(got, e) {
+			t.Fatalf("golden record row %d replays to %+v, want %+v", i, got, e)
+		}
+	}
+	if ids, xs, _ := s.All().Samples(nil); !reflect.DeepEqual(ids, []int64{7}) || !reflect.DeepEqual(xs, samples[1:2]) {
+		t.Fatalf("golden record replays vectors %v %v", ids, xs)
 	}
 }
 

@@ -14,7 +14,7 @@
 // concurrent devices append without contending on a global mutex, and
 // window queries snapshot every shard once and then scan lock-free.
 // Every row also carries a global sequence number, which defines the
-// canonical row order (Entry, SampleIDs, WriteTo) so sharding never
+// canonical row order (Entry, SampleIDs, Samples) so sharding never
 // changes observable ordering or the on-disk format.
 package driftlog
 

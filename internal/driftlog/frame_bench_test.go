@@ -1,4 +1,4 @@
-package wire_test
+package driftlog_test
 
 import (
 	"bytes"
@@ -17,7 +17,6 @@ import (
 	"nazar/internal/httpapi"
 	"nazar/internal/nn"
 	"nazar/internal/tensor"
-	"nazar/internal/wire"
 )
 
 // benchEntries fabricates a realistic fleet batch: a handful of devices
@@ -83,7 +82,7 @@ func BenchmarkWireDecode(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		binBody, err := wire.EncodeBatch(batchOf(entries, nil))
+		binBody, err := driftlog.AppendFrame(nil, batchOf(entries, nil))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -99,7 +98,7 @@ func BenchmarkWireDecode(b *testing.B) {
 		b.Run(fmt.Sprintf("binary/%d", n), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := wire.DecodeBatch(binBody, 0); err != nil {
+				if _, err := driftlog.DecodeFrame(binBody, 0); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -123,7 +122,7 @@ func BenchmarkWireIngest(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		binBody, err := wire.EncodeBatch(batchOf(entries, nil))
+		binBody, err := driftlog.AppendFrame(nil, batchOf(entries, nil))
 		if err != nil {
 			b.Fatal(err)
 		}

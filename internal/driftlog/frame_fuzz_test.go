@@ -1,22 +1,22 @@
-package wire_test
+package driftlog_test
 
 import (
 	"math/rand"
 	"reflect"
 	"testing"
 
-	"nazar/internal/wire"
+	"nazar/internal/driftlog"
 )
 
 // FuzzWireDecode hammers the frame decoder with arbitrary bytes. The
 // contract under fuzz: every input either decodes (and then re-encodes
 // to a frame that decodes to the same batch) or fails with a typed
-// *wire.DecodeError — never a panic, never an unbounded allocation.
+// *driftlog.FrameError — never a panic, never an unbounded allocation.
 func FuzzWireDecode(f *testing.F) {
 	r := rand.New(rand.NewSource(11))
 	for _, n := range []int{0, 1, 9, 40} {
 		entries := randEntries(r, n)
-		frame, err := wire.EncodeBatch(batchOf(entries, randSamples(r, n)))
+		frame, err := driftlog.AppendFrame(nil, batchOf(entries, randSamples(r, n)))
 		if err != nil {
 			f.Fatal(err)
 		}
@@ -35,19 +35,19 @@ func FuzzWireDecode(f *testing.F) {
 	f.Add([]byte("NZB1\x01\x00\xff\xff\xff\xffaaaabb")) // huge claimed length
 
 	f.Fuzz(func(t *testing.T, p []byte) {
-		b, err := wire.DecodeBatch(p, 1<<16)
+		b, err := driftlog.DecodeFrame(p, 1<<16)
 		if err != nil {
-			if _, ok := err.(*wire.DecodeError); !ok {
-				t.Fatalf("decode failure is %T, want *wire.DecodeError: %v", err, err)
+			if _, ok := err.(*driftlog.FrameError); !ok {
+				t.Fatalf("decode failure is %T, want *driftlog.FrameError: %v", err, err)
 			}
 			return
 		}
 		// Accepted frames must survive a re-encode/re-decode cycle.
-		frame, err := wire.EncodeBatch(b)
+		frame, err := driftlog.AppendFrame(nil, b)
 		if err != nil {
 			t.Fatalf("re-encode of accepted frame failed: %v", err)
 		}
-		b2, err := wire.DecodeBatch(frame, 0)
+		b2, err := driftlog.DecodeFrame(frame, 0)
 		if err != nil {
 			t.Fatalf("re-decode of re-encoded frame failed: %v", err)
 		}

@@ -1,19 +1,20 @@
 package driftlog
 
 import (
+	"bufio"
 	"bytes"
+	"os"
 	"testing"
 )
 
-// FuzzReadFrom ensures the persistence decoder never panics on corrupted
-// or truncated files.
+// FuzzReadFrom ensures the legacy gob snapshot decoder never panics on
+// corrupted or truncated files.
 func FuzzReadFrom(f *testing.F) {
 	// Seed with a real serialized log and mutations of it.
-	var buf bytes.Buffer
-	if _, err := paperExample().WriteTo(&buf); err != nil {
+	valid, err := os.ReadFile(goldenLogPath)
+	if err != nil {
 		f.Fatal(err)
 	}
-	valid := buf.Bytes()
 	f.Add(valid)
 	f.Add(valid[:len(valid)/2])
 	f.Add([]byte("nazar-driftlog-v1\n"))
@@ -21,7 +22,10 @@ func FuzzReadFrom(f *testing.F) {
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		s := NewStore()
-		n, err := s.ReadFrom(bytes.NewReader(data))
+		n, err := readFrom(bufio.NewReader(bytes.NewReader(data)), func(entries []Entry, samples [][]float64) error {
+			s.appendRows(entries, samples)
+			return nil
+		})
 		if err != nil {
 			return
 		}

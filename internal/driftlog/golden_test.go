@@ -8,13 +8,17 @@ import (
 	"time"
 )
 
+// The fixtures under testdata pin every on-disk format replay reads.
+// golden_v1.driftlog (a gob snapshot, as -log-file saved it) and
+// golden_v1.wal (row records, version 1) were written by the seed
+// implementation; golden_v2.wal (row records with sample sections) and
+// golden_v2.driftlog (two gob chunks with Sample fields, as compaction
+// wrote them) by the last writers of those formats. No writer of any of
+// them remains, so the files cannot be regenerated: they are the
+// compatibility contract.
 const goldenLogPath = "testdata/golden_v1.driftlog"
 
-// goldenLogEntries is the fixed content of the golden file, written by
-// the pre-sharding store implementation. The on-disk format is a
-// compatibility contract: internal refactors (sharding, batching) must
-// keep both this file readable and freshly written files identical in
-// logical content.
+// goldenLogEntries is the fixed content of golden_v1.driftlog.
 func goldenLogEntries() []Entry {
 	day := time.Date(2020, 1, 15, 0, 0, 0, 0, time.UTC)
 	mk := func(mins int, device, weather, location string, drift bool, sampleID int64) Entry {
@@ -38,6 +42,107 @@ func goldenLogEntries() []Entry {
 	}
 }
 
+// goldenV1WALEntries is the fixed content of golden_v1.wal: two records,
+// sampled and unsampled rows, no vectors.
+func goldenV1WALEntries(t *testing.T) []Entry {
+	at := func(hhmm string) time.Time { return goldenAt(t, "2020-01-15", hhmm) }
+	return []Entry{
+		{Time: at("06:02"), SampleID: -1, Attrs: goldenAttrs("android_42", "clear-day", "Helsinki")},
+		{Time: at("06:03"), Drift: true, SampleID: 0, Attrs: goldenAttrs("android_21", "snow", "New York")},
+		{Time: at("06:05"), Drift: true, SampleID: 1, Attrs: goldenAttrs("android_21", "snow", "New York")},
+		{Time: at("08:03"), Drift: true, SampleID: 2, Attrs: goldenAttrs("android_42", "fog", "Helsinki")},
+		{Time: at("11:05"), SampleID: -1, Attrs: goldenAttrs("android_42", "clear-day", "")},
+	}
+}
+
+// goldenRow is one fixture row: its entry and its uploaded vector (nil
+// when the row carries none).
+type goldenRow struct {
+	e   Entry
+	vec []float64
+}
+
+func goldenAt(t *testing.T, day, hhmm string) time.Time {
+	t.Helper()
+	tm, err := time.Parse("2006-01-02T15:04", day+"T"+hhmm)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return tm
+}
+
+func goldenAttrs(device, weather, location string) map[string]string {
+	m := map[string]string{AttrDevice: device, AttrWeather: weather}
+	if location != "" {
+		m[AttrLocation] = location
+	}
+	return m
+}
+
+// goldenBatch turns fixture rows into one columnar batch with its
+// sample column.
+func goldenBatch(rows []goldenRow) *ColumnarBatch {
+	entries := make([]Entry, len(rows))
+	samples := make([][]float64, len(rows))
+	for i, r := range rows {
+		entries[i], samples[i] = r.e, r.vec
+	}
+	b := ColumnsFromEntries(entries)
+	b.Samples = samples
+	return b
+}
+
+// goldenV2WALRecords is the content of testdata/golden_v2.wal: two
+// version-2 records, sampled and unsampled rows.
+func goldenV2WALRecords(t *testing.T) [][]goldenRow {
+	at := func(hhmm string) time.Time { return goldenAt(t, "2020-01-16", hhmm) }
+	return [][]goldenRow{
+		{
+			{Entry{Time: at("06:02"), Drift: true, SampleID: 3, Attrs: goldenAttrs("android_42", "snow", "Helsinki")}, []float64{0.5, -2}},
+			{Entry{Time: at("06:04"), SampleID: -1, Attrs: goldenAttrs("android_21", "clear-day", "New York")}, nil},
+			{Entry{Time: at("07:10"), Drift: true, SampleID: 4, Attrs: goldenAttrs("android_21", "snow", "New York")}, []float64{1.25, 0}},
+		},
+		{
+			{Entry{Time: at("09:30"), Drift: true, SampleID: 5, Attrs: goldenAttrs("android_42", "fog", "")}, []float64{-0.75, 3}},
+			{Entry{Time: at("10:00"), SampleID: -1, Attrs: goldenAttrs("android_7", "clear-day", "Quebec")}, nil},
+		},
+	}
+}
+
+// goldenV2LogChunks is the content of testdata/golden_v2.driftlog: two
+// gob chunks whose rows carry Sample fields.
+func goldenV2LogChunks(t *testing.T) [][]goldenRow {
+	at := func(hhmm string) time.Time { return goldenAt(t, "2020-01-14", hhmm) }
+	return [][]goldenRow{
+		{
+			{Entry{Time: at("05:00"), Drift: true, SampleID: 10, Attrs: goldenAttrs("android_42", "rain", "Helsinki")}, []float64{2, 4}},
+			{Entry{Time: at("05:30"), SampleID: -1, Attrs: goldenAttrs("android_21", "clear-day", "New York")}, nil},
+			{Entry{Time: at("06:00"), Drift: true, SampleID: 11, Attrs: goldenAttrs("android_21", "rain", "New York")}, []float64{-1, 0.5}},
+		},
+		{
+			{Entry{Time: at("08:00"), SampleID: -1, Attrs: goldenAttrs("android_42", "clear-day", "Helsinki")}, nil},
+			{Entry{Time: at("08:15"), Drift: true, SampleID: 12, Attrs: goldenAttrs("android_9", "rain", "Quebec")}, []float64{0.125, -8}},
+		},
+	}
+}
+
+// goldenDir builds a WAL directory from fixture files, keyed by the
+// name each takes in the directory.
+func goldenDir(t *testing.T, files map[string]string) string {
+	t.Helper()
+	dir := t.TempDir()
+	for name, fixture := range files {
+		raw, err := os.ReadFile(fixture)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dir, name), raw, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return dir
+}
+
 func sameEntry(a, b Entry) bool {
 	if !a.Time.Equal(b.Time) || a.Drift != b.Drift || a.SampleID != b.SampleID {
 		return false
@@ -53,28 +158,29 @@ func sameEntry(a, b Entry) bool {
 	return true
 }
 
+// requireSnapshotFrames asserts the directory's one snapshot is in the
+// segment layout, as every fold now writes it.
+func requireSnapshotFrames(t *testing.T, dir string) {
+	t.Helper()
+	_, snaps := listWALFiles(t, dir)
+	if len(snaps) != 1 {
+		t.Fatalf("snapshots: want 1, got %v", snaps)
+	}
+	raw, err := os.ReadFile(filepath.Join(dir, snaps[0]))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.HasPrefix(raw, []byte(walMagic)) {
+		t.Fatalf("snapshot does not start with the segment header: %q", raw[:min(len(raw), 32)])
+	}
+}
+
 // TestGoldenLogRoundTrip loads the golden file written by the seed
-// implementation and checks every row survives; then re-saves and
-// re-loads to prove the current writer stays within the v1 format. Set
-// UPDATE_GOLDEN=1 to regenerate the fixture (only after a deliberate,
-// versioned format change).
+// implementation as a snapshot — the path a saved -log-file takes once
+// copied into a WAL directory — and checks every row survives; then a
+// fold rewrites it as frame records, and those reload to the same rows.
 func TestGoldenLogRoundTrip(t *testing.T) {
 	want := goldenLogEntries()
-
-	if os.Getenv("UPDATE_GOLDEN") != "" {
-		s := NewStore()
-		for _, e := range want {
-			s.AppendBatch([]Entry{e})
-		}
-		if err := os.MkdirAll(filepath.Dir(goldenLogPath), 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := s.SaveFile(goldenLogPath); err != nil {
-			t.Fatal(err)
-		}
-		t.Log("golden driftlog regenerated")
-	}
-
 	raw, err := os.ReadFile(goldenLogPath)
 	if err != nil {
 		t.Fatal(err)
@@ -95,20 +201,26 @@ func TestGoldenLogRoundTrip(t *testing.T) {
 		}
 	}
 
+	dir := goldenDir(t, map[string]string{snapName(0): goldenLogPath})
 	s := NewStore()
-	if err := s.LoadFile(goldenLogPath); err != nil {
+	w, err := OpenWAL(dir, s, WALOptions{})
+	if err != nil {
 		t.Fatal(err)
 	}
 	check(s, "golden load")
-
-	// Re-save with the current writer and re-load: the v1 format must
-	// round-trip through the sharded store unchanged.
-	var buf bytes.Buffer
-	if n, err := s.WriteTo(&buf); err != nil || int(n) != len(want) {
-		t.Fatalf("rewrite: n=%d err=%v", n, err)
+	// Seal the empty active segment so the fold has something to cover.
+	if err := w.Rotate(); err != nil {
+		t.Fatal(err)
 	}
+	if err := w.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	requireSnapshotFrames(t, dir)
 	s2 := NewStore()
-	if _, err := s2.ReadFrom(&buf); err != nil {
+	if _, err := OpenWAL(dir, s2, WALOptions{ReadOnly: true}); err != nil {
 		t.Fatal(err)
 	}
 	check(s2, "rewrite round-trip")
@@ -120,5 +232,116 @@ func TestGoldenLogRoundTrip(t *testing.T) {
 	}
 	if cr.Total != 2 || cr.Drift != 2 {
 		t.Fatalf("snow count %+v, want 2/2", cr)
+	}
+}
+
+// TestWALGoldenV2Replay: a sealed segment of version-2 row records
+// replays to the same rows, each vector on its row.
+func TestWALGoldenV2Replay(t *testing.T) {
+	dir := goldenDir(t, map[string]string{segName(1): "testdata/golden_v2.wal"})
+	s := NewStore()
+	w, err := OpenWAL(dir, s, WALOptions{ReadOnly: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rec := w.Recovery(); rec.Records != 2 || rec.Rows != 5 || rec.TornTail {
+		t.Fatalf("recovery %+v, want 2 records / 5 rows", rec)
+	}
+	ref := NewStore()
+	for _, rec := range goldenV2WALRecords(t) {
+		ref.appendColumns(goldenBatch(rec))
+	}
+	requireStoresEqual(t, ref, s)
+	if st := s.Stats(); st.Samples != 3 || s.MaxSampleID() != 5 {
+		t.Fatalf("v2 replay: %d vectors, max sample id %d", st.Samples, s.MaxSampleID())
+	}
+}
+
+// TestGoldenV2LogLoad: a gob snapshot of two chunks whose rows carry
+// Sample fields loads every row with its vector.
+func TestGoldenV2LogLoad(t *testing.T) {
+	dir := goldenDir(t, map[string]string{snapName(0): "testdata/golden_v2.driftlog"})
+	s := NewStore()
+	w, err := OpenWAL(dir, s, WALOptions{ReadOnly: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rec := w.Recovery(); rec.SnapshotRows != 5 || rec.Segments != 0 {
+		t.Fatalf("recovery %+v, want 5 snapshot rows", rec)
+	}
+	ref := NewStore()
+	for _, chunk := range goldenV2LogChunks(t) {
+		ref.appendColumns(goldenBatch(chunk))
+	}
+	requireStoresEqual(t, ref, s)
+}
+
+// TestWALMigratesLegacyFormats starts from a directory holding a legacy
+// gob snapshot plus sealed segments of version-1 and version-2 row
+// records, appends frame records, folds everything into one snapshot and
+// reopens: the store equals one fed the same rows, and the new snapshot
+// is frame records in the segment layout. With golden_v1.driftlog as the
+// snapshot this is the -log-file migration path.
+func TestWALMigratesLegacyFormats(t *testing.T) {
+	for _, tc := range []struct {
+		name, snapshot string
+		feed           func(ref *Store)
+	}{
+		{"v2 snapshot", "testdata/golden_v2.driftlog", func(ref *Store) {
+			for _, chunk := range goldenV2LogChunks(t) {
+				ref.appendColumns(goldenBatch(chunk))
+			}
+		}},
+		{"v1 log-file", goldenLogPath, func(ref *Store) { ref.AppendBatch(goldenLogEntries()) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := goldenDir(t, map[string]string{
+				snapName(0): tc.snapshot,
+				segName(1):  "testdata/golden_v1.wal",
+				segName(2):  "testdata/golden_v2.wal",
+			})
+			ref := NewStore()
+			tc.feed(ref)
+			ref.AppendBatch(goldenV1WALEntries(t))
+			for _, rec := range goldenV2WALRecords(t) {
+				ref.appendColumns(goldenBatch(rec))
+			}
+
+			live := NewStore()
+			w, err := OpenWAL(dir, live, WALOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			requireStoresEqual(t, ref, live)
+			for _, b := range []*ColumnarBatch{walSampled(100, 4), walSampled(104, 3)} {
+				if err := w.AppendColumns(b); err != nil {
+					t.Fatal(err)
+				}
+				ref.appendColumns(b)
+			}
+			if err := w.Rotate(); err != nil {
+				t.Fatal(err)
+			}
+			if err := w.Compact(); err != nil {
+				t.Fatal(err)
+			}
+			if err := w.Close(); err != nil {
+				t.Fatal(err)
+			}
+			requireSnapshotFrames(t, dir)
+			if segs, _ := listWALFiles(t, dir); len(segs) != 1 {
+				t.Fatalf("segments after the fold: want only the active one, got %v", segs)
+			}
+
+			replayed := NewStore()
+			w2, err := OpenWAL(dir, replayed, WALOptions{ReadOnly: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if rec := w2.Recovery(); rec.SnapshotRows != int64(ref.Len()) || rec.Rows != 0 {
+				t.Fatalf("recovery %+v, want %d snapshot rows", rec, ref.Len())
+			}
+			requireStoresEqual(t, ref, replayed)
+		})
 	}
 }

@@ -1,30 +1,54 @@
 package driftlog
 
 import (
-	"bytes"
-	"path/filepath"
+	"bufio"
 	"strings"
 	"testing"
 	"time"
 )
 
+// snapshotRoundTrip writes src's rows, in canonical order, through a WAL
+// in a fresh directory, folds them into a snapshot, and returns dst after
+// a read-only reopen of the directory replayed the snapshot into it. src
+// must hold no vectors.
+func snapshotRoundTrip(t *testing.T, src, dst *Store) *Store {
+	t.Helper()
+	entries := make([]Entry, src.Len())
+	for i := range entries {
+		entries[i] = src.Entry(i)
+	}
+	dir := t.TempDir()
+	w, err := OpenWAL(dir, NewStore(), WALOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := w.AppendColumns(ColumnsFromEntries(entries)); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Rotate(); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	w2, err := OpenWAL(dir, dst, WALOptions{ReadOnly: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rec := w2.Recovery(); rec.SnapshotRows != int64(len(entries)) || rec.Rows != 0 {
+		t.Fatalf("recovery %+v, want %d snapshot rows", rec, len(entries))
+	}
+	return dst
+}
+
 func TestWriteReadRoundTrip(t *testing.T) {
 	src := paperExample()
-	var buf bytes.Buffer
-	n, err := src.WriteTo(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n != 5 {
-		t.Fatalf("wrote %d rows", n)
-	}
-	dst := NewStore()
-	m, err := dst.ReadFrom(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m != 5 || dst.Len() != 5 {
-		t.Fatalf("read %d rows, len %d", m, dst.Len())
+	dst := snapshotRoundTrip(t, src, NewStore())
+	if dst.Len() != 5 {
+		t.Fatalf("read %d rows", dst.Len())
 	}
 	for i := 0; i < 5; i++ {
 		a, b := src.Entry(i), dst.Entry(i)
@@ -48,42 +72,12 @@ func TestWriteReadRoundTrip(t *testing.T) {
 }
 
 func TestReadRejectsBadHeader(t *testing.T) {
-	s := NewStore()
-	if _, err := s.ReadFrom(strings.NewReader("not-a-driftlog\n")); err == nil {
+	keep := func([]Entry, [][]float64) error { return nil }
+	if _, err := readFrom(bufio.NewReader(strings.NewReader("not-a-driftlog\n")), keep); err == nil {
 		t.Fatal("expected header error")
 	}
-	if _, err := s.ReadFrom(strings.NewReader("")); err == nil {
+	if _, err := readFrom(bufio.NewReader(strings.NewReader("")), keep); err == nil {
 		t.Fatal("expected EOF error")
-	}
-}
-
-func TestSaveLoadFile(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "drift.log")
-	src := paperExample()
-	if err := src.SaveFile(path); err != nil {
-		t.Fatal(err)
-	}
-	dst := NewStore()
-	if err := dst.LoadFile(path); err != nil {
-		t.Fatal(err)
-	}
-	if dst.Len() != src.Len() {
-		t.Fatalf("restored %d of %d rows", dst.Len(), src.Len())
-	}
-	// Loading on top of existing data appends.
-	if err := dst.LoadFile(path); err != nil {
-		t.Fatal(err)
-	}
-	if dst.Len() != 2*src.Len() {
-		t.Fatalf("append-load gave %d rows", dst.Len())
-	}
-}
-
-func TestLoadFileMissing(t *testing.T) {
-	s := NewStore()
-	if err := s.LoadFile(filepath.Join(t.TempDir(), "nope")); err == nil {
-		t.Fatal("expected error")
 	}
 }
 
@@ -96,14 +90,7 @@ func TestPersistLargeLog(t *testing.T) {
 			Attrs: map[string]string{AttrWeather: []string{"rain", "snow"}[i%2]},
 		}})
 	}
-	var buf bytes.Buffer
-	if _, err := s.WriteTo(&buf); err != nil {
-		t.Fatal(err)
-	}
-	restored := NewStore()
-	if _, err := restored.ReadFrom(&buf); err != nil {
-		t.Fatal(err)
-	}
+	restored := snapshotRoundTrip(t, s, NewStore())
 	a, _ := s.All().Count([]Cond{{AttrWeather, "rain"}}, nil)
 	b, _ := restored.All().Count([]Cond{{AttrWeather, "rain"}}, nil)
 	if a != b {

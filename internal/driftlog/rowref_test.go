@@ -10,11 +10,12 @@ import (
 // the columnar ingest path against: an appender that walks each entry's
 // attribute map under the shard lock and feeds the sketches one row, one
 // key, one lock round trip at a time (refFeed / refAdd — the sketch feed as
-// it shipped before the batch feed), and a WAL frame encoder that reads
-// row-form entries. Neither shares code with appendColumns, feedBatch or
-// appendWALFrameColumns beyond the store's own primitives (intern, setBit,
-// the rings' bucket lookup and fold), so agreement between the two
-// is evidence, not tautology.
+// it shipped before the batch feed). It shares no code with appendColumns
+// or feedBatch beyond the store's own primitives (intern, setBit, the
+// rings' bucket lookup and fold), so agreement between the two is
+// evidence, not tautology. The file also keeps the writer of the legacy
+// row-layout WAL record, which generates the fixtures replay must still
+// read.
 
 // refAppendBatch ingests entries row by row with one lock acquisition per
 // touched shard, preserving slice order in the store's sequence order.
@@ -248,40 +249,51 @@ func refReplay(s *Store, sketched map[string]bool) *sketchIndex {
 	return fresh
 }
 
-// refAppendWALFrame encodes one framed WAL record from row-form entries.
-func refAppendWALFrame(dst []byte, entries []Entry) []byte {
+// appendWALFrameColumns appends one legacy framed record
+// ([len][crc][payload]) to dst: record version 2, the batch row by row
+// with each row's attributes in sorted name order, then the sample
+// section. No product code writes this layout any more; replay still
+// reads it (decodeWALPayload).
+func appendWALFrameColumns(dst []byte, b *ColumnarBatch) []byte {
 	base := len(dst)
 	dst = append(dst, 0, 0, 0, 0, 0, 0, 0, 0) // frame header placeholder
 	p := len(dst)
-	dst = append(dst, walRecordVersion)
-	dst = binary.AppendUvarint(dst, uint64(len(entries)))
-	var keys []string
-	for i := range entries {
-		e := &entries[i]
-		dst = binary.AppendVarint(dst, e.Time.UnixNano())
+	dst = append(dst, 2)
+	rows := b.Rows()
+	dst = binary.AppendUvarint(dst, uint64(rows))
+	order := make([]int, len(b.Cols))
+	for i := range order {
+		order[i] = i
+	}
+	sort.Slice(order, func(i, j int) bool { return b.Cols[order[i]].Name < b.Cols[order[j]].Name })
+	for r := 0; r < rows; r++ {
+		dst = binary.AppendVarint(dst, b.Times[r])
 		var flags byte
-		if e.Drift {
+		if b.Drift[r] {
 			flags = 1
 		}
 		dst = append(dst, flags)
-		dst = binary.AppendVarint(dst, e.SampleID)
-		keys = keys[:0]
-		for k := range e.Attrs {
-			keys = append(keys, k)
+		dst = binary.AppendVarint(dst, b.SampleIDs[r])
+		nattrs := 0
+		for _, ci := range order {
+			if b.Cols[ci].IDs[r] != 0 {
+				nattrs++
+			}
 		}
-		sort.Strings(keys)
-		dst = binary.AppendUvarint(dst, uint64(len(keys)))
-		for _, k := range keys {
-			dst = binary.AppendUvarint(dst, uint64(len(k)))
-			dst = append(dst, k...)
-			v := e.Attrs[k]
-			dst = binary.AppendUvarint(dst, uint64(len(v)))
-			dst = append(dst, v...)
+		dst = binary.AppendUvarint(dst, uint64(nattrs))
+		for _, ci := range order {
+			col := &b.Cols[ci]
+			id := col.IDs[r]
+			if id == 0 {
+				continue
+			}
+			dst = appendString(dst, col.Name)
+			dst = appendString(dst, col.Dict[id])
 		}
 	}
-	dst = append(dst, 0) // empty sample section: entries carry no vectors
+	dst = appendSampleSection(dst, b.Samples)
 	payload := dst[p:]
 	binary.LittleEndian.PutUint32(dst[base:], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(dst[base+4:], crc32.Checksum(payload, walCRC))
+	binary.LittleEndian.PutUint32(dst[base+4:], crc32.Checksum(payload, castagnoli))
 	return dst
 }

@@ -1,11 +1,10 @@
 package driftlog
 
 import (
-	"bytes"
 	"encoding/binary"
+	"errors"
+	"hash/crc32"
 	"math"
-	"os"
-	"path/filepath"
 	"reflect"
 	"testing"
 	"time"
@@ -13,8 +12,9 @@ import (
 
 // TestSampleColumnFollowsItsRow: a vector lives and dies with its row.
 // Compaction drops the vectors of the rows it removes and renumbers the
-// rest, a snapshot round trip keeps every vector on its row, and the
-// Stats counters see both.
+// rest, rows appended afterwards land beside them, and the Stats
+// counters see both. (A WAL round trip keeps every vector on its row:
+// TestWALRoundTrip, TestWALExplicitRotateAndCompact.)
 func TestSampleColumnFollowsItsRow(t *testing.T) {
 	s := NewStore()
 	for i := 0; i < 6; i++ {
@@ -45,15 +45,10 @@ func TestSampleColumnFollowsItsRow(t *testing.T) {
 
 	// Rows appended after a compaction land beside the renumbered ones.
 	s.appendColumns(walSampled(60, 5))
-	var buf bytes.Buffer
-	if _, err := s.WriteTo(&buf); err != nil {
-		t.Fatal(err)
+	ids, xs, _ = s.All().Samples(nil)
+	if st := s.Stats(); st.Samples != 26 || len(ids) != 26 || !reflect.DeepEqual(xs[25], sampleVec(63)) {
+		t.Fatalf("after appending: stats %+v, view %d vectors", st, len(ids))
 	}
-	snap := NewStore()
-	if _, err := snap.ReadFrom(&buf); err != nil {
-		t.Fatal(err)
-	}
-	requireStoresEqual(t, s, snap)
 }
 
 // TestWALGoldenV1Replay pins the WAL's compatibility contract the way
@@ -61,14 +56,7 @@ func TestSampleColumnFollowsItsRow(t *testing.T) {
 // record version 1 (two records, sampled and unsampled rows, no vectors)
 // replays to the same rows, its links resolving to nothing.
 func TestWALGoldenV1Replay(t *testing.T) {
-	raw, err := os.ReadFile("testdata/golden_v1.wal")
-	if err != nil {
-		t.Fatal(err)
-	}
-	dir := t.TempDir()
-	if err := os.WriteFile(filepath.Join(dir, segName(1)), raw, 0o644); err != nil {
-		t.Fatal(err)
-	}
+	dir := goldenDir(t, map[string]string{segName(1): "testdata/golden_v1.wal"})
 	s := NewStore()
 	w, err := OpenWAL(dir, s, WALOptions{ReadOnly: true})
 	if err != nil {
@@ -78,27 +66,7 @@ func TestWALGoldenV1Replay(t *testing.T) {
 	if rec := w.Recovery(); rec.Records != 2 || rec.Rows != 5 || rec.TornTail {
 		t.Fatalf("recovery %+v, want 2 records / 5 rows", rec)
 	}
-	at := func(hhmm string) time.Time {
-		tm, err := time.Parse("2006-01-02T15:04", "2020-01-15T"+hhmm)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return tm
-	}
-	attrs := func(device, weather, location string) map[string]string {
-		m := map[string]string{AttrDevice: device, AttrWeather: weather}
-		if location != "" {
-			m[AttrLocation] = location
-		}
-		return m
-	}
-	want := []Entry{
-		{Time: at("06:02"), SampleID: -1, Attrs: attrs("android_42", "clear-day", "Helsinki")},
-		{Time: at("06:03"), Drift: true, SampleID: 0, Attrs: attrs("android_21", "snow", "New York")},
-		{Time: at("06:05"), Drift: true, SampleID: 1, Attrs: attrs("android_21", "snow", "New York")},
-		{Time: at("08:03"), Drift: true, SampleID: 2, Attrs: attrs("android_42", "fog", "Helsinki")},
-		{Time: at("11:05"), SampleID: -1, Attrs: attrs("android_42", "clear-day", "")},
-	}
+	want := goldenV1WALEntries(t)
 	if s.Len() != len(want) {
 		t.Fatalf("%d rows, want %d", s.Len(), len(want))
 	}
@@ -129,12 +97,17 @@ func TestDecodeSampleSectionRejects(t *testing.T) {
 		}
 		return b
 	}
-	good := AppendSampleSection(nil, [][]float64{nil, {1, 2}, {3}})
-	if got, n, err := DecodeSampleSection(good, 3); err != nil || n != len(good) ||
+	decode := func(p []byte) ([][]float64, int, error) {
+		d := &reader{p: p}
+		x, err := decodeSampleSection(d, 3)
+		return x, len(p) - len(d.p), err
+	}
+	good := appendSampleSection(nil, [][]float64{nil, {1, 2}, {3}})
+	if got, n, err := decode(good); err != nil || n != len(good) ||
 		!reflect.DeepEqual(got, [][]float64{nil, {1, 2}, {3}}) {
 		t.Fatalf("good section: %v, %d of %d bytes, %v", got, n, len(good), err)
 	}
-	if got, n, err := DecodeSampleSection([]byte{0}, 3); err != nil || n != 1 || got != nil {
+	if got, n, err := decode([]byte{0}); err != nil || n != 1 || got != nil {
 		t.Fatalf("empty section: %v %d %v", got, n, err)
 	}
 	cases := map[string][]byte{
@@ -148,16 +121,28 @@ func TestDecodeSampleSectionRejects(t *testing.T) {
 		"truncated dim":        {1, 0},
 	}
 	for name, p := range cases {
-		if _, _, err := DecodeSampleSection(p, 3); err == nil {
+		if _, _, err := decode(p); err == nil {
 			t.Errorf("%s: decoded %x", name, p)
 		}
 	}
-	// Inside a record, a bad section fails the whole record.
+	// Inside a legacy record or a frame, a bad section fails the whole
+	// record.
 	b := walSampled(0, 3)
 	frame := appendWALFrameColumns(nil, b)
 	payload := append([]byte(nil), frame[8:]...)
 	payload[len(payload)-8*2-2] = 7 // the last vector's row index
 	if _, _, err := decodeWALPayload(payload); err == nil {
 		t.Fatal("record with an out-of-range sample row decoded")
+	}
+	rec, err := appendRecord(nil, b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	payload = rec[8:]
+	payload[len(payload)-8*2-2] = 7
+	binary.LittleEndian.PutUint32(payload[10:], crc32.Checksum(payload[frameHeaderSize:], castagnoli))
+	var fe *FrameError
+	if _, err := DecodeFrame(payload, 0); !errors.As(err, &fe) {
+		t.Fatalf("frame with an out-of-range sample row: %v", err)
 	}
 }

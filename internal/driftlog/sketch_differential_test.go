@@ -717,14 +717,7 @@ func TestSketchCompactRebuild(t *testing.T) {
 func TestSketchPersistRoundTrip(t *testing.T) {
 	r := rand.New(rand.NewSource(12))
 	s := sketchStore(r, 2000, 200, sketchTestConfig())
-	path := t.TempDir() + "/log.snap"
-	if err := s.SaveFile(path); err != nil {
-		t.Fatal(err)
-	}
-	loaded := NewStoreWithSketch(sketchTestConfig())
-	if err := loaded.LoadFile(path); err != nil {
-		t.Fatal(err)
-	}
+	loaded := snapshotRoundTrip(t, s, NewStoreWithSketch(sketchTestConfig()))
 	if !reflect.DeepEqual(s.SketchedAttrs(), loaded.SketchedAttrs()) {
 		t.Fatalf("sketched attrs diverge after round trip: %v vs %v", s.SketchedAttrs(), loaded.SketchedAttrs())
 	}

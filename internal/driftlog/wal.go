@@ -1,19 +1,30 @@
 // Write-ahead log for the drift log: the durability layer the paper
 // gets for free from Aurora (PAPER.md §2). Every ingest batch is
-// appended to the active segment as one length-prefixed, CRC32C-checked,
-// versioned record and fsynced before the append returns, so an
-// acknowledged entry survives process death by construction. Segments
-// rotate at a size threshold; background compaction folds sealed
-// segments (plus the previous snapshot) into a fresh snapshot and
-// deletes them, bounding both disk usage and replay time. Replay on
-// open rebuilds the rows and, because it goes through the ordinary
-// append path, the per-(attribute, value) bitset index too — a replayed
-// store is query-identical to the live store it mirrors.
+// appended to the active segment as one length-prefixed, CRC32C-checked
+// record whose payload is the batch's NZB1 frame (frame.go) — the same
+// bytes a binary ingest request carries — and fsynced before the append
+// returns, so an acknowledged entry survives process death by
+// construction. Segments rotate at a size threshold; background
+// compaction folds sealed segments (plus the previous snapshot) into a
+// fresh snapshot by copying their records, checked but not decoded, and
+// deletes them, bounding replay's file count. A snapshot has the segment
+// layout, so loading one is replaying it. Replay on open decodes each
+// frame straight into the ordinary append path, which rebuilds the
+// per-(attribute, value) bitset index too — a replayed store is
+// query-identical to the live store it mirrors.
+//
+// Replay still reads the formats earlier versions wrote: row-layout
+// records (versions 1 and 2, decodeWALPayload) inside segments and
+// snapshots, and gob snapshots (readFrom), which the first compaction
+// rewrites as frame records.
 //
 // Crash-recovery contract:
 //
 //   - an AppendColumns that returned nil is durable: its record is fully
 //     fsynced before the call returns, and replay restores it;
+//   - a batch whose frame exceeds the record bound is refused with
+//     ErrFrameTooLarge before anything is written, and the WAL stays
+//     healthy;
 //   - a torn final record (the write the crash interrupted) is detected
 //     by length/CRC, truncated, and reported via RecoveryInfo — it
 //     never blocks startup;
@@ -35,7 +46,6 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
-	"math"
 	"path/filepath"
 	"sort"
 	"strings"
@@ -44,23 +54,13 @@ import (
 	"time"
 )
 
-// walMagic opens every segment file: 5 magic bytes plus a 3-digit
-// format version.
+// walMagic opens every segment and snapshot file: 5 magic bytes plus a
+// 3-digit format version.
 const walMagic = "NZWAL001"
 
-// walRecordVersion is the payload format version inside a record frame
-// (bumped independently of the segment header so old segments stay
-// readable when the record encoding evolves). Version 2 appended the
-// sample section; version 1 records still replay, without vectors.
-const walRecordVersion = 2
-
-// maxWALRecord bounds a single record frame's payload; larger lengths
-// mark corruption (a batch is at most a few thousand entries).
-const maxWALRecord = 64 << 20
-
-// walCRC is the Castagnoli table (CRC32C — hardware-accelerated on
-// amd64/arm64).
-var walCRC = crc32.MakeTable(crc32.Castagnoli)
+// maxWALRecord bounds a single record's payload, one frame; larger
+// lengths mark corruption.
+const maxWALRecord = frameHeaderSize + maxFramePayload
 
 // Sticky WAL failure modes.
 var (
@@ -277,7 +277,7 @@ func OpenWAL(dir string, s *Store, opts WALOptions) (*WAL, error) {
 			continue
 		}
 		tail := i == len(segs)-1
-		keep, err := w.replaySegment(filepath.Join(dir, segName(idx)), s.appendRows, tail)
+		keep, err := w.replaySegment(filepath.Join(dir, segName(idx)), s, tail)
 		if err != nil {
 			return nil, err
 		}
@@ -326,64 +326,110 @@ func (w *WAL) Stats() WALStats {
 }
 
 // loadSnapshot reads one snapshot file into s, returning the row count.
-// A snapshot is one or more WriteTo chunks back to back (Compact appends
-// a chunk per fold), read in order until EOF. Every failure is a
-// *CorruptError: the snapshot was written atomically, so a damaged one is
-// damage, not a torn write.
+// A snapshot has the segment layout and loads like a sealed segment; a
+// legacy gob snapshot loads through readLegacySnapshot. Every failure is
+// a *CorruptError: the snapshot was written atomically, so a damaged one
+// is damage, not a torn write.
 func (w *WAL) loadSnapshot(s *Store, idx uint64) (int64, error) {
 	path := filepath.Join(w.dir, snapName(idx))
+	var rows int64
+	legacy, err := w.readLegacySnapshot(path, func(entries []Entry, samples [][]float64) error {
+		s.appendRows(entries, samples)
+		rows += int64(len(entries))
+		return nil
+	})
+	if !legacy && err == nil {
+		_, err = w.scanRecords(path, false, func(rec []byte) error {
+			n, err := applyRecord(s, rec[8:])
+			rows += int64(n)
+			return err
+		})
+	}
+	return rows, err
+}
+
+// readLegacySnapshot hands the rows of a gob snapshot — one or more
+// readFrom chunks back to back, as compaction and -log-file once wrote
+// them — to fn in order. A file that does not open with the gob header
+// is not legacy: nothing is read and fn is never called.
+func (w *WAL) readLegacySnapshot(path string, fn func([]Entry, [][]float64) error) (legacy bool, err error) {
 	f, err := w.fs.Open(path)
 	if err != nil {
-		return 0, &CorruptError{Path: path, Reason: fmt.Sprintf("open snapshot: %v", err)}
+		return false, &CorruptError{Path: path, Reason: fmt.Sprintf("open snapshot: %v", err)}
 	}
 	defer f.Close()
-	// ReadFrom reuses this reader and stops at its chunk's last row.
+	// readFrom reuses this reader and stops at its chunk's last row.
 	br := bufio.NewReaderSize(f, 64<<10)
-	var total int64
+	if head, _ := br.Peek(len(persistHeader)); string(head) != persistHeader {
+		return false, nil
+	}
 	for chunk := 0; ; chunk++ {
 		if _, err := br.Peek(1); err == io.EOF && chunk > 0 {
-			return total, nil
+			return true, nil
 		}
-		n, err := s.ReadFrom(br)
-		total += n
-		if err != nil {
-			return total, &CorruptError{Path: path, Reason: fmt.Sprintf("snapshot: %v", err)}
+		if _, err := readFrom(br, fn); err != nil {
+			return true, &CorruptError{Path: path, Reason: fmt.Sprintf("snapshot: %v", err)}
 		}
 	}
 }
 
-// copySnapshot appends the bytes of snapshot idx to dst unparsed.
-func (w *WAL) copySnapshot(dst io.Writer, idx uint64) error {
-	f, err := w.fs.Open(filepath.Join(w.dir, snapName(idx)))
-	if err != nil {
+// replaySegment applies one segment's records, in order, to s and counts
+// them into the recovery report; tail and keep are scanRecords'.
+func (w *WAL) replaySegment(path string, s *Store, tail bool) (keep bool, err error) {
+	w.rec.Segments++
+	return w.scanRecords(path, tail, func(rec []byte) error {
+		n, err := applyRecord(s, rec[8:])
+		if err == nil {
+			w.rec.Records++
+			w.rec.Rows += int64(n)
+		}
 		return err
-	}
-	defer f.Close()
-	_, err = io.Copy(dst, f)
-	return err
+	})
 }
 
-// replaySegment hands one segment's records, in order, to apply. tail marks the
-// final (most recently written) segment, whose last record is allowed
-// to be torn: replay stops there, truncates the file (unless
-// read-only), and records the fact. Damage in a non-tail segment — or
-// a tail segment whose header is present but wrong — is a
-// *CorruptError. keep=false means the file was removed entirely (a
-// tail file that never got a complete header).
-func (w *WAL) replaySegment(path string, apply func([]Entry, [][]float64), tail bool) (keep bool, err error) {
+// applyRecord appends one CRC-checked record payload to s and returns its
+// row count. The payload's first byte tells its format: an NZB1 frame
+// goes straight to appendColumns; a legacy row record (version 1 or 2)
+// goes through decodeWALPayload.
+func applyRecord(s *Store, payload []byte) (int, error) {
+	if bytes.HasPrefix(payload, []byte(frameMagic)) {
+		b, err := DecodeFrame(payload, 0)
+		if err != nil {
+			return 0, err
+		}
+		s.appendColumns(b)
+		return b.Rows(), nil
+	}
+	entries, samples, err := decodeWALPayload(payload)
+	if err != nil {
+		return 0, err
+	}
+	s.appendRows(entries, samples)
+	return len(entries), nil
+}
+
+// scanRecords hands the records of one segment-layout file (segment or
+// snapshot) to fn in order, each as its 8-byte [len][crc] header followed
+// by its payload, after the length and CRC checks. fn's slice is reused
+// by the next record. tail marks the final (most recently written)
+// segment, whose last record is allowed to be torn: the scan stops there,
+// truncates the file (unless read-only), and records the fact. Damage
+// anywhere else — or a file whose header is present but wrong — is a
+// *CorruptError, and so is an error from fn. keep=false means the file
+// was removed entirely (a tail file that never got a complete header).
+func (w *WAL) scanRecords(path string, tail bool, fn func(rec []byte) error) (keep bool, err error) {
 	f, err := w.fs.Open(path)
 	if err != nil {
-		return false, &CorruptError{Path: path, Reason: fmt.Sprintf("open segment: %v", err)}
+		return false, &CorruptError{Path: path, Reason: fmt.Sprintf("open: %v", err)}
 	}
 	br := bufio.NewReaderSize(f, 64<<10)
 
 	torn := func(off int64, reason string) (bool, error) {
+		f.Close()
 		if !tail {
-			f.Close()
 			return false, &CorruptError{Path: path, Offset: off, Reason: reason}
 		}
 		// Tolerated torn tail: drop everything from off on.
-		f.Close()
 		w.rec.TornTail = true
 		w.rec.TornFile = path
 		if !w.opts.ReadOnly {
@@ -414,44 +460,35 @@ func (w *WAL) replaySegment(path string, apply func([]Entry, [][]float64), tail 
 	}
 	if string(hdr) != walMagic {
 		f.Close()
-		return false, &CorruptError{Path: path, Reason: fmt.Sprintf("bad segment header %q", hdr)}
+		return false, &CorruptError{Path: path, Reason: fmt.Sprintf("bad header %q", hdr)}
 	}
 
 	off := int64(len(walMagic))
 	var fh [8]byte
-	var pbuf bytes.Buffer
-	w.rec.Segments++
+	var rec bytes.Buffer
 	for {
 		if _, err := io.ReadFull(br, fh[:]); err != nil {
 			if err == io.EOF {
-				break // clean end at a frame boundary
+				break // clean end at a record boundary
 			}
-			keep, terr := torn(off, "short frame header")
-			if keep || terr != nil {
-				return keep, terr
-			}
-			return keep, terr
+			return torn(off, "short frame header")
 		}
 		length := binary.LittleEndian.Uint32(fh[0:4])
 		want := binary.LittleEndian.Uint32(fh[4:8])
 		if length == 0 || length > maxWALRecord {
 			return torn(off, fmt.Sprintf("implausible record length %d", length))
 		}
-		pbuf.Reset()
-		if n, err := io.CopyN(&pbuf, br, int64(length)); err != nil || n != int64(length) {
+		rec.Reset()
+		rec.Write(fh[:])
+		if n, err := io.CopyN(&rec, br, int64(length)); err != nil || n != int64(length) {
 			return torn(off, "short record payload")
 		}
-		payload := pbuf.Bytes()
-		if got := crc32.Checksum(payload, walCRC); got != want {
+		if got := crc32.Checksum(rec.Bytes()[8:], castagnoli); got != want {
 			return torn(off, fmt.Sprintf("crc mismatch: got %08x want %08x", got, want))
 		}
-		entries, samples, derr := decodeWALPayload(payload)
-		if derr != nil {
-			return torn(off, fmt.Sprintf("record decode: %v", derr))
+		if err := fn(rec.Bytes()); err != nil {
+			return torn(off, fmt.Sprintf("record decode: %v", err))
 		}
-		apply(entries, samples)
-		w.rec.Records++
-		w.rec.Rows += int64(len(entries))
 		off += 8 + int64(length)
 	}
 	return true, f.Close()
@@ -482,12 +519,14 @@ func (w *WAL) startSegmentLocked() error {
 	return nil
 }
 
-// AppendColumns writes one record holding the batch and fsyncs it. When
-// it returns nil the batch is durable: a crash at any later point leaves
-// it recoverable by replay. A write or sync failure poisons the WAL (the
-// segment tail may be torn, so appending after it could hide durable
-// records behind garbage); every subsequent append returns the original
-// error. The batch must already be validated.
+// AppendColumns writes one record holding the batch's frame and fsyncs
+// it. When it returns nil the batch is durable: a crash at any later
+// point leaves it recoverable by replay. A batch too large for one
+// record is refused with ErrFrameTooLarge before anything is written. A
+// write or sync failure poisons the WAL (the segment tail may be torn, so
+// appending after it could hide durable records behind garbage); every
+// subsequent append returns the original error. The batch must already
+// be validated.
 func (w *WAL) AppendColumns(b *ColumnarBatch) error {
 	if b.Rows() == 0 {
 		return nil
@@ -497,7 +536,11 @@ func (w *WAL) AppendColumns(b *ColumnarBatch) error {
 	if err := w.errLocked(); err != nil {
 		return err
 	}
-	w.buf = appendWALFrameColumns(w.buf[:0], b)
+	rec, err := appendRecord(w.buf[:0], b)
+	if err != nil {
+		return err
+	}
+	w.buf = rec
 	if _, err := w.cur.Write(w.buf); err != nil {
 		return w.failLocked(fmt.Errorf("driftlog: wal append: %w", err))
 	}
@@ -608,10 +651,10 @@ func (w *WAL) CompactionErr() error {
 
 // Compact folds every currently sealed segment, together with the
 // existing snapshot, into a new snapshot, then deletes the folded
-// files. The fold replays into a private store, so the WAL's owner is
-// never touched; appends and rotations proceed concurrently (segments
-// sealed after the fold began are simply left for the next run).
-// Crash-atomic: temp write → fsync → rename → dir fsync → deletes.
+// files. The fold copies records, so the WAL's owner is never touched;
+// appends and rotations proceed concurrently (segments sealed after the
+// fold began are simply left for the next run). Crash-atomic: temp
+// write → fsync → rename → dir fsync → deletes.
 func (w *WAL) Compact() error {
 	w.mu.Lock()
 	if w.closed && w.err != nil && !errors.Is(w.err, ErrWALReadOnly) {
@@ -626,20 +669,6 @@ func (w *WAL) Compact() error {
 		return nil
 	}
 
-	// Fold: the sealed segments' rows, in record order (the canonical
-	// order), are written as one chunk after a byte copy of the existing
-	// snapshot, so no fold decodes or indexes rows an earlier one already
-	// wrote. Sealed files and snapshots are immutable, so this needs no
-	// lock.
-	var rows []wireEntry
-	for _, idx := range sealed {
-		if _, err := w.replaySegment(filepath.Join(w.dir, segName(idx)), func(entries []Entry, samples [][]float64) {
-			rows = appendWireEntries(rows, entries, samples)
-		}, false); err != nil {
-			return err
-		}
-	}
-
 	if w.severed() {
 		return ErrWALSevered
 	}
@@ -650,14 +679,7 @@ func (w *WAL) Compact() error {
 	if err != nil {
 		return fmt.Errorf("driftlog: wal compact: create snapshot: %w", err)
 	}
-	if snap >= 0 {
-		if err := w.copySnapshot(f, uint64(snap)); err != nil {
-			f.Close()
-			_ = w.fs.Remove(tmp)
-			return fmt.Errorf("driftlog: wal compact: copy snapshot: %w", err)
-		}
-	}
-	if err := writeChunk(f, rows); err != nil {
+	if err := w.writeSnapshot(f, snap, sealed); err != nil {
 		f.Close()
 		_ = w.fs.Remove(tmp)
 		return fmt.Errorf("driftlog: wal compact: write snapshot: %w", err)
@@ -696,6 +718,53 @@ func (w *WAL) Compact() error {
 	}
 	w.compactions.Add(1)
 	return nil
+}
+
+// writeSnapshot writes the fold of snapshot snap (-1: none) and the
+// sealed segments to dst in the segment layout: the header, then every
+// record of the snapshot and of each segment, in that order (the
+// canonical order), byte for byte after scanRecords' length and CRC
+// checks. A legacy gob snapshot is rewritten as frame records — the one
+// conversion its first fold makes. Sealed files and snapshots are
+// immutable, so this needs no lock.
+func (w *WAL) writeSnapshot(dst io.Writer, snap int64, sealed []uint64) error {
+	// bufio keeps the first write error and fails every later write, so
+	// the copies below report it once, at Flush.
+	bw := bufio.NewWriterSize(dst, 64<<10)
+	bw.WriteString(walMagic)
+	var paths []string
+	if snap >= 0 {
+		path := filepath.Join(w.dir, snapName(uint64(snap)))
+		var rec []byte
+		legacy, err := w.readLegacySnapshot(path, func(entries []Entry, samples [][]float64) error {
+			b := ColumnsFromEntries(entries)
+			b.Samples = samples
+			var err error
+			if rec, err = appendRecord(rec[:0], b); err != nil {
+				return err
+			}
+			bw.Write(rec)
+			return nil
+		})
+		if err != nil {
+			return err
+		}
+		if !legacy {
+			paths = append(paths, path)
+		}
+	}
+	for _, idx := range sealed {
+		paths = append(paths, filepath.Join(w.dir, segName(idx)))
+	}
+	for _, path := range paths {
+		if _, err := w.scanRecords(path, false, func(rec []byte) error {
+			bw.Write(rec)
+			return nil
+		}); err != nil {
+			return err
+		}
+	}
+	return bw.Flush()
 }
 
 // severed reports whether Sever has fired (checked at compaction commit
@@ -754,189 +823,40 @@ func (w *WAL) Sever() {
 
 // ---- record encoding -------------------------------------------------
 
-// appendWALFrameColumns appends one framed record ([len][crc][payload]) to
-// dst. The payload is a versioned, self-contained encoding of the
-// batch, row by row with each row's attributes in sorted name order,
-// then the sample section (AppendSampleSection): records decode
-// independently, so compaction and replay never need decoder state.
-func appendWALFrameColumns(dst []byte, b *ColumnarBatch) []byte {
+// appendRecord appends one record ([len][crc][payload]) whose payload is
+// the frame of b — byte for byte what a binary ingest request for the
+// batch carries. Records decode independently, so compaction and replay
+// never need decoder state.
+func appendRecord(dst []byte, b *ColumnarBatch) ([]byte, error) {
 	base := len(dst)
-	dst = append(dst, 0, 0, 0, 0, 0, 0, 0, 0) // frame header placeholder
-	p := len(dst)
-	dst = append(dst, walRecordVersion)
-	rows := b.Rows()
-	dst = binary.AppendUvarint(dst, uint64(rows))
-	order := make([]int, len(b.Cols))
-	for i := range order {
-		order[i] = i
+	dst, err := appendFrame(append(dst, 0, 0, 0, 0, 0, 0, 0, 0), b)
+	if err != nil {
+		return nil, err
 	}
-	sort.Slice(order, func(i, j int) bool { return b.Cols[order[i]].Name < b.Cols[order[j]].Name })
-	for r := 0; r < rows; r++ {
-		dst = binary.AppendVarint(dst, b.Times[r])
-		var flags byte
-		if b.Drift[r] {
-			flags = 1
-		}
-		dst = append(dst, flags)
-		dst = binary.AppendVarint(dst, b.SampleIDs[r])
-		nattrs := 0
-		for _, ci := range order {
-			if b.Cols[ci].IDs[r] != 0 {
-				nattrs++
-			}
-		}
-		dst = binary.AppendUvarint(dst, uint64(nattrs))
-		for _, ci := range order {
-			col := &b.Cols[ci]
-			id := col.IDs[r]
-			if id == 0 {
-				continue
-			}
-			dst = binary.AppendUvarint(dst, uint64(len(col.Name)))
-			dst = append(dst, col.Name...)
-			v := col.Dict[id]
-			dst = binary.AppendUvarint(dst, uint64(len(v)))
-			dst = append(dst, v...)
-		}
-	}
-	dst = AppendSampleSection(dst, b.Samples)
-	payload := dst[p:]
+	payload := dst[base+8:]
 	binary.LittleEndian.PutUint32(dst[base:], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(dst[base+4:], crc32.Checksum(payload, walCRC))
-	return dst
+	binary.LittleEndian.PutUint32(dst[base+4:], crc32.Checksum(payload, castagnoli))
+	return dst, nil
 }
 
-// AppendSampleSection appends the encoding of a batch's sample column,
-// shared by WAL records and NZB1 frames: the number of rows that carry a
-// vector, then per such row, ascending, its row index, its dimension and
-// its values as little-endian float64 bits (uvarints elsewhere). A nil
-// entry carries no vector.
-func AppendSampleSection(dst []byte, samples [][]float64) []byte {
-	n := 0
-	for _, x := range samples {
-		if x != nil {
-			n++
-		}
-	}
-	dst = binary.AppendUvarint(dst, uint64(n))
-	for r, x := range samples {
-		if x == nil {
-			continue
-		}
-		dst = binary.AppendUvarint(dst, uint64(r))
-		dst = binary.AppendUvarint(dst, uint64(len(x)))
-		for _, v := range x {
-			dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(v))
-		}
-	}
-	return dst
-}
-
-// DecodeSampleSection decodes an AppendSampleSection encoding for a
-// batch of rows rows from the front of p, returning the sample column
-// (nil when no row carries a vector) and the bytes consumed. A count
-// above rows, a row out of range or not above the previous one, and a
-// dimension beyond the remaining bytes are errors, checked before
-// anything is allocated.
-func DecodeSampleSection(p []byte, rows int) ([][]float64, int, error) {
-	d := &walDecoder{p: p}
-	count, err := d.uvarint()
-	if err != nil {
-		return nil, 0, fmt.Errorf("sample count: %w", err)
-	}
-	if count > uint64(rows) {
-		return nil, 0, fmt.Errorf("sample count %d exceeds %d rows", count, rows)
-	}
-	var samples [][]float64
-	if count > 0 {
-		samples = make([][]float64, rows)
-	}
-	last := -1
-	for i := uint64(0); i < count; i++ {
-		r, err := d.uvarint()
-		if err != nil {
-			return nil, 0, fmt.Errorf("sample row: %w", err)
-		}
-		if r >= uint64(rows) || int(r) <= last {
-			return nil, 0, fmt.Errorf("sample row %d out of range (%d rows) or not above %d", r, rows, last)
-		}
-		last = int(r)
-		dim, err := d.uvarint()
-		if err != nil {
-			return nil, 0, fmt.Errorf("sample dimension: %w", err)
-		}
-		if dim > uint64(len(d.p)/8) {
-			return nil, 0, fmt.Errorf("sample dimension %d exceeds payload capacity", dim)
-		}
-		x := make([]float64, dim)
-		for j := range x {
-			x[j] = math.Float64frombits(binary.LittleEndian.Uint64(d.p[8*j:]))
-		}
-		d.p = d.p[8*dim:]
-		samples[r] = x
-	}
-	return samples, len(p) - len(d.p), nil
-}
-
-// walDecoder walks a record payload with bounds checking.
-type walDecoder struct {
-	p []byte
-}
-
-func (d *walDecoder) uvarint() (uint64, error) {
-	v, n := binary.Uvarint(d.p)
-	if n <= 0 {
-		return 0, errors.New("truncated uvarint")
-	}
-	d.p = d.p[n:]
-	return v, nil
-}
-
-func (d *walDecoder) varint() (int64, error) {
-	v, n := binary.Varint(d.p)
-	if n <= 0 {
-		return 0, errors.New("truncated varint")
-	}
-	d.p = d.p[n:]
-	return v, nil
-}
-
-func (d *walDecoder) byte() (byte, error) {
-	if len(d.p) == 0 {
-		return 0, errors.New("truncated byte")
-	}
-	b := d.p[0]
-	d.p = d.p[1:]
-	return b, nil
-}
-
-func (d *walDecoder) str() (string, error) {
-	n, err := d.uvarint()
-	if err != nil {
-		return "", err
-	}
-	if n > uint64(len(d.p)) {
-		return "", fmt.Errorf("string length %d exceeds remaining %d bytes", n, len(d.p))
-	}
-	s := string(d.p[:n])
-	d.p = d.p[n:]
-	return s, nil
-}
-
-// decodeWALPayload decodes one CRC-verified record payload of either
-// version into its rows and sample column (nil for version 1). Every
-// malformation returns an error (never a panic or an over-allocation):
-// claimed counts are checked against the bytes actually present.
+// decodeWALPayload decodes one CRC-verified legacy row record payload —
+// version 1, or version 2 with a sample section — into its rows and
+// sample column (nil for version 1). These records put every row's
+// attribute names and values inline; no writer produces them any more.
+// Every malformation returns an error (never a panic or an
+// over-allocation): claimed counts are checked against the bytes
+// actually present.
 func decodeWALPayload(p []byte) ([]Entry, [][]float64, error) {
-	d := &walDecoder{p: p}
-	ver, err := d.byte()
+	d := &reader{p: p}
+	vb, err := d.bytes(1, "record version")
 	if err != nil {
 		return nil, nil, err
 	}
-	if ver != 1 && ver != walRecordVersion {
+	ver := vb[0]
+	if ver != 1 && ver != 2 {
 		return nil, nil, fmt.Errorf("unsupported record version %d", ver)
 	}
-	count, err := d.uvarint()
+	count, err := d.uvarint("entry count")
 	if err != nil {
 		return nil, nil, err
 	}
@@ -948,22 +868,22 @@ func decodeWALPayload(p []byte) ([]Entry, [][]float64, error) {
 	}
 	entries := make([]Entry, 0, count)
 	for i := uint64(0); i < count; i++ {
-		nanos, err := d.varint()
+		nanos, err := d.varint("time")
 		if err != nil {
 			return nil, nil, fmt.Errorf("entry %d: %w", i, err)
 		}
-		flags, err := d.byte()
+		fb, err := d.bytes(1, "flags")
 		if err != nil {
 			return nil, nil, fmt.Errorf("entry %d: %w", i, err)
 		}
-		if flags > 1 {
-			return nil, nil, fmt.Errorf("entry %d: unknown flags %#x", i, flags)
+		if fb[0] > 1 {
+			return nil, nil, fmt.Errorf("entry %d: unknown flags %#x", i, fb[0])
 		}
-		sample, err := d.varint()
+		sample, err := d.varint("sample id")
 		if err != nil {
 			return nil, nil, fmt.Errorf("entry %d: %w", i, err)
 		}
-		nattrs, err := d.uvarint()
+		nattrs, err := d.uvarint("attr count")
 		if err != nil {
 			return nil, nil, fmt.Errorf("entry %d: %w", i, err)
 		}
@@ -972,11 +892,11 @@ func decodeWALPayload(p []byte) ([]Entry, [][]float64, error) {
 		}
 		attrs := make(map[string]string, nattrs)
 		for a := uint64(0); a < nattrs; a++ {
-			k, err := d.str()
+			k, err := d.str("attr name")
 			if err != nil {
 				return nil, nil, fmt.Errorf("entry %d attr %d: %w", i, a, err)
 			}
-			v, err := d.str()
+			v, err := d.str("attr value")
 			if err != nil {
 				return nil, nil, fmt.Errorf("entry %d attr %d: %w", i, a, err)
 			}
@@ -984,18 +904,16 @@ func decodeWALPayload(p []byte) ([]Entry, [][]float64, error) {
 		}
 		entries = append(entries, Entry{
 			Time:     time.Unix(0, nanos).UTC(),
-			Drift:    flags&1 != 0,
+			Drift:    fb[0]&1 != 0,
 			SampleID: sample,
 			Attrs:    attrs,
 		})
 	}
 	var samples [][]float64
-	if ver == walRecordVersion {
-		var n int
-		if samples, n, err = DecodeSampleSection(d.p, len(entries)); err != nil {
+	if ver == 2 {
+		if samples, err = decodeSampleSection(d, len(entries)); err != nil {
 			return nil, nil, err
 		}
-		d.p = d.p[n:]
 	}
 	if len(d.p) != 0 {
 		return nil, nil, fmt.Errorf("%d trailing bytes after last entry", len(d.p))

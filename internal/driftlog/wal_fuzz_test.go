@@ -1,6 +1,7 @@
 package driftlog
 
 import (
+	"encoding/binary"
 	"errors"
 	"hash/crc32"
 	"os"
@@ -8,11 +9,21 @@ import (
 	"testing"
 )
 
-// fuzzSegment builds a well-formed segment file from batches.
-func fuzzSegment(batches ...[]Entry) []byte {
+// fuzzSegment builds a well-formed segment file of frame records from
+// batches.
+func fuzzSegment(batches ...*ColumnarBatch) []byte {
 	b := []byte(walMagic)
 	for _, batch := range batches {
-		b = appendWALFrameColumns(b, ColumnsFromEntries(batch))
+		b, _ = appendRecord(b, batch)
+	}
+	return b
+}
+
+// legacySegment builds a segment file of legacy version-2 row records.
+func legacySegment(batches ...*ColumnarBatch) []byte {
+	b := []byte(walMagic)
+	for _, batch := range batches {
+		b = appendWALFrameColumns(b, batch)
 	}
 	return b
 }
@@ -23,7 +34,8 @@ func fuzzSegment(batches ...[]Entry) []byte {
 // tail) or refuses with a typed *CorruptError. On success the recovered
 // store must be fully queryable and the WAL appendable.
 func FuzzWALReplay(f *testing.F) {
-	valid := fuzzSegment(walBatch(0, 3), walBatch(3, 5))
+	cols := func(seq, n int) *ColumnarBatch { return ColumnsFromEntries(walBatch(seq, n)) }
+	valid := fuzzSegment(cols(0, 3), cols(3, 5))
 	f.Add(valid)
 	f.Add(valid[:len(valid)-3])           // torn mid-record
 	f.Add(valid[:len(walMagic)+2])        // torn mid-frame-header
@@ -32,7 +44,7 @@ func FuzzWALReplay(f *testing.F) {
 	f.Add([]byte("BOGUSMAG"))             // wrong magic, right length
 	f.Add([]byte{})                       // empty file
 	f.Add(fuzzSegment())                  // valid empty segment
-	f.Add(fuzzSegment(walBatch(0, 1)))    // single record
+	f.Add(fuzzSegment(cols(0, 1)))        // single record
 	flip := append([]byte(nil), valid...) // CRC mismatch
 	flip[len(flip)-2] ^= 0x10
 	f.Add(flip)
@@ -40,25 +52,38 @@ func FuzzWALReplay(f *testing.F) {
 	f.Add(huge)
 	zero := append([]byte(walMagic), 0, 0, 0, 0, 0, 0, 0, 0) // zero-length record
 	f.Add(zero)
-	badver := fuzzSegment(walBatch(0, 2))
-	badver[len(walMagic)+8] = 99 // unsupported record version
+	badver := fuzzSegment(cols(0, 2))
+	badver[len(walMagic)+8] = 99 // neither a frame nor a row record version
 	badver = fixCRC(badver)
 	f.Add(badver)
-	// Version 2 records with a sample section, whole and damaged inside it.
-	sampled := append([]byte(walMagic), appendWALFrameColumns(nil, walSampled(0, 4))...)
-	f.Add(sampled)
-	f.Add(append(sampled[:len(sampled):len(sampled)], appendWALFrameColumns(nil, walSampled(4, 3))...))
-	for _, poke := range []struct {
-		back int  // bytes before the end of the record
-		val  byte // replacement
-	}{
-		{8*2 + 2, 9},    // last vector's row out of range
-		{8*2 + 2, 0},    // last vector's row not above the first's
-		{8*2 + 1, 0x7F}, // last vector's dimension beyond the payload
-	} {
-		bad := append([]byte(nil), sampled...)
-		bad[len(bad)-poke.back] = poke.val
-		f.Add(fixCRC(bad))
+	// Legacy row records, and records of either kind with a sample
+	// section, whole and damaged inside it. Frames and legacy records
+	// mixed in one segment replay in order.
+	f.Add(legacySegment(cols(0, 3), cols(3, 5)))
+	f.Add(append(legacySegment(cols(0, 3)), fuzzSegment(cols(3, 5))[len(walMagic):]...))
+	for _, seg := range []func(...*ColumnarBatch) []byte{legacySegment, fuzzSegment} {
+		sampled := seg(walSampled(0, 4))
+		f.Add(sampled)
+		f.Add(seg(walSampled(0, 4), walSampled(4, 3)))
+		for _, poke := range []struct {
+			back int  // bytes before the end of the record
+			val  byte // replacement
+		}{
+			{8*2 + 2, 9},    // last vector's row out of range
+			{8*2 + 2, 0},    // last vector's row not above the first's
+			{8*2 + 1, 0x7F}, // last vector's dimension beyond the payload
+		} {
+			bad := append([]byte(nil), sampled...)
+			bad[len(bad)-poke.back] = poke.val
+			f.Add(fixCRC(bad))
+		}
+	}
+	// A snapshot as compaction writes it: the segment layout holding a
+	// legacy gob snapshot rewritten as frames plus copied frame records.
+	if snap, err := compactedSnapshot(f.TempDir()); err != nil {
+		f.Fatal(err)
+	} else {
+		f.Add(snap)
 	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -101,13 +126,44 @@ func FuzzWALReplay(f *testing.F) {
 	})
 }
 
-// fixCRC rewrites the first frame's CRC so a deliberately mutated
-// payload still passes the checksum and reaches the decoder.
+// fixCRC rewrites the first record's CRC — and, when the record holds a
+// frame, the frame's own — so a deliberately mutated payload still
+// passes the checksums and reaches the decoder.
 func fixCRC(seg []byte) []byte {
 	p := seg[len(walMagic):]
-	length := int(uint32(p[0]) | uint32(p[1])<<8 | uint32(p[2])<<16 | uint32(p[3])<<24)
-	payload := p[8 : 8+length]
-	crc := crc32.Checksum(payload, walCRC)
-	p[4], p[5], p[6], p[7] = byte(crc), byte(crc>>8), byte(crc>>16), byte(crc>>24)
+	payload := p[8 : 8+binary.LittleEndian.Uint32(p)]
+	if len(payload) >= frameHeaderSize && string(payload[:4]) == frameMagic {
+		binary.LittleEndian.PutUint32(payload[10:], crc32.Checksum(payload[frameHeaderSize:], castagnoli))
+	}
+	binary.LittleEndian.PutUint32(p[4:], crc32.Checksum(payload, castagnoli))
 	return seg
+}
+
+// compactedSnapshot folds golden_v1.driftlog and a segment of frame
+// records into a snapshot in dir and returns the snapshot's bytes.
+func compactedSnapshot(dir string) ([]byte, error) {
+	raw, err := os.ReadFile(goldenLogPath)
+	if err != nil {
+		return nil, err
+	}
+	if err := os.WriteFile(filepath.Join(dir, snapName(0)), raw, 0o644); err != nil {
+		return nil, err
+	}
+	w, err := OpenWAL(dir, NewStore(), WALOptions{})
+	if err != nil {
+		return nil, err
+	}
+	if err := w.AppendColumns(walSampled(0, 4)); err != nil {
+		return nil, err
+	}
+	if err := w.Rotate(); err != nil {
+		return nil, err
+	}
+	if err := w.Compact(); err != nil {
+		return nil, err
+	}
+	if err := w.Close(); err != nil {
+		return nil, err
+	}
+	return os.ReadFile(filepath.Join(dir, snapName(1)))
 }

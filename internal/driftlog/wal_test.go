@@ -294,8 +294,8 @@ func TestWALExplicitRotateAndCompact(t *testing.T) {
 		t.Fatalf("segments after compact: want 1 got %v", segs)
 	}
 	// Appends continue after compaction and land after the snapshot rows.
-	// The next fold appends them to the snapshot as a chunk of their own,
-	// and a fold of an empty segment appends an empty chunk.
+	// The next fold copies their record after the snapshot's, and a fold
+	// of an empty segment copies nothing.
 	tail := walSampled(12, 4)
 	if err := w.AppendColumns(tail); err != nil {
 		t.Fatalf("post-compact append: %v", err)
@@ -708,7 +708,7 @@ func TestWALDecodeRejectsMalformed(t *testing.T) {
 		{"bad version", append([]byte{99}, good[1:]...)},
 		{"truncated", good[:len(good)-3]},
 		{"trailing bytes", append(append([]byte{}, good...), 0xAA)},
-		{"bomb entry count", []byte{walRecordVersion, 0xFF, 0xFF, 0xFF, 0xFF, 0x0F}},
+		{"bomb entry count", []byte{2, 0xFF, 0xFF, 0xFF, 0xFF, 0x0F}},
 		{"unknown flags", func() []byte {
 			// Rebuild a 1-entry frame and poke the flags byte, which sits
 			// right after the time varint (payload layout: version, count,

@@ -14,7 +14,6 @@ package driftlog
 import (
 	"io"
 	"os"
-	"path/filepath"
 )
 
 // walFile is one open WAL file: append-only when created, read-only
@@ -90,9 +89,3 @@ func (osFS) SyncDir(dir string) error {
 	_ = d.Sync()
 	return d.Close()
 }
-
-// syncDir is the package-level helper SaveFile shares with the WAL.
-func syncDir(dir string) error { return osFS{}.SyncDir(dir) }
-
-// dirOf mirrors filepath.Dir for walFS paths.
-func dirOf(path string) string { return filepath.Dir(path) }

@@ -1,7 +1,7 @@
 // Codec seam of the v1 ingest API: the media-type-negotiated
 // encode/decode surface behind /v1/ingest and /v1/ingest/batch. JSON
-// stays the debug default; application/x-nazar-batch (internal/wire)
-// opts into the columnar binary framing. Acknowledgements and error
+// stays the debug default; application/x-nazar-batch opts into the
+// drift log's NZB1 frame, the same bytes the WAL persists. Acknowledgements and error
 // envelopes are always JSON, which is why negotiation checks the Accept
 // header against application/json rather than the request codec.
 package httpapi
@@ -16,13 +16,12 @@ import (
 	"strings"
 
 	"nazar/internal/driftlog"
-	"nazar/internal/wire"
 )
 
 // Media types the ingest endpoints negotiate.
 const (
 	ContentTypeJSON   = "application/json"
-	ContentTypeBinary = wire.ContentType
+	ContentTypeBinary = "application/x-nazar-batch"
 )
 
 // BatchFrame is the codec-independent decoded form of one ingest batch:
@@ -104,9 +103,9 @@ func (JSONCodec) DecodeBatch(r io.Reader, maxEntries int) (*BatchFrame, error) {
 	return &BatchFrame{Entries: req.Entries, Samples: req.Samples}, nil
 }
 
-// BinaryCodec is the columnar binary codec (internal/wire): CRC32C
-// framed, dictionary-encoded, appended into the drift log without a
-// per-row struct round-trip.
+// BinaryCodec is the columnar binary codec: the drift log's NZB1 frame
+// (driftlog.AppendFrame), CRC32C framed, dictionary-encoded, appended
+// into the drift log without a per-row struct round trip.
 type BinaryCodec struct{}
 
 // ContentType implements Codec.
@@ -114,7 +113,7 @@ func (BinaryCodec) ContentType() string { return ContentTypeBinary }
 
 // EncodeBatch implements Codec.
 func (BinaryCodec) EncodeBatch(f *BatchFrame) ([]byte, error) {
-	return wire.EncodeBatch(f.columns())
+	return driftlog.AppendFrame(nil, f.columns())
 }
 
 // DecodeBatch implements Codec.
@@ -123,7 +122,7 @@ func (BinaryCodec) DecodeBatch(r io.Reader, maxEntries int) (*BatchFrame, error)
 	if err != nil {
 		return nil, fmt.Errorf("httpapi: read frame: %w", err)
 	}
-	b, err := wire.DecodeBatch(data, maxEntries)
+	b, err := driftlog.DecodeFrame(data, maxEntries)
 	if err != nil {
 		return nil, err
 	}

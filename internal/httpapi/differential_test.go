@@ -1,4 +1,4 @@
-package wire_test
+package httpapi_test
 
 import (
 	"bytes"
@@ -12,7 +12,6 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
-	"strings"
 	"testing"
 	"time"
 
@@ -21,7 +20,6 @@ import (
 	"nazar/internal/httpapi"
 	"nazar/internal/nn"
 	"nazar/internal/tensor"
-	"nazar/internal/wire"
 )
 
 // randEntries fabricates entries with deliberately awkward shapes:
@@ -75,42 +73,6 @@ func batchOf(entries []driftlog.Entry, samples [][]float64) *driftlog.ColumnarBa
 	return b
 }
 
-func TestEncodeDecodeRoundTrip(t *testing.T) {
-	for seed := int64(0); seed < 20; seed++ {
-		r := rand.New(rand.NewSource(seed))
-		entries := randEntries(r, r.Intn(100))
-		samples := randSamples(r, len(entries))
-		b := batchOf(entries, samples)
-		frame, err := wire.EncodeBatch(b)
-		if err != nil {
-			t.Fatalf("seed %d: encode: %v", seed, err)
-		}
-		got, err := wire.DecodeBatch(frame, 0)
-		if err != nil {
-			t.Fatalf("seed %d: decode: %v", seed, err)
-		}
-		if !reflect.DeepEqual(got.Entries(), b.Entries()) {
-			t.Fatalf("seed %d: entries diverged after round trip", seed)
-		}
-		wantSamples := samples
-		if allNil(wantSamples) {
-			wantSamples = nil // a frame with no samples decodes to a nil section
-		}
-		if !reflect.DeepEqual(got.Samples, wantSamples) {
-			t.Fatalf("seed %d: samples diverged:\n got %v\nwant %v", seed, got.Samples, wantSamples)
-		}
-	}
-}
-
-func allNil(samples [][]float64) bool {
-	for _, s := range samples {
-		if s != nil {
-			return false
-		}
-	}
-	return true
-}
-
 // ingestRoutes are the four ways a batch reaches the one ingest path.
 var ingestRoutes = []struct {
 	name   string
@@ -162,7 +124,7 @@ func routeBodies(t *testing.T, path string, binary bool, entries []driftlog.Entr
 	}
 	encode := func(v any, entries []driftlog.Entry, samples [][]float64) []byte {
 		if binary {
-			frame, err := wire.EncodeBatch(batchOf(entries, samples))
+			frame, err := driftlog.AppendFrame(nil, batchOf(entries, samples))
 			if err != nil {
 				t.Fatalf("encode: %v", err)
 			}
@@ -248,13 +210,13 @@ func TestBinaryJSONDifferential(t *testing.T) {
 		})
 	}
 
-	valid, err := wire.EncodeBatch(batchOf(randEntries(rand.New(rand.NewSource(5)), 1), nil))
+	valid, err := driftlog.AppendFrame(nil, batchOf(randEntries(rand.New(rand.NewSource(5)), 1), nil))
 	if err != nil {
 		t.Fatal(err)
 	}
 	flipped := append([]byte(nil), valid...)
 	flipped[len(flipped)-1] ^= 0xFF
-	empty, err := wire.EncodeBatch(batchOf(nil, nil))
+	empty, err := driftlog.AppendFrame(nil, batchOf(nil, nil))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -305,68 +267,4 @@ func TestBinaryJSONDifferential(t *testing.T) {
 			t.Errorf("refusing service on %s: %d %q, want 500 %q", route.name, st, code, httpapi.CodeInternal)
 		}
 	}
-}
-
-func TestDecodeTypedErrors(t *testing.T) {
-	valid, err := wire.EncodeBatch(batchOf(randEntries(rand.New(rand.NewSource(3)), 8), nil))
-	if err != nil {
-		t.Fatal(err)
-	}
-	check := func(name string, frame []byte, wantSub string) {
-		t.Helper()
-		_, err := wire.DecodeBatch(frame, 0)
-		if err == nil {
-			t.Fatalf("%s: decode accepted a corrupt frame", name)
-		}
-		var derr *wire.DecodeError
-		if !asDecodeError(err, &derr) {
-			t.Fatalf("%s: error %T is not *wire.DecodeError: %v", name, err, err)
-		}
-		if wantSub != "" && !strings.Contains(err.Error(), wantSub) {
-			t.Fatalf("%s: error %q does not mention %q", name, err, wantSub)
-		}
-	}
-
-	check("empty", nil, "short frame")
-	check("torn header", valid[:10], "short frame")
-	check("torn payload", valid[:len(valid)-3], "does not match")
-
-	bad := append([]byte(nil), valid...)
-	bad[0] = 'X'
-	check("bad magic", bad, "bad magic")
-
-	bad = append([]byte(nil), valid...)
-	bad[4] = 99
-	check("future version", bad, "unsupported frame version")
-
-	bad = append([]byte(nil), valid...)
-	bad[5] |= 0x80
-	check("unknown flags", bad, "unknown flag bits")
-
-	bad = append([]byte(nil), valid...)
-	bad[len(bad)-1] ^= 0xFF
-	check("payload corruption", bad, "crc mismatch")
-
-	bad = append([]byte(nil), valid...)
-	bad[10] ^= 0xFF
-	check("crc corruption", bad, "crc mismatch")
-
-	// Row count beyond the server's batch cap.
-	big, err := wire.EncodeBatch(batchOf(randEntries(rand.New(rand.NewSource(4)), 20), nil))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := wire.DecodeBatch(big, 5); err == nil {
-		t.Fatal("maxRows: decode accepted 20 rows with limit 5")
-	} else if !strings.Contains(err.Error(), "exceeds limit") {
-		t.Fatalf("maxRows: unexpected error %v", err)
-	}
-}
-
-func asDecodeError(err error, target **wire.DecodeError) bool {
-	de, ok := err.(*wire.DecodeError)
-	if ok {
-		*target = de
-	}
-	return ok
 }
