@@ -13,7 +13,7 @@ GO ?= go
 # and the device half — nn, registry, device — where installed versions
 # are views reading one backbone's weights from whichever goroutines
 # drive the devices).
-RACE_PKGS = ./internal/cloud/... ./internal/driftlog/... ./internal/fim/... ./internal/rca/... ./internal/httpapi/... ./internal/tensor/... ./internal/transport/... ./internal/faultinject/... ./internal/wire/... ./internal/macrosim/... ./internal/sketch/... ./internal/nn/... ./internal/registry/... ./internal/device/...
+RACE_PKGS = ./internal/cloud/... ./internal/driftlog/... ./internal/fim/... ./internal/rca/... ./internal/httpapi/... ./internal/tensor/... ./internal/transport/... ./internal/faultinject/... ./internal/macrosim/... ./internal/sketch/... ./internal/nn/... ./internal/registry/... ./internal/device/...
 
 .PHONY: ci vet staticcheck build loc test race race-chaos chaos macrosim-smoke fuzz fuzz-smoke bench bench-kernels bench-analysis bench-wal bench-wire bench-macrosim bench-sketch bench-smoke clean
 
@@ -100,7 +100,7 @@ fuzz-smoke:
 	$(GO) test ./internal/driftlog/ -run '^$$' -fuzz FuzzCountDifferential -fuzztime 30s
 	$(GO) test ./internal/driftlog/ -run '^$$' -fuzz FuzzWALReplay -fuzztime 30s
 	$(GO) test ./internal/faultinject/ -run '^$$' -fuzz FuzzParseSchedule -fuzztime 30s
-	$(GO) test ./internal/wire/ -run '^$$' -fuzz FuzzWireDecode -fuzztime 30s
+	$(GO) test ./internal/driftlog/ -run '^$$' -fuzz FuzzWireDecode -fuzztime 30s
 	$(GO) test ./internal/nn/ -run '^$$' -fuzz FuzzQuantizedForward -fuzztime 30s
 	$(GO) test ./internal/macrosim/ -run '^$$' -fuzz FuzzParseScenario -fuzztime 30s
 	$(GO) test ./internal/driftlog/ -run '^$$' -fuzz FuzzSketchDifferential -fuzztime 30s
@@ -152,7 +152,7 @@ bench-wal:
 # results (including binary-vs-json speedups) land in BENCH_wire.json.
 bench-wire:
 	$(GO) test -run '^$$' -bench 'BenchmarkWire' -benchmem -benchtime 0.5s -count 5 \
-		./internal/wire/ | tee bench-wire.out
+		./internal/driftlog/ | tee bench-wire.out
 	$(GO) run ./cmd/benchjson < bench-wire.out > BENCH_wire.json
 	@rm -f bench-wire.out
 	@echo "wrote BENCH_wire.json"

@@ -325,3 +325,42 @@ func TestServiceWALRefusedIngestLeavesNoSamples(t *testing.T) {
 		})
 	}
 }
+
+// TestServiceWALRefusesOversizedBatch: a batch too large for one WAL
+// record is the batch's fault. Ingest refuses it with
+// driftlog.ErrFrameTooLarge, not ErrDurability — so the HTTP layer
+// answers 400 and the transport drops it instead of retrying it forever
+// — and the service keeps ingesting durably.
+func TestServiceWALRefusesOversizedBatch(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "wal")
+	svc := walTestService(t, dir)
+	day := weather.Day(3)
+	entries := make([]driftlog.Entry, 1100)
+	samples := make([][]float64, len(entries))
+	vec := make([]float64, 8192) // shared: 72 MB of samples, 64 KB of memory
+	for i := range entries {
+		entries[i] = driftlog.Entry{Time: day.Add(time.Duration(i) * time.Second), Attrs: map[string]string{driftlog.AttrWeather: "snow"}}
+		samples[i] = vec
+	}
+	err := svc.IngestBatchContext(context.Background(), entries, samples)
+	if !errors.Is(err, driftlog.ErrFrameTooLarge) || errors.Is(err, ErrDurability) {
+		t.Fatalf("oversized ingest: want ErrFrameTooLarge and not ErrDurability, got %v", err)
+	}
+	if n := svc.Log().Len(); n != 0 {
+		t.Fatalf("refused batch landed %d rows", n)
+	}
+	if err := svc.WAL().Err(); err != nil {
+		t.Fatalf("refusal poisoned the WAL: %v", err)
+	}
+	if err := svc.IngestBatchContext(context.Background(), entries[:1], [][]float64{{1, 2}}); err != nil {
+		t.Fatalf("ingest after a refusal: %v", err)
+	}
+	if err := svc.Close(); err != nil {
+		t.Fatal(err)
+	}
+	svc2 := walTestService(t, dir)
+	defer svc2.Close()
+	if n := svc2.Log().Len(); n != 1 {
+		t.Fatalf("replayed %d rows, want the 1 acked", n)
+	}
+}

@@ -756,3 +756,100 @@ func TestWALStats(t *testing.T) {
 		t.Fatalf("dir: want %s got %s", dir, w.Dir())
 	}
 }
+
+// TestWALAckedWideBatchReplays: an acked batch is a replayable batch.
+// 4,096 rows × 300 attribute columns with one 100-byte value each is a
+// 1.27 MB frame, far under the ingest body cap; spelled out row by row
+// (every name and value repeated per row) it would be ~128 MB, past the
+// record bound replay accepts.
+func TestWALAckedWideBatchReplays(t *testing.T) {
+	const rows, cols = 4096, 300
+	b := &ColumnarBatch{Times: make([]int64, rows), Drift: make([]bool, rows), SampleIDs: make([]int64, rows)}
+	ids := make([]uint32, rows) // shared: every row carries every column's one value
+	for r := range ids {
+		ids[r] = 1
+		b.Times[r] = int64(r) * int64(time.Second)
+		b.Drift[r] = r%3 == 0
+		b.SampleIDs[r] = -1
+	}
+	for c := 0; c < cols; c++ {
+		value := strings.Repeat(string(rune('a'+c%26)), 100)
+		b.Cols = append(b.Cols, ColumnData{Name: fmt.Sprintf("attr_%03d", c), Dict: []string{"", value}, IDs: ids})
+	}
+	dir := t.TempDir()
+	w, err := OpenWAL(dir, NewStore(), WALOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := w.AppendColumns(b); err != nil {
+		t.Fatalf("append: %v", err)
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	replayed := NewStore()
+	w2, err := OpenWAL(dir, replayed, WALOptions{ReadOnly: true})
+	if err != nil {
+		t.Fatalf("reopen after an acked batch: %v", err)
+	}
+	if rec := w2.Recovery(); rec.Rows != rows || rec.TornTail {
+		t.Fatalf("recovery %+v, want %d rows", rec, rows)
+	}
+	if got := len(replayed.Attributes()); got != cols {
+		t.Fatalf("replayed %d attributes, want %d", got, cols)
+	}
+	for _, r := range []int{0, rows - 1} {
+		if got, want := replayed.Entry(r), b.Entry(r); !sameEntry(got, want) {
+			t.Fatalf("row %d: replayed %+v, want %+v", r, got, want)
+		}
+	}
+}
+
+// oversizedBatch is a batch whose frame exceeds the record bound: 1,100
+// rows sharing one 8,192-float vector carry 72 MB of samples. JSON ingest
+// reaches such a batch from a body under the 64 MiB cap, because a zero
+// is 2 bytes of JSON ("0,") and 8 bytes of float64.
+func oversizedBatch() *ColumnarBatch {
+	b := ColumnsFromEntries(walBatch(0, 1100))
+	vec := make([]float64, 8192)
+	b.Samples = make([][]float64, b.Rows())
+	for i := range b.Samples {
+		b.Samples[i] = vec
+	}
+	return b
+}
+
+// TestWALRefusesOversizedBatch: a batch too large for one record is
+// refused with ErrFrameTooLarge before anything is written; the WAL is
+// not poisoned, and the next batch is acked and replays.
+func TestWALRefusesOversizedBatch(t *testing.T) {
+	dir := t.TempDir()
+	w, err := OpenWAL(dir, NewStore(), WALOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := w.Stats()
+	if err := w.AppendColumns(oversizedBatch()); !errors.Is(err, ErrFrameTooLarge) {
+		t.Fatalf("oversized append: want ErrFrameTooLarge, got %v", err)
+	}
+	if err := w.Err(); err != nil {
+		t.Fatalf("refusal poisoned the WAL: %v", err)
+	}
+	if st := w.Stats(); st.ActiveBytes != before.ActiveBytes || st.Appends != 0 {
+		t.Fatalf("refused batch wrote to the segment: %+v", st)
+	}
+	next := walSampled(2000, 3)
+	if err := w.AppendColumns(next); err != nil {
+		t.Fatalf("append after a refusal: %v", err)
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	replayed := NewStore()
+	if _, err := OpenWAL(dir, replayed, WALOptions{ReadOnly: true}); err != nil {
+		t.Fatalf("reopen: %v", err)
+	}
+	want := NewStore()
+	want.appendColumns(next)
+	requireStoresEqual(t, want, replayed)
+}
