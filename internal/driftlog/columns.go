@@ -1,5 +1,5 @@
-// Columnar batch form of drift-log entries: the shape the binary wire
-// protocol (internal/wire) carries and the only form the store appends.
+// Columnar batch form of drift-log entries: the shape an NZB1 frame
+// (frame.go) carries and the only form the store appends.
 // A ColumnarBatch is the batch-local mirror of the store's own layout —
 // dictionary-encoded attribute columns over parallel row arrays — so
 // appending one is a dictionary remap plus slice appends, not
