@@ -1,7 +1,9 @@
 package driftlog
 
 import (
+	"bufio"
 	"bytes"
+	"encoding/gob"
 	"os"
 	"path/filepath"
 	"testing"
@@ -344,4 +346,75 @@ func TestWALMigratesLegacyFormats(t *testing.T) {
 			requireStoresEqual(t, ref, replayed)
 		})
 	}
+}
+
+// writeGobChunk writes rows to path as one legacy gob chunk, the layout
+// readFrom reads; no product code writes it any more.
+func writeGobChunk(t *testing.T, path string, rows []goldenRow) {
+	t.Helper()
+	f, err := os.Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bw := bufio.NewWriter(f)
+	bw.WriteString(persistHeader + "\n")
+	enc := gob.NewEncoder(bw)
+	err = enc.Encode(len(rows))
+	for _, r := range rows {
+		if err == nil {
+			err = enc.Encode(wireEntry{TimeNanos: r.e.Time.UnixNano(), Drift: r.e.Drift, SampleID: r.e.SampleID, Attrs: r.e.Attrs, Sample: r.vec})
+		}
+	}
+	if err == nil {
+		err = bw.Flush()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestWALRewritesWideLegacySnapshot: a legacy gob batch whose vectors
+// alone exceed the record bound is rewritten by its first fold as smaller
+// frame records, rows in order, instead of failing that fold and every
+// later one.
+func TestWALRewritesWideLegacySnapshot(t *testing.T) {
+	const rows, dim = 16, 1<<19 + 1 // 16 vectors of just over 4 MiB: past the 64 MiB bound
+	vec := make([]float64, dim)
+	for i := range vec {
+		vec[i] = float64(i % 7)
+	}
+	chunk := make([]goldenRow, rows)
+	for i, e := range walBatch(0, rows) {
+		chunk[i] = goldenRow{e, vec}
+	}
+	dir := t.TempDir()
+	writeGobChunk(t, filepath.Join(dir, snapName(0)), chunk)
+
+	live := NewStore()
+	w, err := OpenWAL(dir, live, WALOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Rotate(); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Compact(); err != nil {
+		t.Fatalf("fold of a wide legacy snapshot: %v", err)
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	requireSnapshotFrames(t, dir)
+	replayed := NewStore()
+	w2, err := OpenWAL(dir, replayed, WALOptions{ReadOnly: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rec := w2.Recovery(); rec.SnapshotRows != rows {
+		t.Fatalf("recovery %+v, want %d snapshot rows", rec, rows)
+	}
+	requireStoresEqual(t, live, replayed)
 }

@@ -327,50 +327,20 @@ func (w *WAL) Stats() WALStats {
 
 // loadSnapshot reads one snapshot file into s, returning the row count.
 // A snapshot has the segment layout and loads like a sealed segment; a
-// legacy gob snapshot loads through readLegacySnapshot. Every failure is
-// a *CorruptError: the snapshot was written atomically, so a damaged one
-// is damage, not a torn write.
-func (w *WAL) loadSnapshot(s *Store, idx uint64) (int64, error) {
-	path := filepath.Join(w.dir, snapName(idx))
-	var rows int64
-	legacy, err := w.readLegacySnapshot(path, func(entries []Entry, samples [][]float64) error {
+// legacy gob snapshot loads through readFrom. Every failure is a
+// *CorruptError: the snapshot was written atomically, so a damaged one is
+// damage, not a torn write.
+func (w *WAL) loadSnapshot(s *Store, idx uint64) (rows int64, err error) {
+	_, err = w.scanRecords(filepath.Join(w.dir, snapName(idx)), false, func(rec []byte) error {
+		n, err := applyRecord(s, rec[8:])
+		rows += int64(n)
+		return err
+	}, func(entries []Entry, samples [][]float64) error {
 		s.appendRows(entries, samples)
 		rows += int64(len(entries))
 		return nil
 	})
-	if !legacy && err == nil {
-		_, err = w.scanRecords(path, false, func(rec []byte) error {
-			n, err := applyRecord(s, rec[8:])
-			rows += int64(n)
-			return err
-		})
-	}
 	return rows, err
-}
-
-// readLegacySnapshot hands the rows of a gob snapshot — one or more
-// readFrom chunks back to back, as compaction and -log-file once wrote
-// them — to fn in order. A file that does not open with the gob header
-// is not legacy: nothing is read and fn is never called.
-func (w *WAL) readLegacySnapshot(path string, fn func([]Entry, [][]float64) error) (legacy bool, err error) {
-	f, err := w.fs.Open(path)
-	if err != nil {
-		return false, &CorruptError{Path: path, Reason: fmt.Sprintf("open snapshot: %v", err)}
-	}
-	defer f.Close()
-	// readFrom reuses this reader and stops at its chunk's last row.
-	br := bufio.NewReaderSize(f, 64<<10)
-	if head, _ := br.Peek(len(persistHeader)); string(head) != persistHeader {
-		return false, nil
-	}
-	for chunk := 0; ; chunk++ {
-		if _, err := br.Peek(1); err == io.EOF && chunk > 0 {
-			return true, nil
-		}
-		if _, err := readFrom(br, fn); err != nil {
-			return true, &CorruptError{Path: path, Reason: fmt.Sprintf("snapshot: %v", err)}
-		}
-	}
 }
 
 // replaySegment applies one segment's records, in order, to s and counts
@@ -384,7 +354,7 @@ func (w *WAL) replaySegment(path string, s *Store, tail bool) (keep bool, err er
 			w.rec.Rows += int64(n)
 		}
 		return err
-	})
+	}, nil)
 }
 
 // applyRecord appends one CRC-checked record payload to s and returns its
@@ -417,12 +387,22 @@ func applyRecord(s *Store, payload []byte) (int, error) {
 // anywhere else — or a file whose header is present but wrong — is a
 // *CorruptError, and so is an error from fn. keep=false means the file
 // was removed entirely (a tail file that never got a complete header).
-func (w *WAL) scanRecords(path string, tail bool, fn func(rec []byte) error) (keep bool, err error) {
+// When legacy is non-nil (a snapshot) and the file opens with the gob
+// header, it is a legacy gob snapshot: readFrom hands its rows to legacy
+// instead, and fn is never called.
+func (w *WAL) scanRecords(path string, tail bool, fn func(rec []byte) error, legacy func([]Entry, [][]float64) error) (keep bool, err error) {
 	f, err := w.fs.Open(path)
 	if err != nil {
 		return false, &CorruptError{Path: path, Reason: fmt.Sprintf("open: %v", err)}
 	}
 	br := bufio.NewReaderSize(f, 64<<10)
+	if head, _ := br.Peek(len(persistHeader)); legacy != nil && string(head) == persistHeader {
+		defer f.Close()
+		if _, err := readFrom(br, legacy); err != nil {
+			return true, &CorruptError{Path: path, Reason: fmt.Sprintf("snapshot: %v", err)}
+		}
+		return true, nil
+	}
 
 	torn := func(off int64, reason string) (bool, error) {
 		f.Close()
@@ -725,42 +705,42 @@ func (w *WAL) Compact() error {
 // record of the snapshot and of each segment, in that order (the
 // canonical order), byte for byte after scanRecords' length and CRC
 // checks. A legacy gob snapshot is rewritten as frame records — the one
-// conversion its first fold makes. Sealed files and snapshots are
-// immutable, so this needs no lock.
+// conversion its first fold makes — halving a batch until its frame fits
+// the record bound. Sealed files and snapshots are immutable, so this
+// needs no lock.
 func (w *WAL) writeSnapshot(dst io.Writer, snap int64, sealed []uint64) error {
 	// bufio keeps the first write error and fails every later write, so
 	// the copies below report it once, at Flush.
 	bw := bufio.NewWriterSize(dst, 64<<10)
 	bw.WriteString(walMagic)
-	var paths []string
-	if snap >= 0 {
-		path := filepath.Join(w.dir, snapName(uint64(snap)))
-		var rec []byte
-		legacy, err := w.readLegacySnapshot(path, func(entries []Entry, samples [][]float64) error {
-			b := ColumnsFromEntries(entries)
-			b.Samples = samples
-			var err error
-			if rec, err = appendRecord(rec[:0], b); err != nil {
+	copyRecord := func(rec []byte) error {
+		bw.Write(rec)
+		return nil
+	}
+	var rec []byte
+	var convert func([]Entry, [][]float64) error
+	convert = func(entries []Entry, samples [][]float64) error {
+		b := ColumnsFromEntries(entries)
+		b.Samples = samples
+		var err error
+		rec, err = appendRecord(rec[:0], b)
+		if errors.Is(err, ErrFrameTooLarge) && len(entries) > 1 {
+			h := len(entries) / 2
+			if err := convert(entries[:h], samples[:h]); err != nil {
 				return err
 			}
-			bw.Write(rec)
-			return nil
-		})
-		if err != nil {
-			return err
+			return convert(entries[h:], samples[h:])
 		}
-		if !legacy {
-			paths = append(paths, path)
+		bw.Write(rec)
+		return err
+	}
+	if snap >= 0 {
+		if _, err := w.scanRecords(filepath.Join(w.dir, snapName(uint64(snap))), false, copyRecord, convert); err != nil {
+			return err
 		}
 	}
 	for _, idx := range sealed {
-		paths = append(paths, filepath.Join(w.dir, segName(idx)))
-	}
-	for _, path := range paths {
-		if _, err := w.scanRecords(path, false, func(rec []byte) error {
-			bw.Write(rec)
-			return nil
-		}); err != nil {
+		if _, err := w.scanRecords(filepath.Join(w.dir, segName(idx)), false, copyRecord, nil); err != nil {
 			return err
 		}
 	}

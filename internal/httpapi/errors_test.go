@@ -253,3 +253,67 @@ func TestIngestBatchDurabilityFailureIs500(t *testing.T) {
 		t.Fatalf("refused batch landed in the log: %d rows", svc.Log().Len())
 	}
 }
+
+// TestIngestBatchOversizedFrameIs400: a batch whose frame exceeds the WAL
+// record bound is the batch's fault, not the server's — JSON samples grow
+// about 4× on the way in ("0," is 2 bytes, a float64 8) — so it answers
+// 400/invalid_request, which the transport drops as poison instead of
+// retrying forever. The WAL stays healthy and the next batch is acked.
+func TestIngestBatchOversizedFrameIs400(t *testing.T) {
+	base := nn.NewClassifier(nn.ArchResNet18, 8, 2, tensor.NewRand(7, 1))
+	svc := cloud.NewService(base, cloud.DefaultConfig(),
+		cloud.WithWAL(t.TempDir(), driftlog.WALOptions{}))
+	if err := svc.WALErr(); err != nil {
+		t.Fatalf("wal open: %v", err)
+	}
+	defer svc.Close()
+	h := NewServer(svc, WithLogger(discardLogger()))
+	post := func(body string) *httptest.ResponseRecorder {
+		req := httptest.NewRequest("POST", "/v1/ingest/batch", strings.NewReader(body))
+		req.Header.Set("Content-Type", "application/json")
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, req)
+		return rec
+	}
+
+	// 1,100 rows × 8,192 zeros: an 18 MB body, 72 MB of float64 samples.
+	const rows = 1100
+	entry := `{"time":"2026-01-01T00:00:00Z","attrs":{"weather":"snow"}}`
+	sample := "[" + strings.Repeat("0,", 8191) + "0]"
+	var b strings.Builder
+	b.WriteString(`{"entries":[`)
+	for i := 0; i < rows; i++ {
+		if i > 0 {
+			b.WriteByte(',')
+		}
+		b.WriteString(entry)
+	}
+	b.WriteString(`],"samples":[`)
+	for i := 0; i < rows; i++ {
+		if i > 0 {
+			b.WriteByte(',')
+		}
+		b.WriteString(sample)
+	}
+	b.WriteString(`]}`)
+	rec := post(b.String())
+	if rec.Code != http.StatusBadRequest {
+		t.Fatalf("status %d, want 400 (body %.200q)", rec.Code, rec.Body.String())
+	}
+	var env errorEnvelope
+	if err := json.Unmarshal(rec.Body.Bytes(), &env); err != nil || env.Error == nil {
+		t.Fatalf("body %q is not an error envelope", rec.Body.String())
+	}
+	if env.Error.Code != CodeInvalidRequest {
+		t.Fatalf("code %q, want %q", env.Error.Code, CodeInvalidRequest)
+	}
+	if err := svc.WAL().Err(); err != nil {
+		t.Fatalf("refusal poisoned the WAL: %v", err)
+	}
+	if rec := post(`{"entries":[` + entry + `]}`); rec.Code != http.StatusOK {
+		t.Fatalf("ingest after a refusal: status %d (body %q)", rec.Code, rec.Body.String())
+	}
+	if n := svc.Log().Len(); n != 1 {
+		t.Fatalf("log holds %d rows, want the 1 acked", n)
+	}
+}
