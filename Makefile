@@ -138,8 +138,9 @@ bench-analysis:
 
 # Durability benchmarks: append throughput with and without the WAL in
 # front of the store (the nowal-vs-wal pair reads as the fsync overhead
-# factor) and cold-start replay rate over segment-heavy and
-# snapshot-heavy directory layouts. Results land in BENCH_wal.json.
+# factor) and cold-start replay rate by row count and by file count
+# (segments/32k against files/32KiB/32k: the same rows from one segment
+# and from 32 KiB segments). Results land in BENCH_wal.json.
 bench-wal:
 	$(GO) test -run '^$$' -bench 'BenchmarkDriftlogAppend|BenchmarkWALReplay' -benchmem -benchtime 0.5s -count 5 \
 		./internal/driftlog/ | tee bench-wal.out

@@ -49,7 +49,7 @@ func main() {
 		retain     = flag.Duration("retention", 0, "compact drift-log rows older than this before each analysis (0 = keep all)")
 		walDir     = flag.String("wal-dir", "", "write-ahead-log directory for a durable drift log (replayed on start)")
 		walSegMB   = flag.Int("wal-segment-mb", 4, "WAL segment rotation threshold in MiB")
-		walCompact = flag.Int("wal-compact-segments", 4, "sealed segments that trigger background WAL compaction (0 = never)")
+		walCompact = flag.Int("wal-compact-segments", 4, "sealed segments from which each rotation runs background WAL compaction, deleting the segments -retention has expired (0 = never)")
 
 		sketchThreshold = flag.Int("sketch-threshold", 0, "distinct values per attribute before the drift-log index switches to sketches (0 = library default)")
 		sketchWidth     = flag.Int("sketch-width", 0, "Count-Min cells per hash row for sketched attributes (0 = library default)")

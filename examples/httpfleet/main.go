@@ -74,11 +74,12 @@ func main() {
 	ctx := context.Background()
 	client := transport.NewClient(url,
 		transport.WithConfig(transport.Config{
+			MaxBatch:      64,
+			FlushInterval: 200 * time.Millisecond,
 			OnDrop: func(e driftlog.Entry, reason string) {
 				log.Printf("devices: entry %v dropped (%s)", e.Time, reason)
 			},
 		}),
-		transport.WithBatcher(64, 200*time.Millisecond),
 		transport.WithCodec(httpapi.BinaryCodec{}),
 	)
 	defer func() {

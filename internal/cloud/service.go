@@ -43,8 +43,10 @@ type Config struct {
 	// LogRetention, when positive, compacts drift-log rows older than
 	// this duration (relative to each analysis run's `now`) before the
 	// analysis, bounding log growth — the uploaded vectors included, which
-	// go with their rows. Note that retention interacts with cumulative
-	// analysis: compacted history no longer supports causes.
+	// go with their rows. With WithWAL it bounds the WAL directory too:
+	// the WAL's compaction deletes the sealed segments whose rows are all
+	// older than the last cutoff. Note that retention interacts with
+	// cumulative analysis: compacted history no longer supports causes.
 	LogRetention time.Duration
 	// Sketch tunes the drift log's tiered approximate-counting layer for
 	// high-cardinality attributes (see driftlog.SketchConfig). The zero
@@ -254,8 +256,22 @@ type SampleReader struct{ log *driftlog.Store }
 
 // Gather materializes the vectors of the given sample IDs as a batch
 // matrix (nil when none is held), rows in the order of ids; IDs whose
-// rows were compacted, or never carried a vector, are skipped.
-func (r SampleReader) Gather(ids []int64) *tensor.Matrix { return stack(gather(r.log.All(), ids)) }
+// rows were compacted, or never carried a vector, are skipped. It reads
+// every sampled row of the log.
+func (r SampleReader) Gather(ids []int64) *tensor.Matrix {
+	all, xs, _ := r.log.All().Samples(nil) // no conditions: cannot fail
+	byID := make(map[int64][]float64, len(all))
+	for i, id := range all {
+		byID[id] = xs[i]
+	}
+	var out [][]float64
+	for _, id := range ids {
+		if x := byID[id]; x != nil {
+			out = append(out, x)
+		}
+	}
+	return stack(out)
+}
 
 // Len returns the number of rows holding a vector.
 func (r SampleReader) Len() int { return r.log.Stats().Samples }
@@ -560,8 +576,8 @@ func (s *Service) VersionsSince(since time.Time) []adapt.BNVersion {
 }
 
 // causeSamples is the by-cause adaptation source over one pinned view: a
-// cause's pool is the vectors of the view's rows it matches, in canonical
-// row order.
+// cause's pool is the vectors of the view's rows it matches, ascending by
+// sample ID.
 func causeSamples(v *driftlog.View) func(rca.Cause) *tensor.Matrix {
 	return func(c rca.Cause) *tensor.Matrix {
 		_, xs, err := v.Samples(c.Items)
@@ -574,37 +590,21 @@ func causeSamples(v *driftlog.View) func(rca.Cause) *tensor.Matrix {
 
 // cleanSamples returns the vectors of the view's rows that match no
 // cause, ascending by sample ID — the clean re-adaptation pool. It costs
-// the window's rows plus each cause's matches, and sorting their IDs; a
-// cause naming an attribute the view does not hold matches no row and
-// removes nothing.
+// the window's sampled rows plus each cause's matches, and sorting the
+// caused IDs; a cause naming an attribute the view does not hold matches
+// no row and removes nothing.
 func cleanSamples(v *driftlog.View, causes []rca.Cause) [][]float64 {
-	all, _ := v.SampleIDs(nil) // no conditions, no unknown attribute: cannot fail
 	var caused []int64
 	for _, c := range causes {
 		ids, _ := v.SampleIDs(c.Items)
 		caused = append(caused, ids...)
 	}
-	slices.Sort(all)
 	slices.Sort(caused)
-	return gather(v, slices.DeleteFunc(all, func(id int64) bool {
-		_, hit := slices.BinarySearch(caused, id)
-		return hit
-	}))
-}
-
-// gather returns the vectors the view's rows hold for ids, in the order
-// of ids, skipping IDs that resolve to none. It reads every sampled row
-// of the view.
-func gather(v *driftlog.View, ids []int64) [][]float64 {
-	all, xs, _ := v.Samples(nil) // no conditions: cannot fail
-	byID := make(map[int64][]float64, len(all))
-	for i, id := range all {
-		byID[id] = xs[i]
-	}
+	ids, xs, _ := v.Samples(nil) // no conditions: cannot fail
 	var out [][]float64
-	for _, id := range ids {
-		if x := byID[id]; x != nil {
-			out = append(out, x)
+	for i, id := range ids {
+		if _, hit := slices.BinarySearch(caused, id); !hit {
+			out = append(out, xs[i])
 		}
 	}
 	return out

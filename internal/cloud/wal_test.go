@@ -3,6 +3,7 @@ package cloud
 import (
 	"context"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -362,5 +363,105 @@ func TestServiceWALRefusesOversizedBatch(t *testing.T) {
 	defer svc2.Close()
 	if n := svc2.Log().Len(); n != 1 {
 		t.Fatalf("replayed %d rows, want the 1 acked", n)
+	}
+}
+
+// TestServiceWALRetentionBoundsDirectory: LogRetention bounds the WAL
+// directory as it bounds the store. Ingest spans several days with a
+// window at the end of each, whose now advances the retention cutoff.
+// The compaction passes that rotations start delete every sealed file
+// the cutoff has expired, so no file left on disk is older than the
+// cutoff, and a reopened service holds exactly the acked rows at or
+// after it.
+func TestServiceWALRetentionBoundsDirectory(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "wal")
+	cfg := DefaultConfig()
+	cfg.LogRetention = 48 * time.Hour
+	base := nn.NewClassifier(nn.ArchResNet18, 8, 4, tensor.NewRand(1, 1))
+	open := func() *Service {
+		// One-byte segments: every batch seals its own file, so no file
+		// straddles a day boundary.
+		svc := NewService(base, cfg, WithWAL(dir, driftlog.WALOptions{SegmentBytes: 1, CompactSegments: 1}))
+		if err := svc.WALErr(); err != nil {
+			t.Fatal(err)
+		}
+		return svc
+	}
+	var acked []driftlog.Entry
+	ingestDay := func(svc *Service, d int) {
+		for i := 0; i < 4; i++ {
+			entries := make([]driftlog.Entry, 5)
+			for j := range entries {
+				entries[j] = driftlog.Entry{
+					Time:  weather.Day(d).Add(time.Duration(i)*time.Hour + time.Duration(j)*time.Minute),
+					Attrs: map[string]string{driftlog.AttrWeather: "clear-day", driftlog.AttrDevice: fmt.Sprintf("dev_%d", j)},
+				}
+			}
+			if err := svc.IngestBatchContext(context.Background(), entries, nil); err != nil {
+				t.Fatal(err)
+			}
+			acked = append(acked, entries...)
+		}
+	}
+
+	svc := open()
+	const days = 6
+	var cutoff time.Time
+	for d := 0; d < days; d++ {
+		ingestDay(svc, d)
+		now := weather.Day(d + 1)
+		if _, err := svc.RunWindowContext(context.Background(), time.Time{}, time.Time{}, now); err != nil {
+			t.Fatal(err)
+		}
+		cutoff = now.Add(-cfg.LogRetention)
+	}
+	ingestDay(svc, days) // its rotations start passes under the last cutoff
+	if err := svc.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := svc.WAL().CompactionErr(); err != nil {
+		t.Fatalf("background compaction: %v", err)
+	}
+	if st := svc.WAL().Stats(); st.Compactions == 0 {
+		t.Fatalf("no compaction pass deleted a file: %+v", st)
+	}
+
+	// Replay each file on its own: none may be all rows before the cutoff.
+	files, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, f := range files {
+		raw, err := os.ReadFile(filepath.Join(dir, f.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		single := t.TempDir()
+		writeFileOrFatal(t, filepath.Join(single, f.Name()), raw)
+		s := driftlog.NewStore()
+		if _, err := driftlog.OpenWAL(single, s, driftlog.WALOptions{ReadOnly: true}); err != nil {
+			t.Fatal(err)
+		}
+		if st := s.Stats(); s.Len() > 0 && st.NewestTime.Before(cutoff) {
+			t.Fatalf("%s: newest row %v is before the cutoff %v", f.Name(), st.NewestTime, cutoff)
+		}
+	}
+
+	var want []driftlog.Entry
+	for _, e := range acked {
+		if !e.Time.Before(cutoff) {
+			want = append(want, e)
+		}
+	}
+	svc2 := open()
+	defer svc2.Close()
+	log := svc2.Log()
+	if log.Len() != len(want) {
+		t.Fatalf("reopened service holds %d rows, want the %d acked at or after the cutoff", log.Len(), len(want))
+	}
+	for i, e := range want {
+		if got := log.Entry(i); !got.Time.Equal(e.Time) || got.Attrs[driftlog.AttrDevice] != e.Attrs[driftlog.AttrDevice] {
+			t.Fatalf("row %d: %v %v, want %v %v", i, got.Time, got.Attrs, e.Time, e.Attrs)
+		}
 	}
 }

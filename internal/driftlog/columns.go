@@ -168,14 +168,15 @@ func ColumnsFromEntries(entries []Entry) *ColumnarBatch {
 
 // AppendBatch ingests row-form entries through the columnar path,
 // preserving slice order in the store's canonical (sequence) order.
-func (s *Store) AppendBatch(entries []Entry) { s.appendRows(entries, nil) }
+func (s *Store) AppendBatch(entries []Entry) { s.appendColumns(ColumnsFromEntries(entries)) }
 
-// appendRows is AppendBatch with a sample column (nil, or one vector or
-// nil per entry) — how WAL replay and snapshot loads append.
-func (s *Store) appendRows(entries []Entry, samples [][]float64) {
+// rowBatch is ColumnsFromEntries with a sample column (nil, or one vector
+// or nil per entry) — how replay reads legacy row records and gob
+// snapshots.
+func rowBatch(entries []Entry, samples [][]float64) *ColumnarBatch {
 	b := ColumnsFromEntries(entries)
 	b.Samples = samples
-	s.appendColumns(b)
+	return b
 }
 
 // AppendColumns validates and ingests a columnar batch, preserving batch

@@ -208,10 +208,12 @@ func TestWALFrameRecordGolden(t *testing.T) {
 	if got := hex.EncodeToString(rec); got != want {
 		t.Fatalf("WAL record bytes changed:\n got %s\nwant %s", got, want)
 	}
-	s := NewStore()
-	if n, err := applyRecord(s, rec[8:]); err != nil || n != len(entries) {
-		t.Fatalf("golden record applies %d rows: %v", n, err)
+	got, err := decodeRecord(rec[8:])
+	if err != nil || got.Rows() != len(entries) {
+		t.Fatalf("golden record decodes to %v: %v", got, err)
 	}
+	s := NewStore()
+	s.appendColumns(got)
 	for i, e := range entries {
 		if got := s.Entry(i); !reflect.DeepEqual(got, e) {
 			t.Fatalf("golden record row %d replays to %+v, want %+v", i, got, e)

@@ -14,12 +14,15 @@
 // concurrent devices append without contending on a global mutex, and
 // window queries snapshot every shard once and then scan lock-free.
 // Every row also carries a global sequence number, which defines the
-// canonical row order (Entry, SampleIDs, Samples) so sharding never
-// changes observable ordering or the on-disk format.
+// canonical row order (Each, Entry) so sharding never changes observable
+// ordering or the on-disk format. Samples and SampleIDs order by sample
+// ID instead, which is persisted, so a replayed store returns a cause's
+// samples in the order the live store did.
 package driftlog
 
 import (
 	"fmt"
+	"math"
 	"slices"
 	"sort"
 	"sync"
@@ -146,6 +149,11 @@ type Store struct {
 	// on per-shard row counts must include this generation counter.
 	compactions atomic.Int64
 
+	// cutoff is the largest cutoff Compact has been given, in unix nanos
+	// (math.MinInt64 before the first): the retention a WAL replayed into
+	// this store applies to its sealed files.
+	cutoff atomic.Int64
+
 	// attrMu guards the store-wide attribute registry (first-seen order
 	// across all shards) and the per-attribute distinct-value tracking
 	// sets behind the sketch tiering decision.
@@ -176,6 +184,7 @@ func NewStoreWithSketch(cfg SketchConfig) *Store {
 		card:     map[string]map[string]bool{},
 		sk:       newSketchIndex(cfg),
 	}
+	s.cutoff.Store(math.MinInt64)
 	for i := range s.shards {
 		s.shards[i].cols = map[string]*column{}
 		s.shards[i].timeSorted = true
@@ -494,11 +503,6 @@ type View struct {
 // ClearDrift and AttrValueCounts run as word-wise AND + popcount.
 func (s *Store) Window(from, to time.Time) *View {
 	v := &View{attrs: map[string]bool{}, sk: s.sk}
-	s.attrMu.RLock()
-	for _, name := range s.attrOrder {
-		v.attrs[name] = true
-	}
-	s.attrMu.RUnlock()
 	if !from.IsZero() {
 		v.from = from.UnixNano()
 	}
@@ -546,6 +550,14 @@ func (s *Store) Window(from, to time.Time) *View {
 		offset += rows
 	}
 	v.total = offset
+	// Read after the shards are pinned: an append registers its attribute
+	// names before its rows land, so every column a pinned shard holds is
+	// registered by now, and no condition on it is refused as unknown.
+	s.attrMu.RLock()
+	for _, name := range s.attrOrder {
+		v.attrs[name] = true
+	}
+	s.attrMu.RUnlock()
 	// Loaded after the shards are pinned: a tier-up that freed a column's
 	// bitmaps in a shard pinned above has installed the attribute's ring and
 	// published it in this set by now, so no pinned column is without both.
@@ -955,7 +967,7 @@ func (v *View) PairCountsMasked(ov *Overlay, mask ValueMask) map[PairKey]CountRe
 }
 
 // SampleIDs returns the sample IDs (≥ 0 only) of in-window rows matching
-// the conditions, in canonical (ingest-sequence) row order — the links of
+// the conditions, ascending (ties in canonical row order) — the links of
 // the rows a cause matches, whether or not they hold a vector.
 func (v *View) SampleIDs(conds []Cond) ([]int64, error) {
 	ids, _, err := v.sampleRows(conds, false)
@@ -963,16 +975,19 @@ func (v *View) SampleIDs(conds []Cond) ([]int64, error) {
 }
 
 // Samples returns the sample IDs and uploaded vectors of the in-window
-// rows matching the conditions that carry a vector, in canonical row
-// order — how adaptation gathers the inputs of a root cause. The vectors
-// are the store's own: callers must not modify them.
+// rows matching the conditions that carry a vector, ascending by sample
+// ID (ties in canonical row order) — how adaptation gathers the inputs of
+// a root cause. IDs are persisted and sequence numbers are not, so the
+// order survives a replay that appends batches in another order than the
+// live store did. The vectors are the store's own: callers must not
+// modify them.
 func (v *View) Samples(conds []Cond) ([]int64, [][]float64, error) {
 	return v.sampleRows(conds, true)
 }
 
-// sampleRows collects, in sequence order, the IDs of the matching rows
-// that link a sample and, withVec, their vectors (skipping rows that hold
-// none).
+// sampleRows collects, in (sample ID, sequence) order, the IDs of the
+// matching rows that link a sample and, withVec, their vectors (skipping
+// rows that hold none).
 func (v *View) sampleRows(conds []Cond, withVec bool) ([]int64, [][]float64, error) {
 	type hit struct {
 		seq, id int64
@@ -998,7 +1013,12 @@ func (v *View) sampleRows(conds []Cond, withVec bool) ([]int64, [][]float64, err
 	for si := range partial {
 		hits = append(hits, partial[si]...)
 	}
-	sort.Slice(hits, func(a, b int) bool { return hits[a].seq < hits[b].seq })
+	sort.Slice(hits, func(a, b int) bool {
+		if hits[a].id != hits[b].id {
+			return hits[a].id < hits[b].id
+		}
+		return hits[a].seq < hits[b].seq
+	})
 	var ids []int64
 	var xs [][]float64
 	for _, h := range hits {

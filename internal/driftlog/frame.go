@@ -1,9 +1,8 @@
 // NZB1 frames: the drift log's one binary encoding of a batch. The same
-// bytes are the body of a binary ingest request, the payload of a WAL
-// record and the content of a snapshot record, so a batch is encoded
-// once after the cloud stamps its sample IDs and never re-encoded:
-// replay and snapshot loads decode a frame straight into appendColumns,
-// and compaction copies frames without decoding them.
+// bytes are the body of a binary ingest request and the payload of a WAL
+// record, so a batch is encoded once after the cloud stamps its sample
+// IDs and never re-encoded: replay decodes a frame straight into
+// appendColumns.
 //
 // A frame is length-prefixed, versioned and CRC32C-checked:
 //

@@ -23,7 +23,7 @@ func FuzzReadFrom(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		s := NewStore()
 		n, err := readFrom(bufio.NewReader(bytes.NewReader(data)), func(entries []Entry, samples [][]float64) error {
-			s.appendRows(entries, samples)
+			s.appendColumns(rowBatch(entries, samples))
 			return nil
 		})
 		if err != nil {

@@ -160,27 +160,11 @@ func sameEntry(a, b Entry) bool {
 	return true
 }
 
-// requireSnapshotFrames asserts the directory's one snapshot is in the
-// segment layout, as every fold now writes it.
-func requireSnapshotFrames(t *testing.T, dir string) {
-	t.Helper()
-	_, snaps := listWALFiles(t, dir)
-	if len(snaps) != 1 {
-		t.Fatalf("snapshots: want 1, got %v", snaps)
-	}
-	raw, err := os.ReadFile(filepath.Join(dir, snaps[0]))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.HasPrefix(raw, []byte(walMagic)) {
-		t.Fatalf("snapshot does not start with the segment header: %q", raw[:min(len(raw), 32)])
-	}
-}
-
 // TestGoldenLogRoundTrip loads the golden file written by the seed
 // implementation as a snapshot — the path a saved -log-file takes once
-// copied into a WAL directory — and checks every row survives; then a
-// fold rewrites it as frame records, and those reload to the same rows.
+// copied into a WAL directory — and checks every row survives. Nothing
+// rewrites it: after a rotation, a compaction pass and a close the file
+// is byte for byte the golden one, and it reloads to the same rows.
 func TestGoldenLogRoundTrip(t *testing.T) {
 	want := goldenLogEntries()
 	raw, err := os.ReadFile(goldenLogPath)
@@ -210,7 +194,6 @@ func TestGoldenLogRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	check(s, "golden load")
-	// Seal the empty active segment so the fold has something to cover.
 	if err := w.Rotate(); err != nil {
 		t.Fatal(err)
 	}
@@ -220,12 +203,14 @@ func TestGoldenLogRoundTrip(t *testing.T) {
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
-	requireSnapshotFrames(t, dir)
+	if got, err := os.ReadFile(filepath.Join(dir, snapName(0))); err != nil || !bytes.Equal(got, raw) {
+		t.Fatalf("the snapshot changed on disk (err %v)", err)
+	}
 	s2 := NewStore()
 	if _, err := OpenWAL(dir, s2, WALOptions{ReadOnly: true}); err != nil {
 		t.Fatal(err)
 	}
-	check(s2, "rewrite round-trip")
+	check(s2, "reload")
 
 	// The golden rows must stay queryable through the windowed view.
 	cr, err := s2.All().Count([]Cond{{Attr: AttrWeather, Value: "snow"}}, nil)
@@ -280,10 +265,11 @@ func TestGoldenV2LogLoad(t *testing.T) {
 
 // TestWALMigratesLegacyFormats starts from a directory holding a legacy
 // gob snapshot plus sealed segments of version-1 and version-2 row
-// records, appends frame records, folds everything into one snapshot and
-// reopens: the store equals one fed the same rows, and the new snapshot
-// is frame records in the segment layout. With golden_v1.driftlog as the
-// snapshot this is the -log-file migration path.
+// records, appends frame records and reopens: the store equals one fed
+// the same rows. The legacy files stay as they are — nothing rewrites
+// them — and replay reads them on every open until retention expires
+// them. With golden_v1.driftlog as the snapshot this is the -log-file
+// migration path.
 func TestWALMigratesLegacyFormats(t *testing.T) {
 	for _, tc := range []struct {
 		name, snapshot string
@@ -304,6 +290,7 @@ func TestWALMigratesLegacyFormats(t *testing.T) {
 			})
 			ref := NewStore()
 			tc.feed(ref)
+			snapRows := int64(ref.Len())
 			ref.AppendBatch(goldenV1WALEntries(t))
 			for _, rec := range goldenV2WALRecords(t) {
 				ref.appendColumns(goldenBatch(rec))
@@ -321,18 +308,8 @@ func TestWALMigratesLegacyFormats(t *testing.T) {
 				}
 				ref.appendColumns(b)
 			}
-			if err := w.Rotate(); err != nil {
-				t.Fatal(err)
-			}
-			if err := w.Compact(); err != nil {
-				t.Fatal(err)
-			}
 			if err := w.Close(); err != nil {
 				t.Fatal(err)
-			}
-			requireSnapshotFrames(t, dir)
-			if segs, _ := listWALFiles(t, dir); len(segs) != 1 {
-				t.Fatalf("segments after the fold: want only the active one, got %v", segs)
 			}
 
 			replayed := NewStore()
@@ -340,8 +317,8 @@ func TestWALMigratesLegacyFormats(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if rec := w2.Recovery(); rec.SnapshotRows != int64(ref.Len()) || rec.Rows != 0 {
-				t.Fatalf("recovery %+v, want %d snapshot rows", rec, ref.Len())
+			if rec := w2.Recovery(); rec.SnapshotRows != snapRows || rec.Rows != int64(ref.Len())-snapRows || rec.Segments != 3 {
+				t.Fatalf("recovery %+v, want %d snapshot rows and %d in 3 segments", rec, snapRows, int64(ref.Len())-snapRows)
 			}
 			requireStoresEqual(t, ref, replayed)
 		})
@@ -374,47 +351,4 @@ func writeGobChunk(t *testing.T, path string, rows []goldenRow) {
 	if err != nil {
 		t.Fatal(err)
 	}
-}
-
-// TestWALRewritesWideLegacySnapshot: a legacy gob batch whose vectors
-// alone exceed the record bound is rewritten by its first fold as smaller
-// frame records, rows in order, instead of failing that fold and every
-// later one.
-func TestWALRewritesWideLegacySnapshot(t *testing.T) {
-	const rows, dim = 16, 1<<19 + 1 // 16 vectors of just over 4 MiB: past the 64 MiB bound
-	vec := make([]float64, dim)
-	for i := range vec {
-		vec[i] = float64(i % 7)
-	}
-	chunk := make([]goldenRow, rows)
-	for i, e := range walBatch(0, rows) {
-		chunk[i] = goldenRow{e, vec}
-	}
-	dir := t.TempDir()
-	writeGobChunk(t, filepath.Join(dir, snapName(0)), chunk)
-
-	live := NewStore()
-	w, err := OpenWAL(dir, live, WALOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := w.Rotate(); err != nil {
-		t.Fatal(err)
-	}
-	if err := w.Compact(); err != nil {
-		t.Fatalf("fold of a wide legacy snapshot: %v", err)
-	}
-	if err := w.Close(); err != nil {
-		t.Fatal(err)
-	}
-	requireSnapshotFrames(t, dir)
-	replayed := NewStore()
-	w2, err := OpenWAL(dir, replayed, WALOptions{ReadOnly: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rec := w2.Recovery(); rec.SnapshotRows != rows {
-		t.Fatalf("recovery %+v, want %d snapshot rows", rec, rows)
-	}
-	requireStoresEqual(t, live, replayed)
 }

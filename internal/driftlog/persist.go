@@ -25,8 +25,8 @@ type wireEntry struct {
 
 // readFrom decodes a legacy gob snapshot from br: one or more chunks back
 // to back, each the header line, then the gob-encoded row count and rows,
-// as Compact and -log-file wrote them before snapshots became frame
-// records. It hands the rows and their sample column (parallel to the
+// as WAL compaction and -log-file wrote them in earlier versions. It
+// hands the rows and their sample column (parallel to the
 // rows) to fn in batches of up to 4096, so a large log costs one append
 // per batch rather than per row, and returns the row count.
 func readFrom(br *bufio.Reader, fn func([]Entry, [][]float64) error) (int64, error) {
@@ -80,9 +80,14 @@ func readFrom(br *bufio.Reader, fn func([]Entry, [][]float64) error) (int64, err
 // many rows were removed. Dictionary encodings are rebuilt per shard, so
 // value IDs for vanished attributes do not leak. Outstanding Views keep
 // reading their pinned snapshots (memory-safe) but no longer reflect the
-// store; create views after compaction.
+// store; create views after compaction. The store remembers the largest
+// cutoff it has been given, even when no row goes: a WAL replayed into
+// it deletes the sealed files that cutoff has expired (WAL.Compact), so
+// one retention rule bounds both memory and disk.
 func (s *Store) Compact(cutoff time.Time) int {
 	limit := cutoff.UnixNano()
+	for c := s.cutoff.Load(); limit > c && !s.cutoff.CompareAndSwap(c, limit); c = s.cutoff.Load() {
+	}
 	removed := 0
 	for si := range s.shards {
 		sh := &s.shards[si]

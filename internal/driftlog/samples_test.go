@@ -146,3 +146,43 @@ func TestDecodeSampleSectionRejects(t *testing.T) {
 		t.Fatalf("frame with an out-of-range sample row: %v", err)
 	}
 }
+
+// TestReplayKeepsSampleOrder: the cloud assigns sample IDs and appends to
+// the WAL and then to the store with no lock spanning the two, so two
+// concurrent batches can reach the store in the opposite order from the
+// WAL. A cause's pool must not depend on that race: the restarted store,
+// which replays in WAL order, returns the samples in the order the live
+// store did.
+func TestReplayKeepsSampleOrder(t *testing.T) {
+	dir := t.TempDir()
+	w, err := OpenWAL(dir, NewStore(), WALOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, b := walSampled(0, 6), walSampled(6, 6)
+	live := NewStore()
+	for _, batch := range []*ColumnarBatch{a, b} {
+		if err := w.AppendColumns(batch); err != nil {
+			t.Fatal(err)
+		}
+	}
+	live.appendColumns(b)
+	live.appendColumns(a)
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	replayed := NewStore()
+	if _, err := OpenWAL(dir, replayed, WALOptions{ReadOnly: true}); err != nil {
+		t.Fatal(err)
+	}
+	wids, wxs, _ := live.All().Samples(nil)
+	gids, gxs, _ := replayed.All().Samples(nil)
+	if !reflect.DeepEqual(wids, gids) || !reflect.DeepEqual(wxs, gxs) {
+		t.Fatalf("replayed sample order %v, live %v", gids, wids)
+	}
+	wids, _ = live.All().SampleIDs([]Cond{{AttrWeather, "snow"}})
+	gids, _ = replayed.All().SampleIDs([]Cond{{AttrWeather, "snow"}})
+	if !reflect.DeepEqual(wids, gids) || len(wids) == 0 {
+		t.Fatalf("replayed snow sample IDs %v, live %v", gids, wids)
+	}
+}

@@ -712,12 +712,12 @@ func TestSketchCompactRebuild(t *testing.T) {
 	}
 }
 
-// TestSketchPersistRoundTrip pins that a snapshot round trip re-tiers the
+// TestSketchPersistRoundTrip pins that a WAL round trip re-tiers the
 // high-cardinality attribute and keeps estimates one-sided and bounded.
 func TestSketchPersistRoundTrip(t *testing.T) {
 	r := rand.New(rand.NewSource(12))
 	s := sketchStore(r, 2000, 200, sketchTestConfig())
-	loaded := snapshotRoundTrip(t, s, NewStoreWithSketch(sketchTestConfig()))
+	loaded := walRoundTrip(t, s, NewStoreWithSketch(sketchTestConfig()))
 	if !reflect.DeepEqual(s.SketchedAttrs(), loaded.SketchedAttrs()) {
 		t.Fatalf("sketched attrs diverge after round trip: %v vs %v", s.SketchedAttrs(), loaded.SketchedAttrs())
 	}

@@ -4,24 +4,25 @@
 // record whose payload is the batch's NZB1 frame (frame.go) — the same
 // bytes a binary ingest request carries — and fsynced before the append
 // returns, so an acknowledged entry survives process death by
-// construction. Segments rotate at a size threshold; background
-// compaction folds sealed segments (plus the previous snapshot) into a
-// fresh snapshot by copying their records, checked but not decoded, and
-// deletes them, bounding replay's file count. A snapshot has the segment
-// layout, so loading one is replaying it. Replay on open decodes each
-// frame straight into the ordinary append path, which rebuilds the
-// per-(attribute, value) bitset index too — a replayed store is
-// query-identical to the live store it mirrors.
+// construction. Segments rotate at a size threshold. Compaction is
+// retention: it deletes each sealed file whose newest row is before the
+// cutoff the drift log was last compacted to (Store.Compact), so the rule
+// that bounds the store's memory bounds the directory too. Replay on open
+// decodes each frame straight into the ordinary append path, which
+// rebuilds the per-(attribute, value) bitset index too — a replayed store
+// is query-identical to the live store it mirrors.
 //
 // Replay still reads the formats earlier versions wrote: row-layout
-// records (versions 1 and 2, decodeWALPayload) inside segments and
-// snapshots, and gob snapshots (readFrom), which the first compaction
-// rewrites as frame records.
+// records (versions 1 and 2, decodeWALPayload) inside segments, and a
+// snapshot file — frame records in the segment layout, or a gob file
+// (readFrom) — which, once loaded, is one more sealed file that
+// retention expires as a whole.
 //
 // Crash-recovery contract:
 //
 //   - an AppendColumns that returned nil is durable: its record is fully
-//     fsynced before the call returns, and replay restores it;
+//     fsynced before the call returns, and replay restores it for as
+//     long as retention keeps its file;
 //   - a batch whose frame exceeds the record bound is refused with
 //     ErrFrameTooLarge before anything is written, and the WAL stays
 //     healthy;
@@ -31,11 +32,10 @@
 //   - corruption anywhere else (a sealed segment, a snapshot, a bad
 //     header) refuses to open with a typed *CorruptError, never a
 //     panic;
-//   - compaction is crash-atomic: the new snapshot is written to a
-//     temp file, fsynced, renamed, and only then are the folded
-//     segments deleted. A crash between those steps leaves either the
-//     old state or a snapshot plus already-covered segments, which
-//     replay skips (and cleans up) by index.
+//   - compaction only unlinks files every row of which is before the
+//     cutoff, so a crash during it loses no row the cutoff keeps; an
+//     unlink the crash undoes leaves an expired file, which replay
+//     restores and the next pass removes.
 package driftlog
 
 import (
@@ -46,7 +46,9 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"math"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -69,7 +71,7 @@ var (
 	// ErrWALSevered marks appends after Sever — the chaos harness's
 	// simulated kill -9.
 	ErrWALSevered = errors.New("driftlog: wal severed")
-	// ErrWALReadOnly marks appends on a replay-only WAL.
+	// ErrWALReadOnly marks appends and compaction on a replay-only WAL.
 	ErrWALReadOnly = errors.New("driftlog: wal opened read-only")
 )
 
@@ -96,14 +98,15 @@ type WALOptions struct {
 	// SegmentBytes is the rotation threshold: the active segment seals
 	// once it exceeds this size (default 4 MiB).
 	SegmentBytes int64
-	// CompactSegments, when positive, triggers background compaction
-	// whenever at least this many sealed segments have accumulated.
+	// CompactSegments, when positive, starts a background compaction
+	// pass whenever a rotation leaves at least this many sealed files.
 	// Zero disables automatic compaction (Compact can still be called
 	// explicitly).
 	CompactSegments int
 	// ReadOnly replays without mutating the directory: no tail
-	// truncation, no cleanup, no active segment; AppendColumns fails with
-	// ErrWALReadOnly. For inspectors and replay benchmarks.
+	// truncation, no cleanup, no active segment; AppendColumns and
+	// Compact fail with ErrWALReadOnly. For inspectors and replay
+	// benchmarks.
 	ReadOnly bool
 
 	// fs substitutes the filesystem (crash harness); nil means the OS.
@@ -122,8 +125,8 @@ func (o WALOptions) withDefaults() WALOptions {
 
 // RecoveryInfo reports what replay found and did.
 type RecoveryInfo struct {
-	// SnapshotRows is the row count loaded from the snapshot (0 when
-	// none existed).
+	// SnapshotRows is the row count loaded from a legacy snapshot (0
+	// when none existed).
 	SnapshotRows int64
 	// Segments is the number of segment files replayed; Records and
 	// Rows count what they contained.
@@ -144,13 +147,12 @@ type WALStats struct {
 	// ActiveBytes its size so far.
 	ActiveSegment uint64
 	ActiveBytes   int64
-	// SealedSegments counts rotated segments not yet folded into the
-	// snapshot; SnapshotSegment is the highest segment index the
-	// snapshot covers (-1 when no snapshot exists).
-	SealedSegments  int
-	SnapshotSegment int64
-	// Appends, AppendedBytes, Rotations and Compactions count work done
-	// since open.
+	// SealedSegments counts the files besides the active segment that
+	// replay would restore: rotated segments, and a legacy snapshot,
+	// that compaction has not expired.
+	SealedSegments int
+	// Appends, AppendedBytes and Rotations count work done since open;
+	// Compactions counts the compaction passes that deleted a file.
 	Appends       int64
 	AppendedBytes int64
 	Rotations     int64
@@ -160,32 +162,50 @@ type WALStats struct {
 // WAL is the drift log's write-ahead log. All methods are safe for
 // concurrent use; appends serialize on one mutex (the fsync dominates).
 type WAL struct {
-	dir  string
-	opts WALOptions
-	fs   walFS
-	rec  RecoveryInfo
+	dir   string
+	opts  WALOptions
+	fs    walFS
+	rec   RecoveryInfo
+	store *Store // the store OpenWAL replayed into: its cutoff is the retention
 
-	mu      sync.Mutex
-	err     error // sticky failure; nil while healthy
-	closed  bool
-	cur     walFile
-	curIdx  uint64
-	curSize int64
-	sealed  []uint64 // rotated, not yet compacted, ascending
-	snap    int64    // highest segment index folded into the snapshot; -1 none
-	buf     []byte   // frame scratch
+	mu        sync.Mutex
+	err       error // sticky failure; nil while healthy
+	closed    bool
+	cur       walFile
+	curIdx    uint64
+	curSize   int64
+	curNewest int64        // the active segment's newest row (unix nanos); math.MinInt64 while empty
+	sealed    []sealedFile // ascending index, a legacy snapshot first
+	buf       []byte       // frame scratch
+	queued    bool         // a background pass is started but has not yet read sealed
 
+	compactMu     sync.Mutex // serializes compaction passes
 	appends       atomic.Int64
 	appendedBytes atomic.Int64
 	rotations     atomic.Int64
 	compactions   atomic.Int64
-	compacting    atomic.Bool
 	bg            sync.WaitGroup
 	compactErr    atomic.Value // last background compaction error (error)
 }
 
+// sealedFile is a file appends no longer reach — a rotated segment or a
+// legacy snapshot — with its newest row's time (unix nanos;
+// math.MinInt64 when it holds none), which is all expiry needs to know.
+type sealedFile struct {
+	name   string
+	newest int64
+}
+
+// newestTime folds times into newest, the latest seen so far.
+func newestTime(newest int64, times []int64) int64 {
+	for _, t := range times {
+		newest = max(newest, t)
+	}
+	return newest
+}
+
 // segName / snapName render the on-disk naming scheme. Segment indexes
-// start at 1 and only ever grow; a snapshot's index is the highest
+// start at 1 and only ever grow; a legacy snapshot's index is the highest
 // segment folded into it, which is all replay needs to know to skip
 // covered segments.
 func segName(idx uint64) string  { return fmt.Sprintf("wal-%016x.seg", idx) }
@@ -210,17 +230,19 @@ func parseSegName(name string) (uint64, bool)  { return parseWALName(name, "wal-
 func parseSnapName(name string) (uint64, bool) { return parseWALName(name, "snapshot-", ".driftlog") }
 
 // OpenWAL opens (creating if needed) the WAL in dir and replays its
-// contents — snapshot first, then every uncovered segment in index
-// order — into s, which is normally a fresh store. On success the WAL
-// is ready for appends (unless opts.ReadOnly). A torn final record is
-// truncated and reported via Recovery(); any other damage returns a
-// *CorruptError and s must be discarded (it may hold a partial prefix).
+// contents — a legacy snapshot first, then every uncovered segment in
+// index order — into s, which is normally a fresh store and whose
+// Compact cutoff the WAL's compaction applies from then on. On success
+// the WAL is ready for appends (unless opts.ReadOnly). A torn final
+// record is truncated and reported via Recovery(); any other damage
+// returns a *CorruptError and s must be discarded (it may hold a partial
+// prefix).
 func OpenWAL(dir string, s *Store, opts WALOptions) (*WAL, error) {
 	if s == nil {
 		return nil, errors.New("driftlog: wal: nil store")
 	}
 	opts = opts.withDefaults()
-	w := &WAL{dir: dir, opts: opts, fs: opts.fs, snap: -1}
+	w := &WAL{dir: dir, opts: opts, fs: opts.fs, store: s}
 	if !opts.ReadOnly {
 		if err := w.fs.MkdirAll(dir); err != nil {
 			return nil, fmt.Errorf("driftlog: wal: mkdir %s: %w", dir, err)
@@ -240,7 +262,8 @@ func OpenWAL(dir string, s *Store, opts WALOptions) (*WAL, error) {
 			snaps = append(snaps, idx)
 			continue
 		}
-		// Leftover temp files are abandoned compactions: discard.
+		// Leftover temp files are folds an earlier version abandoned:
+		// discard.
 		if strings.HasSuffix(name, ".tmp") && !opts.ReadOnly {
 			_ = w.fs.Remove(filepath.Join(dir, name))
 		}
@@ -248,14 +271,16 @@ func OpenWAL(dir string, s *Store, opts WALOptions) (*WAL, error) {
 	sort.Slice(segs, func(i, j int) bool { return segs[i] < segs[j] })
 	sort.Slice(snaps, func(i, j int) bool { return snaps[i] < snaps[j] })
 
+	// Of several snapshots an earlier version's died fold left, the
+	// newest covers the rest. It was published atomically, so damage in
+	// it is corruption, never a torn tail.
+	snap := int64(-1)
 	if len(snaps) > 0 {
 		best := snaps[len(snaps)-1]
-		rows, err := w.loadSnapshot(s, best)
-		if err != nil {
+		if _, w.rec.SnapshotRows, err = w.replay(s, snapName(best), false, true); err != nil {
 			return nil, err
 		}
-		w.snap = int64(best)
-		w.rec.SnapshotRows = rows
+		snap = int64(best)
 		if !opts.ReadOnly {
 			for _, idx := range snaps[:len(snaps)-1] {
 				_ = w.fs.Remove(filepath.Join(dir, snapName(idx)))
@@ -263,30 +288,24 @@ func OpenWAL(dir string, s *Store, opts WALOptions) (*WAL, error) {
 		}
 	}
 
-	maxIdx := uint64(0)
-	if w.snap >= 0 {
-		maxIdx = uint64(w.snap)
-	}
+	maxIdx := uint64(max(snap, 0))
 	for i, idx := range segs {
-		if int64(idx) <= w.snap {
-			// Covered by the snapshot: a compaction died between the
-			// snapshot rename and the segment deletes. Finish the job.
+		if int64(idx) <= snap {
+			// Covered by the snapshot: a fold died between the snapshot
+			// rename and the segment deletes. Finish the job.
 			if !opts.ReadOnly {
 				_ = w.fs.Remove(filepath.Join(dir, segName(idx)))
 			}
 			continue
 		}
-		tail := i == len(segs)-1
-		keep, err := w.replaySegment(filepath.Join(dir, segName(idx)), s, tail)
+		w.rec.Segments++
+		records, rows, err := w.replay(s, segName(idx), i == len(segs)-1, false)
 		if err != nil {
 			return nil, err
 		}
-		if keep {
-			w.sealed = append(w.sealed, idx)
-		}
-		if idx > maxIdx {
-			maxIdx = idx
-		}
+		w.rec.Records += records
+		w.rec.Rows += rows
+		maxIdx = max(maxIdx, idx)
 	}
 
 	if opts.ReadOnly {
@@ -312,10 +331,9 @@ func (w *WAL) Dir() string { return w.dir }
 func (w *WAL) Stats() WALStats {
 	w.mu.Lock()
 	st := WALStats{
-		ActiveSegment:   w.curIdx,
-		ActiveBytes:     w.curSize,
-		SealedSegments:  len(w.sealed),
-		SnapshotSegment: w.snap,
+		ActiveSegment:  w.curIdx,
+		ActiveBytes:    w.curSize,
+		SealedSegments: len(w.sealed),
 	}
 	w.mu.Unlock()
 	st.Appends = w.appends.Load()
@@ -325,80 +343,59 @@ func (w *WAL) Stats() WALStats {
 	return st
 }
 
-// loadSnapshot reads one snapshot file into s, returning the row count.
-// A snapshot has the segment layout and loads like a sealed segment; a
-// legacy gob snapshot loads through readFrom. Every failure is a
-// *CorruptError: the snapshot was written atomically, so a damaged one is
-// damage, not a torn write.
-func (w *WAL) loadSnapshot(s *Store, idx uint64) (rows int64, err error) {
-	_, err = w.scanRecords(filepath.Join(w.dir, snapName(idx)), false, func(rec []byte) error {
-		n, err := applyRecord(s, rec[8:])
-		rows += int64(n)
-		return err
-	}, func(entries []Entry, samples [][]float64) error {
-		s.appendRows(entries, samples)
-		rows += int64(len(entries))
-		return nil
-	})
-	return rows, err
-}
-
-// replaySegment applies one segment's records, in order, to s and counts
-// them into the recovery report; tail and keep are scanRecords'.
-func (w *WAL) replaySegment(path string, s *Store, tail bool) (keep bool, err error) {
-	w.rec.Segments++
-	return w.scanRecords(path, tail, func(rec []byte) error {
-		n, err := applyRecord(s, rec[8:])
-		if err == nil {
-			w.rec.Records++
-			w.rec.Rows += int64(n)
-		}
-		return err
-	}, nil)
-}
-
-// applyRecord appends one CRC-checked record payload to s and returns its
-// row count. The payload's first byte tells its format: an NZB1 frame
-// goes straight to appendColumns; a legacy row record (version 1 or 2)
-// goes through decodeWALPayload.
-func applyRecord(s *Store, payload []byte) (int, error) {
-	if bytes.HasPrefix(payload, []byte(frameMagic)) {
-		b, err := DecodeFrame(payload, 0)
-		if err != nil {
-			return 0, err
-		}
+// replay appends the batches of one file to s in order, seals the file
+// with its newest row's time unless nothing of it survived (scanRecords'
+// keep), and returns its batch and row counts; tail and snapshot are
+// scanRecords'.
+func (w *WAL) replay(s *Store, name string, tail, snapshot bool) (batches int, rows int64, err error) {
+	newest := int64(math.MinInt64)
+	keep, err := w.scanRecords(filepath.Join(w.dir, name), tail, snapshot, func(b *ColumnarBatch) {
 		s.appendColumns(b)
-		return b.Rows(), nil
+		batches++
+		rows += int64(b.Rows())
+		newest = newestTime(newest, b.Times)
+	})
+	if keep {
+		w.sealed = append(w.sealed, sealedFile{name, newest})
+	}
+	return batches, rows, err
+}
+
+// decodeRecord decodes one CRC-checked record payload. Its first byte
+// tells its format: an NZB1 frame, or a legacy row record (version 1 or
+// 2), which decodeWALPayload reads.
+func decodeRecord(payload []byte) (*ColumnarBatch, error) {
+	if bytes.HasPrefix(payload, []byte(frameMagic)) {
+		return DecodeFrame(payload, 0)
 	}
 	entries, samples, err := decodeWALPayload(payload)
 	if err != nil {
-		return 0, err
+		return nil, err
 	}
-	s.appendRows(entries, samples)
-	return len(entries), nil
+	return rowBatch(entries, samples), nil
 }
 
-// scanRecords hands the records of one segment-layout file (segment or
-// snapshot) to fn in order, each as its 8-byte [len][crc] header followed
-// by its payload, after the length and CRC checks. fn's slice is reused
-// by the next record. tail marks the final (most recently written)
-// segment, whose last record is allowed to be torn: the scan stops there,
-// truncates the file (unless read-only), and records the fact. Damage
-// anywhere else — or a file whose header is present but wrong — is a
-// *CorruptError, and so is an error from fn. keep=false means the file
-// was removed entirely (a tail file that never got a complete header).
-// When legacy is non-nil (a snapshot) and the file opens with the gob
-// header, it is a legacy gob snapshot: readFrom hands its rows to legacy
-// instead, and fn is never called.
-func (w *WAL) scanRecords(path string, tail bool, fn func(rec []byte) error, legacy func([]Entry, [][]float64) error) (keep bool, err error) {
+// scanRecords hands the batches of one segment-layout file (segment or
+// snapshot) to fn in order, each decoded after the record's length and
+// CRC checks. tail marks the final (most recently written) segment, whose
+// last record is allowed to be torn: the scan stops there, truncates the
+// file (unless read-only), and records the fact. Damage anywhere else — or
+// a file whose header is present but wrong — is a *CorruptError.
+// keep=false means the file was removed entirely (a tail file that never
+// got a complete header). A snapshot that opens with the gob header is a
+// legacy gob snapshot, which readFrom reads instead.
+func (w *WAL) scanRecords(path string, tail, snapshot bool, fn func(*ColumnarBatch)) (keep bool, err error) {
 	f, err := w.fs.Open(path)
 	if err != nil {
 		return false, &CorruptError{Path: path, Reason: fmt.Sprintf("open: %v", err)}
 	}
 	br := bufio.NewReaderSize(f, 64<<10)
-	if head, _ := br.Peek(len(persistHeader)); legacy != nil && string(head) == persistHeader {
+	if head, _ := br.Peek(len(persistHeader)); snapshot && string(head) == persistHeader {
 		defer f.Close()
-		if _, err := readFrom(br, legacy); err != nil {
+		if _, err := readFrom(br, func(entries []Entry, samples [][]float64) error {
+			fn(rowBatch(entries, samples))
+			return nil
+		}); err != nil {
 			return true, &CorruptError{Path: path, Reason: fmt.Sprintf("snapshot: %v", err)}
 		}
 		return true, nil
@@ -445,7 +442,7 @@ func (w *WAL) scanRecords(path string, tail bool, fn func(rec []byte) error, leg
 
 	off := int64(len(walMagic))
 	var fh [8]byte
-	var rec bytes.Buffer
+	var payload bytes.Buffer
 	for {
 		if _, err := io.ReadFull(br, fh[:]); err != nil {
 			if err == io.EOF {
@@ -458,17 +455,18 @@ func (w *WAL) scanRecords(path string, tail bool, fn func(rec []byte) error, leg
 		if length == 0 || length > maxWALRecord {
 			return torn(off, fmt.Sprintf("implausible record length %d", length))
 		}
-		rec.Reset()
-		rec.Write(fh[:])
-		if n, err := io.CopyN(&rec, br, int64(length)); err != nil || n != int64(length) {
+		payload.Reset()
+		if n, err := io.CopyN(&payload, br, int64(length)); err != nil || n != int64(length) {
 			return torn(off, "short record payload")
 		}
-		if got := crc32.Checksum(rec.Bytes()[8:], castagnoli); got != want {
+		if got := crc32.Checksum(payload.Bytes(), castagnoli); got != want {
 			return torn(off, fmt.Sprintf("crc mismatch: got %08x want %08x", got, want))
 		}
-		if err := fn(rec.Bytes()); err != nil {
+		b, err := decodeRecord(payload.Bytes())
+		if err != nil {
 			return torn(off, fmt.Sprintf("record decode: %v", err))
 		}
+		fn(b)
 		off += 8 + int64(length)
 	}
 	return true, f.Close()
@@ -496,6 +494,7 @@ func (w *WAL) startSegmentLocked() error {
 	}
 	w.cur = f
 	w.curSize = int64(len(walMagic))
+	w.curNewest = math.MinInt64
 	return nil
 }
 
@@ -528,6 +527,7 @@ func (w *WAL) AppendColumns(b *ColumnarBatch) error {
 		return w.failLocked(fmt.Errorf("driftlog: wal sync: %w", err))
 	}
 	w.curSize += int64(len(w.buf))
+	w.curNewest = newestTime(w.curNewest, b.Times)
 	w.appends.Add(1)
 	w.appendedBytes.Add(int64(len(w.buf)))
 	if w.curSize >= w.opts.SegmentBytes {
@@ -573,11 +573,8 @@ func (w *WAL) failLocked(err error) error {
 func (w *WAL) Rotate() error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	if w.closed || w.err != nil {
-		if w.err != nil {
-			return w.err
-		}
-		return ErrWALClosed
+	if err := w.errLocked(); err != nil {
+		return err
 	}
 	if err := w.rotateLocked(); err != nil {
 		return w.failLocked(err)
@@ -594,26 +591,24 @@ func (w *WAL) rotateLocked() error {
 		return fmt.Errorf("driftlog: wal rotate close: %w", err)
 	}
 	w.cur = nil
-	w.sealed = append(w.sealed, w.curIdx)
+	w.sealed = append(w.sealed, sealedFile{segName(w.curIdx), w.curNewest})
 	w.curIdx++
 	w.rotations.Add(1)
 	return w.startSegmentLocked()
 }
 
-// maybeCompactLocked kicks off a background compaction when the sealed
-// backlog crossed the threshold. Single-flight: a running compaction
-// absorbs later triggers.
+// maybeCompactLocked starts a background compaction pass when the sealed
+// files reached the threshold, unless a started pass has yet to read the
+// sealed list (it will see this file too). Passes serialize on compactMu,
+// so at most one runs and one waits, and no trigger is lost.
 func (w *WAL) maybeCompactLocked() {
-	if w.opts.CompactSegments <= 0 || len(w.sealed) < w.opts.CompactSegments {
+	if w.opts.CompactSegments <= 0 || len(w.sealed) < w.opts.CompactSegments || w.queued {
 		return
 	}
-	if !w.compacting.CompareAndSwap(false, true) {
-		return
-	}
+	w.queued = true
 	w.bg.Add(1)
 	go func() {
 		defer w.bg.Done()
-		defer w.compacting.Store(false)
 		if err := w.Compact(); err != nil {
 			w.compactErr.Store(err)
 		}
@@ -629,126 +624,68 @@ func (w *WAL) CompactionErr() error {
 	return nil
 }
 
-// Compact folds every currently sealed segment, together with the
-// existing snapshot, into a new snapshot, then deletes the folded
-// files. The fold copies records, so the WAL's owner is never touched;
-// appends and rotations proceed concurrently (segments sealed after the
-// fold began are simply left for the next run). Crash-atomic: temp
-// write → fsync → rename → dir fsync → deletes.
+// Compact applies the drift log's retention to the directory. It
+// deletes, in ascending index order, every sealed file — a rotated
+// segment or a legacy snapshot — whose newest row is before the largest
+// cutoff Store.Compact has been given on the store OpenWAL replayed into:
+// rows that store has already dropped. The active segment stays, and so
+// does a file that straddles the cutoff. The deletes need no directory
+// fsync: an unlink a crash undoes leaves an expired file, which replay
+// restores and the next pass removes. Appends and rotations proceed
+// concurrently. A read-only, severed or poisoned WAL refuses with its
+// sticky error and leaves the directory untouched.
 func (w *WAL) Compact() error {
+	w.compactMu.Lock()
+	defer w.compactMu.Unlock()
 	w.mu.Lock()
-	if w.closed && w.err != nil && !errors.Is(w.err, ErrWALReadOnly) {
+	if w.err != nil {
 		err := w.err
 		w.mu.Unlock()
 		return err
 	}
-	sealed := append([]uint64(nil), w.sealed...)
-	snap := w.snap
+	w.queued = false
+	cutoff := w.store.cutoff.Load()
+	var expired []sealedFile
+	for _, f := range w.sealed {
+		if f.newest < cutoff {
+			expired = append(expired, f)
+		}
+	}
 	w.mu.Unlock()
-	if len(sealed) == 0 {
-		return nil
-	}
 
-	if w.severed() {
-		return ErrWALSevered
+	removed := 0
+	var err error
+	for _, f := range expired {
+		if w.severed() {
+			err = ErrWALSevered
+			break
+		}
+		if err = w.fs.Remove(filepath.Join(w.dir, f.name)); err != nil {
+			err = fmt.Errorf("driftlog: wal compact: %w", err)
+			break
+		}
+		removed++
 	}
-	newIdx := sealed[len(sealed)-1]
-	final := filepath.Join(w.dir, snapName(newIdx))
-	tmp := final + ".tmp"
-	f, err := w.fs.Create(tmp)
-	if err != nil {
-		return fmt.Errorf("driftlog: wal compact: create snapshot: %w", err)
-	}
-	if err := w.writeSnapshot(f, snap, sealed); err != nil {
-		f.Close()
-		_ = w.fs.Remove(tmp)
-		return fmt.Errorf("driftlog: wal compact: write snapshot: %w", err)
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		_ = w.fs.Remove(tmp)
-		return fmt.Errorf("driftlog: wal compact: sync snapshot: %w", err)
-	}
-	if err := f.Close(); err != nil {
-		_ = w.fs.Remove(tmp)
-		return fmt.Errorf("driftlog: wal compact: close snapshot: %w", err)
-	}
-	if w.severed() {
-		_ = w.fs.Remove(tmp)
-		return ErrWALSevered
-	}
-	if err := w.fs.Rename(tmp, final); err != nil {
-		_ = w.fs.Remove(tmp)
-		return fmt.Errorf("driftlog: wal compact: publish snapshot: %w", err)
-	}
-	if err := w.fs.SyncDir(w.dir); err != nil {
-		return fmt.Errorf("driftlog: wal compact: dir sync: %w", err)
-	}
-
-	// Commit: the rename is durable, so the folded files are garbage.
-	w.mu.Lock()
-	w.snap = int64(newIdx)
-	w.sealed = w.sealed[len(sealed):]
-	w.mu.Unlock()
-	for _, idx := range sealed {
-		_ = w.fs.Remove(filepath.Join(w.dir, segName(idx)))
-	}
-	if snap >= 0 {
-		_ = w.fs.Remove(filepath.Join(w.dir, snapName(uint64(snap))))
-	}
-	w.compactions.Add(1)
-	return nil
-}
-
-// writeSnapshot writes the fold of snapshot snap (-1: none) and the
-// sealed segments to dst in the segment layout: the header, then every
-// record of the snapshot and of each segment, in that order (the
-// canonical order), byte for byte after scanRecords' length and CRC
-// checks. A legacy gob snapshot is rewritten as frame records — the one
-// conversion its first fold makes — halving a batch until its frame fits
-// the record bound. Sealed files and snapshots are immutable, so this
-// needs no lock.
-func (w *WAL) writeSnapshot(dst io.Writer, snap int64, sealed []uint64) error {
-	// bufio keeps the first write error and fails every later write, so
-	// the copies below report it once, at Flush.
-	bw := bufio.NewWriterSize(dst, 64<<10)
-	bw.WriteString(walMagic)
-	copyRecord := func(rec []byte) error {
-		bw.Write(rec)
-		return nil
-	}
-	var rec []byte
-	var convert func([]Entry, [][]float64) error
-	convert = func(entries []Entry, samples [][]float64) error {
-		b := ColumnsFromEntries(entries)
-		b.Samples = samples
-		var err error
-		rec, err = appendRecord(rec[:0], b)
-		if errors.Is(err, ErrFrameTooLarge) && len(entries) > 1 {
-			h := len(entries) / 2
-			if err := convert(entries[:h], samples[:h]); err != nil {
-				return err
+	if removed > 0 {
+		// Only rotations ran meanwhile, and they append: the removed
+		// files are still in w.sealed, in the same order.
+		gone := expired[:removed]
+		w.mu.Lock()
+		w.sealed = slices.DeleteFunc(w.sealed, func(f sealedFile) bool {
+			if len(gone) > 0 && f == gone[0] {
+				gone = gone[1:]
+				return true
 			}
-			return convert(entries[h:], samples[h:])
-		}
-		bw.Write(rec)
-		return err
+			return false
+		})
+		w.mu.Unlock()
+		w.compactions.Add(1)
 	}
-	if snap >= 0 {
-		if _, err := w.scanRecords(filepath.Join(w.dir, snapName(uint64(snap))), false, copyRecord, convert); err != nil {
-			return err
-		}
-	}
-	for _, idx := range sealed {
-		if _, err := w.scanRecords(filepath.Join(w.dir, segName(idx)), false, copyRecord, nil); err != nil {
-			return err
-		}
-	}
-	return bw.Flush()
+	return err
 }
 
-// severed reports whether Sever has fired (checked at compaction commit
-// points so a simulated kill stops publishing new files).
+// severed reports whether Sever has fired (checked before each of
+// compaction's unlinks, so a simulated kill stops mutating the directory).
 func (w *WAL) severed() bool {
 	w.mu.Lock()
 	defer w.mu.Unlock()
@@ -805,8 +742,8 @@ func (w *WAL) Sever() {
 
 // appendRecord appends one record ([len][crc][payload]) whose payload is
 // the frame of b — byte for byte what a binary ingest request for the
-// batch carries. Records decode independently, so compaction and replay
-// never need decoder state.
+// batch carries. Records decode independently, so replay never needs
+// decoder state.
 func appendRecord(dst []byte, b *ColumnarBatch) ([]byte, error) {
 	base := len(dst)
 	dst, err := appendFrame(append(dst, 0, 0, 0, 0, 0, 0, 0, 0), b)

@@ -42,9 +42,10 @@ func BenchmarkDriftlogAppend(b *testing.B) {
 
 // BenchmarkWALReplay measures recovery speed: rows per second from a
 // cold directory into a fresh store (read-only replay, so iterations
-// do not mutate the log). Split across active-segment-only and
-// mostly-snapshot layouts, which stress the frame decoder and the gob
-// snapshot reader respectively.
+// do not mutate the log). The segments/* cases grow the row count in one
+// 64 MiB segment; files/32KiB/32k replays the same 32k rows as
+// segments/32k from 32 KiB segments, pricing the file count that
+// retention, not a snapshot, now bounds.
 func BenchmarkWALReplay(b *testing.B) {
 	const per = 64
 	for _, tc := range []struct {
@@ -55,8 +56,7 @@ func BenchmarkWALReplay(b *testing.B) {
 		{"segments/2k", 32, WALOptions{SegmentBytes: 64 << 20}},
 		{"segments/8k", 128, WALOptions{SegmentBytes: 64 << 20}},
 		{"segments/32k", 512, WALOptions{SegmentBytes: 64 << 20}},
-		{"snapshot/8k", 128, WALOptions{SegmentBytes: 32 << 10, CompactSegments: 4}},
-		{"snapshot/32k", 512, WALOptions{SegmentBytes: 32 << 10, CompactSegments: 4}},
+		{"files/32KiB/32k", 512, WALOptions{SegmentBytes: 32 << 10}},
 	} {
 		b.Run(tc.name, func(b *testing.B) {
 			dir := b.TempDir()
@@ -72,9 +72,6 @@ func BenchmarkWALReplay(b *testing.B) {
 				rows += per
 			}
 			if err := w.Close(); err != nil {
-				b.Fatal(err)
-			}
-			if err := w.CompactionErr(); err != nil {
 				b.Fatal(err)
 			}
 			b.ReportAllocs()

@@ -7,17 +7,20 @@ package driftlog
 // random prefix — the torn record), and the op in flight lands
 // partially or not at all. The matrix test sweeps EVERY operation index
 // in a fixed workload, which subsumes the named kill points (mid-record
-// write, pre-sync, post-sync pre-ack, mid-rotation, mid-compaction):
-// each of those is some op index, and the sweep hits them all.
+// write, pre-sync, post-sync pre-ack, mid-rotation, between the unlinks
+// of a compaction pass): each of those is some op index, and the sweep
+// hits them all.
 //
 // Invariant checked after every crash + restart + replay:
 //
-//	recovered rows  =  a whole-batch prefix of the submitted rows
-//	len(recovered) >=  len(acked rows)
+//	recovered rows  =  submitted[start:end], both whole-batch boundaries
+//	start           <= the first row at or after the cutoff
+//	end             >= len(acked rows)
 //
-// i.e. nothing acknowledged is ever lost, and nothing is invented or
-// reordered. Over-recovery of the batch in flight is allowed — the
-// pipeline is at-least-once end to end.
+// i.e. nothing acknowledged that the cutoff keeps is ever lost, and
+// nothing is invented or reordered; only whole files of rows before the
+// cutoff may go, oldest first. Over-recovery of the batch in flight is
+// allowed — the pipeline is at-least-once end to end.
 
 import (
 	"errors"
@@ -290,28 +293,38 @@ func (h *crashHandle) Sync() error {
 
 func (h *crashHandle) Close() error { return nil }
 
+// crashCutoff is the row (walTime) crashWorkload's mid-run compaction
+// expires the rows before: batches 0-3. At that point the first sealed
+// segment holds batches 0-2 and expires, and the second holds batches
+// 3-5 and straddles the cutoff (the dry run checks both).
+const crashCutoff = 12
+
+// crashBatches is crashWorkload's batch count: enough that its op count
+// stays above the double-fault test's kill range.
+const crashBatches = 10
+
 // crashWorkload drives a fixed WAL write sequence against fs and
 // reports the batches submitted and the batches acked (Append returned
 // nil) before the crash, if any. Segment size is tuned so the workload
-// rotates multiple times, and an explicit mid-workload compaction puts
-// snapshot write/rename/delete ops in the sweep.
+// rotates multiple times, and an explicit mid-workload compaction under
+// a store cutoff puts the expiry unlinks in the sweep.
 func crashWorkload(fs *crashFS) (submitted, acked [][]Entry) {
 	s := NewStore()
 	w, err := OpenWAL("wal", s, WALOptions{SegmentBytes: 256, fs: fs})
 	if err != nil {
 		return nil, nil
 	}
-	const batches = 8
-	for i := 0; i < batches; i++ {
+	for i := 0; i < crashBatches; i++ {
 		b := walBatch(i*3, 3)
 		submitted = append(submitted, b)
 		if err := w.AppendColumns(ColumnsFromEntries(b)); err != nil {
 			return submitted, acked
 		}
 		acked = append(acked, b)
-		if i == 4 {
+		if i == 6 {
 			// Mid-workload compaction (synchronous — keeps the op
 			// sequence deterministic for the sweep).
+			s.Compact(walTime(crashCutoff))
 			if err := w.Compact(); err != nil {
 				return submitted, acked
 			}
@@ -330,8 +343,9 @@ func flattenBatches(bs [][]Entry) []Entry {
 }
 
 // verifyCrashRecovery restarts fs, replays the WAL, and checks the
-// crash-recovery invariant against the workload's submission record.
-func verifyCrashRecovery(t *testing.T, fs *crashFS, submitted, acked [][]Entry, label string) {
+// crash-recovery invariant against the workload's submission record. It
+// returns the index of the first recovered row among the submitted ones.
+func verifyCrashRecovery(t *testing.T, fs *crashFS, submitted, acked [][]Entry, label string) int {
 	t.Helper()
 	fs.restart()
 	s := NewStore()
@@ -343,30 +357,46 @@ func verifyCrashRecovery(t *testing.T, fs *crashFS, submitted, acked [][]Entry, 
 
 	flat := flattenBatches(submitted)
 	ackedRows := len(flattenBatches(acked))
-	n := s.Len()
-	if n < ackedRows {
-		t.Fatalf("%s: LOST ACKED DATA: acked %d rows, recovered %d (recovery: %+v)",
-			label, ackedRows, n, w.Recovery())
-	}
-	if n > len(flat) {
-		t.Fatalf("%s: recovered %d rows but only %d were ever submitted", label, n, len(flat))
-	}
-	// Whole-batch granularity: a record is a batch, and replay applies
-	// only complete records.
+	// Whole-batch granularity: a record is a batch, replay applies only
+	// complete records, and compaction deletes whole files.
+	boundary := map[int]bool{0: true}
 	sum := 0
-	onBoundary := n == 0
 	for _, b := range submitted {
 		sum += len(b)
-		if n == sum {
-			onBoundary = true
-			break
+		boundary[sum] = true
+	}
+	kept := 0 // the first row the cutoff keeps
+	for kept < len(flat) && flat[kept].Time.Before(walTime(crashCutoff)) {
+		kept++
+	}
+	n := s.Len()
+	start := 0
+	if n > 0 {
+		first := s.Entry(0).Attrs["seq"]
+		for start < len(flat) && flat[start].Attrs["seq"] != first {
+			start++
 		}
 	}
-	if !onBoundary {
-		t.Fatalf("%s: recovered %d rows — not a batch boundary", label, n)
+	if start > kept {
+		t.Fatalf("%s: LOST KEPT DATA: recovery starts at row %d, the cutoff keeps rows from %d (recovery: %+v)",
+			label, start, kept, w.Recovery())
+	}
+	if !boundary[start] {
+		t.Fatalf("%s: recovery starts at row %d — not a batch boundary", label, start)
+	}
+	end := start + n
+	if end < ackedRows {
+		t.Fatalf("%s: LOST ACKED DATA: acked %d rows, recovered up to %d (recovery: %+v)",
+			label, ackedRows, end, w.Recovery())
+	}
+	if end > len(flat) {
+		t.Fatalf("%s: recovered up to row %d but only %d were ever submitted", label, end, len(flat))
+	}
+	if !boundary[end] {
+		t.Fatalf("%s: recovered up to row %d — not a batch boundary", label, end)
 	}
 	for i := 0; i < n; i++ {
-		if got, want := s.Entry(i).Attrs["seq"], flat[i].Attrs["seq"]; got != want {
+		if got, want := s.Entry(i).Attrs["seq"], flat[start+i].Attrs["seq"]; got != want {
 			t.Fatalf("%s: row %d: got seq %s want %s", label, i, got, want)
 		}
 	}
@@ -380,6 +410,7 @@ func verifyCrashRecovery(t *testing.T, fs *crashFS, submitted, acked [][]Entry, 
 			t.Fatalf("%s: recovered index disagrees with scan: %+v/%v vs %+v/%v", label, idx, err1, scan, err2)
 		}
 	}
+	return start
 }
 
 // TestWALCrashMatrix kills the process at every mutating-filesystem
@@ -389,7 +420,7 @@ func TestWALCrashMatrix(t *testing.T) {
 	// Dry run: learn the op count and pin the workload's shape.
 	dry := newCrashFS(1)
 	submitted, acked := crashWorkload(dry)
-	if len(acked) != len(submitted) || len(acked) != 8 {
+	if len(acked) != len(submitted) || len(acked) != crashBatches {
 		t.Fatalf("dry run must ack everything: %d/%d", len(acked), len(submitted))
 	}
 	total := dry.ops
@@ -398,6 +429,9 @@ func TestWALCrashMatrix(t *testing.T) {
 	}
 	if dry.killAt != 0 {
 		t.Fatalf("dry run had a kill point")
+	}
+	if start := verifyCrashRecovery(t, dry, submitted, acked, "dry run"); start == 0 || start >= crashCutoff {
+		t.Fatalf("the dry run recovers from row %d: its compaction must expire a file and keep one straddling row %d", start, crashCutoff)
 	}
 
 	for k := 1; k <= total; k++ {

@@ -105,7 +105,8 @@ func TestWALReplayDifferential(t *testing.T) {
 				dir := t.TempDir()
 				live := driftlog.NewStore()
 				// Small segments + auto-compaction: replay crosses
-				// snapshot-fold, sealed-segment and active-segment paths.
+				// sealed and active segments, and the background passes
+				// (no cutoff set) must delete nothing.
 				w, err := driftlog.OpenWAL(dir, driftlog.NewStore(), driftlog.WALOptions{
 					SegmentBytes:    1 << 10,
 					CompactSegments: 3,

@@ -78,13 +78,10 @@ func FuzzWALReplay(f *testing.F) {
 			f.Add(fixCRC(bad))
 		}
 	}
-	// A snapshot as compaction writes it: the segment layout holding a
-	// legacy gob snapshot rewritten as frames plus copied frame records.
-	if snap, err := compactedSnapshot(f.TempDir()); err != nil {
-		f.Fatal(err)
-	} else {
-		f.Add(snap)
-	}
+	// A snapshot as an earlier version's fold wrote it: the segment
+	// layout holding a legacy gob snapshot's rows as frame records,
+	// followed by copied frame records.
+	f.Add(fuzzSegment(ColumnsFromEntries(goldenLogEntries()), walSampled(0, 4)))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		dir := t.TempDir()
@@ -137,33 +134,4 @@ func fixCRC(seg []byte) []byte {
 	}
 	binary.LittleEndian.PutUint32(p[4:], crc32.Checksum(payload, castagnoli))
 	return seg
-}
-
-// compactedSnapshot folds golden_v1.driftlog and a segment of frame
-// records into a snapshot in dir and returns the snapshot's bytes.
-func compactedSnapshot(dir string) ([]byte, error) {
-	raw, err := os.ReadFile(goldenLogPath)
-	if err != nil {
-		return nil, err
-	}
-	if err := os.WriteFile(filepath.Join(dir, snapName(0)), raw, 0o644); err != nil {
-		return nil, err
-	}
-	w, err := OpenWAL(dir, NewStore(), WALOptions{})
-	if err != nil {
-		return nil, err
-	}
-	if err := w.AppendColumns(walSampled(0, 4)); err != nil {
-		return nil, err
-	}
-	if err := w.Rotate(); err != nil {
-		return nil, err
-	}
-	if err := w.Compact(); err != nil {
-		return nil, err
-	}
-	if err := w.Close(); err != nil {
-		return nil, err
-	}
-	return os.ReadFile(filepath.Join(dir, snapName(1)))
 }

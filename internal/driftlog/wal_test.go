@@ -13,11 +13,16 @@ import (
 	"time"
 )
 
+// walTime is the timestamp walBatch gives sequence number k: k seconds
+// after a fixed base.
+func walTime(k int) time.Time {
+	return time.Date(2026, 1, 2, 3, 0, 0, 0, time.UTC).Add(time.Duration(k) * time.Second)
+}
+
 // walBatch fabricates a deterministic ingest batch: n entries starting
 // at sequence number seq, with device/weather attributes and a drift
 // flag pattern that exercises both bitmap polarities.
 func walBatch(seq, n int) []Entry {
-	base := time.Date(2026, 1, 2, 3, 0, 0, 0, time.UTC)
 	entries := make([]Entry, n)
 	for i := range entries {
 		k := seq + i
@@ -26,7 +31,7 @@ func walBatch(seq, n int) []Entry {
 			cond = "snow"
 		}
 		entries[i] = Entry{
-			Time: base.Add(time.Duration(k) * time.Second),
+			Time: walTime(k),
 			Attrs: map[string]string{
 				AttrDevice:  fmt.Sprintf("dev_%d", k%5),
 				AttrWeather: cond,
@@ -259,6 +264,11 @@ func TestWALRotation(t *testing.T) {
 	requireStoresEqual(t, live, replayed)
 }
 
+// TestWALExplicitRotateAndCompact: a compaction pass deletes exactly the
+// sealed files every row of which is before the store's cutoff — none
+// before any cutoff is set, then the oldest while the next one straddles
+// the cutoff, an empty sealed segment under any cutoff — and replay
+// afterwards restores the rows the cutoff keeps, vectors included.
 func TestWALExplicitRotateAndCompact(t *testing.T) {
 	dir := t.TempDir()
 	live := NewStore()
@@ -266,77 +276,72 @@ func TestWALExplicitRotateAndCompact(t *testing.T) {
 	if err != nil {
 		t.Fatalf("open: %v", err)
 	}
-	for i := 0; i < 3; i++ {
-		batch := walSampled(i*4, 4)
-		if err := w.AppendColumns(batch); err != nil {
+	ingest := func(b *ColumnarBatch) {
+		t.Helper()
+		if err := w.AppendColumns(b); err != nil {
 			t.Fatalf("append: %v", err)
 		}
-		live.appendColumns(batch)
+		live.appendColumns(b)
+	}
+	rotate := func() {
+		t.Helper()
 		if err := w.Rotate(); err != nil {
 			t.Fatalf("rotate: %v", err)
 		}
 	}
-	if err := w.Compact(); err != nil {
-		t.Fatalf("compact: %v", err)
-	}
-	st := w.Stats()
-	if st.SealedSegments != 0 || st.Compactions != 1 {
-		t.Fatalf("post-compact stats: %+v", st)
-	}
-	if st.SnapshotSegment != 3 {
-		t.Fatalf("snapshot segment: want 3 got %d", st.SnapshotSegment)
-	}
-	segs, snaps := listWALFiles(t, dir)
-	if len(snaps) != 1 {
-		t.Fatalf("snapshots: want 1 got %v", snaps)
-	}
-	if len(segs) != 1 { // only the active segment survives
-		t.Fatalf("segments after compact: want 1 got %v", segs)
-	}
-	// Appends continue after compaction and land after the snapshot rows.
-	// The next fold copies their record after the snapshot's, and a fold
-	// of an empty segment copies nothing.
-	tail := walSampled(12, 4)
-	if err := w.AppendColumns(tail); err != nil {
-		t.Fatalf("post-compact append: %v", err)
-	}
-	live.appendColumns(tail)
-	for i := 0; i < 2; i++ {
-		if err := w.Rotate(); err != nil {
-			t.Fatalf("rotate: %v", err)
-		}
+	compact := func(wantSealed int, wantCompactions int64, wantSegs ...uint64) {
+		t.Helper()
 		if err := w.Compact(); err != nil {
 			t.Fatalf("compact: %v", err)
 		}
+		if st := w.Stats(); st.SealedSegments != wantSealed || st.Compactions != wantCompactions {
+			t.Fatalf("stats %+v, want %d sealed after %d compactions", st, wantSealed, wantCompactions)
+		}
+		var want []string
+		for _, idx := range wantSegs {
+			want = append(want, segName(idx))
+		}
+		if segs, snaps := listWALFiles(t, dir); !reflect.DeepEqual(segs, want) || len(snaps) != 0 {
+			t.Fatalf("files %v %v, want segments %v and no snapshot", segs, snaps, want)
+		}
 	}
-	if st := w.Stats(); st.Compactions != 3 {
-		t.Fatalf("compactions: want 3 got %d", st.Compactions)
+	for i := 0; i < 3; i++ {
+		ingest(walSampled(i*4, 4)) // segment i+1 holds rows 4i..4i+3
+		rotate()
 	}
-	last := walSampled(16, 4)
-	if err := w.AppendColumns(last); err != nil {
-		t.Fatalf("append: %v", err)
-	}
-	live.appendColumns(last)
+	compact(3, 0, 1, 2, 3, 4) // no cutoff yet: nothing expires
+
+	live.Compact(walTime(6)) // segment 2 (rows 4-7) straddles the cutoff
+	compact(2, 1, 2, 3, 4)
+
+	ingest(walSampled(12, 4))
+	rotate()
+	rotate()                  // seals segment 5 empty
+	compact(3, 2, 2, 3, 4, 6) // which any cutoff expires
+	compact(3, 2, 2, 3, 4, 6) // and a pass with nothing to delete counts nothing
+	live.Compact(walTime(12)) // now every row of segments 2 and 3 is before it
+	compact(1, 3, 4, 6)
+
+	ingest(walSampled(16, 4))
 	if err := w.Close(); err != nil {
 		t.Fatalf("close: %v", err)
 	}
-
 	replayed := NewStore()
 	w2, err := OpenWAL(dir, replayed, WALOptions{})
 	if err != nil {
 		t.Fatalf("reopen: %v", err)
 	}
 	defer w2.Close()
-	if rec := w2.Recovery(); rec.SnapshotRows != 16 || rec.Rows != 4 {
+	if rec := w2.Recovery(); rec.Segments != 2 || rec.Rows != 8 {
 		t.Fatalf("recovery: %+v", rec)
 	}
 	requireStoresEqual(t, live, replayed)
-	// Idempotent compaction: nothing sealed, nothing to do.
-	if err := w2.Compact(); err != nil {
-		t.Fatalf("empty compact: %v", err)
-	}
 }
 
+// TestWALAutoCompaction: with CompactSegments set, rotations run the
+// compaction pass in the background. Once the store has a cutoff, those
+// passes delete the sealed files it expired, and replay restores exactly
+// the rows at or after it.
 func TestWALAutoCompaction(t *testing.T) {
 	dir := t.TempDir()
 	live := NewStore()
@@ -345,11 +350,14 @@ func TestWALAutoCompaction(t *testing.T) {
 		t.Fatalf("open: %v", err)
 	}
 	for i := 0; i < 9; i++ {
-		batch := walBatch(i*3, 3)
+		batch := walBatch(i*3, 3) // every append rotates: segment i+1 holds batch i
 		if err := w.AppendColumns(ColumnsFromEntries(batch)); err != nil {
 			t.Fatalf("append %d: %v", i, err)
 		}
 		live.AppendBatch(batch)
+		if i == 4 {
+			live.Compact(walTime(9)) // batches 0-2 expire
+		}
 	}
 	if err := w.Close(); err != nil { // waits for background compaction
 		t.Fatalf("close: %v", err)
@@ -357,8 +365,11 @@ func TestWALAutoCompaction(t *testing.T) {
 	if err := w.CompactionErr(); err != nil {
 		t.Fatalf("background compaction: %v", err)
 	}
-	if st := w.Stats(); st.Compactions == 0 {
-		t.Fatalf("auto-compaction never fired: %+v", st)
+	if st := w.Stats(); st.Compactions == 0 || st.SealedSegments != 6 {
+		t.Fatalf("auto-compaction did not expire segments 1-3: %+v", st)
+	}
+	if segs, _ := listWALFiles(t, dir); len(segs) != 7 || segs[0] != segName(4) {
+		t.Fatalf("segments %v, want 4-10", segs)
 	}
 	replayed := NewStore()
 	w2, err := OpenWAL(dir, replayed, WALOptions{})
@@ -367,6 +378,121 @@ func TestWALAutoCompaction(t *testing.T) {
 	}
 	defer w2.Close()
 	requireStoresEqual(t, live, replayed)
+}
+
+// TestWALCompactionExpiry pins the expiry rule's edges: a sealed file
+// goes only once its newest row is before the store's cutoff, so a file
+// straddling the cutoff stays; a legacy snapshot is one sealed file and
+// expires as a whole; a read-only WAL refuses and leaves the directory as
+// it was.
+func TestWALCompactionExpiry(t *testing.T) {
+	t.Run("straddling file kept", func(t *testing.T) {
+		dir := t.TempDir()
+		s := NewStore()
+		w, err := OpenWAL(dir, s, WALOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer w.Close()
+		for _, seq := range []int{0, 4} {
+			if err := w.AppendColumns(walSampled(seq, 4)); err != nil {
+				t.Fatal(err)
+			}
+			if err := w.Rotate(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for _, c := range []struct {
+			cutoff int
+			segs   []string
+		}{
+			{3, []string{segName(1), segName(2), segName(3)}}, // row 3, segment 1's newest, is kept
+			{4, []string{segName(2), segName(3)}},
+		} {
+			s.Compact(walTime(c.cutoff))
+			if err := w.Compact(); err != nil {
+				t.Fatal(err)
+			}
+			if segs, _ := listWALFiles(t, dir); !reflect.DeepEqual(segs, c.segs) {
+				t.Fatalf("cutoff at row %d: segments %v, want %v", c.cutoff, segs, c.segs)
+			}
+		}
+	})
+
+	t.Run("legacy snapshot expires whole", func(t *testing.T) {
+		dir := t.TempDir()
+		var rows []goldenRow
+		for _, e := range walBatch(0, 4) {
+			rows = append(rows, goldenRow{e, sampleVec(e.SampleID)})
+		}
+		writeGobChunk(t, filepath.Join(dir, snapName(0)), rows)
+		s := NewStore()
+		w, err := OpenWAL(dir, s, WALOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		b := walSampled(4, 4)
+		if err := w.AppendColumns(b); err != nil {
+			t.Fatal(err)
+		}
+		s.appendColumns(b)
+		for _, c := range []struct {
+			cutoff int
+			snaps  int
+		}{{2, 1}, {4, 0}} {
+			s.Compact(walTime(c.cutoff))
+			if err := w.Compact(); err != nil {
+				t.Fatal(err)
+			}
+			if _, snaps := listWALFiles(t, dir); len(snaps) != c.snaps {
+				t.Fatalf("cutoff at row %d: snapshots %v, want %d", c.cutoff, snaps, c.snaps)
+			}
+		}
+		if err := w.Close(); err != nil {
+			t.Fatal(err)
+		}
+		replayed := NewStore()
+		w2, err := OpenWAL(dir, replayed, WALOptions{ReadOnly: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rec := w2.Recovery(); rec.SnapshotRows != 0 || rec.Rows != 4 {
+			t.Fatalf("recovery %+v, want only the segment's 4 rows", rec)
+		}
+		requireStoresEqual(t, s, replayed)
+	})
+
+	t.Run("read-only refuses", func(t *testing.T) {
+		dir := t.TempDir()
+		w, err := OpenWAL(dir, NewStore(), WALOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, seq := range []int{0, 4} {
+			if err := w.AppendColumns(walSampled(seq, 4)); err != nil {
+				t.Fatal(err)
+			}
+			if err := w.Rotate(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := w.Close(); err != nil {
+			t.Fatal(err)
+		}
+		before, _ := listWALFiles(t, dir)
+		s := NewStore()
+		ro, err := OpenWAL(dir, s, WALOptions{ReadOnly: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		s.Compact(walTime(100))
+		if err := ro.Compact(); !errors.Is(err, ErrWALReadOnly) {
+			t.Fatalf("read-only compact: want ErrWALReadOnly, got %v", err)
+		}
+		if after, snaps := listWALFiles(t, dir); !reflect.DeepEqual(after, before) || len(snaps) != 0 {
+			t.Fatalf("read-only compact changed the directory: %v -> %v %v", before, after, snaps)
+		}
+	})
 }
 
 func TestWALTornTailRecovery(t *testing.T) {
@@ -549,6 +675,9 @@ func TestWALBadMagicRefusesOpen(t *testing.T) {
 	}
 }
 
+// TestWALCorruptSnapshotRefusesOpen: a legacy snapshot in the segment
+// layout (what an earlier version's fold wrote) was published atomically,
+// so a torn one is corruption, not a torn tail.
 func TestWALCorruptSnapshotRefusesOpen(t *testing.T) {
 	dir := t.TempDir()
 	w, err := OpenWAL(dir, NewStore(), WALOptions{})
@@ -558,21 +687,17 @@ func TestWALCorruptSnapshotRefusesOpen(t *testing.T) {
 	if err := w.AppendColumns(ColumnsFromEntries(walBatch(0, 6))); err != nil {
 		t.Fatalf("append: %v", err)
 	}
-	if err := w.Rotate(); err != nil {
-		t.Fatalf("rotate: %v", err)
-	}
-	if err := w.Compact(); err != nil {
-		t.Fatalf("compact: %v", err)
-	}
 	if err := w.Close(); err != nil {
 		t.Fatalf("close: %v", err)
 	}
-	_, snaps := listWALFiles(t, dir)
-	if len(snaps) != 1 {
-		t.Fatalf("want one snapshot, got %v", snaps)
+	b, err := os.ReadFile(filepath.Join(dir, segName(1)))
+	if err != nil {
+		t.Fatal(err)
 	}
-	path := filepath.Join(dir, snaps[0])
-	b, _ := os.ReadFile(path)
+	if err := os.Remove(filepath.Join(dir, segName(1))); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(dir, snapName(1))
 	if err := os.WriteFile(path, b[:len(b)/2], 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -672,6 +797,67 @@ func TestWALConcurrentAppend(t *testing.T) {
 	}
 }
 
+// TestWALConcurrentExpiry runs compaction passes, explicit and
+// background, while writers append and rotate: the sealed list they share
+// stays consistent (run it under -race), and no row at or after the
+// cutoff is lost.
+func TestWALConcurrentExpiry(t *testing.T) {
+	dir := t.TempDir()
+	s := NewStore()
+	w, err := OpenWAL(dir, s, WALOptions{SegmentBytes: 256, CompactSegments: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const writers, batches, perBatch = 4, 24, 3
+	var wg sync.WaitGroup
+	errs := make(chan error, writers+1)
+	for g := 0; g < writers; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for b := 0; b < batches; b++ {
+				if err := w.AppendColumns(ColumnsFromEntries(walBatch(b*perBatch, perBatch))); err != nil {
+					errs <- err
+					return
+				}
+			}
+		}(g)
+	}
+	const cutoff = batches * perBatch / 2
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for k := 0; k <= cutoff; k += perBatch {
+			s.Compact(walTime(k))
+			if err := w.Compact(); err != nil {
+				errs <- err
+				return
+			}
+		}
+	}()
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.CompactionErr(); err != nil {
+		t.Fatalf("background compaction: %v", err)
+	}
+	replayed := NewStore()
+	if _, err := OpenWAL(dir, replayed, WALOptions{ReadOnly: true}); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := replayed.Window(walTime(cutoff), time.Time{}).Len(), writers*(batches*perBatch-cutoff); got != want {
+		t.Fatalf("%d rows at or after the cutoff replayed, want %d", got, want)
+	}
+	if st := w.Stats(); st.Compactions == 0 {
+		t.Fatalf("no pass deleted a file: %+v", st)
+	}
+}
+
 func TestWALFrameRoundTrip(t *testing.T) {
 	entries := walBatch(0, 17)
 	frame := appendWALFrameColumns(nil, ColumnsFromEntries(entries))
@@ -734,12 +920,13 @@ func TestWALDecodeRejectsMalformed(t *testing.T) {
 
 func TestWALStats(t *testing.T) {
 	dir := t.TempDir()
-	w, err := OpenWAL(dir, NewStore(), WALOptions{})
+	s := NewStore()
+	w, err := OpenWAL(dir, s, WALOptions{})
 	if err != nil {
 		t.Fatalf("open: %v", err)
 	}
 	defer w.Close()
-	if st := w.Stats(); st.ActiveSegment != 1 || st.SnapshotSegment != -1 {
+	if st := w.Stats(); st.ActiveSegment != 1 || st.SealedSegments != 0 || st.Compactions != 0 {
 		t.Fatalf("fresh stats: %+v", st)
 	}
 	if err := w.AppendColumns(ColumnsFromEntries(walBatch(0, 3))); err != nil {
@@ -754,6 +941,18 @@ func TestWALStats(t *testing.T) {
 	}
 	if w.Dir() != dir {
 		t.Fatalf("dir: want %s got %s", dir, w.Dir())
+	}
+	// Expiry shows in the counters: the rotated segment goes once the
+	// store's cutoff passes its newest row.
+	if err := w.Rotate(); err != nil {
+		t.Fatal(err)
+	}
+	s.Compact(walTime(3))
+	if err := w.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	if st := w.Stats(); st.ActiveSegment != 2 || st.SealedSegments != 0 || st.Rotations != 1 || st.Compactions != 1 {
+		t.Fatalf("stats after expiry: %+v", st)
 	}
 }
 

@@ -207,15 +207,6 @@ func WithCodec(c httpapi.Codec) Option {
 	return func(o *clientOptions) { o.codec = c }
 }
 
-// WithBatcher tunes the spool's shipping cadence: entries per
-// IngestBatch round-trip and the partial-batch flush interval.
-func WithBatcher(maxBatch int, flushInterval time.Duration) Option {
-	return func(o *clientOptions) {
-		o.cfg.MaxBatch = maxBatch
-		o.cfg.FlushInterval = flushInterval
-	}
-}
-
 // NewClient returns a started client for the given server URL.
 func NewClient(baseURL string, opts ...Option) *Client {
 	var o clientOptions
