@@ -172,7 +172,8 @@ bench-macrosim:
 # per-value group-bys and (re-)mining vs the exact bitset path at
 # 100k/1M rows × 100/100k distinct values, each reporting index-bytes;
 # the sketch-tier write path (BenchmarkSketchAppend: µs/row, allocs/row,
-# distinct-keys/row) and the Space-Saving offer under it.
+# distinct-keys/row, offers/row — one Space-Saving offer per sketched
+# value, pairs are Count-Min only) and the Space-Saving offer under it.
 # Results (including sketch-vs-exact speedups) land in BENCH_sketch.json.
 bench-sketch:
 	$(GO) test -run '^$$' -bench 'BenchmarkSketch|BenchmarkSpaceSaving' -benchmem -benchtime 0.5s -count 5 \

@@ -228,6 +228,8 @@ func (m *Metrics) observeStores(s *Service) {
 		func() float64 { return float64(logStats.Load().SketchFeedRows) })
 	reg.GaugeFunc("nazar_sketch_feed_keys_total", "Distinct keys the batch sketch feed added to a Count-Min bucket.",
 		func() float64 { return float64(logStats.Load().SketchFeedKeys) })
+	reg.GaugeFunc("nazar_sketch_feed_offers_total", "Space-Saving offers the batch sketch feed made (one per sketched value fed).",
+		func() float64 { return float64(logStats.Load().SketchFeedOffers) })
 
 	reg.GaugeFunc("nazar_samples_retained", "Drift-log rows holding an uploaded vector.",
 		func() float64 { return float64(logStats.Load().Samples) })

@@ -229,9 +229,10 @@ func TestObserverUnsortedShards(t *testing.T) {
 }
 
 // TestObserverSketchFeed: once an attribute is on the sketch tier, a scrape
-// shows the batch feed's rows and the distinct keys it added for them —
-// here six rows of three distinct versions under one weather: 3 value keys
-// + 3 pair keys, where a key per row and item would have been 12.
+// shows the batch feed's rows, the distinct keys it added for them and its
+// Space-Saving offers — here six rows of three distinct versions under one
+// weather: 3 value keys + 3 pair keys, where a key per row and item would
+// have been 12, and one offer per row (its version; pairs make none).
 func TestObserverSketchFeed(t *testing.T) {
 	base := nn.NewClassifier(nn.ArchResNet18, 8, 2, tensor.NewRand(17, 1))
 	reg := obs.NewRegistry()
@@ -250,7 +251,7 @@ func TestObserverSketchFeed(t *testing.T) {
 	if err := reg.WritePrometheus(&buf); err != nil {
 		t.Fatal(err)
 	}
-	for _, want := range []string{"nazar_sketch_attrs 1\n", "nazar_sketch_feed_rows_total 6\n", "nazar_sketch_feed_keys_total 6\n"} {
+	for _, want := range []string{"nazar_sketch_attrs 1\n", "nazar_sketch_feed_rows_total 6\n", "nazar_sketch_feed_keys_total 6\n", "nazar_sketch_feed_offers_total 6\n"} {
 		if !strings.Contains(buf.String(), want) {
 			t.Fatalf("exposition missing %q\n%s", want, buf.String())
 		}

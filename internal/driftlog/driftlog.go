@@ -265,7 +265,8 @@ type Stats struct {
 	// sketch feed (appends and replays) and the distinct keys it added to a
 	// Count-Min bucket for them; keys per row falling below the attribute's
 	// items per row is the work the feed's grouping saved.
-	SketchFeedRows, SketchFeedKeys int64
+	// SketchFeedOffers counts its Space-Saving offers: one per sketched value.
+	SketchFeedRows, SketchFeedKeys, SketchFeedOffers int64
 	// UnsortedShards counts shards whose timestamps stopped being
 	// non-decreasing (interleaved writers): views over them materialize
 	// windows and sketch edges by row scan instead of binary search.

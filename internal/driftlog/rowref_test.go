@@ -155,8 +155,7 @@ func refFeedRowLocked(s *Store, sketched map[string]bool, e Entry) {
 }
 
 // attrKV is one (attribute, value) of a row being fed; refFeed requires the
-// slice sorted by name so Space-Saving offer order — the only
-// order-sensitive operation — is deterministic per row.
+// slice sorted by name, so pair keys come out canonical.
 type attrKV struct{ name, val string }
 
 // refFeed records one row into the sketch layer: each sketched attribute's
@@ -187,7 +186,8 @@ func refFeed(sk *sketchIndex, sketched map[string]bool, t int64, drifted bool, k
 	}
 }
 
-// refAdd feeds one occurrence to a ring.
+// refAdd feeds one occurrence to a ring, and to its Space-Saving tracker on
+// a value ring.
 func refAdd(as *attrSketch, key string, t int64, drifted bool) {
 	aligned := alignDown(t, as.bucketNanos)
 	as.mu.Lock()
@@ -201,7 +201,9 @@ func refAdd(as *attrSketch, key string, t int64, drifted bool) {
 	b.cm.Add(key, drifted)
 	b.adds.Add(1)
 	as.mu.Unlock()
-	as.hh.Offer(key, 1)
+	if as.hh != nil {
+		as.hh.Offer(key, 1)
+	}
 }
 
 // refTierUp is tierUp with the replay done row by row, so no row of a

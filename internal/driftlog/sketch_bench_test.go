@@ -239,9 +239,10 @@ func benchInterleavedSketch(b *testing.B, query func(v *View) int) {
 // over batches shaped like the composed benchmark's highcard_analyze
 // (eight attributes, app_version and firmware sketched and drawn half from
 // 16 hot values, 250 ms of event time per row): two value-ring adds and
-// thirteen pair-ring adds per row. Beside µs/row it reports allocs/row and
+// thirteen pair-ring adds per row. Beside µs/row it reports allocs/row,
 // distinct-keys/row — the Count-Min adds the batch feed's grouping left of
-// those fifteen.
+// those fifteen — and offers/row, the Space-Saving offers (two: one per
+// sketched value).
 func BenchmarkSketchAppend(b *testing.B) {
 	for _, rows := range []int{128, 16} {
 		b.Run(fmt.Sprintf("rows=%d", rows), func(b *testing.B) {
@@ -306,7 +307,9 @@ func BenchmarkSketchAppend(b *testing.B) {
 			fed := float64(b.N * rows)
 			b.ReportMetric(float64(b.Elapsed().Microseconds())/fed, "µs/row")
 			b.ReportMetric(float64(m1.Mallocs-m0.Mallocs)/fed, "allocs/row")
-			b.ReportMetric(float64(st1.SketchFeedKeys-st0.SketchFeedKeys)/float64(st1.SketchFeedRows-st0.SketchFeedRows), "distinct-keys/row")
+			feedRows := float64(st1.SketchFeedRows - st0.SketchFeedRows)
+			b.ReportMetric(float64(st1.SketchFeedKeys-st0.SketchFeedKeys)/feedRows, "distinct-keys/row")
+			b.ReportMetric(float64(st1.SketchFeedOffers-st0.SketchFeedOffers)/feedRows, "offers/row")
 		})
 	}
 }

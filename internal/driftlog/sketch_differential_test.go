@@ -19,15 +19,14 @@ import (
 // bucket is exercised.
 func sketchTestConfig() SketchConfig {
 	return SketchConfig{
-		Threshold:        16,
-		Width:            4096,
-		PairWidth:        8192,
-		Depth:            4,
-		Bucket:           100 * time.Second,
-		MaxBuckets:       4,
-		HeavyHitters:     64,
-		PairHeavyHitters: 512,
-		Seed:             7,
+		Threshold:    16,
+		Width:        4096,
+		PairWidth:    8192,
+		Depth:        4,
+		Bucket:       100 * time.Second,
+		MaxBuckets:   4,
+		HeavyHitters: 64,
+		Seed:         7,
 	}
 }
 
@@ -339,8 +338,7 @@ func interleavedSketchStore() *Store {
 // off the bucket grid, here with `from` inside the rest bucket too, so
 // both ends are exact edge slices around Count-Min-answered buckets. Every
 // sketch-answered result must be one-sided within its bound, and the whole
-// result set must hash to what the per-candidate edge scans produced
-// before edges were resolved once per view.
+// result set must hash to its pinned digest.
 func TestSketchUnalignedWindowOverInterleavedWriters(t *testing.T) {
 	s := interleavedSketchStore()
 	base := time.Unix(0, 0).UTC()
@@ -407,7 +405,7 @@ func TestSketchUnalignedWindowOverInterleavedWriters(t *testing.T) {
 	for _, l := range lines {
 		fmt.Fprintln(h, l)
 	}
-	const want = "95f79bac967847ff" // computed at the parent commit
+	const want = "ca8981f78a8b5d4c"
 	if got := fmt.Sprintf("%016x", h.Sum64()); got != want {
 		t.Fatalf("result digest %s over %d lines, want %s", got, len(lines), want)
 	}
@@ -541,8 +539,8 @@ func TestSketchClearDriftExact(t *testing.T) {
 
 // diffSketchState compares the whole state of two sketch indexes — per ring
 // (value rings by attribute, then the pair ring) every bucket's span,
-// adds and Count-Min cells, the rest bucket, restLow, evicted, and the
-// Space-Saving summary with its error terms — and returns the first
+// adds and Count-Min cells, the rest bucket, restLow, evicted, and a value
+// ring's Space-Saving summary with its error terms — and returns the first
 // difference ("" when there is none). Space-Saving depends on offer order;
 // hh=false leaves it out, for states reached by concurrent writers.
 func diffSketchState(got, want *sketchIndex, hh bool) string {
@@ -589,6 +587,12 @@ func diffSketchState(got, want *sketchIndex, hh bool) string {
 		}
 		if g.evicted != w.evicted {
 			return fmt.Sprintf("%s: evicted %d, want %d", ctx, g.evicted, w.evicted)
+		}
+		if (g.hh == nil) != (w.hh == nil) {
+			return fmt.Sprintf("%s: Space-Saving tracker present %v, want %v", ctx, g.hh != nil, w.hh != nil)
+		}
+		if g.hh == nil {
+			return ""
 		}
 		if gi, wi := g.hh.Items(), w.hh.Items(); hh && !reflect.DeepEqual(gi, wi) {
 			return fmt.Sprintf("%s: Space-Saving items differ\n got %v\nwant %v", ctx, gi, wi)
@@ -683,6 +687,60 @@ func TestSketchColumnarIngestEquivalence(t *testing.T) {
 	}
 	if d := diffSketchState(colStore.sk, refReplay(colStore, colStore.sketchedSet()), true); d != "" {
 		t.Fatalf("after Compact: %s", d)
+	}
+}
+
+// TestSketchFeedOffersPinned pins the feed's Space-Saving work to the unit:
+// every fed row — appended, or replayed by a tier-up or a compaction —
+// costs one offer per sketched column it carries, and its pairs none.
+func TestSketchFeedOffersPinned(t *testing.T) {
+	r := rand.New(rand.NewSource(13))
+	cfg := sketchTestConfig()
+	s := sketchStore(r, 3000, 200, cfg)
+	sketched := s.sketchedSet()
+	if len(sketched) != 1 {
+		t.Fatalf("sketched attrs %v, want one", s.SketchedAttrs())
+	}
+	carried := func(entries []Entry) (n int64) {
+		for _, e := range entries {
+			for name := range e.Attrs {
+				if sketched[name] {
+					n++
+				}
+			}
+		}
+		return n
+	}
+	// Append: the batch's rows, fed once.
+	var batch []Entry
+	for i := 0; i < 500; i++ {
+		attrs := map[string]string{AttrWeather: fmt.Sprintf("w%d", r.Intn(6))}
+		if r.Float64() < 0.7 {
+			attrs["app_version"] = fmt.Sprintf("1.%d", r.Intn(40))
+		}
+		batch = append(batch, Entry{Time: time.Unix(int64(r.Intn(1000)), 0), Drift: r.Float64() < 0.3, SampleID: -1, Attrs: attrs})
+	}
+	st0 := s.Stats()
+	s.AppendBatch(batch)
+	st1 := s.Stats()
+	if got, want := st1.SketchFeedOffers-st0.SketchFeedOffers, carried(batch); got != want || want == 0 {
+		t.Fatalf("append of %d rows: %d offers, want %d", len(batch), got, want)
+	}
+	if got := st1.SketchFeedRows - st0.SketchFeedRows; got != int64(len(batch)) {
+		t.Fatalf("append fed %d rows, want %d", got, len(batch))
+	}
+	// Compaction: a replay of every surviving row.
+	if s.Compact(time.Unix(300, 0)) == 0 {
+		t.Fatal("compaction removed nothing")
+	}
+	st2 := s.Stats()
+	var survivors []Entry
+	s.Each(func(_ int, e Entry) { survivors = append(survivors, e) })
+	if got, want := st2.SketchFeedOffers-st1.SketchFeedOffers, carried(survivors); got != want {
+		t.Fatalf("compaction replay of %d rows: %d offers, want %d", len(survivors), got, want)
+	}
+	if got := st2.SketchFeedRows - st1.SketchFeedRows; got != int64(len(survivors)) {
+		t.Fatalf("compaction replay fed %d rows, want %d", got, len(survivors))
 	}
 }
 

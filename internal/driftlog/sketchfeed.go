@@ -6,13 +6,12 @@
 // to its Count-Min bucket with its (total, drift) multiplicity — Count-Min
 // is linear, so the cells are those of one add per row — and each ring's
 // lock is taken once per bucket the batch touches. Space-Saving, the only
-// order-sensitive structure, receives the offer sequence rows fed one at a
-// time would give it (rows in the given order, columns name-sorted), from
-// the cached key strings, under one lock per ring.
+// order-sensitive structure, sits on value rings only; each receives its
+// column's values in row order, from the cached key strings, under one lock.
 //
 // Cost per batch: distinct keys × (1 key build + 1 hash + depth cell adds)
-// + rows × items × (1 group probe + 1 Space-Saving offer), where items =
-// sketched columns + pairs with a sketched side.
+// + rows × (items group probes + sketched columns Space-Saving offers),
+// where items = sketched columns + pairs with a sketched side.
 package driftlog
 
 import (
@@ -25,7 +24,7 @@ import (
 // feedGroup is one distinct key of the batch on one ring.
 type feedGroup struct {
 	bkt          int32  // index into feedScratch.aligned
-	first        int32  // offer position of the first row carrying the key
+	first        int32  // feed position of the first row carrying the key
 	ida, idb     uint32 // batch dict ids; idb is 0 on a value ring
 	total, drift uint32
 	key          string
@@ -36,7 +35,7 @@ type feedGroup struct {
 type feedScratch struct {
 	cols     []int32 // batch column indices in name order
 	sketched []bool  // parallel to cols
-	bucket   []int32 // offer position -> index into aligned
+	bucket   []int32 // feed position -> index into aligned
 	aligned  []int64 // distinct bucket-aligned times, first-seen order
 
 	// table is the open-addressed (bucket, ida, idb) -> group index + 1
@@ -47,9 +46,8 @@ type feedScratch struct {
 	// groups holds the item's groups on a value ring, every pair item's on
 	// the pair ring (its Count-Min adds wait for the last item).
 	groups []feedGroup
-	pairs  [][2]int32 // pair ring items: positions in cols, name-ordered
-	occ    []int32    // pair ring: offer position × pair item -> group index + 1
-	offers []string
+	pairs  [][2]int32 // pair ring items: batch column indices, name-ordered
+	offers []string   // a value ring's Space-Saving offers, in row order
 
 	// addGroups' bucket-major arrangement of groups.
 	bucketEnd   []int32
@@ -89,7 +87,7 @@ func (sk *sketchIndex) feedBatch(sketched map[string]bool, b *ColumnarBatch, ord
 		f.sketched = append(f.sketched, sketched[b.Cols[ci].Name])
 	}
 
-	// Bucket of every offer position. Rows mostly share their neighbour's
+	// Bucket of every feed position. Rows mostly share their neighbour's
 	// bucket; the distinct ones of a batch are few enough to search.
 	f.bucket, f.aligned = grow(f.bucket, len(order)), f.aligned[:0]
 	for pos, r := range order {
@@ -111,14 +109,16 @@ func (sk *sketchIndex) feedBatch(sketched map[string]bool, b *ColumnarBatch, ord
 	}
 	f.table, f.shift = grow(f.table, 1<<bits), 64-bits
 
-	keys := f.feedValueRings(sk, b, order) + f.feedPairRing(sk, b, order)
+	keys, offers := f.feedValueRings(sk, b, order)
+	keys += f.feedPairRing(sk, b, order)
 	sk.feedRows.Add(int64(len(order)))
 	sk.feedKeys.Add(int64(keys))
+	sk.feedOffers.Add(int64(offers))
 }
 
 // feedValueRings feeds each sketched column's value ring — one item per
-// column — and returns the distinct keys added.
-func (f *feedScratch) feedValueRings(sk *sketchIndex, b *ColumnarBatch, order []int32) (keys int) {
+// column — and returns the distinct keys added and the offers made.
+func (f *feedScratch) feedValueRings(sk *sketchIndex, b *ColumnarBatch, order []int32) (keys, offers int) {
 	for i, ci := range f.cols {
 		if !f.sketched[i] {
 			continue
@@ -142,15 +142,15 @@ func (f *feedScratch) feedValueRings(sk *sketchIndex, b *ColumnarBatch, order []
 		f.addGroups(ring)
 		ring.hh.OfferEach(f.offers)
 		keys += len(f.groups)
+		offers += len(f.offers)
 	}
-	return keys
+	return keys, offers
 }
 
 // feedPairRing feeds the pair ring — one item per name-ordered column pair
-// with a sketched side — and returns the distinct keys added. A row offers
-// its pairs in item order, so the items' group indices are laid out
-// row-major in occ and read back row by row; the Count-Min adds wait for
-// the last item, so the ring is locked once per bucket, not per item.
+// with a sketched side — and returns the distinct keys added. The Count-Min
+// adds wait for the last item, so the ring is locked once per bucket, not
+// per item.
 func (f *feedScratch) feedPairRing(sk *sketchIndex, b *ColumnarBatch, order []int32) (keys int) {
 	f.pairs = f.pairs[:0]
 	for i := range f.cols {
@@ -161,16 +161,13 @@ func (f *feedScratch) feedPairRing(sk *sketchIndex, b *ColumnarBatch, order []in
 		}
 	}
 	f.groups = f.groups[:0]
-	f.occ = grow(f.occ, len(order)*len(f.pairs))
-	clear(f.occ)
-	for item, p := range f.pairs {
+	for _, p := range f.pairs {
 		ca, cb := &b.Cols[p[0]], &b.Cols[p[1]]
 		start := len(f.groups)
 		clear(f.table)
 		for pos, r := range order {
 			if ida, idb := ca.IDs[r], cb.IDs[r]; ida != 0 && idb != 0 {
-				gi := f.group(f.bucket[pos], ida, idb, int32(pos), b.Drift[r])
-				f.occ[pos*len(f.pairs)+item] = int32(gi) + 1
+				f.group(f.bucket[pos], ida, idb, int32(pos), b.Drift[r])
 			}
 		}
 		for gi := start; gi < len(f.groups); gi++ {
@@ -181,22 +178,13 @@ func (f *feedScratch) feedPairRing(sk *sketchIndex, b *ColumnarBatch, order []in
 	if len(f.groups) == 0 {
 		return 0
 	}
-	f.offers = f.offers[:0]
-	for _, gi := range f.occ {
-		if gi != 0 {
-			f.offers = append(f.offers, f.groups[gi-1].key)
-		}
-	}
-	ring := sk.pairRing()
-	f.addGroups(ring)
-	ring.hh.OfferEach(f.offers)
+	f.addGroups(sk.pairRing())
 	return len(f.groups)
 }
 
-// group counts one row, at offer position pos, into the current item's
-// group (bkt, ida, idb) — appended to f.groups on first sight — and returns
-// the group's index.
-func (f *feedScratch) group(bkt int32, ida, idb uint32, pos int32, drifted bool) int {
+// group counts one row, at feed position pos, into the current item's
+// group (bkt, ida, idb), appended to f.groups on first sight.
+func (f *feedScratch) group(bkt int32, ida, idb uint32, pos int32, drifted bool) {
 	h := (uint64(ida)<<32 | uint64(idb)) ^ uint64(bkt)<<24
 	mask := len(f.table) - 1
 	i := int(h * 0x9e3779b97f4a7c15 >> f.shift)
@@ -214,7 +202,6 @@ func (f *feedScratch) group(bkt int32, ida, idb uint32, pos int32, drifted bool)
 	if drifted {
 		g.drift++
 	}
-	return int(f.table[i]) - 1
 }
 
 // addGroups adds f.groups to ring's Count-Min buckets, one lock acquisition

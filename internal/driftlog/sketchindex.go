@@ -3,12 +3,13 @@
 // attribute is answered from bounded-memory streaming summaries instead —
 // a ring of window-aligned Count-Min sub-sketches (support counting with a
 // one-sided analytic error bound) plus a Space-Saving heavy-hitter tracker
-// (candidate enumeration for grouped aggregations). Low-cardinality
-// attributes keep the exact PR-5 bitset path untouched; tiering is sticky
-// (an attribute never tiers back down) and the dictionary-encoded row ids
-// are retained even for sketched columns, so what the sketches cannot
-// answer (delta views, mutated overlays, ClearDrift, SampleIDs) is
-// answered exactly by a walk of the window's rows — see View.tier.
+// (candidate enumeration). Pairs with a sketched side share one Count-Min
+// ring, queried per candidate pair. Low-cardinality attributes keep the
+// exact PR-5 bitset path untouched; tiering is sticky (an attribute never
+// tiers back down) and the dictionary-encoded row ids are retained even
+// for sketched columns, so what the sketches cannot answer (delta views,
+// mutated overlays, ClearDrift, SampleIDs) is answered exactly by a walk
+// of the window's rows — see View.tier.
 //
 // Bucket ring: each sketched attribute owns sub-sketches keyed by the
 // bucket-aligned start of their time span, created lazily (only time
@@ -33,7 +34,6 @@ package driftlog
 
 import (
 	"sort"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -63,10 +63,10 @@ type SketchConfig struct {
 	// MaxBuckets bounds the live ring per attribute (default 96); older
 	// buckets fold into a single "rest" sketch.
 	MaxBuckets int
-	// HeavyHitters / PairHeavyHitters size the Space-Saving candidate
-	// trackers (defaults 256 / 2048).
-	HeavyHitters     int
-	PairHeavyHitters int
+	// HeavyHitters sizes a sketched attribute's Space-Saving tracker
+	// (default 256); pairs of values a window holds ≥ 1/HeavyHitters of the
+	// time are enumerated (View.pairCountsSketch).
+	HeavyHitters int
 	// Seed fixes the hash family; the default is a package constant so
 	// results are byte-identical across processes and pool widths.
 	Seed uint64
@@ -96,9 +96,6 @@ func (c SketchConfig) withDefaults() SketchConfig {
 	if c.HeavyHitters <= 0 {
 		c.HeavyHitters = 256
 	}
-	if c.PairHeavyHitters <= 0 {
-		c.PairHeavyHitters = 2048
-	}
 	if c.Seed == 0 {
 		c.Seed = defaultSketchSeed
 	}
@@ -117,8 +114,8 @@ type sketchBucket struct {
 
 // attrSketch is the sketch state of one tiered attribute (or the
 // store-global pair ring): the live bucket ring sorted by start, the
-// folded "rest" bucket covering everything older, and the heavy-hitter
-// candidate tracker. mu guards the ring structure; Count-Min adds are
+// folded "rest" bucket covering everything older, and (value rings) the
+// heavy-hitter tracker. mu guards the ring structure; Count-Min adds are
 // atomic, so concurrent feeders only share mu in read mode.
 type attrSketch struct {
 	width, depth int
@@ -141,7 +138,7 @@ type attrSketch struct {
 	// breaking one-sidedness).
 	restLow atomic.Int64
 
-	hh *sketch.SpaceSaving[string]
+	hh *sketch.SpaceSaving[string] // nil on the pair ring
 }
 
 // lowerRestLow lowers the rest span's effective start to aligned.
@@ -154,14 +151,13 @@ func (as *attrSketch) lowerRestLow(aligned int64) {
 	}
 }
 
-func newAttrSketch(cfg SketchConfig, width, hhCap int) *attrSketch {
+func newAttrSketch(cfg SketchConfig, width int) *attrSketch {
 	return &attrSketch{
 		width:       width,
 		depth:       cfg.Depth,
 		seed:        cfg.Seed,
 		bucketNanos: int64(cfg.Bucket),
 		maxBuckets:  cfg.MaxBuckets,
-		hh:          sketch.NewSpaceSaving[string](hhCap),
 	}
 }
 
@@ -317,10 +313,15 @@ func (as *attrSketch) bound(from, to int64) (bound uint64) {
 	return
 }
 
-// cmSum sums the one-sided Count-Min estimates of key over full.
+// cmSum sums the one-sided Count-Min estimates of key over full, hashing
+// the key once: every bucket of a ring shares its seed.
 func cmSum(full []*sketchBucket, key string) (total, drift uint64) {
+	if len(full) == 0 {
+		return 0, 0
+	}
+	h := full[0].cm.Hash(key)
 	for _, b := range full {
-		e := b.cm.Estimate(key)
+		e := b.cm.EstimateHash(h)
 		total += uint64(e.Total)
 		drift += uint64(e.Drift)
 	}
@@ -339,7 +340,9 @@ func (as *attrSketch) memory() (buckets int, bytes int64) {
 		buckets++
 		bytes += int64(as.rest.cm.Bytes())
 	}
-	bytes += int64(as.hh.Bytes())
+	if as.hh != nil {
+		bytes += int64(as.hh.Bytes())
+	}
 	return
 }
 
@@ -357,9 +360,9 @@ type sketchIndex struct {
 	attrs map[string]*attrSketch
 	pairs *attrSketch
 
-	// feedRows / feedKeys count the rows the batch feed has been handed and
-	// the distinct keys it added to a Count-Min bucket for them.
-	feedRows, feedKeys atomic.Int64
+	// feedRows / feedKeys / feedOffers count the rows the batch feed was
+	// handed, the distinct keys it added and the Space-Saving offers made.
+	feedRows, feedKeys, feedOffers atomic.Int64
 }
 
 func newSketchIndex(cfg SketchConfig) *sketchIndex {
@@ -367,7 +370,7 @@ func newSketchIndex(cfg SketchConfig) *sketchIndex {
 	return &sketchIndex{
 		cfg:   cfg,
 		attrs: map[string]*attrSketch{},
-		pairs: newAttrSketch(cfg, cfg.PairWidth, cfg.PairHeavyHitters),
+		pairs: newAttrSketch(cfg, cfg.PairWidth),
 	}
 }
 
@@ -384,7 +387,8 @@ func (sk *sketchIndex) attr(name string) *attrSketch {
 	if as := sk.attrs[name]; as != nil {
 		return as
 	}
-	as = newAttrSketch(sk.cfg, sk.cfg.Width, sk.cfg.HeavyHitters)
+	as = newAttrSketch(sk.cfg, sk.cfg.Width)
+	as.hh = sketch.NewSpaceSaving[string](sk.cfg.HeavyHitters)
 	sk.attrs[name] = as
 	return as
 }
@@ -413,6 +417,7 @@ func (sk *sketchIndex) install(fresh *sketchIndex) {
 	sk.mu.Unlock()
 	sk.feedRows.Add(fresh.feedRows.Load())
 	sk.feedKeys.Add(fresh.feedKeys.Load())
+	sk.feedOffers.Add(fresh.feedOffers.Load())
 }
 
 // collectStats fills the sketch-tier fields of a Stats snapshot.
@@ -432,7 +437,7 @@ func (sk *sketchIndex) collectStats(st *Stats) {
 		st.SketchEvicted += as.evicted
 		as.mu.RUnlock()
 	}
-	st.SketchFeedRows, st.SketchFeedKeys = sk.feedRows.Load(), sk.feedKeys.Load()
+	st.SketchFeedRows, st.SketchFeedKeys, st.SketchFeedOffers = sk.feedRows.Load(), sk.feedKeys.Load(), sk.feedOffers.Load()
 }
 
 // pairSketchKey encodes a canonical (aName < bName) pair occurrence.
@@ -441,15 +446,6 @@ func (sk *sketchIndex) collectStats(st *Stats) {
 // preserving one-sidedness).
 func pairSketchKey(aName, aVal, bName, bVal string) string {
 	return aName + "\x00" + aVal + "\x00" + bName + "\x00" + bVal
-}
-
-// parsePairKey is the inverse of pairSketchKey.
-func parsePairKey(key string) (PairKey, bool) {
-	parts := strings.SplitN(key, "\x00", 5)
-	if len(parts) != 4 {
-		return PairKey{}, false
-	}
-	return PairKey{AttrA: parts[0], ValA: parts[1], AttrB: parts[2], ValB: parts[3]}, true
 }
 
 // sketchedSet returns the current immutable sketched-attribute snapshot

@@ -7,6 +7,7 @@
 package driftlog
 
 import (
+	"maps"
 	"math"
 	"sort"
 )
@@ -112,12 +113,16 @@ type ringWindow[K comparable] struct {
 type sketchWindow struct {
 	vals  map[string]ringWindow[string] // per sketched attribute, keyed by value
 	pairs ringWindow[PairKey]
+	// hot is, per sketched attribute, its heavy hitters with a nonzero
+	// window estimate: what AttrValueCounts reports.
+	hot map[string]map[string]CountResult
 }
 
 func (v *View) sketchWin() *sketchWindow {
 	v.skOnce.Do(func() {
 		sw := &v.skWin
 		sw.vals = make(map[string]ringWindow[string], len(v.sketched))
+		sw.hot = make(map[string]map[string]CountResult, len(v.sketched))
 		var rows []int32
 		for name := range v.sketched {
 			as := v.sk.lookupAttr(name)
@@ -136,6 +141,12 @@ func (v *View) sketchWin() *sketchWindow {
 				vs.valueScanInto(nil, si, rows, col, rw.edge)
 			}
 			sw.vals[name] = rw
+			sw.hot[name] = map[string]CountResult{}
+			for _, hhi := range as.hh.Items() {
+				if t, d := rw.estimate(hhi.Key, hhi.Key); t > 0 {
+					sw.hot[name][hhi.Key] = CountResult{Total: int(t), Drift: int(d)}
+				}
+			}
 		}
 		sw.pairs.ring = v.sk.pairRing()
 		var edges []span
@@ -200,23 +211,6 @@ func (vs *viewShard) edgeRows(edges []span, dst []int32) []int32 {
 	return dst
 }
 
-// sketchCondEstimate is the windowed one-sided estimate of a single
-// sketched condition.
-func (v *View) sketchCondEstimate(c Cond) (total, drift uint64) {
-	rw, ok := v.sketchWin().vals[c.Attr]
-	if !ok {
-		return 0, 0
-	}
-	return rw.estimate(c.Value, c.Value)
-}
-
-// sketchPairEstimate is sketchCondEstimate for a canonical condition pair
-// answered from the pair ring.
-func (v *View) sketchPairEstimate(a, b Cond) (total, drift uint64) {
-	return v.sketchWin().pairs.estimate(PairKey{a.Attr, a.Value, b.Attr, b.Value},
-		pairSketchKey(a.Attr, a.Value, b.Attr, b.Value))
-}
-
 // countSketch answers Count when at least one condition is sketched: the
 // elementwise minimum over every one-sided candidate — the exact bitset
 // count of the exact-only condition subset, each sketched condition's
@@ -256,9 +250,10 @@ func (v *View) countSketch(conds []Cond, ov *Overlay) (CountResult, error) {
 		}
 		upd(uint64(cr.Total), uint64(cr.Drift))
 	}
+	sw := v.sketchWin()
 	for _, c := range conds {
 		if v.sketched[c.Attr] {
-			upd(v.sketchCondEstimate(c))
+			upd(sw.vals[c.Attr].estimate(c.Value, c.Value)) // no ring: zero
 		}
 	}
 	for i := 0; i < len(conds); i++ {
@@ -267,7 +262,7 @@ func (v *View) countSketch(conds []Cond, ov *Overlay) (CountResult, error) {
 				continue
 			}
 			a, b := orderPair(conds[i], conds[j])
-			upd(v.sketchPairEstimate(a, b))
+			upd(sw.pairs.estimate(PairKey{a.Attr, a.Value, b.Attr, b.Value}, pairSketchKey(a.Attr, a.Value, b.Attr, b.Value)))
 		}
 	}
 	if total == math.MaxUint64 {
@@ -286,45 +281,64 @@ func (v *View) countSketch(conds []Cond, ov *Overlay) (CountResult, error) {
 // threshold can keep), each estimated over the window. Candidates are
 // global across time; windowed estimates discard out-of-window mass.
 func (v *View) attrValueCountsSketch(out map[string]map[string]CountResult) {
-	for name, rw := range v.sketchWin().vals {
-		if !v.attrs[name] {
-			continue
-		}
-		byVal := out[name]
-		for _, hhi := range rw.ring.hh.Items() {
-			t, d := rw.estimate(hhi.Key, hhi.Key)
-			if t == 0 {
-				continue
-			}
-			if byVal == nil {
-				byVal = map[string]CountResult{}
-				out[name] = byVal
-			}
-			byVal[hhi.Key] = CountResult{Total: int(t), Drift: int(d)}
+	for name, hot := range v.sketchWin().hot {
+		if v.attrs[name] {
+			out[name] = maps.Clone(hot)
 		}
 	}
 }
 
-// pairCountsSketch fills the pairs touching sketched attributes on a
-// sketch-answered view: pair-ring heavy hitters the selection keeps, each
-// estimated over the window.
+// pairCountsSketch fills the pairs with a sketched side on a sketch-answered
+// view by point queries over the cross product of two attributes' candidate
+// values: those the window's n rows hold at least n/HeavyHitters times,
+// counted exactly or estimated among a value ring's heavy hitters (the
+// frequency that guarantees Space-Saving keeps it). So a side has at most
+// HeavyHitters candidates, and every pair of values that frequent — the
+// level-1 survivors while MinOccurrence ≥ 1/HeavyHitters — that the window
+// holds is reported, its estimate never below its count.
 func (v *View) pairCountsSketch(out map[PairKey]CountResult, sel pairSel) {
-	pairs := v.sketchWin().pairs
-	for _, hhi := range pairs.ring.hh.Items() {
-		k, ok := parsePairKey(hhi.Key)
-		if !ok || !sel.keeps(k.AttrA, k.ValA) || !sel.keeps(k.AttrB, k.ValB) {
-			continue
+	sw, cands := v.sketchWin(), v.pairCandidates(sel)
+	for a, avals := range cands {
+		for b, bvals := range cands {
+			if a >= b || !v.sketched[a] && !v.sketched[b] {
+				continue
+			}
+			for _, va := range avals {
+				for _, vb := range bvals {
+					k := PairKey{AttrA: a, ValA: va, AttrB: b, ValB: vb}
+					if t, d := sw.pairs.estimate(k, pairSketchKey(a, va, b, vb)); t > 0 {
+						out[k] = CountResult{Total: int(t), Drift: int(d)}
+					}
+				}
+			}
 		}
-		if !v.attrs[k.AttrA] || !v.attrs[k.AttrB] {
-			continue
-		}
-		t, d := pairs.estimate(k, hhi.Key)
-		if t == 0 {
-			continue
-		}
-		cr := out[k]
-		cr.Total += int(t)
-		cr.Drift += int(d)
-		out[k] = cr
 	}
+}
+
+// pairCandidates returns each attribute's candidate values that the
+// selection keeps. Under a mask, only the mask's exact values are counted.
+func (v *View) pairCandidates(sel pairSel) map[string][]string {
+	counts := map[string]map[string]CountResult{}
+	if sel.mask == nil {
+		counts = v.attrValueCountsBitset(nil, tierSketch)
+	}
+	for name, vals := range sel.mask {
+		if v.attrs[name] && !v.sketched[name] {
+			counts[name] = make(map[string]CountResult, len(vals))
+			for val := range vals {
+				counts[name][val], _ = v.countBitset([]Cond{{Attr: name, Value: val}}, nil)
+			}
+		}
+	}
+	maps.Copy(counts, v.sketchWin().hot)
+	n, hh := v.Len(), v.sk.cfg.HeavyHitters
+	out := map[string][]string{}
+	for name, byVal := range counts {
+		for val, cr := range byVal {
+			if cr.Total > 0 && cr.Total*hh >= n && sel.keeps(name, val) {
+				out[name] = append(out[name], val)
+			}
+		}
+	}
+	return out
 }

@@ -374,7 +374,7 @@ func MineCachedContext(ctx context.Context, sc *SupportCache, delta *driftlog.Vi
 					continue
 				}
 				seen[key] = true
-				if pruned(cand, frequent, v, ov) {
+				if pruned(cand, frequent) {
 					continue
 				}
 				cands = append(cands, cand)
@@ -514,21 +514,19 @@ func join(a, b Itemset) (Itemset, bool) {
 }
 
 // pruned is apriori's prune step: a candidate with a (k-1)-subset missing
-// from the previous level cannot be frequent and need not be counted. It
-// applies only where the missing subset was counted exactly — counts are
-// then monotone under adding a condition, and the candidate's own count
-// (exact, or a sketch estimate capped by its exact-attribute subset) falls
-// under the same threshold; a subset the sketch tier answered may be absent
-// because no heavy hitter enumerated it, which proves nothing.
-func pruned(cand Itemset, frequent map[string]bool, v *driftlog.View, ov *driftlog.Overlay) bool {
+// from the previous level cannot be frequent and need not be counted. On
+// the exact tiers counts are monotone under adding a condition. On the
+// sketch tier every mask-kept pair is estimated (PairCountsMasked
+// enumerates the survivors' cross product whenever MinOccurrence ≥
+// 1/SketchConfig.HeavyHitters), so a missing pair's estimate fell below the
+// threshold — and, estimates being one-sided, so did its true count — while
+// the candidate's own estimate is capped by that pair's.
+func pruned(cand Itemset, frequent map[string]bool) bool {
 	sub := make(Itemset, len(cand)-1)
 	for drop := range cand {
 		copy(sub, cand[:drop])
 		copy(sub[drop:], cand[drop+1:])
-		if frequent[sub.Key()] {
-			continue
-		}
-		if approx, _ := v.Approx(sub, ov); !approx {
+		if !frequent[sub.Key()] {
 			return true
 		}
 	}

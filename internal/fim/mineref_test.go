@@ -190,19 +190,25 @@ func TestMineMatchesReferenceMiner(t *testing.T) {
 	}
 }
 
-// TestPruneSparesSketchedSubsets holds the prune step to its condition. The
-// pair ring here has 20 heavy-hitter slots for 62 pairs, so a pair with a
-// sketched side can be absent from level 2 because nothing enumerated it, not
-// because it is rare — and a triple above it, joined from its two other
-// subsets, is still a cause the count-everything miner reports. Pruning on
-// that absence would lose it.
-func TestPruneSparesSketchedSubsets(t *testing.T) {
+// TestSketchPairsHaveNoFalseNegatives holds the sketch tier to what the
+// unconditional prune step relies on: PairCountsMasked under apriori's mask
+// (level-1 survivors at the default MinOccurrence ≥ 1/HeavyHitters) reports
+// every mask-kept pair the window holds, with an estimate never below its
+// row count — so a pair missing from level 2 is rare, and so is every
+// candidate above it. The log has a sketched attribute with a hot head and
+// a long tail, and mining it still equals the count-everything reference.
+func TestSketchPairsHaveNoFalseNegatives(t *testing.T) {
 	r := rand.New(rand.NewSource(0))
-	s := driftlog.NewStoreWithSketch(driftlog.SketchConfig{Threshold: 4, Bucket: 100 * time.Second, MaxBuckets: 16, PairHeavyHitters: 20, Seed: 7})
+	s := driftlog.NewStoreWithSketch(driftlog.SketchConfig{Threshold: 100, Bucket: 100 * time.Second, MaxBuckets: 16, Seed: 7})
 	batch := make([]driftlog.Entry, 8000)
 	for i := range batch {
-		x, y, sv := fmt.Sprint("x", r.Intn(2)), fmt.Sprint("y", r.Intn(4)), "s0"
-		if r.Float64() < 0.6 {
+		x, y, z, sv := fmt.Sprint("x", r.Intn(2)), fmt.Sprint("y", r.Intn(4)), fmt.Sprint("z", r.Intn(70)), "s0"
+		switch u := r.Float64(); {
+		case u < 0.2:
+			sv = fmt.Sprint("tail", r.Intn(500))
+		case u < 0.26:
+			sv = fmt.Sprint("mid", r.Intn(5)) // just above MinOccurrence, as z's values are
+		case u < 0.8:
 			sv = fmt.Sprint("s", 1+r.Intn(6))
 		}
 		p := 0.03
@@ -210,34 +216,73 @@ func TestPruneSparesSketchedSubsets(t *testing.T) {
 			p = 0.9
 		}
 		batch[i] = driftlog.Entry{Time: time.Unix(int64(r.Intn(1000)), 0), Drift: r.Float64() < p, SampleID: -1,
-			Attrs: map[string]string{"x": x, "y": y, "s": sv}}
+			Attrs: map[string]string{"x": x, "y": y, "z": z, "s": sv}}
 	}
 	s.AppendBatch(batch)
-	v := s.All()
+	if got := s.SketchedAttrs(); len(got) != 1 || got[0] != "s" {
+		t.Fatalf("sketched attrs %v, want [s]", got)
+	}
 	th := DefaultThresholds()
 	th.MinConfidence = 0.3 // the one-sided totals dilute a sketched cause's confidence
-	got, err := MineContext(context.Background(), v, nil, th)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want := refMine(t, v, nil, th); !reflect.DeepEqual(got, want) {
-		t.Fatalf("mined %v\nreference %v", got, want)
-	}
-	enumerated := v.PairCounts(nil, nil)
-	spared := 0
-	for _, res := range got {
-		for drop := 0; len(res.Items) == 3 && drop < 3; drop++ {
-			a, b := res.Items[(drop+1)%3], res.Items[(drop+2)%3]
-			if b.Attr < a.Attr {
-				a, b = b, a
+	for _, v := range []*driftlog.View{s.All(), s.Window(time.Unix(200, 0), time.Unix(700, 0))} {
+		from, to := v.Bounds()
+		truth := map[driftlog.PairKey]driftlog.CountResult{}
+		s.Each(func(_ int, e driftlog.Entry) {
+			if ns := e.Time.UnixNano(); ns < from || ns >= to {
+				return
 			}
-			if _, ok := enumerated[driftlog.PairKey{AttrA: a.Attr, ValA: a.Value, AttrB: b.Attr, ValB: b.Value}]; !ok {
-				spared++
+			for a, va := range e.Attrs {
+				for b, vb := range e.Attrs {
+					if a < b {
+						k := driftlog.PairKey{AttrA: a, ValA: va, AttrB: b, ValB: vb}
+						cr := truth[k]
+						cr.Total++
+						if e.Drift {
+							cr.Drift++
+						}
+						truth[k] = cr
+					}
+				}
+			}
+		})
+		mask := driftlog.ValueMask{}
+		for attr, byVal := range v.AttrValueCounts(nil) {
+			for val, cr := range byVal {
+				if float64(cr.Total) >= th.MinOccurrence*float64(v.Len()) {
+					if mask[attr] == nil {
+						mask[attr] = map[string]bool{}
+					}
+					mask[attr][val] = true
+				}
 			}
 		}
-	}
-	if spared == 0 {
-		t.Fatalf("no mined triple has a 2-subset the sketches did not enumerate: the test no longer exercises the condition (mined %v)", got)
+		if len(mask["s"]) == 0 {
+			t.Fatal("no sketched value survives level 1: the test is vacuous")
+		}
+		got := v.PairCountsMasked(nil, mask)
+		kept := 0
+		for k, want := range truth {
+			if !mask[k.AttrA][k.ValA] || !mask[k.AttrB][k.ValB] {
+				continue
+			}
+			kept++
+			if cr, ok := got[k]; !ok || cr.Total < want.Total || cr.Drift < want.Drift {
+				t.Fatalf("window [%d, %d): mask-kept pair %+v holds %+v, reported %+v (present %v)", from, to, k, want, cr, ok)
+			}
+		}
+		if kept == 0 {
+			t.Fatal("no mask-kept pair in the window")
+		}
+		mined, err := MineContext(context.Background(), v, nil, th)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := refMine(t, v, nil, th); !reflect.DeepEqual(mined, want) {
+			t.Fatalf("mined %v\nreference %v", mined, want)
+		}
+		if len(mined) == 0 {
+			t.Fatal("nothing mined")
+		}
 	}
 }
 

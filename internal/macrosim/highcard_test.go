@@ -120,14 +120,14 @@ func TestHighCardSketchEndToEnd(t *testing.T) {
 	}
 	sc.Devices = 10000 // full 50k fleet is for nazar-sim; the path is identical
 
-	run := func(workers int) (*cloud.Service, *Summary) {
+	run := func(workers, threshold int) (*cloud.Service, *Summary) {
 		cfg := cloud.DefaultConfig()
-		cfg.Sketch.Threshold = 512
+		cfg.Sketch.Threshold = threshold
 		svc := cloud.NewService(nn.NewClassifier(nn.ArchResNet18, 8, 2, tensor.NewRand(1, 2)), cfg)
 		sum := runScenario(t, sc, WithSink(serviceSink{svc}), WithWorkers(workers))
 		return svc, sum
 	}
-	svc, sum := run(1)
+	svc, sum := run(1, 512)
 	if sum.Totals.SinkReported == 0 {
 		t.Fatal("sink saw no entries")
 	}
@@ -181,7 +181,7 @@ func TestHighCardSketchEndToEnd(t *testing.T) {
 	// Pool width changes wall-clock only: the delivered entry set, the
 	// fleet summary, and the order-independent Count-Min totals all
 	// agree between 1 and 8 workers.
-	svc8, sum8 := run(8)
+	svc8, sum8 := run(8, 512)
 	b1, err := sum.MarshalStable()
 	if err != nil {
 		t.Fatal(err)
@@ -210,4 +210,28 @@ func TestHighCardSketchEndToEnd(t *testing.T) {
 			t.Fatalf("cond %v: counts differ across widths: %+v vs %+v", cond, a, b)
 		}
 	}
+
+	// The product output does not depend on the tier: diagnosing the
+	// whole log finds the same causes, in the same order, when the
+	// synthetic attributes stay exact.
+	exactSvc, _ := run(1, 1<<30)
+	if got := exactSvc.Log().SketchedAttrs(); len(got) != 0 {
+		t.Fatalf("exact-tier service sketched %v", got)
+	}
+	diagnose := func(svc *cloud.Service) []string {
+		causes, err := svc.DiagnoseContext(context.Background(), time.Time{}, time.Time{}, simEpoch)
+		if err != nil {
+			t.Fatal(err)
+		}
+		keys := make([]string, len(causes))
+		for i, c := range causes {
+			keys[i] = c.Key()
+		}
+		return keys
+	}
+	sketchCauses, exactCauses := diagnose(svc), diagnose(exactSvc)
+	if len(exactCauses) == 0 || !slices.Equal(sketchCauses, exactCauses) {
+		t.Fatalf("sketch-tier causes %q, exact-tier causes %q", sketchCauses, exactCauses)
+	}
+	t.Log(sketchCauses)
 }

@@ -2,6 +2,9 @@ package rca
 
 import (
 	"context"
+	"fmt"
+	"math/rand"
+	"slices"
 	"testing"
 	"time"
 
@@ -322,5 +325,75 @@ func TestCounterfactualDoesNotAliasSupportKeys(t *testing.T) {
 	}
 	if one := (Cause{Items: assocs[0].Coarse.Items}).Key(); one == causes[0].Key() {
 		t.Fatalf("the single condition and the pair share the key %q", one)
+	}
+}
+
+// TestSketchTierCauseSet pins RCA's product output on the sketch tier
+// against the exact tier: the same seeded rows, mined on a store where
+// app_version tiers up and on one where it stays exact, give the same
+// causes in the same rank order. One planted cause is a pair with the
+// sketched attribute; the other is a triple with it, whose third item the
+// version implies (v3 ships on hw_1 only). A sketch-tier triple count is
+// the minimum of its subsets' counts, so it ties its tightest subset and
+// loses the tie on size: a triple with a sketched attribute surfaces as
+// that subset, and the implied item makes the exact tier agree, so both
+// tiers report the pair {v3, w0}.
+func TestSketchTierCauseSet(t *testing.T) {
+	r := rand.New(rand.NewSource(3))
+	base := time.Unix(0, 0).UTC()
+	rows := make([]driftlog.Entry, 20000)
+	for i := range rows {
+		v := r.Intn(3000)
+		if r.Float64() < 0.6 {
+			v = r.Intn(4) // four hot versions, 15% of rows each
+		}
+		attrs := map[string]string{
+			"app_version":         fmt.Sprint("v", v),
+			driftlog.AttrWeather:  fmt.Sprint("w", r.Intn(3)),
+			driftlog.AttrLocation: fmt.Sprint("city_", r.Intn(6)),
+			"hw":                  fmt.Sprint("hw_", r.Intn(3)),
+		}
+		if v == 3 {
+			attrs["hw"] = "hw_1"
+		}
+		p := 0.03
+		switch {
+		case attrs["app_version"] == "v1" && attrs[driftlog.AttrLocation] == "city_2":
+			p = 0.95
+		case attrs["app_version"] == "v3" && attrs[driftlog.AttrWeather] == "w0" && attrs["hw"] == "hw_1":
+			p = 0.8
+		}
+		rows[i] = driftlog.Entry{Time: base.Add(time.Duration(i) * 100 * time.Millisecond),
+			Drift: r.Float64() < p, SampleID: -1, Attrs: attrs}
+	}
+	causes := func(threshold int) ([]string, *driftlog.Store) {
+		s := driftlog.NewStoreWithSketch(driftlog.SketchConfig{Threshold: threshold})
+		for lo := 0; lo < len(rows); lo += 256 {
+			s.AppendBatch(rows[lo:min(lo+256, len(rows))])
+		}
+		got, err := AnalyzeContext(context.Background(), s.All(), DefaultConfig(), Full)
+		if err != nil {
+			t.Fatal(err)
+		}
+		keys := make([]string, len(got))
+		for i, c := range got {
+			keys[i] = c.Key()
+		}
+		return keys, s
+	}
+	sketched, s := causes(256)
+	if got := s.SketchedAttrs(); len(got) != 1 || got[0] != "app_version" {
+		t.Fatalf("sketched attrs %v, want [app_version]", got)
+	}
+	exact, _ := causes(1 << 30)
+	if !slices.Equal(sketched, exact) {
+		t.Fatalf("sketch-tier causes %q, exact-tier causes %q", sketched, exact)
+	}
+	want := []string{
+		fim.NewItemset(driftlog.Cond{Attr: "app_version", Value: "v3"}, driftlog.Cond{Attr: driftlog.AttrWeather, Value: "w0"}).Key(),
+		fim.NewItemset(driftlog.Cond{Attr: "app_version", Value: "v1"}, driftlog.Cond{Attr: driftlog.AttrLocation, Value: "city_2"}).Key(),
+	}
+	if !slices.Equal(exact, want) {
+		t.Fatalf("exact-tier causes %q, want the two planted causes %q", exact, want)
 	}
 }

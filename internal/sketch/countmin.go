@@ -127,11 +127,27 @@ func (c *CountMin) AddCounts(key string, total, drift uint32) {
 // clamp preserves the one-sided guarantee because true drift <= true
 // total <= estimated total).
 func (c *CountMin) Estimate(key string) Estimate {
+	return c.EstimateHash(c.Hash(key))
+}
+
+// KeyHash is a key's hash under one seed: Estimate is Hash then
+// EstimateHash, so a caller probing many sketches that share a seed (a
+// ring of time buckets) hashes each key once.
+type KeyHash struct{ h1, h2 uint64 }
+
+// Hash returns key's hash under c's seed.
+func (c *CountMin) Hash(key string) KeyHash {
 	h1, h2 := c.hashPair(key)
+	return KeyHash{h1, h2}
+}
+
+// EstimateHash is Estimate for a key hashed by Hash on a sketch with c's
+// seed (of any width and depth).
+func (c *CountMin) EstimateHash(h KeyHash) Estimate {
 	w := uint64(c.width)
 	est := Estimate{Total: math.MaxUint32, Drift: math.MaxUint32}
 	for i := uint32(0); i < c.depth; i++ {
-		idx := (h1 + uint64(i)*h2) % w
+		idx := (h.h1 + uint64(i)*h.h2) % w
 		cell := (uint64(i)*w + idx) * 2
 		t := atomic.LoadUint32(&c.rows[cell])
 		d := atomic.LoadUint32(&c.rows[cell+1])

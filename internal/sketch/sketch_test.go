@@ -106,6 +106,28 @@ func TestCountMinAddCountsLinear(t *testing.T) {
 	}
 }
 
+// TestCountMinHashOnce pins the hash-once probe: a key hashed by one sketch
+// estimates, on every sketch sharing its seed — whatever its width, depth
+// and contents — exactly what that sketch's Estimate returns.
+func TestCountMinHashOnce(t *testing.T) {
+	rng := rand.New(rand.NewSource(6))
+	ring := []*CountMin{NewCountMin(64, 3, 11), NewCountMin(64, 3, 11), NewCountMin(257, 5, 11), NewCountMin(8, 1, 11)}
+	for _, cm := range ring {
+		for i := 0; i < 500; i++ {
+			cm.AddCounts(fmt.Sprintf("k%d", rng.Intn(400)), uint32(1+rng.Intn(4)), uint32(rng.Intn(2)))
+		}
+	}
+	for i := 0; i < 2000; i++ {
+		key := fmt.Sprintf("k%d", rng.Intn(800))
+		h := ring[0].Hash(key)
+		for j, cm := range ring {
+			if got, want := cm.EstimateHash(h), cm.Estimate(key); got != want {
+				t.Fatalf("key %s sketch %d: EstimateHash %+v, Estimate %+v", key, j, got, want)
+			}
+		}
+	}
+}
+
 func TestCountMinMergeMismatchPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {
