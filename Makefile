@@ -13,9 +13,9 @@ GO ?= go
 # and the device half — nn, registry, device — where installed versions
 # are views reading one backbone's weights from whichever goroutines
 # drive the devices).
-RACE_PKGS = ./internal/cloud/... ./internal/driftlog/... ./internal/fim/... ./internal/rca/... ./internal/httpapi/... ./internal/tensor/... ./internal/transport/... ./internal/faultinject/... ./internal/macrosim/... ./internal/sketch/... ./internal/nn/... ./internal/registry/... ./internal/device/...
+RACE_PKGS = ./internal/cloud/... ./internal/driftlog/... ./internal/fim/... ./internal/rca/... ./internal/httpapi/... ./internal/tensor/... ./internal/transport/... ./internal/faultinject/... ./internal/macrosim/... ./internal/nn/... ./internal/registry/... ./internal/device/...
 
-.PHONY: ci vet staticcheck build loc test race race-chaos chaos macrosim-smoke fuzz fuzz-smoke bench bench-kernels bench-analysis bench-wal bench-wire bench-macrosim bench-sketch bench-smoke clean
+.PHONY: ci vet staticcheck build loc test race race-chaos chaos macrosim-smoke fuzz fuzz-smoke bench bench-kernels bench-analysis bench-wal bench-wire bench-macrosim bench-smoke clean
 
 ci: vet staticcheck build loc test race race-chaos macrosim-smoke
 
@@ -103,7 +103,6 @@ fuzz-smoke:
 	$(GO) test ./internal/driftlog/ -run '^$$' -fuzz FuzzWireDecode -fuzztime 30s
 	$(GO) test ./internal/nn/ -run '^$$' -fuzz FuzzQuantizedForward -fuzztime 30s
 	$(GO) test ./internal/macrosim/ -run '^$$' -fuzz FuzzParseScenario -fuzztime 30s
-	$(GO) test ./internal/driftlog/ -run '^$$' -fuzz FuzzSketchDifferential -fuzztime 30s
 
 bench:
 	$(GO) test -run '^$$' -bench 'BenchmarkIngest$$|BenchmarkRunWindow$$' -benchtime 2s .
@@ -167,20 +166,6 @@ bench-macrosim:
 	$(GO) run ./cmd/benchjson < bench-macrosim.out > BENCH_macrosim.json
 	@rm -f bench-macrosim.out
 	@echo "wrote BENCH_macrosim.json"
-
-# High-cardinality index-tier benchmarks: sketch-backed counting,
-# per-value group-bys and (re-)mining vs the exact bitset path at
-# 100k/1M rows × 100/100k distinct values, each reporting index-bytes;
-# the sketch-tier write path (BenchmarkSketchAppend: µs/row, allocs/row,
-# distinct-keys/row, offers/row — one Space-Saving offer per sketched
-# value, pairs are Count-Min only) and the Space-Saving offer under it.
-# Results (including sketch-vs-exact speedups) land in BENCH_sketch.json.
-bench-sketch:
-	$(GO) test -run '^$$' -bench 'BenchmarkSketch|BenchmarkSpaceSaving' -benchmem -benchtime 0.5s -count 5 \
-		./internal/driftlog/ ./internal/fim/ ./internal/sketch/ | tee bench-sketch.out
-	$(GO) run ./cmd/benchjson < bench-sketch.out > BENCH_sketch.json
-	@rm -f bench-sketch.out
-	@echo "wrote BENCH_sketch.json"
 
 # One-iteration pass over every benchmark in the repo — the CI smoke
 # check that none of them rotted.

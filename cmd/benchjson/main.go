@@ -136,9 +136,8 @@ func parseBenchLine(line string) (Benchmark, bool) {
 // bitset-vs-scan analytics, cached-vs-first window re-mining,
 // keyed-vs-rebuild candidate sorting, append cost without vs with
 // the write-ahead log (where the "speedup" reads as the durability
-// overhead factor), binary-vs-json ingest wire codecs, the
-// int8-vs-float quantized execution mode, and the sketch-vs-exact
-// high-cardinality index tiers.
+// overhead factor), binary-vs-json ingest wire codecs and the
+// int8-vs-float quantized execution mode.
 var variantPairs = []struct{ fast, slow string }{
 	{"blocked", "ref"},
 	{"bitset", "scan"},
@@ -147,7 +146,6 @@ var variantPairs = []struct{ fast, slow string }{
 	{"nowal", "wal"},
 	{"binary", "json"},
 	{"int8", "float"},
-	{"sketch", "exact"},
 }
 
 // speedups pairs Foo/<fast>/N with Foo/<slow>/N benchmarks (the size

@@ -78,7 +78,7 @@ func main() {
 		rolloutSpec = flag.String("rollout", "", "with -scenario, override the pack's staged rollout (candidate=v2,delta=-0.1,steps=1:5:25,guard=0.03,min=100[,ceiling=50][,drift-guard=0.1][,start=1])")
 		workers     = flag.Int("workers", 0, "with -scenario, worker-pool width (0 = GOMAXPROCS; never changes results)")
 		simOut      = flag.String("sim-out", "", "with -scenario, write the deterministic summary JSON here")
-		simSketch   = flag.Int("sim-sketch-threshold", 0, "with -scenario, ingest the pack's sampled entries (sink_every) into an in-process drift log whose index tiers to sketches past this distinct-value count, and report the index tiers after the run (0 = off)")
+		simSketch   = flag.Int("sim-sketch-threshold", 0, "with -scenario, ingest the pack's sampled entries (sink_every) into an in-process drift log whose attributes drop their bitmaps past this distinct-value count, and report the index after the run (0 = off)")
 	)
 	flag.Parse()
 
@@ -232,11 +232,10 @@ func runScenario(path, rolloutSpec string, workers int, outPath string, sketchTh
 		sc.Devices, sc.Windows, elapsed.Round(time.Millisecond), deviceWindows/elapsed.Seconds())
 	if store != nil {
 		st := store.Stats()
-		fmt.Printf("drift log: %d rows, %d attrs (%d sketched), exact index %d bitmaps / %d KiB, sketch tier %d buckets / %d KiB\n",
-			st.Rows, st.Attributes, st.SketchAttrs, st.IndexBitmaps, st.IndexWords*8/1024,
-			st.SketchBuckets, st.SketchBytes/1024)
+		fmt.Printf("drift log: %d rows, %d attrs (%d tiered up, no bitmaps), index %d bitmaps / %d KiB\n",
+			st.Rows, st.Attributes, st.SketchAttrs, st.IndexBitmaps, st.IndexWords*8/1024)
 		if attrs := store.SketchedAttrs(); len(attrs) > 0 {
-			fmt.Printf("sketched attributes: %v\n", attrs)
+			fmt.Printf("tiered attributes: %v\n", attrs)
 		}
 	}
 

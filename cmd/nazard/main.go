@@ -51,10 +51,7 @@ func main() {
 		walSegMB   = flag.Int("wal-segment-mb", 4, "WAL segment rotation threshold in MiB")
 		walCompact = flag.Int("wal-compact-segments", 4, "sealed segments from which each rotation runs background WAL compaction, deleting the segments -retention has expired (0 = never)")
 
-		sketchThreshold = flag.Int("sketch-threshold", 0, "distinct values per attribute before the drift-log index switches to sketches (0 = library default)")
-		sketchWidth     = flag.Int("sketch-width", 0, "Count-Min cells per hash row for sketched attributes (0 = library default)")
-		sketchDepth     = flag.Int("sketch-depth", 0, "Count-Min hash rows for sketched attributes (0 = library default)")
-		sketchBucket    = flag.Duration("sketch-bucket", 0, "sub-sketch time-bucket alignment for sliding-window queries (0 = library default)")
+		sketchThreshold = flag.Int("sketch-threshold", 0, "distinct values per attribute before the drift log drops its bitmaps and answers queries on it by row walks (0 = library default)")
 	)
 	flag.Parse()
 
@@ -79,9 +76,6 @@ func main() {
 	ccfg := cloud.DefaultConfig()
 	ccfg.LogRetention = *retain
 	ccfg.Sketch.Threshold = *sketchThreshold
-	ccfg.Sketch.Width = *sketchWidth
-	ccfg.Sketch.Depth = *sketchDepth
-	ccfg.Sketch.Bucket = *sketchBucket
 	// One registry carries the whole pipeline: service counters, request
 	// metrics and (via GET /metrics) the Prometheus exposition. Runtime
 	// profiles are live under /debug/pprof/ on the same listener.

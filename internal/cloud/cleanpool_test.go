@@ -101,7 +101,7 @@ func cleanSamplesRef(log *driftlog.Store, causes []rca.Cause, from, to time.Time
 // small batches of random rows over eight hours of day — so sample IDs
 // land in the log out of row order. About a third of the rows carry no
 // sample and one in twenty has no location; firmware has 60 values, so
-// under a lowered sketch threshold it tiers up.
+// under a lowered tier-up threshold it drops its bitmaps.
 func ingestTwoWriters(t *testing.T, svc *Service, day time.Time, seed uint64) {
 	t.Helper()
 	var wg sync.WaitGroup
@@ -142,7 +142,7 @@ func ingestTwoWriters(t *testing.T, svc *Service, day time.Time, seed uint64) {
 
 // TestCleanSamplesMatchReference: the clean pool read from the window's
 // view is the reference rule's ID list exactly, gathered by ID — with
-// concurrent writers, no, one or three causes (one on a sketched
+// concurrent writers, no, one or three causes (one on a tiered
 // attribute), and bounded and unbounded windows.
 func TestCleanSamplesMatchReference(t *testing.T) {
 	base := nn.NewClassifier(nn.ArchResNet18, 2, 3, tensor.NewRand(42, 1))
@@ -165,7 +165,7 @@ func TestCleanSamplesMatchReference(t *testing.T) {
 		svc := NewService(base, cfg)
 		ingestTwoWriters(t, svc, day, seed)
 		if !slices.Contains(svc.Log().SketchedAttrs(), "firmware") {
-			t.Fatalf("firmware is not on the sketch tier: %v", svc.Log().SketchedAttrs())
+			t.Fatalf("firmware did not tier up: %v", svc.Log().SketchedAttrs())
 		}
 		if rowOrder, _ := svc.Log().All().SampleIDs(nil); !slices.IsSorted(rowOrder) {
 			interleaved++

@@ -50,14 +50,8 @@ import (
 //	                                  itemsets scored per apriori level;
 //	                                  level 3+ is what survived the prune
 //	                                  step and was counted
-//	nazar_sketch_attrs                attributes on the sketch tier
-//	nazar_sketch_buckets              live sub-sketch buckets (incl. rest)
-//	nazar_sketch_bytes                sketch-tier resident bytes
-//	nazar_sketch_evicted              sub-sketch buckets folded into rest
-//	nazar_sketch_feed_rows_total      rows handed to the batch sketch feed
-//	nazar_sketch_feed_keys_total      distinct keys it added for them (keys
-//	                                  per row below the attribute's sketch
-//	                                  items per row = work the grouping saved)
+//	nazar_sketch_attrs                attributes that tiered up (no bitmaps;
+//	                                  queries on them walk the window's rows)
 //	nazar_driftlog_rows               current drift-log rows
 //	nazar_driftlog_shard_rows{shard=} per-shard occupancy
 //	nazar_driftlog_attributes         distinct attribute names
@@ -216,20 +210,8 @@ func (m *Metrics) observeStores(s *Service) {
 			return float64(s.acache.mine.Size())
 		})
 
-	reg.GaugeFunc("nazar_sketch_attrs", "Attributes answered by the approximate sketch tier.",
+	reg.GaugeFunc("nazar_sketch_attrs", "Attributes that tiered up: their columns hold no bitmaps and queries on them walk rows.",
 		func() float64 { return float64(logStats.Load().SketchAttrs) })
-	reg.GaugeFunc("nazar_sketch_buckets", "Live sub-sketch buckets across all sketch rings.",
-		func() float64 { return float64(logStats.Load().SketchBuckets) })
-	reg.GaugeFunc("nazar_sketch_bytes", "Resident bytes held by the sketch tier.",
-		func() float64 { return float64(logStats.Load().SketchBytes) })
-	reg.GaugeFunc("nazar_sketch_evicted", "Sub-sketch buckets folded into the rest bucket.",
-		func() float64 { return float64(logStats.Load().SketchEvicted) })
-	reg.GaugeFunc("nazar_sketch_feed_rows_total", "Rows handed to the batch sketch feed (appends and replays).",
-		func() float64 { return float64(logStats.Load().SketchFeedRows) })
-	reg.GaugeFunc("nazar_sketch_feed_keys_total", "Distinct keys the batch sketch feed added to a Count-Min bucket.",
-		func() float64 { return float64(logStats.Load().SketchFeedKeys) })
-	reg.GaugeFunc("nazar_sketch_feed_offers_total", "Space-Saving offers the batch sketch feed made (one per sketched value fed).",
-		func() float64 { return float64(logStats.Load().SketchFeedOffers) })
 
 	reg.GaugeFunc("nazar_samples_retained", "Drift-log rows holding an uploaded vector.",
 		func() float64 { return float64(logStats.Load().Samples) })

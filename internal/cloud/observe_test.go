@@ -195,8 +195,7 @@ func TestObserverCounters(t *testing.T) {
 		"nazar_ingest_sample_bytes_total 40",
 		"nazar_driftlog_rows 3",
 		"nazar_driftlog_unsorted_shards 0",
-		"nazar_sketch_feed_rows_total 0", // nothing on the sketch tier
-		"nazar_sketch_feed_keys_total 0",
+		"nazar_sketch_attrs 0", // nothing tiered up
 		"nazar_samples_retained 2",
 		"nazar_versions_deployed 0",
 	} {
@@ -228,11 +227,10 @@ func TestObserverUnsortedShards(t *testing.T) {
 	}
 }
 
-// TestObserverSketchFeed: once an attribute is on the sketch tier, a scrape
-// shows the batch feed's rows, the distinct keys it added for them and its
-// Space-Saving offers — here six rows of three distinct versions under one
-// weather: 3 value keys + 3 pair keys, where a key per row and item would
-// have been 12, and one offer per row (its version; pairs make none).
+// TestObserverSketchFeed: once an attribute tiers up, a scrape shows it, and
+// the index holds no bitmap for it — here six rows of three distinct
+// versions under one weather, one row per shard (no device), so the six
+// bitmaps are the weather's, one per shard.
 func TestObserverSketchFeed(t *testing.T) {
 	base := nn.NewClassifier(nn.ArchResNet18, 8, 2, tensor.NewRand(17, 1))
 	reg := obs.NewRegistry()
@@ -251,7 +249,7 @@ func TestObserverSketchFeed(t *testing.T) {
 	if err := reg.WritePrometheus(&buf); err != nil {
 		t.Fatal(err)
 	}
-	for _, want := range []string{"nazar_sketch_attrs 1\n", "nazar_sketch_feed_rows_total 6\n", "nazar_sketch_feed_keys_total 6\n", "nazar_sketch_feed_offers_total 6\n"} {
+	for _, want := range []string{"nazar_sketch_attrs 1\n", "nazar_driftlog_index_bitmaps 6\n"} {
 		if !strings.Contains(buf.String(), want) {
 			t.Fatalf("exposition missing %q\n%s", want, buf.String())
 		}

@@ -48,11 +48,10 @@ type Config struct {
 	// older than the last cutoff. Note that retention interacts with
 	// cumulative analysis: compacted history no longer supports causes.
 	LogRetention time.Duration
-	// Sketch tunes the drift log's tiered approximate-counting layer for
-	// high-cardinality attributes (see driftlog.SketchConfig). The zero
-	// value selects the defaults; ordinary categorical attributes never
-	// cross the default threshold, so behavior is exact unless the fleet
-	// actually logs a high-cardinality attribute.
+	// Sketch sets the drift log's tier-up threshold: an attribute with more
+	// distinct values drops its bitmaps and is answered by row walks (see
+	// driftlog.SketchConfig). The zero value selects the default, which
+	// ordinary categorical attributes never cross.
 	Sketch driftlog.SketchConfig
 }
 

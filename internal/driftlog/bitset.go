@@ -400,12 +400,13 @@ func (v *View) clearDriftBitset(conds []Cond, ov *Overlay) (int, error) {
 // so past 64 values the shard walks its window rows for that column instead.
 const maxValueSweep = 64
 
-// attrValueCountsBitset is the grouped aggregation: one AND+popcount per
-// (attribute, value) bitmap, or one walk of the window's rows for a column
-// with more than maxValueSweep values or none of the bitmaps (sketched) —
-// unless the sketches answer the sketched columns (tierSketch: left to
-// attrValueCountsSketch).
-func (v *View) attrValueCountsBitset(ov *Overlay, t tier) map[string]map[string]CountResult {
+// AttrValueCounts returns, for each attribute, the per-value totals and
+// drift counts inside the view — the single-pass aggregation the first
+// apriori level needs (one "SQL GROUP BY" per attribute): one AND+popcount
+// per (attribute, value) bitmap, or one walk of the window's rows for a
+// column with more than maxValueSweep values or none of the bitmaps
+// (sketched).
+func (v *View) AttrValueCounts(ov *Overlay) map[string]map[string]CountResult {
 	out := make(map[string]map[string]CountResult, len(v.attrs))
 	for name := range v.attrs {
 		out[name] = map[string]CountResult{}
@@ -420,9 +421,6 @@ func (v *View) attrValueCountsBitset(ov *Overlay, t tier) map[string]map[string]
 		var one [1]bmSnap
 		rows = rows[:0]
 		for name, col := range vs.cols {
-			if col.sketched && t == tierSketch {
-				continue
-			}
 			byVal := out[name]
 			if byVal == nil {
 				byVal = map[string]CountResult{}
@@ -555,12 +553,10 @@ const maxPairCross = 256
 
 // pairCounts is the one pair group-by: shards in parallel, each resolving
 // the selection to its own dictionary ids and counting in id space, the
-// per-shard partials merged once; on a sketch-answered view the sketches
-// then add the pairs with a sketched side under the same selection.
+// per-shard partials merged once.
 func (v *View) pairCounts(ov *Overlay, sel pairSel) map[PairKey]CountResult {
-	t := v.tier(len(v.sketched) > 0, ov)
 	var partial [numShards][]pairCount
-	v.eachShard(func(si int) { partial[si] = v.shards[si].pairCounts(ov, si, sel, t) })
+	v.eachShard(func(si int) { partial[si] = v.shards[si].pairCounts(ov, si, sel) })
 	n := 0
 	for _, p := range partial {
 		n = max(n, len(p))
@@ -568,9 +564,6 @@ func (v *View) pairCounts(ov *Overlay, sel pairSel) map[PairKey]CountResult {
 	out := make(map[PairKey]CountResult, n)
 	for _, p := range partial {
 		addPairs(out, p)
-	}
-	if t == tierSketch {
-		v.pairCountsSketch(out, sel)
 	}
 	return out
 }
@@ -580,10 +573,8 @@ func (v *View) pairCounts(ov *Overlay, sel pairSel) map[PairKey]CountResult {
 // window with each kept value bitmap of the first once and popcount it
 // against each kept value bitmap of the second, all over the window's word
 // range [wlo, whi); past it, or with a sketched side (no bitmaps), one walk
-// of the window's rows — unless the sketches answer the sketched pairs
-// (tierSketch: left to pairCountsSketch). PairKey strings are built for
-// counted pairs only.
-func (vs *viewShard) pairCounts(ov *Overlay, si int, sel pairSel, t tier) []pairCount {
+// of the window's rows. PairKey strings are built for counted pairs only.
+func (vs *viewShard) pairCounts(ov *Overlay, si int, sel pairSel) []pairCount {
 	if vs.wlo == vs.whi {
 		return nil // no window row in this shard
 	}
@@ -596,11 +587,7 @@ func (vs *viewShard) pairCounts(ov *Overlay, si int, sel pairSel, t tier) []pair
 	for a := 0; a < len(cols); a++ {
 		for b := a + 1; b < len(cols); b++ {
 			ka, kb := &cols[a], &cols[b]
-			sketched := ka.c.sketched || kb.c.sketched
-			if sketched && t == tierSketch {
-				continue
-			}
-			if sketched || ka.n*kb.n > maxPairCross {
+			if ka.c.sketched || kb.c.sketched || ka.n*kb.n > maxPairCross {
 				if rows == nil {
 					rows = vs.windowRows(make([]int32, 0, 64*(n-lo)))
 				}
@@ -700,8 +687,8 @@ func (c *idCounts) each(f func(key uint64, n CountResult)) {
 }
 
 // pairScanInto counts one pair of kept columns over the given shard rows —
-// the fallback for kept cross products too large to popcount, for pairs on
-// the sketch tier, and the exact count of a view's sketch edges. A row with
+// the fallback for kept cross products too large to popcount and for pairs
+// with a sketched side (no bitmaps). A row with
 // a value outside the selection on either side is skipped; counting runs in
 // slot space and each PairKey is materialized once per distinct kept pair.
 func (vs *viewShard) pairScanInto(ov *Overlay, si int, rows []int32, a, b *keptCol, out []pairCount) []pairCount {
@@ -729,9 +716,8 @@ func (vs *viewShard) pairScanInto(ov *Overlay, si int, rows []int32, a, b *keptC
 }
 
 // valueScanInto is pairScanInto for one column: its values counted over
-// the given shard rows — the exact group-by of an attribute with too many
-// values to popcount or on the sketch tier (no bitmaps), and the exact
-// count of a view's sketch edges.
+// the given shard rows — the group-by of an attribute with too many values
+// to popcount or with no bitmaps (sketched).
 func (vs *viewShard) valueScanInto(ov *Overlay, si int, rows []int32, c viewCol, out map[string]CountResult) {
 	counts := newIDCounts(len(c.dict), len(rows))
 	for _, r := range rows {

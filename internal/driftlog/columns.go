@@ -193,8 +193,7 @@ func (s *Store) AppendColumns(b *ColumnarBatch) error {
 // appends are slice extensions plus a lazy dictionary remap (batch dict
 // ID → shard dict ID, interned only for values that actually land in the
 // shard); the per-(attribute, value) bitmaps and the distinct-value
-// tracking are maintained here, and the batch is handed to the sketch feed
-// once, before its rows land. b must satisfy Validate's
+// tracking are maintained here. b must satisfy Validate's
 // structural invariants (ColumnsFromEntries output does by construction).
 func (s *Store) appendColumns(b *ColumnarBatch) {
 	rows := b.Rows()
@@ -224,10 +223,9 @@ func (s *Store) appendColumns(b *ColumnarBatch) {
 		s.registerAttrNames(names)
 	}
 
-	// Distinct-value tracking for the sketch tier: only values actually
-	// used by rows count (a dictionary entry no row references is not a
-	// sighting). Tier-ups run before the batch takes the sketch gate; the
-	// batch then feeds the sketches itself.
+	// Distinct-value tracking for the tier-up: only values actually used by
+	// rows count (a dictionary entry no row references is not a sighting).
+	// Tier-ups run before the batch's rows land.
 	{
 		sketched := s.sketchedSet()
 		var tier []string
@@ -255,14 +253,6 @@ func (s *Store) appendColumns(b *ColumnarBatch) {
 			s.tierUp(name)
 		}
 	}
-
-	// From here to the last shard append the batch holds the sketch gate in
-	// read mode: no tier-up or rebuild replays the shards in between, so the
-	// feed below and a replay never both count a row, and the batch is fed
-	// and landed under one sketched-set snapshot.
-	s.sk.tierMu.RLock()
-	defer s.sk.tierMu.RUnlock()
-	sketched := s.sketchedSet()
 
 	// Shard placement: by device-attribute hash when the row has one
 	// (precomputed per dictionary value, not per row, so one device's
@@ -307,11 +297,6 @@ func (s *Store) appendColumns(b *ColumnarBatch) {
 		shardEnd[si]++
 	}
 
-	// The sketches are fed before the rows land and outside the shard
-	// locks: a view that can see a row then finds its sketch mass already
-	// there (estimates stay one-sided), and appenders contend on a ring
-	// only for the adds of one batch.
-	s.sk.feedBatch(sketched, b, order)
 	var added int64
 
 	lo := 0
@@ -353,8 +338,12 @@ func (s *Store) appendColumns(b *ColumnarBatch) {
 					var ok bool
 					col, ok = sh.cols[name]
 					if !ok {
+						// Read under the shard lock, which a tier-up holds
+						// while it publishes the set.
 						col = newColumn(row)
-						col.sketched = sketched[name]
+						if s.sketchedSet()[name] {
+							col.dropBits()
+						}
 						sh.cols[name] = col
 						sh.order = append(sh.order, name)
 					}

@@ -19,6 +19,12 @@ import (
 // carrying a vector (so a shard's sampled rows are sparse).
 func randomStore(r *rand.Rand, n int) *Store {
 	s := NewStore()
+	appendRandom(s, r, n)
+	return s
+}
+
+// appendRandom appends n of randomStore's rows to s.
+func appendRandom(s *Store, r *rand.Rand, n int) {
 	devs := r.Intn(80) + 1
 	base := time.Unix(0, 0).UTC()
 	var batch []Entry
@@ -49,7 +55,6 @@ func randomStore(r *rand.Rand, n int) *Store {
 		}
 	}
 	s.appendColumns(withSamples(batch))
-	return s
 }
 
 // withSamples converts entries to a batch whose rows with a sample ID
@@ -377,9 +382,8 @@ const longStoreRows = 48 * 512
 // which leaves every shard time-unsorted. hw × os is a 40 × 40 value
 // cross product, past maxPairCross, so PairCounts takes both its popcount
 // and its row-scan path. app_version (300 values, ten of them hot) crosses
-// the store's sketch threshold of 64 early on, so conditions on it are
-// answered by the sketch tier, or — on a Since delta or under a mutated
-// overlay — by the walk of the window's rows. Every fifth row links a sample.
+// the store's tier-up threshold of 64 early on, so conditions on it walk the
+// window's rows. Every fifth row links a sample.
 func longStore(sorted bool) *Store {
 	const n = longStoreRows
 	r := rand.New(rand.NewSource(5))
@@ -413,10 +417,7 @@ func longStore(sorted bool) *Store {
 		}
 		entries[g] = Entry{Time: base.Add(time.Duration(sec) * time.Second), Drift: r.Float64() < 0.3, SampleID: sample, Attrs: attrs}
 	}
-	cfg := sketchTestConfig()
-	cfg.Threshold = 64              // above hw and os, below app_version
-	cfg.Bucket = 1000 * time.Second // the 20-second window is an edge of one bucket
-	s := NewStoreWithSketch(cfg)
+	s := NewStoreWithSketch(SketchConfig{Threshold: 64}) // above hw and os, below app_version
 	for lo := 0; lo < n; lo += 512 {
 		s.AppendBatch(entries[lo : lo+512])
 	}
@@ -428,8 +429,7 @@ func longStore(sorted bool) *Store {
 // bitmap word and nothing at all of shards ≥ 64 words long — the shapes
 // whose bitset loops and row walks run over [wlo, whi) instead of the whole
 // shard — on time-sorted shards and on shards unsorted by interleaved
-// writers, for exact-tier conditions and for sketched ones where they are
-// answered exactly (Since deltas, mutated overlays, ClearDrift, SampleIDs).
+// writers, for conditions on bitmap columns and on the tiered attribute.
 func TestSmallWindowsOfLongShards(t *testing.T) {
 	base := time.Unix(0, 0).UTC()
 	windows := []struct {
@@ -499,67 +499,36 @@ func TestSmallWindowsOfLongShards(t *testing.T) {
 }
 
 // requireViewMatchesScan requires a view to agree with the scan reference
-// on Len, Count, SampleIDs, AttrValueCounts, PairCounts and a ClearDrift
-// sequence with overlaid re-counts and group-bys. Whatever the sketch tier
-// answers — app_version on a whole window under an unmutated overlay — is
-// one-sided by contract (pinned by the sketch differential suite) and is
-// required here only not to fall below the reference; everything else must
-// be equal.
+// on Len, Count, SampleIDs, AttrValueCounts, PairCounts, PairCountsMasked
+// and a ClearDrift sequence with overlaid re-counts and group-bys.
 func requireViewMatchesScan(t *testing.T, v *View, conds [][]Cond) {
 	t.Helper()
 	if got, want := v.Len(), refLen(v); got != want {
 		t.Fatalf("Len %d scan %d", got, want)
 	}
-	sketchedKey := func(k PairKey) bool { return v.sketched[k.AttrA] || v.sketched[k.AttrB] }
-	// agree compares one result under the overlay the product side used.
-	agree := func(what string, sketched bool, ov *Overlay, got, want CountResult) {
-		t.Helper()
-		if v.tier(sketched, ov) == tierSketch {
-			if got.Total < want.Total || got.Drift < want.Drift {
-				t.Fatalf("%s: sketch %+v below scan %+v", what, got, want)
-			}
-		} else if got != want {
-			t.Fatalf("%s: got %+v scan %+v", what, got, want)
-		}
-	}
 	groupBys := func(stage string, ovB, ovS *Overlay) {
 		t.Helper()
-		wantAV := refAttrValueCounts(v, ovS)
-		for attr, byVal := range v.AttrValueCounts(ovB) {
-			for val, got := range byVal {
-				agree(stage+" "+attr+"="+val, v.sketched[attr], ovB, got, wantAV[attr][val])
-			}
-			if v.tier(v.sketched[attr], ovB) != tierSketch && len(byVal) != len(wantAV[attr]) {
-				t.Fatalf("%s AttrValueCounts[%s]: %d values, scan %d", stage, attr, len(byVal), len(wantAV[attr]))
-			}
+		if got, want := v.AttrValueCounts(ovB), refAttrValueCounts(v, ovS); !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s AttrValueCounts diverge\ngot  %v\nscan %v", stage, got, want)
 		}
 		wantPC := refPairCounts(v, ovS, nil)
-		gotPC := v.PairCounts(ovB, nil)
-		for k, got := range gotPC {
-			agree(fmt.Sprint(stage, " ", k), sketchedKey(k), ovB, got, wantPC[k])
+		if got := v.PairCounts(ovB, nil); !reflect.DeepEqual(got, wantPC) {
+			t.Fatalf("%s PairCounts: %d pairs, scan %d", stage, len(got), len(wantPC))
 		}
-		for k := range wantPC {
-			if _, ok := gotPC[k]; !ok && v.tier(sketchedKey(k), ovB) != tierSketch {
-				t.Fatalf("%s PairCounts: %+v missing", stage, k)
-			}
-		}
-		// The mask is a filter on every tier: what the sketches estimate for
-		// a kept pair does not depend on what else was asked for.
 		for _, sel := range diffMaskBits {
 			mask := maskFromBits(v, sel)
-			if got := v.PairCountsMasked(ovB, mask); !reflect.DeepEqual(got, refMasked(gotPC, mask)) {
-				t.Fatalf("%s PairCountsMasked %#x: %d pairs, filtered PairCounts %d", stage, sel, len(got), len(refMasked(gotPC, mask)))
+			if got := v.PairCountsMasked(ovB, mask); !reflect.DeepEqual(got, refMasked(wantPC, mask)) {
+				t.Fatalf("%s PairCountsMasked %#x: %d pairs, filtered scan %d", stage, sel, len(got), len(refMasked(wantPC, mask)))
 			}
 		}
 	}
 
-	for ci, c := range conds {
+	for _, c := range conds {
 		got, err1 := v.Count(c, nil)
 		want, err2 := refCount(v, c, nil)
-		if err1 != nil || err2 != nil {
-			t.Fatalf("conds %d: errs %v %v", ci, err1, err2)
+		if err1 != nil || err2 != nil || got != want {
+			t.Fatalf("Count %v: %+v (%v), scan %+v (%v)", c, got, err1, want, err2)
 		}
-		agree(fmt.Sprint("Count ", c), v.condSketched(c), nil, got, want)
 		ids, err1 := v.SampleIDs(c)
 		wantIDs, err2 := refSampleIDs(v, c)
 		if err1 != nil || err2 != nil || !reflect.DeepEqual(ids, wantIDs) {
@@ -587,8 +556,9 @@ func requireViewMatchesScan(t *testing.T, v *View, conds [][]Cond) {
 		}
 		for _, probe := range conds {
 			got, _ := v.Count(probe, ovB)
-			want, _ := refCount(v, probe, ovS)
-			agree(fmt.Sprint("after clear ", ci, ": Count ", probe), v.condSketched(probe), ovB, got, want)
+			if want, _ := refCount(v, probe, ovS); got != want {
+				t.Fatalf("after clear %d: Count %v: %+v, scan %+v", ci, probe, got, want)
+			}
 		}
 	}
 	groupBys("overlaid", ovB, ovS)
@@ -596,10 +566,9 @@ func requireViewMatchesScan(t *testing.T, v *View, conds [][]Cond) {
 
 // TestViewConcurrentQueries hammers one view from several goroutines
 // while appends continue (run under -race by `make race`): the state a view
-// builds lazily and shares — per-column dictionary indexes, the resolved
-// sketch window — must be built once and read race-free, and results must
-// stay what the pinned rows say: exact-tier answers equal the scan
-// reference's, sketch-tier answers never fall below it.
+// builds lazily and shares — per-column dictionary indexes — must be built
+// once and read race-free, and results must stay what the pinned rows say:
+// equal to the scan reference's, on bitmap columns and the tiered one.
 func TestViewConcurrentQueries(t *testing.T) {
 	s := interleavedSketchStore()
 	base := time.Unix(0, 0).UTC()
@@ -618,12 +587,9 @@ func TestViewConcurrentQueries(t *testing.T) {
 		wantCount[i], _ = refCount(oracle, c, nil)
 	}
 	wantAV, wantPC := refAttrValueCounts(oracle, nil), refPairCounts(oracle, nil, nil)
-	check := func(what string, sketched bool, got, want CountResult) {
-		if sketched && got.Total >= want.Total && got.Drift >= want.Drift {
-			return
-		}
+	check := func(what string, got, want CountResult) {
 		if got != want {
-			t.Errorf("%s: got %+v, oracle %+v (sketched=%v)", what, got, want, sketched)
+			t.Errorf("%s: got %+v, oracle %+v", what, got, want)
 		}
 	}
 
@@ -654,16 +620,16 @@ func TestViewConcurrentQueries(t *testing.T) {
 						if err != nil {
 							t.Error(err)
 						}
-						check(fmt.Sprint(c), c[0].Attr == "app_version", got, wantCount[ci])
+						check(fmt.Sprint(c), got, wantCount[ci])
 					}
 				case 1:
 					for k, got := range v.PairCounts(nil, nil) {
-						check(fmt.Sprint(k), k.AttrA == "app_version" || k.AttrB == "app_version", got, wantPC[k])
+						check(fmt.Sprint(k), got, wantPC[k])
 					}
 				default:
 					for attr, byVal := range v.AttrValueCounts(nil) {
 						for val, got := range byVal {
-							check(attr+"="+val, attr == "app_version", got, wantAV[attr][val])
+							check(attr+"="+val, got, wantAV[attr][val])
 						}
 					}
 				}
@@ -676,50 +642,77 @@ func TestViewConcurrentQueries(t *testing.T) {
 }
 
 // FuzzCountDifferential drives tiny random logs through the
-// bitset-vs-scan contract with fuzzer-chosen shapes.
+// index-vs-scan contract with fuzzer-chosen shapes: a log of n rows, grown
+// by n/2 more after a first view pinned it, checked on the grown window and
+// on its Since delta. tier is the tier-up threshold (0: the default, which
+// no attribute reaches), so low values take weather (6 values), location
+// (9) or device (up to 80) off the bitmaps and onto the row walk.
 func FuzzCountDifferential(f *testing.F) {
-	f.Add(int64(1), uint8(7), uint8(0), uint8(0x55))
-	f.Add(int64(42), uint8(64), uint8(1), uint8(0xFF))
-	f.Add(int64(99), uint8(130), uint8(2), uint8(0x06))
-	f.Fuzz(func(t *testing.T, seed int64, n uint8, windowSel uint8, maskSel uint8) {
+	f.Add(int64(1), uint8(7), uint8(0), uint8(0x55), uint8(0))
+	f.Add(int64(42), uint8(64), uint8(1), uint8(0xFF), uint8(0))
+	f.Add(int64(99), uint8(130), uint8(2), uint8(0x06), uint8(0))
+	f.Add(int64(7), uint8(200), uint8(0), uint8(0xFF), uint8(4))
+	f.Add(int64(8), uint8(255), uint8(1), uint8(0x55), uint8(8))
+	f.Fuzz(func(t *testing.T, seed int64, n uint8, windowSel uint8, maskSel uint8, tier uint8) {
 		r := rand.New(rand.NewSource(seed))
-		s := randomStore(r, int(n))
+		s := NewStoreWithSketch(SketchConfig{Threshold: int(tier)})
+		appendRandom(s, r, int(n))
 		w := diffWindows()[int(windowSel)%len(diffWindows())]
+		prev := s.Window(w[0], w[1])
+		appendRandom(s, r, int(n)/2)
 		vb := s.Window(w[0], w[1])
-		for _, conds := range diffConds() {
-			cb, err1 := vb.Count(conds, nil)
-			cs, err2 := refCount(vb, conds, nil)
-			if (err1 == nil) != (err2 == nil) {
-				t.Fatalf("error divergence: %v vs %v", err1, err2)
-			}
-			if cb != cs {
-				t.Fatalf("conds %v: bitset %+v scan %+v", conds, cb, cs)
-			}
+		_, prevTo := prev.Bounds()
+		delta, err := vb.Since(prev.ShardRows(), prevTo)
+		if err != nil {
+			t.Fatal(err)
 		}
-		mask := maskFromBits(vb, maskSel)
-		if pm, ps := vb.PairCountsMasked(nil, mask), refMasked(refPairCounts(vb, nil, nil), mask); !reflect.DeepEqual(pm, ps) {
-			t.Fatalf("mask %#x: masked pairs %v, filtered scan %v", maskSel, pm, ps)
-		}
-		ovB := vb.DriftOverlay()
-		ovS := vb.DriftOverlay()
-		defer ovB.Release()
-		defer ovS.Release()
-		conds := diffConds()[int(uint64(seed)%4+1)%len(diffConds())]
-		nb, err1 := vb.ClearDrift(conds, ovB)
-		ns, err2 := refClearDrift(vb, conds, ovS)
-		if (err1 == nil) != (err2 == nil) {
-			t.Fatalf("clear error divergence: %v vs %v", err1, err2)
-		}
-		if nb != ns {
-			t.Fatalf("cleared %d vs %d", nb, ns)
-		}
-		cb, _ := vb.Count(nil, ovB)
-		cs, _ := refCount(vb, nil, ovS)
-		if cb != cs {
-			t.Fatalf("post-clear totals %+v vs %+v", cb, cs)
-		}
-		if pm, ps := vb.PairCountsMasked(ovB, mask), refMasked(refPairCounts(vb, ovS, nil), mask); !reflect.DeepEqual(pm, ps) {
-			t.Fatalf("mask %#x: post-clear masked pairs %v, filtered scan %v", maskSel, pm, ps)
+		for _, v := range []*View{vb, delta} {
+			fuzzCheckView(t, v, seed, maskSel)
 		}
 	})
+}
+
+// fuzzCheckView is FuzzCountDifferential's check of one view: Count,
+// AttrValueCounts, a masked pair group-by, then a ClearDrift and the
+// overlaid totals and masked pairs, each against the scan reference.
+func fuzzCheckView(t *testing.T, v *View, seed int64, maskSel uint8) {
+	t.Helper()
+	for _, conds := range diffConds() {
+		cb, err1 := v.Count(conds, nil)
+		cs, err2 := refCount(v, conds, nil)
+		if (err1 == nil) != (err2 == nil) {
+			t.Fatalf("error divergence: %v vs %v", err1, err2)
+		}
+		if cb != cs {
+			t.Fatalf("conds %v: index %+v scan %+v", conds, cb, cs)
+		}
+	}
+	if got, want := v.AttrValueCounts(nil), refAttrValueCounts(v, nil); !reflect.DeepEqual(got, want) {
+		t.Fatalf("AttrValueCounts %v, scan %v", got, want)
+	}
+	mask := maskFromBits(v, maskSel)
+	if pm, ps := v.PairCountsMasked(nil, mask), refMasked(refPairCounts(v, nil, nil), mask); !reflect.DeepEqual(pm, ps) {
+		t.Fatalf("mask %#x: masked pairs %v, filtered scan %v", maskSel, pm, ps)
+	}
+	ovB := v.DriftOverlay()
+	ovS := v.DriftOverlay()
+	defer ovB.Release()
+	defer ovS.Release()
+	conds := diffConds()[int(uint64(seed)%4+1)%len(diffConds())]
+	nb, err1 := v.ClearDrift(conds, ovB)
+	ns, err2 := refClearDrift(v, conds, ovS)
+	if (err1 == nil) != (err2 == nil) {
+		t.Fatalf("clear error divergence: %v vs %v", err1, err2)
+	}
+	if nb != ns {
+		t.Fatalf("cleared %d vs %d", nb, ns)
+	}
+	cb, _ := v.Count(nil, ovB)
+	cs, _ := refCount(v, nil, ovS)
+	if cb != cs {
+		t.Fatalf("post-clear totals %+v vs %+v", cb, cs)
+	}
+	if pm, ps := v.PairCountsMasked(ovB, mask), refMasked(refPairCounts(v, ovS, nil), mask); !reflect.DeepEqual(pm, ps) {
+		t.Fatalf("mask %#x: post-clear masked pairs %v, filtered scan %v", maskSel, pm, ps)
+	}
 }

@@ -68,10 +68,9 @@ type column struct {
 	ids   []uint32
 	dict  []string          // dict[0] == ""
 	index map[string]uint32 // value -> id
-	bits  [][]uint64        // parallel to dict
-	// sketched marks a column whose attribute tiered onto the sketch
-	// layer: per-value bitmaps are freed and no longer maintained (ids
-	// and dict stay, so the exact row walk still works).
+	bits  [][]uint64        // parallel to dict; nil once sketched
+	// sketched marks a column whose attribute tiered up (tier.go): it holds
+	// no per-value bitmaps, and queries walk its ids.
 	sketched bool
 }
 
@@ -89,9 +88,17 @@ func (c *column) intern(v string) uint32 {
 	}
 	id := uint32(len(c.dict))
 	c.dict = append(c.dict, v)
-	c.bits = append(c.bits, nil)
+	if !c.sketched {
+		c.bits = append(c.bits, nil)
+	}
 	c.index[v] = id
 	return id
+}
+
+// dropBits frees the column's bitmaps and stops maintaining them.
+func (c *column) dropBits() {
+	c.sketched = true
+	c.bits = nil
 }
 
 // shard is one independently locked columnar sub-table.
@@ -156,33 +163,35 @@ type Store struct {
 
 	// attrMu guards the store-wide attribute registry (first-seen order
 	// across all shards) and the per-attribute distinct-value tracking
-	// sets behind the sketch tiering decision.
+	// sets behind the tier-up decision.
 	attrMu    sync.RWMutex
 	attrSeen  map[string]bool
 	attrOrder []string
 	card      map[string]map[string]bool
 
-	// Tiered sketch layer (see sketchindex.go). sketchedPtr holds the
-	// immutable snapshot of sketched attribute names; appendColumns loads
-	// it once under its read hold of sk.tierMu.
-	sk          *sketchIndex
+	// threshold is SketchConfig.Threshold; sketchedPtr holds the immutable
+	// snapshot of the attributes that tiered up (tier.go).
+	threshold   int
 	sketchedPtr atomic.Pointer[map[string]bool]
 }
 
-// NewStore returns an empty drift log with the default sketch tiering
-// configuration (threshold 4096 — ordinary categorical attributes stay on
-// the exact bitset tier).
+// NewStore returns an empty drift log with the default tier-up threshold
+// (4096 — ordinary categorical attributes keep their bitmaps).
 func NewStore() *Store {
 	return NewStoreWithSketch(SketchConfig{})
 }
 
-// NewStoreWithSketch returns an empty drift log with the given sketch
-// tiering configuration (zero fields take defaults).
+// NewStoreWithSketch returns an empty drift log with the given tier-up
+// threshold (zero takes the default). The name is kept for the composed
+// benchmark.
 func NewStoreWithSketch(cfg SketchConfig) *Store {
+	if cfg.Threshold <= 0 {
+		cfg.Threshold = 4096
+	}
 	s := &Store{
-		attrSeen: map[string]bool{},
-		card:     map[string]map[string]bool{},
-		sk:       newSketchIndex(cfg),
+		attrSeen:  map[string]bool{},
+		card:      map[string]map[string]bool{},
+		threshold: cfg.Threshold,
 	}
 	s.cutoff.Store(math.MinInt64)
 	for i := range s.shards {
@@ -254,22 +263,14 @@ type Stats struct {
 	// 64-bit words they hold.
 	IndexBitmaps int
 	IndexWords   int
-	// Sketch tier: attributes answered by sketches, live sub-sketch
-	// buckets (pair ring included), total sketch bytes, and buckets
-	// folded into "rest" by eviction since the store was created.
-	SketchAttrs   int
-	SketchBuckets int
-	SketchBytes   int64
-	SketchEvicted int64
-	// SketchFeedRows / SketchFeedKeys count the rows handed to the batch
-	// sketch feed (appends and replays) and the distinct keys it added to a
-	// Count-Min bucket for them; keys per row falling below the attribute's
-	// items per row is the work the feed's grouping saved.
-	// SketchFeedOffers counts its Space-Saving offers: one per sketched value.
-	SketchFeedRows, SketchFeedKeys, SketchFeedOffers int64
+	// SketchAttrs counts the attributes that tiered up (no bitmaps).
+	// SketchBytes is always 0: no structure is kept beside the rows. Both
+	// names are kept for the composed benchmark.
+	SketchAttrs int
+	SketchBytes int64
 	// UnsortedShards counts shards whose timestamps stopped being
 	// non-decreasing (interleaved writers): views over them materialize
-	// windows and sketch edges by row scan instead of binary search.
+	// windows by row scan instead of binary search.
 	UnsortedShards int
 }
 
@@ -315,7 +316,6 @@ func (s *Store) Stats() Stats {
 	st.Attributes = len(s.attrOrder)
 	s.attrMu.RUnlock()
 	st.SketchAttrs = len(s.sketchedSet())
-	s.sk.collectStats(&st)
 	if st.Rows > 0 {
 		st.OldestTime = time.Unix(0, oldest).UTC()
 		st.NewestTime = time.Unix(0, newest).UTC()
@@ -403,8 +403,7 @@ type Cond struct {
 
 // viewCol pins one shard column at snapshot time. bits pins the value
 // bitmaps, parallel to dict. sketched columns carry no bitmaps — queries
-// on them are answered by the sketch layer or by the exact row walk over
-// the retained ids (see View.tier).
+// on them walk the window's rows over the retained ids.
 type viewCol struct {
 	ids      []uint32
 	dict     []string
@@ -485,25 +484,16 @@ type View struct {
 	total    int
 	shards   [numShards]viewShard
 
-	// Sketch layer pinned at creation: the sketched-attribute snapshot
-	// and the live sketch index. delta marks Since-derived views, which
-	// the sketches cannot answer (they cover whole windows, not row
-	// deltas) — those walk the window's rows for sketched attributes.
-	sk       *sketchIndex
+	// sketched names every attribute with a pinned column that holds no
+	// bitmaps (nil when there is none): a query on one walks the rows.
 	sketched map[string]bool
-	delta    bool
-
-	// skWin is the window resolved against the sketch rings, built by the
-	// first sketch-answered query (see sketchWindow).
-	skOnce sync.Once
-	skWin  sketchWindow
 }
 
 // Window returns a view over [from, to). Zero times are unbounded. The
 // view carries a pinned snapshot of the bitset index, so Count,
 // ClearDrift and AttrValueCounts run as word-wise AND + popcount.
 func (s *Store) Window(from, to time.Time) *View {
-	v := &View{attrs: map[string]bool{}, sk: s.sk}
+	v := &View{attrs: map[string]bool{}}
 	if !from.IsZero() {
 		v.from = from.UnixNano()
 	}
@@ -535,6 +525,10 @@ func (s *Store) Window(from, to time.Time) *View {
 		for name, col := range sh.cols {
 			if col.sketched {
 				vs.cols[name] = viewCol{ids: col.ids[:rows], dict: col.dict, sketched: true, index: new(dictIndex)}
+				if v.sketched == nil {
+					v.sketched = map[string]bool{}
+				}
+				v.sketched[name] = true
 				continue
 			}
 			nvals := len(col.dict)
@@ -559,10 +553,6 @@ func (s *Store) Window(from, to time.Time) *View {
 		v.attrs[name] = true
 	}
 	s.attrMu.RUnlock()
-	// Loaded after the shards are pinned: a tier-up that freed a column's
-	// bitmaps in a shard pinned above has installed the attribute's ring and
-	// published it in this set by now, so no pinned column is without both.
-	v.sketched = s.sketchedSet()
 	return v
 }
 
@@ -689,8 +679,7 @@ func (v *View) Since(prevRows []int, prevTo int64) (*View, error) {
 	if len(prevRows) != numShards {
 		return nil, fmt.Errorf("driftlog: Since: got %d shard watermarks, want %d", len(prevRows), numShards)
 	}
-	d := &View{from: v.from, to: v.to, attrs: v.attrs, total: v.total,
-		sk: v.sk, sketched: v.sketched, delta: true}
+	d := &View{from: v.from, to: v.to, attrs: v.attrs, total: v.total, sketched: v.sketched}
 	d.shards = v.shards
 	for si := range d.shards {
 		vs := &d.shards[si]
@@ -755,43 +744,31 @@ type CountResult struct {
 	Drift int // of those, rows flagged as drift
 }
 
-// tier is the way a query is answered. View.tier is the one place that
-// picks it, and this table is the whole routing (DESIGN.md §5g has each
-// cell's cost, in words or rows of the window — never of the log):
+// Routing. A query touching no attribute that tiered up is answered from the
+// bitmaps; one touching a tiered attribute — whose columns hold ids but no
+// bitmaps — by one walk of the window's rows (DESIGN.md §5g has each cell's
+// cost, in words or rows of the window — never of the log):
 //
-//	query            tierBitset (exact)     tierSketch (one-sided)   tierRows (exact)
-//	Count            countBitset            countSketch              countRows
-//	ClearDrift       clearDriftBitset       clearDriftRows: a clear  clearDriftRows
-//	                                        is never approximate
-//	AttrValueCounts  attrValueCountsBitset  attrValueCountsSketch    valueScanInto
-//	PairCounts       viewShard.pairCounts   pairCountsSketch         pairScanInto
-//	Approx           false                  true, the ring's bound   false
-//	SampleIDs        —                      —                        eachMatch
+//	query            bitmaps                tiered attribute
+//	Count            countBitset            countRows
+//	ClearDrift       clearDriftBitset       clearDriftRows
+//	AttrValueCounts  andPopcount per value  valueScanInto
+//	PairCounts       viewShard.pairCounts   pairScanInto
+//	SampleIDs        eachMatch              eachMatch
 //
-// The two group-bys answer their exact-tier attributes from the bitmaps, or
-// from one walk of the window's rows where the values (pairs: the kept cross
-// product) outnumber what popcounting pays for, whatever the tier; the tier
-// decides their sketched attributes (pairs with a sketched side) only.
-type tier uint8
+// Count and ClearDrift route per view (condSketched); the group-bys decide per
+// shard column, and also walk the rows for a column whose values (pairs: the
+// kept cross product) outnumber what popcounting pays for.
 
-const (
-	tierBitset tier = iota // word-wise AND + popcount over the value bitmaps
-	tierSketch             // Count-Min over covered buckets + exact edge rows
-	tierRows               // walk of the window's rows over the retained ids
-)
-
-// tier picks the tier of a query that touches (sketched) or does not touch
-// an attribute on the sketch tier. The sketches aggregate whole windows of
-// stored drift flags, so they answer neither a Since delta nor an overlay
-// that a ClearDrift has mutated (epoch > 0); those walk the rows.
-func (v *View) tier(sketched bool, ov *Overlay) tier {
-	switch {
-	case !sketched:
-		return tierBitset
-	case !v.delta && (ov == nil || ov.Epoch() == 0):
-		return tierSketch
+// condSketched reports whether any condition is on an attribute with a pinned
+// column that holds no bitmaps.
+func (v *View) condSketched(conds []Cond) bool {
+	for _, c := range conds {
+		if v.sketched[c.Attr] {
+			return true
+		}
 	}
-	return tierRows
+	return false
 }
 
 // colCond is one resolved equality predicate on a shard snapshot.
@@ -811,7 +788,7 @@ func (vs *viewShard) lookupCond(c Cond) (col viewCol, id uint32, ok bool) {
 	return col, id, id != 0
 }
 
-// eachMatch is the exact tier's row primitive: f(si, vs, i) for every
+// eachMatch is the row walk's primitive: f(si, vs, i) for every
 // window row i of every shard that satisfies all the conditions, rows in
 // order within a shard, shards in parallel on large views — so f may write
 // per-shard slots only. The walk is over the window bitmap's words
@@ -848,10 +825,7 @@ func (v *View) eachMatch(conds []Cond, f func(si int, vs *viewShard, i int)) err
 // non-nil, replaces the stored drift flags — the hook counterfactual
 // analysis uses to "mark" entries as non-drift without mutating the log.
 func (v *View) Count(conds []Cond, ov *Overlay) (CountResult, error) {
-	switch v.tier(v.condSketched(conds), ov) {
-	case tierSketch:
-		return v.countSketch(conds, ov)
-	case tierRows:
+	if v.condSketched(conds) {
 		return v.countRows(conds, ov)
 	}
 	return v.countBitset(conds, ov)
@@ -878,10 +852,10 @@ func (v *View) countRows(conds []Cond, ov *Overlay) (CountResult, error) {
 // mutating call stamps the overlay with a fresh epoch (see
 // Overlay.Epoch).
 func (v *View) ClearDrift(conds []Cond, ov *Overlay) (int, error) {
-	if v.tier(v.condSketched(conds), ov) == tierBitset {
-		return v.clearDriftBitset(conds, ov)
+	if v.condSketched(conds) {
+		return v.clearDriftRows(conds, ov)
 	}
-	return v.clearDriftRows(conds, ov)
+	return v.clearDriftBitset(conds, ov)
 }
 
 func (v *View) clearDriftRows(conds []Cond, ov *Overlay) (int, error) {
@@ -901,18 +875,6 @@ func (v *View) clearDriftRows(conds []Cond, ov *Overlay) (int, error) {
 		ov.bump()
 	}
 	return n, err
-}
-
-// AttrValueCounts returns, for each attribute, the per-value totals and
-// drift counts inside the view — the single-pass aggregation the first
-// apriori level needs (one "SQL GROUP BY" per attribute).
-func (v *View) AttrValueCounts(ov *Overlay) map[string]map[string]CountResult {
-	t := v.tier(len(v.sketched) > 0, ov)
-	out := v.attrValueCountsBitset(ov, t)
-	if t == tierSketch {
-		v.attrValueCountsSketch(out)
-	}
-	return out
 }
 
 // namedCol pairs a shard column with its attribute name.

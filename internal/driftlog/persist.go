@@ -110,7 +110,11 @@ func (s *Store) Compact(cutoff time.Time) int {
 		newSamples := make([]int64, len(keep))
 		newCols := make(map[string]*column, len(sh.cols))
 		for _, name := range sh.order {
-			newCols[name] = newColumn(0)
+			nc := newColumn(0)
+			if sh.cols[name].sketched {
+				nc.dropBits() // a tiered column stays tiered: no bitmaps to rebuild
+			}
+			newCols[name] = nc
 		}
 		var newDriftBits []uint64
 		var newSampleRows []int
@@ -137,7 +141,9 @@ func (s *Store) Compact(cutoff time.Time) int {
 				if id := old.ids[oi]; id != 0 {
 					nid := nc.intern(old.dict[id])
 					nc.ids = append(nc.ids, nid)
-					nc.bits[nid] = setBit(nc.bits[nid], ni)
+					if !nc.sketched {
+						nc.bits[nid] = setBit(nc.bits[nid], ni)
+					}
 				} else {
 					nc.ids = append(nc.ids, 0)
 				}
@@ -151,17 +157,6 @@ func (s *Store) Compact(cutoff time.Time) int {
 		sh.driftBits = newDriftBits
 		sh.cols = newCols
 		sh.mu.Unlock()
-	}
-	// Rebuild the sketch tier wholesale: compaction dropped rows the
-	// sketches still count (and rebuilt bitmaps for sketched columns), so
-	// replay the survivors with appends gated out — the same protocol as
-	// tier-up. Sketched attributes stay sticky.
-	if removed > 0 {
-		s.sk.tierMu.Lock()
-		if sketched := s.sketchedSet(); len(sketched) > 0 {
-			s.rebuildSketches(sketched)
-		}
-		s.sk.tierMu.Unlock()
 	}
 	if removed > 0 {
 		// Row indices shifted: invalidate watermark-keyed caches.

@@ -8,14 +8,12 @@ import (
 
 // Row-at-a-time reference implementations the differential tests compare
 // the columnar ingest path against: an appender that walks each entry's
-// attribute map under the shard lock and feeds the sketches one row, one
-// key, one lock round trip at a time (refFeed / refAdd — the sketch feed as
-// it shipped before the batch feed). It shares no code with appendColumns
-// or feedBatch beyond the store's own primitives (intern, setBit, the
-// rings' bucket lookup and fold), so agreement between the two is
-// evidence, not tautology. The file also keeps the writer of the legacy
-// row-layout WAL record, which generates the fixtures replay must still
-// read.
+// attribute map under the shard lock, and tiers an attribute up the moment
+// its values cross the threshold. It shares no code with appendColumns or
+// tierUp beyond the store's own primitives (intern, setBit, dropBits), so
+// agreement between the two is evidence, not tautology. The file also keeps
+// the writer of the legacy row-layout WAL record, which generates the
+// fixtures replay must still read.
 
 // refAppendBatch ingests entries row by row with one lock acquisition per
 // touched shard, preserving slice order in the store's sequence order.
@@ -50,7 +48,6 @@ func refAppendBatch(s *Store, entries []Entry) {
 		sketched := s.sketchedSet()
 		for _, j := range jobs[si] {
 			refAppendLocked(sh, j.seq, j.e, sketched)
-			refFeedRowLocked(s, sketched, j.e)
 		}
 		sh.mu.Unlock()
 	}
@@ -73,7 +70,9 @@ func refAppendLocked(sh *shard, seq int64, e Entry, sketched map[string]bool) {
 		col, ok := sh.cols[name]
 		if !ok {
 			col = newColumn(row)
-			col.sketched = sketched[name]
+			if sketched[name] {
+				col.dropBits()
+			}
 			sh.cols[name] = col
 			sh.order = append(sh.order, name)
 		}
@@ -128,7 +127,7 @@ func refObserveCardinality(s *Store, attrs map[string]string) {
 		}
 		if !vals[val] {
 			vals[val] = true
-			if len(vals) > s.sk.cfg.Threshold {
+			if len(vals) > s.threshold {
 				tier = append(tier, name)
 			}
 		}
@@ -140,115 +139,20 @@ func refObserveCardinality(s *Store, attrs map[string]string) {
 	}
 }
 
-// refFeedRowLocked feeds one just-appended row to the sketches in sorted
-// attribute order. Caller holds the shard lock.
-func refFeedRowLocked(s *Store, sketched map[string]bool, e Entry) {
-	if len(sketched) == 0 || len(e.Attrs) == 0 {
-		return
-	}
-	kvs := make([]attrKV, 0, len(e.Attrs))
-	for name, val := range e.Attrs {
-		kvs = append(kvs, attrKV{name, val})
-	}
-	sort.Slice(kvs, func(i, j int) bool { return kvs[i].name < kvs[j].name })
-	refFeed(s.sk, sketched, e.Time.UnixNano(), e.Drift, kvs)
-}
-
-// attrKV is one (attribute, value) of a row being fed; refFeed requires the
-// slice sorted by name, so pair keys come out canonical.
-type attrKV struct{ name, val string }
-
-// refFeed records one row into the sketch layer: each sketched attribute's
-// value ring, plus the pair ring for every pair with at least one sketched
-// side.
-func refFeed(sk *sketchIndex, sketched map[string]bool, t int64, drifted bool, kvs []attrKV) {
-	any := false
-	for _, kv := range kvs {
-		if sketched[kv.name] {
-			any = true
-			break
-		}
-	}
-	if !any {
-		return
-	}
-	for _, kv := range kvs {
-		if sketched[kv.name] {
-			refAdd(sk.attr(kv.name), kv.val, t, drifted)
-		}
-	}
-	for i := 0; i < len(kvs); i++ {
-		for j := i + 1; j < len(kvs); j++ {
-			if sketched[kvs[i].name] || sketched[kvs[j].name] {
-				refAdd(sk.pairRing(), pairSketchKey(kvs[i].name, kvs[i].val, kvs[j].name, kvs[j].val), t, drifted)
-			}
-		}
-	}
-}
-
-// refAdd feeds one occurrence to a ring, and to its Space-Saving tracker on
-// a value ring.
-func refAdd(as *attrSketch, key string, t int64, drifted bool) {
-	aligned := alignDown(t, as.bucketNanos)
-	as.mu.Lock()
-	b := as.findLocked(aligned)
-	if b == nil {
-		b = as.insertLocked(aligned)
-	}
-	if b == as.rest {
-		as.lowerRestLow(aligned)
-	}
-	b.cm.Add(key, drifted)
-	b.adds.Add(1)
-	as.mu.Unlock()
-	if as.hh != nil {
-		as.hh.Offer(key, 1)
-	}
-}
-
-// refTierUp is tierUp with the replay done row by row, so no row of a
-// reference store ever passes through the batch feed. Single-writer only
-// (it takes no lock).
+// refTierUp is tierUp without its locks: every column of the attribute
+// drops its bitmaps and the set names it. Single-writer only.
 func refTierUp(s *Store, attr string) {
 	next := map[string]bool{attr: true}
 	for k := range s.sketchedSet() {
 		next[k] = true
 	}
 	for si := range s.shards {
-		for n, c := range s.shards[si].cols {
-			if next[n] && !c.sketched {
-				c.sketched = true
-				for id := range c.bits {
-					c.bits[id] = nil
-				}
-			}
+		if c := s.shards[si].cols[attr]; c != nil {
+			c.dropBits()
 		}
 	}
-	s.sk.install(refReplay(s, next))
 	s.sketchedPtr.Store(&next)
 	delete(s.card, attr)
-}
-
-// refReplay is the replay of rebuildSketches row by row: every current row,
-// in canonical order (shard-major, row order), fed through refFeed into
-// fresh rings.
-func refReplay(s *Store, sketched map[string]bool) *sketchIndex {
-	fresh := newSketchIndex(s.sk.cfg)
-	for si := range s.shards {
-		sh := &s.shards[si]
-		names := append([]string(nil), sh.order...)
-		sort.Strings(names)
-		for r := range sh.times {
-			var kvs []attrKV
-			for _, n := range names {
-				if c := sh.cols[n]; c.ids[r] != 0 {
-					kvs = append(kvs, attrKV{n, c.dict[c.ids[r]]})
-				}
-			}
-			refFeed(fresh, sketched, sh.times[r], sh.drift[r], kvs)
-		}
-	}
-	return fresh
 }
 
 // appendWALFrameColumns appends one legacy framed record

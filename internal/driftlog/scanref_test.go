@@ -6,7 +6,7 @@ import "sort"
 // product ran before the bitset index, kept here as the differential tests'
 // independent truth. Each visits every pinned row of every shard and asks
 // the per-row predicate viewShard.inWindow — never the window bitmap, its
-// [wlo, whi) word range, a value bitmap or a sketch — so a bug in
+// [wlo, whi) word range or a value bitmap — so a bug in
 // buildWindowBM, in the index or in the product's window-row walk shows up
 // as a disagreement. They share with the product only the pinned columns,
 // the per-column dictionary lookup and the overlay's word store (driftAt,

@@ -197,8 +197,8 @@ type MineCache struct {
 }
 
 // mineCacheMaxEntries bounds the retained cross-window cache (a var so
-// tests can shrink it). Level 1 holds one entry per distinct value of the
-// exact-tier attributes — up to the sketch threshold each — while pairs
+// tests can shrink it). Level 1 holds one entry per distinct value of every
+// attribute — a tiered one's included — while pairs
 // and sets hold level-1 survivors' combinations only, at most
 // 1/MinOccurrence values per attribute; an unbounded cache would pin
 // whatever a many-attribute window produced until the next mine.

@@ -106,13 +106,6 @@ type Result struct {
 	Items   Itemset
 	Counts  driftlog.CountResult
 	Metrics Metrics
-	// Approx marks counts answered by the drift log's sketch tier (some
-	// attribute of the itemset crossed the cardinality threshold);
-	// ErrBound is the analytic one-sided error bound of those counts —
-	// Counts.Total may exceed the true count by at most ErrBound, never
-	// undershoot it. Exact-tier results carry false/0.
-	Approx   bool
-	ErrBound int
 }
 
 // Thresholds are the FIM acceptance thresholds; the paper's defaults are
@@ -221,12 +214,6 @@ func MineCachedContext(ctx context.Context, sc *SupportCache, delta *driftlog.Vi
 	}
 	v := sc.View()
 	inc := delta != nil && prev != nil && prev.complete && ov == nil
-	// On the sketch tier the cached-delta trade inverts: candidate
-	// estimates cost O(depth) probes while every delta count is a row
-	// scan over the delta (the exact bitsets were freed at tier-up), so
-	// a fresh sketch-backed mine is cheaper than replaying the cache —
-	// except for the empty-delta replay below, which stays free.
-	incSketched := inc && v.Sketched()
 	epoch := epochOf(ov)
 	var next *MineCache
 	if ov == nil {
@@ -246,13 +233,8 @@ func MineCachedContext(ctx context.Context, sc *SupportCache, delta *driftlog.Vi
 				sc.seed("", 0, prev.totals)
 				return append([]Result(nil), prev.results...), prev, nil
 			}
-			if incSketched {
-				inc = false
-				totals, err = sc.count("", nil, ov)
-			} else {
-				totals = addCR(prev.totals, dt)
-				sc.seed("", 0, totals)
-			}
+			totals = addCR(prev.totals, dt)
+			sc.seed("", 0, totals)
 		}
 	} else {
 		totals, err = sc.count("", nil, ov)
@@ -426,9 +408,7 @@ func MineCachedContext(ctx context.Context, sc *SupportCache, delta *driftlog.Vi
 	for _, c := range all {
 		m := ComputeMetrics(c.counts, totals.Total, totals.Drift)
 		if th.Passes(m) {
-			r := Result{Items: c.set, Counts: c.counts, Metrics: m}
-			r.Approx, r.ErrBound = v.Approx(c.set, ov)
-			results = append(results, r)
+			results = append(results, Result{Items: c.set, Counts: c.counts, Metrics: m})
 		}
 	}
 	Rank(results)
@@ -477,9 +457,7 @@ func RescoreCached(sc *SupportCache, set Itemset, ov *driftlog.Overlay) (Result,
 	if err != nil {
 		return Result{}, err
 	}
-	r := Result{Items: set, Counts: cr, Metrics: ComputeMetrics(cr, totals.Total, totals.Drift)}
-	r.Approx, r.ErrBound = sc.v.Approx(set, ov)
-	return r, nil
+	return Result{Items: set, Counts: cr, Metrics: ComputeMetrics(cr, totals.Total, totals.Drift)}, nil
 }
 
 // join merges two same-size itemsets into a candidate one item larger,
@@ -514,13 +492,8 @@ func join(a, b Itemset) (Itemset, bool) {
 }
 
 // pruned is apriori's prune step: a candidate with a (k-1)-subset missing
-// from the previous level cannot be frequent and need not be counted. On
-// the exact tiers counts are monotone under adding a condition. On the
-// sketch tier every mask-kept pair is estimated (PairCountsMasked
-// enumerates the survivors' cross product whenever MinOccurrence ≥
-// 1/SketchConfig.HeavyHitters), so a missing pair's estimate fell below the
-// threshold — and, estimates being one-sided, so did its true count — while
-// the candidate's own estimate is capped by that pair's.
+// from the previous level cannot be frequent and need not be counted, since
+// counts are monotone under adding a condition.
 func pruned(cand Itemset, frequent map[string]bool) bool {
 	sub := make(Itemset, len(cand)-1)
 	for drop := range cand {

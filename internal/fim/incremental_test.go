@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 	"time"
 
@@ -281,5 +282,66 @@ func TestSupportCacheMemoizes(t *testing.T) {
 	}
 	if r3.Metrics.Support == r1.Metrics.Support && r1.Metrics.Support != 0 {
 		t.Fatal("post-clear rescore served the pre-clear support")
+	}
+}
+
+// TestTieredGrownWindowMinesDelta pins that a grown window over a tiered
+// attribute (one that dropped its bitmaps) is mined from the delta like any
+// other: level 2 counts the delta's pairs only, and the result equals a
+// fresh mine of the grown window. The delta rows carry only values that
+// were frequent before, so every level-1 survivor was one when the cache
+// was counted and the merge path applies.
+func TestTieredGrownWindowMinesDelta(t *testing.T) {
+	s := propertyLog(rand.New(rand.NewSource(4)), 4000, true)
+	if tiered := s.SketchedAttrs(); !slices.Contains(tiered, "e") {
+		t.Fatalf("tiered attrs %v, want e among them", tiered)
+	}
+	th := DefaultThresholds()
+	th.MinConfidence = 0.2
+	end := time.Unix(800, 0)
+	v1 := s.Window(time.Time{}, end)
+	_, cache1, err := MineCachedContext(context.Background(), NewSupportCache(v1), nil, nil, nil, th)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var more []driftlog.Entry
+	s.Each(func(_ int, e driftlog.Entry) {
+		if len(more) == 400 || !e.Time.Before(end) || len(e.Attrs) != 5 {
+			return
+		}
+		for attr, val := range e.Attrs {
+			if !cache1.mask[attr][val] {
+				return
+			}
+		}
+		more = append(more, e)
+	})
+	s.AppendBatch(more)
+
+	v2 := s.Window(time.Time{}, end)
+	_, to1 := v1.Bounds()
+	delta, err := v2.Since(v1.ShardRows(), to1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := ReadMineStats()
+	got, cache2, err := MineCachedContext(context.Background(), NewSupportCache(v2), delta, cache1, nil, th)
+	if err != nil {
+		t.Fatal(err)
+	}
+	counted := ReadMineStats().PairsCounted - before.PairsCounted
+	deltaPairs, windowPairs := len(delta.PairCountsMasked(nil, cache2.mask)), len(v2.PairCountsMasked(nil, cache2.mask))
+	if counted != uint64(deltaPairs) || deltaPairs >= windowPairs {
+		t.Fatalf("level 2 counted %d pairs; the delta holds %d, the window %d", counted, deltaPairs, windowPairs)
+	}
+	if len(cache2.mask["e"]) == 0 {
+		t.Fatal("no value of the tiered attribute survives level 1: the test is vacuous")
+	}
+	want, err := MineContext(context.Background(), v2, nil, th)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) || len(want) == 0 {
+		t.Fatalf("delta mine %v\nfresh mine %v", got, want)
 	}
 }

@@ -101,9 +101,7 @@ func refMine(t *testing.T, v *driftlog.View, ov *driftlog.Overlay, th Thresholds
 	var results []Result
 	for _, c := range all {
 		if m := ComputeMetrics(c.n, totals.Total, totals.Drift); th.Passes(m) {
-			r := Result{Items: c.set, Counts: c.n, Metrics: m}
-			r.Approx, r.ErrBound = v.Approx(c.set, ov)
-			results = append(results, r)
+			results = append(results, Result{Items: c.set, Counts: c.n, Metrics: m})
 		}
 	}
 	Rank(results)
@@ -112,12 +110,12 @@ func refMine(t *testing.T, v *driftlog.View, ov *driftlog.Overlay, th Thresholds
 
 // propertyLog builds a random log of five attributes whose cardinalities
 // (3 to 400 values) straddle MinOccurrence, so level 1 drops some values and
-// keeps others, with drift concentrated on two planted causes. With sketch
-// set, the widest attribute crosses a small sketch threshold.
-func propertyLog(r *rand.Rand, n int, sketch bool) *driftlog.Store {
+// keeps others, with drift concentrated on two planted causes. With tiered
+// set, the widest attribute crosses a small tier-up threshold.
+func propertyLog(r *rand.Rand, n int, tiered bool) *driftlog.Store {
 	cfg := driftlog.SketchConfig{Threshold: 1 << 30}
-	if sketch {
-		cfg = driftlog.SketchConfig{Threshold: 64, Bucket: 100 * time.Second, MaxBuckets: 8, Seed: 7}
+	if tiered {
+		cfg = driftlog.SketchConfig{Threshold: 64}
 	}
 	s := driftlog.NewStoreWithSketch(cfg)
 	attrs := []struct {
@@ -147,15 +145,16 @@ func propertyLog(r *rand.Rand, n int, sketch bool) *driftlog.Store {
 }
 
 // TestMineMatchesReferenceMiner is the property the pushed-down mask and the
-// prune step are held to: on random logs — exact and sketch tier, whole and
+// prune step are held to: on random logs — with and without a tiered
+// attribute, whole and
 // partial windows, stored flags and a mutated overlay, two to four items —
 // MineContext returns exactly what the count-everything reference returns.
 func TestMineMatchesReferenceMiner(t *testing.T) {
 	base := time.Unix(0, 0).UTC()
 	for seed := int64(0); seed < 10; seed++ {
 		r := rand.New(rand.NewSource(seed))
-		sketch := seed%3 == 2
-		s := propertyLog(r, 2000+r.Intn(3000), sketch)
+		tiered := seed%3 == 2
+		s := propertyLog(r, 2000+r.Intn(3000), tiered)
 		th := DefaultThresholds()
 		th.MaxItems = 2 + int(seed)%3
 		th.MinConfidence = 0.2
@@ -168,8 +167,8 @@ func TestMineMatchesReferenceMiner(t *testing.T) {
 				t.Fatal(err)
 			}
 			if want := refMine(t, v, nil, th); !reflect.DeepEqual(got, want) {
-				t.Fatalf("seed %d window %d (sketch=%v): mined %d results, reference %d\ngot  %v\nwant %v",
-					seed, wi, sketch, len(got), len(want), got, want)
+				t.Fatalf("seed %d window %d (tiered=%v): mined %d results, reference %d\ngot  %v\nwant %v",
+					seed, wi, tiered, len(got), len(want), got, want)
 			}
 			if len(got) == 0 {
 				t.Fatalf("seed %d window %d: nothing mined, the property is vacuous", seed, wi)
@@ -183,23 +182,21 @@ func TestMineMatchesReferenceMiner(t *testing.T) {
 				t.Fatal(err)
 			}
 			if want := refMine(t, v, ov, th); !reflect.DeepEqual(got, want) {
-				t.Fatalf("seed %d window %d (sketch=%v): overlaid mine diverges from the reference", seed, wi, sketch)
+				t.Fatalf("seed %d window %d (tiered=%v): overlaid mine diverges from the reference", seed, wi, tiered)
 			}
 			ov.Release()
 		}
 	}
 }
 
-// TestSketchPairsHaveNoFalseNegatives holds the sketch tier to what the
-// unconditional prune step relies on: PairCountsMasked under apriori's mask
-// (level-1 survivors at the default MinOccurrence ≥ 1/HeavyHitters) reports
-// every mask-kept pair the window holds, with an estimate never below its
-// row count — so a pair missing from level 2 is rare, and so is every
-// candidate above it. The log has a sketched attribute with a hot head and
-// a long tail, and mining it still equals the count-everything reference.
+// TestSketchPairsHaveNoFalseNegatives holds a tiered attribute to what the
+// prune step relies on: PairCountsMasked under apriori's mask (the level-1
+// survivors) reports exactly the mask-kept pairs the window holds, each with
+// its row count. The log has a tiered attribute with a hot head and a long
+// tail, and mining it equals the count-everything reference.
 func TestSketchPairsHaveNoFalseNegatives(t *testing.T) {
 	r := rand.New(rand.NewSource(0))
-	s := driftlog.NewStoreWithSketch(driftlog.SketchConfig{Threshold: 100, Bucket: 100 * time.Second, MaxBuckets: 16, Seed: 7})
+	s := driftlog.NewStoreWithSketch(driftlog.SketchConfig{Threshold: 100})
 	batch := make([]driftlog.Entry, 8000)
 	for i := range batch {
 		x, y, z, sv := fmt.Sprint("x", r.Intn(2)), fmt.Sprint("y", r.Intn(4)), fmt.Sprint("z", r.Intn(70)), "s0"
@@ -220,10 +217,10 @@ func TestSketchPairsHaveNoFalseNegatives(t *testing.T) {
 	}
 	s.AppendBatch(batch)
 	if got := s.SketchedAttrs(); len(got) != 1 || got[0] != "s" {
-		t.Fatalf("sketched attrs %v, want [s]", got)
+		t.Fatalf("tiered attrs %v, want [s]", got)
 	}
 	th := DefaultThresholds()
-	th.MinConfidence = 0.3 // the one-sided totals dilute a sketched cause's confidence
+	th.MinConfidence = 0.3
 	for _, v := range []*driftlog.View{s.All(), s.Window(time.Unix(200, 0), time.Unix(700, 0))} {
 		from, to := v.Bounds()
 		truth := map[driftlog.PairKey]driftlog.CountResult{}
@@ -257,7 +254,7 @@ func TestSketchPairsHaveNoFalseNegatives(t *testing.T) {
 			}
 		}
 		if len(mask["s"]) == 0 {
-			t.Fatal("no sketched value survives level 1: the test is vacuous")
+			t.Fatal("no tiered value survives level 1: the test is vacuous")
 		}
 		got := v.PairCountsMasked(nil, mask)
 		kept := 0
@@ -266,9 +263,12 @@ func TestSketchPairsHaveNoFalseNegatives(t *testing.T) {
 				continue
 			}
 			kept++
-			if cr, ok := got[k]; !ok || cr.Total < want.Total || cr.Drift < want.Drift {
+			if cr, ok := got[k]; !ok || cr != want {
 				t.Fatalf("window [%d, %d): mask-kept pair %+v holds %+v, reported %+v (present %v)", from, to, k, want, cr, ok)
 			}
+		}
+		if len(got) != kept {
+			t.Fatalf("window [%d, %d): %d pairs reported, %d mask-kept pairs held", from, to, len(got), kept)
 		}
 		if kept == 0 {
 			t.Fatal("no mask-kept pair in the window")

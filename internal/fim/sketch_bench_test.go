@@ -11,24 +11,17 @@ import (
 	"nazar/internal/driftlog"
 )
 
-// Mining benchmarks over high-cardinality logs, exact bitset index vs
-// sketch tier. The 1M-row × 100k-value sketch mine against the
-// 100k-row × 100-value exact mine is the PR's headline: bounded-memory
-// mining at fleet cardinality within small-constant factors of the
-// low-cardinality exact path.
+// Mining benchmarks over logs whose app_version has 100 or 100k distinct
+// values, every column on the bitset index.
 
-var mineBenchStores sync.Map // "rows/card/variant" → *driftlog.Store
+var mineBenchStores sync.Map // "rows/card" → *driftlog.Store
 
-func mineBenchStore(tb testing.TB, rows, card int, sketch bool) *driftlog.Store {
-	key := fmt.Sprintf("%d/%d/%v", rows, card, sketch)
+func mineBenchStore(tb testing.TB, rows, card int) *driftlog.Store {
+	key := fmt.Sprintf("%d/%d", rows, card)
 	if s, ok := mineBenchStores.Load(key); ok {
 		return s.(*driftlog.Store)
 	}
-	cfg := driftlog.SketchConfig{}
-	if !sketch {
-		cfg.Threshold = 1 << 30
-	}
-	s := driftlog.NewStoreWithSketch(cfg)
+	s := driftlog.NewStoreWithSketch(driftlog.SketchConfig{Threshold: 1 << 30})
 	r := rand.New(rand.NewSource(42))
 	base := time.Unix(0, 0).UTC()
 	span := time.Hour
@@ -73,40 +66,29 @@ func mineBenchStore(tb testing.TB, rows, card int, sketch bool) *driftlog.Store 
 var mineBenchCases = []struct {
 	name       string
 	rows, card int
-	variants   []bool // false = exact, true = sketch
 }{
-	{"100kx100", 100_000, 100, []bool{false}},
-	{"1Mx100", 1_000_000, 100, []bool{false}},
-	{"100kx100k", 100_000, 100_000, []bool{false, true}},
-	{"1Mx100k", 1_000_000, 100_000, []bool{true}},
-}
-
-func mineVariant(sketch bool) string {
-	if sketch {
-		return "sketch"
-	}
-	return "exact"
+	{"100kx100", 100_000, 100},
+	{"1Mx100", 1_000_000, 100},
+	{"100kx100k", 100_000, 100_000},
 }
 
 // BenchmarkSketchMine is one full from-scratch mine of the whole log.
 func BenchmarkSketchMine(b *testing.B) {
 	th := DefaultThresholds()
 	for _, c := range mineBenchCases {
-		for _, sketch := range c.variants {
-			b.Run(mineVariant(sketch)+"/"+c.name, func(b *testing.B) {
-				v := mineBenchStore(b, c.rows, c.card, sketch).All()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					res, _, err := MineCachedContext(context.Background(), NewSupportCache(v), nil, nil, nil, th)
-					if err != nil {
-						b.Fatal(err)
-					}
-					if len(res) == 0 {
-						b.Fatal("mine found nothing")
-					}
+		b.Run("exact/"+c.name, func(b *testing.B) {
+			v := mineBenchStore(b, c.rows, c.card).All()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				res, _, err := MineCachedContext(context.Background(), NewSupportCache(v), nil, nil, nil, th)
+				if err != nil {
+					b.Fatal(err)
 				}
-			})
-		}
+				if len(res) == 0 {
+					b.Fatal("mine found nothing")
+				}
+			}
+		})
 	}
 }
 
@@ -117,28 +99,26 @@ func BenchmarkSketchRemine(b *testing.B) {
 	th := DefaultThresholds()
 	base := time.Unix(0, 0).UTC()
 	for _, c := range mineBenchCases {
-		for _, sketch := range c.variants {
-			b.Run(mineVariant(sketch)+"/"+c.name, func(b *testing.B) {
-				s := mineBenchStore(b, c.rows, c.card, sketch)
-				v1 := s.Window(time.Time{}, base.Add(40*time.Minute))
-				rows1 := v1.ShardRows()
-				_, to1 := v1.Bounds()
-				_, cache1, err := MineCachedContext(context.Background(), NewSupportCache(v1), nil, nil, nil, th)
-				if err != nil {
+		b.Run("exact/"+c.name, func(b *testing.B) {
+			s := mineBenchStore(b, c.rows, c.card)
+			v1 := s.Window(time.Time{}, base.Add(40*time.Minute))
+			rows1 := v1.ShardRows()
+			_, to1 := v1.Bounds()
+			_, cache1, err := MineCachedContext(context.Background(), NewSupportCache(v1), nil, nil, nil, th)
+			if err != nil {
+				b.Fatal(err)
+			}
+			v2 := s.Window(time.Time{}, base.Add(50*time.Minute))
+			delta, err := v2.Since(rows1, to1)
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, _, err := MineCachedContext(context.Background(), NewSupportCache(v2), delta, cache1, nil, th); err != nil {
 					b.Fatal(err)
 				}
-				v2 := s.Window(time.Time{}, base.Add(50*time.Minute))
-				delta, err := v2.Since(rows1, to1)
-				if err != nil {
-					b.Fatal(err)
-				}
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					if _, _, err := MineCachedContext(context.Background(), NewSupportCache(v2), delta, cache1, nil, th); err != nil {
-						b.Fatal(err)
-					}
-				}
-			})
-		}
+			}
+		})
 	}
 }

@@ -2,6 +2,7 @@ package macrosim
 
 import (
 	"context"
+	"fmt"
 	"slices"
 	"strings"
 	"testing"
@@ -110,9 +111,9 @@ func (s serviceSink) Report(e driftlog.Entry, sample []float64) error {
 
 // TestHighCardSketchEndToEnd runs the checked-in high-cardinality
 // scenario (shrunk fleet) into a cloud.Service whose drift log has a
-// low sketch threshold, and checks the synthetic attributes actually
-// cross onto the approximate tier while counts stay one-sided within
-// the advertised bound — the full nazar-sim → ingest → sketch path.
+// low tier-up threshold, and checks the synthetic attributes actually
+// drop their bitmaps while every count stays exact — the full
+// nazar-sim → ingest → row-walk path.
 func TestHighCardSketchEndToEnd(t *testing.T) {
 	sc, err := LoadScenario("testdata/scenarios/high_cardinality.json")
 	if err != nil {
@@ -135,15 +136,12 @@ func TestHighCardSketchEndToEnd(t *testing.T) {
 	sketched := log.SketchedAttrs()
 	for _, attr := range []string{"app_version", "firmware"} {
 		if !slices.Contains(sketched, attr) {
-			t.Fatalf("attr %q not on the sketch tier (sketched: %v)", attr, sketched)
+			t.Fatalf("attr %q did not tier up (tiered: %v)", attr, sketched)
 		}
 	}
-	if st := log.Stats(); st.SketchBytes == 0 {
-		t.Fatalf("sketch tier active but SketchBytes = 0: %+v", st)
-	}
 
-	// Estimates are one-sided within the advertised bound, both over
-	// all time and over a bucket-aligned sub-window.
+	// Counts on the tiered attributes are exact, both over all time and
+	// over a sub-window.
 	v := log.Window(time.Time{}, time.Time{})
 	sub := log.Window(simEpoch, simEpoch.Add(20*time.Minute))
 	for _, view := range []*driftlog.View{v, sub} {
@@ -165,22 +163,14 @@ func TestHighCardSketchEndToEnd(t *testing.T) {
 					}
 				}
 			})
-			approx, bound := view.Approx([]driftlog.Cond{cond}, nil)
-			if !approx {
-				t.Fatalf("cond %v on sketched attr not reported approximate", cond)
-			}
-			if got.Total < exact.Total || got.Total > exact.Total+bound {
-				t.Fatalf("cond %v: sketch %d outside [%d,%d+%d]", cond, got.Total, exact.Total, exact.Total, bound)
-			}
-			if got.Drift < exact.Drift {
-				t.Fatalf("cond %v: sketch drift %d < exact %d", cond, got.Drift, exact.Drift)
+			if got != exact || exact.Total == 0 {
+				t.Fatalf("cond %v: counted %+v, the rows hold %+v", cond, got, exact)
 			}
 		}
 	}
 
 	// Pool width changes wall-clock only: the delivered entry set, the
-	// fleet summary, and the order-independent Count-Min totals all
-	// agree between 1 and 8 workers.
+	// fleet summary, and the counts all agree between 1 and 8 workers.
 	svc8, sum8 := run(8, 512)
 	b1, err := sum.MarshalStable()
 	if err != nil {
@@ -212,11 +202,11 @@ func TestHighCardSketchEndToEnd(t *testing.T) {
 	}
 
 	// The product output does not depend on the tier: diagnosing the
-	// whole log finds the same causes, in the same order, when the
-	// synthetic attributes stay exact.
+	// whole log finds the same causes, in the same order, with the same
+	// metrics, when the synthetic attributes keep their bitmaps.
 	exactSvc, _ := run(1, 1<<30)
 	if got := exactSvc.Log().SketchedAttrs(); len(got) != 0 {
-		t.Fatalf("exact-tier service sketched %v", got)
+		t.Fatalf("untiered service tiered %v", got)
 	}
 	diagnose := func(svc *cloud.Service) []string {
 		causes, err := svc.DiagnoseContext(context.Background(), time.Time{}, time.Time{}, simEpoch)
@@ -225,13 +215,13 @@ func TestHighCardSketchEndToEnd(t *testing.T) {
 		}
 		keys := make([]string, len(causes))
 		for i, c := range causes {
-			keys[i] = c.Key()
+			keys[i] = fmt.Sprintf("%s %+v", c.Key(), c.Metrics)
 		}
 		return keys
 	}
-	sketchCauses, exactCauses := diagnose(svc), diagnose(exactSvc)
-	if len(exactCauses) == 0 || !slices.Equal(sketchCauses, exactCauses) {
-		t.Fatalf("sketch-tier causes %q, exact-tier causes %q", sketchCauses, exactCauses)
+	tieredCauses, exactCauses := diagnose(svc), diagnose(exactSvc)
+	if len(exactCauses) == 0 || !slices.Equal(tieredCauses, exactCauses) {
+		t.Fatalf("tiered causes %q, untiered causes %q", tieredCauses, exactCauses)
 	}
-	t.Log(sketchCauses)
+	t.Log(tieredCauses)
 }

@@ -181,7 +181,8 @@ type RolloutSpec struct {
 // entry the sink materializes. Fleets carry such attributes in
 // practice, and they are exactly what pushes the drift log's per-value
 // bitset index past its memory budget — the spec exists to exercise
-// the sketch tier end-to-end through `nazar-sim -scenario`.
+// the tier-up (such an attribute drops its bitmaps) end-to-end through
+// `nazar-sim -scenario`.
 type HighCardSpec struct {
 	// Attr is the attribute name; it must not collide with the
 	// built-in attributes (device, weather, model, location, cohort).

@@ -22,11 +22,8 @@ type Cause struct {
 	// Metrics are the cause's original FIM metrics (risk ratio is used
 	// downstream to break version-selection ties).
 	Metrics fim.Metrics
-	// Approx / ErrBound carry the sketch-tier annotation of the counts
-	// behind Metrics: when some attribute of the cause is on the drift
-	// log's approximate tier, the supporting counts are one-sided
-	// estimates that may exceed the truth by at most ErrBound rows.
-	Approx   bool
+	// ErrBound is always 0: every count behind Metrics is exact. It is
+	// kept for the composed benchmark, which reads it by name.
 	ErrBound int
 }
 
@@ -216,8 +213,7 @@ func counterfactualCached(ctx context.Context, sc *fim.SupportCache, assocs []As
 			return nil, fmt.Errorf("rca: rescoring %s: %w", a.Coarse.Items, err)
 		}
 		if th.Passes(re.Metrics) {
-			causes = append(causes, Cause{Items: a.Coarse.Items, Metrics: a.Coarse.Metrics,
-				Approx: a.Coarse.Approx, ErrBound: a.Coarse.ErrBound})
+			causes = append(causes, Cause{Items: a.Coarse.Items, Metrics: a.Coarse.Metrics})
 			if _, err := v.ClearDrift(a.Coarse.Items, overlay); err != nil {
 				return nil, fmt.Errorf("rca: clearing %s: %w", a.Coarse.Items, err)
 			}
@@ -242,8 +238,7 @@ func counterfactualCached(ctx context.Context, sc *fim.SupportCache, assocs []As
 				return nil, fmt.Errorf("rca: rescoring %s: %w", sub.Items, errs[i])
 			}
 			if th.Passes(reSubs[i].Metrics) {
-				causes = append(causes, Cause{Items: sub.Items, Metrics: sub.Metrics,
-					Approx: sub.Approx, ErrBound: sub.ErrBound})
+				causes = append(causes, Cause{Items: sub.Items, Metrics: sub.Metrics})
 			}
 		}
 	}
@@ -273,7 +268,7 @@ func CauseLabel(causes []Cause, idx int) string {
 func toCauses(results []fim.Result) []Cause {
 	causes := make([]Cause, len(results))
 	for i, r := range results {
-		causes[i] = Cause{Items: r.Items, Metrics: r.Metrics, Approx: r.Approx, ErrBound: r.ErrBound}
+		causes[i] = Cause{Items: r.Items, Metrics: r.Metrics}
 	}
 	return causes
 }
