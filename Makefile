@@ -15,9 +15,9 @@ GO ?= go
 # drive the devices).
 RACE_PKGS = ./internal/cloud/... ./internal/driftlog/... ./internal/fim/... ./internal/rca/... ./internal/httpapi/... ./internal/tensor/... ./internal/transport/... ./internal/faultinject/... ./internal/macrosim/... ./internal/nn/... ./internal/registry/... ./internal/device/...
 
-.PHONY: ci vet staticcheck build loc test race race-chaos chaos macrosim-smoke fuzz fuzz-smoke bench bench-kernels bench-analysis bench-wal bench-wire bench-macrosim bench-smoke clean
+.PHONY: ci vet staticcheck build cross loc test race race-chaos chaos macrosim-smoke fuzz fuzz-smoke bench bench-kernels bench-analysis bench-wal bench-wire bench-macrosim bench-smoke clean
 
-ci: vet staticcheck build loc test race race-chaos macrosim-smoke
+ci: vet staticcheck build cross loc test race race-chaos macrosim-smoke
 
 # vet is go vet plus the formatting gate: any file gofmt would rewrite
 # fails the target (and so `make ci` and the workflow's Vet step).
@@ -40,6 +40,12 @@ staticcheck:
 
 build:
 	$(GO) build ./...
+
+# The float kernels have an amd64 assembly body beside the Go loop every
+# other platform runs; vet and build for arm64 so the portable half (and
+# the assembly's Go declarations) cannot rot.
+cross:
+	GOARCH=arm64 $(GO) vet ./internal/tensor/ && GOARCH=arm64 $(GO) build ./...
 
 # Non-test Go lines of the packages ROADMAP's collapse item is measured
 # on, and their sum — its acceptance number — held to the checked-in

@@ -55,6 +55,7 @@ func main() {
 	)
 	flag.Parse()
 
+	log.Printf("nazard: float kernels on the AVX row body: %v (false: the Go loop)", tensor.UsesAVX())
 	log.Printf("nazard: building world (classes=%d seed=%d) and training base model", *classes, *seed)
 	world := imagesim.NewWorld(imagesim.DefaultConfig(*classes, *seed))
 	rng := tensor.NewRand(*seed, 0xD003)

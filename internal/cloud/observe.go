@@ -67,6 +67,8 @@ import (
 //	nazar_pool_sequential_calls       inline (non-fanned) ParallelFor runs
 //	nazar_pool_goroutines_total       worker goroutines ever spawned
 //	nazar_pool_active_workers         worker goroutines running now
+//	nazar_tensor_avx                  1 when the float kernels run the AVX
+//	                                  row body, 0 on the Go loop
 type Metrics struct {
 	registry *obs.Registry
 
@@ -239,6 +241,10 @@ func (m *Metrics) observeStores(s *Service) {
 		func() float64 { return float64(tensor.ReadPoolStats().Goroutines) })
 	reg.GaugeFunc("nazar_pool_active_workers", "Worker goroutines running now.",
 		func() float64 { return float64(tensor.ReadPoolStats().Active) })
+	avx := reg.Gauge("nazar_tensor_avx", "1 when the float matmul kernels run the AVX row body, 0 when they run the Go loop.")
+	if tensor.UsesAVX() {
+		avx.Set(1)
+	}
 
 	reg.GaugeFunc("nazar_workspace_gets", "Scratch matrices handed out by the workspace arena.",
 		func() float64 { return float64(tensor.ReadWorkspaceStats().Gets) })

@@ -203,6 +203,13 @@ func TestObserverCounters(t *testing.T) {
 			t.Fatalf("exposition missing %q\n%s", want, got)
 		}
 	}
+	avx := "nazar_tensor_avx 0\n"
+	if tensor.UsesAVX() {
+		avx = "nazar_tensor_avx 1\n"
+	}
+	if !strings.Contains(got, avx) {
+		t.Fatalf("exposition missing %q\n%s", avx, got)
+	}
 }
 
 // TestObserverUnsortedShards checks that interleaved writers show up in

@@ -511,12 +511,7 @@ func (vs *viewShard) keptCols(sel pairSel) []keptCol {
 	for _, nc := range cols {
 		k := keptCol{namedCol: nc, n: len(nc.c.dict) - 1}
 		if sel.mask != nil {
-			k.ids = make([]uint32, 0, len(sel.mask[nc.name]))
-			for val := range sel.mask[nc.name] {
-				if id := nc.c.lookup(val); id != 0 {
-					k.ids = append(k.ids, id)
-				}
-			}
+			k.ids = nc.c.appendIDs(make([]uint32, 0, len(sel.mask[nc.name])), sel.mask[nc.name])
 			slices.Sort(k.ids)
 			k.n = len(k.ids)
 		}

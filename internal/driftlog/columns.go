@@ -11,6 +11,7 @@ import (
 	"fmt"
 	"slices"
 	"sort"
+	"strings"
 	"time"
 )
 
@@ -116,43 +117,31 @@ func (b *ColumnarBatch) Entries() []Entry {
 // ColumnsFromEntries converts a row-form batch to columnar form.
 // Columns come out in sorted name order with per-batch dictionaries in
 // first-seen order, so the conversion is deterministic for a given
-// entry slice.
+// entry slice. Each row's attribute map is walked once: a batch names
+// few attributes, so a linear scan of the columns met so far finds a
+// name's column, and the columns are sorted by name at the end.
 func ColumnsFromEntries(entries []Entry) *ColumnarBatch {
 	b := &ColumnarBatch{
 		Times:     make([]int64, len(entries)),
 		Drift:     make([]bool, len(entries)),
 		SampleIDs: make([]int64, len(entries)),
+		Cols:      []ColumnData{},
 	}
-	colIdx := map[string]int{}
+	var interns []map[string]uint32 // parallel to b.Cols until the sort
 	for i := range entries {
 		e := &entries[i]
 		b.Times[i] = e.Time.UnixNano()
 		b.Drift[i] = e.Drift
 		b.SampleIDs[i] = e.SampleID
-		for name := range e.Attrs {
-			if _, ok := colIdx[name]; !ok {
-				colIdx[name] = -1 // placeholder; indexes assigned after sorting
+		for name, val := range e.Attrs {
+			ci := 0
+			for ci < len(b.Cols) && b.Cols[ci].Name != name {
+				ci++
 			}
-		}
-	}
-	names := make([]string, 0, len(colIdx))
-	for name := range colIdx {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	b.Cols = make([]ColumnData, len(names))
-	for ci, name := range names {
-		colIdx[name] = ci
-		b.Cols[ci] = ColumnData{Name: name, Dict: []string{""}, IDs: make([]uint32, len(entries))}
-	}
-	// Per-column value interning (first-seen order within the batch).
-	interns := make([]map[string]uint32, len(names))
-	for ci := range interns {
-		interns[ci] = map[string]uint32{}
-	}
-	for i := range entries {
-		for name, val := range entries[i].Attrs {
-			ci := colIdx[name]
+			if ci == len(b.Cols) {
+				b.Cols = append(b.Cols, ColumnData{Name: name, Dict: []string{""}, IDs: make([]uint32, len(entries))})
+				interns = append(interns, map[string]uint32{})
+			}
 			col := &b.Cols[ci]
 			id, ok := interns[ci][val]
 			if !ok {
@@ -163,6 +152,7 @@ func ColumnsFromEntries(entries []Entry) *ColumnarBatch {
 			col.IDs[i] = id
 		}
 	}
+	slices.SortFunc(b.Cols, func(x, y ColumnData) int { return strings.Compare(x.Name, y.Name) })
 	return b
 }
 

@@ -224,6 +224,44 @@ func TestWALFrameRecordGolden(t *testing.T) {
 	}
 }
 
+// TestColumnsFromEntriesFrameGolden pins the frame ColumnsFromEntries
+// yields for a batch whose attributes first appear mid-batch: row 0 has
+// only weather, device first appears at row 1, and location and
+// "z_custom" (which sorts last) at row 4, after a row with no
+// attributes. The frame lists the columns in name order, each
+// dictionary in first-seen row order, whatever order the rows' attribute
+// maps iterate in.
+func TestColumnsFromEntriesFrameGolden(t *testing.T) {
+	const want = "4e5a42310100a60000005f4db369" + // frame header: magic, version 1, no flags, payload length, crc
+		"06" + "8080fe82dafefce92b" + "80a8d6b907" + "80a8d6b907" + "80a8d6b907" + "80a8d6b907" + "80a8d6b907" + // 6 rows, delta-encoded times
+		"30" + "010101010101" + // drift bitmap (rows 4, 5), sample ids (all absent)
+		"04" + // four columns, by name
+		"06646576696365" + "02" + "0a616e64726f69645f3231" + "0a616e64726f69645f3432" + "000102000102" +
+		"086c6f636174696f6e" + "02" + "0848656c73696e6b69" + "084e657720596f726b" + "000000000102" +
+		"0777656174686572" + "03" + "04736e6f77" + "047261696e" + "09666f672d6e69676874" + "010102000302" +
+		"087a5f637573746f6d" + "01" + "0178" + "000000000100"
+	at := func(s int) time.Time { return time.Unix(1579068000+int64(s), 0).UTC() }
+	entries := []Entry{
+		{Time: at(0), SampleID: -1, Attrs: map[string]string{AttrWeather: "snow"}},
+		{Time: at(1), SampleID: -1, Attrs: map[string]string{AttrWeather: "snow", AttrDevice: "android_21"}},
+		{Time: at(2), SampleID: -1, Attrs: map[string]string{AttrWeather: "rain", AttrDevice: "android_42"}},
+		{Time: at(3), SampleID: -1, Attrs: map[string]string{}},
+		{Time: at(4), Drift: true, SampleID: -1, Attrs: map[string]string{
+			AttrLocation: "Helsinki", AttrDevice: "android_21", AttrWeather: "fog-night", "z_custom": "x"}},
+		{Time: at(5), Drift: true, SampleID: -1, Attrs: map[string]string{
+			AttrLocation: "New York", AttrDevice: "android_42", AttrWeather: "rain"}},
+	}
+	for run := 0; run < 20; run++ { // map iteration order varies by run
+		frame, err := AppendFrame(nil, ColumnsFromEntries(entries))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := hex.EncodeToString(frame); got != want {
+			t.Fatalf("run %d: frame bytes changed:\n got %s\nwant %s", run, got, want)
+		}
+	}
+}
+
 // TestWALAppendColumnsReplay proves a columnar-written WAL replays into
 // a store identical to the live one.
 func TestWALAppendColumnsReplay(t *testing.T) {

@@ -565,16 +565,19 @@ func requireViewMatchesScan(t *testing.T, v *View, conds [][]Cond) {
 }
 
 // TestViewConcurrentQueries hammers one view from several goroutines
-// while appends continue (run under -race by `make race`): the state a view
-// builds lazily and shares — per-column dictionary indexes — must be built
-// once and read race-free, and results must stay what the pinned rows say:
-// equal to the scan reference's, on bitmap columns and the tiered one.
+// while appends continue (run under -race by `make race`): a view resolves
+// values through the live columns' indexes, which the appender keeps
+// interning into, so those reads must be race-free and must not see the
+// values interned after the view pinned — results must stay what the
+// pinned rows say: equal to the scan reference's, on bitmap columns and
+// the tiered one.
 func TestViewConcurrentQueries(t *testing.T) {
 	s := interleavedSketchStore()
 	base := time.Unix(0, 0).UTC()
 	from, to := base.Add(250*time.Second), base.Add(957*time.Second)
 	// The reference runs over a second view of the same rows, so v's lazily
-	// built state is first touched by the concurrent readers.
+	// built state (its pair candidates) is first touched by the concurrent
+	// readers.
 	v, oracle := s.Window(from, to), s.Window(from, to)
 	conds := [][]Cond{
 		{{AttrWeather, "w1"}, {AttrLocation, "city_2"}},

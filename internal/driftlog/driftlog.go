@@ -409,28 +409,36 @@ type viewCol struct {
 	dict     []string
 	bits     []bmSnap
 	sketched bool
-	index    *dictIndex
+	live     *column       // the pinned column, whose index resolves values
+	mu       *sync.RWMutex // its shard's lock, guarding live.index
 }
 
-// dictIndex is the value → ID hash index over one pinned dictionary. The
-// live column's own index map keeps mutating under appends, so the view
-// builds its own from the pinned dict on the first lookup (views that
-// never resolve a value on this column pay nothing) and every later query
-// on the view shares it.
-type dictIndex struct {
-	once sync.Once
-	ids  map[string]uint32
-}
-
-// lookup resolves a value to its dictionary ID (0 = not present).
+// lookup resolves a value to its dictionary ID (0 = not present in the
+// pinned column). The live index may have grown since the view pinned
+// the column, but only by appending: an id at or past the pinned
+// dictionary's length names a value interned later, which no pinned row
+// holds. A column Compact replaced is never written again, so a view
+// pinned before the compaction keeps resolving through it.
 func (c viewCol) lookup(v string) uint32 {
-	c.index.once.Do(func() {
-		c.index.ids = make(map[string]uint32, len(c.dict))
-		for id := 1; id < len(c.dict); id++ {
-			c.index.ids[c.dict[id]] = uint32(id)
+	c.mu.RLock()
+	defer c.mu.RUnlock()
+	if id := c.live.index[v]; int(id) < len(c.dict) {
+		return id
+	}
+	return 0
+}
+
+// appendIDs appends the ID of every value in vals that the pinned column
+// holds, resolving them as lookup does under one read lock.
+func (c viewCol) appendIDs(ids []uint32, vals map[string]bool) []uint32 {
+	c.mu.RLock()
+	defer c.mu.RUnlock()
+	for v := range vals {
+		if id := c.live.index[v]; id != 0 && int(id) < len(c.dict) {
+			ids = append(ids, id)
 		}
-	})
-	return c.index.ids[v]
+	}
+	return ids
 }
 
 // viewShard is the immutable snapshot of one shard: slice headers pinned
@@ -524,7 +532,7 @@ func (s *Store) Window(from, to time.Time) *View {
 		vs.driftBM = snapBitmap(sh.driftBits, fw, rem)
 		for name, col := range sh.cols {
 			if col.sketched {
-				vs.cols[name] = viewCol{ids: col.ids[:rows], dict: col.dict, sketched: true, index: new(dictIndex)}
+				vs.cols[name] = viewCol{ids: col.ids[:rows], dict: col.dict, sketched: true, live: col, mu: &sh.mu}
 				if v.sketched == nil {
 					v.sketched = map[string]bool{}
 				}
@@ -536,7 +544,7 @@ func (s *Store) Window(from, to time.Time) *View {
 			for id := 1; id < nvals; id++ {
 				bits[id] = snapBitmap(col.bits[id], fw, rem)
 			}
-			vs.cols[name] = viewCol{ids: col.ids[:rows], dict: col.dict[:nvals], bits: bits, index: new(dictIndex)}
+			vs.cols[name] = viewCol{ids: col.ids[:rows], dict: col.dict[:nvals], bits: bits, live: col, mu: &sh.mu}
 		}
 		sh.mu.RUnlock()
 		v.shards[i] = vs

@@ -3,6 +3,7 @@ package driftlog
 import (
 	"fmt"
 	"math/rand"
+	"reflect"
 	"sort"
 	"sync"
 	"testing"
@@ -132,6 +133,84 @@ func TestViewPinsRowCount(t *testing.T) {
 	}
 	if cr.Total != 2 {
 		t.Fatalf("view leaked a concurrent append: %+v", cr)
+	}
+}
+
+// TestViewLookupIgnoresLaterValues: a value interned after a view pinned
+// its columns is in the live index but past the pinned dictionary, so it
+// resolves to 0 on the older view — a condition or mask naming it matches
+// nothing there instead of reaching past the pinned bitmaps — while the
+// view's own values resolve as before.
+func TestViewLookupIgnoresLaterValues(t *testing.T) {
+	s := paperExample()
+	v := s.All()
+	at := time.Date(2020, 1, 15, 12, 0, 0, 0, time.UTC)
+	for _, dev := range []string{"android_42", "android_21"} { // the pinned shards
+		s.AppendBatch([]Entry{{Time: at, Drift: true, SampleID: -1,
+			Attrs: map[string]string{AttrDevice: dev, AttrWeather: "hail", AttrLocation: "Helsinki"}}})
+	}
+	live := 0
+	for si := range v.shards {
+		col, ok := v.shards[si].cols[AttrWeather]
+		if !ok {
+			continue
+		}
+		if col.live.index["hail"] != 0 {
+			live++
+		}
+		if id := col.lookup("hail"); id != 0 {
+			t.Fatalf("shard %d: hail, interned after the view pinned, resolves to %d", si, id)
+		}
+		if id := col.lookup("snow"); id == 0 || col.dict[id] != "snow" {
+			t.Fatalf("shard %d: snow resolves to %d", si, id)
+		}
+	}
+	if live == 0 {
+		t.Fatal("no pinned column's live index holds hail: the test exercises nothing")
+	}
+	cr, err := v.Count([]Cond{{AttrWeather, "hail"}}, nil)
+	if err != nil || cr.Total != 0 {
+		t.Fatalf("Count(hail) on the older view = %+v, %v", cr, err)
+	}
+	pairs := v.PairCountsMasked(nil, ValueMask{
+		AttrWeather:  {"hail": true, "snow": true},
+		AttrLocation: {"Helsinki": true},
+	})
+	want := map[PairKey]CountResult{
+		{AttrLocation, "Helsinki", AttrWeather, "snow"}: {Total: 1, Drift: 1},
+	}
+	if !reflect.DeepEqual(pairs, want) {
+		t.Fatalf("masked pairs on the older view = %v, want %v", pairs, want)
+	}
+}
+
+// TestViewLookupAcrossCompact: Compact replaces every shard column, and a
+// view pinned before it keeps resolving its values through the columns it
+// pinned, which are never written again — not even by appends after the
+// compaction interning the same values into the new columns.
+func TestViewLookupAcrossCompact(t *testing.T) {
+	s := paperExample()
+	v := s.All()
+	if n := s.Compact(time.Date(2020, 1, 15, 8, 0, 0, 0, time.UTC)); n != 3 {
+		t.Fatalf("Compact dropped %d rows, want 3", n)
+	}
+	s.AppendBatch([]Entry{{Time: time.Date(2020, 1, 15, 12, 0, 0, 0, time.UTC), SampleID: -1,
+		Attrs: map[string]string{AttrDevice: "android_42", AttrWeather: "hail"}}})
+	for _, c := range []struct {
+		cond        Cond
+		total, drft int
+	}{
+		{Cond{AttrWeather, "clear-day"}, 3, 1},
+		{Cond{AttrLocation, "New York"}, 3, 2},
+		{Cond{AttrWeather, "hail"}, 0, 0},
+	} {
+		cr, err := v.Count([]Cond{c.cond}, nil)
+		if err != nil || cr.Total != c.total || cr.Drift != c.drft {
+			t.Fatalf("pre-compaction view: Count(%v) = %+v, %v; want %d/%d", c.cond, cr, err, c.total, c.drft)
+		}
+	}
+	if cr, _ := s.All().Count([]Cond{{AttrWeather, "clear-day"}}, nil); cr.Total != 0 {
+		t.Fatalf("a fresh view still sees compacted rows: %+v", cr)
 	}
 }
 

@@ -146,3 +146,45 @@ func TestEvalForwardSteadyStateAllocs(t *testing.T) {
 		t.Fatalf("steady-state LogitsOne allocates %v per run, want ~0", n)
 	}
 }
+
+// TestDenseBackwardInputGradientBitIdentical pins Dense.Backward's dx, a
+// forward product over a transposed copy of W, bit for bit against the
+// dout·Wᵀ dot-product loop, at the adaptation shape
+// (64 rows through a 96×96 layer), at odd shapes on both sides of the
+// blocked-kernel gates and under the parallel fan-out, with ReLU-style
+// zeros in dout (the rows the forward kernel skips).
+func TestDenseBackwardInputGradientBitIdentical(t *testing.T) {
+	for _, sh := range []struct{ rows, in, out int }{
+		{64, 96, 96}, {1, 96, 96}, {13, 7, 9}, {5, 33, 3}, {3, 2, 17}, {65, 129, 67},
+	} {
+		for _, w := range []int{1, 8} {
+			tensor.SetMaxWorkers(w)
+			rng := tensor.NewRand(uint64(sh.in), uint64(sh.out))
+			d := NewDense(sh.in, sh.out, rng)
+			x := randBatch(uint64(sh.rows), sh.rows, sh.in)
+			d.Forward(x, Train)
+			dout := randBatch(uint64(sh.rows)+1, sh.rows, sh.out)
+			for i := range dout.Data {
+				if i%3 == 0 {
+					dout.Data[i] = 0
+				}
+			}
+			got := d.Backward(dout)
+
+			wm := d.w.W
+			for i := 0; i < sh.rows; i++ {
+				for j := 0; j < sh.in; j++ {
+					var s float64
+					for k, v := range dout.Row(i) {
+						s += v * wm.At(j, k)
+					}
+					if g := got.At(i, j); math.Float64bits(g) != math.Float64bits(s) {
+						t.Fatalf("%dx%d·(%dx%d)ᵀ @w%d: dx[%d,%d] = %v, dot product %v",
+							sh.rows, sh.out, sh.in, sh.out, w, i, j, g, s)
+					}
+				}
+			}
+		}
+	}
+	tensor.SetMaxWorkers(0)
+}

@@ -147,8 +147,8 @@ type Dense struct {
 	x       *tensor.Matrix // cached input
 
 	// Persistent scratch, resized with Reshape and reused across steps.
-	y, dx, dW tensor.Matrix
-	db        []float64
+	y, dx, dW, wT tensor.Matrix
+	db            []float64
 }
 
 // NewDense returns a Dense layer with He-initialized weights.
@@ -175,10 +175,16 @@ func (d *Dense) forwardFusedReLU(x *tensor.Matrix, _ Mode, r *ReLU) *tensor.Matr
 	return y
 }
 
+// Backward computes dx = dout·Wᵀ as a forward product over a copy of W
+// transposed into scratch: per element the same left-to-right sum as the
+// dout·Wᵀ dot product, so the bits match it, on the row kernel every
+// other product runs. The copy costs In×Out per call against
+// Rows×In×Out for the product.
 func (d *Dense) Backward(dout *tensor.Matrix) *tensor.Matrix {
 	d.backwardParams(dout)
+	wT := d.w.W.TransposeInto(d.wT.Reshape(d.Out, d.In))
 	dx := d.dx.Reshape(dout.Rows, d.In)
-	tensor.MatMulABT(dx, dout, d.w.W)
+	tensor.MatMul(dx, dout, wT)
 	return dx
 }
 

@@ -13,15 +13,12 @@ import (
 // kernels over the reference loops is part of the PR acceptance
 // criteria.
 
-func benchMatrices(m, k, n int) (a, b, bt, dy, dst, atb *Matrix) {
+func benchMatrices(m, k, n int) (a, b, dst *Matrix) {
 	rng := rand.New(rand.NewPCG(0xBE7C4, 1))
 	a = New(m, k)
 	b = New(k, n)
-	bt = New(n, k)
-	dy = New(m, n)
 	dst = New(m, n)
-	atb = New(k, n)
-	for _, mat := range []*Matrix{a, b, bt, dy} {
+	for _, mat := range []*Matrix{a, b} {
 		for i := range mat.Data {
 			mat.Data[i] = rng.NormFloat64()
 		}
@@ -31,72 +28,42 @@ func benchMatrices(m, k, n int) (a, b, bt, dy, dst, atb *Matrix) {
 
 var benchSizes = []int{64, 128, 256}
 
-func BenchmarkMatMul(b *testing.B) {
+// benchOrientation runs one product at each size three ways: the blocked
+// kernel on the host's row body ("blocked"), the blocked kernel on the Go
+// row body ("go", present only where the host runs the AVX body, so the
+// pair reads as the vector body's gain), and the reference loop ("ref").
+func benchOrientation(b *testing.B, kernel, ref func(dst, a, b *Matrix)) {
 	for _, s := range benchSizes {
-		a, bm, _, _, dst, _ := benchMatrices(s, s, s)
-		b.Run(fmt.Sprintf("blocked/%d", s), func(b *testing.B) {
-			b.ReportAllocs()
-			b.SetBytes(int64(8 * s * s * s))
-			for i := 0; i < b.N; i++ {
-				MatMul(dst, a, bm)
-			}
-		})
-		b.Run(fmt.Sprintf("ref/%d", s), func(b *testing.B) {
-			b.ReportAllocs()
-			b.SetBytes(int64(8 * s * s * s))
-			for i := 0; i < b.N; i++ {
-				matMulRef(dst, a, bm)
-			}
-		})
+		a, bm, dst := benchMatrices(s, s, s)
+		run := func(name string, f func(dst, a, b *Matrix)) {
+			b.Run(fmt.Sprintf("%s/%d", name, s), func(b *testing.B) {
+				b.ReportAllocs()
+				b.SetBytes(int64(8 * s * s * s))
+				for i := 0; i < b.N; i++ {
+					f(dst, a, bm)
+				}
+			})
+		}
+		run("blocked", kernel)
+		if useAVX {
+			useAVX = false
+			run("go", kernel)
+			useAVX = true
+		}
+		run("ref", ref)
 	}
 }
 
-func BenchmarkMatMulATB(b *testing.B) {
-	for _, s := range benchSizes {
-		a, bm, _, _, dst, _ := benchMatrices(s, s, s)
-		b.Run(fmt.Sprintf("blocked/%d", s), func(b *testing.B) {
-			b.ReportAllocs()
-			b.SetBytes(int64(8 * s * s * s))
-			for i := 0; i < b.N; i++ {
-				MatMulATB(dst, a, bm)
-			}
-		})
-		b.Run(fmt.Sprintf("ref/%d", s), func(b *testing.B) {
-			b.ReportAllocs()
-			b.SetBytes(int64(8 * s * s * s))
-			for i := 0; i < b.N; i++ {
-				matMulATBRef(dst, a, bm)
-			}
-		})
-	}
-}
+func BenchmarkMatMul(b *testing.B) { benchOrientation(b, MatMul, matMulRef) }
 
-func BenchmarkMatMulABT(b *testing.B) {
-	for _, s := range benchSizes {
-		a, _, bt, _, dst, _ := benchMatrices(s, s, s)
-		b.Run(fmt.Sprintf("blocked/%d", s), func(b *testing.B) {
-			b.ReportAllocs()
-			b.SetBytes(int64(8 * s * s * s))
-			for i := 0; i < b.N; i++ {
-				MatMulABT(dst, a, bt)
-			}
-		})
-		b.Run(fmt.Sprintf("ref/%d", s), func(b *testing.B) {
-			b.ReportAllocs()
-			b.SetBytes(int64(8 * s * s * s))
-			for i := 0; i < b.N; i++ {
-				matMulABTRef(dst, a, bt)
-			}
-		})
-	}
-}
+func BenchmarkMatMulATB(b *testing.B) { benchOrientation(b, MatMulATB, matMulATBRef) }
 
 // BenchmarkMatMulBiasReLU compares the fused dense-forward kernel
 // against the unfused MatMul + AddRowVector + clamp sequence it
 // replaces.
 func BenchmarkMatMulBiasReLU(b *testing.B) {
 	const m, k, n = 64, 96, 96
-	a, bm, _, _, dst, _ := benchMatrices(m, k, n)
+	a, bm, dst := benchMatrices(m, k, n)
 	bias := make([]float64, n)
 	mask := make([]bool, m*n)
 	b.Run("fused", func(b *testing.B) {

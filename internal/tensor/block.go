@@ -2,20 +2,24 @@ package tensor
 
 // Cache/register-blocked matmul kernels.
 //
-// All three matmul orientations share one design: the inner loop streams
-// a length-Cols destination row while folding in four source rows at a
-// time (a "k-quad"). Relative to the straight ikj loop this quarters the
-// number of dst loads/stores per multiply-add and lets the compiler keep
-// the four panel scalars in registers, which is where the measured
-// 1.5-2x single-thread win comes from. Row-major storage means every
-// slice the inner loop touches is already contiguous, so no packing
-// copies are needed (a packed-panel variant was measured and lost: the
-// pack traffic costs more than it saves at these shapes — see DESIGN.md).
+// Both blocked orientations (MatMul's a·b and MatMulATB's aᵀ·b) share one
+// design: the inner loop streams a length-Cols destination row while
+// folding in four source rows at a time (a "k-quad", quadRow in
+// quad.go). Relative to the straight ikj loop this quarters the number
+// of dst loads/stores per multiply-add and keeps the four panel scalars
+// in registers. Row-major storage means every slice the inner loop
+// touches is already contiguous, so no packing copies are needed (a
+// packed-panel variant was measured and lost: the pack traffic costs
+// more than it saves at these shapes — see DESIGN.md). The third
+// orientation a neural network needs, a·bᵀ for input gradients, is
+// MatMul over a transposed copy of b (nn's Dense.Backward): the same
+// per-element sum as the a·bᵀ dot product, on the same row kernel.
 //
 // Bit-exactness contract: for every output element the kernels perform
 // the same floating-point additions in the same order as the reference
 // loops (matMulRange and friends), so results are bit-identical to the
-// reference at any worker-pool width. Two rules keep it that way:
+// reference at any worker-pool width and with either quadRow body. Two
+// rules keep it that way:
 //
 //  1. Accumulation must stay left-associated against the destination:
 //     `d = d + a0*b0 + a1*b1 + ...`, never `d += a0*b0 + a1*b1 + ...`
@@ -61,13 +65,7 @@ func matMulQuadRow(di, ai []float64, b *Matrix, n, kk int) {
 		if a0 == 0 && a1 == 0 && a2 == 0 && a3 == 0 {
 			continue // all four products are ±0; see bit-exactness note
 		}
-		b0 := b.Data[k*n : k*n+n : k*n+n]
-		b1 := b.Data[(k+1)*n : (k+1)*n+n : (k+1)*n+n]
-		b2 := b.Data[(k+2)*n : (k+2)*n+n : (k+2)*n+n]
-		b3 := b.Data[(k+3)*n : (k+3)*n+n : (k+3)*n+n]
-		for j, v := range b0 {
-			di[j] = di[j] + a0*v + a1*b1[j] + a2*b2[j] + a3*b3[j]
-		}
+		quadRow(di, b.Data[k*n:], a0, a1, a2, a3)
 	}
 	for ; k < kk; k++ {
 		av := ai[k]
@@ -96,19 +94,13 @@ func matMulATBBlocked(dst, a, b *Matrix, lo, hi int) {
 	r := 0
 	for ; r+4 <= rows; r += 4 {
 		a0, a1, a2, a3 := a.Row(r), a.Row(r+1), a.Row(r+2), a.Row(r+3)
-		b0 := b.Data[r*n : r*n+n : r*n+n]
-		b1 := b.Data[(r+1)*n : (r+1)*n+n : (r+1)*n+n]
-		b2 := b.Data[(r+2)*n : (r+2)*n+n : (r+2)*n+n]
-		b3 := b.Data[(r+3)*n : (r+3)*n+n : (r+3)*n+n]
+		br := b.Data[r*n:]
 		for i := lo; i < hi; i++ {
 			v0, v1, v2, v3 := a0[i], a1[i], a2[i], a3[i]
 			if v0 == 0 && v1 == 0 && v2 == 0 && v3 == 0 {
 				continue
 			}
-			di := dst.Data[i*n : i*n+n : i*n+n]
-			for j, bv := range b0 {
-				di[j] = di[j] + v0*bv + v1*b1[j] + v2*b2[j] + v3*b3[j]
-			}
+			quadRow(dst.Data[i*n:i*n+n:i*n+n], br, v0, v1, v2, v3)
 		}
 	}
 	for ; r < rows; r++ {
@@ -123,52 +115,6 @@ func matMulATBBlocked(dst, a, b *Matrix, lo, hi int) {
 			for j, bv := range br {
 				di[j] += av * bv
 			}
-		}
-	}
-}
-
-// matMulABTBlocked computes rows [lo,hi) of dst = a·bᵀ. Each output is a
-// dot product over the shared inner dimension; the kernel computes four
-// of them per pass over ai (quartering the ai traffic) and unrolls the
-// reduction four-wide, keeping each accumulator's addition order
-// identical to the reference loop.
-func matMulABTBlocked(dst, a, b *Matrix, lo, hi int) {
-	kk := a.Cols
-	for i := lo; i < hi; i++ {
-		ai := a.Row(i)
-		di := dst.Row(i)
-		j := 0
-		for ; j+4 <= b.Rows; j += 4 {
-			b0, b1, b2, b3 := b.Row(j), b.Row(j+1), b.Row(j+2), b.Row(j+3)
-			var s0, s1, s2, s3 float64
-			k := 0
-			for ; k+4 <= kk; k += 4 {
-				v0, v1, v2, v3 := ai[k], ai[k+1], ai[k+2], ai[k+3]
-				s0 = s0 + v0*b0[k] + v1*b0[k+1] + v2*b0[k+2] + v3*b0[k+3]
-				s1 = s1 + v0*b1[k] + v1*b1[k+1] + v2*b1[k+2] + v3*b1[k+3]
-				s2 = s2 + v0*b2[k] + v1*b2[k+1] + v2*b2[k+2] + v3*b2[k+3]
-				s3 = s3 + v0*b3[k] + v1*b3[k+1] + v2*b3[k+2] + v3*b3[k+3]
-			}
-			for ; k < kk; k++ {
-				v := ai[k]
-				s0 += v * b0[k]
-				s1 += v * b1[k]
-				s2 += v * b2[k]
-				s3 += v * b3[k]
-			}
-			di[j], di[j+1], di[j+2], di[j+3] = s0, s1, s2, s3
-		}
-		for ; j < b.Rows; j++ {
-			bj := b.Row(j)
-			var s float64
-			k := 0
-			for ; k+4 <= kk; k += 4 {
-				s = s + ai[k]*bj[k] + ai[k+1]*bj[k+1] + ai[k+2]*bj[k+2] + ai[k+3]*bj[k+3]
-			}
-			for ; k < kk; k++ {
-				s += ai[k] * bj[k]
-			}
-			di[j] = s
 		}
 	}
 }

@@ -9,7 +9,9 @@ import (
 
 // kernelShapes are the differential-test shapes: degenerate vectors,
 // shapes straddling the blocked-kernel gates, sizes not divisible by
-// the 4-wide quads, and large parallel-path shapes.
+// the 4-wide quads, row lengths reaching every exit of the vector body
+// (8-wide, 4-wide and scalar: n mod 8 of 0 through 7), and large
+// parallel-path shapes.
 var kernelShapes = []struct{ m, k, n int }{
 	{1, 1, 1},
 	{1, 17, 1},
@@ -27,6 +29,11 @@ var kernelShapes = []struct{ m, k, n int }{
 	{70, 60, 50},
 	{65, 129, 67}, // odd sizes above the parallel threshold
 	{128, 96, 33},
+	{9, 12, 12},  // one 8-wide step, one 4-wide step
+	{11, 17, 30}, // 8-wide, 4-wide, two scalar
+	{5, 40, 13},  // 8-wide, 4-wide, one scalar
+	{3, 9, 15},   // 8-wide, 4-wide, three scalar
+	{64, 96, 96}, // the adaptation shape
 }
 
 // fillKernelTest populates m with a mix of normal values and exact
@@ -69,10 +76,45 @@ func atWidths(t *testing.T, f func(t *testing.T, workers int)) {
 	SetMaxWorkers(0)
 }
 
+// rowBodies runs f once per quadRow body the host can run — the Go loop,
+// then the AVX body where the host has it — through the test-only switch
+// useAVX, restoring the start-up choice afterwards.
+func rowBodies(t testing.TB, f func(body string)) {
+	t.Helper()
+	host := useAVX
+	defer func() { useAVX = host }()
+	useAVX = false
+	f("go")
+	if host {
+		useAVX = true
+		f("avx")
+	}
+}
+
+// fillFuzz populates m like fillKernelTest plus signed zeros and, when
+// inf is set, infinities. NaN inputs are left out: which NaN payload a
+// sum of two NaNs keeps depends on operand order, which the compiler may
+// commute, so the bodies are only required to agree on the NaNs they
+// generate (0·Inf, Inf−Inf), not on ones they are handed.
+func fillFuzz(m *Matrix, rng *rand.Rand, inf bool) {
+	specials := []float64{0, 0, math.Copysign(0, -1)}
+	if inf {
+		specials = append(specials, math.Inf(1), math.Inf(-1))
+	}
+	for i := range m.Data {
+		if r := rng.IntN(16); r < len(specials) {
+			m.Data[i] = specials[r]
+		} else {
+			m.Data[i] = rng.NormFloat64()
+		}
+	}
+}
+
 // TestMatMulKernelsMatchReferenceBitIdentical is the differential suite
-// of the tentpole: every optimized orientation must agree bit-for-bit
+// of the kernels: every optimized orientation must agree bit-for-bit
 // with its reference loop on every shape, sequentially and under the
-// parallel fan-out.
+// parallel fan-out, with either row body. The a·bᵀ orientation is MatMul
+// over a transposed copy of b, against the dot-product reference.
 func TestMatMulKernelsMatchReferenceBitIdentical(t *testing.T) {
 	rng := rand.New(rand.NewPCG(0xB10C, 1))
 	for _, sh := range kernelShapes {
@@ -91,49 +133,51 @@ func TestMatMulKernelsMatchReferenceBitIdentical(t *testing.T) {
 			bias[j] = rng.NormFloat64()
 		}
 
-		atWidths(t, func(t *testing.T, w int) {
-			ctx := fmt.Sprintf("%dx%dx%d@w%d", sh.m, sh.k, sh.n, w)
+		rowBodies(t, func(body string) {
+			atWidths(t, func(t *testing.T, w int) {
+				ctx := fmt.Sprintf("%dx%dx%d@w%d/%s", sh.m, sh.k, sh.n, w, body)
 
-			want := New(sh.m, sh.n)
-			matMulRef(want, a, b)
-			got := New(sh.m, sh.n)
-			MatMul(got, a, b)
-			matricesBitIdentical(t, "MatMul "+ctx, got, want)
+				want := New(sh.m, sh.n)
+				matMulRef(want, a, b)
+				got := New(sh.m, sh.n)
+				MatMul(got, a, b)
+				matricesBitIdentical(t, "MatMul "+ctx, got, want)
 
-			// MatMulBias == MatMul + AddRowVector, bit-identical.
-			want.AddRowVector(bias)
-			MatMulBias(got, a, b, bias)
-			matricesBitIdentical(t, "MatMulBias "+ctx, got, want)
+				// MatMulBias == MatMul + AddRowVector, bit-identical.
+				want.AddRowVector(bias)
+				MatMulBias(got, a, b, bias)
+				matricesBitIdentical(t, "MatMulBias "+ctx, got, want)
 
-			// MatMulBiasReLU == clamp of the above, with the matching
-			// mask.
-			mask := make([]bool, sh.m*sh.n)
-			MatMulBiasReLU(got, a, b, bias, mask)
-			for i := range want.Data {
-				pos := want.Data[i] > 0
-				if pos != mask[i] {
-					t.Fatalf("MatMulBiasReLU %s: mask[%d]=%v want %v", ctx, i, mask[i], pos)
+				// MatMulBiasReLU == clamp of the above, with the matching
+				// mask.
+				mask := make([]bool, sh.m*sh.n)
+				MatMulBiasReLU(got, a, b, bias, mask)
+				for i := range want.Data {
+					pos := want.Data[i] > 0
+					if pos != mask[i] {
+						t.Fatalf("MatMulBiasReLU %s: mask[%d]=%v want %v", ctx, i, mask[i], pos)
+					}
+					r := want.Data[i]
+					if !pos {
+						r = 0
+					}
+					if math.Float64bits(got.Data[i]) != math.Float64bits(r) {
+						t.Fatalf("MatMulBiasReLU %s: element %d: got %v want %v", ctx, i, got.Data[i], r)
+					}
 				}
-				r := want.Data[i]
-				if !pos {
-					r = 0
-				}
-				if math.Float64bits(got.Data[i]) != math.Float64bits(r) {
-					t.Fatalf("MatMulBiasReLU %s: element %d: got %v want %v", ctx, i, got.Data[i], r)
-				}
-			}
 
-			wantATB := New(sh.m, sh.n)
-			matMulATBRef(wantATB, at, b2)
-			gotATB := New(sh.m, sh.n)
-			MatMulATB(gotATB, at, b2)
-			matricesBitIdentical(t, "MatMulATB "+ctx, gotATB, wantATB)
+				wantATB := New(sh.m, sh.n)
+				matMulATBRef(wantATB, at, b2)
+				gotATB := New(sh.m, sh.n)
+				MatMulATB(gotATB, at, b2)
+				matricesBitIdentical(t, "MatMulATB "+ctx, gotATB, wantATB)
 
-			wantABT := New(sh.m, sh.n)
-			matMulABTRef(wantABT, a, bt)
-			gotABT := New(sh.m, sh.n)
-			MatMulABT(gotABT, a, bt)
-			matricesBitIdentical(t, "MatMulABT "+ctx, gotABT, wantABT)
+				wantABT := New(sh.m, sh.n)
+				matMulABTRef(wantABT, a, bt)
+				gotABT := New(sh.m, sh.n)
+				MatMul(gotABT, a, bt.T())
+				matricesBitIdentical(t, "MatMul(a, btᵀ) "+ctx, gotABT, wantABT)
+			})
 		})
 	}
 }
@@ -163,13 +207,20 @@ func TestMatMulATBParallelMatchesSequential(t *testing.T) {
 }
 
 // FuzzMatMulKernels cross-checks the blocked kernels against the
-// reference loops on fuzzer-chosen shapes and data, including exact
-// zeros (the skip fast paths) at both pool widths.
+// reference loops on fuzzer-chosen shapes and data, including signed
+// zeros (the skip fast paths) and infinities, at both pool widths and
+// with either row body. Infinities go into the broadcast operand only
+// for the reference comparison: a blocked quad with one zero scalar
+// still multiplies that zero into its row (0·Inf = NaN) where the
+// reference skips it, which the contract allows for finite inputs only.
+// The two row bodies must agree everywhere, so a second product with
+// infinities in both operands compares them with each other.
 func FuzzMatMulKernels(f *testing.F) {
 	f.Add(uint64(1), uint8(3), uint8(5), uint8(7))
 	f.Add(uint64(2), uint8(1), uint8(40), uint8(1))
 	f.Add(uint64(3), uint8(16), uint8(16), uint8(16))
 	f.Add(uint64(4), uint8(65), uint8(9), uint8(33))
+	f.Add(uint64(5), uint8(9), uint8(12), uint8(29))
 	f.Fuzz(func(t *testing.T, seed uint64, mr, kr, nr uint8) {
 		m, k, n := int(mr%64)+1, int(kr%64)+1, int(nr%64)+1
 		rng := rand.New(rand.NewPCG(seed, 99))
@@ -177,41 +228,48 @@ func FuzzMatMulKernels(f *testing.F) {
 		b := New(k, n)
 		bt := New(n, k)
 		at := New(k, m)
-		fillKernelTest(a, rng)
-		fillKernelTest(b, rng)
-		fillKernelTest(bt, rng)
-		fillKernelTest(at, rng)
+		binf := New(k, n)
+		fillFuzz(a, rng, true)
+		fillFuzz(b, rng, false)
+		fillFuzz(bt, rng, false)
+		fillFuzz(at, rng, true)
+		fillFuzz(binf, rng, true)
+		btT := bt.T()
 
-		for _, w := range []int{1, 8} {
-			SetMaxWorkers(w)
-			want := New(m, n)
-			matMulRef(want, a, b)
-			got := New(m, n)
-			MatMul(got, a, b)
+		check := func(op, ctx string, got, want *Matrix) {
+			t.Helper()
 			for i := range want.Data {
 				if math.Float64bits(got.Data[i]) != math.Float64bits(want.Data[i]) {
-					t.Fatalf("MatMul %dx%dx%d@w%d diverges at %d: %v vs %v", m, k, n, w, i, got.Data[i], want.Data[i])
-				}
-			}
-			wantATB := New(m, n)
-			matMulATBRef(wantATB, at, b)
-			gotATB := New(m, n)
-			MatMulATB(gotATB, at, b)
-			for i := range wantATB.Data {
-				if math.Float64bits(gotATB.Data[i]) != math.Float64bits(wantATB.Data[i]) {
-					t.Fatalf("MatMulATB %dx%dx%d@w%d diverges at %d", m, k, n, w, i)
-				}
-			}
-			wantABT := New(m, n)
-			matMulABTRef(wantABT, a, bt)
-			gotABT := New(m, n)
-			MatMulABT(gotABT, a, bt)
-			for i := range wantABT.Data {
-				if math.Float64bits(gotABT.Data[i]) != math.Float64bits(wantABT.Data[i]) {
-					t.Fatalf("MatMulABT %dx%dx%d@w%d diverges at %d", m, k, n, w, i)
+					t.Fatalf("%s %dx%dx%d %s diverges at %d: %v vs %v", op, m, k, n, ctx, i, got.Data[i], want.Data[i])
 				}
 			}
 		}
+		want := New(m, n)
+		matMulRef(want, a, b)
+		wantATB := New(m, n)
+		matMulATBRef(wantATB, at, b)
+		wantABT := New(m, n)
+		matMulABTRef(wantABT, a, bt)
+		var goInf *Matrix
+		rowBodies(t, func(body string) {
+			for _, w := range []int{1, 8} {
+				SetMaxWorkers(w)
+				ctx := fmt.Sprintf("@w%d/%s", w, body)
+				got := New(m, n)
+				MatMul(got, a, b)
+				check("MatMul", ctx, got, want)
+				MatMulATB(got, at, b)
+				check("MatMulATB", ctx, got, wantATB)
+				MatMul(got, a, btT)
+				check("MatMul(a, btᵀ)", ctx, got, wantABT)
+				MatMul(got, a, binf)
+				if goInf == nil {
+					goInf = got
+				} else {
+					check("MatMul with infinities, body vs go", ctx, got, goInf)
+				}
+			}
+		})
 		SetMaxWorkers(0)
 	})
 }
@@ -225,11 +283,9 @@ func TestMatMulSteadyStateAllocs(t *testing.T) {
 	rng := rand.New(rand.NewPCG(5, 5))
 	a := New(64, 48)
 	b := New(48, 32)
-	bt := New(32, 48)
 	dy := New(64, 32) // pairs with a for the ATB (weight-gradient) shape
 	fillKernelTest(a, rng)
 	fillKernelTest(b, rng)
-	fillKernelTest(bt, rng)
 	fillKernelTest(dy, rng)
 	dst := New(64, 32)
 	atb := New(48, 32)
@@ -241,7 +297,6 @@ func TestMatMulSteadyStateAllocs(t *testing.T) {
 		MatMulBias(dst, a, b, bias)
 		MatMulBiasReLU(dst, a, b, bias, mask)
 		MatMulATB(atb, a, dy)
-		MatMulABT(dst, a, bt)
 	}); n != 0 {
 		t.Fatalf("matmul kernels allocate %v per run, want 0", n)
 	}

@@ -1,7 +1,7 @@
 // Package tensor provides the dense linear-algebra kernels that the rest
 // of the system is built on: row-major float64 matrices with the handful
-// of operations a from-scratch neural network needs (matrix products in
-// the three orientations required by backpropagation, elementwise maps,
+// of operations a from-scratch neural network needs (matrix products a·b
+// and aᵀ·b on one vectorized row kernel, transposes, elementwise maps,
 // row reductions and softmax).
 //
 // The package is deliberately small and allocation-conscious rather than
@@ -171,15 +171,20 @@ func (m *Matrix) Apply(f func(float64) float64) {
 }
 
 // T returns a newly allocated transpose of m.
-func (m *Matrix) T() *Matrix {
-	t := New(m.Cols, m.Rows)
+func (m *Matrix) T() *Matrix { return m.TransposeInto(New(m.Cols, m.Rows)) }
+
+// TransposeInto writes mᵀ into dst, which must be pre-shaped to
+// m.Cols×m.Rows and must not alias m, and returns dst.
+func (m *Matrix) TransposeInto(dst *Matrix) *Matrix {
+	if dst.Rows != m.Cols || dst.Cols != m.Rows {
+		panic(fmt.Sprintf("tensor: TransposeInto dst %dx%d != %dx%d", dst.Rows, dst.Cols, m.Cols, m.Rows))
+	}
 	for i := 0; i < m.Rows; i++ {
-		row := m.Row(i)
-		for j, v := range row {
-			t.Data[j*t.Cols+i] = v
+		for j, v := range m.Row(i) {
+			dst.Data[j*dst.Cols+i] = v
 		}
 	}
-	return t
+	return dst
 }
 
 // parallelThreshold is the amount of multiply-add work below which MatMul
@@ -316,43 +321,6 @@ func matMulATBRange(dst, a, b *Matrix, lo, hi int) {
 			for j, bv := range br {
 				di[j] += av * bv
 			}
-		}
-	}
-}
-
-// MatMulABT computes dst = a·bᵀ without materializing the transpose.
-// dst must be a.Rows×b.Rows. Used for input gradients (dy·Wᵀ).
-func MatMulABT(dst, a, b *Matrix) {
-	if a.Cols != b.Cols {
-		panic(fmt.Sprintf("tensor: MatMulABT inner dim %d != %d", a.Cols, b.Cols))
-	}
-	if dst.Rows != a.Rows || dst.Cols != b.Rows {
-		panic(fmt.Sprintf("tensor: MatMulABT dst %dx%d != %dx%d", dst.Rows, dst.Cols, a.Rows, b.Rows))
-	}
-	kernel := matMulABTRange
-	if a.Cols >= blockedMinK && b.Rows >= blockedMinN {
-		kernel = matMulABTBlocked
-	}
-	if a.Rows*a.Cols*b.Rows < parallelThreshold || Workers() == 1 {
-		kernel(dst, a, b, 0, a.Rows)
-		return
-	}
-	parallelRows(a.Rows, func(lo, hi int) { kernel(dst, a, b, lo, hi) })
-}
-
-// matMulABTRange computes rows [lo,hi) of dst = a·bᵀ with the reference
-// dot-product loop.
-func matMulABTRange(dst, a, b *Matrix, lo, hi int) {
-	for i := lo; i < hi; i++ {
-		ai := a.Row(i)
-		di := dst.Row(i)
-		for j := 0; j < b.Rows; j++ {
-			bj := b.Row(j)
-			var s float64
-			for k, av := range ai {
-				s += av * bj[k]
-			}
-			di[j] = s
 		}
 	}
 }

@@ -124,6 +124,9 @@ func TestMatMulATB(t *testing.T) {
 	matricesEqual(t, dst, naiveMatMul(a.T(), b), 1e-10)
 }
 
+// TestMatMulABT checks the a·bᵀ dot-product reference, the oracle the
+// input gradient is held to, against the naive product over an explicit
+// transpose.
 func TestMatMulABT(t *testing.T) {
 	rng := NewRand(7, 8)
 	a := New(6, 5)
@@ -131,7 +134,7 @@ func TestMatMulABT(t *testing.T) {
 	a.RandNormal(rng, 0, 1)
 	b.RandNormal(rng, 0, 1)
 	dst := New(6, 8)
-	MatMulABT(dst, a, b)
+	matMulABTRef(dst, a, b)
 	matricesEqual(t, dst, naiveMatMul(a, b.T()), 1e-10)
 }
 
