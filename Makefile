@@ -96,7 +96,8 @@ fuzz:
 # 30 seconds of coverage-guided fuzzing per target across every fuzz
 # entry point in the repo: the HTTP decoders, the drift-log snapshot
 # reader, the count differential, the fault-schedule parser, WAL
-# replay, and the quantized int8 model pass. CI runs this on every
+# replay, the quantized int8 model pass, and the branch-free layer
+# kernels against the branchy loops they replaced. CI runs this on every
 # push; interesting inputs it finds should be committed under the
 # package's testdata/fuzz corpus.
 fuzz-smoke:
@@ -108,6 +109,7 @@ fuzz-smoke:
 	$(GO) test ./internal/faultinject/ -run '^$$' -fuzz FuzzParseSchedule -fuzztime 30s
 	$(GO) test ./internal/driftlog/ -run '^$$' -fuzz FuzzWireDecode -fuzztime 30s
 	$(GO) test ./internal/nn/ -run '^$$' -fuzz FuzzQuantizedForward -fuzztime 30s
+	$(GO) test ./internal/nn/ -run '^$$' -fuzz FuzzLayerKernels -fuzztime 30s
 	$(GO) test ./internal/macrosim/ -run '^$$' -fuzz FuzzParseScenario -fuzztime 30s
 
 bench:

@@ -108,7 +108,7 @@ func (s *Service) DiagnoseContext(ctx context.Context, from, to, now time.Time) 
 // next optimizer step and deploys nothing.
 func (s *Service) AdaptCausesContext(ctx context.Context, causes []rca.Cause, from, to, now time.Time) ([]adapt.BNVersion, error) {
 	v := s.log.Window(from, to)
-	runs, err := adapt.WindowContext(ctx, s.Base(), causes, causeSamples(v), s.cfg.MinSamplesPerCause, nil, s.cfg.AdaptCfg, now)
+	runs, err := adapt.WindowContext(ctx, s.Base(), causes, causeSamples(v, s.cfg.MinSamplesPerCause), s.cfg.MinSamplesPerCause, nil, s.cfg.AdaptCfg, now)
 	if err != nil {
 		return nil, wrapUnlessCancelled(ctx, err, "cloud: manual adaptation")
 	}

@@ -442,7 +442,7 @@ func (s *Service) RunWindowContext(ctx context.Context, from, to, now time.Time)
 				cleanX = x
 			}
 		}
-		runs, adaptErr = adapt.WindowContext(ctx, base, causes, causeSamples(v), s.cfg.MinSamplesPerCause, cleanX, s.cfg.AdaptCfg, now)
+		runs, adaptErr = adapt.WindowContext(ctx, base, causes, causeSamples(v, s.cfg.MinSamplesPerCause), s.cfg.MinSamplesPerCause, cleanX, s.cfg.AdaptCfg, now)
 	})
 	if adaptErr != nil {
 		return fail(wrapUnlessCancelled(ctx, adaptErr, "cloud: adaptation"))
@@ -576,13 +576,13 @@ func (s *Service) VersionsSince(since time.Time) []adapt.BNVersion {
 
 // causeSamples is the by-cause adaptation source over one pinned view: a
 // cause's pool is the vectors of the view's rows it matches, ascending by
-// sample ID.
-func causeSamples(v *driftlog.View) func(rca.Cause) *tensor.Matrix {
+// sample ID; nil, and no walk, when under floor rows match at all.
+func causeSamples(v *driftlog.View, floor int) func(rca.Cause) *tensor.Matrix {
 	return func(c rca.Cause) *tensor.Matrix {
-		_, xs, err := v.Samples(c.Items)
-		if err != nil {
+		if n, _ := v.Count(c.Items, nil); n.Total < floor {
 			return nil
 		}
+		_, xs, _ := v.Samples(c.Items) // nil for an attribute v lacks
 		return stack(xs)
 	}
 }

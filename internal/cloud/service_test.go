@@ -4,11 +4,14 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"math"
+	"slices"
 	"testing"
 	"time"
 
 	"nazar/internal/adapt"
 	"nazar/internal/driftlog"
+	"nazar/internal/fim"
 	"nazar/internal/imagesim"
 	"nazar/internal/nn"
 	"nazar/internal/rca"
@@ -360,7 +363,7 @@ func TestWindowOverlapMatchesSerialComposition(t *testing.T) {
 		v := svc.Log().Window(day, now)
 		serialCfg := cfg.AdaptCfg
 		serialCfg.Rng = tensor.NewRand(7, 7)
-		want, err := adapt.ByCauseContext(context.Background(), base, res.Causes, causeSamples(v), cfg.MinSamplesPerCause, serialCfg, now)
+		want, err := adapt.ByCauseContext(context.Background(), base, res.Causes, causeSamples(v, 0), cfg.MinSamplesPerCause, serialCfg, now)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -428,3 +431,69 @@ func TestRetentionKeepsWindowCleanVersion(t *testing.T) {
 		t.Fatal("clean version under retention differs from the unbounded one with every window sample retained")
 	}
 }
+
+// TestCauseSamplesFloor: a cause matching fewer rows than the floor gets
+// no pool and costs no sample walk — the call allocates nothing, where
+// the walk for the same cause does — while a cause at the floor gets the
+// walk's pool unchanged. Manual adaptation over such causes deploys the
+// versions the unfloored source yields, bit for bit.
+func TestCauseSamplesFloor(t *testing.T) {
+	base := nn.NewClassifier(nn.ArchResNet18, 8, 3, tensor.NewRand(40, 1))
+	cfg := DefaultConfig()
+	cfg.MinSamplesPerCause = 60
+	cfg.AdaptCfg.Rng = tensor.NewRand(7, 7)
+	svc := NewService(base, cfg)
+	day := weather.Day(5)
+	ingestThreeWay(t, svc, day, 300)
+	now := day.AddDate(0, 0, 1)
+	v := svc.Log().Window(day, now)
+
+	snow := rca.Cause{Items: fim.NewItemset(driftlog.Cond{Attr: driftlog.AttrWeather, Value: "snow"})}
+	fogHamburg := rca.Cause{Items: fim.NewItemset(
+		driftlog.Cond{Attr: driftlog.AttrWeather, Value: "fog"},
+		driftlog.Cond{Attr: driftlog.AttrLocation, Value: "Hamburg"})}
+	unknown := rca.Cause{Items: fim.NewItemset(driftlog.Cond{Attr: "firmware", Value: "1"})}
+	n, err := v.Count(fogHamburg.Items, nil)
+	if err != nil || n.Total != 50 {
+		t.Fatalf("fog∧Hamburg matches %d rows (%v), want 50", n.Total, err)
+	}
+
+	below, at := causeSamples(v, n.Total+1), causeSamples(v, n.Total)
+	if x := below(fogHamburg); x != nil {
+		t.Fatalf("below the floor: pool of %d rows, want nil", x.Rows)
+	}
+	if a := testing.AllocsPerRun(20, func() { below(fogHamburg) }); a != 0 {
+		t.Fatalf("below the floor: %v allocations per call, want 0 (no sample walk)", a)
+	}
+	if a := testing.AllocsPerRun(20, func() { at(fogHamburg) }); a == 0 {
+		t.Fatal("the sample walk allocates nothing: the zero above proves no skip")
+	}
+	_, xs, _ := v.Samples(fogHamburg.Items)
+	if got, want := at(fogHamburg), stack(xs); got == nil || !slices.EqualFunc(got.Data, want.Data, sameBits) {
+		t.Fatal("at the floor: pool differs from the sample walk's")
+	}
+	if below(unknown) != nil || causeSamples(v, 0)(unknown) != nil {
+		t.Fatal("a cause naming an attribute the view lacks got a pool")
+	}
+
+	causes := []rca.Cause{snow, fogHamburg, unknown}
+	got, err := svc.AdaptCausesContext(context.Background(), causes, day, now, now)
+	if err != nil {
+		t.Fatal(err)
+	}
+	refCfg := cfg.AdaptCfg
+	refCfg.Rng = tensor.NewRand(7, 7)
+	want, err := adapt.ByCauseContext(context.Background(), base, causes, causeSamples(v, 0), cfg.MinSamplesPerCause, refCfg, now)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != 1 || len(want) != 1 {
+		t.Fatalf("%d versions, unfloored source %d: want only snow's", len(got), len(want))
+	}
+	if got[0].ID != want[0].ID || !snapshotsBitEqual(t, got[0].Snapshot, want[0].Snapshot) {
+		t.Fatalf("version %s differs from the unfloored source's %s", got[0].ID, want[0].ID)
+	}
+}
+
+// sameBits reports whether a and b hold the same bits.
+func sameBits(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }

@@ -1,6 +1,7 @@
 package nn
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -169,22 +170,72 @@ func TestDenseBackwardInputGradientBitIdentical(t *testing.T) {
 					dout.Data[i] = 0
 				}
 			}
-			got := d.Backward(dout)
-
-			wm := d.w.W
-			for i := 0; i < sh.rows; i++ {
-				for j := 0; j < sh.in; j++ {
-					var s float64
-					for k, v := range dout.Row(i) {
-						s += v * wm.At(j, k)
-					}
-					if g := got.At(i, j); math.Float64bits(g) != math.Float64bits(s) {
-						t.Fatalf("%dx%d·(%dx%d)ᵀ @w%d: dx[%d,%d] = %v, dot product %v",
-							sh.rows, sh.out, sh.in, sh.out, w, i, j, g, s)
-					}
-				}
-			}
+			requireDxDotProduct(t, fmt.Sprintf("%dx%d·(%dx%d)ᵀ @w%d", sh.rows, sh.out, sh.in, sh.out, w),
+				d.Backward(dout), dout, d.w.W)
 		}
 	}
 	tensor.SetMaxWorkers(0)
+}
+
+// requireDxDotProduct asserts dx = dout·wᵀ bit for bit against the
+// dot-product loop.
+func requireDxDotProduct(t *testing.T, what string, dx, dout, w *tensor.Matrix) {
+	t.Helper()
+	for i := 0; i < dout.Rows; i++ {
+		for j := 0; j < w.Rows; j++ {
+			var s float64
+			for k, v := range dout.Row(i) {
+				s += v * w.At(j, k)
+			}
+			if g := dx.At(i, j); math.Float64bits(g) != math.Float64bits(s) {
+				t.Fatalf("%s: dx[%d,%d] = %v, dot product %v", what, i, j, g, s)
+			}
+		}
+	}
+}
+
+// TestDenseFrozenTransposeCache: a frozen Dense transposes W once and
+// keeps the copy across steps. Every way W can change afterwards drops
+// it — unfreezing before an optimizer step, loading a snapshot — so dx
+// stays the dot product over the current W. A view of the layer reads
+// weights it does not own and never keeps a copy.
+func TestDenseFrozenTransposeCache(t *testing.T) {
+	net := NewNetwork(NewDense(24, 16, tensor.NewRand(24, 16)))
+	d := net.LayersList[0].(*Dense)
+	x, dout := randBatch(1, 9, 24), randBatch(2, 9, 16)
+	backward := func(what string, d *Dense) {
+		t.Helper()
+		d.Forward(x, Adapt)
+		requireDxDotProduct(t, what, d.Backward(dout), dout, d.w.W)
+	}
+
+	net.FreezeAll()
+	backward("frozen", d)
+	cached := d.w.wT
+	if cached == nil {
+		t.Fatal("a frozen Dense kept no transpose of W")
+	}
+	backward("frozen, second step", d)
+	if d.w.wT != cached {
+		t.Fatal("the transpose was rebuilt on a step that did not change W")
+	}
+
+	net.UnfreezeAll()
+	backward("trainable", d)
+	NewAdam(0.1).Step(net.Params())
+	net.FreezeAll()
+	backward("frozen again after an Adam step", d)
+
+	other := NewNetwork(NewDense(24, 16, tensor.NewRand(7, 7)))
+	if err := CaptureNet(other).ApplyTo(net); err != nil {
+		t.Fatal(err)
+	}
+	backward("frozen after loading a snapshot", d)
+
+	view := net.View()
+	vd := view.LayersList[0].(*Dense)
+	backward("view", vd)
+	if vd.w.wT != nil {
+		t.Fatal("a view kept a transpose of weights it does not own")
+	}
 }

@@ -68,6 +68,11 @@ type Param struct {
 	// frozen parameter's Grad is never written, so it stays all-zero from
 	// the moment the parameter is frozen (see freeze).
 	Frozen bool
+	// wT caches W transposed for Dense.Backward while the parameter is
+	// frozen and owns W (see transposed). own drops it, and every write
+	// to W goes through own first: unfreeze calls it before an optimizer
+	// may step W, and so does loading weights (NetSnapshot.ApplyTo).
+	wT *tensor.Matrix
 }
 
 // freeze marks p frozen and clears its gradient once; nothing writes it
@@ -86,12 +91,28 @@ func (p *Param) unfreeze() {
 }
 
 // own ends a view's sharing before anything writes p.W: the parameter
-// gets a private copy of the weights it was reading and a gradient.
+// gets a private copy of the weights it was reading and a gradient, and
+// the cached transpose of the weights about to change is dropped.
 func (p *Param) own() {
+	p.wT = nil
 	if p.Grad == nil {
 		p.W = p.W.Clone()
 		p.Grad = tensor.New(p.W.Rows, p.W.Cols)
 	}
+}
+
+// transposed returns Wᵀ. A frozen parameter that owns W builds the copy
+// once and keeps it until own; any other parameter transposes into
+// scratch on every call — a view because the weights it reads belong to
+// another network, a trainable one because W moves every step.
+func (p *Param) transposed(scratch *tensor.Matrix) *tensor.Matrix {
+	if !p.Frozen || p.Grad == nil {
+		return p.W.TransposeInto(scratch.Reshape(p.W.Cols, p.W.Rows))
+	}
+	if p.wT == nil {
+		p.wT = p.W.TransposeInto(tensor.New(p.W.Cols, p.W.Rows))
+	}
+	return p.wT
 }
 
 // view returns a frozen parameter reading p's weights in place.
@@ -175,14 +196,15 @@ func (d *Dense) forwardFusedReLU(x *tensor.Matrix, _ Mode, r *ReLU) *tensor.Matr
 	return y
 }
 
-// Backward computes dx = dout·Wᵀ as a forward product over a copy of W
-// transposed into scratch: per element the same left-to-right sum as the
-// dout·Wᵀ dot product, so the bits match it, on the row kernel every
-// other product runs. The copy costs In×Out per call against
-// Rows×In×Out for the product.
+// Backward computes dx = dout·Wᵀ as a forward product over a transposed
+// copy of W: per element the same left-to-right sum as the dout·Wᵀ dot
+// product, so the bits match it, on the row kernel every other product
+// runs. A frozen W (every Dense of a TENT step) is transposed once and
+// the copy kept (Param.transposed); otherwise the copy is rebuilt in
+// scratch, In×Out per call against Rows×In×Out for the product.
 func (d *Dense) Backward(dout *tensor.Matrix) *tensor.Matrix {
 	d.backwardParams(dout)
-	wT := d.w.W.TransposeInto(d.wT.Reshape(d.Out, d.In))
+	wT := d.w.transposed(&d.wT)
 	dx := d.dx.Reshape(dout.Rows, d.In)
 	tensor.MatMul(dx, dout, wT)
 	return dx
@@ -241,27 +263,24 @@ func (r *ReLU) ensureMask(n int) []bool {
 
 func (r *ReLU) Forward(x *tensor.Matrix, _ Mode) *tensor.Matrix {
 	y := r.y.Reshape(x.Rows, x.Cols)
-	mask := r.ensureMask(len(y.Data))
-	for i, v := range x.Data {
-		if v <= 0 {
-			y.Data[i] = 0
-			mask[i] = false
-		} else {
-			y.Data[i] = v
-			mask[i] = true
-		}
+	xd := x.Data
+	yd, mask := y.Data[:len(xd)], r.ensureMask(len(xd))[:len(xd)]
+	for i, v := range xd {
+		// !(v <= 0), not v > 0: a NaN input passes through with its mask
+		// set here, where the fused epilogues clamp it to +0.
+		keep := !(v <= 0)
+		yd[i] = tensor.Keep(v, keep)
+		mask[i] = keep
 	}
 	return y
 }
 
 func (r *ReLU) Backward(dout *tensor.Matrix) *tensor.Matrix {
 	dx := r.dx.Reshape(dout.Rows, dout.Cols)
-	for i, v := range dout.Data {
-		if r.mask[i] {
-			dx.Data[i] = v
-		} else {
-			dx.Data[i] = 0
-		}
+	xd := dx.Data
+	dd, mask := dout.Data[:len(xd)], r.mask[:len(xd)]
+	for i, v := range dd {
+		xd[i] = tensor.Keep(v, mask[i])
 	}
 	return dx
 }
@@ -292,6 +311,7 @@ type BatchNorm struct {
 	xhatBuf, y, dx  tensor.Matrix
 	meanBuf, varBuf []float64
 	dgamma, dbeta   []float64
+	scale           []float64 // γ·invStd/n per column, batched Backward
 }
 
 // NewBatchNorm returns a BatchNorm over dim features with γ=1, β=0.
@@ -321,6 +341,7 @@ func newBatchNorm(momentum, eps float64, gamma, beta *Param, runMean, runVar []f
 		varBuf:   make([]float64, dim),
 		dgamma:   make([]float64, dim),
 		dbeta:    make([]float64, dim),
+		scale:    make([]float64, dim),
 	}
 }
 
@@ -367,30 +388,34 @@ func (bn *BatchNorm) forward(x *tensor.Matrix, mode Mode, r *ReLU) *tensor.Matri
 		bn.invStd[j] = 1 / math.Sqrt(variance[j]+bn.Eps)
 	}
 
-	xhat := bn.xhatBuf.Reshape(x.Rows, x.Cols)
-	y := bn.y.Reshape(x.Rows, x.Cols)
-	g, b := bn.gamma.W.Data, bn.beta.W.Data
-	var mask []bool
-	if r != nil {
-		mask = r.ensureMask(x.Rows * x.Cols)
-	}
-	for i := 0; i < x.Rows; i++ {
-		xr, hr, yr := x.Row(i), xhat.Row(i), y.Row(i)
-		for j, v := range xr {
-			h := (v - mean[j]) * bn.invStd[j]
-			hr[j] = h
-			out := g[j]*h + b[j]
-			if r == nil {
-				yr[j] = out
-				continue
+	// Every per-column vector is cut to the row width d, so the inner
+	// loops below index all of them without a bounds check.
+	d := x.Cols
+	xhat := bn.xhatBuf.Reshape(x.Rows, d)
+	y := bn.y.Reshape(x.Rows, d)
+	mean, invStd := mean[:d], bn.invStd[:d]
+	g, b := bn.gamma.W.Data[:d], bn.beta.W.Data[:d]
+	if r == nil {
+		for i := 0; i < x.Rows; i++ {
+			xr, hr, yr := x.Row(i)[:d], xhat.Row(i)[:d], y.Row(i)[:d]
+			for j, v := range xr {
+				h := (v - mean[j]) * invStd[j]
+				hr[j] = h
+				yr[j] = g[j]*h + b[j]
 			}
-			mi := i*x.Cols + j
-			if out > 0 {
-				yr[j] = out
-				mask[mi] = true
-			} else {
-				yr[j] = 0
-				mask[mi] = false
+		}
+	} else {
+		mask := r.ensureMask(x.Rows * d)
+		for i := 0; i < x.Rows; i++ {
+			xr, hr, yr := x.Row(i)[:d], xhat.Row(i)[:d], y.Row(i)[:d]
+			mr := mask[i*d:][:d]
+			for j, v := range xr {
+				h := (v - mean[j]) * invStd[j]
+				hr[j] = h
+				out := g[j]*h + b[j]
+				pos := out > 0
+				yr[j] = tensor.Keep(out, pos)
+				mr[j] = pos
 			}
 		}
 	}
@@ -403,13 +428,14 @@ func (bn *BatchNorm) forward(x *tensor.Matrix, mode Mode, r *ReLU) *tensor.Matri
 // the non-frozen parameter's Grad. They are identical in both
 // normalization modes.
 func (bn *BatchNorm) backwardParams(dout *tensor.Matrix) {
-	dgamma, dbeta := bn.dgamma, bn.dbeta
+	d := dout.Cols
+	dgamma, dbeta := bn.dgamma[:d], bn.dbeta[:d]
 	for j := range dgamma {
 		dgamma[j] = 0
 		dbeta[j] = 0
 	}
 	for i := 0; i < dout.Rows; i++ {
-		dr, hr := dout.Row(i), bn.xhat.Row(i)
+		dr, hr := dout.Row(i)[:d], bn.xhat.Row(i)[:d]
 		for j, dv := range dr {
 			dgamma[j] += dv * hr[j]
 			dbeta[j] += dv
@@ -429,26 +455,32 @@ func (bn *BatchNorm) backwardParams(dout *tensor.Matrix) {
 
 func (bn *BatchNorm) Backward(dout *tensor.Matrix) *tensor.Matrix {
 	bn.backwardParams(dout)
-	g := bn.gamma.W.Data
-	dx := bn.dx.Reshape(dout.Rows, dout.Cols)
+	d := dout.Cols
+	g, invStd := bn.gamma.W.Data[:d], bn.invStd[:d]
+	dx := bn.dx.Reshape(dout.Rows, d)
 	if !bn.batched {
 		// Running-stat normalization is a fixed affine map.
 		for i := 0; i < dout.Rows; i++ {
-			dr, xr := dout.Row(i), dx.Row(i)
+			dr, xr := dout.Row(i)[:d], dx.Row(i)[:d]
 			for j, dv := range dr {
-				xr[j] = dv * g[j] * bn.invStd[j]
+				xr[j] = dv * g[j] * invStd[j]
 			}
 		}
 		return dx
 	}
 	// Full batch-statistics backward:
 	// dx = γ·invStd/n · (n·dout − Σdout − x̂·Σ(dout·x̂))
+	// The product left-associates, so γ·invStd/n is one value per column,
+	// computed once here instead of once per element.
 	n := float64(dout.Rows)
-	dgamma, dbeta := bn.dgamma, bn.dbeta
+	scale, dgamma, dbeta := bn.scale[:d], bn.dgamma[:d], bn.dbeta[:d]
+	for j := range scale {
+		scale[j] = g[j] * invStd[j] / n
+	}
 	for i := 0; i < dout.Rows; i++ {
-		dr, hr, xr := dout.Row(i), bn.xhat.Row(i), dx.Row(i)
+		dr, hr, xr := dout.Row(i)[:d], bn.xhat.Row(i)[:d], dx.Row(i)[:d]
 		for j, dv := range dr {
-			xr[j] = g[j] * bn.invStd[j] / n * (n*dv - dbeta[j] - hr[j]*dgamma[j])
+			xr[j] = scale[j] * (n*dv - dbeta[j] - hr[j]*dgamma[j])
 		}
 	}
 	return dx

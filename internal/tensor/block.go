@@ -1,5 +1,7 @@
 package tensor
 
+import "math"
+
 // Cache/register-blocked matmul kernels.
 //
 // Both blocked orientations (MatMul's a·b and MatMulATB's aᵀ·b) share one
@@ -150,24 +152,18 @@ func matMulBiasRange(dst, a, b *Matrix, bias []float64, relu bool, mask []bool, 
 		}
 		switch {
 		case relu && mask != nil:
-			mi := mask[i*n : i*n+n : i*n+n]
-			for j, bv := range bias {
-				v := di[j] + bv
-				if v > 0 {
-					di[j] = v
-					mi[j] = true
-				} else {
-					di[j] = 0
-					mi[j] = false
-				}
+			bias, mi := bias[:len(di)], mask[i*n:][:len(di)]
+			for j, v := range di {
+				v += bias[j]
+				pos := v > 0
+				di[j] = Keep(v, pos)
+				mi[j] = pos
 			}
 		case relu:
-			for j, bv := range bias {
-				if v := di[j] + bv; v > 0 {
-					di[j] = v
-				} else {
-					di[j] = 0
-				}
+			bias := bias[:len(di)]
+			for j, v := range di {
+				v += bias[j]
+				di[j] = Keep(v, v > 0)
 			}
 		default:
 			for j, bv := range bias {
@@ -175,4 +171,18 @@ func matMulBiasRange(dst, a, b *Matrix, bias []float64, relu bool, mask []bool, 
 			}
 		}
 	}
+}
+
+// Keep returns v when keep is set and +0 otherwise, as an AND of v's bits
+// with an all-ones or all-zeros word: the compiler turns the mask into a
+// conditional move, so the ReLU clamp and its backward select cost no
+// branch whatever the sign pattern of the data. Keep(v, v > 0) is the
+// ReLU of v with negatives, -0 and NaN all mapped to +0; Keep(dout,
+// mask) is its backward, dout where the forward kept its input.
+func Keep(v float64, keep bool) float64 {
+	var m uint64
+	if keep {
+		m = ^uint64(0)
+	}
+	return math.Float64frombits(math.Float64bits(v) & m)
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand/v2"
+	"slices"
 	"testing"
 )
 
@@ -299,5 +300,98 @@ func TestMatMulSteadyStateAllocs(t *testing.T) {
 		MatMulATB(atb, a, dy)
 	}); n != 0 {
 		t.Fatalf("matmul kernels allocate %v per run, want 0", n)
+	}
+}
+
+// epilogueSpecials are the values the bias/ReLU epilogue's branch used
+// to decide on: signed zeros, NaN, infinities, the smallest subnormals
+// and normals of both signs.
+var epilogueSpecials = []float64{
+	0, math.Copysign(0, -1), math.NaN(), math.Inf(1), math.Inf(-1),
+	5e-324, -5e-324, 2.2250738585072014e-308, -2.2250738585072014e-308, 1e-300, -1e-300,
+}
+
+// sameFloat reports whether a and b hold the same bits, or are both NaN.
+// When two NaNs meet in an add, the hardware returns the payload of
+// whichever operand the compiler placed first, and Go leaves that order
+// to the compiler, so the epilogue references compare any NaN with any
+// NaN and every other value bit for bit.
+func sameFloat(a, b float64) bool {
+	return math.Float64bits(a) == math.Float64bits(b) || (a != a && b != b)
+}
+
+// TestKeep pins Keep against the branch it replaces on every special
+// value: v itself where keep is set, +0 (never -0) everywhere else, and
+// Keep(v, v > 0) is the clamp that maps negatives, -0 and NaN to +0.
+func TestKeep(t *testing.T) {
+	for _, v := range append(slices.Clone(epilogueSpecials), 1, -1, math.MaxFloat64, -math.MaxFloat64) {
+		if got := Keep(v, true); math.Float64bits(got) != math.Float64bits(v) {
+			t.Fatalf("Keep(%v, true) = %#x, want %#x", v, math.Float64bits(got), math.Float64bits(v))
+		}
+		if got := Keep(v, false); math.Float64bits(got) != 0 {
+			t.Fatalf("Keep(%v, false) = %#x, want +0", v, math.Float64bits(got))
+		}
+		want := 0.0
+		if v > 0 {
+			want = v
+		}
+		if got := Keep(v, v > 0); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("Keep(%v, %v > 0) = %v, want %v", v, v, got, want)
+		}
+	}
+}
+
+// TestMatMulBiasEpilogueMatchesRef: MatMulBias and MatMulBiasReLU (with
+// and without a mask) match the branchy epilogue reference bit for bit
+// (NaN for NaN, see sameFloat), masks included, with special values in
+// the bias and in both operands, on both sides of the blocked-kernel
+// gates, at both pool widths.
+func TestMatMulBiasEpilogueMatchesRef(t *testing.T) {
+	defer SetMaxWorkers(0)
+	for _, sh := range []struct{ m, k, n int }{{1, 3, 5}, {7, 9, 11}, {64, 96, 96}, {33, 8, 70}} {
+		rng := rand.New(rand.NewPCG(uint64(sh.m), uint64(sh.n)))
+		a, b := New(sh.m, sh.k), New(sh.k, sh.n)
+		bias := make([]float64, sh.n)
+		for _, d := range [][]float64{a.Data, b.Data, bias} {
+			for i := range d {
+				if r := rng.IntN(2 * len(epilogueSpecials)); r < len(epilogueSpecials) {
+					d[i] = epilogueSpecials[r]
+				} else {
+					d[i] = rng.NormFloat64()
+				}
+			}
+		}
+		// Row 0 of the product is +0 throughout, so its pre-activations
+		// are exactly the bias: +0 and -0 in the first two columns.
+		clear(a.Row(0))
+		bias[0], bias[1] = 0, math.Copysign(0, -1)
+		for _, w := range []int{1, 8} {
+			SetMaxWorkers(w)
+			for _, mode := range []struct {
+				relu, mask bool
+			}{{false, false}, {true, false}, {true, true}} {
+				ctx := fmt.Sprintf("%dx%dx%d @w%d relu=%v mask=%v", sh.m, sh.k, sh.n, w, mode.relu, mode.mask)
+				got, want := New(sh.m, sh.n), New(sh.m, sh.n)
+				var gotMask, wantMask []bool
+				if mode.mask {
+					gotMask, wantMask = make([]bool, sh.m*sh.n), make([]bool, sh.m*sh.n)
+				}
+				if mode.relu {
+					MatMulBiasReLU(got, a, b, bias, gotMask)
+				} else {
+					MatMulBias(got, a, b, bias)
+				}
+				matMulBiasRef(want, a, b, bias, mode.relu, wantMask)
+				for i, v := range want.Data {
+					if !sameFloat(got.Data[i], v) {
+						t.Fatalf("%s: element %d: got %v (%#x) want %v (%#x)", ctx, i,
+							got.Data[i], math.Float64bits(got.Data[i]), v, math.Float64bits(v))
+					}
+				}
+				if !slices.Equal(gotMask, wantMask) {
+					t.Fatalf("%s: mask differs from the reference", ctx)
+				}
+			}
+		}
 	}
 }

@@ -38,3 +38,42 @@ func i8MatMulI32Ref(dst []int32, a []int8, m int, w *I8Matrix) {
 		i8RowAccRef(dst[i*n:i*n+n:i*n+n], a[i*k:i*k+k:i*k+k], w)
 	}
 }
+
+// matMulBiasRef computes dst = a·b + bias, clamped by ReLU when relu is
+// set, with mask (when non-nil) receiving whether each pre-activation
+// was positive: MatMul's accumulation, then matMulBiasRange's row
+// epilogue as the branchy loop it was before the clamp went through
+// Keep — the oracle that epilogue must match bit for bit.
+func matMulBiasRef(dst, a, b *Matrix, bias []float64, relu bool, mask []bool) {
+	MatMul(dst, a, b)
+	n := b.Cols
+	for i := 0; i < dst.Rows; i++ {
+		di := dst.Row(i)
+		switch {
+		case relu && mask != nil:
+			mi := mask[i*n : i*n+n]
+			for j, bv := range bias {
+				v := di[j] + bv
+				if v > 0 {
+					di[j] = v
+					mi[j] = true
+				} else {
+					di[j] = 0
+					mi[j] = false
+				}
+			}
+		case relu:
+			for j, bv := range bias {
+				if v := di[j] + bv; v > 0 {
+					di[j] = v
+				} else {
+					di[j] = 0
+				}
+			}
+		default:
+			for j, bv := range bias {
+				di[j] += bv
+			}
+		}
+	}
+}
