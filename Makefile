@@ -70,16 +70,18 @@ test:
 race:
 	$(GO) test -race $(RACE_PKGS)
 
-# The chaos harness (fleet → resilient transport → injected-fault wire →
-# cloud) under the race detector: the delivery invariant must hold with
-# every interleaving the detector can provoke.
+# The chaos tests (fleet → resilient transport → injected-fault wire →
+# cloud, the pipeline's wire edge) under the race detector: the delivery
+# invariant must hold with every interleaving the detector can provoke.
 race-chaos:
 	$(GO) test -race -run 'TestChaos' ./internal/pipeline/
 
-# Full chaos run at the three fault-rate presets, one JSON summary per
-# rate on stdout. Exits non-zero if any acknowledged entry was lost.
+# Full chaos run at the three fault-rate presets, over JSON and over the
+# binary framing, one JSON summary per rate on stdout. Exits non-zero if
+# any acknowledged entry was lost.
 chaos:
 	$(GO) run ./cmd/nazar-sim -chaos -chaos-rates 0,0.1,0.3
+	$(GO) run ./cmd/nazar-sim -chaos -chaos-rates 0,0.1,0.3 -chaos-codec binary
 
 # Macro-scale fleet simulator smoke: 10k devices through the checked-in
 # smoke scenario (diurnal traffic, churn, a staged rollout) on 4

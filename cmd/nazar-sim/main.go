@@ -16,11 +16,12 @@
 // float model on every Nth inference and reports drift-verdict
 // disagreements after the run.
 //
-// Chaos mode replaces the in-process workload with the fault-injected
-// HTTP harness (fleet → resilient transport → injected-fault wire →
-// cloud) and emits one JSON result line per fault rate:
+// Chaos mode runs the same window loop over the wire edge (fleet →
+// resilient transport → injected-fault HTTP → cloud) on a small
+// synthetic fleet and emits one JSON result line per fault rate:
 //
-//	nazar-sim -chaos [-chaos-rates 0,0.1,0.3] [-chaos-schedule latency=0.1:5ms,...] [-seed 42]
+//	nazar-sim -chaos [-chaos-rates 0,0.1,0.3] [-chaos-schedule latency=0.1:5ms,...]
+//	          [-chaos-devices 3] [-chaos-per-device 40] [-chaos-codec json|binary] [-seed 42]
 //
 // Scenario mode runs the macro-scale fleet simulator on a declarative
 // scenario pack (100k–1M lightweight devices; diurnal traffic, churn,
@@ -46,6 +47,7 @@ import (
 	"nazar/internal/dataset"
 	"nazar/internal/driftlog"
 	"nazar/internal/faultinject"
+	"nazar/internal/httpapi"
 	"nazar/internal/imagesim"
 	"nazar/internal/macrosim"
 	"nazar/internal/nn"
@@ -256,19 +258,11 @@ func runScenario(path, rolloutSpec string, workers int, outPath string, sketchTh
 // writes one JSON result per line (the `make chaos` output). It exits
 // non-zero when any run loses an acknowledged entry.
 func runChaos(rates, schedule string, devices, perDevice int, seed uint64, codec string) error {
-	var sched *faultinject.Schedule
-	if schedule != "" {
-		s, err := faultinject.ParseSchedule(schedule)
-		if err != nil {
-			return err
-		}
-		sched = &s
-	}
-	var binary bool
+	var wire pipeline.Wire
 	switch codec {
 	case "json":
 	case "binary":
-		binary = true
+		wire.Codec = httpapi.BinaryCodec{}
 	default:
 		return fmt.Errorf("bad -chaos-codec %q: want json or binary", codec)
 	}
@@ -279,14 +273,13 @@ func runChaos(rates, schedule string, devices, perDevice int, seed uint64, codec
 		if err != nil {
 			return fmt.Errorf("bad -chaos-rates entry %q: %v", part, err)
 		}
-		res, err := pipeline.RunChaos(pipeline.ChaosConfig{
-			FaultRate: rate,
-			Schedule:  sched,
-			Devices:   devices,
-			PerDevice: perDevice,
-			Seed:      seed,
-			Binary:    binary,
-		})
+		wire.Faults = faultinject.Preset(rate)
+		if schedule != "" { // an explicit schedule overrides the preset
+			if wire.Faults, err = faultinject.ParseSchedule(schedule); err != nil {
+				return err
+			}
+		}
+		res, err := pipeline.RunChaos(pipeline.ChaosConfig{Wire: wire, Devices: devices, PerDevice: perDevice, Seed: seed})
 		if err != nil {
 			return fmt.Errorf("chaos run at rate %v: %v", rate, err)
 		}

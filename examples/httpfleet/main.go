@@ -5,8 +5,9 @@
 // through the resilient device-side transport (what cmd/nazar-device
 // does): pull the base model, stream drifted inferences through the
 // spooling/retrying transport.Client, trigger analysis, pull BN
-// versions, install them, and measure the recovery — all through the
-// JSON/HTTP API.
+// versions, install them, and measure the recovery — all over HTTP:
+// ingest batches ship as columnar binary frames
+// (application/x-nazar-batch), the control plane speaks JSON.
 //
 // Run with: go run ./examples/httpfleet
 package main

@@ -78,6 +78,7 @@ type AnalyzeRequest struct {
 // AnalyzeResponse summarizes one cycle.
 type AnalyzeResponse struct {
 	Causes     []string `json:"causes"`
+	CauseKeys  []string `json:"cause_keys"` // rca.Cause.Key of each of Causes: a key tells causes apart, a name may not
 	VersionIDs []string `json:"version_ids"`
 	LogRows    int      `json:"log_rows"`
 	RCAMillis  int64    `json:"rca_ms"`
@@ -340,7 +341,7 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 		AdaptMs:   res.AdaptDuration.Milliseconds(),
 	}
 	for _, c := range res.Causes {
-		resp.Causes = append(resp.Causes, c.String())
+		resp.Causes, resp.CauseKeys = append(resp.Causes, c.String()), append(resp.CauseKeys, c.Key())
 	}
 	for _, v := range res.Versions {
 		resp.VersionIDs = append(resp.VersionIDs, v.ID)

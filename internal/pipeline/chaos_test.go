@@ -2,7 +2,14 @@ package pipeline
 
 import (
 	"encoding/json"
+	"runtime"
 	"testing"
+	"time"
+
+	"nazar/internal/dataset"
+	"nazar/internal/faultinject"
+	"nazar/internal/httpapi"
+	"nazar/internal/obs"
 )
 
 // TestChaosDeliveryInvariant runs the chaos harness at the three
@@ -21,7 +28,7 @@ func TestChaosDeliveryInvariant(t *testing.T) {
 		{"faults_30pct", 0.3},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			res, err := RunChaos(ChaosConfig{FaultRate: tc.rate, Seed: 11})
+			res, err := RunChaos(ChaosConfig{Wire: Wire{Faults: faultinject.Preset(tc.rate)}, Seed: 11})
 			if err != nil {
 				t.Fatalf("RunChaos(%v): %v", tc.rate, err)
 			}
@@ -79,7 +86,7 @@ func TestChaosDeliveryInvariant(t *testing.T) {
 // chaos run debuggable.
 func TestChaosDeterminism(t *testing.T) {
 	run := func() *ChaosResult {
-		res, err := RunChaos(ChaosConfig{FaultRate: 0.3, Seed: 7, Devices: 2, PerDevice: 24})
+		res, err := RunChaos(ChaosConfig{Wire: Wire{Faults: faultinject.Preset(0.3)}, Seed: 7, Devices: 2, PerDevice: 24})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -107,11 +114,13 @@ func TestChaosKillCloud(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			res, err := RunChaos(ChaosConfig{
-				FaultRate:         tc.rate,
-				Seed:              23,
-				Windows:           3,
-				WALDir:            t.TempDir(),
-				KillCloudAtWindow: 2,
+				Wire: Wire{
+					Faults:       faultinject.Preset(tc.rate),
+					WALDir:       t.TempDir(),
+					KillAtWindow: 2,
+				},
+				Seed:    23,
+				Windows: 3,
 			})
 			if err != nil {
 				t.Fatalf("RunChaos: %v", err)
@@ -150,8 +159,21 @@ func TestChaosKillCloud(t *testing.T) {
 // schedule without a WAL directory cannot run (there would be nothing
 // to recover from).
 func TestChaosKillCloudRequiresWAL(t *testing.T) {
-	if _, err := RunChaos(ChaosConfig{KillCloudAtWindow: 1}); err == nil {
+	if _, err := RunChaos(ChaosConfig{Wire: Wire{KillAtWindow: 1}}); err == nil {
 		t.Fatal("kill without WALDir must be rejected")
+	}
+}
+
+// TestChaosKillCloudRejectsObserver: a replacement cloud would register
+// its metrics on the run's Observer a second time, so a kill schedule
+// with an Observer is refused before anything starts.
+func TestChaosKillCloudRejectsObserver(t *testing.T) {
+	ds := dataset.NewCityscapes(dataset.CityscapesConfig{Total: 100, Devices: 1, Seed: 1})
+	cfg := DefaultConfig(Nazar, 1)
+	cfg.Observer = obs.NewRegistry()
+	cfg.Wire = &Wire{WALDir: t.TempDir(), KillAtWindow: 1}
+	if _, err := Run(ds, nil, cfg); err == nil {
+		t.Fatal("kill with an Observer must be rejected")
 	}
 }
 
@@ -169,7 +191,7 @@ func TestChaosBinaryCodec(t *testing.T) {
 		{"faults_30pct", 0.3},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			res, err := RunChaos(ChaosConfig{FaultRate: tc.rate, Seed: 19, Binary: true})
+			res, err := RunChaos(ChaosConfig{Wire: Wire{Faults: faultinject.Preset(tc.rate), Codec: httpapi.BinaryCodec{}}, Seed: 19})
 			if err != nil {
 				t.Fatalf("RunChaos(%v): %v", tc.rate, err)
 			}
@@ -201,5 +223,26 @@ func TestChaosBinaryCodec(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestChaosFailedRunReleasesEverything fails every request on the wire:
+// the run must come back with an error, and the transport's worker, the
+// HTTP server and the cloud service must all be gone once it has.
+func TestChaosFailedRunReleasesEverything(t *testing.T) {
+	before := runtime.NumGoroutine()
+	if _, err := RunChaos(ChaosConfig{Wire: Wire{Faults: faultinject.Schedule{Err500: 1}}, Seed: 5}); err == nil {
+		t.Fatal("a run whose every request fails must return an error")
+	}
+	// Client-side keep-alive goroutines exit once they see the server's
+	// close; wait for that rather than sampling once.
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > before {
+		if time.Now().After(deadline) {
+			buf := make([]byte, 1<<16)
+			t.Fatalf("goroutines: %d before the run, %d after:\n%s",
+				before, runtime.NumGoroutine(), buf[:runtime.Stack(buf, true)])
+		}
+		time.Sleep(10 * time.Millisecond)
 	}
 }

@@ -9,6 +9,7 @@ import (
 
 	"nazar/internal/dataset"
 	"nazar/internal/driftlog"
+	"nazar/internal/httpapi"
 	"nazar/internal/nn"
 	"nazar/internal/rca"
 	"nazar/internal/tensor"
@@ -153,5 +154,63 @@ func TestAnalysisDeterministicAcrossIndexAndPoolWidths(t *testing.T) {
 	}
 	if len(got[0]) == 0 {
 		t.Fatal("synthetic log produced no causes")
+	}
+}
+
+// TestRunSameOverEitherEdge is the edge contract: the workload of
+// TestRunDeterministicAcrossPoolWidths run in process and over a clean
+// wire (binary frames, no faults) must produce identical WindowStats —
+// accuracies, causes and version counts. Wall-clock durations are the
+// only allowed difference. The windowed case retires versions after one
+// analysis without their cause, so cause keys must cross the wire too.
+func TestRunSameOverEitherEdge(t *testing.T) {
+	ds := dataset.NewCityscapes(dataset.CityscapesConfig{Total: 1200, Devices: 2, Seed: 42})
+	base := TrainBase(ds, nn.ArchResNet18, 8, 42)
+
+	for _, tc := range []struct {
+		name       string
+		cumulative bool
+		retire     int
+	}{
+		{"cumulative", true, 0},
+		{"windowed_retire", false, 1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			runOver := func(wire *Wire) *Result {
+				t.Helper()
+				cfg := DefaultConfig(Nazar, 42)
+				cfg.Windows = 3
+				cfg.CumulativeAnalysis = tc.cumulative
+				cfg.RetireAfter = tc.retire
+				cfg.Wire = wire
+				res, err := Run(ds, base, cfg)
+				if err != nil {
+					t.Fatalf("run (wire %v): %v", wire != nil, err)
+				}
+				return res
+			}
+
+			local := runOver(nil)
+			dropped := false
+			for i := 1; i < len(local.Windows); i++ {
+				dropped = dropped || local.Windows[i].VersionCount < local.Windows[i-1].VersionCount
+			}
+			if tc.retire > 0 && !dropped {
+				t.Fatal("no version was retired: the case no longer exercises retirement")
+			}
+			wire := runOver(&Wire{Codec: httpapi.BinaryCodec{}})
+
+			if len(local.Windows) != len(wire.Windows) {
+				t.Fatalf("window counts diverge: %d vs %d", len(local.Windows), len(wire.Windows))
+			}
+			for i := range local.Windows {
+				a, b := local.Windows[i], wire.Windows[i]
+				a.RCADuration, b.RCADuration = 0, 0
+				a.AdaptDuration, b.AdaptDuration = 0, 0
+				if !reflect.DeepEqual(a, b) {
+					t.Errorf("window %d diverges across edges:\n  local: %+v\n  wire:  %+v", i, a, b)
+				}
+			}
+		})
 	}
 }

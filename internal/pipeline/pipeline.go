@@ -4,9 +4,12 @@
 // the drift log and deploys by-cause adaptations. Three strategies are
 // supported — Nazar, adapt-all (the Ekya-style baseline) and no-adapt —
 // and the per-window metrics behind Figures 8 and 9 are collected.
+// Run and RunChaos are one window loop over an in-process or an HTTP
+// edge (Wire); RunRolloutChaos streams over the same HTTP edge.
 package pipeline
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"time"
@@ -21,7 +24,6 @@ import (
 	"nazar/internal/metrics"
 	"nazar/internal/nn"
 	"nazar/internal/obs"
-	"nazar/internal/rca"
 	"nazar/internal/tensor"
 	"nazar/internal/weather"
 )
@@ -108,7 +110,10 @@ type Config struct {
 	// under stable cause sets it only churns versions (see the
 	// retirement tests).
 	RetireAfter int
-	Seed        uint64
+	// Wire, when non-nil, runs the loop over HTTP instead of in process
+	// (see Wire).
+	Wire *Wire
+	Seed uint64
 }
 
 // DefaultConfig returns the paper-default end-to-end configuration.
@@ -188,22 +193,17 @@ func lastVals(ws []WindowStats, n int, f func(WindowStats) float64) []float64 {
 	return vals
 }
 
-// conditionCorruption maps a weather condition to its drift operator.
-func conditionCorruption(c weather.Condition) (imagesim.Corruption, bool) {
-	switch c {
-	case weather.Rain:
-		return imagesim.Rain, true
-	case weather.Snow:
-		return imagesim.Snow, true
-	case weather.Fog:
-		return imagesim.Fog, true
-	default:
-		return "", false
-	}
+// weatherDrift maps a weather condition to its drift operator (clear
+// skies have none).
+var weatherDrift = map[weather.Condition]imagesim.Corruption{
+	weather.Rain: imagesim.Rain,
+	weather.Snow: imagesim.Snow,
+	weather.Fog:  imagesim.Fog,
 }
 
 // Run executes the workload on the dataset with the given pretrained base
-// model.
+// model: the window loop over the weather calendar, in process unless
+// cfg.Wire selects the HTTP edge.
 func Run(ds *dataset.Dataset, base *nn.Network, cfg Config) (*Result, error) {
 	if cfg.Windows <= 0 {
 		cfg.Windows = 8
@@ -217,32 +217,124 @@ func Run(ds *dataset.Dataset, base *nn.Network, cfg Config) (*Result, error) {
 	if cfg.DetectorThreshold <= 0 {
 		cfg.DetectorThreshold = detect.DefaultMSPThreshold
 	}
-	ctx := context.TODO() // Run's signature carries no context yet
+	if cfg.FaultSeverity <= 0 {
+		cfg.FaultSeverity = imagesim.DefaultSeverity
+	}
+	var e edge
+	var err error
+	if cfg.Wire == nil {
+		e = &localEdge{svc: cloud.NewService(base, cfg.Cloud, cloud.WithObserver(cfg.Observer))}
+	} else if e, err = newWire(*cfg.Wire, cfg.Seed, cfg.Cloud, cfg.Observer, base, len(ds.Stream)); err != nil {
+		return nil, err
+	}
+	return cfg.loop(context.Background(), base, cfg.calendar(ds), e)
+}
+
+// calendar is Run's schedule: the dataset's stream cut into cfg.Windows
+// spans of the weather calendar, each input drifted by its location's
+// weather that day and by its device's sensor defect, if it has one.
+func (cfg Config) calendar(ds *dataset.Dataset) schedule {
 	rng := tensor.NewRand(cfg.Seed, 0xE2E)
 	var gen weather.Source = cfg.Weather
 	if gen == nil {
 		gen = weather.NewGenerator(cfg.Seed)
 	}
-	windows := ds.WindowSlices(cfg.Windows)
-
-	var svcOpts []cloud.Option
-	var fleetMetrics *device.Metrics
-	if cfg.Observer != nil {
-		svcOpts = append(svcOpts, cloud.WithObserver(cfg.Observer))
-		fleetMetrics = device.NewMetrics(cfg.Observer)
-	}
-	svc := cloud.NewService(base, cfg.Cloud, svcOpts...)
-
+	slices := ds.WindowSlices(cfg.Windows)
+	span := weather.End.AddDate(0, 0, 1).Sub(weather.Start) / time.Duration(cfg.Windows)
+	s := schedule{windows: len(slices), window: func(w int) (window, error) {
+		win := window{from: weather.Start.Add(time.Duration(w) * span)}
+		win.to = win.from.Add(span)
+		if cfg.CumulativeAnalysis {
+			win.from = weather.Start
+		}
+		for _, item := range slices[w] {
+			cond, err := gen.ConditionAt(item.Location, item.Time.Truncate(24*time.Hour))
+			if err != nil {
+				return window{}, fmt.Errorf("pipeline: weather: %w", err)
+			}
+			in := input{StreamItem: item, attrs: map[string]string{driftlog.AttrWeather: string(cond)}}
+			if corr, ok := weatherDrift[cond]; ok {
+				in.X, in.drift = ds.World.Corrupt(in.X, corr, cfg.Severity, rng), corr
+			}
+			// Persistent sensor defects, assigned deterministically per device.
+			in.faulty = cfg.FaultyDeviceFraction > 0 &&
+				float64((hashString(item.DeviceID)^cfg.Seed)%10000)/10000 < cfg.FaultyDeviceFraction
+			if in.faulty {
+				in.X = ds.World.DeviceFault(in.X, item.DeviceID, cfg.FaultSeverity, rng)
+			}
+			win.inputs = append(win.inputs, in)
+		}
+		return win, nil
+	}}
 	// Quantized mode calibrates activation scales on a slice of the
 	// clean training split — the same data every device's base model was
 	// trained on, so the fleet shares one calibration batch.
-	var calX *tensor.Matrix
 	if cfg.Quantized {
 		rows := min(128, ds.Train.X.Rows)
-		calX = tensor.New(rows, ds.Train.X.Cols)
-		copy(calX.Data, ds.Train.X.Data[:rows*ds.Train.X.Cols])
+		s.calibration = tensor.New(rows, ds.Train.X.Cols)
+		copy(s.calibration.Data, ds.Train.X.Data[:rows*ds.Train.X.Cols])
 	}
+	return s
+}
 
+// input is one inference a schedule asks of the fleet: a stream item
+// whose X already carries its drift, and the attributes reported with it.
+type input struct {
+	dataset.StreamItem
+	attrs  map[string]string
+	drift  imagesim.Corruption // applied to X; "" for a clean input
+	faulty bool                // from a device with a sensor defect
+}
+
+// window is one analysis interval: the fleet infers its inputs, then the
+// cloud analyzes the drift-log rows in [from, to) at to.
+type window struct {
+	from, to time.Time
+	inputs   []input
+}
+
+// schedule is what a caller feeds the window loop: its windows, each
+// built only when the loop reaches it (in order), so a run holds one
+// window's inputs at a time.
+type schedule struct {
+	windows     int
+	window      func(w int) (window, error)
+	calibration *tensor.Matrix // the quantized fleet's activation batch
+}
+
+// edge is the loop's link to the cloud: in process (localEdge) or over
+// HTTP (wireEdge). analyze closes window w: the cloud takes every report
+// so far and analyzes [from, to) at to. close releases the edge after a
+// run that ended with err, and returns err or else its own error.
+type edge interface {
+	report(e driftlog.Entry, sample []float64) error
+	analyze(ctx context.Context, w int, from, to time.Time) (analysis, error)
+	close(err error) error
+}
+
+// analysis is one window's verdict as the fleet receives it.
+type analysis struct {
+	causes     []string // each rendered by rca.Cause.String
+	keys       []string // the same causes' rca.Cause.Key
+	versions   []adapt.BNVersion
+	rca, adapt time.Duration
+}
+
+// loop is the one window loop: the fleet infers each window's inputs
+// and, under Nazar, reports them over e; when the window closes the
+// cloud analyzes and every device installs what it produced (the
+// baselines adapt in place instead). It branches on the strategy only,
+// and closes e on every path.
+func (cfg Config) loop(ctx context.Context, base *nn.Network, s schedule, e edge) (res *Result, err error) {
+	defer func() {
+		if err = e.close(err); err != nil {
+			res = nil
+		}
+	}()
+	var fleetMetrics *device.Metrics
+	if cfg.Observer != nil {
+		fleetMetrics = device.NewMetrics(cfg.Observer)
+	}
 	devices := map[string]*device.Device{}
 	getDevice := func(id, location string) *device.Device {
 		if d, ok := devices[id]; ok {
@@ -256,7 +348,7 @@ func Run(ds *dataset.Dataset, base *nn.Network, cfg Config) (*Result, error) {
 			Detector:     detect.Threshold{Scorer: detect.MSP{}, T: cfg.DetectorThreshold},
 			Metrics:      fleetMetrics,
 			Quantized:    cfg.Quantized,
-			Calibration:  calX,
+			Calibration:  s.calibration,
 			ShadowEvery:  cfg.QuantShadowEvery,
 			Rng:          tensor.NewRand(cfg.Seed^hashString(id), 0xD),
 		}, base)
@@ -264,94 +356,48 @@ func Run(ds *dataset.Dataset, base *nn.Network, cfg Config) (*Result, error) {
 		return d
 	}
 
-	// Assign persistent sensor defects deterministically per device.
-	if cfg.FaultSeverity <= 0 {
-		cfg.FaultSeverity = imagesim.DefaultSeverity
-	}
-	isFaulty := func(deviceID string) bool {
-		if cfg.FaultyDeviceFraction <= 0 {
-			return false
-		}
-		h := hashString(deviceID) ^ cfg.Seed
-		return float64(h%10000)/10000 < cfg.FaultyDeviceFraction
-	}
-
 	// adapt-all state: one continuously adapted model shared by all.
 	currentAll := base
-	res := &Result{
+	res = &Result{
 		Strategy: cfg.Strategy,
 		PerDrift: map[imagesim.Corruption]*metrics.RunningAccuracy{},
 	}
 	faultySeen := map[string]bool{}
 	causeLastSeen := map[string]int{}
-	retireStale := func(w int, causes []rca.Cause) {
-		for _, c := range causes {
-			causeLastSeen[c.Key()] = w
-		}
-		if cfg.RetireAfter <= 0 {
-			return
-		}
-		for _, d := range devices {
-			for _, key := range d.Pool.CauseKeys() {
-				if last, ok := causeLastSeen[key]; !ok || w-last >= cfg.RetireAfter {
-					d.Pool.RemoveByCause(key)
-				}
-			}
-		}
-	}
 
 	var cumAll, cumDrift metrics.RunningAccuracy
-	windowSpan := weather.End.AddDate(0, 0, 1).Sub(weather.Start) / time.Duration(cfg.Windows)
-
-	for w, items := range windows {
-		var stats WindowStats
+	for w := range s.windows {
+		win, err := s.window(w)
+		if err != nil {
+			return nil, err
+		}
 		var winAll, winDrift metrics.RunningAccuracy
 		detected := 0
 		var allSamples [][]float64
-		// The window's reports, handed to the cloud in one batch when the
-		// window closes (nothing reads the log before then).
-		var reports []driftlog.Entry
-		var uploads [][]float64
 
-		for _, item := range items {
-			cond, err := gen.ConditionAt(item.Location, item.Time.Truncate(24*time.Hour))
-			if err != nil {
-				return nil, fmt.Errorf("pipeline: weather: %w", err)
+		for _, in := range win.inputs {
+			if in.faulty && !faultySeen[in.DeviceID] {
+				faultySeen[in.DeviceID] = true
+				res.FaultyDevices = append(res.FaultyDevices, in.DeviceID)
 			}
-			x := item.X
-			corr, drifted := conditionCorruption(cond)
-			if drifted {
-				x = ds.World.Corrupt(x, corr, cfg.Severity, rng)
-			}
-			faulty := isFaulty(item.DeviceID)
-			if faulty {
-				if !faultySeen[item.DeviceID] {
-					faultySeen[item.DeviceID] = true
-					res.FaultyDevices = append(res.FaultyDevices, item.DeviceID)
-				}
-				x = ds.World.DeviceFault(x, item.DeviceID, cfg.FaultSeverity, rng)
-			}
-			dev := getDevice(item.DeviceID, item.Location)
-			inf, entry, sample := dev.Infer(item.Time, x, map[string]string{
-				driftlog.AttrWeather: string(cond),
-			})
-			correct := inf.Predicted == item.Class
+			inf, entry, sample := getDevice(in.DeviceID, in.Location).Infer(in.Time, in.X, in.attrs)
+			correct := inf.Predicted == in.Class
 			winAll.Observe(correct)
 			cumAll.Observe(correct)
 			if cfg.FaultyDeviceFraction > 0 {
-				if faulty {
+				if in.faulty {
 					res.FaultyAcc.Observe(correct)
 				} else {
 					res.HealthyAcc.Observe(correct)
 				}
 			}
-			if drifted {
+			if in.drift != "" {
 				winDrift.Observe(correct)
 				cumDrift.Observe(correct)
-				ra := res.PerDrift[corr]
+				ra := res.PerDrift[in.drift]
 				if ra == nil {
 					ra = &metrics.RunningAccuracy{}
-					res.PerDrift[corr] = ra
+					res.PerDrift[in.drift] = ra
 				}
 				ra.Observe(correct)
 			}
@@ -360,8 +406,9 @@ func Run(ds *dataset.Dataset, base *nn.Network, cfg Config) (*Result, error) {
 			}
 			switch cfg.Strategy {
 			case Nazar:
-				reports = append(reports, entry)
-				uploads = append(uploads, sample)
+				if err := e.report(entry, sample); err != nil {
+					return nil, fmt.Errorf("pipeline: window %d report: %w", w, err)
+				}
 			case AdaptAll:
 				if sample != nil {
 					allSamples = append(allSamples, sample)
@@ -373,53 +420,46 @@ func Run(ds *dataset.Dataset, base *nn.Network, cfg Config) (*Result, error) {
 			}
 		}
 
-		if len(reports) > 0 {
-			if err := svc.IngestBatchContext(ctx, reports, uploads); err != nil {
-				return nil, fmt.Errorf("pipeline: window %d ingest: %w", w, err)
-			}
+		stats := WindowStats{
+			AccAll:      winAll.Value(),
+			NAll:        winAll.Total,
+			AccDrift:    winDrift.Value(),
+			NDrift:      winDrift.Total,
+			CumAccAll:   cumAll.Value(),
+			CumAccDrift: cumDrift.Value(),
 		}
-
-		stats.AccAll = winAll.Value()
-		stats.NAll = winAll.Total
-		stats.AccDrift = winDrift.Value()
-		stats.NDrift = winDrift.Total
 		if winAll.Total > 0 {
 			stats.DetectionRate = float64(detected) / float64(winAll.Total)
 		}
-		stats.CumAccAll = cumAll.Value()
-		stats.CumAccDrift = cumDrift.Value()
 
 		// End-of-window adaptation.
 		switch cfg.Strategy {
 		case Nazar:
-			from := weather.Start.Add(time.Duration(w) * windowSpan)
-			to := from.Add(windowSpan)
-			if cfg.CumulativeAnalysis {
-				from = weather.Start
-			}
-			wres, err := svc.RunWindowContext(ctx, from, to, to)
+			a, err := e.analyze(ctx, w, win.from, win.to)
 			if err != nil {
 				return nil, fmt.Errorf("pipeline: window %d: %w", w, err)
 			}
-			stats.RCADuration = wres.RCADuration
-			stats.AdaptDuration = wres.AdaptDuration
-			for _, c := range wres.Causes {
-				stats.Causes = append(stats.Causes, c.String())
-			}
-			for _, d := range devices {
-				for _, version := range wres.Versions {
-					if err := d.Pool.Install(version, to); err != nil {
+			stats.RCADuration, stats.AdaptDuration, stats.Causes = a.rca, a.adapt, a.causes
+			for _, version := range a.versions {
+				for _, d := range devices {
+					if err := d.Pool.Install(version, win.to); err != nil {
 						return nil, fmt.Errorf("pipeline: deploy: %w", err)
 					}
 				}
 			}
-			retireStale(w, wres.Causes)
+			for _, key := range a.keys {
+				causeLastSeen[key] = w
+			}
+			for _, d := range devices {
+				for _, key := range d.Pool.CauseKeys() {
+					if last, ok := causeLastSeen[key]; cfg.RetireAfter > 0 && (!ok || w-last >= cfg.RetireAfter) {
+						d.Pool.RemoveByCause(key)
+					}
+				}
+			}
 		case AdaptAll, AdaptDrifted:
 			if len(allSamples) >= 8 {
-				pool := tensor.New(len(allSamples), ds.World.Dim())
-				for i, s := range allSamples {
-					copy(pool.Row(i), s)
-				}
+				pool := tensor.FromRows(allSamples)
 				start := time.Now()
 				// The adapt-all baseline (Ekya-style systems, plain TENT):
 				// one model adapted on the pooled samples of every cause.
@@ -437,14 +477,46 @@ func Run(ds *dataset.Dataset, base *nn.Network, cfg Config) (*Result, error) {
 		// Record pool occupancy (identical across devices: deployments
 		// fan out to the whole fleet).
 		for _, d := range devices {
-			if n := d.Pool.Len(); n > stats.VersionCount {
-				stats.VersionCount = n
-			}
+			stats.VersionCount = max(stats.VersionCount, d.Pool.Len())
 		}
 		res.Windows = append(res.Windows, stats)
 	}
 	return res, nil
 }
+
+// localEdge is the in-process edge. A window's reports reach the service
+// in one batch when the window closes: nothing reads the log before then.
+type localEdge struct {
+	svc     *cloud.Service
+	reports []driftlog.Entry
+	uploads [][]float64
+}
+
+func (e *localEdge) report(entry driftlog.Entry, sample []float64) error {
+	e.reports = append(e.reports, entry)
+	e.uploads = append(e.uploads, sample)
+	return nil
+}
+
+func (e *localEdge) analyze(ctx context.Context, _ int, from, to time.Time) (analysis, error) {
+	if len(e.reports) > 0 {
+		if err := e.svc.IngestBatchContext(ctx, e.reports, e.uploads); err != nil {
+			return analysis{}, fmt.Errorf("ingest: %w", err)
+		}
+		e.reports, e.uploads = nil, nil // the log keeps the uploads
+	}
+	wres, err := e.svc.RunWindowContext(ctx, from, to, to)
+	if err != nil {
+		return analysis{}, err
+	}
+	a := analysis{versions: wres.Versions, rca: wres.RCADuration, adapt: wres.AdaptDuration}
+	for _, c := range wres.Causes {
+		a.causes, a.keys = append(a.causes, c.String()), append(a.keys, c.Key())
+	}
+	return a, nil
+}
+
+func (e *localEdge) close(err error) error { return cmp.Or(err, e.svc.Close()) }
 
 // TrainBase trains a fresh classifier for the dataset (the pre-deployment
 // model the paper ships at time zero).

@@ -1,6 +1,7 @@
 package pipeline
 
 import (
+	"encoding/json"
 	"strings"
 	"testing"
 
@@ -85,5 +86,31 @@ func TestChaosRolloutHealthy(t *testing.T) {
 	}
 	if res.LostAcked != 0 {
 		t.Fatalf("delivery invariant broken: %d entries acked but lost", res.LostAcked)
+	}
+}
+
+// TestChaosRolloutDeterminism: the same seed reproduces the same rollout
+// run — fault trace, delivery counts, ramp decisions and the metrics
+// scraped over the wire.
+func TestChaosRolloutDeterminism(t *testing.T) {
+	run := func() []byte {
+		res, err := RunRolloutChaos(RolloutChaosConfig{
+			FaultRate:   0.1,
+			Seed:        7,
+			Plan:        rolloutChaosPlan(),
+			CanaryDelta: -0.2,
+			Observe:     true,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		out, err := json.Marshal(res)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return out
+	}
+	if a, b := run(), run(); string(a) != string(b) {
+		t.Fatalf("same seed produced different rollout results:\n  %s\n  %s", a, b)
 	}
 }
