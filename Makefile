@@ -76,12 +76,12 @@ race:
 race-chaos:
 	$(GO) test -race -run 'TestChaos' ./internal/pipeline/
 
-# Full chaos run at the three fault-rate presets, over JSON and over the
-# binary framing, one JSON summary per rate on stdout. Exits non-zero if
-# any acknowledged entry was lost.
+# Full chaos run at the three fault-rate presets, over the default
+# binary framing and over opt-in JSON, one JSON summary per rate on
+# stdout. Exits non-zero if any acknowledged entry was lost.
 chaos:
 	$(GO) run ./cmd/nazar-sim -chaos -chaos-rates 0,0.1,0.3
-	$(GO) run ./cmd/nazar-sim -chaos -chaos-rates 0,0.1,0.3 -chaos-codec binary
+	$(GO) run ./cmd/nazar-sim -chaos -chaos-rates 0,0.1,0.3 -chaos-codec json
 
 # Macro-scale fleet simulator smoke: 10k devices through the checked-in
 # smoke scenario (diurnal traffic, churn, a staged rollout) on 4

@@ -21,7 +21,7 @@
 // synthetic fleet and emits one JSON result line per fault rate:
 //
 //	nazar-sim -chaos [-chaos-rates 0,0.1,0.3] [-chaos-schedule latency=0.1:5ms,...]
-//	          [-chaos-devices 3] [-chaos-per-device 40] [-chaos-codec json|binary] [-seed 42]
+//	          [-chaos-devices 3] [-chaos-per-device 40] [-chaos-codec binary|json] [-seed 42]
 //
 // Scenario mode runs the macro-scale fleet simulator on a declarative
 // scenario pack (100k–1M lightweight devices; diurnal traffic, churn,
@@ -74,7 +74,7 @@ func main() {
 		chaosSchedule = flag.String("chaos-schedule", "", "explicit fault schedule for -chaos (overrides -chaos-rates presets)")
 		chaosDevices  = flag.Int("chaos-devices", 3, "chaos fleet size")
 		chaosPerDev   = flag.Int("chaos-per-device", 40, "chaos inferences per device")
-		chaosCodec    = flag.String("chaos-codec", "json", "chaos ingest codec: json or binary")
+		chaosCodec    = flag.String("chaos-codec", "binary", "chaos ingest codec: binary or json")
 
 		scenario    = flag.String("scenario", "", "run the macro-scale fleet simulator on this scenario pack (JSON)")
 		rolloutSpec = flag.String("rollout", "", "with -scenario, override the pack's staged rollout (candidate=v2,delta=-0.1,steps=1:5:25,guard=0.03,min=100[,ceiling=50][,drift-guard=0.1][,start=1])")
@@ -260,11 +260,11 @@ func runScenario(path, rolloutSpec string, workers int, outPath string, sketchTh
 func runChaos(rates, schedule string, devices, perDevice int, seed uint64, codec string) error {
 	var wire pipeline.Wire
 	switch codec {
-	case "json":
 	case "binary":
-		wire.Codec = httpapi.BinaryCodec{}
+	case "json":
+		wire.Codec = httpapi.JSONCodec{}
 	default:
-		return fmt.Errorf("bad -chaos-codec %q: want json or binary", codec)
+		return fmt.Errorf("bad -chaos-codec %q: want binary or json", codec)
 	}
 	enc := json.NewEncoder(os.Stdout)
 	lost := 0

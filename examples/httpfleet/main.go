@@ -70,8 +70,8 @@ func main() {
 	// The resilient transport spools entries, batches them over the
 	// wire, and retries transient failures; terminal failures surface
 	// through OnDrop so lost telemetry is at least visible. Batches ship
-	// in the columnar binary framing (the transport falls back to JSON
-	// on its own if the server were older and refused it).
+	// in the columnar binary framing, the transport's default (it falls
+	// back to JSON on its own if the server were older and refused it).
 	ctx := context.Background()
 	client := transport.NewClient(url,
 		transport.WithConfig(transport.Config{
@@ -81,7 +81,6 @@ func main() {
 				log.Printf("devices: entry %v dropped (%s)", e.Time, reason)
 			},
 		}),
-		transport.WithCodec(httpapi.BinaryCodec{}),
 	)
 	defer func() {
 		cctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)

@@ -1,9 +1,11 @@
 // Codec seam of the v1 ingest API: the media-type-negotiated
-// encode/decode surface behind /v1/ingest and /v1/ingest/batch. JSON
-// stays the debug default; application/x-nazar-batch opts into the
-// drift log's NZB1 frame, the same bytes the WAL persists. Acknowledgements and error
-// envelopes are always JSON, which is why negotiation checks the Accept
-// header against application/json rather than the request codec.
+// encode/decode surface behind /v1/ingest and /v1/ingest/batch.
+// application/x-nazar-batch carries the drift log's NZB1 frame, the same
+// bytes the WAL persists, and is what transport.Client ships by default;
+// application/json stays for curl, the thin httpapi.Client and servers
+// that predate the frame. Acknowledgements and error envelopes are
+// always JSON, which is why negotiation checks the Accept header against
+// application/json rather than the request codec.
 package httpapi
 
 import (
@@ -77,8 +79,9 @@ type Codec interface {
 	DecodeBatch(r io.Reader, maxEntries int) (*BatchFrame, error)
 }
 
-// JSONCodec is the debug-default codec: the IngestBatchRequest JSON
-// body, strictly decoded (unknown fields and trailing data rejected).
+// JSONCodec is the opt-in debug codec and the downgrade target of a
+// refused binary frame: the IngestBatchRequest JSON body, strictly
+// decoded (unknown fields and trailing data rejected).
 type JSONCodec struct{}
 
 // ContentType implements Codec.
@@ -103,9 +106,10 @@ func (JSONCodec) DecodeBatch(r io.Reader, maxEntries int) (*BatchFrame, error) {
 	return &BatchFrame{Entries: req.Entries, Samples: req.Samples}, nil
 }
 
-// BinaryCodec is the columnar binary codec: the drift log's NZB1 frame
-// (driftlog.AppendFrame), CRC32C framed, dictionary-encoded, appended
-// into the drift log without a per-row struct round trip.
+// BinaryCodec is the columnar binary codec and transport.Client's
+// default: the drift log's NZB1 frame (driftlog.AppendFrame), CRC32C
+// framed, dictionary-encoded, appended into the drift log without a
+// per-row struct round trip.
 type BinaryCodec struct{}
 
 // ContentType implements Codec.

@@ -494,9 +494,10 @@ func writeJSON(w http.ResponseWriter, v any) {
 type Client struct {
 	BaseURL string
 	HTTP    *http.Client
-	// Codec selects the ingest wire encoding (nil means JSON). Only
-	// /v1/ingest and /v1/ingest/batch negotiate; control-plane calls
-	// stay JSON.
+	// Codec selects the ingest wire encoding (nil means JSON here;
+	// transport.Client always sets it, to BinaryCodec unless told
+	// otherwise). Only /v1/ingest and /v1/ingest/batch negotiate;
+	// control-plane calls stay JSON.
 	Codec Codec
 	// Compress gzips ingest request bodies when true.
 	Compress bool

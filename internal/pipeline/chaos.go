@@ -36,8 +36,8 @@ import (
 type Wire struct {
 	// Faults is the injector's schedule; the zero value injects nothing.
 	Faults faultinject.Schedule
-	// Codec frames ingest batches (nil: JSON); httpapi.BinaryCodec{}
-	// puts the binary framing's CRC and truncation handling under fire.
+	// Codec frames ingest batches (nil: the transport's default,
+	// binary); httpapi.JSONCodec{} puts the opt-in JSON path under fire.
 	Codec httpapi.Codec
 	// WALDir, when set, gives the cloud a durable drift log there.
 	WALDir string
@@ -113,10 +113,6 @@ func newWire(w Wire, seed uint64, cloudCfg cloud.Config, reg *obs.Registry, base
 		},
 	}))
 	e.audit.FaultRate = sched.FaultRate()
-	e.audit.Codec = httpapi.ContentTypeJSON
-	if w.Codec != nil {
-		e.audit.Codec = w.Codec.ContentType()
-	}
 	return e, nil
 }
 
@@ -193,6 +189,8 @@ func (e *wireEdge) close(err error) error {
 		err = fmt.Errorf("pipeline: close: %w", cerr)
 	}
 	st, a := e.client.Stats(), &e.audit
+	// What crossed the wire, after any 415 downgrade.
+	a.Codec = e.client.API().Codec.ContentType()
 	a.Acked, a.SpoolDropped = int(st.Acked), int(st.SpoolDropped)
 	a.Retries, a.BreakerOpens = st.Retries, st.BreakerOpens
 	present := map[string]int{}

@@ -36,6 +36,9 @@ func TestChaosDeliveryInvariant(t *testing.T) {
 				t.Logf("chaos result: %s", out)
 			}
 
+			if res.Codec != httpapi.ContentTypeBinary {
+				t.Fatalf("default run shipped %q, want the binary frame", res.Codec)
+			}
 			// The invariant: nothing acked to the caller went missing.
 			if res.LostAcked != 0 {
 				t.Fatalf("LOST %d acknowledged entries at fault rate %v", res.LostAcked, tc.rate)
@@ -177,12 +180,13 @@ func TestChaosKillCloudRejectsObserver(t *testing.T) {
 	}
 }
 
-// TestChaosBinaryCodec reruns the delivery audit with the fleet
-// shipping columnar binary frames: injected truncation, resets, and
-// error statuses must surface as typed failures the transport retries
-// — never a lost acknowledged entry, never a panic — and the drift-log
-// state the cloud ends with still matches what was streamed.
-func TestChaosBinaryCodec(t *testing.T) {
+// TestChaosJSONCodec reruns the delivery audit with the fleet opted
+// into JSON bodies instead of the default binary frames: injected
+// truncation, resets, and error statuses must surface as typed failures
+// the transport retries — never a lost acknowledged entry, never a
+// panic — and the drift-log state the cloud ends with still matches
+// what was streamed.
+func TestChaosJSONCodec(t *testing.T) {
 	for _, tc := range []struct {
 		name string
 		rate float64
@@ -191,18 +195,18 @@ func TestChaosBinaryCodec(t *testing.T) {
 		{"faults_30pct", 0.3},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			res, err := RunChaos(ChaosConfig{Wire: Wire{Faults: faultinject.Preset(tc.rate), Codec: httpapi.BinaryCodec{}}, Seed: 19})
+			res, err := RunChaos(ChaosConfig{Wire: Wire{Faults: faultinject.Preset(tc.rate), Codec: httpapi.JSONCodec{}}, Seed: 19})
 			if err != nil {
 				t.Fatalf("RunChaos(%v): %v", tc.rate, err)
 			}
 			if out, err := json.Marshal(res); err == nil {
 				t.Logf("chaos result: %s", out)
 			}
-			if res.Codec != "application/x-nazar-batch" {
-				t.Fatalf("run used codec %q, want the binary framing", res.Codec)
+			if res.Codec != httpapi.ContentTypeJSON {
+				t.Fatalf("run used codec %q, want JSON", res.Codec)
 			}
 			if res.LostAcked != 0 {
-				t.Fatalf("LOST %d acknowledged entries at fault rate %v with binary framing", res.LostAcked, tc.rate)
+				t.Fatalf("LOST %d acknowledged entries at fault rate %v with JSON bodies", res.LostAcked, tc.rate)
 			}
 			if res.SpoolDropped != 0 {
 				t.Fatalf("spool dropped %d entries", res.SpoolDropped)
@@ -215,11 +219,11 @@ func TestChaosBinaryCodec(t *testing.T) {
 			}
 			if tc.rate == 0 {
 				if res.Delivered != res.Streamed || res.Retries != 0 || res.Duplicates != 0 {
-					t.Fatalf("clean binary run: delivered=%d/%d retries=%d duplicates=%d",
+					t.Fatalf("clean JSON run: delivered=%d/%d retries=%d duplicates=%d",
 						res.Delivered, res.Streamed, res.Retries, res.Duplicates)
 				}
 				if res.Versions == 0 {
-					t.Fatal("clean binary run installed no adapted versions")
+					t.Fatal("clean JSON run installed no adapted versions")
 				}
 			}
 		})

@@ -9,7 +9,6 @@ import (
 
 	"nazar/internal/dataset"
 	"nazar/internal/driftlog"
-	"nazar/internal/httpapi"
 	"nazar/internal/nn"
 	"nazar/internal/rca"
 	"nazar/internal/tensor"
@@ -159,9 +158,9 @@ func TestAnalysisDeterministicAcrossIndexAndPoolWidths(t *testing.T) {
 
 // TestRunSameOverEitherEdge is the edge contract: the workload of
 // TestRunDeterministicAcrossPoolWidths run in process and over a clean
-// wire (binary frames, no faults) must produce identical WindowStats —
-// accuracies, causes and version counts. Wall-clock durations are the
-// only allowed difference. The windowed case retires versions after one
+// wire (the default binary frames, no faults) must produce identical
+// WindowStats — accuracies, causes and version counts. Wall-clock
+// durations are the only allowed difference. The windowed case retires versions after one
 // analysis without their cause, so cause keys must cross the wire too.
 func TestRunSameOverEitherEdge(t *testing.T) {
 	ds := dataset.NewCityscapes(dataset.CityscapesConfig{Total: 1200, Devices: 2, Seed: 42})
@@ -198,7 +197,7 @@ func TestRunSameOverEitherEdge(t *testing.T) {
 			if tc.retire > 0 && !dropped {
 				t.Fatal("no version was retired: the case no longer exercises retirement")
 			}
-			wire := runOver(&Wire{Codec: httpapi.BinaryCodec{}})
+			wire := runOver(&Wire{})
 
 			if len(local.Windows) != len(wire.Windows) {
 				t.Fatalf("window counts diverge: %d vs %d", len(local.Windows), len(wire.Windows))

@@ -2,7 +2,6 @@ package transport
 
 import (
 	"context"
-	"encoding/json"
 	"io"
 	"log/slog"
 	"net/http"
@@ -14,6 +13,7 @@ import (
 	"time"
 
 	"nazar/internal/driftlog"
+	"nazar/internal/httpapi"
 )
 
 // fakeSleeper records every requested sleep and advances a fake clock
@@ -41,16 +41,19 @@ func (f *fakeSleeper) Slept() []time.Duration {
 
 // ingestServer is a scriptable ingest endpoint: it answers each batch
 // request with the next scripted status (0 = accept) and records every
-// accepted entry.
+// accepted entry and sample, decoded by the codec the request's
+// Content-Type names.
 type ingestServer struct {
 	t  *testing.T
 	mu sync.Mutex
 	// script holds upcoming responses; empty means accept.
 	script []int
 	// retryAfter, when set, is attached to scripted 429s.
-	retryAfter string
-	accepted   []driftlog.Entry
-	requests   int
+	retryAfter   string
+	accepted     []driftlog.Entry
+	samples      [][]float64
+	contentTypes []string
+	requests     int
 }
 
 func (s *ingestServer) handler() http.Handler {
@@ -69,18 +72,31 @@ func (s *ingestServer) handler() http.Handler {
 				return
 			}
 		}
-		var req struct {
-			Entries []driftlog.Entry `json:"entries"`
-			Samples [][]float64      `json:"samples"`
+		ct := r.Header.Get("Content-Type")
+		codec, ok := httpapi.CodecFor(ct)
+		if !ok {
+			s.t.Errorf("ingestServer: unknown content type %q", ct)
+			http.Error(w, "unknown content type", http.StatusUnsupportedMediaType)
+			return
 		}
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+		f, err := codec.DecodeBatch(r.Body, 0)
+		if err != nil {
 			s.t.Errorf("ingestServer: bad body: %v", err)
 			http.Error(w, err.Error(), http.StatusBadRequest)
 			return
 		}
-		s.accepted = append(s.accepted, req.Entries...)
+		entries, samples := f.Entries, f.Samples
+		if f.Columns != nil {
+			entries, samples = f.Columns.Entries(), f.Columns.Samples
+		}
+		if samples == nil {
+			samples = make([][]float64, len(entries))
+		}
+		s.contentTypes = append(s.contentTypes, ct)
+		s.accepted = append(s.accepted, entries...)
+		s.samples = append(s.samples, samples...)
 		w.Header().Set("Content-Type", "application/json")
-		_, _ = w.Write([]byte(`{"accepted":` + strconv.Itoa(len(req.Entries)) + `}`))
+		_, _ = w.Write([]byte(`{"accepted":` + strconv.Itoa(len(entries)) + `}`))
 	})
 }
 

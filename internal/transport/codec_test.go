@@ -5,11 +5,14 @@ import (
 	"context"
 	"encoding/json"
 	"log/slog"
+	"maps"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -54,9 +57,10 @@ func (s *legacyServer) handler() http.Handler {
 	})
 }
 
-// TestCodecDowngradeOnUnsupported: a binary-configured client talking
-// to a JSON-only server must not poison-drop the batch — it downgrades
-// to JSON stickily and re-delivers the same entries.
+// TestCodecDowngradeOnUnsupported: a default client (binary frames)
+// talking to a JSON-only server — a new device meeting an old cloud —
+// must not poison-drop the batch: it downgrades to JSON stickily and
+// re-delivers the same entries.
 func TestCodecDowngradeOnUnsupported(t *testing.T) {
 	srv := &legacyServer{}
 	ts := httptest.NewServer(srv.handler())
@@ -79,7 +83,6 @@ func TestCodecDowngradeOnUnsupported(t *testing.T) {
 			Now:            clock.Now,
 			Sleep:          sleeper.Sleep,
 		}),
-		WithCodec(httpapi.BinaryCodec{}),
 	)
 	defer func() {
 		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
@@ -109,8 +112,8 @@ func TestCodecDowngradeOnUnsupported(t *testing.T) {
 	if st.Rejected != 0 {
 		t.Fatalf("downgrade counted %d rejected entries, want 0", st.Rejected)
 	}
-	if c.API().Codec != nil {
-		t.Fatal("codec not cleared after downgrade; next batch would 415 again")
+	if ct := c.API().Codec.ContentType(); ct != httpapi.ContentTypeJSON {
+		t.Fatalf("codec is %q after downgrade; next batch would 415 again", ct)
 	}
 	logMu.Lock()
 	logs := logBuf.String()
@@ -134,11 +137,67 @@ func TestCodecDowngradeOnUnsupported(t *testing.T) {
 	}
 }
 
+// TestClientShipsBinaryByDefault: a client built without WithCodec
+// ships NZB1 frames, and they decode to exactly what was reported —
+// entries and sample bits, sample-less rows included.
+func TestClientShipsBinaryByDefault(t *testing.T) {
+	srv := &ingestServer{t: t}
+	ts := httptest.NewServer(srv.handler())
+	defer ts.Close()
+	c, _ := newTestClient(t, ts, nil)
+
+	t0 := time.Date(2020, 1, 15, 6, 0, 0, 123, time.UTC)
+	var entries []driftlog.Entry
+	var samples [][]float64
+	for i := 0; i < 6; i++ {
+		e := entryN(i)
+		e.Time, e.Drift, e.SampleID = t0.Add(time.Duration(i)*time.Minute), i%2 == 0, int64(i)
+		var sample []float64
+		if i%3 != 1 {
+			sample = []float64{float64(i), math.Copysign(0, -1), math.NaN(), math.Inf(-1), math.SmallestNonzeroFloat64}
+		}
+		entries, samples = append(entries, e), append(samples, sample)
+		if err := c.Report(e, sample); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := c.Flush(context.Background()); err != nil {
+		t.Fatalf("Flush: %v", err)
+	}
+
+	srv.mu.Lock()
+	defer srv.mu.Unlock()
+	for _, ct := range srv.contentTypes {
+		if ct != httpapi.ContentTypeBinary {
+			t.Fatalf("batch shipped as %q, want %q", ct, httpapi.ContentTypeBinary)
+		}
+	}
+	if len(srv.accepted) != len(entries) {
+		t.Fatalf("server decoded %d entries, want %d", len(srv.accepted), len(entries))
+	}
+	for i, want := range entries {
+		got := srv.accepted[i]
+		if !got.Time.Equal(want.Time) || got.Drift != want.Drift || got.SampleID != want.SampleID || !maps.Equal(got.Attrs, want.Attrs) {
+			t.Errorf("entry %d: got %+v, want %+v", i, got, want)
+		}
+		if len(srv.samples[i]) != len(samples[i]) {
+			t.Fatalf("sample %d: got %d values, want %d", i, len(srv.samples[i]), len(samples[i]))
+		}
+		for j, v := range samples[i] {
+			if got := srv.samples[i][j]; math.Float64bits(got) != math.Float64bits(v) {
+				t.Errorf("sample %d[%d]: got bits %#x, want %#x", i, j, math.Float64bits(got), math.Float64bits(v))
+			}
+		}
+	}
+}
+
 // TestRejectionLogDetail: a poison-drop's error log must name the
-// negotiated content type and quote a snippet of the server's response
-// body.
+// content type the batch was sent as and quote a snippet of the
+// server's response body.
 func TestRejectionLogDetail(t *testing.T) {
+	var sent atomic.Value
 	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		sent.Store(r.Header.Get("Content-Type"))
 		w.Header().Set("Content-Type", "application/json")
 		w.WriteHeader(http.StatusBadRequest)
 		_, _ = w.Write([]byte(`{"error":{"code":"invalid_request","message":"httpapi: entry 0 requires attrs"}}`))
@@ -163,7 +222,7 @@ func TestRejectionLogDetail(t *testing.T) {
 	logMu.Lock()
 	logs := logBuf.String()
 	logMu.Unlock()
-	for _, want := range []string{"batch rejected", "content_type=application/json", "entry 0 requires attrs"} {
+	for _, want := range []string{"batch rejected", "content_type=" + sent.Load().(string), "entry 0 requires attrs"} {
 		if !strings.Contains(logs, want) {
 			t.Fatalf("rejection log missing %q:\n%s", want, logs)
 		}

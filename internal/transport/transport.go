@@ -27,6 +27,7 @@
 package transport
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
@@ -198,11 +199,12 @@ func WithConfig(cfg Config) Option {
 	return func(o *clientOptions) { o.cfg = cfg }
 }
 
-// WithCodec selects the ingest wire codec — e.g.
-// httpapi.BinaryCodec{} for the columnar binary framing. If the server
-// refuses the codec (415 / codec_unsupported) the client logs it and
-// downgrades to JSON for the rest of its life, so a fleet can roll a
-// new codec before its cloud does.
+// WithCodec selects the ingest wire codec. The default (also for nil)
+// is httpapi.BinaryCodec{}, the drift log's NZB1 frame;
+// httpapi.JSONCodec{} opts into JSON. If the server refuses the codec
+// (415 / codec_unsupported) the client logs it and downgrades to JSON
+// for the rest of its life, so a fleet can roll a new codec before its
+// cloud does.
 func WithCodec(c httpapi.Codec) Option {
 	return func(o *clientOptions) { o.codec = c }
 }
@@ -218,7 +220,7 @@ func NewClient(baseURL string, opts ...Option) *Client {
 	// Attempt deadlines come from per-request contexts, not a global
 	// client timeout (which would also cap slow-but-progressing pulls).
 	api.HTTP = &http.Client{Transport: cfg.HTTPTransport}
-	api.Codec = o.codec
+	api.Codec = cmp.Or[httpapi.Codec](o.codec, httpapi.BinaryCodec{})
 	c := &Client{
 		api:        api,
 		cfg:        cfg,
@@ -372,7 +374,7 @@ func (c *Client) sendBatch(ctx context.Context, entries []driftlog.Entry, sample
 		if c.downgradeCodec(err) {
 			// The server refused the codec, not the data. Re-send the
 			// same batch as JSON instead of poison-dropping it; the
-			// codec field is already cleared (we hold drainMu), so the
+			// codec is already pinned to JSON (we hold drainMu), so the
 			// recursion cannot downgrade twice.
 			return c.sendBatch(ctx, entries, samples, lastSeq)
 		}
@@ -384,7 +386,7 @@ func (c *Client) sendBatch(ctx context.Context, entries []driftlog.Entry, sample
 		c.m.rejected.Add(uint64(len(entries)))
 		c.cfg.Logger.Error("transport: batch rejected",
 			"entries", len(entries),
-			"content_type", c.ingestContentType(),
+			"content_type", c.api.Codec.ContentType(),
 			"body_snippet", bodySnippet(err),
 			"err", err)
 		if c.cfg.OnDrop != nil {
@@ -463,11 +465,11 @@ func isPermanent(err error) bool {
 
 // downgradeCodec checks whether a permanent rejection is really a
 // codec-negotiation failure (415 or codec_unsupported) while a
-// non-JSON codec is configured. If so it stickily clears the codec —
-// the caller holds drainMu, which serializes every sendBatch — and
-// reports that the batch deserves one more attempt as JSON.
+// non-JSON codec is configured. If so it stickily pins JSON — the
+// caller holds drainMu, which serializes every sendBatch — and reports
+// that the batch deserves one more attempt as JSON.
 func (c *Client) downgradeCodec(err error) bool {
-	if c.api.Codec == nil || c.api.Codec.ContentType() == httpapi.ContentTypeJSON {
+	if c.api.Codec.ContentType() == httpapi.ContentTypeJSON {
 		return false
 	}
 	var apiErr *httpapi.APIError
@@ -479,17 +481,8 @@ func (c *Client) downgradeCodec(err error) bool {
 	}
 	c.cfg.Logger.Warn("transport: server refused codec, downgrading to json",
 		"content_type", c.api.Codec.ContentType(), "err", err)
-	c.api.Codec = nil
+	c.api.Codec = httpapi.JSONCodec{}
 	return true
-}
-
-// ingestContentType names the media type batches are currently encoded
-// with — the negotiated codec's, or the JSON default.
-func (c *Client) ingestContentType() string {
-	if c.api.Codec != nil {
-		return c.api.Codec.ContentType()
-	}
-	return httpapi.ContentTypeJSON
 }
 
 // bodySnippet extracts a bounded slice of the server's response body
