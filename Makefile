@@ -15,9 +15,9 @@ GO ?= go
 # drive the devices).
 RACE_PKGS = ./internal/cloud/... ./internal/driftlog/... ./internal/fim/... ./internal/rca/... ./internal/httpapi/... ./internal/tensor/... ./internal/transport/... ./internal/faultinject/... ./internal/macrosim/... ./internal/nn/... ./internal/registry/... ./internal/device/...
 
-.PHONY: ci vet staticcheck build cross loc test race race-chaos chaos macrosim-smoke fuzz fuzz-smoke bench bench-kernels bench-analysis bench-wal bench-wire bench-macrosim bench-smoke clean
+.PHONY: ci vet staticcheck build cross loc test race race-chaos chaos macrosim-smoke examples fuzz fuzz-smoke bench bench-kernels bench-analysis bench-wal bench-wire bench-macrosim bench-smoke clean
 
-ci: vet staticcheck build cross loc test race race-chaos macrosim-smoke
+ci: vet staticcheck build cross loc test race race-chaos macrosim-smoke examples
 
 # vet is go vet plus the formatting gate: any file gofmt would rewrite
 # fails the target (and so `make ci` and the workflow's Vet step).
@@ -89,21 +89,34 @@ chaos:
 macrosim-smoke:
 	$(GO) run ./cmd/nazar-sim -scenario internal/macrosim/testdata/scenarios/smoke.json -workers 4
 
+# Every program under examples/, each required to exit 0: they drive the
+# public APIs end to end (opsmode over the HTTP client), and no test
+# runs them.
+EXAMPLES = $(wildcard examples/*)
+
+examples:
+	@for e in $(EXAMPLES); do \
+		echo "== $$e"; $(GO) run ./$$e > /dev/null || exit 1; \
+	done
+
 # Short coverage-guided fuzz pass over the HTTP decode surface (the
 # checked-in seed corpus always runs as part of `make test`).
 fuzz:
-	$(GO) test ./internal/httpapi/ -run '^$$' -fuzz FuzzIngestBatch -fuzztime 30s
+	$(GO) test ./internal/httpapi/ -run '^$$' -fuzz 'FuzzIngestBatch$$' -fuzztime 30s
+	$(GO) test ./internal/httpapi/ -run '^$$' -fuzz FuzzIngestBatchBinary -fuzztime 30s
 	$(GO) test ./internal/httpapi/ -run '^$$' -fuzz FuzzAnalyzeRequest -fuzztime 30s
 
 # 30 seconds of coverage-guided fuzzing per target across every fuzz
-# entry point in the repo: the HTTP decoders, the drift-log snapshot
-# reader, the count differential, the fault-schedule parser, WAL
-# replay, the quantized int8 model pass, and the branch-free layer
-# kernels against the branchy loops they replaced. CI runs this on every
+# entry point in the repo: the HTTP decoders (JSON and NZB1 bodies on
+# the ingest route), the drift-log snapshot reader, the count
+# differential, the fault-schedule parser, WAL replay, the quantized
+# int8 model pass, and the branch-free layer kernels against the branchy
+# loops they replaced. CI runs this on every
 # push; interesting inputs it finds should be committed under the
 # package's testdata/fuzz corpus.
 fuzz-smoke:
-	$(GO) test ./internal/httpapi/ -run '^$$' -fuzz FuzzIngestBatch -fuzztime 30s
+	$(GO) test ./internal/httpapi/ -run '^$$' -fuzz 'FuzzIngestBatch$$' -fuzztime 30s
+	$(GO) test ./internal/httpapi/ -run '^$$' -fuzz FuzzIngestBatchBinary -fuzztime 30s
 	$(GO) test ./internal/httpapi/ -run '^$$' -fuzz FuzzAnalyzeRequest -fuzztime 30s
 	$(GO) test ./internal/driftlog/ -run '^$$' -fuzz FuzzReadFrom -fuzztime 30s
 	$(GO) test ./internal/driftlog/ -run '^$$' -fuzz FuzzCountDifferential -fuzztime 30s

@@ -61,9 +61,11 @@ func main() {
 	client := httpapi.NewClient("http://" + ln.Addr().String())
 	ctx := context.Background()
 
-	// Devices report a mixed fog + snow period.
+	// Devices report a mixed fog + snow period, shipped as one batch.
 	day := weather.Day(15)
-	for i := 0; i < 600; i++ {
+	entries := make([]driftlog.Entry, 600)
+	samples := make([][]float64, len(entries))
+	for i := range entries {
 		class := i % classes
 		x := world.Sample(class, rng)
 		cond := "clear-day"
@@ -76,7 +78,7 @@ func main() {
 			cond = "snow"
 		}
 		msp := tensor.Max(tensor.Softmax(base.LogitsOne(x)))
-		err := client.IngestContext(ctx, driftlog.Entry{
+		entries[i] = driftlog.Entry{
 			Time:  day.Add(time.Duration(i) * time.Minute),
 			Drift: msp < 0.95,
 			Attrs: map[string]string{
@@ -84,10 +86,11 @@ func main() {
 				driftlog.AttrDevice:   fmt.Sprintf("android_%d", i%6),
 				driftlog.AttrLocation: "Quebec",
 			},
-		}, x)
-		if err != nil {
-			log.Fatal(err)
 		}
+		samples[i] = x
+	}
+	if _, err := client.IngestBatchContext(ctx, entries, samples); err != nil {
+		log.Fatal(err)
 	}
 
 	// Operator triggers diagnosis only — no adaptation yet.

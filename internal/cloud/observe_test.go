@@ -175,11 +175,11 @@ func TestObserverCounters(t *testing.T) {
 	if svc.Observer() == nil {
 		t.Fatal("Observer() nil after WithObserver")
 	}
-	ingestOne(svc, driftlog.Entry{Time: time.Now(), Attrs: map[string]string{}}, []float64{1, 2, 3})
+	ingestOne(svc, driftlog.Entry{Time: time.Now(), Attrs: map[string]string{}}, []float64{1, 2, 3, 4, 5, 6, 7, 8})
 	if err := svc.IngestBatchContext(context.Background(), []driftlog.Entry{
 		{Time: time.Now(), Attrs: map[string]string{}},
 		{Time: time.Now(), Attrs: map[string]string{}},
-	}, [][]float64{{4, 5}, nil}); err != nil {
+	}, [][]float64{{4, 5, 6, 7, 8, 9, 10, 11}, nil}); err != nil {
 		t.Fatal(err)
 	}
 
@@ -192,7 +192,7 @@ func TestObserverCounters(t *testing.T) {
 		"nazar_ingest_entries_total 3",
 		"nazar_ingest_batches_total 2", // the one-row ingest is a batch too
 		"nazar_ingest_samples_total 2",
-		"nazar_ingest_sample_bytes_total 40",
+		"nazar_ingest_sample_bytes_total 128",
 		"nazar_driftlog_rows 3",
 		"nazar_driftlog_unsorted_shards 0",
 		"nazar_sketch_attrs 0", // nothing tiered up

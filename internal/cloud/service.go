@@ -87,6 +87,10 @@ type Service struct {
 	mu   sync.Mutex
 	log  *driftlog.Store
 	base *nn.Network
+	// inDim is the width of the vectors the model takes (0 when its first
+	// layer is not Dense). Adaptation never changes it, so ingest checks
+	// uploaded samples against it without the lock.
+	inDim int
 	// nextSample is the next sample ID to assign, seeded past every ID
 	// the log already holds after WAL replay.
 	nextSample atomic.Int64
@@ -192,6 +196,11 @@ func NewService(base *nn.Network, cfg Config, opts ...Option) *Service {
 		log:   driftlog.NewStoreWithSketch(cfg.Sketch),
 		base:  base,
 		refBN: nn.CaptureBN(base),
+	}
+	if len(base.LayersList) > 0 {
+		if d, ok := base.LayersList[0].(*nn.Dense); ok {
+			s.inDim = d.In
+		}
 	}
 	for _, opt := range opts {
 		opt(s)
@@ -307,10 +316,13 @@ func (s *Service) IngestBatchContext(ctx context.Context, entries []driftlog.Ent
 // then appends it to the drift log, which keeps the vectors as the
 // batch's sample column. samples, when non-nil, replaces b.Samples and
 // must have one element per row; a nil element means the row carried no
-// uploaded input. Sample IDs are rewritten in b (rows without a sample
-// normalize to -1). The write itself is non-blocking (sharded,
-// lock-striped), so the context only gates entry: a batch is either
-// rejected up front or recorded in full, never half-applied.
+// uploaded input, and every other element must be as wide as the model's
+// input (a vector adaptation cannot take is refused here, not left to
+// fail every window that gathers it). Sample IDs are rewritten in b
+// (rows without a sample normalize to -1). The write itself is
+// non-blocking (sharded, lock-striped), so the context only gates entry:
+// a batch is either rejected up front or recorded in full, never
+// half-applied.
 func (s *Service) IngestColumnsContext(ctx context.Context, b *driftlog.ColumnarBatch, samples [][]float64) error {
 	if err := ctx.Err(); err != nil {
 		return err
@@ -321,18 +333,21 @@ func (s *Service) IngestColumnsContext(ctx context.Context, b *driftlog.Columnar
 	if err := b.Validate(); err != nil {
 		return fmt.Errorf("cloud: ingest: %w", err)
 	}
+	var sampleCount, sampleBytes int
+	for i, x := range b.Samples {
+		if len(x) > 0 {
+			if s.inDim > 0 && len(x) != s.inDim {
+				return fmt.Errorf("cloud: ingest: row %d: sample has %d features, the model takes %d", i, len(x), s.inDim)
+			}
+			sampleCount++
+			sampleBytes += 8 * len(x)
+		}
+	}
 	// A WAL already known bad refuses every batch, and the transport
 	// retries a refused batch indefinitely: check before any sample ID is
 	// spent on it.
 	if err := s.walUsable(); err != nil {
 		return err
-	}
-	var sampleCount, sampleBytes int
-	for _, x := range b.Samples {
-		if len(x) > 0 {
-			sampleCount++
-			sampleBytes += 8 * len(x)
-		}
 	}
 	next := s.nextSample.Add(int64(sampleCount)) - int64(sampleCount)
 	for i := range b.SampleIDs {

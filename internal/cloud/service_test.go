@@ -3,6 +3,7 @@ package cloud
 import (
 	"bytes"
 	"context"
+	"errors"
 	"fmt"
 	"math"
 	"slices"
@@ -57,7 +58,7 @@ func TestIngestLinksSamples(t *testing.T) {
 	svc := NewService(base, DefaultConfig())
 	e := driftlog.Entry{Time: time.Now(), Drift: true,
 		Attrs: map[string]string{driftlog.AttrWeather: "fog"}}
-	ingestOne(svc, e, []float64{1, 2, 3})
+	ingestOne(svc, e, []float64{1, 2, 3, 4, 5, 6, 7, 8})
 	ingestOne(svc, driftlog.Entry{Time: time.Now(), Drift: false, SampleID: 77,
 		Attrs: map[string]string{driftlog.AttrWeather: "clear-day"}}, nil)
 
@@ -69,6 +70,71 @@ func TestIngestLinksSamples(t *testing.T) {
 	}
 	if got := svc.Log().Entry(1).SampleID; got != -1 {
 		t.Fatalf("entry 1 sample id %d (must be normalized to -1)", got)
+	}
+}
+
+// TestIngestRefusesSampleWidth: a sample the model cannot take is
+// refused at ingest, as the batch's fault (not ErrDurability, so the HTTP
+// edge answers 400), and leaves nothing behind. Accepted, a vector 3 or
+// 12 wide either fails every window whose {snow} pool it sits first in
+// (adapt checks the stacked width, which the first vector sets) or,
+// sitting last, is zero-padded or truncated into a "successful" version.
+func TestIngestRefusesSampleWidth(t *testing.T) {
+	base := nn.NewClassifier(nn.ArchResNet18, 8, 4, tensor.NewRand(1, 1))
+	cfg := DefaultConfig()
+	cfg.AdaptCfg.Epochs = 1
+	day := weather.Day(3)
+	rng := tensor.NewRand(2, 1)
+	entries := make([]driftlog.Entry, 400)
+	samples := make([][]float64, len(entries))
+	for i := range entries {
+		cond := "clear-day"
+		if i%2 == 0 {
+			cond = "snow"
+		}
+		entries[i] = driftlog.Entry{Time: day.Add(time.Duration(i+1) * time.Minute), Drift: cond == "snow",
+			Attrs: map[string]string{driftlog.AttrWeather: cond}}
+		samples[i] = make([]float64, 8)
+		for j := range samples[i] {
+			samples[i][j] = rng.NormFloat64()
+		}
+	}
+	for _, width := range []int{3, 12} {
+		for _, at := range []string{"first", "last"} {
+			svc := NewService(base, cfg)
+			ingestBad := func() {
+				bad := driftlog.Entry{Time: day, Drift: true, Attrs: map[string]string{driftlog.AttrWeather: "snow"}}
+				if err := ingestOne(svc, bad, make([]float64, width)); err == nil || errors.Is(err, ErrDurability) {
+					t.Errorf("width %d %s: ingest returned %v, want a refusal that is not ErrDurability", width, at, err)
+				}
+			}
+			if at == "first" {
+				ingestBad()
+			}
+			if err := svc.IngestBatchContext(context.Background(), entries, samples); err != nil {
+				t.Fatal(err)
+			}
+			if at == "last" {
+				ingestBad()
+			}
+			if n := svc.Log().Len(); n != len(entries) {
+				t.Errorf("width %d %s: log holds %d rows, want the %d good ones", width, at, n, len(entries))
+			}
+			res, err := svc.RunWindowContext(context.Background(), day, day.AddDate(0, 0, 1), day.AddDate(0, 0, 1))
+			if err != nil {
+				t.Errorf("width %d %s: window: %v", width, at, err)
+				continue
+			}
+			snow := 0
+			for _, v := range res.Versions {
+				if v.Cause.Matches(map[string]string{driftlog.AttrWeather: "snow"}) {
+					snow++
+				}
+			}
+			if snow == 0 {
+				t.Fatalf("width %d %s: no {snow} version among %d", width, at, len(res.Versions))
+			}
+		}
 	}
 }
 

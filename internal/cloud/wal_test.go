@@ -173,7 +173,7 @@ func TestServiceWALRestartSampleLinks(t *testing.T) {
 				Drift: true,
 				Attrs: map[string]string{driftlog.AttrWeather: cause},
 			}
-			samples[i] = []float64{mark, float64(i)}
+			samples[i] = []float64{mark, float64(i), 0, 0, 0, 0, 0, 0} // the model's 8 inputs
 		}
 		return entries, samples
 	}
@@ -312,7 +312,7 @@ func TestServiceWALRefusedIngestLeavesNoSamples(t *testing.T) {
 			for i := 0; i < 5; i++ {
 				err := svc.IngestBatchContext(context.Background(),
 					[]driftlog.Entry{{Time: weather.Day(0), Attrs: map[string]string{driftlog.AttrWeather: "fog"}}},
-					[][]float64{{1, 2, 3}})
+					[][]float64{{1, 2, 3, 4, 5, 6, 7, 8}})
 				if !errors.Is(err, ErrDurability) {
 					t.Fatalf("batch %d: want ErrDurability, got %v", i, err)
 				}
@@ -334,7 +334,17 @@ func TestServiceWALRefusedIngestLeavesNoSamples(t *testing.T) {
 // — and the service keeps ingesting durably.
 func TestServiceWALRefusesOversizedBatch(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "wal")
-	svc := walTestService(t, dir)
+	// A model 8,192 inputs wide, so the samples pass ingest's width check
+	// and the WAL's frame bound is what refuses the batch.
+	base := nn.NewClassifier(nn.ArchResNet18, 8192, 4, tensor.NewRand(1, 1))
+	open := func() *Service {
+		svc := NewService(base, DefaultConfig(), WithWAL(dir, driftlog.WALOptions{}))
+		if err := svc.WALErr(); err != nil {
+			t.Fatalf("wal open: %v", err)
+		}
+		return svc
+	}
+	svc := open()
 	day := weather.Day(3)
 	entries := make([]driftlog.Entry, 1100)
 	samples := make([][]float64, len(entries))
@@ -353,13 +363,13 @@ func TestServiceWALRefusesOversizedBatch(t *testing.T) {
 	if err := svc.WAL().Err(); err != nil {
 		t.Fatalf("refusal poisoned the WAL: %v", err)
 	}
-	if err := svc.IngestBatchContext(context.Background(), entries[:1], [][]float64{{1, 2}}); err != nil {
+	if err := svc.IngestBatchContext(context.Background(), entries[:1], samples[:1]); err != nil {
 		t.Fatalf("ingest after a refusal: %v", err)
 	}
 	if err := svc.Close(); err != nil {
 		t.Fatal(err)
 	}
-	svc2 := walTestService(t, dir)
+	svc2 := open()
 	defer svc2.Close()
 	if n := svc2.Log().Len(); n != 1 {
 		t.Fatalf("replayed %d rows, want the 1 acked", n)

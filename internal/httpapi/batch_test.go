@@ -93,14 +93,15 @@ func TestIngestBatchMatchesSequential(t *testing.T) {
 	samples := make([][]float64, 20)
 	for i := range samples {
 		if i%3 == 0 {
-			samples[i] = []float64{float64(i)}
+			samples[i] = []float64{float64(i), 0, 0, 0, 0, 0, 0, 0} // the model's 8 inputs
 		}
 	}
 
 	one := cloud.NewService(base, cloud.DefaultConfig())
 	for i := range entries {
-		e := entries[i]
-		ingestOne(one, e, samples[i])
+		if err := ingestOne(one, entries[i], samples[i]); err != nil {
+			t.Fatal(err)
+		}
 	}
 	many := cloud.NewService(base, cloud.DefaultConfig())
 	if err := many.IngestBatchContext(context.Background(), append([]driftlog.Entry(nil), entries...), samples); err != nil {

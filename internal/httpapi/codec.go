@@ -1,15 +1,14 @@
 // Codec seam of the v1 ingest API: the media-type-negotiated
-// encode/decode surface behind /v1/ingest and /v1/ingest/batch.
+// encode/decode surface behind /v1/ingest/batch.
 // application/x-nazar-batch carries the drift log's NZB1 frame, the same
-// bytes the WAL persists, and is what transport.Client ships by default;
-// application/json stays for curl, the thin httpapi.Client and servers
-// that predate the frame. Acknowledgements and error envelopes are
-// always JSON, which is why negotiation checks the Accept header against
-// application/json rather than the request codec.
+// bytes the WAL persists, and is what Client ships by default;
+// application/json stays for curl and servers that predate the frame.
+// Request bodies are identity-encoded. Acknowledgements and error
+// envelopes are always JSON, which is why negotiation checks the Accept
+// header against application/json rather than the request codec.
 package httpapi
 
 import (
-	"compress/gzip"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -106,10 +105,10 @@ func (JSONCodec) DecodeBatch(r io.Reader, maxEntries int) (*BatchFrame, error) {
 	return &BatchFrame{Entries: req.Entries, Samples: req.Samples}, nil
 }
 
-// BinaryCodec is the columnar binary codec and transport.Client's
-// default: the drift log's NZB1 frame (driftlog.AppendFrame), CRC32C
-// framed, dictionary-encoded, appended into the drift log without a
-// per-row struct round trip.
+// BinaryCodec is the columnar binary codec and Client's default: the
+// drift log's NZB1 frame (driftlog.AppendFrame), CRC32C framed,
+// dictionary-encoded, appended into the drift log without a per-row
+// struct round trip.
 type BinaryCodec struct{}
 
 // ContentType implements Codec.
@@ -158,9 +157,15 @@ func ContentTypes() []string {
 // negotiateCodec resolves the request codec from Content-Type (empty
 // means JSON) and verifies the client can accept the JSON
 // acknowledgement. Failures are written as typed envelopes: 415 +
-// codec_unsupported for an unknown request media type, 406 +
-// codec_unsupported for an Accept header that excludes JSON.
+// codec_unsupported for an unknown request media type or any
+// Content-Encoding but identity, 406 + codec_unsupported for an Accept
+// header that excludes JSON.
 func negotiateCodec(w http.ResponseWriter, r *http.Request) (Codec, bool) {
+	if enc := r.Header.Get("Content-Encoding"); enc != "" && enc != "identity" {
+		writeError(w, http.StatusUnsupportedMediaType, CodeCodecUnsupported,
+			fmt.Sprintf("httpapi: unsupported content encoding %q", enc))
+		return nil, false
+	}
 	mediaType := ContentTypeJSON
 	if ct := r.Header.Get("Content-Type"); ct != "" {
 		mt, _, err := mime.ParseMediaType(ct)
@@ -202,37 +207,4 @@ func acceptsJSON(accept string) bool {
 		}
 	}
 	return false
-}
-
-// decodeBodyCode maps a codec's decode failure to the envelope code:
-// JSON decode failures keep the historical invalid_json; binary (and
-// any future codec) failures are invalid_frame.
-func decodeBodyCode(c Codec) string {
-	if c.ContentType() == ContentTypeJSON {
-		return CodeInvalidJSON
-	}
-	return CodeInvalidFrame
-}
-
-// requestBody resolves the request's Content-Encoding: identity bodies
-// pass through, gzip bodies are transparently decompressed (bounded by
-// maxBytes on the decompressed size), anything else is a 415 +
-// codec_unsupported.
-func requestBody(w http.ResponseWriter, r *http.Request, maxBytes int64) (io.Reader, bool) {
-	switch enc := r.Header.Get("Content-Encoding"); enc {
-	case "", "identity":
-		return r.Body, true
-	case "gzip":
-		zr, err := gzip.NewReader(r.Body)
-		if err != nil {
-			writeError(w, http.StatusBadRequest, CodeInvalidRequest,
-				fmt.Sprintf("httpapi: bad gzip body: %v", err))
-			return nil, false
-		}
-		return io.LimitReader(zr, maxBytes+1), true
-	default:
-		writeError(w, http.StatusUnsupportedMediaType, CodeCodecUnsupported,
-			fmt.Sprintf("httpapi: unsupported content encoding %q", enc))
-		return nil, false
-	}
 }

@@ -46,7 +46,8 @@ func codecEntries(n int) ([]driftlog.Entry, [][]float64) {
 			Attrs:    attrs,
 		}
 		if i%4 == 0 {
-			samples[i] = []float64{float64(i), r.NormFloat64()}
+			samples[i] = make([]float64, 8) // newCodecEnv's model takes 8 inputs
+			samples[i][0], samples[i][1] = float64(i), r.NormFloat64()
 		}
 	}
 	return entries, samples
@@ -60,14 +61,14 @@ func TestBinaryBatchMatchesJSON(t *testing.T) {
 
 	jsonSvc, jsonSrv := newCodecEnv(t)
 	jsonClient := NewClient(jsonSrv.URL)
+	jsonClient.Codec = JSONCodec{}
 	jn, err := jsonClient.IngestBatchContext(context.Background(), entries, samples)
 	if err != nil {
 		t.Fatalf("json ingest: %v", err)
 	}
 
 	binSvc, binSrv := newCodecEnv(t)
-	binClient := NewClient(binSrv.URL)
-	binClient.Codec = BinaryCodec{}
+	binClient := NewClient(binSrv.URL) // binary by default
 	bn, err := binClient.IngestBatchContext(context.Background(), entries, samples)
 	if err != nil {
 		t.Fatalf("binary ingest: %v", err)
@@ -95,20 +96,19 @@ func TestBinaryBatchMatchesJSON(t *testing.T) {
 	}
 }
 
-// TestBinarySingleIngest covers /v1/ingest with the binary codec (a
-// one-row frame) including a sample upload.
+// TestBinarySingleIngest covers a one-row binary batch carrying a
+// sample upload: the row lands intact and links its sample.
 func TestBinarySingleIngest(t *testing.T) {
 	svc, srv := newCodecEnv(t)
 	c := NewClient(srv.URL)
-	c.Codec = BinaryCodec{}
 	e := driftlog.Entry{
 		Time:     time.Date(2026, 2, 1, 0, 0, 0, 0, time.UTC),
 		Drift:    true,
 		SampleID: -1,
 		Attrs:    map[string]string{driftlog.AttrDevice: "dev_0", driftlog.AttrWeather: "snow"},
 	}
-	if err := c.IngestContext(context.Background(), e, []float64{1, 2, 3}); err != nil {
-		t.Fatal(err)
+	if n, err := c.IngestBatchContext(context.Background(), []driftlog.Entry{e}, [][]float64{{1, 2, 3, 4, 5, 6, 7, 8}}); err != nil || n != 1 {
+		t.Fatalf("accepted %d: %v", n, err)
 	}
 	if svc.Log().Len() != 1 {
 		t.Fatalf("log rows %d, want 1", svc.Log().Len())
@@ -123,24 +123,6 @@ func TestBinarySingleIngest(t *testing.T) {
 	got.SampleID = -1
 	if !reflect.DeepEqual(got, e) {
 		t.Fatalf("stored %+v, want %+v", got, e)
-	}
-}
-
-// TestGzipIngest covers Content-Encoding: gzip over both codecs.
-func TestGzipIngest(t *testing.T) {
-	entries, samples := codecEntries(25)
-	for _, codec := range []Codec{JSONCodec{}, BinaryCodec{}} {
-		svc, srv := newCodecEnv(t)
-		c := NewClient(srv.URL)
-		c.Codec = codec
-		c.Compress = true
-		n, err := c.IngestBatchContext(context.Background(), entries, samples)
-		if err != nil {
-			t.Fatalf("%s: %v", codec.ContentType(), err)
-		}
-		if n != len(entries) || svc.Log().Len() != len(entries) {
-			t.Fatalf("%s: accepted %d, log %d, want %d", codec.ContentType(), n, svc.Log().Len(), len(entries))
-		}
 	}
 }
 
@@ -191,9 +173,6 @@ func TestCodecNegotiationErrors(t *testing.T) {
 	if st, code := post("/v1/ingest/batch", "application/json", "", "br", jsonBody); st != 415 || code != CodeCodecUnsupported {
 		t.Fatalf("unknown content encoding: %d %q, want 415 %q", st, code, CodeCodecUnsupported)
 	}
-	if st, code := post("/v1/ingest", "application/xml", "", "", jsonBody); st != 415 || code != CodeCodecUnsupported {
-		t.Fatalf("single ingest unknown content type: %d %q, want 415 %q", st, code, CodeCodecUnsupported)
-	}
 	// Accept that admits JSON via wildcards negotiates fine.
 	if st, _ := post("/v1/ingest/batch", "application/json", "application/*, text/plain", "", jsonBody); st != 200 {
 		t.Fatalf("wildcard accept refused: %d", st)
@@ -208,16 +187,16 @@ func TestCodecNegotiationErrors(t *testing.T) {
 	}
 }
 
-// TestBinaryIngestRowLimit pins the single-ingest contract: a binary
-// frame on /v1/ingest must carry exactly one row.
+// TestBinaryIngestRowLimit pins the row cap in the binary codec: a frame
+// of maxBatchEntries+1 rows is refused whole before anything lands.
 func TestBinaryIngestRowLimit(t *testing.T) {
-	_, srv := newCodecEnv(t)
-	entries, _ := codecEntries(2)
+	svc, srv := newCodecEnv(t)
+	entries, _ := codecEntries(maxBatchEntries + 1)
 	data, err := (BinaryCodec{}).EncodeBatch(&BatchFrame{Entries: entries})
 	if err != nil {
 		t.Fatal(err)
 	}
-	req, err := http.NewRequest("POST", srv.URL+"/v1/ingest", bytes.NewReader(data))
+	req, err := http.NewRequest("POST", srv.URL+"/v1/ingest/batch", bytes.NewReader(data))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -227,8 +206,13 @@ func TestBinaryIngestRowLimit(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
-	if resp.StatusCode != 400 {
-		t.Fatalf("two-row single ingest: %d, want 400", resp.StatusCode)
+	var env errorEnvelope
+	_ = json.NewDecoder(resp.Body).Decode(&env)
+	if resp.StatusCode != 400 || env.Error == nil || env.Error.Code != CodeInvalidFrame {
+		t.Fatalf("%d-row binary batch: %d %+v, want 400 %q", len(entries), resp.StatusCode, env.Error, CodeInvalidFrame)
+	}
+	if n := svc.Log().Len(); n != 0 {
+		t.Fatalf("refused batch landed %d rows", n)
 	}
 }
 

@@ -49,6 +49,8 @@ func randEntries(r *rand.Rand, n int) []driftlog.Entry {
 	return entries
 }
 
+// randSamples fabricates a sample column (nil at random, and nil rows)
+// of vectors as wide as the differential's 8-input model.
 func randSamples(r *rand.Rand, n int) [][]float64 {
 	if n == 0 || r.Float64() < 0.3 {
 		return nil
@@ -56,7 +58,7 @@ func randSamples(r *rand.Rand, n int) [][]float64 {
 	samples := make([][]float64, n)
 	for i := range samples {
 		if r.Float64() < 0.4 {
-			s := make([]float64, 1+r.Intn(6))
+			s := make([]float64, 8)
 			for j := range s {
 				s[j] = r.NormFloat64()
 			}
@@ -73,26 +75,28 @@ func batchOf(entries []driftlog.Entry, samples [][]float64) *driftlog.ColumnarBa
 	return b
 }
 
-// ingestRoutes are the four ways a batch reaches the one ingest path.
+// ingestRoutes are the four ways rows reach the one ingest route: as one
+// batch or as one-row batches, in either codec.
 var ingestRoutes = []struct {
 	name   string
-	path   string
+	perRow bool
 	binary bool
 }{
-	{"batch/json", "/v1/ingest/batch", false},
-	{"batch/binary", "/v1/ingest/batch", true},
-	{"single/json", "/v1/ingest", false},
-	{"single/binary", "/v1/ingest", true},
+	{"batch/json", false, false},
+	{"batch/binary", false, true},
+	{"rows/json", true, false},
+	{"rows/binary", true, true},
 }
 
-// postIngest serves one POST straight through the handler and returns the
-// status and the error envelope's code ("" on success).
 // quiet drops the server's per-request log lines.
 var quiet = httpapi.WithLogger(slog.New(slog.NewTextHandler(io.Discard, nil)))
 
-func postIngest(t *testing.T, h http.Handler, path string, binary bool, body []byte) (int, string) {
+// postIngest serves one POST /v1/ingest/batch straight through the
+// handler and returns the status and the error envelope's code ("" on
+// success).
+func postIngest(t *testing.T, h http.Handler, binary bool, body []byte) (int, string) {
 	t.Helper()
-	req := httptest.NewRequest(http.MethodPost, path, bytes.NewReader(body))
+	req := httptest.NewRequest(http.MethodPost, "/v1/ingest/batch", bytes.NewReader(body))
 	req.Header.Set("Content-Type", httpapi.ContentTypeJSON)
 	if binary {
 		req.Header.Set("Content-Type", httpapi.ContentTypeBinary)
@@ -106,23 +110,17 @@ func postIngest(t *testing.T, h http.Handler, path string, binary bool, body []b
 	}
 	if rec.Code >= 300 {
 		if err := json.Unmarshal(rec.Body.Bytes(), &env); err != nil {
-			t.Fatalf("%s: status %d with a non-envelope body %q", path, rec.Code, rec.Body.String())
+			t.Fatalf("status %d with a non-envelope body %q", rec.Code, rec.Body.String())
 		}
 	}
 	return rec.Code, env.Error.Code
 }
 
-// routeBodies renders the batch as the request bodies one route takes:
-// one body on the batch routes, one per row on the single routes.
-func routeBodies(t *testing.T, path string, binary bool, entries []driftlog.Entry, samples [][]float64) [][]byte {
+// routeBodies renders the rows as the request bodies one route sends:
+// one batch, or one one-row batch per row.
+func routeBodies(t *testing.T, perRow, binary bool, entries []driftlog.Entry, samples [][]float64) [][]byte {
 	t.Helper()
-	sampleOf := func(i int) []float64 {
-		if samples == nil {
-			return nil
-		}
-		return samples[i]
-	}
-	encode := func(v any, entries []driftlog.Entry, samples [][]float64) []byte {
+	encode := func(entries []driftlog.Entry, samples [][]float64) []byte {
 		if binary {
 			frame, err := driftlog.AppendFrame(nil, batchOf(entries, samples))
 			if err != nil {
@@ -130,32 +128,31 @@ func routeBodies(t *testing.T, path string, binary bool, entries []driftlog.Entr
 			}
 			return frame
 		}
-		data, err := json.Marshal(v)
+		data, err := json.Marshal(httpapi.IngestBatchRequest{Entries: entries, Samples: samples})
 		if err != nil {
 			t.Fatal(err)
 		}
 		return data
 	}
-	if path == "/v1/ingest/batch" {
-		return [][]byte{encode(httpapi.IngestBatchRequest{Entries: entries, Samples: samples}, entries, samples)}
+	if !perRow {
+		return [][]byte{encode(entries, samples)}
 	}
 	bodies := make([][]byte, len(entries))
-	for i, e := range entries {
+	for i := range entries {
 		var one [][]float64
-		if s := sampleOf(i); s != nil {
-			one = [][]float64{s}
+		if samples != nil && samples[i] != nil {
+			one = [][]float64{samples[i]}
 		}
-		bodies[i] = encode(httpapi.IngestRequest{Entry: e, Sample: sampleOf(i)}, []driftlog.Entry{e}, one)
+		bodies[i] = encode(entries[i:i+1], one)
 	}
 	return bodies
 }
 
 // TestBinaryJSONDifferential pins the ingest API's core promise: the same
-// rows sent through either route (/v1/ingest/batch, or /v1/ingest one row
-// at a time) in either codec leave the service in exactly the same state
-// — rows, sample links, index counts — across odd shard fills and at
-// compute pool widths 1 and 8; and the same bad body draws the same
-// status and error code on both routes.
+// rows sent as one batch or as one-row batches, in either codec, leave
+// the service in exactly the same state — rows, sample links, index
+// counts — across odd shard fills and at compute pool widths 1 and 8;
+// and each bad body draws its status and error code.
 func TestBinaryJSONDifferential(t *testing.T) {
 	defer tensor.SetMaxWorkers(0)
 	base := nn.NewClassifier(nn.ArchResNet18, 8, 2, tensor.NewRand(7, 1))
@@ -171,8 +168,8 @@ func TestBinaryJSONDifferential(t *testing.T) {
 				for ri, route := range ingestRoutes {
 					svcs[ri] = cloud.NewService(base, cloud.DefaultConfig())
 					h := httpapi.NewServer(svcs[ri], quiet)
-					for bi, body := range routeBodies(t, route.path, route.binary, entries, samples) {
-						if st, code := postIngest(t, h, route.path, route.binary, body); st >= 300 {
+					for bi, body := range routeBodies(t, route.perRow, route.binary, entries, samples) {
+						if st, code := postIngest(t, h, route.binary, body); st >= 300 {
 							t.Fatalf("seed %d %s body %d: status %d code %q", seed, route.name, bi, st, code)
 						}
 					}
@@ -238,10 +235,8 @@ func TestBinaryJSONDifferential(t *testing.T) {
 	svc := cloud.NewService(base, cloud.DefaultConfig())
 	h := httpapi.NewServer(svc, quiet)
 	for _, tc := range bad {
-		for _, path := range []string{"/v1/ingest", "/v1/ingest/batch"} {
-			if st, code := postIngest(t, h, path, tc.binary, tc.body); st != tc.status || code != tc.wantCode {
-				t.Errorf("%s on %s: %d %q, want %d %q", tc.name, path, st, code, tc.status, tc.wantCode)
-			}
+		if st, code := postIngest(t, h, tc.binary, tc.body); st != tc.status || code != tc.wantCode {
+			t.Errorf("%s: %d %q, want %d %q", tc.name, st, code, tc.status, tc.wantCode)
 		}
 	}
 	if svc.Log().Len() != 0 {
@@ -249,7 +244,7 @@ func TestBinaryJSONDifferential(t *testing.T) {
 	}
 
 	// A refusing service (its WAL directory is a file) answers a good body
-	// 500/internal on every route, so the transport retries rather than
+	// 500/internal in either codec, so the transport retries rather than
 	// dropping the batch.
 	notDir := filepath.Join(t.TempDir(), "wal")
 	if err := os.WriteFile(notDir, nil, 0o644); err != nil {
@@ -261,10 +256,10 @@ func TestBinaryJSONDifferential(t *testing.T) {
 	}
 	hr := httpapi.NewServer(refusing, quiet)
 	good := randEntries(rand.New(rand.NewSource(6)), 1)
-	for _, route := range ingestRoutes {
-		body := routeBodies(t, route.path, route.binary, good, nil)[0]
-		if st, code := postIngest(t, hr, route.path, route.binary, body); st != 500 || code != httpapi.CodeInternal {
-			t.Errorf("refusing service on %s: %d %q, want 500 %q", route.name, st, code, httpapi.CodeInternal)
+	for _, binary := range []bool{false, true} {
+		body := routeBodies(t, false, binary, good, nil)[0]
+		if st, code := postIngest(t, hr, binary, body); st != 500 || code != httpapi.CodeInternal {
+			t.Errorf("refusing service, binary=%v: %d %q, want 500 %q", binary, st, code, httpapi.CodeInternal)
 		}
 	}
 }

@@ -2,6 +2,7 @@ package httpapi
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"strconv"
@@ -35,6 +36,9 @@ const (
 	// CodeInvalidFrame marks a body in a negotiated non-JSON codec that
 	// failed decoding (torn frame, CRC mismatch, bad dictionary index).
 	CodeInvalidFrame = "invalid_frame"
+	// CodeBodyTooLarge marks a request body over the route's size bound
+	// (413), whatever its codec.
+	CodeBodyTooLarge = "body_too_large"
 )
 
 // APIError is the typed form of a server error envelope. The client
@@ -75,6 +79,21 @@ func writeError(w http.ResponseWriter, status int, code, message string) {
 	w.Header().Set("X-Content-Type-Options", "nosniff")
 	w.WriteHeader(status)
 	_ = json.NewEncoder(w).Encode(errorEnvelope{Error: &APIError{Code: code, Message: message}})
+}
+
+// writeDecodeError answers a body that failed to decode in codec c: 413
+// + body_too_large when the body ran past its http.MaxBytesReader bound,
+// else 400 + invalid_json for JSON and invalid_frame for any other codec.
+func writeDecodeError(w http.ResponseWriter, c Codec, err error) {
+	var tooLarge *http.MaxBytesError
+	switch {
+	case errors.As(err, &tooLarge):
+		writeError(w, http.StatusRequestEntityTooLarge, CodeBodyTooLarge, err.Error())
+	case c.ContentType() == ContentTypeJSON:
+		writeError(w, http.StatusBadRequest, CodeInvalidJSON, err.Error())
+	default:
+		writeError(w, http.StatusBadRequest, CodeInvalidFrame, err.Error())
+	}
 }
 
 // decodeAPIError reconstructs an *APIError from a non-2xx response

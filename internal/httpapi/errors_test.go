@@ -21,8 +21,8 @@ import (
 func discardLogger() *slog.Logger { return slog.New(slog.DiscardHandler) }
 
 // TestHandlerErrorPaths table-tests the failure modes of every endpoint:
-// malformed JSON, unknown fields, trailing garbage, wrong method,
-// domain validation, and bad query parameters. Every failure must carry
+// malformed JSON, unknown fields, trailing garbage, wrong method, an
+// encoded body, domain validation, and bad query parameters. Every failure must carry
 // the structured envelope {"error":{"code":...,"message":...}} with the
 // right stable code — including the 404/405 responses the mux itself
 // generates.
@@ -39,44 +39,44 @@ func TestHandlerErrorPaths(t *testing.T) {
 		wantStatus int
 		wantCode   string
 		wantSubstr string
+		encoding   string // Content-Encoding, when set
 	}{
-		{"ingest malformed json", "POST", "/v1/ingest", `{"entry":`, 400, CodeInvalidJSON, "decode"},
-		{"ingest unknown field", "POST", "/v1/ingest", `{"entry":{"time":"2020-01-01T00:00:00Z","attrs":{}},"bogus":1}`, 400, CodeInvalidJSON, "bogus"},
-		{"ingest trailing data", "POST", "/v1/ingest", `{"entry":{"time":"2020-01-01T00:00:00Z","attrs":{}}}{"extra":true}`, 400, CodeInvalidJSON, "trailing"},
-		{"ingest missing attrs", "POST", "/v1/ingest", `{"entry":{"time":"2020-01-01T00:00:00Z"}}`, 400, CodeInvalidRequest, "attrs"},
-		{"ingest wrong method", "GET", "/v1/ingest", "", 405, CodeMethodNotAllowed, ""},
+		{"ingest route removed post", "POST", "/v1/ingest", `{"entry":{"time":"2020-01-01T00:00:00Z","attrs":{}}}`, 404, CodeNotFound, "", ""},
+		{"ingest route removed get", "GET", "/v1/ingest", "", 404, CodeNotFound, "", ""},
 
-		{"batch malformed json", "POST", "/v1/ingest/batch", `[{]`, 400, CodeInvalidJSON, "decode"},
-		{"batch unknown field", "POST", "/v1/ingest/batch", `{"rows":[]}`, 400, CodeInvalidJSON, "rows"},
-		{"batch trailing data", "POST", "/v1/ingest/batch", `{"entries":[{"time":"2020-01-01T00:00:00Z","attrs":{}}]} trailing`, 400, CodeInvalidJSON, "trailing"},
-		{"batch empty", "POST", "/v1/ingest/batch", `{"entries":[]}`, 400, CodeInvalidRequest, "at least one"},
-		{"batch sample mismatch", "POST", "/v1/ingest/batch", `{"entries":[{"time":"2020-01-01T00:00:00Z","attrs":{}}],"samples":[[1],[2]]}`, 400, CodeInvalidRequest, "match"},
-		{"batch entry missing attrs", "POST", "/v1/ingest/batch", `{"entries":[{"time":"2020-01-01T00:00:00Z"}]}`, 400, CodeInvalidRequest, "attrs"},
-		{"batch wrong method", "GET", "/v1/ingest/batch", "", 405, CodeMethodNotAllowed, ""},
+		{"batch malformed json", "POST", "/v1/ingest/batch", `[{]`, 400, CodeInvalidJSON, "decode", ""},
+		{"batch unknown field", "POST", "/v1/ingest/batch", `{"rows":[]}`, 400, CodeInvalidJSON, "rows", ""},
+		{"batch trailing data", "POST", "/v1/ingest/batch", `{"entries":[{"time":"2020-01-01T00:00:00Z","attrs":{}}]} trailing`, 400, CodeInvalidJSON, "trailing", ""},
+		{"batch empty", "POST", "/v1/ingest/batch", `{"entries":[]}`, 400, CodeInvalidRequest, "at least one", ""},
+		{"batch sample mismatch", "POST", "/v1/ingest/batch", `{"entries":[{"time":"2020-01-01T00:00:00Z","attrs":{}}],"samples":[[1],[2]]}`, 400, CodeInvalidRequest, "match", ""},
+		{"batch entry missing attrs", "POST", "/v1/ingest/batch", `{"entries":[{"time":"2020-01-01T00:00:00Z"}]}`, 400, CodeInvalidRequest, "attrs", ""},
+		{"batch wrong method", "GET", "/v1/ingest/batch", "", 405, CodeMethodNotAllowed, "", ""},
+		{"batch sample width", "POST", "/v1/ingest/batch", `{"entries":[{"time":"2020-01-01T00:00:00Z","attrs":{}}],"samples":[[1,2,3]]}`, 400, CodeInvalidRequest, "the model takes 8", ""},
+		{"batch gzip body", "POST", "/v1/ingest/batch", `{"entries":[{"time":"2020-01-01T00:00:00Z","attrs":{}}]}`, 415, CodeCodecUnsupported, "gzip", "gzip"},
 
-		{"analyze malformed json", "POST", "/v1/analyze", `{`, 400, CodeInvalidJSON, "decode"},
-		{"analyze unknown field", "POST", "/v1/analyze", `{"window":"1h"}`, 400, CodeInvalidJSON, "window"},
-		{"analyze trailing data", "POST", "/v1/analyze", `{} {}`, 400, CodeInvalidJSON, "trailing"},
-		{"analyze wrong method", "GET", "/v1/analyze", "", 405, CodeMethodNotAllowed, ""},
+		{"analyze malformed json", "POST", "/v1/analyze", `{`, 400, CodeInvalidJSON, "decode", ""},
+		{"analyze unknown field", "POST", "/v1/analyze", `{"window":"1h"}`, 400, CodeInvalidJSON, "window", ""},
+		{"analyze trailing data", "POST", "/v1/analyze", `{} {}`, 400, CodeInvalidJSON, "trailing", ""},
+		{"analyze wrong method", "GET", "/v1/analyze", "", 405, CodeMethodNotAllowed, "", ""},
 
-		{"diagnose malformed json", "POST", "/v1/diagnose", `nope`, 400, CodeInvalidJSON, "decode"},
-		{"diagnose unknown field", "POST", "/v1/diagnose", `{"mode":"full"}`, 400, CodeInvalidJSON, "mode"},
-		{"diagnose wrong method", "GET", "/v1/diagnose", "", 405, CodeMethodNotAllowed, ""},
+		{"diagnose malformed json", "POST", "/v1/diagnose", `nope`, 400, CodeInvalidJSON, "decode", ""},
+		{"diagnose unknown field", "POST", "/v1/diagnose", `{"mode":"full"}`, 400, CodeInvalidJSON, "mode", ""},
+		{"diagnose wrong method", "GET", "/v1/diagnose", "", 405, CodeMethodNotAllowed, "", ""},
 
-		{"adapt malformed json", "POST", "/v1/adapt", `{"causes":}`, 400, CodeInvalidJSON, "decode"},
-		{"adapt unknown field", "POST", "/v1/adapt", `{"causes":[],"force":true}`, 400, CodeInvalidJSON, "force"},
-		{"adapt no causes", "POST", "/v1/adapt", `{"causes":[]}`, 400, CodeInvalidRequest, "at least one cause"},
-		{"adapt wrong method", "GET", "/v1/adapt", "", 405, CodeMethodNotAllowed, ""},
+		{"adapt malformed json", "POST", "/v1/adapt", `{"causes":}`, 400, CodeInvalidJSON, "decode", ""},
+		{"adapt unknown field", "POST", "/v1/adapt", `{"causes":[],"force":true}`, 400, CodeInvalidJSON, "force", ""},
+		{"adapt no causes", "POST", "/v1/adapt", `{"causes":[]}`, 400, CodeInvalidRequest, "at least one cause", ""},
+		{"adapt wrong method", "GET", "/v1/adapt", "", 405, CodeMethodNotAllowed, "", ""},
 
-		{"versions bad since", "GET", "/v1/versions?since=yesterday", "", 400, CodeInvalidRequest, "bad since"},
-		{"versions wrong method", "POST", "/v1/versions", "", 405, CodeMethodNotAllowed, ""},
-		{"deltas bad since", "GET", "/v1/deltas?since=bogus", "", 400, CodeInvalidRequest, "bad since"},
-		{"deltas wrong method", "POST", "/v1/deltas", "", 405, CodeMethodNotAllowed, ""},
-		{"refbn wrong method", "POST", "/v1/refbn", "", 405, CodeMethodNotAllowed, ""},
-		{"base wrong method", "POST", "/v1/base", "", 405, CodeMethodNotAllowed, ""},
-		{"status wrong method", "POST", "/v1/status", "", 405, CodeMethodNotAllowed, ""},
-		{"metrics wrong method", "POST", "/metrics", "", 405, CodeMethodNotAllowed, ""},
-		{"unknown route", "GET", "/v1/nothing", "", 404, CodeNotFound, ""},
+		{"versions bad since", "GET", "/v1/versions?since=yesterday", "", 400, CodeInvalidRequest, "bad since", ""},
+		{"versions wrong method", "POST", "/v1/versions", "", 405, CodeMethodNotAllowed, "", ""},
+		{"deltas bad since", "GET", "/v1/deltas?since=bogus", "", 400, CodeInvalidRequest, "bad since", ""},
+		{"deltas wrong method", "POST", "/v1/deltas", "", 405, CodeMethodNotAllowed, "", ""},
+		{"refbn wrong method", "POST", "/v1/refbn", "", 405, CodeMethodNotAllowed, "", ""},
+		{"base wrong method", "POST", "/v1/base", "", 405, CodeMethodNotAllowed, "", ""},
+		{"status wrong method", "POST", "/v1/status", "", 405, CodeMethodNotAllowed, "", ""},
+		{"metrics wrong method", "POST", "/metrics", "", 405, CodeMethodNotAllowed, "", ""},
+		{"unknown route", "GET", "/v1/nothing", "", 404, CodeNotFound, "", ""},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -86,6 +86,9 @@ func TestHandlerErrorPaths(t *testing.T) {
 				req.Header.Set("Content-Type", "application/json")
 			} else {
 				req = httptest.NewRequest(tc.method, tc.path, nil)
+			}
+			if tc.encoding != "" {
+				req.Header.Set("Content-Encoding", tc.encoding)
 			}
 			rec := httptest.NewRecorder()
 			h.ServeHTTP(rec, req)
@@ -260,7 +263,9 @@ func TestIngestBatchDurabilityFailureIs500(t *testing.T) {
 // 400/invalid_request, which the transport drops as poison instead of
 // retrying forever. The WAL stays healthy and the next batch is acked.
 func TestIngestBatchOversizedFrameIs400(t *testing.T) {
-	base := nn.NewClassifier(nn.ArchResNet18, 8, 2, tensor.NewRand(7, 1))
+	// 8,192 inputs wide, so the samples pass ingest's width check and the
+	// WAL's frame bound is what refuses the batch.
+	base := nn.NewClassifier(nn.ArchResNet18, 8192, 2, tensor.NewRand(7, 1))
 	svc := cloud.NewService(base, cloud.DefaultConfig(),
 		cloud.WithWAL(t.TempDir(), driftlog.WALOptions{}))
 	if err := svc.WALErr(); err != nil {

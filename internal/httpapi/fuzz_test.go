@@ -5,8 +5,10 @@ import (
 	"net/http/httptest"
 	"sync"
 	"testing"
+	"time"
 
 	"nazar/internal/cloud"
+	"nazar/internal/driftlog"
 	"nazar/internal/nn"
 	"nazar/internal/tensor"
 )
@@ -35,6 +37,40 @@ func FuzzIngestBatch(f *testing.F) {
 	f.Fuzz(func(t *testing.T, body []byte) {
 		req := httptest.NewRequest("POST", "/v1/ingest/batch", bytes.NewReader(body))
 		req.Header.Set("Content-Type", "application/json")
+		rec := httptest.NewRecorder()
+		fuzzServer().ServeHTTP(rec, req)
+		if rec.Code != 200 && (rec.Code < 400 || rec.Code >= 500) {
+			t.Fatalf("status %d for body %q", rec.Code, body)
+		}
+	})
+}
+
+// FuzzIngestBatchBinary throws arbitrary bytes at POST /v1/ingest/batch
+// as application/x-nazar-batch: the NZB1 decoder, the batch validation
+// and the service's ingest checks behind it must answer every body with
+// a 200 or a 4xx, never a 5xx or a panic. The seeds are valid frames
+// (with and without a sample, one of the wrong width) and their tears.
+func FuzzIngestBatchBinary(f *testing.F) {
+	e := driftlog.Entry{Time: time.Unix(1579046400, 0).UTC(), Drift: true,
+		Attrs: map[string]string{driftlog.AttrDevice: "android_42", driftlog.AttrWeather: "snow"}}
+	for _, samples := range [][][]float64{nil, {{1, 2, 3, 4, 5, 6, 7, 8}}, {{0.5, 1.5}}} {
+		frame, err := BinaryCodec{}.EncodeBatch(&BatchFrame{Entries: []driftlog.Entry{e}, Samples: samples})
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(frame)
+		f.Add(frame[:len(frame)/2])
+	}
+	empty, err := BinaryCodec{}.EncodeBatch(&BatchFrame{})
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(empty)
+	f.Add([]byte("NZB1"))
+	f.Add([]byte(``))
+	f.Fuzz(func(t *testing.T, body []byte) {
+		req := httptest.NewRequest("POST", "/v1/ingest/batch", bytes.NewReader(body))
+		req.Header.Set("Content-Type", ContentTypeBinary)
 		rec := httptest.NewRecorder()
 		fuzzServer().ServeHTTP(rec, req)
 		if rec.Code != 200 && (rec.Code < 400 || rec.Code >= 500) {

@@ -1,12 +1,11 @@
-// Package httpapi exposes the cloud service over a JSON/HTTP wire
-// protocol, and provides the matching device-side client — the
-// distributed deployment mode of the system (the paper's devices report
-// to AWS over an API; here the "cloud" is a nazard process).
+// Package httpapi exposes the cloud service over HTTP, and provides the
+// matching device-side client — the distributed deployment mode of the
+// system (the paper's devices report to AWS over an API; here the
+// "cloud" is a nazard process).
 //
 // Endpoints:
 //
-//	POST /v1/ingest        — report a drift-log entry (+ optional sample)
-//	POST /v1/ingest/batch  — report many entries in one round-trip
+//	POST /v1/ingest/batch  — report drift-log entries (+ optional samples): the one write path
 //	POST /v1/analyze       — trigger one analysis/adaptation cycle
 //	POST /v1/diagnose      — analysis only (manual mode)
 //	POST /v1/adapt         — adapt operator-selected causes (manual mode)
@@ -27,7 +26,7 @@ package httpapi
 
 import (
 	"bytes"
-	"compress/gzip"
+	"cmp"
 	"context"
 	"encoding/json"
 	"errors"
@@ -36,7 +35,6 @@ import (
 	"log/slog"
 	"net/http"
 	"net/http/pprof"
-	"strings"
 	"time"
 
 	"nazar/internal/adapt"
@@ -47,16 +45,9 @@ import (
 	"nazar/internal/rca"
 )
 
-// IngestRequest is the body of POST /v1/ingest.
-type IngestRequest struct {
-	Entry driftlog.Entry `json:"entry"`
-	// Sample is the optional uploaded input.
-	Sample []float64 `json:"sample,omitempty"`
-}
-
-// IngestBatchRequest is the body of POST /v1/ingest/batch: one round-trip
-// carrying many reports. Samples, when present, must be the same length
-// as Entries (nil rows mean "no sample for this entry").
+// IngestBatchRequest is the JSON body of POST /v1/ingest/batch: one
+// round-trip carrying many reports. Samples, when present, must be the
+// same length as Entries (nil rows mean "no sample for this entry").
 type IngestBatchRequest struct {
 	Entries []driftlog.Entry `json:"entries"`
 	Samples [][]float64      `json:"samples,omitempty"`
@@ -179,8 +170,7 @@ func NewServer(svc *cloud.Service, opts ...ServerOption) *Server {
 	}
 	s.metrics = NewHTTPMetrics(s.reg)
 
-	s.mux.HandleFunc("POST /v1/ingest", s.handleIngest)
-	s.mux.HandleFunc("POST /v1/ingest/batch", s.handleIngestBatch)
+	s.mux.HandleFunc("POST /v1/ingest/batch", s.ingest)
 	s.mux.HandleFunc("POST /v1/analyze", s.handleAnalyze)
 	s.mux.HandleFunc("POST /v1/diagnose", s.handleDiagnose)
 	s.mux.HandleFunc("POST /v1/adapt", s.handleAdapt)
@@ -211,9 +201,9 @@ func (s *Server) Registry() *obs.Registry { return s.reg }
 // ServeHTTP implements http.Handler.
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) { s.handler.ServeHTTP(w, r) }
 
-// maxBodyBytes bounds request bodies (an uploaded sample is a few KB; a
-// manual adapt request with many causes stays far below this). Batch
-// ingests carry up to maxBatchEntries samples and get a larger cap.
+// maxBodyBytes bounds control-plane request bodies (a manual adapt
+// request with many causes stays far below this). Ingest batches carry
+// up to maxBatchEntries samples and get a larger cap.
 const (
 	maxBodyBytes      = 4 << 20
 	maxBatchBodyBytes = 64 << 20
@@ -233,40 +223,18 @@ func writeServiceError(w http.ResponseWriter, r *http.Request, err error) {
 	writeError(w, http.StatusInternalServerError, CodeInternal, err.Error())
 }
 
-func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
-	s.ingest(w, r, 1, maxBodyBytes)
-}
-
-func (s *Server) handleIngestBatch(w http.ResponseWriter, r *http.Request) {
-	s.ingest(w, r, maxBatchEntries, maxBatchBodyBytes)
-}
-
-// ingest serves both ingest routes: negotiate the codec, decode the body
-// to a batch, validate it, hand its columnar form to the service and map
-// the outcome. /v1/ingest is the batch route capped at one row (and
-// acknowledged with 204 instead of a count).
-func (s *Server) ingest(w http.ResponseWriter, r *http.Request, maxRows int, maxBytes int64) {
+// ingest serves POST /v1/ingest/batch: negotiate the codec, decode the
+// body to a batch, validate it, hand its columnar form to the service
+// and map the outcome.
+func (s *Server) ingest(w http.ResponseWriter, r *http.Request) {
 	codec, ok := negotiateCodec(w, r)
 	if !ok {
 		return
 	}
-	r.Body = http.MaxBytesReader(w, r.Body, maxBytes)
-	body, ok := requestBody(w, r, maxBytes)
-	if !ok {
-		return
-	}
-	single := maxRows == 1
-	var frame *BatchFrame
-	var err error
-	if single && codec.ContentType() == ContentTypeJSON {
-		// The one place the routes' wire forms differ: JSON /v1/ingest
-		// carries {"entry":…,"sample":…}, not a one-element batch body.
-		frame, err = decodeIngestRequest(body)
-	} else {
-		frame, err = codec.DecodeBatch(body, maxRows)
-	}
+	r.Body = http.MaxBytesReader(w, r.Body, maxBatchBodyBytes)
+	frame, err := codec.DecodeBatch(r.Body, maxBatchEntries)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, decodeBodyCode(codec), err.Error())
+		writeDecodeError(w, codec, err)
 		return
 	}
 	rows := frame.Rows()
@@ -274,9 +242,9 @@ func (s *Server) ingest(w http.ResponseWriter, r *http.Request, maxRows int, max
 		writeError(w, http.StatusBadRequest, CodeInvalidRequest, "httpapi: ingest requires at least one entry")
 		return
 	}
-	if rows > maxRows {
+	if rows > maxBatchEntries {
 		writeError(w, http.StatusBadRequest, CodeInvalidRequest,
-			fmt.Sprintf("httpapi: ingest exceeds %d entries", maxRows))
+			fmt.Sprintf("httpapi: ingest exceeds %d entries", maxBatchEntries))
 		return
 	}
 	for i := range frame.Entries {
@@ -298,32 +266,14 @@ func (s *Server) ingest(w http.ResponseWriter, r *http.Request, maxRows int, max
 		}
 		return
 	}
-	if single {
-		w.WriteHeader(http.StatusNoContent)
-		return
-	}
 	writeJSON(w, IngestBatchResponse{Accepted: rows})
-}
-
-// decodeIngestRequest decodes the JSON body of POST /v1/ingest as a
-// one-row batch.
-func decodeIngestRequest(r io.Reader) (*BatchFrame, error) {
-	var req IngestRequest
-	if err := decodeJSON(r, &req); err != nil {
-		return nil, err
-	}
-	f := &BatchFrame{Entries: []driftlog.Entry{req.Entry}}
-	if req.Sample != nil {
-		f.Samples = [][]float64{req.Sample}
-	}
-	return f, nil
 }
 
 func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 	r.Body = http.MaxBytesReader(w, r.Body, maxBodyBytes)
 	var req AnalyzeRequest
 	if err := decodeJSON(r.Body, &req); err != nil {
-		writeError(w, http.StatusBadRequest, CodeInvalidJSON, err.Error())
+		writeDecodeError(w, JSONCodec{}, err)
 		return
 	}
 	now := req.Now
@@ -353,7 +303,7 @@ func (s *Server) handleDiagnose(w http.ResponseWriter, r *http.Request) {
 	r.Body = http.MaxBytesReader(w, r.Body, maxBodyBytes)
 	var req AnalyzeRequest
 	if err := decodeJSON(r.Body, &req); err != nil {
-		writeError(w, http.StatusBadRequest, CodeInvalidJSON, err.Error())
+		writeDecodeError(w, JSONCodec{}, err)
 		return
 	}
 	now := req.Now
@@ -372,7 +322,7 @@ func (s *Server) handleAdapt(w http.ResponseWriter, r *http.Request) {
 	r.Body = http.MaxBytesReader(w, r.Body, maxBodyBytes)
 	var req AdaptRequest
 	if err := decodeJSON(r.Body, &req); err != nil {
-		writeError(w, http.StatusBadRequest, CodeInvalidJSON, err.Error())
+		writeDecodeError(w, JSONCodec{}, err)
 		return
 	}
 	if len(req.Causes) == 0 {
@@ -494,57 +444,24 @@ func writeJSON(w http.ResponseWriter, v any) {
 type Client struct {
 	BaseURL string
 	HTTP    *http.Client
-	// Codec selects the ingest wire encoding (nil means JSON here;
-	// transport.Client always sets it, to BinaryCodec unless told
-	// otherwise). Only /v1/ingest and /v1/ingest/batch negotiate;
-	// control-plane calls stay JSON.
+	// Codec selects the ingest wire encoding: BinaryCodec{} (the drift
+	// log's NZB1 frame), which NewClient sets and nil also means, or
+	// JSONCodec{}. Only /v1/ingest/batch negotiates; control-plane calls
+	// stay JSON.
 	Codec Codec
-	// Compress gzips ingest request bodies when true.
-	Compress bool
 }
 
 // NewClient returns a client for the given server URL.
 func NewClient(baseURL string) *Client {
-	return &Client{BaseURL: baseURL, HTTP: &http.Client{Timeout: 30 * time.Second}}
+	return &Client{BaseURL: baseURL, HTTP: &http.Client{Timeout: 30 * time.Second}, Codec: BinaryCodec{}}
 }
 
-// ingestCodec returns the effective ingest codec (nil Codec means
-// JSON).
-func (c *Client) ingestCodec() Codec {
-	if c.Codec != nil {
-		return c.Codec
-	}
-	return JSONCodec{}
-}
-
-// IngestContext reports one entry (+ optional sample).
-func (c *Client) IngestContext(ctx context.Context, entry driftlog.Entry, sample []float64) error {
-	codec := c.ingestCodec()
-	if codec.ContentType() == ContentTypeJSON {
-		data, err := json.Marshal(IngestRequest{Entry: entry, Sample: sample})
-		if err != nil {
-			return fmt.Errorf("httpapi: marshal: %w", err)
-		}
-		return c.postRaw(ctx, "/v1/ingest", ContentTypeJSON, data, nil)
-	}
-	// Non-JSON codecs carry the single ingest as a one-row batch frame.
-	var samples [][]float64
-	if sample != nil {
-		samples = [][]float64{sample}
-	}
-	data, err := codec.EncodeBatch(&BatchFrame{Entries: []driftlog.Entry{entry}, Samples: samples})
-	if err != nil {
-		return err
-	}
-	return c.postRaw(ctx, "/v1/ingest", codec.ContentType(), data, nil)
-}
-
-// IngestBatchContext reports many entries in one round-trip. samples may
-// be nil, or the same length as entries with nil rows for sample-less
-// entries. The body is rendered by the configured Codec (JSON by default)
-// and gzipped when Compress is set; the acknowledgement is always JSON.
+// IngestBatchContext reports entries in one round-trip. samples may be
+// nil, or the same length as entries with nil rows for sample-less
+// entries. The body is rendered by the configured Codec (binary by
+// default); the acknowledgement is always JSON.
 func (c *Client) IngestBatchContext(ctx context.Context, entries []driftlog.Entry, samples [][]float64) (int, error) {
-	codec := c.ingestCodec()
+	codec := cmp.Or[Codec](c.Codec, BinaryCodec{})
 	data, err := codec.EncodeBatch(&BatchFrame{Entries: entries, Samples: samples})
 	if err != nil {
 		return 0, err
@@ -654,33 +571,13 @@ func (c *Client) post(ctx context.Context, path string, body, out any) error {
 	return c.postRaw(ctx, path, ContentTypeJSON, data, out)
 }
 
-// postRaw posts a pre-encoded body under the given content type,
-// gzipping it when the client's Compress flag is set (ingest endpoints
-// only reach here; the server decompresses by Content-Encoding).
+// postRaw posts a pre-encoded body under the given content type.
 func (c *Client) postRaw(ctx context.Context, path, contentType string, data []byte, out any) error {
-	encoding := ""
-	// Only the ingest endpoints negotiate Content-Encoding; compressing
-	// a control-plane body would be rejected server-side.
-	if c.Compress && strings.HasPrefix(path, "/v1/ingest") {
-		var buf bytes.Buffer
-		zw := gzip.NewWriter(&buf)
-		if _, err := zw.Write(data); err != nil {
-			return fmt.Errorf("httpapi: gzip %s: %w", path, err)
-		}
-		if err := zw.Close(); err != nil {
-			return fmt.Errorf("httpapi: gzip %s: %w", path, err)
-		}
-		data = buf.Bytes()
-		encoding = "gzip"
-	}
 	req, err := http.NewRequestWithContext(ctx, http.MethodPost, c.BaseURL+path, bytes.NewReader(data))
 	if err != nil {
 		return fmt.Errorf("httpapi: post %s: %w", path, err)
 	}
 	req.Header.Set("Content-Type", contentType)
-	if encoding != "" {
-		req.Header.Set("Content-Encoding", encoding)
-	}
 	resp, err := c.HTTP.Do(req)
 	if err != nil {
 		return fmt.Errorf("httpapi: post %s: %w", path, err)

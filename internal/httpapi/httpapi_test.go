@@ -1,9 +1,11 @@
 package httpapi
 
 import (
-	"bytes"
 	"context"
+	"encoding/json"
 	"fmt"
+	"io"
+	"net/http"
 	"net/http/httptest"
 	"strings"
 	"sync"
@@ -60,8 +62,10 @@ func TestIngestAnalyzePullRoundTrip(t *testing.T) {
 	c, world, base := newEnv(t)
 	rng := tensor.NewRand(2020, 1)
 	day := weather.Day(5)
-	// Report fog-drifted and clean inferences.
-	for i := 0; i < 200; i++ {
+	// Report fog-drifted and clean inferences in one batch.
+	entries := make([]driftlog.Entry, 200)
+	samples := make([][]float64, len(entries))
+	for i := range entries {
 		class := i % 8
 		x := world.Sample(class, rng)
 		cond := "clear-day"
@@ -70,7 +74,7 @@ func TestIngestAnalyzePullRoundTrip(t *testing.T) {
 			cond = "fog"
 		}
 		msp := tensor.Max(tensor.Softmax(base.LogitsOne(x)))
-		entry := driftlog.Entry{
+		entries[i] = driftlog.Entry{
 			Time:  day.Add(time.Duration(i) * time.Minute),
 			Drift: msp < 0.95,
 			Attrs: map[string]string{
@@ -79,9 +83,10 @@ func TestIngestAnalyzePullRoundTrip(t *testing.T) {
 				driftlog.AttrDevice:   "dev0",
 			},
 		}
-		if err := c.IngestContext(context.Background(), entry, x); err != nil {
-			t.Fatal(err)
-		}
+		samples[i] = x
+	}
+	if _, err := c.IngestBatchContext(context.Background(), entries, samples); err != nil {
+		t.Fatal(err)
 	}
 	st, err := c.StatusContext(context.Background())
 	if err != nil {
@@ -177,7 +182,8 @@ func TestBaseDownload(t *testing.T) {
 
 func TestIngestValidation(t *testing.T) {
 	c, _, _ := newEnv(t)
-	err := c.IngestContext(context.Background(), driftlog.Entry{Time: time.Now()}, nil)
+	c.Codec = JSONCodec{} // an NZB1 frame has no nil attrs to refuse: a row without attrs has empty ones
+	_, err := c.IngestBatchContext(context.Background(), []driftlog.Entry{{Time: time.Now()}}, nil)
 	if err == nil {
 		t.Fatal("entry without attrs must be rejected")
 	}
@@ -200,7 +206,7 @@ func TestBadSinceParam(t *testing.T) {
 
 func TestMethodNotAllowed(t *testing.T) {
 	c, _, _ := newEnv(t)
-	resp, err := c.HTTP.Get(c.BaseURL + "/v1/ingest")
+	resp, err := c.HTTP.Get(c.BaseURL + "/v1/ingest/batch")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -214,7 +220,9 @@ func TestManualModeOverHTTP(t *testing.T) {
 	c, world, base := newEnv(t)
 	rng := tensor.NewRand(3030, 1)
 	day := weather.Day(8)
-	for i := 0; i < 200; i++ {
+	entries := make([]driftlog.Entry, 200)
+	samples := make([][]float64, len(entries))
+	for i := range entries {
 		class := i % 8
 		x := world.Sample(class, rng)
 		cond := "clear-day"
@@ -223,7 +231,7 @@ func TestManualModeOverHTTP(t *testing.T) {
 			cond = "snow"
 		}
 		msp := tensor.Max(tensor.Softmax(base.LogitsOne(x)))
-		err := c.IngestContext(context.Background(), driftlog.Entry{
+		entries[i] = driftlog.Entry{
 			Time:  day.Add(time.Duration(i) * time.Minute),
 			Drift: msp < 0.95,
 			Attrs: map[string]string{
@@ -231,10 +239,11 @@ func TestManualModeOverHTTP(t *testing.T) {
 				driftlog.AttrLocation: []string{"A", "B", "C"}[i%3],
 				driftlog.AttrDevice:   "dev0",
 			},
-		}, x)
-		if err != nil {
-			t.Fatal(err)
 		}
+		samples[i] = x
+	}
+	if _, err := c.IngestBatchContext(context.Background(), entries, samples); err != nil {
+		t.Fatal(err)
 	}
 	// 1. Diagnose only: causes returned, nothing deployed.
 	causes, err := c.DiagnoseContext(context.Background(), AnalyzeRequest{Now: day.AddDate(0, 0, 1)})
@@ -282,17 +291,46 @@ func TestAdaptRequiresCauses(t *testing.T) {
 	}
 }
 
+// TestOversizedBodyRejected: a body past its route's bound answers 413 +
+// body_too_large, whatever the codec, and not the decode error the
+// truncated read would otherwise make of it. Each JSON body opens with a
+// valid prefix, so the decoder reads on until the bound cuts it off.
 func TestOversizedBodyRejected(t *testing.T) {
-	c, _, _ := newEnv(t)
-	huge := bytes.Repeat([]byte("x"), maxBodyBytes+1024)
-	resp, err := c.HTTP.Post(c.BaseURL+"/v1/ingest", "application/json", bytes.NewReader(huge))
-	if err != nil {
-		t.Fatal(err)
+	h := NewServer(cloud.NewService(nn.NewClassifier(nn.ArchResNet18, 8, 2, tensor.NewRand(7, 1)), cloud.DefaultConfig()),
+		WithLogger(discardLogger()))
+	// filler streams n bytes of x without holding them.
+	filler := func(n int64) io.Reader { return io.LimitReader(repeatByte('x'), n) }
+	cases := []struct {
+		name, path, contentType string
+		body                    io.Reader
+	}{
+		{"batch json", "/v1/ingest/batch", ContentTypeJSON,
+			io.MultiReader(strings.NewReader(`{"entries":[{"time":"`), filler(maxBatchBodyBytes))},
+		{"batch binary", "/v1/ingest/batch", ContentTypeBinary, filler(maxBatchBodyBytes + 1)},
+		{"analyze", "/v1/analyze", ContentTypeJSON,
+			io.MultiReader(strings.NewReader(`{"now":"`), filler(maxBodyBytes))},
 	}
-	defer resp.Body.Close()
-	if resp.StatusCode != 400 && resp.StatusCode != 413 {
-		t.Fatalf("status %d for oversized body", resp.StatusCode)
+	for _, tc := range cases {
+		req := httptest.NewRequest("POST", tc.path, tc.body)
+		req.Header.Set("Content-Type", tc.contentType)
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, req)
+		var env errorEnvelope
+		_ = json.Unmarshal(rec.Body.Bytes(), &env)
+		if rec.Code != http.StatusRequestEntityTooLarge || env.Error == nil || env.Error.Code != CodeBodyTooLarge {
+			t.Errorf("%s: %d %.200q, want 413 %q", tc.name, rec.Code, rec.Body.String(), CodeBodyTooLarge)
+		}
 	}
+}
+
+// repeatByte is an endless reader of one byte.
+type repeatByte byte
+
+func (b repeatByte) Read(p []byte) (int, error) {
+	for i := range p {
+		p[i] = byte(b)
+	}
+	return len(p), nil
 }
 
 func TestConcurrentIngestOverHTTP(t *testing.T) {
@@ -307,14 +345,14 @@ func TestConcurrentIngestOverHTTP(t *testing.T) {
 			rng := tensor.NewRand(uint64(w), 99)
 			for i := 0; i < 25; i++ {
 				x := world.Sample(i%8, rng)
-				err := c.IngestContext(context.Background(), driftlog.Entry{
+				_, err := c.IngestBatchContext(context.Background(), []driftlog.Entry{{
 					Time:  day.Add(time.Duration(i) * time.Minute),
 					Drift: i%2 == 0,
 					Attrs: map[string]string{
 						driftlog.AttrWeather: "rain",
 						driftlog.AttrDevice:  fmt.Sprintf("dev_%d", w),
 					},
-				}, x)
+				}}, [][]float64{x})
 				if err != nil {
 					errCh <- err
 					return
@@ -340,7 +378,9 @@ func TestDeltaPullRoundTrip(t *testing.T) {
 	c, world, base := newEnv(t)
 	rng := tensor.NewRand(4040, 1)
 	day := weather.Day(6)
-	for i := 0; i < 200; i++ {
+	entries := make([]driftlog.Entry, 200)
+	samples := make([][]float64, len(entries))
+	for i := range entries {
 		class := i % 8
 		x := world.Sample(class, rng)
 		cond := "clear-day"
@@ -349,7 +389,7 @@ func TestDeltaPullRoundTrip(t *testing.T) {
 			cond = "fog"
 		}
 		msp := tensor.Max(tensor.Softmax(base.LogitsOne(x)))
-		if err := c.IngestContext(context.Background(), driftlog.Entry{
+		entries[i] = driftlog.Entry{
 			Time:  day.Add(time.Duration(i) * time.Minute),
 			Drift: msp < 0.95,
 			Attrs: map[string]string{
@@ -357,9 +397,11 @@ func TestDeltaPullRoundTrip(t *testing.T) {
 				driftlog.AttrLocation: []string{"A", "B", "C"}[i%3],
 				driftlog.AttrDevice:   "dev0",
 			},
-		}, x); err != nil {
-			t.Fatal(err)
 		}
+		samples[i] = x
+	}
+	if _, err := c.IngestBatchContext(context.Background(), entries, samples); err != nil {
+		t.Fatal(err)
 	}
 	if _, err := c.AnalyzeContext(context.Background(), AnalyzeRequest{Now: day.AddDate(0, 0, 1)}); err != nil {
 		t.Fatal(err)

@@ -27,7 +27,6 @@
 package transport
 
 import (
-	"cmp"
 	"context"
 	"errors"
 	"fmt"
@@ -199,8 +198,8 @@ func WithConfig(cfg Config) Option {
 	return func(o *clientOptions) { o.cfg = cfg }
 }
 
-// WithCodec selects the ingest wire codec. The default (also for nil)
-// is httpapi.BinaryCodec{}, the drift log's NZB1 frame;
+// WithCodec selects the ingest wire codec. nil keeps httpapi.Client's
+// default, httpapi.BinaryCodec{} (the drift log's NZB1 frame);
 // httpapi.JSONCodec{} opts into JSON. If the server refuses the codec
 // (415 / codec_unsupported) the client logs it and downgrades to JSON
 // for the rest of its life, so a fleet can roll a new codec before its
@@ -220,7 +219,9 @@ func NewClient(baseURL string, opts ...Option) *Client {
 	// Attempt deadlines come from per-request contexts, not a global
 	// client timeout (which would also cap slow-but-progressing pulls).
 	api.HTTP = &http.Client{Transport: cfg.HTTPTransport}
-	api.Codec = cmp.Or[httpapi.Codec](o.codec, httpapi.BinaryCodec{})
+	if o.codec != nil {
+		api.Codec = o.codec
+	}
 	c := &Client{
 		api:        api,
 		cfg:        cfg,
