@@ -108,17 +108,15 @@ fuzz:
 
 # 30 seconds of coverage-guided fuzzing per target across every fuzz
 # entry point in the repo: the HTTP decoders (JSON and NZB1 bodies on
-# the ingest route), the drift-log snapshot reader, the count
-# differential, the fault-schedule parser, WAL replay, the quantized
-# int8 model pass, and the branch-free layer kernels against the branchy
-# loops they replaced. CI runs this on every
-# push; interesting inputs it finds should be committed under the
-# package's testdata/fuzz corpus.
+# the ingest route), the count differential, the fault-schedule
+# parser, WAL replay, the quantized int8 model pass, and the
+# branch-free layer kernels against the branchy loops they replaced. CI
+# runs this on every push; interesting inputs it finds should be
+# committed under the package's testdata/fuzz corpus.
 fuzz-smoke:
 	$(GO) test ./internal/httpapi/ -run '^$$' -fuzz 'FuzzIngestBatch$$' -fuzztime 30s
 	$(GO) test ./internal/httpapi/ -run '^$$' -fuzz FuzzIngestBatchBinary -fuzztime 30s
 	$(GO) test ./internal/httpapi/ -run '^$$' -fuzz FuzzAnalyzeRequest -fuzztime 30s
-	$(GO) test ./internal/driftlog/ -run '^$$' -fuzz FuzzReadFrom -fuzztime 30s
 	$(GO) test ./internal/driftlog/ -run '^$$' -fuzz FuzzCountDifferential -fuzztime 30s
 	$(GO) test ./internal/driftlog/ -run '^$$' -fuzz FuzzWALReplay -fuzztime 30s
 	$(GO) test ./internal/faultinject/ -run '^$$' -fuzz FuzzParseSchedule -fuzztime 30s

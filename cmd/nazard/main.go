@@ -97,8 +97,8 @@ func main() {
 	}
 	if *walDir != "" {
 		rec := svc.WAL().Recovery()
-		log.Printf("nazard: wal replay: %d snapshot rows + %d rows from %d segments (torn tail: %v)",
-			rec.SnapshotRows, rec.Rows, rec.Segments, rec.TornTail)
+		log.Printf("nazard: wal replay: %d rows from %d segments (torn tail: %v %q, %d bytes dropped)",
+			rec.Rows, rec.Segments, rec.TornTail, rec.TornFile, rec.TornBytes)
 	}
 	var sched *cloud.Scheduler
 	if *every > 0 {

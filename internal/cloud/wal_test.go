@@ -449,7 +449,11 @@ func TestServiceWALRetentionBoundsDirectory(t *testing.T) {
 		single := t.TempDir()
 		writeFileOrFatal(t, filepath.Join(single, f.Name()), raw)
 		s := driftlog.NewStore()
-		if _, err := driftlog.OpenWAL(single, s, driftlog.WALOptions{ReadOnly: true}); err != nil {
+		w, err := driftlog.OpenWAL(single, s, driftlog.WALOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := w.Close(); err != nil {
 			t.Fatal(err)
 		}
 		if st := s.Stats(); s.Len() > 0 && st.NewestTime.Before(cutoff) {

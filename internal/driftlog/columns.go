@@ -160,15 +160,6 @@ func ColumnsFromEntries(entries []Entry) *ColumnarBatch {
 // preserving slice order in the store's canonical (sequence) order.
 func (s *Store) AppendBatch(entries []Entry) { s.appendColumns(ColumnsFromEntries(entries)) }
 
-// rowBatch is ColumnsFromEntries with a sample column (nil, or one vector
-// or nil per entry) — how replay reads legacy row records and gob
-// snapshots.
-func rowBatch(entries []Entry, samples [][]float64) *ColumnarBatch {
-	b := ColumnsFromEntries(entries)
-	b.Samples = samples
-	return b
-}
-
 // AppendColumns validates and ingests a columnar batch, preserving batch
 // row order in the store's canonical (sequence) order.
 func (s *Store) AppendColumns(b *ColumnarBatch) error {

@@ -148,7 +148,7 @@ func TestAppendColumnsRejectsInvalid(t *testing.T) {
 	}
 }
 
-// goldenRecordBatch is the fixed batch the record goldens pin: a row
+// goldenRecordBatch is the fixed batch the record golden pins: a row
 // with every attribute, a row missing one, a row with none, out-of-order
 // timestamps, absent, small and two-byte sample ids, and one row's vector.
 func goldenRecordBatch() ([]Entry, [][]float64) {
@@ -161,28 +161,6 @@ func goldenRecordBatch() ([]Entry, [][]float64) {
 			Attrs: map[string]string{}},
 	}
 	return entries, [][]float64{nil, {0.5, -2}, nil}
-}
-
-// TestWALFrameGolden pins the legacy version-2 row record, decode-only:
-// no writer produces it any more, but replay must read it unchanged.
-func TestWALFrameGolden(t *testing.T) {
-	const legacy = "8f000000e7e937de" +
-		"020380e8c9c5df85fde92b000103066465766963650a616e64726f69645f3432086c6f636174696f6e0848656c73696e6b69077765617468657209636c6561722d646179" +
-		"e8dfb4ba8387fde92b010e02066465766963650a616e64726f69645f3231077765617468657204736e6f77" +
-		"80a0b58ac384fde92b01d80400" +
-		"010102000000000000e03f00000000000000c0" // sample section: row 1 = {0.5, -2}
-	entries, samples := goldenRecordBatch()
-	frame, err := hex.DecodeString(legacy)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rows, xs, err := decodeWALPayload(frame[8:])
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := ColumnsFromEntries(rows).Entries(); !reflect.DeepEqual(got, entries) || !reflect.DeepEqual(xs, samples) {
-		t.Fatalf("golden record decodes to\n%+v %v\nwant\n%+v %v", got, xs, entries, samples)
-	}
 }
 
 // TestWALFrameRecordGolden pins the on-disk record bytes the WAL writes
@@ -208,7 +186,7 @@ func TestWALFrameRecordGolden(t *testing.T) {
 	if got := hex.EncodeToString(rec); got != want {
 		t.Fatalf("WAL record bytes changed:\n got %s\nwant %s", got, want)
 	}
-	got, err := decodeRecord(rec[8:])
+	got, err := DecodeFrame(rec[8:], 0)
 	if err != nil || got.Rows() != len(entries) {
 		t.Fatalf("golden record decodes to %v: %v", got, err)
 	}

@@ -1,80 +1,9 @@
 package driftlog
 
 import (
-	"bufio"
-	"encoding/gob"
-	"fmt"
-	"io"
 	"slices"
 	"time"
 )
-
-// persistHeader guards against loading foreign files.
-const persistHeader = "nazar-driftlog-v1"
-
-// wireEntry is one row of a legacy gob snapshot, in canonical
-// (ingest-sequence) order. Sample, the row's uploaded vector, was added
-// last: gob leaves it nil when decoding files written before it.
-type wireEntry struct {
-	TimeNanos int64
-	Drift     bool
-	SampleID  int64
-	Attrs     map[string]string
-	Sample    []float64
-}
-
-// readFrom decodes a legacy gob snapshot from br: one or more chunks back
-// to back, each the header line, then the gob-encoded row count and rows,
-// as WAL compaction and -log-file wrote them in earlier versions. It
-// hands the rows and their sample column (parallel to the
-// rows) to fn in batches of up to 4096, so a large log costs one append
-// per batch rather than per row, and returns the row count.
-func readFrom(br *bufio.Reader, fn func([]Entry, [][]float64) error) (int64, error) {
-	var rows int64
-	for {
-		header, err := br.ReadString('\n')
-		if err != nil {
-			return rows, fmt.Errorf("driftlog: read header: %w", err)
-		}
-		if header != persistHeader+"\n" {
-			return rows, fmt.Errorf("driftlog: bad header %q", header)
-		}
-		dec := gob.NewDecoder(br)
-		var n int
-		if err := dec.Decode(&n); err != nil {
-			return rows, fmt.Errorf("driftlog: decode count: %w", err)
-		}
-		if n < 0 {
-			return rows, fmt.Errorf("driftlog: corrupt file: negative row count %d", n)
-		}
-		const batchSize = 4096
-		batch := make([]Entry, 0, min(n, batchSize))
-		samples := make([][]float64, 0, cap(batch))
-		for i := 0; i < n; i++ {
-			var we wireEntry
-			if err := dec.Decode(&we); err != nil {
-				return rows, fmt.Errorf("driftlog: decode row %d of %d (truncated or corrupt snapshot): %w", i, n, err)
-			}
-			samples = append(samples, we.Sample)
-			batch = append(batch, Entry{
-				Time:     time.Unix(0, we.TimeNanos).UTC(),
-				Drift:    we.Drift,
-				SampleID: we.SampleID,
-				Attrs:    we.Attrs,
-			})
-			if len(batch) == batchSize || i == n-1 {
-				if err := fn(batch, samples); err != nil {
-					return rows, err
-				}
-				rows += int64(len(batch))
-				batch, samples = batch[:0], samples[:0]
-			}
-		}
-		if _, err := br.Peek(1); err == io.EOF {
-			return rows, nil
-		}
-	}
-}
 
 // Compact drops every row with a timestamp before cutoff, returning how
 // many rows were removed. Dictionary encodings are rebuilt per shard, so

@@ -12,8 +12,8 @@ import (
 // its values cross the threshold. It shares no code with appendColumns or
 // tierUp beyond the store's own primitives (intern, setBit, dropBits), so
 // agreement between the two is evidence, not tautology. The file also keeps
-// the writer of the legacy row-layout WAL record, which generates the
-// fixtures replay must still read.
+// the writer of the row-layout WAL record earlier versions wrote, which
+// builds fuzz seeds replay must refuse.
 
 // refAppendBatch ingests entries row by row with one lock acquisition per
 // touched shard, preserving slice order in the store's sequence order.
@@ -158,8 +158,8 @@ func refTierUp(s *Store, attr string) {
 // appendWALFrameColumns appends one legacy framed record
 // ([len][crc][payload]) to dst: record version 2, the batch row by row
 // with each row's attributes in sorted name order, then the sample
-// section. No product code writes this layout any more; replay still
-// reads it (decodeWALPayload).
+// section. No product code writes this layout any more, and replay
+// refuses it as corruption.
 func appendWALFrameColumns(dst []byte, b *ColumnarBatch) []byte {
 	base := len(dst)
 	dst = append(dst, 0, 0, 0, 0, 0, 0, 0, 0) // frame header placeholder

@@ -51,35 +51,6 @@ func TestSampleColumnFollowsItsRow(t *testing.T) {
 	}
 }
 
-// TestWALGoldenV1Replay pins the WAL's compatibility contract the way
-// golden_v1.driftlog pins the snapshot's: a sealed segment written with
-// record version 1 (two records, sampled and unsampled rows, no vectors)
-// replays to the same rows, its links resolving to nothing.
-func TestWALGoldenV1Replay(t *testing.T) {
-	dir := goldenDir(t, map[string]string{segName(1): "testdata/golden_v1.wal"})
-	s := NewStore()
-	w, err := OpenWAL(dir, s, WALOptions{ReadOnly: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer w.Close()
-	if rec := w.Recovery(); rec.Records != 2 || rec.Rows != 5 || rec.TornTail {
-		t.Fatalf("recovery %+v, want 2 records / 5 rows", rec)
-	}
-	want := goldenV1WALEntries(t)
-	if s.Len() != len(want) {
-		t.Fatalf("%d rows, want %d", s.Len(), len(want))
-	}
-	for i, e := range want {
-		if got := s.Entry(i); !sameEntry(got, e) {
-			t.Fatalf("row %d = %+v, want %+v", i, got, e)
-		}
-	}
-	if st := s.Stats(); st.Samples != 0 || s.MaxSampleID() != 2 {
-		t.Fatalf("v1 replay: %d vectors, max sample id %d", st.Samples, s.MaxSampleID())
-	}
-}
-
 // TestDecodeSampleSectionRejects: every malformed sample section is an
 // error, reported before the claimed dimension is allocated.
 func TestDecodeSampleSectionRejects(t *testing.T) {
@@ -125,21 +96,13 @@ func TestDecodeSampleSectionRejects(t *testing.T) {
 			t.Errorf("%s: decoded %x", name, p)
 		}
 	}
-	// Inside a legacy record or a frame, a bad section fails the whole
-	// record.
-	b := walSampled(0, 3)
-	frame := appendWALFrameColumns(nil, b)
-	payload := append([]byte(nil), frame[8:]...)
-	payload[len(payload)-8*2-2] = 7 // the last vector's row index
-	if _, _, err := decodeWALPayload(payload); err == nil {
-		t.Fatal("record with an out-of-range sample row decoded")
-	}
-	rec, err := appendRecord(nil, b)
+	// Inside a frame, a bad section fails the whole frame.
+	rec, err := appendRecord(nil, walSampled(0, 3))
 	if err != nil {
 		t.Fatal(err)
 	}
-	payload = rec[8:]
-	payload[len(payload)-8*2-2] = 7
+	payload := rec[8:]
+	payload[len(payload)-8*2-2] = 7 // the last vector's row index
 	binary.LittleEndian.PutUint32(payload[10:], crc32.Checksum(payload[frameHeaderSize:], castagnoli))
 	var fe *FrameError
 	if _, err := DecodeFrame(payload, 0); !errors.As(err, &fe) {
@@ -172,9 +135,11 @@ func TestReplayKeepsSampleOrder(t *testing.T) {
 		t.Fatal(err)
 	}
 	replayed := NewStore()
-	if _, err := OpenWAL(dir, replayed, WALOptions{ReadOnly: true}); err != nil {
+	w2, err := OpenWAL(dir, replayed, WALOptions{})
+	if err != nil {
 		t.Fatal(err)
 	}
+	defer w2.Close()
 	wids, wxs, _ := live.All().Samples(nil)
 	gids, gxs, _ := replayed.All().Samples(nil)
 	if !reflect.DeepEqual(wids, gids) || !reflect.DeepEqual(wxs, gxs) {

@@ -117,7 +117,11 @@ func TestSketchFeedConcurrent(t *testing.T) {
 		r := rand.New(rand.NewSource(5))
 		hot := func(prefix string, n int) string { return fmt.Sprintf("%s%d", prefix, r.Intn(n)) }
 		// The first 20 views stay, the last 20 slots keep the latest ones.
-		for n := 0; !done.Load(); {
+		// The writers can finish between two polls, so the loop ends only
+		// after a round that began once they had: its views are pinned
+		// after firmware tiered up.
+		for n, last := 0, false; !last; {
+			last = done.Load()
 			now := base.Add(time.Duration(clock.Load()) * time.Second)
 			for _, v := range []*View{s.All(), s.Window(now.Add(-333*time.Second), now.Add(-7*time.Second))} {
 				conds := [][]Cond{

@@ -12,11 +12,9 @@
 // rebuilds the per-(attribute, value) bitset index too — a replayed store
 // is query-identical to the live store it mirrors.
 //
-// Replay still reads the formats earlier versions wrote: row-layout
-// records (versions 1 and 2, decodeWALPayload) inside segments, and a
-// snapshot file — frame records in the segment layout, or a gob file
-// (readFrom) — which, once loaded, is one more sealed file that
-// retention expires as a whole.
+// That is the only format replay reads. A directory an earlier version
+// left behind — a snapshot file, or a segment of row-layout records — is
+// refused with a *CorruptError naming the file, never half loaded.
 //
 // Crash-recovery contract:
 //
@@ -26,12 +24,13 @@
 //   - a batch whose frame exceeds the record bound is refused with
 //     ErrFrameTooLarge before anything is written, and the WAL stays
 //     healthy;
-//   - a torn final record (the write the crash interrupted) is detected
-//     by length/CRC, truncated, and reported via RecoveryInfo — it
-//     never blocks startup;
-//   - corruption anywhere else (a sealed segment, a snapshot, a bad
-//     header) refuses to open with a typed *CorruptError, never a
-//     panic;
+//   - a torn final record (the write the crash interrupted) fails the
+//     length or CRC check; in the tail segment it is truncated and
+//     reported via RecoveryInfo — it never blocks startup;
+//   - anything else (damage in a sealed segment, a checked record that
+//     is not a frame, a bad header, a snapshot file) refuses to open
+//     with a typed *CorruptError, never a panic, and the directory is
+//     left as it was;
 //   - compaction only unlinks files every row of which is before the
 //     cutoff, so a crash during it loses no row the cutoff keeps; an
 //     unlink the crash undoes leaves an expired file, which replay
@@ -39,13 +38,11 @@
 package driftlog
 
 import (
-	"bufio"
 	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"hash/crc32"
-	"io"
 	"math"
 	"path/filepath"
 	"slices"
@@ -53,11 +50,10 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
-	"time"
 )
 
-// walMagic opens every segment and snapshot file: 5 magic bytes plus a
-// 3-digit format version.
+// walMagic opens every segment: 5 magic bytes plus a 3-digit format
+// version.
 const walMagic = "NZWAL001"
 
 // maxWALRecord bounds a single record's payload, one frame; larger
@@ -71,19 +67,18 @@ var (
 	// ErrWALSevered marks appends after Sever — the chaos harness's
 	// simulated kill -9.
 	ErrWALSevered = errors.New("driftlog: wal severed")
-	// ErrWALReadOnly marks appends and compaction on a replay-only WAL.
-	ErrWALReadOnly = errors.New("driftlog: wal opened read-only")
 )
 
-// CorruptError is the typed replay failure: corruption outside the
-// tolerated torn-tail position (a sealed segment, a snapshot, a
-// foreign or damaged header). Replay never panics: it either recovers
-// a prefix or returns one of these.
+// CorruptError is the typed replay failure: anything but a torn record
+// at the end of the tail segment (damage in a sealed segment, a record
+// that is not a frame, a foreign or damaged header, a snapshot file an
+// earlier version wrote). Replay never panics: it either recovers a
+// prefix or returns one of these.
 type CorruptError struct {
-	// Path is the damaged file.
+	// Path is the refused file.
 	Path string
-	// Offset is the byte offset of the first bad frame (0 for header
-	// and snapshot damage).
+	// Offset is the byte offset of the first bad record (0 for header
+	// damage and snapshot files).
 	Offset int64
 	// Reason describes the failed check.
 	Reason string
@@ -103,11 +98,6 @@ type WALOptions struct {
 	// Zero disables automatic compaction (Compact can still be called
 	// explicitly).
 	CompactSegments int
-	// ReadOnly replays without mutating the directory: no tail
-	// truncation, no cleanup, no active segment; AppendColumns and
-	// Compact fail with ErrWALReadOnly. For inspectors and replay
-	// benchmarks.
-	ReadOnly bool
 
 	// fs substitutes the filesystem (crash harness); nil means the OS.
 	fs walFS
@@ -125,17 +115,15 @@ func (o WALOptions) withDefaults() WALOptions {
 
 // RecoveryInfo reports what replay found and did.
 type RecoveryInfo struct {
-	// SnapshotRows is the row count loaded from a legacy snapshot (0
-	// when none existed).
-	SnapshotRows int64
-	// Segments is the number of segment files replayed; Records and
-	// Rows count what they contained.
+	// Segments is the number of segment files replay kept (a segment
+	// that holds no record is removed instead); Records and Rows count
+	// what they contained.
 	Segments int
 	Records  int
 	Rows     int64
 	// TornTail reports that a torn final record was found; TornFile and
 	// TornBytes identify the file and how many trailing bytes were
-	// dropped (and, unless read-only, truncated away).
+	// dropped (truncated away).
 	TornTail  bool
 	TornFile  string
 	TornBytes int64
@@ -147,9 +135,9 @@ type WALStats struct {
 	// ActiveBytes its size so far.
 	ActiveSegment uint64
 	ActiveBytes   int64
-	// SealedSegments counts the files besides the active segment that
-	// replay would restore: rotated segments, and a legacy snapshot,
-	// that compaction has not expired.
+	// SealedSegments counts the rotated segments compaction has not
+	// expired: the files besides the active one that replay would
+	// restore.
 	SealedSegments int
 	// Appends, AppendedBytes and Rotations count work done since open;
 	// Compactions counts the compaction passes that deleted a file.
@@ -175,7 +163,7 @@ type WAL struct {
 	curIdx    uint64
 	curSize   int64
 	curNewest int64        // the active segment's newest row (unix nanos); math.MinInt64 while empty
-	sealed    []sealedFile // ascending index, a legacy snapshot first
+	sealed    []sealedFile // ascending index
 	buf       []byte       // frame scratch
 	queued    bool         // a background pass is started but has not yet read sealed
 
@@ -188,9 +176,9 @@ type WAL struct {
 	compactErr    atomic.Value // last background compaction error (error)
 }
 
-// sealedFile is a file appends no longer reach — a rotated segment or a
-// legacy snapshot — with its newest row's time (unix nanos;
-// math.MinInt64 when it holds none), which is all expiry needs to know.
+// sealedFile is a segment appends no longer reach, with its newest row's
+// time (unix nanos; math.MinInt64 when it holds none), which is all
+// expiry needs to know.
 type sealedFile struct {
 	name   string
 	newest int64
@@ -204,18 +192,15 @@ func newestTime(newest int64, times []int64) int64 {
 	return newest
 }
 
-// segName / snapName render the on-disk naming scheme. Segment indexes
-// start at 1 and only ever grow; a legacy snapshot's index is the highest
-// segment folded into it, which is all replay needs to know to skip
-// covered segments.
-func segName(idx uint64) string  { return fmt.Sprintf("wal-%016x.seg", idx) }
-func snapName(idx uint64) string { return fmt.Sprintf("snapshot-%016x.driftlog", idx) }
+// segName renders a segment's on-disk name. Segment indexes start at 1
+// and only ever grow.
+func segName(idx uint64) string { return fmt.Sprintf("wal-%016x.seg", idx) }
 
-func parseWALName(name, prefix, suffix string) (uint64, bool) {
-	if !strings.HasPrefix(name, prefix) || !strings.HasSuffix(name, suffix) {
+func parseSegName(name string) (uint64, bool) {
+	if !strings.HasPrefix(name, "wal-") || !strings.HasSuffix(name, ".seg") {
 		return 0, false
 	}
-	hex := name[len(prefix) : len(name)-len(suffix)]
+	hex := name[len("wal-") : len(name)-len(".seg")]
 	if len(hex) != 16 {
 		return 0, false
 	}
@@ -226,94 +211,60 @@ func parseWALName(name, prefix, suffix string) (uint64, bool) {
 	return idx, true
 }
 
-func parseSegName(name string) (uint64, bool)  { return parseWALName(name, "wal-", ".seg") }
-func parseSnapName(name string) (uint64, bool) { return parseWALName(name, "snapshot-", ".driftlog") }
-
-// OpenWAL opens (creating if needed) the WAL in dir and replays its
-// contents — a legacy snapshot first, then every uncovered segment in
-// index order — into s, which is normally a fresh store and whose
-// Compact cutoff the WAL's compaction applies from then on. On success
-// the WAL is ready for appends (unless opts.ReadOnly). A torn final
-// record is truncated and reported via Recovery(); any other damage
-// returns a *CorruptError and s must be discarded (it may hold a partial
-// prefix).
+// OpenWAL opens (creating if needed) the WAL in dir and replays every
+// segment in index order into s, which is normally a fresh store and
+// whose Compact cutoff the WAL's compaction applies from then on. On
+// success the WAL is ready for appends. A torn final record is truncated
+// and reported via Recovery(), and a segment that holds no record is
+// removed. Anything else returns a *CorruptError before the directory is
+// touched, and s must be discarded (it may hold a partial prefix); a
+// snapshot file an earlier version wrote is refused before any replay.
 func OpenWAL(dir string, s *Store, opts WALOptions) (*WAL, error) {
 	if s == nil {
 		return nil, errors.New("driftlog: wal: nil store")
 	}
 	opts = opts.withDefaults()
 	w := &WAL{dir: dir, opts: opts, fs: opts.fs, store: s}
-	if !opts.ReadOnly {
-		if err := w.fs.MkdirAll(dir); err != nil {
-			return nil, fmt.Errorf("driftlog: wal: mkdir %s: %w", dir, err)
-		}
+	if err := w.fs.MkdirAll(dir); err != nil {
+		return nil, fmt.Errorf("driftlog: wal: mkdir %s: %w", dir, err)
 	}
 	names, err := w.fs.ReadDir(dir)
 	if err != nil {
 		return nil, fmt.Errorf("driftlog: wal: list %s: %w", dir, err)
 	}
-	var segs, snaps []uint64
+	var segs []uint64
 	for _, name := range names {
 		if idx, ok := parseSegName(name); ok {
 			segs = append(segs, idx)
-			continue
-		}
-		if idx, ok := parseSnapName(name); ok {
-			snaps = append(snaps, idx)
-			continue
-		}
-		// Leftover temp files are folds an earlier version abandoned:
-		// discard.
-		if strings.HasSuffix(name, ".tmp") && !opts.ReadOnly {
-			_ = w.fs.Remove(filepath.Join(dir, name))
+		} else if snap, _ := filepath.Match("snapshot-*.driftlog", name); snap {
+			return nil, &CorruptError{Path: filepath.Join(dir, name),
+				Reason: "snapshot file of an earlier version: replay reads frame segments only"}
 		}
 	}
 	sort.Slice(segs, func(i, j int) bool { return segs[i] < segs[j] })
-	sort.Slice(snaps, func(i, j int) bool { return snaps[i] < snaps[j] })
 
-	// Of several snapshots an earlier version's died fold left, the
-	// newest covers the rest. It was published atomically, so damage in
-	// it is corruption, never a torn tail.
-	snap := int64(-1)
-	if len(snaps) > 0 {
-		best := snaps[len(snaps)-1]
-		if _, w.rec.SnapshotRows, err = w.replay(s, snapName(best), false, true); err != nil {
-			return nil, err
-		}
-		snap = int64(best)
-		if !opts.ReadOnly {
-			for _, idx := range snaps[:len(snaps)-1] {
-				_ = w.fs.Remove(filepath.Join(dir, snapName(idx)))
-			}
-		}
-	}
-
-	maxIdx := uint64(max(snap, 0))
+	var empty []string // segments that hold no record, removed once all replayed
+	var buf bytes.Buffer
 	for i, idx := range segs {
-		if int64(idx) <= snap {
-			// Covered by the snapshot: a fold died between the snapshot
-			// rename and the segment deletes. Finish the job.
-			if !opts.ReadOnly {
-				_ = w.fs.Remove(filepath.Join(dir, segName(idx)))
-			}
-			continue
-		}
-		w.rec.Segments++
-		records, rows, err := w.replay(s, segName(idx), i == len(segs)-1, false)
+		path := filepath.Join(dir, segName(idx))
+		keep, err := w.replay(s, path, i == len(segs)-1, &buf)
 		if err != nil {
 			return nil, err
 		}
-		w.rec.Records += records
-		w.rec.Rows += rows
-		maxIdx = max(maxIdx, idx)
+		if !keep {
+			empty = append(empty, path)
+		}
+	}
+	for _, path := range empty {
+		if err := w.fs.Remove(path); err != nil {
+			return nil, fmt.Errorf("driftlog: wal: drop empty segment %s: %w", path, err)
+		}
 	}
 
-	if opts.ReadOnly {
-		w.closed = true
-		w.err = ErrWALReadOnly
-		return w, nil
+	w.curIdx = 1
+	if len(segs) > 0 {
+		w.curIdx = segs[len(segs)-1] + 1
 	}
-	w.curIdx = maxIdx + 1
 	if err := w.startSegmentLocked(); err != nil {
 		return nil, err
 	}
@@ -343,133 +294,98 @@ func (w *WAL) Stats() WALStats {
 	return st
 }
 
-// replay appends the batches of one file to s in order, seals the file
-// with its newest row's time unless nothing of it survived (scanRecords'
-// keep), and returns its batch and row counts; tail and snapshot are
+// replay appends the batches of one segment to s in order; tail marks
+// the last segment, whose torn tail it records and truncates away. It
+// seals the segment with its newest row's time and reports keep, unless
+// no record of it survived: the caller then removes the file. buf is
 // scanRecords'.
-func (w *WAL) replay(s *Store, name string, tail, snapshot bool) (batches int, rows int64, err error) {
+func (w *WAL) replay(s *Store, path string, tail bool, buf *bytes.Buffer) (keep bool, err error) {
 	newest := int64(math.MinInt64)
-	keep, err := w.scanRecords(filepath.Join(w.dir, name), tail, snapshot, func(b *ColumnarBatch) {
+	valid, size, err := w.scanRecords(path, tail, buf, func(b *ColumnarBatch) {
 		s.appendColumns(b)
-		batches++
-		rows += int64(b.Rows())
+		w.rec.Records++
+		w.rec.Rows += int64(b.Rows())
 		newest = newestTime(newest, b.Times)
 	})
-	if keep {
-		w.sealed = append(w.sealed, sealedFile{name, newest})
-	}
-	return batches, rows, err
-}
-
-// decodeRecord decodes one CRC-checked record payload. Its first byte
-// tells its format: an NZB1 frame, or a legacy row record (version 1 or
-// 2), which decodeWALPayload reads.
-func decodeRecord(payload []byte) (*ColumnarBatch, error) {
-	if bytes.HasPrefix(payload, []byte(frameMagic)) {
-		return DecodeFrame(payload, 0)
-	}
-	entries, samples, err := decodeWALPayload(payload)
 	if err != nil {
-		return nil, err
+		return false, err
 	}
-	return rowBatch(entries, samples), nil
+	if valid < size {
+		w.rec.TornTail, w.rec.TornFile, w.rec.TornBytes = true, path, size-valid
+	}
+	if valid <= int64(len(walMagic)) {
+		return false, nil
+	}
+	if valid < size {
+		if err := w.fs.Truncate(path, valid); err != nil {
+			return false, fmt.Errorf("driftlog: wal: truncate torn tail of %s: %w", path, err)
+		}
+	}
+	w.rec.Segments++
+	w.sealed = append(w.sealed, sealedFile{filepath.Base(path), newest})
+	return true, nil
 }
 
-// scanRecords hands the batches of one segment-layout file (segment or
-// snapshot) to fn in order, each decoded after the record's length and
-// CRC checks. tail marks the final (most recently written) segment, whose
-// last record is allowed to be torn: the scan stops there, truncates the
-// file (unless read-only), and records the fact. Damage anywhere else — or
-// a file whose header is present but wrong — is a *CorruptError.
-// keep=false means the file was removed entirely (a tail file that never
-// got a complete header). A snapshot that opens with the gob header is a
-// legacy gob snapshot, which readFrom reads instead.
-func (w *WAL) scanRecords(path string, tail, snapshot bool, fn func(*ColumnarBatch)) (keep bool, err error) {
+// scanRecords hands the batches of one segment to fn in order, each
+// decoded after the record's length and CRC checks, and returns how many
+// leading bytes of the file it accepted (valid) of its size. In the tail
+// segment, a record that fails the length or CRC check — the write a
+// crash interrupted — ends the scan: valid stops before it. Anything
+// else — such a record in a sealed segment, a checked record that is not
+// a frame, a bad header — is a *CorruptError. It changes nothing on disk.
+// The file is read whole into buf, which one open reuses for every
+// segment.
+func (w *WAL) scanRecords(path string, tail bool, buf *bytes.Buffer, fn func(*ColumnarBatch)) (valid, size int64, err error) {
 	f, err := w.fs.Open(path)
 	if err != nil {
-		return false, &CorruptError{Path: path, Reason: fmt.Sprintf("open: %v", err)}
+		return 0, 0, &CorruptError{Path: path, Reason: fmt.Sprintf("open: %v", err)}
 	}
-	br := bufio.NewReaderSize(f, 64<<10)
-	if head, _ := br.Peek(len(persistHeader)); snapshot && string(head) == persistHeader {
-		defer f.Close()
-		if _, err := readFrom(br, func(entries []Entry, samples [][]float64) error {
-			fn(rowBatch(entries, samples))
-			return nil
-		}); err != nil {
-			return true, &CorruptError{Path: path, Reason: fmt.Sprintf("snapshot: %v", err)}
-		}
-		return true, nil
+	buf.Reset()
+	_, err = buf.ReadFrom(f)
+	f.Close()
+	if err != nil {
+		return 0, 0, fmt.Errorf("driftlog: wal: read %s: %w", path, err)
 	}
-
-	torn := func(off int64, reason string) (bool, error) {
-		f.Close()
+	data := buf.Bytes()
+	size = int64(len(data))
+	torn := func(off int, reason string) (int64, int64, error) {
 		if !tail {
-			return false, &CorruptError{Path: path, Offset: off, Reason: reason}
+			return 0, 0, &CorruptError{Path: path, Offset: int64(off), Reason: reason}
 		}
-		// Tolerated torn tail: drop everything from off on.
-		w.rec.TornTail = true
-		w.rec.TornFile = path
-		if !w.opts.ReadOnly {
-			if off <= int64(len(walMagic)) {
-				// Not even a whole header survived — the file carries
-				// nothing; remove it.
-				if rerr := w.fs.Remove(path); rerr != nil {
-					return false, fmt.Errorf("driftlog: wal: drop torn segment %s: %w", path, rerr)
-				}
-				return false, nil
-			}
-			if terr := w.fs.Truncate(path, off); terr != nil {
-				return false, fmt.Errorf("driftlog: wal: truncate torn tail of %s: %w", path, terr)
-			}
-		}
-		return off > int64(len(walMagic)), nil
+		return int64(off), size, nil
 	}
-
-	hdr := make([]byte, len(walMagic))
-	if _, err := io.ReadFull(br, hdr); err != nil {
+	if len(data) < len(walMagic) {
 		// Shorter than a header: only a torn creation can produce this.
-		keep, terr := torn(0, "short header")
-		if terr != nil {
-			return keep, terr
-		}
-		w.rec.TornBytes += int64(len(hdr)) // approximation: whole file dropped
-		return keep, nil
+		return torn(0, "short header")
 	}
-	if string(hdr) != walMagic {
-		f.Close()
-		return false, &CorruptError{Path: path, Reason: fmt.Sprintf("bad header %q", hdr)}
+	if hdr := data[:len(walMagic)]; string(hdr) != walMagic {
+		return 0, 0, &CorruptError{Path: path, Reason: fmt.Sprintf("bad header %q", hdr)}
 	}
-
-	off := int64(len(walMagic))
-	var fh [8]byte
-	var payload bytes.Buffer
-	for {
-		if _, err := io.ReadFull(br, fh[:]); err != nil {
-			if err == io.EOF {
-				break // clean end at a record boundary
-			}
-			return torn(off, "short frame header")
+	for off := len(walMagic); off < len(data); {
+		rec := data[off:]
+		if len(rec) < 8 {
+			return torn(off, "short record header")
 		}
-		length := binary.LittleEndian.Uint32(fh[0:4])
-		want := binary.LittleEndian.Uint32(fh[4:8])
+		length := binary.LittleEndian.Uint32(rec[0:4])
+		want := binary.LittleEndian.Uint32(rec[4:8])
 		if length == 0 || length > maxWALRecord {
 			return torn(off, fmt.Sprintf("implausible record length %d", length))
 		}
-		payload.Reset()
-		if n, err := io.CopyN(&payload, br, int64(length)); err != nil || n != int64(length) {
+		if uint64(len(rec)-8) < uint64(length) {
 			return torn(off, "short record payload")
 		}
-		if got := crc32.Checksum(payload.Bytes(), castagnoli); got != want {
+		payload := rec[8 : 8+length]
+		if got := crc32.Checksum(payload, castagnoli); got != want {
 			return torn(off, fmt.Sprintf("crc mismatch: got %08x want %08x", got, want))
 		}
-		b, err := decodeRecord(payload.Bytes())
+		b, err := DecodeFrame(payload, 0)
 		if err != nil {
-			return torn(off, fmt.Sprintf("record decode: %v", err))
+			return 0, 0, &CorruptError{Path: path, Offset: int64(off), Reason: fmt.Sprintf("record is not a frame: %v", err)}
 		}
 		fn(b)
-		off += 8 + int64(length)
+		off += 8 + int(length)
 	}
-	return true, f.Close()
+	return size, size, nil
 }
 
 // startSegmentLocked creates the active segment and makes its existence
@@ -542,7 +458,7 @@ func (w *WAL) AppendColumns(b *ColumnarBatch) error {
 }
 
 // Err reports why the next append would be refused — the sticky failure
-// (poisoned, severed, read-only) or ErrWALClosed — and nil while the WAL
+// (poisoned or severed) or ErrWALClosed — and nil while the WAL
 // is healthy.
 func (w *WAL) Err() error {
 	w.mu.Lock()
@@ -625,14 +541,13 @@ func (w *WAL) CompactionErr() error {
 }
 
 // Compact applies the drift log's retention to the directory. It
-// deletes, in ascending index order, every sealed file — a rotated
-// segment or a legacy snapshot — whose newest row is before the largest
-// cutoff Store.Compact has been given on the store OpenWAL replayed into:
-// rows that store has already dropped. The active segment stays, and so
-// does a file that straddles the cutoff. The deletes need no directory
+// deletes, in ascending index order, every sealed segment whose newest
+// row is before the largest cutoff Store.Compact has been given on the
+// store OpenWAL replayed into: rows that store has already dropped. The
+// active segment stays, and so does a file that straddles the cutoff. The deletes need no directory
 // fsync: an unlink a crash undoes leaves an expired file, which replay
 // restores and the next pass removes. Appends and rotations proceed
-// concurrently. A read-only, severed or poisoned WAL refuses with its
+// concurrently. A severed or poisoned WAL refuses with its
 // sticky error and leaves the directory untouched.
 func (w *WAL) Compact() error {
 	w.compactMu.Lock()
@@ -754,86 +669,4 @@ func appendRecord(dst []byte, b *ColumnarBatch) ([]byte, error) {
 	binary.LittleEndian.PutUint32(dst[base:], uint32(len(payload)))
 	binary.LittleEndian.PutUint32(dst[base+4:], crc32.Checksum(payload, castagnoli))
 	return dst, nil
-}
-
-// decodeWALPayload decodes one CRC-verified legacy row record payload —
-// version 1, or version 2 with a sample section — into its rows and
-// sample column (nil for version 1). These records put every row's
-// attribute names and values inline; no writer produces them any more.
-// Every malformation returns an error (never a panic or an
-// over-allocation): claimed counts are checked against the bytes
-// actually present.
-func decodeWALPayload(p []byte) ([]Entry, [][]float64, error) {
-	d := &reader{p: p}
-	vb, err := d.bytes(1, "record version")
-	if err != nil {
-		return nil, nil, err
-	}
-	ver := vb[0]
-	if ver != 1 && ver != 2 {
-		return nil, nil, fmt.Errorf("unsupported record version %d", ver)
-	}
-	count, err := d.uvarint("entry count")
-	if err != nil {
-		return nil, nil, err
-	}
-	// An entry needs at least 4 bytes (time, flags, sample, attr
-	// count), so a count beyond len/4+1 is corrupt — and, crucially,
-	// never drives the allocation below.
-	if count > uint64(len(d.p)/4+1) {
-		return nil, nil, fmt.Errorf("entry count %d exceeds payload capacity", count)
-	}
-	entries := make([]Entry, 0, count)
-	for i := uint64(0); i < count; i++ {
-		nanos, err := d.varint("time")
-		if err != nil {
-			return nil, nil, fmt.Errorf("entry %d: %w", i, err)
-		}
-		fb, err := d.bytes(1, "flags")
-		if err != nil {
-			return nil, nil, fmt.Errorf("entry %d: %w", i, err)
-		}
-		if fb[0] > 1 {
-			return nil, nil, fmt.Errorf("entry %d: unknown flags %#x", i, fb[0])
-		}
-		sample, err := d.varint("sample id")
-		if err != nil {
-			return nil, nil, fmt.Errorf("entry %d: %w", i, err)
-		}
-		nattrs, err := d.uvarint("attr count")
-		if err != nil {
-			return nil, nil, fmt.Errorf("entry %d: %w", i, err)
-		}
-		if nattrs > uint64(len(d.p)/2+1) {
-			return nil, nil, fmt.Errorf("entry %d: attr count %d exceeds payload capacity", i, nattrs)
-		}
-		attrs := make(map[string]string, nattrs)
-		for a := uint64(0); a < nattrs; a++ {
-			k, err := d.str("attr name")
-			if err != nil {
-				return nil, nil, fmt.Errorf("entry %d attr %d: %w", i, a, err)
-			}
-			v, err := d.str("attr value")
-			if err != nil {
-				return nil, nil, fmt.Errorf("entry %d attr %d: %w", i, a, err)
-			}
-			attrs[k] = v
-		}
-		entries = append(entries, Entry{
-			Time:     time.Unix(0, nanos).UTC(),
-			Drift:    fb[0]&1 != 0,
-			SampleID: sample,
-			Attrs:    attrs,
-		})
-	}
-	var samples [][]float64
-	if ver == 2 {
-		if samples, err = decodeSampleSection(d, len(entries)); err != nil {
-			return nil, nil, err
-		}
-	}
-	if len(d.p) != 0 {
-		return nil, nil, fmt.Errorf("%d trailing bytes after last entry", len(d.p))
-	}
-	return entries, samples, nil
 }

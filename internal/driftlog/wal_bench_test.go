@@ -41,8 +41,10 @@ func BenchmarkDriftlogAppend(b *testing.B) {
 }
 
 // BenchmarkWALReplay measures recovery speed: rows per second from a
-// cold directory into a fresh store (read-only replay, so iterations
-// do not mutate the log). The segments/* cases grow the row count in one
+// cold directory into a fresh store. Each iteration's open also starts
+// an active segment (a create and two fsyncs), which the next one
+// removes as empty, so the directory is the same every time. The
+// segments/* cases grow the row count in one
 // 64 MiB segment; files/32KiB/32k replays the same 32k rows as
 // segments/32k from 32 KiB segments, pricing the file count that
 // retention, not a snapshot, now bounds.
@@ -78,7 +80,11 @@ func BenchmarkWALReplay(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				s := NewStore()
-				if _, err := OpenWAL(dir, s, WALOptions{ReadOnly: true}); err != nil {
+				w, err := OpenWAL(dir, s, WALOptions{})
+				if err != nil {
+					b.Fatal(err)
+				}
+				if err := w.Close(); err != nil {
 					b.Fatal(err)
 				}
 				if s.Len() != rows {

@@ -128,11 +128,13 @@ func TestWALReplayDifferential(t *testing.T) {
 				}
 
 				replayed := driftlog.NewStore()
-				w2, err := driftlog.OpenWAL(dir, replayed, driftlog.WALOptions{ReadOnly: true})
+				w2, err := driftlog.OpenWAL(dir, replayed, driftlog.WALOptions{})
 				if err != nil {
 					t.Fatalf("replay: %v", err)
 				}
-				_ = w2
+				if err := w2.Close(); err != nil {
+					t.Fatalf("close: %v", err)
+				}
 				if replayed.Len() != rows {
 					t.Fatalf("rows: want %d got %d", rows, replayed.Len())
 				}

@@ -1,6 +1,7 @@
 package driftlog
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"hash/crc32"
@@ -19,7 +20,8 @@ func fuzzSegment(batches ...*ColumnarBatch) []byte {
 	return b
 }
 
-// legacySegment builds a segment file of legacy version-2 row records.
+// legacySegment builds a segment file of version-2 row records, the
+// layout earlier versions wrote, which replay refuses.
 func legacySegment(batches ...*ColumnarBatch) []byte {
 	b := []byte(walMagic)
 	for _, batch := range batches {
@@ -31,8 +33,13 @@ func legacySegment(batches ...*ColumnarBatch) []byte {
 // FuzzWALReplay feeds arbitrary bytes to the WAL as the final (tail)
 // segment of a log and requires that replay never panics: it either
 // recovers a prefix (possibly empty, possibly after truncating a torn
-// tail) or refuses with a typed *CorruptError. On success the recovered
-// store must be fully queryable and the WAL appendable.
+// tail) or refuses with a typed *CorruptError and leaves the file as it
+// was. A torn tail drops exactly TornBytes, and what it drops never
+// starts with a record whose length and CRC check out: such a record is
+// the WAL's own write, and if it does not decode that is corruption. A
+// file replay does not truncate stays byte for byte, unless it is empty
+// or a bare header, which holds no row and is removed. On success the
+// recovered store must be fully queryable and the WAL appendable.
 func FuzzWALReplay(f *testing.F) {
 	cols := func(seq, n int) *ColumnarBatch { return ColumnsFromEntries(walBatch(seq, n)) }
 	valid := fuzzSegment(cols(0, 3), cols(3, 5))
@@ -56,9 +63,9 @@ func FuzzWALReplay(f *testing.F) {
 	badver[len(walMagic)+8] = 99 // neither a frame nor a row record version
 	badver = fixCRC(badver)
 	f.Add(badver)
-	// Legacy row records, and records of either kind with a sample
-	// section, whole and damaged inside it. Frames and legacy records
-	// mixed in one segment replay in order.
+	// Row records, which replay refuses, and records of either kind with
+	// a sample section, whole and damaged inside it; row records after
+	// frames are refused too.
 	f.Add(legacySegment(cols(0, 3), cols(3, 5)))
 	f.Add(append(legacySegment(cols(0, 3)), fuzzSegment(cols(3, 5))[len(walMagic):]...))
 	for _, seg := range []func(...*ColumnarBatch) []byte{legacySegment, fuzzSegment} {
@@ -78,10 +85,21 @@ func FuzzWALReplay(f *testing.F) {
 			f.Add(fixCRC(bad))
 		}
 	}
-	// A snapshot as an earlier version's fold wrote it: the segment
-	// layout holding a legacy gob snapshot's rows as frame records,
-	// followed by copied frame records.
+	// The rows of golden_v1.driftlog as frame records, followed by more.
 	f.Add(fuzzSegment(ColumnsFromEntries(goldenLogEntries()), walSampled(0, 4)))
+	// The row-record fixtures as the tail segment.
+	for _, fixture := range []string{"testdata/golden_v1.wal", "testdata/golden_v2.wal"} {
+		raw, err := os.ReadFile(fixture)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(raw)
+	}
+	// A future frame version after two intact frames, every CRC correct.
+	future, _ := appendRecord(nil, walSampled(8, 4))
+	future[8+4] = 99
+	binary.LittleEndian.PutUint32(future[4:], crc32.Checksum(future[8:], castagnoli))
+	f.Add(append(fuzzSegment(walSampled(0, 4), walSampled(4, 4)), future...))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		dir := t.TempDir()
@@ -91,14 +109,42 @@ func FuzzWALReplay(f *testing.F) {
 		}
 		s := NewStore()
 		w, err := OpenWAL(dir, s, WALOptions{})
+		after, rerr := os.ReadFile(path)
 		if err != nil {
 			var ce *CorruptError
 			if !errors.As(err, &ce) {
 				t.Fatalf("replay failed with an untyped error: %v", err)
 			}
+			if rerr != nil || !bytes.Equal(after, data) || len(listWALFiles(t, dir)) != 1 {
+				t.Fatalf("a refused open changed the directory (%v)", rerr)
+			}
 			return
 		}
 		defer w.Close()
+		rec := w.Recovery()
+		switch {
+		case rec.TornTail:
+			kept := after
+			if rerr != nil && bytes.HasPrefix(data, []byte(walMagic)) {
+				kept = data[:len(walMagic)] // the cut left a bare header, removed as empty
+			}
+			if rec.TornFile != path || rec.TornBytes != int64(len(data)-len(kept)) || !bytes.HasPrefix(data, kept) {
+				t.Fatalf("recovery %+v, but %d of %d bytes were kept", rec, len(kept), len(data))
+			}
+			if dropped := data[len(kept):]; len(dropped) >= 8 {
+				length := binary.LittleEndian.Uint32(dropped)
+				if length > 0 && length <= maxWALRecord && uint64(len(dropped)-8) >= uint64(length) &&
+					crc32.Checksum(dropped[8:8+length], castagnoli) == binary.LittleEndian.Uint32(dropped[4:]) {
+					t.Fatalf("dropped a tail that starts with a checked %d-byte record", length)
+				}
+			}
+		case len(data) == 0 || string(data) == walMagic:
+			if rerr == nil {
+				t.Fatal("a segment holding no record survived replay")
+			}
+		case rerr != nil || !bytes.Equal(after, data):
+			t.Fatalf("a clean replay changed the segment (%v)", rerr)
+		}
 		// Recovered: the store must answer queries and accept appends.
 		if _, err := s.All().Count(nil, nil); err != nil {
 			t.Fatalf("recovered store not queryable: %v", err)
@@ -112,11 +158,11 @@ func FuzzWALReplay(f *testing.F) {
 			t.Fatalf("close: %v", err)
 		}
 		s2 := NewStore()
-		w2, err := OpenWAL(dir, s2, WALOptions{ReadOnly: true})
+		w2, err := OpenWAL(dir, s2, WALOptions{})
 		if err != nil {
 			t.Fatalf("second replay diverged into an error: %v", err)
 		}
-		_ = w2
+		defer w2.Close()
 		if s2.Len() != s.Len()+2 {
 			t.Fatalf("second replay rows: want %d got %d", s.Len()+2, s2.Len())
 		}

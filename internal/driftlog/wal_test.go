@@ -1,8 +1,12 @@
 package driftlog
 
 import (
+	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/crc32"
+	"maps"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -120,23 +124,20 @@ func requireStoresEqual(t *testing.T, want, got *Store) {
 	}
 }
 
-func listWALFiles(t *testing.T, dir string) (segs, snaps []string) {
+// listWALFiles returns the names of dir's files, sorted: the WAL
+// creates nothing but segments.
+func listWALFiles(t *testing.T, dir string) []string {
 	t.Helper()
 	ents, err := os.ReadDir(dir)
 	if err != nil {
 		t.Fatalf("readdir: %v", err)
 	}
+	var names []string
 	for _, e := range ents {
-		switch {
-		case strings.HasSuffix(e.Name(), ".seg"):
-			segs = append(segs, e.Name())
-		case strings.HasSuffix(e.Name(), ".driftlog"):
-			snaps = append(snaps, e.Name())
-		}
+		names = append(names, e.Name())
 	}
-	sort.Strings(segs)
-	sort.Strings(snaps)
-	return segs, snaps
+	sort.Strings(names)
+	return names
 }
 
 func TestWALRoundTrip(t *testing.T) {
@@ -247,18 +248,19 @@ func TestWALRotation(t *testing.T) {
 	if err := w.Close(); err != nil {
 		t.Fatalf("close: %v", err)
 	}
-	segs, _ := listWALFiles(t, dir)
+	segs := listWALFiles(t, dir)
 	if len(segs) != 6 { // 5 sealed + 1 empty active
 		t.Fatalf("segment files: want 6 got %d (%v)", len(segs), segs)
 	}
 
+	// Replay keeps the 5 sealed segments and removes the empty one.
 	replayed := NewStore()
 	w2, err := OpenWAL(dir, replayed, WALOptions{})
 	if err != nil {
 		t.Fatalf("reopen: %v", err)
 	}
 	defer w2.Close()
-	if rec := w2.Recovery(); rec.Segments != 6 || rec.Rows != 15 {
+	if rec := w2.Recovery(); rec.Segments != 5 || rec.Rows != 15 {
 		t.Fatalf("recovery: %+v", rec)
 	}
 	requireStoresEqual(t, live, replayed)
@@ -301,8 +303,8 @@ func TestWALExplicitRotateAndCompact(t *testing.T) {
 		for _, idx := range wantSegs {
 			want = append(want, segName(idx))
 		}
-		if segs, snaps := listWALFiles(t, dir); !reflect.DeepEqual(segs, want) || len(snaps) != 0 {
-			t.Fatalf("files %v %v, want segments %v and no snapshot", segs, snaps, want)
+		if segs := listWALFiles(t, dir); !reflect.DeepEqual(segs, want) {
+			t.Fatalf("files %v, want segments %v", segs, want)
 		}
 	}
 	for i := 0; i < 3; i++ {
@@ -368,7 +370,7 @@ func TestWALAutoCompaction(t *testing.T) {
 	if st := w.Stats(); st.Compactions == 0 || st.SealedSegments != 6 {
 		t.Fatalf("auto-compaction did not expire segments 1-3: %+v", st)
 	}
-	if segs, _ := listWALFiles(t, dir); len(segs) != 7 || segs[0] != segName(4) {
+	if segs := listWALFiles(t, dir); len(segs) != 7 || segs[0] != segName(4) {
 		t.Fatalf("segments %v, want 4-10", segs)
 	}
 	replayed := NewStore()
@@ -380,11 +382,9 @@ func TestWALAutoCompaction(t *testing.T) {
 	requireStoresEqual(t, live, replayed)
 }
 
-// TestWALCompactionExpiry pins the expiry rule's edges: a sealed file
+// TestWALCompactionExpiry pins the expiry rule's edge: a sealed file
 // goes only once its newest row is before the store's cutoff, so a file
-// straddling the cutoff stays; a legacy snapshot is one sealed file and
-// expires as a whole; a read-only WAL refuses and leaves the directory as
-// it was.
+// straddling the cutoff stays.
 func TestWALCompactionExpiry(t *testing.T) {
 	t.Run("straddling file kept", func(t *testing.T) {
 		dir := t.TempDir()
@@ -413,93 +413,25 @@ func TestWALCompactionExpiry(t *testing.T) {
 			if err := w.Compact(); err != nil {
 				t.Fatal(err)
 			}
-			if segs, _ := listWALFiles(t, dir); !reflect.DeepEqual(segs, c.segs) {
+			if segs := listWALFiles(t, dir); !reflect.DeepEqual(segs, c.segs) {
 				t.Fatalf("cutoff at row %d: segments %v, want %v", c.cutoff, segs, c.segs)
 			}
-		}
-	})
-
-	t.Run("legacy snapshot expires whole", func(t *testing.T) {
-		dir := t.TempDir()
-		var rows []goldenRow
-		for _, e := range walBatch(0, 4) {
-			rows = append(rows, goldenRow{e, sampleVec(e.SampleID)})
-		}
-		writeGobChunk(t, filepath.Join(dir, snapName(0)), rows)
-		s := NewStore()
-		w, err := OpenWAL(dir, s, WALOptions{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		b := walSampled(4, 4)
-		if err := w.AppendColumns(b); err != nil {
-			t.Fatal(err)
-		}
-		s.appendColumns(b)
-		for _, c := range []struct {
-			cutoff int
-			snaps  int
-		}{{2, 1}, {4, 0}} {
-			s.Compact(walTime(c.cutoff))
-			if err := w.Compact(); err != nil {
-				t.Fatal(err)
-			}
-			if _, snaps := listWALFiles(t, dir); len(snaps) != c.snaps {
-				t.Fatalf("cutoff at row %d: snapshots %v, want %d", c.cutoff, snaps, c.snaps)
-			}
-		}
-		if err := w.Close(); err != nil {
-			t.Fatal(err)
-		}
-		replayed := NewStore()
-		w2, err := OpenWAL(dir, replayed, WALOptions{ReadOnly: true})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if rec := w2.Recovery(); rec.SnapshotRows != 0 || rec.Rows != 4 {
-			t.Fatalf("recovery %+v, want only the segment's 4 rows", rec)
-		}
-		requireStoresEqual(t, s, replayed)
-	})
-
-	t.Run("read-only refuses", func(t *testing.T) {
-		dir := t.TempDir()
-		w, err := OpenWAL(dir, NewStore(), WALOptions{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, seq := range []int{0, 4} {
-			if err := w.AppendColumns(walSampled(seq, 4)); err != nil {
-				t.Fatal(err)
-			}
-			if err := w.Rotate(); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if err := w.Close(); err != nil {
-			t.Fatal(err)
-		}
-		before, _ := listWALFiles(t, dir)
-		s := NewStore()
-		ro, err := OpenWAL(dir, s, WALOptions{ReadOnly: true})
-		if err != nil {
-			t.Fatal(err)
-		}
-		s.Compact(walTime(100))
-		if err := ro.Compact(); !errors.Is(err, ErrWALReadOnly) {
-			t.Fatalf("read-only compact: want ErrWALReadOnly, got %v", err)
-		}
-		if after, snaps := listWALFiles(t, dir); !reflect.DeepEqual(after, before) || len(snaps) != 0 {
-			t.Fatalf("read-only compact changed the directory: %v -> %v %v", before, after, snaps)
 		}
 	})
 }
 
 func TestWALTornTailRecovery(t *testing.T) {
+	good := walBatch(0, 6)
+	rec1, err := appendRecord(nil, ColumnsFromEntries(good[:3]))
+	if err != nil {
+		t.Fatal(err)
+	}
+	first := int64(len(walMagic) + len(rec1)) // the segment's size up to the end of record 1
 	cases := []struct {
 		name string
 		// mutate damages the final segment after a clean close.
 		mutate func(t *testing.T, path string)
+		rows   int // the rows of the records that survive intact
 	}{
 		{"garbage appended", func(t *testing.T, path string) {
 			f, err := os.OpenFile(path, os.O_APPEND|os.O_WRONLY, 0)
@@ -511,7 +443,7 @@ func TestWALTornTailRecovery(t *testing.T) {
 				t.Fatal(err)
 			}
 			f.Close()
-		}},
+		}, 6},
 		{"truncated mid-record", func(t *testing.T, path string) {
 			fi, err := os.Stat(path)
 			if err != nil {
@@ -520,7 +452,7 @@ func TestWALTornTailRecovery(t *testing.T) {
 			if err := os.Truncate(path, fi.Size()-5); err != nil {
 				t.Fatal(err)
 			}
-		}},
+		}, 3},
 		{"flipped payload bit", func(t *testing.T, path string) {
 			b, err := os.ReadFile(path)
 			if err != nil {
@@ -530,7 +462,7 @@ func TestWALTornTailRecovery(t *testing.T) {
 			if err := os.WriteFile(path, b, 0o644); err != nil {
 				t.Fatal(err)
 			}
-		}},
+		}, 3},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -539,51 +471,61 @@ func TestWALTornTailRecovery(t *testing.T) {
 			if err != nil {
 				t.Fatalf("open: %v", err)
 			}
-			good := walBatch(0, 6)
 			if err := w.AppendColumns(ColumnsFromEntries(good[:3])); err != nil {
 				t.Fatalf("append: %v", err)
 			}
+			clean := w.Stats().ActiveBytes
 			if err := w.AppendColumns(ColumnsFromEntries(good[3:])); err != nil {
 				t.Fatalf("append: %v", err)
 			}
+			full := w.Stats().ActiveBytes
 			if err := w.Close(); err != nil {
 				t.Fatalf("close: %v", err)
 			}
-			segs, _ := listWALFiles(t, dir)
-			last := filepath.Join(dir, segs[len(segs)-1])
+			if clean != first {
+				t.Fatalf("record 1 ends at %d, want %d", clean, first)
+			}
+			last := filepath.Join(dir, listWALFiles(t, dir)[0])
 			tc.mutate(t, last)
-			goodSize := int64(len(walMagic))
-			if fi, err := os.Stat(filepath.Join(dir, segs[0])); err == nil {
-				goodSize = fi.Size()
+			fi, err := os.Stat(last)
+			if err != nil {
+				t.Fatal(err)
+			}
+			keep := first
+			if tc.rows == len(good) {
+				keep = full
 			}
 
-			// Damage in the final segment: tolerated, truncated, reported.
-			// The second record is only torn in the cases that damage it;
-			// assert the recovered prefix is a prefix of the good batch.
+			// Damage in the final segment: tolerated, truncated to the
+			// intact records, reported with the bytes it dropped.
 			replayed := NewStore()
 			w2, err := OpenWAL(dir, replayed, WALOptions{})
 			if err != nil {
 				t.Fatalf("reopen with torn tail: %v", err)
 			}
 			rec := w2.Recovery()
-			if !rec.TornTail {
-				t.Fatalf("torn tail not reported: %+v", rec)
+			if !rec.TornTail || rec.TornFile != last || rec.TornBytes != fi.Size()-keep {
+				t.Fatalf("recovery %+v, want a torn tail of %d bytes in %s", rec, fi.Size()-keep, last)
 			}
-			if replayed.Len() > 6 || replayed.Len() < 3 && tc.name != "flipped payload bit" {
-				t.Fatalf("recovered %d rows, want a sane prefix", replayed.Len())
+			if replayed.Len() != tc.rows {
+				t.Fatalf("recovered %d rows, want %d", replayed.Len(), tc.rows)
 			}
 			for i := 0; i < replayed.Len(); i++ {
 				if got, want := replayed.Entry(i).Attrs["seq"], good[i].Attrs["seq"]; got != want {
 					t.Fatalf("row %d: got seq %s want %s", i, got, want)
 				}
 			}
+			if fi, err := os.Stat(last); err != nil {
+				t.Fatal(err)
+			} else if fi.Size() != keep {
+				t.Fatalf("torn segment is %d bytes, want it truncated to %d", fi.Size(), keep)
+			}
 			if err := w2.Close(); err != nil {
 				t.Fatalf("close: %v", err)
 			}
-			_ = goodSize
 
-			// Third open: the tail was truncated (or removed), so recovery
-			// is now clean and yields the same rows.
+			// Third open: the tail was truncated, so recovery is now clean
+			// and yields the same rows.
 			again := NewStore()
 			w3, err := OpenWAL(dir, again, WALOptions{})
 			if err != nil {
@@ -618,7 +560,7 @@ func TestWALCorruptSealedSegmentRefusesOpen(t *testing.T) {
 	if err := w.Close(); err != nil {
 		t.Fatalf("close: %v", err)
 	}
-	segs, _ := listWALFiles(t, dir)
+	segs := listWALFiles(t, dir)
 	if len(segs) < 2 {
 		t.Fatalf("need ≥2 segments, got %v", segs)
 	}
@@ -661,7 +603,7 @@ func TestWALBadMagicRefusesOpen(t *testing.T) {
 	if err := w.Close(); err != nil {
 		t.Fatalf("close: %v", err)
 	}
-	segs, _ := listWALFiles(t, dir)
+	segs := listWALFiles(t, dir)
 	first := filepath.Join(dir, segs[0])
 	b, _ := os.ReadFile(first)
 	copy(b, "BOGUS!!!")
@@ -675,9 +617,10 @@ func TestWALBadMagicRefusesOpen(t *testing.T) {
 	}
 }
 
-// TestWALCorruptSnapshotRefusesOpen: a legacy snapshot in the segment
-// layout (what an earlier version's fold wrote) was published atomically,
-// so a torn one is corruption, not a torn tail.
+// TestWALCorruptSnapshotRefusesOpen: a snapshot file, which earlier
+// versions wrote and this one never reads, refuses the open whatever it
+// holds — here the frame records of a whole segment — before replay
+// reads or removes anything.
 func TestWALCorruptSnapshotRefusesOpen(t *testing.T) {
 	dir := t.TempDir()
 	w, err := OpenWAL(dir, NewStore(), WALOptions{})
@@ -687,6 +630,9 @@ func TestWALCorruptSnapshotRefusesOpen(t *testing.T) {
 	if err := w.AppendColumns(ColumnsFromEntries(walBatch(0, 6))); err != nil {
 		t.Fatalf("append: %v", err)
 	}
+	if err := w.Rotate(); err != nil {
+		t.Fatalf("rotate: %v", err)
+	}
 	if err := w.Close(); err != nil {
 		t.Fatalf("close: %v", err)
 	}
@@ -694,51 +640,22 @@ func TestWALCorruptSnapshotRefusesOpen(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := os.Remove(filepath.Join(dir, segName(1))); err != nil {
+	path := filepath.Join(dir, "snapshot-0000000000000001.driftlog")
+	if err := os.WriteFile(path, b, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	path := filepath.Join(dir, snapName(1))
-	if err := os.WriteFile(path, b[:len(b)/2], 0o644); err != nil {
-		t.Fatal(err)
-	}
+	before := dirFiles(t, dir)
 	_, err = OpenWAL(dir, NewStore(), WALOptions{})
 	var ce *CorruptError
 	if !errors.As(err, &ce) {
-		t.Fatalf("want *CorruptError for truncated snapshot, got %v", err)
+		t.Fatalf("want *CorruptError for a snapshot file, got %v", err)
 	}
 	if ce.Path != path {
 		t.Fatalf("corrupt path: want %s got %s", path, ce.Path)
 	}
-}
-
-func TestWALReadOnly(t *testing.T) {
-	dir := t.TempDir()
-	w, err := OpenWAL(dir, NewStore(), WALOptions{})
-	if err != nil {
-		t.Fatalf("open: %v", err)
-	}
-	if err := w.AppendColumns(ColumnsFromEntries(walBatch(0, 5))); err != nil {
-		t.Fatalf("append: %v", err)
-	}
-	if err := w.Close(); err != nil {
-		t.Fatalf("close: %v", err)
-	}
-	segsBefore, _ := listWALFiles(t, dir)
-
-	s := NewStore()
-	ro, err := OpenWAL(dir, s, WALOptions{ReadOnly: true})
-	if err != nil {
-		t.Fatalf("ro open: %v", err)
-	}
-	if s.Len() != 5 {
-		t.Fatalf("ro replay rows: want 5 got %d", s.Len())
-	}
-	if err := ro.AppendColumns(ColumnsFromEntries(walBatch(5, 1))); !errors.Is(err, ErrWALReadOnly) {
-		t.Fatalf("ro append: want ErrWALReadOnly, got %v", err)
-	}
-	segsAfter, _ := listWALFiles(t, dir)
-	if len(segsAfter) != len(segsBefore) {
-		t.Fatalf("read-only open mutated the directory: %v -> %v", segsBefore, segsAfter)
+	// Segment 2 is empty: a successful replay would have removed it.
+	if after := dirFiles(t, dir); !maps.Equal(before, after) {
+		t.Fatalf("the refused open changed the directory: %d files, now %d", len(before), len(after))
 	}
 }
 
@@ -847,9 +764,11 @@ func TestWALConcurrentExpiry(t *testing.T) {
 		t.Fatalf("background compaction: %v", err)
 	}
 	replayed := NewStore()
-	if _, err := OpenWAL(dir, replayed, WALOptions{ReadOnly: true}); err != nil {
+	w2, err := OpenWAL(dir, replayed, WALOptions{})
+	if err != nil {
 		t.Fatal(err)
 	}
+	defer w2.Close()
 	if got, want := replayed.Window(walTime(cutoff), time.Time{}).Len(), writers*(batches*perBatch-cutoff); got != want {
 		t.Fatalf("%d rows at or after the cutoff replayed, want %d", got, want)
 	}
@@ -860,14 +779,15 @@ func TestWALConcurrentExpiry(t *testing.T) {
 
 func TestWALFrameRoundTrip(t *testing.T) {
 	entries := walBatch(0, 17)
-	frame := appendWALFrameColumns(nil, ColumnsFromEntries(entries))
-	if len(frame) < 8 {
-		t.Fatalf("frame too short: %d", len(frame))
+	rec, err := appendRecord(nil, ColumnsFromEntries(entries))
+	if err != nil {
+		t.Fatal(err)
 	}
-	got, _, err := decodeWALPayload(frame[8:])
+	b, err := DecodeFrame(rec[8:], 0)
 	if err != nil {
 		t.Fatalf("decode: %v", err)
 	}
+	got := b.Entries()
 	if len(got) != len(entries) {
 		t.Fatalf("entries: want %d got %d", len(entries), len(got))
 	}
@@ -884,38 +804,112 @@ func TestWALFrameRoundTrip(t *testing.T) {
 	}
 }
 
+// TestWALDecodeRejectsMalformed: a record whose length and CRC check out
+// holds what the WAL wrote, so a payload that does not decode as a frame
+// is corruption, never a torn write — in the tail segment too. Each
+// payload below ends a tail segment after two intact 4-row frames: the
+// open fails with a *CorruptError at its offset and leaves the file as
+// it was, rather than cutting the file there and replaying the 8 rows
+// before it.
 func TestWALDecodeRejectsMalformed(t *testing.T) {
-	good := appendWALFrameColumns(nil, ColumnsFromEntries(walBatch(0, 2)))[8:]
+	rec, err := appendRecord(nil, walSampled(8, 4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	frame := rec[8:]
+	poke := func(i int, v byte) []byte {
+		p := bytes.Clone(frame)
+		p[i] = v
+		return p
+	}
 	cases := []struct {
 		name    string
 		payload []byte
 	}{
 		{"empty", nil},
-		{"bad version", append([]byte{99}, good[1:]...)},
-		{"truncated", good[:len(good)-3]},
-		{"trailing bytes", append(append([]byte{}, good...), 0xAA)},
-		{"bomb entry count", []byte{2, 0xFF, 0xFF, 0xFF, 0xFF, 0x0F}},
-		{"unknown flags", func() []byte {
-			// Rebuild a 1-entry frame and poke the flags byte, which sits
-			// right after the time varint (payload layout: version, count,
-			// varint time, flags, ...).
-			one := appendWALFrameColumns(nil, ColumnsFromEntries(walBatch(0, 1)))[8:]
-			i := 2
-			for one[i]&0x80 != 0 {
-				i++
-			}
-			i++ // past the varint's final byte
-			one[i] = 0x7C
-			return one
-		}()},
+		{"bad version", poke(4, 99)}, // a future frame version; the frame CRC covers only what follows the header
+		{"truncated", frame[:len(frame)-3]},
+		{"trailing bytes", append(bytes.Clone(frame), 0xAA)},
+		{"bomb entry count", []byte{2, 0xFF, 0xFF, 0xFF, 0xFF, 0x0F}}, // a version-2 row record claiming 2^32 rows
+		{"unknown flags", poke(5, 0x7C)},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			if _, _, err := decodeWALPayload(tc.payload); err == nil {
-				t.Fatalf("decode accepted malformed payload")
+			seg := fuzzSegment(walSampled(0, 4), walSampled(4, 4))
+			off := int64(len(seg))
+			seg = binary.LittleEndian.AppendUint32(seg, uint32(len(tc.payload)))
+			seg = binary.LittleEndian.AppendUint32(seg, crc32.Checksum(tc.payload, castagnoli))
+			seg = append(seg, tc.payload...)
+			dir := t.TempDir()
+			path := filepath.Join(dir, segName(1))
+			if err := os.WriteFile(path, seg, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			s := NewStore()
+			w, err := OpenWAL(dir, s, WALOptions{})
+			if tc.payload == nil {
+				// A zero length fails the length check, as a torn write
+				// can: the tail drops the record.
+				if err != nil || !w.Recovery().TornTail || s.Len() != 8 {
+					t.Fatalf("zero-length tail record: %v, %d rows, want a torn tail after 8", err, s.Len())
+				}
+				w.Close()
+				return
+			}
+			var ce *CorruptError
+			if !errors.As(err, &ce) || ce.Path != path || ce.Offset != off {
+				t.Fatalf("open: %v, want a *CorruptError in %s at offset %d", err, path, off)
+			}
+			if got, err := os.ReadFile(path); err != nil || !bytes.Equal(got, seg) {
+				t.Fatalf("the refused segment changed on disk (%d of %d bytes, %v)", len(got), len(seg), err)
+			}
+			if names := listWALFiles(t, dir); len(names) != 1 {
+				t.Fatalf("the refused open added a file: %v", names)
 			}
 		})
 	}
+}
+
+// TestWALRestartDropsEmptySegments: every open starts a segment, so a
+// restart that appends nothing leaves one holding only its header.
+// Replay removes such a segment — it holds no row — so five open/close
+// cycles with one append leave the data segment and the last active
+// one, and replay reads the data segment alone. Indexes keep growing.
+func TestWALRestartDropsEmptySegments(t *testing.T) {
+	dir := t.TempDir()
+	batch := walSampled(0, 3)
+	for i := 0; i < 5; i++ {
+		s := NewStore()
+		w, err := OpenWAL(dir, s, WALOptions{})
+		if err != nil {
+			t.Fatalf("open %d: %v", i, err)
+		}
+		if i == 0 {
+			if err := w.AppendColumns(batch); err != nil {
+				t.Fatal(err)
+			}
+		} else if rec := w.Recovery(); rec.Segments != 1 || rec.Rows != 3 || s.Len() != 3 {
+			t.Fatalf("open %d: recovery %+v, %d rows, want the one data segment", i, rec, s.Len())
+		}
+		if err := w.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got, want := listWALFiles(t, dir), []string{segName(1), segName(5)}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("after 5 restarts: files %v, want %v", got, want)
+	}
+	replayed := NewStore()
+	w, err := OpenWAL(dir, replayed, WALOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Close()
+	if st := w.Stats(); st.ActiveSegment != 6 || st.SealedSegments != 1 {
+		t.Fatalf("stats %+v, want segment 1 sealed and 6 active", st)
+	}
+	want := NewStore()
+	want.appendColumns(batch)
+	requireStoresEqual(t, want, replayed)
 }
 
 func TestWALStats(t *testing.T) {
@@ -987,10 +981,11 @@ func TestWALAckedWideBatchReplays(t *testing.T) {
 		t.Fatal(err)
 	}
 	replayed := NewStore()
-	w2, err := OpenWAL(dir, replayed, WALOptions{ReadOnly: true})
+	w2, err := OpenWAL(dir, replayed, WALOptions{})
 	if err != nil {
 		t.Fatalf("reopen after an acked batch: %v", err)
 	}
+	defer w2.Close()
 	if rec := w2.Recovery(); rec.Rows != rows || rec.TornTail {
 		t.Fatalf("recovery %+v, want %d rows", rec, rows)
 	}
@@ -1045,9 +1040,11 @@ func TestWALRefusesOversizedBatch(t *testing.T) {
 		t.Fatal(err)
 	}
 	replayed := NewStore()
-	if _, err := OpenWAL(dir, replayed, WALOptions{ReadOnly: true}); err != nil {
+	w2, err := OpenWAL(dir, replayed, WALOptions{})
+	if err != nil {
 		t.Fatalf("reopen: %v", err)
 	}
+	defer w2.Close()
 	want := NewStore()
 	want.appendColumns(next)
 	requireStoresEqual(t, want, replayed)
