@@ -1,5 +1,6 @@
 # Developer entry points. `make ci` is the merge gate: it must pass on
-# every commit and is what .github/workflows/ci.yml runs.
+# every commit. .github/workflows/ci.yml runs its steps one by one, plus
+# three targets only the workflow runs: chaos, fuzz-smoke and bench-smoke.
 
 GO ?= go
 
@@ -15,7 +16,7 @@ GO ?= go
 # drive the devices).
 RACE_PKGS = ./internal/cloud/... ./internal/driftlog/... ./internal/fim/... ./internal/rca/... ./internal/httpapi/... ./internal/tensor/... ./internal/transport/... ./internal/faultinject/... ./internal/macrosim/... ./internal/nn/... ./internal/registry/... ./internal/device/...
 
-.PHONY: ci vet staticcheck build cross loc test race race-chaos chaos macrosim-smoke examples fuzz fuzz-smoke bench bench-kernels bench-analysis bench-wal bench-wire bench-macrosim bench-smoke clean
+.PHONY: ci vet staticcheck build cross loc test race race-chaos chaos macrosim-smoke examples fuzz-smoke bench bench-kernels bench-analysis bench-wal bench-wire bench-macrosim bench-smoke clean
 
 ci: vet staticcheck build cross loc test race race-chaos macrosim-smoke examples
 
@@ -85,7 +86,7 @@ chaos:
 
 # Macro-scale fleet simulator smoke: 10k devices through the checked-in
 # smoke scenario (diurnal traffic, churn, a staged rollout) on 4
-# workers. Completes in seconds; CI runs it as part of `make ci`.
+# workers. Completes in seconds; part of `make ci` and a workflow step.
 macrosim-smoke:
 	$(GO) run ./cmd/nazar-sim -scenario internal/macrosim/testdata/scenarios/smoke.json -workers 4
 
@@ -99,15 +100,9 @@ examples:
 		echo "== $$e"; $(GO) run ./$$e > /dev/null || exit 1; \
 	done
 
-# Short coverage-guided fuzz pass over the HTTP decode surface (the
-# checked-in seed corpus always runs as part of `make test`).
-fuzz:
-	$(GO) test ./internal/httpapi/ -run '^$$' -fuzz 'FuzzIngestBatch$$' -fuzztime 30s
-	$(GO) test ./internal/httpapi/ -run '^$$' -fuzz FuzzIngestBatchBinary -fuzztime 30s
-	$(GO) test ./internal/httpapi/ -run '^$$' -fuzz FuzzAnalyzeRequest -fuzztime 30s
-
 # 30 seconds of coverage-guided fuzzing per target across every fuzz
-# entry point in the repo: the HTTP decoders (JSON and NZB1 bodies on
+# entry point in the repo (the checked-in seed corpora always run as
+# part of `make test`): the HTTP decoders (JSON and NZB1 bodies on
 # the ingest route), the count differential, the fault-schedule
 # parser, WAL replay, the quantized int8 model pass, and the
 # branch-free layer kernels against the branchy loops they replaced. CI

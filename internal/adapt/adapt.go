@@ -60,13 +60,7 @@ type Config struct {
 	// reliability filter: very-high-entropy samples carry noisy
 	// gradients). 0 disables filtering.
 	EntropyFilter float64
-	// AfterEpoch, when set, runs at the end of every adaptation epoch
-	// with the in-training clone — the hook the quantized execution
-	// mode uses to re-fold updated BN state into the int8 serving form
-	// after each round (see AdaptQuantized). The network passed in is
-	// live training state: read it, don't keep it.
-	AfterEpoch func(net *nn.Network, epoch int)
-	Rng        *rand.Rand
+	Rng           *rand.Rand
 }
 
 // DefaultConfig returns calibrated TENT defaults.
@@ -158,49 +152,9 @@ func AdaptContext(ctx context.Context, base *nn.Network, samples *tensor.Matrix,
 			run.step(idx[s:e])
 			batches++
 		}
-		if cfg.AfterEpoch != nil {
-			cfg.AfterEpoch(run.net, epoch)
-		}
 	}
 	run.net.UnfreezeAll()
 	return run.net, nil
-}
-
-// AdaptQuantized runs AdaptContext on the float side while keeping an
-// int8 serving form current throughout: after the first epoch it builds
-// a QuantizedNetwork from the in-training clone (calibrating activation
-// scales on the adaptation samples — the drifted distribution the model
-// is being adapted toward), and after every subsequent epoch it re-folds
-// the updated BN γ/β into the quantized requantization epilogues. The
-// packed int8 weight codes never change — TENT freezes everything except
-// BN, so only the per-channel Mul/FBias epilogues move — and serving can
-// stay on the returned quantized form for the whole run: it never leaves
-// int8. The returned pair is bound: later BN edits to the float network
-// (e.g. applying a newer BNSnapshot) propagate with qn.Refold().
-func AdaptQuantized(ctx context.Context, base *nn.Network, samples *tensor.Matrix, cfg Config) (*nn.Network, *nn.QuantizedNetwork, error) {
-	var qn *nn.QuantizedNetwork
-	var qerr error
-	inner := cfg.AfterEpoch
-	cfg.AfterEpoch = func(net *nn.Network, epoch int) {
-		if qerr == nil {
-			if qn == nil {
-				qn, qerr = nn.QuantizeInt8(net, samples)
-			} else {
-				qn.Refold()
-			}
-		}
-		if inner != nil {
-			inner(net, epoch)
-		}
-	}
-	net, err := AdaptContext(ctx, base, samples, cfg)
-	if err != nil {
-		return nil, nil, err
-	}
-	if qerr != nil {
-		return nil, nil, fmt.Errorf("adapt: quantize during adaptation: %w", qerr)
-	}
-	return net, qn, nil
 }
 
 // runner is one adaptation run: the in-training clone, its optimizer and

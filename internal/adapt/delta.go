@@ -148,15 +148,6 @@ func (d *BNDelta) payloadChecksum() [sha256.Size]byte {
 	return sum
 }
 
-// SizeBytes returns the wire payload size (2 bytes per code + scales).
-func (d *BNDelta) SizeBytes() int {
-	total := sha256.Size
-	for _, l := range d.Layers {
-		total += 2*(len(l.GammaQ)+len(l.BetaQ)+len(l.MeanQ)+len(l.VarQ)) + 4*8
-	}
-	return total
-}
-
 // Encode serializes the delta.
 func (d *BNDelta) Encode() ([]byte, error) {
 	var buf bytes.Buffer

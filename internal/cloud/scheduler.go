@@ -25,7 +25,6 @@ type Scheduler struct {
 
 	mu      sync.Mutex
 	lastRun time.Time
-	runs    int
 	cancel  context.CancelFunc
 	done    chan struct{}
 
@@ -60,16 +59,8 @@ func (s *Scheduler) RunOnce(ctx context.Context) (WindowResult, error) {
 	}
 	s.mu.Lock()
 	s.lastRun = now
-	s.runs++
 	s.mu.Unlock()
 	return res, nil
-}
-
-// Runs returns how many successful cycles have completed.
-func (s *Scheduler) Runs() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.runs
 }
 
 // Start launches the periodic loop; call Stop to end it. Start is a

@@ -38,10 +38,6 @@ func TestSchedulerRunOnceAdvancesWindow(t *testing.T) {
 	if res.LogRows != 300 {
 		t.Fatalf("first cycle scanned %d rows", res.LogRows)
 	}
-	if s.Runs() != 1 {
-		t.Fatalf("runs %d", s.Runs())
-	}
-
 	// Second cycle covers only the (empty) interval since the first.
 	s.Clock = func() time.Time { return weather.Day(12) }
 	res, err = s.RunOnce(context.Background())
@@ -83,9 +79,6 @@ func TestSchedulerStartStop(t *testing.T) {
 	}
 	s.Stop()
 	s.Stop() // idempotent
-	if s.Runs() < 2 {
-		t.Fatalf("runs %d", s.Runs())
-	}
 }
 
 func TestSchedulerReportsErrors(t *testing.T) {

@@ -76,8 +76,7 @@ func DefaultConfig() Config {
 // Service is the cloud side of Nazar.
 type Service struct {
 	cfg Config
-	// clock supplies "now" for stage timing (WithClock substitutes a
-	// fake in tests).
+	// clock supplies "now" for stage timing (tests substitute a fake).
 	clock func() time.Time
 	// metrics, when non-nil, receives every operational event
 	// (WithObserver). The nil default keeps the hot paths free of even
@@ -146,16 +145,6 @@ type analysisCache struct {
 // remains the compatibility shim for the paper-parameter knobs; options
 // cover operational wiring).
 type Option func(*Service)
-
-// WithClock substitutes the time source used for stage timing and
-// observability (defaults to time.Now).
-func WithClock(clock func() time.Time) Option {
-	return func(s *Service) {
-		if clock != nil {
-			s.clock = clock
-		}
-	}
-}
 
 // WithObserver instruments the service on the given registry: ingest
 // counters, shard-occupancy gauges, per-stage window histograms and
@@ -238,10 +227,6 @@ func (s *Service) Close() error {
 	}
 	return nil
 }
-
-// Observer returns the service's metrics hook (nil unless WithObserver
-// was used).
-func (s *Service) Observer() *Metrics { return s.metrics }
 
 // ReferenceBN returns the pinned BN state of the *initial* base model —
 // the stable reference both ends use for delta-compressed version

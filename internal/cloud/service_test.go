@@ -65,10 +65,11 @@ func TestIngestLinksSamples(t *testing.T) {
 	if svc.Samples().Len() != 1 {
 		t.Fatalf("samples %d", svc.Samples().Len())
 	}
-	if got := svc.Log().Entry(0).SampleID; got != 0 {
+	rows := logRows(svc.Log())
+	if got := rows[0].SampleID; got != 0 {
 		t.Fatalf("entry 0 sample id %d", got)
 	}
-	if got := svc.Log().Entry(1).SampleID; got != -1 {
+	if got := rows[1].SampleID; got != -1 {
 		t.Fatalf("entry 1 sample id %d (must be normalized to -1)", got)
 	}
 }
@@ -563,3 +564,10 @@ func TestCauseSamplesFloor(t *testing.T) {
 
 // sameBits reports whether a and b hold the same bits.
 func sameBits(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
+
+// logRows returns every row of s in ingest order.
+func logRows(s *driftlog.Store) []driftlog.Entry {
+	rows := make([]driftlog.Entry, 0, s.Len())
+	s.Each(func(_ int, e driftlog.Entry) { rows = append(rows, e) })
+	return rows
+}

@@ -71,11 +71,6 @@ type CityscapesConfig struct {
 	Seed    uint64
 }
 
-// DefaultCityscapes returns a laptop-scale configuration.
-func DefaultCityscapes(seed uint64) CityscapesConfig {
-	return CityscapesConfig{Total: 6000, Devices: 2, Seed: seed}
-}
-
 // NewCityscapes builds the cityscapes-analogue dataset.
 func NewCityscapes(cfg CityscapesConfig) *Dataset {
 	if cfg.Total <= 0 {

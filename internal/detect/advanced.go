@@ -71,11 +71,6 @@ func (o *Odin) Detect(x []float64) bool { return o.Score(x) < o.Threshold }
 // Name identifies the detector.
 func (o *Odin) Name() string { return fmt.Sprintf("odin(T=%g,eps=%g)", o.Temp, o.Epsilon) }
 
-// Capabilities matches Odin's Table 1 row.
-func (o *Odin) Capabilities() Capabilities {
-	return Capabilities{NeedsSecondaryDataset: true, NeedsBackprop: true}
-}
-
 // GOdin is Generalized Odin: like Odin it perturbs the input, but it
 // removes the need for an outlier dataset to tune the temperature by
 // decomposing confidence into h/g, where g is a data-dependent scale
@@ -155,9 +150,6 @@ func (g *GOdin) Detect(x []float64) bool { return g.Score(x) < g.Threshold }
 
 // Name identifies the detector.
 func (g *GOdin) Name() string { return "godin" }
-
-// Capabilities matches GOdin's Table 1 row.
-func (g *GOdin) Capabilities() Capabilities { return Capabilities{NeedsBackprop: true} }
 
 // KNN detects drift by the distance from an input's penultimate features
 // to its k-th nearest neighbour among stored training features (deep
@@ -240,11 +232,6 @@ func (d *KNN) Detect(x []float64) bool { return d.Distance(x) > d.Threshold }
 
 // Name identifies the detector.
 func (d *KNN) Name() string { return fmt.Sprintf("knn(k=%d)", d.K) }
-
-// Capabilities mirror Mahalanobis: a training-feature bank is required.
-func (d *KNN) Capabilities() Capabilities {
-	return Capabilities{NeedsSecondaryDataset: true}
-}
 
 // normalizeRow scales v to unit L2 norm in place (zero vectors are left
 // unchanged).
@@ -344,8 +331,3 @@ func (m *Mahalanobis) Detect(x []float64) bool { return m.Distance(x) > m.Thresh
 
 // Name identifies the detector.
 func (m *Mahalanobis) Name() string { return "mahalanobis" }
-
-// Capabilities matches MD's Table 1 row.
-func (m *Mahalanobis) Capabilities() Capabilities {
-	return Capabilities{NeedsSecondaryDataset: true}
-}

@@ -89,12 +89,6 @@ type Capabilities struct {
 	NeedsBatching         bool
 }
 
-// Suitable reports whether the method fits Nazar's on-device constraints
-// (no cost on any axis).
-func (c Capabilities) Suitable() bool {
-	return !c.NeedsSecondaryDataset && !c.NeedsSecondaryModel && !c.NeedsBackprop && !c.NeedsBatching
-}
-
 // MethodInfo is one column of Table 1.
 type MethodInfo struct {
 	Name string
@@ -124,15 +118,7 @@ func ScoreBatch(s Scorer, logits *tensor.Matrix) []float64 {
 	return out
 }
 
-// softmaxWithTemperature returns softmax(logits/T).
-func softmaxWithTemperature(logits []float64, temp float64) []float64 {
-	scaled := make([]float64, len(logits))
-	copy(scaled, logits)
-	return softmaxWithTemperatureInPlace(scaled, temp)
-}
-
-// softmaxWithTemperatureInPlace overwrites v with softmax(v/T) — the
-// allocation-free variant for reused scratch.
+// softmaxWithTemperatureInPlace overwrites v with softmax(v/T).
 func softmaxWithTemperatureInPlace(v []float64, temp float64) []float64 {
 	for i, x := range v {
 		v[i] = x / temp

@@ -1,8 +1,6 @@
 package detect
 
 import (
-	"sort"
-
 	"nazar/internal/metrics"
 )
 
@@ -81,31 +79,4 @@ func DetectionRate(scores []float64, threshold float64) float64 {
 		}
 	}
 	return float64(n) / float64(len(scores))
-}
-
-// CalibrateThreshold returns the confidence threshold that yields
-// approximately the target false-positive rate on clean calibration
-// scores: the targetFPR-quantile of the clean score distribution (drift
-// is flagged when score < threshold, so the fraction of clean scores
-// below the returned value ≈ targetFPR). This is how an ML-ops team
-// would pick an operating point without any drifted data.
-func CalibrateThreshold(cleanScores []float64, targetFPR float64) float64 {
-	return Quantile(cleanScores, targetFPR)
-}
-
-// Quantile returns the q-quantile (0..1) of xs by sorting a copy.
-func Quantile(xs []float64, q float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	s := append([]float64(nil), xs...)
-	sort.Float64s(s)
-	idx := int(q * float64(len(s)-1))
-	if idx < 0 {
-		idx = 0
-	}
-	if idx >= len(s) {
-		idx = len(s) - 1
-	}
-	return s[idx]
 }

@@ -72,6 +72,3 @@ func (k *KSTest) DetectBatch(batch []float64) bool {
 	}
 	return k.Statistic(batch) > k.CriticalValue(len(batch))
 }
-
-// Name identifies the detector.
-func (k *KSTest) Name() string { return fmt.Sprintf("ks-test(alpha=%.3g)", k.Alpha) }

@@ -1,7 +1,6 @@
 package detect
 
 import (
-	"math"
 	"math/rand/v2"
 
 	"nazar/internal/nn"
@@ -102,11 +101,6 @@ func (o *OutlierExposure) Detect(x []float64) bool { return o.Score(x) < o.Thres
 // Name identifies the detector.
 func (o *OutlierExposure) Name() string { return "outlier-exposure" }
 
-// Capabilities matches OE's Table 1 row.
-func (o *OutlierExposure) Capabilities() Capabilities {
-	return Capabilities{NeedsSecondaryDataset: true}
-}
-
 // SelfSupervised is the SSL/CSI family: a *secondary* auxiliary model is
 // trained to recognize which of K fixed transformations was applied to an
 // input; on drifted data the auxiliary task gets harder and its
@@ -206,22 +200,3 @@ func (s *SelfSupervised) Detect(x []float64) bool { return s.Score(x) < s.Thresh
 
 // Name identifies the detector.
 func (s *SelfSupervised) Name() string { return "ssl" }
-
-// Capabilities matches the SSL/CSI Table 1 rows.
-func (s *SelfSupervised) Capabilities() Capabilities {
-	return Capabilities{NeedsSecondaryModel: true}
-}
-
-// uniformKL is exported for tests: KL(uniform ‖ p) up to a constant is
-// −(1/C)Σ log p_c; lower means closer to uniform.
-func uniformKL(p []float64) float64 {
-	c := float64(len(p))
-	var s float64
-	for _, v := range p {
-		if v <= 0 {
-			return math.Inf(1)
-		}
-		s -= math.Log(v) / c
-	}
-	return s - math.Log(c)
-}

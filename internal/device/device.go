@@ -32,9 +32,6 @@ type Config struct {
 	// Detector is the on-device drift detector (defaults to the MSP
 	// threshold at 0.9).
 	Detector detect.Detector
-	// TraceCapacity sizes the inference trace ring buffer (default
-	// 128).
-	TraceCapacity int
 	// Metrics, when non-nil, receives every inference (share one set
 	// across a fleet; see NewMetrics).
 	Metrics *Metrics
@@ -62,8 +59,6 @@ type Device struct {
 	ID       string
 	Location string
 	Pool     *registry.Pool
-	// Trace records recent inferences for support debugging.
-	Trace    *Trace
 	detector detect.Detector
 	rate     float64
 	metrics  *Metrics
@@ -103,7 +98,6 @@ func New(cfg Config, base *nn.Network) *Device {
 		ID:          cfg.ID,
 		Location:    cfg.Location,
 		Pool:        registry.NewPool(base, cfg.PoolCapacity),
-		Trace:       NewTrace(cfg.TraceCapacity),
 		detector:    cfg.Detector,
 		rate:        cfg.SampleRate,
 		metrics:     cfg.Metrics,
@@ -194,7 +188,6 @@ func (d *Device) Infer(t time.Time, x []float64, attrs map[string]string) (Infer
 		inf.ShadowChecked = true
 		inf.ShadowDisagree = d.detector.Detect(net.LogitsOne(x)) != drift
 	}
-	d.Trace.Record(TraceRecord{Time: t, Predicted: pred, MSP: msp, Drift: drift, VersionID: versionID})
 	var sample []float64
 	if d.rate > 0 && d.rng.Float64() < d.rate {
 		inf.Sampled = true

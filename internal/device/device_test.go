@@ -151,118 +151,3 @@ func TestCustomDetector(t *testing.T) {
 		t.Fatal("always-fire detector did not fire")
 	}
 }
-
-func TestBatchDetectorVerdictCadence(t *testing.T) {
-	ks, err := detect.NewKSTest([]float64{0.90, 0.92, 0.94, 0.96, 0.98, 0.99, 0.995, 0.999}, 0.05)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b := NewBatchDetector(ks, 4, time.Hour)
-	base := time.Date(2020, 2, 1, 0, 0, 0, 0, time.UTC)
-	// Three observations: no verdict yet (the latency cost of batching).
-	for i := 0; i < 3; i++ {
-		if _, decided := b.Observe(base.Add(time.Duration(i)*time.Minute), 0.3); decided {
-			t.Fatal("verdict before batch filled")
-		}
-	}
-	// Fourth closes the batch; all scores far below the reference ->
-	// drift.
-	drift, decided := b.Observe(base.Add(3*time.Minute), 0.3)
-	if !decided || !drift {
-		t.Fatalf("expected drift verdict, got drift=%v decided=%v", drift, decided)
-	}
-	// In-distribution batch -> no drift.
-	for i := 0; i < 3; i++ {
-		b.Observe(base.Add(time.Duration(10+i)*time.Minute), 0.95)
-	}
-	drift, decided = b.Observe(base.Add(13*time.Minute), 0.97)
-	if !decided || drift {
-		t.Fatalf("clean batch flagged: drift=%v decided=%v", drift, decided)
-	}
-	batches, expired, buffered := b.Stats()
-	if batches != 2 || expired != 0 || buffered != 0 {
-		t.Fatalf("stats %d %d %d", batches, expired, buffered)
-	}
-}
-
-func TestBatchDetectorWindowExpiry(t *testing.T) {
-	ks, err := detect.NewKSTest([]float64{0.9, 0.95, 0.99}, 0.05)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b := NewBatchDetector(ks, 8, time.Hour)
-	base := time.Date(2020, 2, 1, 0, 0, 0, 0, time.UTC)
-	// A quiet device: 3 scores, then a long pause — they expire without
-	// ever being judged (the paper's objection to batched detection).
-	for i := 0; i < 3; i++ {
-		b.Observe(base.Add(time.Duration(i)*time.Minute), 0.5)
-	}
-	b.Observe(base.Add(3*time.Hour), 0.5)
-	_, expired, buffered := b.Stats()
-	if expired != 3 {
-		t.Fatalf("expected 3 expired scores, got %d", expired)
-	}
-	if buffered != 1 {
-		t.Fatalf("buffered %d", buffered)
-	}
-}
-
-func TestTraceRingAndSummary(t *testing.T) {
-	tr := NewTrace(3)
-	base := time.Date(2020, 3, 1, 0, 0, 0, 0, time.UTC)
-	for i := 0; i < 5; i++ {
-		tr.Record(TraceRecord{
-			Time:      base.Add(time.Duration(i) * time.Minute),
-			MSP:       0.5 + 0.1*float64(i),
-			Drift:     i%2 == 0,
-			VersionID: map[bool]string{true: "fog-v1", false: ""}[i >= 3],
-		})
-	}
-	recent := tr.Recent()
-	if len(recent) != 3 {
-		t.Fatalf("recent %d", len(recent))
-	}
-	// Oldest-first: records 2, 3, 4.
-	if !recent[0].Time.Equal(base.Add(2 * time.Minute)) {
-		t.Fatalf("order wrong: %v", recent[0].Time)
-	}
-	s := tr.Summarize()
-	if s.Total != 5 {
-		t.Fatalf("total %d", s.Total)
-	}
-	if s.DriftRate != 0.6 {
-		t.Fatalf("drift rate %v", s.DriftRate)
-	}
-	if s.PerModel["clean"] != 3 || s.PerModel["fog-v1"] != 2 {
-		t.Fatalf("per-model %v", s.PerModel)
-	}
-	if s.MeanMSP <= 0 || s.MeanMSPOnDrft <= 0 {
-		t.Fatal("MSP stats missing")
-	}
-}
-
-func TestDeviceRecordsTrace(t *testing.T) {
-	d, world, _ := newDevice(t, 0)
-	rng := tensor.NewRand(61, 1)
-	for i := 0; i < 10; i++ {
-		d.Infer(time.Now(), world.Sample(i%8, rng), nil)
-	}
-	s := d.Trace.Summarize()
-	if s.Total != 10 {
-		t.Fatalf("trace recorded %d inferences", s.Total)
-	}
-	if len(d.Trace.Recent()) != 10 {
-		t.Fatalf("recent %d", len(d.Trace.Recent()))
-	}
-}
-
-func TestTracePartialBuffer(t *testing.T) {
-	tr := NewTrace(10)
-	tr.Record(TraceRecord{MSP: 0.9})
-	if got := tr.Recent(); len(got) != 1 {
-		t.Fatalf("recent %d", len(got))
-	}
-	if NewTrace(0) == nil {
-		t.Fatal("zero capacity must default")
-	}
-}

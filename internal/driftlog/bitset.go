@@ -179,18 +179,6 @@ func (ov *Overlay) driftAt(vs *viewShard, si, row int) bool {
 	return w[row>>6]&(1<<(uint(row)&63)) != 0
 }
 
-// Get reports the overlaid drift flag of row i in the view's row
-// numbering (test/diagnostic helper; scans use driftAt).
-func (ov *Overlay) Get(i int) bool {
-	for si := range ov.v.shards {
-		vs := &ov.v.shards[si]
-		if i < vs.offset+vs.rows {
-			return ov.driftAt(vs, si, i-vs.offset)
-		}
-	}
-	return false
-}
-
 // bump assigns a fresh epoch after a mutating clear.
 func (ov *Overlay) bump() { ov.epoch = overlayEpochSeq.Add(1) }
 
@@ -461,14 +449,6 @@ type ValueMask map[string]map[string]bool
 type pairSel struct {
 	mask    ValueMask
 	exclude map[string]bool
-}
-
-// keeps reports whether the selection counts pairs holding attr=val.
-func (s pairSel) keeps(attr, val string) bool {
-	if s.mask != nil {
-		return s.mask[attr][val]
-	}
-	return !s.exclude[attr]
 }
 
 // keptCol is one shard column of a pair group-by with the selection resolved

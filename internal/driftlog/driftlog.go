@@ -323,13 +323,6 @@ func (s *Store) Stats() Stats {
 	return st
 }
 
-// Attributes returns the attribute names in first-seen order.
-func (s *Store) Attributes() []string {
-	s.attrMu.RLock()
-	defer s.attrMu.RUnlock()
-	return append([]string(nil), s.attrOrder...)
-}
-
 // rowRef locates one row for cross-shard ordering.
 type rowRef struct {
 	seq   int64
@@ -354,9 +347,8 @@ func (s *Store) orderedRows() []rowRef {
 
 // Each invokes f on every current row in canonical (ingest-sequence)
 // order. The global ordering is computed once for the whole pass, so a
-// full-store sweep is O(n log n) — repeated Entry(i) calls re-derive
-// the ordering per call and degrade to O(n² log n) on large logs (the
-// chaos harnesses audit six-figure row counts).
+// full-store sweep is O(n log n) (the chaos harnesses audit six-figure
+// row counts).
 func (s *Store) Each(f func(i int, e Entry)) {
 	refs := s.orderedRows()
 	for i, ref := range refs {
@@ -366,17 +358,6 @@ func (s *Store) Each(f func(i int, e Entry)) {
 		sh.mu.RUnlock()
 		f(i, e)
 	}
-}
-
-// Entry reconstructs the i-th row in canonical (ingest-sequence) order —
-// for display, debugging and persistence tests.
-func (s *Store) Entry(i int) Entry {
-	refs := s.orderedRows()
-	ref := refs[i]
-	sh := &s.shards[ref.shard]
-	sh.mu.RLock()
-	defer sh.mu.RUnlock()
-	return sh.entryLocked(ref.row)
 }
 
 func (sh *shard) entryLocked(i int) Entry {

@@ -275,9 +275,6 @@ func OpenWAL(dir string, s *Store, opts WALOptions) (*WAL, error) {
 // Recovery returns what replay found when the WAL was opened.
 func (w *WAL) Recovery() RecoveryInfo { return w.rec }
 
-// Dir returns the WAL directory.
-func (w *WAL) Dir() string { return w.dir }
-
 // Stats returns the current operational snapshot.
 func (w *WAL) Stats() WALStats {
 	w.mu.Lock()
@@ -483,22 +480,6 @@ func (w *WAL) failLocked(err error) error {
 	return err
 }
 
-// Rotate seals the active segment and starts a new one. Exposed for
-// tests and operational tooling; the append path rotates automatically
-// at SegmentBytes.
-func (w *WAL) Rotate() error {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if err := w.errLocked(); err != nil {
-		return err
-	}
-	if err := w.rotateLocked(); err != nil {
-		return w.failLocked(err)
-	}
-	w.maybeCompactLocked()
-	return nil
-}
-
 func (w *WAL) rotateLocked() error {
 	if err := w.cur.Sync(); err != nil {
 		return fmt.Errorf("driftlog: wal rotate sync: %w", err)
@@ -529,15 +510,6 @@ func (w *WAL) maybeCompactLocked() {
 			w.compactErr.Store(err)
 		}
 	}()
-}
-
-// CompactionErr returns the last background compaction failure, if any
-// (explicit Compact calls report their own errors).
-func (w *WAL) CompactionErr() error {
-	if err, ok := w.compactErr.Load().(error); ok {
-		return err
-	}
-	return nil
 }
 
 // Compact applies the drift log's retention to the directory. It
@@ -609,7 +581,8 @@ func (w *WAL) severed() bool {
 
 // Close waits for background compaction, makes the active segment
 // durable, and shuts the WAL down. Further appends fail with
-// ErrWALClosed.
+// ErrWALClosed. A background compaction pass that failed is reported
+// here, since no caller was waiting on it.
 func (w *WAL) Close() error {
 	w.bg.Wait()
 	w.mu.Lock()
@@ -629,6 +602,9 @@ func (w *WAL) Close() error {
 			return fmt.Errorf("driftlog: wal close: %w", err)
 		}
 		w.cur = nil
+	}
+	if err, ok := w.compactErr.Load().(error); ok {
+		return fmt.Errorf("driftlog: wal background compaction: %w", err)
 	}
 	return nil
 }

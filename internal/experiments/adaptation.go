@@ -8,7 +8,6 @@ import (
 	"nazar/internal/adapt"
 	"nazar/internal/detect"
 	"nazar/internal/imagesim"
-	"nazar/internal/metrics"
 	"nazar/internal/nn"
 	"nazar/internal/tensor"
 )
@@ -307,15 +306,6 @@ func Fig7(o Options) (*Fig7Result, error) {
 	}
 	res.Table = table
 	return res, nil
-}
-
-// Average returns the mean of a strategy column over rows.
-func Average(rows []Fig7Row, f func(Fig7Row) float64) float64 {
-	var vals []float64
-	for _, r := range rows {
-		vals = append(vals, f(r))
-	}
-	return metrics.Mean(vals)
 }
 
 // Fig6Row is one drift type's detection rate before/after adaptation.

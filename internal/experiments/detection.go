@@ -66,7 +66,11 @@ func Table1(o Options) (*Table1Result, error) {
 	matrix := &Table{
 		ID:     "table1",
 		Title:  "Detection method requirements (✗ = has the cost)",
-		Header: []string{"Requirement", "Threshold", "KS-test", "OE", "Odin", "MD", "SSL", "CSI", "GOdin"},
+		Header: []string{"Requirement"},
+	}
+	info := detect.Table1()
+	for _, m := range info {
+		matrix.Header = append(matrix.Header, m.Name)
 	}
 	rows := []struct {
 		name string
@@ -77,7 +81,6 @@ func Table1(o Options) (*Table1Result, error) {
 		{"No backpropagation", func(c detect.Capabilities) bool { return c.NeedsBackprop }},
 		{"No batching", func(c detect.Capabilities) bool { return c.NeedsBatching }},
 	}
-	info := detect.Table1()
 	for _, row := range rows {
 		cells := []string{row.name}
 		for _, m := range info {

@@ -1,10 +1,13 @@
 package experiments
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
+	"nazar/internal/detect"
 	"nazar/internal/imagesim"
+	"nazar/internal/metrics"
 	"nazar/internal/nn"
 	"nazar/internal/pipeline"
 	"nazar/internal/rca"
@@ -49,6 +52,17 @@ func TestTable1Shapes(t *testing.T) {
 	}
 	if len(res.Matrix.Rows) != 4 {
 		t.Fatal("matrix must have 4 requirement rows")
+	}
+	// The header is the paper's column order, one column per
+	// detect.Table1 row.
+	want := []string{"Requirement", "Threshold", "KS-test", "OE", "Odin", "MD", "SSL", "CSI", "GOdin"}
+	if !slices.Equal(res.Matrix.Header, want) {
+		t.Fatalf("header %q, want %q", res.Matrix.Header, want)
+	}
+	for i, m := range detect.Table1() {
+		if res.Matrix.Header[i+1] != m.Name {
+			t.Fatalf("column %d is %q, detect.Table1 row %d is %q", i+1, res.Matrix.Header[i+1], i, m.Name)
+		}
 	}
 	// Every live detector must separate clean from drifted.
 	for _, row := range res.Live.Rows {
@@ -242,17 +256,17 @@ func TestFig7Shape(t *testing.T) {
 		t.Fatal(err)
 	}
 	for name, rows := range map[string][]Fig7Row{"same": res.Same, "shifted": res.Shifted} {
-		by := Average(rows, func(r Fig7Row) float64 { return r.ByCause })
-		all := Average(rows, func(r Fig7Row) float64 { return r.AdaptAll })
-		non := Average(rows, func(r Fig7Row) float64 { return r.NoAdapt })
+		by := average(rows, func(r Fig7Row) float64 { return r.ByCause })
+		all := average(rows, func(r Fig7Row) float64 { return r.AdaptAll })
+		non := average(rows, func(r Fig7Row) float64 { return r.NoAdapt })
 		if !(by > all && by > non) {
 			t.Fatalf("%s: by-cause %v must beat adapt-all %v and no-adapt %v", name, by, all, non)
 		}
 	}
 	// Robustness under shifted severity: by-cause still leads but with
 	// a reduced margin (setting (b) is harder).
-	bySame := Average(res.Same, func(r Fig7Row) float64 { return r.ByCause })
-	byShifted := Average(res.Shifted, func(r Fig7Row) float64 { return r.ByCause })
+	bySame := average(res.Same, func(r Fig7Row) float64 { return r.ByCause })
+	byShifted := average(res.Shifted, func(r Fig7Row) float64 { return r.ByCause })
 	if byShifted > bySame+0.02 {
 		t.Fatalf("shifted severity should not be easier: same %v shifted %v", bySame, byShifted)
 	}
@@ -552,4 +566,13 @@ func TestDetectorAUROCShape(t *testing.T) {
 	if res.AUROC["threshold(msp)"] < best-0.15 {
 		t.Fatalf("MSP AUROC %v too far below best %v", res.AUROC["threshold(msp)"], best)
 	}
+}
+
+// average returns the mean of a strategy column over rows.
+func average(rows []Fig7Row, f func(Fig7Row) float64) float64 {
+	var vals []float64
+	for _, r := range rows {
+		vals = append(vals, f(r))
+	}
+	return metrics.Mean(vals)
 }

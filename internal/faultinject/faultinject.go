@@ -1,14 +1,8 @@
 // Package faultinject is a deterministic network-fault layer for
 // chaos-testing the device→cloud path. One Injector holds a seeded
-// PRNG and a probability Schedule and can be mounted on either side
-// of the wire:
-//
-//   - client side, as an http.RoundTripper wrapping the real one
-//     (synthesized 5xx/429 responses, injected latency, connection
-//     resets and truncated bodies without a cooperating server);
-//   - server side, as middleware in front of an httpapi.Server
-//     (real aborted connections and half-written responses, which is
-//     what the chaos harness uses).
+// PRNG and a probability Schedule and mounts as middleware in front of
+// an httpapi.Server: injected 5xx/429 responses and latency, real
+// aborted connections and half-written responses.
 //
 // Determinism is the point: all randomness flows from one seeded PRNG
 // behind one mutex, and every decision is appended to a replayable
@@ -18,12 +12,9 @@
 package faultinject
 
 import (
-	"fmt"
-	"io"
 	"math/rand"
 	"net/http"
 	"strconv"
-	"strings"
 	"sync"
 	"time"
 )
@@ -131,13 +122,6 @@ func (in *Injector) decide() Event {
 	return ev
 }
 
-// Trace returns a copy of the fault trace so far.
-func (in *Injector) Trace() []Event {
-	in.mu.Lock()
-	defer in.mu.Unlock()
-	return append([]Event(nil), in.trace...)
-}
-
 // Counts returns per-fault totals (FaultLatency counts the independent
 // latency roll; FaultNone counts clean pass-throughs).
 func (in *Injector) Counts() map[Fault]uint64 {
@@ -156,8 +140,6 @@ func (in *Injector) Requests() int {
 	defer in.mu.Unlock()
 	return len(in.trace)
 }
-
-// ---- server side ----------------------------------------------------
 
 // Middleware wraps a server handler with fault injection. Mount it
 // outside the API server's own middleware chain so injected aborts
@@ -234,91 +216,3 @@ func retryAfterValue(d time.Duration) string {
 	}
 	return strconv.Itoa(secs)
 }
-
-// ---- client side ----------------------------------------------------
-
-// resetError is the synthesized connection-reset failure returned by
-// the client-side RoundTripper.
-type resetError struct{}
-
-func (resetError) Error() string   { return "faultinject: connection reset by peer" }
-func (resetError) Timeout() bool   { return false }
-func (resetError) Temporary() bool { return true }
-
-// RoundTripper wraps next (http.DefaultTransport if nil) with fault
-// injection on the client side of the wire — no cooperating server
-// needed. Plug it into transport.Config.HTTPTransport.
-func (in *Injector) RoundTripper(next http.RoundTripper) http.RoundTripper {
-	if next == nil {
-		next = http.DefaultTransport
-	}
-	return roundTripFunc(func(r *http.Request) (*http.Response, error) {
-		ev := in.decide()
-		if ev.Latency {
-			in.cfg.Sleep(in.sched.LatencyDur)
-		}
-		switch ev.Fault {
-		case Fault500:
-			return synthesized(r, http.StatusInternalServerError, nil), nil
-		case Fault429:
-			return synthesized(r, http.StatusTooManyRequests, http.Header{
-				"Retry-After": []string{retryAfterValue(in.sched.RetryAfter)},
-			}), nil
-		case FaultReset:
-			return nil, resetError{}
-		case FaultTruncate:
-			resp, err := next.RoundTrip(r)
-			if err != nil {
-				return nil, err
-			}
-			resp.Body = &truncatingBody{rc: resp.Body, budget: truncateBudget}
-			return resp, nil
-		default:
-			return next.RoundTrip(r)
-		}
-	})
-}
-
-type roundTripFunc func(*http.Request) (*http.Response, error)
-
-func (f roundTripFunc) RoundTrip(r *http.Request) (*http.Response, error) { return f(r) }
-
-// synthesized builds a fake response without touching the network.
-func synthesized(r *http.Request, status int, h http.Header) *http.Response {
-	if h == nil {
-		h = http.Header{}
-	}
-	return &http.Response{
-		Status:     fmt.Sprintf("%d %s", status, http.StatusText(status)),
-		StatusCode: status,
-		Proto:      "HTTP/1.1",
-		ProtoMajor: 1,
-		ProtoMinor: 1,
-		Header:     h,
-		Body:       io.NopCloser(strings.NewReader("faultinject: injected fault")),
-		Request:    r,
-	}
-}
-
-// truncatingBody yields budget bytes then fails like a dropped link.
-type truncatingBody struct {
-	rc     io.ReadCloser
-	budget int
-}
-
-func (b *truncatingBody) Read(p []byte) (int, error) {
-	if b.budget <= 0 {
-		return 0, io.ErrUnexpectedEOF
-	}
-	if len(p) > b.budget {
-		p = p[:b.budget]
-	}
-	n, err := b.rc.Read(p)
-	b.budget -= n
-	if err == io.EOF {
-		return n, io.EOF
-	}
-	return n, err
-}
-
-func (b *truncatingBody) Close() error { return b.rc.Close() }

@@ -77,13 +77,6 @@ func NewSupportCacheSize(v *driftlog.View, capacity int) *SupportCache {
 // View returns the view the cache memoizes against.
 func (sc *SupportCache) View() *driftlog.View { return sc.v }
 
-// Len returns the resident entry count (always <= the construction cap).
-func (sc *SupportCache) Len() int {
-	sc.mu.Lock()
-	defer sc.mu.Unlock()
-	return len(sc.m)
-}
-
 // get returns a resident entry, promoting it to most recently used.
 func (sc *SupportCache) get(k supportCacheKey) (driftlog.CountResult, bool) {
 	sc.mu.Lock()

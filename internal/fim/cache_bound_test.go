@@ -25,8 +25,8 @@ func TestSupportCacheLRU(t *testing.T) {
 		t.Fatal("a missing before eviction")
 	}
 	sc.put(k("c"), cr(3))
-	if sc.Len() != 2 {
-		t.Fatalf("Len = %d, want 2", sc.Len())
+	if sc.resident() != 2 {
+		t.Fatalf("resident = %d, want 2", sc.resident())
 	}
 	if _, ok := sc.get(k("b")); ok {
 		t.Fatal("b survived eviction despite being least recently used")
@@ -39,8 +39,8 @@ func TestSupportCacheLRU(t *testing.T) {
 	}
 	// Refreshing a resident key must not evict.
 	sc.put(k("a"), cr(9))
-	if sc.Len() != 2 {
-		t.Fatalf("Len after refresh = %d, want 2", sc.Len())
+	if sc.resident() != 2 {
+		t.Fatalf("resident after refresh = %d, want 2", sc.resident())
 	}
 	if got, _ := sc.get(k("a")); got.Total != 9 {
 		t.Fatalf("refresh not applied: %+v", got)
@@ -68,8 +68,8 @@ func TestSupportCacheEvictionCorrectness(t *testing.T) {
 			t.Fatalf("seed %d: tiny-cap mine diverges from unconstrained mine\nsmall %v\nbig   %v",
 				seed, resSmall, resBig)
 		}
-		if small.Len() > 3 {
-			t.Fatalf("seed %d: Len %d exceeds cap 3", seed, small.Len())
+		if small.resident() > 3 {
+			t.Fatalf("seed %d: resident %d exceeds cap 3", seed, small.resident())
 		}
 	}
 }
@@ -125,4 +125,11 @@ func TestMineCacheBound(t *testing.T) {
 	if !reflect.DeepEqual(resInc, resFresh) {
 		t.Fatalf("mine after refusal diverges from fresh\ninc   %v\nfresh %v", resInc, resFresh)
 	}
+}
+
+// resident returns the resident entry count (always <= the construction cap).
+func (sc *SupportCache) resident() int {
+	sc.mu.Lock()
+	defer sc.mu.Unlock()
+	return len(sc.m)
 }

@@ -7,7 +7,6 @@ package fim
 
 import (
 	"context"
-	"fmt"
 	"math"
 	"sort"
 	"strings"
@@ -439,15 +438,10 @@ func Rank(results []Result) {
 	})
 }
 
-// Rescore recomputes an itemset's metrics against the view with the given
-// overlay — used by counterfactual analysis after clearing drift flags.
-func Rescore(v *driftlog.View, set Itemset, ov *driftlog.Overlay) (Result, error) {
-	return RescoreCached(NewSupportCache(v), set, ov)
-}
-
-// RescoreCached is Rescore through a shared memo: window totals and
-// repeated subset counts under one overlay epoch are computed once per
-// epoch instead of once per call.
+// RescoreCached recomputes an itemset's metrics against the cache's
+// view with the given overlay — used by counterfactual analysis after
+// clearing drift flags. Window totals and repeated subset counts under
+// one overlay epoch are computed once per epoch through the shared memo.
 func RescoreCached(sc *SupportCache, set Itemset, ov *driftlog.Overlay) (Result, error) {
 	totals, err := sc.count("", nil, ov)
 	if err != nil {
@@ -518,18 +512,4 @@ type counted struct {
 // keys (the comparator allocates nothing).
 func sortCounted(cs []counted) {
 	sort.Slice(cs, func(i, j int) bool { return cs[i].key < cs[j].key })
-}
-
-// FormatResult renders one row like Table 3.
-func FormatResult(r Result) string {
-	return fmt.Sprintf("%-32s occ=%.2f sup=%.2f rr=%s conf=%.2f",
-		r.Items.String(), r.Metrics.Occurrence, r.Metrics.Support,
-		formatRR(r.Metrics.RiskRatio), r.Metrics.Confidence)
-}
-
-func formatRR(rr float64) string {
-	if math.IsInf(rr, 1) {
-		return "inf"
-	}
-	return fmt.Sprintf("%.2f", rr)
 }

@@ -4,7 +4,6 @@ import (
 	"context"
 	"encoding/json"
 	"math"
-	"strings"
 	"testing"
 	"time"
 
@@ -228,7 +227,7 @@ func TestMineWithOverlay(t *testing.T) {
 func TestRescore(t *testing.T) {
 	v := paperLog().All()
 	snow := NewItemset(driftlog.Cond{Attr: driftlog.AttrWeather, Value: "snow"})
-	r, err := Rescore(v, snow, nil)
+	r, err := RescoreCached(NewSupportCache(v), snow, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -239,7 +238,7 @@ func TestRescore(t *testing.T) {
 	if _, err := v.ClearDrift(snow, overlay); err != nil {
 		t.Fatal(err)
 	}
-	r2, err := Rescore(v, snow, overlay)
+	r2, err := RescoreCached(NewSupportCache(v), snow, overlay)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -258,17 +257,6 @@ func TestJoinRules(t *testing.T) {
 	cand, ok := join(snow, ny)
 	if !ok || len(cand) != 2 {
 		t.Fatalf("join failed: %v %v", cand, ok)
-	}
-}
-
-func TestFormatResult(t *testing.T) {
-	r := Result{
-		Items:   NewItemset(driftlog.Cond{Attr: "weather", Value: "snow"}),
-		Metrics: Metrics{Occurrence: 0.4, Support: 0.67, Confidence: 1, RiskRatio: math.Inf(1)},
-	}
-	got := FormatResult(r)
-	if !strings.Contains(got, "inf") || !strings.Contains(got, "{snow}") {
-		t.Fatalf("format %q", got)
 	}
 }
 

@@ -111,8 +111,9 @@ func TestIngestBatchMatchesSequential(t *testing.T) {
 	if a, b := one.Log().Len(), many.Log().Len(); a != b {
 		t.Fatalf("row counts diverge: %d vs %d", a, b)
 	}
-	for i := 0; i < one.Log().Len(); i++ {
-		a, b := one.Log().Entry(i), many.Log().Entry(i)
+	oneRows, manyRows := logRows(one.Log()), logRows(many.Log())
+	for i := range oneRows {
+		a, b := oneRows[i], manyRows[i]
 		if a.SampleID != b.SampleID || a.Drift != b.Drift || !a.Time.Equal(b.Time) {
 			t.Fatalf("row %d diverges: %+v vs %+v", i, a, b)
 		}
@@ -147,4 +148,11 @@ func TestIngestBatchValidation(t *testing.T) {
 			}
 		})
 	}
+}
+
+// logRows returns every row of s in ingest order.
+func logRows(s *driftlog.Store) []driftlog.Entry {
+	rows := make([]driftlog.Entry, 0, s.Len())
+	s.Each(func(_ int, e driftlog.Entry) { rows = append(rows, e) })
+	return rows
 }

@@ -80,8 +80,9 @@ func TestBinaryBatchMatchesJSON(t *testing.T) {
 	if jl, bl := jsonSvc.Log().Len(), binSvc.Log().Len(); jl != bl {
 		t.Fatalf("log rows json=%d binary=%d", jl, bl)
 	}
-	for i := 0; i < jsonSvc.Log().Len(); i++ {
-		je, be := jsonSvc.Log().Entry(i), binSvc.Log().Entry(i)
+	jsonRows, binRows := logRows(jsonSvc.Log()), logRows(binSvc.Log())
+	for i := range jsonRows {
+		je, be := jsonRows[i], binRows[i]
 		if !reflect.DeepEqual(je, be) {
 			t.Fatalf("row %d:\n json %+v\n binary %+v", i, je, be)
 		}
@@ -113,7 +114,7 @@ func TestBinarySingleIngest(t *testing.T) {
 	if svc.Log().Len() != 1 {
 		t.Fatalf("log rows %d, want 1", svc.Log().Len())
 	}
-	got := svc.Log().Entry(0)
+	got := logRows(svc.Log())[0]
 	if got.SampleID < 0 {
 		t.Fatalf("sample not linked: %+v", got)
 	}

@@ -195,9 +195,6 @@ func NewServer(svc *cloud.Service, opts ...ServerOption) *Server {
 	return s
 }
 
-// Registry returns the registry backing /metrics.
-func (s *Server) Registry() *obs.Registry { return s.reg }
-
 // ServeHTTP implements http.Handler.
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) { s.handler.ServeHTTP(w, r) }
 

@@ -94,8 +94,12 @@ func TestInFlightGauge(t *testing.T) {
 	if got := m.requests.Value(); got != 1 {
 		t.Fatalf("requests counter %d, want 1", got)
 	}
-	if got := m.latency.Count(); got != 1 {
-		t.Fatalf("latency observations %d, want 1", got)
+	var expo strings.Builder
+	if err := reg.WritePrometheus(&expo); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(expo.String(), "nazar_http_request_seconds_count 1\n") {
+		t.Fatalf("latency histogram did not observe exactly one request:\n%s", expo.String())
 	}
 }
 

@@ -40,10 +40,6 @@ var AllCorruptions = []Corruption{
 	Brightness, Contrast, Elastic, Pixelate, JPEG,
 }
 
-// WeatherCorruptions are the three drifts driven by historical weather in
-// the end-to-end workloads.
-var WeatherCorruptions = []Corruption{Rain, Snow, Fog}
-
 // MaxSeverity is the largest severity level (the paper uses 0–5 with a
 // default of 3; 0 means no corruption).
 const MaxSeverity = 5

@@ -97,9 +97,6 @@ func NewWorld(cfg Config) *World {
 	return w
 }
 
-// Config returns the world's configuration.
-func (w *World) Config() Config { return w.cfg }
-
 // Classes returns the number of classes.
 func (w *World) Classes() int { return w.cfg.Classes }
 
@@ -118,15 +115,6 @@ func (w *World) Sample(c int, rng *rand.Rand) []float64 {
 		x[i] = p[i] + s*rng.NormFloat64()
 	}
 	return x
-}
-
-// SampleBatch draws n clean images of the given classes into a matrix.
-func (w *World) SampleBatch(classes []int, rng *rand.Rand) *tensor.Matrix {
-	m := tensor.New(len(classes), w.cfg.Dim)
-	for i, c := range classes {
-		copy(m.Row(i), w.Sample(c, rng))
-	}
-	return m
 }
 
 // Augment returns a lightly perturbed copy of x — the stand-in for

@@ -108,10 +108,6 @@ func New(sc *Scenario, opts ...Option) (*Engine, error) {
 	return e, nil
 }
 
-// Rollout exposes the scenario's staged-rollout controller (nil when
-// the scenario doesn't stage one).
-func (e *Engine) Rollout() *cloud.Rollout { return e.rollout }
-
 // DeviceID materializes the stable ID of device i — the same string the
 // control plane hashes for sticky assignment.
 func (e *Engine) DeviceID(i int) string {
@@ -386,7 +382,7 @@ func (e *Engine) runShard(w, lo, hi int, percent float64, rates []float64, event
 		}
 		canary := false
 		if percent > 0 && e.fracs != nil {
-			canary = e.fracs[i]*100 < percent
+			canary = registry.InRamp(e.fracs[i], percent)
 		}
 		// Resolve the drift event touching this device, if any.
 		accuracy := spec.BaseAccuracy

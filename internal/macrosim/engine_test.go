@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"nazar/internal/cloud"
+	"nazar/internal/driftlog"
 	"nazar/internal/httpapi"
 	"nazar/internal/nn"
 	"nazar/internal/obs"
@@ -269,7 +270,12 @@ func TestEngineSinkBridge(t *testing.T) {
 		t.Fatalf("cloud log has %d entries, sink reported %d", got, sum.Totals.SinkReported)
 	}
 	// The sampled entries carry the schema the analyzer keys on.
-	e := svc.Log().Entry(0)
+	var e driftlog.Entry
+	svc.Log().Each(func(i int, row driftlog.Entry) {
+		if i == 0 {
+			e = row
+		}
+	})
 	for _, attr := range []string{"device", "model", "weather", "cohort"} {
 		if e.Attrs[attr] == "" {
 			t.Errorf("sampled entry missing attr %q: %v", attr, e.Attrs)

@@ -52,15 +52,6 @@ func (c Confusion) F1() float64 {
 	return 2 * float64(c.TP) / float64(denom)
 }
 
-// Accuracy returns (TP+TN)/total, or 0 when empty.
-func (c Confusion) Accuracy() float64 {
-	total := c.TP + c.FP + c.TN + c.FN
-	if total == 0 {
-		return 0
-	}
-	return float64(c.TP+c.TN) / float64(total)
-}
-
 // FowlkesMallows computes the FMS (Eq. 4) between two clusterings given
 // as per-item labels. Labels may be any comparable strings; items at the
 // same index must refer to the same underlying data point.

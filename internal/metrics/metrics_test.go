@@ -15,8 +15,8 @@ func TestConfusionCounts(t *testing.T) {
 	if c.TP != 1 || c.FP != 1 || c.FN != 1 || c.TN != 1 {
 		t.Fatalf("counts %+v", c)
 	}
-	if c.Precision() != 0.5 || c.Recall() != 0.5 || c.Accuracy() != 0.5 {
-		t.Fatalf("P=%v R=%v A=%v", c.Precision(), c.Recall(), c.Accuracy())
+	if c.Precision() != 0.5 || c.Recall() != 0.5 {
+		t.Fatalf("P=%v R=%v", c.Precision(), c.Recall())
 	}
 	if c.F1() != 0.5 {
 		t.Fatalf("F1=%v", c.F1())
@@ -35,7 +35,7 @@ func TestF1Formula(t *testing.T) {
 
 func TestEmptyConfusion(t *testing.T) {
 	var c Confusion
-	if c.Precision() != 0 || c.Recall() != 0 || c.F1() != 0 || c.Accuracy() != 0 {
+	if c.Precision() != 0 || c.Recall() != 0 || c.F1() != 0 {
 		t.Fatal("empty confusion must return zeros")
 	}
 }

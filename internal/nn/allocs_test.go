@@ -209,7 +209,7 @@ func TestDenseFrozenTransposeCache(t *testing.T) {
 		requireDxDotProduct(t, what, d.Backward(dout), dout, d.w.W)
 	}
 
-	net.FreezeAll()
+	freezeAll(net)
 	backward("frozen", d)
 	cached := d.w.wT
 	if cached == nil {
@@ -223,7 +223,7 @@ func TestDenseFrozenTransposeCache(t *testing.T) {
 	net.UnfreezeAll()
 	backward("trainable", d)
 	NewAdam(0.1).Step(net.Params())
-	net.FreezeAll()
+	freezeAll(net)
 	backward("frozen again after an Adam step", d)
 
 	other := NewNetwork(NewDense(24, 16, tensor.NewRand(7, 7)))
@@ -237,5 +237,12 @@ func TestDenseFrozenTransposeCache(t *testing.T) {
 	backward("view", vd)
 	if vd.w.wT != nil {
 		t.Fatal("a view kept a transpose of weights it does not own")
+	}
+}
+
+// freezeAll marks every parameter of net frozen.
+func freezeAll(net *Network) {
+	for _, p := range net.Params() {
+		p.freeze()
 	}
 }

@@ -157,7 +157,7 @@ func TestLayerKernelsMatchRef(t *testing.T) {
 				c.gamma[0], c.beta[0] = 5e-324, math.Copysign(0, -1)
 				c.runMean[0], c.runVar[0] = 0, 1
 				for r := 0; r < sh.rows; r++ {
-					c.x.Set(r, 0, float64(r-sh.rows/2)/float64(sh.rows))
+					c.x.Row(r)[0] = float64(r-sh.rows/2) / float64(sh.rows)
 				}
 				y := newBatchNorm(0.1, 1e-5, ownedParam("gamma", c.gamma), ownedParam("beta", c.beta),
 					slices.Clone(c.runMean), slices.Clone(c.runVar)).Forward(c.x, Eval)

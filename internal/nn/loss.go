@@ -71,18 +71,14 @@ func EntropyInto(dst *tensor.Matrix, logits *tensor.Matrix) (float64, *tensor.Ma
 	return total / float64(n), grad
 }
 
-// MarginalEntropy computes the MEMO objective (Eq. 3 of the paper): the
-// entropy of the probability vector averaged over B augmented copies of
-// one input, plus dL/dlogits for all copies.
+// MarginalEntropyInto computes the MEMO objective (Eq. 3 of the paper):
+// the entropy of the probability vector averaged over B augmented copies
+// of one input, writing dL/dlogits for all copies into dst (reshaped to
+// match logits).
 //
 // With p̄ = (1/B)Σ p_i and L = H(p̄), the gradient is
 // dL/dz_{i,k} = (p_{i,k}/B)(Σ_c p_{i,c} log p̄_c − log p̄_k).
-func MarginalEntropy(logits *tensor.Matrix) (float64, *tensor.Matrix) {
-	return MarginalEntropyInto(tensor.New(logits.Rows, logits.Cols), logits)
-}
-
-// MarginalEntropyInto is MarginalEntropy writing dL/dlogits into dst
-// (reshaped to match logits). Per-copy probabilities live in the
+// Per-copy probabilities live in the
 // gradient rows and are transformed in place; the only scratch (the
 // averaged distribution and its log) comes from the tensor workspace
 // arena, so steady-state calls do not allocate.
@@ -129,21 +125,16 @@ func MarginalEntropyInto(dst *tensor.Matrix, logits *tensor.Matrix) (float64, *t
 	return loss, grad
 }
 
-// GroupedMarginalEntropy applies MarginalEntropy to consecutive groups of
-// groupSize rows (the augmented copies of one input each) and returns the
-// mean loss over groups with the matching full-batch gradient. This is
-// the "MEMO with TENT-style batching" setup of §3.4: normalization
-// statistics come from the whole augmented batch while the objective
-// stays per-input marginal entropy.
-func GroupedMarginalEntropy(logits *tensor.Matrix, groupSize int) (float64, *tensor.Matrix) {
-	return GroupedMarginalEntropyInto(tensor.New(logits.Rows, logits.Cols), logits, groupSize)
-}
-
-// GroupedMarginalEntropyInto is GroupedMarginalEntropy writing the
-// full-batch gradient into dst (reshaped to match logits).
+// GroupedMarginalEntropyInto applies MarginalEntropyInto to consecutive
+// groups of groupSize rows (the augmented copies of one input each) and
+// returns the mean loss over groups, writing the matching full-batch
+// gradient into dst (reshaped to match logits). This is the "MEMO with
+// TENT-style batching" setup of §3.4: normalization statistics come from
+// the whole augmented batch while the objective stays per-input marginal
+// entropy.
 func GroupedMarginalEntropyInto(dst *tensor.Matrix, logits *tensor.Matrix, groupSize int) (float64, *tensor.Matrix) {
 	if groupSize <= 0 || logits.Rows%groupSize != 0 {
-		panic("nn: GroupedMarginalEntropy rows must be a multiple of groupSize")
+		panic("nn: GroupedMarginalEntropyInto rows must be a multiple of groupSize")
 	}
 	groups := logits.Rows / groupSize
 	grad := dst.Reshape(logits.Rows, logits.Cols)

@@ -174,13 +174,6 @@ func (n *Network) ZeroGrads() {
 	}
 }
 
-// FreezeAll marks every parameter frozen.
-func (n *Network) FreezeAll() {
-	for _, p := range n.Params() {
-		p.freeze()
-	}
-}
-
 // UnfreezeAll marks every parameter trainable.
 func (n *Network) UnfreezeAll() {
 	for _, p := range n.Params() {

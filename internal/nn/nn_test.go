@@ -72,7 +72,9 @@ func TestEntropyGradient(t *testing.T) {
 func TestMarginalEntropyGradient(t *testing.T) {
 	net := smallNet(30)
 	x := randBatch(31, 4, 4)
-	loss := func(l *tensor.Matrix) (float64, *tensor.Matrix) { return MarginalEntropy(l) }
+	loss := func(l *tensor.Matrix) (float64, *tensor.Matrix) {
+		return MarginalEntropyInto(tensor.New(l.Rows, l.Cols), l)
+	}
 	checkGradients(t, net, x, Train, loss, 1e-4)
 }
 
@@ -116,10 +118,14 @@ func TestBatchNormNormalizes(t *testing.T) {
 	bn := NewBatchNorm(3)
 	x := randBatch(60, 64, 3)
 	x.Scale(5)
-	x.AddRowVector([]float64{10, -7, 3})
+	for i := 0; i < x.Rows; i++ {
+		for j, b := range []float64{10, -7, 3} {
+			x.Row(i)[j] += b
+		}
+	}
 	y := bn.Forward(x, Train)
-	means := y.ColMeans()
-	vars := y.ColVariances(means)
+	means := y.ColMeansInto(make([]float64, 3))
+	vars := y.ColVariancesInto(make([]float64, 3), means)
 	for j := 0; j < 3; j++ {
 		if math.Abs(means[j]) > 1e-9 {
 			t.Fatalf("col %d mean %v", j, means[j])
@@ -173,7 +179,7 @@ func TestTrainingConverges(t *testing.T) {
 			if c == 1 {
 				center = 2
 			}
-			x.Set(i, j, center+rng.NormFloat64())
+			x.Row(i)[j] = center + rng.NormFloat64()
 		}
 	}
 	net := NewClassifier(ArchResNet18, 4, 2, rng)
@@ -559,7 +565,9 @@ func BenchmarkTrainStepResNet50(b *testing.B) {
 func TestGroupedMarginalEntropyGradient(t *testing.T) {
 	net := smallNet(60)
 	x := randBatch(61, 6, 4) // 3 groups of 2
-	loss := func(l *tensor.Matrix) (float64, *tensor.Matrix) { return GroupedMarginalEntropy(l, 2) }
+	loss := func(l *tensor.Matrix) (float64, *tensor.Matrix) {
+		return GroupedMarginalEntropyInto(tensor.New(l.Rows, l.Cols), l, 2)
+	}
 	checkGradients(t, net, x, Train, loss, 1e-4)
 }
 
@@ -569,7 +577,7 @@ func TestGroupedMarginalEntropyPanics(t *testing.T) {
 			t.Fatal("expected panic on non-divisible rows")
 		}
 	}()
-	GroupedMarginalEntropy(tensor.New(5, 3), 2)
+	GroupedMarginalEntropyInto(tensor.New(5, 3), tensor.New(5, 3), 2)
 }
 
 func TestQuantizeBounds(t *testing.T) {

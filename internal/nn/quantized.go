@@ -22,11 +22,9 @@ package nn
 // block skips the /sy requantization and emits float logits directly
 // (Mul_j = g_j·sx·sw_j, FBias_j = g_j·(b_j − μ_j) + β_j).
 //
-// TENT interplay: adaptation trains BN γ/β (and refreshes running
-// statistics) on the float network; the quantized layers keep pointers
-// into those float layers, so Refold recomputes Mul/FBias from the
-// updated BN state without touching the int8 weight codes. Serving
-// never leaves int8 — only the per-channel epilogue vectors change.
+// TENT interplay: adaptation trains BN γ/β on the float network and
+// ships them as a BN version; a device quantizes each installed version
+// once, on first use, so serving never leaves int8.
 
 import (
 	"errors"
@@ -84,9 +82,7 @@ func quantBlocks(net *Network) ([]quantBlock, error) {
 }
 
 // QuantizedLayer is one folded int8 block: packed per-channel weights
-// plus the requantization epilogue vectors. The dense/bn pointers refer
-// into the source float network so Refold can pick up adapted BN
-// parameters.
+// plus the requantization epilogue vectors.
 type QuantizedLayer struct {
 	// W holds the int8 weight codes (In×Out) with per-output-column
 	// scales, packed for the dual-lane kernel.
@@ -102,23 +98,18 @@ type QuantizedLayer struct {
 	// InScale and OutScale are the activation quantization scales on
 	// either side of the block (OutScale is 0 on the final block).
 	InScale, OutScale float64
-
-	dense *Dense
-	bn    *BatchNorm
 }
 
-// fold computes Mul/FBias from the current float-side parameters. It is
-// called at build time and again by Refold after TENT updates the BN
-// state.
-func (l *QuantizedLayer) fold() {
+// fold computes Mul/FBias from the block's float-side parameters.
+func (l *QuantizedLayer) fold(dense *Dense, bn *BatchNorm) {
 	sw := l.W.Scales
-	bias := l.dense.b.W.Data
+	bias := dense.b.W.Data
 	for j := range l.Mul {
 		g, shift := 1.0, bias[j]
-		if l.bn != nil {
-			inv := 1 / math.Sqrt(l.bn.RunVar[j]+l.bn.Eps)
-			g = l.bn.Gamma()[j] * inv
-			shift = g*(bias[j]-l.bn.RunMean[j]) + l.bn.Beta()[j]
+		if bn != nil {
+			inv := 1 / math.Sqrt(bn.RunVar[j]+bn.Eps)
+			g = bn.Gamma()[j] * inv
+			shift = g*(bias[j]-bn.RunMean[j]) + bn.Beta()[j]
 		}
 		mul := g * l.InScale * sw[j]
 		if !l.Final {
@@ -131,9 +122,7 @@ func (l *QuantizedLayer) fold() {
 }
 
 // QuantizedNetwork is the int8 serving form of a Network. Build one
-// with QuantizeInt8; after each TENT adaptation round on the source
-// float network, call Refold to carry the updated BN state into the
-// requantization epilogues.
+// with QuantizeInt8.
 //
 // Like Network, a QuantizedNetwork is NOT safe for concurrent use: the
 // forward pass reuses internal activation scratch.
@@ -155,9 +144,8 @@ type QuantizedNetwork struct {
 // QuantizeInt8 converts net into true int8 storage: per-channel
 // symmetric weight codes, activation scales calibrated on calX (a batch
 // of representative inputs, e.g. training data), and batch-norm state
-// folded into the requantization epilogues. The returned network keeps
-// pointers into net's Dense/BatchNorm layers — adapt net with TENT,
-// then Refold to propagate.
+// folded into the requantization epilogues. The result copies what it
+// needs; later edits to net do not reach it.
 func QuantizeInt8(net *Network, calX *tensor.Matrix) (*QuantizedNetwork, error) {
 	blocks, err := quantBlocks(net)
 	if err != nil {
@@ -181,26 +169,14 @@ func QuantizeInt8(net *Network, calX *tensor.Matrix) (*QuantizedNetwork, error) 
 			ReLU:    b.relu != nil,
 			Final:   i == len(blocks)-1,
 			InScale: scales[i],
-			dense:   b.dense,
-			bn:      b.bn,
 		}
 		if !l.Final {
 			l.OutScale = scales[i+1]
 		}
-		l.fold()
+		l.fold(b.dense, b.bn)
 		qn.Layers = append(qn.Layers, l)
 	}
 	return qn, nil
-}
-
-// Refold recomputes every layer's requantization epilogue from the
-// source network's current parameters — the cheap half of the TENT
-// cycle: adaptation trains BN γ/β in float, Refold folds the result
-// back into the int8 serving path. Weight codes are untouched.
-func (q *QuantizedNetwork) Refold() {
-	for _, l := range q.Layers {
-		l.fold()
-	}
 }
 
 // Logits runs the batch through the int8 path and returns float logits.
@@ -252,14 +228,6 @@ func (q *QuantizedNetwork) Predict(x *tensor.Matrix) []int {
 		out[i] = c
 	}
 	return out
-}
-
-// PredictOne returns the predicted class and its softmax confidence
-// (MSP) for a single example — the quantized drift-scoring primitive.
-func (q *QuantizedNetwork) PredictOne(x []float64) (class int, msp float64) {
-	logits := q.LogitsOne(x)
-	probs := tensor.Softmax(logits)
-	return tensor.ArgMax(probs)
 }
 
 // Accuracy evaluates classification accuracy on (x, labels).

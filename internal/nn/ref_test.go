@@ -104,8 +104,8 @@ func (r *bnRef) forward(x *tensor.Matrix, mode Mode, fused bool) (*tensor.Matrix
 	r.batched = mode != Eval && x.Rows > 1
 	mean, variance := r.runMean, r.runVar
 	if r.batched {
-		mean = x.ColMeans()
-		variance = x.ColVariances(mean)
+		mean = x.ColMeansInto(make([]float64, x.Cols))
+		variance = x.ColVariancesInto(make([]float64, x.Cols), mean)
 		m := r.momentum
 		for j := range r.runMean {
 			r.runMean[j] = (1-m)*r.runMean[j] + m*mean[j]

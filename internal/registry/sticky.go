@@ -45,17 +45,10 @@ func StickyFraction(deviceID, salt string) float64 {
 	return float64(h>>11) / (1 << 53)
 }
 
-// InRamp reports whether a device is inside a percentage ramp: true iff
-// its sticky fraction falls below percent/100. percent ≤ 0 admits no
-// device; percent ≥ 100 admits every device. Because the fraction is
-// fixed per (device, salt), the admitted set at q% is a strict superset
-// of the set at p% for p < q.
-func InRamp(deviceID, salt string, percent float64) bool {
-	if percent <= 0 {
-		return false
-	}
-	if percent >= 100 {
-		return true
-	}
-	return StickyFraction(deviceID, salt)*100 < percent
-}
+// InRamp reports whether a device whose sticky fraction is frac (see
+// StickyFraction) is inside a percentage ramp: true iff frac falls below
+// percent/100. As frac lies in [0,1), percent ≤ 0 admits no device and
+// percent ≥ 100 admits every device. Because the fraction is fixed per
+// (device, salt), the admitted set at q% is a strict superset of the
+// set at p% for p < q.
+func InRamp(frac, percent float64) bool { return frac*100 < percent }

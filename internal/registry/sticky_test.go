@@ -40,8 +40,8 @@ func TestStickyFractionPure(t *testing.T) {
 	same := 0
 	ids := genDeviceIDs(5000, 2)
 	for _, id := range ids {
-		inA := InRamp(id, "saltA", 10)
-		inB := InRamp(id, "saltB", 10)
+		inA := InRamp(StickyFraction(id, "saltA"), 10)
+		inB := InRamp(StickyFraction(id, "saltB"), 10)
 		if inA && inB {
 			same++
 		}
@@ -73,8 +73,8 @@ func TestStickyRampReassignsOnlyDelta(t *testing.T) {
 	for _, r := range ramps {
 		var atP, atQ, flippedOff, newly int
 		for _, id := range ids {
-			inP := InRamp(id, "cand", r.p)
-			inQ := InRamp(id, "cand", r.q)
+			inP := InRamp(StickyFraction(id, "cand"), r.p)
+			inQ := InRamp(StickyFraction(id, "cand"), r.q)
 			if inP {
 				atP++
 			}
@@ -121,7 +121,7 @@ func TestStickyAcrossPoolWidths(t *testing.T) {
 			go func() {
 				defer wg.Done()
 				for i := lo; i < hi; i++ {
-					out[i] = InRamp(ids[i], "cand", 25)
+					out[i] = InRamp(StickyFraction(ids[i], "cand"), 25)
 				}
 			}()
 		}

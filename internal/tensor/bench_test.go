@@ -59,7 +59,7 @@ func BenchmarkMatMul(b *testing.B) { benchOrientation(b, MatMul, matMulRef) }
 func BenchmarkMatMulATB(b *testing.B) { benchOrientation(b, MatMulATB, matMulATBRef) }
 
 // BenchmarkMatMulBiasReLU compares the fused dense-forward kernel
-// against the unfused MatMul + AddRowVector + clamp sequence it
+// against the unfused MatMul + addRowVector + clamp sequence it
 // replaces.
 func BenchmarkMatMulBiasReLU(b *testing.B) {
 	const m, k, n = 64, 96, 96
@@ -76,7 +76,7 @@ func BenchmarkMatMulBiasReLU(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			MatMul(dst, a, bm)
-			dst.AddRowVector(bias)
+			dst.addRowVector(bias)
 			for j, v := range dst.Data {
 				if v > 0 {
 					mask[j] = true

@@ -125,8 +125,8 @@ func matMulATBBlocked(dst, a, b *Matrix, lo, hi int) {
 // applying ReLU in the same pass. mask, when non-nil, receives the ReLU
 // activation mask (mask[i*n+j] reports whether the pre-activation was
 // positive). The accumulation is the plain MatMul kernel; bias/ReLU run
-// as a row epilogue, so dst is bit-identical to MatMul + AddRowVector
-// (+ ReLU).
+// as a row epilogue, so dst is bit-identical to MatMul followed by a
+// per-row bias add (+ ReLU).
 func matMulBiasRange(dst, a, b *Matrix, bias []float64, relu bool, mask []bool, lo, hi int) {
 	n := b.Cols
 	kk := a.Cols

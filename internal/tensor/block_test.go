@@ -144,8 +144,8 @@ func TestMatMulKernelsMatchReferenceBitIdentical(t *testing.T) {
 				MatMul(got, a, b)
 				matricesBitIdentical(t, "MatMul "+ctx, got, want)
 
-				// MatMulBias == MatMul + AddRowVector, bit-identical.
-				want.AddRowVector(bias)
+				// MatMulBias == MatMul + addRowVector, bit-identical.
+				want.addRowVector(bias)
 				MatMulBias(got, a, b, bias)
 				matricesBitIdentical(t, "MatMulBias "+ctx, got, want)
 
@@ -176,7 +176,7 @@ func TestMatMulKernelsMatchReferenceBitIdentical(t *testing.T) {
 				wantABT := New(sh.m, sh.n)
 				matMulABTRef(wantABT, a, bt)
 				gotABT := New(sh.m, sh.n)
-				MatMul(gotABT, a, bt.T())
+				MatMul(gotABT, a, bt.transposed())
 				matricesBitIdentical(t, "MatMul(a, btᵀ) "+ctx, gotABT, wantABT)
 			})
 		})
@@ -235,7 +235,7 @@ func FuzzMatMulKernels(f *testing.F) {
 		fillFuzz(bt, rng, false)
 		fillFuzz(at, rng, true)
 		fillFuzz(binf, rng, true)
-		btT := bt.T()
+		btT := bt.transposed()
 
 		check := func(op, ctx string, got, want *Matrix) {
 			t.Helper()

@@ -165,11 +165,6 @@ func QuantizeI8VecTo(dst []int8, src []float64, scale float64) int {
 	return sat
 }
 
-// At returns the dequantized float value at (i, j).
-func (q *I8Matrix) At(i, j int) float64 {
-	return float64(q.Data[i*q.Cols+j]) * q.Scales[j]
-}
-
 // SizeBytes returns the packed storage footprint: one byte per code
 // plus the per-column float scales.
 func (q *I8Matrix) SizeBytes() int { return len(q.Data) + 8*len(q.Scales) }
@@ -615,13 +610,6 @@ func i8Dispatch(a []int8, m int, w *I8Matrix, out i8Out) int {
 
 var i8SatPool sync.Pool
 
-// I8MatMulI32 computes dst = a·w over int8 codes into int32
-// accumulators: a is m×w.Rows (row-major codes), dst is m×w.Cols.
-func I8MatMulI32(dst []int32, a []int8, m int, w *I8Matrix) {
-	i8CheckArgs("I8MatMulI32", a, m, w, len(dst))
-	i8Dispatch(a, m, w, i8Out{i32: dst})
-}
-
 // I8MatMulBiasReLU is the fused quantized layer op: accumulate a·w in
 // int32, then requantize each output straight back to an int8 code as
 // round(acc·mul[j] + fbias[j]) clamped to [-127, 127], with an optional
@@ -637,17 +625,6 @@ func I8MatMulBiasReLU(dst []int8, a []int8, m int, w *I8Matrix, mul, fbias []flo
 	return i8Dispatch(a, m, w, i8Out{q8: dst, mul: mul, fbias: fbias, relu: relu})
 }
 
-// I8MatMulBiasReLURef is the sequential reference oracle for
-// I8MatMulBiasReLU: naive accumulation into the same shared epilogue,
-// bit-identical including the saturation count. It is exported only
-// because package nn's quantized-network oracle (a _test.go file there)
-// needs it; product code calls I8MatMulBiasReLU.
-func I8MatMulBiasReLURef(dst []int8, a []int8, m int, w *I8Matrix, mul, fbias []float64, relu bool) int {
-	i8CheckArgs("I8MatMulBiasReLURef", a, m, w, len(dst))
-	i8CheckEpilogue("I8MatMulBiasReLURef", mul, fbias, w.Cols)
-	return i8RowsRange(a, w, i8Out{q8: dst, mul: mul, fbias: fbias, relu: relu}, false, 0, m)
-}
-
 // I8MatMulBiasFloat is the fused final-layer op: accumulate a·w in
 // int32 and dequantize each output to float64 as acc·mul[j] + fbias[j]
 // (logit-layer consumers — softmax, MSP scoring — need float, and
@@ -656,13 +633,4 @@ func I8MatMulBiasFloat(dst []float64, a []int8, m int, w *I8Matrix, mul, fbias [
 	i8CheckArgs("I8MatMulBiasFloat", a, m, w, len(dst))
 	i8CheckEpilogue("I8MatMulBiasFloat", mul, fbias, w.Cols)
 	i8Dispatch(a, m, w, i8Out{f64: dst, mul: mul, fbias: fbias})
-}
-
-// I8MatMulBiasFloatRef is the sequential reference oracle for
-// I8MatMulBiasFloat, exported only for package nn's quantized-network
-// oracle (a _test.go file there); product code calls I8MatMulBiasFloat.
-func I8MatMulBiasFloatRef(dst []float64, a []int8, m int, w *I8Matrix, mul, fbias []float64) {
-	i8CheckArgs("I8MatMulBiasFloatRef", a, m, w, len(dst))
-	i8CheckEpilogue("I8MatMulBiasFloatRef", mul, fbias, w.Cols)
-	i8RowsRange(a, w, i8Out{f64: dst, mul: mul, fbias: fbias}, false, 0, m)
 }

@@ -55,7 +55,7 @@ func TestI8MatMulI32Differential(t *testing.T) {
 			a := randI8Codes(rng, s.m*s.k)
 			got := make([]int32, s.m*s.n)
 			want := make([]int32, s.m*s.n)
-			I8MatMulI32(got, a, s.m, w)
+			i8MatMulI32(got, a, s.m, w)
 			i8MatMulI32Ref(want, a, s.m, w)
 			for i := range got {
 				if got[i] != want[i] {
@@ -89,7 +89,7 @@ func TestI8MatMulBiasReLUDifferential(t *testing.T) {
 				got := make([]int8, s.m*s.n)
 				want := make([]int8, s.m*s.n)
 				gotSat := I8MatMulBiasReLU(got, a, s.m, w, mul, fbias, relu)
-				wantSat := I8MatMulBiasReLURef(want, a, s.m, w, mul, fbias, relu)
+				wantSat := i8MatMulBiasReLURef(want, a, s.m, w, mul, fbias, relu)
 				for i := range got {
 					if got[i] != want[i] {
 						t.Fatalf("width %d shape %dx%dx%d relu=%v: code[%d] = %d, ref %d",
@@ -123,7 +123,7 @@ func TestI8MatMulBiasFloatDifferential(t *testing.T) {
 		got := make([]float64, s.m*s.n)
 		want := make([]float64, s.m*s.n)
 		I8MatMulBiasFloat(got, a, s.m, w, mul, fbias)
-		I8MatMulBiasFloatRef(want, a, s.m, w, mul, fbias)
+		i8MatMulBiasFloatRef(want, a, s.m, w, mul, fbias)
 		for i := range got {
 			if got[i] != want[i] {
 				t.Fatalf("shape %dx%dx%d: logit[%d] = %v, ref %v",
@@ -194,7 +194,7 @@ func TestQuantizeI8Roundtrip(t *testing.T) {
 		}
 		for i := 0; i < w.Rows; i++ {
 			src := w.Data[i*w.Cols+j]
-			back := q.At(i, j)
+			back := q.at(i, j)
 			if math.Abs(back-src) > q.Scales[j]/2+1e-12 {
 				t.Fatalf("col %d row %d: dequant %v vs %v exceeds half-step %v",
 					j, i, back, src, q.Scales[j]/2)
@@ -283,7 +283,7 @@ func TestI8ConcurrentUse(t *testing.T) {
 		mul[j] = 1.0 / k
 	}
 	want := make([]int8, m*n)
-	I8MatMulBiasReLURef(want, a, m, w, mul, fbias, true)
+	i8MatMulBiasReLURef(want, a, m, w, mul, fbias, true)
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
@@ -323,7 +323,7 @@ func TestI8ChunkBoundaryExact(t *testing.T) {
 	}
 	got := make([]int32, n)
 	want := make([]int32, n)
-	I8MatMulI32(got, a, 1, w)
+	i8MatMulI32(got, a, 1, w)
 	i8MatMulI32Ref(want, a, 1, w)
 	for j := range got {
 		if got[j] != want[j] {
@@ -344,8 +344,8 @@ func TestI8MatrixSizeBytes(t *testing.T) {
 func TestI8ArgPanics(t *testing.T) {
 	w := NewI8Matrix(4, 4)
 	for name, fn := range map[string]func(){
-		"badA":   func() { I8MatMulI32(make([]int32, 4), make([]int8, 3), 1, w) },
-		"badDst": func() { I8MatMulI32(make([]int32, 3), make([]int8, 4), 1, w) },
+		"badA":   func() { i8MatMulI32(make([]int32, 4), make([]int8, 3), 1, w) },
+		"badDst": func() { i8MatMulI32(make([]int32, 3), make([]int8, 4), 1, w) },
 		"badMul": func() {
 			I8MatMulBiasReLU(make([]int8, 4), make([]int8, 4), 1, w, make([]float64, 3), make([]float64, 4), false)
 		},

@@ -63,9 +63,6 @@ func FromRows(rows [][]float64) *Matrix {
 // At returns the element at row i, column j.
 func (m *Matrix) At(i, j int) float64 { return m.Data[i*m.Cols+j] }
 
-// Set stores v at row i, column j.
-func (m *Matrix) Set(i, j int, v float64) { m.Data[i*m.Cols+j] = v }
-
 // Row returns a view (not a copy) of row i.
 func (m *Matrix) Row(i int) []float64 { return m.Data[i*m.Cols : (i+1)*m.Cols] }
 
@@ -74,12 +71,6 @@ func (m *Matrix) Clone() *Matrix {
 	c := New(m.Rows, m.Cols)
 	copy(c.Data, m.Data)
 	return c
-}
-
-// CopyFrom copies src's contents into m; shapes must match.
-func (m *Matrix) CopyFrom(src *Matrix) {
-	m.mustSameShape(src, "CopyFrom")
-	copy(m.Data, src.Data)
 }
 
 // Reshape resizes m to rows×cols reusing its backing storage when the
@@ -132,14 +123,6 @@ func (m *Matrix) Add(o *Matrix) {
 	}
 }
 
-// Sub subtracts o from m elementwise.
-func (m *Matrix) Sub(o *Matrix) {
-	m.mustSameShape(o, "Sub")
-	for i, v := range o.Data {
-		m.Data[i] -= v
-	}
-}
-
 // Scale multiplies every element of m by s.
 func (m *Matrix) Scale(s float64) {
 	for i := range m.Data {
@@ -154,24 +137,6 @@ func (m *Matrix) AddScaled(o *Matrix, s float64) {
 		m.Data[i] += s * v
 	}
 }
-
-// Hadamard multiplies m by o elementwise.
-func (m *Matrix) Hadamard(o *Matrix) {
-	m.mustSameShape(o, "Hadamard")
-	for i, v := range o.Data {
-		m.Data[i] *= v
-	}
-}
-
-// Apply replaces every element x with f(x).
-func (m *Matrix) Apply(f func(float64) float64) {
-	for i, v := range m.Data {
-		m.Data[i] = f(v)
-	}
-}
-
-// T returns a newly allocated transpose of m.
-func (m *Matrix) T() *Matrix { return m.TransposeInto(New(m.Cols, m.Rows)) }
 
 // TransposeInto writes mᵀ into dst, which must be pre-shaped to
 // m.Cols×m.Rows and must not alias m, and returns dst.
@@ -219,7 +184,7 @@ func MatMul(dst, a, b *Matrix) {
 
 // MatMulBias computes dst = a·b with bias (length b.Cols) added to
 // every row in the kernel epilogue — one pass over dst instead of a
-// matmul followed by AddRowVector, bit-identical to that sequence.
+// matmul followed by a per-row bias add, bit-identical to that sequence.
 func MatMulBias(dst, a, b *Matrix, bias []float64) {
 	matMulBiasDispatch(dst, a, b, bias, false, nil, "MatMulBias")
 }
@@ -487,24 +452,6 @@ func seqChunk(n int) int {
 // parallelRows splits [0,rows) across the worker pool and waits.
 func parallelRows(rows int, f func(lo, hi int)) { ParallelFor(rows, f) }
 
-// AddRowVector adds the length-Cols vector v to every row of m.
-func (m *Matrix) AddRowVector(v []float64) {
-	if len(v) != m.Cols {
-		panic(fmt.Sprintf("tensor: AddRowVector len %d != cols %d", len(v), m.Cols))
-	}
-	for i := 0; i < m.Rows; i++ {
-		row := m.Row(i)
-		for j, b := range v {
-			row[j] += b
-		}
-	}
-}
-
-// ColSums returns the per-column sums of m as a length-Cols slice.
-func (m *Matrix) ColSums() []float64 {
-	return m.ColSumsInto(make([]float64, m.Cols))
-}
-
 // ColSumsInto writes the per-column sums of m into dst (length Cols)
 // and returns it — the allocation-free variant for reused scratch.
 func (m *Matrix) ColSumsInto(dst []float64) []float64 {
@@ -523,11 +470,6 @@ func (m *Matrix) ColSumsInto(dst []float64) []float64 {
 	return dst
 }
 
-// ColMeans returns the per-column means of m.
-func (m *Matrix) ColMeans() []float64 {
-	return m.ColMeansInto(make([]float64, m.Cols))
-}
-
 // ColMeansInto writes the per-column means of m into dst and returns
 // it.
 func (m *Matrix) ColMeansInto(dst []float64) []float64 {
@@ -540,12 +482,6 @@ func (m *Matrix) ColMeansInto(dst []float64) []float64 {
 		dst[j] *= inv
 	}
 	return dst
-}
-
-// ColVariances returns the per-column (biased) variances of m given the
-// precomputed column means.
-func (m *Matrix) ColVariances(means []float64) []float64 {
-	return m.ColVariancesInto(make([]float64, m.Cols), means)
 }
 
 // ColVariancesInto writes the per-column (biased) variances of m into
@@ -583,14 +519,6 @@ func SoftmaxTo(dst, v []float64) []float64 {
 	copy(dst, v)
 	SoftmaxInPlace(dst)
 	return dst
-}
-
-// SoftmaxRows overwrites every row of m with its numerically stable
-// softmax.
-func (m *Matrix) SoftmaxRows() {
-	for i := 0; i < m.Rows; i++ {
-		SoftmaxInPlace(m.Row(i))
-	}
 }
 
 // SoftmaxInPlace overwrites v with softmax(v) using the max-subtraction
@@ -662,18 +590,6 @@ func ArgMax(v []float64) (int, float64) {
 func Max(v []float64) float64 {
 	_, m := ArgMax(v)
 	return m
-}
-
-// Dot returns the inner product of equal-length a and b.
-func Dot(a, b []float64) float64 {
-	if len(a) != len(b) {
-		panic(fmt.Sprintf("tensor: Dot length %d != %d", len(a), len(b)))
-	}
-	var s float64
-	for i, x := range a {
-		s += x * b[i]
-	}
-	return s
 }
 
 // Norm2 returns the Euclidean norm of v.

@@ -19,13 +19,6 @@ func (m *Matrix) RandNormal(rng *rand.Rand, mean, std float64) {
 	}
 }
 
-// RandUniform fills m with i.i.d. U[lo,hi) samples from rng.
-func (m *Matrix) RandUniform(rng *rand.Rand, lo, hi float64) {
-	for i := range m.Data {
-		m.Data[i] = lo + (hi-lo)*rng.Float64()
-	}
-}
-
 // HeInit fills m with the He/Kaiming initialization suited to ReLU
 // networks: N(0, sqrt(2/fanIn)).
 func (m *Matrix) HeInit(rng *rand.Rand, fanIn int) {

@@ -167,29 +167,3 @@ func PutI8Workspace(w *I8Workspace) {
 	wsPuts.Add(1)
 	i8WorkspacePool.Put(w)
 }
-
-// Workspace is a convenience handle over the arena that remembers what
-// it lent out so one Release call returns everything — the pattern for
-// functions that need several scratch matrices with a common lifetime.
-// The zero value is ready to use. A Workspace is NOT safe for
-// concurrent use; the underlying arena is.
-type Workspace struct {
-	lent []*Matrix
-}
-
-// Get returns a zeroed rows×cols scratch matrix owned by the workspace.
-func (w *Workspace) Get(rows, cols int) *Matrix {
-	m := GetMatrix(rows, cols)
-	w.lent = append(w.lent, m)
-	return m
-}
-
-// Release returns every matrix obtained through Get to the arena. The
-// workspace is reusable afterwards.
-func (w *Workspace) Release() {
-	for i, m := range w.lent {
-		PutMatrix(m)
-		w.lent[i] = nil
-	}
-	w.lent = w.lent[:0]
-}

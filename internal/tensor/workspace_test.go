@@ -56,28 +56,6 @@ func TestWorkspaceStatsProgress(t *testing.T) {
 	}
 }
 
-func TestWorkspaceHandleReleasesAll(t *testing.T) {
-	var w Workspace
-	a := w.Get(2, 2)
-	b := w.Get(300, 5)
-	a.Fill(1)
-	b.Fill(2)
-	before := ReadWorkspaceStats()
-	w.Release()
-	after := ReadWorkspaceStats()
-	if after.Puts-before.Puts != 2 {
-		t.Fatalf("Release returned %d matrices, want 2", after.Puts-before.Puts)
-	}
-	// The handle must be reusable after Release.
-	c := w.Get(2, 2)
-	for _, v := range c.Data {
-		if v != 0 {
-			t.Fatal("matrix from reused workspace not zeroed")
-		}
-	}
-	w.Release()
-}
-
 func TestWorkspaceOversizedFallsThrough(t *testing.T) {
 	// Shapes beyond the largest size class still work; they are simply
 	// not pooled.
@@ -96,15 +74,21 @@ func TestWorkspaceConcurrentSmoke(t *testing.T) {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			var w Workspace
+			var lent []*Matrix
 			for i := 0; i < 200; i++ {
-				m := w.Get(g+1, i%17+1)
+				m := GetMatrix(g+1, i%17+1)
 				m.Fill(float64(g))
+				lent = append(lent, m)
 				if i%5 == 0 {
-					w.Release()
+					for _, m := range lent {
+						PutMatrix(m)
+					}
+					lent = lent[:0]
 				}
 			}
-			w.Release()
+			for _, m := range lent {
+				PutMatrix(m)
+			}
 		}(g)
 	}
 	wg.Wait()

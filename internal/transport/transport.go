@@ -79,8 +79,8 @@ type Config struct {
 	// OnDrop, if set, is called per entry lost before acknowledgment
 	// (reason "spool_full" or "rejected").
 	OnDrop func(entry driftlog.Entry, reason string)
-	// HTTPTransport overrides the underlying RoundTripper — the seam
-	// where faultinject.Injector.RoundTripper plugs in.
+	// HTTPTransport overrides the underlying RoundTripper — the seam a
+	// client-side wrapper (a tracing span, say) plugs into.
 	HTTPTransport http.RoundTripper
 	// Now and Sleep inject the clock (tests run the retry/breaker
 	// machinery on a fake clock with zero wall-time sleeps).
@@ -185,7 +185,7 @@ type Client struct {
 }
 
 // Option customizes NewClient (functional options, consistent with
-// cloud.WithClock / httpapi.WithRegistry).
+// cloud.WithObserver / httpapi.WithRegistry).
 type Option func(*clientOptions)
 
 type clientOptions struct {

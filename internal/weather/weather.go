@@ -30,12 +30,6 @@ const (
 	Fog      Condition = "fog"
 )
 
-// DriftConditions are the conditions that trigger a weather drift.
-var DriftConditions = []Condition{Rain, Snow, Fog}
-
-// IsDrift reports whether the condition applies a corruption to images.
-func (c Condition) IsDrift() bool { return c != ClearDay }
-
 // Evaluation window (the paper emulates both datasets over this range).
 var (
 	// Start is January 1, 2020 (UTC).
@@ -140,33 +134,6 @@ func (g *Generator) ConditionAt(location string, t time.Time) (Condition, error)
 			t.Format("2006-01-02"), Start.Format("2006-01-02"), End.Format("2006-01-02"))
 	}
 	return g.SeriesFor(location)[d], nil
-}
-
-// DriftDayFraction returns the fraction of location-days in the window
-// with a drift condition, across the given locations.
-func (g *Generator) DriftDayFraction(locations []string) float64 {
-	if len(locations) == 0 {
-		return 0
-	}
-	total, drift := 0, 0
-	for _, loc := range locations {
-		for _, c := range g.SeriesFor(loc) {
-			total++
-			if c.IsDrift() {
-				drift++
-			}
-		}
-	}
-	return float64(drift) / float64(total)
-}
-
-// ConditionCounts tallies each condition over the window for a location.
-func (g *Generator) ConditionCounts(location string) map[Condition]int {
-	counts := map[Condition]int{}
-	for _, c := range g.SeriesFor(location) {
-		counts[c]++
-	}
-	return counts
 }
 
 func hash(seed uint64, label string) uint64 {

@@ -77,8 +77,8 @@ func TestConditionAtBounds(t *testing.T) {
 
 func TestDriftDayFractionInPaperRange(t *testing.T) {
 	g := NewGenerator(1)
-	city := g.DriftDayFraction(CityscapesLocations)
-	animals := g.DriftDayFraction(AnimalsLocations)
+	city := driftDayFraction(g, CityscapesLocations)
+	animals := driftDayFraction(g, AnimalsLocations)
 	// Paper: 29% (cityscapes) and 36% (animals). Require the generator
 	// to land in a plausible band around those.
 	for name, f := range map[string]float64{"cityscapes": city, "animals": animals} {
@@ -134,7 +134,7 @@ func TestPersistence(t *testing.T) {
 
 func TestConditionCounts(t *testing.T) {
 	g := NewGenerator(5)
-	counts := g.ConditionCounts("Quebec")
+	counts := conditionCounts(g, "Quebec")
 	total := 0
 	for _, n := range counts {
 		total += n
@@ -148,11 +148,11 @@ func TestConditionCounts(t *testing.T) {
 }
 
 func TestIsDrift(t *testing.T) {
-	if ClearDay.IsDrift() {
+	if ClearDay.isDrift() {
 		t.Fatal("clear-day is not drift")
 	}
-	for _, c := range DriftConditions {
-		if !c.IsDrift() {
+	for _, c := range []Condition{Rain, Snow, Fog} {
+		if !c.isDrift() {
 			t.Fatalf("%s should be drift", c)
 		}
 	}
@@ -179,3 +179,33 @@ func TestDayArithmetic(t *testing.T) {
 		t.Fatalf("Day(31) = %v, want %v", Day(31), want)
 	}
 }
+
+// driftDayFraction returns the fraction of location-days in the window
+// with a drift condition, across the given locations.
+func driftDayFraction(g *Generator, locations []string) float64 {
+	if len(locations) == 0 {
+		return 0
+	}
+	total, drift := 0, 0
+	for _, loc := range locations {
+		for _, c := range g.SeriesFor(loc) {
+			total++
+			if c.isDrift() {
+				drift++
+			}
+		}
+	}
+	return float64(drift) / float64(total)
+}
+
+// conditionCounts tallies each condition over the window for a location.
+func conditionCounts(g *Generator, location string) map[Condition]int {
+	counts := map[Condition]int{}
+	for _, c := range g.SeriesFor(location) {
+		counts[c]++
+	}
+	return counts
+}
+
+// isDrift reports whether the condition applies a corruption to images.
+func (c Condition) isDrift() bool { return c != ClearDay }
