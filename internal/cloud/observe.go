@@ -56,7 +56,6 @@ import (
 //	nazar_driftlog_shard_rows{shard=} per-shard occupancy
 //	nazar_driftlog_attributes         distinct attribute names
 //	nazar_driftlog_compacted_rows     rows removed by retention
-//	nazar_driftlog_unsorted_shards    shards with out-of-order timestamps
 //	nazar_driftlog_age_seconds{bound="oldest"|"newest"}
 //	nazar_samples_retained            drift-log rows holding a vector
 //	nazar_samples_added               vectors appended to the drift log
@@ -178,8 +177,6 @@ func (m *Metrics) observeStores(s *Service) {
 	})
 	reg.GaugeFunc("nazar_driftlog_rows", "Current drift-log rows.",
 		func() float64 { return float64(log.Len()) })
-	reg.GaugeFunc("nazar_driftlog_unsorted_shards", "Shards whose row timestamps are out of order (interleaved writers): their windows are built by row scan, not binary search.",
-		func() float64 { return float64(logStats.Load().UnsortedShards) })
 	reg.GaugeFunc("nazar_driftlog_attributes", "Distinct attribute names seen.",
 		func() float64 { return float64(logStats.Load().Attributes) })
 	reg.GaugeFunc("nazar_driftlog_compacted_rows", "Rows removed by retention compaction.",

@@ -233,3 +233,32 @@ func BenchmarkSampleIDs(b *testing.B) {
 		b.ReportMetric(rowsSpanned(v), "rows-visited")
 	})
 }
+
+// BenchmarkWindow measures creating a view over the newest 1/40 of a log
+// whose shards are time-sorted or written by two interleaved writers — what
+// an analysis cycle pays before its first query. times-read is the
+// timestamps the window build read (the rows of the words its bound cuts),
+// to be read against the rows the log holds.
+func BenchmarkWindow(b *testing.B) {
+	for _, order := range []struct {
+		name        string
+		interleaved bool
+	}{{"sorted", false}, {"two-writer", true}} {
+		for _, size := range []struct {
+			name string
+			rows int
+		}{{"64k", 1 << 16}, {"1M", 1 << 20}} {
+			b.Run(order.name+"/"+size.name, func(b *testing.B) {
+				s := windowStore(size.rows, order.interleaved)
+				from := time.Unix(0, int64(size.rows-size.rows/40)*int64(time.Millisecond))
+				var v *View
+				b.ReportAllocs()
+				b.ResetTimer()
+				for range b.N {
+					v = s.Window(from, time.Time{})
+				}
+				b.ReportMetric(float64(timesRead(v)), "times-read")
+			})
+		}
+	}
+}

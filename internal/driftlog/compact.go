@@ -21,18 +21,17 @@ func (s *Store) Compact(cutoff time.Time) int {
 	for si := range s.shards {
 		sh := &s.shards[si]
 		sh.mu.Lock()
+		if len(sh.times) == 0 || sh.minTime >= limit {
+			sh.mu.Unlock()
+			continue // nothing expires
+		}
 		keep := make([]int, 0, len(sh.times))
 		for i, t := range sh.times {
 			if t >= limit {
 				keep = append(keep, i)
 			}
 		}
-		dropped := len(sh.times) - len(keep)
-		if dropped == 0 {
-			sh.mu.Unlock()
-			continue
-		}
-		removed += dropped
+		removed += len(sh.times) - len(keep)
 		newSeqs := make([]int64, len(keep))
 		newTimes := make([]int64, len(keep))
 		newDrift := make([]bool, len(keep))
@@ -80,8 +79,9 @@ func (s *Store) Compact(cutoff time.Time) int {
 		}
 		sh.seqs, sh.times, sh.drift, sh.samples = newSeqs, newTimes, newDrift, newSamples
 		sh.sampleRows, sh.sampleVecs = newSampleRows, newSampleVecs
+		sh.wmin, sh.wmax = wordBounds(newTimes)
 		if len(newTimes) > 0 {
-			sh.minTime = slices.Min(newTimes) // maxTime is a kept row's: only older rows drop
+			sh.minTime = slices.Min(sh.wmin) // maxTime is a kept row's: only older rows drop
 		}
 		sh.driftBits = newDriftBits
 		sh.cols = newCols
@@ -93,6 +93,18 @@ func (s *Store) Compact(cutoff time.Time) int {
 	}
 	s.compacted.Add(int64(removed))
 	return removed
+}
+
+// wordBounds returns the time bounds of every 64-row word of times (see
+// shard.wmin), in new slices: views may still pin the old ones.
+func wordBounds(times []int64) (wmin, wmax []int64) {
+	n := (len(times) + 63) >> 6
+	wmin, wmax = make([]int64, n), make([]int64, n)
+	for w := range wmin {
+		rows := times[w<<6 : min(len(times), w<<6+64)]
+		wmin[w], wmax[w] = slices.Min(rows), slices.Max(rows)
+	}
+	return wmin, wmax
 }
 
 // Compactions counts Compact calls that removed rows — the generation

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -24,9 +25,16 @@ func randomStore(r *rand.Rand, n int) *Store {
 }
 
 // appendRandom appends n of randomStore's rows to s.
-func appendRandom(s *Store, r *rand.Rand, n int) {
+func appendRandom(s *Store, r *rand.Rand, n int) { appendRandomTimed(s, r, n, false) }
+
+// appendRandomTimed is appendRandom with, when nearlySorted, the store's
+// g-th row stamped second g^8 instead of a random second: two writers
+// whose 8-row batches land alternately, so each shard's times rise with
+// local inversions, the shape real clients leave.
+func appendRandomTimed(s *Store, r *rand.Rand, n int, nearlySorted bool) {
 	devs := r.Intn(80) + 1
 	base := time.Unix(0, 0).UTC()
+	start := s.Len()
 	var batch []Entry
 	for i := 0; i < n; i++ {
 		attrs := map[string]string{}
@@ -44,6 +52,9 @@ func appendRandom(s *Store, r *rand.Rand, n int) {
 			Drift:    r.Float64() < 0.3,
 			SampleID: -1,
 			Attrs:    attrs,
+		}
+		if nearlySorted {
+			e.Time = base.Add(time.Duration((start+i)^8) * time.Second)
 		}
 		if i%7 == 0 {
 			e.SampleID = int64(i)
@@ -426,10 +437,12 @@ func longStore(sorted bool) *Store {
 
 // TestSmallWindowsOfLongShards checks every aggregate and SampleIDs against
 // the scan reference on windows that are a suffix, a middle slice, a single
-// bitmap word and nothing at all of shards ≥ 64 words long — the shapes
-// whose bitset loops and row walks run over [wlo, whi) instead of the whole
-// shard — on time-sorted shards and on shards unsorted by interleaved
-// writers, for conditions on bitmap columns and on the tiered attribute.
+// bitmap word, nothing at all and ragged slices whose bounds fall inside
+// words of shards ≥ 64 words long — the shapes whose bitset loops and row
+// walks run over [wlo, whi) instead of the whole shard — on time-sorted
+// shards and on shards unsorted by interleaved writers, for conditions on
+// bitmap columns and on the tiered attribute; then again after a Compact
+// whose cutoff falls inside words, which rebuilds the word time bounds.
 func TestSmallWindowsOfLongShards(t *testing.T) {
 	base := time.Unix(0, 0).UTC()
 	windows := []struct {
@@ -440,6 +453,8 @@ func TestSmallWindowsOfLongShards(t *testing.T) {
 		{"middle", base.Add(9000 * time.Second), base.Add(13000 * time.Second)},
 		{"single-word", base.Add(12000 * time.Second), base.Add(12020 * time.Second)},
 		{"empty", base.Add(50000 * time.Second), base.Add(60000 * time.Second)},
+		{"ragged", base.Add(9001*time.Second + time.Millisecond), base.Add(12345 * time.Second)},
+		{"ragged-prefix", time.Time{}, base.Add(7777 * time.Second)},
 	}
 	// The ClearDrift sequence runs in this order: the empty condition clears
 	// every flag that is left, so it goes last.
@@ -454,48 +469,60 @@ func TestSmallWindowsOfLongShards(t *testing.T) {
 		if got := s.SketchedAttrs(); len(got) != 1 || got[0] != "app_version" {
 			t.Fatalf("SketchedAttrs = %v, want [app_version]", got)
 		}
-		for _, w := range windows {
-			t.Run(fmt.Sprintf("sorted=%v/%s", sorted, w.name), func(t *testing.T) {
-				vb := s.Window(w.from, w.to)
-				long := 0
-				for si := range vb.shards {
-					sh := &vb.shards[si]
-					if sh.fullWords < 64 {
-						continue
-					}
-					long++
-					if sh.sorted != sorted {
-						t.Fatalf("shard %d: sorted=%v, want %v", si, sh.sorted, sorted)
-					}
-					if first := sh.window.word(0, sh.fullWords); w.name != "empty" && first == 0 && sh.wlo == 0 {
-						t.Fatalf("shard %d: window starts past word 0 but loops start at it", si)
-					}
-					if w.name == "single-word" && sh.whi-sh.wlo > 2 {
-						t.Fatalf("shard %d: 20-second window spans words [%d,%d)", si, sh.wlo, sh.whi)
-					}
-				}
-				if long < 3 {
-					t.Fatalf("only %d shards ≥ 64 words", long)
-				}
-				requireViewMatchesScan(t, vb, conds)
-
-				// Since delta of the window: rows past three quarters of every
-				// shard, or admitted by the upper bound moving up from the
-				// window's midpoint.
-				prev := vb.ShardRows()
-				for i := range prev {
-					prev[i] = prev[i] * 3 / 4
-				}
-				from, to := vb.Bounds()
-				prevTo := from/2 + min(to, base.Add(longStoreRows*time.Second).UnixNano())/2
-				db, err := vb.Since(prev, prevTo)
-				if err != nil {
-					t.Fatal(err)
-				}
-				requireViewMatchesScan(t, db, conds)
-			})
+		for _, stage := range []string{"", "compacted/"} {
+			if stage != "" && s.Compact(base.Add(3333*time.Second+time.Millisecond)) == 0 {
+				t.Fatal("Compact removed nothing")
+			}
+			for _, w := range windows {
+				t.Run(fmt.Sprintf("sorted=%v/%s%s", sorted, stage, w.name), func(t *testing.T) {
+					checkLongShardWindow(t, s.Window(w.from, w.to), conds, sorted, w.name)
+				})
+			}
 		}
 	}
+}
+
+// checkLongShardWindow is one TestSmallWindowsOfLongShards case: the shape
+// of the window's word range, then the view and a Since delta of it
+// against the scan reference.
+func checkLongShardWindow(t *testing.T, vb *View, conds [][]Cond, sorted bool, name string) {
+	long := 0
+	for si := range vb.shards {
+		sh := &vb.shards[si]
+		if sh.fullWords < 64 {
+			continue
+		}
+		long++
+		if slices.IsSorted(sh.times) != sorted {
+			t.Fatalf("shard %d: time-sorted %v, want %v", si, !sorted, sorted)
+		}
+		if first := sh.window.word(0, sh.fullWords); name != "empty" && first == 0 && sh.wlo == 0 {
+			t.Fatalf("shard %d: window starts past word 0 but loops start at it", si)
+		}
+		if name == "single-word" && sh.whi-sh.wlo > 2 {
+			t.Fatalf("shard %d: 20-second window spans words [%d,%d)", si, sh.wlo, sh.whi)
+		}
+	}
+	if long < 3 {
+		t.Fatalf("only %d shards ≥ 64 words", long)
+	}
+	requireViewMatchesScan(t, vb, conds)
+
+	// Since delta of the window: rows past three quarters of every
+	// shard, or admitted by the upper bound moving up from the
+	// window's midpoint.
+	prev := vb.ShardRows()
+	for i := range prev {
+		prev[i] = prev[i] * 3 / 4
+	}
+	from, to := vb.Bounds()
+	end := time.Unix(0, 0).Add(longStoreRows * time.Second).UnixNano()
+	prevTo := max(from, 0)/2 + min(to, end)/2
+	db, err := vb.Since(prev, prevTo)
+	if err != nil {
+		t.Fatal(err)
+	}
+	requireViewMatchesScan(t, db, conds)
 }
 
 // requireViewMatchesScan requires a view to agree with the scan reference
@@ -649,30 +676,109 @@ func TestViewConcurrentQueries(t *testing.T) {
 // by n/2 more after a first view pinned it, checked on the grown window and
 // on its Since delta. tier is the tier-up threshold (0: the default, which
 // no attribute reaches), so low values take weather (6 values), location
-// (9) or device (up to 80) off the bitmaps and onto the row walk.
+// (9) or device (up to 80) off the bitmaps and onto the row walk. An odd
+// timeMode stamps the rows nearly sorted (appendRandomTimed), so windows
+// skip, fill and cut words by their time bounds; an even one stamps them
+// at random.
 func FuzzCountDifferential(f *testing.F) {
-	f.Add(int64(1), uint8(7), uint8(0), uint8(0x55), uint8(0))
-	f.Add(int64(42), uint8(64), uint8(1), uint8(0xFF), uint8(0))
-	f.Add(int64(99), uint8(130), uint8(2), uint8(0x06), uint8(0))
-	f.Add(int64(7), uint8(200), uint8(0), uint8(0xFF), uint8(4))
-	f.Add(int64(8), uint8(255), uint8(1), uint8(0x55), uint8(8))
-	f.Fuzz(func(t *testing.T, seed int64, n uint8, windowSel uint8, maskSel uint8, tier uint8) {
-		r := rand.New(rand.NewSource(seed))
-		s := NewStoreWithSketch(SketchConfig{Threshold: int(tier)})
-		appendRandom(s, r, int(n))
-		w := diffWindows()[int(windowSel)%len(diffWindows())]
-		prev := s.Window(w[0], w[1])
-		appendRandom(s, r, int(n)/2)
-		vb := s.Window(w[0], w[1])
-		_, prevTo := prev.Bounds()
-		delta, err := vb.Since(prev.ShardRows(), prevTo)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, v := range []*View{vb, delta} {
+	f.Add(int64(1), uint8(7), uint8(0), uint8(0x55), uint8(0), uint8(0))
+	f.Add(int64(42), uint8(64), uint8(1), uint8(0xFF), uint8(0), uint8(0))
+	f.Add(int64(99), uint8(130), uint8(2), uint8(0x06), uint8(0), uint8(0))
+	f.Add(int64(7), uint8(200), uint8(0), uint8(0xFF), uint8(4), uint8(0))
+	f.Add(int64(8), uint8(255), uint8(1), uint8(0x55), uint8(8), uint8(0))
+	for _, sd := range nearlySortedSeeds {
+		f.Add(sd.seed, sd.n, sd.windowSel, uint8(0x55), sd.tier, uint8(1))
+	}
+	f.Fuzz(func(t *testing.T, seed int64, n uint8, windowSel uint8, maskSel uint8, tier uint8, timeMode uint8) {
+		for _, v := range fuzzCountViews(t, seed, n, windowSel, tier, timeMode) {
 			fuzzCheckView(t, v, seed, maskSel)
 		}
 	})
+}
+
+// nearlySortedSeeds are FuzzCountDifferential's nearly-sorted seeds, chosen
+// so that their grown views and Since deltas hold words of every class
+// buildWindowBM tells apart (TestFuzzCountSeedsCoverWordClasses).
+var nearlySortedSeeds = []struct {
+	seed               int64
+	n, windowSel, tier uint8
+}{
+	{107, 255, 1, 0},
+	{162, 200, 1, 6},
+	{283, 200, 1, 0},
+}
+
+// fuzzCountViews builds FuzzCountDifferential's grown window and its Since
+// delta.
+func fuzzCountViews(t *testing.T, seed int64, n, windowSel, tier, timeMode uint8) []*View {
+	r := rand.New(rand.NewSource(seed))
+	s := NewStoreWithSketch(SketchConfig{Threshold: int(tier)})
+	appendRandomTimed(s, r, int(n), timeMode&1 == 1)
+	w := diffWindows()[int(windowSel)%len(diffWindows())]
+	prev := s.Window(w[0], w[1])
+	appendRandomTimed(s, r, int(n)/2, timeMode&1 == 1)
+	vb := s.Window(w[0], w[1])
+	_, prevTo := prev.Bounds()
+	delta, err := vb.Since(prev.ShardRows(), prevTo)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return []*View{vb, delta}
+}
+
+// TestFuzzCountSeedsCoverWordClasses: every nearly-sorted seed's grown view
+// and Since delta hold a word no row of which is in the view, a word every
+// row of which is, and a word the view cuts, and the window build reads
+// fewer timestamps than the view pins.
+func TestFuzzCountSeedsCoverWordClasses(t *testing.T) {
+	for _, sd := range nearlySortedSeeds {
+		for i, v := range fuzzCountViews(t, sd.seed, sd.n, sd.windowSel, sd.tier, 1) {
+			none, all, cut := wordClasses(v)
+			if read := timesRead(v); none == 0 || all == 0 || cut == 0 || read >= v.total {
+				t.Errorf("seed %+v view %d: %d empty, %d full, %d cut words; %d of %d timestamps read", sd, i, none, all, cut, read, v.total)
+			}
+		}
+	}
+}
+
+// wordClasses counts the view's words by how many of their rows the row
+// predicate admits: none, all, or some.
+func wordClasses(v *View) (none, all, cut int) {
+	for si := range v.shards {
+		n, a, c := v.shards[si].wordClasses(v)
+		none, all, cut = none+n, all+a, cut+c
+	}
+	return none, all, cut
+}
+
+// wordClasses is the function wordClasses for one shard.
+func (vs *viewShard) wordClasses(v *View) (none, all, cut int) {
+	for first := 0; first < vs.rows; first += 64 {
+		in, n := 0, min(64, vs.rows-first)
+		for i := first; i < first+n; i++ {
+			if vs.inWindow(v, i) {
+				in++
+			}
+		}
+		switch in {
+		case 0:
+			none++
+		case n:
+			all++
+		default:
+			cut++
+		}
+	}
+	return none, all, cut
+}
+
+// timesRead is the view's window build's timestamp reads, over every shard.
+func timesRead(v *View) int {
+	n := 0
+	for si := range v.shards {
+		n += v.shards[si].timesRead
+	}
+	return n
 }
 
 // fuzzCheckView is FuzzCountDifferential's check of one view: Count,

@@ -116,25 +116,30 @@ type shard struct {
 	sampleVecs [][]float64
 	cols       map[string]*column
 	order      []string // column names in shard-first-seen order
-	// timeSorted tracks whether the shard's timestamps are monotonically
-	// non-decreasing (true until an out-of-order append), enabling
-	// binary-search window fast paths on views.
-	timeSorted bool
 	// minTime / maxTime bound the shard's timestamps (meaningful only while
 	// the shard holds rows), maintained at append and compaction so Stats
 	// never walks the rows.
 	minTime, maxTime int64
+	// wmin[w] / wmax[w] bound the timestamps of the rows bitmap word w
+	// covers (rows [64w, 64w+64)), so a view builds its window bitmap from
+	// the words, reading timestamps only in the words a bound cuts.
+	wmin, wmax []int64
 }
 
 // noteTime folds one appended row's timestamp into the shard's bounds and
-// sortedness. Must be called before the row is appended to sh.times.
+// its word's. Must be called before the row is appended to sh.times.
 func (sh *shard) noteTime(t int64) {
-	if n := len(sh.times); n == 0 {
+	n := len(sh.times)
+	if n == 0 {
 		sh.minTime, sh.maxTime = t, t
-	} else if t < sh.times[n-1] {
-		sh.timeSorted = false
 	}
 	sh.minTime, sh.maxTime = min(sh.minTime, t), max(sh.maxTime, t)
+	if n&63 == 0 {
+		sh.wmin, sh.wmax = append(sh.wmin, t), append(sh.wmax, t)
+		return
+	}
+	w := n >> 6
+	sh.wmin[w], sh.wmax[w] = min(sh.wmin[w], t), max(sh.wmax[w], t)
 }
 
 // Store is the drift log. It is safe for concurrent use: appends from
@@ -196,7 +201,6 @@ func NewStoreWithSketch(cfg SketchConfig) *Store {
 	s.cutoff.Store(math.MinInt64)
 	for i := range s.shards {
 		s.shards[i].cols = map[string]*column{}
-		s.shards[i].timeSorted = true
 	}
 	return s
 }
@@ -268,10 +272,6 @@ type Stats struct {
 	// names are kept for the composed benchmark.
 	SketchAttrs int
 	SketchBytes int64
-	// UnsortedShards counts shards whose timestamps stopped being
-	// non-decreasing (interleaved writers): views over them materialize
-	// windows by row scan instead of binary search.
-	UnsortedShards int
 }
 
 // Stats returns the current operational snapshot in O(shards × bitmaps):
@@ -306,9 +306,6 @@ func (s *Store) Stats() Stats {
 				newest = sh.maxTime
 			}
 			seen = true
-			if !sh.timeSorted {
-				st.UnsortedShards++
-			}
 		}
 		sh.mu.RUnlock()
 	}
@@ -449,15 +446,19 @@ type viewShard struct {
 	// query costs the words the window spans, not the words the log holds.
 	wlo, whi int
 
+	// wmin / wmax pin the full words' time bounds by reference; tmin / tmax
+	// are the partial tail word's, copied under the shard lock.
+	wmin, wmax []int64
+	tmin, tmax int64
+	// timesRead counts the timestamps buildWindowBM read: the rows of the
+	// words a window bound cuts.
+	timesRead int
+
 	// Delta-view predicate (Since): a row qualifies when it is new
 	// (row index >= minRow) or was previously outside the window's upper
 	// bound (time >= prevTo). Zero minRow accepts every in-window row.
 	minRow int
 	prevTo int64
-
-	// sorted pins the shard's timestamp monotonicity at snapshot time,
-	// enabling binary-search window materialization and edge scans.
-	sorted bool
 }
 
 // View is a read-only window over the store: the rows whose timestamps
@@ -482,12 +483,12 @@ type View struct {
 // view carries a pinned snapshot of the bitset index, so Count,
 // ClearDrift and AttrValueCounts run as word-wise AND + popcount.
 func (s *Store) Window(from, to time.Time) *View {
-	v := &View{attrs: map[string]bool{}}
+	v := &View{from: math.MinInt64, attrs: map[string]bool{}}
 	if !from.IsZero() {
 		v.from = from.UnixNano()
 	}
 	if to.IsZero() {
-		v.to = 1<<63 - 1
+		v.to = math.MaxInt64
 	} else {
 		v.to = to.UnixNano()
 	}
@@ -506,10 +507,13 @@ func (s *Store) Window(from, to time.Time) *View {
 			sampleRows: sh.sampleRows,
 			sampleVecs: sh.sampleVecs,
 			cols:       make(map[string]viewCol, len(sh.cols)),
-			sorted:     sh.timeSorted,
 		}
 		fw := rows >> 6
 		rem := uint(rows & 63)
+		vs.wmin, vs.wmax = sh.wmin[:fw], sh.wmax[:fw]
+		if rem > 0 {
+			vs.tmin, vs.tmax = sh.wmin[fw], sh.wmax[fw]
+		}
 		vs.driftBM = snapBitmap(sh.driftBits, fw, rem)
 		for name, col := range sh.cols {
 			if col.sketched {
@@ -545,103 +549,70 @@ func (s *Store) Window(from, to time.Time) *View {
 	return v
 }
 
-// buildWindowBM materializes the shard's window-predicate bitmap (one
-// pass over the pinned timestamps; skipped entirely for unbounded
-// views).
+// buildWindowBM materializes the shard's window-predicate bitmap one word
+// at a time from the word's time bounds (windowWord), so a window costs the
+// shard's words plus the rows at its edges, whatever the write order.
 func (vs *viewShard) buildWindowBM(v *View) {
 	fw := vs.rows >> 6
-	rem := uint(vs.rows & 63)
-	vs.fullWords = fw
 	words := make([]uint64, fw)
+	from, to := v.from, v.to
+	wlo, whi := 0, 0
+	vs.timesRead = 0
+	for w, hi := range vs.wmax {
+		lo := vs.wmin[w]
+		if hi < from || lo >= to {
+			continue // the common case, kept to two compares
+		}
+		if words[w] = vs.windowWord(v, w, lo, hi); words[w] != 0 {
+			if whi == 0 {
+				wlo = w
+			}
+			whi = w + 1
+		}
+	}
 	var tail uint64
-	if v.from == 0 && v.to == 1<<63-1 && vs.minRow == 0 {
-		for i := range words {
-			words[i] = ^uint64(0)
-		}
-		if rem > 0 {
-			tail = 1<<rem - 1
-		}
-	} else if vs.sorted {
-		// Sorted shard: the window predicate selects one contiguous row
-		// range — [from, to) becomes [lo, hi) by binary search, and the
-		// delta predicate (i >= minRow || t >= prevTo) collapses to
-		// i >= min(minRow, first row with t >= prevTo). Materialization
-		// is O(rows/64) instead of O(rows), which is what keeps delta
-		// views over a grown log proportional to the delta.
-		lo := sort.Search(vs.rows, func(i int) bool { return vs.times[i] >= v.from })
-		hi := vs.rows
-		if v.to != 1<<63-1 {
-			hi = sort.Search(vs.rows, func(i int) bool { return vs.times[i] >= v.to })
-		}
-		if vs.minRow > 0 {
-			pTo := sort.Search(vs.rows, func(i int) bool { return vs.times[i] >= vs.prevTo })
-			m := vs.minRow
-			if pTo < m {
-				m = pTo
+	if fw<<6 < vs.rows {
+		if tail = vs.windowWord(v, fw, vs.tmin, vs.tmax); tail != 0 {
+			if whi == 0 {
+				wlo = fw
 			}
-			if m > lo {
-				lo = m
-			}
-		}
-		tail = setBitRange(words, tail, fw, lo, hi)
-	} else {
-		for i := 0; i < vs.rows; i++ {
-			if !vs.inWindow(v, i) {
-				continue
-			}
-			if w := i >> 6; w < fw {
-				words[w] |= 1 << (uint(i) & 63)
-			} else {
-				tail |= 1 << (uint(i) & 63)
-			}
+			whi = fw + 1
 		}
 	}
+	vs.fullWords, vs.wlo, vs.whi = fw, wlo, whi
 	vs.window = bmSnap{words: words, tail: tail}
-	vs.whi = vs.window.effLen(fw)
-	for vs.whi > 0 && vs.window.word(vs.whi-1, fw) == 0 {
-		vs.whi--
-	}
-	vs.wlo = 0
-	for vs.wlo < vs.whi && vs.window.word(vs.wlo, fw) == 0 {
-		vs.wlo++
-	}
 }
 
-// setBitRange sets bits [lo, hi) across the word array plus the logical
-// tail word at index fw, filling covered words wholesale. Returns the
-// updated tail.
-func setBitRange(words []uint64, tail uint64, fw, lo, hi int) uint64 {
-	set := func(w int, mask uint64) {
-		if w < fw {
-			words[w] |= mask
-		} else {
-			tail |= mask
+// windowWord evaluates the view's predicate — [from, to) and Since's delta
+// clause (row >= minRow or time >= prevTo) — on the rows of word w, whose
+// times lie in [lo, hi]: a word no row of which can pass is 0, a word every
+// row of which passes is all ones, and only a word a bound cuts reads its
+// rows' timestamps.
+func (vs *viewShard) windowWord(v *View, w int, lo, hi int64) uint64 {
+	first := w << 6
+	n := min(64, vs.rows-first)
+	if hi < v.from || lo >= v.to || (first+n <= vs.minRow && hi < vs.prevTo) {
+		return 0
+	}
+	if lo >= v.from && hi < v.to && (first >= vs.minRow || lo >= vs.prevTo) {
+		return ^uint64(0) >> (64 - n)
+	}
+	vs.timesRead += n
+	var word uint64
+	for i := range n {
+		if vs.inWindow(v, first+i) {
+			word |= 1 << i
 		}
 	}
-	for lo < hi {
-		w := lo >> 6
-		end := (w + 1) << 6
-		if end > hi {
-			end = hi
-		}
-		mask := ^uint64(0)
-		if b := uint(lo) & 63; b > 0 {
-			mask &^= 1<<b - 1
-		}
-		if r := uint(end) & 63; r > 0 {
-			mask &= 1<<r - 1
-		}
-		set(w, mask)
-		lo = end
-	}
-	return tail
+	return word
 }
 
 // All returns a view over every row currently in the store.
 func (s *Store) All() *View { return s.Window(time.Time{}, time.Time{}) }
 
-// Bounds returns the view's window as unix nanos (to is 1<<63-1 when
-// unbounded) — the identity half of an analysis-cache key.
+// Bounds returns the view's window as unix nanos (from is math.MinInt64
+// and to is math.MaxInt64 when unbounded) — the identity half of an
+// analysis-cache key.
 func (v *View) Bounds() (from, to int64) { return v.from, v.to }
 
 // ShardRows returns the per-shard pinned row counts — the watermark half
@@ -705,8 +676,8 @@ func (v *View) eachShard(f func(i int)) {
 
 // inWindow reports whether row i of the shard falls inside the view
 // (including the delta predicate of Since-derived views). buildWindowBM
-// evaluates it once per row of an unsorted shard; every query after that
-// reads the window bitmap.
+// evaluates it on the rows of the words a bound cuts; every query after
+// that reads the window bitmap.
 func (vs *viewShard) inWindow(v *View, i int) bool {
 	t := vs.times[i]
 	if t < v.from || t >= v.to {

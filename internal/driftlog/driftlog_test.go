@@ -4,7 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
-	"sort"
+	"slices"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -119,6 +119,59 @@ func TestWindowFiltering(t *testing.T) {
 	}
 	if cr.Total != 0 {
 		t.Fatal("clear-day entries are outside the window")
+	}
+}
+
+// TestWindowZeroFromIsUnbounded: a zero From leaves the window open below,
+// so rows stamped before 1970 (negative unix nanos) are in it, as they are
+// in All.
+func TestWindowZeroFromIsUnbounded(t *testing.T) {
+	s := NewStore()
+	s.AppendBatch([]Entry{
+		{Time: time.Date(1969, 7, 20, 0, 0, 0, 0, time.UTC), SampleID: -1, Attrs: map[string]string{AttrWeather: "clear"}},
+		{Time: time.Date(2020, 1, 15, 0, 0, 0, 0, time.UTC), SampleID: -1, Attrs: map[string]string{AttrWeather: "snow"}},
+	})
+	until := time.Date(2030, 1, 1, 0, 0, 0, 0, time.UTC)
+	for _, v := range []*View{s.All(), s.Window(time.Time{}, until)} {
+		if got, want := v.Len(), refLen(v); got != 2 || want != 2 {
+			t.Fatalf("view over [%v, %v): Len %d, scan %d, want 2", v.from, v.to, got, want)
+		}
+		if cr, err := v.Count([]Cond{{AttrWeather, "clear"}}, nil); err != nil || cr.Total != 1 {
+			t.Fatalf("view over [%v, %v): Count(clear) = %+v, %v", v.from, v.to, cr, err)
+		}
+	}
+}
+
+// TestCompactNothingExpired: a Compact whose cutoff expires no row returns 0,
+// leaves the generation counter alone and touches no shard's slices — it
+// allocates nothing and walks no row — while still recording the cutoff.
+func TestCompactNothingExpired(t *testing.T) {
+	s := randomStore(rand.New(rand.NewSource(3)), 2000) // timestamps in [0s, 1000s)
+	type heads struct{ seqs, times, wmin *int64 }
+	var before [numShards]heads
+	for si := range s.shards {
+		sh := &s.shards[si]
+		if len(sh.times) > 0 {
+			before[si] = heads{&sh.seqs[0], &sh.times[0], &sh.wmin[0]}
+		}
+	}
+	gen := s.Compactions()
+	for _, cutoff := range []time.Time{time.Unix(-5, 0), time.Unix(0, 0)} {
+		if n := s.Compact(cutoff); n != 0 {
+			t.Fatalf("Compact(%v) removed %d rows, want 0", cutoff, n)
+		}
+	}
+	if s.Compactions() != gen {
+		t.Fatalf("Compactions %d, want %d", s.Compactions(), gen)
+	}
+	if s.cutoff.Load() != 0 {
+		t.Fatalf("recorded cutoff %d, want 0", s.cutoff.Load())
+	}
+	for si := range s.shards {
+		sh := &s.shards[si]
+		if len(sh.times) > 0 && (heads{&sh.seqs[0], &sh.times[0], &sh.wmin[0]}) != before[si] {
+			t.Fatalf("shard %d: slices replaced by a Compact that expired nothing", si)
+		}
 	}
 }
 
@@ -433,9 +486,9 @@ func TestQuickCountInvariants(t *testing.T) {
 }
 
 // TestStatsBoundsTrackAppendAndCompaction checks the row bounds Stats
-// reports from per-shard state maintained at append and compaction against
-// a walk of every row, through out-of-order appends, a partial compaction
-// and a compaction that empties the store.
+// reports, and every shard's per-word time bounds, from state maintained at
+// append and compaction against a walk of every row, through out-of-order
+// appends, a partial compaction and a compaction that empties the store.
 func TestStatsBoundsTrackAppendAndCompaction(t *testing.T) {
 	s := randomStore(rand.New(rand.NewSource(11)), 2000) // timestamps scattered over [0s, 1000s)
 	check := func(stage string) {
@@ -449,27 +502,13 @@ func TestStatsBoundsTrackAppendAndCompaction(t *testing.T) {
 				newest = e.Time
 			}
 		})
-		unsorted := 0
-		for si := range s.shards {
-			sh := &s.shards[si]
-			if !sort.SliceIsSorted(sh.times, func(i, j int) bool { return sh.times[i] < sh.times[j] }) {
-				unsorted++
-			}
-		}
 		st := s.Stats()
 		if !st.OldestTime.Equal(oldest) || !st.NewestTime.Equal(newest) {
 			t.Fatalf("%s: Stats bounds [%v, %v], rows say [%v, %v]", stage, st.OldestTime, st.NewestTime, oldest, newest)
 		}
-		// Sortedness is sticky (a compaction may remove the offending rows
-		// without restoring the fast path), so it may only over-report.
-		if st.UnsortedShards < unsorted || (stage == "appended" && st.UnsortedShards != unsorted) {
-			t.Fatalf("%s: UnsortedShards %d, rows say %d", stage, st.UnsortedShards, unsorted)
-		}
+		requireWordBounds(t, s)
 	}
 	check("appended")
-	if s.Stats().UnsortedShards == 0 {
-		t.Fatal("scattered timestamps left every shard sorted")
-	}
 	s.Compact(time.Unix(400, 0))
 	check("compacted")
 	s.Compact(time.Unix(5000, 0))
@@ -478,4 +517,27 @@ func TestStatsBoundsTrackAppendAndCompaction(t *testing.T) {
 	}
 	s.AppendBatch([]Entry{{Time: time.Unix(7, 0), SampleID: -1, Attrs: map[string]string{AttrWeather: "w0"}}})
 	check("refilled")
+}
+
+// requireWordBounds checks every shard's per-word time bounds against a
+// walk of the rows each word covers.
+func requireWordBounds(t *testing.T, s *Store) {
+	t.Helper()
+	for si := range s.shards {
+		sh := &s.shards[si]
+		if n := (len(sh.times) + 63) / 64; len(sh.wmin) != n || len(sh.wmax) != n {
+			t.Fatalf("shard %d: %d rows, %d/%d word bounds", si, len(sh.times), len(sh.wmin), len(sh.wmax))
+		}
+		for i, ts := range sh.times {
+			if w := i / 64; ts < sh.wmin[w] || ts > sh.wmax[w] {
+				t.Fatalf("shard %d row %d: time %d outside word %d's bounds [%d, %d]", si, i, ts, w, sh.wmin[w], sh.wmax[w])
+			}
+		}
+		for w := range sh.wmin {
+			rows := sh.times[w*64 : min(len(sh.times), w*64+64)]
+			if !slices.Contains(rows, sh.wmin[w]) || !slices.Contains(rows, sh.wmax[w]) {
+				t.Fatalf("shard %d word %d: bounds [%d, %d] are not its rows' times", si, w, sh.wmin[w], sh.wmax[w])
+			}
+		}
+	}
 }

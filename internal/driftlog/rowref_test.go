@@ -56,9 +56,7 @@ func refAppendBatch(s *Store, entries []Entry) {
 func refAppendLocked(sh *shard, seq int64, e Entry, sketched map[string]bool) {
 	row := len(sh.times)
 	t := e.Time.UnixNano()
-	if row > 0 && t < sh.times[row-1] {
-		sh.timeSorted = false
-	}
+	sh.noteTime(t)
 	sh.seqs = append(sh.seqs, seq)
 	sh.times = append(sh.times, t)
 	sh.drift = append(sh.drift, e.Drift)

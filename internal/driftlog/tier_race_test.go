@@ -2,6 +2,7 @@ package driftlog
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
 	"sort"
@@ -157,7 +158,7 @@ func TestSketchFeedConcurrent(t *testing.T) {
 		twin := NewStoreWithSketch(untiered)
 		twin.AppendBatch(viewEntries(p.v))
 		var from, to time.Time
-		if f, e := p.v.Bounds(); f != 0 {
+		if f, e := p.v.Bounds(); f != math.MinInt64 {
 			from, to = time.Unix(0, f), time.Unix(0, e)
 		}
 		if want := viewAnswers(t, twin.Window(from, to), p.conds); !reflect.DeepEqual(p.answers, want) {

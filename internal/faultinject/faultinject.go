@@ -5,9 +5,9 @@
 // aborted connections and half-written responses.
 //
 // Determinism is the point: all randomness flows from one seeded PRNG
-// behind one mutex, and every decision is appended to a replayable
-// fault trace, so a failing chaos run reproduces exactly from its
-// seed (see the seeded-determinism test). The injected clock keeps
+// behind one mutex, so the sequence of decisions — the fault trace — is
+// a function of the seed, and a failing chaos run reproduces exactly
+// from it (see the seeded-determinism test). The injected clock keeps
 // latency faults off the wall clock in tests.
 package faultinject
 
@@ -38,7 +38,8 @@ const (
 )
 
 // Event is one entry in the fault trace: the decision made for the
-// n-th request through the injector.
+// n-th request through the injector. The injector keeps no events, only
+// their count and per-fault totals.
 type Event struct {
 	// Seq is the 0-based request index.
 	Seq int
@@ -68,10 +69,10 @@ type Injector struct {
 	cfg   Config
 	sched Schedule
 
-	mu     sync.Mutex
-	rng    *rand.Rand
-	trace  []Event
-	counts map[Fault]uint64
+	mu       sync.Mutex
+	rng      *rand.Rand
+	requests int // decisions made so far: the next Event's Seq
+	counts   map[Fault]uint64
 }
 
 // New builds an injector. It panics on an invalid schedule.
@@ -94,7 +95,7 @@ func New(cfg Config) *Injector {
 func (in *Injector) decide() Event {
 	in.mu.Lock()
 	defer in.mu.Unlock()
-	ev := Event{Seq: len(in.trace), Fault: FaultNone}
+	ev := Event{Seq: in.requests, Fault: FaultNone}
 	// Latency roll first, fault roll second — the order is part of the
 	// deterministic contract (changing it changes every trace).
 	ev.Latency = in.rng.Float64() < in.sched.Latency
@@ -114,7 +115,7 @@ func (in *Injector) decide() Event {
 		}
 		u -= f.p
 	}
-	in.trace = append(in.trace, ev)
+	in.requests++
 	in.counts[ev.Fault]++
 	if ev.Latency {
 		in.counts[FaultLatency]++
@@ -138,7 +139,7 @@ func (in *Injector) Counts() map[Fault]uint64 {
 func (in *Injector) Requests() int {
 	in.mu.Lock()
 	defer in.mu.Unlock()
-	return len(in.trace)
+	return in.requests
 }
 
 // Middleware wraps a server handler with fault injection. Mount it

@@ -11,8 +11,9 @@ import (
 )
 
 // TestInjectorDeterminism: equal seeds and schedules yield identical
-// fault traces; a different seed diverges. This is the contract that
-// makes a failing chaos run reproducible.
+// fault traces — the sequences of decisions — and a different seed
+// diverges. This is the contract that makes a failing chaos run
+// reproducible.
 func TestInjectorDeterminism(t *testing.T) {
 	sched := Preset(0.3)
 	mk := func(seed uint64) *Injector {
@@ -20,20 +21,25 @@ func TestInjectorDeterminism(t *testing.T) {
 	}
 	a, b, other := mk(42), mk(42), mk(43)
 	const n = 500
+	var ta, tb, to []Event
 	for i := 0; i < n; i++ {
-		a.decide()
-		b.decide()
-		other.decide()
+		ta = append(ta, a.decide())
+		tb = append(tb, b.decide())
+		to = append(to, other.decide())
 	}
-	ta, tb := a.Trace(), b.Trace()
 	if !reflect.DeepEqual(ta, tb) {
 		t.Fatal("same seed produced different fault traces")
 	}
-	if reflect.DeepEqual(ta, other.Trace()) {
+	if reflect.DeepEqual(ta, to) {
 		t.Fatal("different seeds produced identical fault traces")
 	}
-	if len(ta) != n || ta[n-1].Seq != n-1 {
-		t.Fatalf("trace length/seq wrong: len=%d last=%+v", len(ta), ta[len(ta)-1])
+	for i, ev := range ta {
+		if ev.Seq != i {
+			t.Fatalf("decision %d has Seq %d", i, ev.Seq)
+		}
+	}
+	if a.Requests() != n {
+		t.Fatalf("Requests = %d, want %d", a.Requests(), n)
 	}
 	if !reflect.DeepEqual(a.Counts(), b.Counts()) {
 		t.Fatal("same seed produced different counts")
@@ -208,11 +214,4 @@ func normalizeSchedule(s Schedule) Schedule {
 		s.RetryAfter = 0
 	}
 	return s
-}
-
-// Trace returns a copy of the fault trace so far.
-func (in *Injector) Trace() []Event {
-	in.mu.Lock()
-	defer in.mu.Unlock()
-	return append([]Event(nil), in.trace...)
 }
