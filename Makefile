@@ -42,11 +42,12 @@ staticcheck:
 build:
 	$(GO) build ./...
 
-# The float kernels have an amd64 assembly body beside the Go loop every
-# other platform runs; vet and build for arm64 so the portable half (and
-# the assembly's Go declarations) cannot rot.
+# The float kernels and the drift log's bitset popcount kernel have an
+# amd64 assembly body beside the Go loop every other platform runs; vet and
+# build for arm64 so the portable half (and the assembly's Go
+# declarations) cannot rot.
 cross:
-	GOARCH=arm64 $(GO) vet ./internal/tensor/ && GOARCH=arm64 $(GO) build ./...
+	GOARCH=arm64 $(GO) vet ./internal/tensor/ ./internal/driftlog/ && GOARCH=arm64 $(GO) build ./...
 
 # Non-test Go lines of the packages ROADMAP's collapse item is measured
 # on, and their sum — its acceptance number — held to the checked-in

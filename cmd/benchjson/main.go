@@ -136,8 +136,9 @@ func parseBenchLine(line string) (Benchmark, bool) {
 // bitset-vs-scan analytics, cached-vs-first window re-mining,
 // keyed-vs-rebuild candidate sorting, append cost without vs with
 // the write-ahead log (where the "speedup" reads as the durability
-// overhead factor), binary-vs-json ingest wire codecs and the
-// int8-vs-float quantized execution mode.
+// overhead factor), binary-vs-json ingest wire codecs, the
+// int8-vs-float quantized execution mode and the drift log's AVX2
+// popcount body against its Go loop.
 var variantPairs = []struct{ fast, slow string }{
 	{"blocked", "ref"},
 	{"bitset", "scan"},
@@ -146,6 +147,7 @@ var variantPairs = []struct{ fast, slow string }{
 	{"nowal", "wal"},
 	{"binary", "json"},
 	{"int8", "float"},
+	{"avx2", "go"},
 }
 
 // speedups pairs Foo/<fast>/N with Foo/<slow>/N benchmarks (the size

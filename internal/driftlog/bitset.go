@@ -22,10 +22,6 @@ import (
 	"sync/atomic"
 )
 
-// onesCount is math/bits.OnesCount64 (named so driftlog.go needs no
-// extra import).
-func onesCount(w uint64) int { return bits.OnesCount64(w) }
-
 // setBit grows words to cover bit i (zero-filling) and sets it.
 func setBit(words []uint64, i int) []uint64 {
 	w := i >> 6
@@ -78,6 +74,23 @@ func (b bmSnap) effLen(fullWords int) int {
 		return fullWords + 1
 	}
 	return len(b.words)
+}
+
+// winBM is a view shard's window bitmap, held over the word range its rows
+// span: words[i] is shard word lo+i, the partial tail word included, and
+// every word outside the range is zero. A window over the newest rows of a
+// long shard stores those words only.
+type winBM struct {
+	lo    int
+	words []uint64
+}
+
+// word returns shard word w of the window, the tail word included.
+func (b winBM) word(w int) uint64 {
+	if i := w - b.lo; i >= 0 && i < len(b.words) {
+		return b.words[i]
+	}
+	return 0
 }
 
 // overlayEpochSeq issues globally unique overlay epochs; epoch 0 always
@@ -214,9 +227,10 @@ func (vs *viewShard) windowEnd(bms []bmSnap) int {
 // eachWindowRow invokes f(row), in row order, for every row of the shard's
 // window bitmap.
 func (vs *viewShard) eachWindowRow(f func(i int)) {
-	for w := vs.wlo; w < vs.whi; w++ {
-		for word := vs.window.word(w, vs.fullWords); word != 0; word &= word - 1 {
-			f(w<<6 | bits.TrailingZeros64(word))
+	for i, word := range vs.window.words {
+		base := (vs.wlo + i) << 6
+		for ; word != 0; word &= word - 1 {
+			f(base | bits.TrailingZeros64(word))
 		}
 	}
 }
@@ -230,53 +244,93 @@ func (vs *viewShard) driftWord(ovWords []uint64, w int) uint64 {
 	return vs.driftBM.word(w, vs.fullWords)
 }
 
+// andWords sets dst to the window AND every bitmap of bms over shard words
+// [w, w+len(dst)): plain slice ANDs, so every operand must hold those words
+// in its slice (below fullWords and the window's end; see andPopcount).
+func (vs *viewShard) andWords(dst []uint64, bms []bmSnap, w int) {
+	n := len(dst)
+	win := vs.window.words[w-vs.wlo:][:n]
+	if len(bms) == 0 {
+		copy(dst, win)
+		return
+	}
+	b0 := bms[0].words[w : w+n]
+	for i, x := range win {
+		dst[i] = x & b0[i]
+	}
+	for _, bm := range bms[1:] {
+		for i, x := range bm.words[w : w+n] {
+			dst[i] &= x
+		}
+	}
+}
+
+// andWord is the window AND every bitmap of bms at shard word w, read a
+// word at a time: the path of the partial tail word, which a bmSnap holds
+// apart from its slice.
+func (vs *viewShard) andWord(bms []bmSnap, w int) uint64 {
+	acc := vs.window.word(w)
+	for _, bm := range bms {
+		acc &= bm.word(w, vs.fullWords)
+	}
+	return acc
+}
+
+// andBlock is the words a conjunction of two or more bitmaps is ANDed
+// into at a time (andPopcountConj, clearDriftBitset): 512 B of stack.
+const andBlock = 64
+
 // andPopcount intersects the condition bitmaps with the shard's window
 // bitmap and returns the matching row count plus, of those, the rows
 // whose drift flag is set — read from ovWords when non-nil, the stored
 // drift bitmap otherwise. Pure word-wise AND + popcount over the window's
-// word range: O(window rows/64). Words every operand holds in full are
-// intersected a chunk at a time, one operand per pass, straight off the
-// slices and counted without a branch; only what is left — the partial
-// tail word — goes through bmSnap.word.
+// word range: O(window rows/64). Below fullWords every operand holds its
+// words in a slice (a bitmap ending before the window's end was cut off by
+// windowEnd), and popcountAnd counts them: the window against the one
+// bitmap (or against itself with none); with more, andPopcountConj ANDs
+// all but the last into the window first. Only the partial tail word goes
+// through bmSnap.word.
 func (vs *viewShard) andPopcount(bms []bmSnap, ovWords []uint64) (total, drift int) {
-	fw := vs.fullWords
-	n := vs.windowEnd(bms)
-	full := min(n, len(vs.window.words))
-	for _, bm := range bms {
-		full = min(full, len(bm.words))
-	}
+	lo, n := vs.wlo, vs.windowEnd(bms)
+	full := min(n, vs.fullWords)
 	flags := ovWords
 	if flags == nil {
 		flags = vs.driftBM.words // may end before full: no drift past its end
 	}
-	var buf [64]uint64
-	w := vs.wlo
-	for ; w < full; w += len(buf) {
-		acc := buf[:min(len(buf), full-w)]
-		copy(acc, vs.window.words[w:])
-		for _, bm := range bms {
-			for i, x := range bm.words[w : w+len(acc)] {
-				acc[i] &= x
+	if lo < full {
+		switch len(bms) {
+		case 0, 1:
+			a := vs.window.words[:full-lo]
+			b := a // no condition: the window counted against itself
+			if len(bms) == 1 {
+				b = bms[0].words[lo:full]
 			}
-		}
-		fl := flags[min(w, len(flags)):min(w+len(acc), len(flags))]
-		for i, f := range fl {
-			total += bits.OnesCount64(acc[i])
-			drift += bits.OnesCount64(acc[i] & f)
-		}
-		for _, a := range acc[len(fl):] {
-			total += bits.OnesCount64(a)
+			total, drift = popcountAnd(a, b, flags[min(lo, len(flags)):min(full, len(flags))])
+		default:
+			total, drift = vs.andPopcountConj(bms, flags, full)
 		}
 	}
-	for w = max(vs.wlo, full); w < n; w++ {
-		acc := vs.window.word(w, fw)
-		for _, bm := range bms {
-			acc &= bm.word(w, fw)
-		}
-		if acc != 0 {
-			total += bits.OnesCount64(acc)
-			drift += bits.OnesCount64(acc & vs.driftWord(ovWords, w))
-		}
+	if full < n {
+		acc := vs.andWord(bms, full)
+		total += bits.OnesCount64(acc)
+		drift += bits.OnesCount64(acc & vs.driftWord(ovWords, full))
+	}
+	return total, drift
+}
+
+// andPopcountConj is andPopcount's full words [wlo, full) for two or more
+// bitmaps: the window AND all but the last, a block at a time, counted
+// against the last.
+func (vs *viewShard) andPopcountConj(bms []bmSnap, flags []uint64, full int) (total, drift int) {
+	last := bms[len(bms)-1]
+	var buf [andBlock]uint64
+	for w := vs.wlo; w < full; w += andBlock {
+		e := min(full, w+andBlock)
+		a := buf[:e-w]
+		vs.andWords(a, bms[:len(bms)-1], w)
+		t, d := popcountAnd(a, last.words[w:e], flags[min(w, len(flags)):min(e, len(flags))])
+		total += t
+		drift += d
 	}
 	return total, drift
 }
@@ -285,19 +339,14 @@ func (vs *viewShard) andPopcount(bms []bmSnap, ovWords []uint64) (total, drift i
 // and drift hold words [lo, n) of a shard (index 0 = word lo), and the
 // result counts acc AND the bitmap, and of those the drift-flagged.
 func (b bmSnap) andCount(acc, drift []uint64, lo, n, fw int) (total, flagged int) {
-	full := min(n, len(b.words))
+	full := min(n, fw)
 	if lo < full {
-		drift := drift[:full-lo]
-		for i, x := range b.words[lo:full] {
-			a := acc[i] & x
-			total += bits.OnesCount64(a)
-			flagged += bits.OnesCount64(a & drift[i])
-		}
+		total, flagged = popcountAnd(acc[:full-lo], b.words[lo:full], drift[:full-lo])
 	}
-	for w := max(lo, full); w < n; w++ {
-		a := acc[w-lo] & b.word(w, fw)
+	if full < n {
+		a := acc[full-lo] & b.tail
 		total += bits.OnesCount64(a)
-		flagged += bits.OnesCount64(a & drift[w-lo])
+		flagged += bits.OnesCount64(a & drift[full-lo])
 	}
 	return total, flagged
 }
@@ -346,34 +395,34 @@ func (v *View) clearDriftBitset(conds []Cond, ov *Overlay) (int, error) {
 		return 0, err
 	}
 	cleared := 0
-	var buf [4]bmSnap
+	var cb [4]bmSnap
 	for si := range v.shards {
 		vs := &v.shards[si]
 		if vs.rows == 0 {
 			continue
 		}
-		bms, match := vs.condBitmaps(conds, buf[:])
+		bms, match := vs.condBitmaps(conds, cb[:])
 		if !match {
 			continue
 		}
-		fw := vs.fullWords
+		_, d := vs.andPopcount(bms, ov.words(si))
+		if d == 0 {
+			continue // nothing to clear: the overlay stays unmaterialized
+		}
+		cleared += d
+		ovWords := ov.materialize(si)
 		n := vs.windowEnd(bms)
-		var ovWords []uint64
-		for w := vs.wlo; w < n; w++ {
-			acc := vs.window.word(w, fw)
-			for _, bm := range bms {
-				acc &= bm.word(w, fw)
+		full := min(n, vs.fullWords)
+		var acc [andBlock]uint64
+		for w := vs.wlo; w < full; w += andBlock {
+			hit := acc[:min(full, w+andBlock)-w]
+			vs.andWords(hit, bms, w)
+			for i, x := range hit {
+				ovWords[w+i] &^= x
 			}
-			if acc == 0 {
-				continue
-			}
-			if ovWords == nil {
-				ovWords = ov.materialize(si)
-			}
-			if hit := ovWords[w] & acc; hit != 0 {
-				cleared += bits.OnesCount64(hit)
-				ovWords[w] &^= hit
-			}
+		}
+		if full < n {
+			ovWords[full] &^= vs.andWord(bms, full)
 		}
 	}
 	if cleared > 0 {
@@ -383,10 +432,13 @@ func (v *View) clearDriftBitset(conds []Cond, ov *Overlay) (int, error) {
 }
 
 // maxValueSweep bounds the values of one exact column that the level-1
-// group-by popcounts. A value bitmap costs one word operation per window
-// word (64 rows); a row visit of valueScanInto's dense table costs about one,
-// so past 64 values the shard walks its window rows for that column instead.
-const maxValueSweep = 64
+// group-by popcounts. A value bitmap costs one popcountAnd word per window
+// word (64 rows); a row visit of valueScanInto's dense table costs about
+// four words of the Go loop and eight of the AVX2 body, so the sweep breaks
+// even near 256 values on the one and 512 on the other (DESIGN.md §5g).
+// Up to 128 values it is at least twice as fast as the walk on either
+// body; past that the shard walks its window rows for that column instead.
+const maxValueSweep = 128
 
 // AttrValueCounts returns, for each attribute, the per-value totals and
 // drift counts inside the view — the single-pass aggregation the first
@@ -519,11 +571,12 @@ func addPairs(out map[PairKey]CountResult, partial []pairCount) {
 }
 
 // maxPairCross bounds the kept-value cross product per attribute pair that
-// the pair group-by popcounts. A pair of value bitmaps costs one word
-// operation per window word (window rows / 64); a row visit of
-// pairScanInto's dense table costs about four word operations, so
-// popcounting wins while |Ka|·|Kb| stays under 64·4; beyond that the
-// shard walks its window rows for that attribute pair only.
+// the pair group-by popcounts. Each kept pair costs one popcountAnd word
+// per window word (window rows / 64); a row visit of pairScanInto's dense
+// table costs about four words of the Go loop, so popcounting wins while
+// |Ka|·|Kb| stays under 64·4; beyond that the shard walks its window rows
+// for that attribute pair only. The AVX2 body would break even near 800
+// (DESIGN.md §5g); the bound is the Go loop's, the only body off amd64.
 const maxPairCross = 256
 
 // pairCounts is the one pair group-by: shards in parallel, each resolving
@@ -571,9 +624,13 @@ func (vs *viewShard) pairCounts(ov *Overlay, si int, sel pairSel) []pairCount {
 			}
 			if winA == nil {
 				winA, drift = make([]uint64, n-lo), make([]uint64, n-lo)
-				ovWords := ov.words(si)
-				for w := lo; w < n; w++ {
-					drift[w-lo] = vs.driftWord(ovWords, w)
+				if ovWords := ov.words(si); ovWords != nil {
+					copy(drift, ovWords[lo:n])
+				} else {
+					copy(drift, vs.driftBM.words[min(lo, len(vs.driftBM.words)):])
+					if n > fw {
+						drift[fw-lo] = vs.driftBM.tail
+					}
 				}
 			}
 			out = slices.Grow(out, ka.n*kb.n)
@@ -581,10 +638,19 @@ func (vs *viewShard) pairCounts(ov *Overlay, si int, sel pairSel) []pairCount {
 				ida := ka.id(sa)
 				bmA := ka.c.bits[ida]
 				na := min(bmA.effLen(fw), n)
+				if na <= lo {
+					continue
+				}
+				full := min(na, fw)
+				win := vs.window.words[:na-lo]
 				any := uint64(0)
-				for w := lo; w < na; w++ {
-					winA[w-lo] = vs.window.word(w, fw) & bmA.word(w, fw)
-					any |= winA[w-lo]
+				for i, x := range bmA.words[lo:full] {
+					winA[i] = win[i] & x
+					any |= winA[i]
+				}
+				if full < na {
+					winA[full-lo] = win[full-lo] & bmA.tail
+					any |= winA[full-lo]
 				}
 				if any == 0 {
 					continue

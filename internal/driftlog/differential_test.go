@@ -117,59 +117,61 @@ func TestBitsetMatchesScanOracle(t *testing.T) {
 		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
 			tensor.SetMaxWorkers(workers)
 			defer tensor.SetMaxWorkers(0)
-			sizes := []int{0, 1, 63, 64, 65, 500, 3000}
-			for seed := int64(0); seed < 12; seed++ {
-				r := rand.New(rand.NewSource(seed))
-				s := randomStore(r, sizes[int(seed)%len(sizes)])
-				for wi, w := range diffWindows() {
-					vb := s.Window(w[0], w[1])
-					if got, want := vb.Len(), refLen(vb); got != want {
-						t.Fatalf("seed %d window %d: Len bitset %d scan %d", seed, wi, got, want)
-					}
-					for ci, conds := range diffConds() {
-						cb, err1 := vb.Count(conds, nil)
-						co, err2 := refCount(vb, conds, nil)
-						// Attributes absent from a (possibly empty) log are
-						// unknown; both paths must agree on that too.
-						if (err1 == nil) != (err2 == nil) {
-							t.Fatalf("seed %d window %d conds %d: error divergence %v %v", seed, wi, ci, err1, err2)
+			onKernelBodies(t, func(t *testing.T) {
+				sizes := []int{0, 1, 63, 64, 65, 500, 3000}
+				for seed := int64(0); seed < 12; seed++ {
+					r := rand.New(rand.NewSource(seed))
+					s := randomStore(r, sizes[int(seed)%len(sizes)])
+					for wi, w := range diffWindows() {
+						vb := s.Window(w[0], w[1])
+						if got, want := vb.Len(), refLen(vb); got != want {
+							t.Fatalf("seed %d window %d: Len bitset %d scan %d", seed, wi, got, want)
 						}
-						if err1 != nil {
-							continue
+						for ci, conds := range diffConds() {
+							cb, err1 := vb.Count(conds, nil)
+							co, err2 := refCount(vb, conds, nil)
+							// Attributes absent from a (possibly empty) log are
+							// unknown; both paths must agree on that too.
+							if (err1 == nil) != (err2 == nil) {
+								t.Fatalf("seed %d window %d conds %d: error divergence %v %v", seed, wi, ci, err1, err2)
+							}
+							if err1 != nil {
+								continue
+							}
+							if cb != co {
+								t.Fatalf("seed %d window %d conds %d: bitset %+v scan %+v", seed, wi, ci, cb, co)
+							}
 						}
-						if cb != co {
-							t.Fatalf("seed %d window %d conds %d: bitset %+v scan %+v", seed, wi, ci, cb, co)
+						// Unknown attribute: an error on every path.
+						bad := []Cond{{"no-such-attr", "x"}}
+						if _, err := vb.Count(bad, nil); err == nil {
+							t.Fatal("bitset Count accepted unknown attribute")
 						}
-					}
-					// Unknown attribute: an error on every path.
-					bad := []Cond{{"no-such-attr", "x"}}
-					if _, err := vb.Count(bad, nil); err == nil {
-						t.Fatal("bitset Count accepted unknown attribute")
-					}
-					if _, err := vb.SampleIDs(bad); err == nil {
-						t.Fatal("SampleIDs accepted unknown attribute")
-					}
-					if _, err := refCount(vb, bad, nil); err == nil {
-						t.Fatal("refCount accepted unknown attribute")
-					}
-					if avb, avs := vb.AttrValueCounts(nil), refAttrValueCounts(vb, nil); !reflect.DeepEqual(avb, avs) {
-						t.Fatalf("seed %d window %d: AttrValueCounts diverge\nbitset %v\nscan   %v", seed, wi, avb, avs)
-					}
-					ps := refPairCounts(vb, nil, nil)
-					if pb := vb.PairCounts(nil, nil); !reflect.DeepEqual(pb, ps) {
-						t.Fatalf("seed %d window %d: PairCounts diverge", seed, wi)
-					}
-					for _, sel := range diffMaskBits {
-						mask := maskFromBits(vb, sel)
-						if pm := vb.PairCountsMasked(nil, mask); !reflect.DeepEqual(pm, refMasked(ps, mask)) {
-							t.Fatalf("seed %d window %d mask %#x: masked PairCounts diverge", seed, wi, sel)
+						if _, err := vb.SampleIDs(bad); err == nil {
+							t.Fatal("SampleIDs accepted unknown attribute")
 						}
-					}
-					if pm := vb.PairCountsMasked(nil, nil); len(pm) != 0 {
-						t.Fatalf("seed %d window %d: nil mask counted %d pairs", seed, wi, len(pm))
+						if _, err := refCount(vb, bad, nil); err == nil {
+							t.Fatal("refCount accepted unknown attribute")
+						}
+						if avb, avs := vb.AttrValueCounts(nil), refAttrValueCounts(vb, nil); !reflect.DeepEqual(avb, avs) {
+							t.Fatalf("seed %d window %d: AttrValueCounts diverge\nbitset %v\nscan   %v", seed, wi, avb, avs)
+						}
+						ps := refPairCounts(vb, nil, nil)
+						if pb := vb.PairCounts(nil, nil); !reflect.DeepEqual(pb, ps) {
+							t.Fatalf("seed %d window %d: PairCounts diverge", seed, wi)
+						}
+						for _, sel := range diffMaskBits {
+							mask := maskFromBits(vb, sel)
+							if pm := vb.PairCountsMasked(nil, mask); !reflect.DeepEqual(pm, refMasked(ps, mask)) {
+								t.Fatalf("seed %d window %d mask %#x: masked PairCounts diverge", seed, wi, sel)
+							}
+						}
+						if pm := vb.PairCountsMasked(nil, nil); len(pm) != 0 {
+							t.Fatalf("seed %d window %d: nil mask counted %d pairs", seed, wi, len(pm))
+						}
 					}
 				}
-			}
+			})
 		})
 	}
 }
@@ -178,50 +180,52 @@ func TestBitsetMatchesScanOracle(t *testing.T) {
 // its maxPairCross fallback (a value cross product too large to
 // enumerate bitmap-by-bitmap) and requires scan-identical output.
 func TestPairCountsHighCardinality(t *testing.T) {
-	r := rand.New(rand.NewSource(77))
-	s := NewStore()
-	base := time.Unix(0, 0).UTC()
-	var batch []Entry
-	for i := 0; i < 4000; i++ {
-		batch = append(batch, Entry{
-			Time:     base.Add(time.Duration(r.Intn(1000)) * time.Second),
-			Drift:    r.Float64() < 0.3,
-			SampleID: -1,
-			Attrs: map[string]string{
-				AttrLocation: fmt.Sprintf("city_%d", r.Intn(40)),
-				AttrDevice:   fmt.Sprintf("dev_%d", r.Intn(40)),
-				AttrWeather:  fmt.Sprintf("w%d", r.Intn(3)),
-			},
-		})
-	}
-	s.AppendBatch(batch)
-	if cross := 40 * 40; cross <= maxPairCross {
-		t.Fatalf("test needs cross %d > maxPairCross %d", cross, maxPairCross)
-	}
-	vb := s.All()
-	if pb, ps := vb.PairCounts(nil, nil), refPairCounts(vb, nil, nil); !reflect.DeepEqual(pb, ps) {
-		t.Fatal("high-cardinality PairCounts diverges from scan")
-	}
-	ex := map[string]bool{AttrWeather: true}
-	if pb, ps := vb.PairCounts(nil, ex), refPairCounts(vb, nil, ex); !reflect.DeepEqual(pb, ps) {
-		t.Fatal("high-cardinality PairCounts with exclusion diverges from scan")
-	}
-	// Masked: 20 × 20 kept values still walk the rows, 10 × 10 popcount — the
-	// choice follows the kept cross product, not the 40-value dictionaries.
-	ps := refPairCounts(vb, nil, nil)
-	for _, keep := range []int{20, 10} {
-		mask := ValueMask{AttrLocation: {}, AttrDevice: {}, AttrWeather: {"w1": true}}
-		for i := 0; i < keep; i++ {
-			mask[AttrLocation][fmt.Sprintf("city_%d", 2*i)] = true
-			mask[AttrDevice][fmt.Sprintf("dev_%d", 2*i+1)] = true
+	onKernelBodies(t, func(t *testing.T) {
+		r := rand.New(rand.NewSource(77))
+		s := NewStore()
+		base := time.Unix(0, 0).UTC()
+		var batch []Entry
+		for i := 0; i < 4000; i++ {
+			batch = append(batch, Entry{
+				Time:     base.Add(time.Duration(r.Intn(1000)) * time.Second),
+				Drift:    r.Float64() < 0.3,
+				SampleID: -1,
+				Attrs: map[string]string{
+					AttrLocation: fmt.Sprintf("city_%d", r.Intn(40)),
+					AttrDevice:   fmt.Sprintf("dev_%d", r.Intn(40)),
+					AttrWeather:  fmt.Sprintf("w%d", r.Intn(3)),
+				},
+			})
 		}
-		if (keep*keep > maxPairCross) != (keep == 20) {
-			t.Fatalf("test needs %d² on the %d side of maxPairCross %d", keep, keep, maxPairCross)
+		s.AppendBatch(batch)
+		if cross := 40 * 40; cross <= maxPairCross {
+			t.Fatalf("test needs cross %d > maxPairCross %d", cross, maxPairCross)
 		}
-		if pm := vb.PairCountsMasked(nil, mask); !reflect.DeepEqual(pm, refMasked(ps, mask)) {
-			t.Fatalf("high-cardinality masked PairCounts (%d kept) diverges from scan", keep)
+		vb := s.All()
+		if pb, ps := vb.PairCounts(nil, nil), refPairCounts(vb, nil, nil); !reflect.DeepEqual(pb, ps) {
+			t.Fatal("high-cardinality PairCounts diverges from scan")
 		}
-	}
+		ex := map[string]bool{AttrWeather: true}
+		if pb, ps := vb.PairCounts(nil, ex), refPairCounts(vb, nil, ex); !reflect.DeepEqual(pb, ps) {
+			t.Fatal("high-cardinality PairCounts with exclusion diverges from scan")
+		}
+		// Masked: 20 × 20 kept values still walk the rows, 10 × 10 popcount — the
+		// choice follows the kept cross product, not the 40-value dictionaries.
+		ps := refPairCounts(vb, nil, nil)
+		for _, keep := range []int{20, 10} {
+			mask := ValueMask{AttrLocation: {}, AttrDevice: {}, AttrWeather: {"w1": true}}
+			for i := 0; i < keep; i++ {
+				mask[AttrLocation][fmt.Sprintf("city_%d", 2*i)] = true
+				mask[AttrDevice][fmt.Sprintf("dev_%d", 2*i+1)] = true
+			}
+			if (keep*keep > maxPairCross) != (keep == 20) {
+				t.Fatalf("test needs %d² on the %d side of maxPairCross %d", keep, keep, maxPairCross)
+			}
+			if pm := vb.PairCountsMasked(nil, mask); !reflect.DeepEqual(pm, refMasked(ps, mask)) {
+				t.Fatalf("high-cardinality masked PairCounts (%d kept) diverges from scan", keep)
+			}
+		}
+	})
 }
 
 // TestClearDriftMatchesScanOracle runs a clear/count sequence through
@@ -233,55 +237,57 @@ func TestClearDriftMatchesScanOracle(t *testing.T) {
 		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
 			tensor.SetMaxWorkers(workers)
 			defer tensor.SetMaxWorkers(0)
-			for seed := int64(0); seed < 8; seed++ {
-				r := rand.New(rand.NewSource(1000 + seed))
-				s := randomStore(r, 2500)
-				w := diffWindows()[int(seed)%len(diffWindows())]
-				v := s.Window(w[0], w[1])
-				ovB := v.DriftOverlay()
-				ovS := v.DriftOverlay()
-				if ovB.Epoch() != 0 || ovS.Epoch() != 0 {
-					t.Fatal("fresh overlay epoch not 0")
-				}
-				for step, conds := range diffConds() {
-					nb, err1 := v.ClearDrift(conds, ovB)
-					ns, err2 := refClearDrift(v, conds, ovS)
-					if err1 != nil || err2 != nil {
-						t.Fatalf("seed %d step %d: errs %v %v", seed, step, err1, err2)
+			onKernelBodies(t, func(t *testing.T) {
+				for seed := int64(0); seed < 8; seed++ {
+					r := rand.New(rand.NewSource(1000 + seed))
+					s := randomStore(r, 2500)
+					w := diffWindows()[int(seed)%len(diffWindows())]
+					v := s.Window(w[0], w[1])
+					ovB := v.DriftOverlay()
+					ovS := v.DriftOverlay()
+					if ovB.Epoch() != 0 || ovS.Epoch() != 0 {
+						t.Fatal("fresh overlay epoch not 0")
 					}
-					if nb != ns {
-						t.Fatalf("seed %d step %d: cleared bitset %d scan %d", seed, step, nb, ns)
-					}
-					for _, probe := range diffConds() {
-						cb, err1 := v.Count(probe, ovB)
-						co, err2 := refCount(v, probe, ovS)
+					for step, conds := range diffConds() {
+						nb, err1 := v.ClearDrift(conds, ovB)
+						ns, err2 := refClearDrift(v, conds, ovS)
 						if err1 != nil || err2 != nil {
-							t.Fatalf("seed %d step %d: probe errs %v %v", seed, step, err1, err2)
+							t.Fatalf("seed %d step %d: errs %v %v", seed, step, err1, err2)
 						}
-						if cb != co {
-							t.Fatalf("seed %d step %d probe %v: bitset %+v scan %+v", seed, step, probe, cb, co)
+						if nb != ns {
+							t.Fatalf("seed %d step %d: cleared bitset %d scan %d", seed, step, nb, ns)
+						}
+						for _, probe := range diffConds() {
+							cb, err1 := v.Count(probe, ovB)
+							co, err2 := refCount(v, probe, ovS)
+							if err1 != nil || err2 != nil {
+								t.Fatalf("seed %d step %d: probe errs %v %v", seed, step, err1, err2)
+							}
+							if cb != co {
+								t.Fatalf("seed %d step %d probe %v: bitset %+v scan %+v", seed, step, probe, cb, co)
+							}
+						}
+						ab := v.AttrValueCounts(ovB)
+						as := refAttrValueCounts(v, ovS)
+						if !reflect.DeepEqual(ab, as) {
+							t.Fatalf("seed %d step %d: overlaid AttrValueCounts diverge", seed, step)
+						}
+						ps := refPairCounts(v, ovS, nil)
+						if !reflect.DeepEqual(v.PairCounts(ovB, nil), ps) {
+							t.Fatalf("seed %d step %d: overlaid PairCounts diverge", seed, step)
+						}
+						mask := maskFromBits(v, diffMaskBits[(int(seed)+step)%len(diffMaskBits)])
+						if !reflect.DeepEqual(v.PairCountsMasked(ovB, mask), refMasked(ps, mask)) {
+							t.Fatalf("seed %d step %d: overlaid masked PairCounts diverge", seed, step)
+						}
+						if nb > 0 && ovB.Epoch() == 0 {
+							t.Fatalf("seed %d step %d: mutating ClearDrift left epoch 0", seed, step)
 						}
 					}
-					ab := v.AttrValueCounts(ovB)
-					as := refAttrValueCounts(v, ovS)
-					if !reflect.DeepEqual(ab, as) {
-						t.Fatalf("seed %d step %d: overlaid AttrValueCounts diverge", seed, step)
-					}
-					ps := refPairCounts(v, ovS, nil)
-					if !reflect.DeepEqual(v.PairCounts(ovB, nil), ps) {
-						t.Fatalf("seed %d step %d: overlaid PairCounts diverge", seed, step)
-					}
-					mask := maskFromBits(v, diffMaskBits[(int(seed)+step)%len(diffMaskBits)])
-					if !reflect.DeepEqual(v.PairCountsMasked(ovB, mask), refMasked(ps, mask)) {
-						t.Fatalf("seed %d step %d: overlaid masked PairCounts diverge", seed, step)
-					}
-					if nb > 0 && ovB.Epoch() == 0 {
-						t.Fatalf("seed %d step %d: mutating ClearDrift left epoch 0", seed, step)
-					}
+					ovB.Release()
+					ovS.Release()
 				}
-				ovB.Release()
-				ovS.Release()
-			}
+			})
 		})
 	}
 }
@@ -291,83 +297,85 @@ func TestClearDriftMatchesScanOracle(t *testing.T) {
 // counts over its Since-derived delta view, for both new appended rows
 // and rows admitted by a later upper bound.
 func TestSinceDeltaDecomposition(t *testing.T) {
-	base := time.Unix(0, 0).UTC()
-	for seed := int64(0); seed < 10; seed++ {
-		r := rand.New(rand.NewSource(2000 + seed))
-		s := randomStore(r, 1500)
-		from := time.Time{}
-		to1 := base.Add(600 * time.Second)
-		v1 := s.Window(from, to1)
-		prevRows := v1.ShardRows()
-		_, to1n := v1.Bounds()
+	onKernelBodies(t, func(t *testing.T) {
+		base := time.Unix(0, 0).UTC()
+		for seed := int64(0); seed < 10; seed++ {
+			r := rand.New(rand.NewSource(2000 + seed))
+			s := randomStore(r, 1500)
+			from := time.Time{}
+			to1 := base.Add(600 * time.Second)
+			v1 := s.Window(from, to1)
+			prevRows := v1.ShardRows()
+			_, to1n := v1.Bounds()
 
-		var c1 [16]CountResult
-		for i, conds := range diffConds()[:4] {
-			cr, err := v1.Count(conds, nil)
+			var c1 [16]CountResult
+			for i, conds := range diffConds()[:4] {
+				cr, err := v1.Count(conds, nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				c1[i] = cr
+			}
+			len1 := v1.Len()
+
+			// Grow the log and the window's upper bound.
+			r2 := rand.New(rand.NewSource(3000 + seed))
+			var batch []Entry
+			for i := 0; i < 700; i++ {
+				batch = append(batch, Entry{
+					Time:     base.Add(time.Duration(r2.Intn(1000)) * time.Second),
+					Drift:    r2.Float64() < 0.3,
+					SampleID: -1,
+					Attrs: map[string]string{
+						AttrWeather:  fmt.Sprintf("w%d", r2.Intn(6)),
+						AttrLocation: fmt.Sprintf("city_%d", r2.Intn(9)),
+					},
+				})
+			}
+			s.AppendBatch(batch)
+
+			to2 := base.Add(900 * time.Second)
+			v2 := s.Window(from, to2)
+			delta, err := v2.Since(prevRows, to1n)
 			if err != nil {
 				t.Fatal(err)
 			}
-			c1[i] = cr
-		}
-		len1 := v1.Len()
+			for i, conds := range diffConds()[:4] {
+				c2, err := v2.Count(conds, nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				cd, err := delta.Count(conds, nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if c2.Total != c1[i].Total+cd.Total || c2.Drift != c1[i].Drift+cd.Drift {
+					t.Fatalf("seed %d conds %d: full %+v != prev %+v + delta %+v", seed, i, c2, c1[i], cd)
+				}
+				// The scan reference must agree with the delta's bitset path too.
+				cdScan, err := refCount(delta, conds, nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if cd != cdScan {
+					t.Fatalf("seed %d conds %d: delta bitset %+v scan %+v", seed, i, cd, cdScan)
+				}
+			}
+			if v2.Len() != len1+delta.Len() || delta.Len() != refLen(delta) {
+				t.Fatalf("seed %d: Len %d != %d + %d (scan %d)", seed, v2.Len(), len1, delta.Len(), refLen(delta))
+			}
 
-		// Grow the log and the window's upper bound.
-		r2 := rand.New(rand.NewSource(3000 + seed))
-		var batch []Entry
-		for i := 0; i < 700; i++ {
-			batch = append(batch, Entry{
-				Time:     base.Add(time.Duration(r2.Intn(1000)) * time.Second),
-				Drift:    r2.Float64() < 0.3,
-				SampleID: -1,
-				Attrs: map[string]string{
-					AttrWeather:  fmt.Sprintf("w%d", r2.Intn(6)),
-					AttrLocation: fmt.Sprintf("city_%d", r2.Intn(9)),
-				},
-			})
-		}
-		s.AppendBatch(batch)
-
-		to2 := base.Add(900 * time.Second)
-		v2 := s.Window(from, to2)
-		delta, err := v2.Since(prevRows, to1n)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i, conds := range diffConds()[:4] {
-			c2, err := v2.Count(conds, nil)
+			// An unchanged window decomposes into itself plus an empty delta.
+			v3 := s.Window(from, to2)
+			empty, err := v3.Since(v2.ShardRows(), to2.UnixNano())
 			if err != nil {
 				t.Fatal(err)
 			}
-			cd, err := delta.Count(conds, nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if c2.Total != c1[i].Total+cd.Total || c2.Drift != c1[i].Drift+cd.Drift {
-				t.Fatalf("seed %d conds %d: full %+v != prev %+v + delta %+v", seed, i, c2, c1[i], cd)
-			}
-			// The scan reference must agree with the delta's bitset path too.
-			cdScan, err := refCount(delta, conds, nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if cd != cdScan {
-				t.Fatalf("seed %d conds %d: delta bitset %+v scan %+v", seed, i, cd, cdScan)
+			if got, err := empty.Count(nil, nil); err != nil || got.Total != 0 {
+				t.Fatalf("seed %d: empty delta counted %+v err %v", seed, got, err)
 			}
 		}
-		if v2.Len() != len1+delta.Len() || delta.Len() != refLen(delta) {
-			t.Fatalf("seed %d: Len %d != %d + %d (scan %d)", seed, v2.Len(), len1, delta.Len(), refLen(delta))
-		}
-
-		// An unchanged window decomposes into itself plus an empty delta.
-		v3 := s.Window(from, to2)
-		empty, err := v3.Since(v2.ShardRows(), to2.UnixNano())
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got, err := empty.Count(nil, nil); err != nil || got.Total != 0 {
-			t.Fatalf("seed %d: empty delta counted %+v err %v", seed, got, err)
-		}
-	}
+	})
 }
 
 // TestSinceValidation covers the watermark error paths.
@@ -475,7 +483,9 @@ func TestSmallWindowsOfLongShards(t *testing.T) {
 			}
 			for _, w := range windows {
 				t.Run(fmt.Sprintf("sorted=%v/%s%s", sorted, stage, w.name), func(t *testing.T) {
-					checkLongShardWindow(t, s.Window(w.from, w.to), conds, sorted, w.name)
+					onKernelBodies(t, func(t *testing.T) {
+						checkLongShardWindow(t, s.Window(w.from, w.to), conds, sorted, w.name)
+					})
 				})
 			}
 		}
@@ -496,7 +506,7 @@ func checkLongShardWindow(t *testing.T, vb *View, conds [][]Cond, sorted bool, n
 		if slices.IsSorted(sh.times) != sorted {
 			t.Fatalf("shard %d: time-sorted %v, want %v", si, !sorted, sorted)
 		}
-		if first := sh.window.word(0, sh.fullWords); name != "empty" && first == 0 && sh.wlo == 0 {
+		if first := sh.window.word(0); name != "empty" && first == 0 && sh.wlo == 0 {
 			t.Fatalf("shard %d: window starts past word 0 but loops start at it", si)
 		}
 		if name == "single-word" && sh.whi-sh.wlo > 2 {
@@ -599,76 +609,78 @@ func requireViewMatchesScan(t *testing.T, v *View, conds [][]Cond) {
 // pinned rows say: equal to the scan reference's, on bitmap columns and
 // the tiered one.
 func TestViewConcurrentQueries(t *testing.T) {
-	s := interleavedSketchStore()
-	base := time.Unix(0, 0).UTC()
-	from, to := base.Add(250*time.Second), base.Add(957*time.Second)
-	// The reference runs over a second view of the same rows, so v's lazily
-	// built state (its pair candidates) is first touched by the concurrent
-	// readers.
-	v, oracle := s.Window(from, to), s.Window(from, to)
-	conds := [][]Cond{
-		{{AttrWeather, "w1"}, {AttrLocation, "city_2"}},
-		{{AttrDevice, "dev_3"}},
-		{{"app_version", "1.3"}},
-		{{"app_version", "1.3"}, {AttrWeather, "w2"}},
-	}
-	wantCount := make([]CountResult, len(conds))
-	for i, c := range conds {
-		wantCount[i], _ = refCount(oracle, c, nil)
-	}
-	wantAV, wantPC := refAttrValueCounts(oracle, nil), refPairCounts(oracle, nil, nil)
-	check := func(what string, got, want CountResult) {
-		if got != want {
-			t.Errorf("%s: got %+v, oracle %+v", what, got, want)
+	onKernelBodies(t, func(t *testing.T) {
+		s := interleavedSketchStore()
+		base := time.Unix(0, 0).UTC()
+		from, to := base.Add(250*time.Second), base.Add(957*time.Second)
+		// The reference runs over a second view of the same rows, so v's lazily
+		// built state (its pair candidates) is first touched by the concurrent
+		// readers.
+		v, oracle := s.Window(from, to), s.Window(from, to)
+		conds := [][]Cond{
+			{{AttrWeather, "w1"}, {AttrLocation, "city_2"}},
+			{{AttrDevice, "dev_3"}},
+			{{"app_version", "1.3"}},
+			{{"app_version", "1.3"}, {AttrWeather, "w2"}},
 		}
-	}
-
-	stop := make(chan struct{})
-	var appender, readers sync.WaitGroup
-	appender.Add(1)
-	go func() {
-		defer appender.Done()
-		for n := 0; ; n++ {
-			select {
-			case <-stop:
-				return
-			default:
+		wantCount := make([]CountResult, len(conds))
+		for i, c := range conds {
+			wantCount[i], _ = refCount(oracle, c, nil)
+		}
+		wantAV, wantPC := refAttrValueCounts(oracle, nil), refPairCounts(oracle, nil, nil)
+		check := func(what string, got, want CountResult) {
+			if got != want {
+				t.Errorf("%s: got %+v, oracle %+v", what, got, want)
 			}
-			s.AppendBatch([]Entry{{Time: base.Add(time.Duration(300+n%600) * time.Second), Drift: n%2 == 0, SampleID: -1, Attrs: map[string]string{
-				AttrWeather: "w1", AttrLocation: "city_2", AttrDevice: "dev_3", "app_version": fmt.Sprintf("9.%d", n)}}})
 		}
-	}()
-	for g := 0; g < 6; g++ {
-		readers.Add(1)
-		go func(g int) {
-			defer readers.Done()
-			for i := 0; i < 8; i++ {
-				switch (g + i) % 3 {
-				case 0:
-					for ci, c := range conds {
-						got, err := v.Count(c, nil)
-						if err != nil {
-							t.Error(err)
-						}
-						check(fmt.Sprint(c), got, wantCount[ci])
-					}
-				case 1:
-					for k, got := range v.PairCounts(nil, nil) {
-						check(fmt.Sprint(k), got, wantPC[k])
-					}
+
+		stop := make(chan struct{})
+		var appender, readers sync.WaitGroup
+		appender.Add(1)
+		go func() {
+			defer appender.Done()
+			for n := 0; ; n++ {
+				select {
+				case <-stop:
+					return
 				default:
-					for attr, byVal := range v.AttrValueCounts(nil) {
-						for val, got := range byVal {
-							check(attr+"="+val, got, wantAV[attr][val])
+				}
+				s.AppendBatch([]Entry{{Time: base.Add(time.Duration(300+n%600) * time.Second), Drift: n%2 == 0, SampleID: -1, Attrs: map[string]string{
+					AttrWeather: "w1", AttrLocation: "city_2", AttrDevice: "dev_3", "app_version": fmt.Sprintf("9.%d", n)}}})
+			}
+		}()
+		for g := 0; g < 6; g++ {
+			readers.Add(1)
+			go func(g int) {
+				defer readers.Done()
+				for i := 0; i < 8; i++ {
+					switch (g + i) % 3 {
+					case 0:
+						for ci, c := range conds {
+							got, err := v.Count(c, nil)
+							if err != nil {
+								t.Error(err)
+							}
+							check(fmt.Sprint(c), got, wantCount[ci])
+						}
+					case 1:
+						for k, got := range v.PairCounts(nil, nil) {
+							check(fmt.Sprint(k), got, wantPC[k])
+						}
+					default:
+						for attr, byVal := range v.AttrValueCounts(nil) {
+							for val, got := range byVal {
+								check(attr+"="+val, got, wantAV[attr][val])
+							}
 						}
 					}
 				}
-			}
-		}(g)
-	}
-	readers.Wait()
-	close(stop)
-	appender.Wait()
+			}(g)
+		}
+		readers.Wait()
+		close(stop)
+		appender.Wait()
+	})
 }
 
 // FuzzCountDifferential drives tiny random logs through the
@@ -679,7 +691,8 @@ func TestViewConcurrentQueries(t *testing.T) {
 // (9) or device (up to 80) off the bitmaps and onto the row walk. An odd
 // timeMode stamps the rows nearly sorted (appendRandomTimed), so windows
 // skip, fill and cut words by their time bounds; an even one stamps them
-// at random.
+// at random. Every input is checked under each popcountAnd body the host
+// can run.
 func FuzzCountDifferential(f *testing.F) {
 	f.Add(int64(1), uint8(7), uint8(0), uint8(0x55), uint8(0), uint8(0))
 	f.Add(int64(42), uint8(64), uint8(1), uint8(0xFF), uint8(0), uint8(0))
@@ -690,9 +703,11 @@ func FuzzCountDifferential(f *testing.F) {
 		f.Add(sd.seed, sd.n, sd.windowSel, uint8(0x55), sd.tier, uint8(1))
 	}
 	f.Fuzz(func(t *testing.T, seed int64, n uint8, windowSel uint8, maskSel uint8, tier uint8, timeMode uint8) {
-		for _, v := range fuzzCountViews(t, seed, n, windowSel, tier, timeMode) {
-			fuzzCheckView(t, v, seed, maskSel)
-		}
+		kernelBodies(t, func(string) {
+			for _, v := range fuzzCountViews(t, seed, n, windowSel, tier, timeMode) {
+				fuzzCheckView(t, v, seed, maskSel)
+			}
+		})
 	})
 }
 

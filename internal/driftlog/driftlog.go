@@ -439,11 +439,12 @@ type viewShard struct {
 
 	// Bitset index.
 	fullWords int    // rows / 64
-	window    bmSnap // rows passing the view's window predicate
+	window    winBM  // rows passing the view's window predicate
 	driftBM   bmSnap // stored drift flags
 	// wlo / whi bound the window bitmap's non-zero words (the tail counts
-	// as word fullWords): every bitset loop runs over [wlo, whi), so a
-	// query costs the words the window spans, not the words the log holds.
+	// as word fullWords), the words window holds: every bitset loop runs
+	// over [wlo, whi), so a query costs the words the window spans, not the
+	// words the log holds.
 	wlo, whi int
 
 	// wmin / wmax pin the full words' time bounds by reference; tmin / tmax
@@ -551,36 +552,48 @@ func (s *Store) Window(from, to time.Time) *View {
 
 // buildWindowBM materializes the shard's window-predicate bitmap one word
 // at a time from the word's time bounds (windowWord), so a window costs the
-// shard's words plus the rows at its edges, whatever the write order.
+// shard's words plus the rows at its edges, whatever the write order. Only
+// the words between the first and last a window row lands in are stored.
 func (vs *viewShard) buildWindowBM(v *View) {
 	fw := vs.rows >> 6
-	words := make([]uint64, fw)
-	from, to := v.from, v.to
-	wlo, whi := 0, 0
-	vs.timesRead = 0
-	for w, hi := range vs.wmax {
-		lo := vs.wmin[w]
-		if hi < from || lo >= to {
-			continue // the common case, kept to two compares
+	nw := (vs.rows + 63) >> 6
+	bounds := func(w int) (lo, hi int64) {
+		if w < fw {
+			return vs.wmin[w], vs.wmax[w]
 		}
-		if words[w] = vs.windowWord(v, w, lo, hi); words[w] != 0 {
-			if whi == 0 {
-				wlo = w
-			}
-			whi = w + 1
+		return vs.tmin, vs.tmax
+	}
+	// First and last word whose time bounds meet [from, to): the common
+	// case, kept to two compares a word.
+	first, last := nw, -1
+	for w := range nw {
+		if lo, hi := bounds(w); hi >= v.from && lo < v.to {
+			first = min(first, w)
+			last = w
 		}
 	}
-	var tail uint64
-	if fw<<6 < vs.rows {
-		if tail = vs.windowWord(v, fw, vs.tmin, vs.tmax); tail != 0 {
-			if whi == 0 {
-				wlo = fw
+	vs.timesRead = 0
+	var words []uint64
+	wlo, whi := 0, 0
+	if first <= last {
+		words = make([]uint64, last-first+1)
+		for w := first; w <= last; w++ {
+			lo, hi := bounds(w)
+			if words[w-first] = vs.windowWord(v, w, lo, hi); words[w-first] != 0 {
+				if whi == 0 {
+					wlo = w
+				}
+				whi = w + 1
 			}
-			whi = fw + 1
+		}
+		if whi == 0 {
+			words = nil // every candidate word was cut to zero
+		} else {
+			words = words[wlo-first : whi-first]
 		}
 	}
 	vs.fullWords, vs.wlo, vs.whi = fw, wlo, whi
-	vs.window = bmSnap{words: words, tail: tail}
+	vs.window = winBM{lo: wlo, words: words}
 }
 
 // windowWord evaluates the view's predicate — [from, to) and Since's delta
@@ -691,9 +704,8 @@ func (v *View) Len() int {
 	n := 0
 	for si := range v.shards {
 		vs := &v.shards[si]
-		for w := vs.wlo; w < vs.whi; w++ {
-			n += onesCount(vs.window.word(w, vs.fullWords))
-		}
+		t, _ := popcountAnd(vs.window.words, vs.window.words, nil)
+		n += t
 	}
 	return n
 }

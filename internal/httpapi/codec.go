@@ -9,6 +9,7 @@
 package httpapi
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -121,7 +122,7 @@ func (BinaryCodec) EncodeBatch(f *BatchFrame) ([]byte, error) {
 
 // DecodeBatch implements Codec.
 func (BinaryCodec) DecodeBatch(r io.Reader, maxEntries int) (*BatchFrame, error) {
-	data, err := io.ReadAll(r)
+	data, err := readFrame(r)
 	if err != nil {
 		return nil, fmt.Errorf("httpapi: read frame: %w", err)
 	}
@@ -130,6 +131,34 @@ func (BinaryCodec) DecodeBatch(r io.Reader, maxEntries int) (*BatchFrame, error)
 		return nil, err
 	}
 	return &BatchFrame{Columns: b}, nil
+}
+
+// sizedBody is an ingest request body with the length its Content-Length
+// header declared: -1 when it declared none (a chunked body).
+type sizedBody struct {
+	io.Reader
+	size int64
+}
+
+// maxFrameHint caps the buffer readFrame sizes from a declared length
+// before any byte has arrived: a client that declares the route's bound
+// and then trickles bytes pins at most this much.
+const maxFrameHint = 1 << 20
+
+// readFrame reads a binary body whole. A sizedBody's declared length
+// (capped at maxFrameHint) pre-sizes the buffer, so a typical batch is read
+// in one allocation; past that the buffer grows only as bytes arrive. A
+// body running past its http.MaxBytesReader bound fails the read with
+// *http.MaxBytesError.
+func readFrame(r io.Reader) ([]byte, error) {
+	var buf bytes.Buffer
+	if sb, ok := r.(sizedBody); ok && sb.size > 0 {
+		// MinRead of room past the body lets the read that sees EOF
+		// happen without growing the buffer.
+		buf.Grow(int(min(sb.size, maxFrameHint)) + bytes.MinRead)
+	}
+	_, err := buf.ReadFrom(r)
+	return buf.Bytes(), err
 }
 
 // codecs is the fixed codec table, sorted by media type.

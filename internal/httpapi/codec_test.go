@@ -5,10 +5,12 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"runtime"
 	"testing"
 	"time"
 
@@ -231,5 +233,92 @@ func TestContentTypesRegistry(t *testing.T) {
 	}
 	if _, ok := CodecFor("text/plain"); ok {
 		t.Fatal("CodecFor resolved a media type outside the table")
+	}
+}
+
+// TestBinaryBodyLengths: a binary body's declared length only pre-sizes
+// its read. One with no declared length (chunked over a real connection)
+// still lands; one shorter or longer than its Content-Length is refused as
+// an invalid frame with nothing landed; one declaring more than the route's
+// bound answers 413 body_too_large; and one declaring the bound but sending
+// a few bytes allocates no more than maxFrameHint for its body.
+func TestBinaryBodyLengths(t *testing.T) {
+	entries, samples := codecEntries(19)
+	data, err := (BinaryCodec{}).EncodeBatch(&BatchFrame{Entries: entries, Samples: samples})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	svc := cloud.NewService(nn.NewClassifier(nn.ArchResNet18, 8, 2, tensor.NewRand(77, 1)), cloud.DefaultConfig())
+	h := NewServer(svc, WithLogger(discardLogger()))
+	var declared int64
+	var encoding []string
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		declared, encoding = r.ContentLength, r.TransferEncoding
+		h.ServeHTTP(w, r)
+	}))
+	defer srv.Close()
+	// A reader of unknown length: the client sends it chunked.
+	req, err := http.NewRequest("POST", srv.URL+"/v1/ingest/batch", io.MultiReader(bytes.NewReader(data)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	req.Header.Set("Content-Type", ContentTypeBinary)
+	resp, err := srv.Client().Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK || declared != -1 || !reflect.DeepEqual(encoding, []string{"chunked"}) {
+		t.Fatalf("chunked body: %d (declared length %d, transfer encoding %q), want 200 with none, chunked", resp.StatusCode, declared, encoding)
+	}
+	if n := svc.Log().Len(); n != len(entries) {
+		t.Fatalf("chunked body landed %d rows, want %d", n, len(entries))
+	}
+
+	filler := io.LimitReader(repeatByte('x'), maxBatchBodyBytes+1)
+	cases := []struct {
+		name     string
+		body     io.Reader
+		declared int64
+		status   int
+		code     string
+	}{
+		{"shorter", bytes.NewReader(data[:len(data)-5]), int64(len(data)), http.StatusBadRequest, CodeInvalidFrame},
+		{"longer", io.MultiReader(bytes.NewReader(data), bytes.NewReader(data[:3])), int64(len(data)), http.StatusBadRequest, CodeInvalidFrame},
+		{"over the bound", filler, maxBatchBodyBytes + 1, http.StatusRequestEntityTooLarge, CodeBodyTooLarge},
+	}
+	for _, tc := range cases {
+		svc := cloud.NewService(nn.NewClassifier(nn.ArchResNet18, 8, 2, tensor.NewRand(77, 1)), cloud.DefaultConfig())
+		req := httptest.NewRequest("POST", "/v1/ingest/batch", tc.body)
+		req.ContentLength = tc.declared
+		req.Header.Set("Content-Type", ContentTypeBinary)
+		rec := httptest.NewRecorder()
+		NewServer(svc, WithLogger(discardLogger())).ServeHTTP(rec, req)
+		var env errorEnvelope
+		_ = json.Unmarshal(rec.Body.Bytes(), &env)
+		if rec.Code != tc.status || env.Error == nil || env.Error.Code != tc.code {
+			t.Errorf("%s: %d %.200q, want %d %q", tc.name, rec.Code, rec.Body.String(), tc.status, tc.code)
+		}
+		if n := svc.Log().Len(); n != 0 {
+			t.Errorf("%s: refused body landed %d rows", tc.name, n)
+		}
+	}
+
+	req = httptest.NewRequest("POST", "/v1/ingest/batch", bytes.NewReader(data[:10]))
+	req.ContentLength = maxBatchBodyBytes
+	req.Header.Set("Content-Type", ContentTypeBinary)
+	rec := httptest.NewRecorder()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	h.ServeHTTP(rec, req)
+	runtime.ReadMemStats(&after)
+	if rec.Code != http.StatusBadRequest {
+		t.Fatalf("trickled body: %d, want 400", rec.Code)
+	}
+	// About maxFrameHint in a normal build; the race detector's build
+	// allocates the buffer twice.
+	if got := after.TotalAlloc - before.TotalAlloc; got > 4*maxFrameHint {
+		t.Fatalf("a body declaring %d bytes and sending 10 allocated %d bytes, want ≤ %d", maxBatchBodyBytes, got, 4*maxFrameHint)
 	}
 }

@@ -229,7 +229,7 @@ func (s *Server) ingest(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	r.Body = http.MaxBytesReader(w, r.Body, maxBatchBodyBytes)
-	frame, err := codec.DecodeBatch(r.Body, maxBatchEntries)
+	frame, err := codec.DecodeBatch(sizedBody{r.Body, r.ContentLength}, maxBatchEntries)
 	if err != nil {
 		writeDecodeError(w, codec, err)
 		return

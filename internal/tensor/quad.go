@@ -38,3 +38,9 @@ func quadRow(d, b []float64, a0, a1, a2, a3 float64) {
 // host (decided once at start-up from CPUID and the OS-enabled register
 // state), for the operator's metrics and logs.
 func UsesAVX() bool { return useAVX }
+
+// HasAVX2 reports whether this host can run 256-bit integer vector code:
+// the CPU reports AVX2 and POPCNT and the OS saves the YMM register state.
+// Decided once at start-up, from the same CPUID and XGETBV reads as
+// UsesAVX; the drift log selects its bitset AND-popcount kernel by it.
+func HasAVX2() bool { return avx2 }

@@ -4,6 +4,10 @@ package tensor
 // saves the YMM register state across context switches.
 var useAVX = hasAVX()
 
+// avx2 adds AVX2 and POPCNT to useAVX's condition: what the drift log's
+// bitset kernel needs (HasAVX2).
+var avx2 = useAVX && hasAVX2()
+
 func hasAVX() bool {
 	if maxLeaf, _, _, _ := cpuid(0, 0); maxLeaf < 1 {
 		return false
@@ -15,6 +19,16 @@ func hasAVX() bool {
 	}
 	xcr0, _ := xgetbv()
 	return xcr0&6 == 6 // XMM and YMM state enabled
+}
+
+func hasAVX2() bool {
+	if maxLeaf, _, _, _ := cpuid(0, 0); maxLeaf < 7 {
+		return false
+	}
+	_, _, ecx, _ := cpuid(1, 0)
+	_, ebx, _, _ := cpuid(7, 0)
+	const popcntBit, avx2Bit = 1 << 23, 1 << 5
+	return ecx&popcntBit != 0 && ebx&avx2Bit != 0
 }
 
 // cpuid executes CPUID with the given leaf and sub-leaf.
