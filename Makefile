@@ -79,11 +79,18 @@ race-chaos:
 	$(GO) test -race -run 'TestChaos' ./internal/pipeline/
 
 # Full chaos run at the three fault-rate presets, over the default
-# binary framing and over opt-in JSON, one JSON summary per rate on
-# stdout. Exits non-zero if any acknowledged entry was lost.
+# binary framing and over opt-in JSON, one JSON summary per rate, each
+# codec's lines diffed against the checked-in expectation (the same lines
+# TestChaosGolden compares). Fails if any acknowledged entry was lost or
+# any byte differs.
+CHAOS_GOLDEN = internal/pipeline/testdata
+
 chaos:
-	$(GO) run ./cmd/nazar-sim -chaos -chaos-rates 0,0.1,0.3
-	$(GO) run ./cmd/nazar-sim -chaos -chaos-rates 0,0.1,0.3 -chaos-codec json
+	$(GO) run ./cmd/nazar-sim -chaos -chaos-rates 0,0.1,0.3 > chaos-binary.out
+	diff $(CHAOS_GOLDEN)/chaos-binary.jsonl chaos-binary.out
+	$(GO) run ./cmd/nazar-sim -chaos -chaos-rates 0,0.1,0.3 -chaos-codec json > chaos-json.out
+	diff $(CHAOS_GOLDEN)/chaos-json.jsonl chaos-json.out
+	@cat chaos-binary.out chaos-json.out; rm -f chaos-binary.out chaos-json.out
 
 # Macro-scale fleet simulator smoke: 10k devices through the checked-in
 # smoke scenario (diurnal traffic, churn, a staged rollout) on 4
@@ -108,13 +115,16 @@ examples:
 # parser, WAL replay, the quantized int8 model pass, and the
 # branch-free layer kernels against the branchy loops they replaced. CI
 # runs this on every push; interesting inputs it finds should be
-# committed under the package's testdata/fuzz corpus.
+# committed under the package's testdata/fuzz corpus. WAL replay's
+# minimization is capped at 100 runs an input: each run does real file
+# I/O, so go's default 60 s minimization of every new input took the
+# whole budget and its exec count stopped growing after ~3 s.
 fuzz-smoke:
 	$(GO) test ./internal/httpapi/ -run '^$$' -fuzz 'FuzzIngestBatch$$' -fuzztime 30s
 	$(GO) test ./internal/httpapi/ -run '^$$' -fuzz FuzzIngestBatchBinary -fuzztime 30s
 	$(GO) test ./internal/httpapi/ -run '^$$' -fuzz FuzzAnalyzeRequest -fuzztime 30s
 	$(GO) test ./internal/driftlog/ -run '^$$' -fuzz FuzzCountDifferential -fuzztime 30s
-	$(GO) test ./internal/driftlog/ -run '^$$' -fuzz FuzzWALReplay -fuzztime 30s
+	$(GO) test ./internal/driftlog/ -run '^$$' -fuzz FuzzWALReplay -fuzztime 30s -fuzzminimizetime 100x
 	$(GO) test ./internal/faultinject/ -run '^$$' -fuzz FuzzParseSchedule -fuzztime 30s
 	$(GO) test ./internal/driftlog/ -run '^$$' -fuzz FuzzWireDecode -fuzztime 30s
 	$(GO) test ./internal/nn/ -run '^$$' -fuzz FuzzQuantizedForward -fuzztime 30s

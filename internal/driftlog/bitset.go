@@ -15,7 +15,6 @@
 package driftlog
 
 import (
-	"fmt"
 	"math/bits"
 	"slices"
 	"sync"
@@ -183,7 +182,7 @@ func (ov *Overlay) materialize(si int) []uint64 {
 
 // driftAt reads one row's (possibly overlaid) drift flag; a nil overlay
 // reads the stored flag. This is the row-wise access path of the row
-// walks (eachMatch, valueScanInto, pairScanInto).
+// walks (eachMatch, valueScan, pairScanInto).
 func (ov *Overlay) driftAt(vs *viewShard, si, row int) bool {
 	w := ov.words(si)
 	if w == nil {
@@ -195,18 +194,24 @@ func (ov *Overlay) driftAt(vs *viewShard, si, row int) bool {
 // bump assigns a fresh epoch after a mutating clear.
 func (ov *Overlay) bump() { ov.epoch = overlayEpochSeq.Add(1) }
 
-// condBitmaps resolves equality predicates onto one shard's value
-// bitmaps. match=false means the predicate can never match in this
-// shard. Attribute existence is checked by the caller (checkConds).
-// dst is the caller's (stack) buffer for the common small-itemset case.
-func (vs *viewShard) condBitmaps(conds []Cond, dst []bmSnap) (bms []bmSnap, match bool) {
+// condBitmaps snapshots the shard's bitmaps of the resolved conditions (ids
+// parallel to conds) under one read lock of the shard. match=false means the
+// predicate can never match in this shard: a column or value it does not
+// hold. dst is the caller's (stack) buffer for the common small-itemset case.
+func (vs *viewShard) condBitmaps(conds []Cond, ids []uint32, dst []bmSnap) (bms []bmSnap, match bool) {
 	bms = dst[:0]
-	for _, c := range conds {
-		col, id, ok := vs.lookupCond(c)
-		if !ok || int(id) >= len(col.bits) {
+	vs.mu.RLock()
+	defer vs.mu.RUnlock()
+	for k, c := range conds {
+		col, ok := vs.cols[c.Attr]
+		if !ok {
 			return nil, false
 		}
-		bms = append(bms, col.bits[id])
+		bm := vs.snap(col, ids[k])
+		if len(bm.words) == 0 && bm.tail == 0 {
+			return nil, false
+		}
+		bms = append(bms, bm)
 	}
 	return bms, true
 }
@@ -351,32 +356,23 @@ func (b bmSnap) andCount(acc, drift []uint64, lo, n, fw int) (total, flagged int
 	return total, flagged
 }
 
-// checkConds validates attribute names against the view's pinned
-// registry (the unsharded store's unknown-attribute contract).
-func (v *View) checkConds(conds []Cond) error {
-	for _, c := range conds {
-		if !v.attrs[c.Attr] {
-			return fmt.Errorf("driftlog: unknown attribute %q", c.Attr)
-		}
-	}
-	return nil
-}
-
 // countBitset is the indexed Count path: word-wise AND + popcount per
 // shard, sequential (popcounting a shard is far below the parallel
 // fan-out's break-even point).
 func (v *View) countBitset(conds []Cond, ov *Overlay) (CountResult, error) {
-	if err := v.checkConds(conds); err != nil {
+	var idBuf [4]uint32
+	ids, err := v.resolve(conds, idBuf[:0])
+	if err != nil || slices.Contains(ids, 0) {
 		return CountResult{}, err
 	}
 	var out CountResult
 	var buf [4]bmSnap
 	for si := range v.shards {
 		vs := &v.shards[si]
-		if vs.rows == 0 {
-			continue
+		if vs.wlo == vs.whi {
+			continue // no window row in this shard
 		}
-		bms, match := vs.condBitmaps(conds, buf[:])
+		bms, match := vs.condBitmaps(conds, ids, buf[:])
 		if !match {
 			continue
 		}
@@ -391,17 +387,19 @@ func (v *View) countBitset(conds []Cond, ov *Overlay) (CountResult, error) {
 // row matching the conditions: overlay &^= (conds AND window), counting
 // cleared bits by popcount.
 func (v *View) clearDriftBitset(conds []Cond, ov *Overlay) (int, error) {
-	if err := v.checkConds(conds); err != nil {
+	var idBuf [4]uint32
+	ids, err := v.resolve(conds, idBuf[:0])
+	if err != nil || slices.Contains(ids, 0) {
 		return 0, err
 	}
 	cleared := 0
 	var cb [4]bmSnap
 	for si := range v.shards {
 		vs := &v.shards[si]
-		if vs.rows == 0 {
-			continue
+		if vs.wlo == vs.whi {
+			continue // no window row in this shard
 		}
-		bms, match := vs.condBitmaps(conds, cb[:])
+		bms, match := vs.condBitmaps(conds, ids, cb[:])
 		if !match {
 			continue
 		}
@@ -433,7 +431,7 @@ func (v *View) clearDriftBitset(conds []Cond, ov *Overlay) (int, error) {
 
 // maxValueSweep bounds the values of one exact column that the level-1
 // group-by popcounts. A value bitmap costs one popcountAnd word per window
-// word (64 rows); a row visit of valueScanInto's dense table costs about
+// word (64 rows); a row visit of valueScan's dense table costs about
 // four words of the Go loop and eight of the AVX2 body, so the sweep breaks
 // even near 256 values on the one and 512 on the other (DESIGN.md §5g).
 // Up to 128 values it is at least twice as fast as the walk on either
@@ -441,50 +439,83 @@ func (v *View) clearDriftBitset(conds []Cond, ov *Overlay) (int, error) {
 const maxValueSweep = 128
 
 // AttrValueCounts returns, for each attribute, the per-value totals and
-// drift counts inside the view — the single-pass aggregation the first
-// apriori level needs (one "SQL GROUP BY" per attribute): one AND+popcount
-// per (attribute, value) bitmap, or one walk of the window's rows for a
-// column with more than maxValueSweep values or none of the bitmaps
-// (sketched).
+// drift counts inside the view — the first apriori level (one "SQL GROUP
+// BY" per attribute). Shards count in parallel in store-id space: one
+// AND+popcount per value a shard's column holds, or one walk of the window's
+// rows for a column with more than maxValueSweep values or tiered. The
+// partials add by id.
 func (v *View) AttrValueCounts(ov *Overlay) map[string]map[string]CountResult {
-	out := make(map[string]map[string]CountResult, len(v.attrs))
-	for name := range v.attrs {
-		out[name] = map[string]CountResult{}
+	names := v.attrNames()
+	var partial [numShards][]idCount
+	v.eachShard(func(si int) { partial[si] = v.shards[si].valueCounts(v, ov, si, names) })
+	sums := make([][]CountResult, len(names))
+	for a, name := range names {
+		sums[a] = make([]CountResult, len(v.dicts[name]))
 	}
-	var rows []int32
-	for si := range v.shards {
-		vs := &v.shards[si]
-		if vs.wlo == vs.whi {
-			continue // no window row in this shard
+	for _, p := range partial {
+		for _, c := range p {
+			sums[c.a][c.id].Total += c.n.Total
+			sums[c.a][c.id].Drift += c.n.Drift
 		}
-		ovWords := ov.words(si)
-		var one [1]bmSnap
-		rows = rows[:0]
-		for name, col := range vs.cols {
-			byVal := out[name]
-			if byVal == nil {
-				byVal = map[string]CountResult{}
+	}
+	out := make(map[string]map[string]CountResult, len(names))
+	for a, name := range names {
+		byVal := map[string]CountResult{}
+		for id, cr := range sums[a] {
+			if cr.Total > 0 {
+				byVal[v.dicts[name][id]] = cr
 			}
-			if col.sketched || len(col.dict)-1 > maxValueSweep {
-				if len(rows) == 0 {
-					rows = vs.windowRows(rows)
-				}
-				vs.valueScanInto(ov, si, rows, col, byVal)
-			} else {
-				for id := 1; id < len(col.bits); id++ {
-					one[0] = col.bits[id]
-					n, d := vs.andPopcount(one[:], ovWords)
-					if n == 0 {
-						continue
-					}
-					cr := byVal[col.dict[id]]
-					cr.Total += n
-					cr.Drift += d
-					byVal[col.dict[id]] = cr
-				}
+		}
+		out[name] = byVal
+	}
+	return out
+}
+
+// attrNames returns the view's attributes in name order.
+func (v *View) attrNames() []string {
+	names := make([]string, 0, len(v.dicts))
+	for name := range v.dicts {
+		names = append(names, name)
+	}
+	slices.Sort(names)
+	return names
+}
+
+// idCount is one value's count in a shard's partial group-by: its
+// attribute, an index into the query's names, and its store id.
+type idCount struct {
+	a, id uint32
+	n     CountResult
+}
+
+// valueCounts is one shard's share of AttrValueCounts over the attributes
+// names lists.
+func (vs *viewShard) valueCounts(v *View, ov *Overlay, si int, names []string) []idCount {
+	if vs.wlo == vs.whi {
+		return nil // no window row in this shard
+	}
+	held := 0 // on the bitmaps, the values a column holds bound its partial
+	for _, name := range names {
+		held += len(vs.cols[name].held)
+	}
+	out := make([]idCount, 0, held)
+	var rows []int32
+	var buf [maxValueSweep]bmSnap
+	for a, name := range names {
+		col, ok := vs.cols[name]
+		switch {
+		case !ok:
+		case col.live.tiered || len(col.held) > maxValueSweep:
+			if rows == nil {
+				rows = vs.windowRows(make([]int32, 0, 64*(vs.whi-vs.wlo)))
 			}
-			if len(byVal) > 0 {
-				out[name] = byVal // an attribute registered after the view pinned its names
+			out = vs.valueScan(ov, si, rows, col, uint32(a), len(v.dicts[name]), out)
+		default:
+			bms := vs.snapAll(buf[:0], col, col.held)
+			for k, id := range col.held {
+				if n, d := vs.andPopcount(bms[k:k+1], ov.words(si)); n > 0 {
+					out = append(out, idCount{uint32(a), id, CountResult{Total: n, Drift: d}})
+				}
 			}
 		}
 	}
@@ -503,71 +534,96 @@ type pairSel struct {
 	exclude map[string]bool
 }
 
-// keptCol is one shard column of a pair group-by with the selection resolved
-// to the shard's dictionary ids, once per shard, so counting runs in id space
-// over kept ids only. Kept ids occupy slots 1..n in ascending order; with
-// every value kept (no mask) a slot is the id itself and neither table is
-// built — a sketched column's dictionary can run to 100k values per shard.
+// selAttr is one attribute of a pair group-by with the selection resolved
+// to store ids once per query: ids lists the kept ids ascending, and slot
+// maps an id to its 1-based position in ids (0 = not kept).
+type selAttr struct {
+	name      string
+	vals      []string // the view's dictionary
+	ids, slot []uint32
+}
+
+// selAttrs resolves the selection against the view's dictionaries: the
+// attributes with at least one kept value, in name order, so pair keys come
+// out canonical (AttrA < AttrB).
+func (v *View) selAttrs(sel pairSel) []selAttr {
+	var out []selAttr
+	v.s.dictMu.RLock()
+	defer v.s.dictMu.RUnlock()
+	for _, name := range v.attrNames() {
+		sa := selAttr{name: name, vals: v.dicts[name]}
+		if sel.mask == nil && !sel.exclude[name] {
+			for id := 1; id < len(sa.vals); id++ {
+				sa.ids = append(sa.ids, uint32(id))
+			}
+		}
+		for val := range sel.mask[name] {
+			if id := v.s.dicts[name].index[val]; id != 0 && int(id) < len(sa.vals) {
+				sa.ids = append(sa.ids, id)
+			}
+		}
+		if len(sa.ids) > 0 {
+			slices.Sort(sa.ids)
+			sa.slot = slotTable(sa.ids, len(sa.vals))
+			out = append(out, sa)
+		}
+	}
+	return out
+}
+
+// slotTable maps each of ids to its 1-based position, over ids below n.
+func slotTable(ids []uint32, n int) []uint32 {
+	slot := make([]uint32, n)
+	for i, id := range ids {
+		slot[id] = uint32(i) + 1
+	}
+	return slot
+}
+
+// keptCol is one shard column of a pair group-by with its kept values in
+// slots 1..len(ids): a tiered column's are the query's (selAttr); on the
+// bitmaps they are those the shard holds, which is what routing counts.
 type keptCol struct {
-	namedCol
-	n    int
-	ids  []uint32 // slot-1 → id; nil when every value is kept
-	slot []uint32 // id → slot, 0 = not kept; built by the first row walk
+	a         int // index into the query's selAttrs
+	c         viewCol
+	ids, slot []uint32 // slot-1 → id; id → slot (0 = not kept)
+	bms       []bmSnap // parallel to ids, on the bitmaps
 }
 
-// id returns the dictionary id in a slot.
-func (k *keptCol) id(slot int) uint32 {
-	if k.ids == nil {
-		return uint32(slot)
-	}
-	return k.ids[slot-1]
-}
-
-// slots returns the id → slot table, nil when every value is kept.
-func (k *keptCol) slots() []uint32 {
-	if k.ids != nil && k.slot == nil {
-		k.slot = make([]uint32, len(k.c.dict))
-		for i, id := range k.ids {
-			k.slot[id] = uint32(i) + 1
+// keptCols resolves the query's selection against the shard: its columns
+// with at least one kept value, in name order, with their kept bitmaps.
+func (vs *viewShard) keptCols(attrs []selAttr) []keptCol {
+	kept := make([]keptCol, 0, len(attrs))
+	for a := range attrs {
+		sa := &attrs[a]
+		c, ok := vs.cols[sa.name]
+		if !ok {
+			continue
 		}
-	}
-	return k.slot
-}
-
-// keptCols resolves the selection against the shard: its columns with at
-// least one kept value present, in name order, so pair keys come out
-// canonical (AttrA < AttrB).
-func (vs *viewShard) keptCols(sel pairSel) []keptCol {
-	cols := vs.sortedCols(sel.exclude)
-	kept := make([]keptCol, 0, len(cols))
-	for _, nc := range cols {
-		k := keptCol{namedCol: nc, n: len(nc.c.dict) - 1}
-		if sel.mask != nil {
-			k.ids = nc.c.appendIDs(make([]uint32, 0, len(sel.mask[nc.name])), sel.mask[nc.name])
-			slices.Sort(k.ids)
-			k.n = len(k.ids)
+		k := keptCol{a: a, c: c, ids: sa.ids, slot: sa.slot}
+		if !c.live.tiered {
+			k.ids = nil
+			for _, id := range c.held {
+				if sa.slot[id] != 0 {
+					k.ids = append(k.ids, id)
+				}
+			}
+			k.slot, k.bms = slotTable(k.ids, len(sa.vals)), vs.snapAll(nil, c, k.ids)
 		}
-		if k.n > 0 {
+		if len(k.ids) > 0 {
 			kept = append(kept, k)
 		}
 	}
 	return kept
 }
 
-// pairCount is one pair of a shard's partial group-by.
+// pairCount is one pair of a shard's partial group-by in store-id space:
+// the two attributes, as indices into the query's selAttrs (a < b), and
+// their values' ids.
 type pairCount struct {
-	key PairKey
-	n   CountResult
-}
-
-// addPairs merges one shard's partial into out.
-func addPairs(out map[PairKey]CountResult, partial []pairCount) {
-	for _, p := range partial {
-		cr := out[p.key]
-		cr.Total += p.n.Total
-		cr.Drift += p.n.Drift
-		out[p.key] = cr
-	}
+	a, b     int
+	ida, idb uint32
+	n        CountResult
 }
 
 // maxPairCross bounds the kept-value cross product per attribute pair that
@@ -579,19 +635,38 @@ func addPairs(out map[PairKey]CountResult, partial []pairCount) {
 // (DESIGN.md §5g); the bound is the Go loop's, the only body off amd64.
 const maxPairCross = 256
 
-// pairCounts is the one pair group-by: shards in parallel, each resolving
-// the selection to its own dictionary ids and counting in id space, the
-// per-shard partials merged once.
+// pairCounts is the one pair group-by: the selection resolved to store ids
+// once, shards in parallel counting in id space, the per-shard partials
+// added by id and each pair's strings built once.
 func (v *View) pairCounts(ov *Overlay, sel pairSel) map[PairKey]CountResult {
+	attrs := v.selAttrs(sel)
 	var partial [numShards][]pairCount
-	v.eachShard(func(si int) { partial[si] = v.shards[si].pairCounts(ov, si, sel) })
-	n := 0
+	v.eachShard(func(si int) { partial[si] = v.shards[si].pairCounts(ov, si, attrs) })
+	// One map per attribute pair, keyed by the two ids: a 64-bit key.
+	sums := make([]map[uint64]CountResult, len(attrs)*len(attrs))
 	for _, p := range partial {
-		n = max(n, len(p))
+		for _, pc := range p {
+			m := &sums[pc.a*len(attrs)+pc.b]
+			if *m == nil {
+				*m = map[uint64]CountResult{}
+			}
+			k := uint64(pc.ida)<<32 | uint64(pc.idb)
+			cr := (*m)[k]
+			cr.Total += pc.n.Total
+			cr.Drift += pc.n.Drift
+			(*m)[k] = cr
+		}
+	}
+	n := 0
+	for _, m := range sums {
+		n += len(m)
 	}
 	out := make(map[PairKey]CountResult, n)
-	for _, p := range partial {
-		addPairs(out, p)
+	for ab, m := range sums {
+		a, b := &attrs[ab/len(attrs)], &attrs[ab%len(attrs)]
+		for k, cr := range m {
+			out[PairKey{AttrA: a.name, ValA: a.vals[k>>32], AttrB: b.name, ValB: b.vals[uint32(k)]}] = cr
+		}
 	}
 	return out
 }
@@ -600,13 +675,13 @@ func (v *View) pairCounts(ov *Overlay, sel pairSel) map[PairKey]CountResult {
 // columns: while the kept cross product stays within maxPairCross, AND the
 // window with each kept value bitmap of the first once and popcount it
 // against each kept value bitmap of the second, all over the window's word
-// range [wlo, whi); past it, or with a sketched side (no bitmaps), one walk
-// of the window's rows. PairKey strings are built for counted pairs only.
-func (vs *viewShard) pairCounts(ov *Overlay, si int, sel pairSel) []pairCount {
+// range [wlo, whi); past it, or with a tiered side (no bitmaps), one walk
+// of the window's rows.
+func (vs *viewShard) pairCounts(ov *Overlay, si int, attrs []selAttr) []pairCount {
 	if vs.wlo == vs.whi {
 		return nil // no window row in this shard
 	}
-	cols := vs.keptCols(sel)
+	cols := vs.keptCols(attrs)
 	fw := vs.fullWords
 	lo, n := vs.wlo, vs.whi
 	var out []pairCount
@@ -615,7 +690,7 @@ func (vs *viewShard) pairCounts(ov *Overlay, si int, sel pairSel) []pairCount {
 	for a := 0; a < len(cols); a++ {
 		for b := a + 1; b < len(cols); b++ {
 			ka, kb := &cols[a], &cols[b]
-			if ka.c.sketched || kb.c.sketched || ka.n*kb.n > maxPairCross {
+			if ka.c.live.tiered || kb.c.live.tiered || len(ka.ids)*len(kb.ids) > maxPairCross {
 				if rows == nil {
 					rows = vs.windowRows(make([]int32, 0, 64*(n-lo)))
 				}
@@ -633,10 +708,8 @@ func (vs *viewShard) pairCounts(ov *Overlay, si int, sel pairSel) []pairCount {
 					}
 				}
 			}
-			out = slices.Grow(out, ka.n*kb.n)
-			for sa := 1; sa <= ka.n; sa++ {
-				ida := ka.id(sa)
-				bmA := ka.c.bits[ida]
+			out = slices.Grow(out, len(ka.ids)*len(kb.ids))
+			for sa, bmA := range ka.bms {
 				na := min(bmA.effLen(fw), n)
 				if na <= lo {
 					continue
@@ -655,17 +728,12 @@ func (vs *viewShard) pairCounts(ov *Overlay, si int, sel pairSel) []pairCount {
 				if any == 0 {
 					continue
 				}
-				for sb := 1; sb <= kb.n; sb++ {
-					idb := kb.id(sb)
-					bmB := kb.c.bits[idb]
+				for sb, bmB := range kb.bms {
 					total, flagged := bmB.andCount(winA, drift, lo, min(bmB.effLen(fw), na), fw)
 					if total == 0 {
 						continue
 					}
-					out = append(out, pairCount{
-						PairKey{AttrA: ka.name, ValA: ka.c.dict[ida], AttrB: kb.name, ValB: kb.c.dict[idb]},
-						CountResult{Total: total, Drift: flagged},
-					})
+					out = append(out, pairCount{ka.a, kb.a, ka.ids[sa], kb.ids[sb], CountResult{Total: total, Drift: flagged}})
 				}
 			}
 		}
@@ -729,47 +797,35 @@ func (c *idCounts) each(f func(key uint64, n CountResult)) {
 
 // pairScanInto counts one pair of kept columns over the given shard rows —
 // the fallback for kept cross products too large to popcount and for pairs
-// with a sketched side (no bitmaps). A row with
-// a value outside the selection on either side is skipped; counting runs in
-// slot space and each PairKey is materialized once per distinct kept pair.
+// with a tiered side (no bitmaps). A row with a value outside the selection
+// on either side is skipped; counting runs in slot space.
 func (vs *viewShard) pairScanInto(ov *Overlay, si int, rows []int32, a, b *keptCol, out []pairCount) []pairCount {
-	nb := uint64(b.n) + 1
-	counts := newIDCounts((a.n+1)*int(nb), len(rows))
-	slotA, slotB := a.slots(), b.slots()
+	nb := uint64(len(b.ids)) + 1
+	counts := newIDCounts((len(a.ids)+1)*int(nb), len(rows))
 	for _, r := range rows {
-		sa, sb := a.c.ids[r], b.c.ids[r]
-		if slotA != nil {
-			sa = slotA[sa]
-		}
-		if slotB != nil {
-			sb = slotB[sb]
-		}
+		sa, sb := a.slot[a.c.ids[r]], b.slot[b.c.ids[r]]
 		if sa == 0 || sb == 0 {
 			continue
 		}
 		counts.add(uint64(sa)*nb+uint64(sb), ov.driftAt(vs, si, int(r)))
 	}
 	counts.each(func(key uint64, n CountResult) {
-		out = append(out, pairCount{
-			PairKey{AttrA: a.name, ValA: a.c.dict[a.id(int(key/nb))], AttrB: b.name, ValB: b.c.dict[b.id(int(key%nb))]}, n})
+		out = append(out, pairCount{a.a, b.a, a.ids[key/nb-1], b.ids[key%nb-1], n})
 	})
 	return out
 }
 
-// valueScanInto is pairScanInto for one column: its values counted over
-// the given shard rows — the group-by of an attribute with too many values
-// to popcount or with no bitmaps (sketched).
-func (vs *viewShard) valueScanInto(ov *Overlay, si int, rows []int32, c viewCol, out map[string]CountResult) {
-	counts := newIDCounts(len(c.dict), len(rows))
+// valueScan is pairScanInto for one column: its values counted over the
+// given shard rows and appended to out as attribute a's — the group-by of a
+// column with too many values to popcount or with no bitmaps (tiered). vals
+// is the dictionary's length.
+func (vs *viewShard) valueScan(ov *Overlay, si int, rows []int32, c viewCol, a uint32, vals int, out []idCount) []idCount {
+	counts := newIDCounts(vals, len(rows))
 	for _, r := range rows {
 		if id := c.ids[r]; id != 0 {
 			counts.add(uint64(id), ov.driftAt(vs, si, int(r)))
 		}
 	}
-	counts.each(func(id uint64, n CountResult) {
-		cr := out[c.dict[id]]
-		cr.Total += n.Total
-		cr.Drift += n.Drift
-		out[c.dict[id]] = cr
-	})
+	counts.each(func(id uint64, n CountResult) { out = append(out, idCount{a, uint32(id), n}) })
+	return out
 }

@@ -170,69 +170,18 @@ func (s *Store) AppendColumns(b *ColumnarBatch) error {
 	return nil
 }
 
-// appendColumns is the one function that writes shard rows. Per shard,
-// appends are slice extensions plus a lazy dictionary remap (batch dict
-// ID → shard dict ID, interned only for values that actually land in the
-// shard); the per-(attribute, value) bitmaps and the distinct-value
-// tracking are maintained here. b must satisfy Validate's
-// structural invariants (ColumnsFromEntries output does by construction).
+// appendColumns is the one function that writes shard rows. The batch's
+// dictionaries are remapped to store ids, and any tier-up run, before a
+// shard lock is taken; per shard the append is slice extensions plus the
+// bitmaps. b must satisfy Validate (ColumnsFromEntries output does).
 func (s *Store) appendColumns(b *ColumnarBatch) {
 	rows := b.Rows()
 	if rows == 0 {
 		return
 	}
-	// Register attribute names in row-discovery order — first row carrying
-	// the attribute, ties within a row sorted — so Attributes() does not
-	// depend on how rows were grouped into batches. Columns whose IDs are
-	// all zero never register, like an attribute no entry carries.
-	found := 0
-	seenCol := make([]bool, len(b.Cols))
-	var names, rowNames []string
-	for r := 0; r < rows && found < len(b.Cols); r++ {
-		rowNames = rowNames[:0]
-		for ci := range b.Cols {
-			if !seenCol[ci] && b.Cols[ci].IDs[r] != 0 {
-				seenCol[ci] = true
-				found++
-				rowNames = append(rowNames, b.Cols[ci].Name)
-			}
-		}
-		sort.Strings(rowNames)
-		names = append(names, rowNames...)
-	}
-	if len(names) > 0 {
-		s.registerAttrNames(names)
-	}
-
-	// Distinct-value tracking for the tier-up: only values actually used by
-	// rows count (a dictionary entry no row references is not a sighting).
-	// Tier-ups run before the batch's rows land.
-	{
-		sketched := s.sketchedSet()
-		var tier []string
-		for ci := range b.Cols {
-			col := &b.Cols[ci]
-			if sketched[col.Name] {
-				continue
-			}
-			used := make([]bool, len(col.Dict))
-			for _, id := range col.IDs {
-				used[id] = true
-			}
-			vals := make([]string, 0, len(col.Dict))
-			for id := 1; id < len(col.Dict); id++ {
-				if used[id] {
-					vals = append(vals, col.Dict[id])
-				}
-			}
-			if len(vals) > 0 && s.trackValues(col.Name, vals) {
-				tier = append(tier, col.Name)
-			}
-		}
-		sort.Strings(tier)
-		for _, name := range tier {
-			s.tierUp(name)
-		}
+	remaps, tier := s.intern(b)
+	for _, name := range tier {
+		s.tierUp(name)
 	}
 
 	// Shard placement: by device-attribute hash when the row has one
@@ -279,7 +228,7 @@ func (s *Store) appendColumns(b *ColumnarBatch) {
 	}
 
 	var added int64
-
+	cols := make([]*column, len(b.Cols))
 	lo := 0
 	for si := range s.shards {
 		shardRows := order[lo:shardEnd[si]]
@@ -288,11 +237,10 @@ func (s *Store) appendColumns(b *ColumnarBatch) {
 			continue
 		}
 		sh := &s.shards[si]
-		// Per-shard lazy state: the shard column and the batch→shard
-		// dictionary remap for each batch column, resolved on first use.
-		shCols := make([]*column, len(b.Cols))
-		remaps := make([][]uint32, len(b.Cols))
 		sh.mu.Lock()
+		for ci := range b.Cols {
+			cols[ci] = sh.cols[b.Cols[ci].Name]
+		}
 		for _, bi := range shardRows {
 			row := len(sh.times)
 			sh.noteTime(b.Times[bi])
@@ -309,44 +257,20 @@ func (s *Store) appendColumns(b *ColumnarBatch) {
 				added++
 			}
 			for ci := range b.Cols {
-				id := b.Cols[ci].IDs[bi]
+				id := remaps[ci][b.Cols[ci].IDs[bi]]
 				if id == 0 {
 					continue
 				}
-				col := shCols[ci]
-				if col == nil {
-					name := b.Cols[ci].Name
-					var ok bool
-					col, ok = sh.cols[name]
-					if !ok {
-						// Read under the shard lock, which a tier-up holds
-						// while it publishes the set.
-						col = newColumn(row)
-						if s.sketchedSet()[name] {
-							col.dropBits()
-						}
-						sh.cols[name] = col
-						sh.order = append(sh.order, name)
-					}
-					shCols[ci] = col
-					remaps[ci] = make([]uint32, len(b.Cols[ci].Dict))
+				if cols[ci] == nil {
+					cols[ci] = sh.newColumn(b.Cols[ci].Name, row, s.tieredSet())
 				}
-				lid := remaps[ci][id]
-				if lid == 0 {
-					lid = col.intern(b.Cols[ci].Dict[id])
-					remaps[ci][id] = lid
-				}
-				col.ids = append(col.ids, lid)
-				if !col.sketched {
-					col.bits[lid] = setBit(col.bits[lid], row)
-				}
+				cols[ci].add(id)
 			}
 			// Backfill columns the row did not carry (including shard
 			// columns absent from this batch entirely).
 			for _, name := range sh.order {
-				col := sh.cols[name]
-				if len(col.ids) == row {
-					col.ids = append(col.ids, 0)
+				if col := sh.cols[name]; len(col.ids) == row {
+					col.add(0)
 				}
 			}
 		}
@@ -355,28 +279,108 @@ func (s *Store) appendColumns(b *ColumnarBatch) {
 	s.samplesAdded.Add(added)
 }
 
-// registerAttrNames records attribute names in the store-wide registry.
-// Fresh names are appended in the order given — the caller has already
-// arranged discovery order.
-func (s *Store) registerAttrNames(names []string) {
-	missing := false
-	s.attrMu.RLock()
-	for _, name := range names {
-		if !s.attrSeen[name] {
-			missing = true
-			break
+// newColumn adds the shard's column for an attribute first carried by row
+// (the rows before it backfilled as missing), on the bitmaps unless the
+// attribute tiered up. Called under the shard lock, which a tier-up holds
+// while it publishes the tiered set.
+func (sh *shard) newColumn(name string, row int, tiered map[string]bool) *column {
+	col := &column{ids: make([]uint32, row), tiered: tiered[name]}
+	sh.cols[name] = col
+	sh.order = append(sh.order, name)
+	return col
+}
+
+// intern maps each batch column's dictionary to store ids, remaps[ci][batch
+// id], interning the values some row carries, and returns, sorted, the
+// attributes on the bitmaps whose dictionary just grew past the threshold.
+// In the steady state the read-locked pass resolves every value; only a
+// miss takes the write lock.
+func (s *Store) intern(b *ColumnarBatch) (remaps [][]uint32, tier []string) {
+	const unresolved = ^uint32(0)
+	remaps = make([][]uint32, len(b.Cols))
+	for ci := range b.Cols {
+		m := make([]uint32, len(b.Cols[ci].Dict))
+		for _, id := range b.Cols[ci].IDs {
+			m[id] = unresolved
+		}
+		m[0] = 0
+		remaps[ci] = m
+	}
+	resolve := func() (missing bool) {
+		for ci := range b.Cols {
+			var index map[string]uint32 // nil before the attribute's first value
+			if d := s.dicts[b.Cols[ci].Name]; d != nil {
+				index = d.index
+			}
+			for id, sid := range remaps[ci] {
+				if sid != unresolved {
+					continue
+				}
+				if sid = index[b.Cols[ci].Dict[id]]; sid == 0 {
+					missing = true
+					continue
+				}
+				remaps[ci][id] = sid
+			}
+		}
+		return missing
+	}
+	s.dictMu.RLock()
+	missing := resolve()
+	s.dictMu.RUnlock()
+	if !missing {
+		return remaps, nil
+	}
+	s.dictMu.Lock()
+	defer s.dictMu.Unlock()
+	s.registerAttrNames(b)
+	tiered := s.tieredSet()
+	for ci := range b.Cols {
+		col := &b.Cols[ci]
+		d := s.dicts[col.Name]
+		grew := false
+		for id, sid := range remaps[ci] {
+			if sid != unresolved {
+				continue
+			}
+			v := col.Dict[id]
+			if sid = d.index[v]; sid == 0 {
+				sid = uint32(len(d.vals))
+				d.vals = append(d.vals, v)
+				d.index[v] = sid
+				grew = true
+			}
+			remaps[ci][id] = sid
+		}
+		if grew && !tiered[col.Name] && len(d.vals)-1 > s.threshold {
+			tier = append(tier, col.Name)
 		}
 	}
-	s.attrMu.RUnlock()
-	if !missing {
-		return
-	}
-	s.attrMu.Lock()
-	for _, name := range names {
-		if !s.attrSeen[name] {
-			s.attrSeen[name] = true
+	sort.Strings(tier)
+	return remaps, tier
+}
+
+// registerAttrNames creates a dictionary for each attribute the batch
+// carries that has none, in row discovery order — the first row carrying
+// it, ties within a row sorted — so Attributes() does not depend on how
+// rows were grouped into batches. Called under dictMu's write lock.
+func (s *Store) registerAttrNames(b *ColumnarBatch) {
+	seen := make([]bool, len(b.Cols))
+	var rowNames []string
+	for r := range b.Rows() {
+		rowNames = rowNames[:0]
+		for ci := range b.Cols {
+			if !seen[ci] && b.Cols[ci].IDs[r] != 0 {
+				seen[ci] = true
+				if name := b.Cols[ci].Name; s.dicts[name] == nil {
+					rowNames = append(rowNames, name)
+				}
+			}
+		}
+		sort.Strings(rowNames)
+		for _, name := range rowNames {
+			s.dicts[name] = &dict{vals: []string{""}, index: map[string]uint32{}}
 			s.attrOrder = append(s.attrOrder, name)
 		}
 	}
-	s.attrMu.Unlock()
 }

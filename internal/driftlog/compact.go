@@ -6,8 +6,9 @@ import (
 )
 
 // Compact drops every row with a timestamp before cutoff, returning how
-// many rows were removed. Dictionary encodings are rebuilt per shard, so
-// value IDs for vanished attributes do not leak. Outstanding Views keep
+// many rows were removed. Store ids are kept (the dictionaries are
+// append-only, so a value whose rows all expired keeps its id), and the
+// bitmaps are rebuilt over the kept rows. Outstanding Views keep
 // reading their pinned snapshots (memory-safe) but no longer reflect the
 // store; create views after compaction. The store remembers the largest
 // cutoff it has been given, even when no row goes: a WAL replayed into
@@ -36,14 +37,6 @@ func (s *Store) Compact(cutoff time.Time) int {
 		newTimes := make([]int64, len(keep))
 		newDrift := make([]bool, len(keep))
 		newSamples := make([]int64, len(keep))
-		newCols := make(map[string]*column, len(sh.cols))
-		for _, name := range sh.order {
-			nc := newColumn(0)
-			if sh.cols[name].sketched {
-				nc.dropBits() // a tiered column stays tiered: no bitmaps to rebuild
-			}
-			newCols[name] = nc
-		}
 		var newDriftBits []uint64
 		var newSampleRows []int
 		var newSampleVecs [][]float64
@@ -63,19 +56,15 @@ func (s *Store) Compact(cutoff time.Time) int {
 				newDriftBits = setBit(newDriftBits, ni)
 			}
 			newSamples[ni] = sh.samples[oi]
-			for _, name := range sh.order {
-				old := sh.cols[name]
-				nc := newCols[name]
-				if id := old.ids[oi]; id != 0 {
-					nid := nc.intern(old.dict[id])
-					nc.ids = append(nc.ids, nid)
-					if !nc.sketched {
-						nc.bits[nid] = setBit(nc.bits[nid], ni)
-					}
-				} else {
-					nc.ids = append(nc.ids, 0)
-				}
+		}
+		// New columns, ids copied unchanged: a view may pin the old ones.
+		newCols := make(map[string]*column, len(sh.cols))
+		for name, old := range sh.cols {
+			nc := &column{ids: make([]uint32, 0, len(keep)), tiered: old.tiered}
+			for _, oi := range keep {
+				nc.add(old.ids[oi])
 			}
+			newCols[name] = nc
 		}
 		sh.seqs, sh.times, sh.drift, sh.samples = newSeqs, newTimes, newDrift, newSamples
 		sh.sampleRows, sh.sampleVecs = newSampleRows, newSampleVecs

@@ -60,45 +60,33 @@ const (
 	shardMask = numShards - 1
 )
 
-// column is a dictionary-encoded attribute column. ID 0 is reserved for
-// "attribute missing on this row". bits[id] is the value's row bitmap,
-// maintained at append time (bits[0] stays nil; trailing zero words are
-// omitted, so a bitmap only grows when its value appears).
+// column is one shard's slice of an attribute: ids[row] is the row's store
+// id (0 = attribute missing). bits[id] is that value's row bitmap in the
+// shard (trailing zero words omitted), and held lists the ids that have one,
+// first seen first: the values the shard holds, which the group-bys route
+// on. A tiered column (tier.go) has neither. Rows a view pinned never change:
+// tierUp and Compact replace columns instead.
 type column struct {
-	ids   []uint32
-	dict  []string          // dict[0] == ""
-	index map[string]uint32 // value -> id
-	bits  [][]uint64        // parallel to dict; nil once sketched
-	// sketched marks a column whose attribute tiered up (tier.go): it holds
-	// no per-value bitmaps, and queries walk its ids.
-	sketched bool
+	ids    []uint32
+	bits   [][]uint64
+	held   []uint32
+	tiered bool
 }
 
-func newColumn(backfill int) *column {
-	c := &column{dict: []string{""}, index: map[string]uint32{}, bits: [][]uint64{nil}}
-	if backfill > 0 {
-		c.ids = make([]uint32, backfill)
+// add appends one row's store id (0 = attribute missing).
+func (c *column) add(id uint32) {
+	row := len(c.ids)
+	c.ids = append(c.ids, id)
+	if id == 0 || c.tiered {
+		return
 	}
-	return c
-}
-
-func (c *column) intern(v string) uint32 {
-	if id, ok := c.index[v]; ok {
-		return id
+	if int(id) >= len(c.bits) {
+		c.bits = append(c.bits, make([][]uint64, int(id)+1-len(c.bits))...)
 	}
-	id := uint32(len(c.dict))
-	c.dict = append(c.dict, v)
-	if !c.sketched {
-		c.bits = append(c.bits, nil)
+	if c.bits[id] == nil {
+		c.held = append(c.held, id)
 	}
-	c.index[v] = id
-	return id
-}
-
-// dropBits frees the column's bitmaps and stops maintaining them.
-func (c *column) dropBits() {
-	c.sketched = true
-	c.bits = nil
+	c.bits[id] = setBit(c.bits[id], row)
 }
 
 // shard is one independently locked columnar sub-table.
@@ -166,18 +154,29 @@ type Store struct {
 	// this store applies to its sealed files.
 	cutoff atomic.Int64
 
-	// attrMu guards the store-wide attribute registry (first-seen order
-	// across all shards) and the per-attribute distinct-value tracking
-	// sets behind the tier-up decision.
-	attrMu    sync.RWMutex
-	attrSeen  map[string]bool
+	// dictMu guards every attribute's dictionary and the order attributes
+	// were first seen in. Lock order: dictMu and a shard lock are never held
+	// together. Appends intern before they take a shard lock, and readers
+	// resolve before (or pin dictionaries after) they read shards, so an id
+	// reaches a shard only after its dictionary entry is published.
+	dictMu    sync.RWMutex
+	dicts     map[string]*dict
 	attrOrder []string
-	card      map[string]map[string]bool
 
-	// threshold is SketchConfig.Threshold; sketchedPtr holds the immutable
+	// threshold is SketchConfig.Threshold; tieredPtr holds the immutable
 	// snapshot of the attributes that tiered up (tier.go).
-	threshold   int
-	sketchedPtr atomic.Pointer[map[string]bool]
+	threshold int
+	tieredPtr atomic.Pointer[map[string]bool]
+}
+
+// dict is one attribute's store-wide, append-only dictionary: an id names
+// its value for the store's life, Compact included, so every shard's ids
+// agree and per-shard partials add by id. vals[0] is "" (attribute missing).
+// Only values some row carried are interned: len(vals)-1 is the distinct
+// value count the tier-up reads.
+type dict struct {
+	vals  []string
+	index map[string]uint32
 }
 
 // NewStore returns an empty drift log with the default tier-up threshold
@@ -193,11 +192,7 @@ func NewStoreWithSketch(cfg SketchConfig) *Store {
 	if cfg.Threshold <= 0 {
 		cfg.Threshold = 4096
 	}
-	s := &Store{
-		attrSeen:  map[string]bool{},
-		card:      map[string]map[string]bool{},
-		threshold: cfg.Threshold,
-	}
+	s := &Store{dicts: map[string]*dict{}, threshold: cfg.Threshold}
 	s.cutoff.Store(math.MinInt64)
 	for i := range s.shards {
 		s.shards[i].cols = map[string]*column{}
@@ -291,11 +286,9 @@ func (s *Store) Stats() Stats {
 			st.IndexWords += len(sh.driftBits)
 		}
 		for _, col := range sh.cols {
-			for _, bm := range col.bits {
-				if bm != nil {
-					st.IndexBitmaps++
-					st.IndexWords += len(bm)
-				}
+			st.IndexBitmaps += len(col.held)
+			for _, id := range col.held {
+				st.IndexWords += len(col.bits[id])
 			}
 		}
 		if len(sh.times) > 0 {
@@ -309,10 +302,10 @@ func (s *Store) Stats() Stats {
 		}
 		sh.mu.RUnlock()
 	}
-	s.attrMu.RLock()
+	s.dictMu.RLock()
 	st.Attributes = len(s.attrOrder)
-	s.attrMu.RUnlock()
-	st.SketchAttrs = len(s.sketchedSet())
+	s.dictMu.RUnlock()
+	st.SketchAttrs = len(s.tieredSet())
 	if st.Rows > 0 {
 		st.OldestTime = time.Unix(0, oldest).UTC()
 		st.NewestTime = time.Unix(0, newest).UTC()
@@ -348,16 +341,29 @@ func (s *Store) orderedRows() []rowRef {
 // row counts).
 func (s *Store) Each(f func(i int, e Entry)) {
 	refs := s.orderedRows()
+	dicts := s.pinDicts() // after the rows: covers every id they hold
 	for i, ref := range refs {
 		sh := &s.shards[ref.shard]
 		sh.mu.RLock()
-		e := sh.entryLocked(ref.row)
+		e := sh.entryLocked(ref.row, dicts)
 		sh.mu.RUnlock()
 		f(i, e)
 	}
 }
 
-func (sh *shard) entryLocked(i int) Entry {
+// pinDicts returns every attribute's dictionary as it stands: values by id.
+// An id a shard held when the call began is covered.
+func (s *Store) pinDicts() map[string][]string {
+	s.dictMu.RLock()
+	defer s.dictMu.RUnlock()
+	out := make(map[string][]string, len(s.attrOrder))
+	for _, name := range s.attrOrder {
+		out[name] = s.dicts[name].vals
+	}
+	return out
+}
+
+func (sh *shard) entryLocked(i int, dicts map[string][]string) Entry {
 	e := Entry{
 		Time:     time.Unix(0, sh.times[i]).UTC(),
 		Drift:    sh.drift[i],
@@ -367,7 +373,7 @@ func (sh *shard) entryLocked(i int) Entry {
 	for _, name := range sh.order {
 		col := sh.cols[name]
 		if id := col.ids[i]; id != 0 {
-			e.Attrs[name] = col.dict[id]
+			e.Attrs[name] = dicts[name][id]
 		}
 	}
 	return e
@@ -379,44 +385,34 @@ type Cond struct {
 	Value string
 }
 
-// viewCol pins one shard column at snapshot time. bits pins the value
-// bitmaps, parallel to dict. sketched columns carry no bitmaps — queries
-// on them walk the window's rows over the retained ids.
+// viewCol pins one shard column: its ids over the pinned rows and the values
+// it held then. A query snapshots a value's bitmap when it reads it (snap),
+// so a view's size does not grow with the dictionaries.
 type viewCol struct {
-	ids      []uint32
-	dict     []string
-	bits     []bmSnap
-	sketched bool
-	live     *column       // the pinned column, whose index resolves values
-	mu       *sync.RWMutex // its shard's lock, guarding live.index
+	ids  []uint32
+	held []uint32
+	live *column // never changed below the pinned rows (see column)
 }
 
-// lookup resolves a value to its dictionary ID (0 = not present in the
-// pinned column). The live index may have grown since the view pinned
-// the column, but only by appending: an id at or past the pinned
-// dictionary's length names a value interned later, which no pinned row
-// holds. A column Compact replaced is never written again, so a view
-// pinned before the compaction keeps resolving through it.
-func (c viewCol) lookup(v string) uint32 {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	if id := c.live.index[v]; int(id) < len(c.dict) {
-		return id
+// snap pins store id's bitmap in column c at the view's rows (empty when the
+// column does not hold it). Must be called under vs.mu's read lock: the
+// appender writes the column's bitmap headers.
+func (vs *viewShard) snap(c viewCol, id uint32) bmSnap {
+	if int(id) >= len(c.live.bits) {
+		return bmSnap{}
 	}
-	return 0
+	return snapBitmap(c.live.bits[id], vs.rows>>6, uint(vs.rows&63))
 }
 
-// appendIDs appends the ID of every value in vals that the pinned column
-// holds, resolving them as lookup does under one read lock.
-func (c viewCol) appendIDs(ids []uint32, vals map[string]bool) []uint32 {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	for v := range vals {
-		if id := c.live.index[v]; id != 0 && int(id) < len(c.dict) {
-			ids = append(ids, id)
-		}
+// snapAll appends to dst the bitmaps of ids in column c, snapped under one
+// read lock.
+func (vs *viewShard) snapAll(dst []bmSnap, c viewCol, ids []uint32) []bmSnap {
+	vs.mu.RLock()
+	defer vs.mu.RUnlock()
+	for _, id := range ids {
+		dst = append(dst, vs.snap(c, id))
 	}
-	return ids
+	return dst
 }
 
 // viewShard is the immutable snapshot of one shard: slice headers pinned
@@ -436,6 +432,7 @@ type viewShard struct {
 	sampleRows []int
 	sampleVecs [][]float64
 	cols       map[string]viewCol
+	mu         *sync.RWMutex // the shard's lock, guarding its live columns
 
 	// Bitset index.
 	fullWords int    // rows / 64
@@ -471,20 +468,23 @@ type viewShard struct {
 // be passed back to the view that produced them.
 type View struct {
 	from, to int64
-	attrs    map[string]bool // attribute registry pinned at creation
-	total    int
-	shards   [numShards]viewShard
+	s        *Store
+	// dicts pins every attribute's dictionary after the shards, so it holds
+	// every id a pinned row carries.
+	dicts  map[string][]string
+	total  int
+	shards [numShards]viewShard
 
-	// sketched names every attribute with a pinned column that holds no
+	// tiered names every attribute with a pinned column that holds no
 	// bitmaps (nil when there is none): a query on one walks the rows.
-	sketched map[string]bool
+	tiered map[string]bool
 }
 
 // Window returns a view over [from, to). Zero times are unbounded. The
 // view carries a pinned snapshot of the bitset index, so Count,
 // ClearDrift and AttrValueCounts run as word-wise AND + popcount.
 func (s *Store) Window(from, to time.Time) *View {
-	v := &View{from: math.MinInt64, attrs: map[string]bool{}}
+	v := &View{from: math.MinInt64, s: s}
 	if !from.IsZero() {
 		v.from = from.UnixNano()
 	}
@@ -508,6 +508,7 @@ func (s *Store) Window(from, to time.Time) *View {
 			sampleRows: sh.sampleRows,
 			sampleVecs: sh.sampleVecs,
 			cols:       make(map[string]viewCol, len(sh.cols)),
+			mu:         &sh.mu,
 		}
 		fw := rows >> 6
 		rem := uint(rows & 63)
@@ -517,20 +518,13 @@ func (s *Store) Window(from, to time.Time) *View {
 		}
 		vs.driftBM = snapBitmap(sh.driftBits, fw, rem)
 		for name, col := range sh.cols {
-			if col.sketched {
-				vs.cols[name] = viewCol{ids: col.ids[:rows], dict: col.dict, sketched: true, live: col, mu: &sh.mu}
-				if v.sketched == nil {
-					v.sketched = map[string]bool{}
+			vs.cols[name] = viewCol{ids: col.ids[:rows], held: col.held, live: col}
+			if col.tiered {
+				if v.tiered == nil {
+					v.tiered = map[string]bool{}
 				}
-				v.sketched[name] = true
-				continue
+				v.tiered[name] = true
 			}
-			nvals := len(col.dict)
-			bits := make([]bmSnap, nvals)
-			for id := 1; id < nvals; id++ {
-				bits[id] = snapBitmap(col.bits[id], fw, rem)
-			}
-			vs.cols[name] = viewCol{ids: col.ids[:rows], dict: col.dict[:nvals], bits: bits, live: col, mu: &sh.mu}
 		}
 		sh.mu.RUnlock()
 		v.shards[i] = vs
@@ -539,14 +533,9 @@ func (s *Store) Window(from, to time.Time) *View {
 		offset += rows
 	}
 	v.total = offset
-	// Read after the shards are pinned: an append registers its attribute
-	// names before its rows land, so every column a pinned shard holds is
-	// registered by now, and no condition on it is refused as unknown.
-	s.attrMu.RLock()
-	for _, name := range s.attrOrder {
-		v.attrs[name] = true
-	}
-	s.attrMu.RUnlock()
+	// After the shards: an append interns its values before its rows land,
+	// so every id a pinned row holds is in the pinned dictionaries.
+	v.dicts = s.pinDicts()
 	return v
 }
 
@@ -652,7 +641,7 @@ func (v *View) Since(prevRows []int, prevTo int64) (*View, error) {
 	if len(prevRows) != numShards {
 		return nil, fmt.Errorf("driftlog: Since: got %d shard watermarks, want %d", len(prevRows), numShards)
 	}
-	d := &View{from: v.from, to: v.to, attrs: v.attrs, total: v.total, sketched: v.sketched}
+	d := &View{from: v.from, to: v.to, s: v.s, dicts: v.dicts, total: v.total, tiered: v.tiered}
 	d.shards = v.shards
 	for si := range d.shards {
 		vs := &d.shards[si]
@@ -724,23 +713,44 @@ type CountResult struct {
 //	query            bitmaps                tiered attribute
 //	Count            countBitset            countRows
 //	ClearDrift       clearDriftBitset       clearDriftRows
-//	AttrValueCounts  andPopcount per value  valueScanInto
+//	AttrValueCounts  andPopcount per value  valueScan
 //	PairCounts       viewShard.pairCounts   pairScanInto
 //	SampleIDs        eachMatch              eachMatch
 //
-// Count and ClearDrift route per view (condSketched); the group-bys decide per
+// Count and ClearDrift route per view (condTiered); the group-bys decide per
 // shard column, and also walk the rows for a column whose values (pairs: the
 // kept cross product) outnumber what popcounting pays for.
 
-// condSketched reports whether any condition is on an attribute with a pinned
+// condTiered reports whether any condition is on an attribute with a pinned
 // column that holds no bitmaps.
-func (v *View) condSketched(conds []Cond) bool {
+func (v *View) condTiered(conds []Cond) bool {
 	for _, c := range conds {
-		if v.sketched[c.Attr] {
+		if v.tiered[c.Attr] {
 			return true
 		}
 	}
 	return false
+}
+
+// resolve appends the store id of each condition's value to ids: once per
+// query, under one read lock of the dictionaries. An id is 0 when the view's
+// dictionary does not hold the value (an id past its length was interned
+// after the view), and an attribute the view does not know is an error.
+func (v *View) resolve(conds []Cond, ids []uint32) ([]uint32, error) {
+	v.s.dictMu.RLock()
+	defer v.s.dictMu.RUnlock()
+	for _, c := range conds {
+		vals, ok := v.dicts[c.Attr]
+		if !ok {
+			return nil, fmt.Errorf("driftlog: unknown attribute %q", c.Attr)
+		}
+		id := v.s.dicts[c.Attr].index[c.Value]
+		if int(id) >= len(vals) {
+			id = 0
+		}
+		ids = append(ids, id)
+	}
+	return ids, nil
 }
 
 // colCond is one resolved equality predicate on a shard snapshot.
@@ -749,37 +759,26 @@ type colCond struct {
 	id  uint32
 }
 
-// lookupCond resolves one condition to the shard's column and the value's
-// dictionary ID. ok=false means the condition can never match in this
-// shard (column or value absent there).
-func (vs *viewShard) lookupCond(c Cond) (col viewCol, id uint32, ok bool) {
-	if col, ok = vs.cols[c.Attr]; !ok {
-		return col, 0, false
-	}
-	id = col.lookup(c.Value)
-	return col, id, id != 0
-}
-
 // eachMatch is the row walk's primitive: f(si, vs, i) for every
 // window row i of every shard that satisfies all the conditions, rows in
 // order within a shard, shards in parallel on large views — so f may write
 // per-shard slots only. The walk is over the window bitmap's words
 // [wlo, whi): it costs the rows the window holds, wherever in the log the
-// window lies. An attribute unknown to the whole store is an error,
-// whichever shard a value landed in.
+// window lies.
 func (v *View) eachMatch(conds []Cond, f func(si int, vs *viewShard, i int)) error {
-	if err := v.checkConds(conds); err != nil {
+	ids, err := v.resolve(conds, nil)
+	if err != nil || slices.Contains(ids, 0) {
 		return err
 	}
 	v.eachShard(func(si int) {
 		vs := &v.shards[si]
 		ccs := make([]colCond, 0, len(conds))
-		for _, c := range conds {
-			col, id, ok := vs.lookupCond(c)
+		for k, c := range conds {
+			col, ok := vs.cols[c.Attr]
 			if !ok {
 				return
 			}
-			ccs = append(ccs, colCond{ids: col.ids, id: id})
+			ccs = append(ccs, colCond{ids: col.ids, id: ids[k]})
 		}
 		vs.eachWindowRow(func(i int) {
 			for _, cc := range ccs {
@@ -797,7 +796,7 @@ func (v *View) eachMatch(conds []Cond, f func(si int, vs *viewShard, i int)) err
 // non-nil, replaces the stored drift flags — the hook counterfactual
 // analysis uses to "mark" entries as non-drift without mutating the log.
 func (v *View) Count(conds []Cond, ov *Overlay) (CountResult, error) {
-	if v.condSketched(conds) {
+	if v.condTiered(conds) {
 		return v.countRows(conds, ov)
 	}
 	return v.countBitset(conds, ov)
@@ -824,7 +823,7 @@ func (v *View) countRows(conds []Cond, ov *Overlay) (CountResult, error) {
 // mutating call stamps the overlay with a fresh epoch (see
 // Overlay.Epoch).
 func (v *View) ClearDrift(conds []Cond, ov *Overlay) (int, error) {
-	if v.condSketched(conds) {
+	if v.condTiered(conds) {
 		return v.clearDriftRows(conds, ov)
 	}
 	return v.clearDriftBitset(conds, ov)
@@ -847,26 +846,6 @@ func (v *View) clearDriftRows(conds []Cond, ov *Overlay) (int, error) {
 		ov.bump()
 	}
 	return n, err
-}
-
-// namedCol pairs a shard column with its attribute name.
-type namedCol struct {
-	name string
-	c    viewCol
-}
-
-// sortedCols collects the shard's non-excluded columns in name order,
-// so pair keys come out canonical (AttrA < AttrB).
-func (vs *viewShard) sortedCols(exclude map[string]bool) []namedCol {
-	cols := make([]namedCol, 0, len(vs.cols))
-	for name, c := range vs.cols {
-		if exclude[name] {
-			continue
-		}
-		cols = append(cols, namedCol{name, c})
-	}
-	sort.Slice(cols, func(i, j int) bool { return cols[i].name < cols[j].name })
-	return cols
 }
 
 // PairKey identifies a two-attribute value combination (attributes in

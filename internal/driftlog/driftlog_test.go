@@ -190,10 +190,10 @@ func TestViewPinsRowCount(t *testing.T) {
 }
 
 // TestViewLookupIgnoresLaterValues: a value interned after a view pinned
-// its columns is in the live index but past the pinned dictionary, so it
+// the dictionaries is in the store's dictionary but past the view's, so it
 // resolves to 0 on the older view — a condition or mask naming it matches
-// nothing there instead of reaching past the pinned bitmaps — while the
-// view's own values resolve as before.
+// nothing there instead of reaching past the pinned rows — while the view's
+// own values resolve as before.
 func TestViewLookupIgnoresLaterValues(t *testing.T) {
 	s := paperExample()
 	v := s.All()
@@ -202,24 +202,15 @@ func TestViewLookupIgnoresLaterValues(t *testing.T) {
 		s.AppendBatch([]Entry{{Time: at, Drift: true, SampleID: -1,
 			Attrs: map[string]string{AttrDevice: dev, AttrWeather: "hail", AttrLocation: "Helsinki"}}})
 	}
-	live := 0
-	for si := range v.shards {
-		col, ok := v.shards[si].cols[AttrWeather]
-		if !ok {
-			continue
-		}
-		if col.live.index["hail"] != 0 {
-			live++
-		}
-		if id := col.lookup("hail"); id != 0 {
-			t.Fatalf("shard %d: hail, interned after the view pinned, resolves to %d", si, id)
-		}
-		if id := col.lookup("snow"); id == 0 || col.dict[id] != "snow" {
-			t.Fatalf("shard %d: snow resolves to %d", si, id)
-		}
+	if s.dicts[AttrWeather].index["hail"] == 0 {
+		t.Fatal("the store's dictionary does not hold hail: the test exercises nothing")
 	}
-	if live == 0 {
-		t.Fatal("no pinned column's live index holds hail: the test exercises nothing")
+	ids, err := v.resolve([]Cond{{AttrWeather, "hail"}, {AttrWeather, "snow"}}, nil)
+	if err != nil || ids[0] != 0 {
+		t.Fatalf("hail, interned after the view pinned, resolves to %v (%v)", ids, err)
+	}
+	if ids[1] == 0 || v.dicts[AttrWeather][ids[1]] != "snow" {
+		t.Fatalf("snow resolves to %d", ids[1])
 	}
 	cr, err := v.Count([]Cond{{AttrWeather, "hail"}}, nil)
 	if err != nil || cr.Total != 0 {
@@ -238,9 +229,8 @@ func TestViewLookupIgnoresLaterValues(t *testing.T) {
 }
 
 // TestViewLookupAcrossCompact: Compact replaces every shard column, and a
-// view pinned before it keeps resolving its values through the columns it
-// pinned, which are never written again — not even by appends after the
-// compaction interning the same values into the new columns.
+// view pinned before it keeps reading the columns it pinned, which are never
+// written again — not even by appends after the compaction.
 func TestViewLookupAcrossCompact(t *testing.T) {
 	s := paperExample()
 	v := s.All()
@@ -540,4 +530,50 @@ func requireWordBounds(t *testing.T, s *Store) {
 			}
 		}
 	}
+}
+
+// TestRoutingCountsShardValues: the group-bys route each shard on the values
+// that shard's column holds (held), not on the store-wide dictionary. Over
+// 2,100 devices a shard holds about 131, so some shards sweep the device
+// column and others walk it; held must equal the distinct ids among the
+// view's pinned rows, before and after Compact, and a view pinned before more
+// values arrive keeps its count.
+func TestRoutingCountsShardValues(t *testing.T) {
+	s := NewStore()
+	base := time.Unix(0, 0).UTC()
+	var batch []Entry
+	for i := range 6000 {
+		batch = append(batch, Entry{Time: base.Add(time.Duration(i) * time.Second), SampleID: -1,
+			Attrs: map[string]string{AttrDevice: fmt.Sprintf("dev_%d", i%2100), AttrWeather: fmt.Sprintf("w%d", i%4)}})
+	}
+	s.AppendBatch(batch)
+	check := func(what string, v *View) (sweep, walk int) {
+		for si := range v.shards {
+			vs := &v.shards[si]
+			col := vs.cols[AttrDevice]
+			distinct := map[uint32]bool{}
+			for _, id := range col.ids {
+				if id != 0 {
+					distinct[id] = true
+				}
+			}
+			if len(col.held) != len(distinct) {
+				t.Fatalf("%s: shard %d holds %d device values, its rows carry %d", what, si, len(col.held), len(distinct))
+			}
+			if len(col.held) > maxValueSweep {
+				walk++
+			} else {
+				sweep++
+			}
+		}
+		return sweep, walk
+	}
+	before := s.All()
+	if sweep, walk := check("fresh", before); sweep == 0 || walk == 0 {
+		t.Fatalf("%d shards sweep and %d walk: want both routes taken", sweep, walk)
+	}
+	s.AppendBatch([]Entry{{Time: base, SampleID: -1, Attrs: map[string]string{AttrDevice: "dev_new"}}})
+	s.Compact(base.Add(3000 * time.Second))
+	check("pinned before the append and Compact", before)
+	check("compacted", s.All())
 }

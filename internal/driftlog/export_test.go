@@ -7,17 +7,18 @@ package driftlog
 // Each call re-derives the ordering; sweep with Each.
 func (s *Store) Entry(i int) Entry {
 	refs := s.orderedRows()
+	dicts := s.pinDicts()
 	ref := refs[i]
 	sh := &s.shards[ref.shard]
 	sh.mu.RLock()
 	defer sh.mu.RUnlock()
-	return sh.entryLocked(ref.row)
+	return sh.entryLocked(ref.row, dicts)
 }
 
 // Attributes returns the attribute names in first-seen order.
 func (s *Store) Attributes() []string {
-	s.attrMu.RLock()
-	defer s.attrMu.RUnlock()
+	s.dictMu.RLock()
+	defer s.dictMu.RUnlock()
 	return append([]string(nil), s.attrOrder...)
 }
 

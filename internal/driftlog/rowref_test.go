@@ -7,13 +7,14 @@ import (
 )
 
 // Row-at-a-time reference implementations the differential tests compare
-// the columnar ingest path against: an appender that walks each entry's
-// attribute map under the shard lock, and tiers an attribute up the moment
-// its values cross the threshold. It shares no code with appendColumns or
-// tierUp beyond the store's own primitives (intern, setBit, dropBits), so
-// agreement between the two is evidence, not tautology. The file also keeps
-// the writer of the row-layout WAL record earlier versions wrote, which
-// builds fuzz seeds replay must refuse.
+// the columnar ingest path against: an appender that interns each entry's
+// values one at a time, tiers an attribute up the moment its dictionary
+// crosses the threshold, and walks each entry's attribute map under the shard
+// lock. It shares no code with appendColumns, intern or tierUp beyond the
+// store's own primitives (column.add, setBit), so agreement between the two
+// is evidence, not tautology. The file also keeps the writer of the
+// row-layout WAL record earlier versions wrote, which builds fuzz seeds
+// replay must refuse.
 
 // refAppendBatch ingests entries row by row with one lock acquisition per
 // touched shard, preserving slice order in the store's sequence order.
@@ -21,14 +22,16 @@ func refAppendBatch(s *Store, entries []Entry) {
 	if len(entries) == 0 {
 		return
 	}
-	for _, e := range entries {
+	ids := make([]map[string]uint32, len(entries))
+	for i, e := range entries {
 		refRegisterAttrs(s, e.Attrs)
-		refObserveCardinality(s, e.Attrs)
+		ids[i] = refIntern(s, e.Attrs)
 	}
 	base := s.seq.Add(int64(len(entries))) - int64(len(entries))
 	type job struct {
 		seq int64
 		e   Entry
+		ids map[string]uint32
 	}
 	var jobs [numShards][]job
 	for i, e := range entries {
@@ -37,7 +40,7 @@ func refAppendBatch(s *Store, entries []Entry) {
 		if dev, ok := e.Attrs[AttrDevice]; ok {
 			si = int(hashString(dev) & shardMask)
 		}
-		jobs[si] = append(jobs[si], job{seq, e})
+		jobs[si] = append(jobs[si], job{seq, e, ids[i]})
 	}
 	for si := range jobs {
 		if len(jobs[si]) == 0 {
@@ -45,15 +48,16 @@ func refAppendBatch(s *Store, entries []Entry) {
 		}
 		sh := &s.shards[si]
 		sh.mu.Lock()
-		sketched := s.sketchedSet()
+		tiered := s.tieredSet()
 		for _, j := range jobs[si] {
-			refAppendLocked(sh, j.seq, j.e, sketched)
+			refAppendLocked(sh, j.seq, j.e, j.ids, tiered)
 		}
 		sh.mu.Unlock()
 	}
 }
 
-func refAppendLocked(sh *shard, seq int64, e Entry, sketched map[string]bool) {
+// refAppendLocked appends one entry whose values' store ids are ids.
+func refAppendLocked(sh *shard, seq int64, e Entry, ids map[string]uint32, tiered map[string]bool) {
 	row := len(sh.times)
 	t := e.Time.UnixNano()
 	sh.noteTime(t)
@@ -64,93 +68,86 @@ func refAppendLocked(sh *shard, seq int64, e Entry, sketched map[string]bool) {
 		sh.driftBits = setBit(sh.driftBits, row)
 	}
 	sh.samples = append(sh.samples, e.SampleID)
-	for name, val := range e.Attrs {
+	for name := range e.Attrs {
 		col, ok := sh.cols[name]
 		if !ok {
-			col = newColumn(row)
-			if sketched[name] {
-				col.dropBits()
-			}
+			col = &column{ids: make([]uint32, row), tiered: tiered[name]}
 			sh.cols[name] = col
 			sh.order = append(sh.order, name)
 		}
-		id := col.intern(val)
-		col.ids = append(col.ids, id)
-		if !col.sketched {
-			col.bits[id] = setBit(col.bits[id], row)
-		}
+		col.add(ids[name])
 	}
 	// Backfill missing attributes for this row.
 	for _, name := range sh.order {
 		col := sh.cols[name]
 		if len(col.ids) == row {
-			col.ids = append(col.ids, 0)
+			col.add(0)
 		}
 	}
 }
 
 // refRegisterAttrs records one entry's attribute names in the store-wide
-// registry, fresh names sorted so discovery order is deterministic.
+// registry, fresh names sorted so discovery order is deterministic, each
+// with an empty dictionary.
 func refRegisterAttrs(s *Store, attrs map[string]string) {
 	var fresh []string
-	s.attrMu.Lock()
+	s.dictMu.Lock()
 	for name := range attrs {
-		if !s.attrSeen[name] {
+		if s.dicts[name] == nil {
 			fresh = append(fresh, name)
 		}
 	}
 	sort.Strings(fresh)
 	for _, name := range fresh {
-		s.attrSeen[name] = true
+		s.dicts[name] = &dict{vals: []string{""}, index: map[string]uint32{}}
 		s.attrOrder = append(s.attrOrder, name)
 	}
-	s.attrMu.Unlock()
+	s.dictMu.Unlock()
 }
 
-// refObserveCardinality records one entry's value sightings for attributes
-// still on the exact tier and tiers up any attribute that crossed the
-// threshold.
-func refObserveCardinality(s *Store, attrs map[string]string) {
+// refIntern interns one entry's values in the store's dictionaries, returning
+// their ids, and tiers up every attribute still on the bitmaps whose
+// dictionary crossed the threshold.
+func refIntern(s *Store, attrs map[string]string) map[string]uint32 {
+	ids := make(map[string]uint32, len(attrs))
 	var tier []string
-	s.attrMu.Lock()
-	sketched := s.sketchedSet()
+	s.dictMu.Lock()
+	tiered := s.tieredSet()
 	for name, val := range attrs {
-		if sketched[name] {
-			continue
-		}
-		vals := s.card[name]
-		if vals == nil {
-			vals = map[string]bool{}
-			s.card[name] = vals
-		}
-		if !vals[val] {
-			vals[val] = true
-			if len(vals) > s.threshold {
+		d := s.dicts[name]
+		id, ok := d.index[val]
+		if !ok {
+			id = uint32(len(d.vals))
+			d.vals = append(d.vals, val)
+			d.index[val] = id
+			if !tiered[name] && len(d.vals)-1 > s.threshold {
 				tier = append(tier, name)
 			}
 		}
+		ids[name] = id
 	}
-	s.attrMu.Unlock()
+	s.dictMu.Unlock()
 	sort.Strings(tier)
 	for _, name := range tier {
 		refTierUp(s, name)
 	}
+	return ids
 }
 
-// refTierUp is tierUp without its locks: every column of the attribute
-// drops its bitmaps and the set names it. Single-writer only.
+// refTierUp is tierUp without its locks: every column of the attribute is
+// replaced by one with its ids and no bitmaps, and the set names it.
+// Single-writer only.
 func refTierUp(s *Store, attr string) {
 	next := map[string]bool{attr: true}
-	for k := range s.sketchedSet() {
+	for k := range s.tieredSet() {
 		next[k] = true
 	}
 	for si := range s.shards {
 		if c := s.shards[si].cols[attr]; c != nil {
-			c.dropBits()
+			s.shards[si].cols[attr] = &column{ids: c.ids, tiered: true}
 		}
 	}
-	s.sketchedPtr.Store(&next)
-	delete(s.card, attr)
+	s.tieredPtr.Store(&next)
 }
 
 // appendWALFrameColumns appends one legacy framed record

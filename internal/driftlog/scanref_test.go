@@ -1,6 +1,10 @@
 package driftlog
 
-import "sort"
+import (
+	"fmt"
+	"slices"
+	"sort"
+)
 
 // Row-scan reference implementations of the View queries: the loops the
 // product ran before the bitset index, kept here as the differential tests'
@@ -9,8 +13,8 @@ import "sort"
 // [wlo, whi) word range or a value bitmap — so a bug in
 // buildWindowBM, in the index or in the product's window-row walk shows up
 // as a disagreement. They share with the product only the pinned columns,
-// the per-column dictionary lookup and the overlay's word store (driftAt,
-// materialize, bump).
+// the view's pinned dictionaries (searched linearly here, never through the
+// store's index) and the overlay's word store (driftAt, materialize, bump).
 
 // refResolveConds maps conditions onto one shard's columns. match=false
 // means the predicate can never match in this shard (value or column
@@ -18,8 +22,10 @@ import "sort"
 func refResolveConds(v *View, vs *viewShard, conds []Cond) (ccs []colCond, match bool, err error) {
 	// Validate every attribute name before any per-shard short-circuit,
 	// so the error is independent of which shard a value landed in.
-	if err := v.checkConds(conds); err != nil {
-		return nil, false, err
+	for _, c := range conds {
+		if _, ok := v.dicts[c.Attr]; !ok {
+			return nil, false, fmt.Errorf("driftlog: unknown attribute %q", c.Attr)
+		}
 	}
 	ccs = make([]colCond, 0, len(conds))
 	for _, c := range conds {
@@ -27,13 +33,32 @@ func refResolveConds(v *View, vs *viewShard, conds []Cond) (ccs []colCond, match
 		if !ok {
 			return nil, false, nil // column never appeared in this shard
 		}
-		id := col.lookup(c.Value)
+		id := slices.Index(v.dicts[c.Attr][1:], c.Value) + 1
 		if id == 0 {
-			return nil, false, nil // value never seen in this shard
+			return nil, false, nil // value no pinned row carries
 		}
-		ccs = append(ccs, colCond{ids: col.ids, id: id})
+		ccs = append(ccs, colCond{ids: col.ids, id: uint32(id)})
 	}
 	return ccs, true, nil
+}
+
+// namedCol pairs a shard column with its attribute name.
+type namedCol struct {
+	name string
+	c    viewCol
+}
+
+// refSortedCols collects the shard's non-excluded columns in name order, so
+// pair keys come out canonical (AttrA < AttrB).
+func refSortedCols(vs *viewShard, exclude map[string]bool) []namedCol {
+	cols := make([]namedCol, 0, len(vs.cols))
+	for name, c := range vs.cols {
+		if !exclude[name] {
+			cols = append(cols, namedCol{name, c})
+		}
+	}
+	sort.Slice(cols, func(i, j int) bool { return cols[i].name < cols[j].name })
+	return cols
 }
 
 // refLen is the reference for View.Len.
@@ -148,10 +173,7 @@ func refAttrValueCounts(v *View, ov *Overlay) map[string]map[string]CountResult 
 	v.eachShard(func(si int) {
 		vs := &v.shards[si]
 		out := map[string]map[string]CountResult{}
-		cols := make([]namedCol, 0, len(vs.cols))
-		for name, c := range vs.cols {
-			cols = append(cols, namedCol{name, c})
-		}
+		cols := refSortedCols(vs, nil)
 		for i := 0; i < vs.rows; i++ {
 			if !vs.inWindow(v, i) {
 				continue
@@ -167,7 +189,7 @@ func refAttrValueCounts(v *View, ov *Overlay) map[string]map[string]CountResult 
 					byVal = map[string]CountResult{}
 					out[nc.name] = byVal
 				}
-				val := nc.c.dict[id]
+				val := v.dicts[nc.name][id]
 				cr := byVal[val]
 				cr.Total++
 				if d {
@@ -178,8 +200,8 @@ func refAttrValueCounts(v *View, ov *Overlay) map[string]map[string]CountResult 
 		}
 		partial[si] = out
 	})
-	out := make(map[string]map[string]CountResult, len(v.attrs))
-	for name := range v.attrs {
+	out := make(map[string]map[string]CountResult, len(v.dicts))
+	for name := range v.dicts {
 		out[name] = map[string]CountResult{}
 	}
 	for _, p := range partial {
@@ -206,7 +228,7 @@ func refPairCounts(v *View, ov *Overlay, exclude map[string]bool) map[PairKey]Co
 	var partial [numShards]map[PairKey]CountResult
 	v.eachShard(func(si int) {
 		vs := &v.shards[si]
-		cols := vs.sortedCols(exclude)
+		cols := refSortedCols(vs, exclude)
 		out := map[PairKey]CountResult{}
 		for i := 0; i < vs.rows; i++ {
 			if !vs.inWindow(v, i) {
@@ -224,8 +246,8 @@ func refPairCounts(v *View, ov *Overlay, exclude map[string]bool) map[PairKey]Co
 						continue
 					}
 					k := PairKey{
-						AttrA: cols[a].name, ValA: cols[a].c.dict[ida],
-						AttrB: cols[b].name, ValB: cols[b].c.dict[idb],
+						AttrA: cols[a].name, ValA: v.dicts[cols[a].name][ida],
+						AttrB: cols[b].name, ValB: v.dicts[cols[b].name][idb],
 					}
 					cr := out[k]
 					cr.Total++

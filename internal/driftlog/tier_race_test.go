@@ -26,7 +26,7 @@ func viewEntries(v *View) []Entry {
 			e := Entry{Time: time.Unix(0, vs.times[i]).UTC(), Drift: vs.drift[i], SampleID: vs.samples[i], Attrs: map[string]string{}}
 			for name, col := range vs.cols {
 				if id := col.ids[i]; id != 0 {
-					e.Attrs[name] = col.dict[id]
+					e.Attrs[name] = v.dicts[name][id]
 				}
 			}
 			rows = append(rows, seqEntry{vs.seqs[i], e})
@@ -162,9 +162,9 @@ func TestSketchFeedConcurrent(t *testing.T) {
 			from, to = time.Unix(0, f), time.Unix(0, e)
 		}
 		if want := viewAnswers(t, twin.Window(from, to), p.conds); !reflect.DeepEqual(p.answers, want) {
-			t.Fatalf("view %d of %d (tiered %v): %d answers, the untiered twin %d", i, len(seen), p.v.sketched, len(p.answers), len(want))
+			t.Fatalf("view %d of %d (tiered %v): %d answers, the untiered twin %d", i, len(seen), p.v.tiered, len(p.answers), len(want))
 		}
-		tiered = max(tiered, len(p.v.sketched))
+		tiered = max(tiered, len(p.v.tiered))
 	}
 	if tiered < 2 {
 		t.Fatalf("no view pinned after firmware tiered up (%d views)", len(seen))

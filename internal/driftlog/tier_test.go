@@ -133,8 +133,8 @@ func requireSameAnswers(t *testing.T, what string, got, want *View, conds [][]Co
 func requireNoBits(t *testing.T, s *Store, attr string) {
 	t.Helper()
 	for si := range s.shards {
-		if col := s.shards[si].cols[attr]; col != nil && (!col.sketched || col.bits != nil) {
-			t.Fatalf("shard %d: %s column sketched=%v with %d bitmap slots", si, attr, col.sketched, len(col.bits))
+		if col := s.shards[si].cols[attr]; col != nil && (!col.tiered || col.bits != nil || col.held != nil) {
+			t.Fatalf("shard %d: %s column tiered=%v with %d bitmap slots", si, attr, col.tiered, len(col.bits))
 		}
 	}
 }
@@ -360,11 +360,20 @@ func TestSketchClearDriftExact(t *testing.T) {
 	}
 }
 
-// diffShards compares the whole row and index state of two stores, shard by
-// shard — sequence numbers, times, drift flags and their bitmap, and per
-// column the ids, dictionary, bitmaps and tier flag — and returns the first
-// difference ("" when there is none).
+// diffShards compares the whole row and index state of two stores — the
+// attribute registry and dictionaries, then shard by shard sequence numbers,
+// times, drift flags and their bitmap, and per column the ids, bitmaps, held
+// values and tier flag — and returns the first difference ("" when there is
+// none).
 func diffShards(got, want *Store) string {
+	if !reflect.DeepEqual(got.attrOrder, want.attrOrder) {
+		return fmt.Sprintf("attributes %v, want %v", got.attrOrder, want.attrOrder)
+	}
+	for name, d := range got.dicts {
+		if !reflect.DeepEqual(d.vals, want.dicts[name].vals) {
+			return fmt.Sprintf("attribute %s: dictionary differs", name)
+		}
+	}
 	for si := range got.shards {
 		g, w := &got.shards[si], &want.shards[si]
 		switch {
@@ -380,11 +389,11 @@ func diffShards(got, want *Store) string {
 			switch {
 			case wc == nil:
 				return fmt.Sprintf("shard %d: column %s missing", si, name)
-			case gc.sketched != wc.sketched:
-				return fmt.Sprintf("shard %d column %s: sketched %v, want %v", si, name, gc.sketched, wc.sketched)
-			case !reflect.DeepEqual(gc.ids, wc.ids) || !reflect.DeepEqual(gc.dict, wc.dict):
-				return fmt.Sprintf("shard %d column %s: ids or dictionary differ", si, name)
-			case !reflect.DeepEqual(gc.bits, wc.bits):
+			case gc.tiered != wc.tiered:
+				return fmt.Sprintf("shard %d column %s: tiered %v, want %v", si, name, gc.tiered, wc.tiered)
+			case !reflect.DeepEqual(gc.ids, wc.ids):
+				return fmt.Sprintf("shard %d column %s: ids differ", si, name)
+			case !reflect.DeepEqual(gc.bits, wc.bits) || !reflect.DeepEqual(gc.held, wc.held):
 				return fmt.Sprintf("shard %d column %s: bitmaps differ", si, name)
 			}
 		}
@@ -394,7 +403,7 @@ func diffShards(got, want *Store) string {
 
 // TestSketchColumnarIngestEquivalence pins that the columnar append leaves
 // the store in the state the row-at-a-time reference appender
-// (rowref_test.go) leaves it in — every row, id, dictionary, bitmap and
+// (rowref_test.go) leaves it in — every dictionary, row, id, bitmap and
 // tier flag, after every batch — over batches with out-of-order times, rows
 // missing attributes (device included, so both shard placements run),
 // repeated values inside a batch and two tier-ups mid-stream.
@@ -486,4 +495,99 @@ func TestSketchPersistRoundTrip(t *testing.T) {
 	}
 	requireNoBits(t, loaded, "app_version")
 	requireSameAnswers(t, "round trip", loaded.All(), s.All(), tierConds())
+}
+
+// TestPinnedViewSurvivesTierUpAndCompact pins that a view is a snapshot: one
+// pinned while firmware is still on the bitmaps answers, after firmware
+// tiers up and Compact drops the older half of the log, exactly what it
+// answered before either.
+func TestPinnedViewSurvivesTierUpAndCompact(t *testing.T) {
+	s := NewStoreWithSketch(sketchTestConfig())
+	base := time.Unix(0, 0).UTC()
+	r := rand.New(rand.NewSource(31))
+	batch := func(at, n, firmwares int) []Entry {
+		out := make([]Entry, n)
+		for i := range out {
+			out[i] = Entry{Time: base.Add(time.Duration(at+i) * time.Second), Drift: r.Float64() < 0.3, SampleID: int64(at + i),
+				Attrs: map[string]string{
+					AttrDevice:  fmt.Sprintf("dev%d", r.Intn(40)),
+					AttrWeather: fmt.Sprintf("w%d", r.Intn(4)),
+					"firmware":  fmt.Sprintf("fw%d", r.Intn(firmwares)),
+				}}
+		}
+		return out
+	}
+	s.AppendBatch(batch(0, 600, 12)) // 12 firmwares: under the threshold of 16
+	conds := [][]Cond{
+		{{"firmware", "fw3"}},
+		{{"firmware", "fw5"}, {AttrWeather, "w1"}},
+		{{AttrWeather, "w2"}},
+		{{AttrDevice, "dev7"}, {"firmware", "fw0"}},
+	}
+	for i, v := range []*View{s.All(), s.Window(base.Add(100*time.Second), base.Add(450*time.Second))} {
+		before := viewAnswers(t, v, conds)
+		at := 600 * (i + 1)
+		s.AppendBatch(batch(at, 600, 60)) // firmware tiers up
+		if got := s.SketchedAttrs(); !slices.Contains(got, "firmware") {
+			t.Fatalf("tiered %v: firmware never tiered up", got)
+		}
+		if n := s.Compact(base.Add(time.Duration(at-300) * time.Second)); n == 0 {
+			t.Fatal("Compact removed nothing")
+		}
+		if after := viewAnswers(t, v, conds); !reflect.DeepEqual(after, before) {
+			t.Fatalf("view pinned before the tier-up and Compact: %d answers after, %d before", len(after), len(before))
+		}
+	}
+}
+
+// TestDictionaryRetentionChurn pins the dictionaries' append-only bound. An
+// attribute on the bitmaps interns exactly the values rows carried: a batch
+// dictionary entry no row references is no sighting. A tiered attribute whose
+// values churn under retention keeps every value it ever saw — Compact drops
+// rows, never ids — and each value keeps its id, while every query answers
+// what an untiered twin compacted alike answers.
+func TestDictionaryRetentionChurn(t *testing.T) {
+	s, twin := NewStoreWithSketch(sketchTestConfig()), NewStoreWithSketch(untiered)
+	b := &ColumnarBatch{Times: []int64{0}, Drift: []bool{true}, SampleIDs: []int64{-1},
+		Cols: []ColumnData{{Name: AttrWeather, Dict: []string{"", "unused", "w0"}, IDs: []uint32{2}}}}
+	for _, st := range []*Store{s, twin} {
+		if err := st.AppendColumns(b); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := s.dicts[AttrWeather].vals; !reflect.DeepEqual(got, []string{"", "w0"}) {
+		t.Fatalf("weather dictionary %q, want only the value a row carried", got)
+	}
+	base := time.Unix(0, 0).UTC()
+	ids := map[string]uint32{}
+	for round := range 6 {
+		var batch []Entry
+		for i := range 40 {
+			batch = append(batch, Entry{Time: base.Add(time.Duration(100*round+i+1) * time.Second), Drift: i%3 == 0, SampleID: -1,
+				Attrs: map[string]string{"build": fmt.Sprintf("b%d.%d", round, i%20), AttrWeather: fmt.Sprintf("w%d", i%4),
+					AttrDevice: fmt.Sprintf("dev%d", i%7)}})
+		}
+		cutoff := base.Add(time.Duration(100*round) * time.Second) // expires the earlier rounds
+		for _, st := range []*Store{s, twin} {
+			st.AppendBatch(batch)
+			st.Compact(cutoff)
+		}
+		d := s.dicts["build"]
+		if len(d.vals)-1 != 20*(round+1) {
+			t.Fatalf("round %d: build dictionary holds %d values, want all %d ever seen", round, len(d.vals)-1, 20*(round+1))
+		}
+		for v, id := range ids {
+			if d.index[v] != id {
+				t.Fatalf("round %d: %s moved from id %d to %d", round, v, id, d.index[v])
+			}
+		}
+		for id, v := range d.vals[1:] {
+			ids[v] = uint32(id + 1)
+		}
+		conds := [][]Cond{{{"build", fmt.Sprintf("b%d.3", round)}}, {{"build", "b0.5"}}, {{"build", fmt.Sprintf("b%d.2", round)}, {AttrWeather, "w2"}}}
+		requireSameAnswers(t, fmt.Sprint("round ", round), s.All(), twin.All(), conds)
+	}
+	if got := s.SketchedAttrs(); !reflect.DeepEqual(got, []string{"build"}) {
+		t.Fatalf("tiered %v, want build", got)
+	}
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"hash/crc32"
 	"os"
 	"path/filepath"
@@ -28,6 +29,25 @@ func legacySegment(batches ...*ColumnarBatch) []byte {
 		b = appendWALFrameColumns(b, batch)
 	}
 	return b
+}
+
+// reorderedBatches returns batches over the same devices and weathers whose
+// frame dictionaries list the shared values in a different order each (the
+// order rows first carry them), so replay's remap must give a value one
+// store id whichever batch brings it and in whatever position.
+func reorderedBatches() []*ColumnarBatch {
+	vals := []string{"snow", "rain", "fog"}
+	var out []*ColumnarBatch
+	for b, order := range [][]int{{0, 1, 2, 0}, {2, 1, 0, 2}, {1, 2, 0, 1}} {
+		entries := make([]Entry, len(order))
+		for i, k := range order {
+			seq := 4*b + i
+			entries[i] = Entry{Time: walTime(seq), Drift: k == 0, SampleID: int64(seq),
+				Attrs: map[string]string{AttrDevice: fmt.Sprintf("dev_%d", 2-k), AttrWeather: vals[k]}}
+		}
+		out = append(out, ColumnsFromEntries(entries))
+	}
+	return out
 }
 
 // FuzzWALReplay feeds arbitrary bytes to the WAL as the final (tail)
@@ -85,6 +105,10 @@ func FuzzWALReplay(f *testing.F) {
 			f.Add(fixCRC(bad))
 		}
 	}
+	// Batches whose dictionaries list shared values in different orders.
+	reordered := reorderedBatches()
+	f.Add(fuzzSegment(reordered...))
+	f.Add(fuzzSegment(reordered[1], reordered[0]))
 	// The rows of golden_v1.driftlog as frame records, followed by more.
 	f.Add(fuzzSegment(ColumnsFromEntries(goldenLogEntries()), walSampled(0, 4)))
 	// The row-record fixtures as the tail segment.

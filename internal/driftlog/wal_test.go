@@ -174,6 +174,30 @@ func TestWALRoundTrip(t *testing.T) {
 	requireStoresEqual(t, live, replayed)
 }
 
+// TestWALReplayReorderedDictionaries: batches whose frame dictionaries list
+// the same values in different orders replay into one store dictionary, ids
+// given in first-seen order, and answer what the live store answers.
+func TestWALReplayReorderedDictionaries(t *testing.T) {
+	dir := t.TempDir()
+	batches := reorderedBatches()
+	if err := os.WriteFile(filepath.Join(dir, segName(1)), fuzzSegment(batches...), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	live, replayed := NewStore(), NewStore()
+	for _, b := range batches {
+		live.appendColumns(b)
+	}
+	w, err := OpenWAL(dir, replayed, WALOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Close()
+	if got := replayed.dicts[AttrWeather].vals; !reflect.DeepEqual(got, []string{"", "snow", "rain", "fog"}) {
+		t.Fatalf("weather dictionary %q, want first-seen order", got)
+	}
+	requireStoresEqual(t, live, replayed)
+}
+
 func TestWALAppendEmptyAndClosed(t *testing.T) {
 	dir := t.TempDir()
 	w, err := OpenWAL(dir, NewStore(), WALOptions{})

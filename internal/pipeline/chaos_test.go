@@ -1,7 +1,10 @@
 package pipeline
 
 import (
+	"bytes"
 	"encoding/json"
+	"os"
+	"path/filepath"
 	"runtime"
 	"testing"
 	"time"
@@ -100,6 +103,44 @@ func TestChaosDeterminism(t *testing.T) {
 	jb, _ := json.Marshal(b)
 	if string(ja) != string(jb) {
 		t.Fatalf("same seed produced different chaos results:\n  %s\n  %s", ja, jb)
+	}
+}
+
+// TestChaosGolden holds `make chaos`'s output to the checked-in lines:
+// each codec at the three fault-rate presets with the command's defaults
+// (3 devices × 40 inferences, seed 42), encoded as the command encodes
+// them, at GOMAXPROCS 1 and 8. Request boundaries follow the rows and the
+// flushes, not timing, so any diff is a behaviour change.
+func TestChaosGolden(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, procs := range []int{1, 8} {
+		runtime.GOMAXPROCS(procs)
+		for _, tc := range []struct {
+			file  string
+			codec httpapi.Codec
+		}{
+			{"chaos-binary.jsonl", nil},
+			{"chaos-json.jsonl", httpapi.JSONCodec{}},
+		} {
+			want, err := os.ReadFile(filepath.Join("testdata", tc.file))
+			if err != nil {
+				t.Fatal(err)
+			}
+			var got bytes.Buffer
+			enc := json.NewEncoder(&got)
+			for _, rate := range []float64{0, 0.1, 0.3} {
+				res, err := RunChaos(ChaosConfig{Wire: Wire{Faults: faultinject.Preset(rate), Codec: tc.codec}, Seed: 42})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := enc.Encode(res); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if got.String() != string(want) {
+				t.Fatalf("GOMAXPROCS %d, %s:\n got\n%s want\n%s", procs, tc.file, got.String(), want)
+			}
+		}
 	}
 }
 

@@ -396,3 +396,46 @@ func TestClientCancelledFlush(t *testing.T) {
 		t.Fatalf("stats after recovery = %+v, want delivered", st)
 	}
 }
+
+// TestSizeWakeShipsOnlyFullBatches: rows reported while a full batch is in
+// flight stay spooled until Flush instead of riding the size wake's drain as
+// an extra partial request, so the number of requests is a function of the
+// rows and the flushes, not of timing.
+func TestSizeWakeShipsOnlyFullBatches(t *testing.T) {
+	srv := &ingestServer{t: t}
+	arrived, release := make(chan struct{}), make(chan struct{})
+	var first sync.Once
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		first.Do(func() { close(arrived); <-release })
+		srv.handler().ServeHTTP(w, r)
+	}))
+	defer ts.Close()
+
+	c, _ := newTestClient(t, ts, nil) // MaxBatch 4, no timer flush
+	for i := range 4 {
+		if err := c.Report(entryN(i), nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	<-arrived // the size wake's batch is in flight
+	for i := 4; i < 6; i++ {
+		if err := c.Report(entryN(i), nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	close(release)
+	// The worker holds drainMu for its whole drain: once the test has it,
+	// that drain has returned.
+	c.drainMu.Lock()
+	reqs, acked := srv.requestCount(), srv.acceptedCount()
+	c.drainMu.Unlock()
+	if reqs != 1 || acked != 4 {
+		t.Fatalf("before Flush: %d requests carrying %d entries, want the one full batch of 4", reqs, acked)
+	}
+	if err := c.Flush(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if reqs, acked := srv.requestCount(), srv.acceptedCount(); reqs != 2 || acked != 6 {
+		t.Fatalf("after Flush: %d requests carrying %d entries, want 2 carrying 6", reqs, acked)
+	}
+}

@@ -265,7 +265,7 @@ func (c *Client) Report(entry driftlog.Entry, sample []float64) error {
 // Flush synchronously drains the spool: it returns once every spooled
 // entry has been acknowledged or rejected, or with the first terminal
 // error (entries then remain spooled for the next flush).
-func (c *Client) Flush(ctx context.Context) error { return c.drain(ctx) }
+func (c *Client) Flush(ctx context.Context) error { return c.drain(ctx, false) }
 
 // Close stops the background worker and makes a final drain attempt,
 // retrying until the spool is empty or ctx is done. After Close,
@@ -278,7 +278,7 @@ func (c *Client) Close(ctx context.Context) error {
 		c.bgCancel() // abort any in-flight worker sleep/request
 		<-c.workerDone
 		for {
-			err = c.drain(ctx)
+			err = c.drain(ctx, false)
 			if err == nil || ctx.Err() != nil {
 				break
 			}
@@ -309,21 +309,24 @@ func (c *Client) Stats() Stats {
 func (c *Client) API() *httpapi.Client { return c.api }
 
 // worker is the background flush loop: it ships full batches as soon
-// as Report signals one, and partial batches every FlushInterval.
+// as Report signals one, and partial batches only every FlushInterval,
+// so request boundaries do not depend on timing.
 func (c *Client) worker() {
 	defer close(c.workerDone)
 	timer := time.NewTimer(c.cfg.FlushInterval)
 	defer timer.Stop()
 	for {
+		fullOnly := false
 		select {
 		case <-c.stop:
 			return
 		case <-c.wake:
+			fullOnly = true
 		case <-timer.C:
 		}
 		// Errors are already counted and logged; entries stay spooled
 		// and the next tick retries them.
-		_ = c.drain(c.bgCtx)
+		_ = c.drain(c.bgCtx, fullOnly)
 		if !timer.Stop() {
 			select {
 			case <-timer.C:
@@ -334,13 +337,14 @@ func (c *Client) worker() {
 	}
 }
 
-// drain ships spooled entries batch by batch until the spool is empty.
-func (c *Client) drain(ctx context.Context) error {
+// drain ships spooled entries batch by batch until the spool is empty, or
+// with fullOnly until less than a full batch is left.
+func (c *Client) drain(ctx context.Context, fullOnly bool) error {
 	c.drainMu.Lock()
 	defer c.drainMu.Unlock()
 	for {
 		entries, samples, lastSeq, anySample := c.spool.Peek(c.cfg.MaxBatch)
-		if len(entries) == 0 {
+		if len(entries) == 0 || (fullOnly && len(entries) < c.cfg.MaxBatch) {
 			return nil
 		}
 		if !anySample {
