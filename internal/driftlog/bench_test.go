@@ -176,7 +176,7 @@ func BenchmarkPairCounts(b *testing.B) {
 	b.Run("masked/suffix-window/1M", func(b *testing.B) {
 		v := benchStore1M().Window(time.Unix(800, 0), time.Time{})
 		mask, floor := ValueMask{}, v.Len()/100
-		for attr, byVal := range v.AttrValueCounts(nil) {
+		for attr, byVal := range valueMap(v.AttrValueCounts(nil)) {
 			for val, cr := range byVal {
 				if cr.Total >= floor {
 					if mask[attr] == nil {

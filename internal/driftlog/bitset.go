@@ -17,6 +17,7 @@ package driftlog
 import (
 	"math/bits"
 	"slices"
+	"strings"
 	"sync"
 	"sync/atomic"
 )
@@ -194,20 +195,20 @@ func (ov *Overlay) driftAt(vs *viewShard, si, row int) bool {
 // bump assigns a fresh epoch after a mutating clear.
 func (ov *Overlay) bump() { ov.epoch = overlayEpochSeq.Add(1) }
 
-// condBitmaps snapshots the shard's bitmaps of the resolved conditions (ids
-// parallel to conds) under one read lock of the shard. match=false means the
-// predicate can never match in this shard: a column or value it does not
-// hold. dst is the caller's (stack) buffer for the common small-itemset case.
-func (vs *viewShard) condBitmaps(conds []Cond, ids []uint32, dst []bmSnap) (bms []bmSnap, match bool) {
+// condBitmaps snapshots the shard's bitmaps of the resolved conditions under
+// one read lock of the shard. match=false means the predicate can never match
+// in this shard: a column or value it does not hold. dst is the caller's
+// (stack) buffer for the common small-itemset case.
+func (vs *viewShard) condBitmaps(refs []condRef, dst []bmSnap) (bms []bmSnap, match bool) {
 	bms = dst[:0]
 	vs.mu.RLock()
 	defer vs.mu.RUnlock()
-	for k, c := range conds {
-		col, ok := vs.cols[c.Attr]
+	for _, r := range refs {
+		col, ok := vs.col(r.pos)
 		if !ok {
 			return nil, false
 		}
-		bm := vs.snap(col, ids[k])
+		bm := vs.snap(col, r.id)
 		if len(bm.words) == 0 && bm.tail == 0 {
 			return nil, false
 		}
@@ -359,12 +360,7 @@ func (b bmSnap) andCount(acc, drift []uint64, lo, n, fw int) (total, flagged int
 // countBitset is the indexed Count path: word-wise AND + popcount per
 // shard, sequential (popcounting a shard is far below the parallel
 // fan-out's break-even point).
-func (v *View) countBitset(conds []Cond, ov *Overlay) (CountResult, error) {
-	var idBuf [4]uint32
-	ids, err := v.resolve(conds, idBuf[:0])
-	if err != nil || slices.Contains(ids, 0) {
-		return CountResult{}, err
-	}
+func (v *View) countBitset(refs []condRef, ov *Overlay) CountResult {
 	var out CountResult
 	var buf [4]bmSnap
 	for si := range v.shards {
@@ -372,7 +368,7 @@ func (v *View) countBitset(conds []Cond, ov *Overlay) (CountResult, error) {
 		if vs.wlo == vs.whi {
 			continue // no window row in this shard
 		}
-		bms, match := vs.condBitmaps(conds, ids, buf[:])
+		bms, match := vs.condBitmaps(refs, buf[:])
 		if !match {
 			continue
 		}
@@ -380,18 +376,13 @@ func (v *View) countBitset(conds []Cond, ov *Overlay) (CountResult, error) {
 		out.Total += t
 		out.Drift += d
 	}
-	return out, nil
+	return out
 }
 
 // clearDriftBitset clears the overlaid drift flag of every in-window
 // row matching the conditions: overlay &^= (conds AND window), counting
 // cleared bits by popcount.
-func (v *View) clearDriftBitset(conds []Cond, ov *Overlay) (int, error) {
-	var idBuf [4]uint32
-	ids, err := v.resolve(conds, idBuf[:0])
-	if err != nil || slices.Contains(ids, 0) {
-		return 0, err
-	}
+func (v *View) clearDriftBitset(refs []condRef, ov *Overlay) int {
 	cleared := 0
 	var cb [4]bmSnap
 	for si := range v.shards {
@@ -399,7 +390,7 @@ func (v *View) clearDriftBitset(conds []Cond, ov *Overlay) (int, error) {
 		if vs.wlo == vs.whi {
 			continue // no window row in this shard
 		}
-		bms, match := vs.condBitmaps(conds, ids, cb[:])
+		bms, match := vs.condBitmaps(refs, cb[:])
 		if !match {
 			continue
 		}
@@ -426,7 +417,7 @@ func (v *View) clearDriftBitset(conds []Cond, ov *Overlay) (int, error) {
 	if cleared > 0 {
 		ov.bump()
 	}
-	return cleared, nil
+	return cleared
 }
 
 // maxValueSweep bounds the values of one exact column that the level-1
@@ -438,78 +429,81 @@ func (v *View) clearDriftBitset(conds []Cond, ov *Overlay) (int, error) {
 // body; past that the shard walks its window rows for that column instead.
 const maxValueSweep = 128
 
-// AttrValueCounts returns, for each attribute, the per-value totals and
-// drift counts inside the view — the first apriori level (one "SQL GROUP
-// BY" per attribute). Shards count in parallel in store-id space: one
+// AttrCounts is one attribute's level-1 group-by over a view: Counts[id] is
+// the window rows carrying store id id, whose value is Dict[id], and of those
+// the drift-flagged. Dict is the view's pinned dictionary and Counts spans it,
+// so the counts of two views of one store add by id over the shorter.
+type AttrCounts struct {
+	Name   string
+	Dict   []string
+	Counts []CountResult
+}
+
+// AttrValueCounts returns, for each attribute in name order, the per-value
+// totals and drift counts inside the view — the first apriori level (one "SQL
+// GROUP BY" per attribute). Shards count in parallel in store-id space: one
 // AND+popcount per value a shard's column holds, or one walk of the window's
 // rows for a column with more than maxValueSweep values or tiered. The
-// partials add by id.
-func (v *View) AttrValueCounts(ov *Overlay) map[string]map[string]CountResult {
-	names := v.attrNames()
+// partials add by id into one dense array per attribute.
+func (v *View) AttrValueCounts(ov *Overlay) []AttrCounts {
+	v.s.dictMu.RLock()
+	attrs := v.attrs()
+	v.s.dictMu.RUnlock()
 	var partial [numShards][]idCount
-	v.eachShard(func(si int) { partial[si] = v.shards[si].valueCounts(v, ov, si, names) })
-	sums := make([][]CountResult, len(names))
-	for a, name := range names {
-		sums[a] = make([]CountResult, len(v.dicts[name]))
+	v.eachShard(func(si int) { partial[si] = v.shards[si].valueCounts(ov, si, attrs) })
+	out := make([]AttrCounts, len(attrs))
+	for a, at := range attrs {
+		out[a] = AttrCounts{Name: at.name, Dict: at.vals, Counts: make([]CountResult, len(at.vals))}
 	}
 	for _, p := range partial {
 		for _, c := range p {
-			sums[c.a][c.id].Total += c.n.Total
-			sums[c.a][c.id].Drift += c.n.Drift
+			sum := &out[c.a].Counts[c.id]
+			sum.Total += c.n.Total
+			sum.Drift += c.n.Drift
 		}
-	}
-	out := make(map[string]map[string]CountResult, len(names))
-	for a, name := range names {
-		byVal := map[string]CountResult{}
-		for id, cr := range sums[a] {
-			if cr.Total > 0 {
-				byVal[v.dicts[name][id]] = cr
-			}
-		}
-		out[name] = byVal
 	}
 	return out
 }
 
-// attrNames returns the view's attributes in name order.
-func (v *View) attrNames() []string {
-	names := make([]string, 0, len(v.dicts))
-	for name := range v.dicts {
-		names = append(names, name)
+// attrs returns the view's attributes in name order, with no value kept.
+// The caller holds dictMu's read lock.
+func (v *View) attrs() []selAttr {
+	out := make([]selAttr, 0, len(v.dicts))
+	for name, vals := range v.dicts {
+		out = append(out, selAttr{name: name, pos: v.s.dicts[name].pos, vals: vals})
 	}
-	slices.Sort(names)
-	return names
+	slices.SortFunc(out, func(a, b selAttr) int { return strings.Compare(a.name, b.name) })
+	return out
 }
 
 // idCount is one value's count in a shard's partial group-by: its
-// attribute, an index into the query's names, and its store id.
+// attribute, an index into the query's attributes, and its store id.
 type idCount struct {
 	a, id uint32
 	n     CountResult
 }
 
-// valueCounts is one shard's share of AttrValueCounts over the attributes
-// names lists.
-func (vs *viewShard) valueCounts(v *View, ov *Overlay, si int, names []string) []idCount {
+// valueCounts is one shard's share of AttrValueCounts over attrs.
+func (vs *viewShard) valueCounts(ov *Overlay, si int, attrs []selAttr) []idCount {
 	if vs.wlo == vs.whi {
 		return nil // no window row in this shard
 	}
 	held := 0 // on the bitmaps, the values a column holds bound its partial
-	for _, name := range names {
-		held += len(vs.cols[name].held)
+	for _, c := range vs.cols {
+		held += len(c.held)
 	}
 	out := make([]idCount, 0, held)
 	var rows []int32
 	var buf [maxValueSweep]bmSnap
-	for a, name := range names {
-		col, ok := vs.cols[name]
+	for a, at := range attrs {
+		col, ok := vs.col(at.pos)
 		switch {
 		case !ok:
 		case col.live.tiered || len(col.held) > maxValueSweep:
 			if rows == nil {
 				rows = vs.windowRows(make([]int32, 0, 64*(vs.whi-vs.wlo)))
 			}
-			out = vs.valueScan(ov, si, rows, col, uint32(a), len(v.dicts[name]), out)
+			out = vs.valueScan(ov, si, rows, col, uint32(a), len(at.vals), out)
 		default:
 			bms := vs.snapAll(buf[:0], col, col.held)
 			for k, id := range col.held {
@@ -534,12 +528,14 @@ type pairSel struct {
 	exclude map[string]bool
 }
 
-// selAttr is one attribute of a pair group-by with the selection resolved
-// to store ids once per query: ids lists the kept ids ascending, and slot
-// maps an id to its 1-based position in ids (0 = not kept).
+// selAttr is one attribute of a group-by: its name, position (column.pos)
+// and pinned dictionary, and for a pair group-by the selection resolved to
+// store ids once per query: ids lists the kept ids ascending, and slot maps
+// an id to its 1-based position in ids (0 = not kept).
 type selAttr struct {
 	name      string
-	vals      []string // the view's dictionary
+	pos       int
+	vals      []string
 	ids, slot []uint32
 }
 
@@ -550,15 +546,14 @@ func (v *View) selAttrs(sel pairSel) []selAttr {
 	var out []selAttr
 	v.s.dictMu.RLock()
 	defer v.s.dictMu.RUnlock()
-	for _, name := range v.attrNames() {
-		sa := selAttr{name: name, vals: v.dicts[name]}
-		if sel.mask == nil && !sel.exclude[name] {
+	for _, sa := range v.attrs() {
+		if sel.mask == nil && !sel.exclude[sa.name] {
 			for id := 1; id < len(sa.vals); id++ {
 				sa.ids = append(sa.ids, uint32(id))
 			}
 		}
-		for val := range sel.mask[name] {
-			if id := v.s.dicts[name].index[val]; id != 0 && int(id) < len(sa.vals) {
+		for val := range sel.mask[sa.name] {
+			if id := v.s.dicts[sa.name].index[val]; id != 0 && int(id) < len(sa.vals) {
 				sa.ids = append(sa.ids, id)
 			}
 		}
@@ -596,7 +591,7 @@ func (vs *viewShard) keptCols(attrs []selAttr) []keptCol {
 	kept := make([]keptCol, 0, len(attrs))
 	for a := range attrs {
 		sa := &attrs[a]
-		c, ok := vs.cols[sa.name]
+		c, ok := vs.col(sa.pos)
 		if !ok {
 			continue
 		}

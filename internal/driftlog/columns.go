@@ -179,7 +179,7 @@ func (s *Store) appendColumns(b *ColumnarBatch) {
 	if rows == 0 {
 		return
 	}
-	remaps, tier := s.intern(b)
+	remaps, pos, tier := s.intern(b)
 	for _, name := range tier {
 		s.tierUp(name)
 	}
@@ -262,7 +262,7 @@ func (s *Store) appendColumns(b *ColumnarBatch) {
 					continue
 				}
 				if cols[ci] == nil {
-					cols[ci] = sh.newColumn(b.Cols[ci].Name, row, s.tieredSet())
+					cols[ci] = sh.newColumn(b.Cols[ci].Name, pos[ci], row, s.tieredSet())
 				}
 				cols[ci].add(id)
 			}
@@ -283,21 +283,23 @@ func (s *Store) appendColumns(b *ColumnarBatch) {
 // (the rows before it backfilled as missing), on the bitmaps unless the
 // attribute tiered up. Called under the shard lock, which a tier-up holds
 // while it publishes the tiered set.
-func (sh *shard) newColumn(name string, row int, tiered map[string]bool) *column {
-	col := &column{ids: make([]uint32, row), tiered: tiered[name]}
+func (sh *shard) newColumn(name string, pos, row int, tiered map[string]bool) *column {
+	col := &column{pos: pos, ids: make([]uint32, row), tiered: tiered[name]}
 	sh.cols[name] = col
 	sh.order = append(sh.order, name)
 	return col
 }
 
 // intern maps each batch column's dictionary to store ids, remaps[ci][batch
-// id], interning the values some row carries, and returns, sorted, the
-// attributes on the bitmaps whose dictionary just grew past the threshold.
-// In the steady state the read-locked pass resolves every value; only a
-// miss takes the write lock.
-func (s *Store) intern(b *ColumnarBatch) (remaps [][]uint32, tier []string) {
+// id], interning the values some row carries, and returns the position of
+// each column some row carries (pos[ci]) and, sorted, the attributes on the
+// bitmaps whose dictionary just grew past the threshold. In the steady state
+// the read-locked pass resolves every value; only a miss takes the write
+// lock.
+func (s *Store) intern(b *ColumnarBatch) (remaps [][]uint32, pos []int, tier []string) {
 	const unresolved = ^uint32(0)
 	remaps = make([][]uint32, len(b.Cols))
+	pos = make([]int, len(b.Cols))
 	for ci := range b.Cols {
 		m := make([]uint32, len(b.Cols[ci].Dict))
 		for _, id := range b.Cols[ci].IDs {
@@ -310,7 +312,7 @@ func (s *Store) intern(b *ColumnarBatch) (remaps [][]uint32, tier []string) {
 		for ci := range b.Cols {
 			var index map[string]uint32 // nil before the attribute's first value
 			if d := s.dicts[b.Cols[ci].Name]; d != nil {
-				index = d.index
+				index, pos[ci] = d.index, d.pos
 			}
 			for id, sid := range remaps[ci] {
 				if sid != unresolved {
@@ -329,7 +331,7 @@ func (s *Store) intern(b *ColumnarBatch) (remaps [][]uint32, tier []string) {
 	missing := resolve()
 	s.dictMu.RUnlock()
 	if !missing {
-		return remaps, nil
+		return remaps, pos, nil
 	}
 	s.dictMu.Lock()
 	defer s.dictMu.Unlock()
@@ -337,7 +339,10 @@ func (s *Store) intern(b *ColumnarBatch) (remaps [][]uint32, tier []string) {
 	tiered := s.tieredSet()
 	for ci := range b.Cols {
 		col := &b.Cols[ci]
-		d := s.dicts[col.Name]
+		d := s.dicts[col.Name] // nil for a column no row carries
+		if d != nil {
+			pos[ci] = d.pos
+		}
 		grew := false
 		for id, sid := range remaps[ci] {
 			if sid != unresolved {
@@ -357,7 +362,7 @@ func (s *Store) intern(b *ColumnarBatch) (remaps [][]uint32, tier []string) {
 		}
 	}
 	sort.Strings(tier)
-	return remaps, tier
+	return remaps, pos, tier
 }
 
 // registerAttrNames creates a dictionary for each attribute the batch
@@ -379,7 +384,7 @@ func (s *Store) registerAttrNames(b *ColumnarBatch) {
 		}
 		sort.Strings(rowNames)
 		for _, name := range rowNames {
-			s.dicts[name] = &dict{vals: []string{""}, index: map[string]uint32{}}
+			s.dicts[name] = &dict{pos: len(s.attrOrder), vals: []string{""}, index: map[string]uint32{}}
 			s.attrOrder = append(s.attrOrder, name)
 		}
 	}

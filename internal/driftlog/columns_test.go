@@ -93,8 +93,8 @@ func TestAppendColumnsDifferential(t *testing.T) {
 			{base.Add(200 * time.Second), base.Add(700 * time.Second)},
 		}
 		for _, w := range windows {
-			rc := rowStore.Window(w[0], w[1]).AttrValueCounts(nil)
-			cc := colStore.Window(w[0], w[1]).AttrValueCounts(nil)
+			rc := valueMap(rowStore.Window(w[0], w[1]).AttrValueCounts(nil))
+			cc := valueMap(colStore.Window(w[0], w[1]).AttrValueCounts(nil))
 			if !reflect.DeepEqual(rc, cc) {
 				t.Fatalf("seed %d window %v: counts diverge\n row path %v\n col path %v", seed, w, rc, cc)
 			}
@@ -324,7 +324,7 @@ func TestAppendColumnsConcurrent(t *testing.T) {
 	// Full-view counts must still be internally consistent: the indexed
 	// path and the scan reference agree after mixed concurrent ingestion.
 	v := s.All()
-	indexed := v.AttrValueCounts(nil)
+	indexed := valueMap(v.AttrValueCounts(nil))
 	scanned := refAttrValueCounts(v, nil)
 	if !reflect.DeepEqual(indexed, scanned) {
 		t.Fatal("bitset index diverged from scan reference after concurrent mixed appends")

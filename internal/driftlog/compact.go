@@ -60,7 +60,7 @@ func (s *Store) Compact(cutoff time.Time) int {
 		// New columns, ids copied unchanged: a view may pin the old ones.
 		newCols := make(map[string]*column, len(sh.cols))
 		for name, old := range sh.cols {
-			nc := &column{ids: make([]uint32, 0, len(keep)), tiered: old.tiered}
+			nc := &column{pos: old.pos, ids: make([]uint32, 0, len(keep)), tiered: old.tiered}
 			for _, oi := range keep {
 				nc.add(old.ids[oi])
 			}

@@ -153,7 +153,7 @@ func TestBitsetMatchesScanOracle(t *testing.T) {
 						if _, err := refCount(vb, bad, nil); err == nil {
 							t.Fatal("refCount accepted unknown attribute")
 						}
-						if avb, avs := vb.AttrValueCounts(nil), refAttrValueCounts(vb, nil); !reflect.DeepEqual(avb, avs) {
+						if avb, avs := valueMap(vb.AttrValueCounts(nil)), refAttrValueCounts(vb, nil); !reflect.DeepEqual(avb, avs) {
 							t.Fatalf("seed %d window %d: AttrValueCounts diverge\nbitset %v\nscan   %v", seed, wi, avb, avs)
 						}
 						ps := refPairCounts(vb, nil, nil)
@@ -267,7 +267,7 @@ func TestClearDriftMatchesScanOracle(t *testing.T) {
 								t.Fatalf("seed %d step %d probe %v: bitset %+v scan %+v", seed, step, probe, cb, co)
 							}
 						}
-						ab := v.AttrValueCounts(ovB)
+						ab := valueMap(v.AttrValueCounts(ovB))
 						as := refAttrValueCounts(v, ovS)
 						if !reflect.DeepEqual(ab, as) {
 							t.Fatalf("seed %d step %d: overlaid AttrValueCounts diverge", seed, step)
@@ -545,7 +545,7 @@ func requireViewMatchesScan(t *testing.T, v *View, conds [][]Cond) {
 	}
 	groupBys := func(stage string, ovB, ovS *Overlay) {
 		t.Helper()
-		if got, want := v.AttrValueCounts(ovB), refAttrValueCounts(v, ovS); !reflect.DeepEqual(got, want) {
+		if got, want := valueMap(v.AttrValueCounts(ovB)), refAttrValueCounts(v, ovS); !reflect.DeepEqual(got, want) {
 			t.Fatalf("%s AttrValueCounts diverge\ngot  %v\nscan %v", stage, got, want)
 		}
 		wantPC := refPairCounts(v, ovS, nil)
@@ -668,7 +668,7 @@ func TestViewConcurrentQueries(t *testing.T) {
 							check(fmt.Sprint(k), got, wantPC[k])
 						}
 					default:
-						for attr, byVal := range v.AttrValueCounts(nil) {
+						for attr, byVal := range valueMap(v.AttrValueCounts(nil)) {
 							for val, got := range byVal {
 								check(attr+"="+val, got, wantAV[attr][val])
 							}
@@ -811,7 +811,7 @@ func fuzzCheckView(t *testing.T, v *View, seed int64, maskSel uint8) {
 			t.Fatalf("conds %v: index %+v scan %+v", conds, cb, cs)
 		}
 	}
-	if got, want := v.AttrValueCounts(nil), refAttrValueCounts(v, nil); !reflect.DeepEqual(got, want) {
+	if got, want := valueMap(v.AttrValueCounts(nil)), refAttrValueCounts(v, nil); !reflect.DeepEqual(got, want) {
 		t.Fatalf("AttrValueCounts %v, scan %v", got, want)
 	}
 	mask := maskFromBits(v, maskSel)

@@ -67,6 +67,7 @@ const (
 // on. A tiered column (tier.go) has neither. Rows a view pinned never change:
 // tierUp and Compact replace columns instead.
 type column struct {
+	pos    int // the attribute's position in Store.attrOrder
 	ids    []uint32
 	bits   [][]uint64
 	held   []uint32
@@ -175,6 +176,7 @@ type Store struct {
 // Only values some row carried are interned: len(vals)-1 is the distinct
 // value count the tier-up reads.
 type dict struct {
+	pos   int // the attribute's position in attrOrder
 	vals  []string
 	index map[string]uint32
 }
@@ -387,11 +389,21 @@ type Cond struct {
 
 // viewCol pins one shard column: its ids over the pinned rows and the values
 // it held then. A query snapshots a value's bitmap when it reads it (snap),
-// so a view's size does not grow with the dictionaries.
+// so a view's size does not grow with the dictionaries. The zero viewCol
+// (live == nil) stands for a column the shard does not hold.
 type viewCol struct {
 	ids  []uint32
 	held []uint32
 	live *column // never changed below the pinned rows (see column)
+}
+
+// col returns the shard's column of the attribute at position pos (see
+// column.pos); ok is false when the shard holds none.
+func (vs *viewShard) col(pos int) (c viewCol, ok bool) {
+	if pos < len(vs.cols) && vs.cols[pos].live != nil {
+		return vs.cols[pos], true
+	}
+	return viewCol{}, false
 }
 
 // snap pins store id's bitmap in column c at the view's rows (empty when the
@@ -431,7 +443,7 @@ type viewShard struct {
 	samples    []int64
 	sampleRows []int
 	sampleVecs [][]float64
-	cols       map[string]viewCol
+	cols       []viewCol     // indexed by attribute position (column.pos)
 	mu         *sync.RWMutex // the shard's lock, guarding its live columns
 
 	// Bitset index.
@@ -474,10 +486,6 @@ type View struct {
 	dicts  map[string][]string
 	total  int
 	shards [numShards]viewShard
-
-	// tiered names every attribute with a pinned column that holds no
-	// bitmaps (nil when there is none): a query on one walks the rows.
-	tiered map[string]bool
 }
 
 // Window returns a view over [from, to). Zero times are unbounded. The
@@ -507,9 +515,13 @@ func (s *Store) Window(from, to time.Time) *View {
 			samples:    sh.samples[:rows],
 			sampleRows: sh.sampleRows,
 			sampleVecs: sh.sampleVecs,
-			cols:       make(map[string]viewCol, len(sh.cols)),
 			mu:         &sh.mu,
 		}
+		width := 0
+		for _, col := range sh.cols {
+			width = max(width, col.pos+1)
+		}
+		vs.cols = make([]viewCol, width)
 		fw := rows >> 6
 		rem := uint(rows & 63)
 		vs.wmin, vs.wmax = sh.wmin[:fw], sh.wmax[:fw]
@@ -517,14 +529,8 @@ func (s *Store) Window(from, to time.Time) *View {
 			vs.tmin, vs.tmax = sh.wmin[fw], sh.wmax[fw]
 		}
 		vs.driftBM = snapBitmap(sh.driftBits, fw, rem)
-		for name, col := range sh.cols {
-			vs.cols[name] = viewCol{ids: col.ids[:rows], held: col.held, live: col}
-			if col.tiered {
-				if v.tiered == nil {
-					v.tiered = map[string]bool{}
-				}
-				v.tiered[name] = true
-			}
+		for _, col := range sh.cols {
+			vs.cols[col.pos] = viewCol{ids: col.ids[:rows], held: col.held, live: col}
 		}
 		sh.mu.RUnlock()
 		v.shards[i] = vs
@@ -641,7 +647,7 @@ func (v *View) Since(prevRows []int, prevTo int64) (*View, error) {
 	if len(prevRows) != numShards {
 		return nil, fmt.Errorf("driftlog: Since: got %d shard watermarks, want %d", len(prevRows), numShards)
 	}
-	d := &View{from: v.from, to: v.to, s: v.s, dicts: v.dicts, total: v.total, tiered: v.tiered}
+	d := &View{from: v.from, to: v.to, s: v.s, dicts: v.dicts, total: v.total}
 	d.shards = v.shards
 	for si := range d.shards {
 		vs := &d.shards[si]
@@ -717,40 +723,51 @@ type CountResult struct {
 //	PairCounts       viewShard.pairCounts   pairScanInto
 //	SampleIDs        eachMatch              eachMatch
 //
-// Count and ClearDrift route per view (condTiered); the group-bys decide per
+// Count and ClearDrift route per view (tiered); the group-bys decide per
 // shard column, and also walk the rows for a column whose values (pairs: the
 // kept cross product) outnumber what popcounting pays for.
 
-// condTiered reports whether any condition is on an attribute with a pinned
-// column that holds no bitmaps.
-func (v *View) condTiered(conds []Cond) bool {
-	for _, c := range conds {
-		if v.tiered[c.Attr] {
-			return true
-		}
-	}
-	return false
+// condRef is one condition resolved for a query: its attribute's position,
+// which indexes a view shard's columns, and its value's store id.
+type condRef struct {
+	pos int
+	id  uint32
 }
 
-// resolve appends the store id of each condition's value to ids: once per
-// query, under one read lock of the dictionaries. An id is 0 when the view's
-// dictionary does not hold the value (an id past its length was interned
-// after the view), and an attribute the view does not know is an error.
-func (v *View) resolve(conds []Cond, ids []uint32) ([]uint32, error) {
+// resolve appends each condition's reference to refs: once per query, under
+// one read lock of the dictionaries. An id is 0 when the view's dictionary
+// does not hold the value (an id past its length was interned after the
+// view): held is false, as the conjunction matches no row. An attribute the
+// view does not know is an error.
+func (v *View) resolve(conds []Cond, refs []condRef) (_ []condRef, held bool, err error) {
 	v.s.dictMu.RLock()
 	defer v.s.dictMu.RUnlock()
 	for _, c := range conds {
 		vals, ok := v.dicts[c.Attr]
 		if !ok {
-			return nil, fmt.Errorf("driftlog: unknown attribute %q", c.Attr)
+			return nil, false, fmt.Errorf("driftlog: unknown attribute %q", c.Attr)
 		}
-		id := v.s.dicts[c.Attr].index[c.Value]
+		d := v.s.dicts[c.Attr]
+		id := d.index[c.Value]
 		if int(id) >= len(vals) {
 			id = 0
 		}
-		ids = append(ids, id)
+		refs = append(refs, condRef{d.pos, id})
 	}
-	return ids, nil
+	return refs, !slices.ContainsFunc(refs, func(r condRef) bool { return r.id == 0 }), nil
+}
+
+// tiered reports whether a resolved condition is on an attribute with a
+// pinned column that holds no bitmaps.
+func (v *View) tiered(refs []condRef) bool {
+	for si := range v.shards {
+		for _, r := range refs {
+			if c, ok := v.shards[si].col(r.pos); ok && c.live.tiered {
+				return true
+			}
+		}
+	}
+	return false
 }
 
 // colCond is one resolved equality predicate on a shard snapshot.
@@ -765,20 +782,17 @@ type colCond struct {
 // per-shard slots only. The walk is over the window bitmap's words
 // [wlo, whi): it costs the rows the window holds, wherever in the log the
 // window lies.
-func (v *View) eachMatch(conds []Cond, f func(si int, vs *viewShard, i int)) error {
-	ids, err := v.resolve(conds, nil)
-	if err != nil || slices.Contains(ids, 0) {
-		return err
-	}
+func (v *View) eachMatch(refs []condRef, f func(si int, vs *viewShard, i int)) {
+	own := slices.Clone(refs) // the fan-out's closure escapes: the caller's buffer stays on its stack
 	v.eachShard(func(si int) {
 		vs := &v.shards[si]
-		ccs := make([]colCond, 0, len(conds))
-		for k, c := range conds {
-			col, ok := vs.cols[c.Attr]
+		ccs := make([]colCond, 0, len(own))
+		for _, r := range own {
+			col, ok := vs.col(r.pos)
 			if !ok {
 				return
 			}
-			ccs = append(ccs, colCond{ids: col.ids, id: ids[k]})
+			ccs = append(ccs, colCond{ids: col.ids, id: r.id})
 		}
 		vs.eachWindowRow(func(i int) {
 			for _, cc := range ccs {
@@ -789,22 +803,26 @@ func (v *View) eachMatch(conds []Cond, f func(si int, vs *viewShard, i int)) err
 			f(si, vs, i)
 		})
 	})
-	return nil
 }
 
 // Count aggregates rows matching every condition. The overlay, if
 // non-nil, replaces the stored drift flags — the hook counterfactual
 // analysis uses to "mark" entries as non-drift without mutating the log.
 func (v *View) Count(conds []Cond, ov *Overlay) (CountResult, error) {
-	if v.condTiered(conds) {
-		return v.countRows(conds, ov)
+	var buf [4]condRef
+	refs, held, err := v.resolve(conds, buf[:0])
+	switch {
+	case err != nil || !held:
+		return CountResult{}, err
+	case v.tiered(refs):
+		return v.countRows(refs, ov), nil
 	}
-	return v.countBitset(conds, ov)
+	return v.countBitset(refs, ov), nil
 }
 
-func (v *View) countRows(conds []Cond, ov *Overlay) (CountResult, error) {
+func (v *View) countRows(refs []condRef, ov *Overlay) CountResult {
 	var partial [numShards]CountResult
-	err := v.eachMatch(conds, func(si int, vs *viewShard, i int) {
+	v.eachMatch(refs, func(si int, vs *viewShard, i int) {
 		partial[si].Total++
 		if ov.driftAt(vs, si, i) {
 			partial[si].Drift++
@@ -815,7 +833,7 @@ func (v *View) countRows(conds []Cond, ov *Overlay) (CountResult, error) {
 		out.Total += p.Total
 		out.Drift += p.Drift
 	}
-	return out, err
+	return out
 }
 
 // ClearDrift clears the overlaid drift flag of every in-window row
@@ -823,15 +841,20 @@ func (v *View) countRows(conds []Cond, ov *Overlay) (CountResult, error) {
 // mutating call stamps the overlay with a fresh epoch (see
 // Overlay.Epoch).
 func (v *View) ClearDrift(conds []Cond, ov *Overlay) (int, error) {
-	if v.condTiered(conds) {
-		return v.clearDriftRows(conds, ov)
+	var buf [4]condRef
+	refs, held, err := v.resolve(conds, buf[:0])
+	switch {
+	case err != nil || !held:
+		return 0, err
+	case v.tiered(refs):
+		return v.clearDriftRows(refs, ov), nil
 	}
-	return v.clearDriftBitset(conds, ov)
+	return v.clearDriftBitset(refs, ov), nil
 }
 
-func (v *View) clearDriftRows(conds []Cond, ov *Overlay) (int, error) {
+func (v *View) clearDriftRows(refs []condRef, ov *Overlay) int {
 	var cleared [numShards]int
-	err := v.eachMatch(conds, func(si int, _ *viewShard, i int) {
+	v.eachMatch(refs, func(si int, _ *viewShard, i int) {
 		words := ov.materialize(si) // per-shard slots: safe under the fan-out
 		if bit := uint64(1) << (uint(i) & 63); words[i>>6]&bit != 0 {
 			words[i>>6] &^= bit
@@ -845,7 +868,7 @@ func (v *View) clearDriftRows(conds []Cond, ov *Overlay) (int, error) {
 	if n > 0 {
 		ov.bump()
 	}
-	return n, err
+	return n
 }
 
 // PairKey identifies a two-attribute value combination (attributes in
@@ -853,11 +876,6 @@ func (v *View) clearDriftRows(conds []Cond, ov *Overlay) (int, error) {
 type PairKey struct {
 	AttrA, ValA string
 	AttrB, ValB string
-}
-
-// Conds returns the pair as query conditions.
-func (k PairKey) Conds() []Cond {
-	return []Cond{{Attr: k.AttrA, Value: k.ValA}, {Attr: k.AttrB, Value: k.ValB}}
 }
 
 // PairCounts aggregates the totals and drift counts of every
@@ -907,8 +925,12 @@ func (v *View) sampleRows(conds []Cond, withVec bool) ([]int64, [][]float64, err
 		seq, id int64
 		x       []float64
 	}
+	refs, held, err := v.resolve(conds, nil)
+	if err != nil || !held {
+		return nil, nil, err
+	}
 	var partial [numShards][]hit
-	err := v.eachMatch(conds, func(si int, vs *viewShard, i int) {
+	v.eachMatch(refs, func(si int, vs *viewShard, i int) {
 		if vs.samples[i] < 0 {
 			return
 		}
@@ -920,9 +942,6 @@ func (v *View) sampleRows(conds []Cond, withVec bool) ([]int64, [][]float64, err
 		}
 		partial[si] = append(partial[si], hit{vs.seqs[i], vs.samples[i], x})
 	})
-	if err != nil {
-		return nil, nil, err
-	}
 	var hits []hit
 	for si := range partial {
 		hits = append(hits, partial[si]...)

@@ -205,12 +205,12 @@ func TestViewLookupIgnoresLaterValues(t *testing.T) {
 	if s.dicts[AttrWeather].index["hail"] == 0 {
 		t.Fatal("the store's dictionary does not hold hail: the test exercises nothing")
 	}
-	ids, err := v.resolve([]Cond{{AttrWeather, "hail"}, {AttrWeather, "snow"}}, nil)
-	if err != nil || ids[0] != 0 {
-		t.Fatalf("hail, interned after the view pinned, resolves to %v (%v)", ids, err)
+	refs, _, err := v.resolve([]Cond{{AttrWeather, "hail"}, {AttrWeather, "snow"}}, nil)
+	if err != nil || refs[0].id != 0 {
+		t.Fatalf("hail, interned after the view pinned, resolves to %v (%v)", refs, err)
 	}
-	if ids[1] == 0 || v.dicts[AttrWeather][ids[1]] != "snow" {
-		t.Fatalf("snow resolves to %d", ids[1])
+	if refs[1].id == 0 || v.dicts[AttrWeather][refs[1].id] != "snow" {
+		t.Fatalf("snow resolves to %d", refs[1].id)
 	}
 	cr, err := v.Count([]Cond{{AttrWeather, "hail"}}, nil)
 	if err != nil || cr.Total != 0 {
@@ -290,7 +290,7 @@ func TestOverlayAndClearDrift(t *testing.T) {
 
 func TestAttrValueCounts(t *testing.T) {
 	s := paperExample()
-	counts := s.All().AttrValueCounts(nil)
+	counts := valueMap(s.All().AttrValueCounts(nil))
 	if got := counts[AttrWeather]["snow"]; got.Total != 2 || got.Drift != 2 {
 		t.Fatalf("snow counts %+v", got)
 	}
@@ -401,7 +401,7 @@ func TestPairCounts(t *testing.T) {
 	// Every pair count must agree with a direct Count query.
 	v := s.All()
 	for pk, cr := range pairs {
-		direct, err := v.Count(pk.Conds(), nil)
+		direct, err := v.Count([]Cond{{pk.AttrA, pk.ValA}, {pk.AttrB, pk.ValB}}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -550,7 +550,7 @@ func TestRoutingCountsShardValues(t *testing.T) {
 	check := func(what string, v *View) (sweep, walk int) {
 		for si := range v.shards {
 			vs := &v.shards[si]
-			col := vs.cols[AttrDevice]
+			col, _ := refCol(v, vs, AttrDevice)
 			distinct := map[uint32]bool{}
 			for _, id := range col.ids {
 				if id != 0 {

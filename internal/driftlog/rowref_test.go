@@ -27,6 +27,12 @@ func refAppendBatch(s *Store, entries []Entry) {
 		refRegisterAttrs(s, e.Attrs)
 		ids[i] = refIntern(s, e.Attrs)
 	}
+	pos := map[string]int{}
+	s.dictMu.RLock()
+	for name, d := range s.dicts {
+		pos[name] = d.pos
+	}
+	s.dictMu.RUnlock()
 	base := s.seq.Add(int64(len(entries))) - int64(len(entries))
 	type job struct {
 		seq int64
@@ -50,14 +56,15 @@ func refAppendBatch(s *Store, entries []Entry) {
 		sh.mu.Lock()
 		tiered := s.tieredSet()
 		for _, j := range jobs[si] {
-			refAppendLocked(sh, j.seq, j.e, j.ids, tiered)
+			refAppendLocked(sh, j.seq, j.e, j.ids, pos, tiered)
 		}
 		sh.mu.Unlock()
 	}
 }
 
-// refAppendLocked appends one entry whose values' store ids are ids.
-func refAppendLocked(sh *shard, seq int64, e Entry, ids map[string]uint32, tiered map[string]bool) {
+// refAppendLocked appends one entry whose values' store ids are ids and
+// whose attributes' positions are pos.
+func refAppendLocked(sh *shard, seq int64, e Entry, ids map[string]uint32, pos map[string]int, tiered map[string]bool) {
 	row := len(sh.times)
 	t := e.Time.UnixNano()
 	sh.noteTime(t)
@@ -71,7 +78,7 @@ func refAppendLocked(sh *shard, seq int64, e Entry, ids map[string]uint32, tiere
 	for name := range e.Attrs {
 		col, ok := sh.cols[name]
 		if !ok {
-			col = &column{ids: make([]uint32, row), tiered: tiered[name]}
+			col = &column{pos: pos[name], ids: make([]uint32, row), tiered: tiered[name]}
 			sh.cols[name] = col
 			sh.order = append(sh.order, name)
 		}
@@ -99,7 +106,7 @@ func refRegisterAttrs(s *Store, attrs map[string]string) {
 	}
 	sort.Strings(fresh)
 	for _, name := range fresh {
-		s.dicts[name] = &dict{vals: []string{""}, index: map[string]uint32{}}
+		s.dicts[name] = &dict{pos: len(s.attrOrder), vals: []string{""}, index: map[string]uint32{}}
 		s.attrOrder = append(s.attrOrder, name)
 	}
 	s.dictMu.Unlock()
@@ -144,7 +151,7 @@ func refTierUp(s *Store, attr string) {
 	}
 	for si := range s.shards {
 		if c := s.shards[si].cols[attr]; c != nil {
-			s.shards[si].cols[attr] = &column{ids: c.ids, tiered: true}
+			s.shards[si].cols[attr] = &column{pos: c.pos, ids: c.ids, tiered: true}
 		}
 	}
 	s.tieredPtr.Store(&next)

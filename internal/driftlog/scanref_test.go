@@ -29,7 +29,7 @@ func refResolveConds(v *View, vs *viewShard, conds []Cond) (ccs []colCond, match
 	}
 	ccs = make([]colCond, 0, len(conds))
 	for _, c := range conds {
-		col, ok := vs.cols[c.Attr]
+		col, ok := refCol(v, vs, c.Attr)
 		if !ok {
 			return nil, false, nil // column never appeared in this shard
 		}
@@ -48,12 +48,24 @@ type namedCol struct {
 	c    viewCol
 }
 
+// refCol returns the shard's pinned column of the named attribute (ok is
+// false when the shard holds none).
+func refCol(v *View, vs *viewShard, name string) (viewCol, bool) {
+	v.s.dictMu.RLock()
+	d := v.s.dicts[name]
+	v.s.dictMu.RUnlock()
+	if d == nil {
+		return viewCol{}, false
+	}
+	return vs.col(d.pos)
+}
+
 // refSortedCols collects the shard's non-excluded columns in name order, so
 // pair keys come out canonical (AttrA < AttrB).
-func refSortedCols(vs *viewShard, exclude map[string]bool) []namedCol {
+func refSortedCols(v *View, vs *viewShard, exclude map[string]bool) []namedCol {
 	cols := make([]namedCol, 0, len(vs.cols))
-	for name, c := range vs.cols {
-		if !exclude[name] {
+	for name := range v.dicts {
+		if c, ok := refCol(v, vs, name); ok && !exclude[name] {
 			cols = append(cols, namedCol{name, c})
 		}
 	}
@@ -167,13 +179,29 @@ func refClearDrift(v *View, conds []Cond, ov *Overlay) (int, error) {
 	return n, nil
 }
 
+// valueMap is the map form of a level-1 group-by, the reference's shape:
+// per attribute, every value the window holds with its counts.
+func valueMap(acs []AttrCounts) map[string]map[string]CountResult {
+	out := make(map[string]map[string]CountResult, len(acs))
+	for _, ac := range acs {
+		byVal := map[string]CountResult{}
+		for id, cr := range ac.Counts {
+			if cr.Total > 0 {
+				byVal[ac.Dict[id]] = cr
+			}
+		}
+		out[ac.Name] = byVal
+	}
+	return out
+}
+
 // refAttrValueCounts is the reference for View.AttrValueCounts.
 func refAttrValueCounts(v *View, ov *Overlay) map[string]map[string]CountResult {
 	var partial [numShards]map[string]map[string]CountResult
 	v.eachShard(func(si int) {
 		vs := &v.shards[si]
 		out := map[string]map[string]CountResult{}
-		cols := refSortedCols(vs, nil)
+		cols := refSortedCols(v, vs, nil)
 		for i := 0; i < vs.rows; i++ {
 			if !vs.inWindow(v, i) {
 				continue
@@ -228,7 +256,7 @@ func refPairCounts(v *View, ov *Overlay, exclude map[string]bool) map[PairKey]Co
 	var partial [numShards]map[PairKey]CountResult
 	v.eachShard(func(si int) {
 		vs := &v.shards[si]
-		cols := refSortedCols(vs, exclude)
+		cols := refSortedCols(v, vs, exclude)
 		out := map[PairKey]CountResult{}
 		for i := 0; i < vs.rows; i++ {
 			if !vs.inWindow(v, i) {

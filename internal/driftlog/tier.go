@@ -62,7 +62,7 @@ func (s *Store) tierUp(attr string) {
 		}
 		for si := range s.shards {
 			if col := s.shards[si].cols[attr]; col != nil {
-				s.shards[si].cols[attr] = &column{ids: col.ids, tiered: true}
+				s.shards[si].cols[attr] = &column{pos: col.pos, ids: col.ids, tiered: true}
 			}
 		}
 		s.tieredPtr.Store(&next)

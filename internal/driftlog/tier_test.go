@@ -97,7 +97,7 @@ func viewAnswers(t *testing.T, v *View, conds [][]Cond) []string {
 		cr, err := v.Count(c, nil)
 		lines = append(lines, fmt.Sprintf("count %v %+v %v", c, cr, err != nil))
 	}
-	for attr, byVal := range v.AttrValueCounts(nil) {
+	for attr, byVal := range valueMap(v.AttrValueCounts(nil)) {
 		for val, cr := range byVal {
 			lines = append(lines, fmt.Sprintf("value %s=%s %+v", attr, val, cr))
 		}
@@ -352,7 +352,7 @@ func TestSketchClearDriftExact(t *testing.T) {
 	if got != want {
 		t.Fatalf("post-clear tiered count %+v != scan %+v", got, want)
 	}
-	if ga, wa := v.AttrValueCounts(ovA), refAttrValueCounts(v, ovB); !reflect.DeepEqual(ga, wa) {
+	if ga, wa := valueMap(v.AttrValueCounts(ovA)), refAttrValueCounts(v, ovB); !reflect.DeepEqual(ga, wa) {
 		t.Fatal("post-clear AttrValueCounts diverge from scan")
 	}
 	if gp, wp := v.PairCounts(ovA, nil), refPairCounts(v, ovB, nil); !reflect.DeepEqual(gp, wp) {
@@ -362,8 +362,8 @@ func TestSketchClearDriftExact(t *testing.T) {
 
 // diffShards compares the whole row and index state of two stores — the
 // attribute registry and dictionaries, then shard by shard sequence numbers,
-// times, drift flags and their bitmap, and per column the ids, bitmaps, held
-// values and tier flag — and returns the first difference ("" when there is
+// times, drift flags and their bitmap, and per column the position, ids,
+// bitmaps, held values and tier flag — and returns the first difference ("" when there is
 // none).
 func diffShards(got, want *Store) string {
 	if !reflect.DeepEqual(got.attrOrder, want.attrOrder) {
@@ -389,6 +389,8 @@ func diffShards(got, want *Store) string {
 			switch {
 			case wc == nil:
 				return fmt.Sprintf("shard %d: column %s missing", si, name)
+			case gc.pos != wc.pos:
+				return fmt.Sprintf("shard %d column %s: position %d, want %d", si, name, gc.pos, wc.pos)
 			case gc.tiered != wc.tiered:
 				return fmt.Sprintf("shard %d column %s: tiered %v, want %v", si, name, gc.tiered, wc.tiered)
 			case !reflect.DeepEqual(gc.ids, wc.ids):

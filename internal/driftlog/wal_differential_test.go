@@ -80,7 +80,7 @@ func requireSameAnalysis(t *testing.T, label string, live, replayed *driftlog.St
 			t.Fatalf("%s: Count(%v): live %+v replayed %+v", label, conds, lc, rc)
 		}
 	}
-	if !reflect.DeepEqual(lv.AttrValueCounts(lov), rv.AttrValueCounts(rov)) {
+	if !reflect.DeepEqual(valueMap(lv.AttrValueCounts(lov)), valueMap(rv.AttrValueCounts(rov))) {
 		t.Fatalf("%s: AttrValueCounts diverge", label)
 	}
 	if !reflect.DeepEqual(lv.PairCounts(lov, nil), rv.PairCounts(rov, nil)) {
@@ -150,4 +150,20 @@ func TestWALReplayDifferential(t *testing.T) {
 			})
 		}
 	}
+}
+
+// valueMap is the map form of a level-1 group-by: per attribute, every value
+// the window holds with its counts.
+func valueMap(acs []driftlog.AttrCounts) map[string]map[string]driftlog.CountResult {
+	out := make(map[string]map[string]driftlog.CountResult, len(acs))
+	for _, ac := range acs {
+		byVal := map[string]driftlog.CountResult{}
+		for id, cr := range ac.Counts {
+			if cr.Total > 0 {
+				byVal[ac.Dict[id]] = cr
+			}
+		}
+		out[ac.Name] = byVal
+	}
+	return out
 }

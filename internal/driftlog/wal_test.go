@@ -88,8 +88,8 @@ func requireStoresEqual(t *testing.T, want, got *Store) {
 	if !reflect.DeepEqual(wids, gids) || !reflect.DeepEqual(wxs, gxs) {
 		t.Fatalf("sample column: want %d vectors %v got %d %v", len(wxs), wids, len(gxs), gids)
 	}
-	wav := wv.AttrValueCounts(wv.DriftOverlay())
-	gav := gv.AttrValueCounts(gv.DriftOverlay())
+	wav := valueMap(wv.AttrValueCounts(wv.DriftOverlay()))
+	gav := valueMap(gv.AttrValueCounts(gv.DriftOverlay()))
 	if len(wav) != len(gav) {
 		t.Fatalf("AttrValueCounts attrs: want %d got %d", len(wav), len(gav))
 	}
@@ -727,8 +727,8 @@ func TestWALConcurrentAppend(t *testing.T) {
 		t.Fatalf("rows: want %d got %d", live.Len(), replayed.Len())
 	}
 	lv, rv := live.All(), replayed.All()
-	lav := lv.AttrValueCounts(lv.DriftOverlay())
-	rav := rv.AttrValueCounts(rv.DriftOverlay())
+	lav := valueMap(lv.AttrValueCounts(lv.DriftOverlay()))
+	rav := valueMap(rv.AttrValueCounts(rv.DriftOverlay()))
 	for attr, vals := range lav {
 		for val, lc := range vals {
 			if rc := rav[attr][val]; rc != lc {

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
-	"sort"
 	"sync"
 	"testing"
 	"time"
@@ -71,11 +70,53 @@ var benchFleet1M = sync.OnceValue(func() *driftlog.Store {
 	return s
 })
 
+// benchTieredGrown builds the composed benchmark's highcard shape: 64k rows
+// whose app_version (20,000 values, half the rows on 16 hot ones) tiers up,
+// mined whole into a MineCache, then grown by one 256-row batch. It returns
+// the grown cumulative window, its delta and the cache.
+func benchTieredGrown() (v, delta *driftlog.View, cache *MineCache) {
+	s := driftlog.NewStore()
+	r := rand.New(rand.NewSource(12))
+	batch := func(n int) []driftlog.Entry {
+		out := make([]driftlog.Entry, n)
+		for i := range out {
+			d, w, app := r.Intn(2000), r.Intn(6), r.Intn(16)
+			if r.Intn(2) == 0 {
+				app = r.Intn(20_000)
+			}
+			p := 0.03
+			if w == 2 || (d%24 == 7 && app == 3) {
+				p = 0.7
+			}
+			out[i] = driftlog.Entry{Time: time.Unix(int64(r.Intn(3600)), 0), Drift: r.Float64() < p, SampleID: -1,
+				Attrs: map[string]string{driftlog.AttrWeather: fmt.Sprint("w", w), driftlog.AttrLocation: fmt.Sprint("city_", d%24),
+					driftlog.AttrDevice: fmt.Sprint("dev_", d), "app_version": fmt.Sprint("a_", app)}}
+		}
+		return out
+	}
+	for range 250 {
+		s.AppendBatch(batch(256))
+	}
+	first := s.All()
+	_, to := first.Bounds()
+	_, cache, err := MineCachedContext(context.Background(), NewSupportCache(first), nil, nil, nil, DefaultThresholds())
+	if err != nil {
+		panic(err)
+	}
+	s.AppendBatch(batch(256))
+	v = s.All()
+	if delta, err = v.Since(first.ShardRows(), to); err != nil {
+		panic(err)
+	}
+	return v, delta, cache
+}
+
 // BenchmarkMine is the headline number of this layer: full apriori
 // mining over a window on the bitset index. fresh/200k-of-1M is the
 // composed benchmark's fresh-window shape — the last fifth of benchFleet1M
 // — and reports the work beside the time: pairs the store materialized and
-// level-3 candidates counted, per mine.
+// level-3 candidates counted, per mine. grown-tiered is its grown
+// cumulative-window shape over a tiered attribute (benchTieredGrown).
 func BenchmarkMine(b *testing.B) {
 	th := DefaultThresholds()
 	b.Run("fresh/200k-of-1M", func(b *testing.B) {
@@ -90,6 +131,15 @@ func BenchmarkMine(b *testing.B) {
 		after := ReadMineStats()
 		b.ReportMetric(float64(after.PairsCounted-before.PairsCounted)/float64(b.N), "pairs")
 		b.ReportMetric(float64(after.Candidates[2]-before.Candidates[2])/float64(b.N), "level3-cands")
+	})
+	b.Run("grown-tiered", func(b *testing.B) {
+		v, delta, cache := benchTieredGrown()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if _, _, err := MineCachedContext(context.Background(), NewSupportCache(v), delta, cache, nil, th); err != nil {
+				b.Fatal(err)
+			}
+		}
 	})
 	for _, n := range []int{10000, 100000} {
 		s := benchLog(n)
@@ -135,37 +185,6 @@ func BenchmarkMineRerun(b *testing.B) {
 			if _, _, err := MineCachedContext(context.Background(), NewSupportCache(v), empty, cache, nil, th); err != nil {
 				b.Fatal(err)
 			}
-		}
-	})
-}
-
-// BenchmarkCandidateSort isolates the satellite fix of not rebuilding
-// Itemset.Key strings inside the mining loop: sorting candidates by a
-// precomputed key vs calling Key() in the comparator.
-func BenchmarkCandidateSort(b *testing.B) {
-	r := rand.New(rand.NewSource(11))
-	base := make([]counted, 300)
-	for i := range base {
-		set := NewItemset(
-			driftlog.Cond{Attr: driftlog.AttrWeather, Value: fmt.Sprintf("w%d", r.Intn(50))},
-			driftlog.Cond{Attr: driftlog.AttrLocation, Value: fmt.Sprintf("c%d", r.Intn(50))},
-			driftlog.Cond{Attr: driftlog.AttrDevice, Value: fmt.Sprintf("d%d", r.Intn(50))},
-		)
-		base[i] = counted{set: set, key: set.Key()}
-	}
-	scratch := make([]counted, len(base))
-	b.Run("rebuild", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			copy(scratch, base)
-			sort.Slice(scratch, func(x, y int) bool {
-				return scratch[x].set.Key() < scratch[y].set.Key()
-			})
-		}
-	})
-	b.Run("keyed", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			copy(scratch, base)
-			sortCounted(scratch)
 		}
 	})
 }

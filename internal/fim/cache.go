@@ -9,7 +9,7 @@
 // counterfactual state can never be served for a newer one.
 //
 // Across windows, MineCache carries the epoch-0 counts a finished mine
-// produced (totals, level-1 group-bys, the level-1 survivors' pair counts,
+// produced (totals, level-1 arrays, the level-1 survivors' pair counts,
 // per-candidate set counts), so re-mining a grown window only counts the
 // delta rows (see MineCachedContext).
 package fim
@@ -175,7 +175,7 @@ func (sc *SupportCache) seed(key string, epoch uint64, cr driftlog.CountResult) 
 type MineCache struct {
 	complete bool // full pipeline ran (drift was present)
 	totals   driftlog.CountResult
-	level1   map[string]map[string]driftlog.CountResult
+	level1   []driftlog.AttrCounts // AttrValueCounts' arrays, by store id
 	// pairs holds every co-occurring pair of the values in mask — the
 	// level-1 survivors of the mine that counted them — and no other: a
 	// pair absent from it either never occurred or lies outside the mask.
@@ -190,7 +190,7 @@ type MineCache struct {
 }
 
 // mineCacheMaxEntries bounds the retained cross-window cache (a var so
-// tests can shrink it). Level 1 holds one entry per distinct value of every
+// tests can shrink it). Level 1 holds one slot per dictionary value of every
 // attribute — a tiered one's included — while pairs
 // and sets hold level-1 survivors' combinations only, at most
 // 1/MinOccurrence values per attribute; an unbounded cache would pin
@@ -204,14 +204,15 @@ var mineCacheRefusals atomic.Uint64
 // cross-window cache exceeded the retention bound and was dropped.
 func MineCacheRefusals() uint64 { return mineCacheRefusals.Load() }
 
-// Size returns the number of retained count entries (0 for nil).
+// Size returns the number of retained count entries, level 1's dense slots
+// included (0 for nil).
 func (mc *MineCache) Size() int {
 	if mc == nil {
 		return 0
 	}
 	n := len(mc.pairs) + len(mc.sets)
-	for _, vals := range mc.level1 {
-		n += len(vals)
+	for _, ac := range mc.level1 {
+		n += len(ac.Counts)
 	}
 	return n
 }
@@ -253,28 +254,24 @@ func addCR(a, b driftlog.CountResult) driftlog.CountResult {
 	return a
 }
 
-// mergeLevel1 copy-merges the previous window's group-by with the
-// delta's (never mutating prev, which the caller may retain).
-func mergeLevel1(prev, delta map[string]map[string]driftlog.CountResult) map[string]map[string]driftlog.CountResult {
-	out := make(map[string]map[string]driftlog.CountResult, len(delta))
-	for attr, vals := range prev {
-		dst := make(map[string]driftlog.CountResult, len(vals))
-		for val, cr := range vals {
-			dst[val] = cr
+// mergeLevel1 adds the previous window's level-1 counts into the delta's by
+// store id and returns the delta's arrays, which are fresh, so prev (which
+// the caller may retain) is never written. Both come from one store's
+// append-only dictionaries, the delta's pinned later, so the delta names
+// every attribute prev does and each prev array fits in the delta's; both
+// lists are in name order.
+func mergeLevel1(prev, delta []driftlog.AttrCounts) []driftlog.AttrCounts {
+	j := 0
+	for _, p := range prev {
+		for delta[j].Name != p.Name {
+			j++
 		}
-		out[attr] = dst
-	}
-	for attr, vals := range delta {
-		dst := out[attr]
-		if dst == nil {
-			dst = make(map[string]driftlog.CountResult, len(vals))
-			out[attr] = dst
-		}
-		for val, cr := range vals {
-			dst[val] = addCR(dst[val], cr)
+		dst := delta[j].Counts[:len(p.Counts)]
+		for id, cr := range p.Counts {
+			dst[id] = addCR(dst[id], cr)
 		}
 	}
-	return out
+	return delta
 }
 
 // maskWithin reports whether every value of mask is also in cached: the

@@ -6,8 +6,11 @@
 package fim
 
 import (
+	"cmp"
 	"context"
+	"encoding/binary"
 	"math"
+	"slices"
 	"sort"
 	"strings"
 
@@ -216,7 +219,7 @@ func MineCachedContext(ctx context.Context, sc *SupportCache, delta *driftlog.Vi
 	epoch := epochOf(ov)
 	var next *MineCache
 	if ov == nil {
-		next = &MineCache{}
+		next = &MineCache{sets: map[string]driftlog.CountResult{}}
 	}
 
 	var totals driftlog.CountResult
@@ -249,47 +252,43 @@ func MineCachedContext(ctx context.Context, sc *SupportCache, delta *driftlog.Vi
 		// (totals only), so a grown window re-mines from scratch.
 		return nil, next, nil
 	}
-	excluded := map[string]bool{}
-	for _, a := range th.ExcludeAttrs {
-		excluded[a] = true
-	}
 
-	// Level 1 via one grouped pass (or prev + a grouped pass over only
-	// the delta rows). Its survivors are the mask level 2 is counted under.
-	var valueCounts map[string]map[string]driftlog.CountResult
+	// Level 1: one dense array per attribute indexed by store id, from one
+	// grouped pass (or prev's arrays plus a grouped pass over only the delta
+	// rows). Its survivors are the mask level 2 is counted under.
+	var level1 []driftlog.AttrCounts
 	if inc {
-		valueCounts = mergeLevel1(prev.level1, delta.AttrValueCounts(nil))
+		level1 = mergeLevel1(prev.level1, delta.AttrValueCounts(nil))
 	} else {
-		valueCounts = v.AttrValueCounts(ov)
+		level1 = v.AttrValueCounts(ov)
 	}
 	if next != nil {
-		next.level1 = valueCounts
+		next.level1 = level1
+	}
+	frequent := func(cr driftlog.CountResult) bool { // ComputeMetrics' Occurrence against the floor
+		return float64(cr.Total)/float64(totals.Total) >= th.MinOccurrence
 	}
 	var work MineStats // this mine's share of the package counters, added once it finishes
-	mask := driftlog.ValueMask{}
 	var level []counted
-	for attr, values := range valueCounts {
-		if excluded[attr] {
+	for _, ac := range level1 {
+		if slices.Contains(th.ExcludeAttrs, ac.Name) {
 			continue
 		}
-		work.Candidates[0] += uint64(len(values))
-		for val, cr := range values {
-			m := ComputeMetrics(cr, totals.Total, totals.Drift)
-			if m.Occurrence >= th.MinOccurrence {
-				key := condKey(attr, val)
-				sc.seed(key, epoch, cr)
-				level = append(level, counted{Itemset{{Attr: attr, Value: val}}, key, cr})
-				if mask[attr] == nil {
-					mask[attr] = map[string]bool{}
+		for id, cr := range ac.Counts {
+			if cr.Total > 0 {
+				work.Candidates[0]++
+				if frequent(cr) {
+					level = append(level, counted{set: Itemset{{Attr: ac.Name, Value: ac.Dict[id]}}, counts: cr})
 				}
-				mask[attr][val] = true
 			}
 		}
 	}
-	sortCounted(level)
+	sg := numberSingles(level)
+	for _, c := range level {
+		sc.seed(c.key, epoch, c.counts)
+	}
 
-	var all []counted
-	all = append(all, level...)
+	all := slices.Clone(level)
 
 	// Level 2 via one grouped pass under the mask: downward closure says a
 	// pair can be frequent only if both its singles are, so the store counts
@@ -299,104 +298,75 @@ func MineCachedContext(ctx context.Context, sc *SupportCache, delta *driftlog.Vi
 	// exclusion list) has pairs the cache never held, and recounts the view.
 	if th.MaxItems >= 2 && len(level) > 1 {
 		var pairCounts map[driftlog.PairKey]driftlog.CountResult
-		if inc && maskWithin(mask, prev.mask) {
-			dp := delta.PairCountsMasked(nil, mask)
+		if inc && maskWithin(sg.mask, prev.mask) {
+			dp := delta.PairCountsMasked(nil, sg.mask)
 			work.PairsCounted = uint64(len(dp))
-			pairCounts = mergePairs(prev.pairs, dp, mask)
+			pairCounts = mergePairs(prev.pairs, dp, sg.mask)
 		} else {
-			pairCounts = v.PairCountsMasked(ov, mask)
+			pairCounts = v.PairCountsMasked(ov, sg.mask)
 			work.PairsCounted = uint64(len(pairCounts))
 		}
 		if next != nil {
-			next.mask, next.pairs = mask, pairCounts
+			next.mask, next.pairs = sg.mask, pairCounts
 		}
 		work.Candidates[1] = uint64(len(pairCounts))
 		var nextLevel []counted
 		for pk, cr := range pairCounts {
-			m := ComputeMetrics(cr, totals.Total, totals.Drift)
-			if m.Occurrence >= th.MinOccurrence {
-				// PairKey attributes are already in canonical order.
-				key := condKey(pk.AttrA, pk.ValA) + "|" + condKey(pk.AttrB, pk.ValB)
-				sc.seed(key, epoch, cr)
-				nextLevel = append(nextLevel, counted{Itemset(pk.Conds()), key, cr})
+			if frequent(cr) {
+				// PairKey attributes are in canonical order: the two codes ascend.
+				c := sg.counted(sg.code[driftlog.Cond{Attr: pk.AttrA, Value: pk.ValA}] + sg.code[driftlog.Cond{Attr: pk.AttrB, Value: pk.ValB}])
+				c.counts = cr
+				sc.seed(c.key, epoch, cr)
+				nextLevel = append(nextLevel, c)
 			}
 		}
-		sortCounted(nextLevel)
+		slices.SortFunc(nextLevel, func(a, b counted) int { return strings.Compare(a.codes, b.codes) })
 		all = append(all, nextLevel...)
 		level = nextLevel
 	}
 
-	// Levels 3..MaxItems: apriori join of frequent (k-1)-sets, apriori's
-	// prune step, then per-candidate counting (candidate counts are small
-	// by level 3). Candidates are generated sequentially (cheap,
-	// deterministic) and counted in parallel into index-addressed slots, so
-	// the result is identical at any worker-pool width. Candidate keys are
-	// built once here and reused for dedup, memo seeding, the cross-window
-	// cache and the final sort.
+	// Levels 3..MaxItems: apriori-gen by prefix join over the codes, then
+	// per-candidate counting (candidate counts are small by level 3).
+	// Candidates are generated sequentially (cheap, deterministic) and
+	// counted in parallel into index-addressed slots, so the result is
+	// identical at any worker-pool width. A candidate's key is built once,
+	// after the prune, and reused for memo seeding, the cross-window cache
+	// and the final ranking.
 	for k := 3; k <= th.MaxItems && len(level) > 1; k++ {
 		if err := ctx.Err(); err != nil {
 			return nil, nil, err
 		}
-		frequent := make(map[string]bool, len(level))
-		for _, c := range level {
-			frequent[c.key] = true
-		}
-		seen := map[string]bool{}
-		var cands []Itemset
-		var candKeys []string
-		for i := 0; i < len(level); i++ {
-			for j := i + 1; j < len(level); j++ {
-				cand, ok := join(level[i].set, level[j].set)
-				if !ok {
-					continue
-				}
-				key := cand.Key()
-				if seen[key] {
-					continue
-				}
-				seen[key] = true
-				if pruned(cand, frequent) {
-					continue
-				}
-				cands = append(cands, cand)
-				candKeys = append(candKeys, key)
-			}
-		}
+		cands := sg.prefixJoin(level)
 		work.Candidates[2] += uint64(len(cands))
-		counts := make([]driftlog.CountResult, len(cands))
 		errs := make([]error, len(cands))
 		if err := tensor.ParallelForCtx(ctx, len(cands), func(lo, hi int) {
 			for i := lo; i < hi; i++ {
+				c := &cands[i]
 				if inc {
-					if pc, ok := prev.sets[candKeys[i]]; ok {
-						dc, derr := delta.Count(cands[i], nil)
-						counts[i], errs[i] = addCR(pc, dc), derr
+					if pc, ok := prev.sets[c.key]; ok {
+						dc, derr := delta.Count(c.set, nil)
+						c.counts, errs[i] = addCR(pc, dc), derr
 						continue
 					}
 				}
-				counts[i], errs[i] = v.Count(cands[i], ov)
+				c.counts, errs[i] = v.Count(c.set, ov)
 			}
 		}); err != nil {
 			return nil, nil, err
 		}
 		var nextLevel []counted
-		for i, cand := range cands {
+		for i, c := range cands {
 			if errs[i] != nil {
 				return nil, nil, errs[i]
 			}
 			if next != nil {
-				if next.sets == nil {
-					next.sets = map[string]driftlog.CountResult{}
-				}
-				next.sets[candKeys[i]] = counts[i]
+				next.sets[c.key] = c.counts
 			}
-			m := ComputeMetrics(counts[i], totals.Total, totals.Drift)
-			if m.Occurrence >= th.MinOccurrence {
-				sc.seed(candKeys[i], epoch, counts[i])
-				nextLevel = append(nextLevel, counted{cand, candKeys[i], counts[i]})
+			if frequent(c.counts) {
+				sc.seed(c.key, epoch, c.counts)
+				nextLevel = append(nextLevel, c) // cands ascend by codes: so does nextLevel
 			}
 		}
-		sortCounted(nextLevel)
 		all = append(all, nextLevel...)
 		level = nextLevel
 	}
@@ -454,62 +424,103 @@ func RescoreCached(sc *SupportCache, set Itemset, ov *driftlog.Overlay) (Result,
 	return Result{Items: set, Counts: cr, Metrics: ComputeMetrics(cr, totals.Total, totals.Drift)}, nil
 }
 
-// join merges two same-size itemsets into a candidate one item larger,
-// requiring distinct attributes and agreement on shared attributes: one
-// merge walk over the attr-sorted sets finds b's single condition on an
-// attribute a lacks and where it sorts into a, allocating only on success.
-func join(a, b Itemset) (Itemset, bool) {
-	if len(a) != len(b) {
-		return nil, false
+// singles are a mine's level-1 survivors, numbered in (attribute, value)
+// order: conds[c] is the condition with code c, keys[c] its condKey, code
+// maps a condition to its code string, and mask holds them all. An itemset
+// is canonical exactly when its codes ascend. A counted set names its
+// conditions by a code string, codeBytes big-endian bytes per code, so byte
+// order is code order.
+type singles struct {
+	conds []driftlog.Cond
+	keys  []string
+	code  map[driftlog.Cond]string
+	mask  driftlog.ValueMask
+}
+
+const codeBytes = 4
+
+// numberSingles sorts the level-1 survivors into (attribute, value) order and
+// numbers them, filling in each one's key and code string.
+func numberSingles(level []counted) *singles {
+	slices.SortFunc(level, func(a, b counted) int {
+		return cmp.Or(strings.Compare(a.set[0].Attr, b.set[0].Attr), strings.Compare(a.set[0].Value, b.set[0].Value))
+	})
+	sg := &singles{code: make(map[driftlog.Cond]string, len(level)), mask: driftlog.ValueMask{}}
+	for i := range level {
+		c, cond := &level[i], level[i].set[0]
+		c.key, c.codes = condKey(cond.Attr, cond.Value), string(binary.BigEndian.AppendUint32(nil, uint32(i)))
+		sg.conds, sg.keys, sg.code[cond] = append(sg.conds, cond), append(sg.keys, c.key), c.codes
+		if sg.mask[cond.Attr] == nil {
+			sg.mask[cond.Attr] = map[string]bool{}
+		}
+		sg.mask[cond.Attr][cond.Value] = true
 	}
-	extra, at := -1, 0
-	for i, j := 0, 0; j < len(b); {
-		switch {
-		case i < len(a) && a[i].Attr < b[j].Attr:
-			i++
-		case i < len(a) && a[i].Attr == b[j].Attr:
-			if a[i].Value != b[j].Value {
-				return nil, false // conflicting values for one attribute
+	return sg
+}
+
+// codeAt is the i-th code of a code string (-1: the last).
+func codeAt(codes string, i int) uint32 {
+	if i < 0 {
+		i = len(codes)/codeBytes - 1
+	}
+	b := codes[i*codeBytes : (i+1)*codeBytes]
+	return uint32(b[0])<<24 | uint32(b[1])<<16 | uint32(b[2])<<8 | uint32(b[3])
+}
+
+// counted returns the set a code string names, with its key joined from the
+// conditions' keys: Itemset.Key, as the codes ascend. Counts are the caller's.
+func (sg *singles) counted(codes string) counted {
+	set, keys := make(Itemset, len(codes)/codeBytes), make([]string, len(codes)/codeBytes)
+	for i := range set {
+		set[i], keys[i] = sg.conds[codeAt(codes, i)], sg.keys[codeAt(codes, i)]
+	}
+	return counted{set: set, key: strings.Join(keys, "|"), codes: codes}
+}
+
+// prefixJoin is apriori-gen over a level of (k-1)-sets in code order: two
+// sets that share their first k-2 codes and whose last codes lie on
+// different attributes join into the k-set of the prefix and both last codes,
+// so every canonical k-set arises from one pair only. The prune step keeps a
+// candidate when its other k-2 (k-1)-subsets are in the level too (counts
+// only fall as a condition is added), looking each up by a code string built
+// in a reused buffer. Only kept candidates get an Itemset and a key; they
+// come out in code order.
+func (sg *singles) prefixJoin(level []counted) []counted {
+	inLevel := make(map[string]bool, len(level))
+	for _, c := range level {
+		inLevel[c.codes] = true
+	}
+	var out []counted
+	var cand, sub []byte
+	for lo, hi := 0, 0; lo < len(level); lo = hi {
+		prefix := level[lo].codes[:len(level[lo].codes)-codeBytes]
+		for hi = lo + 1; hi < len(level) && strings.HasPrefix(level[hi].codes, prefix); hi++ {
+		}
+		for i := lo; i < hi; i++ {
+			for j := i + 1; j < hi; j++ {
+				if sg.conds[codeAt(level[i].codes, -1)].Attr == sg.conds[codeAt(level[j].codes, -1)].Attr {
+					continue // two values of one attribute: the prune would drop it too
+				}
+				cand = append(append(cand[:0], level[i].codes...), level[j].codes[len(prefix):]...)
+				kept := true
+				for d := 0; kept && d < len(prefix); d += codeBytes {
+					sub = append(append(sub[:0], cand[:d]...), cand[d+codeBytes:]...)
+					kept = inLevel[string(sub)]
+				}
+				if kept {
+					out = append(out, sg.counted(string(cand)))
+				}
 			}
-			i, j = i+1, j+1
-		case extra >= 0:
-			return nil, false // more than one attribute apart
-		default:
-			extra, at, j = j, i, j+1
 		}
 	}
-	if extra < 0 {
-		return nil, false // the same attributes: nothing to add
-	}
-	out := append(make(Itemset, 0, len(a)+1), a[:at]...)
-	return append(append(out, b[extra]), a[at:]...), true
+	return out
 }
 
-// pruned is apriori's prune step: a candidate with a (k-1)-subset missing
-// from the previous level cannot be frequent and need not be counted, since
-// counts are monotone under adding a condition.
-func pruned(cand Itemset, frequent map[string]bool) bool {
-	sub := make(Itemset, len(cand)-1)
-	for drop := range cand {
-		copy(sub, cand[:drop])
-		copy(sub[drop:], cand[drop+1:])
-		if !frequent[sub.Key()] {
-			return true
-		}
-	}
-	return false
-}
-
-// counted pairs a candidate itemset with its canonical key (computed
-// once — never rebuilt inside the mining loops) and its window counts.
+// counted is a candidate itemset with its key and code string (each built
+// once, never inside the mining loops) and its window counts.
 type counted struct {
 	set    Itemset
 	key    string
+	codes  string
 	counts driftlog.CountResult
-}
-
-// sortCounted orders candidates deterministically by their precomputed
-// keys (the comparator allocates nothing).
-func sortCounted(cs []counted) {
-	sort.Slice(cs, func(i, j int) bool { return cs[i].key < cs[j].key })
 }

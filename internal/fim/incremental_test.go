@@ -345,3 +345,67 @@ func TestTieredGrownWindowMinesDelta(t *testing.T) {
 		t.Fatalf("delta mine %v\nfresh mine %v", got, want)
 	}
 }
+
+// TestIncrementalMineDictionaryGrowth grows the dictionaries between the
+// cached mine and the grown window: new values on a tiered attribute (e) and
+// on one on the bitmaps (a), and an attribute (f) that only the delta rows
+// carry. The merge adds the cached level-1 arrays into the delta's longer ones
+// by store id, so the incremental mine equals a fresh one, in its results and
+// in the level 1 it hands the next window.
+func TestIncrementalMineDictionaryGrowth(t *testing.T) {
+	s := propertyLog(rand.New(rand.NewSource(8)), 3000, true)
+	th := DefaultThresholds()
+	th.MinConfidence = 0.2
+	v1 := s.All()
+	_, to1 := v1.Bounds()
+	_, cache1, err := MineCachedContext(context.Background(), NewSupportCache(v1), nil, nil, nil, th)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := rand.New(rand.NewSource(9))
+	more := make([]driftlog.Entry, 600)
+	for i := range more {
+		more[i] = driftlog.Entry{Time: time.Unix(int64(r.Intn(1000)), 0), Drift: r.Float64() < 0.6, SampleID: -1,
+			Attrs: map[string]string{"a": "a_new", "b": "b1", "e": fmt.Sprint("e_new", i%3), "f": fmt.Sprint("f", i%2)}}
+	}
+	s.AppendBatch(more)
+	if tiered := s.SketchedAttrs(); !slices.Contains(tiered, "e") || slices.Contains(tiered, "a") {
+		t.Fatalf("tiered attrs %v, want e and not a", tiered)
+	}
+
+	v2 := s.All()
+	delta, err := v2.Since(v1.ShardRows(), to1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resInc, cacheInc, err := MineCachedContext(context.Background(), NewSupportCache(v2), delta, cache1, nil, th)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resFresh, cacheFresh, err := MineCachedContext(context.Background(), NewSupportCache(v2), nil, nil, nil, th)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(resInc, resFresh) {
+		t.Fatalf("incremental mine diverges from fresh\ninc   %v\nfresh %v", resInc, resFresh)
+	}
+	if !reflect.DeepEqual(cacheInc.level1, cacheFresh.level1) {
+		t.Fatal("the incremental mine's level 1 diverges from the fresh mine's")
+	}
+	dictLen := func(mc *MineCache, attr string) int {
+		for _, ac := range mc.level1 {
+			if ac.Name == attr {
+				return len(ac.Dict)
+			}
+		}
+		return 0
+	}
+	for _, attr := range []string{"a", "e", "f"} {
+		if before, after := dictLen(cache1, attr), dictLen(cacheInc, attr); before >= after {
+			t.Fatalf("attribute %s: dictionary of %d values, then %d: it did not grow", attr, before, after)
+		}
+	}
+	if !cacheInc.mask["e"]["e_new0"] || !cacheInc.mask["a"]["a_new"] || !cacheInc.mask["f"]["f0"] {
+		t.Fatalf("a new value misses level 1: mask %v", cacheInc.mask)
+	}
+}

@@ -2,9 +2,11 @@ package fim
 
 import (
 	"context"
+	"encoding/binary"
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 	"time"
 
@@ -42,7 +44,7 @@ func refMine(t *testing.T, v *driftlog.View, ov *driftlog.Overlay, th Thresholds
 	}
 	var level, all []scored
 	single := map[driftlog.Cond]bool{}
-	for attr, values := range v.AttrValueCounts(ov) {
+	for attr, values := range valueMap(v.AttrValueCounts(ov)) {
 		for val, n := range values {
 			if !excluded[attr] && frequent(n) {
 				c := driftlog.Cond{Attr: attr, Value: val}
@@ -55,7 +57,7 @@ func refMine(t *testing.T, v *driftlog.View, ov *driftlog.Overlay, th Thresholds
 	if th.MaxItems >= 2 && len(level) > 1 {
 		level = nil
 		for pk, n := range v.PairCounts(ov, excluded) {
-			conds := pk.Conds()
+			conds := pairConds(pk)
 			if single[conds[0]] && single[conds[1]] && frequent(n) {
 				level = append(level, scored{NewItemset(conds...), n})
 			}
@@ -106,6 +108,83 @@ func refMine(t *testing.T, v *driftlog.View, ov *driftlog.Overlay, th Thresholds
 	}
 	Rank(results)
 	return results
+}
+
+// valueMap is the map form of a level-1 group-by: per attribute, every value
+// the window holds with its counts.
+func valueMap(acs []driftlog.AttrCounts) map[string]map[string]driftlog.CountResult {
+	out := make(map[string]map[string]driftlog.CountResult, len(acs))
+	for _, ac := range acs {
+		byVal := map[string]driftlog.CountResult{}
+		for id, cr := range ac.Counts {
+			if cr.Total > 0 {
+				byVal[ac.Dict[id]] = cr
+			}
+		}
+		out[ac.Name] = byVal
+	}
+	return out
+}
+
+// pairConds returns a pair as query conditions.
+func pairConds(pk driftlog.PairKey) []driftlog.Cond {
+	return []driftlog.Cond{{Attr: pk.AttrA, Value: pk.ValA}, {Attr: pk.AttrB, Value: pk.ValB}}
+}
+
+// codeString is the code string of the given codes.
+func codeString(codes ...uint32) string {
+	b := make([]byte, 0, codeBytes*len(codes))
+	for _, c := range codes {
+		b = binary.BigEndian.AppendUint32(b, c)
+	}
+	return string(b)
+}
+
+// join merges two same-size itemsets into a candidate one item larger,
+// requiring distinct attributes and agreement on shared attributes: one
+// merge walk over the attr-sorted sets finds b's single condition on an
+// attribute a lacks and where it sorts into a, allocating only on success.
+// With pruned it is the any-pair apriori-gen the prefix join is held to.
+func join(a, b Itemset) (Itemset, bool) {
+	if len(a) != len(b) {
+		return nil, false
+	}
+	extra, at := -1, 0
+	for i, j := 0, 0; j < len(b); {
+		switch {
+		case i < len(a) && a[i].Attr < b[j].Attr:
+			i++
+		case i < len(a) && a[i].Attr == b[j].Attr:
+			if a[i].Value != b[j].Value {
+				return nil, false // conflicting values for one attribute
+			}
+			i, j = i+1, j+1
+		case extra >= 0:
+			return nil, false // more than one attribute apart
+		default:
+			extra, at, j = j, i, j+1
+		}
+	}
+	if extra < 0 {
+		return nil, false // the same attributes: nothing to add
+	}
+	out := append(make(Itemset, 0, len(a)+1), a[:at]...)
+	return append(append(out, b[extra]), a[at:]...), true
+}
+
+// pruned is apriori's prune step: a candidate with a (k-1)-subset missing
+// from the previous level cannot be frequent and need not be counted, since
+// counts are monotone under adding a condition.
+func pruned(cand Itemset, frequent map[string]bool) bool {
+	sub := make(Itemset, len(cand)-1)
+	for drop := range cand {
+		copy(sub, cand[:drop])
+		copy(sub[drop:], cand[drop+1:])
+		if !frequent[sub.Key()] {
+			return true
+		}
+	}
+	return false
 }
 
 // propertyLog builds a random log of five attributes whose cardinalities
@@ -243,7 +322,7 @@ func TestSketchPairsHaveNoFalseNegatives(t *testing.T) {
 			}
 		})
 		mask := driftlog.ValueMask{}
-		for attr, byVal := range v.AttrValueCounts(nil) {
+		for attr, byVal := range valueMap(v.AttrValueCounts(nil)) {
 			for val, cr := range byVal {
 				if float64(cr.Total) >= th.MinOccurrence*float64(v.Len()) {
 					if mask[attr] == nil {
@@ -310,7 +389,7 @@ func TestMineStatsPinned(t *testing.T) {
 	}
 	var want MineStats
 	single := map[driftlog.Cond]bool{}
-	for attr, values := range v.AttrValueCounts(nil) {
+	for attr, values := range valueMap(v.AttrValueCounts(nil)) {
 		want.Candidates[0] += uint64(len(values))
 		for val, n := range values {
 			single[driftlog.Cond{Attr: attr, Value: val}] = floor(n)
@@ -319,7 +398,7 @@ func TestMineStatsPinned(t *testing.T) {
 	var pairs []Itemset
 	frequentPair := map[[2]driftlog.Cond]bool{}
 	for pk, n := range v.PairCounts(nil, nil) {
-		if c := pk.Conds(); single[c[0]] && single[c[1]] {
+		if c := pairConds(pk); single[c[0]] && single[c[1]] {
 			want.PairsCounted++
 			if floor(n) {
 				pairs = append(pairs, Itemset(c))
@@ -401,5 +480,84 @@ func TestSupportMemoDoesNotAlias(t *testing.T) {
 	}
 	if want := (driftlog.CountResult{Total: 300, Drift: 0}); pair.Counts != want {
 		t.Fatalf("pair counts %+v, want %+v (the single condition's memo entry was served)", pair.Counts, want)
+	}
+}
+
+// TestPrefixJoinMatchesJoinPrune holds the prefix join to the any-pair join
+// and prune step it replaced. On random frequent levels of (k-1)-sets, k = 3
+// to 5, over attributes and values holding the bytes Key escapes and several
+// values per attribute (so sets sharing a prefix often end on one attribute),
+// both generate the same candidates; the prefix join generates each once, in
+// code order, and every key it builds is its Itemset's Key.
+func TestPrefixJoinMatchesJoinPrune(t *testing.T) {
+	r := rand.New(rand.NewSource(7))
+	attrs := []string{"a", "a=", `a\`, "a|b", "b", "c"} // name order
+	vals := []string{"", "=", "x", "x|b=y", `\`}        // value order
+	conflicts, total := 0, 0
+	for trial := range 30 {
+		k := 3 + trial%3
+		var level1 []counted
+		for _, a := range attrs {
+			for _, val := range vals {
+				if r.Float64() < 0.6 {
+					level1 = append(level1, counted{set: Itemset{{Attr: a, Value: val}}})
+				}
+			}
+		}
+		sg := numberSingles(level1)
+		var level []counted
+		var walk func(codes []uint32, from int)
+		walk = func(codes []uint32, from int) {
+			if len(codes) == k-1 {
+				if r.Float64() < 0.7 {
+					level = append(level, sg.counted(codeString(codes...)))
+				}
+				return
+			}
+			for c := from; c < len(sg.conds); c++ {
+				if len(codes) == 0 || sg.conds[c].Attr != sg.conds[codes[len(codes)-1]].Attr {
+					walk(append(codes, uint32(c)), c+1)
+				}
+			}
+		}
+		walk(nil, 0) // in code order
+
+		frequent := map[string]bool{}
+		for _, c := range level {
+			if c.key != c.set.Key() {
+				t.Fatalf("level key %q, Key %q", c.key, c.set.Key())
+			}
+			frequent[c.key] = true
+		}
+		want := map[string]bool{}
+		for i := range level {
+			for j := i + 1; j < len(level); j++ {
+				a, b := level[i].set, level[j].set
+				if slices.Equal(a[:k-2], b[:k-2]) && a[k-2].Attr == b[k-2].Attr {
+					conflicts++
+				}
+				if cand, ok := join(a, b); ok && !pruned(cand, frequent) {
+					want[cand.Key()] = true
+				}
+			}
+		}
+		cands := sg.prefixJoin(level)
+		got := map[string]bool{}
+		for i, c := range cands {
+			if len(c.set) != k || c.key != c.set.Key() || got[c.key] {
+				t.Fatalf("k=%d: candidate %v has key %q (Key %q, repeated %v)", k, c.set, c.key, c.set.Key(), got[c.key])
+			}
+			if i > 0 && cands[i-1].codes >= c.codes {
+				t.Fatalf("k=%d: candidates out of code order at %d", k, i)
+			}
+			got[c.key] = true
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("trial %d k=%d: prefix join %d candidates, join+prune %d\ngot  %v\nwant %v", trial, k, len(got), len(want), got, want)
+		}
+		total += len(want)
+	}
+	if total == 0 || conflicts == 0 {
+		t.Fatalf("%d candidates, %d same-attribute conflicts: the property is vacuous", total, conflicts)
 	}
 }

@@ -92,8 +92,8 @@ func TestBinaryBatchMatchesJSON(t *testing.T) {
 	if js, bs := jsonSvc.Samples().Len(), binSvc.Samples().Len(); js != bs {
 		t.Fatalf("samples json=%d binary=%d", js, bs)
 	}
-	jc := jsonSvc.Log().All().AttrValueCounts(nil)
-	bc := binSvc.Log().All().AttrValueCounts(nil)
+	jc := valueMap(jsonSvc.Log().All().AttrValueCounts(nil))
+	bc := valueMap(binSvc.Log().All().AttrValueCounts(nil))
 	if !reflect.DeepEqual(jc, bc) {
 		t.Fatalf("counts diverge:\n json %v\n binary %v", jc, bc)
 	}
@@ -321,4 +321,20 @@ func TestBinaryBodyLengths(t *testing.T) {
 	if got := after.TotalAlloc - before.TotalAlloc; got > 4*maxFrameHint {
 		t.Fatalf("a body declaring %d bytes and sending 10 allocated %d bytes, want ≤ %d", maxBatchBodyBytes, got, 4*maxFrameHint)
 	}
+}
+
+// valueMap is the map form of a level-1 group-by: per attribute, every value
+// the window holds with its counts.
+func valueMap(acs []driftlog.AttrCounts) map[string]map[string]driftlog.CountResult {
+	out := make(map[string]map[string]driftlog.CountResult, len(acs))
+	for _, ac := range acs {
+		byVal := map[string]driftlog.CountResult{}
+		for id, cr := range ac.Counts {
+			if cr.Total > 0 {
+				byVal[ac.Dict[id]] = cr
+			}
+		}
+		out[ac.Name] = byVal
+	}
+	return out
 }
