@@ -213,6 +213,24 @@ func BenchmarkAttrValueCounts(b *testing.B) {
 			v.AttrValueCounts(nil)
 		}
 	})
+	// A Since delta of the newest 32 rows of every shard of the 1M-row log:
+	// 512 rows, the size of a grown window's delta.
+	b.Run("delta-512/1M", func(b *testing.B) {
+		v := benchStore1M().All()
+		prev := v.ShardRows()
+		for si := range prev {
+			prev[si] -= 32
+		}
+		_, to := v.Bounds()
+		d, err := v.Since(prev, to)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			d.AttrValueCounts(nil)
+		}
+	})
 }
 
 // BenchmarkSampleIDs measures gathering a cause's uploaded samples from the

@@ -431,30 +431,60 @@ const maxValueSweep = 128
 
 // AttrCounts is one attribute's level-1 group-by over a view: Counts[id] is
 // the window rows carrying store id id, whose value is Dict[id], and of those
-// the drift-flagged. Dict is the view's pinned dictionary and Counts spans it,
-// so the counts of two views of one store add by id over the shorter.
+// the drift-flagged; a slot whose Total is Uncounted was left out by the
+// call's Floor. Dict is the view's pinned dictionary and Counts spans it, so
+// the counts of two views of one store add by id over the shorter.
 type AttrCounts struct {
 	Name   string
 	Dict   []string
 	Counts []CountResult
 }
 
+// Uncounted is the Total of a slot a Floor left out.
+const Uncounted = -1
+
+// Floor is apriori's occurrence floor as the level-1 group-by applies it: a
+// value is counted only when its row bound clears MinOccurrence of Rows, the
+// mined window's rows (a delta's caller passes the grown window's), and no
+// value of an Exclude attribute is.
+type Floor struct {
+	Rows          int
+	MinOccurrence float64
+	Exclude       []string
+}
+
+// Clears reports whether n rows reach the floor: the miner's occurrence test
+// too, so a value is skipped only when the miner would drop it.
+func (f Floor) Clears(n int) bool { return float64(n)/float64(f.Rows) >= f.MinOccurrence }
+
 // AttrValueCounts returns, for each attribute in name order, the per-value
 // totals and drift counts inside the view — the first apriori level (one "SQL
-// GROUP BY" per attribute). Shards count in parallel in store-id space: one
-// AND+popcount per value a shard's column holds, or one walk of the window's
-// rows for a column with more than maxValueSweep values or tiered. The
-// partials add by id into one dense array per attribute.
-func (v *View) AttrValueCounts(ov *Overlay) []AttrCounts {
+// GROUP BY" per attribute). With a floor (at most one) it counts only the
+// values whose row bound clears it (applyFloor). Shards count in parallel in
+// store-id space: one AND+popcount per counted value a shard's column holds,
+// or one walk of the window's rows for a column with more than maxValueSweep
+// of them or tiered. The partials add by id into one array per attribute.
+func (v *View) AttrValueCounts(ov *Overlay, floor ...Floor) []AttrCounts {
 	v.s.dictMu.RLock()
 	attrs := v.attrs()
 	v.s.dictMu.RUnlock()
-	var partial [numShards][]idCount
-	v.eachShard(func(si int) { partial[si] = v.shards[si].valueCounts(ov, si, attrs) })
 	out := make([]AttrCounts, len(attrs))
+	counting := make([]bool, len(attrs)) // the attribute has a value to count
 	for a, at := range attrs {
 		out[a] = AttrCounts{Name: at.name, Dict: at.vals, Counts: make([]CountResult, len(at.vals))}
+		switch {
+		case len(floor) == 0:
+			counting[a] = true
+		case slices.Contains(floor[0].Exclude, at.name):
+			fillUncounted(out[a].Counts)
+		case floor[0].level() < 0: // every value clears it
+			counting[a] = true
+		default:
+			counting[a] = v.applyFloor(at.pos, out[a].Counts, floor[0])
+		}
 	}
+	var partial [numShards][]idCount
+	v.eachShard(func(si int) { partial[si] = v.shards[si].valueCounts(ov, si, attrs, counting, len(floor) > 0, out) })
 	for _, p := range partial {
 		for _, c := range p {
 			sum := &out[c.a].Counts[c.id]
@@ -463,6 +493,97 @@ func (v *View) AttrValueCounts(ov *Overlay) []AttrCounts {
 		}
 	}
 	return out
+}
+
+// level is the highest L whose numShards·(2^L−1) rows fail the floor, so a
+// value under 2^L rows in every shard fails it; -1 when zero rows clear it.
+func (f Floor) level() int {
+	l := -1
+	for l < 40 && !f.Clears(numShards*(1<<(l+1)-1)) {
+		l++
+	}
+	return l
+}
+
+// applyFloor marks Uncounted every slot of counts (the attribute at pos)
+// whose value's row bound fails the floor, reporting whether any value is
+// left to count. The bound sums the row counts of the columns the view
+// pinned, read under the shard lock: appends only grow them and Compact and
+// tierUp replace columns, so it is never below the view's count. Only values
+// listed at the floor's level can clear it, and most are decided by the
+// shards that list them.
+func (v *View) applyFloor(pos int, counts []CountResult, fl Floor) bool {
+	level := fl.level()
+	// The ids listed at level, with listed rows in Total, listings in Drift.
+	var cands []uint32
+	v.eachColumnLocked(pos, func(c *column) {
+		if level >= len(c.levels) {
+			return
+		}
+		for _, id := range c.levels[level] {
+			if int(id) < len(counts) { // else interned after the view: no pinned row holds it
+				if counts[id].Drift == 0 {
+					cands = append(cands, id)
+				}
+				counts[id].Total += int(c.rows[id])
+				counts[id].Drift++
+			}
+		}
+	})
+	// A candidate clears the floor on its listed rows alone, or cannot with
+	// 2^level−1 more rows from every shard not listing it, or its bound —
+	// summed over every shard, in Total — decides.
+	var unsure []uint32
+	cands = slices.DeleteFunc(cands, func(id uint32) bool {
+		p := counts[id]
+		counts[id] = CountResult{}
+		if fl.Clears(p.Total) {
+			return false
+		}
+		if fl.Clears(p.Total + (numShards-p.Drift)*(1<<level-1)) {
+			unsure = append(unsure, id)
+		}
+		return true
+	})
+	if len(unsure) > 0 {
+		v.eachColumnLocked(pos, func(c *column) {
+			for _, id := range unsure {
+				if int(id) < len(c.rows) {
+					counts[id].Total += int(c.rows[id])
+				}
+			}
+		})
+		for _, id := range unsure {
+			if fl.Clears(counts[id].Total) {
+				cands = append(cands, id)
+			}
+		}
+	}
+	fillUncounted(counts)
+	for _, id := range cands {
+		counts[id] = CountResult{}
+	}
+	return len(cands) > 0
+}
+
+// eachColumnLocked calls f with every shard's pinned column at position pos,
+// under the shard's read lock.
+func (v *View) eachColumnLocked(pos int, f func(c *column)) {
+	for si := range v.shards {
+		vs := &v.shards[si]
+		if c, ok := vs.col(pos); ok {
+			vs.mu.RLock()
+			f(c.live)
+			vs.mu.RUnlock()
+		}
+	}
+}
+
+// fillUncounted marks every slot Uncounted.
+func fillUncounted(counts []CountResult) {
+	for i := range counts {
+		counts[i] = CountResult{Total: Uncounted}
+	}
 }
 
 // attrs returns the view's attributes in name order, with no value kept.
@@ -483,33 +604,53 @@ type idCount struct {
 	n     CountResult
 }
 
-// valueCounts is one shard's share of AttrValueCounts over attrs.
-func (vs *viewShard) valueCounts(ov *Overlay, si int, attrs []selAttr) []idCount {
+// valueCounts is one shard's share of AttrValueCounts over the attributes
+// with a value to count (counting), counting the values acs does not mark
+// Uncounted (every value, unless floored). A column on the bitmaps routes on
+// those it holds: up to maxValueSweep, their bitmaps are swept; more, the
+// window's rows are walked, as they are for a tiered column.
+func (vs *viewShard) valueCounts(ov *Overlay, si int, attrs []selAttr, counting []bool, floored bool, acs []AttrCounts) []idCount {
 	if vs.wlo == vs.whi {
 		return nil // no window row in this shard
 	}
 	held := 0 // on the bitmaps, the values a column holds bound its partial
 	for _, c := range vs.cols {
-		held += len(c.held)
+		if c.live != nil && !c.live.tiered {
+			held += len(c.held)
+		}
 	}
 	out := make([]idCount, 0, held)
 	var rows []int32
+	var idBuf [maxValueSweep + 1]uint32
 	var buf [maxValueSweep]bmSnap
 	for a, at := range attrs {
 		col, ok := vs.col(at.pos)
-		switch {
-		case !ok:
-		case col.live.tiered || len(col.held) > maxValueSweep:
+		if !ok || !counting[a] {
+			continue
+		}
+		marks, ids := acs[a].Counts, col.held
+		if floored {
+			ids = idBuf[:0] // up to one past maxValueSweep: then the rows are walked
+			for _, id := range col.held {
+				if col.live.tiered || len(ids) > maxValueSweep {
+					break
+				}
+				if marks[id].Total != Uncounted {
+					ids = append(ids, id)
+				}
+			}
+		}
+		if col.live.tiered || len(ids) > maxValueSweep {
 			if rows == nil {
 				rows = vs.windowRows(make([]int32, 0, 64*(vs.whi-vs.wlo)))
 			}
-			out = vs.valueScan(ov, si, rows, col, uint32(a), len(at.vals), out)
-		default:
-			bms := vs.snapAll(buf[:0], col, col.held)
-			for k, id := range col.held {
-				if n, d := vs.andPopcount(bms[k:k+1], ov.words(si)); n > 0 {
-					out = append(out, idCount{uint32(a), id, CountResult{Total: n, Drift: d}})
-				}
+			out = vs.valueScan(ov, si, rows, col, uint32(a), marks, out)
+			continue
+		}
+		bms := vs.snapAll(buf[:0], col, ids)
+		for k, id := range ids {
+			if n, d := vs.andPopcount(bms[k:k+1], ov.words(si)); n > 0 {
+				out = append(out, idCount{uint32(a), id, CountResult{Total: n, Drift: d}})
 			}
 		}
 	}
@@ -810,14 +951,14 @@ func (vs *viewShard) pairScanInto(ov *Overlay, si int, rows []int32, a, b *keptC
 	return out
 }
 
-// valueScan is pairScanInto for one column: its values counted over the
-// given shard rows and appended to out as attribute a's — the group-by of a
-// column with too many values to popcount or with no bitmaps (tiered). vals
-// is the dictionary's length.
-func (vs *viewShard) valueScan(ov *Overlay, si int, rows []int32, c viewCol, a uint32, vals int, out []idCount) []idCount {
-	counts := newIDCounts(vals, len(rows))
+// valueScan is pairScanInto for one column: the values marks does not mark
+// Uncounted, counted over the given shard rows and appended to out as
+// attribute a's — the group-by of a column with too many such values to
+// popcount or with no bitmaps (tiered). marks spans the dictionary.
+func (vs *viewShard) valueScan(ov *Overlay, si int, rows []int32, c viewCol, a uint32, marks []CountResult, out []idCount) []idCount {
+	counts := newIDCounts(len(marks), len(rows))
 	for _, r := range rows {
-		if id := c.ids[r]; id != 0 {
+		if id := c.ids[r]; id != 0 && marks[id].Total != Uncounted {
 			counts.add(uint64(id), ov.driftAt(vs, si, int(r)))
 		}
 	}

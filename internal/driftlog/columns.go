@@ -264,15 +264,14 @@ func (s *Store) appendColumns(b *ColumnarBatch) {
 				if cols[ci] == nil {
 					cols[ci] = sh.newColumn(b.Cols[ci].Name, pos[ci], row, s.tieredSet())
 				}
+				cols[ci].pad(row) // the rows since its last value lack the attribute
 				cols[ci].add(id)
 			}
-			// Backfill columns the row did not carry (including shard
-			// columns absent from this batch entirely).
-			for _, name := range sh.order {
-				if col := sh.cols[name]; len(col.ids) == row {
-					col.add(0)
-				}
-			}
+		}
+		// Backfill every column to the shard's rows once: the batch's columns
+		// past their last value, and those the batch does not carry.
+		for _, col := range sh.cols {
+			col.pad(len(sh.times))
 		}
 		sh.mu.Unlock()
 	}

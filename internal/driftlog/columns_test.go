@@ -105,6 +105,41 @@ func TestAppendColumnsDifferential(t *testing.T) {
 	}
 }
 
+// TestAppendColumnsBackfill pins the backfill of rows that lack an
+// attribute against the row-at-a-time reference appender: one device's rows
+// (so one shard) carry different attribute subsets, a column first appears
+// mid-batch, a column skips rows between its values, and a later batch
+// carries neither of two columns the shard holds. Every shard column must
+// end each batch as long as the shard, with the ids in their rows.
+func TestAppendColumnsBackfill(t *testing.T) {
+	base := time.Unix(0, 0).UTC()
+	row := func(sec int, attrs ...string) Entry {
+		m := map[string]string{AttrDevice: "dev_0"}
+		for i := 0; i < len(attrs); i += 2 {
+			m[attrs[i]] = attrs[i+1]
+		}
+		return Entry{Time: base.Add(time.Duration(sec) * time.Second), SampleID: -1, Attrs: m}
+	}
+	batches := [][]Entry{
+		{row(0, "a", "a0"), row(1, "a", "a1")},
+		{row(2, "a", "a0", "b", "b0"), row(3), row(4, "c", "c0"), row(5, "b", "b1"), row(6, "a", "a1", "c", "c1"), row(7)},
+		{row(8, "a", "a0"), row(9)},
+	}
+	rowStore, colStore := NewStore(), NewStore()
+	for i, b := range batches {
+		refAppendBatch(rowStore, b)
+		if err := colStore.AppendColumns(ColumnsFromEntries(b)); err != nil {
+			t.Fatal(err)
+		}
+		if d := diffShards(colStore, rowStore); d != "" {
+			t.Fatalf("batch %d: %s", i, d)
+		}
+	}
+	if got := colStore.All().Len(); got != 10 {
+		t.Fatalf("%d rows, want 10", got)
+	}
+}
+
 func TestAppendColumnsEmptyBatch(t *testing.T) {
 	s := NewStore()
 	if err := s.AppendColumns(&ColumnarBatch{}); err != nil {

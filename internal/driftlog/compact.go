@@ -8,7 +8,8 @@ import (
 // Compact drops every row with a timestamp before cutoff, returning how
 // many rows were removed. Store ids are kept (the dictionaries are
 // append-only, so a value whose rows all expired keeps its id), and the
-// bitmaps are rebuilt over the kept rows. Outstanding Views keep
+// bitmaps, row counts and levels are rebuilt over the kept rows, in new
+// columns. Outstanding Views keep
 // reading their pinned snapshots (memory-safe) but no longer reflect the
 // store; create views after compaction. The store remembers the largest
 // cutoff it has been given, even when no row goes: a WAL replayed into

@@ -691,21 +691,26 @@ func TestViewConcurrentQueries(t *testing.T) {
 // (9) or device (up to 80) off the bitmaps and onto the row walk. An odd
 // timeMode stamps the rows nearly sorted (appendRandomTimed), so windows
 // skip, fill and cut words by their time bounds; an even one stamps them
-// at random. Every input is checked under each popcountAnd body the host
-// can run.
+// at random. floor sets the level-1 floor both views are also counted
+// under: an occurrence of floor/1000 of the grown window's rows. Every input
+// is checked under each popcountAnd body the host can run.
 func FuzzCountDifferential(f *testing.F) {
-	f.Add(int64(1), uint8(7), uint8(0), uint8(0x55), uint8(0), uint8(0))
-	f.Add(int64(42), uint8(64), uint8(1), uint8(0xFF), uint8(0), uint8(0))
-	f.Add(int64(99), uint8(130), uint8(2), uint8(0x06), uint8(0), uint8(0))
-	f.Add(int64(7), uint8(200), uint8(0), uint8(0xFF), uint8(4), uint8(0))
-	f.Add(int64(8), uint8(255), uint8(1), uint8(0x55), uint8(8), uint8(0))
+	f.Add(int64(1), uint8(7), uint8(0), uint8(0x55), uint8(0), uint8(0), uint8(0))
+	f.Add(int64(42), uint8(64), uint8(1), uint8(0xFF), uint8(0), uint8(0), uint8(10))
+	f.Add(int64(99), uint8(130), uint8(2), uint8(0x06), uint8(0), uint8(0), uint8(50))
+	f.Add(int64(7), uint8(200), uint8(0), uint8(0xFF), uint8(4), uint8(0), uint8(120))
+	f.Add(int64(8), uint8(255), uint8(1), uint8(0x55), uint8(8), uint8(0), uint8(255))
+	f.Add(int64(11), uint8(255), uint8(0), uint8(0x55), uint8(0), uint8(1), uint8(30))
 	for _, sd := range nearlySortedSeeds {
-		f.Add(sd.seed, sd.n, sd.windowSel, uint8(0x55), sd.tier, uint8(1))
+		f.Add(sd.seed, sd.n, sd.windowSel, uint8(0x55), sd.tier, uint8(1), uint8(20))
 	}
-	f.Fuzz(func(t *testing.T, seed int64, n uint8, windowSel uint8, maskSel uint8, tier uint8, timeMode uint8) {
+	f.Fuzz(func(t *testing.T, seed int64, n uint8, windowSel uint8, maskSel uint8, tier uint8, timeMode uint8, floor uint8) {
 		kernelBodies(t, func(string) {
-			for _, v := range fuzzCountViews(t, seed, n, windowSel, tier, timeMode) {
+			views := fuzzCountViews(t, seed, n, windowSel, tier, timeMode)
+			fl := Floor{Rows: max(views[0].Len(), 1), MinOccurrence: float64(floor) / 1000}
+			for _, v := range views {
 				fuzzCheckView(t, v, seed, maskSel)
+				checkFloor(t, v, nil, nil, fl, true)
 			}
 		})
 	})
@@ -749,8 +754,12 @@ func TestFuzzCountSeedsCoverWordClasses(t *testing.T) {
 	for _, sd := range nearlySortedSeeds {
 		for i, v := range fuzzCountViews(t, sd.seed, sd.n, sd.windowSel, sd.tier, 1) {
 			none, all, cut := wordClasses(v)
-			if read := timesRead(v); none == 0 || all == 0 || cut == 0 || read >= v.total {
-				t.Errorf("seed %+v view %d: %d empty, %d full, %d cut words; %d of %d timestamps read", sd, i, none, all, cut, read, v.total)
+			pinned := 0
+			for _, rows := range v.ShardRows() {
+				pinned += rows
+			}
+			if read := timesRead(v); none == 0 || all == 0 || cut == 0 || read >= pinned {
+				t.Errorf("seed %+v view %d: %d empty, %d full, %d cut words; %d of %d timestamps read", sd, i, none, all, cut, read, pinned)
 			}
 		}
 	}

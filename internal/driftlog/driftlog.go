@@ -23,6 +23,7 @@ package driftlog
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"slices"
 	"sort"
 	"sync"
@@ -62,15 +63,19 @@ const (
 
 // column is one shard's slice of an attribute: ids[row] is the row's store
 // id (0 = attribute missing). bits[id] is that value's row bitmap in the
-// shard (trailing zero words omitted), and held lists the ids that have one,
-// first seen first: the values the shard holds, which the group-bys route
-// on. A tiered column (tier.go) has neither. Rows a view pinned never change:
-// tierUp and Compact replace columns instead.
+// shard (trailing zero words omitted; none on a tiered column, tier.go) and
+// rows[id] its row count, apart so the collector never scans counts.
+// levels[k] lists the ids with at least 2^k rows, in the order they got
+// there: levels[0] is every value the shard holds, which the group-bys route
+// on, and AttrValueCounts' floor finds its candidates in a higher one. Rows a
+// view pinned never change and counts only grow: tierUp and Compact replace
+// columns instead.
 type column struct {
 	pos    int // the attribute's position in Store.attrOrder
 	ids    []uint32
 	bits   [][]uint64
-	held   []uint32
+	rows   []uint32
+	levels [][]uint32
 	tiered bool
 }
 
@@ -78,16 +83,42 @@ type column struct {
 func (c *column) add(id uint32) {
 	row := len(c.ids)
 	c.ids = append(c.ids, id)
-	if id == 0 || c.tiered {
+	if id == 0 {
+		return
+	}
+	if int(id) >= len(c.rows) {
+		c.rows = append(c.rows, make([]uint32, int(id)+1-len(c.rows))...)
+	}
+	c.rows[id]++
+	if n := c.rows[id]; n&(n-1) == 0 { // a power of two: the value reached a level
+		k := bits.TrailingZeros32(n)
+		if k == len(c.levels) {
+			c.levels = append(c.levels, nil)
+		}
+		c.levels[k] = append(c.levels[k], id)
+	}
+	if c.tiered {
 		return
 	}
 	if int(id) >= len(c.bits) {
 		c.bits = append(c.bits, make([][]uint64, int(id)+1-len(c.bits))...)
 	}
-	if c.bits[id] == nil {
-		c.held = append(c.held, id)
-	}
 	c.bits[id] = setBit(c.bits[id], row)
+}
+
+// held lists the values the column holds, first seen first.
+func (c *column) held() []uint32 {
+	if len(c.levels) == 0 {
+		return nil
+	}
+	return c.levels[0]
+}
+
+// pad backfills the column with missing rows up to rows.
+func (c *column) pad(rows int) {
+	if n := len(c.ids); n < rows {
+		c.ids = append(c.ids, make([]uint32, rows-n)...)
+	}
 }
 
 // shard is one independently locked columnar sub-table.
@@ -288,8 +319,11 @@ func (s *Store) Stats() Stats {
 			st.IndexWords += len(sh.driftBits)
 		}
 		for _, col := range sh.cols {
-			st.IndexBitmaps += len(col.held)
-			for _, id := range col.held {
+			if col.tiered {
+				continue
+			}
+			st.IndexBitmaps += len(col.held())
+			for _, id := range col.held() {
 				st.IndexWords += len(col.bits[id])
 			}
 		}
@@ -484,7 +518,6 @@ type View struct {
 	// dicts pins every attribute's dictionary after the shards, so it holds
 	// every id a pinned row carries.
 	dicts  map[string][]string
-	total  int
 	shards [numShards]viewShard
 }
 
@@ -530,7 +563,7 @@ func (s *Store) Window(from, to time.Time) *View {
 		}
 		vs.driftBM = snapBitmap(sh.driftBits, fw, rem)
 		for _, col := range sh.cols {
-			vs.cols[col.pos] = viewCol{ids: col.ids[:rows], held: col.held, live: col}
+			vs.cols[col.pos] = viewCol{ids: col.ids[:rows], held: col.held(), live: col}
 		}
 		sh.mu.RUnlock()
 		v.shards[i] = vs
@@ -538,7 +571,6 @@ func (s *Store) Window(from, to time.Time) *View {
 		v.shards[i].buildWindowBM(v)
 		offset += rows
 	}
-	v.total = offset
 	// After the shards: an append interns its values before its rows land,
 	// so every id a pinned row holds is in the pinned dictionaries.
 	v.dicts = s.pinDicts()
@@ -647,7 +679,7 @@ func (v *View) Since(prevRows []int, prevTo int64) (*View, error) {
 	if len(prevRows) != numShards {
 		return nil, fmt.Errorf("driftlog: Since: got %d shard watermarks, want %d", len(prevRows), numShards)
 	}
-	d := &View{from: v.from, to: v.to, s: v.s, dicts: v.dicts, total: v.total}
+	d := &View{from: v.from, to: v.to, s: v.s, dicts: v.dicts}
 	d.shards = v.shards
 	for si := range d.shards {
 		vs := &d.shards[si]
@@ -661,15 +693,23 @@ func (v *View) Since(prevRows []int, prevTo int64) (*View, error) {
 	return d, nil
 }
 
-// parallelScanRows is the pinned-row count above which per-shard scans
-// fan out over the worker pool.
-const parallelScanRows = 2048
+// parallelScanWords is the window's bitmap words, summed over the shards,
+// from which per-shard work fans out over the worker pool: fewer than one a
+// shard. A shard's work is its words times the bitmaps it sweeps, and the
+// pair group-by of a 512-row delta (16–32 words) already gains from the
+// fan-out.
+const parallelScanWords = 16
 
-// eachShard runs f(i) for every shard, in parallel when the view is large
-// enough (and the pool is wider than one worker). f writes only to
-// per-shard slots, so scheduling never affects results.
+// eachShard runs f(i) for every shard, in parallel when the window spans
+// enough words (and the pool is wider than one worker): a query's per-shard
+// work is over the words [wlo, whi), however many rows the view pinned. f
+// writes only to per-shard slots, so scheduling never affects results.
 func (v *View) eachShard(f func(i int)) {
-	if v.total < parallelScanRows || tensor.Workers() <= 1 {
+	words := 0
+	for si := range v.shards {
+		words += v.shards[si].whi - v.shards[si].wlo
+	}
+	if words < parallelScanWords || tensor.Workers() <= 1 {
 		for i := range v.shards {
 			f(i)
 		}

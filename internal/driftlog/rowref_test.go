@@ -142,8 +142,8 @@ func refIntern(s *Store, attrs map[string]string) map[string]uint32 {
 }
 
 // refTierUp is tierUp without its locks: every column of the attribute is
-// replaced by one with its ids and no bitmaps, and the set names it.
-// Single-writer only.
+// replaced by one with its ids, rebuilt row by row with no bitmaps, and the
+// set names it. Single-writer only.
 func refTierUp(s *Store, attr string) {
 	next := map[string]bool{attr: true}
 	for k := range s.tieredSet() {
@@ -151,7 +151,11 @@ func refTierUp(s *Store, attr string) {
 	}
 	for si := range s.shards {
 		if c := s.shards[si].cols[attr]; c != nil {
-			s.shards[si].cols[attr] = &column{pos: c.pos, ids: c.ids, tiered: true}
+			nc := &column{pos: c.pos, tiered: true}
+			for _, id := range c.ids {
+				nc.add(id)
+			}
+			s.shards[si].cols[attr] = nc
 		}
 	}
 	s.tieredPtr.Store(&next)

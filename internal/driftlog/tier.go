@@ -11,7 +11,10 @@
 // is renamed with them.
 package driftlog
 
-import "sort"
+import (
+	"slices"
+	"sort"
+)
 
 // SketchConfig tunes the tier-up. The zero value selects the default; NewStore
 // uses the zero value. The name is kept for the composed benchmark, which sets
@@ -48,9 +51,10 @@ func (s *Store) SketchedAttrs() []string {
 }
 
 // tierUp moves attr off the bitmaps: with every shard locked it replaces
-// the attribute's columns with ones holding the same ids and no bitmaps (a
-// view keeps the old ones) and publishes the successor tiered set, which a
-// column created later reads under its shard lock.
+// the attribute's columns with ones holding no bitmaps and sharing their ids,
+// row counts and level lists (a view keeps the old ones: appends only grow
+// what they share), and publishes the successor tiered set, which a column
+// created later reads under its shard lock.
 func (s *Store) tierUp(attr string) {
 	for i := range s.shards {
 		s.shards[i].mu.Lock()
@@ -62,7 +66,7 @@ func (s *Store) tierUp(attr string) {
 		}
 		for si := range s.shards {
 			if col := s.shards[si].cols[attr]; col != nil {
-				s.shards[si].cols[attr] = &column{pos: col.pos, ids: col.ids, tiered: true}
+				s.shards[si].cols[attr] = &column{pos: col.pos, ids: col.ids, rows: col.rows, levels: slices.Clone(col.levels), tiered: true}
 			}
 		}
 		s.tieredPtr.Store(&next)

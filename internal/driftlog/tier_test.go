@@ -133,7 +133,7 @@ func requireSameAnswers(t *testing.T, what string, got, want *View, conds [][]Co
 func requireNoBits(t *testing.T, s *Store, attr string) {
 	t.Helper()
 	for si := range s.shards {
-		if col := s.shards[si].cols[attr]; col != nil && (!col.tiered || col.bits != nil || col.held != nil) {
+		if col := s.shards[si].cols[attr]; col != nil && (!col.tiered || col.bits != nil) {
 			t.Fatalf("shard %d: %s column tiered=%v with %d bitmap slots", si, attr, col.tiered, len(col.bits))
 		}
 	}
@@ -395,8 +395,8 @@ func diffShards(got, want *Store) string {
 				return fmt.Sprintf("shard %d column %s: tiered %v, want %v", si, name, gc.tiered, wc.tiered)
 			case !reflect.DeepEqual(gc.ids, wc.ids):
 				return fmt.Sprintf("shard %d column %s: ids differ", si, name)
-			case !reflect.DeepEqual(gc.bits, wc.bits) || !reflect.DeepEqual(gc.held, wc.held):
-				return fmt.Sprintf("shard %d column %s: bitmaps differ", si, name)
+			case !reflect.DeepEqual(gc.bits, wc.bits) || !reflect.DeepEqual(gc.rows, wc.rows) || !reflect.DeepEqual(gc.levels, wc.levels):
+				return fmt.Sprintf("shard %d column %s: bitmaps, counts or levels differ", si, name)
 			}
 		}
 	}

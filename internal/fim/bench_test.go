@@ -114,8 +114,8 @@ func benchTieredGrown() (v, delta *driftlog.View, cache *MineCache) {
 // BenchmarkMine is the headline number of this layer: full apriori
 // mining over a window on the bitset index. fresh/200k-of-1M is the
 // composed benchmark's fresh-window shape — the last fifth of benchFleet1M
-// — and reports the work beside the time: pairs the store materialized and
-// level-3 candidates counted, per mine. grown-tiered is its grown
+// — and reports the work beside the time: values level 1 counted, pairs the
+// store materialized and level-3 candidates counted, per mine. grown-tiered is its grown
 // cumulative-window shape over a tiered attribute (benchTieredGrown).
 func BenchmarkMine(b *testing.B) {
 	th := DefaultThresholds()
@@ -129,6 +129,7 @@ func BenchmarkMine(b *testing.B) {
 			}
 		}
 		after := ReadMineStats()
+		b.ReportMetric(float64(after.Candidates[0]-before.Candidates[0])/float64(b.N), "level1-values")
 		b.ReportMetric(float64(after.PairsCounted-before.PairsCounted)/float64(b.N), "pairs")
 		b.ReportMetric(float64(after.Candidates[2]-before.Candidates[2])/float64(b.N), "level3-cands")
 	})

@@ -169,13 +169,14 @@ func (sc *SupportCache) seed(key string, epoch uint64, cr driftlog.CountResult) 
 // bound, no intervening compaction) can count only its delta rows and
 // add. The caller (internal/cloud) is responsible for pairing it with
 // the matching delta view — MineCachedContext trusts that contract. The
-// thresholds may differ between the runs sharing a cache: level 1 holds
-// every value, and pairs are merged only under a mask the cached one
-// contains (see maskWithin).
+// thresholds may differ between the runs sharing a cache: level 1 marks the
+// values its floor left uncounted, which a later floor that keeps one
+// recounts (see mergeLevel1), and pairs are merged only under a mask the
+// cached one contains (see maskWithin).
 type MineCache struct {
 	complete bool // full pipeline ran (drift was present)
 	totals   driftlog.CountResult
-	level1   []driftlog.AttrCounts // AttrValueCounts' arrays, by store id
+	level1   []driftlog.AttrCounts // AttrValueCounts' arrays, by store id, Uncounted where the floor skipped
 	// pairs holds every co-occurring pair of the values in mask — the
 	// level-1 survivors of the mine that counted them — and no other: a
 	// pair absent from it either never occurred or lies outside the mask.
@@ -259,7 +260,10 @@ func addCR(a, b driftlog.CountResult) driftlog.CountResult {
 // the caller may retain) is never written. Both come from one store's
 // append-only dictionaries, the delta's pinned later, so the delta names
 // every attribute prev does and each prev array fits in the delta's; both
-// lists are in name order.
+// lists are in name order. A slot the delta left Uncounted stays so: its
+// value cannot clear the grown window's floor. One the delta counted but prev
+// did not has no count for the rows before the delta: mergeLevel1 returns
+// nil, and the caller counts level 1 over the whole window.
 func mergeLevel1(prev, delta []driftlog.AttrCounts) []driftlog.AttrCounts {
 	j := 0
 	for _, p := range prev {
@@ -268,7 +272,13 @@ func mergeLevel1(prev, delta []driftlog.AttrCounts) []driftlog.AttrCounts {
 		}
 		dst := delta[j].Counts[:len(p.Counts)]
 		for id, cr := range p.Counts {
-			dst[id] = addCR(dst[id], cr)
+			switch {
+			case dst[id].Total == driftlog.Uncounted:
+			case cr.Total == driftlog.Uncounted:
+				return nil
+			default:
+				dst[id] = addCR(dst[id], cr)
+			}
 		}
 	}
 	return delta

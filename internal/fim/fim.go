@@ -202,8 +202,9 @@ func MineContext(ctx context.Context, v *driftlog.View, ov *driftlog.Overlay, th
 // incremental: delta must be the Since-derived delta view of sc.View()
 // relative to the window prev was mined over, and every aggregate is
 // computed as prev's count plus a count over only the delta rows — except
-// the pair counts when a value is frequent now that was not when prev was
-// mined, which are recounted over the view. th need not equal the
+// level 1 when a value prev's floor left uncounted can clear the floor now,
+// and the pair counts when a value is frequent now that was not when prev
+// was mined, which are recounted over the view. th need not equal the
 // thresholds prev was mined under. The results are identical to a fresh
 // mine by construction (counts are exact integers and additive over the
 // delta decomposition).
@@ -255,25 +256,24 @@ func MineCachedContext(ctx context.Context, sc *SupportCache, delta *driftlog.Vi
 
 	// Level 1: one dense array per attribute indexed by store id, from one
 	// grouped pass (or prev's arrays plus a grouped pass over only the delta
-	// rows). Its survivors are the mask level 2 is counted under.
+	// rows) that counts only the values whose row bound clears the floor. Its
+	// survivors are the mask level 2 is counted under.
+	floor := driftlog.Floor{Rows: totals.Total, MinOccurrence: th.MinOccurrence, Exclude: th.ExcludeAttrs}
 	var level1 []driftlog.AttrCounts
 	if inc {
-		level1 = mergeLevel1(prev.level1, delta.AttrValueCounts(nil))
-	} else {
-		level1 = v.AttrValueCounts(ov)
+		level1 = mergeLevel1(prev.level1, delta.AttrValueCounts(nil, floor))
+	}
+	if level1 == nil {
+		level1 = v.AttrValueCounts(ov, floor)
 	}
 	if next != nil {
 		next.level1 = level1
 	}
-	frequent := func(cr driftlog.CountResult) bool { // ComputeMetrics' Occurrence against the floor
-		return float64(cr.Total)/float64(totals.Total) >= th.MinOccurrence
-	}
+	// ComputeMetrics' Occurrence against the floor, as level 1 applied it.
+	frequent := func(cr driftlog.CountResult) bool { return floor.Clears(cr.Total) }
 	var work MineStats // this mine's share of the package counters, added once it finishes
 	var level []counted
 	for _, ac := range level1 {
-		if slices.Contains(th.ExcludeAttrs, ac.Name) {
-			continue
-		}
 		for id, cr := range ac.Counts {
 			if cr.Total > 0 {
 				work.Candidates[0]++

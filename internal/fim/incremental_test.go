@@ -92,7 +92,7 @@ func TestIncrementalMineMatchesFresh(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		resFresh, _, err := MineCachedContext(context.Background(), NewSupportCache(v2), nil, nil, nil, th)
+		resFresh, cacheFresh, err := MineCachedContext(context.Background(), NewSupportCache(v2), nil, nil, nil, th)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -101,6 +101,11 @@ func TestIncrementalMineMatchesFresh(t *testing.T) {
 		}
 		if cache2 == nil {
 			t.Fatalf("seed %d: incremental mine returned no cache", seed)
+		}
+		// Level 1 too: the same counts where the grown window's floor counts
+		// a value, Uncounted where it does not.
+		if !reflect.DeepEqual(cache2.level1, cacheFresh.level1) {
+			t.Fatalf("seed %d: the incremental mine's level 1 diverges from the fresh mine's", seed)
 		}
 
 		// A second incremental pass over an unchanged window (empty
@@ -182,6 +187,53 @@ func TestIncrementalMineNewlyFrequentValue(t *testing.T) {
 	k := driftlog.PairKey{AttrA: driftlog.AttrLocation, ValA: "city_2", AttrB: driftlog.AttrWeather, ValB: "fog"}
 	if got, want := second.pairs[k], (driftlog.CountResult{Total: 420, Drift: 400}); got != want {
 		t.Fatalf("cached {city_2, fog} = %+v, want %+v", got, want)
+	}
+}
+
+// TestIncrementalMineRecountsSkippedValue: the cached mine's floor skips a
+// value (fog, whose 20 rows in the store bound it under the floor), which
+// the grown window's rows then carry past the floor. The cache holds no
+// count of fog's first 20 rows, so the delta mine must count level 1 over
+// the whole window: its results and the level 1 it caches equal a fresh
+// mine's. A value that stays under the floor (haze) stays uncounted.
+func TestIncrementalMineRecountsSkippedValue(t *testing.T) {
+	s := synthLog(rand.New(rand.NewSource(22)), 3000)
+	base := time.Unix(0, 0).UTC()
+	rows := func(weather string, n int, drift bool) []driftlog.Entry {
+		out := make([]driftlog.Entry, n)
+		for i := range out {
+			out[i] = driftlog.Entry{Time: base.Add(time.Duration(i) * time.Second), Drift: drift, SampleID: -1,
+				Attrs: map[string]string{driftlog.AttrWeather: weather, driftlog.AttrLocation: "city_1"}}
+		}
+		return out
+	}
+	s.AppendBatch(append(rows("fog", 20, false), rows("haze", 5, false)...))
+	th := DefaultThresholds()
+	first, second := growAndMine(t, s, append(rows("fog", 400, true), rows("haze", 2, true)...), th, th)
+	slot := func(mc *MineCache, val string) driftlog.CountResult {
+		for _, ac := range mc.level1 {
+			if ac.Name == driftlog.AttrWeather {
+				return ac.Counts[slices.Index(ac.Dict, val)]
+			}
+		}
+		t.Fatalf("no %s in level 1", driftlog.AttrWeather)
+		return driftlog.CountResult{}
+	}
+	if got := slot(first, "fog"); got.Total != driftlog.Uncounted {
+		t.Fatalf("first mine counted fog: %+v", got)
+	}
+	if got, want := slot(second, "fog"), (driftlog.CountResult{Total: 420, Drift: 400}); got != want {
+		t.Fatalf("second mine's fog %+v, want %+v", got, want)
+	}
+	if got := slot(second, "haze"); got.Total != driftlog.Uncounted {
+		t.Fatalf("second mine counted haze: %+v", got)
+	}
+	_, fresh, err := MineCachedContext(context.Background(), NewSupportCache(s.All()), nil, nil, nil, th)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(second.level1, fresh.level1) {
+		t.Fatal("the incremental mine's level 1 diverges from the fresh mine's")
 	}
 }
 
