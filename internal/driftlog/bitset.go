@@ -459,12 +459,17 @@ func (f Floor) Clears(n int) bool { return float64(n)/float64(f.Rows) >= f.MinOc
 
 // AttrValueCounts returns, for each attribute in name order, the per-value
 // totals and drift counts inside the view — the first apriori level (one "SQL
-// GROUP BY" per attribute). With a floor (at most one) it counts only the
-// values whose row bound clears it (applyFloor). Shards count in parallel in
-// store-id space: one AND+popcount per counted value a shard's column holds,
-// or one walk of the window's rows for a column with more than maxValueSweep
-// of them or tiered. The partials add by id into one array per attribute.
+// GROUP BY" per attribute). With a floor (at most one; none counts every
+// value) it counts only the values whose row bound clears it (applyFloor).
+// Shards count in parallel in store-id space: one AND+popcount per counted
+// value a shard's column holds, or one walk of the window's rows for a column
+// with more than maxValueSweep of them or tiered. The partials add by id into
+// one array per attribute.
 func (v *View) AttrValueCounts(ov *Overlay, floor ...Floor) []AttrCounts {
+	fl := Floor{Rows: 1} // every value clears it
+	if len(floor) > 0 {
+		fl = floor[0]
+	}
 	v.s.dictMu.RLock()
 	attrs := v.attrs()
 	v.s.dictMu.RUnlock()
@@ -473,18 +478,16 @@ func (v *View) AttrValueCounts(ov *Overlay, floor ...Floor) []AttrCounts {
 	for a, at := range attrs {
 		out[a] = AttrCounts{Name: at.name, Dict: at.vals, Counts: make([]CountResult, len(at.vals))}
 		switch {
-		case len(floor) == 0:
-			counting[a] = true
-		case slices.Contains(floor[0].Exclude, at.name):
+		case slices.Contains(fl.Exclude, at.name):
 			fillUncounted(out[a].Counts)
-		case floor[0].level() < 0: // every value clears it
+		case fl.level() < 0: // every value clears it
 			counting[a] = true
 		default:
-			counting[a] = v.applyFloor(at.pos, out[a].Counts, floor[0])
+			counting[a] = v.applyFloor(at.pos, out[a].Counts, fl)
 		}
 	}
 	var partial [numShards][]idCount
-	v.eachShard(func(si int) { partial[si] = v.shards[si].valueCounts(ov, si, attrs, counting, len(floor) > 0, out) })
+	v.eachShard(func(si int) { partial[si] = v.shards[si].valueCounts(ov, si, attrs, counting, out) })
 	for _, p := range partial {
 		for _, c := range p {
 			sum := &out[c.a].Counts[c.id]
@@ -509,13 +512,16 @@ func (f Floor) level() int {
 // whose value's row bound fails the floor, reporting whether any value is
 // left to count. The bound sums the row counts of the columns the view
 // pinned, read under the shard lock: appends only grow them and Compact and
-// tierUp replace columns, so it is never below the view's count. Only values
-// listed at the floor's level can clear it, and most are decided by the
-// shards that list them.
+// tierUp replace columns, so it is never below the view's count. It is
+// summed only where the level lists cannot decide: a value no shard lists at
+// the floor's level has under 2^level rows in each, which fails the floor;
+// a listed one clears it on the listing shards' rows alone, or fails it
+// even with 2^level−1 rows from every other shard.
 func (v *View) applyFloor(pos int, counts []CountResult, fl Floor) bool {
 	level := fl.level()
-	// The ids listed at level, with listed rows in Total, listings in Drift.
-	var cands []uint32
+	// Each listed id's rows in the shards listing it (Total), and how many
+	// shards do (Drift).
+	var listed []uint32
 	v.eachColumnLocked(pos, func(c *column) {
 		if level >= len(c.levels) {
 			return
@@ -523,28 +529,23 @@ func (v *View) applyFloor(pos int, counts []CountResult, fl Floor) bool {
 		for _, id := range c.levels[level] {
 			if int(id) < len(counts) { // else interned after the view: no pinned row holds it
 				if counts[id].Drift == 0 {
-					cands = append(cands, id)
+					listed = append(listed, id)
 				}
 				counts[id].Total += int(c.rows[id])
 				counts[id].Drift++
 			}
 		}
 	})
-	// A candidate clears the floor on its listed rows alone, or cannot with
-	// 2^level−1 more rows from every shard not listing it, or its bound —
-	// summed over every shard, in Total — decides.
-	var unsure []uint32
-	cands = slices.DeleteFunc(cands, func(id uint32) bool {
-		p := counts[id]
-		counts[id] = CountResult{}
-		if fl.Clears(p.Total) {
-			return false
-		}
-		if fl.Clears(p.Total + (numShards-p.Drift)*(1<<level-1)) {
+	var kept, unsure []uint32
+	for _, id := range listed {
+		switch p := counts[id]; {
+		case fl.Clears(p.Total):
+			kept = append(kept, id)
+		case fl.Clears(p.Total + (numShards-p.Drift)*(1<<level-1)):
 			unsure = append(unsure, id)
 		}
-		return true
-	})
+		counts[id] = CountResult{}
+	}
 	if len(unsure) > 0 {
 		v.eachColumnLocked(pos, func(c *column) {
 			for _, id := range unsure {
@@ -555,15 +556,15 @@ func (v *View) applyFloor(pos int, counts []CountResult, fl Floor) bool {
 		})
 		for _, id := range unsure {
 			if fl.Clears(counts[id].Total) {
-				cands = append(cands, id)
+				kept = append(kept, id)
 			}
 		}
 	}
 	fillUncounted(counts)
-	for _, id := range cands {
-		counts[id] = CountResult{}
+	for _, id := range kept {
+		counts[id].Total = 0
 	}
-	return len(cands) > 0
+	return len(kept) > 0
 }
 
 // eachColumnLocked calls f with every shard's pinned column at position pos,
@@ -606,10 +607,10 @@ type idCount struct {
 
 // valueCounts is one shard's share of AttrValueCounts over the attributes
 // with a value to count (counting), counting the values acs does not mark
-// Uncounted (every value, unless floored). A column on the bitmaps routes on
-// those it holds: up to maxValueSweep, their bitmaps are swept; more, the
-// window's rows are walked, as they are for a tiered column.
-func (vs *viewShard) valueCounts(ov *Overlay, si int, attrs []selAttr, counting []bool, floored bool, acs []AttrCounts) []idCount {
+// Uncounted. A column on the bitmaps routes on those it holds: up to
+// maxValueSweep, their bitmaps are swept; more, the window's rows are
+// walked, as they are for a tiered column.
+func (vs *viewShard) valueCounts(ov *Overlay, si int, attrs []selAttr, counting []bool, acs []AttrCounts) []idCount {
 	if vs.wlo == vs.whi {
 		return nil // no window row in this shard
 	}
@@ -628,16 +629,13 @@ func (vs *viewShard) valueCounts(ov *Overlay, si int, attrs []selAttr, counting 
 		if !ok || !counting[a] {
 			continue
 		}
-		marks, ids := acs[a].Counts, col.held
-		if floored {
-			ids = idBuf[:0] // up to one past maxValueSweep: then the rows are walked
-			for _, id := range col.held {
-				if col.live.tiered || len(ids) > maxValueSweep {
-					break
-				}
-				if marks[id].Total != Uncounted {
-					ids = append(ids, id)
-				}
+		marks, ids := acs[a].Counts, idBuf[:0]
+		for _, id := range col.held { // up to one past maxValueSweep: then the rows are walked
+			if col.live.tiered || len(ids) > maxValueSweep {
+				break
+			}
+			if marks[id].Total != Uncounted {
+				ids = append(ids, id)
 			}
 		}
 		if col.live.tiered || len(ids) > maxValueSweep {
