@@ -78,9 +78,8 @@ race:
 race-chaos:
 	$(GO) test -race -run 'TestChaos' ./internal/pipeline/
 
-# Full chaos run at the three fault-rate presets, over the default
-# binary framing and over opt-in JSON, one JSON summary per rate, each
-# codec's lines diffed against the checked-in expectation (the same lines
+# Full chaos run at the three fault-rate presets, one JSON summary per
+# rate, diffed against the checked-in expectation (the same lines
 # TestChaosGolden compares). Fails if any acknowledged entry was lost or
 # any byte differs.
 CHAOS_GOLDEN = internal/pipeline/testdata
@@ -88,9 +87,7 @@ CHAOS_GOLDEN = internal/pipeline/testdata
 chaos:
 	$(GO) run ./cmd/nazar-sim -chaos -chaos-rates 0,0.1,0.3 > chaos-binary.out
 	diff $(CHAOS_GOLDEN)/chaos-binary.jsonl chaos-binary.out
-	$(GO) run ./cmd/nazar-sim -chaos -chaos-rates 0,0.1,0.3 -chaos-codec json > chaos-json.out
-	diff $(CHAOS_GOLDEN)/chaos-json.jsonl chaos-json.out
-	@cat chaos-binary.out chaos-json.out; rm -f chaos-binary.out chaos-json.out
+	@cat chaos-binary.out; rm -f chaos-binary.out
 
 # Macro-scale fleet simulator smoke: 10k devices through the checked-in
 # smoke scenario (diurnal traffic, churn, a staged rollout) on 4
@@ -110,8 +107,9 @@ examples:
 
 # 30 seconds of coverage-guided fuzzing per target across every fuzz
 # entry point in the repo (the checked-in seed corpora always run as
-# part of `make test`): the HTTP decoders (JSON and NZB1 bodies on
-# the ingest route), the count differential, the fault-schedule
+# part of `make test`): the ingest route (NZB1 bodies, and JSON bodies
+# read as a batch's readable form and shipped as frames), the analyze
+# decoder, the count differential, the fault-schedule
 # parser, WAL replay, the quantized int8 model pass, and the
 # branch-free layer kernels against the branchy loops they replaced. CI
 # runs this on every push; interesting inputs it finds should be
@@ -175,7 +173,7 @@ bench-wal:
 	@echo "wrote BENCH_wal.json"
 
 # Wire-codec benchmarks: binary vs JSON encode/decode of ingest batches
-# at 16 and 256 rows, plus handler-level ingest round trips. The parsed
+# at 16 and 256 rows, plus handler-level NZB1 ingest round trips. The parsed
 # results (including binary-vs-json speedups) land in BENCH_wire.json.
 bench-wire:
 	$(GO) test -run '^$$' -bench 'BenchmarkWire' -benchmem -benchtime 0.5s -count 5 \

@@ -4,9 +4,9 @@
 // periodically triggers cloud analysis, pulls the resulting BN versions
 // and installs them into its local pool. Everything goes through the
 // resilient transport.Client: reports are spooled and shipped in batches
-// (flushed before each analysis and on exit) as NZB1 binary frames,
-// downgrading to JSON if the server answers 415, and the pulls retry
-// through its backoff and breaker.
+// (flushed before each analysis and on exit) as NZB1 binary frames, the
+// one body the ingest route takes, and the pulls retry through its
+// backoff and breaker.
 //
 // Usage:
 //

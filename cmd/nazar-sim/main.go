@@ -21,7 +21,7 @@
 // synthetic fleet and emits one JSON result line per fault rate:
 //
 //	nazar-sim -chaos [-chaos-rates 0,0.1,0.3] [-chaos-schedule latency=0.1:5ms,...]
-//	          [-chaos-devices 3] [-chaos-per-device 40] [-chaos-codec binary|json] [-seed 42]
+//	          [-chaos-devices 3] [-chaos-per-device 40] [-seed 42]
 //
 // Scenario mode runs the macro-scale fleet simulator on a declarative
 // scenario pack (100k–1M lightweight devices; diurnal traffic, churn,
@@ -47,7 +47,6 @@ import (
 	"nazar/internal/dataset"
 	"nazar/internal/driftlog"
 	"nazar/internal/faultinject"
-	"nazar/internal/httpapi"
 	"nazar/internal/imagesim"
 	"nazar/internal/macrosim"
 	"nazar/internal/nn"
@@ -74,7 +73,6 @@ func main() {
 		chaosSchedule = flag.String("chaos-schedule", "", "explicit fault schedule for -chaos (overrides -chaos-rates presets)")
 		chaosDevices  = flag.Int("chaos-devices", 3, "chaos fleet size")
 		chaosPerDev   = flag.Int("chaos-per-device", 40, "chaos inferences per device")
-		chaosCodec    = flag.String("chaos-codec", "binary", "chaos ingest codec: binary or json")
 
 		scenario    = flag.String("scenario", "", "run the macro-scale fleet simulator on this scenario pack (JSON)")
 		rolloutSpec = flag.String("rollout", "", "with -scenario, override the pack's staged rollout (candidate=v2,delta=-0.1,steps=1:5:25,guard=0.03,min=100[,ceiling=50][,drift-guard=0.1][,start=1])")
@@ -92,7 +90,7 @@ func main() {
 	}
 
 	if *chaos {
-		if err := runChaos(*chaosRates, *chaosSchedule, *chaosDevices, *chaosPerDev, *seed, *chaosCodec); err != nil {
+		if err := runChaos(*chaosRates, *chaosSchedule, *chaosDevices, *chaosPerDev, *seed); err != nil {
 			log.Fatalf("nazar-sim: %v", err)
 		}
 		return
@@ -257,15 +255,8 @@ func runScenario(path, rolloutSpec string, workers int, outPath string, sketchTh
 // runChaos executes the chaos harness at each requested fault rate and
 // writes one JSON result per line (the `make chaos` output). It exits
 // non-zero when any run loses an acknowledged entry.
-func runChaos(rates, schedule string, devices, perDevice int, seed uint64, codec string) error {
+func runChaos(rates, schedule string, devices, perDevice int, seed uint64) error {
 	var wire pipeline.Wire
-	switch codec {
-	case "binary":
-	case "json":
-		wire.Codec = httpapi.JSONCodec{}
-	default:
-		return fmt.Errorf("bad -chaos-codec %q: want binary or json", codec)
-	}
 	enc := json.NewEncoder(os.Stdout)
 	lost := 0
 	for _, part := range strings.Split(rates, ",") {

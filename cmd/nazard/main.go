@@ -25,7 +25,6 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
-	"strings"
 	"syscall"
 	"time"
 
@@ -138,8 +137,8 @@ func main() {
 		}
 	}()
 
-	fmt.Printf("nazard listening on %s (ingest codecs: %s; metrics at /metrics, profiles at /debug/pprof/)\n",
-		*addr, strings.Join(httpapi.ContentTypes(), ", "))
+	fmt.Printf("nazard listening on %s (ingest: %s; metrics at /metrics, profiles at /debug/pprof/)\n",
+		*addr, httpapi.ContentTypeBinary)
 	if err := srv.ListenAndServe(); err != nil && !errors.Is(err, http.ErrServerClosed) {
 		log.Fatal(err)
 	}

@@ -70,8 +70,7 @@ func main() {
 	// The resilient transport spools entries, batches them over the
 	// wire, and retries transient failures; terminal failures surface
 	// through OnDrop so lost telemetry is at least visible. Batches ship
-	// in the columnar binary framing, the transport's default (it falls
-	// back to JSON on its own if the server were older and refused it).
+	// as NZB1 frames, the one body the ingest route takes.
 	ctx := context.Background()
 	client := transport.NewClient(url,
 		transport.WithConfig(transport.Config{

@@ -34,13 +34,16 @@ type listedPkg struct {
 
 // TestNoTestOnlyExports fails when an exported identifier declared
 // under internal/ (a package-level name, a method, or a field of a named
-// struct) has no reference from non-test code anywhere in the module:
-// internal/, cmd/, examples/ and bench/ all count as consumers. An
-// oracle, harness or fake that only tests use belongs in a _test.go
-// file beside them. A method is exempt when its receiver type implements
-// an interface declaring it, since a call through the interface names
-// the interface's method, not the receiver's. The test keeps no
-// allowlist.
+// struct) has no reference from a reachable declaration of non-test code:
+// internal/, cmd/, examples/ and bench/ all count as consumers. The roots
+// are every declaration of a main package, every init function and every
+// package-level variable; a declaration they reference is reachable, and
+// so are the references in its own body, so code that only dead code
+// calls counts as unused. An oracle, harness or fake that only tests use
+// belongs in a _test.go file beside them. A method is exempt when its
+// receiver type is reachable and implements an interface declaring it,
+// since a call through the interface names the interface's method, not
+// the receiver's. The test keeps no allowlist.
 func TestNoTestOnlyExports(t *testing.T) {
 	root, err := os.Getwd()
 	if err != nil {
@@ -96,9 +99,9 @@ func goList(t *testing.T, arch string) []listedPkg {
 }
 
 // exportScan accumulates, across build configurations, the module's
-// exported internal/ declarations, the objects non-test module code
-// references, and the methods that satisfy an interface, each keyed by
-// its declaring position (file:line:col).
+// exported internal/ declarations, the objects reachable non-test module
+// code references, and the reachable methods that satisfy an interface,
+// each keyed by its declaring position (file:line:col).
 type exportScan struct {
 	declared map[string]string // position -> qualified name
 	used     map[string]bool
@@ -113,8 +116,9 @@ func (s *exportScan) check(t *testing.T, pkgs []listedPkg) {
 	checked := map[string]*types.Package{"unsafe": types.Unsafe}
 	ifaces := []*types.Interface{types.Universe.Lookup("error").Type().Underlying().(*types.Interface)}
 	type modPkg struct {
-		pkg  *types.Package
-		info *types.Info
+		pkg   *types.Package
+		info  *types.Info
+		files []*ast.File
 	}
 	var mods []modPkg
 	for _, lp := range pkgs {
@@ -144,7 +148,7 @@ func (s *exportScan) check(t *testing.T, pkgs []listedPkg) {
 		}
 		var info *types.Info
 		if !lp.Standard {
-			info = &types.Info{Uses: map[*ast.Ident]types.Object{}, Types: map[ast.Expr]types.TypeAndValue{}}
+			info = &types.Info{Uses: map[*ast.Ident]types.Object{}, Types: map[ast.Expr]types.TypeAndValue{}, Defs: map[*ast.Ident]types.Object{}}
 		}
 		pkg, err := conf.Check(lp.ImportPath, fset, files, info)
 		if err != nil {
@@ -160,7 +164,7 @@ func (s *exportScan) check(t *testing.T, pkgs []listedPkg) {
 			}
 		}
 		if !lp.Standard {
-			mods = append(mods, modPkg{pkg, info})
+			mods = append(mods, modPkg{pkg, info, files})
 			for _, tv := range info.Types {
 				if it, ok := tv.Type.(*types.Interface); ok {
 					ifaces = append(ifaces, it) // interface literals
@@ -169,16 +173,94 @@ func (s *exportScan) check(t *testing.T, pkgs []listedPkg) {
 		}
 	}
 
-	posKey := func(obj types.Object) string {
-		p := fset.Position(obj.Pos())
+	posKey := func(pos token.Pos) string {
+		p := fset.Position(pos)
 		return fmt.Sprintf("%s:%d:%d", p.Filename, p.Line, p.Column)
 	}
+	// The declaration graph: each top-level declaration (keyed by its
+	// name's position, which is its object's) with the objects its source
+	// references, and each named type with its methods that satisfy an
+	// interface, which a reachable type keeps.
+	refs := map[string][]string{}
+	kept := map[string][]string{}
+	var roots []string
 	for _, m := range mods {
-		for _, obj := range m.info.Uses {
-			if obj.Pkg() != nil && obj.Pos().IsValid() {
-				s.used[posKey(obj)] = true
+		isMain := m.pkg.Name() == "main"
+		uses := func(n ast.Node) []string {
+			var out []string
+			ast.Inspect(n, func(n ast.Node) bool {
+				if id, ok := n.(*ast.Ident); ok {
+					if obj := m.info.Uses[id]; obj != nil && obj.Pkg() != nil && obj.Pos().IsValid() {
+						out = append(out, posKey(obj.Pos()))
+					}
+				}
+				return true
+			})
+			return out
+		}
+		decl := func(name *ast.Ident, n ast.Node, root bool) {
+			key := posKey(name.Pos())
+			refs[key] = append(refs[key], uses(n)...)
+			if root || isMain {
+				roots = append(roots, key)
 			}
 		}
+		for _, f := range m.files {
+			for _, d := range f.Decls {
+				switch d := d.(type) {
+				case *ast.FuncDecl:
+					decl(d.Name, d, d.Recv == nil && d.Name.Name == "init")
+				case *ast.GenDecl:
+					for _, spec := range d.Specs {
+						switch spec := spec.(type) {
+						case *ast.TypeSpec:
+							decl(spec.Name, spec, false)
+						case *ast.ValueSpec:
+							// A constant without values repeats the group's
+							// last expression, so constants take the group.
+							var n ast.Node = spec
+							if d.Tok == token.CONST {
+								n = d
+							}
+							for _, name := range spec.Names {
+								decl(name, n, d.Tok == token.VAR)
+							}
+						}
+					}
+				}
+			}
+		}
+		scope := m.pkg.Scope()
+		for _, name := range scope.Names() {
+			if tn, ok := scope.Lookup(name).(*types.TypeName); ok && !tn.IsAlias() {
+				if named, ok := tn.Type().(*types.Named); ok {
+					for i := 0; i < named.NumMethods(); i++ {
+						if fn := named.Method(i); satisfiesInterface(named, fn.Name(), ifaces) {
+							kept[posKey(tn.Pos())] = append(kept[posKey(tn.Pos())], posKey(fn.Pos()))
+						}
+					}
+				}
+			}
+		}
+	}
+	reachable := map[string]bool{}
+	for len(roots) > 0 {
+		key := roots[len(roots)-1]
+		roots = roots[:len(roots)-1]
+		if reachable[key] {
+			continue
+		}
+		reachable[key] = true
+		roots = append(roots, refs[key]...)
+		roots = append(roots, kept[key]...)
+	}
+	for key := range reachable {
+		for _, used := range refs[key] {
+			s.used[used] = true
+		}
+	}
+
+	for _, m := range mods {
 		if !strings.Contains(m.pkg.Path()+"/", "/internal/") {
 			continue
 		}
@@ -187,7 +269,7 @@ func (s *exportScan) check(t *testing.T, pkgs []listedPkg) {
 		for _, name := range scope.Names() {
 			obj := scope.Lookup(name)
 			if obj.Exported() {
-				s.declared[posKey(obj)] = short + "." + name
+				s.declared[posKey(obj.Pos())] = short + "." + name
 			}
 			tn, ok := obj.(*types.TypeName)
 			if !ok || tn.IsAlias() {
@@ -202,16 +284,16 @@ func (s *exportScan) check(t *testing.T, pkgs []listedPkg) {
 				if !fn.Exported() {
 					continue
 				}
-				key := posKey(fn)
+				key := posKey(fn.Pos())
 				s.declared[key] = short + "." + name + "." + fn.Name()
-				if satisfiesInterface(named, fn.Name(), ifaces) {
+				if reachable[key] && satisfiesInterface(named, fn.Name(), ifaces) {
 					s.exempt[key] = true
 				}
 			}
 			if st, ok := named.Underlying().(*types.Struct); ok {
 				for i := 0; i < st.NumFields(); i++ {
 					if f := st.Field(i); f.Exported() && !f.Embedded() {
-						s.declared[posKey(f)] = short + "." + name + "." + f.Name()
+						s.declared[posKey(f.Pos())] = short + "." + name + "." + f.Name()
 					}
 				}
 			}

@@ -41,7 +41,6 @@ import (
 //	nazar_driftlog_index_words        64-bit words held by the index
 //	nazar_fim_cache_hits              memoized support-count hits
 //	nazar_fim_cache_misses            memoized support-count misses
-//	nazar_fim_cache_evictions         support-memo LRU evictions
 //	nazar_fim_minecache_entries       retained cross-window count entries
 //	nazar_fim_pairs_counted_total     pairs the drift log materialized for
 //	                                  apriori's level 2 (work, not time: at
@@ -194,8 +193,6 @@ func (m *Metrics) observeStores(s *Service) {
 		func() float64 { return float64(fim.ReadSupportCacheStats().Hits) })
 	reg.GaugeFunc("nazar_fim_cache_misses", "Memoized support-count misses (process-wide).",
 		func() float64 { return float64(fim.ReadSupportCacheStats().Misses) })
-	reg.GaugeFunc("nazar_fim_cache_evictions", "Support-memo LRU evictions (process-wide).",
-		func() float64 { return float64(fim.ReadSupportCacheStats().Evictions) })
 	reg.GaugeFunc("nazar_fim_pairs_counted_total", "Pairs the drift log materialized for apriori's level 2 (process-wide).",
 		func() float64 { return float64(fim.ReadMineStats().PairsCounted) })
 	for i, level := range [...]string{"1", "2", "3+"} {

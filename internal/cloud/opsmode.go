@@ -28,12 +28,6 @@ type Alerter interface {
 	Alert(a Alert)
 }
 
-// AlertFunc adapts a function to the Alerter interface.
-type AlertFunc func(Alert)
-
-// Alert implements Alerter.
-func (f AlertFunc) Alert(a Alert) { f(a) }
-
 // AlertLog is an Alerter that records alerts in memory.
 type AlertLog struct {
 	mu     sync.Mutex

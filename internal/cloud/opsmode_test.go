@@ -90,6 +90,12 @@ func TestManualAdaptSelectedCauses(t *testing.T) {
 	}
 }
 
+// AlertFunc adapts a function to the Alerter interface.
+type AlertFunc func(Alert)
+
+// Alert implements Alerter.
+func (f AlertFunc) Alert(a Alert) { f(a) }
+
 func TestAlertFuncAdapter(t *testing.T) {
 	var got []Alert
 	f := AlertFunc(func(a Alert) { got = append(got, a) })

@@ -117,30 +117,22 @@ var benchServer = sync.OnceValue(func() *httpapi.Server {
 // wire-CPU number the cloud actually pays per batch.
 func BenchmarkWireIngest(b *testing.B) {
 	for _, n := range benchSizes {
-		entries := benchEntries(n)
-		jsonBody, err := json.Marshal(httpapi.IngestBatchRequest{Entries: entries})
+		binBody, err := driftlog.AppendFrame(nil, batchOf(benchEntries(n), nil))
 		if err != nil {
 			b.Fatal(err)
 		}
-		binBody, err := driftlog.AppendFrame(nil, batchOf(entries, nil))
-		if err != nil {
-			b.Fatal(err)
-		}
-		post := func(b *testing.B, contentType string, body []byte) {
-			b.Helper()
+		b.Run(fmt.Sprintf("binary/%d", n), func(b *testing.B) {
 			srv := benchServer()
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				req := httptest.NewRequest("POST", "/v1/ingest/batch", bytes.NewReader(body))
-				req.Header.Set("Content-Type", contentType)
+				req := httptest.NewRequest("POST", "/v1/ingest/batch", bytes.NewReader(binBody))
+				req.Header.Set("Content-Type", httpapi.ContentTypeBinary)
 				rec := httptest.NewRecorder()
 				srv.ServeHTTP(rec, req)
 				if rec.Code != 200 {
 					b.Fatalf("status %d: %s", rec.Code, rec.Body.String())
 				}
 			}
-		}
-		b.Run(fmt.Sprintf("json/%d", n), func(b *testing.B) { post(b, httpapi.ContentTypeJSON, jsonBody) })
-		b.Run(fmt.Sprintf("binary/%d", n), func(b *testing.B) { post(b, httpapi.ContentTypeBinary, binBody) })
+		})
 	}
 }

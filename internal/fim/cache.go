@@ -15,7 +15,6 @@
 package fim
 
 import (
-	"container/list"
 	"sync"
 	"sync/atomic"
 
@@ -29,107 +28,44 @@ type supportCacheKey struct {
 	epoch uint64
 }
 
-// supportCacheEntry is one resident memo entry (the LRU list element
-// value), carrying its key so eviction can unlink the map entry.
-type supportCacheEntry struct {
-	key supportCacheKey
-	cr  driftlog.CountResult
-}
-
-// DefaultSupportCacheCap bounds a SupportCache's resident entries. A
-// high-cardinality window can visit hundreds of thousands of candidate
-// keys; without a bound the memo grows with the key universe rather than
-// the working set. 32k entries (~3 MB) comfortably covers every key of an
-// ordinary mining run, so eviction only engages on pathological windows.
-const DefaultSupportCacheCap = 32768
-
-// SupportCache memoizes support counts against one view with LRU
-// eviction. It is safe for concurrent use (parallel candidate counting
-// and subset rescoring share it). Eviction never affects results — an
-// evicted entry is simply recounted on next use.
+// SupportCache memoizes support counts against one view. It is safe for
+// concurrent use (parallel candidate counting and subset rescoring share
+// it). Its traffic bounds it: a mine seeds its frequent itemsets and the
+// window total, and the counterfactual then rescores, per association,
+// its coarse set, its subsets (at most 2^k − 2 for a k-itemset: 6 at the
+// default MaxItems of 3) and one window total per overlay epoch, each
+// accepted cause's ClearDrift opening one epoch. A mine with F frequent
+// itemsets and A ≤ F associations so leaves at most F + 1 + 8A entries.
 type SupportCache struct {
-	v   *driftlog.View
-	mu  sync.Mutex
-	cap int
-	m   map[supportCacheKey]*list.Element // values are *supportCacheEntry
-	lru *list.List                        // front = most recently used
+	v  *driftlog.View
+	mu sync.Mutex
+	m  map[supportCacheKey]driftlog.CountResult
 }
 
-// NewSupportCache returns an empty memo over v with the default bound.
+// NewSupportCache returns an empty memo over v.
 func NewSupportCache(v *driftlog.View) *SupportCache {
-	return NewSupportCacheSize(v, DefaultSupportCacheCap)
-}
-
-// NewSupportCacheSize is NewSupportCache with an explicit entry bound
-// (minimum 1).
-func NewSupportCacheSize(v *driftlog.View, capacity int) *SupportCache {
-	if capacity < 1 {
-		capacity = 1
-	}
-	return &SupportCache{
-		v:   v,
-		cap: capacity,
-		m:   map[supportCacheKey]*list.Element{},
-		lru: list.New(),
-	}
+	return &SupportCache{v: v, m: map[supportCacheKey]driftlog.CountResult{}}
 }
 
 // View returns the view the cache memoizes against.
 func (sc *SupportCache) View() *driftlog.View { return sc.v }
 
-// get returns a resident entry, promoting it to most recently used.
-func (sc *SupportCache) get(k supportCacheKey) (driftlog.CountResult, bool) {
-	sc.mu.Lock()
-	defer sc.mu.Unlock()
-	el, ok := sc.m[k]
-	if !ok {
-		return driftlog.CountResult{}, false
-	}
-	sc.lru.MoveToFront(el)
-	return el.Value.(*supportCacheEntry).cr, true
-}
-
-// put inserts (or refreshes) an entry, evicting from the cold end while
-// over capacity. Caller must not hold mu.
-func (sc *SupportCache) put(k supportCacheKey, cr driftlog.CountResult) {
-	sc.mu.Lock()
-	defer sc.mu.Unlock()
-	if el, ok := sc.m[k]; ok {
-		el.Value.(*supportCacheEntry).cr = cr
-		sc.lru.MoveToFront(el)
-		return
-	}
-	sc.m[k] = sc.lru.PushFront(&supportCacheEntry{key: k, cr: cr})
-	for len(sc.m) > sc.cap {
-		oldest := sc.lru.Back()
-		sc.lru.Remove(oldest)
-		delete(sc.m, oldest.Value.(*supportCacheEntry).key)
-		supportCacheEvictions.Add(1)
-	}
-}
-
-// supportCacheHits / supportCacheMisses / supportCacheEvictions are
-// cumulative package counters, exposed as gauges by the observability
-// layer.
+// supportCacheHits / supportCacheMisses are cumulative package counters,
+// exposed as gauges by the observability layer.
 var (
-	supportCacheHits      atomic.Uint64
-	supportCacheMisses    atomic.Uint64
-	supportCacheEvictions atomic.Uint64
+	supportCacheHits   atomic.Uint64
+	supportCacheMisses atomic.Uint64
 )
 
 // SupportCacheStats is a snapshot of the package-wide memo counters.
 type SupportCacheStats struct {
-	Hits, Misses, Evictions uint64
+	Hits, Misses uint64
 }
 
-// ReadSupportCacheStats returns the cumulative hit/miss/eviction counters
-// across all SupportCaches in the process.
+// ReadSupportCacheStats returns the cumulative hit/miss counters across
+// all SupportCaches in the process.
 func ReadSupportCacheStats() SupportCacheStats {
-	return SupportCacheStats{
-		Hits:      supportCacheHits.Load(),
-		Misses:    supportCacheMisses.Load(),
-		Evictions: supportCacheEvictions.Load(),
-	}
+	return SupportCacheStats{Hits: supportCacheHits.Load(), Misses: supportCacheMisses.Load()}
 }
 
 // epochOf maps an overlay to its cache epoch (nil = stored flags = 0).
@@ -144,8 +80,11 @@ func epochOf(ov *driftlog.Overlay) uint64 {
 // set.Key(); "" with a nil set means window totals), computing and
 // recording it on miss.
 func (sc *SupportCache) count(key string, set Itemset, ov *driftlog.Overlay) (driftlog.CountResult, error) {
-	k := supportCacheKey{items: key, epoch: epochOf(ov)}
-	if cr, ok := sc.get(k); ok {
+	epoch := epochOf(ov)
+	sc.mu.Lock()
+	cr, ok := sc.m[supportCacheKey{items: key, epoch: epoch}]
+	sc.mu.Unlock()
+	if ok {
 		supportCacheHits.Add(1)
 		return cr, nil
 	}
@@ -154,13 +93,15 @@ func (sc *SupportCache) count(key string, set Itemset, ov *driftlog.Overlay) (dr
 	if err != nil {
 		return driftlog.CountResult{}, err
 	}
-	sc.put(k, cr)
+	sc.seed(key, epoch, cr)
 	return cr, nil
 }
 
 // seed records an already-known count so later rescores hit.
 func (sc *SupportCache) seed(key string, epoch uint64, cr driftlog.CountResult) {
-	sc.put(supportCacheKey{items: key, epoch: epoch}, cr)
+	sc.mu.Lock()
+	sc.m[supportCacheKey{items: key, epoch: epoch}] = cr
+	sc.mu.Unlock()
 }
 
 // MineCache is the reusable output of one full mine at overlay epoch 0:

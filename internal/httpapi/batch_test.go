@@ -2,9 +2,10 @@ package httpapi
 
 import (
 	"context"
+	"errors"
 	"fmt"
+	"net/http"
 	"net/http/httptest"
-	"strings"
 	"testing"
 	"time"
 
@@ -120,31 +121,38 @@ func TestIngestBatchMatchesSequential(t *testing.T) {
 	}
 }
 
+// TestIngestBatchValidation: an empty frame and one over the row bound are
+// refused with a 400. The defects only a JSON body can carry draw the
+// route's 415, which refuses every JSON body unread.
 func TestIngestBatchValidation(t *testing.T) {
 	c := lightEnv(t)
 	day := weather.Day(3)
 	noAttrs := batchEntries(2, day)
 	noAttrs[1].Attrs = nil
 	cases := []struct {
-		name string
-		req  IngestBatchRequest
+		name   string
+		req    IngestBatchRequest
+		codec  Codec
+		status int
 	}{
-		{"empty", IngestBatchRequest{}},
+		{"empty", IngestBatchRequest{}, BinaryCodec{}, http.StatusBadRequest},
 		{"sample count mismatch", IngestBatchRequest{
 			Entries: batchEntries(2, day),
 			Samples: [][]float64{{1}},
-		}},
-		{"entry without attrs", IngestBatchRequest{Entries: noAttrs}},
-		{"oversized batch", IngestBatchRequest{Entries: batchEntries(maxBatchEntries+1, day)}},
+		}, JSONCodec{}, http.StatusUnsupportedMediaType},
+		{"entry without attrs", IngestBatchRequest{Entries: noAttrs}, JSONCodec{}, http.StatusUnsupportedMediaType},
+		{"oversized batch", IngestBatchRequest{Entries: batchEntries(maxBatchEntries+1, day)}, BinaryCodec{}, http.StatusBadRequest},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			err := c.post(context.Background(), "/v1/ingest/batch", tc.req, nil)
-			if err == nil {
-				t.Fatal("expected rejection")
+			body, err := tc.codec.EncodeBatch(&BatchFrame{Entries: tc.req.Entries, Samples: tc.req.Samples})
+			if err != nil {
+				t.Fatal(err)
 			}
-			if !strings.Contains(err.Error(), "400") {
-				t.Fatalf("expected HTTP 400, got %v", err)
+			err = c.postRaw(context.Background(), "/v1/ingest/batch", tc.codec.ContentType(), body, nil)
+			var apiErr *APIError
+			if !errors.As(err, &apiErr) || apiErr.Status != tc.status {
+				t.Fatalf("got %v, want HTTP %d", err, tc.status)
 			}
 		})
 	}

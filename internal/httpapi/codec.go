@@ -1,11 +1,9 @@
-// Codec seam of the v1 ingest API: the media-type-negotiated
-// encode/decode surface behind /v1/ingest/batch.
-// application/x-nazar-batch carries the drift log's NZB1 frame, the same
-// bytes the WAL persists, and is what Client ships by default;
-// application/json stays for curl and servers that predate the frame.
-// Request bodies are identity-encoded. Acknowledgements and error
+// Codec seam of the v1 ingest API. /v1/ingest/batch takes one body:
+// application/x-nazar-batch, the drift log's NZB1 frame (the same bytes
+// the WAL persists), identity-encoded. JSONCodec renders the same batch
+// in readable form, which the route refuses. Acknowledgements and error
 // envelopes are always JSON, which is why negotiation checks the Accept
-// header against application/json rather than the request codec.
+// header against application/json.
 package httpapi
 
 import (
@@ -20,7 +18,8 @@ import (
 	"nazar/internal/driftlog"
 )
 
-// Media types the ingest endpoints negotiate.
+// Media types of an ingest batch: the frame the route takes and the
+// readable form it refuses.
 const (
 	ContentTypeJSON   = "application/json"
 	ContentTypeBinary = "application/x-nazar-batch"
@@ -31,19 +30,11 @@ const (
 // (Columns, which carries its own sample column). Exactly one of
 // Entries/Columns is set after a decode; an encode accepts either (a
 // codec converts as needed). Row form exists only at this edge: the
-// server ingests columns().
+// server decodes frames, whose batches are columnar.
 type BatchFrame struct {
 	Entries []driftlog.Entry
 	Columns *driftlog.ColumnarBatch
 	Samples [][]float64
-}
-
-// Rows returns the batch's row count.
-func (f *BatchFrame) Rows() int {
-	if f.Columns != nil {
-		return f.Columns.Rows()
-	}
-	return len(f.Entries)
 }
 
 // rowForm returns the entries and samples, materializing them from
@@ -65,10 +56,9 @@ func (f *BatchFrame) columns() *driftlog.ColumnarBatch {
 	return b
 }
 
-// Codec encodes and decodes ingest batches for one media type. Both
-// halves of the wire use it: the server negotiates a codec per request
-// via the Content-Type header, and Client/transport.Client encode
-// through the same interface.
+// Codec encodes and decodes ingest batches for one media type. The
+// server decodes BinaryCodec only; Client and transport.Client encode
+// through the interface.
 type Codec interface {
 	// ContentType returns the media type the codec serves.
 	ContentType() string
@@ -79,9 +69,11 @@ type Codec interface {
 	DecodeBatch(r io.Reader, maxEntries int) (*BatchFrame, error)
 }
 
-// JSONCodec is the opt-in debug codec and the downgrade target of a
-// refused binary frame: the IngestBatchRequest JSON body, strictly
-// decoded (unknown fields and trailing data rejected).
+// JSONCodec is the readable form of a batch, the IngestBatchRequest JSON
+// body, strictly decoded (unknown fields and trailing data rejected). The
+// ingest route refuses it with 415 codec_unsupported; it stays as the
+// operator's view of a frame, and bench/ replays it for its
+// httpapi.json_* metrics.
 type JSONCodec struct{}
 
 // ContentType implements Codec.
@@ -106,7 +98,7 @@ func (JSONCodec) DecodeBatch(r io.Reader, maxEntries int) (*BatchFrame, error) {
 	return &BatchFrame{Entries: req.Entries, Samples: req.Samples}, nil
 }
 
-// BinaryCodec is the columnar binary codec and Client's default: the
+// BinaryCodec is the ingest route's one codec and Client's default: the
 // drift log's NZB1 frame (driftlog.AppendFrame), CRC32C framed,
 // dictionary-encoded, appended into the drift log without a per-row
 // struct round trip.
@@ -161,63 +153,29 @@ func readFrame(r io.Reader) ([]byte, error) {
 	return buf.Bytes(), err
 }
 
-// codecs is the fixed codec table, sorted by media type.
-var codecs = []Codec{JSONCodec{}, BinaryCodec{}}
-
-// CodecFor resolves a media type to its codec.
-func CodecFor(mediaType string) (Codec, bool) {
-	for _, c := range codecs {
-		if c.ContentType() == mediaType {
-			return c, true
-		}
-	}
-	return nil, false
-}
-
-// ContentTypes lists the supported media types, sorted.
-func ContentTypes() []string {
-	out := make([]string, len(codecs))
-	for i, c := range codecs {
-		out[i] = c.ContentType()
-	}
-	return out
-}
-
-// negotiateCodec resolves the request codec from Content-Type (empty
-// means JSON) and verifies the client can accept the JSON
-// acknowledgement. Failures are written as typed envelopes: 415 +
-// codec_unsupported for an unknown request media type or any
-// Content-Encoding but identity, 406 + codec_unsupported for an Accept
-// header that excludes JSON.
-func negotiateCodec(w http.ResponseWriter, r *http.Request) (Codec, bool) {
+// negotiateCodec admits an identity-encoded NZB1 body whose sender
+// accepts the JSON acknowledgement. Failures are written as typed
+// envelopes: 415 + codec_unsupported for any other Content-Type (an
+// absent one included) or any Content-Encoding but identity, 406 +
+// codec_unsupported for an Accept header that excludes JSON.
+func negotiateCodec(w http.ResponseWriter, r *http.Request) bool {
 	if enc := r.Header.Get("Content-Encoding"); enc != "" && enc != "identity" {
 		writeError(w, http.StatusUnsupportedMediaType, CodeCodecUnsupported,
 			fmt.Sprintf("httpapi: unsupported content encoding %q", enc))
-		return nil, false
+		return false
 	}
-	mediaType := ContentTypeJSON
-	if ct := r.Header.Get("Content-Type"); ct != "" {
-		mt, _, err := mime.ParseMediaType(ct)
-		if err != nil {
-			writeError(w, http.StatusUnsupportedMediaType, CodeCodecUnsupported,
-				fmt.Sprintf("httpapi: malformed content type %q: %v", ct, err))
-			return nil, false
-		}
-		mediaType = mt
-	}
-	codec, ok := CodecFor(mediaType)
-	if !ok {
+	ct := r.Header.Get("Content-Type")
+	if mt, _, err := mime.ParseMediaType(ct); err != nil || mt != ContentTypeBinary {
 		writeError(w, http.StatusUnsupportedMediaType, CodeCodecUnsupported,
-			fmt.Sprintf("httpapi: unsupported content type %q (supported: %s)",
-				mediaType, strings.Join(ContentTypes(), ", ")))
-		return nil, false
+			fmt.Sprintf("httpapi: unsupported content type %q (the route takes %s)", ct, ContentTypeBinary))
+		return false
 	}
 	if !acceptsJSON(r.Header.Get("Accept")) {
 		writeError(w, http.StatusNotAcceptable, CodeCodecUnsupported,
 			"httpapi: acknowledgements are application/json; Accept must allow it")
-		return nil, false
+		return false
 	}
-	return codec, true
+	return true
 }
 
 // acceptsJSON reports whether the Accept header admits application/json

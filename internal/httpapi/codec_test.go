@@ -55,18 +55,25 @@ func codecEntries(n int) ([]driftlog.Entry, [][]float64) {
 	return entries, samples
 }
 
-// TestBinaryBatchMatchesJSON is the server-state differential: the same
-// batch POSTed through the JSON codec and through the binary codec must
-// leave two services in identical drift-log and sample states.
+// TestBinaryBatchMatchesJSON is the readable form's differential: a batch
+// rendered as JSON and read back, then shipped as a frame, must leave a
+// service in the drift-log and sample state the batch shipped directly
+// leaves.
 func TestBinaryBatchMatchesJSON(t *testing.T) {
 	entries, samples := codecEntries(37)
 
-	jsonSvc, jsonSrv := newCodecEnv(t)
-	jsonClient := NewClient(jsonSrv.URL)
-	jsonClient.Codec = JSONCodec{}
-	jn, err := jsonClient.IngestBatchContext(context.Background(), entries, samples)
+	body, err := JSONCodec{}.EncodeBatch(&BatchFrame{Entries: entries, Samples: samples})
 	if err != nil {
-		t.Fatalf("json ingest: %v", err)
+		t.Fatal(err)
+	}
+	read, err := JSONCodec{}.DecodeBatch(bytes.NewReader(body), 0)
+	if err != nil {
+		t.Fatalf("json read back: %v", err)
+	}
+	jsonSvc, jsonSrv := newCodecEnv(t)
+	jn, err := NewClient(jsonSrv.URL).IngestBatchContext(context.Background(), read.Entries, read.Samples)
+	if err != nil {
+		t.Fatalf("ingest of the json form: %v", err)
 	}
 
 	binSvc, binSrv := newCodecEnv(t)
@@ -130,7 +137,8 @@ func TestBinarySingleIngest(t *testing.T) {
 }
 
 // TestCodecNegotiationErrors pins the typed envelope for every
-// negotiation failure mode.
+// negotiation failure mode: the route takes an identity-encoded NZB1
+// body and nothing else.
 func TestCodecNegotiationErrors(t *testing.T) {
 	_, srv := newCodecEnv(t)
 	post := func(path, contentType, accept, encoding string, body []byte) (int, string) {
@@ -162,31 +170,34 @@ func TestCodecNegotiationErrors(t *testing.T) {
 		return resp.StatusCode, code
 	}
 
-	jsonBody := []byte(`{"entries":[{"time":"2026-02-01T00:00:00Z","attrs":{"device":"d0"}}]}`)
+	entries, _ := codecEntries(1)
+	frame, err := BinaryCodec{}.EncodeBatch(&BatchFrame{Entries: entries})
+	if err != nil {
+		t.Fatal(err)
+	}
+	jsonBody, err := JSONCodec{}.EncodeBatch(&BatchFrame{Entries: entries})
+	if err != nil {
+		t.Fatal(err)
+	}
 
-	if st, code := post("/v1/ingest/batch", "application/xml", "", "", jsonBody); st != 415 || code != CodeCodecUnsupported {
-		t.Fatalf("unknown content type: %d %q, want 415 %q", st, code, CodeCodecUnsupported)
+	for _, ct := range []string{ContentTypeJSON, "", "application/xml", "application/;;;"} {
+		if st, code := post("/v1/ingest/batch", ct, "", "", jsonBody); st != 415 || code != CodeCodecUnsupported {
+			t.Fatalf("content type %q: %d %q, want 415 %q", ct, st, code, CodeCodecUnsupported)
+		}
 	}
-	if st, code := post("/v1/ingest/batch", "application/;;;", "", "", jsonBody); st != 415 || code != CodeCodecUnsupported {
-		t.Fatalf("malformed content type: %d %q, want 415 %q", st, code, CodeCodecUnsupported)
-	}
-	if st, code := post("/v1/ingest/batch", "application/json", "text/html", "", jsonBody); st != 406 || code != CodeCodecUnsupported {
+	if st, code := post("/v1/ingest/batch", ContentTypeBinary, "text/html", "", frame); st != 406 || code != CodeCodecUnsupported {
 		t.Fatalf("non-JSON accept: %d %q, want 406 %q", st, code, CodeCodecUnsupported)
 	}
-	if st, code := post("/v1/ingest/batch", "application/json", "", "br", jsonBody); st != 415 || code != CodeCodecUnsupported {
+	if st, code := post("/v1/ingest/batch", ContentTypeBinary, "", "br", frame); st != 415 || code != CodeCodecUnsupported {
 		t.Fatalf("unknown content encoding: %d %q, want 415 %q", st, code, CodeCodecUnsupported)
 	}
 	// Accept that admits JSON via wildcards negotiates fine.
-	if st, _ := post("/v1/ingest/batch", "application/json", "application/*, text/plain", "", jsonBody); st != 200 {
+	if st, _ := post("/v1/ingest/batch", ContentTypeBinary, "application/*, text/plain", "", frame); st != 200 {
 		t.Fatalf("wildcard accept refused: %d", st)
 	}
-
-	// Binary decode failures are invalid_frame, not invalid_json.
+	// A frame that fails to decode is invalid_frame.
 	if st, code := post("/v1/ingest/batch", ContentTypeBinary, "", "", []byte("garbage")); st != 400 || code != CodeInvalidFrame {
 		t.Fatalf("binary garbage: %d %q, want 400 %q", st, code, CodeInvalidFrame)
-	}
-	if st, code := post("/v1/ingest/batch", "application/json", "", "", []byte("garbage")); st != 400 || code != CodeInvalidJSON {
-		t.Fatalf("json garbage: %d %q, want 400 %q", st, code, CodeInvalidJSON)
 	}
 }
 
@@ -216,23 +227,6 @@ func TestBinaryIngestRowLimit(t *testing.T) {
 	}
 	if n := svc.Log().Len(); n != 0 {
 		t.Fatalf("refused batch landed %d rows", n)
-	}
-}
-
-// TestContentTypesRegistry pins the fixed codec table: the two built-in
-// media types, sorted, each resolving to its codec, and nothing else.
-func TestContentTypesRegistry(t *testing.T) {
-	cts := ContentTypes()
-	if want := []string{ContentTypeJSON, ContentTypeBinary}; !reflect.DeepEqual(cts, want) {
-		t.Fatalf("ContentTypes() = %v, want %v", cts, want)
-	}
-	for _, ct := range cts {
-		if c, ok := CodecFor(ct); !ok || c.ContentType() != ct {
-			t.Fatalf("CodecFor(%q) = %v, %v", ct, c, ok)
-		}
-	}
-	if _, ok := CodecFor("text/plain"); ok {
-		t.Fatal("CodecFor resolved a media type outside the table")
 	}
 }
 

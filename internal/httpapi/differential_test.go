@@ -75,32 +75,26 @@ func batchOf(entries []driftlog.Entry, samples [][]float64) *driftlog.ColumnarBa
 	return b
 }
 
-// ingestRoutes are the four ways rows reach the one ingest route: as one
-// batch or as one-row batches, in either codec.
+// ingestRoutes are the two ways rows reach the one ingest route: as one
+// frame or as one-row frames.
 var ingestRoutes = []struct {
 	name   string
 	perRow bool
-	binary bool
 }{
-	{"batch/json", false, false},
-	{"batch/binary", false, true},
-	{"rows/json", true, false},
-	{"rows/binary", true, true},
+	{"batch", false},
+	{"rows", true},
 }
 
 // quiet drops the server's per-request log lines.
 var quiet = httpapi.WithLogger(slog.New(slog.NewTextHandler(io.Discard, nil)))
 
-// postIngest serves one POST /v1/ingest/batch straight through the
+// postIngest serves one NZB1 POST /v1/ingest/batch straight through the
 // handler and returns the status and the error envelope's code ("" on
 // success).
-func postIngest(t *testing.T, h http.Handler, binary bool, body []byte) (int, string) {
+func postIngest(t *testing.T, h http.Handler, body []byte) (int, string) {
 	t.Helper()
 	req := httptest.NewRequest(http.MethodPost, "/v1/ingest/batch", bytes.NewReader(body))
-	req.Header.Set("Content-Type", httpapi.ContentTypeJSON)
-	if binary {
-		req.Header.Set("Content-Type", httpapi.ContentTypeBinary)
-	}
+	req.Header.Set("Content-Type", httpapi.ContentTypeBinary)
 	rec := httptest.NewRecorder()
 	h.ServeHTTP(rec, req)
 	var env struct {
@@ -116,23 +110,16 @@ func postIngest(t *testing.T, h http.Handler, binary bool, body []byte) (int, st
 	return rec.Code, env.Error.Code
 }
 
-// routeBodies renders the rows as the request bodies one route sends:
-// one batch, or one one-row batch per row.
-func routeBodies(t *testing.T, perRow, binary bool, entries []driftlog.Entry, samples [][]float64) [][]byte {
+// routeBodies renders the rows as the frames one route sends: one batch,
+// or one one-row batch per row.
+func routeBodies(t *testing.T, perRow bool, entries []driftlog.Entry, samples [][]float64) [][]byte {
 	t.Helper()
 	encode := func(entries []driftlog.Entry, samples [][]float64) []byte {
-		if binary {
-			frame, err := driftlog.AppendFrame(nil, batchOf(entries, samples))
-			if err != nil {
-				t.Fatalf("encode: %v", err)
-			}
-			return frame
-		}
-		data, err := json.Marshal(httpapi.IngestBatchRequest{Entries: entries, Samples: samples})
+		frame, err := driftlog.AppendFrame(nil, batchOf(entries, samples))
 		if err != nil {
-			t.Fatal(err)
+			t.Fatalf("encode: %v", err)
 		}
-		return data
+		return frame
 	}
 	if !perRow {
 		return [][]byte{encode(entries, samples)}
@@ -149,10 +136,10 @@ func routeBodies(t *testing.T, perRow, binary bool, entries []driftlog.Entry, sa
 }
 
 // TestBinaryJSONDifferential pins the ingest API's core promise: the same
-// rows sent as one batch or as one-row batches, in either codec, leave
-// the service in exactly the same state — rows, sample links, index
-// counts — across odd shard fills and at compute pool widths 1 and 8;
-// and each bad body draws its status and error code.
+// rows sent as one frame or as one-row frames leave the service in
+// exactly the same state — rows, sample links, index counts — across odd
+// shard fills and at compute pool widths 1 and 8; and each bad frame
+// draws its status and error code.
 func TestBinaryJSONDifferential(t *testing.T) {
 	defer tensor.SetMaxWorkers(0)
 	base := nn.NewClassifier(nn.ArchResNet18, 8, 2, tensor.NewRand(7, 1))
@@ -168,8 +155,8 @@ func TestBinaryJSONDifferential(t *testing.T) {
 				for ri, route := range ingestRoutes {
 					svcs[ri] = cloud.NewService(base, cloud.DefaultConfig())
 					h := httpapi.NewServer(svcs[ri], quiet)
-					for bi, body := range routeBodies(t, route.perRow, route.binary, entries, samples) {
-						if st, code := postIngest(t, h, route.binary, body); st >= 300 {
+					for bi, body := range routeBodies(t, route.perRow, entries, samples) {
+						if st, code := postIngest(t, h, body); st >= 300 {
 							t.Fatalf("seed %d %s body %d: status %d code %q", seed, route.name, bi, st, code)
 						}
 					}
@@ -217,23 +204,18 @@ func TestBinaryJSONDifferential(t *testing.T) {
 	}
 	bad := []struct {
 		name     string
-		binary   bool
 		body     []byte
 		status   int
 		wantCode string
 	}{
-		{"json malformed", false, []byte(`{"entr`), 400, httpapi.CodeInvalidJSON},
-		{"json unknown field", false, []byte(`{"bogus":1}`), 400, httpapi.CodeInvalidJSON},
-		{"json trailing data", false, []byte(`{} {}`), 400, httpapi.CodeInvalidJSON},
-		{"json nothing to ingest", false, []byte(`{}`), 400, httpapi.CodeInvalidRequest},
-		{"binary torn frame", true, valid[:len(valid)-3], 400, httpapi.CodeInvalidFrame},
-		{"binary crc mismatch", true, flipped, 400, httpapi.CodeInvalidFrame},
-		{"binary zero rows", true, empty, 400, httpapi.CodeInvalidRequest},
+		{"torn frame", valid[:len(valid)-3], 400, httpapi.CodeInvalidFrame},
+		{"crc mismatch", flipped, 400, httpapi.CodeInvalidFrame},
+		{"zero rows", empty, 400, httpapi.CodeInvalidRequest},
 	}
 	svc := cloud.NewService(base, cloud.DefaultConfig())
 	h := httpapi.NewServer(svc, quiet)
 	for _, tc := range bad {
-		if st, code := postIngest(t, h, tc.binary, tc.body); st != tc.status || code != tc.wantCode {
+		if st, code := postIngest(t, h, tc.body); st != tc.status || code != tc.wantCode {
 			t.Errorf("%s: %d %q, want %d %q", tc.name, st, code, tc.status, tc.wantCode)
 		}
 	}
@@ -241,9 +223,8 @@ func TestBinaryJSONDifferential(t *testing.T) {
 		t.Fatalf("bad bodies landed %d rows", svc.Log().Len())
 	}
 
-	// A refusing service (its WAL directory is a file) answers a good body
-	// 500/internal in either codec, so the transport retries rather than
-	// dropping the batch.
+	// A refusing service (its WAL directory is a file) answers a good frame
+	// 500/internal, so the transport retries rather than dropping the batch.
 	notDir := filepath.Join(t.TempDir(), "wal")
 	if err := os.WriteFile(notDir, nil, 0o644); err != nil {
 		t.Fatal(err)
@@ -253,12 +234,9 @@ func TestBinaryJSONDifferential(t *testing.T) {
 		t.Fatal("WAL opened on a regular file")
 	}
 	hr := httpapi.NewServer(refusing, quiet)
-	good := randEntries(rand.New(rand.NewSource(6)), 1)
-	for _, binary := range []bool{false, true} {
-		body := routeBodies(t, false, binary, good, nil)[0]
-		if st, code := postIngest(t, hr, binary, body); st != 500 || code != httpapi.CodeInternal {
-			t.Errorf("refusing service, binary=%v: %d %q, want 500 %q", binary, st, code, httpapi.CodeInternal)
-		}
+	good := routeBodies(t, false, randEntries(rand.New(rand.NewSource(6)), 1), nil)[0]
+	if st, code := postIngest(t, hr, good); st != 500 || code != httpapi.CodeInternal {
+		t.Errorf("refusing service: %d %q, want 500 %q", st, code, httpapi.CodeInternal)
 	}
 }
 

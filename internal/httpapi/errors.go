@@ -13,11 +13,11 @@ import (
 // machine-readable half of the contract: messages may change wording,
 // codes may not.
 const (
-	// CodeInvalidJSON marks a body that failed strict decoding
-	// (malformed JSON, unknown fields, trailing data).
+	// CodeInvalidJSON marks a control-endpoint body that failed strict
+	// decoding (malformed JSON, unknown fields, trailing data).
 	CodeInvalidJSON = "invalid_json"
 	// CodeInvalidRequest marks a well-formed body or query that fails
-	// domain validation (missing attrs, empty batch, bad since=...).
+	// domain validation (empty batch, wrong sample width, bad since=...).
 	CodeInvalidRequest = "invalid_request"
 	// CodeNotFound marks an unknown route.
 	CodeNotFound = "not_found"
@@ -29,15 +29,15 @@ const (
 	// CodeInternal marks a server-side failure, including recovered
 	// handler panics.
 	CodeInternal = "internal"
-	// CodeCodecUnsupported marks a failed content negotiation: an
-	// unknown Content-Type or Content-Encoding (415) or an Accept
+	// CodeCodecUnsupported marks a failed content negotiation: an ingest
+	// body that is not an identity-encoded NZB1 frame (415) or an Accept
 	// header that excludes the JSON acknowledgement (406).
 	CodeCodecUnsupported = "codec_unsupported"
-	// CodeInvalidFrame marks a body in a negotiated non-JSON codec that
-	// failed decoding (torn frame, CRC mismatch, bad dictionary index).
+	// CodeInvalidFrame marks an ingest frame that failed decoding (torn
+	// frame, CRC mismatch, bad dictionary index, too many rows).
 	CodeInvalidFrame = "invalid_frame"
 	// CodeBodyTooLarge marks a request body over the route's size bound
-	// (413), whatever its codec.
+	// (413), whatever the route.
 	CodeBodyTooLarge = "body_too_large"
 )
 
@@ -81,19 +81,16 @@ func writeError(w http.ResponseWriter, status int, code, message string) {
 	_ = json.NewEncoder(w).Encode(errorEnvelope{Error: &APIError{Code: code, Message: message}})
 }
 
-// writeDecodeError answers a body that failed to decode in codec c: 413
-// + body_too_large when the body ran past its http.MaxBytesReader bound,
-// else 400 + invalid_json for JSON and invalid_frame for any other codec.
-func writeDecodeError(w http.ResponseWriter, c Codec, err error) {
+// writeDecodeError answers a body that failed to decode: 413 +
+// body_too_large when the body ran past its http.MaxBytesReader bound,
+// else 400 + code (invalid_frame on ingest, invalid_json elsewhere).
+func writeDecodeError(w http.ResponseWriter, code string, err error) {
 	var tooLarge *http.MaxBytesError
-	switch {
-	case errors.As(err, &tooLarge):
+	if errors.As(err, &tooLarge) {
 		writeError(w, http.StatusRequestEntityTooLarge, CodeBodyTooLarge, err.Error())
-	case c.ContentType() == ContentTypeJSON:
-		writeError(w, http.StatusBadRequest, CodeInvalidJSON, err.Error())
-	default:
-		writeError(w, http.StatusBadRequest, CodeInvalidFrame, err.Error())
+		return
 	}
+	writeError(w, http.StatusBadRequest, code, err.Error())
 }
 
 // decodeAPIError reconstructs an *APIError from a non-2xx response

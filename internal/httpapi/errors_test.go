@@ -25,11 +25,17 @@ func discardLogger() *slog.Logger { return slog.New(slog.DiscardHandler) }
 // encoded body, domain validation, and bad query parameters. Every failure must carry
 // the structured envelope {"error":{"code":...,"message":...}} with the
 // right stable code — including the 404/405 responses the mux itself
-// generates.
+// generates. A body opening with the frame magic is sent as an NZB1
+// frame, any other as JSON: the ingest route refuses every JSON body,
+// whatever its defect, before reading it.
 func TestHandlerErrorPaths(t *testing.T) {
 	base := nn.NewClassifier(nn.ArchResNet18, 8, 2, tensor.NewRand(7, 1))
 	svc := cloud.NewService(base, cloud.DefaultConfig())
 	h := NewServer(svc, WithLogger(discardLogger()))
+	row := []driftlog.Entry{{Time: time.Date(2020, 1, 1, 0, 0, 0, 0, time.UTC), Attrs: map[string]string{}}}
+	emptyFrame := frameBody(t, nil, nil)
+	narrowFrame := frameBody(t, row, [][]float64{{1, 2, 3}})
+	rowFrame := frameBody(t, row, nil)
 
 	cases := []struct {
 		name       string
@@ -44,15 +50,16 @@ func TestHandlerErrorPaths(t *testing.T) {
 		{"ingest route removed post", "POST", "/v1/ingest", `{"entry":{"time":"2020-01-01T00:00:00Z","attrs":{}}}`, 404, CodeNotFound, "", ""},
 		{"ingest route removed get", "GET", "/v1/ingest", "", 404, CodeNotFound, "", ""},
 
-		{"batch malformed json", "POST", "/v1/ingest/batch", `[{]`, 400, CodeInvalidJSON, "decode", ""},
-		{"batch unknown field", "POST", "/v1/ingest/batch", `{"rows":[]}`, 400, CodeInvalidJSON, "rows", ""},
-		{"batch trailing data", "POST", "/v1/ingest/batch", `{"entries":[{"time":"2020-01-01T00:00:00Z","attrs":{}}]} trailing`, 400, CodeInvalidJSON, "trailing", ""},
-		{"batch empty", "POST", "/v1/ingest/batch", `{"entries":[]}`, 400, CodeInvalidRequest, "at least one", ""},
-		{"batch sample mismatch", "POST", "/v1/ingest/batch", `{"entries":[{"time":"2020-01-01T00:00:00Z","attrs":{}}],"samples":[[1],[2]]}`, 400, CodeInvalidRequest, "match", ""},
-		{"batch entry missing attrs", "POST", "/v1/ingest/batch", `{"entries":[{"time":"2020-01-01T00:00:00Z"}]}`, 400, CodeInvalidRequest, "attrs", ""},
+		{"batch malformed json", "POST", "/v1/ingest/batch", `[{]`, 415, CodeCodecUnsupported, "application/json", ""},
+		{"batch unknown field", "POST", "/v1/ingest/batch", `{"rows":[]}`, 415, CodeCodecUnsupported, "application/json", ""},
+		{"batch trailing data", "POST", "/v1/ingest/batch", `{"entries":[{"time":"2020-01-01T00:00:00Z","attrs":{}}]} trailing`, 415, CodeCodecUnsupported, "application/json", ""},
+		{"batch sample mismatch", "POST", "/v1/ingest/batch", `{"entries":[{"time":"2020-01-01T00:00:00Z","attrs":{}}],"samples":[[1],[2]]}`, 415, CodeCodecUnsupported, "application/json", ""},
+		{"batch entry missing attrs", "POST", "/v1/ingest/batch", `{"entries":[{"time":"2020-01-01T00:00:00Z"}]}`, 415, CodeCodecUnsupported, "application/json", ""},
+		{"batch malformed frame", "POST", "/v1/ingest/batch", "NZB1 torn", 400, CodeInvalidFrame, "invalid frame", ""},
+		{"batch empty", "POST", "/v1/ingest/batch", emptyFrame, 400, CodeInvalidRequest, "at least one", ""},
 		{"batch wrong method", "GET", "/v1/ingest/batch", "", 405, CodeMethodNotAllowed, "", ""},
-		{"batch sample width", "POST", "/v1/ingest/batch", `{"entries":[{"time":"2020-01-01T00:00:00Z","attrs":{}}],"samples":[[1,2,3]]}`, 400, CodeInvalidRequest, "the model takes 8", ""},
-		{"batch gzip body", "POST", "/v1/ingest/batch", `{"entries":[{"time":"2020-01-01T00:00:00Z","attrs":{}}]}`, 415, CodeCodecUnsupported, "gzip", "gzip"},
+		{"batch sample width", "POST", "/v1/ingest/batch", narrowFrame, 400, CodeInvalidRequest, "the model takes 8", ""},
+		{"batch gzip body", "POST", "/v1/ingest/batch", rowFrame, 415, CodeCodecUnsupported, "gzip", "gzip"},
 
 		{"analyze malformed json", "POST", "/v1/analyze", `{`, 400, CodeInvalidJSON, "decode", ""},
 		{"analyze unknown field", "POST", "/v1/analyze", `{"window":"1h"}`, 400, CodeInvalidJSON, "window", ""},
@@ -83,7 +90,10 @@ func TestHandlerErrorPaths(t *testing.T) {
 			var req *http.Request
 			if tc.body != "" {
 				req = httptest.NewRequest(tc.method, tc.path, strings.NewReader(tc.body))
-				req.Header.Set("Content-Type", "application/json")
+				req.Header.Set("Content-Type", ContentTypeJSON)
+				if strings.HasPrefix(tc.body, "NZB1") {
+					req.Header.Set("Content-Type", ContentTypeBinary)
+				}
 			} else {
 				req = httptest.NewRequest(tc.method, tc.path, nil)
 			}
@@ -110,6 +120,16 @@ func TestHandlerErrorPaths(t *testing.T) {
 			}
 		})
 	}
+}
+
+// frameBody encodes rows and their optional samples as an NZB1 body.
+func frameBody(t *testing.T, entries []driftlog.Entry, samples [][]float64) string {
+	t.Helper()
+	data, err := BinaryCodec{}.EncodeBatch(&BatchFrame{Entries: entries, Samples: samples})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(data)
 }
 
 // TestClientDecodesAPIError proves the client surfaces server failures
@@ -237,9 +257,10 @@ func TestIngestBatchDurabilityFailureIs500(t *testing.T) {
 	h := NewServer(svc, WithLogger(discardLogger()))
 	svc.WAL().Sever() // the cloud "dies": durability is gone
 
-	body := `{"entries":[{"time":"2026-01-01T00:00:00Z","attrs":{"weather":"snow"}}]}`
+	body := frameBody(t, []driftlog.Entry{{Time: time.Date(2026, 1, 1, 0, 0, 0, 0, time.UTC),
+		Attrs: map[string]string{driftlog.AttrWeather: "snow"}}}, nil)
 	req := httptest.NewRequest("POST", "/v1/ingest/batch", strings.NewReader(body))
-	req.Header.Set("Content-Type", "application/json")
+	req.Header.Set("Content-Type", ContentTypeBinary)
 	rec := httptest.NewRecorder()
 	h.ServeHTTP(rec, req)
 	if rec.Code != http.StatusInternalServerError {
@@ -257,15 +278,17 @@ func TestIngestBatchDurabilityFailureIs500(t *testing.T) {
 	}
 }
 
-// TestIngestBatchOversizedFrameIs400: a batch whose frame exceeds the WAL
-// record bound is the batch's fault, not the server's — JSON samples grow
-// about 4× on the way in ("0," is 2 bytes, a float64 8) — so it answers
+// TestIngestBatchOversizedFrameIs400: a batch whose WAL record exceeds the
+// frame bound is the batch's fault, not the server's — the cloud stamps
+// sample IDs before the WAL encodes the batch, and IDs past 63 take more
+// varint bytes than the 0 the device sent — so it answers
 // 400/invalid_request, which the transport drops as poison instead of
 // retrying forever. The WAL stays healthy and the next batch is acked.
 func TestIngestBatchOversizedFrameIs400(t *testing.T) {
 	// 8,192 inputs wide, so the samples pass ingest's width check and the
 	// WAL's frame bound is what refuses the batch.
-	base := nn.NewClassifier(nn.ArchResNet18, 8192, 2, tensor.NewRand(7, 1))
+	const width, rows = 8192, 1000
+	base := nn.NewClassifier(nn.ArchResNet18, width, 2, tensor.NewRand(7, 1))
 	svc := cloud.NewService(base, cloud.DefaultConfig(),
 		cloud.WithWAL(t.TempDir(), driftlog.WALOptions{}))
 	if err := svc.WALErr(); err != nil {
@@ -275,33 +298,29 @@ func TestIngestBatchOversizedFrameIs400(t *testing.T) {
 	h := NewServer(svc, WithLogger(discardLogger()))
 	post := func(body string) *httptest.ResponseRecorder {
 		req := httptest.NewRequest("POST", "/v1/ingest/batch", strings.NewReader(body))
-		req.Header.Set("Content-Type", "application/json")
+		req.Header.Set("Content-Type", ContentTypeBinary)
 		rec := httptest.NewRecorder()
 		h.ServeHTTP(rec, req)
 		return rec
 	}
 
-	// 1,100 rows × 8,192 zeros: an 18 MB body, 72 MB of float64 samples.
-	const rows = 1100
-	entry := `{"time":"2026-01-01T00:00:00Z","attrs":{"weather":"snow"}}`
-	sample := "[" + strings.Repeat("0,", 8191) + "0]"
-	var b strings.Builder
-	b.WriteString(`{"entries":[`)
-	for i := 0; i < rows; i++ {
-		if i > 0 {
-			b.WriteByte(',')
-		}
-		b.WriteString(entry)
+	// 1,000 rows × 8,192 zeros (64,000 KiB of samples), each sent with
+	// sample ID 0; one attribute value pads the body to just under the
+	// route's bound, which the 936 IDs from 64 up each grow by a byte.
+	entries := make([]driftlog.Entry, rows)
+	samples := make([][]float64, rows)
+	for i := range entries {
+		entries[i] = driftlog.Entry{Time: time.Date(2026, 1, 1, 0, 0, 0, 0, time.UTC),
+			Attrs: map[string]string{driftlog.AttrWeather: "snow"}}
+		samples[i] = make([]float64, width)
 	}
-	b.WriteString(`],"samples":[`)
-	for i := 0; i < rows; i++ {
-		if i > 0 {
-			b.WriteByte(',')
-		}
-		b.WriteString(sample)
+	const target = maxBatchBodyBytes - 100
+	var body string
+	for pad := 0; len(body) != target; pad += target - len(body) {
+		entries[0].Attrs[driftlog.AttrLocation] = strings.Repeat("x", pad)
+		body = frameBody(t, entries, samples)
 	}
-	b.WriteString(`]}`)
-	rec := post(b.String())
+	rec := post(body)
 	if rec.Code != http.StatusBadRequest {
 		t.Fatalf("status %d, want 400 (body %.200q)", rec.Code, rec.Body.String())
 	}
@@ -309,13 +328,13 @@ func TestIngestBatchOversizedFrameIs400(t *testing.T) {
 	if err := json.Unmarshal(rec.Body.Bytes(), &env); err != nil || env.Error == nil {
 		t.Fatalf("body %q is not an error envelope", rec.Body.String())
 	}
-	if env.Error.Code != CodeInvalidRequest {
-		t.Fatalf("code %q, want %q", env.Error.Code, CodeInvalidRequest)
+	if env.Error.Code != CodeInvalidRequest || !strings.Contains(env.Error.Message, "frame size bound") {
+		t.Fatalf("code %q (%s), want %q for the frame bound", env.Error.Code, env.Error.Message, CodeInvalidRequest)
 	}
 	if err := svc.WAL().Err(); err != nil {
 		t.Fatalf("refusal poisoned the WAL: %v", err)
 	}
-	if rec := post(`{"entries":[` + entry + `]}`); rec.Code != http.StatusOK {
+	if rec := post(frameBody(t, entries[1:2], nil)); rec.Code != http.StatusOK {
 		t.Fatalf("ingest after a refusal: status %d (body %q)", rec.Code, rec.Body.String())
 	}
 	if n := svc.Log().Len(); n != 1 {

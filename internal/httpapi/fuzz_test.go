@@ -2,6 +2,7 @@ package httpapi
 
 import (
 	"bytes"
+	"net/http"
 	"net/http/httptest"
 	"sync"
 	"testing"
@@ -21,9 +22,11 @@ var fuzzServer = sync.OnceValue(func() *Server {
 	return NewServer(cloud.NewService(base, cloud.DefaultConfig()))
 })
 
-// FuzzIngestBatch throws arbitrary bodies at POST /v1/ingest/batch: the
-// handler must never panic and must answer every malformed body with a
-// 4xx, never a 5xx or a hang.
+// FuzzIngestBatch reads arbitrary bodies as the readable (JSON) form of a
+// batch. POST /v1/ingest/batch must refuse each body itself with 415
+// codec_unsupported; a body that reads as a batch and encodes as a frame
+// must then be answered, as that frame, with a 200 or a 4xx, never a 5xx
+// or a panic.
 func FuzzIngestBatch(f *testing.F) {
 	f.Add([]byte(`{"entries":[{"time":"2020-01-15T00:00:00Z","attrs":{"device":"android_42","weather":"snow"},"drift":true,"sample_id":-1}]}`))
 	f.Add([]byte(`{"entries":[{"time":"2020-01-15T00:00:00Z","attrs":{}}],"samples":[[0.5,1.5]]}`))
@@ -35,12 +38,26 @@ func FuzzIngestBatch(f *testing.F) {
 	f.Add([]byte(``))
 	f.Add([]byte(`null`))
 	f.Fuzz(func(t *testing.T, body []byte) {
-		req := httptest.NewRequest("POST", "/v1/ingest/batch", bytes.NewReader(body))
-		req.Header.Set("Content-Type", "application/json")
-		rec := httptest.NewRecorder()
-		fuzzServer().ServeHTTP(rec, req)
-		if rec.Code != 200 && (rec.Code < 400 || rec.Code >= 500) {
-			t.Fatalf("status %d for body %q", rec.Code, body)
+		post := func(contentType string, body []byte) int {
+			req := httptest.NewRequest("POST", "/v1/ingest/batch", bytes.NewReader(body))
+			req.Header.Set("Content-Type", contentType)
+			rec := httptest.NewRecorder()
+			fuzzServer().ServeHTTP(rec, req)
+			return rec.Code
+		}
+		if code := post(ContentTypeJSON, body); code != http.StatusUnsupportedMediaType {
+			t.Fatalf("status %d for JSON body %q, want 415", code, body)
+		}
+		batch, err := JSONCodec{}.DecodeBatch(bytes.NewReader(body), 0)
+		if err != nil {
+			return
+		}
+		frame, err := BinaryCodec{}.EncodeBatch(batch)
+		if err != nil {
+			return
+		}
+		if code := post(ContentTypeBinary, frame); code != 200 && (code < 400 || code >= 500) {
+			t.Fatalf("status %d for the frame of %q", code, body)
 		}
 	})
 }

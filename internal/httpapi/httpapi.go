@@ -45,9 +45,9 @@ import (
 	"nazar/internal/rca"
 )
 
-// IngestBatchRequest is the JSON body of POST /v1/ingest/batch: one
-// round-trip carrying many reports. Samples, when present, must be the
-// same length as Entries (nil rows mean "no sample for this entry").
+// IngestBatchRequest is JSONCodec's body, the readable form of one ingest
+// batch (POST /v1/ingest/batch refuses it). Samples, when present, has
+// one row per entry (nil rows mean "no sample for this entry").
 type IngestBatchRequest struct {
 	Entries []driftlog.Entry `json:"entries"`
 	Samples [][]float64      `json:"samples,omitempty"`
@@ -220,38 +220,25 @@ func writeServiceError(w http.ResponseWriter, r *http.Request, err error) {
 	writeError(w, http.StatusInternalServerError, CodeInternal, err.Error())
 }
 
-// ingest serves POST /v1/ingest/batch: negotiate the codec, decode the
-// body to a batch, validate it, hand its columnar form to the service
-// and map the outcome.
+// ingest serves POST /v1/ingest/batch: check the body is an NZB1 frame,
+// decode it (DecodeFrame refuses more than maxBatchEntries rows), hand
+// the columns to the service and map the outcome.
 func (s *Server) ingest(w http.ResponseWriter, r *http.Request) {
-	codec, ok := negotiateCodec(w, r)
-	if !ok {
+	if !negotiateCodec(w, r) {
 		return
 	}
 	r.Body = http.MaxBytesReader(w, r.Body, maxBatchBodyBytes)
-	frame, err := codec.DecodeBatch(sizedBody{r.Body, r.ContentLength}, maxBatchEntries)
+	frame, err := BinaryCodec{}.DecodeBatch(sizedBody{r.Body, r.ContentLength}, maxBatchEntries)
 	if err != nil {
-		writeDecodeError(w, codec, err)
+		writeDecodeError(w, CodeInvalidFrame, err)
 		return
 	}
-	rows := frame.Rows()
+	rows := frame.Columns.Rows()
 	if rows == 0 {
 		writeError(w, http.StatusBadRequest, CodeInvalidRequest, "httpapi: ingest requires at least one entry")
 		return
 	}
-	if rows > maxBatchEntries {
-		writeError(w, http.StatusBadRequest, CodeInvalidRequest,
-			fmt.Sprintf("httpapi: ingest exceeds %d entries", maxBatchEntries))
-		return
-	}
-	for i := range frame.Entries {
-		if frame.Entries[i].Attrs == nil {
-			writeError(w, http.StatusBadRequest, CodeInvalidRequest,
-				fmt.Sprintf("httpapi: entry %d requires attrs", i))
-			return
-		}
-	}
-	if err := s.svc.IngestColumnsContext(r.Context(), frame.columns(), nil); err != nil {
+	if err := s.svc.IngestColumnsContext(r.Context(), frame.Columns, nil); err != nil {
 		// A durability failure is the server's problem, not the batch's:
 		// it must surface as a 5xx so the transport retries the batch
 		// (against a restarted, replayed service) instead of dropping it
@@ -270,7 +257,7 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 	r.Body = http.MaxBytesReader(w, r.Body, maxBodyBytes)
 	var req AnalyzeRequest
 	if err := decodeJSON(r.Body, &req); err != nil {
-		writeDecodeError(w, JSONCodec{}, err)
+		writeDecodeError(w, CodeInvalidJSON, err)
 		return
 	}
 	now := req.Now
@@ -300,7 +287,7 @@ func (s *Server) handleDiagnose(w http.ResponseWriter, r *http.Request) {
 	r.Body = http.MaxBytesReader(w, r.Body, maxBodyBytes)
 	var req AnalyzeRequest
 	if err := decodeJSON(r.Body, &req); err != nil {
-		writeDecodeError(w, JSONCodec{}, err)
+		writeDecodeError(w, CodeInvalidJSON, err)
 		return
 	}
 	now := req.Now
@@ -319,7 +306,7 @@ func (s *Server) handleAdapt(w http.ResponseWriter, r *http.Request) {
 	r.Body = http.MaxBytesReader(w, r.Body, maxBodyBytes)
 	var req AdaptRequest
 	if err := decodeJSON(r.Body, &req); err != nil {
-		writeDecodeError(w, JSONCodec{}, err)
+		writeDecodeError(w, CodeInvalidJSON, err)
 		return
 	}
 	if len(req.Causes) == 0 {
@@ -441,10 +428,10 @@ func writeJSON(w http.ResponseWriter, v any) {
 type Client struct {
 	BaseURL string
 	HTTP    *http.Client
-	// Codec selects the ingest wire encoding: BinaryCodec{} (the drift
-	// log's NZB1 frame), which NewClient sets and nil also means, or
-	// JSONCodec{}. Only /v1/ingest/batch negotiates; control-plane calls
-	// stay JSON.
+	// Codec encodes ingest batches: BinaryCodec{} (the drift log's NZB1
+	// frame), which NewClient sets and nil also means. The ingest route
+	// refuses any other codec's body with 415 codec_unsupported;
+	// control-plane calls stay JSON.
 	Codec Codec
 }
 
@@ -455,8 +442,8 @@ func NewClient(baseURL string) *Client {
 
 // IngestBatchContext reports entries in one round-trip. samples may be
 // nil, or the same length as entries with nil rows for sample-less
-// entries. The body is rendered by the configured Codec (binary by
-// default); the acknowledgement is always JSON.
+// entries. The body is rendered by the configured Codec (the NZB1 frame
+// by default); the acknowledgement is always JSON.
 func (c *Client) IngestBatchContext(ctx context.Context, entries []driftlog.Entry, samples [][]float64) (int, error) {
 	codec := cmp.Or[Codec](c.Codec, BinaryCodec{})
 	data, err := codec.EncodeBatch(&BatchFrame{Entries: entries, Samples: samples})

@@ -3,6 +3,7 @@ package httpapi
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -180,15 +181,23 @@ func TestBaseDownload(t *testing.T) {
 	}
 }
 
+// TestIngestValidation: a client set to ship JSON bodies is refused with
+// 415 codec_unsupported, and nothing lands.
 func TestIngestValidation(t *testing.T) {
 	c, _, _ := newEnv(t)
-	c.Codec = JSONCodec{} // an NZB1 frame has no nil attrs to refuse: a row without attrs has empty ones
-	_, err := c.IngestBatchContext(context.Background(), []driftlog.Entry{{Time: time.Now()}}, nil)
-	if err == nil {
-		t.Fatal("entry without attrs must be rejected")
+	c.Codec = JSONCodec{}
+	_, err := c.IngestBatchContext(context.Background(),
+		[]driftlog.Entry{{Time: time.Now(), Attrs: map[string]string{driftlog.AttrWeather: "snow"}}}, nil)
+	var apiErr *APIError
+	if !errors.As(err, &apiErr) || apiErr.Status != http.StatusUnsupportedMediaType || apiErr.Code != CodeCodecUnsupported {
+		t.Fatalf("JSON batch: %v, want 415 %q", err, CodeCodecUnsupported)
 	}
-	if !strings.Contains(err.Error(), "400") {
-		t.Fatalf("expected HTTP 400, got %v", err)
+	st, err := c.StatusContext(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.LogRows != 0 {
+		t.Fatalf("refused batch landed %d rows", st.LogRows)
 	}
 }
 
@@ -292,8 +301,8 @@ func TestAdaptRequiresCauses(t *testing.T) {
 }
 
 // TestOversizedBodyRejected: a body past its route's bound answers 413 +
-// body_too_large, whatever the codec, and not the decode error the
-// truncated read would otherwise make of it. Each JSON body opens with a
+// body_too_large, whatever the route, and not the decode error the
+// truncated read would otherwise make of it. The JSON body opens with a
 // valid prefix, so the decoder reads on until the bound cuts it off.
 func TestOversizedBodyRejected(t *testing.T) {
 	h := NewServer(cloud.NewService(nn.NewClassifier(nn.ArchResNet18, 8, 2, tensor.NewRand(7, 1)), cloud.DefaultConfig()),
@@ -304,8 +313,6 @@ func TestOversizedBodyRejected(t *testing.T) {
 		name, path, contentType string
 		body                    io.Reader
 	}{
-		{"batch json", "/v1/ingest/batch", ContentTypeJSON,
-			io.MultiReader(strings.NewReader(`{"entries":[{"time":"`), filler(maxBatchBodyBytes))},
 		{"batch binary", "/v1/ingest/batch", ContentTypeBinary, filler(maxBatchBodyBytes + 1)},
 		{"analyze", "/v1/analyze", ContentTypeJSON,
 			io.MultiReader(strings.NewReader(`{"now":"`), filler(maxBodyBytes))},

@@ -1,67 +1,10 @@
 package nn
 
 import (
-	"math"
 	"testing"
 
 	"nazar/internal/tensor"
 )
-
-func TestDropoutTrainEval(t *testing.T) {
-	d := NewDropout(0.5, tensor.NewRand(1, 1))
-	x := tensor.New(8, 16)
-	x.Fill(1)
-	// Eval/Adapt: identity (same backing data is fine).
-	for _, m := range []Mode{Eval, Adapt} {
-		y := d.Forward(x, m)
-		for _, v := range y.Data {
-			if v != 1 {
-				t.Fatalf("%v mode must be identity", m)
-			}
-		}
-	}
-	// Train: some zeros, survivors scaled by 2, expectation preserved.
-	y := d.Forward(x, Train)
-	zeros, sum := 0, 0.0
-	for _, v := range y.Data {
-		if v == 0 {
-			zeros++
-		} else if math.Abs(v-2) > 1e-12 {
-			t.Fatalf("survivor scaled to %v, want 2", v)
-		}
-		sum += v
-	}
-	if zeros == 0 || zeros == len(y.Data) {
-		t.Fatalf("implausible drop count %d", zeros)
-	}
-	mean := sum / float64(len(y.Data))
-	if math.Abs(mean-1) > 0.3 {
-		t.Fatalf("inverted dropout should preserve expectation: mean %v", mean)
-	}
-	// Backward routes gradients through the same mask.
-	dout := tensor.New(8, 16)
-	dout.Fill(1)
-	dx := d.Backward(dout)
-	for i, v := range y.Data {
-		want := 0.0
-		if v != 0 {
-			want = 2
-		}
-		if dx.Data[i] != want {
-			t.Fatalf("grad %d = %v, want %v", i, dx.Data[i], want)
-		}
-	}
-}
-
-func TestDropoutGradientCheck(t *testing.T) {
-	rng := tensor.NewRand(2, 2)
-	// With P=0 the layer is exact identity even in Train mode.
-	net := NewNetwork(NewDense(4, 6, rng), NewDropout(0, rng), NewDense(6, 3, rng))
-	x := randBatch(3, 5, 4)
-	labels := []int{0, 1, 2, 0, 1}
-	loss := func(l *tensor.Matrix) (float64, *tensor.Matrix) { return CrossEntropy(l, labels) }
-	checkGradients(t, net, x, Train, loss, 1e-4)
-}
 
 func TestCalibrateTemperature(t *testing.T) {
 	rng := tensor.NewRand(3, 3)

@@ -34,9 +34,6 @@ import (
 type Wire struct {
 	// Faults is the injector's schedule; the zero value injects nothing.
 	Faults faultinject.Schedule
-	// Codec frames ingest batches (nil: the transport's default,
-	// binary); httpapi.JSONCodec{} puts the opt-in JSON path under fire.
-	Codec httpapi.Codec
 	// WALDir, when set, gives the cloud a durable drift log there.
 	WALDir string
 	// KillAtWindow, when positive, kill-9s the cloud as that window
@@ -92,7 +89,7 @@ func newWire(w Wire, seed uint64, cloudCfg cloud.Config, reg *obs.Registry, base
 	e.ts = httptest.NewServer(e.injector.Middleware()(http.HandlerFunc(func(rw http.ResponseWriter, r *http.Request) {
 		e.handler.Load().(http.Handler).ServeHTTP(rw, r)
 	})))
-	e.client = transport.NewClient(e.ts.URL, transport.WithCodec(w.Codec), transport.WithConfig(transport.Config{
+	e.client = transport.NewClient(e.ts.URL, transport.WithConfig(transport.Config{
 		MaxBatch:       8,
 		FlushInterval:  time.Hour, // explicit Flush only: keeps the run deterministic
 		RequestTimeout: 2 * time.Second,
@@ -187,7 +184,6 @@ func (e *wireEdge) close(err error) error {
 		err = fmt.Errorf("pipeline: close: %w", cerr)
 	}
 	st, a := e.client.Stats(), &e.audit
-	// What crossed the wire, after any 415 downgrade.
 	a.Codec = e.client.API().Codec.ContentType()
 	a.Acked, a.SpoolDropped = int(st.Acked), int(st.SpoolDropped)
 	a.Retries, a.BreakerOpens = st.Retries, st.BreakerOpens
@@ -237,8 +233,8 @@ func cappedSleep(limit time.Duration) func(context.Context, time.Duration) error
 // inferences to a real httpapi server over the wire edge while a seeded
 // fault injector corrupts the wire.
 type ChaosConfig struct {
-	// Wire is the edge the fleet streams over: its fault schedule,
-	// codec, WAL directory and kill window.
+	// Wire is the edge the fleet streams over: its fault schedule, WAL
+	// directory and kill window.
 	Wire Wire
 	// Devices is the fleet size (default 3).
 	Devices int

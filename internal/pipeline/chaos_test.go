@@ -107,39 +107,31 @@ func TestChaosDeterminism(t *testing.T) {
 }
 
 // TestChaosGolden holds `make chaos`'s output to the checked-in lines:
-// each codec at the three fault-rate presets with the command's defaults
-// (3 devices × 40 inferences, seed 42), encoded as the command encodes
-// them, at GOMAXPROCS 1 and 8. Request boundaries follow the rows and the
-// flushes, not timing, so any diff is a behaviour change.
+// the three fault-rate presets with the command's defaults (3 devices ×
+// 40 inferences, seed 42), encoded as the command encodes them, at
+// GOMAXPROCS 1 and 8. Request boundaries follow the rows and the flushes,
+// not timing, so any diff is a behaviour change.
 func TestChaosGolden(t *testing.T) {
+	want, err := os.ReadFile(filepath.Join("testdata", "chaos-binary.jsonl"))
+	if err != nil {
+		t.Fatal(err)
+	}
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	for _, procs := range []int{1, 8} {
 		runtime.GOMAXPROCS(procs)
-		for _, tc := range []struct {
-			file  string
-			codec httpapi.Codec
-		}{
-			{"chaos-binary.jsonl", nil},
-			{"chaos-json.jsonl", httpapi.JSONCodec{}},
-		} {
-			want, err := os.ReadFile(filepath.Join("testdata", tc.file))
+		var got bytes.Buffer
+		enc := json.NewEncoder(&got)
+		for _, rate := range []float64{0, 0.1, 0.3} {
+			res, err := RunChaos(ChaosConfig{Wire: Wire{Faults: faultinject.Preset(rate)}, Seed: 42})
 			if err != nil {
 				t.Fatal(err)
 			}
-			var got bytes.Buffer
-			enc := json.NewEncoder(&got)
-			for _, rate := range []float64{0, 0.1, 0.3} {
-				res, err := RunChaos(ChaosConfig{Wire: Wire{Faults: faultinject.Preset(rate), Codec: tc.codec}, Seed: 42})
-				if err != nil {
-					t.Fatal(err)
-				}
-				if err := enc.Encode(res); err != nil {
-					t.Fatal(err)
-				}
+			if err := enc.Encode(res); err != nil {
+				t.Fatal(err)
 			}
-			if got.String() != string(want) {
-				t.Fatalf("GOMAXPROCS %d, %s:\n got\n%s want\n%s", procs, tc.file, got.String(), want)
-			}
+		}
+		if got.String() != string(want) {
+			t.Fatalf("GOMAXPROCS %d:\n got\n%s want\n%s", procs, got.String(), want)
 		}
 	}
 }
@@ -218,56 +210,6 @@ func TestChaosKillCloudRejectsObserver(t *testing.T) {
 	cfg.Wire = &Wire{WALDir: t.TempDir(), KillAtWindow: 1}
 	if _, err := Run(ds, nil, cfg); err == nil {
 		t.Fatal("kill with an Observer must be rejected")
-	}
-}
-
-// TestChaosJSONCodec reruns the delivery audit with the fleet opted
-// into JSON bodies instead of the default binary frames: injected
-// truncation, resets, and error statuses must surface as typed failures
-// the transport retries — never a lost acknowledged entry, never a
-// panic — and the drift-log state the cloud ends with still matches
-// what was streamed.
-func TestChaosJSONCodec(t *testing.T) {
-	for _, tc := range []struct {
-		name string
-		rate float64
-	}{
-		{"clean", 0},
-		{"faults_30pct", 0.3},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			res, err := RunChaos(ChaosConfig{Wire: Wire{Faults: faultinject.Preset(tc.rate), Codec: httpapi.JSONCodec{}}, Seed: 19})
-			if err != nil {
-				t.Fatalf("RunChaos(%v): %v", tc.rate, err)
-			}
-			if out, err := json.Marshal(res); err == nil {
-				t.Logf("chaos result: %s", out)
-			}
-			if res.Codec != httpapi.ContentTypeJSON {
-				t.Fatalf("run used codec %q, want JSON", res.Codec)
-			}
-			if res.LostAcked != 0 {
-				t.Fatalf("LOST %d acknowledged entries at fault rate %v with JSON bodies", res.LostAcked, tc.rate)
-			}
-			if res.SpoolDropped != 0 {
-				t.Fatalf("spool dropped %d entries", res.SpoolDropped)
-			}
-			if res.Acked != res.Streamed {
-				t.Fatalf("acked %d of %d streamed", res.Acked, res.Streamed)
-			}
-			if res.AnalyzeOK != 2 {
-				t.Fatalf("completed %d analysis cycles, want 2", res.AnalyzeOK)
-			}
-			if tc.rate == 0 {
-				if res.Delivered != res.Streamed || res.Retries != 0 || res.Duplicates != 0 {
-					t.Fatalf("clean JSON run: delivered=%d/%d retries=%d duplicates=%d",
-						res.Delivered, res.Streamed, res.Retries, res.Duplicates)
-				}
-				if res.Versions == 0 {
-					t.Fatal("clean JSON run installed no adapted versions")
-				}
-			}
-		})
 	}
 }
 

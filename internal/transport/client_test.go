@@ -41,8 +41,7 @@ func (f *fakeSleeper) Slept() []time.Duration {
 
 // ingestServer is a scriptable ingest endpoint: it answers each batch
 // request with the next scripted status (0 = accept) and records every
-// accepted entry and sample, decoded by the codec the request's
-// Content-Type names.
+// accepted entry and sample, decoded from the NZB1 frame.
 type ingestServer struct {
 	t  *testing.T
 	mu sync.Mutex
@@ -73,22 +72,18 @@ func (s *ingestServer) handler() http.Handler {
 			}
 		}
 		ct := r.Header.Get("Content-Type")
-		codec, ok := httpapi.CodecFor(ct)
-		if !ok {
-			s.t.Errorf("ingestServer: unknown content type %q", ct)
-			http.Error(w, "unknown content type", http.StatusUnsupportedMediaType)
+		if ct != httpapi.ContentTypeBinary {
+			s.t.Errorf("ingestServer: content type %q, want %q", ct, httpapi.ContentTypeBinary)
+			http.Error(w, "unsupported content type", http.StatusUnsupportedMediaType)
 			return
 		}
-		f, err := codec.DecodeBatch(r.Body, 0)
+		f, err := httpapi.BinaryCodec{}.DecodeBatch(r.Body, 0)
 		if err != nil {
 			s.t.Errorf("ingestServer: bad body: %v", err)
 			http.Error(w, err.Error(), http.StatusBadRequest)
 			return
 		}
-		entries, samples := f.Entries, f.Samples
-		if f.Columns != nil {
-			entries, samples = f.Columns.Entries(), f.Columns.Samples
-		}
+		entries, samples := f.Columns.Entries(), f.Columns.Samples
 		if samples == nil {
 			samples = make([][]float64, len(entries))
 		}

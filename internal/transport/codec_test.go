@@ -3,85 +3,54 @@ package transport
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"log/slog"
 	"maps"
 	"math"
 	"net/http"
 	"net/http/httptest"
-	"strconv"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"nazar/internal/cloud"
 	"nazar/internal/driftlog"
 	"nazar/internal/httpapi"
+	"nazar/internal/nn"
+	"nazar/internal/tensor"
 )
 
-// legacyServer mimics a cloud that predates the binary codec: any
-// non-JSON Content-Type gets the 415 + codec_unsupported envelope a
-// real httpapi server would emit, JSON is accepted normally.
-type legacyServer struct {
-	mu       sync.Mutex
-	accepted int
-	refused  int
-}
-
-func (s *legacyServer) handler() http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		ct := r.Header.Get("Content-Type")
-		if ct != "" && ct != "application/json" {
-			s.mu.Lock()
-			s.refused++
-			s.mu.Unlock()
-			w.Header().Set("Content-Type", "application/json")
-			w.WriteHeader(http.StatusUnsupportedMediaType)
-			_, _ = w.Write([]byte(`{"error":{"code":"codec_unsupported","message":"httpapi: unsupported content type"}}`))
-			return
-		}
-		var req struct {
-			Entries []driftlog.Entry `json:"entries"`
-			Samples [][]float64      `json:"samples"`
-		}
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-			http.Error(w, err.Error(), http.StatusBadRequest)
-			return
-		}
-		s.mu.Lock()
-		s.accepted += len(req.Entries)
-		s.mu.Unlock()
-		w.Header().Set("Content-Type", "application/json")
-		_, _ = w.Write([]byte(`{"accepted":` + strconv.Itoa(len(req.Entries)) + `}`))
-	})
-}
-
-// TestCodecDowngradeOnUnsupported: a default client (binary frames)
-// talking to a JSON-only server — a new device meeting an old cloud —
-// must not poison-drop the batch: it downgrades to JSON stickily and
-// re-delivers the same entries.
-func TestCodecDowngradeOnUnsupported(t *testing.T) {
-	srv := &legacyServer{}
-	ts := httptest.NewServer(srv.handler())
+// TestCodecRefusalIsPermanent: a client set to ship JSON bodies meets the
+// ingest route, which takes NZB1 frames only. Its 415 is a permanent
+// rejection like any 4xx: the batch is dropped as poison — counted,
+// reported to OnDrop, logged with the content type it went as — after one
+// request, with no retry and no re-send in another codec, and the store
+// holds no row.
+func TestCodecRefusalIsPermanent(t *testing.T) {
+	svc := cloud.NewService(nn.NewClassifier(nn.ArchResNet18, 8, 2, tensor.NewRand(7, 1)), cloud.DefaultConfig())
+	api := httpapi.NewServer(svc, httpapi.WithLogger(slog.New(slog.DiscardHandler)))
+	var requests atomic.Int64
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		requests.Add(1)
+		api.ServeHTTP(w, r)
+	}))
 	defer ts.Close()
 
 	var logBuf bytes.Buffer
 	var logMu sync.Mutex
+	var dropped []string
 	clock := newFakeClock()
-	sleeper := &fakeSleeper{clock: clock}
 	c := NewClient(ts.URL,
+		WithCodec(httpapi.JSONCodec{}),
 		WithConfig(Config{
-			MaxBatch:       4,
-			FlushInterval:  time.Hour,
-			RequestTimeout: 5 * time.Second,
-			MaxAttempts:    4,
-			SpoolCapacity:  64,
-			Backoff:        BackoffConfig{Base: time.Millisecond, Max: 10 * time.Millisecond, Factor: 2, Jitter: -1},
-			Breaker:        BreakerConfig{Threshold: 100, Cooldown: time.Minute},
-			Logger:         slog.New(slog.NewTextHandler(lockedWriter{&logMu, &logBuf}, nil)),
-			Now:            clock.Now,
-			Sleep:          sleeper.Sleep,
+			MaxBatch:      4,
+			FlushInterval: time.Hour,
+			Logger:        slog.New(slog.NewTextHandler(lockedWriter{&logMu, &logBuf}, nil)),
+			OnDrop:        func(_ driftlog.Entry, reason string) { dropped = append(dropped, reason) },
+			Now:           clock.Now,
+			Sleep:         (&fakeSleeper{clock: clock}).Sleep,
 		}),
 	)
 	defer func() {
@@ -98,42 +67,25 @@ func TestCodecDowngradeOnUnsupported(t *testing.T) {
 	if err := c.Flush(context.Background()); err != nil {
 		t.Fatalf("Flush: %v", err)
 	}
-
-	srv.mu.Lock()
-	accepted, refused := srv.accepted, srv.refused
-	srv.mu.Unlock()
-	if refused == 0 {
-		t.Fatal("server never saw the binary codec; test is vacuous")
+	if st := c.Stats(); st.Rejected != 3 || st.Acked != 0 || st.Retries != 0 || st.SpoolDepth != 0 {
+		t.Fatalf("stats = %+v, want 3 rejected, none acked, retried or spooled", st)
 	}
-	if accepted != 3 {
-		t.Fatalf("server accepted %d entries after downgrade, want 3", accepted)
+	if n := requests.Load(); n != 1 {
+		t.Fatalf("%d requests, want the 1 the route refused", n)
 	}
-	st := c.Stats()
-	if st.Rejected != 0 {
-		t.Fatalf("downgrade counted %d rejected entries, want 0", st.Rejected)
-	}
-	if ct := c.API().Codec.ContentType(); ct != httpapi.ContentTypeJSON {
-		t.Fatalf("codec is %q after downgrade; next batch would 415 again", ct)
+	if !slices.Equal(dropped, []string{"rejected", "rejected", "rejected"}) {
+		t.Fatalf("OnDrop reasons %q, want 3 rejected", dropped)
 	}
 	logMu.Lock()
 	logs := logBuf.String()
 	logMu.Unlock()
-	if !strings.Contains(logs, "downgrading to json") || !strings.Contains(logs, "application/x-nazar-batch") {
-		t.Fatalf("downgrade not logged with the refused content type:\n%s", logs)
+	for _, want := range []string{"batch rejected", "content_type=" + httpapi.ContentTypeJSON, httpapi.CodeCodecUnsupported} {
+		if !strings.Contains(logs, want) {
+			t.Fatalf("rejection log missing %q:\n%s", want, logs)
+		}
 	}
-
-	// Subsequent batches go straight to JSON: refused count stays put.
-	if err := c.Report(entryN(9), nil); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.Flush(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	srv.mu.Lock()
-	refused2 := srv.refused
-	srv.mu.Unlock()
-	if refused2 != refused {
-		t.Fatalf("client retried the refused codec (%d -> %d refusals)", refused, refused2)
+	if n := svc.Log().Len(); n != 0 {
+		t.Fatalf("refused batch landed %d rows", n)
 	}
 }
 

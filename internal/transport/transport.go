@@ -199,11 +199,9 @@ func WithConfig(cfg Config) Option {
 }
 
 // WithCodec selects the ingest wire codec. nil keeps httpapi.Client's
-// default, httpapi.BinaryCodec{} (the drift log's NZB1 frame);
-// httpapi.JSONCodec{} opts into JSON. If the server refuses the codec
-// (415 / codec_unsupported) the client logs it and downgrades to JSON
-// for the rest of its life, so a fleet can roll a new codec before its
-// cloud does.
+// default, httpapi.BinaryCodec{} (the drift log's NZB1 frame), the one
+// body the ingest route takes: it refuses any other codec's batches with
+// a 415, which the client drops as a permanent rejection like any 4xx.
 func WithCodec(c httpapi.Codec) Option {
 	return func(o *clientOptions) { o.codec = c }
 }
@@ -376,13 +374,6 @@ func (c *Client) sendBatch(ctx context.Context, entries []driftlog.Entry, sample
 		}
 		return nil
 	case isPermanent(err):
-		if c.downgradeCodec(err) {
-			// The server refused the codec, not the data. Re-send the
-			// same batch as JSON instead of poison-dropping it; the
-			// codec is already pinned to JSON (we hold drainMu), so the
-			// recursion cannot downgrade twice.
-			return c.sendBatch(ctx, entries, samples, lastSeq)
-		}
 		// The server understood the request and refused it; retrying
 		// the same bytes cannot succeed. Drop the batch rather than
 		// wedging the spool behind a poison batch.
@@ -466,28 +457,6 @@ func isPermanent(err error) bool {
 		return apiErr.Status >= 400 && apiErr.Status < 500 && apiErr.Status != http.StatusTooManyRequests
 	}
 	return false
-}
-
-// downgradeCodec checks whether a permanent rejection is really a
-// codec-negotiation failure (415 or codec_unsupported) while a
-// non-JSON codec is configured. If so it stickily pins JSON — the
-// caller holds drainMu, which serializes every sendBatch — and reports
-// that the batch deserves one more attempt as JSON.
-func (c *Client) downgradeCodec(err error) bool {
-	if c.api.Codec.ContentType() == httpapi.ContentTypeJSON {
-		return false
-	}
-	var apiErr *httpapi.APIError
-	if !errors.As(err, &apiErr) {
-		return false
-	}
-	if apiErr.Code != httpapi.CodeCodecUnsupported && apiErr.Status != http.StatusUnsupportedMediaType {
-		return false
-	}
-	c.cfg.Logger.Warn("transport: server refused codec, downgrading to json",
-		"content_type", c.api.Codec.ContentType(), "err", err)
-	c.api.Codec = httpapi.JSONCodec{}
-	return true
 }
 
 // bodySnippet extracts a bounded slice of the server's response body
