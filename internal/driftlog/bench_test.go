@@ -175,7 +175,7 @@ func BenchmarkPairCounts(b *testing.B) {
 	// above 1% of the window's rows, which no device is.
 	b.Run("masked/suffix-window/1M", func(b *testing.B) {
 		v := benchStore1M().Window(time.Unix(800, 0), time.Time{})
-		mask, floor := ValueMask{}, v.Len()/100
+		mask, floor := valueMask{}, v.Len()/100
 		for attr, byVal := range valueMap(v.AttrValueCounts(nil)) {
 			for val, cr := range byVal {
 				if cr.Total >= floor {
@@ -189,7 +189,7 @@ func BenchmarkPairCounts(b *testing.B) {
 		pairs := 0
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			pairs = len(v.PairCountsMasked(nil, mask))
+			pairs = len(maskedPairs(v, nil, mask))
 		}
 		b.ReportMetric(rowsSpanned(v), "rows-visited")
 		b.ReportMetric(float64(pairs), "pairs")
@@ -206,13 +206,17 @@ func BenchmarkAttrValueCounts(b *testing.B) {
 			refAttrValueCounts(v, nil)
 		}
 	})
-	b.Run("bitset/100k", func(b *testing.B) {
-		v := s.All()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			v.AttrValueCounts(nil)
-		}
-	})
+	// The first 10k rows (one a millisecond) and the whole log: the sizes
+	// eachShard's fan-out cut-off is read against.
+	for _, n := range []int{10_000, 100_000} {
+		b.Run(fmt.Sprintf("bitset/%dk", n/1000), func(b *testing.B) {
+			v := s.Window(time.Time{}, time.Unix(0, 0).Add(time.Duration(n)*time.Millisecond))
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				v.AttrValueCounts(nil)
+			}
+		})
+	}
 	// A Since delta of the newest 32 rows of every shard of the 1M-row log:
 	// 512 rows, the size of a grown window's delta.
 	b.Run("delta-512/1M", func(b *testing.B) {

@@ -1,6 +1,6 @@
 // Bitset index layer: per-(attribute, value) bitmaps maintained at
 // append time in every shard, plus a bitset drift/clear overlay, so
-// support counting (Count, ClearDrift, AttrValueCounts, PairCounts) is a
+// support counting (Count, ClearDrift, AttrValueCounts, ExtensionCounts) is a
 // word-wise AND + popcount instead of a row scan. The row-scan loops the
 // index replaced live on as the tests' independent reference
 // (scanref_test.go) — the same contract as the blocked-vs-naive tensor
@@ -183,7 +183,7 @@ func (ov *Overlay) materialize(si int) []uint64 {
 
 // driftAt reads one row's (possibly overlaid) drift flag; a nil overlay
 // reads the stored flag. This is the row-wise access path of the row
-// walks (eachMatch, valueScan, pairScanInto).
+// walks (eachMatch, valueScan, walkGroup, PairCounts).
 func (ov *Overlay) driftAt(vs *viewShard, si, row int) bool {
 	w := ov.words(si)
 	if w == nil {
@@ -197,24 +197,30 @@ func (ov *Overlay) bump() { ov.epoch = overlayEpochSeq.Add(1) }
 
 // condBitmaps snapshots the shard's bitmaps of the resolved conditions under
 // one read lock of the shard. match=false means the predicate can never match
-// in this shard: a column or value it does not hold. dst is the caller's
-// (stack) buffer for the common small-itemset case.
-func (vs *viewShard) condBitmaps(refs []condRef, dst []bmSnap) (bms []bmSnap, match bool) {
+// in this shard: a column or value it does not hold. tiered reports a
+// condition on a column with no bitmaps, which leaves bms short: the caller
+// walks rows instead (Count and ClearDrift never get here with one). dst is
+// the caller's (stack) buffer for the common small-itemset case.
+func (vs *viewShard) condBitmaps(refs []Item, dst []bmSnap) (bms []bmSnap, match, tiered bool) {
 	bms = dst[:0]
 	vs.mu.RLock()
 	defer vs.mu.RUnlock()
 	for _, r := range refs {
-		col, ok := vs.col(r.pos)
+		col, ok := vs.col(r.Pos)
 		if !ok {
-			return nil, false
+			return nil, false, false
 		}
-		bm := vs.snap(col, r.id)
+		if col.live.tiered {
+			tiered = true
+			continue
+		}
+		bm := vs.snap(col, r.ID)
 		if len(bm.words) == 0 && bm.tail == 0 {
-			return nil, false
+			return nil, false, false
 		}
 		bms = append(bms, bm)
 	}
-	return bms, true
+	return bms, true, tiered
 }
 
 // windowEnd is the exclusive upper word bound of an AND of the window
@@ -341,18 +347,19 @@ func (vs *viewShard) andPopcountConj(bms []bmSnap, flags []uint64, full int) (to
 	return total, drift
 }
 
-// andCount is andPopcount against operands already laid out densely: acc
-// and drift hold words [lo, n) of a shard (index 0 = word lo), and the
-// result counts acc AND the bitmap, and of those the drift-flagged.
-func (b bmSnap) andCount(acc, drift []uint64, lo, n, fw int) (total, flagged int) {
+// andCount is andPopcount against a dense operand: acc holds words [lo, n)
+// of a shard (index 0 = word lo), flags the drift words as andPopcount reads
+// them and tail the drift word at fw, and the result counts acc AND the
+// bitmap, and of those the drift-flagged.
+func (b bmSnap) andCount(acc, flags []uint64, tail uint64, lo, n, fw int) (total, flagged int) {
 	full := min(n, fw)
 	if lo < full {
-		total, flagged = popcountAnd(acc[:full-lo], b.words[lo:full], drift[:full-lo])
+		total, flagged = popcountAnd(acc[:full-lo], b.words[lo:full], flags[min(lo, len(flags)):min(full, len(flags))])
 	}
 	if full < n {
 		a := acc[full-lo] & b.tail
 		total += bits.OnesCount64(a)
-		flagged += bits.OnesCount64(a & drift[full-lo])
+		flagged += bits.OnesCount64(a & tail)
 	}
 	return total, flagged
 }
@@ -360,7 +367,7 @@ func (b bmSnap) andCount(acc, drift []uint64, lo, n, fw int) (total, flagged int
 // countBitset is the indexed Count path: word-wise AND + popcount per
 // shard, sequential (popcounting a shard is far below the parallel
 // fan-out's break-even point).
-func (v *View) countBitset(refs []condRef, ov *Overlay) CountResult {
+func (v *View) countBitset(refs []Item, ov *Overlay) CountResult {
 	var out CountResult
 	var buf [4]bmSnap
 	for si := range v.shards {
@@ -368,7 +375,7 @@ func (v *View) countBitset(refs []condRef, ov *Overlay) CountResult {
 		if vs.wlo == vs.whi {
 			continue // no window row in this shard
 		}
-		bms, match := vs.condBitmaps(refs, buf[:])
+		bms, match, _ := vs.condBitmaps(refs, buf[:])
 		if !match {
 			continue
 		}
@@ -382,7 +389,7 @@ func (v *View) countBitset(refs []condRef, ov *Overlay) CountResult {
 // clearDriftBitset clears the overlaid drift flag of every in-window
 // row matching the conditions: overlay &^= (conds AND window), counting
 // cleared bits by popcount.
-func (v *View) clearDriftBitset(refs []condRef, ov *Overlay) int {
+func (v *View) clearDriftBitset(refs []Item, ov *Overlay) int {
 	cleared := 0
 	var cb [4]bmSnap
 	for si := range v.shards {
@@ -390,7 +397,7 @@ func (v *View) clearDriftBitset(refs []condRef, ov *Overlay) int {
 		if vs.wlo == vs.whi {
 			continue // no window row in this shard
 		}
-		bms, match := vs.condBitmaps(refs, cb[:])
+		bms, match, _ := vs.condBitmaps(refs, cb[:])
 		if !match {
 			continue
 		}
@@ -436,6 +443,7 @@ const maxValueSweep = 128
 // the counts of two views of one store add by id over the shorter.
 type AttrCounts struct {
 	Name   string
+	Pos    int // the attribute's position, as an Item names it
 	Dict   []string
 	Counts []CountResult
 }
@@ -475,19 +483,22 @@ func (v *View) AttrValueCounts(ov *Overlay, floor ...Floor) []AttrCounts {
 	v.s.dictMu.RUnlock()
 	out := make([]AttrCounts, len(attrs))
 	counting := make([]bool, len(attrs)) // the attribute has a value to count
+	swept := 0                           // the values counted: the bitmaps a shard sweeps at most
 	for a, at := range attrs {
-		out[a] = AttrCounts{Name: at.name, Dict: at.vals, Counts: make([]CountResult, len(at.vals))}
+		out[a] = AttrCounts{Name: at.name, Pos: at.pos, Dict: at.vals, Counts: make([]CountResult, len(at.vals))}
+		n := 0
 		switch {
 		case slices.Contains(fl.Exclude, at.name):
 			fillUncounted(out[a].Counts)
 		case fl.level() < 0: // every value clears it
-			counting[a] = true
+			n = len(at.vals) - 1
 		default:
-			counting[a] = v.applyFloor(at.pos, out[a].Counts, fl)
+			n = v.applyFloor(at.pos, out[a].Counts, fl)
 		}
+		counting[a], swept = n > 0, swept+n
 	}
 	var partial [numShards][]idCount
-	v.eachShard(func(si int) { partial[si] = v.shards[si].valueCounts(ov, si, attrs, counting, out) })
+	v.eachShard(swept, func(si int) { partial[si] = v.shards[si].valueCounts(ov, si, attrs, counting, out) })
 	for _, p := range partial {
 		for _, c := range p {
 			sum := &out[c.a].Counts[c.id]
@@ -509,7 +520,7 @@ func (f Floor) level() int {
 }
 
 // applyFloor marks Uncounted every slot of counts (the attribute at pos)
-// whose value's row bound fails the floor, reporting whether any value is
+// whose value's row bound fails the floor, returning how many values are
 // left to count. The bound sums the row counts of the columns the view
 // pinned, read under the shard lock: appends only grow them and Compact and
 // tierUp replace columns, so it is never below the view's count. It is
@@ -517,7 +528,7 @@ func (f Floor) level() int {
 // the floor's level has under 2^level rows in each, which fails the floor;
 // a listed one clears it on the listing shards' rows alone, or fails it
 // even with 2^level−1 rows from every other shard.
-func (v *View) applyFloor(pos int, counts []CountResult, fl Floor) bool {
+func (v *View) applyFloor(pos int, counts []CountResult, fl Floor) int {
 	level := fl.level()
 	// Each listed id's rows in the shards listing it (Total), and how many
 	// shards do (Drift).
@@ -564,7 +575,7 @@ func (v *View) applyFloor(pos int, counts []CountResult, fl Floor) bool {
 	for _, id := range kept {
 		counts[id].Total = 0
 	}
-	return len(kept) > 0
+	return len(kept)
 }
 
 // eachColumnLocked calls f with every shard's pinned column at position pos,
@@ -621,7 +632,6 @@ func (vs *viewShard) valueCounts(ov *Overlay, si int, attrs []selAttr, counting 
 		}
 	}
 	out := make([]idCount, 0, held)
-	var rows []int32
 	var idBuf [maxValueSweep + 1]uint32
 	var buf [maxValueSweep]bmSnap
 	for a, at := range attrs {
@@ -639,10 +649,7 @@ func (vs *viewShard) valueCounts(ov *Overlay, si int, attrs []selAttr, counting 
 			}
 		}
 		if col.live.tiered || len(ids) > maxValueSweep {
-			if rows == nil {
-				rows = vs.windowRows(make([]int32, 0, 64*(vs.whi-vs.wlo)))
-			}
-			out = vs.valueScan(ov, si, rows, col, uint32(a), marks, out)
+			out = vs.valueScan(ov, si, col, uint32(a), marks, out)
 			continue
 		}
 		bms := vs.snapAll(buf[:0], col, ids)
@@ -655,311 +662,260 @@ func (vs *viewShard) valueCounts(ov *Overlay, si int, attrs []selAttr, counting 
 	return out
 }
 
-// ValueMask restricts a pair group-by: per attribute, the values that may
-// appear in a counted pair. An attribute the mask does not name, or names
-// with no value, contributes no pair and its rows are never walked.
-type ValueMask map[string]map[string]bool
-
-// pairSel is what one pair group-by counts: exactly the mask's values, or —
-// with a nil mask — every value of every attribute outside exclude.
-type pairSel struct {
-	mask    ValueMask
-	exclude map[string]bool
-}
-
 // selAttr is one attribute of a group-by: its name, position (column.pos)
-// and pinned dictionary, and for a pair group-by the selection resolved to
-// store ids once per query: ids lists the kept ids ascending, and slot maps
-// an id to its 1-based position in ids (0 = not kept).
+// and pinned dictionary.
 type selAttr struct {
-	name      string
-	pos       int
-	vals      []string
-	ids, slot []uint32
+	name string
+	pos  int
+	vals []string
 }
 
-// selAttrs resolves the selection against the view's dictionaries: the
-// attributes with at least one kept value, in name order, so pair keys come
-// out canonical (AttrA < AttrB).
-func (v *View) selAttrs(sel pairSel) []selAttr {
-	var out []selAttr
-	v.s.dictMu.RLock()
-	defer v.s.dictMu.RUnlock()
-	for _, sa := range v.attrs() {
-		if sel.mask == nil && !sel.exclude[sa.name] {
-			for id := 1; id < len(sa.vals); id++ {
-				sa.ids = append(sa.ids, uint32(id))
+// Group is one prefix itemset and the values apriori-gen extends it by:
+// ExtensionCounts counts Prefix ∪ {e} for each e of Ext. The Ext values are
+// distinct and lie on attributes outside the prefix.
+type Group struct {
+	Prefix, Ext []Item
+}
+
+// ExtensionCounts is the count under apriori's levels 2 and up: out[g][k] is
+// the window rows matching every value of groups[g].Prefix and
+// groups[g].Ext[k], and of those the drift-flagged (ov's flags when
+// non-nil). Shards count in parallel, a group at a time: the window is ANDed
+// with the prefix's bitmaps once, into a reused buffer, and each extension's
+// bitmap is popcounted against it and the drift words. A group with a tiered
+// column, or with more than maxValueSweep extensions, walks the prefix's
+// rows instead (walkGroup). The shards' dense partials add into one array,
+// which out slices by group.
+func (v *View) ExtensionCounts(ov *Overlay, groups []Group) [][]CountResult {
+	// The distinct extension values, numbered once so a shard snaps each
+	// bitmap once however many groups it extends: ext[i] numbers the value
+	// of the flat output's slot i.
+	num, items, ext, operands := map[Item]int{}, []Item(nil), []int(nil), 0
+	for _, g := range groups {
+		operands += len(g.Prefix) + len(g.Ext)
+		for _, e := range g.Ext {
+			j, ok := num[e]
+			if !ok {
+				j, num[e], items = len(items), len(items), append(items, e)
 			}
-		}
-		for val := range sel.mask[sa.name] {
-			if id := v.s.dicts[sa.name].index[val]; id != 0 && int(id) < len(sa.vals) {
-				sa.ids = append(sa.ids, id)
-			}
-		}
-		if len(sa.ids) > 0 {
-			slices.Sort(sa.ids)
-			sa.slot = slotTable(sa.ids, len(sa.vals))
-			out = append(out, sa)
+			ext = append(ext, j)
 		}
 	}
-	return out
-}
-
-// slotTable maps each of ids to its 1-based position, over ids below n.
-func slotTable(ids []uint32, n int) []uint32 {
-	slot := make([]uint32, n)
-	for i, id := range ids {
-		slot[id] = uint32(i) + 1
-	}
-	return slot
-}
-
-// keptCol is one shard column of a pair group-by with its kept values in
-// slots 1..len(ids): a tiered column's are the query's (selAttr); on the
-// bitmaps they are those the shard holds, which is what routing counts.
-type keptCol struct {
-	a         int // index into the query's selAttrs
-	c         viewCol
-	ids, slot []uint32 // slot-1 → id; id → slot (0 = not kept)
-	bms       []bmSnap // parallel to ids, on the bitmaps
-}
-
-// keptCols resolves the query's selection against the shard: its columns
-// with at least one kept value, in name order, with their kept bitmaps.
-func (vs *viewShard) keptCols(attrs []selAttr) []keptCol {
-	kept := make([]keptCol, 0, len(attrs))
-	for a := range attrs {
-		sa := &attrs[a]
-		c, ok := vs.col(sa.pos)
-		if !ok {
-			continue
-		}
-		k := keptCol{a: a, c: c, ids: sa.ids, slot: sa.slot}
-		if !c.live.tiered {
-			k.ids = nil
-			for _, id := range c.held {
-				if sa.slot[id] != 0 {
-					k.ids = append(k.ids, id)
-				}
-			}
-			k.slot, k.bms = slotTable(k.ids, len(sa.vals)), vs.snapAll(nil, c, k.ids)
-		}
-		if len(k.ids) > 0 {
-			kept = append(kept, k)
-		}
-	}
-	return kept
-}
-
-// pairCount is one pair of a shard's partial group-by in store-id space:
-// the two attributes, as indices into the query's selAttrs (a < b), and
-// their values' ids.
-type pairCount struct {
-	a, b     int
-	ida, idb uint32
-	n        CountResult
-}
-
-// maxPairCross bounds the kept-value cross product per attribute pair that
-// the pair group-by popcounts. Each kept pair costs one popcountAnd word
-// per window word (window rows / 64); a row visit of pairScanInto's dense
-// table costs about four words of the Go loop, so popcounting wins while
-// |Ka|·|Kb| stays under 64·4; beyond that the shard walks its window rows
-// for that attribute pair only. The AVX2 body would break even near 800
-// (DESIGN.md §5g); the bound is the Go loop's, the only body off amd64.
-const maxPairCross = 256
-
-// pairCounts is the one pair group-by: the selection resolved to store ids
-// once, shards in parallel counting in id space, the per-shard partials
-// added by id and each pair's strings built once.
-func (v *View) pairCounts(ov *Overlay, sel pairSel) map[PairKey]CountResult {
-	attrs := v.selAttrs(sel)
-	var partial [numShards][]pairCount
-	v.eachShard(func(si int) { partial[si] = v.shards[si].pairCounts(ov, si, attrs) })
-	// One map per attribute pair, keyed by the two ids: a 64-bit key.
-	sums := make([]map[uint64]CountResult, len(attrs)*len(attrs))
+	var partial [numShards][]CountResult
+	v.eachShard(operands, func(si int) { partial[si] = v.shards[si].extCounts(ov, si, groups, items, ext) })
+	flat, out := make([]CountResult, len(ext)), make([][]CountResult, len(groups))
 	for _, p := range partial {
-		for _, pc := range p {
-			m := &sums[pc.a*len(attrs)+pc.b]
-			if *m == nil {
-				*m = map[uint64]CountResult{}
-			}
-			k := uint64(pc.ida)<<32 | uint64(pc.idb)
-			cr := (*m)[k]
-			cr.Total += pc.n.Total
-			cr.Drift += pc.n.Drift
-			(*m)[k] = cr
+		for i, c := range p {
+			flat[i] = CountResult{Total: flat[i].Total + c.Total, Drift: flat[i].Drift + c.Drift}
 		}
 	}
-	n := 0
-	for _, m := range sums {
-		n += len(m)
-	}
-	out := make(map[PairKey]CountResult, n)
-	for ab, m := range sums {
-		a, b := &attrs[ab/len(attrs)], &attrs[ab%len(attrs)]
-		for k, cr := range m {
-			out[PairKey{AttrA: a.name, ValA: a.vals[k>>32], AttrB: b.name, ValB: b.vals[uint32(k)]}] = cr
-		}
+	for gi := range groups {
+		out[gi], flat = flat[:len(groups[gi].Ext):len(groups[gi].Ext)], flat[len(groups[gi].Ext):]
 	}
 	return out
 }
 
-// pairCounts is one shard's share of the group-by. For each pair of kept
-// columns: while the kept cross product stays within maxPairCross, AND the
-// window with each kept value bitmap of the first once and popcount it
-// against each kept value bitmap of the second, all over the window's word
-// range [wlo, whi); past it, or with a tiered side (no bitmaps), one walk
-// of the window's rows.
-func (vs *viewShard) pairCounts(ov *Overlay, si int, attrs []selAttr) []pairCount {
+// extScratch is one shard's state across an extension count's groups: the
+// overlay, the window AND a prefix over the words [wlo, whi), every
+// extension value and its bitmap (a group's gathered into ext), and the
+// walk's tables, built at the first walk: the extension columns, and which
+// values the walked group extends by (member: value number → 1-based slot).
+type extScratch struct {
+	ov       *Overlay
+	si       int
+	buf      []uint64
+	pre      [4]bmSnap
+	items    []Item
+	bms, ext []bmSnap
+	tiered   []bool
+	cols     []extCol
+	member   []int32
+}
+
+// extCol is one column the extension values lie on: its ids and a dense
+// table from store id to 1 + the value's number.
+type extCol struct {
+	ids  []uint32
+	slot []int32
+}
+
+// extCounts is one shard's share of ExtensionCounts: every group's counts,
+// laid out as the call's flat output, whose slot i extends by items[ext[i]].
+func (vs *viewShard) extCounts(ov *Overlay, si int, groups []Group, items []Item, ext []int) []CountResult {
 	if vs.wlo == vs.whi {
 		return nil // no window row in this shard
 	}
-	cols := vs.keptCols(attrs)
-	fw := vs.fullWords
-	lo, n := vs.wlo, vs.whi
-	var out []pairCount
-	var rows []int32
-	var winA, drift []uint64 // words [lo, n): window AND one value of a, drift flags
-	for a := 0; a < len(cols); a++ {
-		for b := a + 1; b < len(cols); b++ {
-			ka, kb := &cols[a], &cols[b]
-			if ka.c.live.tiered || kb.c.live.tiered || len(ka.ids)*len(kb.ids) > maxPairCross {
-				if rows == nil {
-					rows = vs.windowRows(make([]int32, 0, 64*(n-lo)))
-				}
-				out = vs.pairScanInto(ov, si, rows, ka, kb, out)
-				continue
-			}
-			if winA == nil {
-				winA, drift = make([]uint64, n-lo), make([]uint64, n-lo)
-				if ovWords := ov.words(si); ovWords != nil {
-					copy(drift, ovWords[lo:n])
-				} else {
-					copy(drift, vs.driftBM.words[min(lo, len(vs.driftBM.words)):])
-					if n > fw {
-						drift[fw-lo] = vs.driftBM.tail
-					}
-				}
-			}
-			out = slices.Grow(out, len(ka.ids)*len(kb.ids))
-			for sa, bmA := range ka.bms {
-				na := min(bmA.effLen(fw), n)
-				if na <= lo {
-					continue
-				}
-				full := min(na, fw)
-				win := vs.window.words[:na-lo]
-				any := uint64(0)
-				for i, x := range bmA.words[lo:full] {
-					winA[i] = win[i] & x
-					any |= winA[i]
-				}
-				if full < na {
-					winA[full-lo] = win[full-lo] & bmA.tail
-					any |= winA[full-lo]
-				}
-				if any == 0 {
-					continue
-				}
-				for sb, bmB := range kb.bms {
-					total, flagged := bmB.andCount(winA, drift, lo, min(bmB.effLen(fw), na), fw)
-					if total == 0 {
-						continue
-					}
-					out = append(out, pairCount{ka.a, kb.a, ka.ids[sa], kb.ids[sb], CountResult{Total: total, Drift: flagged}})
-				}
-			}
+	out := make([]CountResult, len(ext))
+	sc := &extScratch{ov: ov, si: si, buf: make([]uint64, vs.whi-vs.wlo), items: items,
+		bms: make([]bmSnap, len(items)), ext: make([]bmSnap, 0, len(items)), tiered: make([]bool, len(items))}
+	vs.mu.RLock() // each extension value's bitmap, snapped once; none where the shard holds no column
+	for j, e := range items {
+		if c, ok := vs.col(e.Pos); ok && c.live.tiered {
+			sc.tiered[j] = true
+		} else if ok {
+			sc.bms[j] = vs.snap(c, e.ID)
+		}
+	}
+	vs.mu.RUnlock()
+	for i, gi := 0, 0; gi < len(groups); i, gi = i+len(groups[gi].Ext), gi+1 {
+		g, gext, counts := groups[gi], ext[i:i+len(groups[gi].Ext)], out[i:i+len(groups[gi].Ext)]
+		pre, match, tiered := vs.condBitmaps(g.Prefix, sc.pre[:])
+		sc.ext = sc.ext[:0]
+		for _, j := range gext {
+			sc.ext, tiered = append(sc.ext, sc.bms[j]), tiered || sc.tiered[j]
+		}
+		switch {
+		case !match:
+		case tiered || len(g.Ext) > maxValueSweep:
+			vs.walkGroup(sc, g.Prefix, gext, counts)
+		default:
+			vs.popcountGroup(sc, pre, counts)
 		}
 	}
 	return out
 }
 
-// windowRows appends the shard's window rows to dst in row order.
-func (vs *viewShard) windowRows(dst []int32) []int32 {
-	vs.eachWindowRow(func(i int) { dst = append(dst, int32(i)) })
-	return dst
-}
-
-// idCounts counts rows by an integer key below space: in a dense table
-// when that is no larger than a few slots per row, through a key → slot map
-// otherwise (high-cardinality columns over few rows).
-type idCounts struct {
-	counts []CountResult  // dense: indexed by key; map mode: by slot
-	slot   map[uint64]int // map mode only
-	keys   []uint64       // map mode: slot → key
-}
-
-func newIDCounts(space, rows int) idCounts {
-	if space <= 4*rows {
-		return idCounts{counts: make([]CountResult, space)}
+// popcountGroup counts a group whose prefix bitmaps are pre and extension
+// bitmaps sc.ext: the window AND pre into sc.buf once, then one kernel call
+// an extension.
+func (vs *viewShard) popcountGroup(sc *extScratch, pre []bmSnap, counts []CountResult) {
+	lo, n, fw := vs.wlo, vs.windowEnd(pre), vs.fullWords
+	if n <= lo {
+		return // a prefix bitmap ends before the window starts
 	}
-	return idCounts{slot: map[uint64]int{}}
+	buf, full := sc.buf[:n-lo], min(n, fw)
+	ovWords, tail := sc.ov.words(sc.si), uint64(0)
+	if lo < full {
+		vs.andWords(buf[:full-lo], pre, lo)
+	}
+	if full < n {
+		buf[full-lo], tail = vs.andWord(pre, full), vs.driftWord(ovWords, full)
+	}
+	flags := ovWords
+	if flags == nil {
+		flags = vs.driftBM.words // may end before the window: no drift past its end
+	}
+	for k, bm := range sc.ext {
+		counts[k].Total, counts[k].Drift = bm.andCount(buf, flags, tail, lo, min(bm.effLen(fw), n), fw)
+	}
 }
 
-// add counts one row under key.
-func (c *idCounts) add(key uint64, drift bool) {
-	j := int(key)
-	if c.slot != nil {
-		var ok bool
-		if j, ok = c.slot[key]; !ok {
-			j = len(c.keys)
-			c.slot[key] = j
-			c.keys = append(c.keys, key)
-			c.counts = append(c.counts, CountResult{})
+// walkGroup counts a group over the prefix's rows, the window rows whose
+// prefix columns hold its ids: each looks the extension columns' ids up in
+// their dense tables and counts the values the group extends by (gext, by
+// value number).
+func (vs *viewShard) walkGroup(sc *extScratch, prefix []Item, gext []int, counts []CountResult) {
+	if sc.member == nil {
+		sc.cols, sc.member = vs.extCols(sc.items), make([]int32, len(sc.items))
+	}
+	for k, j := range gext {
+		sc.member[j] = int32(k) + 1
+	}
+	vs.eachMatchRow(prefix, func(r int) {
+		d := sc.ov.driftAt(vs, sc.si, r)
+		for _, c := range sc.cols {
+			if id := c.ids[r]; int(id) < len(c.slot) && c.slot[id] != 0 {
+				if k := sc.member[c.slot[id]-1]; k != 0 {
+					counts[k-1] = addDrift(counts[k-1], d)
+				}
+			}
 		}
-	}
-	c.counts[j].Total++
-	if drift {
-		c.counts[j].Drift++
-	}
-}
-
-// each invokes f for every key counted at least once.
-func (c *idCounts) each(f func(key uint64, n CountResult)) {
-	for j, n := range c.counts {
-		if n.Total == 0 {
-			continue
-		}
-		if c.slot != nil {
-			f(c.keys[j], n)
-		} else {
-			f(uint64(j), n)
-		}
-	}
-}
-
-// pairScanInto counts one pair of kept columns over the given shard rows —
-// the fallback for kept cross products too large to popcount and for pairs
-// with a tiered side (no bitmaps). A row with a value outside the selection
-// on either side is skipped; counting runs in slot space.
-func (vs *viewShard) pairScanInto(ov *Overlay, si int, rows []int32, a, b *keptCol, out []pairCount) []pairCount {
-	nb := uint64(len(b.ids)) + 1
-	counts := newIDCounts((len(a.ids)+1)*int(nb), len(rows))
-	for _, r := range rows {
-		sa, sb := a.slot[a.c.ids[r]], b.slot[b.c.ids[r]]
-		if sa == 0 || sb == 0 {
-			continue
-		}
-		counts.add(uint64(sa)*nb+uint64(sb), ov.driftAt(vs, si, int(r)))
-	}
-	counts.each(func(key uint64, n CountResult) {
-		out = append(out, pairCount{a.a, b.a, a.ids[key/nb-1], b.ids[key%nb-1], n})
 	})
+	for _, j := range gext {
+		sc.member[j] = 0
+	}
+}
+
+// extCols builds the walk's tables: each column of the shard that an
+// extension value lies on, with the values' numbers by store id.
+func (vs *viewShard) extCols(items []Item) []extCol {
+	cols := make([]extCol, len(vs.cols)) // by attribute position
+	for j, e := range items {
+		if c, ok := vs.col(e.Pos); ok {
+			x := &cols[e.Pos]
+			if int(e.ID) >= len(x.slot) {
+				x.slot = append(x.slot, make([]int32, int(e.ID)+1-len(x.slot))...)
+			}
+			x.ids, x.slot[e.ID] = c.ids, int32(j)+1
+		}
+	}
+	return slices.DeleteFunc(cols, func(c extCol) bool { return c.slot == nil })
+}
+
+// PairCounts aggregates the totals and drift counts of every two-attribute
+// value combination present in the view (excluding the listed attributes).
+// Mining counts its pairs through ExtensionCounts, so this is the plain form
+// kept for per-layer measurement: one serial walk of the window's rows,
+// counting each pair of a row's values under its attributes' indices and
+// ids, then each pair's strings built once.
+func (v *View) PairCounts(ov *Overlay, exclude map[string]bool) map[PairKey]CountResult {
+	v.s.dictMu.RLock()
+	attrs := slices.DeleteFunc(v.attrs(), func(a selAttr) bool { return exclude[a.name] })
+	v.s.dictMu.RUnlock()
+	m, cols := map[[4]uint32]CountResult{}, make([]viewCol, len(attrs))
+	for si := range v.shards {
+		vs := &v.shards[si]
+		for a := range attrs {
+			cols[a], _ = vs.col(attrs[a].pos)
+		}
+		vs.eachWindowRow(func(r int) {
+			for a := range cols {
+				for b := a + 1; b < len(cols) && cols[a].live != nil && cols[a].ids[r] != 0; b++ {
+					if cols[b].live != nil && cols[b].ids[r] != 0 {
+						k := [4]uint32{uint32(a), uint32(b), cols[a].ids[r], cols[b].ids[r]}
+						m[k] = addDrift(m[k], ov.driftAt(vs, si, r))
+					}
+				}
+			}
+		})
+	}
+	out := make(map[PairKey]CountResult, len(m))
+	for k, cr := range m {
+		a, b := &attrs[k[0]], &attrs[k[1]]
+		out[PairKey{AttrA: a.name, ValA: a.vals[k[2]], AttrB: b.name, ValB: b.vals[k[3]]}] = cr
+	}
 	return out
 }
 
-// valueScan is pairScanInto for one column: the values marks does not mark
-// Uncounted, counted over the given shard rows and appended to out as
-// attribute a's — the group-by of a column with too many such values to
-// popcount or with no bitmaps (tiered). marks spans the dictionary.
-func (vs *viewShard) valueScan(ov *Overlay, si int, rows []int32, c viewCol, a uint32, marks []CountResult, out []idCount) []idCount {
-	counts := newIDCounts(len(marks), len(rows))
-	for _, r := range rows {
-		if id := c.ids[r]; id != 0 && marks[id].Total != Uncounted {
-			counts.add(uint64(id), ov.driftAt(vs, si, int(r)))
+// addDrift counts one more row into n, drift-flagged when d.
+func addDrift(n CountResult, d bool) CountResult {
+	n.Total++
+	if d {
+		n.Drift++
+	}
+	return n
+}
+
+// valueScan counts one column's values that marks does not mark Uncounted
+// over the window's rows, appending them to out as attribute a's — the
+// group-by of a column with too many such values to popcount or with no
+// bitmaps (tiered). marks spans the dictionary; the counts go in a dense
+// table by id while that is no larger than 4 slots a window row, in a map
+// otherwise (a high-cardinality column over few rows).
+func (vs *viewShard) valueScan(ov *Overlay, si int, c viewCol, a uint32, marks []CountResult, out []idCount) []idCount {
+	var dense []CountResult
+	var sparse map[uint32]CountResult
+	if len(marks) <= 4*64*(vs.whi-vs.wlo) {
+		dense = make([]CountResult, len(marks))
+	} else {
+		sparse = map[uint32]CountResult{}
+	}
+	vs.eachWindowRow(func(r int) {
+		switch id := c.ids[r]; {
+		case id == 0 || marks[id].Total == Uncounted:
+		case dense != nil:
+			dense[id] = addDrift(dense[id], ov.driftAt(vs, si, r))
+		default:
+			sparse[id] = addDrift(sparse[id], ov.driftAt(vs, si, r))
+		}
+	})
+	for id, n := range dense {
+		if n.Total > 0 {
+			out = append(out, idCount{a, uint32(id), n})
 		}
 	}
-	counts.each(func(id uint64, n CountResult) { out = append(out, idCount{a, uint32(id), n}) })
+	for id, n := range sparse {
+		out = append(out, idCount{a, id, n})
+	}
 	return out
 }

@@ -162,11 +162,11 @@ func TestBitsetMatchesScanOracle(t *testing.T) {
 						}
 						for _, sel := range diffMaskBits {
 							mask := maskFromBits(vb, sel)
-							if pm := vb.PairCountsMasked(nil, mask); !reflect.DeepEqual(pm, refMasked(ps, mask)) {
+							if pm := maskedPairs(vb, nil, mask); !reflect.DeepEqual(pm, refMasked(ps, mask)) {
 								t.Fatalf("seed %d window %d mask %#x: masked PairCounts diverge", seed, wi, sel)
 							}
 						}
-						if pm := vb.PairCountsMasked(nil, nil); len(pm) != 0 {
+						if pm := maskedPairs(vb, nil, nil); len(pm) != 0 {
 							t.Fatalf("seed %d window %d: nil mask counted %d pairs", seed, wi, len(pm))
 						}
 					}
@@ -176,9 +176,10 @@ func TestBitsetMatchesScanOracle(t *testing.T) {
 	}
 }
 
-// TestPairCountsHighCardinality forces the bitset PairCounts path over
-// its maxPairCross fallback (a value cross product too large to
-// enumerate bitmap-by-bitmap) and requires scan-identical output.
+// TestPairCountsHighCardinality counts pairs over a 150-value attribute,
+// unmasked (PairCounts) and masked (the extension count, whose groups then
+// hold more extensions than maxValueSweep and walk the prefix's rows), and
+// requires scan-identical output.
 func TestPairCountsHighCardinality(t *testing.T) {
 	onKernelBodies(t, func(t *testing.T) {
 		r := rand.New(rand.NewSource(77))
@@ -191,16 +192,13 @@ func TestPairCountsHighCardinality(t *testing.T) {
 				Drift:    r.Float64() < 0.3,
 				SampleID: -1,
 				Attrs: map[string]string{
-					AttrLocation: fmt.Sprintf("city_%d", r.Intn(40)),
+					AttrLocation: fmt.Sprintf("city_%d", r.Intn(150)),
 					AttrDevice:   fmt.Sprintf("dev_%d", r.Intn(40)),
 					AttrWeather:  fmt.Sprintf("w%d", r.Intn(3)),
 				},
 			})
 		}
 		s.AppendBatch(batch)
-		if cross := 40 * 40; cross <= maxPairCross {
-			t.Fatalf("test needs cross %d > maxPairCross %d", cross, maxPairCross)
-		}
 		vb := s.All()
 		if pb, ps := vb.PairCounts(nil, nil), refPairCounts(vb, nil, nil); !reflect.DeepEqual(pb, ps) {
 			t.Fatal("high-cardinality PairCounts diverges from scan")
@@ -209,20 +207,23 @@ func TestPairCountsHighCardinality(t *testing.T) {
 		if pb, ps := vb.PairCounts(nil, ex), refPairCounts(vb, nil, ex); !reflect.DeepEqual(pb, ps) {
 			t.Fatal("high-cardinality PairCounts with exclusion diverges from scan")
 		}
-		// Masked: 20 × 20 kept values still walk the rows, 10 × 10 popcount — the
-		// choice follows the kept cross product, not the 40-value dictionaries.
+		// Masked: a device's group extends by the kept locations and w1, so
+		// 140 kept locations walk the device's rows and 10 popcount — the
+		// choice follows the group's extensions, not the 150-value dictionary.
 		ps := refPairCounts(vb, nil, nil)
-		for _, keep := range []int{20, 10} {
-			mask := ValueMask{AttrLocation: {}, AttrDevice: {}, AttrWeather: {"w1": true}}
+		for _, keep := range []int{140, 10} {
+			mask := valueMask{AttrLocation: {}, AttrDevice: {}, AttrWeather: {"w1": true}}
 			for i := 0; i < keep; i++ {
-				mask[AttrLocation][fmt.Sprintf("city_%d", 2*i)] = true
+				mask[AttrLocation][fmt.Sprintf("city_%d", i)] = true
+			}
+			for i := 0; i < 20; i++ {
 				mask[AttrDevice][fmt.Sprintf("dev_%d", 2*i+1)] = true
 			}
-			if (keep*keep > maxPairCross) != (keep == 20) {
-				t.Fatalf("test needs %d² on the %d side of maxPairCross %d", keep, keep, maxPairCross)
+			if (keep+1 > maxValueSweep) != (keep == 140) {
+				t.Fatalf("test needs %d extensions on the %d side of maxValueSweep %d", keep+1, keep, maxValueSweep)
 			}
-			if pm := vb.PairCountsMasked(nil, mask); !reflect.DeepEqual(pm, refMasked(ps, mask)) {
-				t.Fatalf("high-cardinality masked PairCounts (%d kept) diverges from scan", keep)
+			if pm := maskedPairs(vb, nil, mask); !reflect.DeepEqual(pm, refMasked(ps, mask)) {
+				t.Fatalf("high-cardinality masked pairs (%d kept) diverge from scan", keep)
 			}
 		}
 	})
@@ -277,7 +278,7 @@ func TestClearDriftMatchesScanOracle(t *testing.T) {
 							t.Fatalf("seed %d step %d: overlaid PairCounts diverge", seed, step)
 						}
 						mask := maskFromBits(v, diffMaskBits[(int(seed)+step)%len(diffMaskBits)])
-						if !reflect.DeepEqual(v.PairCountsMasked(ovB, mask), refMasked(ps, mask)) {
+						if !reflect.DeepEqual(maskedPairs(v, ovB, mask), refMasked(ps, mask)) {
 							t.Fatalf("seed %d step %d: overlaid masked PairCounts diverge", seed, step)
 						}
 						if nb > 0 && ovB.Epoch() == 0 {
@@ -399,8 +400,7 @@ const longStoreRows = 48 * 512
 // carries second g — in append order when sorted, with adjacent 32-row
 // runs swapped (two writers whose batches land alternately) otherwise,
 // which leaves every shard time-unsorted. hw × os is a 40 × 40 value
-// cross product, past maxPairCross, so PairCounts takes both its popcount
-// and its row-scan path. app_version (300 values, ten of them hot) crosses
+// cross product. app_version (300 values, ten of them hot) crosses
 // the store's tier-up threshold of 64 early on, so conditions on it walk the
 // window's rows. Every fifth row links a sample.
 func longStore(sorted bool) *Store {
@@ -536,7 +536,7 @@ func checkLongShardWindow(t *testing.T, vb *View, conds [][]Cond, sorted bool, n
 }
 
 // requireViewMatchesScan requires a view to agree with the scan reference
-// on Len, Count, SampleIDs, AttrValueCounts, PairCounts, PairCountsMasked
+// on Len, Count, SampleIDs, AttrValueCounts, PairCounts, masked pairs
 // and a ClearDrift sequence with overlaid re-counts and group-bys.
 func requireViewMatchesScan(t *testing.T, v *View, conds [][]Cond) {
 	t.Helper()
@@ -554,8 +554,8 @@ func requireViewMatchesScan(t *testing.T, v *View, conds [][]Cond) {
 		}
 		for _, sel := range diffMaskBits {
 			mask := maskFromBits(v, sel)
-			if got := v.PairCountsMasked(ovB, mask); !reflect.DeepEqual(got, refMasked(wantPC, mask)) {
-				t.Fatalf("%s PairCountsMasked %#x: %d pairs, filtered scan %d", stage, sel, len(got), len(refMasked(wantPC, mask)))
+			if got := maskedPairs(v, ovB, mask); !reflect.DeepEqual(got, refMasked(wantPC, mask)) {
+				t.Fatalf("%s masked pairs %#x: %d pairs, filtered scan %d", stage, sel, len(got), len(refMasked(wantPC, mask)))
 			}
 		}
 	}
@@ -607,7 +607,7 @@ func requireViewMatchesScan(t *testing.T, v *View, conds [][]Cond) {
 // interning into, so those reads must be race-free and must not see the
 // values interned after the view pinned — results must stay what the
 // pinned rows say: equal to the scan reference's, on bitmap columns and
-// the tiered one.
+// the tiered one, for the extension count too.
 func TestViewConcurrentQueries(t *testing.T) {
 	onKernelBodies(t, func(t *testing.T) {
 		s := interleavedSketchStore()
@@ -628,6 +628,7 @@ func TestViewConcurrentQueries(t *testing.T) {
 			wantCount[i], _ = refCount(oracle, c, nil)
 		}
 		wantAV, wantPC := refAttrValueCounts(oracle, nil), refPairCounts(oracle, nil, nil)
+		every := maskFromBits(oracle, 0xff)
 		check := func(what string, got, want CountResult) {
 			if got != want {
 				t.Errorf("%s: got %+v, oracle %+v", what, got, want)
@@ -654,7 +655,7 @@ func TestViewConcurrentQueries(t *testing.T) {
 			go func(g int) {
 				defer readers.Done()
 				for i := 0; i < 8; i++ {
-					switch (g + i) % 3 {
+					switch (g + i) % 4 {
 					case 0:
 						for ci, c := range conds {
 							got, err := v.Count(c, nil)
@@ -666,6 +667,10 @@ func TestViewConcurrentQueries(t *testing.T) {
 					case 1:
 						for k, got := range v.PairCounts(nil, nil) {
 							check(fmt.Sprint(k), got, wantPC[k])
+						}
+					case 2:
+						for k, got := range maskedPairs(v, nil, every) {
+							check("extension "+fmt.Sprint(k), got, wantPC[k])
 						}
 					default:
 						for attr, byVal := range valueMap(v.AttrValueCounts(nil)) {
@@ -824,7 +829,7 @@ func fuzzCheckView(t *testing.T, v *View, seed int64, maskSel uint8) {
 		t.Fatalf("AttrValueCounts %v, scan %v", got, want)
 	}
 	mask := maskFromBits(v, maskSel)
-	if pm, ps := v.PairCountsMasked(nil, mask), refMasked(refPairCounts(v, nil, nil), mask); !reflect.DeepEqual(pm, ps) {
+	if pm, ps := maskedPairs(v, nil, mask), refMasked(refPairCounts(v, nil, nil), mask); !reflect.DeepEqual(pm, ps) {
 		t.Fatalf("mask %#x: masked pairs %v, filtered scan %v", maskSel, pm, ps)
 	}
 	ovB := v.DriftOverlay()
@@ -845,7 +850,7 @@ func fuzzCheckView(t *testing.T, v *View, seed int64, maskSel uint8) {
 	if cb != cs {
 		t.Fatalf("post-clear totals %+v vs %+v", cb, cs)
 	}
-	if pm, ps := v.PairCountsMasked(ovB, mask), refMasked(refPairCounts(v, ovS, nil), mask); !reflect.DeepEqual(pm, ps) {
+	if pm, ps := maskedPairs(v, ovB, mask), refMasked(refPairCounts(v, ovS, nil), mask); !reflect.DeepEqual(pm, ps) {
 		t.Fatalf("mask %#x: post-clear masked pairs %v, filtered scan %v", maskSel, pm, ps)
 	}
 }

@@ -693,23 +693,25 @@ func (v *View) Since(prevRows []int, prevTo int64) (*View, error) {
 	return d, nil
 }
 
-// parallelScanWords is the window's bitmap words, summed over the shards,
-// from which per-shard work fans out over the worker pool: fewer than one a
-// shard. A shard's work is its words times the bitmaps it sweeps, and the
-// pair group-by of a 512-row delta (16–32 words) already gains from the
-// fan-out.
-const parallelScanWords = 16
+// parallelOperands is the word operands a query reads, summed over the
+// shards, from which its per-shard work fans out over the worker pool: the
+// window's words times the bitmaps read at each, or rowOperands for a walk
+// (DESIGN.md §5g has the runs it was set from).
+const (
+	parallelOperands = 1 << 11
+	rowOperands      = 64 // a walk reads a window word as its 64 rows
+)
 
-// eachShard runs f(i) for every shard, in parallel when the window spans
-// enough words (and the pool is wider than one worker): a query's per-shard
-// work is over the words [wlo, whi), however many rows the view pinned. f
+// eachShard runs f(i) for every shard, in parallel when the query reads
+// enough word operands — the window's words [wlo, whi) times perWord, the
+// operands it reads at each — and the pool is wider than one worker. f
 // writes only to per-shard slots, so scheduling never affects results.
-func (v *View) eachShard(f func(i int)) {
+func (v *View) eachShard(perWord int, f func(i int)) {
 	words := 0
 	for si := range v.shards {
 		words += v.shards[si].whi - v.shards[si].wlo
 	}
-	if words < parallelScanWords || tensor.Workers() <= 1 {
+	if words*perWord < parallelOperands || tensor.Workers() <= 1 {
 		for i := range v.shards {
 			f(i)
 		}
@@ -756,22 +758,25 @@ type CountResult struct {
 // bitmaps — by one walk of the window's rows (DESIGN.md §5g has each cell's
 // cost, in words or rows of the window — never of the log):
 //
-//	query            bitmaps                tiered attribute
-//	Count            countBitset            countRows
-//	ClearDrift       clearDriftBitset       clearDriftRows
-//	AttrValueCounts  andPopcount per value  valueScan
-//	PairCounts       viewShard.pairCounts   pairScanInto
-//	SampleIDs        eachMatch              eachMatch
+//	query            bitmaps                   tiered attribute
+//	Count            countBitset               countRows
+//	ClearDrift       clearDriftBitset          clearDriftRows
+//	AttrValueCounts  andPopcount per value     valueScan
+//	ExtensionCounts  popcount per extension    walkGroup
+//	SampleIDs        eachMatch                 eachMatch
 //
 // Count and ClearDrift route per view (tiered); the group-bys decide per
-// shard column, and also walk the rows for a column whose values (pairs: the
-// kept cross product) outnumber what popcounting pays for.
+// shard column or group, and also walk the rows for a column whose values (a
+// group: its extensions) outnumber what popcounting pays for. PairCounts,
+// which mining does not call, always walks.
 
-// condRef is one condition resolved for a query: its attribute's position,
-// which indexes a view shard's columns, and its value's store id.
-type condRef struct {
-	pos int
-	id  uint32
+// Item is one attribute value resolved to store ids: its attribute's
+// position, which indexes a view shard's columns (AttrCounts.Pos), and its
+// value's store id. A query resolves each condition to one; the extension
+// count takes its groups as them.
+type Item struct {
+	Pos int
+	ID  uint32
 }
 
 // resolve appends each condition's reference to refs: once per query, under
@@ -779,7 +784,7 @@ type condRef struct {
 // does not hold the value (an id past its length was interned after the
 // view): held is false, as the conjunction matches no row. An attribute the
 // view does not know is an error.
-func (v *View) resolve(conds []Cond, refs []condRef) (_ []condRef, held bool, err error) {
+func (v *View) resolve(conds []Cond, refs []Item) (_ []Item, held bool, err error) {
 	v.s.dictMu.RLock()
 	defer v.s.dictMu.RUnlock()
 	for _, c := range conds {
@@ -792,17 +797,17 @@ func (v *View) resolve(conds []Cond, refs []condRef) (_ []condRef, held bool, er
 		if int(id) >= len(vals) {
 			id = 0
 		}
-		refs = append(refs, condRef{d.pos, id})
+		refs = append(refs, Item{d.pos, id})
 	}
-	return refs, !slices.ContainsFunc(refs, func(r condRef) bool { return r.id == 0 }), nil
+	return refs, !slices.ContainsFunc(refs, func(r Item) bool { return r.ID == 0 }), nil
 }
 
 // tiered reports whether a resolved condition is on an attribute with a
 // pinned column that holds no bitmaps.
-func (v *View) tiered(refs []condRef) bool {
+func (v *View) tiered(refs []Item) bool {
 	for si := range v.shards {
 		for _, r := range refs {
-			if c, ok := v.shards[si].col(r.pos); ok && c.live.tiered {
+			if c, ok := v.shards[si].col(r.Pos); ok && c.live.tiered {
 				return true
 			}
 		}
@@ -822,26 +827,32 @@ type colCond struct {
 // per-shard slots only. The walk is over the window bitmap's words
 // [wlo, whi): it costs the rows the window holds, wherever in the log the
 // window lies.
-func (v *View) eachMatch(refs []condRef, f func(si int, vs *viewShard, i int)) {
+func (v *View) eachMatch(refs []Item, f func(si int, vs *viewShard, i int)) {
 	own := slices.Clone(refs) // the fan-out's closure escapes: the caller's buffer stays on its stack
-	v.eachShard(func(si int) {
+	v.eachShard(rowOperands, func(si int) {
 		vs := &v.shards[si]
-		ccs := make([]colCond, 0, len(own))
-		for _, r := range own {
-			col, ok := vs.col(r.pos)
-			if !ok {
+		vs.eachMatchRow(own, func(i int) { f(si, vs, i) })
+	})
+}
+
+// eachMatchRow is eachMatch in one shard: f(i) for every window row i whose
+// columns hold the conditions' ids, in row order.
+func (vs *viewShard) eachMatchRow(refs []Item, f func(i int)) {
+	ccs := make([]colCond, 0, len(refs))
+	for _, r := range refs {
+		col, ok := vs.col(r.Pos)
+		if !ok {
+			return
+		}
+		ccs = append(ccs, colCond{ids: col.ids, id: r.ID})
+	}
+	vs.eachWindowRow(func(i int) {
+		for _, cc := range ccs {
+			if cc.ids[i] != cc.id {
 				return
 			}
-			ccs = append(ccs, colCond{ids: col.ids, id: r.id})
 		}
-		vs.eachWindowRow(func(i int) {
-			for _, cc := range ccs {
-				if cc.ids[i] != cc.id {
-					return
-				}
-			}
-			f(si, vs, i)
-		})
+		f(i)
 	})
 }
 
@@ -849,7 +860,7 @@ func (v *View) eachMatch(refs []condRef, f func(si int, vs *viewShard, i int)) {
 // non-nil, replaces the stored drift flags — the hook counterfactual
 // analysis uses to "mark" entries as non-drift without mutating the log.
 func (v *View) Count(conds []Cond, ov *Overlay) (CountResult, error) {
-	var buf [4]condRef
+	var buf [4]Item
 	refs, held, err := v.resolve(conds, buf[:0])
 	switch {
 	case err != nil || !held:
@@ -860,14 +871,9 @@ func (v *View) Count(conds []Cond, ov *Overlay) (CountResult, error) {
 	return v.countBitset(refs, ov), nil
 }
 
-func (v *View) countRows(refs []condRef, ov *Overlay) CountResult {
+func (v *View) countRows(refs []Item, ov *Overlay) CountResult {
 	var partial [numShards]CountResult
-	v.eachMatch(refs, func(si int, vs *viewShard, i int) {
-		partial[si].Total++
-		if ov.driftAt(vs, si, i) {
-			partial[si].Drift++
-		}
-	})
+	v.eachMatch(refs, func(si int, vs *viewShard, i int) { partial[si] = addDrift(partial[si], ov.driftAt(vs, si, i)) })
 	var out CountResult
 	for _, p := range partial {
 		out.Total += p.Total
@@ -881,7 +887,7 @@ func (v *View) countRows(refs []condRef, ov *Overlay) CountResult {
 // mutating call stamps the overlay with a fresh epoch (see
 // Overlay.Epoch).
 func (v *View) ClearDrift(conds []Cond, ov *Overlay) (int, error) {
-	var buf [4]condRef
+	var buf [4]Item
 	refs, held, err := v.resolve(conds, buf[:0])
 	switch {
 	case err != nil || !held:
@@ -892,7 +898,7 @@ func (v *View) ClearDrift(conds []Cond, ov *Overlay) (int, error) {
 	return v.clearDriftBitset(refs, ov), nil
 }
 
-func (v *View) clearDriftRows(refs []condRef, ov *Overlay) int {
+func (v *View) clearDriftRows(refs []Item, ov *Overlay) int {
 	var cleared [numShards]int
 	v.eachMatch(refs, func(si int, _ *viewShard, i int) {
 		words := ov.materialize(si) // per-shard slots: safe under the fan-out
@@ -916,26 +922,6 @@ func (v *View) clearDriftRows(refs []condRef, ov *Overlay) int {
 type PairKey struct {
 	AttrA, ValA string
 	AttrB, ValB string
-}
-
-// PairCounts aggregates the totals and drift counts of every
-// two-attribute value combination present in the view (excluding the
-// listed attributes): PairCountsMasked with every value of every other
-// attribute kept.
-func (v *View) PairCounts(ov *Overlay, exclude map[string]bool) map[PairKey]CountResult {
-	return v.pairCounts(ov, pairSel{exclude: exclude})
-}
-
-// PairCountsMasked aggregates the two-attribute value combinations whose
-// both values the mask keeps — the level-2 pass of apriori, which hands in
-// the level-1 survivors so that nothing downward closure already ruled out
-// is counted or materialized. The result equals PairCounts filtered by the
-// mask, on every tier.
-func (v *View) PairCountsMasked(ov *Overlay, mask ValueMask) map[PairKey]CountResult {
-	if mask == nil {
-		mask = ValueMask{} // keeps nothing; a nil pairSel.mask would keep everything
-	}
-	return v.pairCounts(ov, pairSel{mask: mask})
 }
 
 // SampleIDs returns the sample IDs (≥ 0 only) of in-window rows matching

@@ -206,17 +206,17 @@ func TestViewLookupIgnoresLaterValues(t *testing.T) {
 		t.Fatal("the store's dictionary does not hold hail: the test exercises nothing")
 	}
 	refs, _, err := v.resolve([]Cond{{AttrWeather, "hail"}, {AttrWeather, "snow"}}, nil)
-	if err != nil || refs[0].id != 0 {
+	if err != nil || refs[0].ID != 0 {
 		t.Fatalf("hail, interned after the view pinned, resolves to %v (%v)", refs, err)
 	}
-	if refs[1].id == 0 || v.dicts[AttrWeather][refs[1].id] != "snow" {
-		t.Fatalf("snow resolves to %d", refs[1].id)
+	if refs[1].ID == 0 || v.dicts[AttrWeather][refs[1].ID] != "snow" {
+		t.Fatalf("snow resolves to %d", refs[1].ID)
 	}
 	cr, err := v.Count([]Cond{{AttrWeather, "hail"}}, nil)
 	if err != nil || cr.Total != 0 {
 		t.Fatalf("Count(hail) on the older view = %+v, %v", cr, err)
 	}
-	pairs := v.PairCountsMasked(nil, ValueMask{
+	pairs := maskedPairs(v, nil, valueMask{
 		AttrWeather:  {"hail": true, "snow": true},
 		AttrLocation: {"Helsinki": true},
 	})

@@ -1,6 +1,9 @@
 package driftlog
 
-import "math/bits"
+import (
+	"math/bits"
+	"slices"
+)
 
 // popcountAnd is the one word kernel under every bitset count: over
 // i < len(a) it returns
@@ -9,11 +12,13 @@ import "math/bits"
 //	flagged = Σ popcount(a[i] & b[i] & f[i])
 //
 // with f[i] read as 0 past f's end (a drift bitmap ends at its last flagged
-// word). b must be at least as long as a. On amd64 hosts with AVX2
-// (tensor.HasAVX2, decided once at start-up) the words run through a
-// 256-bit body (popcount_amd64.s); the loop in popcountAndGo is the path
-// everywhere else and the tests' oracle for the vector body. The counts
-// are exact integers, so the body never changes a result.
+// word). b must be at least as long as a. The words run through body, the
+// widest of the host's bodies (hostBodies): on amd64 a 512-bit VPOPCNTQ body
+// where the CPU has AVX-512 VPOPCNTDQ (tensor.HasAVX512Popcnt), else a 256-bit
+// nibble-lookup body where it has AVX2 (tensor.HasAVX2), both in
+// popcount_amd64.s; the loop in popcountAndGo is the path everywhere else and
+// the tests' oracle for the vector bodies. The counts are exact integers, so
+// the body never changes a result.
 func popcountAnd(a, b, f []uint64) (total, flagged int) {
 	n := len(a)
 	b = b[:n]
@@ -27,12 +32,28 @@ func popcountAnd(a, b, f []uint64) (total, flagged int) {
 	return total + t, flagged
 }
 
+// kernelBody names one body of popcountAnd.
+type kernelBody uint8
+
+const (
+	bodyGo kernelBody = iota
+	bodyAVX2
+	bodyAVX512
+)
+
+func (k kernelBody) String() string { return [...]string{"go", "avx2", "avx512"}[k] }
+
+// body is the popcountAnd body every count runs, chosen once at start-up.
+var body = slices.Max(hostBodies())
+
 // popcountAndBody is popcountAnd over operands of equal length.
 func popcountAndBody(a, b, f []uint64) (total, flagged int) {
-	if len(a) == 0 {
+	switch {
+	case len(a) == 0:
 		return 0, 0
-	}
-	if useAVX2 {
+	case body == bodyAVX512:
+		return popcountAndAVX512(&a[0], &b[0], &f[0], len(a))
+	case body == bodyAVX2:
 		return popcountAndAVX2(&a[0], &b[0], &f[0], len(a))
 	}
 	return popcountAndGo(a, b, f)

@@ -7,18 +7,16 @@ import (
 	"time"
 )
 
-// kernelBodies runs f once per popcountAnd body the host can run — the Go
-// loop, then the AVX2 body where the host has it — through the switch
-// useAVX2, restoring the start-up choice afterwards.
+// kernelBodies runs f once per popcountAnd body the host can run (the Go
+// loop, then each vector body the host has, narrowest first) by setting
+// body, restoring the start-up choice afterwards.
 func kernelBodies(t testing.TB, f func(body string)) {
 	t.Helper()
-	host := useAVX2
-	defer func() { useAVX2 = host }()
-	useAVX2 = false
-	f("go")
-	if host {
-		useAVX2 = true
-		f("avx2")
+	host := body
+	defer func() { body = host }()
+	for _, k := range hostBodies() {
+		body = k
+		f(k.String())
 	}
 }
 
@@ -69,7 +67,7 @@ func popcountAndNaive(a, b, f []uint64) (total, flagged int) {
 	return total, flagged
 }
 
-// TestPopcountAndBodies checks both bodies against the bit-by-bit
+// TestPopcountAndBodies checks every body against the bit-by-bit
 // definition at every length up to two vector steps plus seven words,
 // every start offset within a 64-byte line, densities 0, 1/64, 1/2 and
 // all ones per operand, and flags that end before, at and past the

@@ -91,7 +91,7 @@ func refLen(v *View) int {
 func refCount(v *View, conds []Cond, ov *Overlay) (CountResult, error) {
 	var partial [numShards]CountResult
 	var errs [numShards]error
-	v.eachShard(func(si int) {
+	v.eachShard(rowOperands, func(si int) {
 		vs := &v.shards[si]
 		ccs, match, err := refResolveConds(v, vs, conds)
 		if err != nil {
@@ -134,7 +134,7 @@ func refCount(v *View, conds []Cond, ov *Overlay) (CountResult, error) {
 func refClearDrift(v *View, conds []Cond, ov *Overlay) (int, error) {
 	var cleared [numShards]int
 	var errs [numShards]error
-	v.eachShard(func(si int) {
+	v.eachShard(rowOperands, func(si int) {
 		vs := &v.shards[si]
 		ccs, match, err := refResolveConds(v, vs, conds)
 		if err != nil {
@@ -198,7 +198,7 @@ func valueMap(acs []AttrCounts) map[string]map[string]CountResult {
 // refAttrValueCounts is the reference for View.AttrValueCounts.
 func refAttrValueCounts(v *View, ov *Overlay) map[string]map[string]CountResult {
 	var partial [numShards]map[string]map[string]CountResult
-	v.eachShard(func(si int) {
+	v.eachShard(rowOperands, func(si int) {
 		vs := &v.shards[si]
 		out := map[string]map[string]CountResult{}
 		cols := refSortedCols(v, vs, nil)
@@ -254,7 +254,7 @@ func refAttrValueCounts(v *View, ov *Overlay) map[string]map[string]CountResult 
 // rows, O(rows·k²) for k attributes per row.
 func refPairCounts(v *View, ov *Overlay, exclude map[string]bool) map[PairKey]CountResult {
 	var partial [numShards]map[PairKey]CountResult
-	v.eachShard(func(si int) {
+	v.eachShard(rowOperands, func(si int) {
 		vs := &v.shards[si]
 		cols := refSortedCols(v, vs, exclude)
 		out := map[PairKey]CountResult{}
@@ -300,9 +300,63 @@ func refPairCounts(v *View, ov *Overlay, exclude map[string]bool) map[PairKey]Co
 	return out
 }
 
-// refMasked is the reference for View.PairCountsMasked: an unmasked pair
-// group-by with every pair the mask does not keep on both sides dropped.
-func refMasked(pairs map[PairKey]CountResult, mask ValueMask) map[PairKey]CountResult {
+// valueMask names, per attribute, the values a masked pair count keeps.
+type valueMask map[string]map[string]bool
+
+// maskedPairs is apriori's level 2 under a mask as mining runs it: the kept
+// values resolved to Items and put in (attribute, value) order, one group
+// per kept value extended by the kept values of every later attribute,
+// counted by ExtensionCounts and keyed as PairCounts keys them (non-zero
+// counts only). A name or value the view does not hold is dropped.
+func maskedPairs(v *View, ov *Overlay, mask valueMask) map[PairKey]CountResult {
+	type kept struct {
+		attr, val string
+		it        Item
+	}
+	var items []kept
+	v.s.dictMu.RLock()
+	for attr, vals := range mask {
+		d, pinned := v.s.dicts[attr], v.dicts[attr]
+		for val := range vals {
+			if pinned != nil {
+				if id := d.index[val]; id != 0 && int(id) < len(pinned) {
+					items = append(items, kept{attr, val, Item{d.pos, id}})
+				}
+			}
+		}
+	}
+	v.s.dictMu.RUnlock()
+	sort.Slice(items, func(i, j int) bool {
+		if items[i].attr != items[j].attr {
+			return items[i].attr < items[j].attr
+		}
+		return items[i].val < items[j].val
+	})
+	groups, ext := make([]Group, len(items)), make([][]int, len(items))
+	for i := range items {
+		groups[i].Prefix = []Item{items[i].it}
+		for j := i + 1; j < len(items); j++ {
+			if items[j].attr != items[i].attr {
+				groups[i].Ext = append(groups[i].Ext, items[j].it)
+				ext[i] = append(ext[i], j)
+			}
+		}
+	}
+	out := map[PairKey]CountResult{}
+	for i, counts := range v.ExtensionCounts(ov, groups) {
+		for k, cr := range counts {
+			if cr.Total > 0 {
+				a, b := items[i], items[ext[i][k]]
+				out[PairKey{AttrA: a.attr, ValA: a.val, AttrB: b.attr, ValB: b.val}] = cr
+			}
+		}
+	}
+	return out
+}
+
+// refMasked is the reference for maskedPairs: an unmasked pair group-by
+// with every pair the mask does not keep on both sides dropped.
+func refMasked(pairs map[PairKey]CountResult, mask valueMask) map[PairKey]CountResult {
 	out := map[PairKey]CountResult{}
 	for k, cr := range pairs {
 		if mask[k.AttrA][k.ValA] && mask[k.AttrB][k.ValB] {
@@ -316,8 +370,8 @@ func refMasked(pairs map[PairKey]CountResult, mask ValueMask) map[PairKey]CountR
 // attributes and their values in sorted order, the j-th value is kept when
 // bit j%8 of sel is set, so 0 keeps nothing and 0xFF everything. Every mask
 // also names a value no row carries and an attribute the store never saw.
-func maskFromBits(v *View, sel uint8) ValueMask {
-	mask := ValueMask{"no-such-attr": {"x": true}}
+func maskFromBits(v *View, sel uint8) valueMask {
+	mask := valueMask{"no-such-attr": {"x": true}}
 	values := refAttrValueCounts(v, nil)
 	attrs := make([]string, 0, len(values))
 	for attr := range values {

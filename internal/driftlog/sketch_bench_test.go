@@ -127,8 +127,8 @@ func BenchmarkSketchValueCounts(b *testing.B) {
 	benchExact(b, func(v *View) int { return len(v.AttrValueCounts(nil)) })
 }
 
-// BenchmarkSketchPairCounts measures the unmasked pair group-by: past
-// maxPairCross kept pairs, one walk of the window's rows.
+// BenchmarkSketchPairCounts measures the unmasked pair group-by: one walk
+// of the window's rows per attribute pair.
 func BenchmarkSketchPairCounts(b *testing.B) {
 	benchExact(b, func(v *View) int { return len(v.PairCounts(nil, nil)) })
 }

@@ -109,7 +109,7 @@ func viewAnswers(t *testing.T, v *View, conds [][]Cond) []string {
 	}
 	pairs("pair", v.PairCounts(nil, nil))
 	for _, sel := range []uint8{0x55, 0xFF} {
-		pairs(fmt.Sprintf("masked %#x", sel), v.PairCountsMasked(nil, maskFromBits(v, sel)))
+		pairs(fmt.Sprintf("masked %#x", sel), maskedPairs(v, nil, maskFromBits(v, sel)))
 	}
 	sort.Strings(lines)
 	return lines

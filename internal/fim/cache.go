@@ -10,8 +10,9 @@
 //
 // Across windows, MineCache carries the epoch-0 counts a finished mine
 // produced (totals, level-1 arrays, the level-1 survivors' pair counts,
-// per-candidate set counts), so re-mining a grown window only counts the
-// delta rows (see MineCachedContext).
+// per-candidate set counts), keyed by store ids, so re-mining a grown
+// window only counts the delta rows and adds by integer key (see
+// MineCachedContext).
 package fim
 
 import (
@@ -105,25 +106,27 @@ func (sc *SupportCache) seed(key string, epoch uint64, cr driftlog.CountResult) 
 }
 
 // MineCache is the reusable output of one full mine at overlay epoch 0:
-// the counts the apriori passes computed, keyed so a later window that
-// strictly grew the row set (same lower bound, same or later upper
-// bound, no intervening compaction) can count only its delta rows and
-// add. The caller (internal/cloud) is responsible for pairing it with
-// the matching delta view — MineCachedContext trusts that contract. The
-// thresholds may differ between the runs sharing a cache: level 1 marks the
-// values its floor left uncounted, which a later floor that keeps one
-// recounts (see mergeLevel1), and pairs are merged only under a mask the
-// cached one contains (see maskWithin).
+// the counts the apriori passes computed, keyed by store ids (a value as
+// its attribute position above its id, pack) so a later window that
+// strictly grew the row set (same lower bound, same or later upper bound,
+// no intervening compaction) can count only its delta rows and add. The
+// caller (internal/cloud) is responsible for pairing it with the matching
+// delta view — MineCachedContext trusts that contract. The thresholds may
+// differ between the runs sharing a cache: level 1 marks the values its
+// floor left uncounted, which a later floor that keeps one recounts (see
+// mergeLevel1), and a level is merged only when the cache counted all of its
+// candidates (see countPairs and countSets).
 type MineCache struct {
 	complete bool // full pipeline ran (drift was present)
 	totals   driftlog.CountResult
 	level1   []driftlog.AttrCounts // AttrValueCounts' arrays, by store id, Uncounted where the floor skipped
-	// pairs holds every co-occurring pair of the values in mask — the
-	// level-1 survivors of the mine that counted them — and no other: a
+	// mask is the level-1 survivors of the mine that counted pairs, packed
+	// and ascending; pairs holds every co-occurring pair of them, keyed by
+	// the two packed values in (attribute, value) order, and no other: a
 	// pair absent from it either never occurred or lies outside the mask.
-	mask  driftlog.ValueMask
-	pairs map[driftlog.PairKey]driftlog.CountResult
-	sets  map[string]driftlog.CountResult // itemset key → count (levels ≥ 3)
+	mask  []uint64
+	pairs map[[2]uint64]driftlog.CountResult
+	sets  map[string]driftlog.CountResult // levels ≥ 3: the packed values, big-endian in (attribute, value) order → count
 	// results and th replay the window's final output outright when a
 	// later run proves its delta is empty (identical row set ⇒ identical
 	// deterministic output, provided the thresholds match too).
@@ -223,36 +226,6 @@ func mergeLevel1(prev, delta []driftlog.AttrCounts) []driftlog.AttrCounts {
 		}
 	}
 	return delta
-}
-
-// maskWithin reports whether every value of mask is also in cached: the
-// cached pairs then cover every pair a count under mask can produce, so the
-// cache plus the delta's pairs is the window's count.
-func maskWithin(mask, cached driftlog.ValueMask) bool {
-	for attr, vals := range mask {
-		have := cached[attr]
-		for val := range vals {
-			if !have[val] {
-				return false
-			}
-		}
-	}
-	return true
-}
-
-// mergePairs adds the delta's pair counts to the cached pairs the mask
-// still keeps (never mutating prev, which the caller may retain).
-func mergePairs(prev, delta map[driftlog.PairKey]driftlog.CountResult, mask driftlog.ValueMask) map[driftlog.PairKey]driftlog.CountResult {
-	out := make(map[driftlog.PairKey]driftlog.CountResult, len(prev))
-	for k, cr := range prev {
-		if mask[k.AttrA][k.ValA] && mask[k.AttrB][k.ValB] {
-			out[k] = cr
-		}
-	}
-	for k, cr := range delta {
-		out[k] = addCR(out[k], cr)
-	}
-	return out
 }
 
 // mineLevels is how many apriori levels MineStats tells apart: 1, 2, and

@@ -15,7 +15,6 @@ import (
 	"strings"
 
 	"nazar/internal/driftlog"
-	"nazar/internal/tensor"
 )
 
 // Itemset is a set of attribute equality conditions, at most one per
@@ -185,9 +184,8 @@ func ComputeMetrics(c driftlog.CountResult, totalRows, totalDrift int) Metrics {
 // and returns every itemset of size ≤ MaxItems passing all thresholds,
 // ranked by risk ratio (descending), with occurrence, then smaller size,
 // then key as deterministic tie-breakers. The context is checked at every
-// apriori level boundary and between candidate-counting chunks, so a
-// cancelled analysis returns ctx.Err() without finishing the sweep; the
-// result is identical at any worker-pool width.
+// apriori level boundary, so a cancelled analysis returns ctx.Err() without
+// finishing the sweep; the result is identical at any worker-pool width.
 func MineContext(ctx context.Context, v *driftlog.View, ov *driftlog.Overlay, th Thresholds) ([]Result, error) {
 	results, _, err := MineCachedContext(ctx, NewSupportCache(v), nil, nil, ov, th)
 	return results, err
@@ -201,11 +199,11 @@ func MineContext(ctx context.Context, v *driftlog.View, ov *driftlog.Overlay, th
 // When delta and prev are both non-nil (and ov is nil), mining is
 // incremental: delta must be the Since-derived delta view of sc.View()
 // relative to the window prev was mined over, and every aggregate is
-// computed as prev's count plus a count over only the delta rows — except
-// level 1 when a value prev's floor left uncounted can clear the floor now,
-// and the pair counts when a value is frequent now that was not when prev
-// was mined, which are recounted over the view. th need not equal the
-// thresholds prev was mined under. The results are identical to a fresh
+// computed as prev's count, keyed by store ids, plus a count over only the
+// delta rows — except level 1 when a value prev's floor left uncounted can
+// clear the floor now, and a level ≥ 2 with a candidate prev did not count
+// (a value frequent now that was not then), which are recounted over the
+// view. th need not equal the thresholds prev was mined under. The results are identical to a fresh
 // mine by construction (counts are exact integers and additive over the
 // delta decomposition).
 func MineCachedContext(ctx context.Context, sc *SupportCache, delta *driftlog.View, prev *MineCache, ov *driftlog.Overlay, th Thresholds) ([]Result, *MineCache, error) {
@@ -257,7 +255,7 @@ func MineCachedContext(ctx context.Context, sc *SupportCache, delta *driftlog.Vi
 	// Level 1: one dense array per attribute indexed by store id, from one
 	// grouped pass (or prev's arrays plus a grouped pass over only the delta
 	// rows) that counts only the values whose row bound clears the floor. Its
-	// survivors are the mask level 2 is counted under.
+	// survivors, numbered, are what levels ≥ 2 join.
 	floor := driftlog.Floor{Rows: totals.Total, MinOccurrence: th.MinOccurrence, Exclude: th.ExcludeAttrs}
 	var level1 []driftlog.AttrCounts
 	if inc {
@@ -278,7 +276,7 @@ func MineCachedContext(ctx context.Context, sc *SupportCache, delta *driftlog.Vi
 			if cr.Total > 0 {
 				work.Candidates[0]++
 				if frequent(cr) {
-					level = append(level, counted{set: Itemset{{Attr: ac.Name, Value: ac.Dict[id]}}, counts: cr})
+					level = append(level, counted{set: Itemset{{Attr: ac.Name, Value: ac.Dict[id]}}, counts: cr, item: driftlog.Item{Pos: ac.Pos, ID: uint32(id)}})
 				}
 			}
 		}
@@ -290,81 +288,31 @@ func MineCachedContext(ctx context.Context, sc *SupportCache, delta *driftlog.Vi
 
 	all := slices.Clone(level)
 
-	// Level 2 via one grouped pass under the mask: downward closure says a
-	// pair can be frequent only if both its singles are, so the store counts
-	// and materializes pairs of level-1 survivors only. A delta mine adds the
-	// delta's pairs to the cached ones while every survivor was already one
-	// when the cache was counted; a newly frequent value (or a shorter
-	// exclusion list) has pairs the cache never held, and recounts the view.
-	if th.MaxItems >= 2 && len(level) > 1 {
-		var pairCounts map[driftlog.PairKey]driftlog.CountResult
-		if inc && maskWithin(sg.mask, prev.mask) {
-			dp := delta.PairCountsMasked(nil, sg.mask)
-			work.PairsCounted = uint64(len(dp))
-			pairCounts = mergePairs(prev.pairs, dp, sg.mask)
-		} else {
-			pairCounts = v.PairCountsMasked(ov, sg.mask)
-			work.PairsCounted = uint64(len(pairCounts))
-		}
-		if next != nil {
-			next.mask, next.pairs = sg.mask, pairCounts
-		}
-		work.Candidates[1] = uint64(len(pairCounts))
-		var nextLevel []counted
-		for pk, cr := range pairCounts {
-			if frequent(cr) {
-				// PairKey attributes are in canonical order: the two codes ascend.
-				c := sg.counted(sg.code[driftlog.Cond{Attr: pk.AttrA, Value: pk.ValA}] + sg.code[driftlog.Cond{Attr: pk.AttrB, Value: pk.ValB}])
-				c.counts = cr
-				sc.seed(c.key, epoch, cr)
-				nextLevel = append(nextLevel, c)
-			}
-		}
-		slices.SortFunc(nextLevel, func(a, b counted) int { return strings.Compare(a.codes, b.codes) })
-		all = append(all, nextLevel...)
-		level = nextLevel
-	}
-
-	// Levels 3..MaxItems: apriori-gen by prefix join over the codes, then
-	// per-candidate counting (candidate counts are small by level 3).
-	// Candidates are generated sequentially (cheap, deterministic) and
-	// counted in parallel into index-addressed slots, so the result is
-	// identical at any worker-pool width. A candidate's key is built once,
-	// after the prune, and reused for memo seeding, the cross-window cache
-	// and the final ranking.
-	for k := 3; k <= th.MaxItems && len(level) > 1; k++ {
+	// Levels 2..MaxItems: apriori-gen by prefix join, one group per (k-1)-set
+	// extended by the last codes it joins with, and one extension count of
+	// them all. Only a frequent candidate gets an Itemset and a key, reused
+	// for memo seeding and the final ranking; the cross-window cache keys by id.
+	var buf []byte
+	for k := 2; k <= th.MaxItems && len(level) > 1; k++ {
 		if err := ctx.Err(); err != nil {
 			return nil, nil, err
 		}
-		cands := sg.prefixJoin(level)
-		work.Candidates[2] += uint64(len(cands))
-		errs := make([]error, len(cands))
-		if err := tensor.ParallelForCtx(ctx, len(cands), func(lo, hi int) {
-			for i := lo; i < hi; i++ {
-				c := &cands[i]
-				if inc {
-					if pc, ok := prev.sets[c.key]; ok {
-						dc, derr := delta.Count(c.set, nil)
-						c.counts, errs[i] = addCR(pc, dc), derr
-						continue
-					}
-				}
-				c.counts, errs[i] = v.Count(c.set, ov)
-			}
-		}); err != nil {
-			return nil, nil, err
+		count := sg.countSets
+		if k == 2 {
+			count = sg.countPairs
 		}
+		groups := sg.joinGroups(level)
+		counts := count(v, delta, prev, ov, inc, groups, next, &work)
 		var nextLevel []counted
-		for i, c := range cands {
-			if errs[i] != nil {
-				return nil, nil, errs[i]
-			}
-			if next != nil {
-				next.sets[c.key] = c.counts
-			}
-			if frequent(c.counts) {
-				sc.seed(c.key, epoch, c.counts)
-				nextLevel = append(nextLevel, c) // cands ascend by codes: so does nextLevel
+		for gi, g := range groups {
+			for x, code := range g.ext {
+				if cr := counts[gi][x]; frequent(cr) {
+					buf = binary.BigEndian.AppendUint32(append(buf[:0], level[g.prefix].codes...), code)
+					c := sg.counted(string(buf))
+					c.counts = cr
+					sc.seed(c.key, epoch, cr)
+					nextLevel = append(nextLevel, c) // groups and their extensions ascend by codes: so does nextLevel
+				}
 			}
 		}
 		all = append(all, nextLevel...)
@@ -425,16 +373,14 @@ func RescoreCached(sc *SupportCache, set Itemset, ov *driftlog.Overlay) (Result,
 }
 
 // singles are a mine's level-1 survivors, numbered in (attribute, value)
-// order: conds[c] is the condition with code c, keys[c] its condKey, code
-// maps a condition to its code string, and mask holds them all. An itemset
-// is canonical exactly when its codes ascend. A counted set names its
-// conditions by a code string, codeBytes big-endian bytes per code, so byte
-// order is code order.
+// order: conds[c] is the condition with code c, keys[c] its condKey and
+// items[c] its store ids. An itemset is canonical exactly when its codes
+// ascend. A counted set names its conditions by a code string, codeBytes
+// big-endian bytes per code, so byte order is code order.
 type singles struct {
 	conds []driftlog.Cond
 	keys  []string
-	code  map[driftlog.Cond]string
-	mask  driftlog.ValueMask
+	items []driftlog.Item
 }
 
 const codeBytes = 4
@@ -445,15 +391,11 @@ func numberSingles(level []counted) *singles {
 	slices.SortFunc(level, func(a, b counted) int {
 		return cmp.Or(strings.Compare(a.set[0].Attr, b.set[0].Attr), strings.Compare(a.set[0].Value, b.set[0].Value))
 	})
-	sg := &singles{code: make(map[driftlog.Cond]string, len(level)), mask: driftlog.ValueMask{}}
+	sg := &singles{}
 	for i := range level {
 		c, cond := &level[i], level[i].set[0]
 		c.key, c.codes = condKey(cond.Attr, cond.Value), string(binary.BigEndian.AppendUint32(nil, uint32(i)))
-		sg.conds, sg.keys, sg.code[cond] = append(sg.conds, cond), append(sg.keys, c.key), c.codes
-		if sg.mask[cond.Attr] == nil {
-			sg.mask[cond.Attr] = map[string]bool{}
-		}
-		sg.mask[cond.Attr][cond.Value] = true
+		sg.conds, sg.keys, sg.items = append(sg.conds, cond), append(sg.keys, c.key), append(sg.items, c.item)
 	}
 	return sg
 }
@@ -477,28 +419,39 @@ func (sg *singles) counted(codes string) counted {
 	return counted{set: set, key: strings.Join(keys, "|"), codes: codes}
 }
 
-// prefixJoin is apriori-gen over a level of (k-1)-sets in code order: two
+// candGroup is the candidates apriori-gen makes from the level's set at index
+// prefix, extended by each of ext's codes (ascending), and as Group takes it.
+type candGroup struct {
+	prefix int
+	ext    []uint32
+	driftlog.Group
+}
+
+// joinGroups is apriori-gen over a level of (k-1)-sets in code order: two
 // sets that share their first k-2 codes and whose last codes lie on
 // different attributes join into the k-set of the prefix and both last codes,
-// so every canonical k-set arises from one pair only. The prune step keeps a
-// candidate when its other k-2 (k-1)-subsets are in the level too (counts
-// only fall as a condition is added), looking each up by a code string built
-// in a reused buffer. Only kept candidates get an Itemset and a key; they
-// come out in code order.
-func (sg *singles) prefixJoin(level []counted) []counted {
+// so every canonical k-set arises from one pair only — the first set's group,
+// extended by the second's last code. The prune step keeps a candidate when
+// its other k-2 (k-1)-subsets are in the level too (counts only fall as a
+// condition is added), looking each up by a code string built in a reused
+// buffer. Groups, and the extensions within one, come out in code order; a
+// set that extends to nothing makes no group.
+func (sg *singles) joinGroups(level []counted) []candGroup {
 	inLevel := make(map[string]bool, len(level))
 	for _, c := range level {
 		inLevel[c.codes] = true
 	}
-	var out []counted
+	var out []candGroup
 	var cand, sub []byte
 	for lo, hi := 0, 0; lo < len(level); lo = hi {
 		prefix := level[lo].codes[:len(level[lo].codes)-codeBytes]
 		for hi = lo + 1; hi < len(level) && strings.HasPrefix(level[hi].codes, prefix); hi++ {
 		}
 		for i := lo; i < hi; i++ {
+			g := candGroup{prefix: i}
 			for j := i + 1; j < hi; j++ {
-				if sg.conds[codeAt(level[i].codes, -1)].Attr == sg.conds[codeAt(level[j].codes, -1)].Attr {
+				last := codeAt(level[j].codes, -1)
+				if sg.conds[codeAt(level[i].codes, -1)].Attr == sg.conds[last].Attr {
 					continue // two values of one attribute: the prune would drop it too
 				}
 				cand = append(append(cand[:0], level[i].codes...), level[j].codes[len(prefix):]...)
@@ -508,19 +461,109 @@ func (sg *singles) prefixJoin(level []counted) []counted {
 					kept = inLevel[string(sub)]
 				}
 				if kept {
-					out = append(out, sg.counted(string(cand)))
+					g.ext, g.Ext = append(g.ext, last), append(g.Ext, sg.items[last])
 				}
+			}
+			if len(g.ext) > 0 {
+				for c := range len(level[i].codes) / codeBytes {
+					g.Prefix = append(g.Prefix, sg.items[codeAt(level[i].codes, c)])
+				}
+				out = append(out, g)
 			}
 		}
 	}
 	return out
 }
 
-// counted is a candidate itemset with its key and code string (each built
-// once, never inside the mining loops) and its window counts.
+// countLevel counts cands over the delta when merge, else over the view.
+func countLevel(v, delta *driftlog.View, ov *driftlog.Overlay, merge bool, cands []candGroup) [][]driftlog.CountResult {
+	groups := make([]driftlog.Group, len(cands))
+	for i, g := range cands {
+		groups[i] = g.Group
+	}
+	if merge {
+		return delta.ExtensionCounts(nil, groups)
+	}
+	return v.ExtensionCounts(ov, groups)
+}
+
+// countPairs counts level 2's candidates, the level-1 survivors' pairs: over
+// the delta, added to prev's pairs by integer key, when every survivor was
+// one in prev (a pair prev lacks had no row then); over the view otherwise.
+// next keeps the survivors and their pairs with a row.
+func (sg *singles) countPairs(v, delta *driftlog.View, prev *MineCache, ov *driftlog.Overlay, inc bool, cands []candGroup, next *MineCache, work *MineStats) [][]driftlog.CountResult {
+	mask := make([]uint64, len(sg.items))
+	for i, it := range sg.items {
+		mask[i] = pack(it)
+	}
+	slices.Sort(mask)
+	merge := inc && !slices.ContainsFunc(mask, func(x uint64) bool { _, ok := slices.BinarySearch(prev.mask, x); return !ok })
+	counts, pairs := countLevel(v, delta, ov, merge, cands), map[[2]uint64]driftlog.CountResult{}
+	for gi, g := range cands {
+		for x, e := range g.Ext {
+			key, cr := [2]uint64{pack(g.Prefix[0]), pack(e)}, &counts[gi][x]
+			if cr.Total > 0 {
+				work.PairsCounted++
+			}
+			if merge {
+				*cr = addCR(*cr, prev.pairs[key])
+			}
+			if cr.Total > 0 {
+				work.Candidates[1]++
+				pairs[key] = *cr
+			}
+		}
+	}
+	if next != nil {
+		next.mask, next.pairs = mask, pairs
+	}
+	return counts
+}
+
+// countSets counts a level ≥ 3's candidates: over the delta, added to prev's
+// counts, when prev counted every one of them; over the view otherwise.
+// next keeps every candidate's count, keyed by its store ids.
+func (sg *singles) countSets(v, delta *driftlog.View, prev *MineCache, ov *driftlog.Overlay, inc bool, cands []candGroup, next *MineCache, work *MineStats) [][]driftlog.CountResult {
+	keys, merge := make([][]string, len(cands)), inc
+	var key []byte
+	for gi, g := range cands {
+		for _, e := range g.Ext {
+			key = key[:0]
+			for _, it := range g.Prefix {
+				key = binary.BigEndian.AppendUint64(key, pack(it))
+			}
+			key = binary.BigEndian.AppendUint64(key, pack(e))
+			keys[gi] = append(keys[gi], string(key))
+			if merge {
+				_, merge = prev.sets[string(key)]
+			}
+		}
+	}
+	counts := countLevel(v, delta, ov, merge, cands)
+	for gi, g := range cands {
+		work.Candidates[2] += uint64(len(g.ext))
+		for x, k := range keys[gi] {
+			if merge {
+				counts[gi][x] = addCR(counts[gi][x], prev.sets[k])
+			}
+			if next != nil {
+				next.sets[k] = counts[gi][x]
+			}
+		}
+	}
+	return counts
+}
+
+// pack is an Item as one integer: its position above its store id.
+func pack(it driftlog.Item) uint64 { return uint64(it.Pos)<<32 | uint64(it.ID) }
+
+// counted is a frequent itemset with its key and code string (each built
+// once, never inside the mining loops) and its window counts; a single
+// carries its store ids too.
 type counted struct {
 	set    Itemset
 	key    string
 	codes  string
 	counts driftlog.CountResult
+	item   driftlog.Item
 }

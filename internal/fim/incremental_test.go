@@ -176,16 +176,16 @@ func TestIncrementalMineNewlyFrequentValue(t *testing.T) {
 	s.AppendBatch(fog(20, false)) // 0.66% of the first window: under MinOccurrence
 	th := DefaultThresholds()
 	first, second := growAndMine(t, s, fog(400, true), th, th)
-	if first.mask[driftlog.AttrWeather]["fog"] || !second.mask[driftlog.AttrWeather]["fog"] {
+	if maskValues(first)[driftlog.AttrWeather]["fog"] || !maskValues(second)[driftlog.AttrWeather]["fog"] {
 		t.Fatalf("fog in the first mask: %v, in the second: %v; want false, true",
-			first.mask[driftlog.AttrWeather]["fog"], second.mask[driftlog.AttrWeather]["fog"])
+			maskValues(first)[driftlog.AttrWeather]["fog"], maskValues(second)[driftlog.AttrWeather]["fog"])
 	}
 	if maskWithin(second.mask, first.mask) {
 		t.Fatal("the grown window's mask is within the cached one: the fallback was not exercised")
 	}
 	// The recount saw the 20 early fog rows the delta does not hold.
 	k := driftlog.PairKey{AttrA: driftlog.AttrLocation, ValA: "city_2", AttrB: driftlog.AttrWeather, ValB: "fog"}
-	if got, want := second.pairs[k], (driftlog.CountResult{Total: 420, Drift: 400}); got != want {
+	if got, want := cachedPairs(second)[k], (driftlog.CountResult{Total: 420, Drift: 400}); got != want {
 		t.Fatalf("cached {city_2, fog} = %+v, want %+v", got, want)
 	}
 }
@@ -261,7 +261,7 @@ func TestIncrementalMineExcludeAttrsChange(t *testing.T) {
 			if got := maskWithin(second.mask, first.mask); got != tc.within {
 				t.Fatalf("second mask within first = %v, want %v", got, tc.within)
 			}
-			for k := range second.pairs {
+			for k := range cachedPairs(second) {
 				if tc.th2.ExcludeAttrs != nil && (k.AttrA == driftlog.AttrDevice || k.AttrB == driftlog.AttrDevice) {
 					t.Fatalf("excluded attribute survives in the cache: %+v", k)
 				}
@@ -362,7 +362,7 @@ func TestTieredGrownWindowMinesDelta(t *testing.T) {
 			return
 		}
 		for attr, val := range e.Attrs {
-			if !cache1.mask[attr][val] {
+			if !maskValues(cache1)[attr][val] {
 				return
 			}
 		}
@@ -382,11 +382,11 @@ func TestTieredGrownWindowMinesDelta(t *testing.T) {
 		t.Fatal(err)
 	}
 	counted := ReadMineStats().PairsCounted - before.PairsCounted
-	deltaPairs, windowPairs := len(delta.PairCountsMasked(nil, cache2.mask)), len(v2.PairCountsMasked(nil, cache2.mask))
+	deltaPairs, windowPairs := maskedPairCount(delta, maskValues(cache2)), maskedPairCount(v2, maskValues(cache2))
 	if counted != uint64(deltaPairs) || deltaPairs >= windowPairs {
 		t.Fatalf("level 2 counted %d pairs; the delta holds %d, the window %d", counted, deltaPairs, windowPairs)
 	}
-	if len(cache2.mask["e"]) == 0 {
+	if len(maskValues(cache2)["e"]) == 0 {
 		t.Fatal("no value of the tiered attribute survives level 1: the test is vacuous")
 	}
 	want, err := MineContext(context.Background(), v2, nil, th)
@@ -457,7 +457,59 @@ func TestIncrementalMineDictionaryGrowth(t *testing.T) {
 			t.Fatalf("attribute %s: dictionary of %d values, then %d: it did not grow", attr, before, after)
 		}
 	}
-	if !cacheInc.mask["e"]["e_new0"] || !cacheInc.mask["a"]["a_new"] || !cacheInc.mask["f"]["f0"] {
-		t.Fatalf("a new value misses level 1: mask %v", cacheInc.mask)
+	if mask := maskValues(cacheInc); !mask["e"]["e_new0"] || !mask["a"]["a_new"] || !mask["f"]["f0"] {
+		t.Fatalf("a new value misses level 1: mask %v", mask)
 	}
+}
+
+// maskValues is a cache's level-1 survivors by attribute and value, each
+// packed survivor resolved through the cache's level-1 dictionaries.
+func maskValues(mc *MineCache) map[string]map[string]bool {
+	out := map[string]map[string]bool{}
+	for _, x := range mc.mask {
+		attr, val := cachedValue(mc, x)
+		if out[attr] == nil {
+			out[attr] = map[string]bool{}
+		}
+		out[attr][val] = true
+	}
+	return out
+}
+
+// cachedPairs is a cache's pair counts keyed by PairKey.
+func cachedPairs(mc *MineCache) map[driftlog.PairKey]driftlog.CountResult {
+	out := map[driftlog.PairKey]driftlog.CountResult{}
+	for k, cr := range mc.pairs {
+		a, va := cachedValue(mc, k[0])
+		b, vb := cachedValue(mc, k[1])
+		out[driftlog.PairKey{AttrA: a, ValA: va, AttrB: b, ValB: vb}] = cr
+	}
+	return out
+}
+
+// cachedValue resolves a packed value through the cache's level 1.
+func cachedValue(mc *MineCache, x uint64) (attr, val string) {
+	for _, ac := range mc.level1 {
+		if uint64(ac.Pos) == x>>32 {
+			return ac.Name, ac.Dict[uint32(x)]
+		}
+	}
+	panic(fmt.Sprintf("packed value %#x: no attribute at its position", x))
+}
+
+// maskedPairCount is the number of pairs the view holds of values in mask.
+func maskedPairCount(v *driftlog.View, mask map[string]map[string]bool) int {
+	n := 0
+	for k := range v.PairCounts(nil, nil) {
+		if mask[k.AttrA][k.ValA] && mask[k.AttrB][k.ValB] {
+			n++
+		}
+	}
+	return n
+}
+
+// maskWithin reports whether every value of mask is also in cached (both
+// ascending): the rule countPairs merges a delta's pairs under.
+func maskWithin(mask, cached []uint64) bool {
+	return !slices.ContainsFunc(mask, func(x uint64) bool { _, ok := slices.BinarySearch(cached, x); return !ok })
 }

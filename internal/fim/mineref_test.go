@@ -269,9 +269,9 @@ func TestMineMatchesReferenceMiner(t *testing.T) {
 }
 
 // TestSketchPairsHaveNoFalseNegatives holds a tiered attribute to what the
-// prune step relies on: PairCountsMasked under apriori's mask (the level-1
-// survivors) reports exactly the mask-kept pairs the window holds, each with
-// its row count. The log has a tiered attribute with a hot head and a long
+// prune step relies on: level 2's count under apriori's mask (the level-1
+// survivors, maskedPairs) reports exactly the mask-kept pairs the window
+// holds, each with its row count. The log has a tiered attribute with a hot head and a long
 // tail, and mining it equals the count-everything reference.
 func TestSketchPairsHaveNoFalseNegatives(t *testing.T) {
 	r := rand.New(rand.NewSource(0))
@@ -321,7 +321,7 @@ func TestSketchPairsHaveNoFalseNegatives(t *testing.T) {
 				}
 			}
 		})
-		mask := driftlog.ValueMask{}
+		mask := map[string]map[string]bool{}
 		for attr, byVal := range valueMap(v.AttrValueCounts(nil)) {
 			for val, cr := range byVal {
 				if float64(cr.Total) >= th.MinOccurrence*float64(v.Len()) {
@@ -335,7 +335,7 @@ func TestSketchPairsHaveNoFalseNegatives(t *testing.T) {
 		if len(mask["s"]) == 0 {
 			t.Fatal("no tiered value survives level 1: the test is vacuous")
 		}
-		got := v.PairCountsMasked(nil, mask)
+		got := maskedPairs(v, mask)
 		kept := 0
 		for k, want := range truth {
 			if !mask[k.AttrA][k.ValA] || !mask[k.AttrB][k.ValB] {
@@ -363,6 +363,44 @@ func TestSketchPairsHaveNoFalseNegatives(t *testing.T) {
 			t.Fatal("nothing mined")
 		}
 	}
+}
+
+// maskedPairs counts the pairs of mask's values as level 2 does: the values
+// numbered by numberSingles, grouped by joinGroups and counted by the
+// extension count; the non-zero counts, keyed by PairKey.
+func maskedPairs(v *driftlog.View, mask map[string]map[string]bool) map[driftlog.PairKey]driftlog.CountResult {
+	var level []counted
+	for _, ac := range v.AttrValueCounts(nil) {
+		for id, val := range ac.Dict {
+			if id > 0 && mask[ac.Name][val] {
+				level = append(level, counted{set: Itemset{{Attr: ac.Name, Value: val}}, item: driftlog.Item{Pos: ac.Pos, ID: uint32(id)}})
+			}
+		}
+	}
+	sg := numberSingles(level)
+	groups := sg.joinGroups(level)
+	out := map[driftlog.PairKey]driftlog.CountResult{}
+	for gi, counts := range countLevel(v, nil, nil, false, groups) {
+		for x, cr := range counts {
+			if cr.Total > 0 {
+				a, b := sg.conds[groups[gi].prefix], sg.conds[groups[gi].ext[x]]
+				out[driftlog.PairKey{AttrA: a.Attr, ValA: a.Value, AttrB: b.Attr, ValB: b.Value}] = cr
+			}
+		}
+	}
+	return out
+}
+
+// prefixJoin is joinGroups' candidates as counted sets (their Itemset, key
+// and code string), in code order.
+func (sg *singles) prefixJoin(level []counted) []counted {
+	var out []counted
+	for _, g := range sg.joinGroups(level) {
+		for _, code := range g.ext {
+			out = append(out, sg.counted(level[g.prefix].codes+codeString(code)))
+		}
+	}
+	return out
 }
 
 // TestMineStatsPinned pins the work counters on a fixed seeded log to the

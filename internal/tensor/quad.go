@@ -44,3 +44,9 @@ func UsesAVX() bool { return useAVX }
 // Decided once at start-up, from the same CPUID and XGETBV reads as
 // UsesAVX; the drift log selects its bitset AND-popcount kernel by it.
 func HasAVX2() bool { return avx2 }
+
+// HasAVX512Popcnt reports whether this host can run 512-bit integer vector
+// code with VPOPCNTQ: HasAVX2, plus the CPU reports AVX512F and
+// AVX512_VPOPCNTDQ and the OS saves the opmask and ZMM register state.
+// Decided once at start-up, like HasAVX2.
+func HasAVX512Popcnt() bool { return avx512Popcnt }

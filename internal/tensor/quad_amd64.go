@@ -8,6 +8,10 @@ var useAVX = hasAVX()
 // bitset kernel needs (HasAVX2).
 var avx2 = useAVX && hasAVX2()
 
+// avx512Popcnt adds AVX-512F, VPOPCNTQ and the OS-saved opmask and ZMM state
+// to avx2's condition: the drift log's 512-bit kernel (HasAVX512Popcnt).
+var avx512Popcnt = avx2 && hasAVX512Popcnt()
+
 func hasAVX() bool {
 	if maxLeaf, _, _, _ := cpuid(0, 0); maxLeaf < 1 {
 		return false
@@ -29,6 +33,16 @@ func hasAVX2() bool {
 	_, ebx, _, _ := cpuid(7, 0)
 	const popcntBit, avx2Bit = 1 << 23, 1 << 5
 	return ecx&popcntBit != 0 && ebx&avx2Bit != 0
+}
+
+func hasAVX512Popcnt() bool {
+	_, ebx, ecx, _ := cpuid(7, 0)
+	const avx512f, vpopcntdq = 1 << 16, 1 << 14
+	if ebx&avx512f == 0 || ecx&vpopcntdq == 0 {
+		return false
+	}
+	xcr0, _ := xgetbv()
+	return xcr0&0xe6 == 0xe6 // XMM, YMM, opmask, ZMM_Hi256 and Hi16_ZMM state enabled
 }
 
 // cpuid executes CPUID with the given leaf and sub-leaf.
